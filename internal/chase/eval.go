@@ -79,20 +79,21 @@ func evalLhs(t *mapping.Tgd, target Instance) ([]binding, *varSet, error) {
 		}
 
 		// Hash index of the relation on the probe positions' raw values.
-		// Built from Tuples() (sorted), not ForEach (map order), so the
+		// Built from Ordered (sorted), not ForEach (map order), so the
 		// binding enumeration — and with it the fold order of downstream
 		// floating-point aggregation — is deterministic run-to-run. Map
 		// order once made sum() results differ in the last ulp between
 		// runs, which flipped exact-zero tests (x/x at x == 0) downstream.
 		index := make(map[string][]model.Tuple)
 		keyBuf := make([]model.Value, len(probePos))
-		for _, tu := range rel.Tuples() {
+		_ = rel.Ordered(func(tu model.Tuple) error {
 			for i, p := range probePos {
 				keyBuf[i] = tu.Dims[p]
 			}
 			k := model.EncodeKey(keyBuf)
 			index[k] = append(index[k], tu)
-		}
+			return nil
+		})
 
 		var next []binding
 		for _, b := range bindings {

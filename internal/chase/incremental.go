@@ -485,7 +485,7 @@ func (s *Solver) incrTupleLevel(t *mapping.Tgd, target Instance, deltas map[stri
 
 // incrAggregation maintains a single-atom aggregation per output group:
 // delta tuples identify the affected groups, and each affected group is
-// re-aggregated from a scan of the full current relation in Tuples()
+// re-aggregated from a scan of the full current relation in Ordered
 // order — the exact fold order the full chase uses — so even
 // order-sensitive accumulations (stddev's running moments) reproduce the
 // full result bit for bit. No differential aggregate state is kept,
@@ -546,37 +546,35 @@ func (s *Solver) incrAggregation(t *mapping.Tgd, target Instance, deltas map[str
 
 	// One sorted scan re-aggregates every affected group.
 	aggs := make(map[string]ops.Aggregator, len(affected.dims))
-	for _, tu := range rel.Tuples() {
+	err = rel.Ordered(func(tu model.Tuple) error {
 		ok, err := bindAtomTuple(atom, vars, tu, b)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if !ok {
-			continue
+		if err != nil || !ok {
+			return err
 		}
 		if err := evalRhsDims(t.Rhs.Dims, vars, b, keyBuf); err != nil {
-			return nil, nil, false, err
+			return err
 		}
 		k := model.EncodeKey(keyBuf)
 		if _, isAffected := affected.dims[k]; !isAffected {
-			continue
+			return nil
 		}
 		mv, defined, err := evalMeasure(t.Measure, vars, b)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if !defined {
-			continue
+		if err != nil || !defined {
+			return err
 		}
 		agg := aggs[k]
 		if agg == nil {
 			agg, err = ops.NewAggregator(t.Agg)
 			if err != nil {
-				return nil, nil, false, err
+				return err
 			}
 			aggs[k] = agg
 		}
 		agg.Add(mv)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, false, err
 	}
 
 	recompute := func(dims []model.Value) (float64, bool, error) {

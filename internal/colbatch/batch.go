@@ -111,19 +111,20 @@ func (b *Batch) Rows() [][]model.Value {
 // in schema order followed by the measure. Tuples are emitted in the
 // cube's deterministic sorted order.
 func FromCube(c *model.Cube) *Batch {
-	sch := c.Schema()
-	w := len(sch.Dims) + 1
-	tuples := c.Tuples()
-	b := &Batch{N: len(tuples), Cols: make([][]model.Value, w)}
+	w := len(c.Schema().Dims) + 1
+	b := &Batch{N: c.Len(), Cols: make([][]model.Value, w)}
 	for i := range b.Cols {
-		b.Cols[i] = make([]model.Value, len(tuples))
+		b.Cols[i] = make([]model.Value, b.N)
 	}
-	for r, tu := range tuples {
+	r := 0
+	_ = c.Ordered(func(tu model.Tuple) error {
 		for d, v := range tu.Dims {
 			b.Cols[d][r] = v
 		}
 		b.Cols[w-1][r] = model.Num(tu.Measure)
-	}
+		r++
+		return nil
+	})
 	return b
 }
 

@@ -506,9 +506,16 @@ func (f *fragment) runOn(ctx context.Context, target ops.Target, snap map[string
 		return nil, err
 	}
 
-	// Account for data movement and latency: tuples read from the shared
-	// snapshot, tuples written back, and the target's wall-clock time
-	// (successful attempts only, so latency histograms describe real work).
+	recordAttempt(ctx, target, input, out, start)
+	return out, nil
+}
+
+// recordAttempt accounts for a successful attempt's data movement and
+// latency: tuples of the input cubes it was given from the shared
+// snapshot, tuples of the cubes it handed back, and the target's
+// wall-clock time (successful attempts only, so latency histograms
+// describe real work). Full and incremental attempts count alike.
+func recordAttempt(ctx context.Context, target ops.Target, input, out map[string]*model.Cube, start time.Time) {
 	var read, written int
 	for _, c := range input {
 		read += c.Len()
@@ -524,7 +531,6 @@ func (f *fragment) runOn(ctx context.Context, target ops.Target, snap map[string
 	met.Counter(obs.Label(obs.MetricTuplesRead, "target", string(target))).Add(int64(read))
 	met.Counter(obs.Label(obs.MetricTuplesWritten, "target", string(target))).Add(int64(written))
 	met.Histogram(obs.Label(obs.MetricTargetLatency, "target", string(target))).ObserveDuration(time.Since(start))
-	return out, nil
 }
 
 // execOn runs the fragment's mapping on one concrete target engine.

@@ -205,9 +205,9 @@ func (f *fragment) runOnIncr(ctx context.Context, target ops.Target, snap map[st
 		return nil, err
 	}
 	st.publish(f, out, oc.outDeltas)
+	recordAttempt(ctx, target, input, out, start)
 
 	met := obs.MetricsFrom(ctx)
-	met.Histogram(obs.Label(obs.MetricTargetLatency, "target", string(target))).ObserveDuration(time.Since(start))
 	if oc.fellBack {
 		met.Counter(obs.Label(obs.MetricIncrFellBack, "target", string(target))).Add(1)
 		return out, nil
@@ -385,11 +385,12 @@ func (f *fragment) execSQLIncr(ctx context.Context, input map[string]*model.Cube
 		}
 		base := v.bases[name]
 		od := &model.CubeDelta{Name: name, Base: base, Current: cur}
-		for _, tu := range dcube.Tuples() {
+		_ = dcube.Ordered(func(tu model.Tuple) error {
 			if _, had := base.Get(tu.Dims); !had {
 				od.Added = append(od.Added, tu)
 			}
-		}
+			return nil
+		})
 		outDeltas[name] = od
 	}
 	return out, outDeltas, true, nil

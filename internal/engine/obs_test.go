@@ -94,6 +94,16 @@ func TestTracedRunSpanTree(t *testing.T) {
 	if !sawTargetInternal {
 		t.Error("no target-engine span nests under any attempt")
 	}
+	// The SQL engine's own spans hang below the statement that ran them.
+	stmts := dispatchSpan.FindAll("sql.stmt")
+	if len(stmts) == 0 {
+		t.Fatal("the GDP run executed no SQL statement")
+	}
+	for _, st := range stmts {
+		if st.Find("sql.exec") == nil {
+			t.Errorf("sql.stmt %d has no sql.exec span beneath it", st.ID)
+		}
+	}
 
 	// Every span ended: durations are set, and the traced run left no
 	// span open.
@@ -209,6 +219,67 @@ func TestMetricsAgreeWithReport(t *testing.T) {
 	}
 	if !sawFailedAttempt {
 		t.Error("no attempt span records an error under fault injection")
+	}
+}
+
+// TestMetricsAgreeWithReportIncremental: incremental runs account for
+// their targets like full ones. After a priming run and a delta-driven
+// one, every fragment of either report has one latency observation on
+// the target it finished on, that target counts the tuples of the cubes
+// the fragment produced as written, and it has read some.
+func TestMetricsAgreeWithReportIncremental(t *testing.T) {
+	data := workload.GDPSource(workload.GDPConfig{Days: 200, Regions: 2})
+	metrics := obs.NewRegistry()
+	e := newGDPEngine(t, data, WithMetrics(metrics))
+	ctx := context.Background()
+	t0 := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
+
+	fragments := make(map[ops.Target]int64)
+	written := make(map[ops.Target]int64)
+	account := func(rep *Report) {
+		t.Helper()
+		if !rep.Incremental {
+			t.Fatalf("run was not incremental: %+v", rep)
+		}
+		for _, fr := range rep.Fragments {
+			fragments[fr.Final]++
+			for _, name := range fr.Cubes {
+				c, ok := e.Cube(name)
+				if !ok {
+					t.Fatalf("produced cube %s not stored", name)
+				}
+				written[fr.Final] += int64(c.Len())
+			}
+		}
+	}
+	rep, err := e.Run(ctx, RunAt(t0), WithIncremental())
+	if err != nil {
+		t.Fatal(err)
+	}
+	account(rep)
+	t1 := t0.Add(24 * time.Hour)
+	if err := e.PutCube(churn(t, data["PDR"], false), t1); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = e.Run(ctx, RunAt(t1), WithIncremental()); err != nil {
+		t.Fatal(err)
+	}
+	account(rep)
+
+	if len(fragments) == 0 {
+		t.Fatal("no fragment ran")
+	}
+	for target, n := range fragments {
+		label := func(name string) string { return obs.Label(name, "target", string(target)) }
+		if got := metrics.Histogram(label(obs.MetricTargetLatency)).Count(); got != n {
+			t.Errorf("%s latency observations = %d, reports have %d fragments", target, got, n)
+		}
+		if got := metrics.Counter(label(obs.MetricTuplesWritten)).Value(); got != written[target] {
+			t.Errorf("%s tuples written = %d, produced cubes hold %d", target, got, written[target])
+		}
+		if got := metrics.Counter(label(obs.MetricTuplesRead)).Value(); got <= 0 {
+			t.Errorf("%s tuples read = %d, want > 0", target, got)
+		}
 	}
 }
 

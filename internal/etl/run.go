@@ -258,12 +258,11 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 				return fmt.Errorf("filter column %s not in %s", st.FilterField, st.Table)
 			}
 		}
-		for _, tu := range cube.Tuples() {
+		return cube.Ordered(func(tu model.Tuple) error {
 			if filterIdx >= 0 && !tu.Dims[filterIdx].Equal(st.filterVal) {
-				continue
+				return nil
 			}
 			row := make(Row, len(idx))
-			bad := false
 			for i, j := range idx {
 				var v model.Value
 				if j < 0 {
@@ -279,18 +278,12 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 					v = sv
 				}
 				if !v.IsValid() {
-					bad = true
-					break
+					return nil
 				}
 				row[i] = v
 			}
-			if !bad {
-				if err := send(ctx, out, row); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+			return send(ctx, out, row)
+		})
 
 	case MergeJoin:
 		leftCh, rightCh := chans[st.Left], chans[st.Right]

@@ -53,15 +53,26 @@ func (f *Frame) Clone() *Frame {
 }
 
 // FromCube converts a cube into a frame whose columns are the dimension
-// names followed by the measure name. The conversion goes through the
-// shared columnar batch representation (colbatch), the same layout the
-// vectorized SQL executor reads, so cube↔frame and cube↔table transfers
-// are the one column-major code path.
+// names followed by the measure name, with the rows in the cube's
+// deterministic order.
 func FromCube(c *model.Cube) *Frame {
 	sch := c.Schema()
 	cols := append([]string(nil), sch.DimNames()...)
 	cols = append(cols, sch.Measure)
-	return &Frame{Cols: cols, Rows: colbatch.FromCube(c).Rows()}
+	// One backing array holds every row; each row is a full-capacity
+	// window of it, so appending to a row cannot reach its neighbour.
+	w := len(cols)
+	backing := make([]model.Value, c.Len()*w)
+	rows := make([][]model.Value, 0, c.Len())
+	_ = c.Ordered(func(tu model.Tuple) error {
+		lo := len(rows) * w
+		row := backing[lo : lo+w : lo+w]
+		copy(row, tu.Dims)
+		row[w-1] = model.Num(tu.Measure)
+		rows = append(rows, row)
+		return nil
+	})
+	return &Frame{Cols: cols, Rows: rows}
 }
 
 // ToCube converts a frame back into a cube under the given schema. The

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -39,10 +38,10 @@ type Cube struct {
 	// memEst caches MemEstimate once the cube is frozen (0 = uncached);
 	// frozen cubes are shared across goroutines, so the cache is atomic.
 	memEst atomic.Int64
-	// sorted caches the Tuples() sort order (nil = uncached). Mutating
-	// methods clear it before touching rows, so a stale cache can never
-	// be observed; the pointer is atomic because frozen cubes are read
-	// from many goroutines at once.
+	// sorted caches the cube's deterministic order (nil = uncached).
+	// Mutating methods clear it before touching rows, so a stale cache
+	// can never be observed; the pointer is atomic because frozen cubes
+	// are read from many goroutines at once.
 	sorted atomic.Pointer[[]Tuple]
 }
 
@@ -133,27 +132,46 @@ func (c *Cube) Delete(dims []Value) bool {
 	return ok
 }
 
-// Tuples returns all tuples sorted by dimension values. Sorting gives every
-// engine the same deterministic iteration order, which keeps generated
-// artifacts and test expectations stable. The sort order is cached until
-// the next mutation, so repeated scans of the same version (the common
-// case for frozen store cubes) cost a copy, not a sort; the returned
-// slice is always the caller's to mutate.
-func (c *Cube) Tuples() []Tuple {
+// order returns the cube's tuples in its deterministic order, the byte
+// order of their AppendOrderedKey encodings, which gives every engine
+// the same iteration order and keeps generated artifacts and test
+// expectations stable. The order is computed on the first scan of a
+// version and cached until the next mutation. The returned slice is
+// shared by every reader of the cube and must not be written to.
+func (c *Cube) order() []Tuple {
 	if p := c.sorted.Load(); p != nil {
-		out := make([]Tuple, len(*p))
-		copy(out, *p)
-		return out
+		return *p
 	}
-	cached := make([]Tuple, 0, len(c.rows))
-	for _, t := range c.rows {
-		cached = append(cached, t)
+	l := tupleList{ts: make([]Tuple, 0, len(c.rows))}
+	for k, t := range c.rows {
+		l.add(k, t)
 	}
-	sort.Slice(cached, func(i, j int) bool { return compareDims(cached[i].Dims, cached[j].Dims) < 0 })
-	c.sorted.Store(&cached)
-	out := make([]Tuple, len(cached))
-	copy(out, cached)
-	return out
+	ts := l.sorted()
+	c.sorted.Store(&ts)
+	return ts
+}
+
+// Tuples returns all tuples in the cube's deterministic order (see
+// Ordered) as a fresh slice that is the caller's to mutate. Readers
+// that only scan should use Ordered, which does not copy.
+func (c *Cube) Tuples() []Tuple {
+	return append([]Tuple(nil), c.order()...)
+}
+
+// Ordered calls fn on every tuple in the cube's deterministic order:
+// dimension by dimension, left to right, in the byte order of
+// AppendOrderedKey, which is Value.Compare's order wherever Compare is
+// a strict one. It stops early and returns the first non-nil error. The
+// scan reads the cube's cached order without copying it; fn gets each
+// tuple by value, so it cannot disturb what the next reader sees, and
+// like every reader it must leave the Dims it is shown untouched.
+func (c *Cube) Ordered(fn func(Tuple) error) error {
+	for _, t := range c.order() {
+		if err := fn(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ForEach calls fn on every tuple in unspecified order; it stops early and
@@ -171,7 +189,8 @@ func (c *Cube) ForEach(fn func(Tuple) error) error {
 // is copied wholesale; the Dims slices inside the tuples are shared with
 // the original. That sharing is safe because the cube never mutates a
 // stored Dims slice in place (Put and Replace copy their argument), and
-// it is the same sharing every Tuples()/ForEach caller already gets.
+// it is the same sharing every Tuples/Ordered/ForEach caller already
+// gets.
 func (c *Cube) Clone() *Cube {
 	out := NewCube(c.schema)
 	out.rows = maps.Clone(c.rows)
@@ -207,7 +226,7 @@ func (c *Cube) Diff(o *Cube, tol float64, max int) []string {
 		}
 		return len(out) < max
 	}
-	for _, t := range c.Tuples() {
+	for _, t := range c.order() {
 		om, ok := o.Get(t.Dims)
 		if !ok {
 			if !add(fmt.Sprintf("missing in other: %v -> %v", formatDims(t.Dims), t.Measure)) {
@@ -221,7 +240,7 @@ func (c *Cube) Diff(o *Cube, tol float64, max int) []string {
 			}
 		}
 	}
-	for _, t := range o.Tuples() {
+	for _, t := range o.order() {
 		if _, ok := c.Get(t.Dims); !ok {
 			if !add(fmt.Sprintf("extra in other: %v -> %v", formatDims(t.Dims), t.Measure)) {
 				return out
@@ -287,19 +306,6 @@ func almostEqual(a, b float64) bool {
 	return math.Abs(a-b) <= Eps*(1+math.Abs(a)+math.Abs(b))
 }
 
-func compareDims(a, b []Value) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c
-		}
-	}
-	return len(a) - len(b)
-}
-
 func formatDims(dims []Value) string {
 	s := "("
 	for i, d := range dims {
@@ -318,7 +324,7 @@ func (c *Cube) SortedSeries() ([]Period, []float64, error) {
 	if !c.schema.IsTimeSeries() {
 		return nil, nil, fmt.Errorf("model: cube %s is not a time series", c.schema.Name)
 	}
-	ts := c.Tuples()
+	ts := c.order()
 	periods := make([]Period, len(ts))
 	vals := make([]float64, len(ts))
 	for i, t := range ts {

@@ -1,7 +1,5 @@
 package model
 
-import "sort"
-
 // CubeDelta describes how a cube changed between two versions: the
 // tuples added, the tuples whose measure changed, and the tuples
 // deleted. Both endpoint cubes are carried by reference (zero-copy on
@@ -37,23 +35,6 @@ func (d *CubeDelta) PureInsert() bool {
 	return len(d.Changed) == 0 && len(d.Deleted) == 0
 }
 
-// Touched returns the dimension tuples affected by the delta (added,
-// changed or deleted), sorted. Each entry appears once.
-func (d *CubeDelta) Touched() [][]Value {
-	out := make([][]Value, 0, d.Size())
-	for _, t := range d.Added {
-		out = append(out, t.Dims)
-	}
-	for _, t := range d.Changed {
-		out = append(out, t.Dims)
-	}
-	for _, t := range d.Deleted {
-		out = append(out, t.Dims)
-	}
-	sort.Slice(out, func(i, j int) bool { return compareDims(out[i], out[j]) < 0 })
-	return out
-}
-
 // DiffCubes computes the exact tuple-level delta from base to cur.
 // Measures are compared with ==, not a tolerance: the incremental
 // evaluator's contract is byte-identical output, so even a last-ulp
@@ -74,29 +55,24 @@ func DiffCubes(name string, base, cur *Cube) *CubeDelta {
 		d.Base = NewCube(sch).Freeze()
 	}
 	// Probe map against map directly: the diff is usually a small
-	// fraction of the cubes, so sorting only the changed tuples (below)
+	// fraction of the cubes, so sorting only the changed tuples
 	// beats the full Tuples() sort of both versions by orders of
 	// magnitude on large cubes.
+	var added, changed, deleted tupleList
 	for k, t := range d.Current.rows {
 		old, ok := d.Base.rows[k]
 		switch {
 		case !ok:
-			d.Added = append(d.Added, t)
+			added.add(k, t)
 		case old.Measure != t.Measure:
-			d.Changed = append(d.Changed, t)
+			changed.add(k, t)
 		}
 	}
 	for k, t := range d.Base.rows {
 		if _, ok := d.Current.rows[k]; !ok {
-			d.Deleted = append(d.Deleted, t)
+			deleted.add(k, t)
 		}
 	}
-	sortTuples(d.Added)
-	sortTuples(d.Changed)
-	sortTuples(d.Deleted)
+	d.Added, d.Changed, d.Deleted = added.sorted(), changed.sorted(), deleted.sorted()
 	return d
-}
-
-func sortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return compareDims(ts[i].Dims, ts[j].Dims) < 0 })
 }

@@ -272,6 +272,11 @@ func AppendKey(b []byte, dims []Value) []byte {
 // single 0xFF byte and sort after every valid value — the engines'
 // NULLS LAST rule, not Compare's kind order. Sort-heavy paths use this
 // to replace repeated Compare calls with one key build and memcmp.
+//
+// NaN is the one valid value Compare does not order (it compares equal
+// to every number); the key order places it by its bits: a NaN with the
+// sign bit clear (math.NaN) sorts after +Inf, one with the sign bit set
+// before -Inf. Cube order is this byte order, so it is total even there.
 func AppendOrderedKey(b []byte, v Value) []byte {
 	switch v.kind {
 	case KindNumber, KindInt:

@@ -205,7 +205,7 @@ func rulePushdownFilters(a *analysisCtx, n planNode) (planNode, bool, error) {
 func estimateRows(n planNode) int {
 	switch n := n.(type) {
 	case *scanNode:
-		return len(n.table.Rows)
+		return n.table.numRows()
 	case *filterNode:
 		e := estimateRows(n.child) / 2
 		if e < 1 {

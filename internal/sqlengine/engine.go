@@ -101,6 +101,11 @@ type Column struct {
 // Rows is the public, row-major representation (tests and tabular
 // functions build it directly); the vectorized executor reads tables
 // through Batch, a lazily built columnar view.
+//
+// A table bulk-loaded from a cube (DB.LoadCube) holds only columns
+// until something needs its rows: DB.Table, a tabular function taking it
+// as an argument, the legacy executor, INSERT and DELETE build them
+// first. Rows is therefore valid on any table obtained from DB.Table.
 type Table struct {
 	Name string
 	Cols []Column
@@ -109,6 +114,7 @@ type Table struct {
 	batchMu   sync.Mutex
 	batch     *colbatch.Batch
 	batchRows int
+	columnar  bool // batch is the content and Rows has yet to be built from it
 }
 
 // Batch returns a columnar view of the table, built on first use and
@@ -118,28 +124,53 @@ type Table struct {
 func (t *Table) Batch() *colbatch.Batch {
 	t.batchMu.Lock()
 	defer t.batchMu.Unlock()
-	if t.batch == nil || t.batchRows != len(t.Rows) {
+	if !t.columnar && (t.batch == nil || t.batchRows != len(t.Rows)) {
 		t.batch = colbatch.FromRows(t.Rows, len(t.Cols))
 		t.batchRows = len(t.Rows)
 	}
 	return t.batch
 }
 
-// primeBatch installs an externally built columnar view (LoadCube uses
-// it to share the cube-conversion columns with the executor, zero-copy).
-// The batch must match the table's current Rows.
-func (t *Table) primeBatch(b *colbatch.Batch) {
+// setColumns makes an externally built batch the content of an empty
+// table (LoadCube shares the cube-conversion columns with the executor,
+// zero-copy), leaving Rows to materialize.
+func (t *Table) setColumns(b *colbatch.Batch) {
 	t.batchMu.Lock()
 	t.batch = b
 	t.batchRows = b.N
+	t.columnar = true
 	t.batchMu.Unlock()
 }
 
-// Invalidate discards the cached columnar view after a mutation.
+// materialize builds Rows from the columns of a bulk-loaded table; on
+// any other table Rows is already the content.
+func (t *Table) materialize() {
+	t.batchMu.Lock()
+	if t.columnar {
+		t.Rows = t.batch.Rows()
+		t.columnar = false
+	}
+	t.batchMu.Unlock()
+}
+
+// numRows returns the row count without building rows.
+func (t *Table) numRows() int {
+	t.batchMu.Lock()
+	defer t.batchMu.Unlock()
+	if t.columnar {
+		return t.batch.N
+	}
+	return len(t.Rows)
+}
+
+// Invalidate discards the cached columnar view after a mutation of
+// Rows.
 func (t *Table) Invalidate() {
 	t.batchMu.Lock()
-	t.batch = nil
-	t.batchRows = 0
+	if !t.columnar { // no rows exist yet that could have been mutated
+		t.batch = nil
+		t.batchRows = 0
+	}
 	t.batchMu.Unlock()
 }
 
@@ -156,12 +187,14 @@ func (t *Table) ColIndex(name string) int {
 // SortRows orders the rows by all columns left to right (NULLs last),
 // giving tests and exports a deterministic order.
 func (t *Table) SortRows() {
+	t.materialize()
 	sortRowsBy(t.Rows, len(t.Cols), nil)
 }
 
 // String renders the table as a small fixed-width text grid (for CLI
 // output and debugging).
 func (t *Table) String() string {
+	t.materialize()
 	var b strings.Builder
 	for i, c := range t.Cols {
 		if i > 0 {
@@ -226,8 +259,18 @@ func (db *DB) RegisterTabular(name string, fn TabularFunc) {
 	db.tabfns[strings.ToLower(name)] = fn
 }
 
-// Table returns the named table (case-insensitive).
+// Table returns the named table (case-insensitive) with its Rows built.
 func (db *DB) Table(name string) (*Table, bool) {
+	t, ok := db.lookup(name)
+	if ok {
+		t.materialize()
+	}
+	return t, ok
+}
+
+// lookup returns the named table as it is stored: a bulk-loaded one may
+// hold only columns. The vectorized path reads tables this way.
+func (db *DB) lookup(name string) (*Table, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	t, ok := db.tables[strings.ToLower(name)]

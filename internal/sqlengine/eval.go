@@ -118,7 +118,7 @@ func (db *DB) newResolver(ctx context.Context) *resolver {
 // relation returns the named table, or evaluates (and memoizes) the
 // named view.
 func (r *resolver) relation(name string) (*Table, error) {
-	if t, ok := r.db.Table(name); ok {
+	if t, ok := r.db.lookup(name); ok {
 		return t, nil
 	}
 	if t, ok := r.memo[name]; ok {
@@ -169,6 +169,7 @@ func (r *resolver) scopeFor(items []fromItem) (*scope, error) {
 				if err != nil {
 					return nil, fmt.Errorf("sql: argument of %s: %w", fi.fn, err)
 				}
+				at.materialize() // tabular functions read Rows
 				args = append(args, at)
 			}
 			tt, err := fn(args, fi.params)
@@ -264,6 +265,9 @@ func (db *DB) evalSelectLegacy(_ context.Context, s *selectStmt, r *resolver) (*
 		return nil, err
 	}
 	sc, exprs := p.sc, p.exprs
+	for _, t := range sc.tables {
+		t.materialize()
+	}
 	rows, err := db.joinFrom(s, sc)
 	if err != nil {
 		return nil, err

@@ -132,26 +132,27 @@ func (db *DB) CreateTableFor(sch model.Schema) error {
 }
 
 // LoadCube bulk-loads a cube instance into the matching table (created if
-// absent). The cube is converted columnar-first: into a fresh table it
-// also primes the table's cached batch, so the SQL dispatch path's
-// cube→table conversion is a column re-slice the executor reads directly.
+// absent). The cube is converted to columns only: they become the
+// content of an empty table, which the vectorized executor scans as they
+// are, and rows are built if and when something asks for them. Loading
+// into a table that already has content appends rows.
 func (db *DB) LoadCube(c *model.Cube) error {
 	name := lower(c.Schema().Name)
-	t, ok := db.Table(name)
+	t, ok := db.lookup(name)
 	if !ok {
 		if err := db.CreateTableFor(c.Schema()); err != nil {
 			return err
 		}
-		t, _ = db.Table(name)
+		t, _ = db.lookup(name)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	b := colbatch.FromCube(c)
-	if len(t.Rows) == 0 {
-		t.Rows = b.Rows()
-		t.primeBatch(b)
+	if t.numRows() == 0 {
+		t.setColumns(b)
 		return nil
 	}
+	t.materialize()
 	t.Rows = append(t.Rows, b.Rows()...)
 	t.Invalidate()
 	return nil
@@ -161,7 +162,7 @@ func (db *DB) LoadCube(c *model.Cube) error {
 // table columns must be the dimensions (in order) followed by the measure,
 // which is how CreateTableFor lays tables out.
 func (db *DB) ExtractCube(sch model.Schema) (*model.Cube, error) {
-	t, ok := db.Table(lower(sch.Name))
+	t, ok := db.lookup(lower(sch.Name))
 	if !ok {
 		return nil, fmt.Errorf("sql: no table for cube %s", sch.Name)
 	}

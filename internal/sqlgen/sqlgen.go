@@ -119,12 +119,13 @@ func Execute(s *Script, db *sqlengine.DB) error {
 
 // ExecuteContext is Execute under a context: cancellation aborts the
 // script between statements, and a tracer carried by the context records
-// one span per DDL batch and per INSERT step.
+// one span per DDL batch and per INSERT step, with the engine's own
+// spans (sql.vec, sql.analyze, sql.exec) and operator counters beneath.
 func ExecuteContext(ctx context.Context, s *Script, db *sqlengine.DB) error {
 	if len(s.DDL) > 0 {
-		_, span := obs.StartSpan(ctx, "sql.ddl", obs.Int("statements", len(s.DDL)))
+		dctx, span := obs.StartSpan(ctx, "sql.ddl", obs.Int("statements", len(s.DDL)))
 		for _, d := range s.DDL {
-			if err := db.Exec(d); err != nil {
+			if err := db.ExecContext(dctx, d); err != nil {
 				span.EndErr(err)
 				return err
 			}
@@ -135,9 +136,9 @@ func ExecuteContext(ctx context.Context, s *Script, db *sqlengine.DB) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		_, span := obs.StartSpan(ctx, "sql.stmt",
+		sctx, span := obs.StartSpan(ctx, "sql.stmt",
 			obs.String("tgd", st.TgdID), obs.String("cube", st.Target))
-		err := db.Exec(st.SQL)
+		err := db.ExecContext(sctx, st.SQL)
 		span.EndErr(err)
 		if err != nil {
 			return fmt.Errorf("sqlgen: executing %s: %w", st.TgdID, err)

@@ -210,14 +210,14 @@ func (d *decoder) schema() model.Schema {
 // (sorted) order, so identical cubes always encode to identical bytes.
 func appendCube(b []byte, c *model.Cube) []byte {
 	b = appendSchema(b, c.Schema())
-	tuples := c.Tuples()
-	b = appendUvarint(b, uint64(len(tuples)))
-	for _, tu := range tuples {
+	b = appendUvarint(b, uint64(c.Len()))
+	_ = c.Ordered(func(tu model.Tuple) error {
 		for _, v := range tu.Dims {
 			b = appendValue(b, v)
 		}
 		b = appendFloat(b, tu.Measure)
-	}
+		return nil
+	})
 	return b
 }
 

@@ -480,27 +480,31 @@ func (s *Store) Delta(name string, sinceGen uint64) (*model.CubeDelta, error) {
 // failure must happen while the caller can still choose an error path.
 func WriteCSV(w io.Writer, c *model.Cube) error {
 	sch := c.Schema()
-	tuples := c.Tuples()
-	for _, tu := range tuples {
+	err := c.Ordered(func(tu model.Tuple) error {
 		if math.IsNaN(tu.Measure) || math.IsInf(tu.Measure, 0) {
 			return fmt.Errorf("store: cube %s has non-finite measure %v at %v; undefined points must be absent tuples, not NaN/Inf",
 				sch.Name, tu.Measure, tu.Dims)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	cw := csv.NewWriter(w)
 	header := append(append([]string(nil), sch.DimNames()...), sch.Measure)
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, tu := range tuples {
+	err = c.Ordered(func(tu model.Tuple) error {
 		rec := make([]string, 0, len(header))
 		for _, d := range tu.Dims {
 			rec = append(rec, d.String())
 		}
 		rec = append(rec, strconv.FormatFloat(tu.Measure, 'g', -1, 64))
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		return cw.Write(rec)
+	})
+	if err != nil {
+		return err
 	}
 	cw.Flush()
 	return cw.Error()
