@@ -5,32 +5,25 @@
 //
 // Usage:
 //
-//	exlbench [-run all|e1|e2|...|e13|sqlbench|incremental] [-quick] [-workers N]
-//	         [-iters N] [-store dir] [-max-concurrent N] [-mem-budget bytes]
-//	         [-bench-out file] [-incr-bench-out file]
+//	exlbench [-run all|e1|e2|...|e10] [-quick]
+//
+// Performance regressions are measured by the benchmark, go run ./bench.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"exlengine/internal/chase"
-	"exlengine/internal/cli"
 	"exlengine/internal/engine"
 	"exlengine/internal/etl"
 	"exlengine/internal/exl"
-	"exlengine/internal/exlerr"
-	"exlengine/internal/faults"
 	"exlengine/internal/frame"
-	"exlengine/internal/governor"
 	"exlengine/internal/mapping"
 	"exlengine/internal/matlabgen"
 	"exlengine/internal/model"
@@ -39,31 +32,14 @@ import (
 	"exlengine/internal/rgen"
 	"exlengine/internal/sqlengine"
 	"exlengine/internal/sqlgen"
-	"exlengine/internal/store/durable"
 	"exlengine/internal/workload"
 )
 
-var (
-	quick    bool
-	workers  int
-	iters    int
-	benchOut string
-	incrOut  string
-	// shared holds the store (-store, used by e12) and governor
-	// (-max-concurrent/-mem-budget, used by e13) flags every EXLEngine
-	// tool exposes through internal/cli.
-	shared = &cli.Flags{}
-)
+var quick bool
 
 func main() {
-	run := flag.String("run", "all", "experiment to run (e1..e12 or all)")
+	run := flag.String("run", "all", "experiment to run (e1..e10 or all)")
 	flag.BoolVar(&quick, "quick", false, "smaller sweeps for fast runs")
-	flag.IntVar(&workers, "workers", 8, "e11: max concurrent run loops (sweep is 1..workers, doubling)")
-	flag.IntVar(&iters, "iters", 4, "e11: runs per worker")
-	flag.StringVar(&benchOut, "bench-out", "BENCH_sql.json", "sqlbench: output file for the JSON record")
-	flag.StringVar(&incrOut, "incr-bench-out", "BENCH_incremental.json", "incremental: output file for the JSON record")
-	shared.RegisterStore(flag.CommandLine)
-	shared.RegisterGovernor(flag.CommandLine, 4, 256<<20)
 	flag.Parse()
 
 	experiments := []struct {
@@ -81,11 +57,6 @@ func main() {
 		{"e8", "E8: incremental determination vs full recalculation", e8},
 		{"e9", "E9: fused vs normalized mappings (ablation)", e9},
 		{"e10", "E10: chase scaling", e10},
-		{"e11", "E11: concurrent re-runs over a shared store (zero-copy reads + compile cache)", e11},
-		{"e12", "E12: durable store — WAL commit throughput, group commit, recovery time", e12},
-		{"e13", "E13: overload — admission control, shedding and breakers at 2x capacity", e13},
-		{"sqlbench", "E14: SQL executor — vectorized batches vs legacy tree-walker (writes BENCH_sql.json)", e14},
-		{"incremental", "E15: delta-driven incremental recomputation — 1% churn vs full recompute (writes BENCH_incremental.json)", e15},
 	}
 	ran := false
 	for _, e := range experiments {
@@ -475,511 +446,6 @@ B := ((((A * 2) + A) / 3 - A) * 100) / (A + 1)
 	fmt.Printf("%-22s %8d %12.2f  (sql)\n", "normalized, views", len(norm.Tgds), float64(dSQLViews.Microseconds())/1000)
 	fmt.Printf("fusion speedup (chase): %.2fx; views vs tables (sql): %.2fx\n",
 		float64(dNorm)/float64(dFused), float64(dSQLTables)/float64(dSQLViews))
-}
-
-// e11 drives N goroutines re-running the GDP program against one shared
-// engine (the production shape: many consumers, one store) and reports
-// throughput per worker count plus the compile-cache counters. With
-// zero-copy reads, runs/s should grow with workers; before, every
-// snapshot deep-cloned the store and the workers serialized on clone
-// traffic.
-func e11() {
-	days := 1000
-	if quick {
-		days = 200
-	}
-	data := workload.GDPSource(workload.GDPConfig{Days: days, Regions: 10})
-	metrics := obs.NewRegistry()
-	engine.ResetCompileCache()
-
-	fmt.Printf("%-9s %-7s %-12s %-12s\n", "workers", "runs", "elapsed ms", "runs/s")
-	for w := 1; w <= workers; w *= 2 {
-		eng := engine.New(engine.WithParallelDispatch(), engine.WithMetrics(metrics))
-		if err := eng.RegisterProgram("gdp", workload.GDPProgram); err != nil {
-			panic(err)
-		}
-		for _, name := range []string{"PDR", "RGDPPC"} {
-			if err := eng.PutCube(data[name], time.Unix(0, 0)); err != nil {
-				panic(err)
-			}
-		}
-		asOf := time.Unix(1, 0)
-		start := time.Now()
-		runs, err := workload.RunConcurrently(context.Background(),
-			workload.ConcurrentConfig{Workers: w, Iters: iters},
-			func(ctx context.Context) error {
-				if _, err := eng.Run(ctx, engine.RunAt(asOf)); err != nil {
-					return err
-				}
-				for _, name := range eng.CubeNames() {
-					eng.Cube(name)
-				}
-				return nil
-			})
-		if err != nil {
-			panic(err)
-		}
-		d := time.Since(start)
-		fmt.Printf("%-9d %-7d %-12.2f %-12.1f\n", w, runs,
-			float64(d.Microseconds())/1000, float64(runs)/d.Seconds())
-	}
-	fmt.Printf("compile cache: %d misses, %d hits across %d engines (one parse/analyze/generate total)\n",
-		metrics.Counter(obs.MetricCompileCacheMisses).Value(),
-		metrics.Counter(obs.MetricCompileCacheHits).Value(),
-		countEngines(workers))
-}
-
-// countEngines reports how many engines the e11 sweep constructs.
-func countEngines(maxWorkers int) int {
-	n := 0
-	for w := 1; w <= maxWorkers; w *= 2 {
-		n++
-	}
-	return n
-}
-
-// e12 measures the durable store: WAL commit throughput with per-commit
-// fsync vs group commit under concurrent writers, and recovery time on
-// reopen — once replaying the whole WAL record by record, once from the
-// snapshot that the first reopen itself wrote.
-func e12() {
-	commits := 512
-	if quick {
-		commits = 64
-	}
-	dir := shared.StoreDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "exlbench-e12-")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(dir)
-	}
-
-	series := func(name string) *model.Cube {
-		return workload.Series(workload.SeriesConfig{
-			Name: name, Freq: model.Monthly, N: 60,
-			Seed: 1, Level: 100, Trend: 0.5, SeasonAmp: 5, NoiseAmp: 1,
-		})
-	}
-
-	fmt.Printf("%-28s %-9s %-12s %-12s %-8s\n", "configuration", "commits", "ms", "commits/s", "fsyncs")
-	for _, cfg := range []struct {
-		name    string
-		sub     string
-		window  time.Duration
-		writers int
-	}{
-		{"fsync per commit", "solo", 0, 1},
-		{fmt.Sprintf("group commit 2ms, %d writers", workers), "group", 2 * time.Millisecond, workers},
-	} {
-		st, err := durable.Open(filepath.Join(dir, cfg.sub), durable.WithGroupCommit(cfg.window))
-		if err != nil {
-			panic(err)
-		}
-		cubes := make([]*model.Cube, cfg.writers)
-		for i := range cubes {
-			cubes[i] = series(fmt.Sprintf("S%02d", i))
-			if err := st.Declare(cubes[i].Schema()); err != nil {
-				panic(err)
-			}
-		}
-		per := commits / cfg.writers
-		start := time.Now()
-		var wg sync.WaitGroup
-		for i := 0; i < cfg.writers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for k := 0; k < per; k++ {
-					if err := st.Put(cubes[i], time.Unix(int64(k), 0)); err != nil {
-						panic(err)
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		d := time.Since(start)
-		_, fsyncs := st.WALStats()
-		total := per * cfg.writers
-		fmt.Printf("%-28s %-9d %-12.2f %-12.1f %-8d\n", cfg.name, total,
-			float64(d.Microseconds())/1000, float64(total)/d.Seconds(), fsyncs)
-		if err := st.Close(); err != nil {
-			panic(err)
-		}
-	}
-
-	// Recovery: reopen the solo store twice. The first reopen replays the
-	// whole WAL; it also writes a fresh snapshot, so the second reopen
-	// recovers from the snapshot alone.
-	for _, pass := range []string{"replaying WAL", "from snapshot"} {
-		st, err := durable.Open(filepath.Join(dir, "solo"))
-		if err != nil {
-			panic(err)
-		}
-		rec := st.Recovery()
-		fmt.Printf("recovery %-14s: generation %d, %d record(s) replayed, %.2f ms\n",
-			pass, rec.Generation, rec.ReplayedRecords, float64(rec.Elapsed.Microseconds())/1000)
-		if err := st.Close(); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// e13 is the overload benchmark: a worker fleet at twice the admitted
-// capacity, with scripted transient backend faults, against a governed
-// engine. It reports the governor's ledger — completed vs shed runs,
-// memory peak vs budget, breaker activity — and finishes with a graceful
-// shutdown drain, timing how long the engine takes to go quiet.
-func e13() {
-	days := 500
-	if quick {
-		days = 100
-	}
-	data := workload.GDPSource(workload.GDPConfig{Days: days, Regions: 5})
-
-	var fs []faults.Fault
-	for i := 0; i < 2*shared.MaxConcurrent; i++ {
-		fs = append(fs,
-			faults.Fault{Fragment: faults.AnyFragment, Attempt: 1, Target: ops.TargetSQL, Kind: faults.Error, Class: exlerr.Transient},
-			faults.Fault{Fragment: faults.AnyFragment, Attempt: 1, Target: ops.TargetETL, Kind: faults.Error, Class: exlerr.Transient},
-		)
-	}
-	inj := faults.NewInjector(fs...)
-
-	mx := obs.NewRegistry()
-	gov := governor.New(governor.Config{
-		MaxConcurrent: shared.MaxConcurrent,
-		MaxQueue:      shared.MaxConcurrent,
-		MemoryBudget:  shared.MemBudget,
-		Breaker:       governor.BreakerConfig{FailureThreshold: 4, Cooldown: 50 * time.Millisecond},
-	})
-	eng := engine.New(engine.WithGovernor(gov), engine.WithParallelDispatch(),
-		engine.WithMetrics(mx), engine.WithDispatchMiddleware(inj.Middleware()),
-		engine.WithSleeper(func(ctx context.Context, _ time.Duration) error { return ctx.Err() }))
-	if err := eng.RegisterProgram("gdp", workload.GDPProgram); err != nil {
-		panic(err)
-	}
-	for _, name := range []string{"PDR", "RGDPPC"} {
-		if err := eng.PutCube(data[name], time.Unix(0, 0)); err != nil {
-			panic(err)
-		}
-	}
-
-	var ok, shed, failed int64
-	var mu sync.Mutex
-	asOf := time.Unix(1, 0)
-	start := time.Now()
-	_, err := workload.RunConcurrently(context.Background(),
-		workload.ConcurrentConfig{Workers: 2 * shared.MaxConcurrent, Iters: iters},
-		func(ctx context.Context) error {
-			_, err := eng.Run(ctx, engine.RunAt(asOf))
-			mu.Lock()
-			switch {
-			case err == nil:
-				ok++
-			case exlerr.IsOverload(err):
-				shed++
-			default:
-				failed++
-			}
-			mu.Unlock()
-			return nil
-		})
-	if err != nil {
-		panic(err)
-	}
-	d := time.Since(start)
-
-	total := ok + shed + failed
-	fmt.Printf("load: %d workers x %d runs against %d slot(s), queue %d, budget %d MiB\n",
-		2*shared.MaxConcurrent, iters, shared.MaxConcurrent, shared.MaxConcurrent, shared.MemBudget>>20)
-	fmt.Printf("%-26s %8d\n", "runs completed", ok)
-	fmt.Printf("%-26s %8d\n", "runs shed (typed overload)", shed)
-	fmt.Printf("%-26s %8d\n", "runs failed", failed)
-	fmt.Printf("%-26s %8.1f\n", "completed runs/s", float64(ok)/d.Seconds())
-	fmt.Printf("%-26s %8d of %d\n", "accounted", total, 2*shared.MaxConcurrent*iters)
-	fmt.Printf("%-26s %8.2f MiB (budget %d MiB)\n", "memory peak",
-		float64(gov.MemPeak())/(1<<20), shared.MemBudget>>20)
-	var trips int64
-	for _, tgt := range ops.AllTargets {
-		trips += mx.Counter(obs.Label(obs.MetricBreakerTrips, "target", string(tgt))).Value()
-	}
-	fmt.Printf("%-26s %8d\n", "breaker trips", trips)
-	fmt.Printf("%-26s %8d\n", "faults fired", len(inj.Fired()))
-
-	drainStart := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := eng.Shutdown(ctx); err != nil {
-		panic(err)
-	}
-	fmt.Printf("%-26s %8.2f ms (in-flight drained, store closed)\n",
-		"graceful shutdown", float64(time.Since(drainStart).Microseconds())/1000)
-}
-
-// e14 (sqlbench) compares the vectorized SQL executor against the
-// legacy tuple-at-a-time tree-walker on the e5/e11-class workload: the
-// full GDP pipeline (daily panels joined with quarterly deflators,
-// aggregated ~90:1 to quarters) translated to SQL and executed on the
-// embedded engine. Translation is offline (e7) and is hoisted out of
-// the timed region; loading elementary cubes and extracting derived
-// ones is identical under both executors and is timed separately so
-// the executor ratio is not diluted by shared materialization. The
-// derived cubes from both executors are compared for equality before
-// any number is reported. Results go to stdout and -bench-out
-// (BENCH_sql.json).
-func e14() {
-	sizes := []int{2000, 10000}
-	if quick {
-		sizes = []int{200, 1000}
-	}
-	m := compileGDP()
-	script, err := sqlgen.Translate(m)
-	if err != nil {
-		panic(err)
-	}
-
-	type entry struct {
-		Workload   string  `json:"workload"`
-		Days       int     `json:"days"`
-		Rows       int     `json:"rows"`
-		LegacyMS   float64 `json:"legacy_ms"`
-		VectorMS   float64 `json:"vector_ms"`
-		Speedup    float64 `json:"speedup"`
-		PipelineMS float64 `json:"pipeline_ms"`
-	}
-	var entries []entry
-
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	fmt.Printf("%-10s %-10s %-12s %-12s %-8s\n", "PDR rows", "days", "legacy ms", "vector ms", "speedup")
-	for _, days := range sizes {
-		const regions = 20
-		data := workload.GDPSource(workload.GDPConfig{Days: days, Regions: regions})
-
-		// run executes the translated script on a fresh DB in the given
-		// mode three times and reports the best execution-only duration,
-		// the best whole-pipeline duration (load + execute + extract),
-		// and the derived cubes of the last run.
-		run := func(mode sqlengine.ExecMode) (exec, pipeline time.Duration, out map[string]*model.Cube) {
-			for i := 0; i < 3; i++ {
-				pipeStart := time.Now()
-				db := sqlengine.NewDB()
-				db.SetExecMode(mode)
-				for _, name := range m.Elementary {
-					if err := db.LoadCube(data[name]); err != nil {
-						panic(err)
-					}
-				}
-				execStart := time.Now()
-				if err := sqlgen.Execute(script, db); err != nil {
-					panic(err)
-				}
-				d := time.Since(execStart)
-				out = make(map[string]*model.Cube, len(m.Derived))
-				for _, rel := range m.Derived {
-					c, err := db.ExtractCube(m.Schemas[rel])
-					if err != nil {
-						panic(err)
-					}
-					out[rel] = c
-				}
-				p := time.Since(pipeStart)
-				if exec == 0 || d < exec {
-					exec = d
-				}
-				if pipeline == 0 || p < pipeline {
-					pipeline = p
-				}
-			}
-			return exec, pipeline, out
-		}
-
-		legacy, _, refOut := run(sqlengine.ExecLegacy)
-		vector, pipe, vecOut := run(sqlengine.ExecVector)
-		for _, rel := range m.Derived {
-			if !vecOut[rel].Equal(refOut[rel], 1e-6) {
-				panic(fmt.Sprintf("sqlbench: %s differs between executors at days=%d", rel, days))
-			}
-		}
-		speedup := float64(legacy) / float64(vector)
-		fmt.Printf("%-10d %-10d %-12.2f %-12.2f %-8.2f\n",
-			days*regions, days, ms(legacy), ms(vector), speedup)
-		entries = append(entries, entry{
-			Workload: "gdp-pipeline", Days: days, Rows: days * regions,
-			LegacyMS: ms(legacy), VectorMS: ms(vector), Speedup: speedup,
-			PipelineMS: ms(pipe),
-		})
-	}
-	fmt.Println("derived cubes identical under both executors (tolerance 1e-6)")
-
-	record := struct {
-		GeneratedBy string  `json:"generated_by"`
-		Quick       bool    `json:"quick"`
-		Entries     []entry `json:"entries"`
-	}{GeneratedBy: "exlbench -run sqlbench", Quick: quick, Entries: entries}
-	buf, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(benchOut, buf, 0o644); err != nil {
-		panic(err)
-	}
-	fmt.Printf("wrote %s\n", benchOut)
-}
-
-// e15 (incremental) measures delta-driven recomputation against a full
-// recompute on a tuple-level pipeline (no black-box operators, so every
-// fragment is maintainable): a quarterly panel feeds a four-statement
-// chain, 1% of the panel's points are perturbed per step, and both
-// engines re-run. The derived cubes must match exactly — byte-identical,
-// zero tolerance — before any number is reported; incremental times
-// include everything a caller sees (staleness walk, store deltas,
-// dispatch, persist). Results go to stdout and -incr-bench-out
-// (BENCH_incremental.json).
-func e15() {
-	sizes := []int{20000, 200000}
-	if quick {
-		sizes = []int{5000, 20000}
-	}
-	const prog = `
-cube S(q: quarter, r: string) measure v
-
-A := S * 2
-B := A + S
-C := B - A
-D := C * 0.5
-`
-	derived := []string{"A", "B", "C", "D"}
-	const regions = 100
-	const steps = 5
-
-	// churn perturbs ~1% of the cube's points, at step-dependent
-	// positions so successive deltas do not hit identical keys.
-	churn := func(c *model.Cube, step int) *model.Cube {
-		out := c.Clone()
-		for i, tu := range c.Tuples() {
-			if (i+step*37)%100 == 7 {
-				if err := out.Replace(tu.Dims, tu.Measure*1.01+0.01); err != nil {
-					panic(err)
-				}
-			}
-		}
-		return out
-	}
-	newEng := func(seed *model.Cube, t0 time.Time) *engine.Engine {
-		e := engine.New()
-		if err := e.RegisterProgram("incrbench", prog); err != nil {
-			panic(err)
-		}
-		if err := e.PutCube(seed, t0); err != nil {
-			panic(err)
-		}
-		return e
-	}
-
-	type entry struct {
-		Workload string  `json:"workload"`
-		Rows     int     `json:"rows"`
-		Steps    int     `json:"steps"`
-		ChurnPct float64 `json:"churn_pct"`
-		FullMS   float64 `json:"full_ms"`
-		IncrMS   float64 `json:"incr_ms"`
-		Speedup  float64 `json:"speedup"`
-	}
-	var entries []entry
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-	ctx := context.Background()
-	fmt.Printf("%-10s %-8s %-12s %-12s %-8s\n", "rows", "steps", "full ms", "incr ms", "speedup")
-	for _, rows := range sizes {
-		quarters := rows / regions
-		sch := model.NewSchema("S",
-			[]model.Dim{{Name: "q", Type: model.TQuarter}, {Name: "r", Type: model.TString}}, "v")
-		seed := model.NewCube(sch)
-		start := model.NewQuarterly(1990, 1)
-		for q := 0; q < quarters; q++ {
-			for r := 0; r < regions; r++ {
-				dims := []model.Value{model.Per(start.Shift(int64(q))), model.Str(fmt.Sprintf("r%02d", r))}
-				if err := seed.Put(dims, float64(q*regions+r)*0.25+1); err != nil {
-					panic(err)
-				}
-			}
-		}
-
-		t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-		full := newEng(seed, t0)
-		incr := newEng(seed.Clone(), t0)
-		// Both engines run the chase: it is the target whose fragments are
-		// maintainable tuple-by-tuple, so the comparison isolates
-		// semi-naive maintenance from full recomputation on the same
-		// executor.
-		if _, err := full.Run(ctx, engine.RunOn(ops.TargetChase), engine.RunAt(t0)); err != nil {
-			panic(err)
-		}
-		if _, err := incr.Run(ctx, engine.RunOn(ops.TargetChase), engine.RunAt(t0), engine.WithIncremental()); err != nil {
-			panic(err)
-		}
-
-		cur := seed
-		var fullTotal, incrTotal time.Duration
-		for step := 1; step <= steps; step++ {
-			cur = churn(cur, step)
-			at := t0.Add(time.Duration(step) * 24 * time.Hour)
-			if err := full.PutCube(cur, at); err != nil {
-				panic(err)
-			}
-			if err := incr.PutCube(cur.Clone(), at); err != nil {
-				panic(err)
-			}
-			fullStart := time.Now()
-			if _, err := full.Run(ctx, engine.RunOn(ops.TargetChase), engine.RunAt(at)); err != nil {
-				panic(err)
-			}
-			fullTotal += time.Since(fullStart)
-			incrStart := time.Now()
-			rep, err := incr.Run(ctx, engine.RunOn(ops.TargetChase), engine.RunAt(at), engine.WithIncremental())
-			if err != nil {
-				panic(err)
-			}
-			incrTotal += time.Since(incrStart)
-			if !rep.Incremental {
-				panic("incremental: run did not take the incremental path")
-			}
-			for _, rel := range derived {
-				w, _ := full.Cube(rel)
-				g, _ := incr.Cube(rel)
-				if d := model.DiffCubes(rel, w, g); !d.Empty() {
-					panic(fmt.Sprintf("incremental: %s diverges from full at rows=%d step=%d (%d diffs)",
-						rel, rows, step, d.Size()))
-				}
-			}
-		}
-		speedup := float64(fullTotal) / float64(incrTotal)
-		fmt.Printf("%-10d %-8d %-12.2f %-12.2f %-8.2f\n", rows, steps, ms(fullTotal), ms(incrTotal), speedup)
-		entries = append(entries, entry{
-			Workload: "quarterly-panel-chain", Rows: rows, Steps: steps, ChurnPct: 1,
-			FullMS: ms(fullTotal), IncrMS: ms(incrTotal), Speedup: speedup,
-		})
-	}
-	fmt.Println("derived cubes byte-identical between full and incremental (zero tolerance)")
-
-	record := struct {
-		GeneratedBy string  `json:"generated_by"`
-		Quick       bool    `json:"quick"`
-		Entries     []entry `json:"entries"`
-	}{GeneratedBy: "exlbench -run incremental", Quick: quick, Entries: entries}
-	buf, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(incrOut, buf, 0o644); err != nil {
-		panic(err)
-	}
-	fmt.Printf("wrote %s\n", incrOut)
 }
 
 func e10() {

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	exlfuzz [-seed 1] [-n 200] [-stmts 6] [-budget 0] [-shrink] [-tol 1e-6]
-//	        [-legacy-sql] [-incremental]
+//	        [-incremental]
 //
 // With -incremental, each case additionally churns its data with a
 // seed-derived perturbation and requires the incremental chase to
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"exlengine/internal/difftest"
-	"exlengine/internal/sqlengine"
 )
 
 func main() {
@@ -37,14 +36,9 @@ func main() {
 		budget = flag.Duration("budget", 0, "wall-clock budget; 0 means unlimited")
 		shrink = flag.Bool("shrink", true, "minimize failing cases before reporting")
 		tol    = flag.Float64("tol", difftest.DefaultTol, "relative measure comparison tolerance")
-		legacy = flag.Bool("legacy-sql", false, "run the sqlengine leg on the legacy tree-walking executor instead of the vectorized one")
 		incr   = flag.Bool("incremental", false, "also diff the incremental chase against the full chase on churned data")
 	)
 	flag.Parse()
-
-	if *legacy {
-		sqlengine.SetDefaultExecMode(sqlengine.ExecLegacy)
-	}
 
 	start := time.Now()
 	deadline := time.Time{}

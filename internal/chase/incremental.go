@@ -219,7 +219,8 @@ func (a *affectedKeys) add(dims []model.Value) {
 	}
 }
 
-// sorted returns the affected dimension tuples in deterministic order.
+// sorted returns the affected dimension tuples in cube order, which is
+// the byte order of their keys.
 func (a *affectedKeys) sorted() [][]model.Value {
 	keys := make([]string, 0, len(a.dims))
 	for k := range a.dims {

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -213,6 +214,64 @@ func TestIncrementalFullOnlyInputForcesFull(t *testing.T) {
 	for name, w := range want {
 		if lines := exactDiff(w, got[name]); len(lines) > 0 {
 			t.Errorf("cube %s diverges: %v", name, lines)
+		}
+	}
+}
+
+// TestIncrementalDeltaInCubeOrder: a maintained tgd lists its output
+// delta in cube order, as CubeDelta promises — here over quarters whose
+// ordinals straddle a byte boundary (2048-Q1 is ordinal 0x2000), which
+// keys with little-endian ordinals would list 2048 first.
+func TestIncrementalDeltaInCubeOrder(t *testing.T) {
+	m := compile(t, "cube A(t: quarter) measure v\nB := A * 2\n")
+	quarter := func(i int) []model.Value {
+		return []model.Value{model.Per(model.NewQuarterly(2046, 1).Shift(int64(i)))}
+	}
+	base, cur := model.NewCube(m.Schemas["A"]), model.NewCube(m.Schemas["A"])
+	for i := 0; i < 16; i++ { // 2046-Q1 … 2049-Q4
+		var err error
+		switch i % 4 {
+		case 0: // unchanged
+			err = errors.Join(base.Put(quarter(i), 1), cur.Put(quarter(i), 1))
+		case 1: // changed
+			err = errors.Join(base.Put(quarter(i), 1), cur.Put(quarter(i), 2))
+		case 2: // deleted
+			err = base.Put(quarter(i), 1)
+		default: // added
+			err = cur.Put(quarter(i), 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(m)
+	baseOut, err := s.Solve(Instance{"A": base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &DeltaInput{
+		Deltas:  map[string]*model.CubeDelta{"A": model.DiffCubes("A", base, cur)},
+		BaseOut: map[string]*model.Cube{"B": baseOut["B"].Freeze()},
+	}
+	_, deltas, stats, err := s.SolveIncremental(context.Background(), Instance{"A": cur}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Incremental != 1 {
+		t.Fatalf("B was not maintained incrementally: %+v", stats)
+	}
+	d := deltas["B"]
+	if d == nil {
+		t.Fatal("no output delta for B")
+	}
+	for what, ts := range map[string][]model.Tuple{"Added": d.Added, "Changed": d.Changed, "Deleted": d.Deleted} {
+		if len(ts) != 4 {
+			t.Errorf("%s has %d tuples, want 4", what, len(ts))
+		}
+		for i := 1; i < len(ts); i++ {
+			if ts[i-1].Dims[0].Compare(ts[i].Dims[0]) >= 0 {
+				t.Errorf("%s lists %v before %v", what, ts[i-1].Dims[0], ts[i].Dims[0])
+			}
 		}
 	}
 }

@@ -108,18 +108,13 @@ func (d *Dispatcher) Run(subs []determine.Subgraph, tgds TgdSource,
 // RunContext executes the plan under a context: cancelling the context
 // aborts the run between (and during) fragment attempts. The returned
 // Report lists every attempt, retry and fallback, even when the run
-// fails.
+// fails. It is RunContextIncr without an incremental plan.
 func (d *Dispatcher) RunContext(ctx context.Context, subs []determine.Subgraph, tgds TgdSource,
 	schemas map[string]model.Schema, snap map[string]*model.Cube) (map[string]*model.Cube, *Report, error) {
-
-	ctx, span := obs.StartSpan(ctx, "dispatch",
-		obs.Int("fragments", len(subs)), obs.Bool("parallel", d.Parallel))
-	out, rep, err := d.runPlan(ctx, subs, tgds, schemas, snap, nil)
-	span.EndErr(err)
-	return out, rep, err
+	return d.RunContextIncr(ctx, subs, tgds, schemas, snap, nil)
 }
 
-// runPlan is RunContext behind the dispatch span. A non-nil incr puts
+// runPlan is RunContextIncr behind the dispatch span. A non-nil incr puts
 // the run in incremental mode: fragments consume the delta front and
 // publish their outputs' movement back into it.
 func (d *Dispatcher) runPlan(ctx context.Context, subs []determine.Subgraph, tgds TgdSource,
@@ -468,11 +463,9 @@ func buildFragment(sub determine.Subgraph, tgds TgdSource, schemas map[string]mo
 	return f, nil
 }
 
-// runOn executes the fragment on the given target engine over the
-// snapshot. The target may differ from the fragment's assigned one when
-// the dispatcher degrades. Each attempt reads the shared snapshot and
-// returns a fresh output map, so a failed attempt leaves no trace.
-func (f *fragment) runOn(ctx context.Context, target ops.Target, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
+// inputsFrom picks the fragment's input cubes out of the snapshot for an
+// attempt on target, refusing to start under a cancelled context.
+func (f *fragment) inputsFrom(ctx context.Context, target ops.Target, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
 	input := make(map[string]*model.Cube, len(f.inputs))
 	for _, in := range f.inputs {
 		c, ok := snap[in]
@@ -481,27 +474,33 @@ func (f *fragment) runOn(ctx context.Context, target ops.Target, snap map[string
 		}
 		input[in] = c
 	}
+	return input, ctx.Err()
+}
 
-	derived := make(map[string]bool, len(f.produces))
-	for _, c := range f.produces {
-		derived[c] = true
-	}
-	keep := func(all map[string]*model.Cube) map[string]*model.Cube {
-		out := make(map[string]*model.Cube, len(f.produces))
-		for name, c := range all {
-			if derived[name] {
-				out[name] = c
-			}
+// keep narrows a target's solution to the cubes the fragment produces,
+// dropping input twins and auxiliary relations.
+func (f *fragment) keep(all map[string]*model.Cube) map[string]*model.Cube {
+	out := make(map[string]*model.Cube, len(f.produces))
+	for _, name := range f.produces {
+		if c, ok := all[name]; ok {
+			out[name] = c
 		}
-		return out
 	}
+	return out
+}
 
-	if err := ctx.Err(); err != nil {
+// runOn executes the fragment on the given target engine over the
+// snapshot. The target may differ from the fragment's assigned one when
+// the dispatcher degrades. Each attempt reads the shared snapshot and
+// returns a fresh output map, so a failed attempt leaves no trace.
+func (f *fragment) runOn(ctx context.Context, target ops.Target, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
+	input, err := f.inputsFrom(ctx, target, snap)
+	if err != nil {
 		return nil, err
 	}
 
 	start := time.Now()
-	out, err := f.execOn(ctx, target, input, keep)
+	out, err := f.execOn(ctx, target, input)
 	if err != nil {
 		return nil, err
 	}
@@ -534,16 +533,14 @@ func recordAttempt(ctx context.Context, target ops.Target, input, out map[string
 }
 
 // execOn runs the fragment's mapping on one concrete target engine.
-func (f *fragment) execOn(ctx context.Context, target ops.Target, input map[string]*model.Cube,
-	keep func(map[string]*model.Cube) map[string]*model.Cube) (map[string]*model.Cube, error) {
-
+func (f *fragment) execOn(ctx context.Context, target ops.Target, input map[string]*model.Cube) (map[string]*model.Cube, error) {
 	switch target {
 	case ops.TargetChase:
 		sol, err := chase.New(f.m).SolveContext(ctx, chase.Instance(input))
 		if err != nil {
 			return nil, err
 		}
-		return keep(sol), nil
+		return f.keep(sol), nil
 
 	case ops.TargetSQL:
 		db := sqlengine.NewDB()
@@ -578,7 +575,7 @@ func (f *fragment) execOn(ctx context.Context, target ops.Target, input map[stri
 		if err != nil {
 			return nil, err
 		}
-		return keep(res), nil
+		return f.keep(res), nil
 
 	case ops.TargetFrame:
 		script, err := frame.Translate(f.m)
@@ -589,7 +586,7 @@ func (f *fragment) execOn(ctx context.Context, target ops.Target, input map[stri
 		if err != nil {
 			return nil, err
 		}
-		return keep(res), nil
+		return f.keep(res), nil
 
 	default:
 		return nil, fmt.Errorf("dispatch: unknown target %s", target)

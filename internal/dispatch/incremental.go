@@ -45,13 +45,18 @@ type IncrPlan struct {
 // consume the input deltas, reuse or maintain their previous outputs
 // where the mapping shape permits, and fall back to full recomputation
 // where it does not — the results are byte-identical to RunContext
-// either way.
+// either way. A nil plan is a full run.
 func (d *Dispatcher) RunContextIncr(ctx context.Context, subs []determine.Subgraph, tgds TgdSource,
 	schemas map[string]model.Schema, snap map[string]*model.Cube, plan *IncrPlan) (map[string]*model.Cube, *Report, error) {
 
-	ctx, span := obs.StartSpan(ctx, "dispatch",
-		obs.Int("fragments", len(subs)), obs.Bool("parallel", d.Parallel), obs.Bool("incremental", true))
-	out, rep, err := d.runPlan(ctx, subs, tgds, schemas, snap, newIncrState(plan))
+	attrs := []obs.Attr{obs.Int("fragments", len(subs)), obs.Bool("parallel", d.Parallel)}
+	var incr *incrState
+	if plan != nil {
+		attrs = append(attrs, obs.Bool("incremental", true))
+		incr = newIncrState(plan)
+	}
+	ctx, span := obs.StartSpan(ctx, "dispatch", attrs...)
+	out, rep, err := d.runPlan(ctx, subs, tgds, schemas, snap, incr)
 	span.EndErr(err)
 	return out, rep, err
 }
@@ -74,9 +79,6 @@ func newIncrState(p *IncrPlan) *incrState {
 		deltas:   make(map[string]*model.CubeDelta),
 		fullOnly: make(map[string]bool),
 		bases:    make(map[string]*model.Cube),
-	}
-	if p == nil {
-		return s
 	}
 	for name, d := range p.Deltas {
 		if d != nil && !d.Empty() {
@@ -186,15 +188,8 @@ func (f *fragment) runOnIncr(ctx context.Context, target ops.Target, snap map[st
 	st *incrState, oc *incrOutcome) (map[string]*model.Cube, error) {
 
 	*oc = incrOutcome{}
-	input := make(map[string]*model.Cube, len(f.inputs))
-	for _, in := range f.inputs {
-		c, ok := snap[in]
-		if !ok {
-			return nil, fmt.Errorf("dispatch: input cube %s not available for %s fragment", in, target)
-		}
-		input[in] = c
-	}
-	if err := ctx.Err(); err != nil {
+	input, err := f.inputsFrom(ctx, target, snap)
+	if err != nil {
 		return nil, err
 	}
 	v := st.view(f)
@@ -234,20 +229,6 @@ func (f *fragment) runOnIncr(ctx context.Context, target ops.Target, snap map[st
 func (f *fragment) execOnIncr(ctx context.Context, target ops.Target, input map[string]*model.Cube,
 	v *fragView, oc *incrOutcome) (map[string]*model.Cube, error) {
 
-	derived := make(map[string]bool, len(f.produces))
-	for _, c := range f.produces {
-		derived[c] = true
-	}
-	keep := func(all map[string]*model.Cube) map[string]*model.Cube {
-		out := make(map[string]*model.Cube, len(f.produces))
-		for name, c := range all {
-			if derived[name] {
-				out[name] = c
-			}
-		}
-		return out
-	}
-
 	// Nothing this fragment reads moved and every output has a previous
 	// version: reuse them without running any target at all.
 	if len(v.deltas) == 0 && len(v.fullOnly) == 0 {
@@ -272,21 +253,21 @@ func (f *fragment) execOnIncr(ctx context.Context, target ops.Target, input map[
 			oc.incremental = true
 		}
 		oc.outDeltas = od
-		return keep(sol), nil
+		return f.keep(sol), nil
 
 	case ops.TargetSQL:
-		out, od, ok, err := f.execSQLIncr(ctx, input, v)
+		out, od, declined, err := f.execSQLIncr(ctx, input, v)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
+		if declined == "" {
 			oc.incremental = true
 			oc.outDeltas = od
 			return out, nil
 		}
 		oc.fellBack = true
-		oc.reason = "mapping not monotone over the changed relations"
-		return f.execOn(ctx, target, input, keep)
+		oc.reason = declined
+		return f.execOn(ctx, target, input)
 
 	default:
 		// Frame and ETL evaluate whole relations; there is no delta entry
@@ -294,76 +275,81 @@ func (f *fragment) execOnIncr(ctx context.Context, target ops.Target, input map[
 		// fragments stay incremental.
 		oc.fellBack = true
 		oc.reason = fmt.Sprintf("target %s cannot maintain deltas", target)
-		return f.execOn(ctx, target, input, keep)
+		return f.execOn(ctx, target, input)
 	}
 }
 
 // execSQLIncr maintains the fragment with an INSERT-delta SQL script.
-// ok is false when the shape disqualifies it: a non-pure-insert delta,
-// a full-only input, a missing base, auxiliary relations (their previous
-// contents are not stored anywhere), or a non-monotone mapping.
+// A non-empty declined says which shape disqualifies it, and nothing
+// was run: an input changed without a delta, a delta that is not
+// insert-only, a produced cube without a base, an auxiliary relation
+// (their previous contents are not stored anywhere), or a non-monotone
+// mapping.
 func (f *fragment) execSQLIncr(ctx context.Context, input map[string]*model.Cube,
-	v *fragView) (map[string]*model.Cube, map[string]*model.CubeDelta, bool, error) {
+	v *fragView) (out map[string]*model.Cube, outDeltas map[string]*model.CubeDelta, declined string, err error) {
 
-	if len(v.fullOnly) > 0 {
-		return nil, nil, false, nil
-	}
 	changed := make(map[string]bool, len(v.deltas))
-	for name, d := range v.deltas {
-		if !d.PureInsert() {
-			return nil, nil, false, nil
+	for _, in := range f.inputs {
+		if v.fullOnly[in] {
+			return nil, nil, fmt.Sprintf("input %s changed without a usable delta", in), nil
 		}
-		changed[name] = true
+		if d := v.deltas[in]; d != nil {
+			if !d.PureInsert() {
+				return nil, nil, fmt.Sprintf("delta of %s is not insert-only (%d changed, %d deleted)",
+					in, len(d.Changed), len(d.Deleted)), nil
+			}
+			changed[in] = true
+		}
 	}
 	produced := make(map[string]bool, len(f.produces))
 	for _, name := range f.produces {
 		if v.bases[name] == nil {
-			return nil, nil, false, nil
+			return nil, nil, fmt.Sprintf("no previous version of %s to maintain", name), nil
 		}
 		produced[name] = true
 	}
 	for _, t := range f.m.Tgds {
 		if !produced[t.Target()] {
-			return nil, nil, false, nil // auxiliary relation: no stored base
+			return nil, nil, fmt.Sprintf("auxiliary relation %s has no stored previous version", t.Target()), nil
 		}
 	}
 
 	script, affected, err := sqlgen.TranslateDelta(f.m, changed)
 	if err != nil {
 		// Non-monotone (or otherwise untranslatable): full refresh.
-		return nil, nil, false, nil
+		return nil, nil, err.Error(), nil
 	}
 
 	db := sqlengine.NewDB()
 	for _, in := range f.inputs {
 		if err := db.LoadCube(input[in]); err != nil {
-			return nil, nil, false, err
+			return nil, nil, "", err
 		}
 	}
 	for _, name := range f.produces {
 		if err := db.LoadCube(v.bases[name]); err != nil {
-			return nil, nil, false, err
+			return nil, nil, "", err
 		}
 	}
 	for _, name := range sortedNames(changed) {
 		dc, err := sqlgen.DeltaCube(f.m.Schemas[name], v.deltas[name])
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, "", err
 		}
 		if err := db.LoadCube(dc); err != nil {
-			return nil, nil, false, err
+			return nil, nil, "", err
 		}
 	}
 	if err := sqlgen.ExecuteContext(ctx, script, db); err != nil {
-		return nil, nil, false, err
+		return nil, nil, "", err
 	}
 
 	affectedSet := make(map[string]bool, len(affected))
 	for _, name := range affected {
 		affectedSet[name] = true
 	}
-	out := make(map[string]*model.Cube, len(f.produces))
-	outDeltas := make(map[string]*model.CubeDelta, len(affected))
+	out = make(map[string]*model.Cube, len(f.produces))
+	outDeltas = make(map[string]*model.CubeDelta, len(affected))
 	for _, name := range f.produces {
 		if !affectedSet[name] {
 			out[name] = v.bases[name]
@@ -371,7 +357,7 @@ func (f *fragment) execSQLIncr(ctx context.Context, input map[string]*model.Cube
 		}
 		cur, err := db.ExtractCube(f.m.Schemas[name])
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, "", err
 		}
 		out[name] = cur
 		// The delta side table holds the inserted bindings; rows whose key
@@ -381,7 +367,7 @@ func (f *fragment) execSQLIncr(ctx context.Context, input map[string]*model.Cube
 		sch.Name = sqlgen.DeltaTable(name)
 		dcube, err := db.ExtractCube(sch)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, "", err
 		}
 		base := v.bases[name]
 		od := &model.CubeDelta{Name: name, Base: base, Current: cur}
@@ -393,7 +379,7 @@ func (f *fragment) execSQLIncr(ctx context.Context, input map[string]*model.Cube
 		})
 		outDeltas[name] = od
 	}
-	return out, outDeltas, true, nil
+	return out, outDeltas, "", nil
 }
 
 func sortedNames(set map[string]bool) []string {

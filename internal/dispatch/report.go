@@ -37,8 +37,10 @@ type FragmentReport struct {
 	// and was maintained from input deltas (or reused outright).
 	Incremental bool
 	// FellBackFull reports that the fragment ran under an incremental plan
-	// but recomputed in full; FallbackReason says why ("non-monotone
-	// delta", "no base output", "target cannot maintain deltas", …).
+	// but recomputed in full; FallbackReason says why, naming the
+	// relation at fault ("delta of PDR is not insert-only (…)", "no
+	// previous version of GDP to maintain", "target etl cannot maintain
+	// deltas", …).
 	FellBackFull   bool
 	FallbackReason string
 }

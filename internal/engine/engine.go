@@ -33,8 +33,9 @@ import (
 )
 
 // CubeStore is the storage contract the engine runs against: a
-// versioned cube repository with zero-copy snapshot reads and atomic
-// multi-cube writes. The in-memory store.Store is the default; the
+// versioned cube repository with zero-copy snapshot reads, atomic
+// multi-cube writes, per-cube generation stamps and diffs against
+// historical generations. The in-memory store.Store is the default; the
 // durable store (internal/store/durable) implements the same contract
 // with a write-ahead log and segment snapshots, so persistence is
 // swappable behind this one interface.
@@ -48,19 +49,28 @@ type CubeStore interface {
 	Names() []string
 	// Put stores a new version of the cube, valid from asOf.
 	Put(c *model.Cube, asOf time.Time) error
-	// PutAll stores a version of every cube atomically: all visible or
-	// none, the guarantee Run's persist step relies on.
-	PutAll(cubes map[string]*model.Cube, asOf time.Time) error
+	// PutAllGen stores a version of every cube atomically — all visible
+	// or none, the guarantee Run's persist step relies on — and returns
+	// the write generation the commit happened at.
+	PutAllGen(cubes map[string]*model.Cube, asOf time.Time) (uint64, error)
 	// Get returns the current version of the cube, frozen and shared.
 	Get(name string) (*model.Cube, bool)
 	// GetAsOf returns the version valid at instant t.
 	GetAsOf(name string, t time.Time) (*model.Cube, bool)
-	// SnapshotVersioned returns the current version of every cube plus
-	// the write generation the snapshot was taken at, atomically.
-	SnapshotVersioned() (map[string]*model.Cube, uint64)
+	// SnapshotWithGenerations returns, atomically, the current version
+	// of every cube, the write generation the snapshot was taken at, and
+	// the generation each cube's current version was written at.
+	SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64)
+	// Delta diffs a cube's current version against the version that was
+	// visible at sinceGen. It returns store.ErrDeltaUnavailable (wrapped)
+	// when history no longer supports the reconstruction.
+	Delta(name string, sinceGen uint64) (*model.CubeDelta, error)
 	// Generation returns the store's write generation.
 	Generation() uint64
 }
+
+// DeltaStore is CubeStore under the name bench/ declares its stores by.
+type DeltaStore = CubeStore
 
 // Engine is a complete EXLEngine instance.
 type Engine struct {
@@ -526,9 +536,7 @@ func RunMetered(m *obs.Registry) RunOption {
 // memoized input generations are still current are skipped outright,
 // and the rest are recomputed from the deltas of their inputs where the
 // mapping shape permits, falling back to per-fragment full recomputes
-// where it does not. Results are byte-identical to a full run. Requires
-// a store implementing DeltaStore (the in-memory and durable stores
-// do); with any other store the option is ignored and the run is full.
+// where it does not. Results are byte-identical to a full run.
 func WithIncremental() RunOption {
 	return func(c *runConfig) { c.incremental = true }
 }
@@ -657,26 +665,17 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 
 	// The snapshot shares the store's frozen cube versions: taking it
 	// costs O(#cubes), not O(tuples), and the generation stamps which
-	// store state the run read. Incremental runs also read the per-cube
-	// generations the staleness walk and the delta queries run against.
-	ds, _ := st.(DeltaStore)
-	var snap map[string]*model.Cube
-	var gen uint64
-	var cubeGens map[string]uint64
-	if ds != nil {
-		snap, gen, cubeGens = ds.SnapshotWithGenerations()
-	} else {
-		snap, gen = st.SnapshotVersioned()
-	}
+	// store state the run read. The per-cube generations are what the
+	// staleness walk, the delta queries and the memos run against.
+	snap, gen, cubeGens := st.SnapshotWithGenerations()
 
 	// Incremental mode: walk the dependency graph in plan order, keep
 	// only the stale cubes, and build the delta front the dispatcher
 	// maintains them from.
 	var incrPlan *dispatch.IncrPlan
 	var skippedCubes []string
-	incremental := cfg.incremental && ds != nil
-	if incremental {
-		plan, skippedCubes, incrPlan = e.pruneStale(graph, plan, snap, cubeGens, ds)
+	if cfg.incremental {
+		plan, skippedCubes, incrPlan = e.pruneStale(graph, plan, snap, cubeGens, st)
 		obs.MetricsFrom(ctx).Counter(obs.MetricIncrSkippedCubes).Add(int64(len(skippedCubes)))
 		detSpan.SetAttr(obs.Int("skipped", len(skippedCubes)))
 		if len(plan) == 0 {
@@ -734,13 +733,7 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 		}
 	}
 
-	var results map[string]*model.Cube
-	var drep *dispatch.Report
-	if incrPlan != nil {
-		results, drep, err = disp.RunContextIncr(ctx, subs, tgds, schemas, snap, incrPlan)
-	} else {
-		results, drep, err = disp.RunContext(ctx, subs, tgds, schemas, snap)
-	}
+	results, drep, err := disp.RunContextIncr(ctx, subs, tgds, schemas, snap, incrPlan)
 	if err != nil {
 		return nil, err
 	}
@@ -767,7 +760,7 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// re-storing them would only churn version history and invalidate
 	// downstream memos for nothing.
 	toPersist := results
-	if incremental {
+	if cfg.incremental {
 		toPersist = make(map[string]*model.Cube, len(results))
 		for name, c := range results {
 			if snap[name] != c {
@@ -779,35 +772,25 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	for _, c := range toPersist {
 		c.Freeze()
 	}
-	commitGen := gen
-	if ds != nil {
-		g, err := ds.PutAllGen(toPersist, asOf)
-		if err != nil {
-			perSpan.EndErr(err)
-			return nil, err
-		}
-		commitGen = g
-	} else if err := st.PutAll(toPersist, asOf); err != nil {
-		perSpan.EndErr(err)
+	commitGen, err := st.PutAllGen(toPersist, asOf)
+	perSpan.EndErr(err)
+	if err != nil {
 		return nil, err
 	}
-	perSpan.End()
 
 	// Memoize the input generations this run's outputs were computed at,
 	// so the next incremental run knows what is stale. Full runs prime
 	// the memos too — an incremental run right after one skips everything
 	// untouched since.
-	if ds != nil {
-		persisted := make(map[string]bool, len(toPersist))
-		for name := range toPersist {
-			persisted[name] = true
-		}
-		e.updateMemos(graph, plan, cubeGens, commitGen, persisted)
+	persisted := make(map[string]bool, len(toPersist))
+	for name := range toPersist {
+		persisted[name] = true
 	}
+	e.updateMemos(graph, plan, cubeGens, commitGen, persisted)
 
 	rep := &Report{
 		Generation:  gen,
-		Incremental: incremental,
+		Incremental: cfg.incremental,
 		Skipped:     skippedCubes,
 		Fragments:   drep.Fragments,
 		Retries:     drep.Retries(),

@@ -10,31 +10,10 @@
 package engine
 
 import (
-	"time"
-
 	"exlengine/internal/determine"
 	"exlengine/internal/dispatch"
 	"exlengine/internal/model"
 )
-
-// DeltaStore is the optional store capability incremental runs need:
-// per-cube generation stamps, diffs against historical generations, and
-// writes that report the generation they committed at. The in-memory
-// store and the durable store both implement it; a store that does not
-// simply makes WithIncremental a no-op.
-type DeltaStore interface {
-	CubeStore
-	// SnapshotWithGenerations is SnapshotVersioned plus the generation
-	// each cube's current version was written at, atomically.
-	SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64)
-	// Delta diffs a cube's current version against the version that was
-	// visible at sinceGen. It returns store.ErrDeltaUnavailable (wrapped)
-	// when history no longer supports the reconstruction.
-	Delta(name string, sinceGen uint64) (*model.CubeDelta, error)
-	// PutAllGen is PutAll returning the write generation the commit
-	// happened at.
-	PutAllGen(cubes map[string]*model.Cube, asOf time.Time) (uint64, error)
-}
 
 // cubeMemo records what one derived cube was last computed from. A memo
 // is immutable once stored; updates swap whole pointers under memoMu.
@@ -67,7 +46,7 @@ func (e *Engine) memoSnapshot() map[string]*cubeMemo {
 // everywhere else.
 func (e *Engine) pruneStale(graph *determine.Graph, plan []determine.StmtRef,
 	snap map[string]*model.Cube, cubeGens map[string]uint64,
-	ds DeltaStore) ([]determine.StmtRef, []string, *dispatch.IncrPlan) {
+	st CubeStore) ([]determine.StmtRef, []string, *dispatch.IncrPlan) {
 
 	memo := e.memoSnapshot()
 	stale := make(map[string]bool)
@@ -150,7 +129,7 @@ func (e *Engine) pruneStale(graph *determine.Graph, plan []determine.StmtRef,
 		if cubeGens[dep] == g {
 			continue // unchanged since every base saw it
 		}
-		d, err := ds.Delta(dep, g)
+		d, err := st.Delta(dep, g)
 		if err != nil {
 			// History cannot reconstruct the old version (equal-asOf
 			// overwrite, durable reopen): recompute consumers in full.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,7 +232,7 @@ func TestWithIncrementalSQLInsertDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fr := range rep.Fragments {
-		if !fr.Incremental || fr.FellBackFull {
+		if !fr.Incremental || fr.FellBackFull || fr.FallbackReason != "" {
 			t.Errorf("pure-insert SQL fragment %v not maintained by INSERT-delta: %+v", fr.Cubes, fr)
 		}
 	}
@@ -239,6 +240,56 @@ func TestWithIncrementalSQLInsertDelta(t *testing.T) {
 		w, _ := full.Cube(rel)
 		g, _ := incr.Cube(rel)
 		exactEqual(t, rel, w, g)
+	}
+}
+
+// TestFallbackReasonNamesTheCause: a SQL fragment that recomputes in
+// full says which of its disqualifying shapes applied, naming the
+// relation. For GDP's PQR := avg(PDR, …) a measure-changing revision of
+// PDR is declined for its delta, a pure-insert one for the aggregation.
+func TestFallbackReasonNamesTheCause(t *testing.T) {
+	ctx := context.Background()
+	data := workload.GDPSource(workload.GDPConfig{Days: 200, Regions: 2, Seed: 5})
+	e := newGDPEngine(t, data)
+	if _, err := e.Run(ctx, WithIncremental()); err != nil {
+		t.Fatal(err)
+	}
+	reasonFor := func(rev *model.Cube) string {
+		t.Helper()
+		if err := e.PutCube(rev, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(ctx, WithIncremental())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range rep.Fragments {
+			if fr.Final == ops.TargetSQL && len(fr.Cubes) == 1 && fr.Cubes[0] == "PQR" {
+				if !fr.FellBackFull {
+					t.Fatalf("PQR is an aggregation and cannot be maintained: %+v", fr)
+				}
+				return fr.FallbackReason
+			}
+		}
+		t.Fatalf("no SQL fragment produced PQR: %+v", rep.Fragments)
+		return ""
+	}
+
+	revised := churn(t, data["PDR"], false)
+	if got, want := reasonFor(revised), "delta of PDR is not insert-only"; !strings.Contains(got, want) {
+		t.Errorf("measure-changing revision: reason %q, want it to contain %q", got, want)
+	}
+
+	grown := revised.Clone()
+	ts := revised.Tuples()
+	last := ts[len(ts)-1]
+	day, _ := last.Dims[0].AsPeriod()
+	if err := grown.Put([]model.Value{model.Per(day.Shift(1)), last.Dims[1]}, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	got := reasonFor(grown)
+	if !strings.Contains(got, "not monotone") || !strings.Contains(got, "aggregation") || strings.Contains(got, "insert-only") {
+		t.Errorf("pure-insert revision: reason %q, want the non-monotone aggregation", got)
 	}
 }
 

@@ -96,7 +96,7 @@ func runEstimates(t *testing.T) (inEst, outEst int64) {
 	schemas := e.allSchemasLocked()
 	st := e.store
 	e.mu.Unlock()
-	snap, _ := st.SnapshotVersioned()
+	snap, _, _ := st.SnapshotWithGenerations()
 	for name, sch := range schemas {
 		if _, ok := snap[name]; !ok {
 			snap[name] = model.NewCube(sch).Freeze()

@@ -418,6 +418,7 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 		for k := range groups {
 			keys = append(keys, k)
 		}
+		// The byte order of the keys is the cube order of the groups.
 		sort.Strings(keys)
 		for _, k := range keys {
 			g := groups[k]

@@ -426,6 +426,7 @@ func groupAgg(in *Frame, s GroupAgg) (*Frame, error) {
 		g.agg.Add(v)
 	}
 	out := &Frame{Cols: append(append([]string(nil), s.By...), s.OutCol)}
+	// The byte order of the keys is the cube order of the groups.
 	sort.Strings(order)
 	for _, k := range order {
 		g := groups[k]

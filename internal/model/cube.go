@@ -133,7 +133,7 @@ func (c *Cube) Delete(dims []Value) bool {
 }
 
 // order returns the cube's tuples in its deterministic order, the byte
-// order of their AppendOrderedKey encodings, which gives every engine
+// order of their row-map keys (see AppendKey), which gives every engine
 // the same iteration order and keeps generated artifacts and test
 // expectations stable. The order is computed on the first scan of a
 // version and cached until the next mutation. The returned slice is
@@ -142,7 +142,13 @@ func (c *Cube) order() []Tuple {
 	if p := c.sorted.Load(); p != nil {
 		return *p
 	}
-	l := tupleList{ts: make([]Tuple, 0, len(c.rows))}
+	// One pass over the key lengths sizes the arena exactly; the second
+	// gathers tuples and keys together.
+	size := 0
+	for k := range c.rows {
+		size += keySpace(len(k))
+	}
+	l := tupleList{ts: make([]Tuple, 0, len(c.rows)), keys: make([]byte, 0, size)}
 	for k, t := range c.rows {
 		l.add(k, t)
 	}
@@ -159,12 +165,13 @@ func (c *Cube) Tuples() []Tuple {
 }
 
 // Ordered calls fn on every tuple in the cube's deterministic order:
-// dimension by dimension, left to right, in the byte order of
-// AppendOrderedKey, which is Value.Compare's order wherever Compare is
-// a strict one. It stops early and returns the first non-nil error. The
-// scan reads the cube's cached order without copying it; fn gets each
-// tuple by value, so it cannot disturb what the next reader sees, and
-// like every reader it must leave the Dims it is shown untouched.
+// dimension by dimension, left to right, in the byte order of the
+// tuples' keys (see AppendKey), which is Value.Compare's order wherever
+// Compare is a strict one. It stops early and returns the first non-nil
+// error. The scan reads the cube's cached order without copying it; fn
+// gets each tuple by value, so it cannot disturb what the next reader
+// sees, and like every reader it must leave the Dims it is shown
+// untouched.
 func (c *Cube) Ordered(fn func(Tuple) error) error {
 	for _, t := range c.order() {
 		if err := fn(t); err != nil {

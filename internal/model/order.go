@@ -4,76 +4,73 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // The deterministic order of a cube is the byte order of its tuples'
-// ordered keys: the AppendOrderedKey encodings of the dimension values,
-// concatenated. Every encoded value is self-delimiting, so the keys of
-// equal-width tuples are prefix-free and plain byte comparison orders
-// them dimension by dimension.
+// keys: the row-map keys, which AppendKey builds so that plain byte
+// comparison orders equal-width tuples dimension by dimension.
 
 // radixMin is the bucket size below which a comparison sort on the key
 // suffixes beats another counting pass.
 const radixMin = 48
 
-// keyRef locates one tuple's ordered key in the arena and remembers
-// which tuple it belongs to. O is uint32 whenever the arena and the
-// tuple count fit, which is what keeps the sort's scratch at 12 bytes
-// per tuple; uint64 is the same code for inputs beyond 4 GiB of keys.
+// keyRef locates one tuple's key in the arena and remembers which tuple
+// it belongs to. O is uint32 whenever the arena fits, which is what
+// keeps the sort's scratch at 12 bytes per tuple; uint64 is the same
+// code for inputs beyond 4 GiB of keys.
 type keyRef[O uint32 | uint64] struct{ off, end, idx O }
 
-// tupleList gathers tuples out of a cube's row map for sorting.
+// tupleList gathers tuples out of a cube's row map for sorting, copying
+// each one's map key into an arena: the keys back to back, each behind
+// its uvarint length.
 type tupleList struct {
-	ts       []Tuple
-	keyBytes int // total length of the tuples' map keys
+	ts   []Tuple
+	keys []byte
 }
+
+// keySpace returns how many arena bytes add spends on a key of n bytes.
+func keySpace(n int) int { return (bits.Len(uint(n)|1)+6)/7 + n }
 
 func (l *tupleList) add(key string, t Tuple) {
 	l.ts = append(l.ts, t)
-	l.keyBytes += len(key)
+	l.keys = binary.AppendUvarint(l.keys, uint64(len(key)))
+	l.keys = append(l.keys, key...)
 }
 
 // sorted sorts the gathered tuples in place into the deterministic cube
 // order and returns them. Their dimension tuples are pairwise distinct,
 // as in any cube.
 //
-// Every tuple's ordered key is encoded once into one arena, references
-// into it are radix-sorted, and the resulting permutation is applied to
-// the tuples in place. Arena and references are garbage on return:
-// nothing but the tuples outlives the sort.
+// References into the key arena are radix-sorted and the resulting
+// permutation is applied to the tuples in place. Arena and references
+// are garbage on return: nothing but the tuples outlives the sort.
 func (l *tupleList) sorted() []Tuple {
-	ts := l.ts
-	if len(ts) < 2 {
-		return ts
+	if len(l.ts) < 2 {
+		return l.ts
 	}
-	// The arena is sized from the map keys, sparing a pass over the dims
-	// (a cache miss per tuple) just to add up lengths: EncodeKey spends
-	// at least one byte more on every value than AppendOrderedKey does,
-	// unless a string holds three or more NUL bytes, which the ordered
-	// key escapes. append grows the arena then; the escapes at most
-	// double it, which the choice of offset width allows for.
-	hint := l.keyBytes - len(ts)*len(ts[0].Dims)
-	if 2*uint64(l.keyBytes) <= math.MaxUint32 && uint64(len(ts)) <= math.MaxUint32 {
-		sortTuplesWith[uint32](ts, hint)
+	// Every key spends at least its length byte, so an arena that fits
+	// 32-bit offsets also holds fewer than 2^32 tuples.
+	if uint64(len(l.keys)) <= math.MaxUint32 {
+		sortTuplesWith[uint32](l.ts, l.keys)
 	} else {
-		sortTuplesWith[uint64](ts, hint)
+		sortTuplesWith[uint64](l.ts, l.keys)
 	}
-	return ts
+	return l.ts
 }
 
-// sortTuplesWith is sorted for one offset width; hint is the arena's
-// initial capacity.
-func sortTuplesWith[O uint32 | uint64](ts []Tuple, hint int) {
-	arena := make([]byte, 0, hint)
+// sortTuplesWith is sorted for one offset width; keys is the arena add
+// built for ts.
+func sortTuplesWith[O uint32 | uint64](ts []Tuple, keys []byte) {
 	refs := make([]keyRef[O], len(ts))
-	for i := range ts {
-		off := len(arena)
-		for _, v := range ts[i].Dims {
-			arena = AppendOrderedKey(arena, v)
-		}
-		refs[i] = keyRef[O]{off: O(off), end: O(len(arena)), idx: O(i)}
+	off := 0
+	for i := range refs {
+		n, w := binary.Uvarint(keys[off:])
+		off += w
+		refs[i] = keyRef[O]{off: O(off), end: O(off + int(n)), idx: O(i)}
+		off += int(n)
 	}
-	radixSort(arena, refs, 0)
+	radixSort(keys, refs, 0)
 
 	// refs[j].idx now names the tuple that belongs at position j. Walk
 	// each cycle of that permutation once, marking finished positions by

@@ -94,10 +94,9 @@ var dimGens = map[string]func(*rand.Rand) Value{
 			return Per(NewAnnual(r.Intn(4000) - 1000))
 		}
 	},
-	// Enough escaped NULs that the ordered keys outgrow the map keys
-	// the sort sizes its arena from.
+	// Mostly escaped NULs, and keys past a one-byte uvarint length.
 	"nuls": func(r *rand.Rand) Value {
-		return Str(strings.Repeat("\x00", 4+r.Intn(4)) + fmt.Sprint(r.Intn(5000)))
+		return Str(strings.Repeat("\x00", 4+60*r.Intn(2)+r.Intn(4)) + fmt.Sprint(r.Intn(5000)))
 	},
 	"const": func(*rand.Rand) Value { return Str("same") },
 }
@@ -118,9 +117,27 @@ func randomCube(r *rand.Rand, n int, gens ...string) *Cube {
 	return c
 }
 
+// checkTupleKeys: the keys of two equal-width tuples without NaN order
+// as compareDims does, and are equal exactly when every value is Equal.
+func checkTupleKeys(t testing.TB, a, b []Value) {
+	t.Helper()
+	ka, kb := EncodeKey(a), EncodeKey(b)
+	if got, want := strings.Compare(ka, kb), compareDims(a, b); got != want {
+		t.Fatalf("keys of %v and %v compare as %d, compareDims = %d", formatDims(a), formatDims(b), got, want)
+	}
+	equal := true
+	for i := range a {
+		equal = equal && a[i].Equal(b[i])
+	}
+	if (ka == kb) != equal {
+		t.Fatalf("keys of %v and %v equal: %v, values Equal: %v", formatDims(a), formatDims(b), ka == kb, equal)
+	}
+}
+
 // TestOrderMatchesCompareDims: on randomized cubes the radix order is
 // the compareDims order, at sizes on both sides of the small-bucket
-// threshold and of a 16-bit count.
+// threshold and of a 16-bit count; and so is the key order of any two
+// random tuples of a shape, which unlike a cube's may be Equal.
 func TestOrderMatchesCompareDims(t *testing.T) {
 	shapes := [][]string{
 		{"number"}, {"int"}, {"string"}, {"period"},
@@ -135,10 +152,22 @@ func TestOrderMatchesCompareDims(t *testing.T) {
 			name := fmt.Sprintf("%v/%d", gens, c.Len())
 			sameTuples(t, name, c.Tuples(), want)
 
-			wide := byCompare(c)
-			r.Shuffle(len(wide), func(i, j int) { wide[i], wide[j] = wide[j], wide[i] })
-			sortTuplesWith[uint64](wide, 0)
-			sameTuples(t, name+"/uint64", wide, want)
+			var wide tupleList
+			_ = c.ForEach(func(tu Tuple) error { wide.add(EncodeKey(tu.Dims), tu); return nil })
+			sortTuplesWith[uint64](wide.ts, wide.keys)
+			sameTuples(t, name+"/uint64", wide.ts, want)
+		}
+	}
+	for _, gens := range shapes {
+		a, b := make([]Value, len(gens)), make([]Value, len(gens))
+		for n := 0; n < 2000; n++ {
+			for i, g := range gens {
+				a[i], b[i] = dimGens[g](r), dimGens[g](r)
+				if r.Intn(2) == 0 { // a shared prefix, so that later dimensions decide
+					b[i] = a[i]
+				}
+			}
+			checkTupleKeys(t, a, b)
 		}
 	}
 	big := randomCube(r, 70000, "const", "int", "string")
@@ -183,7 +212,8 @@ func fuzzValue(kind uint8, f float64, i int64, s string) Value {
 
 // FuzzOrderedKey: for any two valid values the sign of bytes.Compare of
 // their ordered keys is Value.Compare, except for NaN, which Compare
-// leaves unordered and the keys pin outside the infinities.
+// leaves unordered and the keys pin outside the infinities; and the
+// tuples built from the two values pass checkTupleKeys.
 func FuzzOrderedKey(f *testing.F) {
 	f.Add(uint8(0), 3.0, int64(0), "", uint8(1), 0.0, int64(3), "")
 	f.Add(uint8(0), math.Copysign(0, -1), int64(0), "", uint8(0), 0.0, int64(0), "")
@@ -196,13 +226,6 @@ func FuzzOrderedKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ka uint8, fa float64, ia int64, sa string, kb uint8, fb float64, ib int64, sb string) {
 		a, b := fuzzValue(ka, fa, ia, sa), fuzzValue(kb, fb, ib, sb)
 		keyA, keyB := AppendOrderedKey(nil, a), AppendOrderedKey(nil, b)
-		// The sort sizes its key arena from the map keys.
-		for _, v := range []Value{a, b} {
-			str, _ := v.AsString()
-			if key, mapKey := AppendOrderedKey(nil, v), v.appendKey(nil); len(key) > len(mapKey) && strings.Count(str, "\x00") < 3 {
-				t.Fatalf("ordered key of %v has %d bytes, map key only %d", v, len(key), len(mapKey))
-			}
-		}
 		got := bytes.Compare(keyA, keyB)
 		na, aNum := a.AsNumber()
 		nb, bNum := b.AsNumber()
@@ -224,6 +247,10 @@ func FuzzOrderedKey(f *testing.F) {
 		if want := a.Compare(b); got != want {
 			t.Fatalf("bytes.Compare of keys of %v and %v = %d, Compare = %d", a, b, got, want)
 		}
+		checkTupleKeys(t, []Value{a}, []Value{b})
+		checkTupleKeys(t, []Value{a, a}, []Value{a, b})
+		checkTupleKeys(t, []Value{a, b}, []Value{b, a})
+		checkTupleKeys(t, []Value{b, a, b}, []Value{b, a, a})
 	})
 }
 

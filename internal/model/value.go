@@ -212,55 +212,26 @@ func (v Value) Compare(o Value) int {
 	return 0
 }
 
-// appendKey appends a canonical, injective encoding of the value to b. It
-// is used to build hash keys for dimension tuples. Numeric payloads are
-// encoded as raw fixed-width bits rather than formatted text — keys are
-// opaque (only ever compared for equality), and the binary form keeps
-// strconv off the hash-join and grouping hot paths.
-func (v Value) appendKey(b []byte) []byte {
-	switch v.kind {
-	case KindNumber, KindInt:
-		// One tag for both: 3 and 3.0 must collide (Equal compares them
-		// numerically). Ints go through the same float64 conversion that
-		// Equal uses, so int/float collisions match Equal exactly.
-		f := v.num
-		if v.kind == KindInt {
-			f = float64(v.i)
-		}
-		if f == 0 {
-			f = 0 // collapse -0.0 and +0.0, which Equal treats as equal
-		}
-		b = append(b, 'n')
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-	case KindString:
-		b = append(b, 's')
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(v.str)))
-		b = append(b, v.str...)
-	case KindPeriod:
-		b = append(b, 'p', byte(v.per.Freq))
-		b = binary.LittleEndian.AppendUint64(b, uint64(v.per.Ord))
-	case KindBool:
-		b = append(b, 'b', byte('0'+v.i))
-	default:
-		b = append(b, '?')
-	}
-	return b
-}
-
-// EncodeKey builds a canonical string key for a dimension tuple. Two tuples
-// encode to the same key exactly when all their values are Equal.
+// EncodeKey builds the canonical string key of a dimension tuple: its
+// AppendKey encoding. Two tuples encode to the same key exactly when all
+// their values are Equal, and the byte order of the keys of equal-width
+// tuples is the cube order (see AppendKey).
 func EncodeKey(dims []Value) string {
 	return string(AppendKey(make([]byte, 0, 16*len(dims)), dims))
 }
 
-// AppendKey appends the EncodeKey encoding of the tuple to b and returns
-// the extended buffer. Hash-heavy paths (joins, grouping, dedup) use it
-// with a reused buffer and map[string(...)] lookups to avoid allocating a
-// string per probed row.
+// AppendKey appends the tuple's key to b and returns the extended buffer:
+// the AppendOrderedKey encodings of its values, concatenated. Every
+// encoded value is self-delimiting, so keys are injective, the keys of
+// equal-width tuples are prefix-free, and plain byte comparison orders
+// them dimension by dimension. The one encoding serves as the cube's
+// row-map key, as every hash-join, grouping and dedup key, and as the
+// sort key of the cube order. Hash-heavy paths use it with a reused
+// buffer and map[string(...)] lookups to avoid allocating a string per
+// probed row.
 func AppendKey(b []byte, dims []Value) []byte {
 	for _, v := range dims {
-		b = v.appendKey(b)
-		b = append(b, '|')
+		b = AppendOrderedKey(b, v)
 	}
 	return b
 }
@@ -268,10 +239,11 @@ func AppendKey(b []byte, dims []Value) []byte {
 // AppendOrderedKey appends an order-preserving binary encoding of the
 // value to b: for any two valid values x and y, bytes.Compare of their
 // encodings equals x.Compare(y) (up to ties — values that Compare equal,
-// such as 3 and 3.0, encode identically). Invalid values encode as a
-// single 0xFF byte and sort after every valid value — the engines'
-// NULLS LAST rule, not Compare's kind order. Sort-heavy paths use this
-// to replace repeated Compare calls with one key build and memcmp.
+// such as 3 and 3.0, encode identically, which is also when Equal holds).
+// Invalid values encode as a single 0xFF byte and sort after every valid
+// value — the engines' NULLS LAST rule, not Compare's kind order.
+// Numeric payloads are raw fixed-width bits rather than formatted text,
+// which keeps strconv off the hash-join and grouping hot paths.
 //
 // NaN is the one valid value Compare does not order (it compares equal
 // to every number); the key order places it by its bits: a NaN with the
@@ -281,13 +253,14 @@ func AppendOrderedKey(b []byte, v Value) []byte {
 	switch v.kind {
 	case KindNumber, KindInt:
 		// One tag for both numeric kinds: Compare orders them jointly by
-		// numeric value (ints via the same float64 conversion).
+		// numeric value and Equal compares them numerically (ints via the
+		// same float64 conversion), so 3 and 3.0 must collide.
 		f := v.num
 		if v.kind == KindInt {
 			f = float64(v.i)
 		}
 		if f == 0 {
-			f = 0 // collapse -0.0 and +0.0 into one key
+			f = 0 // collapse -0.0 and +0.0, which Equal treats as equal
 		}
 		u := math.Float64bits(f)
 		if u&(1<<63) != 0 {
@@ -303,11 +276,15 @@ func AppendOrderedKey(b []byte, v Value) []byte {
 		// and embedded NULs cannot collide with the terminator.
 		b = append(b, 0x02)
 		s := v.str
-		for i := 0; i < len(s); i++ {
-			if s[i] == 0x00 {
-				b = append(b, 0x00, 0x01)
-			} else {
-				b = append(b, s[i])
+		if strings.IndexByte(s, 0x00) < 0 {
+			b = append(b, s...)
+		} else {
+			for i := 0; i < len(s); i++ {
+				if s[i] == 0x00 {
+					b = append(b, 0x00, 0x01)
+				} else {
+					b = append(b, s[i])
+				}
 			}
 		}
 		b = append(b, 0x00, 0x00)

@@ -25,17 +25,6 @@ const (
 	ExecLegacy
 )
 
-// defaultExecMode is the mode new DBs start in. exlfuzz flips it to
-// ExecLegacy (process-wide) to run whole differential campaigns through
-// the old executor.
-var defaultExecMode atomic.Int32
-
-// SetDefaultExecMode sets the executor new DBs start with.
-func SetDefaultExecMode(m ExecMode) { defaultExecMode.Store(int32(m)) }
-
-// DefaultExecMode returns the executor new DBs start with.
-func DefaultExecMode() ExecMode { return ExecMode(defaultExecMode.Load()) }
-
 // TypeKind classifies SQL column types.
 type TypeKind uint8
 
@@ -233,14 +222,13 @@ type DB struct {
 
 // NewDB returns an empty database with the standard tabular functions
 // (STL_T, STL_S, STL_I, MOVAVG, CUMSUM, LINTREND) registered, running
-// the process default executor (ExecVector unless overridden).
+// the vectorized executor.
 func NewDB() *DB {
 	db := &DB{
 		tables: make(map[string]*Table),
 		views:  make(map[string]*selectStmt),
 		tabfns: make(map[string]TabularFunc),
 	}
-	db.execMode.Store(defaultExecMode.Load())
 	registerStandardTabularFuncs(db)
 	return db
 }
