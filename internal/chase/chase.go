@@ -47,13 +47,23 @@ type Stats struct {
 	Bindings        int // lhs bindings enumerated across all tgds
 }
 
-// Solver chases a fixed mapping over varying source instances.
+// Solver chases a fixed mapping over varying source instances. Building it
+// compiles every tgd into a plan once (compile.go); Solve, SolveContext and
+// SolveIncremental all run those plans, from any number of goroutines.
 type Solver struct {
-	m *mapping.Mapping
+	m     *mapping.Mapping
+	plans []*plan // one per m.Tgds entry
 }
 
-// New returns a Solver for the mapping.
-func New(m *mapping.Mapping) *Solver { return &Solver{m: m} }
+// New returns a Solver for the mapping. A tgd that cannot be evaluated does
+// not fail New: it fails the chase that applies it.
+func New(m *mapping.Mapping) *Solver {
+	s := &Solver{m: m, plans: make([]*plan, len(m.Tgds))}
+	for i, t := range m.Tgds {
+		s.plans[i] = compileTgd(t)
+	}
+	return s
+}
 
 // Solve computes the solution J of the data exchange problem for source
 // instance I. Relations missing from the source are treated as empty. The
@@ -65,8 +75,9 @@ func (s *Solver) Solve(source Instance) (Instance, error) {
 }
 
 // SolveContext is Solve under a context: cancellation aborts the chase
-// between strata, and a tracer carried by the context records one span
-// per tgd stratum (with binding and tuple counts).
+// between strata and, inside one, every few thousand tuples; a tracer
+// carried by the context records one span per tgd stratum (with binding
+// and tuple counts).
 func (s *Solver) SolveContext(ctx context.Context, source Instance) (Instance, error) {
 	target, _, err := s.solve(ctx, source)
 	return target, err
@@ -77,31 +88,41 @@ func (s *Solver) SolveWithStats(source Instance) (Instance, *Stats, error) {
 	return s.solve(context.Background(), source)
 }
 
+// elementary returns the target twin of an elementary relation (Σst). A
+// frozen source cube is its own twin: nothing in the chase mutates a
+// relation it reads. An unfrozen one is still its caller's to mutate, so
+// the solution gets a copy; a missing one is empty.
+func (s *Solver) elementary(source Instance, name string) *model.Cube {
+	c, ok := source[name]
+	switch {
+	case !ok:
+		return model.NewCube(s.m.Schemas[name])
+	case c.Frozen():
+		return c
+	default:
+		return c.Clone()
+	}
+}
+
 func (s *Solver) solve(ctx context.Context, source Instance) (Instance, *Stats, error) {
 	stats := &Stats{}
 	target := make(Instance, len(s.m.Schemas))
 
-	// Σst: copy each elementary relation into its target twin. The copy
-	// would fail only if the source violates an egd, which Cube.Put makes
-	// impossible by construction.
 	for _, name := range s.m.Elementary {
-		if c, ok := source[name]; ok {
-			target[name] = c.Clone()
-		} else {
-			target[name] = model.NewCube(s.m.Schemas[name])
-		}
+		target[name] = s.elementary(source, name)
 		stats.TuplesGenerated += target[name].Len()
 	}
 
 	// Σt: apply the program tgds in stratification order.
-	for _, t := range s.m.Tgds {
+	for _, p := range s.plans {
+		t := p.t
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		_, span := obs.StartSpan(ctx, "chase.tgd",
 			obs.String("id", t.ID), obs.String("cube", t.Target()), obs.String("kind", t.Kind.String()))
 		b0, g0 := stats.Bindings, stats.TuplesGenerated
-		err := s.applyTgd(t, target, stats)
+		err := s.applyTgd(ctx, p, target, stats)
 		span.SetAttr(obs.Int("bindings", stats.Bindings-b0), obs.Int("tuples", stats.TuplesGenerated-g0))
 		span.EndErr(err)
 		if err != nil {
@@ -112,25 +133,47 @@ func (s *Solver) solve(ctx context.Context, source Instance) (Instance, *Stats, 
 	return target, stats, nil
 }
 
-func (s *Solver) applyTgd(t *mapping.Tgd, target Instance, stats *Stats) error {
-	out := model.NewCube(s.m.Schemas[t.Target()])
-	target[t.Target()] = out
-
-	switch t.Kind {
-	case mapping.BlackBox:
-		return s.applyBlackBox(t, target, out, stats)
-	case mapping.TupleLevel:
-		return s.applyTupleLevel(t, target, out, stats)
-	case mapping.Aggregation:
-		return s.applyAggregation(t, target, out, stats)
-	case mapping.PadVector:
-		return s.applyPadVector(t, target, out, stats)
-	default:
-		return fmt.Errorf("unsupported tgd kind %s", t.Kind)
+// applyTgd applies one tgd in full: its output relation is rebuilt from
+// its operands as they stand in target.
+func (s *Solver) applyTgd(ctx context.Context, p *plan, target Instance, stats *Stats) error {
+	if p.err != nil {
+		return p.err
 	}
+	out := model.NewCube(s.m.Schemas[p.t.Target()])
+	target[p.t.Target()] = out
+
+	switch p.t.Kind {
+	case mapping.BlackBox:
+		return applyBlackBox(p, target, out, stats)
+	case mapping.PadVector:
+		return applyPadVector(p, target, out, stats)
+	}
+	x, err := newExec(ctx, p, p.lhs, target)
+	if err != nil {
+		return err
+	}
+	if p.t.Kind == mapping.TupleLevel {
+		n, err := x.tupleLevel(out)
+		stats.Bindings += x.bindings
+		stats.TuplesGenerated += n
+		return err
+	}
+	groups, err := x.aggregate(nil)
+	stats.Bindings += x.bindings
+	if err != nil {
+		return err
+	}
+	for _, g := range groups {
+		if err := out.Put(g.dims, g.agg.Result()); err != nil {
+			return err
+		}
+		stats.TuplesGenerated++
+	}
+	return nil
 }
 
-func (s *Solver) applyBlackBox(t *mapping.Tgd, target Instance, out *model.Cube, stats *Stats) error {
+func applyBlackBox(p *plan, target Instance, out *model.Cube, stats *Stats) error {
+	t := p.t
 	in, ok := target[t.Lhs[0].Rel]
 	if !ok {
 		return fmt.Errorf("operand %s not computed before black box", t.Lhs[0].Rel)
@@ -139,12 +182,8 @@ func (s *Solver) applyBlackBox(t *mapping.Tgd, target Instance, out *model.Cube,
 	if err != nil {
 		return err
 	}
-	f, err := ops.Series(t.BB)
-	if err != nil {
-		return err
-	}
 	seasonLen := ops.SeasonLength(in.Schema().Dims[0].Type.Freq)
-	res, err := f(vals, seasonLen, t.BBParams)
+	res, err := p.series(vals, seasonLen, t.BBParams)
 	if err != nil {
 		return err
 	}
@@ -161,153 +200,83 @@ func (s *Solver) applyBlackBox(t *mapping.Tgd, target Instance, out *model.Cube,
 	return nil
 }
 
-func (s *Solver) applyTupleLevel(t *mapping.Tgd, target Instance, out *model.Cube, stats *Stats) error {
-	bindings, vars, err := evalLhs(t, target)
-	if err != nil {
-		return err
+// padOperands resolves the two operands of a padded vectorial tgd.
+func padOperands(t *mapping.Tgd, target Instance) (rels [2]*model.Cube, err error) {
+	for ai := range rels {
+		rel, ok := target[t.Lhs[ai].Rel]
+		if !ok {
+			return rels, fmt.Errorf("relation %s not available", t.Lhs[ai].Rel)
+		}
+		rels[ai] = rel
 	}
-	stats.Bindings += len(bindings)
-	dims := make([]model.Value, len(t.Rhs.Dims))
-	for _, b := range bindings {
-		if err := evalRhsDims(t.Rhs.Dims, vars, b, dims); err != nil {
-			return err
-		}
-		mv, defined, err := evalMeasure(t.Measure, vars, b)
-		if err != nil {
-			return err
-		}
-		if !defined {
-			continue
-		}
-		if err := out.Put(dims, mv); err != nil {
-			return err
-		}
-		stats.TuplesGenerated++
-	}
-	return nil
+	return rels, nil
 }
 
-func (s *Solver) applyAggregation(t *mapping.Tgd, target Instance, out *model.Cube, stats *Stats) error {
-	bindings, vars, err := evalLhs(t, target)
+// padPoint evaluates a padded vectorial tgd at one output dimension
+// tuple: each operand is probed at the tuple rearranged into its own
+// dimension order (probe[a] is the buffer for that), a missing operand
+// measure is the default, and the point is absent when both are missing or
+// the operator is undefined there.
+func padPoint(p *plan, rels [2]*model.Cube, probe [2][]model.Value, dims []model.Value) (float64, bool, error) {
+	var vals [2]float64
+	var present [2]bool
+	for ai := range rels {
+		for j, i := range p.pad.order[ai] {
+			probe[ai][j] = dims[i]
+		}
+		vals[ai], present[ai] = rels[ai].Get(probe[ai])
+		if !present[ai] {
+			vals[ai] = p.t.PadDefault
+		}
+	}
+	if !present[0] && !present[1] {
+		return 0, false, nil
+	}
+	v, err := p.pad.f(vals[0], vals[1])
 	if err != nil {
-		return err
+		if ops.ErrUndefined(err) {
+			return 0, false, nil
+		}
+		return 0, false, err
 	}
-	stats.Bindings += len(bindings)
-	type group struct {
-		dims []model.Value
-		agg  ops.Aggregator
-	}
-	groups := make(map[string]*group)
-	dims := make([]model.Value, len(t.Rhs.Dims))
-	for _, b := range bindings {
-		if err := evalRhsDims(t.Rhs.Dims, vars, b, dims); err != nil {
-			return err
-		}
-		mv, defined, err := evalMeasure(t.Measure, vars, b)
-		if err != nil {
-			return err
-		}
-		if !defined {
-			// Undefined points simply contribute nothing to the bag.
-			continue
-		}
-		key := model.EncodeKey(dims)
-		g, ok := groups[key]
-		if !ok {
-			agg, err := ops.NewAggregator(t.Agg)
-			if err != nil {
-				return err
-			}
-			g = &group{dims: append([]model.Value(nil), dims...), agg: agg}
-			groups[key] = g
-		}
-		g.agg.Add(mv)
-	}
-	for _, g := range groups {
-		if err := out.Put(g.dims, g.agg.Result()); err != nil {
-			return err
-		}
-		stats.TuplesGenerated++
-	}
-	return nil
+	return v, true, nil
 }
 
 // applyPadVector applies a padded vectorial tgd: the result is defined on
 // the union of the operands' dimension tuples, with the default value
-// standing in for a missing operand measure.
-func (s *Solver) applyPadVector(t *mapping.Tgd, target Instance, out *model.Cube, stats *Stats) error {
-	type entry struct {
-		dims    []model.Value
-		measure float64
+// standing in for a missing operand measure. Every tuple of the first
+// operand names an output point, then every tuple of the second that the
+// first does not have.
+func applyPadVector(p *plan, target Instance, out *model.Cube, stats *Stats) error {
+	rels, err := padOperands(p.t, target)
+	if err != nil {
+		return err
 	}
-	collect := func(atom mapping.Atom) (map[string]entry, error) {
-		rel, ok := target[atom.Rel]
-		if !ok {
-			return nil, fmt.Errorf("relation %s not available", atom.Rel)
-		}
-		pos := make(map[string]int, len(atom.Dims))
-		for j, d := range atom.Dims {
-			if d.Var == "" || d.Shift != 0 || d.Func != "" || d.Const != nil {
-				return nil, fmt.Errorf("padded tgds require plain variable atoms")
-			}
-			pos[d.Var] = j
-		}
-		entries := make(map[string]entry, rel.Len())
-		dims := make([]model.Value, len(t.Rhs.Dims))
-		var err error
-		_ = rel.ForEach(func(tu model.Tuple) error {
-			for i, d := range t.Rhs.Dims {
-				j, ok := pos[d.Var]
-				if !ok {
-					err = fmt.Errorf("rhs variable %s not bound by atom %s", d.Var, atom.Rel)
-					return err
-				}
+	n := len(p.t.Rhs.Dims)
+	probe := [2][]model.Value{make([]model.Value, n), make([]model.Value, n)}
+	dims := make([]model.Value, n)
+	for ai := range rels {
+		err := rels[ai].Ordered(func(tu model.Tuple) error {
+			for j, i := range p.pad.order[ai] {
 				dims[i] = tu.Dims[j]
 			}
-			entries[model.EncodeKey(dims)] = entry{dims: append([]model.Value(nil), dims...), measure: tu.Measure}
-			return nil
-		})
-		return entries, err
-	}
-	ex, err := collect(t.Lhs[0])
-	if err != nil {
-		return err
-	}
-	ey, err := collect(t.Lhs[1])
-	if err != nil {
-		return err
-	}
-	f, err := ops.Scalar(t.PadOp)
-	if err != nil {
-		return err
-	}
-	emit := func(dims []model.Value, x, y float64) error {
-		v, err := f(x, y)
-		if err != nil {
-			if ops.ErrUndefined(err) {
-				return nil
+			if ai == 1 {
+				for j, i := range p.pad.order[0] {
+					probe[0][j] = dims[i]
+				}
+				if _, ok := rels[0].Get(probe[0]); ok {
+					return nil // the first operand's scan made this point
+				}
 			}
-			return err
-		}
-		stats.TuplesGenerated++
-		return out.Put(dims, v)
-	}
-	for key, e := range ex {
-		stats.Bindings++
-		y := t.PadDefault
-		if o, ok := ey[key]; ok {
-			y = o.measure
-		}
-		if err := emit(e.dims, e.measure, y); err != nil {
-			return err
-		}
-	}
-	for key, e := range ey {
-		if _, ok := ex[key]; ok {
-			continue
-		}
-		stats.Bindings++
-		if err := emit(e.dims, t.PadDefault, e.measure); err != nil {
+			stats.Bindings++
+			v, present, err := padPoint(p, rels, probe, dims)
+			if err != nil || !present {
+				return err
+			}
+			stats.TuplesGenerated++
+			return out.Put(dims, v)
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -1,0 +1,452 @@
+package chase
+
+import (
+	"fmt"
+	"maps"
+
+	"exlengine/internal/mapping"
+	"exlengine/internal/model"
+	"exlengine/internal/ops"
+)
+
+// plan is one tgd compiled for execution, once per Solver: its variables
+// are slots of a flat binding buffer, its dimension terms and measure
+// expression carry their operators already looked up, and every atom knows
+// which of its positions are computed from earlier bindings (probe) and
+// which instantiate variables (bind). A plan is immutable, so full and
+// incremental applications, concurrent or not, share it; what one
+// application mutates lives in its exec.
+type plan struct {
+	t *mapping.Tgd
+	// err says why the tgd cannot be evaluated (an unbound variable, an
+	// unknown operator, a term that cannot be inverted). It fails the
+	// chase when the tgd is applied, not when the Solver is built.
+	err error
+
+	slots int // variables of the tgd
+	args  int // scratch floats the measure expression's operators need
+
+	// lhs is the left-hand side in join order: lhs[0] drives, every later
+	// atom is probed under the bindings of the ones before it. alone[i]
+	// is atom i compiled as if it drove — no variable bound before it —
+	// which is how a delta tuple of its relation is turned back into a
+	// binding; alone[i].err is set when that inversion is impossible.
+	lhs     []atomPlan
+	alone   []atomPlan
+	rhs     []dimTerm
+	measure measureFn
+
+	// shared: the rhs dimension terms are the driving atom's variables
+	// verbatim and every other atom matches at most one tuple, so each
+	// output tuple sits at its driving tuple's dimension tuple and can
+	// share that tuple's Dims slice and row key (model.Cube.PutFrom).
+	shared bool
+
+	// keyed is the tuple-level tgd turned around for maintenance: the
+	// output key gives the binding, then every atom is probed. It is nil
+	// when bindings are not determined by the output key.
+	keyed *keyedPlan
+	// aggIncr: a single-atom aggregation whose group key is a function of
+	// the atom's dimensions, maintainable group by group.
+	aggIncr bool
+
+	series ops.SeriesFunc // BlackBox
+	pad    *padPlan       // PadVector
+}
+
+// atomPlan is one atom under a fixed set of already-bound variables.
+type atomPlan struct {
+	rel   string
+	arity int
+	probe []probeTerm
+	binds []bindTerm
+	mslot int   // slot of the measure variable, -1 without one
+	err   error // alone plans only: the atom cannot be inverted
+}
+
+// full reports whether the probe positions cover every dimension: the
+// atom then matches at most one tuple, found in the relation's row map.
+func (a *atomPlan) full() bool { return len(a.binds) == 0 }
+
+// probeTerm is a position whose value follows from the binding so far.
+type probeTerm struct {
+	pos  int
+	term dimTerm
+}
+
+// bindTerm is a position that instantiates a variable: the term denotes
+// slot+shift, so the variable is the tuple's value minus shift. check
+// marks a variable an earlier position of the same atom already set, with
+// which this one must agree.
+type bindTerm struct {
+	pos, slot int
+	shift     int64
+	check     bool
+}
+
+// dimTerm is a compiled dimension term: a constant (slot < 0) or a
+// variable, optionally shifted or wrapped in a dimension function.
+type dimTerm struct {
+	slot  int
+	konst model.Value
+	shift int64
+	fn    func(model.Value) (model.Value, error)
+}
+
+func (d *dimTerm) eval(vals []model.Value) (model.Value, error) {
+	if d.slot < 0 {
+		return d.konst, nil
+	}
+	v := vals[d.slot]
+	switch {
+	case d.shift != 0:
+		return ops.ShiftValue(v, d.shift)
+	case d.fn != nil:
+		return d.fn(v)
+	}
+	return v, nil
+}
+
+// measureFn evaluates a measure expression under the binding in x. defined
+// is false when a scalar operator hit an undefined point (division by zero,
+// log of a non-positive number): per the paper's semantics the result cube
+// simply has no tuple there.
+type measureFn func(x *exec) (val float64, defined bool, err error)
+
+// keyedPlan is a tuple-level tgd evaluated from an output key: rhs is the
+// right-hand side atom compiled as a driver, so binding it against a key
+// recovers the variables, and atoms are the lhs atoms with all of those
+// bound — each a full-key probe. determines[i] says that lhs atom i on
+// its own binds every key variable, so its delta tuples name the output
+// points they affect.
+type keyedPlan struct {
+	rhs        atomPlan
+	atoms      []atomPlan
+	determines []bool
+}
+
+// padPlan is a padded vectorial tgd: order[a][j] is the rhs position of
+// the variable at operand a's position j (each operand is a permutation
+// of the rhs variables), f the scalar operator.
+type padPlan struct {
+	order [2][]int
+	f     ops.ScalarFunc
+}
+
+// compiler holds the name → slot table of the tgd being compiled; names
+// are not looked at again once the plan is built.
+type compiler struct {
+	slot map[string]int
+	args int
+}
+
+func (c *compiler) slotOf(name string) int {
+	s, ok := c.slot[name]
+	if !ok {
+		s = len(c.slot)
+		c.slot[name] = s
+	}
+	return s
+}
+
+func compileTgd(t *mapping.Tgd) *plan {
+	p := &plan{t: t}
+	switch t.Kind {
+	case mapping.BlackBox:
+		p.series, p.err = ops.Series(t.BB)
+	case mapping.PadVector:
+		p.pad, p.err = compilePad(t)
+	case mapping.TupleLevel, mapping.Aggregation:
+		p.err = p.compileJoin()
+	default:
+		p.err = fmt.Errorf("unsupported tgd kind %s", t.Kind)
+	}
+	return p
+}
+
+func (p *plan) compileJoin() error {
+	t := p.t
+	c := &compiler{slot: make(map[string]int)}
+	// Slots in order of first occurrence over the lhs.
+	for _, a := range t.Lhs {
+		for _, d := range a.Dims {
+			if d.Var != "" {
+				c.slotOf(d.Var)
+			}
+		}
+		if a.MVar != "" {
+			c.slotOf(a.MVar)
+		}
+	}
+	p.slots = len(c.slot)
+
+	bound := make(map[int]bool)
+	for _, a := range t.Lhs {
+		ap, err := c.atom(a, bound)
+		if err != nil {
+			return err
+		}
+		p.lhs = append(p.lhs, ap)
+		alone, err := c.atom(a, map[int]bool{})
+		alone.err = err
+		p.alone = append(p.alone, alone)
+	}
+	if len(p.lhs) == 0 {
+		return fmt.Errorf("tgd has no lhs atom")
+	}
+
+	for _, d := range t.Rhs.Dims {
+		dt, err := c.term(d)
+		if err != nil {
+			return err
+		}
+		p.rhs = append(p.rhs, dt)
+	}
+	if t.Measure == nil {
+		return fmt.Errorf("tgd has no measure term")
+	}
+	var err error
+	if p.measure, err = c.measure(t.Measure); err != nil {
+		return err
+	}
+	p.args = c.args
+
+	switch t.Kind {
+	case mapping.TupleLevel:
+		p.shared = sharesDrivingKey(t)
+		p.keyed = c.keyed(t, p.alone)
+	case mapping.Aggregation:
+		p.aggIncr = len(p.lhs) == 1 && p.alone[0].err == nil && keyFromDims(p.rhs, &p.alone[0])
+	}
+	return nil
+}
+
+// term compiles a dimension term whose variable, if any, is already bound.
+func (c *compiler) term(d mapping.DimTerm) (dimTerm, error) {
+	if d.Const != nil {
+		return dimTerm{slot: -1, konst: *d.Const}, nil
+	}
+	slot, ok := c.slot[d.Var]
+	if !ok {
+		return dimTerm{}, fmt.Errorf("unbound variable %s in dimension term", d.Var)
+	}
+	dt := dimTerm{slot: slot, shift: d.Shift}
+	if d.Shift == 0 && d.Func != "" {
+		f, err := ops.Dimension(d.Func)
+		if err != nil {
+			return dimTerm{}, err
+		}
+		dt.fn = f.Apply
+	}
+	return dt, nil
+}
+
+// atom compiles one atom given the slots bound before it, and adds the
+// slots it binds to bound. Positions whose term value is computable from
+// the binding so far are probe positions; the rest bind variables.
+func (c *compiler) atom(a mapping.Atom, bound map[int]bool) (atomPlan, error) {
+	ap := atomPlan{rel: a.Rel, arity: len(a.Dims), mslot: -1}
+	here := make(map[int]bool)
+	for j, d := range a.Dims {
+		switch {
+		case d.Const != nil || (d.Var != "" && bound[c.slot[d.Var]]):
+			dt, err := c.term(d)
+			if err != nil {
+				return ap, err
+			}
+			ap.probe = append(ap.probe, probeTerm{pos: j, term: dt})
+		case d.Func != "":
+			return ap, fmt.Errorf("dimension function %s over unbound variable %s in lhs is not invertible", d.Func, d.Var)
+		case d.Var == "":
+			return ap, fmt.Errorf("atom %s has an empty term at dimension %d", a.Rel, j)
+		default:
+			slot := c.slot[d.Var]
+			ap.binds = append(ap.binds, bindTerm{pos: j, slot: slot, shift: d.Shift, check: here[slot]})
+			here[slot] = true
+		}
+	}
+	for slot := range here {
+		bound[slot] = true
+	}
+	if a.MVar != "" {
+		ap.mslot = c.slot[a.MVar]
+		bound[ap.mslot] = true
+	}
+	return ap, nil
+}
+
+// measure compiles a measure expression. Every operator application owns
+// a fixed window of the exec's scratch floats for its arguments, so
+// evaluation allocates nothing.
+func (c *compiler) measure(m *mapping.MTerm) (measureFn, error) {
+	switch m.Kind {
+	case mapping.MConst:
+		v := m.Val
+		return func(*exec) (float64, bool, error) { return v, true, nil }, nil
+	case mapping.MVar:
+		slot, ok := c.slot[m.Var]
+		if !ok {
+			return nil, fmt.Errorf("unbound measure variable %s", m.Var)
+		}
+		name := m.Var
+		return func(x *exec) (float64, bool, error) {
+			f, ok := x.vals[slot].AsNumber()
+			if !ok {
+				return 0, false, fmt.Errorf("measure variable %s bound to non-numeric %v", name, x.vals[slot])
+			}
+			return f, true, nil
+		}, nil
+	case mapping.MApply:
+		f, err := ops.Scalar(m.Op)
+		if err != nil {
+			return nil, err
+		}
+		args := make([]measureFn, len(m.Args))
+		for i, a := range m.Args {
+			if args[i], err = c.measure(a); err != nil {
+				return nil, err
+			}
+		}
+		params := m.Params
+		lo, mid := c.args, c.args+len(args)
+		hi := mid + len(params)
+		c.args = hi
+		return func(x *exec) (float64, bool, error) {
+			for i, a := range args {
+				v, defined, err := a(x)
+				if err != nil || !defined {
+					return 0, defined, err
+				}
+				x.args[lo+i] = v
+			}
+			copy(x.args[mid:hi], params)
+			v, err := f(x.args[lo:hi]...)
+			if err != nil {
+				if ops.ErrUndefined(err) {
+					return 0, false, nil
+				}
+				return 0, false, err
+			}
+			return v, true, nil
+		}, nil
+	default:
+		return nil, fmt.Errorf("unknown measure term kind %d", m.Kind)
+	}
+}
+
+// sharesDrivingKey reports whether every output tuple of the tuple-level
+// tgd sits at the dimension tuple of the driving tuple it came from: the
+// rhs terms are the driving atom's terms, all distinct plain variables,
+// position by position, and no later atom binds a dimension variable (so
+// a driving tuple has at most one binding).
+func sharesDrivingKey(t *mapping.Tgd) bool {
+	drive := t.Lhs[0].Dims
+	if len(t.Rhs.Dims) != len(drive) {
+		return false
+	}
+	vars := make(map[string]bool, len(drive))
+	for j, d := range drive {
+		if d.Var == "" || d.Shift != 0 || d.Func != "" || d.Const != nil || vars[d.Var] || t.Rhs.Dims[j] != d {
+			return false
+		}
+		vars[d.Var] = true
+	}
+	for i, a := range t.Lhs {
+		if vars[a.MVar] {
+			return false // a measure overwriting a key variable
+		}
+		for _, d := range a.Dims {
+			if i > 0 && d.Const == nil && !vars[d.Var] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// keyed turns a tuple-level tgd around for maintenance (see keyedPlan).
+// It applies when the binding is key-determined: every rhs dimension term
+// is a constant or an invertible variable, and every lhs atom's dimension
+// variables are among the rhs variables. Then each output point has at
+// most one binding, recovered by inverting the key.
+func (c *compiler) keyed(t *mapping.Tgd, alone []atomPlan) *keyedPlan {
+	key := make(map[int]bool)
+	rhs, err := c.atom(mapping.Atom{Rel: t.Rhs.Rel, Dims: t.Rhs.Dims}, key)
+	if err != nil {
+		return nil // an rhs term is not invertible
+	}
+	k := &keyedPlan{rhs: rhs}
+	for i, a := range t.Lhs {
+		ap, err := c.atom(a, maps.Clone(key))
+		if err != nil || !ap.full() {
+			return nil // a variable the key does not determine
+		}
+		k.atoms = append(k.atoms, ap)
+		distinct := 0
+		for _, b := range alone[i].binds {
+			if !b.check {
+				distinct++
+			}
+		}
+		k.determines = append(k.determines, alone[i].err == nil && distinct == len(key))
+	}
+	return k
+}
+
+// keyFromDims reports whether every rhs term is a constant or reads a
+// dimension variable of the (driving) atom: a group key that cannot move
+// with a measure.
+func keyFromDims(rhs []dimTerm, a *atomPlan) bool {
+	dims := make(map[int]bool, len(a.binds))
+	for _, b := range a.binds {
+		dims[b.slot] = true
+	}
+	for _, d := range rhs {
+		if d.slot >= 0 && (!dims[d.slot] || d.slot == a.mslot) {
+			return false
+		}
+	}
+	return true
+}
+
+// compilePad checks the shape of a padded vectorial tgd — two operands,
+// each a permutation of the rhs's plain variables — and fixes the
+// position maps.
+func compilePad(t *mapping.Tgd) (*padPlan, error) {
+	if len(t.Lhs) != 2 {
+		return nil, fmt.Errorf("padded tgds take two operands, got %d", len(t.Lhs))
+	}
+	plain := func(d mapping.DimTerm) bool {
+		return d.Var != "" && d.Shift == 0 && d.Func == "" && d.Const == nil
+	}
+	rhsPos := make(map[string]int, len(t.Rhs.Dims))
+	for i, d := range t.Rhs.Dims {
+		if _, dup := rhsPos[d.Var]; dup || !plain(d) {
+			return nil, fmt.Errorf("padded tgds require distinct plain variables")
+		}
+		rhsPos[d.Var] = i
+	}
+	p := &padPlan{}
+	for ai, atom := range t.Lhs {
+		seen := make(map[string]bool, len(atom.Dims))
+		for _, d := range atom.Dims {
+			if !plain(d) {
+				return nil, fmt.Errorf("padded tgds require plain variable atoms")
+			}
+			i, ok := rhsPos[d.Var]
+			if !ok || seen[d.Var] {
+				return nil, fmt.Errorf("padded tgds require each operand to bind the rhs variables once each: %s in %s", d.Var, atom.Rel)
+			}
+			seen[d.Var] = true
+			p.order[ai] = append(p.order[ai], i)
+		}
+		for _, d := range t.Rhs.Dims {
+			if !seen[d.Var] {
+				return nil, fmt.Errorf("rhs variable %s not bound by atom %s", d.Var, atom.Rel)
+			}
+		}
+	}
+	var err error
+	p.f, err = ops.Scalar(t.PadOp)
+	return p, err
+}

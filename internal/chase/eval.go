@@ -1,238 +1,318 @@
 package chase
 
 import (
+	"context"
 	"fmt"
 
-	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
 )
 
-// varSet assigns dense indexes to the variables of a tgd so bindings can be
-// flat slices instead of maps.
-type varSet struct {
-	idx   map[string]int
-	names []string
+// pollEvery is how many tuples an application binds between two looks at
+// the context, so a cancelled chase stops inside a stratum, not at its end —
+// also when a selective join completes few of the bindings it tries.
+const pollEvery = 4096
+
+// exec is the state of one application of a plan: a streamed nested join
+// over one reused binding buffer. No binding list is ever materialized —
+// each complete binding is handed to emit and then overwritten by the
+// next.
+type exec struct {
+	ctx   context.Context
+	p     *plan
+	atoms []atomPlan // p.lhs, or p.keyed.atoms
+	rels  []*model.Cube
+	// index holds, per partial-key atom, the relation's tuples grouped by
+	// probe key, built on first use and kept for the application.
+	index []*probeIndex
+
+	vals   []model.Value   // the binding: one slot per variable
+	args   []float64       // operator argument windows of the measure
+	probes [][]model.Value // per atom: the tuple (or key) being probed
+	out    []model.Value   // rhs dimension tuple of the current binding
+	key    []byte
+
+	visited  int // tuples handed to bind so far
+	bindings int // complete bindings so far
+	// emit consumes a complete binding. The default records its measure
+	// for measureOnce.
+	emit    func() error
+	mv      float64
+	present bool
 }
 
-func newVarSet() *varSet { return &varSet{idx: make(map[string]int)} }
+type probeIndex struct {
+	ids     map[string]int
+	buckets [][]model.Tuple
+}
 
-func (v *varSet) add(name string) int {
-	if i, ok := v.idx[name]; ok {
-		return i
+// newExec resolves the atoms' relations in the instance and sizes the
+// buffers.
+func newExec(ctx context.Context, p *plan, atoms []atomPlan, target Instance) (*exec, error) {
+	x := &exec{
+		ctx: ctx, p: p, atoms: atoms,
+		rels:   make([]*model.Cube, len(atoms)),
+		index:  make([]*probeIndex, len(atoms)),
+		vals:   make([]model.Value, p.slots),
+		args:   make([]float64, p.args),
+		probes: make([][]model.Value, len(atoms)),
+		out:    make([]model.Value, len(p.rhs)),
 	}
-	i := len(v.names)
-	v.idx[name] = i
-	v.names = append(v.names, name)
-	return i
-}
-
-func (v *varSet) lookup(name string) (int, bool) {
-	i, ok := v.idx[name]
-	return i, ok
-}
-
-// binding is a partial assignment of values to variables, indexed by
-// varSet position. Unassigned slots hold the invalid zero Value.
-type binding []model.Value
-
-// evalLhs enumerates all bindings of the tgd's lhs variables: the natural
-// join of the lhs atoms on shared variables, with dimension terms (shifts,
-// constants, functions of bound variables) acting as computed join keys.
-// Atoms are joined left to right using a hash index per atom.
-func evalLhs(t *mapping.Tgd, target Instance) ([]binding, *varSet, error) {
-	vars := newVarSet()
-	for _, a := range t.Lhs {
-		for _, d := range a.Dims {
-			if d.Var != "" {
-				vars.add(d.Var)
-			}
-		}
-		if a.MVar != "" {
-			vars.add(a.MVar)
-		}
+	x.emit = func() (err error) {
+		x.mv, x.present, err = p.measure(x)
+		return err
 	}
-
-	bindings := []binding{make(binding, len(vars.names))}
-	bound := make(map[string]bool)
-
-	for _, atom := range t.Lhs {
-		rel, ok := target[atom.Rel]
+	for i := range atoms {
+		rel, ok := target[atoms[i].rel]
 		if !ok {
-			return nil, nil, fmt.Errorf("relation %s not available", atom.Rel)
+			return nil, fmt.Errorf("relation %s not available", atoms[i].rel)
 		}
+		x.rels[i] = rel
+		x.probes[i] = make([]model.Value, atoms[i].arity)
+	}
+	return x, nil
+}
 
-		// Positions whose term value is computable from the current
-		// binding are probe positions; the rest bind new variables.
-		var probePos, bindPos []int
-		for j, d := range atom.Dims {
-			switch {
-			case d.Const != nil:
-				probePos = append(probePos, j)
-			case d.Var != "" && bound[d.Var]:
-				probePos = append(probePos, j)
-			case d.Func != "":
-				return nil, nil, fmt.Errorf("dimension function %s over unbound variable %s in lhs is not invertible", d.Func, d.Var)
-			default:
-				bindPos = append(bindPos, j)
+// join enumerates the bindings of atoms[i:] under the binding of
+// atoms[:i] and emits each complete one: the natural join of the lhs atoms
+// on shared variables, with dimension terms (shifts, constants, functions
+// of bound variables) acting as computed join keys. Scans and indexes read
+// relations in cube order, not map order, so the enumeration — and with it
+// the fold order of floating-point aggregation and the tuple an egd
+// violation names — is the same run to run. (tupleLevel's shared path does
+// not drive through join: see there.)
+func (x *exec) join(i int) error {
+	if i == len(x.atoms) {
+		x.bindings++
+		return x.emit()
+	}
+	a := &x.atoms[i]
+	if !a.full() && (i == 0 || len(a.probe) == 0) {
+		// The driving atom — any probe terms it has are constants, a
+		// selection, checked tuple by tuple — or a cross product: scan.
+		return x.rels[i].Ordered(func(tu model.Tuple) error {
+			if ok, err := x.bind(a, tu, true); err != nil || !ok {
+				return err
 			}
-		}
-
-		// Hash index of the relation on the probe positions' raw values.
-		// Built from Ordered (sorted), not ForEach (map order), so the
-		// binding enumeration — and with it the fold order of downstream
-		// floating-point aggregation — is deterministic run-to-run. Map
-		// order once made sum() results differ in the last ulp between
-		// runs, which flipped exact-zero tests (x/x at x == 0) downstream.
-		index := make(map[string][]model.Tuple)
-		keyBuf := make([]model.Value, len(probePos))
-		_ = rel.Ordered(func(tu model.Tuple) error {
-			for i, p := range probePos {
-				keyBuf[i] = tu.Dims[p]
-			}
-			k := model.EncodeKey(keyBuf)
-			index[k] = append(index[k], tu)
-			return nil
+			return x.join(i + 1)
 		})
-
-		var next []binding
-		for _, b := range bindings {
-			for i, p := range probePos {
-				v, err := evalDimTerm(atom.Dims[p], vars, b)
-				if err != nil {
-					return nil, nil, err
-				}
-				keyBuf[i] = v
-			}
-			k := model.EncodeKey(keyBuf)
-			for _, tu := range index[k] {
-				nb := append(binding(nil), b...)
-				ok := true
-				for _, p := range bindPos {
-					d := atom.Dims[p]
-					val := tu.Dims[p]
-					if d.Shift != 0 {
-						// The term denotes Var+Shift, so Var = value-Shift.
-						inv, err := ops.ShiftValue(val, -d.Shift)
-						if err != nil {
-							return nil, nil, err
-						}
-						val = inv
-					}
-					vi, _ := vars.lookup(d.Var)
-					if nb[vi].IsValid() {
-						// Repeated variable within the atom: must agree.
-						if !nb[vi].Equal(val) {
-							ok = false
-							break
-						}
-						continue
-					}
-					nb[vi] = val
-				}
-				if !ok {
-					continue
-				}
-				if atom.MVar != "" {
-					mi, _ := vars.lookup(atom.MVar)
-					nb[mi] = model.Num(tu.Measure)
-				}
-				next = append(next, nb)
-			}
-		}
-		bindings = next
-
-		for _, j := range bindPos {
-			if atom.Dims[j].Var != "" {
-				bound[atom.Dims[j].Var] = true
-			}
-		}
-		if atom.MVar != "" {
-			bound[atom.MVar] = true
-		}
-		if len(bindings) == 0 {
-			break
-		}
 	}
-	return bindings, vars, nil
-}
-
-// evalDimTerm computes the value of a dimension term under a binding.
-func evalDimTerm(d mapping.DimTerm, vars *varSet, b binding) (model.Value, error) {
-	if d.Const != nil {
-		return *d.Const, nil
-	}
-	vi, ok := vars.lookup(d.Var)
-	if !ok || !b[vi].IsValid() {
-		return model.Value{}, fmt.Errorf("unbound variable %s in dimension term", d.Var)
-	}
-	v := b[vi]
-	if d.Shift != 0 {
-		return ops.ShiftValue(v, d.Shift)
-	}
-	if d.Func != "" {
-		f, err := ops.Dimension(d.Func)
-		if err != nil {
-			return model.Value{}, err
-		}
-		return f.Apply(v)
-	}
-	return v, nil
-}
-
-// evalRhsDims fills dims with the rhs dimension-term values under b.
-func evalRhsDims(terms []mapping.DimTerm, vars *varSet, b binding, dims []model.Value) error {
-	for i, d := range terms {
-		v, err := evalDimTerm(d, vars, b)
+	probe := x.probes[i][:len(a.probe)]
+	for j := range a.probe {
+		v, err := a.probe[j].term.eval(x.vals)
 		if err != nil {
 			return err
 		}
-		dims[i] = v
+		probe[j] = v
+	}
+	if a.full() {
+		// The probe positions are all the positions, in order: probe is
+		// the dimension tuple, looked up in the relation's own row map.
+		m, ok := x.rels[i].Get(probe)
+		if !ok {
+			return nil
+		}
+		if a.mslot >= 0 {
+			x.vals[a.mslot] = model.Num(m)
+		}
+		return x.join(i + 1)
+	}
+	// The index first: building it goes through x.key.
+	ix := x.indexOf(i)
+	x.key = model.AppendKey(x.key[:0], probe)
+	id, ok := ix.ids[string(x.key)]
+	if !ok {
+		return nil
+	}
+	for _, tu := range ix.buckets[id] {
+		if ok, err := x.bind(a, tu, false); err != nil {
+			return err
+		} else if !ok {
+			continue
+		}
+		if err := x.join(i + 1); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// evalMeasure evaluates a measure expression under a binding. defined is
-// false when a scalar operator hit an undefined point (division by zero,
-// log of a non-positive number): per the paper's semantics the result cube
-// simply has no tuple there.
-func evalMeasure(m *mapping.MTerm, vars *varSet, b binding) (val float64, defined bool, err error) {
-	switch m.Kind {
-	case mapping.MConst:
-		return m.Val, true, nil
-	case mapping.MVar:
-		vi, ok := vars.lookup(m.Var)
-		if !ok || !b[vi].IsValid() {
-			return 0, false, fmt.Errorf("unbound measure variable %s", m.Var)
-		}
-		f, ok := b[vi].AsNumber()
-		if !ok {
-			return 0, false, fmt.Errorf("measure variable %s bound to non-numeric %v", m.Var, b[vi])
-		}
-		return f, true, nil
-	case mapping.MApply:
-		args := make([]float64, 0, len(m.Args)+len(m.Params))
-		for _, a := range m.Args {
-			v, def, err := evalMeasure(a, vars, b)
-			if err != nil || !def {
-				return 0, def, err
-			}
-			args = append(args, v)
-		}
-		args = append(args, m.Params...)
-		f, err := ops.Scalar(m.Op)
-		if err != nil {
-			return 0, false, err
-		}
-		v, err := f(args...)
-		if err != nil {
-			if ops.ErrUndefined(err) {
-				return 0, false, nil
-			}
-			return 0, false, err
-		}
-		return v, true, nil
-	default:
-		return 0, false, fmt.Errorf("unknown measure term kind %d", m.Kind)
+// indexOf returns atom i's relation grouped by the values at its probe
+// positions, building it on first use. The build overwrites x.key.
+func (x *exec) indexOf(i int) *probeIndex {
+	if x.index[i] != nil {
+		return x.index[i]
 	}
+	a := &x.atoms[i]
+	ix := &probeIndex{ids: make(map[string]int)}
+	probe := make([]model.Value, len(a.probe))
+	_ = x.rels[i].Ordered(func(tu model.Tuple) error {
+		for j := range a.probe {
+			probe[j] = tu.Dims[a.probe[j].pos]
+		}
+		x.key = model.AppendKey(x.key[:0], probe)
+		id, ok := ix.ids[string(x.key)]
+		if !ok {
+			id = len(ix.buckets)
+			ix.ids[string(x.key)] = id
+			ix.buckets = append(ix.buckets, nil)
+		}
+		ix.buckets[id] = append(ix.buckets[id], tu)
+		return nil
+	})
+	x.index[i] = ix
+	return ix
+}
+
+// bind instantiates the atom's own variables from one of its relation's
+// tuples: shifted variables are unshifted, repeated variables must agree.
+// With filter set the probe positions are compared too (a scan, or a delta
+// tuple being inverted); an index hit has matched them by key already. ok
+// is false when the tuple cannot instantiate the atom — it simply matches
+// no binding. Every tuple an application looks at comes through here, so
+// this is where the context is polled.
+func (x *exec) bind(a *atomPlan, tu model.Tuple, filter bool) (ok bool, err error) {
+	x.visited++
+	if x.visited%pollEvery == 0 {
+		if err := x.ctx.Err(); err != nil {
+			return false, err
+		}
+	}
+	if filter {
+		for j := range a.probe {
+			v, err := a.probe[j].term.eval(x.vals)
+			if err != nil {
+				return false, err
+			}
+			if !v.Equal(tu.Dims[a.probe[j].pos]) {
+				return false, nil
+			}
+		}
+	}
+	for j := range a.binds {
+		b := &a.binds[j]
+		v := tu.Dims[b.pos]
+		if b.shift != 0 {
+			// The term denotes the variable plus shift.
+			if v, err = ops.ShiftValue(v, -b.shift); err != nil {
+				return false, err
+			}
+		}
+		if b.check {
+			if !x.vals[b.slot].Equal(v) {
+				return false, nil
+			}
+			continue
+		}
+		x.vals[b.slot] = v
+	}
+	if a.mslot >= 0 {
+		x.vals[a.mslot] = model.Num(tu.Measure)
+	}
+	return true, nil
+}
+
+// rhsDims evaluates the rhs dimension terms under the current binding into
+// x.out.
+func (x *exec) rhsDims() error {
+	for i := range x.p.rhs {
+		v, err := x.p.rhs[i].eval(x.vals)
+		if err != nil {
+			return err
+		}
+		x.out[i] = v
+	}
+	return nil
+}
+
+// measureOnce runs the join from atom i on for a binding that has at most
+// one completion (every remaining atom is a full-key probe) and returns
+// its measure; present is false when an atom found no tuple or the measure
+// is undefined.
+func (x *exec) measureOnce(i int) (mv float64, present bool, err error) {
+	x.present = false
+	err = x.join(i)
+	return x.mv, x.present, err
+}
+
+// tupleLevel applies a tuple-level tgd into out, returning the tuples
+// asserted.
+func (x *exec) tupleLevel(out *model.Cube) (tuples int, err error) {
+	if x.p.shared {
+		// One binding at most per driving tuple, at that tuple's own
+		// dimension tuple. The driving relation is scanned in map order:
+		// the points are independent (distinct keys, no fold), so the
+		// result does not depend on it; only which tuple a failing measure
+		// expression names does.
+		drive := &x.atoms[0]
+		err = out.PutFrom(x.rels[0], func(tu model.Tuple) (float64, bool, error) {
+			if ok, err := x.bind(drive, tu, false); err != nil || !ok {
+				return 0, false, err
+			}
+			mv, present, err := x.measureOnce(1)
+			if present {
+				tuples++
+			}
+			return mv, present, err
+		})
+		return tuples, err
+	}
+	x.emit = func() error {
+		if err := x.rhsDims(); err != nil {
+			return err
+		}
+		mv, defined, err := x.p.measure(x)
+		if err != nil || !defined {
+			return err
+		}
+		if err := out.Put(x.out, mv); err != nil {
+			return err
+		}
+		tuples++
+		return nil
+	}
+	err = x.join(0)
+	return tuples, err
+}
+
+// group is one output point of an aggregation tgd being folded.
+type group struct {
+	dims []model.Value
+	agg  ops.Aggregator
+}
+
+// aggregate folds the tgd's bindings into groups keyed by the rhs
+// dimension tuple, in binding order. With only set, bindings of other
+// groups are skipped before their measure is evaluated; the groups that
+// remain see exactly the bindings, in exactly the order, of an
+// unrestricted run. Undefined points contribute nothing to the bag.
+func (x *exec) aggregate(only map[string][]model.Value) (map[string]*group, error) {
+	groups := make(map[string]*group)
+	x.emit = func() error {
+		if err := x.rhsDims(); err != nil {
+			return err
+		}
+		x.key = model.AppendKey(x.key[:0], x.out)
+		if only != nil {
+			if _, ok := only[string(x.key)]; !ok {
+				return nil
+			}
+		}
+		mv, defined, err := x.p.measure(x)
+		if err != nil || !defined {
+			return err
+		}
+		g, ok := groups[string(x.key)]
+		if !ok {
+			agg, err := ops.NewAggregator(x.p.t.Agg)
+			if err != nil {
+				return err
+			}
+			g = &group{dims: append([]model.Value(nil), x.out...), agg: agg}
+			groups[string(x.key)] = g
+		}
+		g.agg.Add(mv)
+		return nil
+	}
+	return groups, x.join(0)
 }

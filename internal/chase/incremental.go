@@ -8,7 +8,6 @@ import (
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 	"exlengine/internal/obs"
-	"exlengine/internal/ops"
 )
 
 // DeltaInput carries what an incremental chase knows about how the world
@@ -76,18 +75,12 @@ func (s *Solver) SolveIncremental(ctx context.Context, source Instance, in *Delt
 		}
 	}
 
-	// Σst: the target twins of the elementary relations are the current
-	// source versions. Solve clones them; sharing is safe here because
-	// nothing downstream mutates an input relation.
 	for _, name := range s.m.Elementary {
-		if c, ok := source[name]; ok {
-			target[name] = c
-		} else {
-			target[name] = model.NewCube(s.m.Schemas[name])
-		}
+		target[name] = s.elementary(source, name)
 	}
 
-	for _, t := range s.m.Tgds {
+	for _, p := range s.plans {
+		t := p.t
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}
@@ -107,7 +100,7 @@ func (s *Solver) SolveIncremental(ctx context.Context, source Instance, in *Delt
 		_, span := obs.StartSpan(ctx, "chase.tgd.incr",
 			obs.String("id", t.ID), obs.String("cube", outName), obs.String("kind", t.Kind.String()))
 
-		mode, err := s.applyTgdIncr(t, target, deltas, baseOut, changed, unknown, stats, chaseStats)
+		mode, err := s.applyTgdIncr(ctx, p, target, deltas, baseOut, changed, unknown, stats, chaseStats)
 		span.SetAttr(obs.String("mode", mode))
 		span.EndErr(err)
 		if err != nil {
@@ -137,8 +130,8 @@ func (s *Solver) SolveIncremental(ctx context.Context, source Instance, in *Delt
 // mode is "skip", "incremental", "full", "full-unchanged" (recomputed,
 // but inputs unchanged so the output provably equals the previous run's)
 // or "full-unknown" (recomputed with no base to diff against).
-func (s *Solver) applyTgdIncr(t *mapping.Tgd, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, changed, unknown bool, stats *IncrStats, chaseStats *Stats) (string, error) {
-	outName := t.Target()
+func (s *Solver) applyTgdIncr(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, changed, unknown bool, stats *IncrStats, chaseStats *Stats) (string, error) {
+	outName := p.t.Target()
 
 	// Nothing this tgd reads moved: its output is exactly the previous
 	// one. With no previous output to reuse (first run for this cube) it
@@ -148,14 +141,14 @@ func (s *Solver) applyTgdIncr(t *mapping.Tgd, target Instance, deltas map[string
 			target[outName] = baseOut
 			return "skip", nil
 		}
-		if err := s.applyTgd(t, target, chaseStats); err != nil {
+		if err := s.applyTgd(ctx, p, target, chaseStats); err != nil {
 			return "", err
 		}
 		return "full-unchanged", nil
 	}
 
 	full := func() (string, error) {
-		if err := s.applyTgd(t, target, chaseStats); err != nil {
+		if err := s.applyTgd(ctx, p, target, chaseStats); err != nil {
 			return "", err
 		}
 		if baseOut == nil {
@@ -168,7 +161,7 @@ func (s *Solver) applyTgdIncr(t *mapping.Tgd, target Instance, deltas map[string
 		return "full", nil
 	}
 
-	if unknown || baseOut == nil {
+	if unknown || baseOut == nil || p.err != nil {
 		return full()
 	}
 
@@ -178,13 +171,13 @@ func (s *Solver) applyTgdIncr(t *mapping.Tgd, target Instance, deltas map[string
 		ok  bool
 		err error
 	)
-	switch t.Kind {
+	switch p.t.Kind {
 	case mapping.TupleLevel:
-		out, od, ok, err = s.incrTupleLevel(t, target, deltas, baseOut, stats)
+		out, od, ok, err = incrTupleLevel(ctx, p, target, deltas, baseOut, stats)
 	case mapping.Aggregation:
-		out, od, ok, err = s.incrAggregation(t, target, deltas, baseOut, stats)
+		out, od, ok, err = incrAggregation(ctx, p, target, deltas, baseOut, stats)
 	case mapping.PadVector:
-		out, od, ok, err = s.incrPadVector(t, target, deltas, baseOut, stats)
+		out, od, ok, err = incrPadVector(p, target, deltas, baseOut, stats)
 	default:
 		// Black boxes consume a whole series; there is no smaller unit
 		// of recomputation. Recomputing in full still yields an exact
@@ -289,195 +282,63 @@ func deltaTuples(d *model.CubeDelta, fn func(model.Tuple) error) error {
 	return nil
 }
 
-// bindAtomTuple inverts one atom against one of its relation's tuples:
-// constants must match, shifted variables are unshifted, repeated
-// variables must agree. ok is false when the tuple cannot instantiate
-// the atom (a constant or repeated-variable mismatch — the tuple simply
-// matches no binding).
-func bindAtomTuple(atom mapping.Atom, vars *varSet, tu model.Tuple, b binding) (bool, error) {
-	for i := range b {
-		b[i] = model.Value{}
-	}
-	for j, d := range atom.Dims {
-		switch {
-		case d.Const != nil:
-			if !tu.Dims[j].Equal(*d.Const) {
-				return false, nil
-			}
-		case d.Var != "" && d.Func == "":
-			val := tu.Dims[j]
-			if d.Shift != 0 {
-				inv, err := ops.ShiftValue(val, -d.Shift)
-				if err != nil {
-					return false, err
-				}
-				val = inv
-			}
-			vi, _ := vars.lookup(d.Var)
-			if b[vi].IsValid() {
-				if !b[vi].Equal(val) {
-					return false, nil
-				}
-				continue
-			}
-			b[vi] = val
-		default:
-			return false, fmt.Errorf("atom %s dim %d is not invertible", atom.Rel, j)
+// affectedBy inverts atom a (one of x.p.alone) over the tuples of its
+// relation's delta and adds the output points those bindings name.
+func (x *exec) affectedBy(a *atomPlan, d *model.CubeDelta, affected *affectedKeys, stats *IncrStats) error {
+	return deltaTuples(d, func(tu model.Tuple) error {
+		stats.DeltaTuplesIn++
+		if ok, err := x.bind(a, tu, true); err != nil || !ok {
+			return err
 		}
-	}
-	if atom.MVar != "" {
-		mi, _ := vars.lookup(atom.MVar)
-		b[mi] = model.Num(tu.Measure)
-	}
-	return true, nil
+		if err := x.rhsDims(); err != nil {
+			return err
+		}
+		affected.add(x.out)
+		return nil
+	})
 }
 
-// tgdVarSet collects the tgd's variables exactly as evalLhs does, so
-// bindings built here and there agree on indexing.
-func tgdVarSet(t *mapping.Tgd) *varSet {
-	vars := newVarSet()
-	for _, a := range t.Lhs {
-		for _, d := range a.Dims {
-			if d.Var != "" {
-				vars.add(d.Var)
-			}
-		}
-		if a.MVar != "" {
-			vars.add(a.MVar)
+// incrTupleLevel maintains a tuple-level tgd per output point. It applies
+// when the plan has a keyed form (the binding is determined by the output
+// key), so each output point has at most one binding — recovered by
+// inverting the key — and recomputing a point is a constant number of hash
+// probes. Affected points are found by inverting each changed atom over
+// its delta tuples, which requires the changed atoms to bind the full key
+// themselves.
+func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
+	k := p.keyed
+	if k == nil {
+		return nil, nil, false, nil
+	}
+	for ai := range p.alone {
+		if deltas[p.alone[ai].rel] != nil && !k.determines[ai] {
+			return nil, nil, false, nil // changed atom does not determine the key
 		}
 	}
-	return vars
-}
-
-// incrTupleLevel maintains a tuple-level tgd per output point. It
-// applies when the binding is key-determined: every right-hand-side
-// dimension term is a constant or an invertible variable (shift, no
-// dimension function), and every left-hand-side atom's variables are a
-// subset of the right-hand-side variables. Then each output point has at
-// most one binding — recovered by inverting the key — and recomputing a
-// point is a constant number of hash probes. Affected points are found
-// by inverting each changed atom over its delta tuples, which requires
-// the changed atoms to bind the full variable set invertibly.
-func (s *Solver) incrTupleLevel(t *mapping.Tgd, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
-	rhsVars := make(map[string]bool)
-	for _, d := range t.Rhs.Dims {
-		switch {
-		case d.Const != nil:
-		case d.Var != "" && d.Func == "":
-			rhsVars[d.Var] = true
-		default:
-			return nil, nil, false, nil // rhs term not invertible
-		}
+	x, err := newExec(ctx, p, k.atoms, target)
+	if err != nil {
+		return nil, nil, false, err
 	}
-	// Per atom: all variables must be recoverable from the key, and
-	// changed atoms must invertibly bind the whole key themselves so
-	// affected points can be read off their delta tuples.
-	var changedAtoms []int
-	for ai, a := range t.Lhs {
-		plain := make(map[string]bool) // vars invertible from this atom's tuples
-		for _, d := range a.Dims {
-			if d.Var != "" {
-				if !rhsVars[d.Var] {
-					return nil, nil, false, nil // binding not key-determined
-				}
-				if d.Func == "" {
-					plain[d.Var] = true
-				}
-			}
-		}
-		if deltas[a.Rel] != nil {
-			if len(plain) != len(rhsVars) {
-				return nil, nil, false, nil // changed atom does not determine the key
-			}
-			changedAtoms = append(changedAtoms, ai)
-		}
-	}
-	// Every rhs variable must occur in some atom, or the full evaluation
-	// itself would fail on an unbound variable — let it.
-	vars := tgdVarSet(t)
-	for v := range rhsVars {
-		if _, ok := vars.lookup(v); !ok {
-			return nil, nil, false, nil
-		}
-	}
-
 	affected := newAffectedKeys()
-	b := make(binding, len(vars.names))
-	keyBuf := make([]model.Value, len(t.Rhs.Dims))
-	for _, ai := range changedAtoms {
-		atom := t.Lhs[ai]
-		err := deltaTuples(deltas[atom.Rel], func(tu model.Tuple) error {
-			stats.DeltaTuplesIn++
-			ok, err := bindAtomTuple(atom, vars, tu, b)
-			if err != nil || !ok {
-				return err
+	for ai := range p.alone {
+		a := &p.alone[ai]
+		if d := deltas[a.rel]; d != nil {
+			if err := x.affectedBy(a, d, affected, stats); err != nil {
+				return nil, nil, false, err
 			}
-			if err := evalRhsDims(t.Rhs.Dims, vars, b, keyBuf); err != nil {
-				return err
-			}
-			affected.add(keyBuf)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, false, err
 		}
 	}
 
-	probeBufs := make([][]model.Value, len(t.Lhs))
-	for i, a := range t.Lhs {
-		probeBufs[i] = make([]model.Value, len(a.Dims))
-	}
 	recompute := func(dims []model.Value) (float64, bool, error) {
-		// Invert the key into a binding…
-		for i := range b {
-			b[i] = model.Value{}
+		// Invert the key into a binding, probe every atom for its unique
+		// witness (a vanished one retracts the point) and re-evaluate the
+		// measure: the full chase's join and arithmetic, entered at the key.
+		if ok, err := x.bind(&k.rhs, model.Tuple{Dims: dims}, true); err != nil || !ok {
+			return 0, false, err
 		}
-		for i, d := range t.Rhs.Dims {
-			if d.Const != nil {
-				continue
-			}
-			val := dims[i]
-			if d.Shift != 0 {
-				inv, err := ops.ShiftValue(val, -d.Shift)
-				if err != nil {
-					return 0, false, err
-				}
-				val = inv
-			}
-			vi, _ := vars.lookup(d.Var)
-			if b[vi].IsValid() && !b[vi].Equal(val) {
-				return 0, false, nil
-			}
-			b[vi] = val
-		}
-		// …probe every atom for its unique witness…
-		for ai, atom := range t.Lhs {
-			rel, ok := target[atom.Rel]
-			if !ok {
-				return 0, false, fmt.Errorf("relation %s not available", atom.Rel)
-			}
-			pd := probeBufs[ai]
-			for j, d := range atom.Dims {
-				v, err := evalDimTerm(d, vars, b)
-				if err != nil {
-					return 0, false, err
-				}
-				pd[j] = v
-			}
-			m, ok := rel.Get(pd)
-			if !ok {
-				return 0, false, nil // support vanished: the point is retracted
-			}
-			if atom.MVar != "" {
-				mi, _ := vars.lookup(atom.MVar)
-				b[mi] = model.Num(m)
-			}
-		}
-		// …and re-evaluate the measure with the full chase's arithmetic.
-		return evalMeasure(t.Measure, vars, b)
+		return x.measureOnce(0)
 	}
-
-	out, od, err := maintain(t.Target(), baseOut, affected, stats, recompute)
+	out, od, err := maintain(p.t.Target(), baseOut, affected, stats, recompute)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -486,106 +347,35 @@ func (s *Solver) incrTupleLevel(t *mapping.Tgd, target Instance, deltas map[stri
 
 // incrAggregation maintains a single-atom aggregation per output group:
 // delta tuples identify the affected groups, and each affected group is
-// re-aggregated from a scan of the full current relation in Ordered
-// order — the exact fold order the full chase uses — so even
-// order-sensitive accumulations (stddev's running moments) reproduce the
-// full result bit for bit. No differential aggregate state is kept,
-// which is what makes min/max/median retraction work at all.
-func (s *Solver) incrAggregation(t *mapping.Tgd, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
-	if len(t.Lhs) != 1 {
+// re-aggregated by the full chase's own scan of the current relation,
+// restricted to those groups — the exact fold order the full chase uses —
+// so even order-sensitive accumulations (stddev's running moments)
+// reproduce the full result bit for bit. No differential aggregate state
+// is kept, which is what makes min/max/median retraction work at all.
+func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
+	if !p.aggIncr {
 		return nil, nil, false, nil
 	}
-	atom := t.Lhs[0]
-	for _, d := range atom.Dims {
-		if d.Func != "" || (d.Const == nil && d.Var == "") {
-			return nil, nil, false, nil
-		}
+	x, err := newExec(ctx, p, p.lhs, target)
+	if err != nil {
+		return nil, nil, false, err
 	}
-	// Group keys must be functions of dimensions only: a measure variable
-	// in a key term would make the key change with the measure.
-	for _, d := range t.Rhs.Dims {
-		if d.Var != "" && d.Var == atom.MVar {
-			return nil, nil, false, nil
-		}
-		if d.Var != "" {
-			found := false
-			for _, ad := range atom.Dims {
-				if ad.Var == d.Var {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, nil, false, nil
-			}
-		}
-	}
-	vars := tgdVarSet(t)
-	rel, ok := target[atom.Rel]
-	if !ok {
-		return nil, nil, false, fmt.Errorf("relation %s not available", atom.Rel)
-	}
-
 	affected := newAffectedKeys()
-	b := make(binding, len(vars.names))
-	keyBuf := make([]model.Value, len(t.Rhs.Dims))
-	err := deltaTuples(deltas[atom.Rel], func(tu model.Tuple) error {
-		stats.DeltaTuplesIn++
-		ok, err := bindAtomTuple(atom, vars, tu, b)
-		if err != nil || !ok {
-			return err
-		}
-		if err := evalRhsDims(t.Rhs.Dims, vars, b, keyBuf); err != nil {
-			return err
-		}
-		affected.add(keyBuf)
-		return nil
-	})
+	if err := x.affectedBy(&p.alone[0], deltas[p.alone[0].rel], affected, stats); err != nil {
+		return nil, nil, false, err
+	}
+	groups, err := x.aggregate(affected.dims)
 	if err != nil {
 		return nil, nil, false, err
 	}
-
-	// One sorted scan re-aggregates every affected group.
-	aggs := make(map[string]ops.Aggregator, len(affected.dims))
-	err = rel.Ordered(func(tu model.Tuple) error {
-		ok, err := bindAtomTuple(atom, vars, tu, b)
-		if err != nil || !ok {
-			return err
-		}
-		if err := evalRhsDims(t.Rhs.Dims, vars, b, keyBuf); err != nil {
-			return err
-		}
-		k := model.EncodeKey(keyBuf)
-		if _, isAffected := affected.dims[k]; !isAffected {
-			return nil
-		}
-		mv, defined, err := evalMeasure(t.Measure, vars, b)
-		if err != nil || !defined {
-			return err
-		}
-		agg := aggs[k]
-		if agg == nil {
-			agg, err = ops.NewAggregator(t.Agg)
-			if err != nil {
-				return err
-			}
-			aggs[k] = agg
-		}
-		agg.Add(mv)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, false, err
-	}
-
 	recompute := func(dims []model.Value) (float64, bool, error) {
-		agg := aggs[model.EncodeKey(dims)]
-		if agg == nil {
+		g := groups[model.EncodeKey(dims)]
+		if g == nil {
 			return 0, false, nil // every contribution vanished: retract the group
 		}
-		return agg.Result(), true, nil
+		return g.agg.Result(), true, nil
 	}
-	out, od, err := maintain(t.Target(), baseOut, affected, stats, recompute)
+	out, od, err := maintain(p.t.Target(), baseOut, affected, stats, recompute)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -596,103 +386,34 @@ func (s *Solver) incrAggregation(t *mapping.Tgd, target Instance, deltas map[str
 // point depends on exactly one tuple of each operand (present or
 // padded), so delta tuples of either operand name the affected points
 // directly and recomputing one is two hash probes plus the scalar op.
-func (s *Solver) incrPadVector(t *mapping.Tgd, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
-	if len(t.Lhs) != 2 {
-		return nil, nil, false, nil
-	}
-	// atomOrder[i][j] = rhs index of the variable at atom i's position j;
-	// requires each atom to be a permutation of the rhs variables, which
-	// is also what makes the full evaluation's entry map deterministic.
-	rhsIdx := make(map[string]int, len(t.Rhs.Dims))
-	for i, d := range t.Rhs.Dims {
-		if d.Var == "" || d.Shift != 0 || d.Func != "" || d.Const != nil {
-			return nil, nil, false, nil
-		}
-		rhsIdx[d.Var] = i
-	}
-	var atomOrder [2][]int
-	for ai := 0; ai < 2; ai++ {
-		atom := t.Lhs[ai]
-		if len(atom.Dims) != len(t.Rhs.Dims) {
-			return nil, nil, false, nil
-		}
-		atomOrder[ai] = make([]int, len(atom.Dims))
-		seen := make(map[string]bool, len(atom.Dims))
-		for j, d := range atom.Dims {
-			if d.Var == "" || d.Shift != 0 || d.Func != "" || d.Const != nil || seen[d.Var] {
-				return nil, nil, false, nil
-			}
-			i, ok := rhsIdx[d.Var]
-			if !ok {
-				return nil, nil, false, nil
-			}
-			seen[d.Var] = true
-			atomOrder[ai][j] = i
-		}
-	}
-	rels := [2]*model.Cube{}
-	for ai := 0; ai < 2; ai++ {
-		rel, ok := target[t.Lhs[ai].Rel]
-		if !ok {
-			return nil, nil, false, fmt.Errorf("relation %s not available", t.Lhs[ai].Rel)
-		}
-		rels[ai] = rel
-	}
-	f, err := ops.Scalar(t.PadOp)
+func incrPadVector(p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
+	rels, err := padOperands(p.t, target)
 	if err != nil {
 		return nil, nil, false, err
 	}
-
+	n := len(p.t.Rhs.Dims)
 	affected := newAffectedKeys()
-	keyBuf := make([]model.Value, len(t.Rhs.Dims))
-	for ai := 0; ai < 2; ai++ {
-		d := deltas[t.Lhs[ai].Rel]
+	dims := make([]model.Value, n)
+	for ai := range rels {
+		d := deltas[p.t.Lhs[ai].Rel]
 		if d == nil {
 			continue
 		}
-		err := deltaTuples(d, func(tu model.Tuple) error {
+		_ = deltaTuples(d, func(tu model.Tuple) error {
 			stats.DeltaTuplesIn++
-			for j, i := range atomOrder[ai] {
-				keyBuf[i] = tu.Dims[j]
+			for j, i := range p.pad.order[ai] {
+				dims[i] = tu.Dims[j]
 			}
-			affected.add(keyBuf)
+			affected.add(dims)
 			return nil
 		})
-		if err != nil {
-			return nil, nil, false, err
-		}
 	}
 
-	probeBufs := [2][]model.Value{
-		make([]model.Value, len(t.Rhs.Dims)),
-		make([]model.Value, len(t.Rhs.Dims)),
-	}
+	probe := [2][]model.Value{make([]model.Value, n), make([]model.Value, n)}
 	recompute := func(dims []model.Value) (float64, bool, error) {
-		var vals [2]float64
-		var present [2]bool
-		for ai := 0; ai < 2; ai++ {
-			pd := probeBufs[ai]
-			for j, i := range atomOrder[ai] {
-				pd[j] = dims[i]
-			}
-			vals[ai], present[ai] = rels[ai].Get(pd)
-			if !present[ai] {
-				vals[ai] = t.PadDefault
-			}
-		}
-		if !present[0] && !present[1] {
-			return 0, false, nil
-		}
-		v, err := f(vals[0], vals[1])
-		if err != nil {
-			if ops.ErrUndefined(err) {
-				return 0, false, nil
-			}
-			return 0, false, err
-		}
-		return v, true, nil
+		return padPoint(p, rels, probe, dims)
 	}
-	out, od, err := maintain(t.Target(), baseOut, affected, stats, recompute)
+	out, od, err := maintain(p.t.Target(), baseOut, affected, stats, recompute)
 	if err != nil {
 		return nil, nil, false, err
 	}

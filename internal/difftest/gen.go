@@ -304,7 +304,14 @@ func (g *Generator) AddStmt() {
 				continue
 			}
 			op := []string{"+", "-", "*", "/"}[g.rng.Intn(4)]
-			g.emit(name, fmt.Sprintf("%s := %s %s %s", name, big, op, small), g.schemas[big])
+			// Either side first: the result has the panel's schema both
+			// ways, but with the series first it drives the join and the
+			// panel is probed on part of its key.
+			l, r := big, small
+			if g.rng.Intn(2) == 0 {
+				l, r = small, big
+			}
+			g.emit(name, fmt.Sprintf("%s := %s %s %s", name, l, op, r), g.schemas[big])
 			return
 		case 10: // global aggregate to a 0-dimensional cube
 			src := g.pick()

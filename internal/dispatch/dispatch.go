@@ -409,6 +409,18 @@ type fragment struct {
 	m        *mapping.Mapping
 	produces []string // the subgraph's visible derived cubes
 	inputs   []string // relations read from the shared snapshot
+	// solver is the mapping compiled for the chase, built by the first
+	// attempt that needs it and reused by every retry, full or
+	// incremental, and by a fallback to the chase. A fragment is run by
+	// one goroutine at a time.
+	solver *chase.Solver
+}
+
+func (f *fragment) chaseSolver() *chase.Solver {
+	if f.solver == nil {
+		f.solver = chase.New(f.m)
+	}
+	return f.solver
 }
 
 // buildFragment assembles the sub-mapping for a subgraph: the tgds of its
@@ -536,7 +548,7 @@ func recordAttempt(ctx context.Context, target ops.Target, input, out map[string
 func (f *fragment) execOn(ctx context.Context, target ops.Target, input map[string]*model.Cube) (map[string]*model.Cube, error) {
 	switch target {
 	case ops.TargetChase:
-		sol, err := chase.New(f.m).SolveContext(ctx, chase.Instance(input))
+		sol, err := f.chaseSolver().SolveContext(ctx, chase.Instance(input))
 		if err != nil {
 			return nil, err
 		}

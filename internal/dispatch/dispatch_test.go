@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -177,5 +178,41 @@ func TestDispatchUnknownCube(t *testing.T) {
 	empty := func(string) []*mapping.Tgd { return nil }
 	if _, err := d.Run(subs, empty, f.schemas, f.data); err == nil {
 		t.Error("missing tgds must fail")
+	}
+}
+
+// TestFragmentCompilesChaseOnce: every chase attempt of a fragment — full
+// or incremental, first try, retry or fallback — runs the same compiled
+// Solver, and both entry points give the chase solution with it.
+func TestFragmentCompilesChaseOnce(t *testing.T) {
+	f := setup(t, workload.GDPProgram, workload.GDPSource(workload.GDPConfig{Days: 100, Regions: 2}))
+	ref := reference(t, f)
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase))
+	frag, err := buildFragment(subs[0], f.tgds, f.schemas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	full, err := frag.execOn(ctx, ops.TargetChase, f.data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := frag.solver
+	if s == nil {
+		t.Fatal("chase attempt left no solver on the fragment")
+	}
+	var oc incrOutcome
+	view := &fragView{deltas: map[string]*model.CubeDelta{}, fullOnly: map[string]bool{"PDR": true}, bases: map[string]*model.Cube{}}
+	incr, err := frag.execOnIncr(ctx, ops.TargetChase, f.data, view, &oc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frag.solver != s {
+		t.Error("incremental attempt rebuilt the fragment's solver")
+	}
+	for _, rel := range f.mapping.Derived {
+		if !full[rel].Equal(ref[rel], 0) || !incr[rel].Equal(ref[rel], 0) {
+			t.Errorf("%s differs from the chase solution", rel)
+		}
 	}
 }

@@ -242,7 +242,7 @@ func (f *fragment) execOnIncr(ctx context.Context, target ops.Target, input map[
 	switch target {
 	case ops.TargetChase:
 		din := &chase.DeltaInput{Deltas: v.deltas, FullOnly: v.fullOnly, BaseOut: v.bases}
-		sol, od, stats, err := chase.New(f.m).SolveIncremental(ctx, chase.Instance(input), din)
+		sol, od, stats, err := f.chaseSolver().SolveIncremental(ctx, chase.Instance(input), din)
 		if err != nil {
 			return nil, err
 		}

@@ -738,27 +738,11 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 		return nil, err
 	}
 
-	// Charge the materialized results before they are adopted by the
-	// store: a run whose actual output overshoots the estimate is shed
-	// here, typed, instead of persisting past the budget.
-	var outEst int64
-	for _, c := range results {
-		outEst += c.MemEstimate()
-	}
-	if delta := outEst - ticket.Reserved(); delta > 0 {
-		if rerr := ticket.Reserve(delta); rerr != nil {
-			return nil, rerr
-		}
-	}
-
-	// Persist results as new versions, atomically: either every derived
-	// cube of the run becomes visible or none does, so a failed write
-	// never leaves the store with a half-applied run. The result cubes
-	// are owned exclusively by this run, so freezing them lets the store
-	// adopt them without another deep copy. Incremental runs drop the
-	// outputs that are the reused previous versions (same frozen cube):
-	// re-storing them would only churn version history and invalidate
-	// downstream memos for nothing.
+	// The result cubes are owned exclusively by this run, so freezing them
+	// lets the store adopt them without another deep copy. Incremental
+	// runs drop the outputs that are the reused previous versions (same
+	// frozen cube): re-storing them would only churn version history and
+	// invalidate downstream memos for nothing.
 	toPersist := results
 	if cfg.incremental {
 		toPersist = make(map[string]*model.Cube, len(results))
@@ -768,10 +752,25 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 			}
 		}
 	}
-	_, perSpan := obs.StartSpan(ctx, "persist", obs.Int("cubes", len(toPersist)))
 	for _, c := range toPersist {
 		c.Freeze()
 	}
+
+	// Charge the materialized results before they are adopted by the
+	// store: a run whose actual output overshoots the estimate is shed
+	// here, typed, instead of persisting past the budget. The cubes are
+	// frozen by now, so this walk is the only one: the estimate is cached
+	// on the cube and the next run's snapshotEstimate reads it in O(1).
+	if delta := snapshotEstimate(results) - ticket.Reserved(); delta > 0 {
+		if rerr := ticket.Reserve(delta); rerr != nil {
+			return nil, rerr
+		}
+	}
+
+	// Persist results as new versions, atomically: either every derived
+	// cube of the run becomes visible or none does, so a failed write
+	// never leaves the store with a half-applied run.
+	_, perSpan := obs.StartSpan(ctx, "persist", obs.Int("cubes", len(toPersist)))
 	commitGen, err := st.PutAllGen(toPersist, asOf)
 	perSpan.EndErr(err)
 	if err != nil {
@@ -850,8 +849,9 @@ func tgdsIn(mappings []*mapping.Mapping, cube string) []*mapping.Tgd {
 	return nil
 }
 
-// snapshotEstimate sums the memory estimates of the snapshot's cubes —
-// the working set the run's targets read and re-materialize from.
+// snapshotEstimate sums the memory estimates of a set of cubes: the
+// snapshot (the working set the run's targets read and re-materialize
+// from) or the run's results.
 func snapshotEstimate(snap map[string]*model.Cube) int64 {
 	var n int64
 	for _, c := range snap {

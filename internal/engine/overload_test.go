@@ -407,3 +407,38 @@ func TestDeadlineShedBeforeQueueing(t *testing.T) {
 		t.Error("deadline shed waited instead of rejecting immediately")
 	}
 }
+
+// TestRunEstimatesResultsOnce: the run freezes its result cubes before it
+// charges them to the memory budget, so that walk is the only one — the
+// estimate is cached on the frozen cube the store adopts, and every later
+// budgeting of it (the next run's snapshot estimate first of all) is O(1).
+func TestRunEstimatesResultsOnce(t *testing.T) {
+	sch := model.NewSchema("S", []model.Dim{{Name: "i", Type: model.TInt}}, "v")
+	s := model.NewCube(sch)
+	for i := 0; i < 500; i++ {
+		if err := s.Put([]model.Value{model.Int(int64(i))}, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New()
+	if err := e.RegisterProgram("p", "cube S(i: int) measure v\nA := S * 2\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PutCube(s, time.Unix(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(context.Background(), RunAt(time.Unix(1, 0))); err != nil {
+		t.Fatal(err)
+	}
+	a, ok := e.Cube("A")
+	if !ok || a.Len() != 500 {
+		t.Fatal("derived cube A missing")
+	}
+
+	if !a.MemEstimateCached() {
+		t.Error("the stored result carries no estimate: the run charged it before freezing it")
+	}
+	if est := a.MemEstimate(); est != a.Clone().MemEstimate() {
+		t.Errorf("cached estimate %d differs from a fresh walk", est)
+	}
+}

@@ -45,6 +45,11 @@ type Cube struct {
 	sorted atomic.Pointer[[]Tuple]
 }
 
+// keyBufSize is the stack space Put and Get encode a probe key into; the
+// map lookup reads it in place, so a probe allocates only when the key is
+// longer than this.
+const keyBufSize = 64
+
 // NewCube returns an empty cube instance for the schema.
 func NewCube(schema Schema) *Cube {
 	return &Cube{schema: schema, rows: make(map[string]Tuple)}
@@ -78,17 +83,75 @@ func (c *Cube) Put(dims []Value, measure float64) error {
 	if len(dims) != len(c.schema.Dims) {
 		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", c.schema.Name, len(c.schema.Dims), len(dims))
 	}
-	key := EncodeKey(dims)
-	if old, ok := c.rows[key]; ok {
-		if almostEqual(old.Measure, measure) {
-			return nil
-		}
-		return fmt.Errorf("%w: %s%v has values %v and %v", ErrFunctional, c.schema.Name, dims, old.Measure, measure)
+	var buf [keyBufSize]byte
+	key := AppendKey(buf[:0], dims)
+	if old, ok := c.rows[string(key)]; ok {
+		return c.checkEgd(dims, old.Measure, measure)
 	}
 	d := make([]Value, len(dims))
 	copy(d, dims)
 	c.sorted.Store(nil)
-	c.rows[key] = Tuple{Dims: d, Measure: measure}
+	c.rows[string(key)] = Tuple{Dims: d, Measure: measure}
+	return nil
+}
+
+// checkEgd is the egd F(x…,y1) ∧ F(x…,y2) → y1 = y2 at a dimension tuple
+// the cube already holds with measure old: asserting the same measure
+// again (up to Eps) is a no-op, a different one is the violation.
+func (c *Cube) checkEgd(dims []Value, old, measure float64) error {
+	if almostEqual(old, measure) {
+		return nil
+	}
+	return fmt.Errorf("%w: %s%v has values %v and %v", ErrFunctional, c.schema.Name, dims, old, measure)
+}
+
+// PutFrom asserts, for every tuple of src that f keeps, the measure f
+// returns at that tuple's dimension tuple — the bulk form of Put for an
+// output defined on (a subset of) the dimension tuples of one of its
+// inputs, which is every scalar and vectorial statement. The new tuple
+// shares the source tuple's Dims slice and row key instead of copying and
+// re-encoding them: the sharing Clone already relies on, safe because no
+// cube ever writes to a stored Dims slice. The egd check is Put's, made at
+// every tuple whatever the receiver holds. The scan is in unspecified
+// order and stops at the first error, f's or an egd violation; src must
+// have as many dimensions as c.
+func (c *Cube) PutFrom(src *Cube, f func(Tuple) (measure float64, keep bool, err error)) error {
+	if c.frozen {
+		return fmt.Errorf("%w: %s", ErrFrozen, c.schema.Name)
+	}
+	if len(src.schema.Dims) != len(c.schema.Dims) {
+		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", c.schema.Name, len(c.schema.Dims), len(src.schema.Dims))
+	}
+	c.sorted.Store(nil)
+	sized := len(c.rows) == 0
+	if sized {
+		c.rows = make(map[string]Tuple, len(src.rows))
+	}
+	for key, t := range src.rows {
+		measure, keep, err := f(t)
+		if err != nil {
+			return err
+		}
+		if !keep {
+			continue
+		}
+		if old, ok := c.rows[key]; ok {
+			if err := c.checkEgd(t.Dims, old.Measure, measure); err != nil {
+				return err
+			}
+			continue
+		}
+		c.rows[key] = Tuple{Dims: t.Dims, Measure: measure}
+	}
+	// A map never gives back the space it was made with, and a store keeps
+	// every version it is handed: when f kept few of src's tuples — a join
+	// against a small relation, a measure undefined at most points — move
+	// them to a map of their own size.
+	if sized && len(c.rows) < len(src.rows)/4 {
+		rows := make(map[string]Tuple, len(c.rows))
+		maps.Copy(rows, c.rows)
+		c.rows = rows
+	}
 	return nil
 }
 
@@ -111,7 +174,8 @@ func (c *Cube) Replace(dims []Value, measure float64) error {
 
 // Get returns the measure for the dimension tuple, if present.
 func (c *Cube) Get(dims []Value) (float64, bool) {
-	t, ok := c.rows[EncodeKey(dims)]
+	var buf [keyBufSize]byte
+	t, ok := c.rows[string(AppendKey(buf[:0], dims))]
 	if !ok {
 		return 0, false
 	}
@@ -293,6 +357,10 @@ func (c *Cube) MemEstimate() int64 {
 	}
 	return n
 }
+
+// MemEstimateCached reports whether MemEstimate answers from its cache: the
+// cube was frozen first and estimated after. Tests pin that order with it.
+func (c *Cube) MemEstimateCached() bool { return c.frozen && c.memEst.Load() > 0 }
 
 // CheckFunctional verifies the egd on the cube. It always succeeds for
 // cubes built through Put, and exists so engines that bulk-load tuples can
