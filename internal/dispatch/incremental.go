@@ -39,6 +39,12 @@ type IncrPlan struct {
 	// plan produces. A fragment whose produced cube has no base here is
 	// recomputed in full and marked FullOnly for its consumers.
 	Bases map[string]*model.Cube
+
+	// Front is set by a successful RunContextIncr: the delta front as the
+	// run left it, Deltas plus the delta of every produced cube that moved
+	// and has a base, each from its base to the cube in the results. A
+	// store that is handed these need not diff the results again.
+	Front map[string]*model.CubeDelta
 }
 
 // RunContextIncr is RunContext under an incremental plan: fragments
@@ -57,6 +63,9 @@ func (d *Dispatcher) RunContextIncr(ctx context.Context, subs []determine.Subgra
 	}
 	ctx, span := obs.StartSpan(ctx, "dispatch", attrs...)
 	out, rep, err := d.runPlan(ctx, subs, tgds, schemas, snap, incr)
+	if incr != nil && err == nil {
+		plan.Front = incr.deltas
+	}
 	span.EndErr(err)
 	return out, rep, err
 }

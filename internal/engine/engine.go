@@ -51,8 +51,12 @@ type CubeStore interface {
 	Put(c *model.Cube, asOf time.Time) error
 	// PutAllGen stores a version of every cube atomically — all visible
 	// or none, the guarantee Run's persist step relies on — and returns
-	// the write generation the commit happened at.
-	PutAllGen(cubes map[string]*model.Cube, asOf time.Time) (uint64, error)
+	// the write generation the commit happened at, with what a durable
+	// store logged for it. deltas may say, per cube, how the new version
+	// differs from the one it supersedes; the store checks that claim by
+	// the identity of the cubes at both ends, never by trust, and then
+	// logs and keeps the delta instead of diffing (see store.PutAllGen).
+	PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, asOf time.Time) (store.Commit, error)
 	// Get returns the current version of the cube, frozen and shared.
 	Get(name string) (*model.Cube, bool)
 	// GetAsOf returns the version valid at instant t.
@@ -434,7 +438,9 @@ func (e *Engine) LoadCSV(name string, r io.Reader, asOf time.Time) error {
 	if err != nil {
 		return err
 	}
-	return e.store.Put(c, asOf)
+	// The parsed cube is nobody else's: frozen, the store adopts it instead
+	// of cloning it.
+	return e.store.Put(c.Freeze(), asOf)
 }
 
 // Cube returns the current version of a cube.
@@ -770,12 +776,25 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// Persist results as new versions, atomically: either every derived
 	// cube of the run becomes visible or none does, so a failed write
 	// never leaves the store with a half-applied run.
+	// An incremental run already holds the delta of every output it
+	// maintained — the dispatcher's delta front — so the store is handed
+	// those instead of finding them again.
+	var outDeltas map[string]*model.CubeDelta
+	if incrPlan != nil {
+		outDeltas = incrPlan.Front
+	}
 	_, perSpan := obs.StartSpan(ctx, "persist", obs.Int("cubes", len(toPersist)))
-	commitGen, err := st.PutAllGen(toPersist, asOf)
+	commit, err := st.PutAllGen(toPersist, outDeltas, asOf)
+	if commit.WALBytes > 0 {
+		perSpan.SetAttr(obs.Int("delta_cubes", commit.DeltaCubes))
+		perSpan.SetAttr(obs.Int("full_cubes", commit.FullCubes))
+		perSpan.SetAttr(obs.Int("wal_bytes", int(commit.WALBytes)))
+	}
 	perSpan.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
+	commitGen := commit.Gen
 
 	// Memoize the input generations this run's outputs were computed at,
 	// so the next incremental run knows what is stale. Full runs prime

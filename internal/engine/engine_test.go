@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
+	"exlengine/internal/store"
 	"exlengine/internal/workload"
 )
 
@@ -271,6 +273,71 @@ func TestCSVLifecycle(t *testing.T) {
 	}
 	if err := e.WriteCSV("UNSET", &buf); err == nil {
 		t.Error("export of missing cube must fail")
+	}
+}
+
+// TestLoadCSVAdoptsTheParsedCube pins that LoadCSV hands the store the
+// cube it parsed, frozen, instead of letting the store clone it: loading
+// a 20k-tuple cube allocates what parsing it does, and not a second row
+// map (about 1.5 MB at this size) on top.
+func TestLoadCSVAdoptsTheParsedCube(t *testing.T) {
+	e := New()
+	if err := e.RegisterProgram("p", benchProgram); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := store.WriteCSV(&buf, panelCube(t, 200, 100)); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	sch, _ := e.Schema("S")
+	allocated := func(f func()) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	parse := allocated(func() {
+		if _, err := store.ReadCSV(bytes.NewReader(body), sch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	load := allocated(func() {
+		if err := e.LoadCSV("S", bytes.NewReader(body), time.Unix(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if extra := load - parse; extra > 256<<10 {
+		t.Errorf("LoadCSV allocated %d bytes beyond the %d of parsing: the store cloned the cube", extra, parse)
+	}
+	if c, ok := e.Cube("S"); !ok || c.Len() != 20000 || !c.Frozen() {
+		t.Fatalf("stored S = %v", c)
+	}
+}
+
+// TestPutCubeLeavesTheCallersCubeAlone: unlike LoadCSV, PutCube is handed
+// a cube its caller keeps, so the store must clone it — the caller's copy
+// stays mutable and the stored version does not follow it.
+func TestPutCubeLeavesTheCallersCubeAlone(t *testing.T) {
+	e := New()
+	if err := e.RegisterProgram("p", benchProgram); err != nil {
+		t.Fatal(err)
+	}
+	c := panelCube(t, 4, 4)
+	if err := e.PutCube(c, time.Unix(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := e.Cube("S")
+	if c.Frozen() || stored == c {
+		t.Fatal("PutCube froze or adopted the caller's cube")
+	}
+	tu := c.Tuples()[0]
+	if err := c.Replace(tu.Dims, -1); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := stored.Get(tu.Dims); v != tu.Measure {
+		t.Fatalf("stored version followed the caller's mutation: %v", v)
 	}
 }
 

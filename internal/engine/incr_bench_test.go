@@ -23,24 +23,41 @@ C := B - A
 D := C * 0.5
 `
 
-// BenchmarkIncrementalStep measures one delta-driven recomputation step
-// at 1% churn on a 200k-row panel: churn + PutCube happen off the clock,
-// so the timed region is exactly Run(WithIncremental()).
-func BenchmarkIncrementalStep(b *testing.B) {
-	const regions = 100
-	const quarters = 2000
+// panelCube builds the S cube of benchProgram: quarters × regions tuples.
+func panelCube(tb testing.TB, quarters, regions int) *model.Cube {
+	tb.Helper()
 	sch := model.NewSchema("S",
 		[]model.Dim{{Name: "q", Type: model.TQuarter}, {Name: "r", Type: model.TString}}, "v")
-	seed := model.NewCube(sch)
+	c := model.NewCube(sch)
 	start := model.NewQuarterly(1990, 1)
 	for q := 0; q < quarters; q++ {
 		for r := 0; r < regions; r++ {
 			dims := []model.Value{model.Per(start.Shift(int64(q))), model.Str(fmt.Sprintf("r%02d", r))}
-			if err := seed.Put(dims, float64(q*regions+r)*0.25+1); err != nil {
-				b.Fatal(err)
+			if err := c.Put(dims, float64(q*regions+r)*0.25+1); err != nil {
+				tb.Fatal(err)
 			}
 		}
 	}
+	return c
+}
+
+// revisePanel returns revision i of the panel: cur with one measure in a
+// hundred changed, at positions that move with i.
+func revisePanel(cur *model.Cube, i int) *model.Cube {
+	next := cur.Clone()
+	for j, tu := range cur.Tuples() {
+		if (j+i*37)%100 == 7 {
+			next.Replace(tu.Dims, tu.Measure*1.01+0.01)
+		}
+	}
+	return next
+}
+
+// BenchmarkIncrementalStep measures one delta-driven recomputation step
+// at 1% churn on a 200k-row panel: churn + PutCube happen off the clock,
+// so the timed region is exactly Run(WithIncremental()).
+func BenchmarkIncrementalStep(b *testing.B) {
+	seed := panelCube(b, 2000, 100)
 	e := New()
 	if err := e.RegisterProgram("p", benchProgram); err != nil {
 		b.Fatal(err)
@@ -57,13 +74,7 @@ func BenchmarkIncrementalStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		next := cur.Clone()
-		for j, tu := range cur.Tuples() {
-			if (j+i*37)%100 == 7 {
-				next.Replace(tu.Dims, tu.Measure*1.01+0.01)
-			}
-		}
-		cur = next
+		cur = revisePanel(cur, i)
 		at := t0.Add(time.Duration(i+1) * 24 * time.Hour)
 		if err := e.PutCube(cur, at); err != nil {
 			b.Fatal(err)

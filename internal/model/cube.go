@@ -221,6 +221,11 @@ func (c *Cube) order() []Tuple {
 	return ts
 }
 
+// OrderCached reports whether an ordered scan has sorted this version and
+// left its order cached on it. Tests pin with it that a path which has no
+// use for the order did not pay for one.
+func (c *Cube) OrderCached() bool { return c.sorted.Load() != nil }
+
 // Tuples returns all tuples in the cube's deterministic order (see
 // Ordered) as a fresh slice that is the caller's to mutate. Readers
 // that only scan should use Ordered, which does not copy.

@@ -1,5 +1,7 @@
 package model
 
+import "math"
+
 // CubeDelta describes how a cube changed between two versions: the
 // tuples added, the tuples whose measure changed, and the tuples
 // deleted. Both endpoint cubes are carried by reference (zero-copy on
@@ -35,6 +37,16 @@ func (d *CubeDelta) PureInsert() bool {
 	return len(d.Changed) == 0 && len(d.Deleted) == 0
 }
 
+// smallDeltaShare bounds the deltas worth keeping in place of the cube
+// they lead to: a delta is small while it changes at most one tuple in
+// this many. Past that, logging the delta saves little over logging the
+// cube and replaying it costs more.
+const smallDeltaShare = 4
+
+// Small reports whether the delta is worth keeping in place of Current:
+// it changes at most a quarter of its tuples.
+func (d *CubeDelta) Small() bool { return d.Size() <= d.Current.Len()/smallDeltaShare }
+
 // DiffCubes computes the exact tuple-level delta from base to cur.
 // Measures are compared with ==, not a tolerance: the incremental
 // evaluator's contract is byte-identical output, so even a last-ulp
@@ -42,6 +54,20 @@ func (d *CubeDelta) PureInsert() bool {
 // empty (the returned delta substitutes a fresh empty cube so Base and
 // Current are always non-nil).
 func DiffCubes(name string, base, cur *Cube) *CubeDelta {
+	return diffCubes(name, base, cur, math.MaxInt)
+}
+
+// DiffSmall is DiffCubes for callers that only want a Small delta: it
+// returns nil, giving up as soon as that is known, when the cubes differ
+// in more than a quarter of cur's tuples. A durable store diffs every
+// version it is not handed a delta for, and a version that shares little
+// with its predecessor must not cost two full scans to find that out.
+func DiffSmall(name string, base, cur *Cube) *CubeDelta {
+	return diffCubes(name, base, cur, cur.Len()/smallDeltaShare)
+}
+
+// diffCubes is DiffCubes giving up (nil) once the delta passes limit tuples.
+func diffCubes(name string, base, cur *Cube, limit int) *CubeDelta {
 	d := &CubeDelta{Name: name, Base: base, Current: cur}
 	if cur == nil {
 		sch := Schema{Name: name}
@@ -54,23 +80,42 @@ func DiffCubes(name string, base, cur *Cube) *CubeDelta {
 		sch := d.Current.schema
 		d.Base = NewCube(sch).Freeze()
 	}
+	baseRows, curRows := d.Base.rows, d.Current.rows
+	if len(curRows)-len(baseRows) > limit || len(baseRows)-len(curRows) > limit {
+		return nil
+	}
 	// Probe map against map directly: the diff is usually a small
 	// fraction of the cubes, so sorting only the changed tuples
 	// beats the full Tuples() sort of both versions by orders of
 	// magnitude on large cubes.
 	var added, changed, deleted tupleList
-	for k, t := range d.Current.rows {
-		old, ok := d.Base.rows[k]
+	for k, t := range curRows {
+		old, ok := baseRows[k]
 		switch {
 		case !ok:
 			added.add(k, t)
 		case old.Measure != t.Measure:
 			changed.add(k, t)
+		default:
+			continue
+		}
+		if len(added.ts)+len(changed.ts) > limit {
+			return nil
 		}
 	}
-	for k, t := range d.Base.rows {
-		if _, ok := d.Current.rows[k]; !ok {
-			deleted.add(k, t)
+	// The sizes say how many of base's tuples cur dropped; a revision drops
+	// none, and then base is not scanned at all.
+	if missing := len(baseRows) - (len(curRows) - len(added.ts)); missing > 0 {
+		if len(added.ts)+len(changed.ts)+missing > limit {
+			return nil
+		}
+		for k, t := range baseRows {
+			if _, ok := curRows[k]; !ok {
+				deleted.add(k, t)
+				if len(deleted.ts) == missing {
+					break
+				}
+			}
 		}
 	}
 	d.Added, d.Changed, d.Deleted = added.sorted(), changed.sorted(), deleted.sorted()

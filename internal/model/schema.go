@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -164,6 +165,12 @@ func (s Schema) SameDims(o Schema) bool {
 		}
 	}
 	return true
+}
+
+// Equal reports whether two schemas are the same in every part: cube name,
+// measure name, and dimension names and types as declared.
+func (s Schema) Equal(o Schema) bool {
+	return s.Name == o.Name && s.Measure == o.Measure && slices.Equal(s.Dims, o.Dims)
 }
 
 // String renders the schema as an EXL cube declaration,

@@ -174,6 +174,9 @@ const (
 	// MetricStoreWALBytes counts bytes appended to the durable store's
 	// write-ahead log (record framing included).
 	MetricStoreWALBytes = "store_wal_bytes_total"
+	// MetricStoreWALDeltaCubes counts cube versions the durable store
+	// logged as deltas from the version they superseded instead of in full.
+	MetricStoreWALDeltaCubes = "store_wal_delta_cubes_total"
 	// MetricStoreWALRecords counts commit records appended to the WAL.
 	MetricStoreWALRecords = "store_wal_records_total"
 	// MetricStoreFsyncs counts fsync calls issued by the durable store's

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -12,22 +13,139 @@ import (
 
 // WAL record opcodes. A record is one committed store mutation.
 const (
-	opPut     byte = 1 // one cube version
-	opPutAll  byte = 2 // an atomic batch of cube versions
+	opPut     byte = 1 // one cube version, in full (written before delta records existed)
+	opPutAll  byte = 2 // an atomic batch of cube versions, in full (likewise)
 	opDeclare byte = 3 // a schema declaration (does not bump the generation)
+	opCommit  byte = 4 // an atomic batch of cube versions, each in full or as a delta
 )
 
-// record is the decoded form of one WAL payload.
+// Forms of one cube version inside an opCommit record or a segment.
+const (
+	formFull  byte = 0 // schema and every tuple
+	formDelta byte = 1 // the tuples that differ from the version it supersedes
+)
+
+// record is the decoded form of one WAL payload; encodeRecord is the
+// inverse of decodeRecord.
 type record struct {
 	op     byte
 	asOf   time.Time
-	cubes  map[string]*model.Cube // opPut / opPutAll
-	schema model.Schema           // opDeclare
+	cubes  []cubeRec    // commit records, sorted by cube name
+	schema model.Schema // opDeclare
 }
 
-// bumpsGeneration reports whether replaying the record advances the
-// store's write generation (Declare does not).
-func (r *record) bumpsGeneration() bool { return r.op == opPut || r.op == opPutAll }
+// cubeRec is one cube version as the log and the segments hold it: the
+// whole cube, or the delta that leads to it from the version it
+// supersedes — the cube's latest version when the record was committed,
+// the preceding history entry in a segment.
+//
+// The delta form carries a replay guard, the tuple count of that base and
+// of the version the delta leads to, plus the schema, which both share.
+// A delta is only ever applied to a cube that matches all three.
+type cubeRec struct {
+	cube *model.Cube // formFull; nil in the delta form
+
+	// formDelta. A decoded delta has neither Base nor Current: applyTo
+	// supplies them.
+	delta              *model.CubeDelta
+	schema             model.Schema
+	baseLen, resultLen int
+}
+
+func fullRec(c *model.Cube) cubeRec { return cubeRec{cube: c} }
+
+func deltaRec(d *model.CubeDelta) cubeRec {
+	return cubeRec{delta: d, schema: d.Current.Schema(), baseLen: d.Base.Len(), resultLen: d.Current.Len()}
+}
+
+func (r cubeRec) name() string {
+	if r.cube != nil {
+		return r.cube.Schema().Name
+	}
+	return r.schema.Name
+}
+
+// applyTo resolves the record against base, the version it supersedes
+// (nil when there is none): the full form is the cube itself, the delta
+// form is applied to a clone of base. It returns the frozen version and,
+// for the delta form, the delta from base to it. A delta whose guard does
+// not match base, or that adds a tuple base has, or changes or deletes one
+// it has not (or has with another measure than the one recorded as
+// deleted), was not made from base: it is an error, and nothing is applied.
+func (r cubeRec) applyTo(base *model.Cube) (*model.Cube, *model.CubeDelta, error) {
+	if r.cube != nil {
+		return r.cube.Freeze(), nil, nil
+	}
+	name := r.schema.Name
+	if base == nil {
+		return nil, nil, fmt.Errorf("durable: delta of %s has no version to apply to", name)
+	}
+	if base.Len() != r.baseLen || !base.Schema().Equal(r.schema) {
+		return nil, nil, fmt.Errorf("durable: delta of %s was made from %d tuples of %s, the version it meets has %d of %s",
+			name, r.baseLen, r.schema, base.Len(), base.Schema())
+	}
+	cur := base.Clone()
+	for _, t := range r.delta.Added {
+		if _, had := base.Get(t.Dims); had {
+			return nil, nil, fmt.Errorf("durable: delta of %s adds %v, which its base has", name, t.Dims)
+		}
+		if err := cur.Replace(t.Dims, t.Measure); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, t := range r.delta.Changed {
+		if _, had := base.Get(t.Dims); !had {
+			return nil, nil, fmt.Errorf("durable: delta of %s changes %v, which its base lacks", name, t.Dims)
+		}
+		if err := cur.Replace(t.Dims, t.Measure); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, t := range r.delta.Deleted {
+		if old, had := base.Get(t.Dims); !had || math.Float64bits(old) != math.Float64bits(t.Measure) {
+			return nil, nil, fmt.Errorf("durable: delta of %s deletes %v -> %v, which its base lacks", name, t.Dims, t.Measure)
+		}
+		cur.Delete(t.Dims)
+	}
+	if cur.Len() != r.resultLen {
+		return nil, nil, fmt.Errorf("durable: delta of %s leads to %d tuples, not the %d recorded", name, cur.Len(), r.resultLen)
+	}
+	return cur.Freeze(), &model.CubeDelta{Name: name, Base: base, Current: cur,
+		Added: r.delta.Added, Changed: r.delta.Changed, Deleted: r.delta.Deleted}, nil
+}
+
+// replayable reports whether a delta record made from d would pass applyTo
+// when it meets d.Base again: the sizes add up, and every tuple d lists is
+// in its two cubes where and as d says. It is what the store checks of a
+// delta it did not compute itself before logging it, so that it never
+// writes a record recovery would refuse; it costs a probe per listed tuple.
+// (That d lists every tuple in which the cubes differ it cannot show.)
+func replayable(d *model.CubeDelta) bool {
+	same := func(c *model.Cube, t model.Tuple) bool {
+		m, ok := c.Get(t.Dims)
+		return ok && math.Float64bits(m) == math.Float64bits(t.Measure)
+	}
+	has := func(c *model.Cube, t model.Tuple) bool {
+		_, ok := c.Get(t.Dims)
+		return ok
+	}
+	for _, t := range d.Added {
+		if has(d.Base, t) || !same(d.Current, t) {
+			return false
+		}
+	}
+	for _, t := range d.Changed {
+		if !has(d.Base, t) || !same(d.Current, t) {
+			return false
+		}
+	}
+	for _, t := range d.Deleted {
+		if !same(d.Base, t) || has(d.Current, t) {
+			return false
+		}
+	}
+	return d.Base.Len()+len(d.Added)-len(d.Deleted) == d.Current.Len()
+}
 
 // --- primitive encoders -------------------------------------------------
 
@@ -64,21 +182,27 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("durable: truncated uvarint at offset %d", d.off)
+	if n <= 0 || !minimalVarint(d.b[d.off:d.off+n]) {
+		d.fail("durable: truncated or padded uvarint at offset %d", d.off)
 		return 0
 	}
 	d.off += n
 	return v
 }
 
+// minimalVarint reports whether a varint spends no more bytes than its
+// value needs, as the encoder never does: a last byte of zero behind
+// another is padding. With this, boolean bytes of 0 or 1 and cubes in cube
+// order, no two byte strings decode to the same value.
+func minimalVarint(enc []byte) bool { return len(enc) == 1 || enc[len(enc)-1] != 0 }
+
 func (d *decoder) varint() int64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("durable: truncated varint at offset %d", d.off)
+	if n <= 0 || !minimalVarint(d.b[d.off:d.off+n]) {
+		d.fail("durable: truncated or padded varint at offset %d", d.off)
 		return 0
 	}
 	d.off += n
@@ -166,7 +290,11 @@ func (d *decoder) value() model.Value {
 		f := model.Frequency(d.byte())
 		return model.Per(model.Period{Freq: f, Ord: d.varint()})
 	case model.KindBool:
-		return model.Bool(d.byte() != 0)
+		b := d.byte()
+		if b > 1 {
+			d.fail("durable: boolean byte %d", b)
+		}
+		return model.Bool(b != 0)
 	default:
 		d.fail("durable: unknown value kind %d", k)
 		return model.Value{}
@@ -212,10 +340,7 @@ func appendCube(b []byte, c *model.Cube) []byte {
 	b = appendSchema(b, c.Schema())
 	b = appendUvarint(b, uint64(c.Len()))
 	_ = c.Ordered(func(tu model.Tuple) error {
-		for _, v := range tu.Dims {
-			b = appendValue(b, v)
-		}
-		b = appendFloat(b, tu.Measure)
+		b = appendTuple(b, tu)
 		return nil
 	})
 	return b
@@ -233,6 +358,7 @@ func (d *decoder) cube() *model.Cube {
 	}
 	c := model.NewCube(sch)
 	dims := make([]model.Value, len(sch.Dims))
+	var key, prev []byte
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		for j := range dims {
 			dims[j] = d.value()
@@ -241,6 +367,14 @@ func (d *decoder) cube() *model.Cube {
 		if d.err != nil {
 			return nil
 		}
+		// The cube order is part of the format: it makes the bytes a
+		// function of the cube, and a repeated tuple impossible.
+		key = model.AppendKey(key[:0], dims)
+		if i > 0 && bytes.Compare(prev, key) >= 0 {
+			d.fail("durable: cube %s tuple %d is out of order", sch.Name, i)
+			return nil
+		}
+		key, prev = prev, key
 		if err := c.Replace(dims, m); err != nil {
 			d.fail("durable: cube %s tuple: %v", sch.Name, err)
 			return nil
@@ -249,31 +383,119 @@ func (d *decoder) cube() *model.Cube {
 	return c
 }
 
-// --- records ------------------------------------------------------------
+// --- cube versions: full or delta -----------------------------------------
 
-func encodePut(c *model.Cube, asOf time.Time) []byte {
-	b := []byte{opPut}
-	b = appendVarint(b, asOf.UnixNano())
-	return appendCube(b, c)
+func appendTuple(b []byte, tu model.Tuple) []byte {
+	for _, v := range tu.Dims {
+		b = appendValue(b, v)
+	}
+	return appendFloat(b, tu.Measure)
 }
 
-func encodePutAll(cubes map[string]*model.Cube, asOf time.Time) []byte {
-	b := []byte{opPutAll}
-	b = appendVarint(b, asOf.UnixNano())
-	names := make([]string, 0, len(cubes))
-	for n := range cubes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	b = appendUvarint(b, uint64(len(names)))
-	for _, n := range names {
-		b = appendCube(b, cubes[n])
+func appendTuples(b []byte, ts []model.Tuple) []byte {
+	b = appendUvarint(b, uint64(len(ts)))
+	for _, tu := range ts {
+		b = appendTuple(b, tu)
 	}
 	return b
 }
 
-func encodeDeclare(sch model.Schema) []byte {
-	return appendSchema([]byte{opDeclare}, sch)
+// tuples reads a list appendTuples wrote for tuples of ndims dimensions.
+func (d *decoder) tuples(ndims int) []model.Tuple {
+	n := d.uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.b)-d.off)/8 { // each tuple takes at least its measure
+		d.fail("durable: list claims %d tuples in %d bytes", n, len(d.b)-d.off)
+		return nil
+	}
+	ts := make([]model.Tuple, n)
+	for i := 0; i < len(ts) && d.err == nil; i++ {
+		ts[i].Dims = make([]model.Value, ndims)
+		for j := range ts[i].Dims {
+			ts[i].Dims[j] = d.value()
+		}
+		ts[i].Measure = d.float()
+	}
+	return ts
+}
+
+// appendCubeRec writes one cube version. Untagged is the layout from
+// before the delta form existed: the full form without a form byte.
+func appendCubeRec(b []byte, r cubeRec, tagged bool) []byte {
+	if r.cube != nil {
+		if tagged {
+			b = append(b, formFull)
+		}
+		return appendCube(b, r.cube)
+	}
+	b = appendSchema(append(b, formDelta), r.schema)
+	b = appendUvarint(b, uint64(r.baseLen))
+	b = appendUvarint(b, uint64(r.resultLen))
+	b = appendTuples(b, r.delta.Added)
+	b = appendTuples(b, r.delta.Changed)
+	return appendTuples(b, r.delta.Deleted)
+}
+
+func (d *decoder) cubeRec(tagged bool) cubeRec {
+	form := formFull
+	if tagged {
+		form = d.byte()
+	}
+	switch form {
+	case formFull:
+		return fullRec(d.cube())
+	case formDelta:
+		r := cubeRec{schema: d.schema(), delta: &model.CubeDelta{}}
+		baseLen, resultLen := d.uvarint(), d.uvarint()
+		nd := len(r.schema.Dims)
+		r.delta.Name = r.schema.Name
+		r.delta.Added = d.tuples(nd)
+		r.delta.Changed = d.tuples(nd)
+		r.delta.Deleted = d.tuples(nd)
+		if d.err != nil {
+			return r
+		}
+		if baseLen > math.MaxInt || resultLen > math.MaxInt ||
+			baseLen+uint64(len(r.delta.Added)) != resultLen+uint64(len(r.delta.Deleted)) {
+			d.fail("durable: delta of %s: %d tuples +%d -%d cannot make %d",
+				r.schema.Name, baseLen, len(r.delta.Added), len(r.delta.Deleted), resultLen)
+		}
+		r.baseLen, r.resultLen = int(baseLen), int(resultLen)
+		return r
+	default:
+		d.fail("durable: unknown cube form %d", form)
+		return cubeRec{}
+	}
+}
+
+// --- records ------------------------------------------------------------
+
+// commitRecord builds the record of one commit from its cubes, in any order.
+func commitRecord(asOf time.Time, cubes []cubeRec) *record {
+	sort.Slice(cubes, func(i, j int) bool { return cubes[i].name() < cubes[j].name() })
+	return &record{op: opCommit, asOf: asOf, cubes: cubes}
+}
+
+// encodeRecord serializes a record. opPut and opPutAll are what stores
+// wrote before opCommit existed: one cube, or a counted batch, in the full
+// form without a form byte. They are still encoded so that a test can
+// build such a log, and so that every decodable record encodes back to
+// its bytes.
+func encodeRecord(r *record) []byte {
+	b := []byte{r.op}
+	if r.op == opDeclare {
+		return appendSchema(b, r.schema)
+	}
+	b = appendVarint(b, r.asOf.UnixNano())
+	if r.op != opPut {
+		b = appendUvarint(b, uint64(len(r.cubes)))
+	}
+	for _, c := range r.cubes {
+		b = appendCubeRec(b, c, r.op == opCommit)
+	}
+	return b
 }
 
 func decodeRecord(payload []byte) (*record, error) {
@@ -283,35 +505,27 @@ func decodeRecord(payload []byte) (*record, error) {
 	d := &decoder{b: payload, off: 1}
 	r := &record{op: payload[0]}
 	switch r.op {
-	case opPut:
+	case opPut, opPutAll, opCommit:
 		r.asOf = time.Unix(0, d.varint())
-		c := d.cube()
-		if d.err != nil {
-			return nil, d.err
+		n := uint64(1)
+		if r.op != opPut {
+			n = d.uvarint()
 		}
-		r.cubes = map[string]*model.Cube{c.Schema().Name: c}
-	case opPutAll:
-		r.asOf = time.Unix(0, d.varint())
-		n := d.uvarint()
 		if d.err != nil {
 			return nil, d.err
 		}
 		if n > uint64(len(payload)) {
 			return nil, fmt.Errorf("durable: batch claims %d cubes", n)
 		}
-		r.cubes = make(map[string]*model.Cube, n)
-		for i := uint64(0); i < n; i++ {
-			c := d.cube()
-			if d.err != nil {
-				return nil, d.err
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			c := d.cubeRec(r.op == opCommit)
+			if d.err == nil && i > 0 && r.cubes[i-1].name() >= c.name() {
+				d.fail("durable: batch cubes out of order: %s before %s", r.cubes[i-1].name(), c.name())
 			}
-			r.cubes[c.Schema().Name] = c
+			r.cubes = append(r.cubes, c)
 		}
 	case opDeclare:
 		r.schema = d.schema()
-		if d.err != nil {
-			return nil, d.err
-		}
 	default:
 		return nil, fmt.Errorf("durable: unknown record opcode %d", r.op)
 	}

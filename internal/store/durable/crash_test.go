@@ -22,115 +22,211 @@ import (
 
 	"exlengine/internal/faults"
 	"exlengine/internal/model"
+	"exlengine/internal/obs"
+	"exlengine/internal/store"
 	"exlengine/internal/store/durable"
 )
 
-func crashSchema() model.Schema {
-	return model.NewSchema("A", []model.Dim{{Name: "t", Type: model.TYear}}, "v")
+// The crash script is a fixed sequence of commits over two eight-tuple
+// cubes, long enough to put every record form and every segment layout
+// on disk: commit 1 is the base Put of A (a full record); the commits
+// after it are PutAllGen batches of A and B carrying the deltas the
+// writer holds (B's first version in full, everything else as delta
+// records); every crashOverwriteEvery-th commit reuses the instant of the
+// one before it and so overwrites that version; after every
+// crashCompactEvery-th commit the writer compacts, which folds the chain
+// into a segment (first version full, then deltas, the overwrite in full
+// again) and carries on with deltas on a fresh WAL.
+//
+// Commit k sets tuple k mod 8 of both cubes to k (B: to 10k), so the
+// contents after any prefix of the script are known without running it.
+const (
+	crashTuples         = 8
+	crashOverwriteEvery = 5
+	crashCompactEvery   = 6
+)
+
+func crashSchema(name string) model.Schema {
+	return model.NewSchema(name, []model.Dim{{Name: "t", Type: model.TYear}}, "v")
 }
 
-func crashCube(t testing.TB, v float64) *model.Cube {
+// crashCube is cube name as commit k leaves it.
+func crashCube(t testing.TB, name string, k int) *model.Cube {
 	t.Helper()
-	c := model.NewCube(crashSchema())
-	if err := c.Put([]model.Value{model.Per(model.NewAnnual(2019))}, v); err != nil {
-		t.Fatal(err)
+	scale := 1.0
+	if name == "B" {
+		scale = 10
 	}
-	return c
+	c := model.NewCube(crashSchema(name))
+	for i := 0; i < crashTuples; i++ {
+		last := 0 // the latest commit j <= k with j mod 8 == i
+		if k >= i && (i > 0 || k >= crashTuples) {
+			last = k - (k-i)%crashTuples
+		}
+		if err := c.Put([]model.Value{model.Per(model.NewAnnual(2000 + i))}, scale*float64(last)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c.Freeze()
 }
 
-// crashWorkload opens a store in dir over fs, declares A and puts puts
-// versions with value k at time k. It returns the highest acknowledged
-// generation; a disk fault stops it early.
-func crashWorkload(t testing.TB, dir string, fs durable.FS, puts int) (acked uint64) {
+// crashAsOf is the validity instant of commit k.
+func crashAsOf(k int) time.Time {
+	if k > 1 && k%crashOverwriteEvery == 0 {
+		k-- // overwrites the version of the commit before it
+	}
+	return time.Unix(int64(k), 0)
+}
+
+// crashStore is what the script needs of a store; the durable store under
+// test and the in-memory reference both have it.
+type crashStore interface {
+	Get(name string) (*model.Cube, bool)
+	Put(c *model.Cube, asOf time.Time) error
+	PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, asOf time.Time) (store.Commit, error)
+}
+
+// crashCommit makes commit k of the script on st.
+func crashCommit(t testing.TB, st crashStore, k int) error {
+	if k == 1 {
+		return st.Put(crashCube(t, "A", 1), crashAsOf(1))
+	}
+	cubes := map[string]*model.Cube{"A": crashCube(t, "A", k), "B": crashCube(t, "B", k)}
+	deltas := map[string]*model.CubeDelta{}
+	for name, c := range cubes {
+		if latest, ok := st.Get(name); ok {
+			deltas[name] = model.DiffCubes(name, latest, c)
+		}
+	}
+	_, err := st.PutAllGen(cubes, deltas, crashAsOf(k))
+	return err
+}
+
+// crashWorkload opens a store in dir over fs and runs the script from
+// commit 1 to commit commits, compacting where the script says. It
+// returns the highest acknowledged commit; a disk fault stops it early.
+func crashWorkload(t testing.TB, dir string, fs durable.FS, commits int, opts ...durable.Option) (acked uint64) {
 	t.Helper()
-	st, err := durable.Open(dir, durable.WithFS(fs), durable.WithCompactAfter(-1))
+	st, err := durable.Open(dir, append(opts, durable.WithFS(fs), durable.WithCompactAfter(-1))...)
 	if err != nil {
 		return 0
 	}
-	if err := st.Declare(crashSchema()); err != nil {
-		st.Close()
+	defer st.Close()
+	if err := st.Declare(crashSchema("A")); err != nil {
 		return 0
 	}
-	for k := 1; k <= puts; k++ {
-		if err := st.Put(crashCube(t, float64(k)), time.Unix(int64(k), 0)); err != nil {
+	for k := 1; k <= commits; k++ {
+		if err := crashCommit(t, st, k); err != nil {
 			break
 		}
 		acked = uint64(k)
+		if k%crashCompactEvery == 0 && st.Compact() != nil {
+			break
+		}
 	}
-	st.Close()
 	return acked
 }
 
-// verifyPrefix reopens dir fault-free and checks the recovered state is a
-// consistent prefix: generation g with acked <= g <= puts, current value
-// g, and every as-of read matching the version history.
-func verifyPrefix(t testing.TB, dir string, acked uint64, puts int, label string) {
+// verifyPrefix checks that st, recovered from a crash, is a consistent
+// prefix of the script: its generation g lies between the acknowledged
+// commit and the last one attempted, and it holds exactly what the first
+// g commits leave in a store that never crashed — the same versions of
+// each cube at the same instants, every one of them equal, tuple for
+// tuple, to what was put.
+func verifyPrefix(t testing.TB, st *durable.Store, acked uint64, attempted int, label string) {
+	t.Helper()
+	g := st.Generation()
+	if g < acked {
+		t.Fatalf("%s: recovered generation %d < acknowledged %d: durable commit lost", label, g, acked)
+	}
+	if g > uint64(attempted) {
+		t.Fatalf("%s: recovered generation %d > %d commits ever attempted", label, g, attempted)
+	}
+	ref := store.New()
+	for k := 1; k <= int(g); k++ {
+		if err := crashCommit(t, ref, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"A", "B"} {
+		want, got := ref.Versions(name), st.Versions(name)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %s has %d versions at generation %d, want %d: version history torn", label, name, len(got), g, len(want))
+		}
+		for i, at := range want {
+			if !got[i].Equal(at) {
+				t.Fatalf("%s: %s version %d is at %v, want %v", label, name, i, got[i], at)
+			}
+			w, _ := ref.GetAsOf(name, at)
+			c, ok := st.GetAsOf(name, at)
+			if !ok || !c.Equal(w, 0) {
+				t.Fatalf("%s: %s as of %v at generation %d is not what was put: %v", label, name, at, g, c.Diff(w, 0, 4))
+			}
+		}
+	}
+}
+
+// reopenAndVerify reopens dir fault-free after a crash and verifies it.
+func reopenAndVerify(t testing.TB, dir string, acked uint64, attempted int, label string) {
 	t.Helper()
 	st, err := durable.Open(dir)
 	if err != nil {
 		t.Fatalf("%s: reopen after crash: %v", label, err)
 	}
 	defer st.Close()
-	rec := st.Recovery()
-	g := rec.Generation
-	if g < acked {
-		t.Fatalf("%s: recovered generation %d < acknowledged %d: durable commit lost", label, g, acked)
-	}
-	if g > uint64(puts) {
-		t.Fatalf("%s: recovered generation %d > %d commits ever attempted", label, g, puts)
-	}
-	if g == 0 {
-		return
-	}
-	c, ok := st.Get("A")
-	if !ok {
-		t.Fatalf("%s: generation %d but cube missing", label, g)
-	}
-	v, ok := c.Get([]model.Value{model.Per(model.NewAnnual(2019))})
-	if !ok || v != float64(g) {
-		t.Fatalf("%s: recovered value %v at generation %d: state is not a prefix", label, v, g)
-	}
-	for j := uint64(1); j <= g; j++ {
-		old, ok := st.GetAsOf("A", time.Unix(int64(j), 0))
-		if !ok {
-			t.Fatalf("%s: as-of read at %d missing after recovery", label, j)
-		}
-		v, _ := old.Get([]model.Value{model.Per(model.NewAnnual(2019))})
-		if v != float64(j) {
-			t.Fatalf("%s: as-of %d = %v, want %v: version history torn", label, j, v, float64(j))
-		}
-	}
+	verifyPrefix(t, st, acked, attempted, label)
 }
 
 // TestCrashAtEveryOffset sweeps a simulated power loss across the whole
-// byte range of the workload's write stream.
+// byte range of the script's write stream: full records, delta records,
+// an overwrite, a segment with its delta chain, and deltas on the WAL
+// rotated after it.
 func TestCrashAtEveryOffset(t *testing.T) {
-	const puts = 6
-	// Fault-free run to learn the byte range of the write stream.
+	const commits = 8
+	// Fault-free run to learn the byte range of the write stream, and to
+	// see that the script puts on disk what it is meant to.
 	probe := faults.NewFaultFS(durable.OSFS{})
-	if acked := crashWorkload(t, t.TempDir(), probe, puts); acked != puts {
-		t.Fatalf("fault-free workload acknowledged %d of %d puts", acked, puts)
+	reg := obs.NewRegistry()
+	if acked := crashWorkload(t, t.TempDir(), probe, commits, durable.WithMetrics(reg)); acked != commits {
+		t.Fatalf("fault-free workload acknowledged %d of %d commits", acked, commits)
+	}
+	// A from commit 2 on and B from commit 3 on go to the log as deltas;
+	// Open and the compaction after commit 6 each write a segment.
+	if n := reg.Counter(obs.MetricStoreWALDeltaCubes).Value(); n != 2*commits-3 {
+		t.Fatalf("the script logged %d cubes as deltas, want %d", n, 2*commits-3)
+	}
+	if n := reg.Counter(obs.MetricStoreSegments).Value(); n != 2 {
+		t.Fatalf("the script wrote %d segments, want 2", n)
 	}
 	total := probe.BytesWritten()
-	if total == 0 {
-		t.Fatal("probe run wrote nothing")
-	}
 	step := int64(1)
 	if testing.Short() {
-		step = total/100 + 1
+		step = max(1, total/120)
 	}
-	iters := 0
-	for budget := int64(0); budget <= total; budget += step {
-		dir := t.TempDir()
-		fs := faults.NewFaultFS(durable.OSFS{}).CrashAtByte(budget)
-		acked := crashWorkload(t, dir, fs, puts)
-		verifyPrefix(t, dir, acked, puts, fmt.Sprintf("crash at byte %d", budget))
-		iters++
-	}
-	if iters < 100 {
+	if iters := total/step + 1; iters < 100 {
 		t.Fatalf("only %d crash iterations; the sweep must cover at least 100", iters)
 	}
-	t.Logf("%d crash offsets swept over a %d-byte write stream", iters, total)
+	// Every offset is its own directory and its own store, so the sweep
+	// runs in a few parallel strides; most of an iteration is fsync.
+	const strides = 4
+	t.Run("sweep", func(t *testing.T) {
+		for s := int64(0); s < strides; s++ {
+			t.Run(fmt.Sprintf("stride%d", s), func(t *testing.T) {
+				t.Parallel()
+				for budget := s * step; budget <= total; budget += strides * step {
+					dir, err := os.MkdirTemp(t.TempDir(), "crash")
+					if err != nil {
+						t.Fatal(err)
+					}
+					fs := faults.NewFaultFS(durable.OSFS{}).CrashAtByte(budget)
+					acked := crashWorkload(t, dir, fs, commits)
+					reopenAndVerify(t, dir, acked, commits, fmt.Sprintf("crash at byte %d", budget))
+					os.RemoveAll(dir)
+				}
+			})
+		}
+	})
+	t.Logf("%d crash offsets swept over a %d-byte write stream", total/step+1, total)
 }
 
 // TestCrashRecoveryKillLoop SIGKILLs a writer subprocess mid-commit in a
@@ -186,57 +282,45 @@ func TestCrashRecoveryKillLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		cmd.Wait()
-		verifyKilled(t, dir, acked, i)
-	}
-}
 
-// verifyKilled checks the store holds every acknowledged commit and a
-// consistent version history after a SIGKILL.
-func verifyKilled(t *testing.T, dir string, acked uint64, iter int) {
-	t.Helper()
-	st, err := durable.Open(dir)
-	if err != nil {
-		t.Fatalf("iteration %d: reopen after SIGKILL: %v", iter, err)
-	}
-	defer st.Close()
-	g := st.Generation()
-	if g < acked {
-		t.Fatalf("iteration %d: recovered generation %d < acknowledged %d: durable commit lost", iter, g, acked)
-	}
-	if g == 0 {
-		return
-	}
-	c, ok := st.Get("A")
-	if !ok {
-		t.Fatalf("iteration %d: generation %d but cube missing", iter, g)
-	}
-	v, ok := c.Get([]model.Value{model.Per(model.NewAnnual(2019))})
-	if !ok || v != float64(g) {
-		t.Fatalf("iteration %d: recovered value %v at generation %d: not a prefix", iter, v, g)
+		st, err := durable.Open(dir)
+		if err != nil {
+			t.Fatalf("iteration %d: reopen after SIGKILL: %v", i, err)
+		}
+		// The child may have got any number of commits past the last ack
+		// the parent read before the kill landed.
+		verifyPrefix(t, st, acked, int(st.Generation()), fmt.Sprintf("iteration %d", i))
+		st.Close()
 	}
 }
 
 // TestCrashWriterHelper is the subprocess body of the kill loop: it
-// opens the store, then commits versions as fast as it can, printing
-// "acked N" after each one, until it is killed.
+// opens the store, then carries the script on from wherever the store is
+// as fast as it can, printing "acked N" after each commit, until it is
+// killed.
 func TestCrashWriterHelper(t *testing.T) {
 	if os.Getenv("EXL_CRASH_HELPER") != "1" {
 		t.Skip("run by TestCrashRecoveryKillLoop")
 	}
 	dir := os.Getenv("EXL_CRASH_DIR")
-	st, err := durable.Open(dir)
+	st, err := durable.Open(dir, durable.WithCompactAfter(-1))
 	if err != nil {
 		t.Fatalf("helper open: %v", err)
 	}
 	defer st.Close()
-	if err := st.Declare(crashSchema()); err != nil {
+	if err := st.Declare(crashSchema("A")); err != nil {
 		t.Fatalf("helper declare: %v", err)
 	}
-	g := st.Generation()
+	g := int(st.Generation())
 	for k := g + 1; k <= g+10000; k++ {
-		if err := st.Put(crashCube(t, float64(k)), time.Unix(int64(k), 0)); err != nil {
-			t.Fatalf("helper put %d: %v", k, err)
+		if err := crashCommit(t, st, k); err != nil {
+			t.Fatalf("helper commit %d: %v", k, err)
 		}
 		fmt.Printf("acked %d\n", k)
+		if k%crashCompactEvery == 0 {
+			if err := st.Compact(); err != nil {
+				t.Fatalf("helper compact after %d: %v", k, err)
+			}
+		}
 	}
 }

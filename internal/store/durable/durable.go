@@ -208,7 +208,8 @@ func (d *Store) recover() error {
 		}
 		for name, vs := range snap.history {
 			for _, v := range vs {
-				if err := d.mem.Put(v.Cube, v.AsOf); err != nil {
+				_, err := d.mem.PutAllGen(map[string]*model.Cube{name: v.Cube}, map[string]*model.CubeDelta{name: v.Delta}, v.AsOf)
+				if err != nil {
 					return fmt.Errorf("durable: restoring cube %s: %w", name, err)
 				}
 			}
@@ -295,22 +296,26 @@ func (d *Store) recover() error {
 	return nil
 }
 
-// applyCommit replays one gen-bumping record into the wrapped store.
+// applyCommit replays one gen-bumping record into the wrapped store. A
+// delta is applied to the cube's latest replayed version, which is the
+// version it was made from if the log is what the store wrote; one that
+// does not fit it fails the record, and recovery cuts the log there.
 func (d *Store) applyCommit(rec *record) error {
-	switch rec.op {
-	case opPut:
-		for _, c := range rec.cubes {
-			return d.mem.Put(c.Freeze(), rec.asOf)
-		}
-		return fmt.Errorf("durable: put record without a cube")
-	case opPutAll:
-		for _, c := range rec.cubes {
-			c.Freeze()
-		}
-		return d.mem.PutAll(rec.cubes, rec.asOf)
-	default:
-		return fmt.Errorf("durable: unknown commit opcode %d", rec.op)
+	if len(rec.cubes) == 0 {
+		return fmt.Errorf("durable: commit record (opcode %d) without a cube", rec.op)
 	}
+	cubes := make(map[string]*model.Cube, len(rec.cubes))
+	deltas := make(map[string]*model.CubeDelta, len(rec.cubes))
+	for _, r := range rec.cubes {
+		base, _ := d.mem.Get(r.name())
+		c, delta, err := r.applyTo(base)
+		if err != nil {
+			return err
+		}
+		cubes[r.name()], deltas[r.name()] = c, delta
+	}
+	_, err := d.mem.PutAllGen(cubes, deltas, rec.asOf)
+	return err
 }
 
 // prune removes every snapshot, WAL and temp file except the pair for
@@ -404,7 +409,7 @@ func (d *Store) Declare(sch model.Schema) error {
 			}
 			return nil
 		},
-		func() []byte { return encodeDeclare(sch) },
+		func() []byte { return encodeRecord(&record{op: opDeclare, schema: sch}) },
 		func() error { return d.mem.Declare(sch) },
 	)
 }
@@ -412,48 +417,101 @@ func (d *Store) Declare(sch model.Schema) error {
 // Put stores a new version of the cube, valid from asOf. It returns
 // only after the commit record is fsync'd to the WAL.
 func (d *Store) Put(c *model.Cube, asOf time.Time) error {
-	return d.commit(
-		func() error { return d.mem.CheckPut(c, asOf) },
-		func() []byte { return encodePut(c, asOf) },
-		func() error { return d.mem.Put(c, asOf) },
-	)
+	name := ""
+	if c != nil { // a nil cube is rejected by validation, like any other bad write
+		name = c.Schema().Name
+	}
+	return d.PutAll(map[string]*model.Cube{name: c}, asOf)
 }
 
 // PutAll stores a new version of every cube atomically: one WAL record
 // carries the whole batch, so recovery replays all of it or none —
 // all-or-nothing across both the WAL commit and the in-memory apply.
 func (d *Store) PutAll(cubes map[string]*model.Cube, asOf time.Time) error {
-	if len(cubes) == 0 {
-		return nil
-	}
-	return d.commit(
-		func() error { return d.mem.CheckPutAll(cubes, asOf) },
-		func() []byte { return encodePutAll(cubes, asOf) },
-		func() error { return d.mem.PutAll(cubes, asOf) },
-	)
+	_, err := d.PutAllGen(cubes, nil, asOf)
+	return err
 }
 
 // PutAllGen is PutAll returning the durable commit generation the batch
-// was stamped with, read atomically with the apply (see
-// store.Store.PutAllGen).
-func (d *Store) PutAllGen(cubes map[string]*model.Cube, asOf time.Time) (uint64, error) {
+// was stamped with, read atomically with the apply, and what was logged
+// for it (see store.Store.PutAllGen).
+//
+// Each cube goes to the log as the delta from its latest stored version
+// when that delta is small (model.CubeDelta.Small), and in full
+// otherwise. The delta is the one handed in deltas if it is trusted —
+// its Base is that latest version and its Current the cube, by pointer —
+// and else computed here, once, by model.DiffSmall. Either way the
+// in-memory store keeps it on the version, so Delta for the preceding
+// generation and the next segment reuse it.
+func (d *Store) PutAllGen(cubes map[string]*model.Cube, handed map[string]*model.CubeDelta, asOf time.Time) (store.Commit, error) {
 	if len(cubes) == 0 {
-		return d.Generation(), nil
+		return store.Commit{Gen: d.Generation()}, nil
 	}
-	var memGen uint64
+	var (
+		ci     store.Commit
+		frozen = make(map[string]*model.Cube, len(cubes))
+		deltas = make(map[string]*model.CubeDelta, len(cubes))
+	)
 	err := d.commit(
 		func() error { return d.mem.CheckPutAll(cubes, asOf) },
-		func() []byte { return encodePutAll(cubes, asOf) },
+		func() []byte {
+			recs := make([]cubeRec, 0, len(cubes))
+			for name, c := range cubes {
+				// Freeze what will be stored before diffing it: the delta kept
+				// on the version must point at that very cube.
+				fc := c
+				if !c.Frozen() {
+					fc = c.Clone().Freeze()
+				}
+				frozen[name] = fc
+				if delta := d.deltaFor(fc, handed[name]); delta != nil {
+					deltas[name] = delta
+					recs = append(recs, deltaRec(delta))
+				} else {
+					// Encoding sorts the cube and leaves the order cached on
+					// it: on the caller's copy, not on the stored one.
+					recs = append(recs, fullRec(c))
+				}
+			}
+			body := encodeRecord(commitRecord(asOf, recs))
+			ci.DeltaCubes, ci.FullCubes = len(deltas), len(cubes)-len(deltas)
+			ci.WALBytes = int64(len(body)) + recordHeaderLen
+			return body
+		},
 		func() error {
-			var err error
-			memGen, err = d.mem.PutAllGen(cubes, asOf)
+			c, err := d.mem.PutAllGen(frozen, deltas, asOf)
+			ci.Gen = c.Gen + (d.genBase - d.memBase)
 			return err
 		},
 	)
 	if err != nil {
-		return d.Generation(), err
+		return store.Commit{Gen: d.Generation()}, err
 	}
-	return memGen + (d.genBase - d.memBase), nil
+	d.opts.Metrics.Counter(obs.MetricStoreWALDeltaCubes).Add(int64(ci.DeltaCubes))
+	return ci, nil
+}
+
+// deltaFor returns the delta to log and keep for c, a frozen cube about to
+// supersede its name's latest stored version, or nil to log c in full:
+// when there is no such version, when it has another schema (a delta
+// carries one schema for both ends), or when the two differ in too much.
+// A handed delta stands in for the diff only if it is about these two
+// cubes, by pointer, and a record made from it would replay. The caller
+// holds d.mu, so the latest version stays the latest.
+func (d *Store) deltaFor(c *model.Cube, handed *model.CubeDelta) *model.CubeDelta {
+	latest, ok := d.mem.Get(c.Schema().Name)
+	if !ok || !latest.Schema().Equal(c.Schema()) {
+		return nil
+	}
+	if handed != nil && handed.Base == latest && handed.Current == c {
+		if !handed.Small() {
+			return nil
+		}
+		if replayable(handed) {
+			return handed
+		}
+	}
+	return model.DiffSmall(c.Schema().Name, latest, c)
 }
 
 // Compact writes a segment snapshot of the current state, rotates to a

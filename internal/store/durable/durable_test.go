@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,7 +16,7 @@ func yearSchema(name string) model.Schema {
 	return model.NewSchema(name, []model.Dim{{Name: "t", Type: model.TYear}}, "v")
 }
 
-func yearCube(t *testing.T, name string, vals map[int]float64) *model.Cube {
+func yearCube(t testing.TB, name string, vals map[int]float64) *model.Cube {
 	t.Helper()
 	c := model.NewCube(yearSchema(name))
 	for y, v := range vals {
@@ -44,54 +45,123 @@ func openT(t *testing.T, dir string, opts ...Option) *Store {
 	return st
 }
 
-// TestCodecRoundTrip exercises every record opcode and value kind through
-// encode + decode.
-func TestCodecRoundTrip(t *testing.T) {
+// codecCube is a cube over every dimension value kind the codec writes.
+func codecCube(t testing.TB, n int) *model.Cube {
+	t.Helper()
 	sch := model.NewSchema("M", []model.Dim{
 		{Name: "s", Type: model.TString},
 		{Name: "q", Type: model.TMonth},
+		{Name: "i", Type: model.TInt},
 	}, "x")
 	c := model.NewCube(sch)
-	for i := 0; i < 5; i++ {
-		dims := []model.Value{model.Str(string(rune('a' + i))), model.Per(model.Period{Freq: model.Monthly, Ord: int64(i)})}
+	for i := 0; i < n; i++ {
+		dims := []model.Value{model.Str(string(rune('a' + i))), model.Per(model.Period{Freq: model.Monthly, Ord: int64(i)}), model.Int(int64(i - 2))}
 		if err := c.Put(dims, float64(i)*1.5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	asOf := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
+	return c
+}
 
-	rec, err := decodeRecord(encodePut(c, asOf))
-	if err != nil {
-		t.Fatal(err)
+// revise returns a frozen copy of c with the measures at the given tuple
+// positions (in cube order) bumped, the tuples at drop removed and extra
+// tuples added: a revision whose delta against c has all three lists.
+func revise(t testing.TB, c *model.Cube, bump, drop []int, add int) *model.Cube {
+	t.Helper()
+	out := c.Clone()
+	ts := c.Tuples()
+	for _, i := range bump {
+		if err := out.Replace(ts[i].Dims, ts[i].Measure+100); err != nil {
+			t.Fatal(err)
+		}
 	}
+	for _, i := range drop {
+		out.Delete(ts[i].Dims)
+	}
+	for i := 0; i < add; i++ {
+		dims := []model.Value{model.Str("zz"), model.Per(model.Period{Freq: model.Monthly, Ord: int64(1000 + i)}), model.Int(int64(i))}
+		if err := out.Replace(dims, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Freeze()
+}
+
+// TestCodecRoundTrip exercises every record opcode, both cube forms and
+// every value kind through encode + decode, and pins that encoding is the
+// inverse of decoding to the byte.
+func TestCodecRoundTrip(t *testing.T) {
+	c := codecCube(t, 16).Freeze()
+	asOf := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
+	roundTrip := func(r *record) *record {
+		t.Helper()
+		raw := encodeRecord(r)
+		got, err := decodeRecord(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := encodeRecord(got); !bytes.Equal(again, raw) {
+			t.Fatalf("opcode %d does not encode back to its bytes", r.op)
+		}
+		return got
+	}
+
+	rec := roundTrip(&record{op: opPut, asOf: asOf, cubes: []cubeRec{fullRec(c)}})
 	if rec.op != opPut || !rec.asOf.Equal(asOf) {
 		t.Fatalf("put header: op=%d asOf=%v", rec.op, rec.asOf)
 	}
-	if got := rec.cubes["M"]; got == nil || !got.Equal(c, 0) {
+	if len(rec.cubes) != 1 || !rec.cubes[0].cube.Equal(c, 0) {
 		t.Fatal("put cube does not round-trip")
 	}
 
 	other := yearCube(t, "Y", map[int]float64{2020: 1, 2021: 2})
-	rec, err = decodeRecord(encodePutAll(map[string]*model.Cube{"M": c, "Y": other}, asOf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.cubes) != 2 || !rec.cubes["Y"].Equal(other, 0) || !rec.cubes["M"].Equal(c, 0) {
+	rec = roundTrip(&record{op: opPutAll, asOf: asOf, cubes: []cubeRec{fullRec(c), fullRec(other)}})
+	if len(rec.cubes) != 2 || !rec.cubes[0].cube.Equal(c, 0) || !rec.cubes[1].cube.Equal(other, 0) {
 		t.Fatal("putall cubes do not round-trip")
 	}
 
-	rec, err = decodeRecord(encodeDeclare(sch))
+	// A commit record: one cube as a delta with all three lists, one in full.
+	next := revise(t, c, []int{1, 7}, []int{3}, 2)
+	delta := model.DiffCubes("M", c, next)
+	if len(delta.Added) != 2 || len(delta.Changed) != 2 || len(delta.Deleted) != 1 {
+		t.Fatalf("test delta is +%d ~%d -%d", len(delta.Added), len(delta.Changed), len(delta.Deleted))
+	}
+	rec = roundTrip(commitRecord(asOf, []cubeRec{fullRec(other), deltaRec(delta)}))
+	if len(rec.cubes) != 2 || rec.cubes[0].name() != "M" || rec.cubes[1].name() != "Y" {
+		t.Fatalf("commit record cubes = %d, not M then Y", len(rec.cubes))
+	}
+	got, gotDelta, err := rec.cubes[0].applyTo(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.schema.SameDims(sch) || rec.schema.Name != "M" || rec.schema.Measure != "x" {
+	if !got.Equal(next, 0) || !got.Frozen() {
+		t.Fatal("delta applied to its base is not the version it was made for")
+	}
+	if gotDelta.Base != c || gotDelta.Current != got || gotDelta.Size() != delta.Size() {
+		t.Fatalf("applied delta = %+v", gotDelta)
+	}
+	// The guard: any other base is refused, and so is a base of the right
+	// size that lacks what the delta changes.
+	if _, _, err := rec.cubes[0].applyTo(next); err == nil {
+		t.Error("a delta applied to a cube of another size must fail")
+	}
+	if _, _, err := rec.cubes[0].applyTo(nil); err == nil {
+		t.Error("a delta applied to nothing must fail")
+	}
+	if _, _, err := rec.cubes[0].applyTo(revise(t, c, nil, []int{1}, 1)); err == nil {
+		t.Error("a delta applied to a cube lacking a changed tuple must fail")
+	}
+
+	sch := c.Schema()
+	rec = roundTrip(&record{op: opDeclare, schema: sch})
+	if !rec.schema.Equal(sch) {
 		t.Fatalf("declare schema = %v", rec.schema)
 	}
 
 	// Corruption that a CRC would not catch (a truncated payload with a
 	// valid checksum cannot happen, but a logically short one can) is a
 	// decode error, not a panic.
-	raw := encodePut(c, asOf)
+	raw := encodeRecord(commitRecord(asOf, []cubeRec{deltaRec(delta)}))
 	if _, err := decodeRecord(raw[:len(raw)-3]); err == nil {
 		t.Error("truncated payload must fail to decode")
 	}

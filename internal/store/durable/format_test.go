@@ -1,0 +1,232 @@
+package durable
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"exlengine/internal/model"
+)
+
+// writeWAL writes a complete WAL file of the given records, as a store
+// that committed them and was closed would have left it.
+func writeWAL(t *testing.T, dir string, baseGen uint64, payloads ...[]byte) {
+	t.Helper()
+	w, err := newWALWriter(OSFS{}, filepath.Join(dir, walName(baseGen)), baseGen, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if _, err := w.append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// day is the validity instant of version k in these tests.
+func day(k int) time.Time { return time.Unix(int64(k)*86400, 0) }
+
+// chain returns n+1 versions of codecCube: the base and n revisions, each
+// changing, dropping and adding a tuple of the one before.
+func chain(t *testing.T, n int) []*model.Cube {
+	t.Helper()
+	vs := []*model.Cube{codecCube(t, 16).Freeze()}
+	for k := 1; k <= n; k++ {
+		prev := vs[k-1]
+		next := prev.Clone()
+		ts := prev.Tuples()
+		if err := next.Replace(ts[k%8].Dims, float64(1000+k)); err != nil {
+			t.Fatal(err)
+		}
+		next.Delete(ts[len(ts)-1].Dims)
+		add := []model.Value{model.Str("n"), model.Per(model.Period{Freq: model.Monthly, Ord: int64(500 - k)}), model.Int(int64(k))}
+		if err := next.Replace(add, float64(k)); err != nil {
+			t.Fatal(err)
+		}
+		vs = append(vs, next.Freeze())
+	}
+	return vs
+}
+
+func checkVersions(t *testing.T, st *Store, name string, want []*model.Cube) {
+	t.Helper()
+	if got := st.Versions(name); len(got) != len(want) {
+		t.Fatalf("%s has %d versions, want %d", name, len(got), len(want))
+	}
+	for k, w := range want {
+		got, ok := st.GetAsOf(name, day(k))
+		if !ok || !got.Equal(w, 0) || !got.Frozen() {
+			t.Fatalf("%s as of day %d is not the version put", name, k)
+		}
+	}
+}
+
+// TestDeltaRecordOnTheWrongBaseIsTruncated: a delta record is applied only
+// to the version it was made from. One whose recorded base size does not
+// match the replayed predecessor — here a well-formed, checksummed record
+// made against a version that never reached the log — is cut off like a
+// torn record, with everything behind it, and never applied.
+func TestDeltaRecordOnTheWrongBaseIsTruncated(t *testing.T) {
+	dir := t.TempDir()
+	vs := chain(t, 3)
+	lost := revise(t, vs[1], nil, []int{0, 1}, 0) // 14 tuples where the log has 16
+	writeWAL(t, dir, 0,
+		encodeRecord(commitRecord(day(0), []cubeRec{fullRec(vs[0])})),
+		encodeRecord(commitRecord(day(1), []cubeRec{deltaRec(model.DiffCubes("M", vs[0], vs[1]))})),
+		encodeRecord(commitRecord(day(2), []cubeRec{deltaRec(model.DiffCubes("M", lost, revise(t, lost, []int{2}, nil, 0)))})),
+		encodeRecord(commitRecord(day(3), []cubeRec{deltaRec(model.DiffCubes("M", vs[1], vs[2]))})),
+	)
+	st := openT(t, dir)
+	defer st.Close()
+	rec := st.Recovery()
+	if rec.Generation != 2 || rec.ReplayedRecords != 2 || rec.TruncatedRecords != 1 {
+		t.Fatalf("recovery = %+v, want the two records before the misfit and one truncation", rec)
+	}
+	checkVersions(t, st, "M", vs[:2])
+}
+
+// TestFullFormDirectoryStillOpens: a directory as stores wrote it before
+// delta records existed — an "EXLSEG01" segment holding every version in
+// full, and a WAL of opPut and opPutAll records — opens, with every
+// version readable; the next commit on it is a delta like any other.
+func TestFullFormDirectoryStillOpens(t *testing.T) {
+	dir := t.TempDir()
+	vs := chain(t, 4)
+	y := []*model.Cube{
+		yearCube(t, "Y", map[int]float64{2020: 1, 2021: 2}).Freeze(),
+		yearCube(t, "Y", map[int]float64{2020: 1, 2021: 3}).Freeze(),
+	}
+
+	// The segment, at generation 2: M with two versions, Y declared only.
+	var body []byte
+	body = binary.LittleEndian.AppendUint64(body, 2)
+	body = appendUvarint(body, 2)
+	body = appendSchema(body, vs[0].Schema())
+	body = appendSchema(body, y[0].Schema())
+	body = appendUvarint(body, 1)
+	body = appendString(body, "M")
+	body = appendUvarint(body, 2)
+	for k := 0; k < 2; k++ {
+		body = appendVarint(body, day(k).UnixNano())
+		body = appendCube(body, vs[k])
+	}
+	seg := append([]byte("EXLSEG01"), body...)
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(body, crcTable))
+	if err := os.WriteFile(filepath.Join(dir, segmentName(2)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeWAL(t, dir, 2,
+		encodeRecord(&record{op: opPut, asOf: day(2), cubes: []cubeRec{fullRec(vs[2])}}),
+		encodeRecord(&record{op: opPutAll, asOf: day(3), cubes: []cubeRec{fullRec(vs[3]), fullRec(y[0])}}),
+	)
+
+	st := openT(t, dir)
+	rec := st.Recovery()
+	if rec.SnapshotGen != 2 || rec.Generation != 4 || rec.ReplayedRecords != 2 || rec.TruncatedRecords != 0 || rec.CorruptSegments != 0 {
+		t.Fatalf("recovery = %+v", rec)
+	}
+	checkVersions(t, st, "M", vs[:4])
+	ci, err := st.PutAllGen(map[string]*model.Cube{"M": vs[4], "Y": y[1]}, nil, day(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ci.Gen != 5 || ci.FullCubes != 1 || ci.DeltaCubes != 1 { // Y is too small for a delta to be worth it
+		t.Fatalf("commit on the converted directory = %+v", ci)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openT(t, dir)
+	defer st.Close()
+	checkVersions(t, st, "M", vs)
+	if c, ok := st.Get("Y"); !ok || !c.Equal(y[1], 0) {
+		t.Fatal("Y lost across the reopen")
+	}
+}
+
+// TestSegmentIsADeltaChain pins the segment layout from outside: a cube's
+// first version in full, every later one as the delta the commit kept, so
+// the file grows with the changes and not with versions × state; an
+// equal-asOf overwrite, whose delta base leaves the history, is in full
+// again and the chain goes on from it. Deltas survive a reopen — the
+// recovery segment is no larger than the one compaction wrote — and so
+// does every version.
+func TestSegmentIsADeltaChain(t *testing.T) {
+	dir := t.TempDir()
+	st := openT(t, dir, WithCompactAfter(-1))
+	const n = 12
+	vs := chain(t, n)
+	for k, c := range vs {
+		if err := st.Put(c, day(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segSize := func() int64 {
+		t.Helper()
+		matches, err := filepath.Glob(filepath.Join(dir, "seg-*.snap"))
+		if err != nil || len(matches) != 1 {
+			t.Fatalf("segments: %v (%v)", matches, err)
+		}
+		info, err := os.Stat(matches[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	full := int64(len(appendCube(nil, vs[0])))
+	chained := segSize()
+	if limit := full + n*full/3; chained > limit { // a delta of three tuples is under a third of these sixteen
+		t.Fatalf("segment of %d versions is %d bytes, one version is %d: not a delta chain", n+1, chained, full)
+	}
+	for i, v := range st.mem.History("M") {
+		if (v.Delta != nil) != (i > 0) {
+			t.Fatalf("version %d: kept delta = %v", i, v.Delta)
+		}
+	}
+
+	// Overwrite the latest version in place, then go on.
+	over := revise(t, vs[n], []int{4}, nil, 0)
+	vs[n] = over
+	if err := st.Put(over, day(n)); err != nil {
+		t.Fatal(err)
+	}
+	last := revise(t, over, []int{5}, nil, 0)
+	vs = append(vs, last)
+	if err := st.Put(last, day(n+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	withOverwrite := segSize()
+	if grew := withOverwrite - chained; grew < full/2 || grew > 2*full {
+		t.Fatalf("segment grew by %d bytes over an overwrite and a revision; a full version is %d", grew, full)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = openT(t, dir)
+	defer st.Close()
+	if rec := st.Recovery(); rec.CorruptSegments != 0 || rec.TruncatedRecords != 0 {
+		t.Fatalf("recovery = %+v", rec)
+	}
+	checkVersions(t, st, "M", vs)
+	if got := segSize(); got != withOverwrite {
+		t.Errorf("recovery rewrote the %d-byte segment as %d bytes: the chain did not survive", withOverwrite, got)
+	}
+	for i, v := range st.mem.History("M") {
+		if want := i > 0 && i != n; (v.Delta != nil) != want {
+			t.Errorf("after reopen, version %d: kept delta = %v", i, v.Delta != nil)
+		}
+	}
+}

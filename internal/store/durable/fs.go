@@ -1,10 +1,12 @@
 // Package durable implements a crash-safe persistent backend for the
 // cube store: an append-only write-ahead log of commit records
 // (length-prefixed, CRC32C-checksummed, fsync'd per commit with an
-// optional group-commit window) plus periodic full-state segment
-// snapshots with compaction, wrapped around the in-memory store.Store so
-// zero-copy frozen-cube reads and GetAsOf/generation MVCC semantics are
-// preserved exactly.
+// optional group-commit window) plus segment snapshots of the whole state
+// with compaction, wrapped around the in-memory store.Store so zero-copy
+// frozen-cube reads and GetAsOf/generation MVCC semantics are preserved
+// exactly. Log and segments hold a new version of a cube as the delta
+// from the version it supersedes wherever that is small, and the cube in
+// full otherwise: a commit costs O(change), a segment O(state + changes).
 //
 // Recovery (Open) loads the newest verifiable snapshot, replays the WAL
 // tail, truncates at the first torn or corrupt record, and resumes the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -65,8 +66,11 @@ type walWriter struct {
 	written int64 // record bytes appended (durability metric)
 }
 
-// newWALWriter creates the WAL file and writes its header. The header is
-// not fsync'd on its own: the first commit's fsync covers it.
+// newWALWriter creates the WAL file, writes its header and fsyncs the
+// directory: a commit's fsync makes the file's bytes durable, not the
+// directory entry that leads to them, so the entry must be on disk before
+// the first commit on this file can be acknowledged. The header is not
+// fsync'd on its own: the first commit's fsync covers it.
 func newWALWriter(fs FS, path string, baseGen uint64, window time.Duration, metrics *obs.Registry) (*walWriter, error) {
 	f, err := fs.Create(path)
 	if err != nil {
@@ -76,6 +80,10 @@ func newWALWriter(fs FS, path string, baseGen uint64, window time.Duration, metr
 	copy(hdr[:], walMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], baseGen)
 	if err := writeFull(f, hdr[:]); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, err
 	}

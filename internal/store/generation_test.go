@@ -126,3 +126,82 @@ func TestDeltaOverwriteUnavailable(t *testing.T) {
 		t.Errorf("delta since g2 = +%d ~%d -%d, want exactly one addition", len(d.Added), len(d.Changed), len(d.Deleted))
 	}
 }
+
+// TestPutAllGenKeepsTrustedDelta pins the rule for deltas handed to
+// PutAllGen. One whose Base is the cube's latest version and whose Current
+// is the cube being stored, both by pointer, is kept: Delta for the
+// preceding generation returns that very delta without diffing, and
+// History carries it. One about any other pair of cubes is dropped, and an
+// equal-asOf overwrite keeps none, because its base leaves the history.
+func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
+	s := New()
+	t1 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	v1 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 2}).Freeze()
+	if err := s.Put(v1, t1); err != nil {
+		t.Fatal(err)
+	}
+	g1 := s.Generation()
+
+	put := func(c *model.Cube, d *model.CubeDelta, at time.Time) uint64 {
+		t.Helper()
+		ci, err := s.PutAllGen(map[string]*model.Cube{"A": c}, map[string]*model.CubeDelta{"A": d}, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ci.Gen != s.Generation() || ci.WALBytes != 0 || ci.DeltaCubes != 0 || ci.FullCubes != 0 {
+			t.Fatalf("commit = %+v at generation %d", ci, s.Generation())
+		}
+		return ci.Gen
+	}
+
+	v2 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 5}).Freeze()
+	d12 := model.DiffCubes("A", v1, v2)
+	g2 := put(v2, d12, t1.Add(time.Hour))
+	if got, err := s.Delta("A", g1); err != nil || got != d12 {
+		t.Fatalf("Delta since the preceding generation = (%p, %v), want the handed delta %p", got, err, d12)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Delta("A", g1) }); n != 0 {
+		t.Errorf("Delta answered from the kept delta allocates %v times", n)
+	}
+	if h := s.History("A"); len(h) != 2 || h[0].Delta != nil || h[1].Delta != d12 {
+		t.Fatalf("History deltas = %v", h)
+	}
+
+	// A delta whose base is not the latest version (here: the one before).
+	v3 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 6}).Freeze()
+	g3 := put(v3, model.DiffCubes("A", v1, v3), t1.Add(2*time.Hour))
+	// A delta that ends at another cube than the one stored.
+	v4 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 7}).Freeze()
+	put(v4, model.DiffCubes("A", v3, v4.Clone().Freeze()), t1.Add(3*time.Hour))
+	// An unfrozen cube is cloned by the store, so no delta can name it.
+	v5 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 8})
+	put(v5, model.DiffCubes("A", v4, v5), t1.Add(4*time.Hour))
+	for i, v := range s.History("A")[2:] {
+		if v.Delta != nil {
+			t.Errorf("version %d kept a delta that is not about it and its predecessor", i+3)
+		}
+	}
+	// Without a kept delta the answer is still exact, by diffing.
+	if d, err := s.Delta("A", g2); err != nil || len(d.Changed) != 1 || d.Changed[0].Measure != 8 {
+		t.Errorf("Delta since g2 = (%v, %v)", d, err)
+	}
+	if d, err := s.Delta("A", g3); err != nil || len(d.Changed) != 1 {
+		t.Errorf("Delta since g3 = (%v, %v)", d, err)
+	}
+
+	// Equal-asOf overwrite: the delta's base is the version that vanishes.
+	cur, _ := s.Get("A")
+	v6 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 9}).Freeze()
+	put(v6, model.DiffCubes("A", cur, v6), t1.Add(4*time.Hour))
+	h := s.History("A")
+	if last := h[len(h)-1]; last.Cube != v6 || last.Delta != nil {
+		t.Errorf("the overwriting version kept a delta from a version no longer in the history")
+	}
+	// The version after it chains on as usual.
+	v7 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 10}).Freeze()
+	d67 := model.DiffCubes("A", v6, v7)
+	put(v7, d67, t1.Add(5*time.Hour))
+	if h = s.History("A"); h[len(h)-1].Delta != d67 || h[len(h)-1].Delta.Base != h[len(h)-2].Cube {
+		t.Errorf("the version after an overwrite lost its delta")
+	}
+}

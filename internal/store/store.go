@@ -73,6 +73,10 @@ type version struct {
 	// a cube carry strictly increasing generations, so "the version visible
 	// at generation g" is the newest one with gen <= g.
 	gen uint64
+	// delta is how cube differs from the version it superseded, when the
+	// writer supplied that (see PutAllGen): its Base is the preceding
+	// history entry's cube, by pointer. Nil when unknown.
+	delta *model.CubeDelta
 }
 
 // New returns an empty store.
@@ -144,17 +148,26 @@ func appendVersion(vs []version, v version) (_ []version, replaced bool) {
 
 // putLocked commits one already-validated cube version under the write
 // lock, stamping it with commit generation g and updating the overwrite
-// watermark when the write replaced an equal-asOf version.
-func (s *Store) putLocked(c *model.Cube, asOf time.Time, g uint64) {
+// watermark when the write replaced an equal-asOf version. delta is kept
+// on the version only where it provably describes the step the history
+// records: from the cube's latest version to the very cube being stored,
+// both by pointer, and not across an overwrite, whose base vanishes.
+func (s *Store) putLocked(c *model.Cube, delta *model.CubeDelta, asOf time.Time, g uint64) {
 	name := c.Schema().Name
 	if _, ok := s.schemas[name]; !ok {
 		s.schemas[name] = c.Schema()
 	}
-	vs, replaced := appendVersion(s.cubes[name], version{asOf: asOf, cube: frozenCopy(c), gen: g})
-	s.cubes[name] = vs
+	v := version{asOf: asOf, cube: frozenCopy(c), gen: g}
+	old := s.cubes[name]
+	if delta != nil && len(old) > 0 && delta.Base == old[len(old)-1].cube && delta.Current == v.cube {
+		v.delta = delta
+	}
+	vs, replaced := appendVersion(old, v)
 	if replaced {
+		vs[len(vs)-1].delta = nil
 		s.overwriteGen[name] = g
 	}
+	s.cubes[name] = vs
 }
 
 // checkPut validates one cube write (schema compatibility and version
@@ -173,18 +186,10 @@ func (s *Store) checkPut(c *model.Cube, asOf time.Time) error {
 	return nil
 }
 
-// CheckPut reports whether Put would accept the write, without applying
-// it. Durable wrappers use it to validate a commit before appending it to
-// a write-ahead log: a record must never reach the log if replaying it
-// would fail.
-func (s *Store) CheckPut(c *model.Cube, asOf time.Time) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.checkPut(c, asOf)
-}
-
 // CheckPutAll reports whether PutAll would accept the batch, without
-// applying it.
+// applying it. Durable wrappers use it to validate a commit before
+// appending it to a write-ahead log: a record must never reach the log if
+// replaying it would fail.
 func (s *Store) CheckPutAll(cubes map[string]*model.Cube, asOf time.Time) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -217,7 +222,7 @@ func (s *Store) Put(c *model.Cube, asOf time.Time) error {
 		return err
 	}
 	s.gen++
-	s.putLocked(c, asOf, s.gen)
+	s.putLocked(c, nil, asOf, s.gen)
 	return nil
 }
 
@@ -227,35 +232,54 @@ func (s *Store) Put(c *model.Cube, asOf time.Time) error {
 // the store exactly as it was — the snapshot-isolation guarantee the
 // dispatcher relies on when a run partially fails.
 func (s *Store) PutAll(cubes map[string]*model.Cube, asOf time.Time) error {
-	_, err := s.PutAllGen(cubes, asOf)
+	_, err := s.PutAllGen(cubes, nil, asOf)
 	return err
 }
 
+// Commit describes one committed batch. Gen is the generation it was
+// stamped with (the store generation after the write). The rest is what a
+// durable store logged for it, and zero on this one: how many of the
+// batch's cubes went to the log as deltas and how many in full, in how
+// many bytes.
+type Commit struct {
+	Gen        uint64
+	DeltaCubes int
+	FullCubes  int
+	WALBytes   int64
+}
+
 // PutAllGen is PutAll returning the commit generation the batch was
-// stamped with (the store generation after the write). Callers that
-// memoize "computed at generation g" need the two read atomically — a
-// PutAll followed by Generation() can observe a concurrent writer's
-// bump. An empty batch commits nothing and returns the current
-// generation.
-func (s *Store) PutAllGen(cubes map[string]*model.Cube, asOf time.Time) (uint64, error) {
+// stamped with. Callers that memoize "computed at generation g" need the
+// two read atomically — a PutAll followed by Generation() can observe a
+// concurrent writer's bump. An empty batch commits nothing and returns
+// the current generation.
+//
+// deltas may carry, per cube, how the new version differs from the one it
+// supersedes — a run that maintained its outputs from deltas holds exactly
+// that. A delta is trusted only if its Base is, by pointer, the cube's
+// latest stored version and its Current the cube being stored; anything
+// else is dropped. A kept delta is what Delta answers with for the
+// preceding generation, and what a durable store logs instead of the cube.
+// This store never computes one itself.
+func (s *Store) PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, asOf time.Time) (Commit, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	names := sortedNames(cubes)
 	// Validate everything first.
 	for _, name := range names {
 		if err := s.checkPut(cubes[name], asOf); err != nil {
-			return s.gen, err
+			return Commit{Gen: s.gen}, err
 		}
 	}
 	if len(names) == 0 {
-		return s.gen, nil
+		return Commit{Gen: s.gen}, nil
 	}
 	// Commit.
 	s.gen++
 	for _, name := range names {
-		s.putLocked(cubes[name], asOf, s.gen)
+		s.putLocked(cubes[name], deltas[name], asOf, s.gen)
 	}
-	return s.gen, nil
+	return Commit{Gen: s.gen}, nil
 }
 
 // Get returns the current (latest) version of the cube. The returned
@@ -329,24 +353,27 @@ func (s *Store) Versions(name string) []time.Time {
 	return out
 }
 
-// Version is one entry of a cube's version history: the validity instant
-// and the frozen cube stored at it.
+// Version is one entry of a cube's version history: the validity instant,
+// the frozen cube stored at it and, where the writer supplied it, the delta
+// from the entry before (Delta.Base is that entry's Cube).
 type Version struct {
-	AsOf time.Time
-	Cube *model.Cube
+	AsOf  time.Time
+	Cube  *model.Cube
+	Delta *model.CubeDelta
 }
 
 // History returns the cube's full version history, oldest first. The
 // slice is a copy; the cubes are the store's frozen shared instances
 // (zero-copy, like Get). Durable backends use it to serialize complete
-// segment snapshots that preserve GetAsOf semantics.
+// segment snapshots that preserve GetAsOf semantics, as a full first
+// version and the deltas that lead from each entry to the next.
 func (s *Store) History(name string) []Version {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	vs := s.cubes[name]
 	out := make([]Version, len(vs))
 	for i, v := range vs {
-		out[i] = Version{AsOf: v.asOf, Cube: v.cube}
+		out[i] = Version{AsOf: v.asOf, Cube: v.cube, Delta: v.delta}
 	}
 	return out
 }
@@ -424,6 +451,8 @@ func (s *Store) SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[s
 // added, changed and deleted, with both endpoint cubes shared by
 // reference (zero-copy on the unchanged side).
 //
+// The delta is shared with every other caller and must not be modified.
+//
 // If the cube is unchanged since sinceGen the delta is empty. If an
 // equal-asOf overwrite has replaced a version after sinceGen, the state
 // the caller observed is no longer reconstructable and Delta returns
@@ -460,6 +489,12 @@ func (s *Store) Delta(name string, sinceGen uint64) (*model.CubeDelta, error) {
 		base = model.NewCube(cur.cube.Schema()).Freeze()
 	} else {
 		base = vs[i-1].cube
+	}
+	if cur.delta != nil && cur.delta.Base == base {
+		// The writer said how this version differs from the one the caller
+		// saw: the usual question of an incremental run, answered without
+		// touching either cube.
+		return cur.delta, nil
 	}
 	return model.DiffCubes(name, base, cur.cube), nil
 }
