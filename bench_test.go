@@ -452,7 +452,7 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				snap, _ := st.SnapshotVersioned()
+				snap, _, _ := st.SnapshotWithGenerations()
 				if snap["S"] == nil {
 					b.Fatal("missing cube")
 				}

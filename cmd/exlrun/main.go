@@ -13,7 +13,8 @@
 // -store across invocations within one process embedding) is skipped
 // outright, and a changed input propagates through the mappings as a
 // tuple-level delta wherever the operators allow, recomputing only the
-// affected output points. Results are byte-identical to a full run.
+// affected output points (see engine.WithIncremental for the exactness
+// contract).
 //
 // The data directory must contain one <CUBE>.csv file per elementary cube,
 // with a header naming the dimensions (in declaration order) followed by
@@ -215,6 +216,7 @@ func printReport(rep *engine.Report) {
 		} else if fr.Degraded() {
 			status = fmt.Sprintf("%s (degraded from %s)", fr.Final, fr.Primary)
 		}
+		status += fr.ModeNote()
 		fmt.Fprintf(os.Stderr, "  fragment %d %v: %s, %d attempt(s), %v\n",
 			fr.Index, fr.Cubes, status, len(fr.Attempts), fr.Elapsed)
 		for _, at := range fr.Attempts {

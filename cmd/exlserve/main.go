@@ -6,8 +6,9 @@
 //	         [-mem-budget BYTES] [-session-idle-timeout DUR] [-incremental]
 //
 // -incremental makes every run delta-driven by default: only cubes whose
-// inputs changed since their last computation are recomputed, from store
-// deltas where the mappings allow it, with byte-identical results.
+// inputs changed since their last computation are recomputed, the chase
+// applying the store's deltas to their previous versions wherever it has
+// both (see engine.WithIncremental for the exactness contract).
 // Individual requests can also opt in per run with "incremental": true.
 //
 // With -data-dir every tenant is durable: its cube store lives under
@@ -46,7 +47,7 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "durable tenant root (state lives under DIR/<tenant>); empty = in-memory tenants")
 		idleTimeout = flag.Duration("session-idle-timeout", 5*time.Minute, "evict sessions idle this long")
 		authTokens  = flag.String("auth-tokens", "", "comma-separated token=tenant pairs (tenant * = any); empty allows all")
-		incremental = flag.Bool("incremental", false, "delta-driven recomputation by default: runs recompute only stale cubes, byte-identical to full runs")
+		incremental = flag.Bool("incremental", false, "delta-driven recomputation by default: runs recompute only stale cubes, from the deltas of their inputs")
 	)
 	shared := &cli.Flags{}
 	shared.RegisterGovernor(flag.CommandLine, 0, 0)

@@ -33,6 +33,9 @@ type IncrStats struct {
 	Skipped     int // outputs reused untouched (no input changed)
 	Incremental int // tgds maintained from input deltas
 	Full        int // tgds recomputed from scratch
+	// FullTgds names each tgd recomputed from scratch, "cube (kind)", in
+	// stratification order.
+	FullTgds []string
 
 	DeltaTuplesIn  int // input delta tuples consumed by incremental tgds
 	KeysRecomputed int // output points recomputed by incremental tgds
@@ -113,6 +116,7 @@ func (s *Solver) SolveIncremental(ctx context.Context, source Instance, in *Delt
 			stats.Incremental++
 		default:
 			stats.Full++
+			stats.FullTgds = append(stats.FullTgds, fmt.Sprintf("%s (%s)", outName, t.Kind))
 			if mode == "full-unknown" {
 				fullOnly[outName] = true
 			}

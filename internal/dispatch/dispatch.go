@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -267,12 +268,16 @@ func (d *Dispatcher) runFragmentAttempts(ctx context.Context, idx int, sub deter
 		targets = append(targets, determine.FallbackOrder(sub)...)
 	}
 
-	var oc incrOutcome
+	// The fragment's view of the delta front is the same for every
+	// attempt: its producers finished in earlier waves, and its own
+	// outputs are published only once an attempt has succeeded.
+	var view *fragView
+	if incr != nil {
+		view = incr.view(f)
+	}
+	var oc outcome
 	runner := Runner(func(ctx context.Context, info Fragment, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
-		if incr != nil {
-			return f.runOnIncr(ctx, info.Target, snap, incr, &oc)
-		}
-		return f.runOn(ctx, info.Target, snap)
+		return f.run(ctx, info.Target, snap, view, &oc)
 	})
 	for i := len(d.Middleware) - 1; i >= 0; i-- {
 		runner = d.Middleware[i](runner)
@@ -307,9 +312,13 @@ func (d *Dispatcher) runFragmentAttempts(ctx context.Context, idx int, sub deter
 				d.record(target, nil)
 				fr.Attempts = append(fr.Attempts, Attempt{Target: target, Attempt: attempt})
 				fr.Final = target
-				fr.Incremental = oc.incremental
-				fr.FellBackFull = oc.fellBack
-				fr.FallbackReason = oc.reason
+				fr.Mode = oc.mode
+				if incr != nil {
+					incr.publish(f, out, oc.outDeltas)
+					fr.Incremental = oc.mode != ModeFull
+					fr.FellBackFull = oc.mode == ModeFull
+					fr.FallbackReason = oc.reason
+				}
 				fr.Elapsed = time.Since(start)
 				met.Counter(obs.Label(obs.MetricFragments, "target", string(target))).Add(1)
 				return out, fr, nil
@@ -501,23 +510,88 @@ func (f *fragment) keep(all map[string]*model.Cube) map[string]*model.Cube {
 	return out
 }
 
-// runOn executes the fragment on the given target engine over the
-// snapshot. The target may differ from the fragment's assigned one when
-// the dispatcher degrades. Each attempt reads the shared snapshot and
-// returns a fresh output map, so a failed attempt leaves no trace.
-func (f *fragment) runOn(ctx context.Context, target ops.Target, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
+// outcome captures how the last attempt of a fragment ran; the
+// successful attempt's value lands in the fragment report.
+type outcome struct {
+	mode   string
+	reason string // under a plan, why the attempt was a full run
+	// outDeltas holds the exact delta of every produced cube that moved,
+	// when the attempt derived them; nil when it did not.
+	outDeltas map[string]*model.CubeDelta
+}
+
+// run brings the fragment up to date over the snapshot, for one attempt
+// on target (which differs from the fragment's assigned one when the
+// dispatcher degrades). How is read off the view alone (fragView.mode):
+// without a plan, or with a view that has a gap, target runs the whole
+// fragment; with nothing moved the previous outputs are kept; otherwise
+// the compiled chase applies the input deltas to the previous outputs,
+// deciding tgd by tgd what it can maintain — a target never sees a
+// delta. Each attempt reads the shared snapshot and returns a fresh
+// output map, so a failed attempt leaves no trace.
+func (f *fragment) run(ctx context.Context, target ops.Target, snap map[string]*model.Cube,
+	v *fragView, oc *outcome) (map[string]*model.Cube, error) {
+
+	*oc = outcome{mode: ModeFull}
 	input, err := f.inputsFrom(ctx, target, snap)
 	if err != nil {
 		return nil, err
 	}
-
-	start := time.Now()
-	out, err := f.execOn(ctx, target, input)
-	if err != nil {
-		return nil, err
+	if v != nil {
+		oc.mode, oc.reason = v.mode(f)
 	}
 
+	start := time.Now()
+	var out map[string]*model.Cube
+	switch oc.mode {
+	case ModeReused:
+		out, _ = v.reuse(f)
+		oc.outDeltas = map[string]*model.CubeDelta{}
+	case ModeMaintained:
+		din := &chase.DeltaInput{Deltas: v.deltas, BaseOut: v.bases}
+		sol, od, stats, err := f.chaseSolver().SolveIncremental(ctx, chase.Instance(input), din)
+		if err != nil {
+			return nil, err
+		}
+		if stats.Full > 0 {
+			oc.mode = ModeFull
+			oc.reason = fmt.Sprintf("%d of %d tgds recomputed in full: %s",
+				stats.Full, stats.Tgds, strings.Join(stats.FullTgds, ", "))
+		}
+		out, oc.outDeltas = f.keep(sol), od
+	default:
+		if out, err = f.execOn(ctx, target, input); err != nil {
+			return nil, err
+		}
+	}
 	recordAttempt(ctx, target, input, out, start)
+	sp := obs.CurrentSpan(ctx)
+	sp.SetAttr(obs.String("mode", oc.mode))
+	if oc.reason != "" {
+		sp.SetAttr(obs.String("reason", oc.reason))
+	}
+	if v == nil {
+		return out, nil
+	}
+
+	met := obs.MetricsFrom(ctx)
+	if oc.mode == ModeFull {
+		met.Counter(obs.Label(obs.MetricIncrFellBack, "target", string(target))).Add(1)
+		return out, nil
+	}
+	met.Counter(obs.Label(obs.MetricIncrFragments, "target", string(target))).Add(1)
+	var din, full int
+	for name, d := range v.deltas {
+		din += d.Size()
+		if c := input[name]; c != nil {
+			full += c.Len()
+		}
+	}
+	met.Counter(obs.MetricIncrDeltaTuples).Add(int64(din))
+	met.Counter(obs.MetricIncrFullTuples).Add(int64(full))
+	if sp != nil { // rendering the count allocates
+		sp.SetAttr(obs.Int("delta_tuples_in", din))
+	}
 	return out, nil
 }
 

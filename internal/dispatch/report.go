@@ -20,6 +20,13 @@ type Attempt struct {
 	Backoff time.Duration // backoff slept after this failed attempt
 }
 
+// Modes a successful fragment attempt ran in.
+const (
+	ModeReused     = "reused"     // nothing the fragment reads moved: previous outputs kept
+	ModeMaintained = "maintained" // the chase applied the input deltas to the previous outputs
+	ModeFull       = "full"       // recomputed: the whole fragment by the target, or some tgd of it by the chase
+)
+
 // FragmentReport describes everything that happened to one fragment:
 // every attempt, every fallback target tried, and where it finally ran.
 type FragmentReport struct {
@@ -33,14 +40,18 @@ type FragmentReport struct {
 	// breaker was open, in the order they would have been tried.
 	SkippedOpen []ops.Target
 	Elapsed     time.Duration
+	// Mode is how the successful attempt ran: ModeReused, ModeMaintained
+	// or ModeFull (always ModeFull without an incremental plan).
+	Mode string
 	// Incremental reports that the fragment ran under an incremental plan
-	// and was maintained from input deltas (or reused outright).
+	// and its input deltas were applied (or nothing had moved and its
+	// outputs were reused) rather than recomputed.
 	Incremental bool
 	// FellBackFull reports that the fragment ran under an incremental plan
 	// but recomputed in full; FallbackReason says why, naming the
-	// relation at fault ("delta of PDR is not insert-only (…)", "no
-	// previous version of GDP to maintain", "target etl cannot maintain
-	// deltas", …).
+	// relation at fault: "input PDR changed without a usable delta", "no
+	// previous version of GDP to maintain", or the chase's "1 of 1 tgds
+	// recomputed in full: GDPT (blackbox)".
 	FellBackFull   bool
 	FallbackReason string
 }
@@ -56,6 +67,19 @@ func (f *FragmentReport) Retries() int {
 
 // Degraded reports whether the fragment completed on a non-primary target.
 func (f *FragmentReport) Degraded() bool { return f.Final != "" && f.Final != f.Primary }
+
+// ModeNote renders how a fragment under an incremental plan was brought
+// up to date, for appending to its status: " (reused)", " (maintained)"
+// or " (full: <reason>)"; empty for a run without a plan.
+func (f *FragmentReport) ModeNote() string {
+	switch {
+	case f.FellBackFull:
+		return fmt.Sprintf(" (%s: %s)", f.Mode, f.FallbackReason)
+	case f.Incremental:
+		return fmt.Sprintf(" (%s)", f.Mode)
+	}
+	return ""
+}
 
 // Report describes a whole dispatch run, one entry per fragment.
 type Report struct {
@@ -94,11 +118,7 @@ func (r *Report) String() string {
 		} else if f.Degraded() {
 			status = fmt.Sprintf("%s (degraded from %s)", f.Final, f.Primary)
 		}
-		if f.Incremental {
-			status += " (incremental)"
-		} else if f.FellBackFull {
-			status += fmt.Sprintf(" (full: %s)", f.FallbackReason)
-		}
+		status += f.ModeNote()
 		fmt.Fprintf(&b, "  fragment %d %v: planned %s, ran on %s, %d attempt(s), %v\n",
 			f.Index, f.Cubes, f.Primary, status, len(f.Attempts), f.Elapsed)
 		if len(f.SkippedOpen) > 0 {

@@ -539,10 +539,16 @@ func RunMetered(m *obs.Registry) RunOption {
 }
 
 // WithIncremental makes the run delta-driven: derived cubes whose
-// memoized input generations are still current are skipped outright,
-// and the rest are recomputed from the deltas of their inputs where the
-// mapping shape permits, falling back to per-fragment full recomputes
-// where it does not. Results are byte-identical to a full run.
+// memoized input generations are still current are skipped outright.
+// For the rest, a fragment whose moved inputs all have a store delta and
+// whose relations all have a trusted previous version has those deltas
+// applied by the compiled chase, whatever target it is assigned to; any
+// other fragment is run in full by its target, and its FragmentReport
+// names the relation at fault. On the chase target the results are
+// byte-identical to a full run. On sql, etl and frame a maintained point
+// carries the chase's value: that target's own value exactly wherever its
+// fold order is deterministic, and within the cross-target tolerance
+// (1e-6 relative) otherwise.
 func WithIncremental() RunOption {
 	return func(c *runConfig) { c.incremental = true }
 }

@@ -2,10 +2,10 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
+	"exlengine/internal/dispatch"
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
 	"exlengine/internal/workload"
@@ -199,9 +199,9 @@ func TestWithIncrementalFragmentFlags(t *testing.T) {
 	}
 }
 
-// TestWithIncrementalSQLInsertDelta: a pure-insert churn on a monotone
-// mapping is maintained by INSERT-delta SQL, byte-identical to the full
-// SQL refresh.
+// TestWithIncrementalSQLInsertDelta: an insert-only revision under a
+// tuple-level mapping assigned to SQL is maintained — by the chase, as
+// every delta is — and lands byte-identical to the full SQL refresh.
 func TestWithIncrementalSQLInsertDelta(t *testing.T) {
 	ctx := context.Background()
 	a := quarterCube(t, 40)
@@ -232,8 +232,8 @@ func TestWithIncrementalSQLInsertDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fr := range rep.Fragments {
-		if !fr.Incremental || fr.FellBackFull || fr.FallbackReason != "" {
-			t.Errorf("pure-insert SQL fragment %v not maintained by INSERT-delta: %+v", fr.Cubes, fr)
+		if fr.Final != ops.TargetSQL || !fr.Incremental || fr.FellBackFull || fr.FallbackReason != "" {
+			t.Errorf("SQL fragment %v not maintained from the insert-only delta: %+v", fr.Cubes, fr)
 		}
 	}
 	for _, rel := range []string{"B", "C"} {
@@ -243,10 +243,11 @@ func TestWithIncrementalSQLInsertDelta(t *testing.T) {
 	}
 }
 
-// TestFallbackReasonNamesTheCause: a SQL fragment that recomputes in
-// full says which of its disqualifying shapes applied, naming the
-// relation. For GDP's PQR := avg(PDR, …) a measure-changing revision of
-// PDR is declined for its delta, a pure-insert one for the aggregation.
+// TestFallbackReasonNamesTheCause: under preferred targets a
+// measure-changing revision of PDR is maintained through GDP's
+// aggregations on SQL and ETL alike; the fragment holding the stl_t black
+// box names the tgd the chase recomputed; and a derived cube overwritten
+// from outside is named as the relation without a previous version.
 func TestFallbackReasonNamesTheCause(t *testing.T) {
 	ctx := context.Background()
 	data := workload.GDPSource(workload.GDPConfig{Days: 200, Regions: 2, Seed: 5})
@@ -254,42 +255,59 @@ func TestFallbackReasonNamesTheCause(t *testing.T) {
 	if _, err := e.Run(ctx, WithIncremental()); err != nil {
 		t.Fatal(err)
 	}
-	reasonFor := func(rev *model.Cube) string {
+	fragmentOf := func(rep *Report, cube string) dispatch.FragmentReport {
 		t.Helper()
-		if err := e.PutCube(rev, time.Now()); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run(ctx, WithIncremental())
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, fr := range rep.Fragments {
-			if fr.Final == ops.TargetSQL && len(fr.Cubes) == 1 && fr.Cubes[0] == "PQR" {
-				if !fr.FellBackFull {
-					t.Fatalf("PQR is an aggregation and cannot be maintained: %+v", fr)
-				}
-				return fr.FallbackReason
+			if len(fr.Cubes) == 1 && fr.Cubes[0] == cube {
+				return fr
 			}
 		}
-		t.Fatalf("no SQL fragment produced PQR: %+v", rep.Fragments)
-		return ""
+		t.Fatalf("no fragment produced %s alone: %+v", cube, rep.Fragments)
+		return dispatch.FragmentReport{}
 	}
 
 	revised := churn(t, data["PDR"], false)
-	if got, want := reasonFor(revised), "delta of PDR is not insert-only"; !strings.Contains(got, want) {
-		t.Errorf("measure-changing revision: reason %q, want it to contain %q", got, want)
-	}
-
-	grown := revised.Clone()
-	ts := revised.Tuples()
-	last := ts[len(ts)-1]
-	day, _ := last.Dims[0].AsPeriod()
-	if err := grown.Put([]model.Value{model.Per(day.Shift(1)), last.Dims[1]}, 1.5); err != nil {
+	if err := e.PutCube(revised, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	got := reasonFor(grown)
-	if !strings.Contains(got, "not monotone") || !strings.Contains(got, "aggregation") || strings.Contains(got, "insert-only") {
-		t.Errorf("pure-insert revision: reason %q, want the non-monotone aggregation", got)
+	rep, err := e.Run(ctx, WithIncremental())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cube := range []string{"PQR", "RGDP", "GDP", "PCHNG"} {
+		fr := fragmentOf(rep, cube)
+		if fr.Final == ops.TargetChase || fr.Mode != dispatch.ModeMaintained || !fr.Incremental || fr.FallbackReason != "" {
+			t.Errorf("%s: want the %s fragment maintained from the delta: %+v", cube, fr.Primary, fr)
+		}
+	}
+	fr := fragmentOf(rep, "GDPT")
+	if want := "1 of 1 tgds recomputed in full: GDPT (blackbox)"; !fr.FellBackFull || fr.FallbackReason != want {
+		t.Errorf("GDPT: reason %q, want %q: %+v", fr.FallbackReason, want, fr)
+	}
+
+	// GDP overwritten from outside is no base: it runs in full, and with
+	// nothing to diff the result against its consumer sees it move
+	// without a delta.
+	gdp, _ := e.Cube("GDP")
+	if err := e.PutCube(churn(t, gdp, true), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PutCube(churn(t, revised, true), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = e.Run(ctx, WithIncremental()); err != nil {
+		t.Fatal(err)
+	}
+	fr = fragmentOf(rep, "GDP")
+	if want := "no previous version of GDP to maintain"; !fr.FellBackFull || fr.FallbackReason != want {
+		t.Errorf("GDP: reason %q, want %q: %+v", fr.FallbackReason, want, fr)
+	}
+	fr = fragmentOf(rep, "GDPT")
+	if want := "input GDP changed without a usable delta"; !fr.FellBackFull || fr.FallbackReason != want {
+		t.Errorf("GDPT: reason %q, want %q: %+v", fr.FallbackReason, want, fr)
+	}
+	if fr := fragmentOf(rep, "PQR"); !fr.Incremental {
+		t.Errorf("PQR has its base and must stay maintained: %+v", fr)
 	}
 }
 

@@ -31,12 +31,6 @@ func (d *CubeDelta) Size() int {
 	return len(d.Added) + len(d.Changed) + len(d.Deleted)
 }
 
-// PureInsert reports whether the delta only adds tuples — the condition
-// under which a monotone mapping can be maintained by INSERT-delta SQL.
-func (d *CubeDelta) PureInsert() bool {
-	return len(d.Changed) == 0 && len(d.Deleted) == 0
-}
-
 // smallDeltaShare bounds the deltas worth keeping in place of the cube
 // they lead to: a delta is small while it changes at most one tuple in
 // this many. Past that, logging the delta saves little over logging the

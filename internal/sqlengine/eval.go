@@ -257,8 +257,9 @@ func (db *DB) evalSelectWith(ctx context.Context, s *selectStmt, r *resolver) (*
 
 // evalSelectLegacy is the original tuple-at-a-time tree-walking
 // executor. It is kept, behind ExecLegacy, as the differential reference
-// for the vectorized executor: exlfuzz runs the same programs through
-// both and any disagreement is a bug in one of them.
+// for the vectorized executor: this package's own tests run the same
+// statements through both and any disagreement is a bug in one of them.
+// Nothing outside those tests selects ExecLegacy.
 func (db *DB) evalSelectLegacy(_ context.Context, s *selectStmt, r *resolver) (*Table, error) {
 	p, err := db.prepareSelect(s, r)
 	if err != nil {

@@ -114,8 +114,8 @@ func TestExecutorParityOnLoadedCubes(t *testing.T) {
 }
 
 // TestMutateLoadedCube: INSERT … VALUES, DELETE and INSERT … SELECT into
-// a cube-loaded table (the TranslateDelta path inserts into loaded base
-// outputs) keep the loaded tuples, and ExtractCube sees the result.
+// a cube-loaded table keep the loaded tuples, and ExtractCube sees the
+// result.
 func TestMutateLoadedCube(t *testing.T) {
 	forBothExecs(t, func(t *testing.T, mode ExecMode) {
 		pdr, _ := parityCubes(t)

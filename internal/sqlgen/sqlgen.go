@@ -211,14 +211,6 @@ func blackBoxSelect(t *mapping.Tgd, schemas map[string]model.Schema) (string, []
 }
 
 func joinSelect(t *mapping.Tgd, schemas map[string]model.Schema) (string, []string, error) {
-	return joinSelectTables(t, schemas, nil)
-}
-
-// joinSelectTables is joinSelect with an optional per-atom table
-// override: tableFor(i, rel) names the table atom i reads from (delta
-// translation substitutes rel__delta for one atom at a time). A nil
-// tableFor reads every atom from its relation's own table.
-func joinSelectTables(t *mapping.Tgd, schemas map[string]model.Schema, tableFor func(i int, rel string) string) (string, []string, error) {
 	out, ok := schemas[t.Rhs.Rel]
 	if !ok {
 		return "", nil, fmt.Errorf("no schema for %s", t.Rhs.Rel)
@@ -234,11 +226,7 @@ func joinSelectTables(t *mapping.Tgd, schemas map[string]model.Schema, tableFor 
 		if !ok {
 			return "", nil, fmt.Errorf("no schema for %s", atom.Rel)
 		}
-		table := atom.Rel
-		if tableFor != nil {
-			table = tableFor(i, atom.Rel)
-		}
-		from = append(from, fmt.Sprintf("%s %s", table, alias))
+		from = append(from, fmt.Sprintf("%s %s", atom.Rel, alias))
 		for j, d := range atom.Dims {
 			col := fmt.Sprintf("%s.%s", alias, strings.ToLower(sch.Dims[j].Name))
 			switch {

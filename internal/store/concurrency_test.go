@@ -85,7 +85,7 @@ func TestHistorySharesFrozenCubes(t *testing.T) {
 // an atomic PutAll pair) against snapshot readers. Run under -race. It
 // asserts the MVCC invariants the engine relies on:
 //
-//   - the generation observed by SnapshotVersioned never decreases;
+//   - the generation observed by SnapshotWithGenerations never decreases;
 //   - a snapshot's generation g means exactly the first g commits are
 //     visible — here checked through the PutAll pair, which must appear
 //     in lockstep in every snapshot (all-or-nothing visibility).
@@ -141,7 +141,7 @@ func TestConcurrentWritesVsSnapshots(t *testing.T) {
 			defer wg.Done()
 			var last uint64
 			for !stop.Load() {
-				snap, gen := s.SnapshotVersioned()
+				snap, gen, _ := s.SnapshotWithGenerations()
 				if gen < last {
 					errc <- fmt.Errorf("generation went backwards: %d after %d", gen, last)
 					return

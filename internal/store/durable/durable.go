@@ -593,35 +593,16 @@ func (d *Store) FetchAsOf(name string, t time.Time) (*model.Cube, error) {
 // Versions returns the validity instants of the cube's versions.
 func (d *Store) Versions(name string) []time.Time { return d.mem.Versions(name) }
 
-// Snapshot returns the current version of every cube, zero-copy.
-func (d *Store) Snapshot() map[string]*model.Cube { return d.mem.Snapshot() }
-
-// SnapshotVersioned is Snapshot plus the durable generation.
-func (d *Store) SnapshotVersioned() (map[string]*model.Cube, uint64) {
-	snap, memGen := d.mem.SnapshotVersioned()
-	return snap, d.genBase + (memGen - d.memBase)
-}
-
 // Generation returns the durable write generation: it continues across
 // restarts from wherever recovery ended.
 func (d *Store) Generation() uint64 {
 	return d.genBase + (d.mem.Generation() - d.memBase)
 }
 
-// CubeGenerations returns the per-cube latest-version generations on the
+// SnapshotWithGenerations is store.Store.SnapshotWithGenerations on the
 // durable generation axis. Versions recovered from disk carry replay
 // generations ≤ the generation at Open, preserving the invariant that an
 // unchanged generation implies an unchanged cube.
-func (d *Store) CubeGenerations() map[string]uint64 {
-	gens := d.mem.CubeGenerations()
-	for name, g := range gens {
-		gens[name] = g + (d.genBase - d.memBase)
-	}
-	return gens
-}
-
-// SnapshotWithGenerations is SnapshotVersioned plus the per-cube
-// generation map, on the durable generation axis.
 func (d *Store) SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64) {
 	snap, memGen, gens := d.mem.SnapshotWithGenerations()
 	for name, g := range gens {

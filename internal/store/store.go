@@ -390,48 +390,15 @@ func (s *Store) Schemas() map[string]model.Schema {
 	return out
 }
 
-// Snapshot returns the current version of every stored cube, keyed by
-// name — the source instance handed to the execution engines. The map is
+// SnapshotWithGenerations returns the current version of every stored
+// cube, keyed by name — the source instance handed to the execution
+// engines — with the store generation the snapshot was taken at and the
+// commit generation of each cube's version, all read atomically under
+// one lock acquisition: the view a run pins itself to. The maps are
 // fresh but the cubes are frozen shared references, so a snapshot costs
-// O(#cubes) regardless of how many tuples they hold.
-func (s *Store) Snapshot() map[string]*model.Cube {
-	snap, _ := s.SnapshotVersioned()
-	return snap
-}
-
-// SnapshotVersioned is Snapshot plus the store generation the snapshot
-// was taken at, read atomically under one lock acquisition.
-func (s *Store) SnapshotVersioned() (map[string]*model.Cube, uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]*model.Cube, len(s.cubes))
-	for name, vs := range s.cubes {
-		if len(vs) > 0 {
-			out[name] = vs[len(vs)-1].cube
-		}
-	}
-	return out, s.gen
-}
-
-// CubeGenerations returns, per stored cube, the commit generation of its
-// latest version — the per-cube slice of the store's write generation.
-// A cube whose generation has not moved since a previous read is
-// guaranteed unchanged (versions are immutable once frozen).
-func (s *Store) CubeGenerations() map[string]uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]uint64, len(s.cubes))
-	for name, vs := range s.cubes {
-		if len(vs) > 0 {
-			out[name] = vs[len(vs)-1].gen
-		}
-	}
-	return out
-}
-
-// SnapshotWithGenerations is SnapshotVersioned plus the per-cube
-// generation map, all read atomically under one lock acquisition — the
-// view an incremental run pins itself to.
+// O(#cubes) regardless of how many tuples they hold. A cube whose
+// generation has not moved since a previous read is guaranteed unchanged
+// (versions are immutable once frozen).
 func (s *Store) SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

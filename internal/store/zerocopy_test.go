@@ -76,8 +76,8 @@ func TestSnapshotZeroCopyAndGeneration(t *testing.T) {
 	if err := s.Put(yearCube(t, "A", map[int]float64{2000: 1}), time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	snap1, gen1 := s.SnapshotVersioned()
-	snap2, gen2 := s.SnapshotVersioned()
+	snap1, gen1, _ := s.SnapshotWithGenerations()
+	snap2, gen2, _ := s.SnapshotWithGenerations()
 	if gen1 != 1 || gen2 != 1 {
 		t.Errorf("generations = %d, %d, want 1, 1", gen1, gen2)
 	}

@@ -39,6 +39,27 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxJSONBody bounds every JSON request body. Cube uploads are CSV and
+// are governed by the tenant's memory budget instead.
+const maxJSONBody = 1 << 20
+
+// decodeJSON reads the request's JSON body into v, refusing to read more
+// than maxJSONBody of it. On failure it has written the reply — 413 for
+// an oversized body, 400 for a malformed one — and reports false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // writeEngineError maps an engine error onto HTTP: shutdown → 503,
 // any other typed overload → 429 (both with Retry-After), cancellation
 // → 499-style 400, everything else → 500.
@@ -147,8 +168,7 @@ type sessionInfo struct {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req sessionCreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Tenant == "" {
@@ -247,8 +267,7 @@ type programRequest struct {
 
 func (s *Server) handleProgramRegister(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req programRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Source == "" {
@@ -345,19 +364,17 @@ type runRequest struct {
 	// Async returns 202 + run ID immediately; poll GET /v1/runs/{id}.
 	Async bool `json:"async,omitempty"`
 	// Incremental asks for delta-driven recomputation: only cubes whose
-	// memoized input generations are stale are recomputed, from store
-	// deltas where possible. Byte-identical to a full run; ignored when
-	// the tenant store cannot serve deltas.
+	// memoized input generations are stale are recomputed, and where the
+	// store can give the deltas of their inputs the chase applies them to
+	// the previous versions, whatever target a fragment is assigned to
+	// (see engine.WithIncremental for the exactness contract).
 	Incremental bool `json:"incremental,omitempty"`
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req runRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
+	if r.ContentLength != 0 && !decodeJSON(w, r, &req) {
+		return
 	}
 	var opts []engine.RunOption
 	if len(req.Changed) > 0 {

@@ -59,7 +59,7 @@ type Config struct {
 	MaxFinishedRuns int
 	// Incremental makes every run delta-driven by default (as if each
 	// request set "incremental": true): only stale cubes recompute, from
-	// store deltas where possible, byte-identical to a full run.
+	// store deltas where possible (see engine.WithIncremental).
 	Incremental bool
 	// Auth authorizes session creation. Defaults to AllowAll.
 	Auth Authenticator

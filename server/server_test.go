@@ -476,3 +476,87 @@ func TestRunCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// countingAuth admits everything and counts how often it was asked.
+type countingAuth struct{ calls atomic.Int64 }
+
+func (a *countingAuth) Authenticate(token, tenant string) error {
+	a.calls.Add(1)
+	return nil
+}
+
+// TestOversizedJSONBodyRejected: each JSON endpoint refuses a 2 MiB body
+// — well-formed, so nothing but its size is wrong with it — with 413 and
+// the typed error body, before authenticating and without creating the
+// session, program or run it asks for.
+func TestOversizedJSONBodyRejected(t *testing.T) {
+	before := runtime.NumGoroutine()
+	auth := &countingAuth{}
+	srv := New(Config{Auth: auth})
+	h := srv.Handler()
+	serve := func(method, path, sid string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		if sid != "" {
+			req.Header.Set(SessionHeader, sid)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	padded := func(fields map[string]string) []byte {
+		fields["pad"] = strings.Repeat("x", 2<<20)
+		b, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	rejected := func(what string, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		var e apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+			t.Fatalf("%s: status %d, body %q; want 413 with a JSON error", what, rec.Code, rec.Body.String())
+		}
+	}
+
+	rejected("session create", serve(http.MethodPost, "/v1/sessions", "", padded(map[string]string{"tenant": "big"})))
+	if auth.calls.Load() != 0 || srv.sessions.count() != 0 || srv.tenants.count() != 0 {
+		t.Fatalf("oversized session create reached auth %d time(s), left %d session(s), %d tenant(s)",
+			auth.calls.Load(), srv.sessions.count(), srv.tenants.count())
+	}
+
+	var sess sessionInfo
+	rec := serve(http.MethodPost, "/v1/sessions", "", []byte(`{"tenant":"alpha"}`))
+	if err := json.Unmarshal(rec.Body.Bytes(), &sess); rec.Code != http.StatusCreated || err != nil {
+		t.Fatalf("session create: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	sid := sess.Session
+
+	rejected("program register", serve(http.MethodPost, "/v1/programs", sid,
+		padded(map[string]string{"name": "prog", "source": testProgram})))
+	if rec := serve(http.MethodGet, "/v1/programs", sid, nil); !strings.Contains(rec.Body.String(), `"programs": []`) {
+		t.Fatalf("oversized register left a program: %s", rec.Body.String())
+	}
+
+	b, _ := json.Marshal(map[string]string{"name": "prog", "source": testProgram})
+	if rec := serve(http.MethodPost, "/v1/programs", sid, b); rec.Code != http.StatusCreated {
+		t.Fatalf("register: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := serve(http.MethodPut, "/v1/cubes/SRC", sid, testCSV(t, 1, 6)); rec.Code != http.StatusOK {
+		t.Fatalf("put SRC: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	rejected("run", serve(http.MethodPost, "/v1/run", sid, padded(map[string]string{})))
+	if rec := serve(http.MethodGet, "/v1/runs", sid, nil); !strings.Contains(rec.Body.String(), `"runs": []`) {
+		t.Fatalf("oversized run request left a run: %s", rec.Body.String())
+	}
+	if rec := serve(http.MethodGet, "/v1/cubes/OUT", sid, nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("oversized run request computed OUT: status %d", rec.Code)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitNoLeak(t, before)
+}
