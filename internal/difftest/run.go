@@ -24,7 +24,7 @@ const DefaultTol = 1e-6
 // Divergence is one engine disagreeing with the chase reference on one
 // derived cube (or failing outright where the chase succeeded).
 type Divergence struct {
-	Engine string   // "sql", "frame" or "etl"
+	Engine string   // "sql", "frame" or "etl", with " on columns" where the inputs were held so; or "chase on columns"
 	Rel    string   // derived cube, or "" for whole-engine failures
 	Lines  []string // human-readable tuple diffs or the error message
 }
@@ -72,8 +72,8 @@ func Run(c *Case, tol float64) (*Result, error) {
 		return nil, fmt.Errorf("difftest: chase reference: %w", err)
 	}
 
-	res := &Result{Mapping: m}
-	record := func(engine string, got map[string]*model.Cube, execErr error) {
+	res := &Result{Mapping: m, SQLSkipped: hasPadVector(m)}
+	record := func(engine string, got map[string]*model.Cube, execErr error, tol float64) {
 		if execErr != nil {
 			res.Divergences = append(res.Divergences, Divergence{
 				Engine: engine, Lines: []string{"engine failed where chase succeeded: " + execErr.Error()},
@@ -93,58 +93,79 @@ func Run(c *Case, tol float64) (*Result, error) {
 		}
 	}
 
-	// Frame engine.
-	fres, err := func() (map[string]*model.Cube, error) {
-		fs, err := frame.Translate(m)
-		if err != nil {
-			return nil, err
-		}
-		return frame.Execute(fs, m, c.Data)
-	}()
-	record("frame", fres, err)
-
-	// ETL engine.
-	eres, err := func() (map[string]*model.Cube, error) {
-		job, err := etl.Translate(m, "difftest")
-		if err != nil {
-			return nil, err
-		}
-		return etl.Run(job, m, c.Data)
-	}()
-	record("etl", eres, err)
-
-	// SQL engine — unless the program uses padded vectorial operators,
-	// which the emitted dialect cannot express (no outer joins).
-	if hasPadVector(m) {
-		res.SQLSkipped = true
-		return res, nil
+	// Every engine runs twice: on the inputs as generated, row maps, and
+	// on the same inputs held the way a store holds a revision, as
+	// columns over a predecessor's key set. The reference is the one chase
+	// run on the row maps; the chase on the columns must match it exactly.
+	asColumns := make(map[string]*model.Cube, len(c.Data))
+	for name, cube := range c.Data {
+		asColumns[name] = columnForm(cube)
 	}
-	sres, err := func() (map[string]*model.Cube, error) {
-		db := sqlengine.NewDB()
-		for _, name := range m.Elementary {
-			if err := db.LoadCube(c.Data[name]); err != nil {
+	cres, err := chase.New(m).Solve(chase.Instance(asColumns))
+	record("chase on columns", cres, err, 0)
+	for _, form := range []struct {
+		suffix string
+		data   map[string]*model.Cube
+	}{{"", c.Data}, {" on columns", asColumns}} {
+		fres, err := func() (map[string]*model.Cube, error) {
+			fs, err := frame.Translate(m)
+			if err != nil {
 				return nil, err
 			}
-		}
-		script, err := sqlgen.Translate(m)
-		if err != nil {
-			return nil, err
-		}
-		if err := sqlgen.Execute(script, db); err != nil {
-			return nil, err
-		}
-		out := make(map[string]*model.Cube)
-		for _, rel := range m.Derived {
-			cube, err := db.ExtractCube(m.Schemas[rel])
+			return frame.Execute(fs, m, form.data)
+		}()
+		record("frame"+form.suffix, fres, err, tol)
+
+		eres, err := func() (map[string]*model.Cube, error) {
+			job, err := etl.Translate(m, "difftest")
 			if err != nil {
-				return nil, fmt.Errorf("extract %s: %w", rel, err)
+				return nil, err
 			}
-			out[rel] = cube
+			return etl.Run(job, m, form.data)
+		}()
+		record("etl"+form.suffix, eres, err, tol)
+
+		// SQL engine — unless the program uses padded vectorial operators,
+		// which the emitted dialect cannot express (no outer joins).
+		if res.SQLSkipped {
+			continue
 		}
-		return out, nil
-	}()
-	record("sql", sres, err)
+		sres, err := func() (map[string]*model.Cube, error) {
+			db := sqlengine.NewDB()
+			for _, name := range m.Elementary {
+				if err := db.LoadCube(form.data[name]); err != nil {
+					return nil, err
+				}
+			}
+			script, err := sqlgen.Translate(m)
+			if err != nil {
+				return nil, err
+			}
+			if err := sqlgen.Execute(script, db); err != nil {
+				return nil, err
+			}
+			out := make(map[string]*model.Cube)
+			for _, rel := range m.Derived {
+				cube, err := db.ExtractCube(m.Schemas[rel])
+				if err != nil {
+					return nil, fmt.Errorf("extract %s: %w", rel, err)
+				}
+				out[rel] = cube
+			}
+			return out, nil
+		}()
+		record("sql"+form.suffix, sres, err, tol)
+	}
 	return res, nil
+}
+
+// columnForm returns c's content as a frozen version held as columns
+// alone: the revision, with every measure as it is, of a copy of c that
+// has been read in order.
+func columnForm(c *model.Cube) *model.Cube {
+	prev := c.Clone().Freeze()
+	_ = prev.Ordered(func(model.Tuple) error { return nil })
+	return prev.Revise(c).Current
 }
 
 func hasPadVector(m *mapping.Mapping) bool {

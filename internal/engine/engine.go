@@ -438,8 +438,10 @@ func (e *Engine) LoadCSV(name string, r io.Reader, asOf time.Time) error {
 	if err != nil {
 		return err
 	}
-	// The parsed cube is nobody else's: frozen, the store adopts it instead
-	// of cloning it.
+	// The parsed cube is nobody else's: frozen, the store adopts a first
+	// load instead of cloning it — and a durable store then logs it in full
+	// from the version it stored, which leaves that version with its cube
+	// order for the next load to share (store.NewVersion).
 	return e.store.Put(c.Freeze(), asOf)
 }
 

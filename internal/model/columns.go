@@ -1,0 +1,207 @@
+package model
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// keySet is the part of a version's column form that its measures play no
+// part in: the dimension tuples in cube order, each with its row key, and a
+// key → row index built on the first probe. It is immutable and shared by
+// reference: by every reader of the version it was sorted for, and by every
+// later version Revise found to hold the same dimension tuples.
+type keySet struct {
+	tuples []dimTuple
+
+	once  sync.Once
+	index map[string]int // tuples[i].key → i; read through rows
+
+	est atomic.Int64 // memEstimate's cache (0 = not estimated yet)
+}
+
+// dimTuple is one dimension tuple of a key set: the Dims slice its tuples
+// show, and the row key it encodes to.
+type dimTuple struct {
+	dims []Value
+	key  string
+}
+
+// columns is a cube version in column form: a key set and the measure
+// column aligned with it. Like the key set it is never written to once a
+// cube points at it.
+type columns struct {
+	keys     *keySet
+	measures []float64
+}
+
+func (p *columns) tuple(i int) Tuple {
+	return Tuple{Dims: p.keys.tuples[i].dims, Measure: p.measures[i]}
+}
+
+// rows returns the key → row index, building it on the first call. Every
+// version on the key set probes the one index.
+func (ks *keySet) rows() map[string]int {
+	ks.once.Do(func() {
+		ks.index = make(map[string]int, len(ks.tuples))
+		for i, t := range ks.tuples {
+			ks.index[t.key] = i
+		}
+	})
+	return ks.index
+}
+
+// keySetTupleBytes is what memEstimate charges a key set per tuple beside
+// its key bytes and values: the Dims and key headers, and an index entry
+// whether or not the index has been built yet (see tupleOverheadBytes for
+// why it rounds up).
+const keySetTupleBytes = 80
+
+// memEstimate is Cube.MemEstimate's share for the key set. It walks the
+// dimension values once per key set, not once per version.
+func (ks *keySet) memEstimate() int64 {
+	if v := ks.est.Load(); v > 0 {
+		return v
+	}
+	n := int64(tupleOverheadBytes)
+	for _, t := range ks.tuples {
+		n += keySetTupleBytes + int64(len(t.key))
+		for _, v := range t.dims {
+			n += valueShellBytes + int64(len(v.str))
+		}
+	}
+	ks.est.Store(n)
+	return n
+}
+
+// columns returns the cube's column form, whose order is the cube's
+// deterministic order: the byte order of the tuples' row keys (see
+// AppendKey), which gives every engine the same iteration order and keeps
+// generated artifacts and test expectations stable. A cube held as a row
+// map computes it on the first ordered scan of a version and caches it
+// until the next mutation. What is returned is shared by every reader of
+// the cube and must not be written to.
+func (c *Cube) columns() *columns {
+	if p := c.cols.Load(); p != nil {
+		return p
+	}
+	// One pass over the key lengths sizes the arena exactly; the second
+	// gathers the columns and the keys together.
+	n, size := len(c.rows), 0
+	for k := range c.rows {
+		size += keySpace(len(k))
+	}
+	ks := &keySet{tuples: make([]dimTuple, 0, n)}
+	p := &columns{keys: ks, measures: make([]float64, 0, n)}
+	arena := make([]byte, 0, size)
+	for k, t := range c.rows {
+		ks.tuples, p.measures = append(ks.tuples, dimTuple{t.Dims, k}), append(p.measures, t.Measure)
+		arena = appendArenaKey(arena, k)
+	}
+	sortByKeys(arena, ks.tuples, p.measures)
+	// Readers of a frozen cube may race to the first scan; they all end up
+	// on the one key set that got there first, so that a version's key set
+	// has one identity for Revise to pass on.
+	if !c.cols.CompareAndSwap(nil, p) {
+		return c.cols.Load()
+	}
+	return p
+}
+
+// held returns the column form when it is all the cube holds — a version
+// Revise made — and nil for a cube with a row map, cached order or not.
+func (c *Cube) held() *columns {
+	if c.rows != nil {
+		return nil
+	}
+	return c.cols.Load()
+}
+
+// lookup is Get by row key.
+func (c *Cube) lookup(key string) (float64, bool) {
+	if p := c.held(); p != nil {
+		i, ok := p.keys.rows()[key]
+		if !ok {
+			return 0, false
+		}
+		return p.measures[i], true
+	}
+	t, ok := c.rows[key]
+	return t.Measure, ok
+}
+
+// scan calls fn on every tuple with its row key until fn returns false: in
+// cube order when columns are all the cube holds, in map order otherwise.
+func (c *Cube) scan(fn func(key string, t Tuple) bool) {
+	if p := c.held(); p != nil {
+		for i, t := range p.keys.tuples {
+			if !fn(t.key, Tuple{Dims: t.dims, Measure: p.measures[i]}) {
+				return
+			}
+		}
+		return
+	}
+	for k, t := range c.rows {
+		if !fn(k, t) {
+			return
+		}
+	}
+}
+
+// Revise returns how c differs from prev, with c's content as a new frozen
+// version in Current that shares prev's key set — or nil when that sharing
+// is not to be had: prev must be frozen with its order cached (some reader
+// scanned it in order, or it is itself such a version), c must hold a row
+// map under the same schema and as many tuples as prev, and every
+// dimension tuple of prev must be in c. That is what a statistical revision
+// looks like: measures restated at the dimension tuples already there.
+//
+// The one pass over prev's keys in cube order, probing c's row map, yields
+// the new measure column and the exact Changed list, in cube order, and
+// stops at the first key c lacks. The new version costs its measure column
+// only: no clone, no sort, and a memory estimate in O(1). Its tuples carry
+// prev's Dims slices rather than c's: the substitution PutFrom makes,
+// between Values that encode to one key and therefore are Equal (an Int 3
+// may stand where c said Num 3.0). c itself is left as it was and stays
+// the caller's.
+func (prev *Cube) Revise(c *Cube) *CubeDelta {
+	p := prev.cols.Load()
+	if !prev.frozen || p == nil || c.rows == nil || len(c.rows) != len(p.measures) || !prev.schema.Equal(c.schema) {
+		return nil
+	}
+	q := &columns{keys: p.keys, measures: make([]float64, len(p.measures))}
+	for i, k := range p.keys.tuples {
+		t, ok := c.rows[k.key]
+		if !ok {
+			return nil
+		}
+		q.measures[i] = t.Measure
+	}
+	cur := &Cube{schema: c.schema, frozen: true}
+	cur.cols.Store(q)
+	changed, _ := changedBetween(p, q, len(q.measures))
+	return &CubeDelta{Name: c.schema.Name, Base: prev, Current: cur, Changed: changed}
+}
+
+// changedBetween lists, in cube order, the tuples of q whose measure is not
+// the one p has at the same position, for two columns over one key set: the
+// whole delta between them. It gives up (false) past limit tuples. The
+// first pass counts, so that the list — which a store keeps with the
+// version — is allocated once and at its size.
+func changedBetween(p, q *columns, limit int) ([]Tuple, bool) {
+	n := 0
+	for i, m := range q.measures {
+		if m != p.measures[i] {
+			n++
+		}
+	}
+	if n == 0 || n > limit {
+		return nil, n == 0
+	}
+	changed := make([]Tuple, 0, n)
+	for i, m := range q.measures {
+		if m != p.measures[i] {
+			changed = append(changed, q.tuple(i))
+		}
+	}
+	return changed, true
+}

@@ -1,0 +1,460 @@
+package model
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// ordered marks c frozen and takes the first ordered scan of it, so that
+// its column form is cached: what Revise needs of a predecessor.
+func ordered(c *Cube) *Cube {
+	_ = c.Freeze().Ordered(func(Tuple) error { return nil })
+	return c
+}
+
+// asColumns returns c's content as a version held as columns alone, the
+// way a store comes by one: as the revision of a predecessor with the same
+// dimension tuples and other measures.
+func asColumns(t testing.TB, c *Cube) *Cube {
+	t.Helper()
+	prev := NewCube(c.Schema())
+	_ = c.ForEach(func(tu Tuple) error { return prev.Replace(tu.Dims, tu.Measure+1) })
+	d := ordered(prev).Revise(c)
+	if d == nil {
+		t.Fatal("Revise gave up on a cube with its predecessor's dimension tuples")
+	}
+	if d.Current.held() == nil || !d.Current.Frozen() || !d.Current.OrderCached() {
+		t.Fatal("the revised version is not a frozen cube held as columns")
+	}
+	return d.Current
+}
+
+func sameDelta(t *testing.T, what string, got, want *CubeDelta) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: delta is %v, want %v", what, got, want)
+	}
+	if got == nil {
+		return
+	}
+	sameTuples(t, what+": Added", got.Added, want.Added)
+	sameTuples(t, what+": Changed", got.Changed, want.Changed)
+	sameTuples(t, what+": Deleted", got.Deleted, want.Deleted)
+}
+
+// TestTwoFormsOneBehaviour: every reader gives the same answer on a cube
+// held as a row map and on the same content held as columns alone.
+func TestTwoFormsOneBehaviour(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	series := NewCube(gdpSchema())
+	for i := 0; i < 40; i++ {
+		_ = series.Put(quarter(i), float64(i)*1.5)
+	}
+	odd := NewCube(NewSchema("ODD", []Dim{{Name: "x", Type: TInt}}, "m"))
+	for i, m := range []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, -7} {
+		_ = odd.Replace([]Value{Int(int64(i))}, m)
+	}
+	cases := map[string]*Cube{
+		"empty":   NewCube(gdpSchema()),
+		"one":     pdrCube(1),
+		"pdr":     pdrCube(600),
+		"series":  series,
+		"mixed":   randomCube(r, 300, "number", "string"),
+		"nuls":    randomCube(r, 100, "nuls", "int"),
+		"oddball": odd,
+	}
+	for name, content := range cases {
+		t.Run(name, func(t *testing.T) {
+			rows, cols := content.Clone().Freeze(), asColumns(t, content)
+			want := byCompare(rows)
+
+			if rows.Len() != len(want) || cols.Len() != len(want) {
+				t.Fatalf("Len = %d and %d, want %d", rows.Len(), cols.Len(), len(want))
+			}
+			for _, c := range []*Cube{rows, cols} {
+				var scanned, unordered []Tuple
+				_ = c.Ordered(func(tu Tuple) error { scanned = append(scanned, tu); return nil })
+				sameTuples(t, "Ordered", scanned, want)
+				sameTuples(t, "Tuples", c.Tuples(), want)
+				_ = c.ForEach(func(tu Tuple) error { unordered = append(unordered, tu); return nil })
+				if len(unordered) != len(want) {
+					t.Fatalf("ForEach saw %d tuples, want %d", len(unordered), len(want))
+				}
+				stop := fmt.Errorf("stop")
+				seen := 0
+				if err := c.ForEach(func(Tuple) error { seen++; return stop }); len(want) > 0 && (err != stop || seen != 1) {
+					t.Errorf("ForEach did not stop at the first error: %d calls, err %v", seen, err)
+				}
+				for _, tu := range want {
+					if m, ok := c.Get(tu.Dims); !ok || math.Float64bits(m) != math.Float64bits(tu.Measure) {
+						t.Fatalf("Get(%v) = %v, %v, want %v", formatDims(tu.Dims), m, ok, tu.Measure)
+					}
+				}
+				miss := make([]Value, len(c.Schema().Dims))
+				for i := range miss {
+					miss[i] = Str("no such coordinate")
+				}
+				if _, ok := c.Get(miss); ok {
+					t.Error("Get found a tuple the cube does not hold")
+				}
+				if c.MemEstimate() < int64(8*len(want)) || !c.MemEstimateCached() {
+					t.Errorf("MemEstimate = %d, cached %v", c.MemEstimate(), c.MemEstimateCached())
+				}
+
+				clone := c.Clone()
+				if clone.Frozen() || !clone.Equal(rows, 0) {
+					t.Fatal("Clone is frozen or differs from its original")
+				}
+				extra := make([]Value, len(miss))
+				copy(extra, miss)
+				if err := clone.Replace(extra, 1); err != nil || c.Len() != len(want) {
+					t.Fatalf("mutating the clone: %v; the original now has %d tuples", err, c.Len())
+				}
+
+				into := NewCube(c.Schema())
+				err := into.PutFrom(c, func(tu Tuple) (float64, bool, error) { return tu.Measure, !(tu.Measure > 100), nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept := 0
+				for _, tu := range want {
+					m, ok := into.Get(tu.Dims)
+					if ok != !(tu.Measure > 100) || ok && math.Float64bits(m) != math.Float64bits(tu.Measure) {
+						t.Fatalf("PutFrom: %v -> %v, %v", formatDims(tu.Dims), m, ok)
+					}
+					if ok {
+						kept++
+					}
+				}
+				if into.Len() != kept {
+					t.Fatalf("PutFrom kept %d tuples, want %d", into.Len(), kept)
+				}
+			}
+			if rows.MemEstimate() < cols.MemEstimate()/4 {
+				t.Errorf("estimates %d (row map) and %d (columns) are far apart", rows.MemEstimate(), cols.MemEstimate())
+			}
+
+			// Equal, Diff and DiffCubes, across every pairing of the forms,
+			// against the same content and against an edited copy.
+			edited := content.Clone()
+			if len(want) > 0 {
+				_ = edited.Replace(want[0].Dims, want[0].Measure+5)
+				edited.Delete(want[len(want)-1].Dims)
+			}
+			added := make([]Value, len(content.Schema().Dims))
+			for i := range added {
+				added[i] = Str("added")
+			}
+			_ = edited.Replace(added, 1)
+			editedCols := asColumns(t, edited)
+			wantDiff := rows.Diff(edited, 0, 10)
+			wantDelta := DiffCubes("C", rows, edited)
+			wantBack := DiffCubes("C", edited, rows)
+			for i, a := range []*Cube{rows, cols} {
+				for j, b := range []*Cube{rows, cols} {
+					if !a.Equal(b, 0) {
+						t.Errorf("Equal is false between forms %d and %d of one content", i, j)
+					}
+					sameDelta(t, "DiffCubes of one content", DiffCubes("C", a, b), &CubeDelta{})
+				}
+				for j, e := range []*Cube{edited, editedCols} {
+					what := fmt.Sprintf("forms %d, %d", i, j)
+					if a.Equal(e, 0) || e.Equal(a, 0) {
+						t.Errorf("%s: Equal is true against an edited copy", what)
+					}
+					if got := a.Diff(e, 0, 10); !reflect.DeepEqual(got, wantDiff) {
+						t.Errorf("%s: Diff = %q, want %q", what, got, wantDiff)
+					}
+					sameDelta(t, what, DiffCubes("C", a, e), wantDelta)
+					sameDelta(t, what+" reversed", DiffCubes("C", e, a), wantBack)
+					sameDelta(t, what+" small", DiffSmall("C", a, e), DiffSmall("C", rows, edited))
+				}
+			}
+
+			if content.Schema().IsTimeSeries() {
+				p1, v1, err1 := rows.SortedSeries()
+				p2, v2, err2 := cols.SortedSeries()
+				if err1 != nil || err2 != nil || !reflect.DeepEqual(p1, p2) || !reflect.DeepEqual(v1, v2) || len(p1) != len(want) {
+					t.Errorf("SortedSeries differs between the forms (%v, %v)", err1, err2)
+				}
+				if len(v2) > 0 {
+					v2[0]++
+					if m, _ := cols.Get(want[0].Dims); m != want[0].Measure {
+						t.Error("SortedSeries handed out the cube's own measure column")
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReviseSharesTheKeySet: a revision is stored as a measure column over
+// its predecessor's key set, with the exact delta; two versions on one key
+// set are diffed column against column; and the Dims a revised version
+// shows are its predecessor's — key-equal, hence Equal, to the ones put.
+func TestReviseSharesTheKeySet(t *testing.T) {
+	sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "r", Type: TString}}, "m")
+	prev := NewCube(sch)
+	for i := 0; i < 100; i++ {
+		_ = prev.Put([]Value{Int(int64(i)), Str("r")}, float64(i))
+	}
+	ordered(prev)
+	// The revision names the same points with Num where prev has Int.
+	rev := NewCube(sch)
+	for i := 0; i < 100; i++ {
+		m := float64(i)
+		if i%10 == 3 {
+			m = -m
+		}
+		_ = rev.Put([]Value{Num(float64(i)), Str("r")}, m)
+	}
+	d := prev.Revise(rev)
+	if d == nil {
+		t.Fatal("Revise gave up on a revision")
+	}
+	v1 := d.Current
+	if d.Base != prev || d.Name != "C" || v1.held().keys != prev.columns().keys {
+		t.Fatal("the revision does not share its predecessor's key set")
+	}
+	if !v1.Equal(rev, 0) {
+		t.Fatalf("revised version differs from what was put: %v", v1.Diff(rev, 0, 3))
+	}
+	sameDelta(t, "Revise", d, DiffCubes("C", prev, rev.Clone().Freeze()))
+	if len(d.Changed) != 10 || len(d.Added)+len(d.Deleted) != 0 {
+		t.Fatalf("delta = +%d ~%d -%d, want 10 changed", len(d.Added), len(d.Changed), len(d.Deleted))
+	}
+	_ = v1.Ordered(func(tu Tuple) error {
+		if tu.Dims[0].Kind() != KindInt {
+			t.Fatalf("revised version shows %v (%v), want the predecessor's Int", tu.Dims[0], tu.Dims[0].Kind())
+		}
+		if m, ok := rev.Get(tu.Dims); !ok || m != tu.Measure {
+			t.Fatalf("%v -> %v is not what was put (%v, %v)", formatDims(tu.Dims), tu.Measure, m, ok)
+		}
+		return nil
+	})
+	if rev.Frozen() || rev.OrderCached() {
+		t.Error("Revise froze or sorted the caller's cube")
+	}
+
+	// A revision of the revision: still the one key set; versions two
+	// apart are compared without a probe.
+	rev2 := rev.Clone()
+	_ = rev2.Replace([]Value{Int(50), Str("r")}, 1e6)
+	d2 := v1.Revise(rev2)
+	if d2 == nil || d2.Current.held().keys != v1.held().keys {
+		t.Fatal("second revision does not share the key set")
+	}
+	sameDelta(t, "second revision", d2, DiffCubes("C", rev, rev2))
+	sameDelta(t, "two apart", DiffCubes("C", asColumnsOn(t, prev, prev), d2.Current), DiffCubes("C", prev, rev2))
+	if got := DiffSmall("C", asColumnsOn(t, prev, prev), asColumnsOn(t, prev, negated(prev))); got != nil {
+		t.Errorf("DiffSmall of columns that differ everywhere = %d tuples, want nil", got.Size())
+	}
+	// Revising, scanning and diffing versions on one key set need no
+	// index; the first probe by key builds the one they all share.
+	if prev.columns().keys.index != nil {
+		t.Error("something probed the key set's index")
+	}
+	if !rev2.Equal(d2.Current, 0) || v1.held().keys.index == nil {
+		t.Error("probing the second revision by key did not build the index its predecessors share")
+	}
+}
+
+// asColumnsOn is prev.Revise(c).Current.
+func asColumnsOn(t *testing.T, prev, c *Cube) *Cube {
+	t.Helper()
+	d := prev.Revise(c)
+	if d == nil {
+		t.Fatal("Revise gave up")
+	}
+	return d.Current
+}
+
+func negated(c *Cube) *Cube {
+	out := NewCube(c.Schema())
+	_ = c.ForEach(func(tu Tuple) error { return out.Replace(tu.Dims, -tu.Measure-1) })
+	return out
+}
+
+// TestReviseGivesUp: every way a put cube is not a revision the store can
+// share a key set for.
+func TestReviseGivesUp(t *testing.T) {
+	base := func() *Cube { return pdrCube(200) }
+	last := ordered(base()).Tuples()[199]
+
+	if base().Freeze().Revise(base()) != nil {
+		t.Error("shared with a predecessor whose order nobody computed")
+	}
+	unfrozen := base()
+	_ = unfrozen.Ordered(func(Tuple) error { return nil })
+	if !unfrozen.OrderCached() || unfrozen.Revise(base()) != nil {
+		t.Error("shared with a predecessor that can still change")
+	}
+	grown := base()
+	_ = grown.Put([]Value{Per(NewDaily(1999, time.January, 1)), Str("R00")}, 1)
+	if ordered(base()).Revise(grown) != nil {
+		t.Error("shared across an insert")
+	}
+	shrunk := base()
+	shrunk.Delete(last.Dims)
+	if ordered(base()).Revise(shrunk) != nil {
+		t.Error("shared across a delete")
+	}
+	swapped := base() // same count, the last key in cube order replaced by a later one
+	swapped.Delete(last.Dims)
+	_ = swapped.Put([]Value{Per(NewDaily(2100, time.January, 1)), Str("R00")}, 1)
+	if ordered(base()).Revise(swapped) != nil {
+		t.Error("shared although the last key in order is missing")
+	}
+	renamed := NewCube(base().Schema().Rename("OTHER"))
+	_ = base().ForEach(func(tu Tuple) error { return renamed.Put(tu.Dims, tu.Measure) })
+	if ordered(base()).Revise(renamed) != nil {
+		t.Error("shared across schemas")
+	}
+	if prev := ordered(base()); prev.Revise(asColumnsOn(t, prev, base())) != nil {
+		t.Error("revised from a cube that holds no row map")
+	}
+	if ordered(base()).Revise(base()) == nil {
+		t.Error("gave up on an unchanged revision")
+	}
+	if d := ordered(NewCube(gdpSchema())).Revise(NewCube(gdpSchema())); d == nil || d.Current.Len() != 0 || !d.Empty() {
+		t.Error("gave up on an empty revision of an empty cube")
+	}
+}
+
+// TestKeySetSharedConcurrently: goroutines read several versions of one
+// key set — Get, Ordered, PutFrom's source side, MemEstimate — while its
+// index is first built (run under -race).
+func TestKeySetSharedConcurrently(t *testing.T) {
+	prev := ordered(pdrCube(4000))
+	versions := []*Cube{prev}
+	for v := 1; v <= 3; v++ {
+		rev := prev.Clone()
+		for i := v; i < 4000; i += 97 {
+			tu := prev.columns().tuple(i)
+			_ = rev.Replace(tu.Dims, float64(-v*i))
+		}
+		versions = append(versions, asColumnsOn(t, versions[len(versions)-1], rev))
+	}
+	want := prev.Tuples()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := versions[1+g%3]
+			switch g % 4 {
+			case 0, 1:
+				for i := g; i < len(want); i += 7 {
+					if _, ok := c.Get(want[i].Dims); !ok {
+						t.Errorf("Get misses %v", formatDims(want[i].Dims))
+						return
+					}
+				}
+			case 2:
+				i := 0
+				_ = c.Ordered(func(tu Tuple) error {
+					if compareDims(tu.Dims, want[i].Dims) != 0 {
+						t.Errorf("Ordered differs from the order at %d", i)
+					}
+					i++
+					return nil
+				})
+			default:
+				out := NewCube(c.Schema())
+				if err := out.PutFrom(c, func(tu Tuple) (float64, bool, error) { return tu.Measure, true, nil }); err != nil || !out.Equal(c, 0) {
+					t.Errorf("PutFrom: %v", err)
+				}
+			}
+			if c.MemEstimate() <= 0 {
+				t.Error("MemEstimate is not positive")
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// FuzzRevise: a base cube and an edit script of measure changes, inserts,
+// deletes and same-count key swaps. Revise gives up exactly when the
+// script moved the set of dimension tuples; otherwise its version is Equal
+// at tolerance 0 to the frozen copy it replaces, and its delta is
+// DiffCubes' list for list.
+func FuzzRevise(f *testing.F) {
+	f.Add(uint8(10), []byte{})
+	f.Add(uint8(10), []byte{0, 3, 7, 0, 4, 9})         // changes
+	f.Add(uint8(10), []byte{1, 40, 1})                 // an insert
+	f.Add(uint8(10), []byte{2, 9, 0})                  // a delete
+	f.Add(uint8(10), []byte{2, 9, 0, 1, 77, 5})        // a swap at the last key
+	f.Add(uint8(10), []byte{2, 2, 0, 1, 2, 8})         // a delete put back with another measure
+	f.Add(uint8(0), []byte{1, 0, 0, 2, 0, 0})          // from empty and back
+	f.Add(uint8(200), []byte{0, 199, 255, 3, 0, 0, 0}) // a NaN measure
+	f.Fuzz(func(t *testing.T, n uint8, script []byte) {
+		sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "s", Type: TString}}, "m")
+		dims := func(i byte) []Value { return []Value{Int(int64(i) / 3), Str(string(rune('a' + i%3)))} }
+		base := NewCube(sch)
+		for i := 0; i < int(n); i++ {
+			_ = base.Replace(dims(byte(i)), float64(i))
+		}
+		c := base.Clone()
+		for ; len(script) >= 3; script = script[3:] {
+			op, at, m := script[0]%4, script[1], float64(script[2])
+			switch op {
+			case 0, 1: // a change where at is held, an insert where it is not
+				_ = c.Replace(dims(at), m)
+			case 2:
+				c.Delete(dims(at))
+			default:
+				_ = c.Replace(dims(at), math.NaN())
+			}
+		}
+		sameKeys := c.Len() == base.Len()
+		_ = c.ForEach(func(tu Tuple) error {
+			if _, ok := base.Get(tu.Dims); !ok {
+				sameKeys = false
+			}
+			return nil
+		})
+
+		prev := ordered(base)
+		d := prev.Revise(c)
+		if (d != nil) != sameKeys {
+			t.Fatalf("Revise = %v on a cube with the same dimension tuples: %v", d, sameKeys)
+		}
+		if d == nil {
+			return
+		}
+		want := c.Clone().Freeze()
+		if !d.Current.Equal(want, 0) || !want.Equal(d.Current, 0) || d.Current.Len() != want.Len() {
+			t.Fatalf("revised version differs: %v", d.Current.Diff(want, 0, 3))
+		}
+		ref := DiffCubes("C", prev, want)
+		for _, l := range []struct{ got, want []Tuple }{{d.Added, ref.Added}, {d.Changed, ref.Changed}, {d.Deleted, ref.Deleted}} {
+			if len(l.got) != len(l.want) {
+				t.Fatalf("delta lists differ in length: %d vs %d", len(l.got), len(l.want))
+			}
+			for i := range l.want {
+				if compareDims(l.got[i].Dims, l.want[i].Dims) != 0 ||
+					math.Float64bits(l.got[i].Measure) != math.Float64bits(l.want[i].Measure) {
+					t.Fatalf("delta differs at %d: %v vs %v", i, l.got[i], l.want[i])
+				}
+			}
+		}
+	})
+}
+
+// liveBytes returns the heap bytes that stay reachable from what build
+// returns, beyond what was live before.
+func liveBytes(build func() any) (int64, any) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc), kept
+}

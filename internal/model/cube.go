@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -30,19 +31,24 @@ type Tuple struct {
 }
 
 // Cube is an in-memory cube instance: a schema plus a sparse, functional
-// set of tuples keyed by dimension tuple.
+// set of tuples keyed by dimension tuple. The tuples are held as a row map,
+// as columns in cube order, or as both; every reader answers from
+// whichever form the cube holds.
 type Cube struct {
 	schema Schema
+	// rows is the row map, keyed by AppendKey of the dimension tuple. It is
+	// what every mutation works on; nil only in a frozen version that is
+	// held as columns alone (see Revise).
 	rows   map[string]Tuple
 	frozen bool
 	// memEst caches MemEstimate once the cube is frozen (0 = uncached);
 	// frozen cubes are shared across goroutines, so the cache is atomic.
 	memEst atomic.Int64
-	// sorted caches the cube's deterministic order (nil = uncached).
-	// Mutating methods clear it before touching rows, so a stale cache
-	// can never be observed; the pointer is atomic because frozen cubes
-	// are read from many goroutines at once.
-	sorted atomic.Pointer[[]Tuple]
+	// cols is the column form (nil = not computed): beside a row map it is
+	// the cached cube order. Mutating methods clear it before touching
+	// rows, so a stale cache can never be observed; the pointer is atomic
+	// because frozen cubes are read from many goroutines at once.
+	cols atomic.Pointer[columns]
 }
 
 // keyBufSize is the stack space Put and Get encode a probe key into; the
@@ -71,7 +77,12 @@ func (c *Cube) Freeze() *Cube {
 func (c *Cube) Frozen() bool { return c.frozen }
 
 // Len returns the number of tuples in the cube.
-func (c *Cube) Len() int { return len(c.rows) }
+func (c *Cube) Len() int {
+	if p := c.held(); p != nil {
+		return len(p.measures)
+	}
+	return len(c.rows)
+}
 
 // Put asserts the measure for the dimension tuple. Asserting the same value
 // twice is a no-op (up to Eps); asserting a different value returns
@@ -90,7 +101,7 @@ func (c *Cube) Put(dims []Value, measure float64) error {
 	}
 	d := make([]Value, len(dims))
 	copy(d, dims)
-	c.sorted.Store(nil)
+	c.cols.Store(nil)
 	c.rows[string(key)] = Tuple{Dims: d, Measure: measure}
 	return nil
 }
@@ -111,10 +122,11 @@ func (c *Cube) checkEgd(dims []Value, old, measure float64) error {
 // inputs, which is every scalar and vectorial statement. The new tuple
 // shares the source tuple's Dims slice and row key instead of copying and
 // re-encoding them: the sharing Clone already relies on, safe because no
-// cube ever writes to a stored Dims slice. The egd check is Put's, made at
-// every tuple whatever the receiver holds. The scan is in unspecified
-// order and stops at the first error, f's or an egd violation; src must
-// have as many dimensions as c.
+// cube ever writes to a stored Dims slice. (Revise shares the same way, a
+// whole key set at a time.) The egd check is Put's, made at every tuple
+// whatever the receiver holds. The scan is in unspecified order and stops
+// at the first error, f's or an egd violation; src must have as many
+// dimensions as c.
 func (c *Cube) PutFrom(src *Cube, f func(Tuple) (measure float64, keep bool, err error)) error {
 	if c.frozen {
 		return fmt.Errorf("%w: %s", ErrFrozen, c.schema.Name)
@@ -122,36 +134,47 @@ func (c *Cube) PutFrom(src *Cube, f func(Tuple) (measure float64, keep bool, err
 	if len(src.schema.Dims) != len(c.schema.Dims) {
 		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", c.schema.Name, len(c.schema.Dims), len(src.schema.Dims))
 	}
-	c.sorted.Store(nil)
+	c.cols.Store(nil)
+	n := src.Len()
 	sized := len(c.rows) == 0
 	if sized {
-		c.rows = make(map[string]Tuple, len(src.rows))
+		c.rows = make(map[string]Tuple, n)
 	}
-	for key, t := range src.rows {
-		measure, keep, err := f(t)
-		if err != nil {
-			return err
-		}
-		if !keep {
-			continue
-		}
-		if old, ok := c.rows[key]; ok {
-			if err := c.checkEgd(t.Dims, old.Measure, measure); err != nil {
+	if p := src.held(); p != nil {
+		for i, t := range p.keys.tuples {
+			if err := c.putFrom(t.key, p.tuple(i), f); err != nil {
 				return err
 			}
-			continue
 		}
-		c.rows[key] = Tuple{Dims: t.Dims, Measure: measure}
+	} else {
+		for key, t := range src.rows {
+			if err := c.putFrom(key, t, f); err != nil {
+				return err
+			}
+		}
 	}
 	// A map never gives back the space it was made with, and a store keeps
 	// every version it is handed: when f kept few of src's tuples — a join
 	// against a small relation, a measure undefined at most points — move
 	// them to a map of their own size.
-	if sized && len(c.rows) < len(src.rows)/4 {
+	if sized && len(c.rows) < n/4 {
 		rows := make(map[string]Tuple, len(c.rows))
 		maps.Copy(rows, c.rows)
 		c.rows = rows
 	}
+	return nil
+}
+
+// putFrom is PutFrom at one source tuple, t under row key key.
+func (c *Cube) putFrom(key string, t Tuple, f func(Tuple) (float64, bool, error)) error {
+	measure, keep, err := f(t)
+	if err != nil || !keep {
+		return err
+	}
+	if old, ok := c.rows[key]; ok {
+		return c.checkEgd(t.Dims, old.Measure, measure)
+	}
+	c.rows[key] = Tuple{Dims: t.Dims, Measure: measure}
 	return nil
 }
 
@@ -167,7 +190,7 @@ func (c *Cube) Replace(dims []Value, measure float64) error {
 	}
 	d := make([]Value, len(dims))
 	copy(d, dims)
-	c.sorted.Store(nil)
+	c.cols.Store(nil)
 	c.rows[EncodeKey(dims)] = Tuple{Dims: d, Measure: measure}
 	return nil
 }
@@ -175,7 +198,15 @@ func (c *Cube) Replace(dims []Value, measure float64) error {
 // Get returns the measure for the dimension tuple, if present.
 func (c *Cube) Get(dims []Value) (float64, bool) {
 	var buf [keyBufSize]byte
-	t, ok := c.rows[string(AppendKey(buf[:0], dims))]
+	key := AppendKey(buf[:0], dims)
+	if p := c.held(); p != nil {
+		i, ok := p.keys.rows()[string(key)]
+		if !ok {
+			return 0, false
+		}
+		return p.measures[i], true
+	}
+	t, ok := c.rows[string(key)]
 	if !ok {
 		return 0, false
 	}
@@ -191,59 +222,41 @@ func (c *Cube) Delete(dims []Value) bool {
 	}
 	key := EncodeKey(dims)
 	_, ok := c.rows[key]
-	c.sorted.Store(nil)
+	c.cols.Store(nil)
 	delete(c.rows, key)
 	return ok
 }
 
-// order returns the cube's tuples in its deterministic order, the byte
-// order of their row-map keys (see AppendKey), which gives every engine
-// the same iteration order and keeps generated artifacts and test
-// expectations stable. The order is computed on the first scan of a
-// version and cached until the next mutation. The returned slice is
-// shared by every reader of the cube and must not be written to.
-func (c *Cube) order() []Tuple {
-	if p := c.sorted.Load(); p != nil {
-		return *p
-	}
-	// One pass over the key lengths sizes the arena exactly; the second
-	// gathers tuples and keys together.
-	size := 0
-	for k := range c.rows {
-		size += keySpace(len(k))
-	}
-	l := tupleList{ts: make([]Tuple, 0, len(c.rows)), keys: make([]byte, 0, size)}
-	for k, t := range c.rows {
-		l.add(k, t)
-	}
-	ts := l.sorted()
-	c.sorted.Store(&ts)
-	return ts
-}
-
-// OrderCached reports whether an ordered scan has sorted this version and
-// left its order cached on it. Tests pin with it that a path which has no
-// use for the order did not pay for one.
-func (c *Cube) OrderCached() bool { return c.sorted.Load() != nil }
+// OrderCached reports whether the version holds its column form, so that an
+// ordered scan need not sort: a scan has sorted it and left the order
+// cached, or Revise made it on its predecessor's. Tests pin with it that a
+// path which has no use for the order did not pay for one.
+func (c *Cube) OrderCached() bool { return c.cols.Load() != nil }
 
 // Tuples returns all tuples in the cube's deterministic order (see
 // Ordered) as a fresh slice that is the caller's to mutate. Readers
 // that only scan should use Ordered, which does not copy.
 func (c *Cube) Tuples() []Tuple {
-	return append([]Tuple(nil), c.order()...)
+	p := c.columns()
+	ts := make([]Tuple, len(p.measures))
+	for i := range ts {
+		ts[i] = p.tuple(i)
+	}
+	return ts
 }
 
 // Ordered calls fn on every tuple in the cube's deterministic order:
 // dimension by dimension, left to right, in the byte order of the
 // tuples' keys (see AppendKey), which is Value.Compare's order wherever
 // Compare is a strict one. It stops early and returns the first non-nil
-// error. The scan reads the cube's cached order without copying it; fn
+// error. The scan reads the cube's columns without copying them; fn
 // gets each tuple by value, so it cannot disturb what the next reader
 // sees, and like every reader it must leave the Dims it is shown
 // untouched.
 func (c *Cube) Ordered(fn func(Tuple) error) error {
-	for _, t := range c.order() {
-		if err := fn(t); err != nil {
+	p := c.columns()
+	for i := range p.measures {
+		if err := fn(p.tuple(i)); err != nil {
 			return err
 		}
 	}
@@ -252,26 +265,29 @@ func (c *Cube) Ordered(fn func(Tuple) error) error {
 
 // ForEach calls fn on every tuple in unspecified order; it stops early and
 // returns the first non-nil error.
-func (c *Cube) ForEach(fn func(Tuple) error) error {
-	for _, t := range c.rows {
-		if err := fn(t); err != nil {
-			return err
-		}
-	}
-	return nil
+func (c *Cube) ForEach(fn func(Tuple) error) (err error) {
+	c.scan(func(_ string, t Tuple) bool {
+		err = fn(t)
+		return err == nil
+	})
+	return err
 }
 
 // Clone returns a mutable copy of the cube (frozen or not). The row map
-// is copied wholesale; the Dims slices inside the tuples are shared with
-// the original. That sharing is safe because the cube never mutates a
-// stored Dims slice in place (Put and Replace copy their argument), and
-// it is the same sharing every Tuples/Ordered/ForEach caller already
-// gets.
+// is copied wholesale, or built from the columns where the cube holds
+// none; the Dims slices inside the tuples are shared with the original.
+// That sharing is safe because the cube never mutates a stored Dims slice
+// in place (Put and Replace copy their argument), and it is the same
+// sharing every Tuples/Ordered/ForEach caller already gets.
 func (c *Cube) Clone() *Cube {
 	out := NewCube(c.schema)
-	out.rows = maps.Clone(c.rows)
-	if out.rows == nil {
-		out.rows = make(map[string]Tuple)
+	if p := c.held(); p != nil {
+		out.rows = make(map[string]Tuple, len(p.measures))
+		for i, t := range p.keys.tuples {
+			out.rows[t.key] = p.tuple(i)
+		}
+	} else if len(c.rows) > 0 {
+		out.rows = maps.Clone(c.rows)
 	}
 	return out
 }
@@ -283,13 +299,14 @@ func (c *Cube) Equal(o *Cube, tol float64) bool {
 	if c.Len() != o.Len() || !c.schema.SameDims(o.schema) {
 		return false
 	}
-	for k, t := range c.rows {
-		ot, ok := o.rows[k]
-		if !ok || math.Abs(t.Measure-ot.Measure) > tol*(1+math.Abs(t.Measure)) {
-			return false
-		}
-	}
-	return true
+	equal := true
+	c.scan(func(k string, t Tuple) bool {
+		om, ok := o.lookup(k)
+		// Not "<=": a NaN measure is outside no tolerance.
+		equal = ok && !(math.Abs(t.Measure-om) > tol*(1+math.Abs(t.Measure)))
+		return equal
+	})
+	return equal
 }
 
 // Diff returns a human-readable description of up to max differences
@@ -302,7 +319,9 @@ func (c *Cube) Diff(o *Cube, tol float64, max int) []string {
 		}
 		return len(out) < max
 	}
-	for _, t := range c.order() {
+	cols := c.columns()
+	for i := range cols.measures {
+		t := cols.tuple(i)
 		om, ok := o.Get(t.Dims)
 		if !ok {
 			if !add(fmt.Sprintf("missing in other: %v -> %v", formatDims(t.Dims), t.Measure)) {
@@ -316,7 +335,9 @@ func (c *Cube) Diff(o *Cube, tol float64, max int) []string {
 			}
 		}
 	}
-	for _, t := range o.order() {
+	ocols := o.columns()
+	for i := range ocols.measures {
+		t := ocols.tuple(i)
 		if _, ok := c.Get(t.Dims); !ok {
 			if !add(fmt.Sprintf("extra in other: %v -> %v", formatDims(t.Dims), t.Measure)) {
 				return out
@@ -340,7 +361,9 @@ const (
 // size in bytes: per-tuple map and header overhead, key bytes, and the
 // dimension values with their string payloads. The result is cached on
 // frozen cubes (which are immutable and shared), so repeated budgeting
-// of the same snapshot is O(1).
+// of the same snapshot is O(1); a version held as columns alone takes the
+// estimate of its key set, made once for all the versions on it, plus its
+// measure column, so its first estimate is O(1) as well.
 func (c *Cube) MemEstimate() int64 {
 	if c == nil {
 		return 0
@@ -351,6 +374,11 @@ func (c *Cube) MemEstimate() int64 {
 		}
 	}
 	n := int64(tupleOverheadBytes) // the Cube shell and map header
+	if p := c.held(); p != nil {
+		// The key set is charged in full to every version that shares it:
+		// which of them will outlive the others is not known here.
+		n += p.keys.memEstimate() + 8*int64(len(p.measures))
+	}
 	for k, t := range c.rows {
 		n += tupleOverheadBytes + int64(len(k))
 		for _, v := range t.Dims {
@@ -366,21 +394,6 @@ func (c *Cube) MemEstimate() int64 {
 // MemEstimateCached reports whether MemEstimate answers from its cache: the
 // cube was frozen first and estimated after. Tests pin that order with it.
 func (c *Cube) MemEstimateCached() bool { return c.frozen && c.memEst.Load() > 0 }
-
-// CheckFunctional verifies the egd on the cube. It always succeeds for
-// cubes built through Put, and exists so engines that bulk-load tuples can
-// assert the invariant.
-func (c *Cube) CheckFunctional() error {
-	seen := make(map[string]float64, len(c.rows))
-	for _, t := range c.rows {
-		k := EncodeKey(t.Dims)
-		if prev, ok := seen[k]; ok && !almostEqual(prev, t.Measure) {
-			return fmt.Errorf("%w: %s", ErrFunctional, c.schema.Name)
-		}
-		seen[k] = t.Measure
-	}
-	return nil
-}
 
 func almostEqual(a, b float64) bool {
 	return math.Abs(a-b) <= Eps*(1+math.Abs(a)+math.Abs(b))
@@ -404,16 +417,14 @@ func (c *Cube) SortedSeries() ([]Period, []float64, error) {
 	if !c.schema.IsTimeSeries() {
 		return nil, nil, fmt.Errorf("model: cube %s is not a time series", c.schema.Name)
 	}
-	ts := c.order()
-	periods := make([]Period, len(ts))
-	vals := make([]float64, len(ts))
-	for i, t := range ts {
-		p, ok := t.Dims[0].AsPeriod()
+	cols := c.columns()
+	periods := make([]Period, len(cols.measures))
+	for i, t := range cols.keys.tuples {
+		p, ok := t.dims[0].AsPeriod()
 		if !ok {
-			return nil, nil, fmt.Errorf("model: cube %s has non-period time value %v", c.schema.Name, t.Dims[0])
+			return nil, nil, fmt.Errorf("model: cube %s has non-period time value %v", c.schema.Name, t.dims[0])
 		}
 		periods[i] = p
-		vals[i] = t.Measure
 	}
-	return periods, vals, nil
+	return periods, slices.Clone(cols.measures), nil
 }

@@ -250,14 +250,6 @@ func TestSortedSeries(t *testing.T) {
 	}
 }
 
-func TestCheckFunctional(t *testing.T) {
-	c := NewCube(gdpSchema())
-	_ = c.Put([]Value{Per(NewQuarterly(2001, 1))}, 1)
-	if err := c.CheckFunctional(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCubeForEach(t *testing.T) {
 	c := NewCube(gdpSchema())
 	for q := 1; q <= 4; q++ {

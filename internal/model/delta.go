@@ -74,43 +74,49 @@ func diffCubes(name string, base, cur *Cube, limit int) *CubeDelta {
 		sch := d.Current.schema
 		d.Base = NewCube(sch).Freeze()
 	}
-	baseRows, curRows := d.Base.rows, d.Current.rows
-	if len(curRows)-len(baseRows) > limit || len(baseRows)-len(curRows) > limit {
+	nb, nc := d.Base.Len(), d.Current.Len()
+	if nc-nb > limit || nb-nc > limit {
 		return nil
 	}
-	// Probe map against map directly: the diff is usually a small
-	// fraction of the cubes, so sorting only the changed tuples
-	// beats the full Tuples() sort of both versions by orders of
-	// magnitude on large cubes.
+	// Two versions on one key set hold the same dimension tuples in the same
+	// positions: the delta is where their measure columns differ, already in
+	// cube order.
+	if p, q := d.Base.held(), d.Current.held(); p != nil && q != nil && p.keys == q.keys {
+		var ok bool
+		if d.Changed, ok = changedBetween(p, q, limit); !ok {
+			return nil
+		}
+		return d
+	}
+	// Probe key by key: the diff is usually a small fraction of the cubes,
+	// so sorting only the changed tuples beats an ordered scan of both
+	// versions by orders of magnitude on large cubes.
 	var added, changed, deleted tupleList
-	for k, t := range curRows {
-		old, ok := baseRows[k]
+	d.Current.scan(func(k string, t Tuple) bool {
+		old, ok := d.Base.lookup(k)
 		switch {
 		case !ok:
 			added.add(k, t)
-		case old.Measure != t.Measure:
+		case old != t.Measure:
 			changed.add(k, t)
-		default:
-			continue
 		}
-		if len(added.ts)+len(changed.ts) > limit {
-			return nil
-		}
+		return len(added.ts)+len(changed.ts) <= limit
+	})
+	if len(added.ts)+len(changed.ts) > limit {
+		return nil
 	}
 	// The sizes say how many of base's tuples cur dropped; a revision drops
 	// none, and then base is not scanned at all.
-	if missing := len(baseRows) - (len(curRows) - len(added.ts)); missing > 0 {
+	if missing := nb - (nc - len(added.ts)); missing > 0 {
 		if len(added.ts)+len(changed.ts)+missing > limit {
 			return nil
 		}
-		for k, t := range baseRows {
-			if _, ok := curRows[k]; !ok {
+		d.Base.scan(func(k string, t Tuple) bool {
+			if _, ok := d.Current.lookup(k); !ok {
 				deleted.add(k, t)
-				if len(deleted.ts) == missing {
-					break
-				}
 			}
-		}
+			return len(deleted.ts) < missing
+		})
 	}
 	d.Added, d.Changed, d.Deleted = added.sorted(), changed.sorted(), deleted.sorted()
 	return d

@@ -21,74 +21,86 @@ const radixMin = 48
 // code for inputs beyond 4 GiB of keys.
 type keyRef[O uint32 | uint64] struct{ off, end, idx O }
 
-// tupleList gathers tuples out of a cube's row map for sorting, copying
-// each one's map key into an arena: the keys back to back, each behind
-// its uvarint length.
+// tupleList gathers tuples out of a cube for sorting, copying each one's
+// row key into an arena: the keys back to back, each behind its uvarint
+// length.
 type tupleList struct {
 	ts   []Tuple
 	keys []byte
 }
 
-// keySpace returns how many arena bytes add spends on a key of n bytes.
+// keySpace returns how many arena bytes appendArenaKey spends on a key of n
+// bytes.
 func keySpace(n int) int { return (bits.Len(uint(n)|1)+6)/7 + n }
+
+func appendArenaKey(arena []byte, key string) []byte {
+	return append(binary.AppendUvarint(arena, uint64(len(key))), key...)
+}
 
 func (l *tupleList) add(key string, t Tuple) {
 	l.ts = append(l.ts, t)
-	l.keys = binary.AppendUvarint(l.keys, uint64(len(key)))
-	l.keys = append(l.keys, key...)
+	l.keys = appendArenaKey(l.keys, key)
 }
 
 // sorted sorts the gathered tuples in place into the deterministic cube
-// order and returns them. Their dimension tuples are pairwise distinct,
-// as in any cube.
-//
-// References into the key arena are radix-sorted and the resulting
-// permutation is applied to the tuples in place. Arena and references
-// are garbage on return: nothing but the tuples outlives the sort.
+// order and returns them.
 func (l *tupleList) sorted() []Tuple {
-	if len(l.ts) < 2 {
-		return l.ts
-	}
-	// Every key spends at least its length byte, so an arena that fits
-	// 32-bit offsets also holds fewer than 2^32 tuples.
-	if uint64(len(l.keys)) <= math.MaxUint32 {
-		sortTuplesWith[uint32](l.ts, l.keys)
-	} else {
-		sortTuplesWith[uint64](l.ts, l.keys)
-	}
+	sortByKeys(l.keys, l.ts, make([]struct{}, len(l.ts)))
 	return l.ts
 }
 
-// sortTuplesWith is sorted for one offset width; keys is the arena add
-// built for ts.
-func sortTuplesWith[O uint32 | uint64](ts []Tuple, keys []byte) {
-	refs := make([]keyRef[O], len(ts))
+// sortByKeys puts gathered items into the deterministic cube order, in
+// place: arena holds their keys in gathering order (appendArenaKey), and
+// item i is the pair as[i], bs[i] — two slices, so that a cube's measures
+// can be a column of their own (a caller with one passes empty structs for
+// the other). The keys are pairwise distinct, as the dimension tuples of
+// any cube are.
+//
+// References into the arena are radix-sorted and the resulting permutation
+// is applied to both slices in place. Arena and references are garbage on
+// return: nothing but the items outlives the sort.
+func sortByKeys[A, B any](arena []byte, as []A, bs []B) {
+	if len(as) < 2 {
+		return
+	}
+	// Every key spends at least its length byte, so an arena that fits
+	// 32-bit offsets also holds fewer than 2^32 items.
+	if uint64(len(arena)) <= math.MaxUint32 {
+		sortByKeysWith[uint32](arena, as, bs)
+	} else {
+		sortByKeysWith[uint64](arena, as, bs)
+	}
+}
+
+// sortByKeysWith is sortByKeys for one offset width.
+func sortByKeysWith[O uint32 | uint64, A, B any](arena []byte, as []A, bs []B) {
+	refs := make([]keyRef[O], len(as))
 	off := 0
 	for i := range refs {
-		n, w := binary.Uvarint(keys[off:])
+		size, w := binary.Uvarint(arena[off:])
 		off += w
-		refs[i] = keyRef[O]{off: O(off), end: O(off + int(n)), idx: O(i)}
-		off += int(n)
+		refs[i] = keyRef[O]{off: O(off), end: O(off + int(size)), idx: O(i)}
+		off += int(size)
 	}
-	radixSort(keys, refs, 0)
+	radixSort(arena, refs, 0)
 
-	// refs[j].idx now names the tuple that belongs at position j. Walk
+	// refs[j].idx now names the item that belongs at position j. Walk
 	// each cycle of that permutation once, marking finished positions by
 	// pointing them at themselves.
 	for j := range refs {
 		if int(refs[j].idx) == j {
 			continue
 		}
-		moved := ts[j]
+		a, b := as[j], bs[j]
 		k := j
 		for {
 			src := int(refs[k].idx)
 			refs[k].idx = O(k)
 			if src == j {
-				ts[k] = moved
+				as[k], bs[k] = a, b
 				break
 			}
-			ts[k] = ts[src]
+			as[k], bs[k] = as[src], bs[src]
 			k = src
 		}
 	}

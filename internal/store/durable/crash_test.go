@@ -36,7 +36,12 @@ import (
 // one before it and so overwrites that version; after every
 // crashCompactEvery-th commit the writer compacts, which folds the chain
 // into a segment (first version full, then deltas, the overwrite in full
-// again) and carries on with deltas on a fresh WAL.
+// again) and carries on with deltas on a fresh WAL. Commits 3, 11, … come
+// the way a client's revision does: the latest versions have been read in
+// order, the cubes arrive unfrozen and no delta is handed, so the store
+// finds the deltas itself and holds the new versions as columns over their
+// predecessors' key sets — the records it logs for them are delta records
+// made from its own pass.
 //
 // Commit k sets tuple k mod 8 of both cubes to k (B: to 10k), so the
 // contents after any prefix of the script are known without running it.
@@ -44,6 +49,7 @@ const (
 	crashTuples         = 8
 	crashOverwriteEvery = 5
 	crashCompactEvery   = 6
+	crashOwnPassAt      = 3 // k mod crashTuples of the commits that hand no delta
 )
 
 func crashSchema(name string) model.Schema {
@@ -94,7 +100,13 @@ func crashCommit(t testing.TB, st crashStore, k int) error {
 	cubes := map[string]*model.Cube{"A": crashCube(t, "A", k), "B": crashCube(t, "B", k)}
 	deltas := map[string]*model.CubeDelta{}
 	for name, c := range cubes {
-		if latest, ok := st.Get(name); ok {
+		latest, ok := st.Get(name)
+		switch {
+		case !ok:
+		case k%crashTuples == crashOwnPassAt:
+			_ = latest.Ordered(func(model.Tuple) error { return nil })
+			cubes[name] = c.Clone()
+		default:
 			deltas[name] = model.DiffCubes(name, latest, c)
 		}
 	}
@@ -197,6 +209,19 @@ func TestCrashAtEveryOffset(t *testing.T) {
 	}
 	if n := reg.Counter(obs.MetricStoreSegments).Value(); n != 2 {
 		t.Fatalf("the script wrote %d segments, want 2", n)
+	}
+	// Commit 3 handed no delta, and what it stored shares a key set.
+	ownPass := store.New()
+	for k := 1; k <= crashOwnPassAt; k++ {
+		if err := crashCommit(t, ownPass, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"A", "B"} {
+		h := ownPass.History(name)
+		if v := h[len(h)-1]; !v.Cube.OrderCached() || v.Delta == nil || len(v.Delta.Changed) != 1 {
+			t.Fatalf("commit %d did not leave %s as a revision with the store's own delta", crashOwnPassAt, name)
+		}
 	}
 	total := probe.BytesWritten()
 	step := int64(1)

@@ -438,11 +438,12 @@ func (d *Store) PutAll(cubes map[string]*model.Cube, asOf time.Time) error {
 //
 // Each cube goes to the log as the delta from its latest stored version
 // when that delta is small (model.CubeDelta.Small), and in full
-// otherwise. The delta is the one handed in deltas if it is trusted —
-// its Base is that latest version and its Current the cube, by pointer —
-// and else computed here, once, by model.DiffSmall. Either way the
-// in-memory store keeps it on the version, so Delta for the preceding
-// generation and the next segment reuse it.
+// otherwise. The delta is the one store.NewVersion settles on — the one
+// handed in deltas if it is trusted, else the one its own pass produced
+// where the cube is a revision of that latest version — and failing both
+// computed here, once, by model.DiffSmall. Whichever it is, the in-memory
+// store keeps it on the version, so Delta for the preceding generation and
+// the next segment reuse it.
 func (d *Store) PutAllGen(cubes map[string]*model.Cube, handed map[string]*model.CubeDelta, asOf time.Time) (store.Commit, error) {
 	if len(cubes) == 0 {
 		return store.Commit{Gen: d.Generation()}, nil
@@ -457,20 +458,25 @@ func (d *Store) PutAllGen(cubes map[string]*model.Cube, handed map[string]*model
 		func() []byte {
 			recs := make([]cubeRec, 0, len(cubes))
 			for name, c := range cubes {
-				// Freeze what will be stored before diffing it: the delta kept
-				// on the version must point at that very cube.
-				fc := c
-				if !c.Frozen() {
-					fc = c.Clone().Freeze()
-				}
+				// Settle what will be stored before diffing it: the delta kept
+				// on the version must point at that very cube. commit holds
+				// d.mu, so the latest version stays the latest.
+				latest, _ := d.mem.Get(name)
+				fc, delta := store.NewVersion(latest, c, handed[name])
 				frozen[name] = fc
-				if delta := d.deltaFor(fc, handed[name]); delta != nil {
+				if delta = deltaToLog(latest, fc, delta, handed[name]); delta != nil {
 					deltas[name] = delta
 					recs = append(recs, deltaRec(delta))
 				} else {
-					// Encoding sorts the cube and leaves the order cached on
-					// it: on the caller's copy, not on the stored one.
-					recs = append(recs, fullRec(c))
+					// The full form is written in cube order: from the stored
+					// version where that came with its order, and else from the
+					// caller's copy, so that the sort the encoding does leaves
+					// the order cached there and not on the stored one.
+					full := c
+					if fc.OrderCached() {
+						full = fc
+					}
+					recs = append(recs, fullRec(full))
 				}
 			}
 			body := encodeRecord(commitRecord(asOf, recs))
@@ -491,24 +497,24 @@ func (d *Store) PutAllGen(cubes map[string]*model.Cube, handed map[string]*model
 	return ci, nil
 }
 
-// deltaFor returns the delta to log and keep for c, a frozen cube about to
-// supersede its name's latest stored version, or nil to log c in full:
-// when there is no such version, when it has another schema (a delta
-// carries one schema for both ends), or when the two differ in too much.
-// A handed delta stands in for the diff only if it is about these two
-// cubes, by pointer, and a record made from it would replay. The caller
-// holds d.mu, so the latest version stays the latest.
-func (d *Store) deltaFor(c *model.Cube, handed *model.CubeDelta) *model.CubeDelta {
-	latest, ok := d.mem.Get(c.Schema().Name)
-	if !ok || !latest.Schema().Equal(c.Schema()) {
+// deltaToLog returns the delta to log and keep for c, a frozen cube about
+// to supersede latest, or nil to log c in full: when there is no latest
+// version, when it has another schema (a delta carries one schema for both
+// ends), or when the two differ in too much. delta is what
+// store.NewVersion knew of the step, if anything. One the store's own pass
+// over the two cubes produced stands as it is; the one handed in from
+// outside stands in for the diff only if a record made from it would
+// replay.
+func deltaToLog(latest, c *model.Cube, delta, handed *model.CubeDelta) *model.CubeDelta {
+	if latest == nil || !latest.Schema().Equal(c.Schema()) {
 		return nil
 	}
-	if handed != nil && handed.Base == latest && handed.Current == c {
-		if !handed.Small() {
+	if delta != nil {
+		if !delta.Small() {
 			return nil
 		}
-		if replayable(handed) {
-			return handed
+		if delta != handed || replayable(delta) {
+			return delta
 		}
 	}
 	return model.DiffSmall(c.Schema().Name, latest, c)

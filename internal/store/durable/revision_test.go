@@ -1,0 +1,120 @@
+package durable
+
+import (
+	"bytes"
+	"testing"
+
+	"exlengine/internal/model"
+)
+
+func readInOrder(c *model.Cube) { _ = c.Ordered(func(model.Tuple) error { return nil }) }
+
+// TestCodecEncodesEitherFormAlike: the codec writes the same bytes for a
+// version held as a row map and for the same content held as columns over
+// its predecessor's key set, in the full form and in the delta form, and
+// both decode to cubes Equal at tolerance 0.
+func TestCodecEncodesEitherFormAlike(t *testing.T) {
+	prev := codecCube(t, 16).Freeze()
+	readInOrder(prev)
+	rows := revise(t, prev, []int{1, 7, 12}, nil, 0)
+	own := prev.Revise(rows.Clone())
+	if own == nil || own.Current == rows || !own.Current.OrderCached() {
+		t.Fatal("the revision was not stored as columns over its predecessor's key set")
+	}
+	cols := own.Current
+	twice := prev.Revise(revise(t, rows, []int{2}, nil, 0).Clone()) // a second version on the key set
+
+	full := func(c *model.Cube) []byte { return encodeRecord(commitRecord(day(1), []cubeRec{fullRec(c)})) }
+	if !bytes.Equal(full(rows), full(cols)) {
+		t.Error("full form differs between a row map and columns")
+	}
+	delta := func(d *model.CubeDelta) []byte { return encodeRecord(commitRecord(day(1), []cubeRec{deltaRec(d)})) }
+	want := delta(model.DiffCubes("M", prev, rows))
+	for what, d := range map[string]*model.CubeDelta{
+		"the store's own pass":    own,
+		"row map against columns": model.DiffCubes("M", prev, cols),
+		"columns against row map": model.DiffCubes("M", prev.Revise(prev).Current, rows),
+	} {
+		if !bytes.Equal(delta(d), want) {
+			t.Errorf("delta form differs: %s", what)
+		}
+	}
+	if got, want := delta(model.DiffCubes("M", cols, twice.Current)), delta(model.DiffCubes("M", rows, twice.Current.Clone())); !bytes.Equal(got, want) {
+		t.Error("delta form differs between two versions on one key set and their row maps")
+	}
+
+	rec, err := decodeRecord(full(cols))
+	if err != nil || !rec.cubes[0].cube.Equal(rows, 0) {
+		t.Fatalf("full form of columns does not decode to what was put: %v", err)
+	}
+	rec, err = decodeRecord(delta(own))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []*model.Cube{prev, prev.Revise(prev).Current} {
+		got, _, err := rec.cubes[0].applyTo(base)
+		if err != nil || !got.Equal(rows, 0) || !rows.Equal(got, 0) {
+			t.Fatalf("delta form applied to its base is not what was put: %v", err)
+		}
+	}
+	if !replayable(own) {
+		t.Error("the store's own delta would not replay")
+	}
+}
+
+// TestOwnPassDeltaIsLogged: a revision put unfrozen and without a delta,
+// after its predecessor was read in order, goes to the log as the delta
+// the store's own pass produced, is held in memory as columns over the
+// predecessor's key set with that delta, and reopens as what was put. One
+// that restates too much for a delta record is logged in full from the
+// stored version, whose order is already there: the caller's cube is not
+// sorted for it.
+func TestOwnPassDeltaIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	st := openT(t, dir)
+	v0 := codecCube(t, 16)
+	if err := st.Put(v0, day(0)); err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := st.Get("M")
+	if stored.OrderCached() || !v0.OrderCached() {
+		t.Fatal("the first load is logged in full from the caller's copy, which that sorts; the stored clone has no order yet")
+	}
+	readInOrder(stored)
+
+	v1 := revise(t, stored, []int{3}, nil, 0).Clone()
+	gen := st.Generation()
+	ci, err := st.PutAllGen(map[string]*model.Cube{"M": v1}, nil, day(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ci.DeltaCubes != 1 || ci.FullCubes != 0 {
+		t.Fatalf("revision logged as %d deltas and %d full cubes, want one delta", ci.DeltaCubes, ci.FullCubes)
+	}
+	cur, _ := st.Get("M")
+	d, err := st.Delta("M", gen)
+	if err != nil || !cur.OrderCached() || d.Base != stored || d.Current != cur || len(d.Changed) != 1 || v1.OrderCached() || v1.Frozen() {
+		t.Fatalf("stored revision: order cached %v, delta %+v, err %v", cur.OrderCached(), d, err)
+	}
+
+	all := make([]int, 16)
+	for i := range all {
+		all[i] = i
+	}
+	v2 := revise(t, cur, all, nil, 0).Clone()
+	ci, err = st.PutAllGen(map[string]*model.Cube{"M": v2}, nil, day(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur2, _ := st.Get("M")
+	if ci.DeltaCubes != 0 || ci.FullCubes != 1 || !cur2.OrderCached() || v2.OrderCached() {
+		t.Fatalf("restatement of everything: %d deltas, %d full; stored order %v, caller's sorted %v",
+			ci.DeltaCubes, ci.FullCubes, cur2.OrderCached(), v2.OrderCached())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openT(t, dir)
+	defer re.Close()
+	checkVersions(t, re, "M", []*model.Cube{v0, v1, v2})
+}

@@ -1,0 +1,265 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"exlengine/internal/model"
+)
+
+// pdrCube builds a cube shaped like the GDP example's PDR(d: day, r:
+// string): n tuples over 20 regions.
+func pdrCube(n int) *model.Cube {
+	c := model.NewCube(model.NewSchema("PDR", []model.Dim{{Name: "d", Type: model.TDay}, {Name: "r", Type: model.TString}}, "p"))
+	start := model.NewDaily(2000, time.January, 1)
+	for i := 0; i < n; i++ {
+		dims := []model.Value{model.Per(start.Shift(int64(i / 20))), model.Str(fmt.Sprintf("R%02d", i%20))}
+		if err := c.Put(dims, float64(i)); err != nil {
+			panic(err)
+		}
+	}
+	return c
+}
+
+// revised returns an unfrozen copy of prev with every hundredth tuple,
+// counted from offset, restated.
+func revised(prev *model.Cube, tuples []model.Tuple, offset int) *model.Cube {
+	out := prev.Clone()
+	for i := offset % 100; i < len(tuples); i += 100 {
+		if err := out.Replace(tuples[i].Dims, float64(-offset*len(tuples)-i)); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
+func day(k int) time.Time { return time.Unix(0, 0).AddDate(0, 0, k) }
+
+func heapAlloc() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+func totalAlloc() int64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.TotalAlloc)
+}
+
+// TestRevisionPutBudget: once a version has been read in order, putting a
+// 1 % revision of it — unfrozen, as a client does — costs the store a
+// measure column and the delta, not a clone: it allocates within 8 B per
+// tuple plus 64 B per changed tuple (a Tuple in a list that doubles as it
+// grows), retains within 10 B per tuple per version, comes with its order,
+// and answers Delta for the preceding generation from the delta the pass
+// left on it.
+func TestRevisionPutBudget(t *testing.T) {
+	const n, revisions = 20000, 10
+	s := New()
+	if err := s.Put(pdrCube(n), day(0)); err != nil {
+		t.Fatal(err)
+	}
+	base, _ := s.Get("PDR")
+	tuples := base.Tuples() // the one ordered read
+	revs := make([]*model.Cube, revisions)
+	prev := base
+	for k := range revs {
+		revs[k] = revised(prev, tuples, k+1)
+		prev = revs[k]
+	}
+
+	heap0 := heapAlloc()
+	for k, rev := range revs {
+		gen := s.Generation()
+		before := totalAlloc()
+		if err := s.Put(rev, day(k+1)); err != nil {
+			t.Fatal(err)
+		}
+		spent := totalAlloc() - before
+		changed := n / 100
+		if budget := int64(8*n + 64*changed + 1024); spent > budget {
+			t.Errorf("put %d allocated %d B, budget %d", k, spent, budget)
+		}
+		cur, _ := s.Get("PDR")
+		if !cur.OrderCached() || !cur.Equal(rev, 0) || cur == rev || rev.Frozen() || rev.OrderCached() {
+			t.Fatalf("put %d: stored version has no order, differs from what was put, or is the caller's cube", k)
+		}
+		var d *model.CubeDelta
+		if a := testing.AllocsPerRun(5, func() { d, _ = s.Delta("PDR", gen) }); a != 0 {
+			t.Errorf("Delta for the preceding generation allocates %v times", a)
+		}
+		hist := s.History("PDR")
+		if d == nil || d != hist[len(hist)-1].Delta || d.Base != hist[len(hist)-2].Cube || d.Current != cur {
+			t.Fatalf("put %d: Delta is not the delta kept on the version", k)
+		}
+		want := model.DiffCubes("PDR", hist[len(hist)-2].Cube.Clone(), rev)
+		if len(d.Changed) != changed || len(d.Added)+len(d.Deleted) != 0 || !sameTuples(d.Changed, want.Changed) {
+			t.Fatalf("put %d: kept delta is +%d ~%d -%d, DiffCubes says ~%d", k, len(d.Added), len(d.Changed), len(d.Deleted), len(want.Changed))
+		}
+	}
+	if per := float64(heapAlloc()-heap0) / (n * revisions); per > 10 {
+		t.Errorf("a retained revision keeps %.1f B/tuple live, budget 10", per)
+	}
+	for k, rev := range revs {
+		if got, _ := s.GetAsOf("PDR", day(k+1)); !got.Equal(rev, 0) {
+			t.Errorf("version %d differs from what was put", k)
+		}
+	}
+	runtime.KeepAlive(s)
+}
+
+func sameTuples(a, b []model.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Measure != b[i].Measure || model.EncodeKey(a[i].Dims) != model.EncodeKey(b[i].Dims) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPutCopiesWhatIsNoRevision: the store shares a key set only where it
+// observes a revision of a version read in order; everything else is stored
+// as before — an unfrozen cube cloned, a frozen one adopted — with no delta.
+func TestPutCopiesWhatIsNoRevision(t *testing.T) {
+	s := New()
+	put := func(c *model.Cube, k int) (*model.Cube, *model.CubeDelta) {
+		t.Helper()
+		if err := s.Put(c, day(k)); err != nil {
+			t.Fatal(err)
+		}
+		hist := s.History("PDR")
+		return hist[len(hist)-1].Cube, hist[len(hist)-1].Delta
+	}
+	base := pdrCube(400)
+	v0, d0 := put(base, 0)
+	if v0.OrderCached() || d0 != nil {
+		t.Fatal("a first load came with an order or a delta")
+	}
+	// Nobody read v0 in order: its revision is a clone.
+	v1, d1 := put(revised(base, base.Tuples(), 1), 1)
+	if v1.OrderCached() || d1 != nil {
+		t.Error("shared the key set of a version nobody read in order")
+	}
+	tuples := v1.Tuples()
+	// An insert and a delete, after an ordered read: clones again.
+	grown := v1.Clone()
+	_ = grown.Put([]model.Value{model.Per(model.NewDaily(1999, time.January, 1)), model.Str("R00")}, 1)
+	if v2, d2 := put(grown, 2); v2.OrderCached() || d2 != nil || v2.Len() != 401 {
+		t.Error("shared a key set across an insert")
+	}
+	v2, _ := s.Get("PDR")
+	_ = v2.Tuples()
+	if v3, d3 := put(v1.Clone(), 3); v3.OrderCached() || d3 != nil || v3.Len() != 400 {
+		t.Error("shared a key set across a delete")
+	}
+	// A frozen revision of a version read in order is shared, not adopted.
+	v3, _ := s.Get("PDR")
+	_ = v3.Tuples()
+	frozen := revised(v3, tuples, 2).Freeze()
+	v4, d4 := put(frozen, 4)
+	if v4 == frozen || !v4.OrderCached() || d4 == nil || d4.Base != v3 || d4.Current != v4 || len(d4.Changed) != 4 {
+		t.Error("a frozen revision was adopted instead of sharing its predecessor's key set")
+	}
+	// An equal-asOf overwrite shares the key set of the version it
+	// replaces, but that version is gone: no delta may lead from it.
+	gen := s.Generation()
+	v5, d5 := put(revised(v4, tuples, 3), 4)
+	if !v5.OrderCached() || d5 != nil || len(s.Versions("PDR")) != 5 {
+		t.Errorf("overwrite: order cached %v, delta %v, %d versions", v5.OrderCached(), d5, len(s.Versions("PDR")))
+	}
+	if _, err := s.Delta("PDR", gen); err == nil {
+		t.Error("Delta across an overwrite must be unavailable")
+	}
+	// A handed delta about the very cubes is kept as it is, and the cube adopted.
+	v5, _ = s.Get("PDR")
+	next := revised(v5, tuples, 4).Freeze()
+	handed := model.DiffCubes("PDR", v5, next)
+	if _, err := s.PutAllGen(map[string]*model.Cube{"PDR": next}, map[string]*model.CubeDelta{"PDR": handed}, day(6)); err != nil {
+		t.Fatal(err)
+	}
+	if hist := s.History("PDR"); hist[len(hist)-1].Cube != next || hist[len(hist)-1].Delta != handed {
+		t.Error("a trusted delta was not kept with its cube")
+	}
+}
+
+// TestWriteCSVFromEitherForm: a version held as columns alone exports the
+// bytes its row-map original does, and reads back Equal.
+func TestWriteCSVFromEitherForm(t *testing.T) {
+	s := New()
+	_ = s.Put(pdrCube(300), day(0))
+	v0, _ := s.Get("PDR")
+	rev := revised(v0, v0.Tuples(), 1)
+	_ = s.Put(rev, day(1))
+	cols, _ := s.Get("PDR")
+	if !cols.OrderCached() || cols.Equal(v0, 0) {
+		t.Fatal("the revision is not stored as columns over its predecessor's key set")
+	}
+	var fromRows, fromCols bytes.Buffer
+	if err := WriteCSV(&fromRows, rev); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCSV(&fromCols, cols); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromRows.Bytes(), fromCols.Bytes()) {
+		t.Error("WriteCSV differs between a row map and the same content in columns")
+	}
+	back, err := ReadCSV(&fromCols, cols.Schema())
+	if err != nil || !back.Equal(cols, 0) || !cols.Equal(back, 0) {
+		t.Errorf("reading the export back: %v", err)
+	}
+}
+
+// TestReadCSVAllocsPerLine: a line costs its record (two allocations in
+// encoding/csv), the tuple's Dims and its row key; the parsed values go
+// through one buffer that Put copies from.
+func TestReadCSVAllocsPerLine(t *testing.T) {
+	const n = 2000
+	var buf bytes.Buffer
+	c := pdrCube(n)
+	if err := WriteCSV(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	a := testing.AllocsPerRun(3, func() {
+		if _, err := ReadCSV(strings.NewReader(text), c.Schema()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := a / n; per > 4.2 {
+		t.Errorf("ReadCSV allocates %.2f times per line, want 4 and the row map's growth", per)
+	}
+}
+
+var sinkGen uint64
+
+// BenchmarkPutRevision: what a store spends to take in a 1 % revision of a
+// 200k-tuple PDR-shaped version that has been read in order — the measure
+// column and the delta (compare BenchmarkCubeFirstSort in internal/model
+// for the sort it does not pay, on the same cube).
+func BenchmarkPutRevision(b *testing.B) {
+	s := New()
+	if err := s.Put(pdrCube(200000), day(0)); err != nil {
+		b.Fatal(err)
+	}
+	base, _ := s.Get("PDR")
+	tuples := base.Tuples()
+	revs := []*model.Cube{revised(base, tuples, 1), revised(base, tuples, 2)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(revs[i%2], day(i+1)); err != nil {
+			b.Fatal(err)
+		}
+		sinkGen = s.Generation()
+	}
+}

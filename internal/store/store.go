@@ -73,9 +73,9 @@ type version struct {
 	// a cube carry strictly increasing generations, so "the version visible
 	// at generation g" is the newest one with gen <= g.
 	gen uint64
-	// delta is how cube differs from the version it superseded, when the
-	// writer supplied that (see PutAllGen): its Base is the preceding
-	// history entry's cube, by pointer. Nil when unknown.
+	// delta is how cube differs from the version it superseded, where
+	// NewVersion knew: its Base is the preceding history entry's cube, by
+	// pointer. Nil when unknown.
 	delta *model.CubeDelta
 }
 
@@ -123,15 +123,37 @@ func (s *Store) Names() []string {
 	return out
 }
 
-// frozenCopy returns the cube as an immutable instance suitable for
-// storing: an already-frozen cube is shared as-is (it can never change
-// again), anything else is cloned and the clone frozen, so the caller
-// keeps exclusive ownership of its original.
-func frozenCopy(c *model.Cube) *model.Cube {
-	if c.Frozen() {
-		return c
+// NewVersion returns c as the immutable instance to store as the version
+// that supersedes latest (nil when there is none), with the delta from
+// latest to it where that is known. It is the one place a put cube becomes
+// a stored version, for this store and for the durable one wrapped around
+// it.
+//
+// handed is what the writer says the delta is. It is trusted only if it is
+// about these two cubes by pointer — its Base is latest, its Current the
+// frozen c — and then c is stored as it is. Without one, the store looks
+// for the delta itself where that is cheaper than the copy it saves: when
+// c is a revision of latest, the same dimension tuples under restated
+// measures, and latest's cube order is there to be shared
+// (model.Cube.Revise), the version stored is a measure column over
+// latest's key set, and the delta falls out of the pass that made it.
+// Otherwise — an insert, a delete, a first load, a predecessor nobody read
+// in order — an already-frozen cube is shared as-is (it can never change
+// again), anything else is cloned and the clone frozen, so the caller keeps
+// exclusive ownership of its original; the delta is then unknown (nil).
+func NewVersion(latest, c *model.Cube, handed *model.CubeDelta) (*model.Cube, *model.CubeDelta) {
+	if latest != nil {
+		if handed != nil && handed.Base == latest && handed.Current == c && c.Frozen() {
+			return c, handed
+		}
+		if d := latest.Revise(c); d != nil {
+			return d.Current, d
+		}
 	}
-	return c.Clone().Freeze()
+	if c.Frozen() {
+		return c, nil
+	}
+	return c.Clone().Freeze(), nil
 }
 
 // appendVersion adds a frozen version to a cube's history, replacing the
@@ -148,20 +170,22 @@ func appendVersion(vs []version, v version) (_ []version, replaced bool) {
 
 // putLocked commits one already-validated cube version under the write
 // lock, stamping it with commit generation g and updating the overwrite
-// watermark when the write replaced an equal-asOf version. delta is kept
+// watermark when the write replaced an equal-asOf version. A delta is kept
 // on the version only where it provably describes the step the history
-// records: from the cube's latest version to the very cube being stored,
-// both by pointer, and not across an overwrite, whose base vanishes.
-func (s *Store) putLocked(c *model.Cube, delta *model.CubeDelta, asOf time.Time, g uint64) {
+// records (see NewVersion), and not across an overwrite, whose base
+// vanishes.
+func (s *Store) putLocked(c *model.Cube, handed *model.CubeDelta, asOf time.Time, g uint64) {
 	name := c.Schema().Name
 	if _, ok := s.schemas[name]; !ok {
 		s.schemas[name] = c.Schema()
 	}
-	v := version{asOf: asOf, cube: frozenCopy(c), gen: g}
 	old := s.cubes[name]
-	if delta != nil && len(old) > 0 && delta.Base == old[len(old)-1].cube && delta.Current == v.cube {
-		v.delta = delta
+	var latest *model.Cube
+	if len(old) > 0 {
+		latest = old[len(old)-1].cube
 	}
+	v := version{asOf: asOf, gen: g}
+	v.cube, v.delta = NewVersion(latest, c, handed)
 	vs, replaced := appendVersion(old, v)
 	if replaced {
 		vs[len(vs)-1].delta = nil
@@ -258,9 +282,10 @@ type Commit struct {
 // supersedes — a run that maintained its outputs from deltas holds exactly
 // that. A delta is trusted only if its Base is, by pointer, the cube's
 // latest stored version and its Current the cube being stored; anything
-// else is dropped. A kept delta is what Delta answers with for the
-// preceding generation, and what a durable store logs instead of the cube.
-// This store never computes one itself.
+// else is dropped, and the store then finds the delta itself if the cube
+// turns out to be a revision of that latest version (see NewVersion). A
+// kept delta is what Delta answers with for the preceding generation, and
+// what a durable store logs instead of the cube.
 func (s *Store) PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, asOf time.Time) (Commit, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -354,7 +379,7 @@ func (s *Store) Versions(name string) []time.Time {
 }
 
 // Version is one entry of a cube's version history: the validity instant,
-// the frozen cube stored at it and, where the writer supplied it, the delta
+// the frozen cube stored at it and, where the store holds it, the delta
 // from the entry before (Delta.Base is that entry's Cube).
 type Version struct {
 	AsOf  time.Time
@@ -458,9 +483,9 @@ func (s *Store) Delta(name string, sinceGen uint64) (*model.CubeDelta, error) {
 		base = vs[i-1].cube
 	}
 	if cur.delta != nil && cur.delta.Base == base {
-		// The writer said how this version differs from the one the caller
-		// saw: the usual question of an incremental run, answered without
-		// touching either cube.
+		// How this version differs from the one the caller saw was settled
+		// when it was put: the usual question of an incremental run,
+		// answered without touching either cube.
 		return cur.delta, nil
 	}
 	return model.DiffCubes(name, base, cur.cube), nil
@@ -530,6 +555,7 @@ func ReadCSV(r io.Reader, sch model.Schema) (*model.Cube, error) {
 		}
 	}
 	c := model.NewCube(sch)
+	dims := make([]model.Value, len(sch.Dims)) // reused line after line: Put copies what it keeps
 	line := 1
 	for {
 		rec, err := cr.Read()
@@ -540,7 +566,6 @@ func ReadCSV(r io.Reader, sch model.Schema) (*model.Cube, error) {
 			return nil, fmt.Errorf("store: reading CSV: %w", err)
 		}
 		line++
-		dims := make([]model.Value, len(sch.Dims))
 		for i, d := range sch.Dims {
 			v, err := model.ParseValue(rec[i], d.Type)
 			if err != nil {
