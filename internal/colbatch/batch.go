@@ -1,13 +1,15 @@
 // Package colbatch is the columnar batch representation shared by the
 // vectorized SQL executor and the matrix-oriented frame engine: a batch
 // is one []model.Value slice per column plus an explicit row count, so
-// projections, chunking and cube↔table conversion are column re-slices
-// instead of row-by-row copies.
+// projections and chunking are column re-slices instead of row-by-row
+// copies.
 //
-// Batches are immutable once handed to a consumer: operators that drop
-// or reorder rows build fresh column slices rather than mutating shared
-// ones, which is what makes zero-copy column sharing between operators
-// (and between the SQL and frame engines) safe.
+// A batch is not written to while a consumer may still read it: operators
+// that drop or reorder rows build column slices of their own rather than
+// mutating shared ones, which is what makes zero-copy column sharing
+// between operators safe. How long a consumer may read is the producer's
+// to say; the SQL executor's operators refill their batches and say "until
+// my next call" (sqlengine/exec.go).
 package colbatch
 
 import (
@@ -58,15 +60,6 @@ func (b *Batch) Row(i int, buf []model.Value) []model.Value {
 	return buf
 }
 
-// Slice returns rows [lo, hi) as a zero-copy column re-slice.
-func (b *Batch) Slice(lo, hi int) *Batch {
-	out := &Batch{N: hi - lo, Cols: make([][]model.Value, len(b.Cols))}
-	for i, c := range b.Cols {
-		out.Cols[i] = c[lo:hi:hi]
-	}
-	return out
-}
-
 // Project returns the batch restricted to the given column indices, as a
 // zero-copy column re-slice.
 func (b *Batch) Project(idx []int) *Batch {
@@ -107,37 +100,26 @@ func (b *Batch) Rows() [][]model.Value {
 	return rows
 }
 
-// FromCube converts a cube into a batch whose columns are the dimensions
-// in schema order followed by the measure. Tuples are emitted in the
-// cube's deterministic sorted order.
-func FromCube(c *model.Cube) *Batch {
-	w := len(c.Schema().Dims) + 1
-	b := &Batch{N: c.Len(), Cols: make([][]model.Value, w)}
-	for i := range b.Cols {
-		b.Cols[i] = make([]model.Value, b.N)
-	}
-	r := 0
-	_ = c.Ordered(func(tu model.Tuple) error {
-		for d, v := range tu.Dims {
-			b.Cols[d][r] = v
-		}
-		b.Cols[w-1][r] = model.Num(tu.Measure)
-		r++
-		return nil
-	})
-	return b
-}
-
 // ToCube converts a batch back into a cube under the given schema. The
 // columns must be the dimensions (in order) followed by the measure.
 // Rows containing an invalid (NULL/NA) value are dropped, matching the
 // partial-function semantics of cubes.
 func ToCube(b *Batch, sch model.Schema) (*model.Cube, error) {
+	c := model.NewCube(sch)
+	if err := AppendToCube(c, b); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// AppendToCube puts the batch's rows into c under ToCube's rules, for a
+// producer that hands its rows over a batch at a time.
+func AppendToCube(c *model.Cube, b *Batch) error {
+	sch := c.Schema()
 	if len(b.Cols) != len(sch.Dims)+1 {
-		return nil, fmt.Errorf("colbatch: batch has %d columns, cube %s wants %d",
+		return fmt.Errorf("colbatch: batch has %d columns, cube %s wants %d",
 			len(b.Cols), sch.Name, len(sch.Dims)+1)
 	}
-	c := model.NewCube(sch)
 	dims := make([]model.Value, len(sch.Dims))
 	mcol := b.Cols[len(b.Cols)-1]
 	for i := 0; i < b.N; i++ {
@@ -155,11 +137,11 @@ func ToCube(b *Batch, sch model.Schema) (*model.Cube, error) {
 		}
 		m, ok := mcol[i].AsNumber()
 		if !ok {
-			return nil, fmt.Errorf("colbatch: non-numeric measure %v for cube %s", mcol[i], sch.Name)
+			return fmt.Errorf("colbatch: non-numeric measure %v for cube %s", mcol[i], sch.Name)
 		}
 		if err := c.Put(dims, m); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return c, nil
+	return nil
 }

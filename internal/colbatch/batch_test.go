@@ -26,17 +26,10 @@ func TestRoundTripRows(t *testing.T) {
 	}
 }
 
-func TestSliceAndProjectShareColumns(t *testing.T) {
+func TestProjectSharesColumns(t *testing.T) {
 	b := New(3)
 	for i := 0; i < 10; i++ {
 		b.AppendRow([]model.Value{model.Int(int64(i)), model.Num(float64(i)), model.Str("x")})
-	}
-	s := b.Slice(2, 7)
-	if s.N != 5 {
-		t.Fatalf("slice N = %d", s.N)
-	}
-	if &s.Cols[0][0] != &b.Cols[0][2] {
-		t.Fatal("Slice copied the column instead of re-slicing")
 	}
 	p := b.Project([]int{2, 0})
 	if p.NumCols() != 2 || p.N != 10 {
@@ -57,7 +50,10 @@ func TestCubeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := FromCube(c)
+	b := New(3)
+	for _, tu := range c.Tuples() {
+		b.AppendRow(append(tu.Dims[:2:2], model.Num(tu.Measure)))
+	}
 	if b.N != 4 || b.NumCols() != 3 {
 		t.Fatalf("batch shape = %d x %d", b.N, b.NumCols())
 	}
@@ -67,6 +63,25 @@ func TestCubeRoundTrip(t *testing.T) {
 	}
 	if !c.Equal(back, 0) {
 		t.Fatalf("round trip lost tuples:\n%v", c.Diff(back, 0, 8))
+	}
+
+	// The same rows a batch at a time through one batch that is refilled:
+	// AppendToCube keeps nothing of a batch it has read.
+	piece, parts := New(3), model.NewCube(sch)
+	for i := 0; i < b.N; i++ {
+		for j := range piece.Cols {
+			piece.Cols[j] = append(piece.Cols[j][:0], b.Cols[j][i])
+		}
+		piece.N = 1
+		if err := AppendToCube(parts, piece); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.Equal(parts, 0) {
+		t.Fatalf("batch by batch lost tuples:\n%v", c.Diff(parts, 0, 8))
+	}
+	if err := AppendToCube(parts, New(2)); err == nil {
+		t.Error("AppendToCube took a batch of another width")
 	}
 }
 

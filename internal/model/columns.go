@@ -26,15 +26,23 @@ type dimTuple struct {
 	key  string
 }
 
-// columns is a cube version in column form: a key set and the measure
-// column aligned with it. Like the key set it is never written to once a
-// cube points at it.
-type columns struct {
+// View is a cube version in column form: a key set and the measure column
+// aligned with it, in cube order. Like the key set it is never written to
+// once a cube points at it — a mutation of the cube drops the cube's pointer
+// to its View and leaves the View alone — so a View taken from any cube,
+// frozen or not, goes on showing the version it was taken from, to any
+// number of goroutines, and reading it copies nothing.
+type View struct {
 	keys     *keySet
 	measures []float64
 }
 
-func (p *columns) tuple(i int) Tuple {
+// Len returns the number of tuples.
+func (p *View) Len() int { return len(p.measures) }
+
+// Tuple returns the i-th tuple in cube order. Its Dims are the version's
+// own and must be left untouched.
+func (p *View) Tuple(i int) Tuple {
 	return Tuple{Dims: p.keys.tuples[i].dims, Measure: p.measures[i]}
 }
 
@@ -73,14 +81,14 @@ func (ks *keySet) memEstimate() int64 {
 	return n
 }
 
-// columns returns the cube's column form, whose order is the cube's
+// View returns the cube's column form, whose order is the cube's
 // deterministic order: the byte order of the tuples' row keys (see
 // AppendKey), which gives every engine the same iteration order and keeps
 // generated artifacts and test expectations stable. A cube held as a row
 // map computes it on the first ordered scan of a version and caches it
 // until the next mutation. What is returned is shared by every reader of
-// the cube and must not be written to.
-func (c *Cube) columns() *columns {
+// the cube; Ordered and Tuples are loops over it.
+func (c *Cube) View() *View {
 	if p := c.cols.Load(); p != nil {
 		return p
 	}
@@ -91,7 +99,7 @@ func (c *Cube) columns() *columns {
 		size += keySpace(len(k))
 	}
 	ks := &keySet{tuples: make([]dimTuple, 0, n)}
-	p := &columns{keys: ks, measures: make([]float64, 0, n)}
+	p := &View{keys: ks, measures: make([]float64, 0, n)}
 	arena := make([]byte, 0, size)
 	for k, t := range c.rows {
 		ks.tuples, p.measures = append(ks.tuples, dimTuple{t.Dims, k}), append(p.measures, t.Measure)
@@ -109,7 +117,7 @@ func (c *Cube) columns() *columns {
 
 // held returns the column form when it is all the cube holds — a version
 // Revise made — and nil for a cube with a row map, cached order or not.
-func (c *Cube) held() *columns {
+func (c *Cube) held() *View {
 	if c.rows != nil {
 		return nil
 	}
@@ -168,7 +176,7 @@ func (prev *Cube) Revise(c *Cube) *CubeDelta {
 	if !prev.frozen || p == nil || c.rows == nil || len(c.rows) != len(p.measures) || !prev.schema.Equal(c.schema) {
 		return nil
 	}
-	q := &columns{keys: p.keys, measures: make([]float64, len(p.measures))}
+	q := &View{keys: p.keys, measures: make([]float64, len(p.measures))}
 	for i, k := range p.keys.tuples {
 		t, ok := c.rows[k.key]
 		if !ok {
@@ -187,7 +195,7 @@ func (prev *Cube) Revise(c *Cube) *CubeDelta {
 // whole delta between them. It gives up (false) past limit tuples. The
 // first pass counts, so that the list — which a store keeps with the
 // version — is allocated once and at its size.
-func changedBetween(p, q *columns, limit int) ([]Tuple, bool) {
+func changedBetween(p, q *View, limit int) ([]Tuple, bool) {
 	n := 0
 	for i, m := range q.measures {
 		if m != p.measures[i] {
@@ -200,7 +208,7 @@ func changedBetween(p, q *columns, limit int) ([]Tuple, bool) {
 	changed := make([]Tuple, 0, n)
 	for i, m := range q.measures {
 		if m != p.measures[i] {
-			changed = append(changed, q.tuple(i))
+			changed = append(changed, q.Tuple(i))
 		}
 	}
 	return changed, true

@@ -219,7 +219,7 @@ func TestReviseSharesTheKeySet(t *testing.T) {
 		t.Fatal("Revise gave up on a revision")
 	}
 	v1 := d.Current
-	if d.Base != prev || d.Name != "C" || v1.held().keys != prev.columns().keys {
+	if d.Base != prev || d.Name != "C" || v1.held().keys != prev.View().keys {
 		t.Fatal("the revision does not share its predecessor's key set")
 	}
 	if !v1.Equal(rev, 0) {
@@ -257,7 +257,7 @@ func TestReviseSharesTheKeySet(t *testing.T) {
 	}
 	// Revising, scanning and diffing versions on one key set need no
 	// index; the first probe by key builds the one they all share.
-	if prev.columns().keys.index != nil {
+	if prev.View().keys.index != nil {
 		t.Error("something probed the key set's index")
 	}
 	if !rev2.Equal(d2.Current, 0) || v1.held().keys.index == nil {
@@ -336,7 +336,7 @@ func TestKeySetSharedConcurrently(t *testing.T) {
 	for v := 1; v <= 3; v++ {
 		rev := prev.Clone()
 		for i := v; i < 4000; i += 97 {
-			tu := prev.columns().tuple(i)
+			tu := prev.View().Tuple(i)
 			_ = rev.Replace(tu.Dims, float64(-v*i))
 		}
 		versions = append(versions, asColumnsOn(t, versions[len(versions)-1], rev))

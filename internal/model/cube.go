@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Eps is the default tolerance used when comparing measures produced by
@@ -48,7 +49,7 @@ type Cube struct {
 	// the cached cube order. Mutating methods clear it before touching
 	// rows, so a stale cache can never be observed; the pointer is atomic
 	// because frozen cubes are read from many goroutines at once.
-	cols atomic.Pointer[columns]
+	cols atomic.Pointer[View]
 }
 
 // keyBufSize is the stack space Put and Get encode a probe key into; the
@@ -142,7 +143,7 @@ func (c *Cube) PutFrom(src *Cube, f func(Tuple) (measure float64, keep bool, err
 	}
 	if p := src.held(); p != nil {
 		for i, t := range p.keys.tuples {
-			if err := c.putFrom(t.key, p.tuple(i), f); err != nil {
+			if err := c.putFrom(t.key, p.Tuple(i), f); err != nil {
 				return err
 			}
 		}
@@ -237,10 +238,10 @@ func (c *Cube) OrderCached() bool { return c.cols.Load() != nil }
 // Ordered) as a fresh slice that is the caller's to mutate. Readers
 // that only scan should use Ordered, which does not copy.
 func (c *Cube) Tuples() []Tuple {
-	p := c.columns()
-	ts := make([]Tuple, len(p.measures))
+	p := c.View()
+	ts := make([]Tuple, p.Len())
 	for i := range ts {
-		ts[i] = p.tuple(i)
+		ts[i] = p.Tuple(i)
 	}
 	return ts
 }
@@ -254,9 +255,9 @@ func (c *Cube) Tuples() []Tuple {
 // sees, and like every reader it must leave the Dims it is shown
 // untouched.
 func (c *Cube) Ordered(fn func(Tuple) error) error {
-	p := c.columns()
+	p := c.View()
 	for i := range p.measures {
-		if err := fn(p.tuple(i)); err != nil {
+		if err := fn(p.Tuple(i)); err != nil {
 			return err
 		}
 	}
@@ -284,7 +285,7 @@ func (c *Cube) Clone() *Cube {
 	if p := c.held(); p != nil {
 		out.rows = make(map[string]Tuple, len(p.measures))
 		for i, t := range p.keys.tuples {
-			out.rows[t.key] = p.tuple(i)
+			out.rows[t.key] = p.Tuple(i)
 		}
 	} else if len(c.rows) > 0 {
 		out.rows = maps.Clone(c.rows)
@@ -319,9 +320,9 @@ func (c *Cube) Diff(o *Cube, tol float64, max int) []string {
 		}
 		return len(out) < max
 	}
-	cols := c.columns()
+	cols := c.View()
 	for i := range cols.measures {
-		t := cols.tuple(i)
+		t := cols.Tuple(i)
 		om, ok := o.Get(t.Dims)
 		if !ok {
 			if !add(fmt.Sprintf("missing in other: %v -> %v", formatDims(t.Dims), t.Measure)) {
@@ -335,9 +336,9 @@ func (c *Cube) Diff(o *Cube, tol float64, max int) []string {
 			}
 		}
 	}
-	ocols := o.columns()
+	ocols := o.View()
 	for i := range ocols.measures {
-		t := ocols.tuple(i)
+		t := ocols.Tuple(i)
 		if _, ok := c.Get(t.Dims); !ok {
 			if !add(fmt.Sprintf("extra in other: %v -> %v", formatDims(t.Dims), t.Measure)) {
 				return out
@@ -348,13 +349,13 @@ func (c *Cube) Diff(o *Cube, tol float64, max int) []string {
 }
 
 // Per-entry accounting constants for MemEstimate: Go map bucket share,
-// two string headers (map key + Value.str), slice header and Tuple
-// shell, plus the Value shell per dimension. Deliberately rounded up —
-// the estimate feeds admission budgets, where over-counting degrades
-// gracefully and under-counting OOMs.
+// the map key's string header, slice header and Tuple shell — deliberately
+// rounded up, because the estimate feeds admission budgets, where
+// over-counting degrades gracefully and under-counting OOMs — plus the
+// Value shell per dimension, which is exact.
 const (
 	tupleOverheadBytes = 120
-	valueShellBytes    = 56
+	valueShellBytes    = int64(unsafe.Sizeof(Value{}))
 )
 
 // MemEstimate returns a conservative estimate of the cube's resident
@@ -417,7 +418,7 @@ func (c *Cube) SortedSeries() ([]Period, []float64, error) {
 	if !c.schema.IsTimeSeries() {
 		return nil, nil, fmt.Errorf("model: cube %s is not a time series", c.schema.Name)
 	}
-	cols := c.columns()
+	cols := c.View()
 	periods := make([]Period, len(cols.measures))
 	for i, t := range cols.keys.tuples {
 		p, ok := t.dims[0].AsPeriod()

@@ -43,34 +43,46 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed scalar: a dimension coordinate or a measure.
 // The zero Value is invalid.
+//
+// It is 32 bytes — two to a cache line, and one pointer for the collector
+// to trace: a number is held as its float bits, an int as its two's
+// complement, a bool as 0 or 1 and a period as its ordinal (beside freq),
+// all in bits; str is the payload of a string and empty otherwise. Every
+// constructor leaves the fields its kind does not use zero, so == on two
+// Values is a bitwise comparison of their payloads: it implies Equal except
+// for a NaN (== to itself where its bits agree, never Equal), and Equal
+// implies it except across the numeric kinds (3 and 3.0) and the two zeros.
 type Value struct {
-	kind Kind
-	num  float64
-	i    int64
 	str  string
-	per  Period
+	bits uint64
+	kind Kind
+	freq Frequency
 }
 
 // Num returns a numeric (float) value.
-func Num(f float64) Value { return Value{kind: KindNumber, num: f} }
+func Num(f float64) Value { return Value{kind: KindNumber, bits: math.Float64bits(f)} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, bits: uint64(i)} }
 
 // Str returns a string value.
 func Str(s string) Value { return Value{kind: KindString, str: s} }
 
 // Per returns a period value.
-func Per(p Period) Value { return Value{kind: KindPeriod, per: p} }
+func Per(p Period) Value { return Value{kind: KindPeriod, freq: p.Freq, bits: uint64(p.Ord)} }
 
 // Bool returns a boolean value.
 func Bool(b bool) Value {
 	v := Value{kind: KindBool}
 	if b {
-		v.i = 1
+		v.bits = 1
 	}
 	return v
 }
+
+func (v Value) num() float64 { return math.Float64frombits(v.bits) }
+func (v Value) int() int64   { return int64(v.bits) }
+func (v Value) per() Period  { return Period{Freq: v.freq, Ord: int64(v.bits)} }
 
 // Kind reports the value's runtime type.
 func (v Value) Kind() Kind { return v.kind }
@@ -83,9 +95,9 @@ func (v Value) IsValid() bool { return v.kind != KindInvalid }
 func (v Value) AsNumber() (float64, bool) {
 	switch v.kind {
 	case KindNumber:
-		return v.num, true
+		return v.num(), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.int()), true
 	default:
 		return 0, false
 	}
@@ -95,10 +107,10 @@ func (v Value) AsNumber() (float64, bool) {
 func (v Value) AsInt() (int64, bool) {
 	switch v.kind {
 	case KindInt:
-		return v.i, true
+		return v.int(), true
 	case KindNumber:
-		if v.num == float64(int64(v.num)) {
-			return int64(v.num), true
+		if f := v.num(); f == float64(int64(f)) {
+			return int64(f), true
 		}
 		return 0, false
 	default:
@@ -119,7 +131,7 @@ func (v Value) AsPeriod() (Period, bool) {
 	if v.kind != KindPeriod {
 		return Period{}, false
 	}
-	return v.per, true
+	return v.per(), true
 }
 
 // AsBool returns the boolean payload of a bool value.
@@ -127,22 +139,22 @@ func (v Value) AsBool() (bool, bool) {
 	if v.kind != KindBool {
 		return false, false
 	}
-	return v.i != 0, true
+	return v.bits != 0, true
 }
 
 // String formats the value for display and for CSV export.
 func (v Value) String() string {
 	switch v.kind {
 	case KindNumber:
-		return strconv.FormatFloat(v.num, 'g', -1, 64)
+		return strconv.FormatFloat(v.num(), 'g', -1, 64)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindString:
 		return v.str
 	case KindPeriod:
-		return v.per.String()
+		return v.per().String()
 	case KindBool:
-		if v.i != 0 {
+		if v.bits != 0 {
 			return "true"
 		}
 		return "false"
@@ -162,13 +174,13 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.kind {
 	case KindNumber:
-		return v.num == o.num
+		return v.num() == o.num()
 	case KindInt, KindBool:
-		return v.i == o.i
+		return v.bits == o.bits
 	case KindString:
 		return v.str == o.str
 	case KindPeriod:
-		return v.per == o.per
+		return v.freq == o.freq && v.bits == o.bits
 	default:
 		return true
 	}
@@ -200,12 +212,12 @@ func (v Value) Compare(o Value) int {
 	case KindString:
 		return strings.Compare(v.str, o.str)
 	case KindPeriod:
-		return v.per.Compare(o.per)
+		return v.per().Compare(o.per())
 	case KindBool:
 		switch {
-		case v.i < o.i:
+		case v.bits < o.bits:
 			return -1
-		case v.i > o.i:
+		case v.bits > o.bits:
 			return 1
 		}
 	}
@@ -255,9 +267,9 @@ func AppendOrderedKey(b []byte, v Value) []byte {
 		// One tag for both numeric kinds: Compare orders them jointly by
 		// numeric value and Equal compares them numerically (ints via the
 		// same float64 conversion), so 3 and 3.0 must collide.
-		f := v.num
+		f := v.num()
 		if v.kind == KindInt {
-			f = float64(v.i)
+			f = float64(v.int())
 		}
 		if f == 0 {
 			f = 0 // collapse -0.0 and +0.0, which Equal treats as equal
@@ -289,10 +301,10 @@ func AppendOrderedKey(b []byte, v Value) []byte {
 		}
 		b = append(b, 0x00, 0x00)
 	case KindPeriod:
-		b = append(b, 0x03, byte(v.per.Freq))
-		b = binary.BigEndian.AppendUint64(b, uint64(v.per.Ord)^(1<<63))
+		b = append(b, 0x03, byte(v.freq))
+		b = binary.BigEndian.AppendUint64(b, v.bits^(1<<63))
 	case KindBool:
-		b = append(b, 0x04, byte(v.i))
+		b = append(b, 0x04, byte(v.bits))
 	default:
 		b = append(b, 0xFF)
 	}

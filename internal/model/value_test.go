@@ -6,7 +6,44 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// TestValueSize: two Values to a cache line. Every column, row and Dims
+// slice in the repository is sized by this; MemEstimate reads it.
+func TestValueSize(t *testing.T) {
+	if size := unsafe.Sizeof(Value{}); size != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", size)
+	}
+}
+
+// TestValueIdentity pins what == on Values means for the payloads where it
+// is not Equal: it is bitwise.
+func TestValueIdentity(t *testing.T) {
+	nan, other := math.NaN(), math.Float64frombits(math.Float64bits(math.NaN())^1)
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		name        string
+		a, b        Value
+		same, equal bool
+	}{
+		{"one NaN payload", Num(nan), Num(nan), true, false},
+		{"two NaN payloads", Num(nan), Num(other), false, false},
+		{"the two zeros", Num(0), Num(negZero), false, true},
+		{"3 and 3.0", Int(3), Num(3), false, true},
+		{"a period and its ordinal", Per(NewAnnual(2000)), Int(2000), false, false},
+		{"a quarter and the year of that ordinal", Per(Period{Quarterly, 8000}), Per(Period{Annual, 8000}), false, false},
+		{"equal strings apart in memory", Str(strings.Repeat("ab", 2)), Str("abab"), true, true},
+		{"true and 1", Bool(true), Int(1), false, false},
+	} {
+		if got := c.a == c.b; got != c.same {
+			t.Errorf("%s: == is %v, want %v", c.name, got, c.same)
+		}
+		if got := c.a.Equal(c.b); got != c.equal {
+			t.Errorf("%s: Equal is %v, want %v", c.name, got, c.equal)
+		}
+	}
+}
 
 func TestValueAccessors(t *testing.T) {
 	if f, ok := Num(2.5).AsNumber(); !ok || f != 2.5 {

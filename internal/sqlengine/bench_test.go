@@ -61,7 +61,8 @@ func benchDB(mode ExecMode, rows int) *DB {
 func benchQuery(b *testing.B, mode ExecMode, rows int, query string) {
 	b.Helper()
 	db := benchDB(mode, rows)
-	// Warm once: fills the columnar batch cache and catches errors.
+	// Once outside the timer, to catch errors. Nothing is cached: every
+	// iteration's scans fill their batches from the tables' rows.
 	if _, err := db.Query(query); err != nil {
 		b.Fatal(err)
 	}

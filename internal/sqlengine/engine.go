@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"exlengine/internal/colbatch"
 	"exlengine/internal/model"
 )
 
@@ -88,79 +87,63 @@ type Column struct {
 
 // Table is an in-memory relation: ordered columns and rows of values.
 // Rows is the public, row-major representation (tests and tabular
-// functions build it directly); the vectorized executor reads tables
-// through Batch, a lazily built columnar view.
+// functions build it directly).
 //
-// A table bulk-loaded from a cube (DB.LoadCube) holds only columns
-// until something needs its rows: DB.Table, a tabular function taking it
-// as an argument, the legacy executor, INSERT and DELETE build them
-// first. Rows is therefore valid on any table obtained from DB.Table.
+// A table bulk-loaded from a cube (DB.LoadCube) is a reference to the
+// stored version — its model.View, dimensions then measure — until
+// something needs its rows: DB.Table, a tabular function taking it as an
+// argument, the legacy executor, INSERT, DELETE and a second load build
+// them first, once, straight from the view. Rows is therefore valid on any
+// table obtained from DB.Table. The vectorized executor reads either form
+// a chunk at a time (scanOp) and never asks for the rows of a view.
 type Table struct {
 	Name string
 	Cols []Column
 	Rows [][]model.Value
 
-	batchMu   sync.Mutex
-	batch     *colbatch.Batch
-	batchRows int
-	columnar  bool // batch is the content and Rows has yet to be built from it
+	viewMu sync.Mutex
+	view   *model.View // the content while non-nil; Rows is then yet to be built
 }
 
-// Batch returns a columnar view of the table, built on first use and
-// cached. Mutating statements call Invalidate; as a second line of
-// defense against direct Rows mutation the cache is also discarded when
-// the row count no longer matches.
-func (t *Table) Batch() *colbatch.Batch {
-	t.batchMu.Lock()
-	defer t.batchMu.Unlock()
-	if !t.columnar && (t.batch == nil || t.batchRows != len(t.Rows)) {
-		t.batch = colbatch.FromRows(t.Rows, len(t.Cols))
-		t.batchRows = len(t.Rows)
-	}
-	return t.batch
+// content returns what a scan reads: the loaded version, or else the rows.
+func (t *Table) content() (*model.View, [][]model.Value) {
+	t.viewMu.Lock()
+	defer t.viewMu.Unlock()
+	return t.view, t.Rows
 }
 
-// setColumns makes an externally built batch the content of an empty
-// table (LoadCube shares the cube-conversion columns with the executor,
-// zero-copy), leaving Rows to materialize.
-func (t *Table) setColumns(b *colbatch.Batch) {
-	t.batchMu.Lock()
-	t.batch = b
-	t.batchRows = b.N
-	t.columnar = true
-	t.batchMu.Unlock()
-}
-
-// materialize builds Rows from the columns of a bulk-loaded table; on
-// any other table Rows is already the content.
+// materialize builds Rows from the view of a bulk-loaded table; on any
+// other table Rows is already the content.
 func (t *Table) materialize() {
-	t.batchMu.Lock()
-	if t.columnar {
-		t.Rows = t.batch.Rows()
-		t.columnar = false
+	t.viewMu.Lock()
+	defer t.viewMu.Unlock()
+	if t.view != nil {
+		t.Rows, t.view = viewRows(t.view, len(t.Cols)), nil
 	}
-	t.batchMu.Unlock()
+}
+
+// viewRows returns a loaded version as rows of the given width: the
+// dimensions, then the measure.
+func viewRows(v *model.View, width int) [][]model.Value {
+	rows := make([][]model.Value, v.Len())
+	backing := make([]model.Value, len(rows)*width)
+	for i := range rows {
+		tu := v.Tuple(i)
+		row := backing[i*width : (i+1)*width : (i+1)*width]
+		copy(row, tu.Dims)
+		row[width-1] = model.Num(tu.Measure)
+		rows[i] = row
+	}
+	return rows
 }
 
 // numRows returns the row count without building rows.
 func (t *Table) numRows() int {
-	t.batchMu.Lock()
-	defer t.batchMu.Unlock()
-	if t.columnar {
-		return t.batch.N
+	v, rows := t.content()
+	if v != nil {
+		return v.Len()
 	}
-	return len(t.Rows)
-}
-
-// Invalidate discards the cached columnar view after a mutation of
-// Rows.
-func (t *Table) Invalidate() {
-	t.batchMu.Lock()
-	if !t.columnar { // no rows exist yet that could have been mutated
-		t.batch = nil
-		t.batchRows = 0
-	}
-	t.batchMu.Unlock()
+	return len(rows)
 }
 
 // ColIndex returns the position of the named column, or -1.
@@ -257,7 +240,7 @@ func (db *DB) Table(name string) (*Table, bool) {
 }
 
 // lookup returns the named table as it is stored: a bulk-loaded one may
-// hold only columns. The vectorized path reads tables this way.
+// hold only its view. The vectorized path reads tables this way.
 func (db *DB) lookup(name string) (*Table, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

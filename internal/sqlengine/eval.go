@@ -897,19 +897,22 @@ func resolveScalarCall(name string) (scalarCallFunc, error) {
 			return ops.ShiftValue(vals[0], n)
 		}, nil
 	}
-	// Numeric scalar functions from the operator library.
+	// Numeric scalar functions from the operator library. The argument
+	// buffer belongs to the returned function — to the compiled call node
+	// that resolved it — and is reused from row to row: f does not keep it.
 	f, err := ops.Scalar(name)
 	if err != nil {
 		return nil, fmt.Errorf("sql: unknown function %s", name)
 	}
+	var args []float64
 	return func(vals []model.Value) (model.Value, error) {
-		args := make([]float64, len(vals))
-		for i, v := range vals {
+		args = args[:0]
+		for _, v := range vals {
 			x, ok := v.AsNumber()
 			if !ok {
 				return model.Value{}, fmt.Errorf("sql: %s over non-numeric value %v", name, v)
 			}
-			args[i] = x
+			args = append(args, x)
 		}
 		out, err := f(args...)
 		if err != nil {
@@ -1180,7 +1183,6 @@ func (db *DB) evalInsertValues(ctx context.Context, s *insertValuesStmt) error {
 		t.Rows = append(t.Rows, row)
 		db.mu.Unlock()
 	}
-	t.Invalidate()
 	return nil
 }
 
@@ -1213,7 +1215,6 @@ func (db *DB) evalInsertSelect(ctx context.Context, s *insertSelectStmt) error {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	t.Invalidate()
 	return nil
 }
 
@@ -1222,7 +1223,6 @@ func (db *DB) evalDelete(s *deleteStmt) error {
 	if !ok {
 		return fmt.Errorf("sql: unknown table %s", s.table)
 	}
-	defer t.Invalidate()
 	if s.where == nil {
 		db.mu.Lock()
 		t.Rows = nil

@@ -155,6 +155,12 @@ func (c *isNullC) eval(b *colbatch.Batch) ([]model.Value, error) {
 // arguments non-NULL actually needs the function — matching the legacy
 // evaluator, where an unknown function over always-NULL arguments never
 // surfaces.
+//
+// Every function resolveScalarCall resolves is pure, so a row whose
+// arguments are identical (==, see model.Value) to those of the row before
+// it in the batch takes that row's result, NULL included, without a call: a
+// scan hands batches over in cube order, where quarter(d) sees each day
+// once per run of regions, not once per tuple.
 type callC struct {
 	name       string
 	fn         scalarCallFunc
@@ -181,6 +187,10 @@ func (c *callC) eval(b *colbatch.Batch) ([]model.Value, error) {
 	out := scratchVec(c.out, b.N)
 	c.out = out
 	for i := 0; i < b.N; i++ {
+		if i > 0 && sameRow(argv, i) {
+			out[i] = out[i-1]
+			continue
+		}
 		null := false
 		for j := range argv {
 			v := argv[j][i]
@@ -204,6 +214,17 @@ func (c *callC) eval(b *colbatch.Batch) ([]model.Value, error) {
 		out[i] = v
 	}
 	return out, nil
+}
+
+// sameRow reports whether every vector holds at row i what it holds at row
+// i-1.
+func sameRow(vecs [][]model.Value, i int) bool {
+	for _, v := range vecs {
+		if v[i] != v[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // compileExpr compiles an expression against a schema. Aggregate calls
@@ -355,33 +376,65 @@ func drainOp(op execOp, width int) (*colbatch.Batch, error) {
 	}
 }
 
-// scanOp streams a table's cached columnar view in Chunk-row slices,
-// applying the scan's column pruning as a zero-copy re-slice.
+// scanOp streams a table in Chunk-row batches, reading it where it lies: a
+// loaded table's stored version through its view, any other table's rows.
+// Each batch is the one scratch refilled with the scan's projected columns
+// only, which the batch-validity rule above permits; nothing of the table is
+// copied whole. The context is polled once per batch.
 type scanOp struct {
-	n   *scanNode
-	m   opMetrics
-	src *colbatch.Batch
-	pos int
+	ctx      context.Context
+	m        opMetrics
+	view     *model.View
+	rows     [][]model.Value
+	proj     []int // table columns to emit
+	measure  int   // a view's last column; the ones before it are its dimensions
+	pos, end int   // next row to read; number of rows
+	scratch  batchScratch
 }
 
-func newScanOp(n *scanNode, reg *obs.Registry) *scanOp {
-	src := n.table.Batch()
-	if n.proj != nil {
-		src = src.Project(n.proj)
+func newScanOp(ctx context.Context, n *scanNode, reg *obs.Registry) *scanOp {
+	o := &scanOp{ctx: ctx, m: newOpMetrics(reg, "scan"), proj: n.proj, measure: len(n.table.Cols) - 1}
+	if o.view, o.rows = n.table.content(); o.view != nil {
+		o.end = o.view.Len()
+	} else {
+		o.end = len(o.rows)
 	}
-	return &scanOp{n: n, m: newOpMetrics(reg, "scan"), src: src}
+	if o.proj == nil {
+		o.proj = make([]int, len(n.table.Cols))
+		for i := range o.proj {
+			o.proj[i] = i
+		}
+	}
+	return o
 }
 
 func (o *scanOp) next() (*colbatch.Batch, error) {
-	if o.pos >= o.src.N {
+	if o.pos >= o.end {
 		return nil, nil
 	}
-	hi := o.pos + colbatch.Chunk
-	if hi > o.src.N {
-		hi = o.src.N
+	if err := o.ctx.Err(); err != nil {
+		return nil, err
 	}
-	b := o.src.Slice(o.pos, hi)
+	lo, hi := o.pos, min(o.pos+colbatch.Chunk, o.end)
 	o.pos = hi
+	b := o.scratch.get(hi-lo, len(o.proj))
+	for j, c := range o.proj {
+		col := b.Cols[j]
+		switch {
+		case o.view == nil:
+			for i, row := range o.rows[lo:hi] {
+				col[i] = row[c]
+			}
+		case c < o.measure:
+			for i := range col {
+				col[i] = o.view.Tuple(lo + i).Dims[c]
+			}
+		default:
+			for i := range col {
+				col[i] = model.Num(o.view.Tuple(lo + i).Measure)
+			}
+		}
+	}
 	o.m.emit(b)
 	return b, nil
 }
@@ -1040,22 +1093,22 @@ func (o *distinctOp) next() (*colbatch.Batch, error) {
 
 // buildOps lowers the analyzed plan (minus the root sortNode, which the
 // driver applies after materialization) into an operator tree.
-func buildOps(n planNode, reg *obs.Registry) (execOp, error) {
+func buildOps(ctx context.Context, n planNode, reg *obs.Registry) (execOp, error) {
 	switch n := n.(type) {
 	case *scanNode:
-		return newScanOp(n, reg), nil
+		return newScanOp(ctx, n, reg), nil
 	case *filterNode:
-		c, err := buildOps(n.child, reg)
+		c, err := buildOps(ctx, n.child, reg)
 		if err != nil {
 			return nil, err
 		}
 		return &filterOp{n: n, m: newOpMetrics(reg, "filter"), child: c}, nil
 	case *joinNode:
-		l, err := buildOps(n.left, reg)
+		l, err := buildOps(ctx, n.left, reg)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildOps(n.right, reg)
+		r, err := buildOps(ctx, n.right, reg)
 		if err != nil {
 			return nil, err
 		}
@@ -1065,19 +1118,19 @@ func buildOps(n planNode, reg *obs.Registry) (execOp, error) {
 		}
 		return &joinOp{n: n, m: newOpMetrics(reg, kind), left: l, right: r}, nil
 	case *projectNode:
-		c, err := buildOps(n.child, reg)
+		c, err := buildOps(ctx, n.child, reg)
 		if err != nil {
 			return nil, err
 		}
 		return &projectOp{n: n, m: newOpMetrics(reg, "project"), child: c}, nil
 	case *groupNode:
-		c, err := buildOps(n.child, reg)
+		c, err := buildOps(ctx, n.child, reg)
 		if err != nil {
 			return nil, err
 		}
 		return &groupOp{n: n, m: newOpMetrics(reg, "groupby"), child: c}, nil
 	case *distinctNode:
-		c, err := buildOps(n.child, reg)
+		c, err := buildOps(ctx, n.child, reg)
 		if err != nil {
 			return nil, err
 		}
@@ -1116,7 +1169,7 @@ func (db *DB) evalSelectVec(ctx context.Context, s *selectStmt, r *resolver) (*T
 		return nil, err
 	}
 	_, espan := obs.StartSpan(ctx, "sql.exec")
-	op, err := buildOps(root.child, obs.MetricsFrom(ctx))
+	op, err := buildOps(ctx, root.child, obs.MetricsFrom(ctx))
 	if err != nil {
 		espan.EndErr(err)
 		span.EndErr(err)

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -132,10 +133,12 @@ func (db *DB) CreateTableFor(sch model.Schema) error {
 }
 
 // LoadCube bulk-loads a cube instance into the matching table (created if
-// absent). The cube is converted to columns only: they become the
-// content of an empty table, which the vectorized executor scans as they
-// are, and rows are built if and when something asks for them. Loading
-// into a table that already has content appends rows.
+// absent). An empty table takes the cube's view as its content, which costs
+// nothing once the version's order is cached: the vectorized executor reads
+// the stored version in place, and rows are built if and when something
+// asks for them. The view shows the cube as it is now, whatever is done to
+// the cube afterwards. Loading into a table that already has content
+// appends rows.
 func (db *DB) LoadCube(c *model.Cube) error {
 	name := lower(c.Schema().Name)
 	t, ok := db.lookup(name)
@@ -145,22 +148,27 @@ func (db *DB) LoadCube(c *model.Cube) error {
 		}
 		t, _ = db.lookup(name)
 	}
+	if len(t.Cols) != len(c.Schema().Dims)+1 {
+		return fmt.Errorf("sql: table %s has %d columns, cube %s wants %d", t.Name, len(t.Cols), c.Schema().Name, len(c.Schema().Dims)+1)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	b := colbatch.FromCube(c)
 	if t.numRows() == 0 {
-		t.setColumns(b)
+		t.viewMu.Lock()
+		t.view, t.Rows = c.View(), nil
+		t.viewMu.Unlock()
 		return nil
 	}
 	t.materialize()
-	t.Rows = append(t.Rows, b.Rows()...)
-	t.Invalidate()
+	t.Rows = append(t.Rows, viewRows(c.View(), len(t.Cols))...)
 	return nil
 }
 
 // ExtractCube reads a table back into a cube with the given schema. The
 // table columns must be the dimensions (in order) followed by the measure,
-// which is how CreateTableFor lays tables out.
+// which is how CreateTableFor lays tables out. The table is read as a
+// statement reads it, a scan batch at a time: no copy of it is made, and one
+// still holding a loaded version stays a view.
 func (db *DB) ExtractCube(sch model.Schema) (*model.Cube, error) {
 	t, ok := db.lookup(lower(sch.Name))
 	if !ok {
@@ -169,11 +177,20 @@ func (db *DB) ExtractCube(sch model.Schema) (*model.Cube, error) {
 	if len(t.Cols) != len(sch.Dims)+1 {
 		return nil, fmt.Errorf("sql: table %s has %d columns, cube %s wants %d", t.Name, len(t.Cols), sch.Name, len(sch.Dims)+1)
 	}
-	c, err := colbatch.ToCube(t.Batch(), sch)
-	if err != nil {
-		return nil, fmt.Errorf("sql: %w", err)
+	c := model.NewCube(sch)
+	scan := newScanOp(context.Background(), &scanNode{table: t}, nil)
+	for {
+		b, err := scan.next()
+		if err != nil {
+			return nil, fmt.Errorf("sql: %w", err)
+		}
+		if b == nil {
+			return c, nil
+		}
+		if err := colbatch.AppendToCube(c, b); err != nil {
+			return nil, fmt.Errorf("sql: %w", err)
+		}
 	}
-	return c, nil
 }
 
 func lower(s string) string {

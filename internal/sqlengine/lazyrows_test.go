@@ -2,7 +2,10 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,36 +13,42 @@ import (
 	"exlengine/internal/workload"
 )
 
-// Tables bulk-loaded from a cube hold only columns until rows are asked
-// for. These tests drive every consumer of rows against such tables.
+// Tables bulk-loaded from a cube hold only the version's view until rows are
+// asked for. These tests drive every consumer of rows against such tables.
 
 func monthlyPDRSchema(name string) model.Schema {
 	return model.NewSchema(name, []model.Dim{
 		{Name: "d", Type: model.TMonth}, {Name: "r", Type: model.TString}}, "v")
 }
 
-// parityCubes is the parityDB fixture as cubes.
-func parityCubes(t *testing.T) (pdr, rate *model.Cube) {
+// parityCubes is the parity fixture at n PDR tuples: a monthly panel over
+// three regions from 2000-01 on, a quarterly RATE over the quarters the
+// panel reaches, and a two-row REG with no dimension in common with either,
+// for cross joins.
+func parityCubes(t *testing.T, n int) (pdr, rate, reg *model.Cube) {
 	t.Helper()
+	regions := []string{"north", "south", "west"}
 	pdr = model.NewCube(monthlyPDRSchema("PDR"))
 	rate = model.NewCube(model.NewSchema("RATE", []model.Dim{
 		{Name: "q", Type: model.TQuarter}, {Name: "r", Type: model.TString}}, "x"))
-	for y := 2000; y < 2003; y++ {
-		for _, r := range []string{"north", "south", "west"} {
-			for m := 1; m <= 12; m++ {
-				mv := float64(y-2000)*12 + float64(m) + float64(len(r))
-				if err := pdr.Put([]model.Value{model.Per(model.NewMonthly(y, time.Month(m))), model.Str(r)}, mv); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for q := 1; q <= 4; q++ {
-				if err := rate.Put([]model.Value{model.Per(model.NewQuarterly(y, q)), model.Str(r)}, float64(q)+float64(len(r))/10); err != nil {
-					t.Fatal(err)
-				}
-			}
+	reg = model.NewCube(model.NewSchema("REG", []model.Dim{{Name: "g", Type: model.TString}}, "w"))
+	put := func(c *model.Cube, m float64, dims ...model.Value) {
+		if err := c.Put(dims, m); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return pdr, rate
+	for i := 0; i < n; i++ {
+		month, r := i/len(regions), regions[i%len(regions)]
+		put(pdr, float64(month+1+len(r)), model.Per(model.NewMonthly(2000, time.January).Shift(int64(month))), model.Str(r))
+	}
+	for q := 0; q < (n+8)/9; q++ { // nine tuples to a quarter
+		for _, r := range regions {
+			put(rate, float64(q%4+1)+float64(len(r))/10, model.Per(model.NewQuarterly(2000, 1).Shift(int64(q))), model.Str(r))
+		}
+	}
+	put(reg, 0.5, model.Str("inner"))
+	put(reg, 2, model.Str("outer"))
+	return pdr, rate, reg
 }
 
 func loadedDB(t *testing.T, mode ExecMode, cubes ...*model.Cube) *DB {
@@ -54,20 +63,22 @@ func loadedDB(t *testing.T, mode ExecMode, cubes ...*model.Cube) *DB {
 	return db
 }
 
-func isColumnar(t *testing.T, db *DB, name string) bool {
+// isView reports whether the table is still a reference to a loaded version.
+func isView(t *testing.T, db *DB, name string) bool {
 	t.Helper()
 	tab, ok := db.lookup(name)
 	if !ok {
 		t.Fatalf("no table %s", name)
 	}
-	return tab.columnar
+	v, _ := tab.content()
+	return v != nil
 }
 
 // TestLoadCubeBuildsRowsOnDemand: the vectorized path scans, joins and
 // extracts a cube-loaded table without ever building its rows, and
 // DB.Table hands them out complete and in cube order.
 func TestLoadCubeBuildsRowsOnDemand(t *testing.T) {
-	pdr, rate := parityCubes(t)
+	pdr, rate, _ := parityCubes(t, 108)
 	db := loadedDB(t, ExecVector, pdr, rate)
 	mustQuery(t, db, `SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r GROUP BY p.r`)
 	back, err := db.ExtractCube(pdr.Schema())
@@ -77,7 +88,7 @@ func TestLoadCubeBuildsRowsOnDemand(t *testing.T) {
 	if !back.Equal(pdr, 0) {
 		t.Error("ExtractCube of a cube-loaded table lost data")
 	}
-	if !isColumnar(t, db, "pdr") || !isColumnar(t, db, "rate") {
+	if !isView(t, db, "pdr") || !isView(t, db, "rate") {
 		t.Error("the vectorized path built rows for a cube-loaded table")
 	}
 
@@ -94,22 +105,44 @@ func TestLoadCubeBuildsRowsOnDemand(t *testing.T) {
 	}
 }
 
-// TestExecutorParityOnLoadedCubes runs the parity suite with both base
-// tables bulk-loaded: the legacy executor reads their rows, the
-// vectorized one their columns.
+// TestExecutorParityOnLoadedCubes runs the parity suite with the base
+// tables bulk-loaded: the legacy executor reads their rows, the vectorized
+// one streams the stored versions through a scratch batch it refills, so a
+// consumer that kept a batch across next() would show here — at sizes of no
+// chunk, whole chunks, and whole chunks and a part. Each answer must also be
+// the one the same rows give when put in with INSERT … VALUES.
 func TestExecutorParityOnLoadedCubes(t *testing.T) {
-	pdr, rate := parityCubes(t)
-	const view = `CREATE VIEW PQ AS SELECT quarter(d) AS q, r, avg(v) AS a FROM PDR GROUP BY quarter(d), r`
-	legacy := loadedDB(t, ExecLegacy, pdr, rate)
-	vector := loadedDB(t, ExecVector, pdr, rate)
-	inserted := parityDB(t, ExecVector)
-	mustExec(t, legacy, view)
-	mustExec(t, vector, view)
-	for _, q := range parityQueries {
-		ls, vs, is := mustQuery(t, legacy, q).String(), mustQuery(t, vector, q).String(), mustQuery(t, inserted, q).String()
-		if ls != vs || vs != is {
-			t.Errorf("results differ on %q:\nlegacy:\n%s\nvector:\n%s\nvector over inserted rows:\n%s", q, ls, vs, is)
-		}
+	for _, n := range []int{0, 108, 1024, 2048, 2500} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			pdr, rate, reg := parityCubes(t, n)
+			legacy := loadedDB(t, ExecLegacy, pdr, rate, reg)
+			vector := loadedDB(t, ExecVector, pdr, rate, reg)
+			inserted := insertedDB(t, ExecVector, pdr, rate, reg)
+			dbs := []*DB{legacy, vector, inserted}
+			for _, db := range dbs {
+				mustExec(t, db, parityView)
+			}
+			compare := func(q string) {
+				t.Helper()
+				ls, vs, is := mustQuery(t, legacy, q).String(), mustQuery(t, vector, q).String(), mustQuery(t, inserted, q).String()
+				if ls != vs || vs != is {
+					t.Errorf("results differ on %q:\nlegacy:\n%s\nvector:\n%s\nvector over inserted rows:\n%s", q, ls, vs, is)
+				}
+			}
+			for _, q := range parityQueries {
+				compare(q)
+			}
+			if !isView(t, vector, "pdr") || !isView(t, vector, "rate") || !isView(t, vector, "reg") {
+				t.Error("the vectorized path built rows for a cube-loaded table")
+			}
+			// Back into a loaded table, from itself and through the view over it.
+			for _, db := range dbs {
+				mustExec(t, db, `INSERT INTO PDR(d, r, v) SELECT d + 1200, r, v * 2 FROM PDR WHERE r <> 'west'`)
+				mustExec(t, db, `INSERT INTO RATE(q, r, x) SELECT q + 400, r, a FROM PQ`)
+			}
+			compare(`SELECT * FROM PDR`)
+			compare(`SELECT r, count(*) AS n, sum(x) AS s FROM RATE GROUP BY r`)
+		})
 	}
 }
 
@@ -118,7 +151,7 @@ func TestExecutorParityOnLoadedCubes(t *testing.T) {
 // result.
 func TestMutateLoadedCube(t *testing.T) {
 	forBothExecs(t, func(t *testing.T, mode ExecMode) {
-		pdr, _ := parityCubes(t)
+		pdr, _, _ := parityCubes(t, 108)
 		extra := model.NewCube(monthlyPDRSchema("EXTRA"))
 		for m := 1; m <= 2; m++ {
 			_ = extra.Put([]model.Value{model.Per(model.NewMonthly(2010, time.Month(m))), model.Str("east")}, float64(m))
@@ -177,7 +210,7 @@ func TestTabularFunctionOverLoadedCube(t *testing.T) {
 }
 
 // TestSecondLoadAppends: loading into a table that already has content
-// appends, whether that content is still columnar or already rows.
+// appends, whether that content is still a view or already rows.
 func TestSecondLoadAppends(t *testing.T) {
 	forBothExecs(t, func(t *testing.T, mode ExecMode) {
 		for _, rowsFirst := range []bool{false, true} {
@@ -208,39 +241,160 @@ func TestSecondLoadAppends(t *testing.T) {
 	})
 }
 
+// TestLoadCubeRejectsOtherWidth: a scan of a view takes the table's last
+// column for the measure and the ones before it for dimensions, so a table
+// whose width is not the cube's cannot take the cube's view.
+func TestLoadCubeRejectsOtherWidth(t *testing.T) {
+	pdr, _, _ := parityCubes(t, 9)
+	for _, ddl := range []string{`CREATE TABLE PDR (d MONTH, v DOUBLE)`, `CREATE TABLE PDR (d MONTH, r VARCHAR, s VARCHAR, v DOUBLE)`} {
+		db := NewDB()
+		mustExec(t, db, ddl)
+		if err := db.LoadCube(pdr); err == nil || !strings.Contains(err.Error(), "columns") {
+			t.Errorf("LoadCube of a 3-column cube after %q: err = %v, want a column-count error", ddl, err)
+		}
+		if res := mustQuery(t, db, `SELECT count(*) AS n FROM PDR`); fmt.Sprint(res.Rows) != fmt.Sprint([][]model.Value{{model.Num(0)}}) {
+			t.Errorf("after the rejected load %q holds %v rows, want 0", ddl, res.Rows)
+		}
+	}
+}
+
+// TestLoadedTableIsASnapshot: a table loaded from a cube that is then
+// mutated — it was not frozen — goes on showing what was loaded, to the
+// vectorized scan and to whoever builds its rows.
+func TestLoadedTableIsASnapshot(t *testing.T) {
+	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+		pdr, _, _ := parityCubes(t, 2500)
+		want := pdr.Clone()
+		db := loadedDB(t, mode, pdr)
+		first := pdr.Tuples()[0]
+		pdr.Delete(first.Dims)
+		if err := pdr.Replace(pdr.Tuples()[0].Dims, -1); err != nil {
+			t.Fatal(err)
+		}
+		if err := pdr.Put([]model.Value{model.Per(model.NewMonthly(1990, time.May)), model.Str("east")}, 7); err != nil {
+			t.Fatal(err)
+		}
+		res := mustQuery(t, db, `SELECT count(*) AS n, sum(v) AS s, min(v) AS lo FROM PDR`)
+		sum, lo := 0.0, math.Inf(1)
+		for _, tu := range want.Tuples() {
+			sum, lo = sum+tu.Measure, min(lo, tu.Measure)
+		}
+		if fmt.Sprint(res.Rows) != fmt.Sprint([][]model.Value{{model.Num(2500), model.Num(sum), model.Num(lo)}}) {
+			t.Errorf("count, sum, min after mutating the loaded cube = %v, want 2500, %v, %v", res.Rows, sum, lo)
+		}
+		got, err := db.ExtractCube(want.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := want.Diff(got, 0, 5); len(diff) > 0 {
+			t.Errorf("table after mutating the loaded cube: %v", diff)
+		}
+	})
+}
+
+// TestSharedVersionScannedConcurrently: goroutines, each with a DB of its
+// own, load the same stored version and scan it at once — one of them
+// building rows from it meanwhile. Every scan reads the version's own
+// columns and writes only its own scratch; the race detector checks that.
+func TestSharedVersionScannedConcurrently(t *testing.T) {
+	pdr, _, _ := parityCubes(t, 2500)
+	pdr.Freeze()
+	const q = `SELECT quarter(d) AS q, r, avg(v) AS a FROM PDR WHERE v > 10 GROUP BY quarter(d), r`
+	want := mustQuery(t, loadedDB(t, ExecVector, pdr), q).String()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			db := NewDB()
+			if err := db.LoadCube(pdr); err != nil {
+				t.Error(err)
+				return
+			}
+			if g == 0 {
+				db.Table("PDR")
+			}
+			res, err := db.Query(q)
+			if err != nil {
+				t.Error(err)
+			} else if got := res.String(); got != want {
+				t.Errorf("goroutine %d read\n%s\nwant\n%s", g, got, want)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // pdrCube returns the GDP example's PDR(d: day, r: string) with n
 // tuples over 20 regions.
 func pdrCube(n int) *model.Cube {
 	return workload.GDPSource(workload.GDPConfig{Days: n / 20, Regions: 20})["PDR"]
 }
 
-// TestLoadCubeAllocBudget: loading a stored cube (its order already
-// cached, as for any version a run has scanned) into a fresh table
-// allocates its three columns of 56-byte values and nothing per tuple
-// besides, within 200 B/tuple.
+// pqrScript is what sqlgen emits for PQR := avg(PDR, group by quarter(d) as
+// q, r), the GDP program's statement over its one large cube.
+const pqrScript = `
+CREATE TABLE PQR (q QUARTER, r VARCHAR, p DOUBLE);
+INSERT INTO PQR(q, r, p)
+SELECT QUARTER(C1.d) AS q, C1.r AS r, AVG(C1.p) AS p
+FROM PDR C1
+GROUP BY QUARTER(C1.d), C1.r`
+
+// loadAndGroup is the SQL target's work on a stored version: load it into a
+// fresh database and run the PQR statement over it.
+func loadAndGroup(tb testing.TB, c *model.Cube) {
+	tb.Helper()
+	db := NewDB()
+	if err := db.LoadCube(c); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Exec(pqrScript); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestLoadCubeAllocBudget: loading a stored version (its order already
+// cached, as for any version a run has scanned) and grouping it allocates
+// the scan's one scratch batch, the groups and the result — nothing per
+// scanned tuple, where a copy of the table into columns of values cost
+// 3 × 56 B of them. Within 24 B/tuple, the groups' share at this size.
 func TestLoadCubeAllocBudget(t *testing.T) {
 	const n = 50000
 	c := pdrCube(n).Freeze()
 	_ = c.Ordered(func(model.Tuple) error { return nil })
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := NewDB().LoadCube(c); err != nil {
-		t.Fatal(err)
-	}
+	loadAndGroup(t, c)
 	runtime.ReadMemStats(&after)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 200 {
-		t.Errorf("LoadCube allocates %.1f B/tuple, budget 200", per)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 24 {
+		t.Errorf("load + PQR allocate %.1f B per scanned tuple, budget 24", per)
 	}
 }
 
-func BenchmarkLoadCube(b *testing.B) {
+// TestScalarCallAllocsIndependentOfRows: a numeric scalar call keeps its
+// argument buffer on the compiled call, so what a statement allocates does
+// not grow with the rows it scans.
+func TestScalarCallAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(n int) float64 {
+		pdr, _, _ := parityCubes(t, n)
+		db := loadedDB(t, ExecVector, pdr)
+		return testing.AllocsPerRun(5, func() {
+			mustQuery(t, db, `SELECT sum(ln(v)) AS s FROM PDR`)
+		})
+	}
+	if small, large := allocs(2048), allocs(8192); large > small+8 {
+		t.Errorf("SELECT sum(ln(v)) allocates %.0f times over 2048 rows and %.0f over 8192", small, large)
+	}
+}
+
+// BenchmarkLoadAndGroupBy is one SQL fragment over the 200k-tuple PDR: the
+// load, which is O(1), and the PQR statement, which holds the scan.
+func BenchmarkLoadAndGroupBy(b *testing.B) {
 	c := pdrCube(200000).Freeze()
 	_ = c.Ordered(func(model.Tuple) error { return nil })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := NewDB().LoadCube(c); err != nil {
-			b.Fatal(err)
-		}
+		loadAndGroup(b, c)
 	}
 }

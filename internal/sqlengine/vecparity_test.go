@@ -10,39 +10,48 @@ import (
 )
 
 // parityDB builds a small panel-and-rates fixture exercising joins,
-// period arithmetic, grouping and views.
+// period arithmetic, grouping and views: parityCubes at 108 tuples, put in
+// with INSERT … VALUES.
 func parityDB(t *testing.T, mode ExecMode) *DB {
+	t.Helper()
+	pdr, rate, reg := parityCubes(t, 108)
+	db := insertedDB(t, mode, pdr, rate, reg)
+	mustExec(t, db, parityView)
+	return db
+}
+
+const parityView = `CREATE VIEW PQ AS SELECT quarter(d) AS q, r, avg(v) AS a FROM PDR GROUP BY quarter(d), r`
+
+// insertedDB holds each cube as a table of rows: its tuples, in cube order,
+// put in by one INSERT … VALUES statement.
+func insertedDB(t *testing.T, mode ExecMode, cubes ...*model.Cube) *DB {
 	t.Helper()
 	db := NewDB()
 	db.SetExecMode(mode)
-	mustExec(t, db, `
-CREATE TABLE PDR (d MONTH, r VARCHAR, v DOUBLE);
-CREATE TABLE RATE (q QUARTER, r VARCHAR, x DOUBLE);
-`)
-	for y := 2000; y < 2003; y++ {
-		for m := 1; m <= 12; m++ {
-			for _, r := range []string{"north", "south", "west"} {
-				mv := float64(y-2000)*12 + float64(m) + float64(len(r))
-				mustExec(t, db, insertMonthly("PDR", y, m, r, mv))
-			}
+	for _, c := range cubes {
+		if err := db.CreateTableFor(c.Schema()); err != nil {
+			t.Fatal(err)
 		}
-		for q := 1; q <= 4; q++ {
-			for _, r := range []string{"north", "south", "west"} {
-				mustExec(t, db, insertQuarterly("RATE", y, q, r, float64(q)+float64(len(r))/10))
+		var b strings.Builder
+		for i, tu := range c.Tuples() {
+			if i > 0 {
+				b.WriteString(", ")
 			}
+			b.WriteString("(")
+			for _, d := range tu.Dims {
+				b.WriteString("'" + d.String() + "', ")
+			}
+			b.WriteString(model.Num(tu.Measure).String() + ")")
+		}
+		if b.Len() > 0 {
+			mustExec(t, db, "INSERT INTO "+c.Schema().Name+" VALUES "+b.String())
 		}
 	}
-	mustExec(t, db, `CREATE VIEW PQ AS SELECT quarter(d) AS q, r, avg(v) AS a FROM PDR GROUP BY quarter(d), r`)
 	return db
 }
 
 func insertMonthly(table string, y, m int, r string, v float64) string {
 	p := model.NewMonthly(y, time.Month(m))
-	return "INSERT INTO " + table + " VALUES ('" + p.String() + "', '" + r + "', " + model.Num(v).String() + ")"
-}
-
-func insertQuarterly(table string, y, q int, r string, v float64) string {
-	p := model.NewQuarterly(y, q)
 	return "INSERT INTO " + table + " VALUES ('" + p.String() + "', '" + r + "', " + model.Num(v).String() + ")"
 }
 
@@ -64,6 +73,11 @@ var parityQueries = []string{
 	`SELECT r FROM PDR WHERE v > 10 AND (r = 'north' OR r = 'west')`,
 	`SELECT t.r AS r, count(p.v) AS n FROM RATE t, PDR p WHERE t.r = p.r AND t.q = quarter(p.d) GROUP BY t.r`,
 	`SELECT count(*) AS n FROM PDR WHERE v < 0`,
+	`SELECT v, d FROM PDR`,
+	`SELECT a.d AS d, a.r AS r, a.v AS cur, b.v AS prev FROM PDR a, PDR b WHERE a.r = b.r AND a.d = b.d + 1`,
+	`SELECT p.d AS d, p.r AS r, g.w * p.v AS wv, g.g AS g FROM PDR p, REG g`,
+	`SELECT g.g AS g, count(*) AS n, sum(p.v) AS s FROM REG g, PDR p WHERE p.v > 5 GROUP BY g.g`,
+	`SELECT r, ln(v) AS l FROM PDR WHERE r <> 'south'`,
 }
 
 // TestExecutorParity runs the suite through the legacy tree-walker and

@@ -118,7 +118,8 @@ func Execute(s *Script, db *sqlengine.DB) error {
 }
 
 // ExecuteContext is Execute under a context: cancellation aborts the
-// script between statements, and a tracer carried by the context records
+// script between statements and, inside one, at the next batch a scan
+// reads, and a tracer carried by the context records
 // one span per DDL batch and per INSERT step, with the engine's own
 // spans (sql.vec, sql.analyze, sql.exec) and operator counters beneath.
 func ExecuteContext(ctx context.Context, s *Script, db *sqlengine.DB) error {

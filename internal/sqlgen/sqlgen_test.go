@@ -1,8 +1,12 @@
 package sqlgen
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"exlengine/internal/chase"
 	"exlengine/internal/exl"
@@ -227,6 +231,58 @@ func TestSQLNormalizedMatchesChase(t *testing.T) {
 		if !got.Equal(ref[rel], 1e-6) {
 			t.Errorf("%s differs (normalized SQL vs chase)", rel)
 		}
+	}
+}
+
+// pollCtx is a context that turns cancelled at its after-th Err poll: a
+// caller giving up at a known point inside a statement, with no timer and
+// no second goroutine.
+type pollCtx struct {
+	context.Context
+	polls, after int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.polls >= c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExecuteContextCancelsInsideAStatement: the scan polls the context at
+// every batch, so a run cancelled while the PQR statement reads a 200k-tuple
+// version stops there — not after the 196 batches the statement has left —
+// and the INSERT has appended nothing.
+func TestExecuteContextCancelsInsideAStatement(t *testing.T) {
+	m := compile(t, "cube PDR(d: day, r: string) measure p\nPQR := avg(PDR, group by quarter(d) as q, r)\n")
+	db := sqlengine.NewDB()
+	if err := db.LoadCube(workload.GDPSource(workload.GDPConfig{Days: 10000, Regions: 20})["PDR"]); err != nil {
+		t.Fatal(err)
+	}
+	script, err := Translate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	ctx := &pollCtx{Context: context.Background(), after: 50}
+	if err := ExecuteContext(ctx, script, db); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExecuteContext under a context cancelled mid-statement = %v, want context.Canceled", err)
+	}
+	// The callers above the scan may ask the context again on the way out;
+	// the scan may not go on to the batches it has left, one poll each.
+	if ctx.polls > ctx.after+8 {
+		t.Errorf("the context was polled %d times, want the run to end within a few polls of number %d", ctx.polls, ctx.after)
+	}
+	if tab, ok := db.Table("PQR"); !ok || len(tab.Rows) != 0 {
+		t.Errorf("PQR after the cancelled INSERT … SELECT: %d rows, want the table there and empty", len(tab.Rows))
+	}
+	// The executor starts no goroutine; ones of the runtime's or of another
+	// test's that were winding down are given a moment to.
+	for i := 0; runtime.NumGoroutine() > goroutines && i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the cancelled run, %d before", n, goroutines)
 	}
 }
 
