@@ -231,13 +231,14 @@ func (a *affectedKeys) sorted() [][]model.Value {
 	return out
 }
 
-// maintain rebuilds the tgd's output from its previous version by
+// maintain brings the tgd's output up to date from its previous version by
 // recomputing exactly the affected points: recompute returns the point's
-// current value (or absent), and the old/new values decide Replace,
-// Delete or no-op. The returned delta records what actually changed.
+// current value (or absent), and probing the previous version for the old
+// one says whether the point was added, changed, deleted or left alone.
+// The delta that collects is what actually changed, and the new version is
+// the previous one with it applied (model.Cube.Apply).
 func maintain(name string, baseOut *model.Cube, affected *affectedKeys, stats *IncrStats, recompute func(dims []model.Value) (float64, bool, error)) (*model.Cube, *model.CubeDelta, error) {
-	out := baseOut.Clone()
-	od := &model.CubeDelta{Name: name, Base: baseOut, Current: nil}
+	od := &model.CubeDelta{Name: name, Base: baseOut}
 	for _, dims := range affected.sorted() {
 		stats.KeysRecomputed++
 		mv, present, err := recompute(dims)
@@ -247,22 +248,18 @@ func maintain(name string, baseOut *model.Cube, affected *affectedKeys, stats *I
 		old, had := baseOut.Get(dims)
 		switch {
 		case present && !had:
-			if err := out.Replace(dims, mv); err != nil {
-				return nil, nil, err
-			}
 			od.Added = append(od.Added, model.Tuple{Dims: dims, Measure: mv})
 		case present && had && mv != old:
-			if err := out.Replace(dims, mv); err != nil {
-				return nil, nil, err
-			}
 			od.Changed = append(od.Changed, model.Tuple{Dims: dims, Measure: mv})
 		case !present && had:
-			out.Delete(dims)
 			od.Deleted = append(od.Deleted, model.Tuple{Dims: dims, Measure: old})
 		}
 	}
-	od.Current = out
-	return out, od, nil
+	var err error
+	if od.Current, err = baseOut.Apply(od.Added, od.Changed, od.Deleted); err != nil {
+		return nil, nil, err
+	}
+	return od.Current, od, nil
 }
 
 // deltaTuples streams every tuple of the delta (added and changed as

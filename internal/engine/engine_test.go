@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -291,13 +290,6 @@ func TestLoadCSVAdoptsTheParsedCube(t *testing.T) {
 	}
 	body := buf.Bytes()
 	sch, _ := e.Schema("S")
-	allocated := func(f func()) int64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return int64(after.TotalAlloc - before.TotalAlloc)
-	}
 	parse := allocated(func() {
 		if _, err := store.ReadCSV(bytes.NewReader(body), sch); err != nil {
 			t.Fatal(err)

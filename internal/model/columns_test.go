@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -287,8 +288,15 @@ func TestReviseGivesUp(t *testing.T) {
 	base := func() *Cube { return pdrCube(200) }
 	last := ordered(base()).Tuples()[199]
 
-	if base().Freeze().Revise(base()) != nil {
-		t.Error("shared with a predecessor whose order nobody computed")
+	// Nobody read the predecessor in order: a frozen cube is adopted for
+	// nothing and must not cost a sort; an unfrozen one would cost a clone,
+	// so the order is built for it, on the predecessor, and shared.
+	unread := base().Freeze()
+	if unread.Revise(base().Freeze()) != nil || unread.OrderCached() {
+		t.Error("sorted a predecessor nobody read in order for a frozen cube")
+	}
+	if d := unread.Revise(base()); d == nil || !unread.OrderCached() || !d.Current.SharesKeySet(unread) {
+		t.Error("an unfrozen revision of a predecessor nobody read in order does not share its key set")
 	}
 	unfrozen := base()
 	_ = unfrozen.Ordered(func(Tuple) error { return nil })
@@ -420,7 +428,10 @@ func FuzzRevise(f *testing.F) {
 			return nil
 		})
 
-		prev := ordered(base)
+		prev := base.Freeze()
+		if n%2 == 0 {
+			ordered(prev)
+		}
 		d := prev.Revise(c)
 		if (d != nil) != sameKeys {
 			t.Fatalf("Revise = %v on a cube with the same dimension tuples: %v", d, sameKeys)
@@ -432,19 +443,171 @@ func FuzzRevise(f *testing.F) {
 		if !d.Current.Equal(want, 0) || !want.Equal(d.Current, 0) || d.Current.Len() != want.Len() {
 			t.Fatalf("revised version differs: %v", d.Current.Diff(want, 0, 3))
 		}
-		ref := DiffCubes("C", prev, want)
-		for _, l := range []struct{ got, want []Tuple }{{d.Added, ref.Added}, {d.Changed, ref.Changed}, {d.Deleted, ref.Deleted}} {
-			if len(l.got) != len(l.want) {
-				t.Fatalf("delta lists differ in length: %d vs %d", len(l.got), len(l.want))
-			}
-			for i := range l.want {
-				if compareDims(l.got[i].Dims, l.want[i].Dims) != 0 ||
-					math.Float64bits(l.got[i].Measure) != math.Float64bits(l.want[i].Measure) {
-					t.Fatalf("delta differs at %d: %v vs %v", i, l.got[i], l.want[i])
-				}
+		sameDeltaBits(t, d, DiffCubes("C", prev, want))
+	})
+}
+
+// sameDeltaBits is sameDelta with measures compared bit for bit, so that a
+// NaN equals itself.
+func sameDeltaBits(t *testing.T, got, want *CubeDelta) {
+	t.Helper()
+	sameTuplesBits(t, got.Added, want.Added)
+	sameTuplesBits(t, got.Changed, want.Changed)
+	sameTuplesBits(t, got.Deleted, want.Deleted)
+}
+
+func sameTuplesBits(t *testing.T, got, want []Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("tuple lists differ in length: %d vs %d", len(got), len(want))
+	}
+	for i := range want {
+		if compareDims(got[i].Dims, want[i].Dims) != 0 || math.Float64bits(got[i].Measure) != math.Float64bits(want[i].Measure) {
+			t.Fatalf("tuples differ at %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+}
+
+// FuzzApply: a base cube in either form and a delta that fits it or not.
+// Apply fails exactly when a tuple does not fit, and names it; otherwise its
+// version is, bit for bit, what cloning the base and editing the copy gives
+// (the oracle kept here), on the base's key set exactly when the delta only
+// restates measures; the base is left as it was, and diffing the two gives
+// the delta back.
+func FuzzApply(f *testing.F) {
+	f.Add(uint8(10), uint8(0), []byte{})
+	f.Add(uint8(10), uint8(1), []byte{1, 3, 7, 1, 4, 9})           // changes, frozen row map
+	f.Add(uint8(10), uint8(2), []byte{1, 3, 7, 1, 3, 8})           // one tuple restated twice, columns
+	f.Add(uint8(10), uint8(2), []byte{0, 40, 1, 2, 9, 0})          // an insert and a delete
+	f.Add(uint8(10), uint8(0), []byte{0, 3, 1})                    // adds a tuple the base has
+	f.Add(uint8(10), uint8(1), []byte{1, 40, 1})                   // changes one it lacks
+	f.Add(uint8(10), uint8(2), []byte{1, 2, 5, 2, 40, 0})          // deletes one it lacks
+	f.Add(uint8(0), uint8(1), []byte{0, 0, 0})                     // from empty
+	f.Add(uint8(200), uint8(2), []byte{1, 199, 255, 3, 0, 0})      // a NaN measure
+	f.Add(uint8(10), uint8(1), []byte{1, 2, 5, 2, 2, 0, 0, 77, 1}) // changed and deleted at once
+	f.Fuzz(func(t *testing.T, n, form uint8, script []byte) {
+		sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "s", Type: TString}}, "m")
+		dims := func(i byte) []Value { return []Value{Int(int64(i) / 3), Str(string(rune('a' + i%3)))} }
+		base := NewCube(sch)
+		for i := 0; i < int(n); i++ {
+			_ = base.Replace(dims(byte(i)), float64(i))
+		}
+		before := base.Clone()
+		switch form % 3 {
+		case 1:
+			base.Freeze()
+		case 2:
+			base = asColumns(t, base)
+		}
+
+		var added, changed, deleted []Tuple
+		want, fits := before.Clone(), true
+		for ; len(script) >= 3; script = script[3:] {
+			tu := Tuple{Dims: dims(script[1]), Measure: float64(script[2])}
+			_, had := before.Get(tu.Dims)
+			switch script[0] % 4 {
+			case 0:
+				added, fits = append(added, tu), fits && !had
+			case 3:
+				tu.Measure = math.NaN()
+				fallthrough
+			case 1:
+				changed, fits = append(changed, tu), fits && had
+			default:
+				deleted, fits = append(deleted, tu), fits && had
 			}
 		}
+		// The oracle edits in Apply's order: every list against the base.
+		for _, tu := range added {
+			_ = want.Replace(tu.Dims, tu.Measure)
+		}
+		for _, tu := range changed {
+			_ = want.Replace(tu.Dims, tu.Measure)
+		}
+		for _, tu := range deleted {
+			want.Delete(tu.Dims)
+		}
+
+		got, err := base.Apply(added, changed, deleted)
+		if (err == nil) != fits {
+			t.Fatalf("Apply: %v on a delta that fits: %v", err, fits)
+		}
+		sameDeltaBits(t, DiffCubes("C", before, base), &CubeDelta{})
+		if err != nil {
+			if !strings.Contains(err.Error(), "which its base") || got != nil {
+				t.Fatalf("Apply returned %v with an error that names no tuple: %v", got, err)
+			}
+			return
+		}
+		if !got.Frozen() || got.Len() != want.Len() {
+			t.Fatalf("Apply's version is frozen: %v, has %d tuples, want %d", got.Frozen(), got.Len(), want.Len())
+		}
+		sameTuplesBits(t, got.Tuples(), byCompare(want))
+		if restates := len(added)+len(deleted) == 0; got.SharesKeySet(base) != restates {
+			t.Fatalf("key set shared: %v, delta only restates measures: %v", got.SharesKeySet(base), restates)
+		}
+		sameDeltaBits(t, DiffCubes("C", base, got), DiffCubes("C", before, want))
 	})
+}
+
+// TestApplyConcurrentlyOnOneBase: goroutines apply different deltas to one
+// frozen row-map base that nobody has read in order, while others probe and
+// scan it: the order is built once, every successor stands on that one key
+// set, and each holds its own delta (run under -race).
+func TestApplyConcurrentlyOnOneBase(t *testing.T) {
+	const n, appliers = 4000, 6
+	base := pdrCube(n).Freeze()
+	want := byCompare(base)
+	successors := make([]*Cube, appliers)
+	var wg sync.WaitGroup
+	for g := 0; g < appliers+4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			switch {
+			case g < appliers:
+				var changed []Tuple
+				for i := g; i < n; i += 101 {
+					changed = append(changed, Tuple{Dims: want[i].Dims, Measure: float64(-g - 1)})
+				}
+				next, err := base.Apply(nil, changed, nil)
+				if err != nil {
+					t.Errorf("Apply: %v", err)
+					return
+				}
+				successors[g] = next
+			case g%2 == 0:
+				for i := g; i < n; i += 7 {
+					if m, ok := base.Get(want[i].Dims); !ok || m != want[i].Measure {
+						t.Errorf("Get(%v) = %v, %v", formatDims(want[i].Dims), m, ok)
+						return
+					}
+				}
+			default:
+				i := 0
+				_ = base.Ordered(func(tu Tuple) error {
+					if compareDims(tu.Dims, want[i].Dims) != 0 || tu.Measure != want[i].Measure {
+						t.Errorf("Ordered differs from the order at %d", i)
+					}
+					i++
+					return nil
+				})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g, next := range successors {
+		if !next.SharesKeySet(base) || !next.SharesKeySet(successors[0]) {
+			t.Fatalf("successor %d stands on a key set of its own", g)
+		}
+		d := DiffCubes("PDR", base, next)
+		if len(d.Changed) != (n-g+100)/101 || len(d.Added)+len(d.Deleted) != 0 || d.Changed[0].Measure != float64(-g-1) {
+			t.Fatalf("successor %d differs from the base by +%d ~%d -%d", g, len(d.Added), len(d.Changed), len(d.Deleted))
+		}
+	}
 }
 
 // liveBytes returns the heap bytes that stay reachable from what build

@@ -39,7 +39,7 @@ type Cube struct {
 	schema Schema
 	// rows is the row map, keyed by AppendKey of the dimension tuple. It is
 	// what every mutation works on; nil only in a frozen version that is
-	// held as columns alone (see Revise).
+	// held as columns alone (see Revise and Apply).
 	rows   map[string]Tuple
 	frozen bool
 	// memEst caches MemEstimate once the cube is frozen (0 = uncached);
@@ -230,9 +230,18 @@ func (c *Cube) Delete(dims []Value) bool {
 
 // OrderCached reports whether the version holds its column form, so that an
 // ordered scan need not sort: a scan has sorted it and left the order
-// cached, or Revise made it on its predecessor's. Tests pin with it that a
-// path which has no use for the order did not pay for one.
+// cached, or Revise or Apply made it on its predecessor's. Tests pin with it
+// that a path which has no use for the order did not pay for one.
 func (c *Cube) OrderCached() bool { return c.cols.Load() != nil }
+
+// SharesKeySet reports whether c and o are versions on one key set, by
+// identity: Revise or Apply made one from the other, or both from a common
+// ancestor. Such versions hold the same dimension tuples at the same
+// positions and differ in their measure columns only.
+func (c *Cube) SharesKeySet(o *Cube) bool {
+	p, q := c.cols.Load(), o.cols.Load()
+	return p != nil && q != nil && p.keys == q.keys
+}
 
 // Tuples returns all tuples in the cube's deterministic order (see
 // Ordered) as a fresh slice that is the caller's to mutate. Readers

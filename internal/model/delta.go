@@ -79,11 +79,11 @@ func diffCubes(name string, base, cur *Cube, limit int) *CubeDelta {
 		return nil
 	}
 	// Two versions on one key set hold the same dimension tuples in the same
-	// positions: the delta is where their measure columns differ, already in
-	// cube order.
-	if p, q := d.Base.held(), d.Current.held(); p != nil && q != nil && p.keys == q.keys {
+	// positions, whatever else either holds: the delta is where their measure
+	// columns differ, already in cube order.
+	if d.Base.SharesKeySet(d.Current) {
 		var ok bool
-		if d.Changed, ok = changedBetween(p, q, limit); !ok {
+		if d.Changed, ok = changedBetween(d.Base.cols.Load(), d.Current.cols.Load(), limit); !ok {
 			return nil
 		}
 		return d

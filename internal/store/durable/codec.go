@@ -67,10 +67,10 @@ func (r cubeRec) name() string {
 
 // applyTo resolves the record against base, the version it supersedes
 // (nil when there is none): the full form is the cube itself, the delta
-// form is applied to a clone of base. It returns the frozen version and,
-// for the delta form, the delta from base to it. A delta whose guard does
-// not match base, or that adds a tuple base has, or changes or deletes one
-// it has not (or has with another measure than the one recorded as
+// form is applied to base (model.Cube.Apply). It returns the frozen version
+// and, for the delta form, the delta from base to it. A delta whose guard
+// does not match base, or that adds a tuple base has, or changes or deletes
+// one it has not (or has with another measure than the one recorded as
 // deleted), was not made from base: it is an error, and nothing is applied.
 func (r cubeRec) applyTo(base *model.Cube) (*model.Cube, *model.CubeDelta, error) {
 	if r.cube != nil {
@@ -84,33 +84,20 @@ func (r cubeRec) applyTo(base *model.Cube) (*model.Cube, *model.CubeDelta, error
 		return nil, nil, fmt.Errorf("durable: delta of %s was made from %d tuples of %s, the version it meets has %d of %s",
 			name, r.baseLen, r.schema, base.Len(), base.Schema())
 	}
-	cur := base.Clone()
-	for _, t := range r.delta.Added {
-		if _, had := base.Get(t.Dims); had {
-			return nil, nil, fmt.Errorf("durable: delta of %s adds %v, which its base has", name, t.Dims)
-		}
-		if err := cur.Replace(t.Dims, t.Measure); err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, t := range r.delta.Changed {
-		if _, had := base.Get(t.Dims); !had {
-			return nil, nil, fmt.Errorf("durable: delta of %s changes %v, which its base lacks", name, t.Dims)
-		}
-		if err := cur.Replace(t.Dims, t.Measure); err != nil {
-			return nil, nil, err
-		}
-	}
 	for _, t := range r.delta.Deleted {
-		if old, had := base.Get(t.Dims); !had || math.Float64bits(old) != math.Float64bits(t.Measure) {
-			return nil, nil, fmt.Errorf("durable: delta of %s deletes %v -> %v, which its base lacks", name, t.Dims, t.Measure)
+		// A tuple base lacks altogether is left for Apply to name.
+		if old, had := base.Get(t.Dims); had && math.Float64bits(old) != math.Float64bits(t.Measure) {
+			return nil, nil, fmt.Errorf("durable: delta of %s deletes %v -> %v, which its base has as %v", name, t.Dims, t.Measure, old)
 		}
-		cur.Delete(t.Dims)
+	}
+	cur, err := base.Apply(r.delta.Added, r.delta.Changed, r.delta.Deleted)
+	if err != nil {
+		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
 	if cur.Len() != r.resultLen {
 		return nil, nil, fmt.Errorf("durable: delta of %s leads to %d tuples, not the %d recorded", name, cur.Len(), r.resultLen)
 	}
-	return cur.Freeze(), &model.CubeDelta{Name: name, Base: base, Current: cur,
+	return cur, &model.CubeDelta{Name: name, Base: base, Current: cur,
 		Added: r.delta.Added, Changed: r.delta.Changed, Deleted: r.delta.Deleted}, nil
 }
 

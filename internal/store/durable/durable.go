@@ -468,15 +468,7 @@ func (d *Store) PutAllGen(cubes map[string]*model.Cube, handed map[string]*model
 					deltas[name] = delta
 					recs = append(recs, deltaRec(delta))
 				} else {
-					// The full form is written in cube order: from the stored
-					// version where that came with its order, and else from the
-					// caller's copy, so that the sort the encoding does leaves
-					// the order cached there and not on the stored one.
-					full := c
-					if fc.OrderCached() {
-						full = fc
-					}
-					recs = append(recs, fullRec(full))
+					recs = append(recs, fullRec(fc))
 				}
 			}
 			body := encodeRecord(commitRecord(asOf, recs))

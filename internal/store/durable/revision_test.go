@@ -65,10 +65,10 @@ func TestCodecEncodesEitherFormAlike(t *testing.T) {
 // TestOwnPassDeltaIsLogged: a revision put unfrozen and without a delta,
 // after its predecessor was read in order, goes to the log as the delta
 // the store's own pass produced, is held in memory as columns over the
-// predecessor's key set with that delta, and reopens as what was put. One
-// that restates too much for a delta record is logged in full from the
-// stored version, whose order is already there: the caller's cube is not
-// sorted for it.
+// predecessor's key set with that delta, and reopens as what was put. The
+// full form is always encoded from the stored version, a first load too:
+// the sort that takes lands where the next revision looks for the order,
+// and the caller's cube is left as it was.
 func TestOwnPassDeltaIsLogged(t *testing.T) {
 	dir := t.TempDir()
 	st := openT(t, dir)
@@ -77,10 +77,9 @@ func TestOwnPassDeltaIsLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored, _ := st.Get("M")
-	if stored.OrderCached() || !v0.OrderCached() {
-		t.Fatal("the first load is logged in full from the caller's copy, which that sorts; the stored clone has no order yet")
+	if !stored.OrderCached() || v0.OrderCached() || stored == v0 {
+		t.Fatal("the first load is logged in full from the stored version, which that sorts; the caller's cube is not touched")
 	}
-	readInOrder(stored)
 
 	v1 := revise(t, stored, []int{3}, nil, 0).Clone()
 	gen := st.Generation()
@@ -117,4 +116,43 @@ func TestOwnPassDeltaIsLogged(t *testing.T) {
 	re := openT(t, dir)
 	defer re.Close()
 	checkVersions(t, re, "M", []*model.Cube{v0, v1, v2})
+}
+
+// TestRecoveredHistorySharesKeySets: a history of revisions comes back from
+// disk the way it was held — one set of dimension tuples and a measure
+// column per version — whether it is replayed from the log or read from the
+// segment recovery then wrote, and every version is what was put.
+func TestRecoveredHistorySharesKeySets(t *testing.T) {
+	dir := t.TempDir()
+	st := openT(t, dir, WithCompactAfter(-1))
+	vs := []*model.Cube{codecCube(t, 16)}
+	if err := st.Put(vs[0], day(0)); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 10; k++ {
+		vs = append(vs, revise(t, vs[k-1], []int{k}, nil, 0))
+		ci, err := st.PutAllGen(map[string]*model.Cube{"M": vs[k].Clone()}, nil, day(k))
+		if err != nil || ci.DeltaCubes != 1 {
+			t.Fatalf("revision %d: logged as %d deltas (%v)", k, ci.DeltaCubes, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []string{"the log", "the segment"} {
+		re := openT(t, dir, WithCompactAfter(-1))
+		if rec := re.Recovery(); rec.TruncatedRecords != 0 || rec.CorruptSegments != 0 || (rec.ReplayedRecords == 11) != (from == "the log") {
+			t.Fatalf("recovery from %s = %+v", from, rec)
+		}
+		checkVersions(t, re, "M", vs)
+		hist := re.mem.History("M")
+		for k, v := range hist[1:] {
+			if !v.Cube.SharesKeySet(hist[0].Cube) || v.Delta == nil || v.Delta.Base != hist[k].Cube || len(v.Delta.Changed) != 1 {
+				t.Errorf("from %s, version %d does not stand on the first one's key set with its delta", from, k+1)
+			}
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

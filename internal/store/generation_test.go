@@ -131,8 +131,9 @@ func TestDeltaOverwriteUnavailable(t *testing.T) {
 // PutAllGen. One whose Base is the cube's latest version and whose Current
 // is the cube being stored, both by pointer, is kept: Delta for the
 // preceding generation returns that very delta without diffing, and
-// History carries it. One about any other pair of cubes is dropped, and an
-// equal-asOf overwrite keeps none, because its base leaves the history.
+// History carries it. One about any other pair of cubes is dropped — the
+// store may then keep one of its own making, about the pair it stored — and
+// an equal-asOf overwrite keeps none, because its base leaves the history.
 func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
 	s := New()
 	t1 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -173,13 +174,19 @@ func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
 	// A delta that ends at another cube than the one stored.
 	v4 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 7}).Freeze()
 	put(v4, model.DiffCubes("A", v3, v4.Clone().Freeze()), t1.Add(3*time.Hour))
-	// An unfrozen cube is cloned by the store, so no delta can name it.
-	v5 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 8})
-	put(v5, model.DiffCubes("A", v4, v5), t1.Add(4*time.Hour))
 	for i, v := range s.History("A")[2:] {
 		if v.Delta != nil {
 			t.Errorf("version %d kept a delta that is not about it and its predecessor", i+3)
 		}
+	}
+	// An unfrozen cube is never stored itself, so no handed delta can name
+	// what is: the one kept is the store's own, about the pair it holds.
+	v5 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 8})
+	d45 := model.DiffCubes("A", v4, v5)
+	put(v5, d45, t1.Add(4*time.Hour))
+	if h := s.History("A"); h[4].Delta == nil || h[4].Delta == d45 || h[4].Delta.Base != h[3].Cube ||
+		h[4].Delta.Current != h[4].Cube || h[4].Cube == v5 || len(h[4].Delta.Changed) != 1 {
+		t.Errorf("an unfrozen put kept the delta %+v, want the store's own about the stored pair", h[4].Delta)
 	}
 	// Without a kept delta the answer is still exact, by diffing.
 	if d, err := s.Delta("A", g2); err != nil || len(d.Changed) != 1 || d.Changed[0].Measure != 8 {

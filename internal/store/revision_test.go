@@ -127,8 +127,10 @@ func sameTuples(a, b []model.Tuple) bool {
 }
 
 // TestPutCopiesWhatIsNoRevision: the store shares a key set only where it
-// observes a revision of a version read in order; everything else is stored
-// as before — an unfrozen cube cloned, a frozen one adopted — with no delta.
+// observes a revision — of a version read in order, or of any version when
+// the cube put is unfrozen and would otherwise be cloned; everything else is
+// stored as before — an unfrozen cube cloned, a frozen one adopted — with no
+// delta.
 func TestPutCopiesWhatIsNoRevision(t *testing.T) {
 	s := New()
 	put := func(c *model.Cube, k int) (*model.Cube, *model.CubeDelta) {
@@ -140,54 +142,94 @@ func TestPutCopiesWhatIsNoRevision(t *testing.T) {
 		return hist[len(hist)-1].Cube, hist[len(hist)-1].Delta
 	}
 	base := pdrCube(400)
+	tuples := base.Tuples()
 	v0, d0 := put(base, 0)
 	if v0.OrderCached() || d0 != nil {
 		t.Fatal("a first load came with an order or a delta")
 	}
-	// Nobody read v0 in order: its revision is a clone.
-	v1, d1 := put(revised(base, base.Tuples(), 1), 1)
-	if v1.OrderCached() || d1 != nil {
-		t.Error("shared the key set of a version nobody read in order")
+	// Nobody read v0 in order. A frozen revision of it is adopted as it is:
+	// sorting v0 to share its key set would cost more than it saves.
+	adopted := revised(base, tuples, 1).Freeze()
+	v1, d1 := put(adopted, 1)
+	if v1 != adopted || v1.OrderCached() || v0.OrderCached() || d1 != nil {
+		t.Error("a frozen revision of a version nobody read in order was not adopted as it is")
 	}
-	tuples := v1.Tuples()
+	// An unfrozen one would be cloned: the store builds v1's order instead,
+	// once, and the revision stands on it with its delta.
+	v2, d2 := put(revised(v1, tuples, 2), 2)
+	if !v1.OrderCached() || !v2.SharesKeySet(v1) || d2 == nil || d2.Base != v1 || d2.Current != v2 || len(d2.Changed) != 4 {
+		t.Error("an unfrozen revision of a version nobody read in order does not share its key set")
+	}
 	// An insert and a delete, after an ordered read: clones again.
-	grown := v1.Clone()
+	grown := v2.Clone()
 	_ = grown.Put([]model.Value{model.Per(model.NewDaily(1999, time.January, 1)), model.Str("R00")}, 1)
-	if v2, d2 := put(grown, 2); v2.OrderCached() || d2 != nil || v2.Len() != 401 {
+	if v3, d3 := put(grown, 3); v3.OrderCached() || d3 != nil || v3.Len() != 401 {
 		t.Error("shared a key set across an insert")
 	}
-	v2, _ := s.Get("PDR")
-	_ = v2.Tuples()
-	if v3, d3 := put(v1.Clone(), 3); v3.OrderCached() || d3 != nil || v3.Len() != 400 {
+	v3, _ := s.Get("PDR")
+	_ = v3.Tuples()
+	if v4, d4 := put(v2.Clone(), 4); v4.OrderCached() || d4 != nil || v4.Len() != 400 {
 		t.Error("shared a key set across a delete")
 	}
 	// A frozen revision of a version read in order is shared, not adopted.
-	v3, _ := s.Get("PDR")
-	_ = v3.Tuples()
-	frozen := revised(v3, tuples, 2).Freeze()
-	v4, d4 := put(frozen, 4)
-	if v4 == frozen || !v4.OrderCached() || d4 == nil || d4.Base != v3 || d4.Current != v4 || len(d4.Changed) != 4 {
+	v4, _ := s.Get("PDR")
+	_ = v4.Tuples()
+	frozen := revised(v4, tuples, 3).Freeze()
+	v5, d5 := put(frozen, 5)
+	if v5 == frozen || !v5.SharesKeySet(v4) || d5 == nil || d5.Base != v4 || d5.Current != v5 || len(d5.Changed) != 4 {
 		t.Error("a frozen revision was adopted instead of sharing its predecessor's key set")
 	}
 	// An equal-asOf overwrite shares the key set of the version it
 	// replaces, but that version is gone: no delta may lead from it.
 	gen := s.Generation()
-	v5, d5 := put(revised(v4, tuples, 3), 4)
-	if !v5.OrderCached() || d5 != nil || len(s.Versions("PDR")) != 5 {
-		t.Errorf("overwrite: order cached %v, delta %v, %d versions", v5.OrderCached(), d5, len(s.Versions("PDR")))
+	v6, d6 := put(revised(v5, tuples, 4), 5)
+	if !v6.SharesKeySet(v5) || d6 != nil || len(s.Versions("PDR")) != 6 {
+		t.Errorf("overwrite: key set shared %v, delta %v, %d versions", v6.SharesKeySet(v5), d6, len(s.Versions("PDR")))
 	}
 	if _, err := s.Delta("PDR", gen); err == nil {
 		t.Error("Delta across an overwrite must be unavailable")
 	}
 	// A handed delta about the very cubes is kept as it is, and the cube adopted.
-	v5, _ = s.Get("PDR")
-	next := revised(v5, tuples, 4).Freeze()
-	handed := model.DiffCubes("PDR", v5, next)
+	next := revised(v6, tuples, 5).Freeze()
+	handed := model.DiffCubes("PDR", v6, next)
 	if _, err := s.PutAllGen(map[string]*model.Cube{"PDR": next}, map[string]*model.CubeDelta{"PDR": handed}, day(6)); err != nil {
 		t.Fatal(err)
 	}
 	if hist := s.History("PDR"); hist[len(hist)-1].Cube != next || hist[len(hist)-1].Delta != handed {
 		t.Error("a trusted delta was not kept with its cube")
+	}
+}
+
+// TestDeltaAcrossVersionsOnOneKeySet: versions that share a key set are
+// diffed column against column however far apart they are and whatever else
+// the older one holds — the root of the chain has its row map beside its
+// order — so Delta from the root's generation allocates the delta and its
+// Changed list, nothing that grows with the cube.
+func TestDeltaAcrossVersionsOnOneKeySet(t *testing.T) {
+	const n = 4000
+	s := New()
+	if err := s.Put(pdrCube(n), day(0)); err != nil {
+		t.Fatal(err)
+	}
+	root, rootGen := s.History("PDR")[0].Cube, s.Generation()
+	tuples := root.Clone().Tuples()
+	for k := 1; k <= 2; k++ {
+		cur, _ := s.Get("PDR")
+		if err := s.Put(revised(cur, tuples, k), day(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, _ := s.Get("PDR")
+	if !cur.SharesKeySet(root) {
+		t.Fatal("the second successor does not stand on the root's key set")
+	}
+	var d *model.CubeDelta
+	if a := testing.AllocsPerRun(5, func() { d, _ = s.Delta("PDR", rootGen) }); a > 2 {
+		t.Errorf("Delta across two versions on one key set allocates %v times, want the delta and its list", a)
+	}
+	want := model.DiffCubes("PDR", root.Clone(), cur.Clone())
+	if d.Base != root || d.Current != cur || len(d.Changed) != 2*n/100 || len(d.Added)+len(d.Deleted) != 0 || !sameTuples(d.Changed, want.Changed) {
+		t.Errorf("Delta from the root is +%d ~%d -%d, probing says ~%d", len(d.Added), len(d.Changed), len(d.Deleted), len(want.Changed))
 	}
 }
 

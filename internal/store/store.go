@@ -134,13 +134,13 @@ func (s *Store) Names() []string {
 // frozen c — and then c is stored as it is. Without one, the store looks
 // for the delta itself where that is cheaper than the copy it saves: when
 // c is a revision of latest, the same dimension tuples under restated
-// measures, and latest's cube order is there to be shared
-// (model.Cube.Revise), the version stored is a measure column over
-// latest's key set, and the delta falls out of the pass that made it.
-// Otherwise — an insert, a delete, a first load, a predecessor nobody read
-// in order — an already-frozen cube is shared as-is (it can never change
-// again), anything else is cloned and the clone frozen, so the caller keeps
-// exclusive ownership of its original; the delta is then unknown (nil).
+// measures (model.Cube.Revise), the version stored is a measure column
+// over latest's key set, and the delta falls out of the pass that made it.
+// Otherwise — an insert, a delete, a first load, a frozen cube whose
+// predecessor nobody read in order — an already-frozen cube is shared
+// as-is (it can never change again), anything else is cloned and the clone
+// frozen, so the caller keeps exclusive ownership of its original; the
+// delta is then unknown (nil).
 func NewVersion(latest, c *model.Cube, handed *model.CubeDelta) (*model.Cube, *model.CubeDelta) {
 	if latest != nil {
 		if handed != nil && handed.Base == latest && handed.Current == c && c.Frozen() {
