@@ -133,71 +133,78 @@ func (s *Solver) solve(ctx context.Context, source Instance) (Instance, *Stats, 
 	return target, stats, nil
 }
 
-// applyTgd applies one tgd in full: its output relation is rebuilt from
-// its operands as they stand in target.
+// applyTgd applies one tgd in full: its output relation is rebuilt, from
+// empty, from its operands as they stand in target.
 func (s *Solver) applyTgd(ctx context.Context, p *plan, target Instance, stats *Stats) error {
 	if p.err != nil {
 		return p.err
 	}
-	out := model.NewCube(s.m.Schemas[p.t.Target()])
-	target[p.t.Target()] = out
+	out, err := s.output(ctx, p, target, stats)
+	if err == nil {
+		target[p.t.Target()] = out
+	}
+	return err
+}
 
+// output computes the tgd's output relation.
+func (s *Solver) output(ctx context.Context, p *plan, target Instance, stats *Stats) (*model.Cube, error) {
+	schema := s.m.Schemas[p.t.Target()]
 	switch p.t.Kind {
 	case mapping.BlackBox:
-		return applyBlackBox(p, target, out, stats)
+		return applyBlackBox(p, target, schema, stats)
 	case mapping.PadVector:
-		return applyPadVector(p, target, out, stats)
+		out := model.NewCube(schema)
+		return out, applyPadVector(p, target, out, stats)
 	}
 	x, err := newExec(ctx, p, p.lhs, target)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if p.t.Kind == mapping.TupleLevel {
-		n, err := x.tupleLevel(out)
+		out, n, err := x.tupleLevel(schema)
 		stats.Bindings += x.bindings
 		stats.TuplesGenerated += n
-		return err
+		return out, err
 	}
 	groups, err := x.aggregate(nil)
 	stats.Bindings += x.bindings
 	if err != nil {
-		return err
+		return nil, err
 	}
+	out := model.NewCube(schema)
 	for _, g := range groups {
 		if err := out.Put(g.dims, g.agg.Result()); err != nil {
-			return err
+			return nil, err
 		}
 		stats.TuplesGenerated++
 	}
-	return nil
+	return out, nil
 }
 
-func applyBlackBox(p *plan, target Instance, out *model.Cube, stats *Stats) error {
+// applyBlackBox applies a black-box tgd: the operand's series goes through
+// the function whole, and the output sits on the operand's periods one for
+// one — on its key set.
+func applyBlackBox(p *plan, target Instance, schema model.Schema, stats *Stats) (*model.Cube, error) {
 	t := p.t
 	in, ok := target[t.Lhs[0].Rel]
 	if !ok {
-		return fmt.Errorf("operand %s not computed before black box", t.Lhs[0].Rel)
+		return nil, fmt.Errorf("operand %s not computed before black box", t.Lhs[0].Rel)
 	}
-	periods, vals, err := in.SortedSeries()
+	_, vals, err := in.SortedSeries()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	seasonLen := ops.SeasonLength(in.Schema().Dims[0].Type.Freq)
 	res, err := p.series(vals, seasonLen, t.BBParams)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(res) != len(vals) {
-		return fmt.Errorf("black box %s returned %d values for %d inputs", t.BB, len(res), len(vals))
+		return nil, fmt.Errorf("black box %s returned %d values for %d inputs", t.BB, len(res), len(vals))
 	}
 	stats.Bindings += len(vals)
-	for i, p := range periods {
-		if err := out.Put([]model.Value{model.Per(p)}, res[i]); err != nil {
-			return err
-		}
-		stats.TuplesGenerated++
-	}
-	return nil
+	stats.TuplesGenerated += len(vals)
+	return in.Derive(schema, func(i int, _ model.Tuple) (float64, bool, error) { return res[i], true, nil })
 }
 
 // padOperands resolves the two operands of a padded vectorial tgd.

@@ -13,7 +13,7 @@ import (
 	"exlengine/internal/workload"
 )
 
-func compile(t *testing.T, src string) *mapping.Mapping {
+func compile(t testing.TB, src string) *mapping.Mapping {
 	t.Helper()
 	prog, err := exl.Parse(src)
 	if err != nil {

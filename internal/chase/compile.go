@@ -3,6 +3,7 @@ package chase
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
@@ -38,8 +39,8 @@ type plan struct {
 
 	// shared: the rhs dimension terms are the driving atom's variables
 	// verbatim and every other atom matches at most one tuple, so each
-	// output tuple sits at its driving tuple's dimension tuple and can
-	// share that tuple's Dims slice and row key (model.Cube.PutFrom).
+	// output tuple sits at its driving tuple's dimension tuple and the
+	// output stands on the driving relation's key set (model.Cube.Derive).
 	shared bool
 
 	// keyed is the tuple-level tgd turned around for maintenance: the
@@ -62,6 +63,10 @@ type atomPlan struct {
 	binds []bindTerm
 	mslot int   // slot of the measure variable, -1 without one
 	err   error // alone plans only: the atom cannot be inverted
+	// aligned: an atom of a shared plan whose dimension terms are the
+	// driving atom's, position by position. Over a relation on the driving
+	// relation's key set its one match is the tuple at the driving row.
+	aligned bool
 }
 
 // full reports whether the probe positions cover every dimension: the
@@ -214,6 +219,9 @@ func (p *plan) compileJoin() error {
 	switch t.Kind {
 	case mapping.TupleLevel:
 		p.shared = sharesDrivingKey(t)
+		for i := range p.lhs {
+			p.lhs[i].aligned = p.shared && slices.Equal(t.Lhs[i].Dims, t.Lhs[0].Dims)
+		}
 		p.keyed = c.keyed(t, p.alone)
 	case mapping.Aggregation:
 		p.aggIncr = len(p.lhs) == 1 && p.alone[0].err == nil && keyFromDims(p.rhs, &p.alone[0])

@@ -25,6 +25,11 @@ type exec struct {
 	// index holds, per partial-key atom, the relation's tuples grouped by
 	// probe key, built on first use and kept for the application.
 	index []*probeIndex
+	// cols holds, per aligned atom whose relation stands on the driving
+	// relation's key set, that relation's columns: its match for the driving
+	// tuple is the one at row, the driving tuple's row (see tupleLevel).
+	cols []*model.View
+	row  int
 
 	vals   []model.Value   // the binding: one slot per variable
 	args   []float64       // operator argument windows of the measure
@@ -53,6 +58,7 @@ func newExec(ctx context.Context, p *plan, atoms []atomPlan, target Instance) (*
 		ctx: ctx, p: p, atoms: atoms,
 		rels:   make([]*model.Cube, len(atoms)),
 		index:  make([]*probeIndex, len(atoms)),
+		cols:   make([]*model.View, len(atoms)),
 		vals:   make([]model.Value, p.slots),
 		args:   make([]float64, p.args),
 		probes: make([][]model.Value, len(atoms)),
@@ -87,6 +93,12 @@ func (x *exec) join(i int) error {
 		return x.emit()
 	}
 	a := &x.atoms[i]
+	if v := x.cols[i]; v != nil {
+		if a.mslot >= 0 {
+			x.vals[a.mslot] = model.Num(v.Tuple(x.row).Measure)
+		}
+		return x.join(i + 1)
+	}
 	if !a.full() && (i == 0 || len(a.probe) == 0) {
 		// The driving atom — any probe terms it has are constants, a
 		// selection, checked tuple by tuple — or a cross product: scan.
@@ -235,17 +247,25 @@ func (x *exec) measureOnce(i int) (mv float64, present bool, err error) {
 	return x.mv, x.present, err
 }
 
-// tupleLevel applies a tuple-level tgd into out, returning the tuples
-// asserted.
-func (x *exec) tupleLevel(out *model.Cube) (tuples int, err error) {
+// tupleLevel applies a tuple-level tgd, returning its output under schema
+// and the tuples asserted.
+func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err error) {
 	if x.p.shared {
 		// One binding at most per driving tuple, at that tuple's own
-		// dimension tuple. The driving relation is scanned in map order:
-		// the points are independent (distinct keys, no fold), so the
-		// result does not depend on it; only which tuple a failing measure
-		// expression names does.
-		drive := &x.atoms[0]
-		err = out.PutFrom(x.rels[0], func(tu model.Tuple) (float64, bool, error) {
+		// dimension tuple: the output is defined point by point on the
+		// driving relation, in cube order, and no two of its tuples can meet
+		// at one dimension tuple. An aligned atom is joined by position where
+		// its relation stands on the driving relation's key set — an identity
+		// between the two orders, so the driving one is fixed first.
+		drive, src := &x.atoms[0], x.rels[0]
+		src.View()
+		for i := 1; i < len(x.atoms); i++ {
+			if x.atoms[i].aligned && x.rels[i].SharesKeySet(src) {
+				x.cols[i] = x.rels[i].View()
+			}
+		}
+		out, err = src.Derive(schema, func(row int, tu model.Tuple) (float64, bool, error) {
+			x.row = row
 			if ok, err := x.bind(drive, tu, false); err != nil || !ok {
 				return 0, false, err
 			}
@@ -255,8 +275,9 @@ func (x *exec) tupleLevel(out *model.Cube) (tuples int, err error) {
 			}
 			return mv, present, err
 		})
-		return tuples, err
+		return out, tuples, err
 	}
+	out = model.NewCube(schema)
 	x.emit = func() error {
 		if err := x.rhsDims(); err != nil {
 			return err
@@ -272,7 +293,7 @@ func (x *exec) tupleLevel(out *model.Cube) (tuples int, err error) {
 		return nil
 	}
 	err = x.join(0)
-	return tuples, err
+	return out, tuples, err
 }
 
 // group is one output point of an aggregation tgd being folded.

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -52,24 +55,46 @@ func bigPanel() *model.Cube {
 	return qrCube("S", 200, 100, func(q, r int) float64 { return float64(q*100+r+1) / 4 }, nil)
 }
 
-// TestSolveAllocBudget pins the point of compiling the tgds: the chase
-// does not allocate per binding. The interpreter it replaced spent eight
-// allocations on each of the panel's 80 000 bindings.
+// TestSolveAllocBudget pins what a full run of point-wise statements costs
+// once the source's order is cached: a measure column per output — 8 bytes
+// a tuple — and nothing per binding. (Row-map outputs spent some 90 bytes a
+// tuple; the interpreter before the compiled plans eight allocations on each
+// of the panel's 80 000 bindings.)
 func TestSolveAllocBudget(t *testing.T) {
 	s := New(compile(t, panelProgram))
 	src := Instance{"S": bigPanel().Freeze()}
-	_, stats, err := s.SolveWithStats(src)
+	_, stats, err := s.SolveWithStats(src) // leaves S's order cached
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(3, func() {
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
 		if _, err := s.Solve(src); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if perBinding := allocs / float64(stats.Bindings); perBinding >= 1 {
-		t.Errorf("%.0f allocations for %d bindings (%.2f per binding), want < 1 per binding",
-			allocs, stats.Bindings, perBinding)
+	}
+	runtime.ReadMemStats(&after)
+	tuples := float64(runs * (stats.TuplesGenerated - src["S"].Len()))
+	bytes, allocs := float64(after.TotalAlloc-before.TotalAlloc)/tuples, float64(after.Mallocs-before.Mallocs)/tuples
+	if bytes > 16 || allocs >= 0.01 {
+		t.Errorf("%.1f bytes and %.4f allocations per output tuple, want <= 16 bytes and < 0.01 allocations", bytes, allocs)
+	}
+}
+
+// BenchmarkSolvePanel is the full chase of the benchmark's panel — 20 000
+// tuples, four point-wise tgds — with the source's order cached.
+func BenchmarkSolvePanel(b *testing.B) {
+	s := New(compile(b, panelProgram))
+	src := Instance{"S": bigPanel().Freeze()}
+	src["S"].View()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Solve(src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -105,26 +130,183 @@ func TestPanelCountsPinned(t *testing.T) {
 }
 
 // TestSharedDimsAndKeys pins the sharing invariant the panel's speed rests
-// on: an output tuple whose dimension tuple is its driving tuple's holds
-// the very same Dims slice, all the way down a chain of statements.
+// on: an output defined at every tuple of its driving relation stands on that
+// relation's key set, all the way down a chain of statements; one defined at
+// some of them holds the kept subsequence, already in cube order, on the
+// driving tuples' own Dims slices.
 func TestSharedDimsAndKeys(t *testing.T) {
-	s := New(compile(t, panelProgram))
+	s := New(compile(t, panelProgram+"E := D - shift(D, 1)\n"))
 	src := qrCube("S", 3, 2, func(q, r int) float64 { return float64(q + r) }, nil)
 	sol, err := s.Solve(Instance{"S": src.Freeze()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string]*model.Value)
-	_ = src.ForEach(func(tu model.Tuple) error {
-		want[model.EncodeKey(tu.Dims)] = &tu.Dims[0]
-		return nil
-	})
-	_ = sol["D"].ForEach(func(tu model.Tuple) error {
-		if &tu.Dims[0] != want[model.EncodeKey(tu.Dims)] {
-			t.Errorf("D%v does not share S's Dims slice", tu.Dims)
+	for _, name := range []string{"A", "B", "C", "D"} {
+		if !sol[name].SharesKeySet(src) || !sol[name].Frozen() {
+			t.Errorf("%s does not stand on S's key set", name)
 		}
-		return nil
-	})
+	}
+
+	// E lacks the first quarter of every region.
+	e := sol["E"]
+	if e.SharesKeySet(src) || !e.OrderCached() || e.Len() != 4 {
+		t.Fatalf("E: %d tuples, on S's key set %v, in order %v; want 4 on a key set of their own, in order without a sort",
+			e.Len(), e.SharesKeySet(src), e.OrderCached())
+	}
+	mine := make(map[*model.Value]bool)
+	_ = src.ForEach(func(tu model.Tuple) error { mine[&tu.Dims[0]] = true; return nil })
+	want := qrCube("E", 3, 2, func(q, r int) float64 { return 0.5 }, func(q, r int) bool { return q > 0 }).Tuples()
+	for i, tu := range e.Tuples() {
+		if !mine[&tu.Dims[0]] {
+			t.Errorf("E%v does not share S's Dims slice", tu.Dims)
+		}
+		if !tu.Dims[0].Equal(want[i].Dims[0]) || !tu.Dims[1].Equal(want[i].Dims[1]) || tu.Measure != want[i].Measure {
+			t.Errorf("E's tuple %d is %v, want %v", i, tu, want[i])
+		}
+	}
+}
+
+// TestPositionalJoinOnlyOnOneKeySet: an operand is read at the driving row
+// exactly where it stands on the driving relation's key set. An equal cube on
+// a key set of its own is probed by key, to the same result bit for bit; one
+// that lacks a tuple — every later row one off — still joins on the keys.
+func TestPositionalJoinOnlyOnOneKeySet(t *testing.T) {
+	s := New(compile(t, "cube S(q: quarter, r: string) measure v\ncube A(q: quarter, r: string) measure v\nB := A + S\n"))
+	f := func(q, r int) float64 { return float64(q*7+r) / 3 }
+	src := qrCube("S", 30, 7, f, nil).Freeze()
+	onS, err := src.Derive(qrSchema("A"), func(_ int, tu model.Tuple) (float64, bool, error) { return 2 * tu.Measure, true, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	double := func(q, r int) float64 { return 2 * f(q, r) }
+	own := qrCube("A", 30, 7, double, nil).Freeze()
+	short := qrCube("A", 30, 7, double, func(q, r int) bool { return q+r > 0 }).Freeze()
+
+	want := qrCube("B", 30, 7, func(q, r int) float64 { return double(q, r) + f(q, r) }, nil)
+	for _, c := range []struct {
+		name       string
+		a          *model.Cube
+		positional bool
+		tuples     int
+	}{{"on S's key set", onS, true, 210}, {"equal, on its own", own, false, 210}, {"one tuple short", short, false, 209}} {
+		target := Instance{"S": src, "A": c.a}
+		x, err := newExec(context.Background(), s.plans[0], s.plans[0].lhs, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, n, err := x.tupleLevel(qrSchema("B"))
+		if err != nil || n != c.tuples || b.Len() != c.tuples {
+			t.Fatalf("%s: %d tuples (%v), want %d", c.name, n, err, c.tuples)
+		}
+		if got := x.cols[1] != nil; got != c.positional {
+			t.Errorf("%s: S joined by position: %v", c.name, got)
+		}
+		_ = b.Ordered(func(tu model.Tuple) error {
+			if m, _ := want.Get(tu.Dims); m != tu.Measure {
+				t.Fatalf("%s: B%v = %v, want %v", c.name, tu.Dims, tu.Measure, m)
+			}
+			return nil
+		})
+		if !b.SharesKeySet(c.a) {
+			t.Errorf("%s: B does not stand on its driving relation's key set", c.name)
+		}
+	}
+}
+
+// TestFailingTupleIsFirstInCubeOrder: a point-wise tgd is applied in cube
+// order, so the tuple a failing term names is the same run after run.
+func TestFailingTupleIsFirstInCubeOrder(t *testing.T) {
+	qr := []mapping.DimTerm{mapping.V("q"), mapping.V("r")}
+	m := &mapping.Mapping{
+		Schemas:    map[string]model.Schema{"S": qrSchema("S"), "O": qrSchema("O")},
+		Elementary: []string{"S"},
+		Tgds: []*mapping.Tgd{{
+			ID: "lag", Kind: mapping.TupleLevel,
+			Lhs: []mapping.Atom{
+				{Rel: "S", Dims: qr, MVar: "v"},
+				{Rel: "S", Dims: []mapping.DimTerm{mapping.V("q"), {Var: "r", Shift: 1}}, MVar: "w"},
+			},
+			Rhs:     mapping.Atom{Rel: "O", Dims: qr},
+			Measure: mapping.MV("w"),
+		}},
+	}
+	s := New(m)
+	if !s.plans[0].shared {
+		t.Fatal("the tgd is not point-wise on its driving atom")
+	}
+	for i := 0; i < 10; i++ {
+		src := qrCube("S", 20, 50, func(q, r int) float64 { return 1 }, nil)
+		_, err := s.Solve(Instance{"S": src})
+		if err == nil || !strings.Contains(err.Error(), region(0).String()) {
+			t.Fatalf("err = %v, want the shift to fail at %v, the first tuple in cube order", err, region(0))
+		}
+	}
+}
+
+// TestSolveConcurrentlyOnOneUnreadSource: chases started at once on a frozen
+// row-map source nobody has read in order all build on the one order that
+// gets cached on it — every output of every chase on one key set (run under
+// -race).
+func TestSolveConcurrentlyOnOneUnreadSource(t *testing.T) {
+	s := New(compile(t, panelProgram))
+	src := qrCube("S", 60, 40, func(q, r int) float64 { return float64(q*r + 1) }, nil).Freeze()
+	const solvers = 6
+	sols := make([]Instance, solvers)
+	var wg sync.WaitGroup
+	for g := range sols {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sol, err := s.Solve(Instance{"S": src})
+			if err != nil {
+				t.Errorf("solver %d: %v", g, err)
+			}
+			sols[g] = sol
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g, sol := range sols {
+		for _, name := range []string{"A", "B", "C", "D"} {
+			if !sol[name].SharesKeySet(src) {
+				t.Errorf("solver %d: %s stands on a key set of its own", g, name)
+			}
+			if diff := exactDiff(sols[0][name], sol[name]); len(diff) > 0 {
+				t.Errorf("solver %d: %s diverges: %v", g, name, diff)
+			}
+		}
+	}
+}
+
+// TestBlackBoxOutputSharesOperandKeySet: a black box returns one value per
+// period of its operand, so its output is a measure column on the operand's
+// key set.
+func TestBlackBoxOutputSharesOperandKeySet(t *testing.T) {
+	s := New(compile(t, "cube G(t: quarter) measure v\nC := cumsum(G)\n"))
+	g := model.NewCube(model.NewSchema("G", []model.Dim{{Name: "t", Type: model.TQuarter}}, "v"))
+	for i := 11; i >= 0; i-- {
+		if err := g.Put([]model.Value{quarter(i)}, float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sol, stats, err := s.SolveWithStats(Instance{"G": g.Freeze()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *stats != (Stats{Strata: 1, TuplesGenerated: 24, Bindings: 12}) {
+		t.Errorf("stats = %+v, want 1 stratum, 12 bindings, 24 tuples (12 copied + 12 derived)", *stats)
+	}
+	c := sol["C"]
+	if !c.SharesKeySet(g) || !c.Frozen() || c.Schema().Name != "C" {
+		t.Fatalf("C (%s) does not stand on G's key set", c.Schema().Name)
+	}
+	for i, tu := range c.Tuples() {
+		if want := float64((i + 1) * (i + 2) / 2); !tu.Dims[0].Equal(quarter(i)) || tu.Measure != want {
+			t.Errorf("C's tuple %d is %v, want %v -> %v", i, tu, quarter(i), want)
+		}
+	}
 }
 
 // countdownCtx reports cancellation from its (after+1)th Err call on.

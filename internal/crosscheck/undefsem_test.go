@@ -1,6 +1,7 @@
 package crosscheck
 
 import (
+	"io"
 	"testing"
 
 	"exlengine/internal/chase"
@@ -8,6 +9,7 @@ import (
 	"exlengine/internal/exl"
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
+	"exlengine/internal/store"
 )
 
 // chaseSolve compiles a difftest case and returns the chase solution.
@@ -114,6 +116,45 @@ func TestUndefinedPointCounts(t *testing.T) {
 	} {
 		if got := ref[rel].Len(); got != want {
 			t.Errorf("chase %s has %d tuples, want %d (undefined points must be absent)", rel, got, want)
+		}
+	}
+}
+
+// TestNonRealResultIsAnUndefinedPoint: pow and exp are undefined where their
+// result is not a real number — a negative base under a fractional exponent,
+// an overflow — so the point is absent on every backend, and no NaN or
+// infinity reaches a cube for WriteCSV to refuse.
+func TestNonRealResultIsAnUndefinedPoint(t *testing.T) {
+	c := &difftest.Case{
+		Decls: []string{"cube A(t: quarter) measure v"},
+		Stmts: []string{"R := pow(A, 0.5)", "E := exp(A)", "N := R + E"},
+		Data:  map[string]*model.Cube{},
+	}
+	a := model.NewCube(model.NewSchema("A", []model.Dim{{Name: "t", Type: model.TQuarter}}, "v"))
+	for i, v := range []float64{-4, 0, 4, 1000} {
+		if err := a.Put([]model.Value{model.Per(model.NewQuarterly(2000, 1).Shift(int64(i)))}, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Data["A"] = a
+	res, err := difftest.Run(c, 1e-9)
+	if err != nil || res.SQLSkipped {
+		t.Fatalf("case does not run on all four backends: %v", err)
+	}
+	for _, d := range res.Divergences {
+		t.Errorf("divergence: %s", d)
+	}
+	ref := chaseSolve(t, c)
+	for rel, want := range map[string]int{
+		"R": 3, // all but -4
+		"E": 3, // all but 1000
+		"N": 2, // 0 and 4
+	} {
+		if got := ref[rel].Len(); got != want {
+			t.Errorf("chase %s has %d tuples, want %d", rel, got, want)
+		}
+		if err := store.WriteCSV(io.Discard, ref[rel]); err != nil {
+			t.Errorf("WriteCSV(%s): %v", rel, err)
 		}
 	}
 }

@@ -156,6 +156,69 @@ func TestDurableIncrementalCommitIsProportional(t *testing.T) {
 	}
 }
 
+// TestFullChaseRunSharesKeySets: a full run on the chase derives every
+// point-wise result as a measure column on its operand's key set, so across
+// ten revisions of S and the full runs that follow, every stored version of
+// A–D stands on stored S's key set; the store finds each result's delta
+// column against column — the 1 % of the tuples that moved, restated — and a
+// reopened store replays every version as it was stored.
+func TestFullChaseRunSharesKeySets(t *testing.T) {
+	e, st, _, seed := durablePanel(t, 200)
+	names := []string{"S", "A", "B", "C", "D"}
+	stored := make(map[string][]*model.Cube)
+	record := func() {
+		for _, name := range names {
+			c, _ := st.Get(name)
+			stored[name] = append(stored[name], c)
+		}
+	}
+	record()
+	const steps = 10
+	rev := seed
+	for i := 1; i <= steps; i++ {
+		rev = revisePanel(rev, i)
+		if err := e.PutCube(rev, panelDay(i)); err != nil {
+			t.Fatal(err)
+		}
+		gen := st.Generation()
+		rep, err := e.Run(context.Background(), RunOn(ops.TargetChase), RunAt(panelDay(i)))
+		if err != nil || len(rep.Fragments) != 1 || rep.Fragments[0].Incremental {
+			t.Fatalf("step %d: not a full run: %+v, %v", i, rep, err)
+		}
+		s, _ := st.Get("S")
+		for _, name := range names[1:] {
+			c, _ := st.Get(name)
+			if !c.SharesKeySet(s) || !c.SharesKeySet(stored["S"][0]) {
+				t.Errorf("step %d: stored %s does not stand on stored S's key set", i, name)
+			}
+			d, err := st.Delta(name, gen)
+			if err != nil || len(d.Changed) != rev.Len()/100 || len(d.Added)+len(d.Deleted) != 0 {
+				t.Fatalf("step %d: Delta(%s) = %v, %v: want %d tuples changed and nothing else", i, name, d, err, rev.Len()/100)
+			}
+		}
+		record()
+	}
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := durable.Open(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, name := range names {
+		if got := len(re.Versions(name)); got != steps+1 {
+			t.Fatalf("%s has %d versions after the reopen, want %d", name, got, steps+1)
+		}
+		for i, want := range stored[name] {
+			if got, ok := re.GetAsOf(name, panelDay(i)); !ok || !got.Equal(want, 0) || !got.Frozen() {
+				t.Fatalf("%s as of step %d is not the version stored", name, i)
+			}
+		}
+	}
+}
+
 // BenchmarkDurableIncrementalCommit is one durable incremental op on the
 // 20k-tuple panel — put a 1 % revision, bring the four derived cubes up
 // to date, both commits fsync'd — with the bytes it wrote beside the time.

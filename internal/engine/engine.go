@@ -736,7 +736,7 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// once) does not fit, degrade to sequential dispatch at half the
 	// estimate before rejecting the run outright.
 	memDegraded := false
-	if est := snapshotEstimate(snap); est > 0 {
+	if est := model.MemEstimateOf(snap); est > 0 {
 		if rerr := ticket.Reserve(est); rerr != nil {
 			if ticket.Reserve(est/2) != nil {
 				return nil, rerr
@@ -774,8 +774,9 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// store: a run whose actual output overshoots the estimate is shed
 	// here, typed, instead of persisting past the budget. The cubes are
 	// frozen by now, so this walk is the only one: the estimate is cached
-	// on the cube and the next run's snapshotEstimate reads it in O(1).
-	if delta := snapshotEstimate(results) - ticket.Reserved(); delta > 0 {
+	// on the cube and the next run's estimate of its snapshot reads it in
+	// O(1).
+	if delta := model.MemEstimateOf(results) - ticket.Reserved(); delta > 0 {
 		if rerr := ticket.Reserve(delta); rerr != nil {
 			return nil, rerr
 		}
@@ -874,17 +875,6 @@ func tgdsIn(mappings []*mapping.Mapping, cube string) []*mapping.Tgd {
 		}
 	}
 	return nil
-}
-
-// snapshotEstimate sums the memory estimates of a set of cubes: the
-// snapshot (the working set the run's targets read and re-materialize
-// from) or the run's results.
-func snapshotEstimate(snap map[string]*model.Cube) int64 {
-	var n int64
-	for _, c := range snap {
-		n += c.MemEstimate()
-	}
-	return n
 }
 
 // Artifact kinds for Translate.

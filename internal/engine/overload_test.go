@@ -102,7 +102,7 @@ func runEstimates(t *testing.T) (inEst, outEst int64) {
 			snap[name] = model.NewCube(sch).Freeze()
 		}
 	}
-	inEst = snapshotEstimate(snap)
+	inEst = model.MemEstimateOf(snap)
 
 	if _, err := e.Run(context.Background(), RunAt(time.Unix(1, 0))); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // part in: the dimension tuples in cube order, each with its row key, and a
 // key → row index built on the first probe. It is immutable and shared by
 // reference: by every reader of the version it was sorted for, and by every
-// later version Revise found to hold the same dimension tuples.
+// version Revise, Apply or Derive found to hold the same dimension tuples.
 type keySet struct {
 	tuples []dimTuple
 
@@ -61,10 +61,11 @@ func (ks *keySet) rows() map[string]int {
 }
 
 // keySetTupleBytes is what memEstimate charges a key set per tuple beside
-// its key bytes and values: the Dims and key headers, and an index entry
-// whether or not the index has been built yet (see tupleOverheadBytes for
-// why it rounds up).
-const keySetTupleBytes = 80
+// its key bytes and values: the Dims and key headers (40), an index entry
+// whether or not the index has been built yet (a 25-byte slot, at the load a
+// map has just after it grew: 57), and the key's allocation rounded up to its
+// size class (see tupleOverheadBytes for why it rounds up).
+const keySetTupleBytes = 104
 
 // memEstimate is Cube.MemEstimate's share for the key set. It walks the
 // dimension values once per key set, not once per version.
@@ -118,8 +119,8 @@ func (c *Cube) View() *View {
 }
 
 // held returns the column form when it is all the cube holds — a version
-// Revise or Apply made — and nil for a cube with a row map, cached order or
-// not.
+// Revise, Apply or Derive made — and nil for a cube with a row map, cached
+// order or not.
 func (c *Cube) held() *View {
 	if c.rows != nil {
 		return nil
@@ -174,10 +175,9 @@ func (c *Cube) scan(fn func(key string, t Tuple) bool) {
 // the new measure column and the exact Changed list, in cube order, and
 // stops at the first key c lacks. The new version costs its measure column
 // only: no clone, no sort, and a memory estimate in O(1). Its tuples carry
-// prev's Dims slices rather than c's: the substitution PutFrom makes,
-// between Values that encode to one key and therefore are Equal (an Int 3
-// may stand where c said Num 3.0). c itself is left as it was and stays
-// the caller's.
+// prev's Dims slices rather than c's: a substitution between Values that
+// encode to one key and therefore are Equal (an Int 3 may stand where c said
+// Num 3.0). c itself is left as it was and stays the caller's.
 func (prev *Cube) Revise(c *Cube) *CubeDelta {
 	if !prev.frozen || c.rows == nil || len(c.rows) != prev.Len() || !prev.schema.Equal(c.schema) {
 		return nil
@@ -264,6 +264,56 @@ func (c *Cube) Apply(added, changed, deleted []Tuple) (*Cube, error) {
 		out.Delete(t.Dims)
 	}
 	return out.Freeze(), nil
+}
+
+// Derive returns, frozen and under schema, the version defined point by point
+// on c's tuples: it scans c in cube order and holds, at every tuple f keeps
+// (i is the tuple's row in c.View()), the measure f returns there — what a
+// scalar or vectorial statement's output is to its operand. The scan stops at
+// f's first error, which is returned with nothing built. schema must have as
+// many dimensions as c's; c is left as it was, but for its order being cached
+// (View's rule).
+//
+// Where f keeps every tuple the version is c's key set, by reference, under a
+// new measure column, exactly as a revision of c would be. Where it drops
+// some, the version stands on a key set of its own that holds the kept
+// subsequence — in cube order as it is, Dims and row keys shared with c's,
+// allocated at the size of what was kept. Either way a key set's tuples are
+// pairwise distinct, so the result is functional by construction: there is no
+// egd for Derive to check.
+func (c *Cube) Derive(schema Schema, f func(i int, t Tuple) (measure float64, keep bool, err error)) (*Cube, error) {
+	if len(schema.Dims) != len(c.schema.Dims) {
+		return nil, fmt.Errorf("model: cube %s expects %d dimensions, got %d", schema.Name, len(schema.Dims), len(c.schema.Dims))
+	}
+	p := c.View()
+	measures := make([]float64, 0, len(p.measures))
+	drop := -1     // the first row f dropped
+	var rows []int // the rows it kept after that one
+	for i := range p.measures {
+		m, keep, err := f(i, p.Tuple(i))
+		switch {
+		case err != nil:
+			return nil, err
+		case keep:
+			measures = append(measures, m)
+			if drop >= 0 {
+				rows = append(rows, i)
+			}
+		case drop < 0:
+			drop = i
+		}
+	}
+	if drop < 0 {
+		return onKeySet(schema, &View{keys: p.keys, measures: measures}), nil
+	}
+	// Both columns at the size of what was kept: a store keeps every version.
+	n := len(measures)
+	tuples := append(make([]dimTuple, 0, n), p.keys.tuples[:drop]...)
+	for _, i := range rows {
+		tuples = append(tuples, p.keys.tuples[i])
+	}
+	measures = append(make([]float64, 0, n), measures...)
+	return onKeySet(schema, &View{keys: &keySet{tuples: tuples}, measures: measures}), nil
 }
 
 // changedBetween lists, in cube order, the tuples of q whose measure is not

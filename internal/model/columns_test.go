@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -118,8 +119,7 @@ func TestTwoFormsOneBehaviour(t *testing.T) {
 					t.Fatalf("mutating the clone: %v; the original now has %d tuples", err, c.Len())
 				}
 
-				into := NewCube(c.Schema())
-				err := into.PutFrom(c, func(tu Tuple) (float64, bool, error) { return tu.Measure, !(tu.Measure > 100), nil })
+				into, err := c.Derive(c.Schema(), func(_ int, tu Tuple) (float64, bool, error) { return tu.Measure, !(tu.Measure > 100), nil })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,14 +127,14 @@ func TestTwoFormsOneBehaviour(t *testing.T) {
 				for _, tu := range want {
 					m, ok := into.Get(tu.Dims)
 					if ok != !(tu.Measure > 100) || ok && math.Float64bits(m) != math.Float64bits(tu.Measure) {
-						t.Fatalf("PutFrom: %v -> %v, %v", formatDims(tu.Dims), m, ok)
+						t.Fatalf("Derive: %v -> %v, %v", formatDims(tu.Dims), m, ok)
 					}
 					if ok {
 						kept++
 					}
 				}
-				if into.Len() != kept {
-					t.Fatalf("PutFrom kept %d tuples, want %d", into.Len(), kept)
+				if into.Len() != kept || into.SharesKeySet(c) != (kept == len(want)) {
+					t.Fatalf("Derive kept %d of %d tuples, want %d; on the source's key set: %v", into.Len(), len(want), kept, into.SharesKeySet(c))
 				}
 			}
 			if rows.MemEstimate() < cols.MemEstimate()/4 {
@@ -336,7 +336,7 @@ func TestReviseGivesUp(t *testing.T) {
 }
 
 // TestKeySetSharedConcurrently: goroutines read several versions of one
-// key set — Get, Ordered, PutFrom's source side, MemEstimate — while its
+// key set — Get, Ordered, Derive's source side, MemEstimate — while its
 // index is first built (run under -race).
 func TestKeySetSharedConcurrently(t *testing.T) {
 	prev := ordered(pdrCube(4000))
@@ -374,9 +374,9 @@ func TestKeySetSharedConcurrently(t *testing.T) {
 					return nil
 				})
 			default:
-				out := NewCube(c.Schema())
-				if err := out.PutFrom(c, func(tu Tuple) (float64, bool, error) { return tu.Measure, true, nil }); err != nil || !out.Equal(c, 0) {
-					t.Errorf("PutFrom: %v", err)
+				out, err := c.Derive(c.Schema(), func(_ int, tu Tuple) (float64, bool, error) { return tu.Measure, true, nil })
+				if err != nil || !out.Equal(c, 0) || !out.SharesKeySet(prev) {
+					t.Errorf("Derive: %v", err)
 				}
 			}
 			if c.MemEstimate() <= 0 {
@@ -385,6 +385,105 @@ func TestKeySetSharedConcurrently(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCubeDerive: a version defined point by point on a source stands on the
+// source's key set where it keeps every tuple, and on the kept subsequence —
+// the source's Dims slices, in cube order — where it drops some.
+func TestCubeDerive(t *testing.T) {
+	src := NewCube(gdpSchema())
+	for q := 4; q >= 1; q-- {
+		if err := src.Put([]Value{Per(NewQuarterly(2001, q))}, float64(q)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := gdpSchema().Rename("OUT")
+	rows := 0
+	double := func(i int, tu Tuple) (float64, bool, error) {
+		if i != rows || tu.Measure != float64(i+1) {
+			t.Errorf("call %d is for row %d, %v", rows, i, tu)
+		}
+		rows++
+		return 2 * tu.Measure, tu.Measure != 3, nil
+	}
+
+	c, err := src.Derive(out, double)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 3 || !c.Frozen() || !c.OrderCached() || c.SharesKeySet(src) || c.Schema().Name != "OUT" {
+		t.Fatalf("%d tuples, frozen %v, ordered %v, on the source's key set %v: want the 3 tuples f kept on a key set of their own",
+			c.Len(), c.Frozen(), c.OrderCached(), c.SharesKeySet(src))
+	}
+	shared := make(map[*Value]bool)
+	_ = src.ForEach(func(tu Tuple) error { shared[&tu.Dims[0]] = true; return nil })
+	for i, tu := range c.Tuples() {
+		q := []int{1, 2, 4}[i]
+		if !shared[&tu.Dims[0]] || tu.Measure != float64(2*q) || !tu.Dims[0].Equal(Per(NewQuarterly(2001, q))) {
+			t.Errorf("tuple %d = %v: want 2001-Q%d -> %d on the source tuple's Dims", i, tu, q, 2*q)
+		}
+		if m, ok := c.Get(tu.Dims); !ok || m != tu.Measure {
+			t.Errorf("Get(%v) = %v, %v", tu.Dims, m, ok)
+		}
+	}
+	if _, ok := c.Get([]Value{Per(NewQuarterly(2001, 3))}); ok {
+		t.Error("the tuple f dropped is there")
+	}
+
+	all, err := src.Derive(out, func(_ int, tu Tuple) (float64, bool, error) { return -tu.Measure, true, nil })
+	if err != nil || !all.SharesKeySet(src) || all.Len() != 4 {
+		t.Fatalf("keeping every tuple: %v, on the source's key set: %v", err, all.SharesKeySet(src))
+	}
+	none, err := src.Derive(out, func(int, Tuple) (float64, bool, error) { return 0, false, nil })
+	if err != nil || none.Len() != 0 || none.SharesKeySet(src) {
+		t.Fatalf("keeping nothing: %v, %d tuples", err, none.Len())
+	}
+
+	boom, calls := errors.New("boom"), 0
+	if c, err := src.Derive(out, func(i int, _ Tuple) (float64, bool, error) {
+		calls++
+		if i == 1 {
+			return 0, true, boom
+		}
+		return 0, true, nil
+	}); err != boom || c != nil || calls != 2 {
+		t.Errorf("f's error: got %v, %v after %d calls", c, err, calls)
+	}
+	if _, err := src.Derive(rgdpSchema(), double); err == nil {
+		t.Error("Derive across arities must fail")
+	}
+	if src.Frozen() || src.Len() != 4 {
+		t.Error("Derive froze or changed its source")
+	}
+}
+
+// A selective Derive must not leave the output holding columns sized for
+// its source: a store keeps every version it is given.
+func TestCubeDeriveSizesToWhatItKeeps(t *testing.T) {
+	const n = 50000
+	src := NewCube(gdpSchema())
+	for i := 0; i < n; i++ {
+		if err := src.Put([]Value{Per(NewQuarterly(1000+i/4, 1+i%4))}, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.View() // the source's order is the source's
+	grown, kept := liveBytes(func() any {
+		c, err := src.Derive(gdpSchema(), func(_ int, tu Tuple) (float64, bool, error) { return tu.Measure, tu.Measure < 10, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	})
+	if c := kept.(*Cube); c.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", c.Len())
+	}
+	// Columns made for 50 000 tuples are over 2 MB.
+	if grown > 256<<10 {
+		t.Errorf("a cube of 10 tuples taken from %d holds %d KB", n, grown>>10)
+	}
+	runtime.KeepAlive(src)
+	runtime.KeepAlive(kept)
 }
 
 // FuzzRevise: a base cube and an edit script of measure changes, inserts,
@@ -550,6 +649,115 @@ func FuzzApply(f *testing.F) {
 	})
 }
 
+// FuzzDerive: a source in either form, read in order or not, and a script
+// that says tuple by tuple whether f keeps it, with which measure, or fails
+// there. Derive's version is, bit for bit and in cube order, what a loop of
+// Put over the source's tuples gives (the oracle kept here), frozen, on the
+// source's Dims, and on the source's key set exactly when every tuple was
+// kept; f's error is returned with nothing built; the source is left as it
+// was.
+func FuzzDerive(f *testing.F) {
+	f.Add(uint8(10), uint8(0), []byte{})
+	f.Add(uint8(10), uint8(1), []byte{5, 6, 7})                  // every tuple kept, frozen row map
+	f.Add(uint8(10), uint8(2), []byte{5, 0, 7})                  // a third dropped, read in order
+	f.Add(uint8(10), uint8(3), []byte{0})                        // all dropped, columns
+	f.Add(uint8(10), uint8(3), []byte{1, 1, 1, 1, 1, 1, 1, 255}) // fails at the eighth tuple
+	f.Add(uint8(0), uint8(1), []byte{3})                         // empty
+	f.Add(uint8(200), uint8(0), []byte{9, 8, 7, 6, 5, 4, 0})     // unfrozen, not read in order
+	f.Add(uint8(30), uint8(2), []byte{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0})
+	f.Fuzz(func(t *testing.T, n, form uint8, script []byte) {
+		sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "s", Type: TString}}, "m")
+		src := NewCube(sch)
+		for i := 0; i < int(n); i++ {
+			_ = src.Replace([]Value{Int(int64(i) / 3), Str(string(rune('a' + i%3)))}, float64(i))
+		}
+		before := src.Clone()
+		switch form % 4 {
+		case 1:
+			src.Freeze()
+		case 2:
+			ordered(src)
+		case 3:
+			src = asColumns(t, src)
+		}
+		frozen := src.Frozen()
+
+		// Tuple i goes by script byte i (cyclically): 255 fails, a multiple
+		// of four drops, anything else keeps with a measure of its own.
+		boom := errors.New("boom")
+		point := func(i int, tu Tuple) (float64, bool, error) {
+			if len(script) == 0 {
+				return 2 * tu.Measure, true, nil
+			}
+			switch b := script[i%len(script)]; {
+			case b == 255:
+				return 0, true, boom
+			case b%4 == 0:
+				return float64(b), false, nil
+			case b == 254:
+				return math.Inf(-1), true, nil
+			default:
+				return tu.Measure - float64(b), true, nil
+			}
+		}
+		outSchema := sch.Rename("D")
+		want, dropped, fails := NewCube(outSchema), 0, false
+		order := byCompare(before)
+		for i, tu := range order {
+			m, keep, err := point(i, tu)
+			if err != nil {
+				fails = true
+				break
+			}
+			if !keep {
+				dropped++
+			} else if err := want.Put(tu.Dims, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		calls := 0
+		got, err := src.Derive(outSchema, func(i int, tu Tuple) (float64, bool, error) {
+			if i != calls || compareDims(tu.Dims, order[i].Dims) != 0 || tu.Measure != order[i].Measure {
+				t.Fatalf("call %d is for row %d, %v: want %v", calls, i, tu, order[i])
+			}
+			calls++
+			return point(i, tu)
+		})
+		sameDeltaBits(t, DiffCubes("C", before, src), &CubeDelta{})
+		if src.Frozen() != frozen {
+			t.Fatal("Derive froze its source")
+		}
+		if fails {
+			if err != boom || got != nil {
+				t.Fatalf("Derive returned %v, %v where f fails", got, err)
+			}
+			return
+		}
+		if err != nil || !got.Frozen() || !got.OrderCached() || got.Schema().Name != "D" {
+			t.Fatalf("Derive: %v; frozen and ordered: %v", err, got != nil && got.Frozen() && got.OrderCached())
+		}
+		if calls != len(order) || !got.Equal(want, 0) || !want.Equal(got, 0) {
+			t.Fatalf("derived version differs after %d calls: %v", calls, got.Diff(want, 0, 3))
+		}
+		sameTuplesBits(t, got.Tuples(), byCompare(want))
+		if got.SharesKeySet(src) != (dropped == 0) {
+			t.Fatalf("key set shared: %v with %d tuples dropped", got.SharesKeySet(src), dropped)
+		}
+		mine := make(map[*Value]bool)
+		_ = src.ForEach(func(tu Tuple) error { mine[&tu.Dims[0]] = true; return nil })
+		_ = got.ForEach(func(tu Tuple) error {
+			if !mine[&tu.Dims[0]] {
+				t.Fatalf("%v does not share the source tuple's Dims", formatDims(tu.Dims))
+			}
+			return nil
+		})
+		if _, err := src.Derive(gdpSchema(), point); err == nil {
+			t.Fatal("Derive across arities must fail")
+		}
+	})
+}
+
 // TestApplyConcurrentlyOnOneBase: goroutines apply different deltas to one
 // frozen row-map base that nobody has read in order, while others probe and
 // scan it: the order is built once, every successor stands on that one key
@@ -607,6 +815,50 @@ func TestApplyConcurrentlyOnOneBase(t *testing.T) {
 		if len(d.Changed) != (n-g+100)/101 || len(d.Added)+len(d.Deleted) != 0 || d.Changed[0].Measure != float64(-g-1) {
 			t.Fatalf("successor %d differs from the base by +%d ~%d -%d", g, len(d.Added), len(d.Changed), len(d.Deleted))
 		}
+	}
+}
+
+// TestMemEstimateOfChargesAKeySetOnce: a panel snapshot — S and the four
+// cubes a full chase run derives from it, all on one key set — is charged one
+// key set and five measure columns, not five key sets; and that charge still
+// covers the heap the five retain.
+func TestMemEstimateOfChargesAKeySetOnce(t *testing.T) {
+	const n = 20000
+	grown, kept := liveBytes(func() any {
+		s := asColumns(t, pdrCube(n))
+		cubes := map[string]*Cube{"S": s}
+		for _, name := range []string{"A", "B", "C", "D"} {
+			c, err := s.Derive(s.Schema().Rename(name), func(_ int, tu Tuple) (float64, bool, error) { return 2 * tu.Measure, true, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			cubes[name] = c
+		}
+		s.Get(s.View().Tuple(0).Dims) // with the index built
+		return cubes
+	})
+	cubes := kept.(map[string]*Cube)
+	keys := cubes["S"].held().keys.memEstimate()
+	got, want := MemEstimateOf(cubes), keys+5*(tupleOverheadBytes+8*n)
+	if got != want {
+		t.Errorf("five cubes on one key set are charged %d bytes, want %d: one key set (%d), five columns and shells", got, want, keys)
+	}
+	if each := 5 * cubes["S"].MemEstimate(); each != want+4*keys {
+		t.Errorf("one by one the five are charged %d bytes, want %d: the key set five times", each, want+4*keys)
+	}
+	if got < grown {
+		t.Errorf("charged %d bytes for cubes that retain %d", got, grown)
+	}
+
+	// A row map among them, and a cube on another key set, are charged as
+	// they are alone.
+	rows, other := pdrCube(100), asColumns(t, pdrCube(50))
+	cubes["R"], cubes["O"], cubes["nil"] = rows, other, nil
+	if got := MemEstimateOf(cubes); got != want+rows.MemEstimate()+other.MemEstimate() {
+		t.Errorf("with a row map and a second key set: %d bytes, want %d", got, want+rows.MemEstimate()+other.MemEstimate())
+	}
+	if MemEstimateOf(nil) != 0 {
+		t.Error("no cubes are charged something")
 	}
 }
 

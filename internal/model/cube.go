@@ -117,68 +117,6 @@ func (c *Cube) checkEgd(dims []Value, old, measure float64) error {
 	return fmt.Errorf("%w: %s%v has values %v and %v", ErrFunctional, c.schema.Name, dims, old, measure)
 }
 
-// PutFrom asserts, for every tuple of src that f keeps, the measure f
-// returns at that tuple's dimension tuple — the bulk form of Put for an
-// output defined on (a subset of) the dimension tuples of one of its
-// inputs, which is every scalar and vectorial statement. The new tuple
-// shares the source tuple's Dims slice and row key instead of copying and
-// re-encoding them: the sharing Clone already relies on, safe because no
-// cube ever writes to a stored Dims slice. (Revise shares the same way, a
-// whole key set at a time.) The egd check is Put's, made at every tuple
-// whatever the receiver holds. The scan is in unspecified order and stops
-// at the first error, f's or an egd violation; src must have as many
-// dimensions as c.
-func (c *Cube) PutFrom(src *Cube, f func(Tuple) (measure float64, keep bool, err error)) error {
-	if c.frozen {
-		return fmt.Errorf("%w: %s", ErrFrozen, c.schema.Name)
-	}
-	if len(src.schema.Dims) != len(c.schema.Dims) {
-		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", c.schema.Name, len(c.schema.Dims), len(src.schema.Dims))
-	}
-	c.cols.Store(nil)
-	n := src.Len()
-	sized := len(c.rows) == 0
-	if sized {
-		c.rows = make(map[string]Tuple, n)
-	}
-	if p := src.held(); p != nil {
-		for i, t := range p.keys.tuples {
-			if err := c.putFrom(t.key, p.Tuple(i), f); err != nil {
-				return err
-			}
-		}
-	} else {
-		for key, t := range src.rows {
-			if err := c.putFrom(key, t, f); err != nil {
-				return err
-			}
-		}
-	}
-	// A map never gives back the space it was made with, and a store keeps
-	// every version it is handed: when f kept few of src's tuples — a join
-	// against a small relation, a measure undefined at most points — move
-	// them to a map of their own size.
-	if sized && len(c.rows) < n/4 {
-		rows := make(map[string]Tuple, len(c.rows))
-		maps.Copy(rows, c.rows)
-		c.rows = rows
-	}
-	return nil
-}
-
-// putFrom is PutFrom at one source tuple, t under row key key.
-func (c *Cube) putFrom(key string, t Tuple, f func(Tuple) (float64, bool, error)) error {
-	measure, keep, err := f(t)
-	if err != nil || !keep {
-		return err
-	}
-	if old, ok := c.rows[key]; ok {
-		return c.checkEgd(t.Dims, old.Measure, measure)
-	}
-	c.rows[key] = Tuple{Dims: t.Dims, Measure: measure}
-	return nil
-}
-
 // Replace sets the measure for the dimension tuple, overwriting any
 // previous value. It is used by the store when new versions of elementary
 // cubes arrive.
@@ -230,13 +168,13 @@ func (c *Cube) Delete(dims []Value) bool {
 
 // OrderCached reports whether the version holds its column form, so that an
 // ordered scan need not sort: a scan has sorted it and left the order
-// cached, or Revise or Apply made it on its predecessor's. Tests pin with it
+// cached, or Revise, Apply or Derive made it on another's. Tests pin with it
 // that a path which has no use for the order did not pay for one.
 func (c *Cube) OrderCached() bool { return c.cols.Load() != nil }
 
 // SharesKeySet reports whether c and o are versions on one key set, by
-// identity: Revise or Apply made one from the other, or both from a common
-// ancestor. Such versions hold the same dimension tuples at the same
+// identity: Revise, Apply or Derive made one from the other, or both from a
+// common ancestor. Such versions hold the same dimension tuples at the same
 // positions and differ in their measure columns only.
 func (c *Cube) SharesKeySet(o *Cube) bool {
 	p, q := c.cols.Load(), o.cols.Load()
@@ -397,6 +335,27 @@ func (c *Cube) MemEstimate() int64 {
 	}
 	if c.frozen {
 		c.memEst.Store(n)
+	}
+	return n
+}
+
+// MemEstimateOf is MemEstimate for cubes held together — a run's snapshot,
+// its results: what each holds of its own (a row map, a measure column), and
+// every key set among them once, however many of the versions stand on it.
+func MemEstimateOf(cubes map[string]*Cube) int64 {
+	var n int64
+	charged := make(map[*keySet]bool)
+	for _, c := range cubes {
+		if c == nil {
+			continue
+		}
+		n += c.MemEstimate()
+		if p := c.held(); p != nil {
+			if charged[p.keys] {
+				n -= p.keys.memEstimate()
+			}
+			charged[p.keys] = true
+		}
 	}
 	return n
 }

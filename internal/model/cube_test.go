@@ -3,7 +3,6 @@ package model
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -57,96 +56,6 @@ func TestCubePutEgd(t *testing.T) {
 	if got, _ := c.Get(dims); got != 11 {
 		t.Errorf("after Replace: %v", got)
 	}
-}
-
-// TestCubePutFrom: the bulk form of Put shares the source's Dims slices,
-// skips what f drops, and into a cube that already holds tuples keeps
-// Put's egd check — the same measure again is a no-op, another one fails.
-func TestCubePutFrom(t *testing.T) {
-	src := NewCube(gdpSchema())
-	for q := 1; q <= 4; q++ {
-		if err := src.Put([]Value{Per(NewQuarterly(2001, q))}, float64(q)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	double := func(tu Tuple) (float64, bool, error) { return 2 * tu.Measure, tu.Measure != 3, nil }
-
-	c := NewCube(gdpSchema())
-	if err := c.PutFrom(src, double); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want the 3 tuples f kept", c.Len())
-	}
-	shared := make(map[*Value]bool)
-	_ = src.ForEach(func(tu Tuple) error { shared[&tu.Dims[0]] = true; return nil })
-	_ = c.ForEach(func(tu Tuple) error {
-		if !shared[&tu.Dims[0]] {
-			t.Errorf("%v does not share the source tuple's Dims", tu.Dims)
-		}
-		if want, _ := src.Get(tu.Dims); tu.Measure != 2*want {
-			t.Errorf("%v = %v, want %v", tu.Dims, tu.Measure, 2*want)
-		}
-		return nil
-	})
-
-	// Again into the now non-empty cube: the three points agree, the one
-	// dropped before is added.
-	if err := c.PutFrom(src, func(tu Tuple) (float64, bool, error) { return 2 * tu.Measure, true, nil }); err != nil {
-		t.Fatalf("asserting equal measures again: %v", err)
-	}
-	if got, ok := c.Get([]Value{Per(NewQuarterly(2001, 3))}); !ok || got != 6 || c.Len() != 4 {
-		t.Errorf("2001-Q3 = %v, %v with %d tuples, want 6 among 4", got, ok, c.Len())
-	}
-	// A different measure at a point the cube holds: the egd fails.
-	err := c.PutFrom(src, func(tu Tuple) (float64, bool, error) { return tu.Measure, true, nil })
-	if !errors.Is(err, ErrFunctional) {
-		t.Errorf("conflicting measures: err = %v, want ErrFunctional", err)
-	}
-
-	boom := errors.New("boom")
-	if err := NewCube(gdpSchema()).PutFrom(src, func(Tuple) (float64, bool, error) { return 0, false, boom }); err != boom {
-		t.Errorf("f's error: got %v", err)
-	}
-	if err := NewCube(rgdpSchema()).PutFrom(src, double); err == nil {
-		t.Error("PutFrom across arities must fail")
-	}
-	if err := c.Freeze().PutFrom(src, double); !errors.Is(err, ErrFrozen) {
-		t.Errorf("PutFrom on frozen cube: err = %v, want ErrFrozen", err)
-	}
-}
-
-// A selective PutFrom must not leave the output holding a row map sized
-// for its source: a store keeps every version it is given.
-func TestCubePutFromSizesToWhatItKeeps(t *testing.T) {
-	const n = 50000
-	src := NewCube(gdpSchema())
-	for i := 0; i < n; i++ {
-		if err := src.Put([]Value{Per(NewQuarterly(1000+i/4, 1+i%4))}, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	heap := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	before := heap()
-	c := NewCube(gdpSchema())
-	if err := c.PutFrom(src, func(tu Tuple) (float64, bool, error) { return tu.Measure, tu.Measure < 10, nil }); err != nil {
-		t.Fatal(err)
-	}
-	grown := int64(heap()) - int64(before)
-	if c.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", c.Len())
-	}
-	// A row map made for 50 000 tuples is over 3 MB.
-	if grown > 256<<10 {
-		t.Errorf("a cube of 10 tuples taken from %d holds %d KB", n, grown>>10)
-	}
-	runtime.KeepAlive(src)
-	runtime.KeepAlive(c)
 }
 
 func TestCubeArityCheck(t *testing.T) {

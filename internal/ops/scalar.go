@@ -52,7 +52,7 @@ var scalarFuncs = map[string]ScalarFunc{
 		}
 		return math.Log(a[0]), nil
 	},
-	"exp": func(a ...float64) (float64, error) { return math.Exp(a[0]), nil },
+	"exp": func(a ...float64) (float64, error) { return finite("exp", math.Exp(a[0])) },
 	"sqrt": func(a ...float64) (float64, error) {
 		if a[0] < 0 {
 			return 0, ErrUndefinedT{Op: "sqrt"}
@@ -61,9 +61,19 @@ var scalarFuncs = map[string]ScalarFunc{
 	},
 	"abs":   func(a ...float64) (float64, error) { return math.Abs(a[0]), nil },
 	"round": func(a ...float64) (float64, error) { return math.Round(a[0]), nil },
-	"pow":   func(a ...float64) (float64, error) { return math.Pow(a[0], a[1]), nil },
+	"pow":   func(a ...float64) (float64, error) { return finite("pow", math.Pow(a[0], a[1])) },
 	"sin":   func(a ...float64) (float64, error) { return math.Sin(a[0]), nil },
 	"cos":   func(a ...float64) (float64, error) { return math.Cos(a[0]), nil },
+}
+
+// finite is the result v of op where it is a real number; where it is not —
+// a negative base under a fractional exponent, an overflow — the operator is
+// undefined, like the root and the logarithms outside their domains.
+func finite(op string, v float64) (float64, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, ErrUndefinedT{Op: op}
+	}
+	return v, nil
 }
 
 // Scalar returns the named scalar function ("add", "sub", "mul", "div",

@@ -63,6 +63,8 @@ func TestScalarUndefinedPoints(t *testing.T) {
 		{"log", []float64{8, 1}},  // base 1
 		{"log", []float64{8, -2}}, // negative base
 		{"sqrt", []float64{-1}},
+		{"pow", []float64{-4, 0.5}}, // NaN
+		{"exp", []float64{1000}},    // +Inf
 	}
 	for _, c := range cases {
 		_, err := mustScalar(t, c.name)(c.args...)
