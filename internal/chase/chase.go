@@ -91,17 +91,12 @@ func (s *Solver) SolveWithStats(source Instance) (Instance, *Stats, error) {
 // elementary returns the target twin of an elementary relation (Σst). A
 // frozen source cube is its own twin: nothing in the chase mutates a
 // relation it reads. An unfrozen one is still its caller's to mutate, so
-// the solution gets a copy; a missing one is empty.
+// the solution gets a snapshot; a missing one is empty.
 func (s *Solver) elementary(source Instance, name string) *model.Cube {
-	c, ok := source[name]
-	switch {
-	case !ok:
-		return model.NewCube(s.m.Schemas[name])
-	case c.Frozen():
-		return c
-	default:
-		return c.Clone()
+	if c, ok := source[name]; ok {
+		return c.Snapshot()
 	}
+	return model.NewCube(s.m.Schemas[name]).Freeze()
 }
 
 func (s *Solver) solve(ctx context.Context, source Instance) (Instance, *Stats, error) {
@@ -153,8 +148,7 @@ func (s *Solver) output(ctx context.Context, p *plan, target Instance, stats *St
 	case mapping.BlackBox:
 		return applyBlackBox(p, target, schema, stats)
 	case mapping.PadVector:
-		out := model.NewCube(schema)
-		return out, applyPadVector(p, target, out, stats)
+		return applyPadVector(p, target, schema, stats)
 	}
 	x, err := newExec(ctx, p, p.lhs, target)
 	if err != nil {
@@ -171,14 +165,14 @@ func (s *Solver) output(ctx context.Context, p *plan, target Instance, stats *St
 	if err != nil {
 		return nil, err
 	}
-	out := model.NewCube(schema)
-	for _, g := range groups {
-		if err := out.Put(g.dims, g.agg.Result()); err != nil {
+	out := model.NewBuilder(schema)
+	for _, k := range sortedKeys(groups) { // the builder's order
+		if err := out.Add(groups[k].dims, groups[k].agg.Result()); err != nil {
 			return nil, err
 		}
-		stats.TuplesGenerated++
 	}
-	return out, nil
+	stats.TuplesGenerated += len(groups)
+	return out.Build()
 }
 
 // applyBlackBox applies a black-box tgd: the operand's series goes through
@@ -254,11 +248,12 @@ func padPoint(p *plan, rels [2]*model.Cube, probe [2][]model.Value, dims []model
 // standing in for a missing operand measure. Every tuple of the first
 // operand names an output point, then every tuple of the second that the
 // first does not have.
-func applyPadVector(p *plan, target Instance, out *model.Cube, stats *Stats) error {
+func applyPadVector(p *plan, target Instance, schema model.Schema, stats *Stats) (*model.Cube, error) {
 	rels, err := padOperands(p.t, target)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	out := model.NewBuilder(schema)
 	n := len(p.t.Rhs.Dims)
 	probe := [2][]model.Value{make([]model.Value, n), make([]model.Value, n)}
 	dims := make([]model.Value, n)
@@ -281,13 +276,13 @@ func applyPadVector(p *plan, target Instance, out *model.Cube, stats *Stats) err
 				return err
 			}
 			stats.TuplesGenerated++
-			return out.Put(dims, v)
+			return out.Add(dims, v)
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out.Build()
 }
 
 // ErrChaseFailure wraps egd violations surfaced during a chase run.

@@ -70,7 +70,7 @@ type atomPlan struct {
 }
 
 // full reports whether the probe positions cover every dimension: the
-// atom then matches at most one tuple, found in the relation's row map.
+// atom then matches at most one tuple, found by key in the relation itself.
 func (a *atomPlan) full() bool { return len(a.binds) == 0 }
 
 // probeTerm is a position whose value follows from the binding so far.

@@ -119,7 +119,7 @@ func (x *exec) join(i int) error {
 	}
 	if a.full() {
 		// The probe positions are all the positions, in order: probe is
-		// the dimension tuple, looked up in the relation's own row map.
+		// the dimension tuple, looked up by key in the relation itself.
 		m, ok := x.rels[i].Get(probe)
 		if !ok {
 			return nil
@@ -255,10 +255,8 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 		// dimension tuple: the output is defined point by point on the
 		// driving relation, in cube order, and no two of its tuples can meet
 		// at one dimension tuple. An aligned atom is joined by position where
-		// its relation stands on the driving relation's key set — an identity
-		// between the two orders, so the driving one is fixed first.
+		// its relation stands on the driving relation's key set.
 		drive, src := &x.atoms[0], x.rels[0]
-		src.View()
 		for i := 1; i < len(x.atoms); i++ {
 			if x.atoms[i].aligned && x.rels[i].SharesKeySet(src) {
 				x.cols[i] = x.rels[i].View()
@@ -277,7 +275,7 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 		})
 		return out, tuples, err
 	}
-	out = model.NewCube(schema)
+	b := model.NewBuilder(schema)
 	x.emit = func() error {
 		if err := x.rhsDims(); err != nil {
 			return err
@@ -286,13 +284,13 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 		if err != nil || !defined {
 			return err
 		}
-		if err := out.Put(x.out, mv); err != nil {
-			return err
-		}
 		tuples++
-		return nil
+		return b.Add(x.out, mv)
 	}
-	err = x.join(0)
+	if err = x.join(0); err != nil {
+		return nil, tuples, err
+	}
+	out, err = b.Build()
 	return out, tuples, err
 }
 

@@ -216,19 +216,15 @@ func (a *affectedKeys) add(dims []model.Value) {
 	}
 }
 
-// sorted returns the affected dimension tuples in cube order, which is
-// the byte order of their keys.
-func (a *affectedKeys) sorted() [][]model.Value {
-	keys := make([]string, 0, len(a.dims))
-	for k := range a.dims {
+// sortedKeys returns the keys of a map keyed by row key in cube order, which
+// is their byte order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([][]model.Value, len(keys))
-	for i, k := range keys {
-		out[i] = a.dims[k]
-	}
-	return out
+	return keys
 }
 
 // maintain brings the tgd's output up to date from its previous version by
@@ -239,7 +235,8 @@ func (a *affectedKeys) sorted() [][]model.Value {
 // the previous one with it applied (model.Cube.Apply).
 func maintain(name string, baseOut *model.Cube, affected *affectedKeys, stats *IncrStats, recompute func(dims []model.Value) (float64, bool, error)) (*model.Cube, *model.CubeDelta, error) {
 	od := &model.CubeDelta{Name: name, Base: baseOut}
-	for _, dims := range affected.sorted() {
+	for _, k := range sortedKeys(affected.dims) {
+		dims := affected.dims[k]
 		stats.KeysRecomputed++
 		mv, present, err := recompute(dims)
 		if err != nil {

@@ -149,9 +149,9 @@ func TestSharedDimsAndKeys(t *testing.T) {
 
 	// E lacks the first quarter of every region.
 	e := sol["E"]
-	if e.SharesKeySet(src) || !e.OrderCached() || e.Len() != 4 {
-		t.Fatalf("E: %d tuples, on S's key set %v, in order %v; want 4 on a key set of their own, in order without a sort",
-			e.Len(), e.SharesKeySet(src), e.OrderCached())
+	if e.SharesKeySet(src) || !e.Frozen() || e.Len() != 4 {
+		t.Fatalf("E: %d tuples, on S's key set %v, frozen %v; want 4 on a key set of their own",
+			e.Len(), e.SharesKeySet(src), e.Frozen())
 	}
 	mine := make(map[*model.Value]bool)
 	_ = src.ForEach(func(tu model.Tuple) error { mine[&tu.Dims[0]] = true; return nil })
@@ -649,10 +649,11 @@ func TestSolverConcurrentUse(t *testing.T) {
 }
 
 // TestMaintenanceProbesPerKey: maintaining a tuple-level tgd costs a few
-// hash probes per affected point on top of copying the previous output, so
-// 400 changed tuples cost about what one does. (A recompute that scanned
+// hash probes per affected point, so 400 changed tuples of 20 000 cost less
+// than a few full runs, which bind every tuple once. (A recompute that scanned
 // an operand per point — same answers, every test green — once made the
-// incremental benchmark ten times slower.)
+// incremental benchmark ten times slower: 1 600 scans are 1 600 full runs'
+// worth of bindings.)
 func TestMaintenanceProbesPerKey(t *testing.T) {
 	s := New(compile(t, panelProgram))
 	base := bigPanel().Freeze()
@@ -685,8 +686,16 @@ func TestMaintenanceProbesPerKey(t *testing.T) {
 		}
 		return best
 	}
-	if one, many := fastest(1), fastest(400); many > 5*one {
-		t.Errorf("maintaining 400 changed tuples took %v against %v for one: recomputation is not a probe per point", many, one)
+	full := time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := s.Solve(Instance{"S": base}); err != nil {
+			t.Fatal(err)
+		}
+		full = min(full, time.Since(start))
+	}
+	if many := fastest(400); many > 4*full {
+		t.Errorf("maintaining 400 changed tuples took %v against %v for a full run: recomputation is not a probe per point", many, full)
 	}
 }
 

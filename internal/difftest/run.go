@@ -24,7 +24,7 @@ const DefaultTol = 1e-6
 // Divergence is one engine disagreeing with the chase reference on one
 // derived cube (or failing outright where the chase succeeded).
 type Divergence struct {
-	Engine string   // "sql", "frame" or "etl", with " on columns" where the inputs were held so; or "chase on columns"
+	Engine string   // "sql", "frame" or "etl"
 	Rel    string   // derived cube, or "" for whole-engine failures
 	Lines  []string // human-readable tuple diffs or the error message
 }
@@ -93,79 +93,55 @@ func Run(c *Case, tol float64) (*Result, error) {
 		}
 	}
 
-	// Every engine runs twice: on the inputs as generated, row maps, and
-	// on the same inputs held the way a store holds a revision, as
-	// columns over a predecessor's key set. The reference is the one chase
-	// run on the row maps; the chase on the columns must match it exactly.
-	asColumns := make(map[string]*model.Cube, len(c.Data))
-	for name, cube := range c.Data {
-		asColumns[name] = columnForm(cube)
-	}
-	cres, err := chase.New(m).Solve(chase.Instance(asColumns))
-	record("chase on columns", cres, err, 0)
-	for _, form := range []struct {
-		suffix string
-		data   map[string]*model.Cube
-	}{{"", c.Data}, {" on columns", asColumns}} {
-		fres, err := func() (map[string]*model.Cube, error) {
-			fs, err := frame.Translate(m)
-			if err != nil {
-				return nil, err
-			}
-			return frame.Execute(fs, m, form.data)
-		}()
-		record("frame"+form.suffix, fres, err, tol)
-
-		eres, err := func() (map[string]*model.Cube, error) {
-			job, err := etl.Translate(m, "difftest")
-			if err != nil {
-				return nil, err
-			}
-			return etl.Run(job, m, form.data)
-		}()
-		record("etl"+form.suffix, eres, err, tol)
-
-		// SQL engine — unless the program uses padded vectorial operators,
-		// which the emitted dialect cannot express (no outer joins).
-		if res.SQLSkipped {
-			continue
+	fres, err := func() (map[string]*model.Cube, error) {
+		fs, err := frame.Translate(m)
+		if err != nil {
+			return nil, err
 		}
-		sres, err := func() (map[string]*model.Cube, error) {
-			db := sqlengine.NewDB()
-			for _, name := range m.Elementary {
-				if err := db.LoadCube(form.data[name]); err != nil {
-					return nil, err
-				}
-			}
-			script, err := sqlgen.Translate(m)
-			if err != nil {
-				return nil, err
-			}
-			if err := sqlgen.Execute(script, db); err != nil {
-				return nil, err
-			}
-			out := make(map[string]*model.Cube)
-			for _, rel := range m.Derived {
-				cube, err := db.ExtractCube(m.Schemas[rel])
-				if err != nil {
-					return nil, fmt.Errorf("extract %s: %w", rel, err)
-				}
-				out[rel] = cube
-			}
-			return out, nil
-		}()
-		record("sql"+form.suffix, sres, err, tol)
-	}
-	return res, nil
-}
+		return frame.Execute(fs, m, c.Data)
+	}()
+	record("frame", fres, err, tol)
 
-// columnForm returns c's content as a frozen version held as columns
-// alone: the revision, with every measure as it is, of a copy of c that
-// has been read in order.
-func columnForm(c *model.Cube) *model.Cube {
-	prev := c.Clone().Freeze()
-	_ = prev.Ordered(func(model.Tuple) error { return nil })
-	return prev.Revise(c).Current
+	eres, err := func() (map[string]*model.Cube, error) {
+		job, err := etl.Translate(m, "difftest")
+		if err != nil {
+			return nil, err
+		}
+		return etl.Run(job, m, c.Data)
+	}()
+	record("etl", eres, err, tol)
+
+	// SQL engine — unless the program uses padded vectorial operators,
+	// which the emitted dialect cannot express (no outer joins).
+	if res.SQLSkipped {
+		return res, nil
+	}
+	sres, err := func() (map[string]*model.Cube, error) {
+		db := sqlengine.NewDB()
+		for _, name := range m.Elementary {
+			if err := db.LoadCube(c.Data[name]); err != nil {
+				return nil, err
+			}
+		}
+		script, err := sqlgen.Translate(m)
+		if err != nil {
+			return nil, err
+		}
+		if err := sqlgen.Execute(script, db); err != nil {
+			return nil, err
+		}
+		out := make(map[string]*model.Cube)
+		for _, rel := range m.Derived {
+			cube, err := db.ExtractCube(m.Schemas[rel])
+			if err != nil {
+				return nil, fmt.Errorf("extract %s: %w", rel, err)
+			}
+			out[rel] = cube
+		}
+		return out, nil
+	}()
+	record("sql", sres, err, tol)
+	return res, nil
 }
 
 func hasPadVector(m *mapping.Mapping) bool {

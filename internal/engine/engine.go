@@ -438,11 +438,10 @@ func (e *Engine) LoadCSV(name string, r io.Reader, asOf time.Time) error {
 	if err != nil {
 		return err
 	}
-	// The parsed cube is nobody else's: frozen, the store adopts a first
-	// load instead of cloning it — and a durable store then logs it in full
-	// from the version it stored, which leaves that version with its cube
-	// order for the next load to share (store.NewVersion).
-	return e.store.Put(c.Freeze(), asOf)
+	// The parsed cube is frozen and nobody else's: the store adopts a first
+	// load as it is, and compares a later one with its predecessor in one
+	// merge of their orders (store.NewVersion).
+	return e.store.Put(c, asOf)
 }
 
 // Cube returns the current version of a cube.
@@ -752,11 +751,10 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 		return nil, err
 	}
 
-	// The result cubes are owned exclusively by this run, so freezing them
-	// lets the store adopt them without another deep copy. Incremental
-	// runs drop the outputs that are the reused previous versions (same
-	// frozen cube): re-storing them would only churn version history and
-	// invalidate downstream memos for nothing.
+	// Every target returns frozen cubes, which the store adopts as they are.
+	// Incremental runs drop the outputs that are the reused previous versions
+	// (same frozen cube): re-storing them would only churn version history
+	// and invalidate downstream memos for nothing.
 	toPersist := results
 	if cfg.incremental {
 		toPersist = make(map[string]*model.Cube, len(results))
@@ -766,16 +764,12 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 			}
 		}
 	}
-	for _, c := range toPersist {
-		c.Freeze()
-	}
 
 	// Charge the materialized results before they are adopted by the
 	// store: a run whose actual output overshoots the estimate is shed
-	// here, typed, instead of persisting past the budget. The cubes are
-	// frozen by now, so this walk is the only one: the estimate is cached
-	// on the cube and the next run's estimate of its snapshot reads it in
-	// O(1).
+	// here, typed, instead of persisting past the budget. A frozen cube's
+	// estimate is column lengths, so this and the next run's estimate of its
+	// snapshot cost a walk per key set, once.
 	if delta := model.MemEstimateOf(results) - ticket.Reserved(); delta > 0 {
 		if rerr := ticket.Reserve(delta); rerr != nil {
 			return nil, rerr

@@ -408,10 +408,10 @@ func TestDeadlineShedBeforeQueueing(t *testing.T) {
 	}
 }
 
-// TestRunEstimatesResultsOnce: the run freezes its result cubes before it
-// charges them to the memory budget, so that walk is the only one — the
-// estimate is cached on the frozen cube the store adopts, and every later
-// budgeting of it (the next run's snapshot estimate first of all) is O(1).
+// TestRunEstimatesResultsOnce: a stored result is a frozen cube, whose
+// estimate is column lengths over a key set estimated once — so every later
+// budgeting of it (the next run's snapshot estimate first of all) is O(1) and
+// allocates nothing.
 func TestRunEstimatesResultsOnce(t *testing.T) {
 	sch := model.NewSchema("S", []model.Dim{{Name: "i", Type: model.TInt}}, "v")
 	s := model.NewCube(sch)
@@ -435,10 +435,10 @@ func TestRunEstimatesResultsOnce(t *testing.T) {
 		t.Fatal("derived cube A missing")
 	}
 
-	if !a.MemEstimateCached() {
-		t.Error("the stored result carries no estimate: the run charged it before freezing it")
+	if !a.Frozen() || testing.AllocsPerRun(10, func() { a.MemEstimate() }) != 0 {
+		t.Error("estimating the stored result again is not free")
 	}
-	if est := a.MemEstimate(); est != a.Clone().MemEstimate() {
-		t.Errorf("cached estimate %d differs from a fresh walk", est)
+	if est := a.MemEstimate(); est != a.Clone().Freeze().MemEstimate() {
+		t.Errorf("estimate %d differs from a fresh walk", est)
 	}
 }

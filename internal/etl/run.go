@@ -54,7 +54,7 @@ func RunContext(ctx context.Context, job *Job, m *mapping.Mapping, source map[st
 		if c, ok := source[name]; ok {
 			store[name] = c
 		} else {
-			store[name] = model.NewCube(m.Schemas[name])
+			store[name] = model.NewCube(m.Schemas[name]).Freeze()
 		}
 	}
 	out := make(map[string]*model.Cube)
@@ -579,27 +579,13 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 				return fmt.Errorf("output field %s missing from stream", fld)
 			}
 		}
-		cube := model.NewCube(sch)
+		b := model.NewBuilder(sch)
 		dims := make([]model.Value, len(sch.Dims))
 		for row := range in {
-			bad := false
-			for i := 0; i < len(sch.Dims); i++ {
-				v := row[idx[i]]
-				if !v.IsValid() {
-					bad = true
-					break
-				}
-				dims[i] = v
+			for i := range dims {
+				dims[i] = row[idx[i]]
 			}
-			mv := row[idx[len(idx)-1]]
-			if bad || !mv.IsValid() {
-				continue
-			}
-			m, ok := mv.AsNumber()
-			if !ok {
-				return fmt.Errorf("non-numeric measure %v", mv)
-			}
-			if err := cube.Put(dims, m); err != nil {
+			if err := b.AddRow(dims, row[idx[len(idx)-1]]); err != nil {
 				return err
 			}
 		}
@@ -608,8 +594,9 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		cube, err := b.Build()
 		*result = cube
-		return nil
+		return err
 
 	default:
 		return fmt.Errorf("unknown step type %s", st.Type)

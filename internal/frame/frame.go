@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 
-	"exlengine/internal/colbatch"
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
 )
@@ -75,13 +74,12 @@ func FromCube(c *model.Cube) *Frame {
 	return &Frame{Cols: cols, Rows: rows}
 }
 
-// ToCube converts a frame back into a cube under the given schema. The
-// frame must contain the schema's dimension and measure columns (by
+// ToCube converts a frame back into a frozen cube under the given schema.
+// The frame must contain the schema's dimension and measure columns (by
 // name, any order). Rows with invalid (NA) values are dropped, matching
-// the partial-function semantics of cubes. Column reordering is a
-// zero-copy batch projection.
+// the partial-function semantics of cubes.
 func (f *Frame) ToCube(sch model.Schema) (*model.Cube, error) {
-	idx := make([]int, 0, len(sch.Dims)+1)
+	idx := make([]int, 0, len(sch.Dims))
 	for _, d := range sch.Dims {
 		j := f.ColIndex(d.Name)
 		if j < 0 {
@@ -93,9 +91,17 @@ func (f *Frame) ToCube(sch model.Schema) (*model.Cube, error) {
 	if mj < 0 {
 		return nil, fmt.Errorf("frame: missing measure column %s", sch.Measure)
 	}
-	idx = append(idx, mj)
-	b := colbatch.FromRows(f.Rows, len(f.Cols)).Project(idx)
-	c, err := colbatch.ToCube(b, sch)
+	b := model.NewBuilder(sch)
+	dims := make([]model.Value, len(idx))
+	for _, row := range f.Rows {
+		for i, j := range idx {
+			dims[i] = row[j]
+		}
+		if err := b.AddRow(dims, row[mj]); err != nil {
+			return nil, fmt.Errorf("frame: %w", err)
+		}
+	}
+	c, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("frame: %w", err)
 	}

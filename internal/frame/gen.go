@@ -38,7 +38,7 @@ func ExecuteContext(ctx context.Context, s *Script, m *mapping.Mapping, source m
 		if c, ok := source[name]; ok {
 			env[name] = FromCube(c)
 		} else {
-			env[name] = FromCube(model.NewCube(m.Schemas[name]))
+			env[name] = FromCube(model.NewCube(m.Schemas[name]).Freeze())
 		}
 	}
 	out := make(map[string]*model.Cube)

@@ -1,0 +1,139 @@
+package model
+
+import (
+	"fmt"
+	"slices"
+)
+
+// Builder makes a version out of tuples that come from neither a predecessor
+// nor an operand — a parsed file, a decoded record, a backend's result: Add
+// them, then Build. It is the one constructor of versions beside Revise, Apply
+// and Derive, and checks the functionality egd as a loop of Put over the same
+// arrivals would.
+//
+// While keys arrive in strictly increasing byte order — the cube order, in
+// which WriteCSV, the durable codec and every sorted aggregation emit — the
+// tuples are the key set and the measure column as they come and there is
+// nothing to check: no map, no sort. From the first key that does not, Build
+// sorts them once and settles tuples that arrived more than once.
+type Builder struct {
+	schema Schema
+	n      int // tuples added
+	// In arrival order, in chunks: one array would grow to several times itself.
+	tuples   [][]dimTuple
+	measures [][]float64
+	slab     []Value // what the current chunk's Dims are cut from
+	last     string  // the key that arrived last
+	unsorted bool    // a key arrived that is not above the one before it
+	key      []byte  // Add's scratch
+}
+
+// chunkTuples bounds a chunk, and with it the Dims that share an allocation:
+// a version that keeps some of the tuples (Derive, Apply) pins little with them.
+const chunkTuples = 256
+
+// NewBuilder returns a Builder of versions under schema.
+func NewBuilder(schema Schema) *Builder { return &Builder{schema: schema} }
+
+// InOrder reports whether every key so far arrived above the one before it.
+func (b *Builder) InOrder() bool { return !b.unsorted }
+
+// Add asserts the measure for the dimension tuple, which it copies.
+func (b *Builder) Add(dims []Value, measure float64) error {
+	n := len(b.schema.Dims)
+	if len(dims) != n {
+		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", b.schema.Name, n, len(dims))
+	}
+	b.key = AppendKey(b.key[:0], dims)
+	if b.n > 0 && b.last >= string(b.key) {
+		b.unsorted = true
+	}
+	c := len(b.tuples) - 1
+	if c < 0 || len(b.tuples[c]) == cap(b.tuples[c]) {
+		size := min(max(b.n, 16), chunkTuples) // small cubes stay small
+		b.tuples, b.measures = append(b.tuples, make([]dimTuple, 0, size)), append(b.measures, make([]float64, 0, size))
+		b.slab = make([]Value, size*n)
+		c++
+	}
+	d := b.slab[:n:n]
+	b.slab = b.slab[n:]
+	copy(d, dims)
+	b.last = string(b.key)
+	b.tuples[c], b.measures[c] = append(b.tuples[c], dimTuple{d, b.last}), append(b.measures[c], measure)
+	b.n++
+	return nil
+}
+
+// AddRow is Add for a row as a backend holds it, values all: one with an
+// invalid (NULL, NA) dimension or measure is no tuple — a cube is a partial
+// function — and a measure that is not a number is an error.
+func (b *Builder) AddRow(dims []Value, measure Value) error {
+	if !measure.IsValid() {
+		return nil
+	}
+	for _, v := range dims {
+		if !v.IsValid() {
+			return nil
+		}
+	}
+	m, ok := measure.AsNumber()
+	if !ok {
+		return fmt.Errorf("model: non-numeric measure %v for cube %s", measure, b.schema.Name)
+	}
+	return b.Add(dims, m)
+}
+
+// Build returns the tuples added as a frozen cube. A dimension tuple that
+// arrived more than once is settled by Put's rule: the first arrival stands
+// where the others assert its measure (up to Eps); where one does not, the
+// error is the ErrFunctional a loop of Put would have stopped at first.
+func (b *Builder) Build() (*Cube, error) {
+	tuples, measures := make([]dimTuple, 0, b.n), make([]float64, 0, b.n)
+	for c := range b.tuples {
+		tuples, measures = append(tuples, b.tuples[c]...), append(measures, b.measures[c]...)
+	}
+	if b.unsorted {
+		var err error
+		if tuples, measures, err = settle(b.schema.Name, tuples, measures); err != nil {
+			return nil, err
+		}
+	}
+	return onKeySet(b.schema, &View{keys: &keySet{tuples: tuples}, measures: measures}), nil
+}
+
+// settle puts tuples collected in arrival order, and their measures, into
+// cube order, in place, and keeps one tuple per key.
+func settle(name string, tuples []dimTuple, measures []float64) ([]dimTuple, []float64, error) {
+	type arrival struct {
+		measure float64
+		seq     int
+	}
+	arrivals := make([]arrival, len(measures))
+	for i, m := range measures {
+		arrivals[i] = arrival{m, i}
+	}
+	sortByKeys(tuples, arrivals)
+	var egd error
+	egdSeq, out := len(arrivals), 0
+	for i, j := 0, 0; i < len(tuples); i = j {
+		first := i // the run of one key is [i, j); first is its earliest arrival
+		for j = i + 1; j < len(tuples) && tuples[j].key == tuples[i].key; j++ {
+			if arrivals[j].seq < arrivals[first].seq {
+				first = j
+			}
+		}
+		for k := i; k < j; k++ {
+			if a := arrivals[k]; k != first && a.seq < egdSeq {
+				if err := checkEgd(name, tuples[k].dims, arrivals[first].measure, a.measure); err != nil {
+					egd, egdSeq = err, a.seq
+				}
+			}
+		}
+		tuples[out], measures[out] = tuples[first], arrivals[first].measure
+		out++
+	}
+	if out < len(tuples) { // arrays of their own size: a store keeps every version
+		return slices.Clone(tuples[:out]), slices.Clone(measures[:out]), egd
+	}
+	return tuples, measures, egd
+}

@@ -1,0 +1,197 @@
+package model
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// FuzzBuilder: tuples arrive in any order, some more than once — with the
+// same measure, one within Eps of it, or another — and with dimension values
+// that differ in kind (Int 3, Num 3.0) where they encode to one key. What
+// Build returns is what a loop of Put over the same arrivals leaves in a
+// mutable cube (the oracle kept here): the same tuples bit for bit, in cube
+// order, the first arrival's Dims; or the same error, to the letter.
+func FuzzBuilder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 1, 0, 2, 2, 0, 3})          // in order
+	f.Add([]byte{2, 0, 3, 1, 0, 2, 0, 0, 1})          // reversed
+	f.Add([]byte{1, 0, 2, 1, 0, 2})                   // a repeat, same measure
+	f.Add([]byte{1, 0, 2, 1, 4, 2, 0, 0, 7})          // a repeat within Eps, then a lower key
+	f.Add([]byte{5, 0, 2, 4, 0, 1, 4, 8, 1, 5, 8, 2}) // two conflicts: the earlier arrival is named
+	f.Add([]byte{3, 1, 9, 3, 2, 9, 3, 3, 9})          // Int 3 and Num 3.0 are one tuple
+	f.Add([]byte{7, 0, 255, 7, 0, 255})               // NaN is not itself
+	f.Fuzz(func(t *testing.T, script []byte) {
+		sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "s", Type: TString}}, "m")
+		oracle, b := NewCube(sch), NewBuilder(sch)
+		var want error
+		inOrder, last := true, -1
+		for ; len(script) >= 3; script = script[3:] {
+			at, how, m := int(script[0]), script[1], float64(script[2])
+			x := Int(int64(at / 3))
+			if how&1 != 0 {
+				x = Num(float64(at / 3))
+			}
+			switch {
+			case script[2] == 255:
+				m = math.NaN()
+			case how&4 != 0:
+				m += 1e-12
+			case how&8 != 0:
+				m++
+			}
+			dims := []Value{x, Str(string(rune('a' + at%3)))}
+			if want == nil {
+				want = oracle.Put(dims, m)
+			}
+			if err := b.Add(dims, m); err != nil {
+				t.Fatal(err)
+			}
+			inOrder, last = inOrder && at > last, at
+			if b.InOrder() != inOrder {
+				t.Fatalf("InOrder = %v after %d, want %v", b.InOrder(), at, inOrder)
+			}
+		}
+		got, err := b.Build()
+		if want != nil {
+			if got != nil || err == nil || err.Error() != want.Error() || !errors.Is(err, ErrFunctional) {
+				t.Fatalf("Build: %v, %v\nwant: %v", got, err, want)
+			}
+			return
+		}
+		if err != nil || !got.Frozen() || got.rows != nil || got.Len() != oracle.Len() {
+			t.Fatalf("Build: %v; %d tuples, want %d", err, got.Len(), oracle.Len())
+		}
+		if !got.Equal(oracle, 0) || !oracle.Equal(got, 0) {
+			t.Fatalf("built cube differs from the Put loop's: %v", got.Diff(oracle, 0, 3))
+		}
+		ts := got.Tuples()
+		sameTuplesBits(t, ts, byCompare(oracle))
+		for _, tu := range ts {
+			if k := oracle.rows[EncodeKey(tu.Dims)]; k.Dims[0].Kind() != tu.Dims[0].Kind() {
+				t.Fatalf("%v is not the first arrival's Dims (%v)", tu.Dims, k.Dims[0].Kind())
+			}
+		}
+	})
+}
+
+// pdrRows returns a PDR-shaped cube's tuples in cube order.
+func pdrRows(n int) []Tuple { return pdrCube(n).Tuples() }
+
+func buildFrom(ts []Tuple, build bool) *Cube {
+	b := NewBuilder(pdrCube(0).Schema())
+	for _, tu := range ts {
+		if err := b.Add(tu.Dims, tu.Measure); err != nil {
+			panic(err)
+		}
+	}
+	if !build {
+		return nil
+	}
+	c, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// TestBuilderInOrderNeedsNoSort: tuples that arrive in cube order are
+// appended and that is all — Build allocates the cube's shells and its two
+// columns, never the sort's arena, references and arrival numbers; one swap
+// and it does.
+func TestBuilderInOrderNeedsNoSort(t *testing.T) {
+	ts := pdrRows(5000)
+	buildAllocs := func(ts []Tuple) float64 {
+		return testing.AllocsPerRun(5, func() { buildFrom(ts, true) }) - testing.AllocsPerRun(5, func() { buildFrom(ts, false) })
+	}
+	inOrder := buildAllocs(ts)
+	if inOrder > 6 {
+		t.Errorf("Build of in-order tuples makes %v allocations, want at most 6", inOrder)
+	}
+	swapped := append([]Tuple(nil), ts...)
+	swapped[100], swapped[4000] = swapped[4000], swapped[100]
+	if got := buildAllocs(swapped); got < inOrder+2 {
+		t.Errorf("Build of out-of-order tuples makes %v allocations, %v in order: where is the sort's scratch?", got, inOrder)
+	}
+	if c := buildFrom(swapped, true); !c.Equal(buildFrom(ts, true), 0) {
+		t.Error("the swap changed the cube")
+	}
+}
+
+// TestBuilderArity: Add checks what Put checks.
+func TestBuilderArity(t *testing.T) {
+	b := NewBuilder(rgdpSchema())
+	if err := b.Add([]Value{Str("north")}, 1); err == nil {
+		t.Error("wrong arity Add must fail")
+	}
+	if err := b.AddRow([]Value{Str("north")}, Num(1)); err == nil {
+		t.Error("wrong arity AddRow must fail")
+	}
+}
+
+// TestBuilderAddRow: a row with a NULL anywhere is no tuple, a measure that
+// is no number an error — one rule for the SQL, frame and ETL results.
+func TestBuilderAddRow(t *testing.T) {
+	sch := NewSchema("S", []Dim{{Name: "k", Type: TString}}, "v")
+	b := NewBuilder(sch)
+	for _, row := range [][2]Value{
+		{Str("a"), Num(1)},
+		{Str("b"), {}}, // NULL measure
+		{{}, Num(3)},   // NULL dim
+		{Str("c"), Int(4)},
+	} {
+		if err := b.AddRow(row[:1], row[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddRow([]Value{Str("d")}, Str("four")); err == nil {
+		t.Error("a string for a measure must fail")
+	}
+	c, err := b.Build()
+	if err != nil || c.Len() != 2 {
+		t.Fatalf("cube has %d tuples (%v), want 2: NULL rows dropped", c.Len(), err)
+	}
+	if m, ok := c.Get([]Value{Str("c")}); !ok || m != 4 {
+		t.Errorf("c -> %v, %v", m, ok)
+	}
+}
+
+var sinkCube *Cube
+
+func benchBuilder(b *testing.B, ts []Tuple) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCube = buildFrom(ts, true)
+	}
+}
+
+func BenchmarkBuilderInOrder(b *testing.B) { benchBuilder(b, pdrRows(200000)) }
+
+func BenchmarkBuilderShuffled(b *testing.B) {
+	ts := pdrRows(200000)
+	rand.New(rand.NewSource(1)).Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	benchBuilder(b, ts)
+}
+
+// BenchmarkApplyInsert appends one period for every region to a 200k-tuple
+// panel: what a time series that grows costs per step.
+func BenchmarkApplyInsert(b *testing.B) {
+	base := pdrCube(200000).Freeze()
+	day := NewDaily(2000, 1, 1).Shift(200000 / 20)
+	added := make([]Tuple, 20)
+	for r := range added {
+		added[r] = Tuple{Dims: []Value{Per(day), Str(string([]byte{'R', byte('0' + r/10), byte('0' + r%10)}))}, Measure: float64(r)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sinkCube, err = base.Apply(added, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.KeepAlive(base)
+}

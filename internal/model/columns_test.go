@@ -7,32 +7,26 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// ordered marks c frozen and takes the first ordered scan of it, so that
-// its column form is cached: what Revise needs of a predecessor.
-func ordered(c *Cube) *Cube {
-	_ = c.Freeze().Ordered(func(Tuple) error { return nil })
-	return c
-}
-
-// asColumns returns c's content as a version held as columns alone, the
-// way a store comes by one: as the revision of a predecessor with the same
+// asColumns returns c's content as a version on another's key set, the way a
+// store comes by one: as the revision of a predecessor with the same
 // dimension tuples and other measures.
 func asColumns(t testing.TB, c *Cube) *Cube {
 	t.Helper()
 	prev := NewCube(c.Schema())
 	_ = c.ForEach(func(tu Tuple) error { return prev.Replace(tu.Dims, tu.Measure+1) })
-	d := ordered(prev).Revise(c)
+	d := prev.Freeze().Revise(c)
 	if d == nil {
 		t.Fatal("Revise gave up on a cube with its predecessor's dimension tuples")
 	}
-	if d.Current.held() == nil || !d.Current.Frozen() || !d.Current.OrderCached() {
-		t.Fatal("the revised version is not a frozen cube held as columns")
+	if d.Current.rows != nil || !d.Current.Frozen() || !d.Current.SharesKeySet(prev) {
+		t.Fatal("the revised version is not a frozen cube on its predecessor's key set")
 	}
 	return d.Current
 }
@@ -50,8 +44,11 @@ func sameDelta(t *testing.T, what string, got, want *CubeDelta) {
 	sameTuples(t, what+": Deleted", got.Deleted, want.Deleted)
 }
 
-// TestTwoFormsOneBehaviour: every reader gives the same answer on a cube
-// held as a row map and on the same content held as columns alone.
+// TestTwoFormsOneBehaviour: the two forms left are a mutable cube and its
+// frozen self, and every reader gives the same answer on both, and on the same
+// content as a version on another's key set. (It is ISSUE 21's
+// TestMutableAndFrozenAgree; it keeps the name its eight entries in the test
+// floor have.)
 func TestTwoFormsOneBehaviour(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	series := NewCube(gdpSchema())
@@ -74,12 +71,15 @@ func TestTwoFormsOneBehaviour(t *testing.T) {
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
 			rows, cols := content.Clone().Freeze(), asColumns(t, content)
-			want := byCompare(rows)
+			want := byCompare(content)
 
-			if rows.Len() != len(want) || cols.Len() != len(want) {
-				t.Fatalf("Len = %d and %d, want %d", rows.Len(), cols.Len(), len(want))
+			if content.Len() != len(want) || rows.Len() != len(want) || cols.Len() != len(want) {
+				t.Fatalf("Len = %d, %d and %d, want %d", content.Len(), rows.Len(), cols.Len(), len(want))
 			}
-			for _, c := range []*Cube{rows, cols} {
+			if rows.rows != nil || content.rows == nil || content.Frozen() {
+				t.Fatal("Freeze left its row map behind, or froze the clone's original")
+			}
+			for _, c := range []*Cube{content, rows, cols} {
 				var scanned, unordered []Tuple
 				_ = c.Ordered(func(tu Tuple) error { scanned = append(scanned, tu); return nil })
 				sameTuples(t, "Ordered", scanned, want)
@@ -95,7 +95,7 @@ func TestTwoFormsOneBehaviour(t *testing.T) {
 				}
 				for _, tu := range want {
 					if m, ok := c.Get(tu.Dims); !ok || math.Float64bits(m) != math.Float64bits(tu.Measure) {
-						t.Fatalf("Get(%v) = %v, %v, want %v", formatDims(tu.Dims), m, ok, tu.Measure)
+						t.Fatalf("Get(%v) = %v, %v, want %v", tu.Dims, m, ok, tu.Measure)
 					}
 				}
 				miss := make([]Value, len(c.Schema().Dims))
@@ -105,8 +105,8 @@ func TestTwoFormsOneBehaviour(t *testing.T) {
 				if _, ok := c.Get(miss); ok {
 					t.Error("Get found a tuple the cube does not hold")
 				}
-				if c.MemEstimate() < int64(8*len(want)) || !c.MemEstimateCached() {
-					t.Errorf("MemEstimate = %d, cached %v", c.MemEstimate(), c.MemEstimateCached())
+				if c.MemEstimate() < int64(8*len(want)) {
+					t.Errorf("MemEstimate = %d", c.MemEstimate())
 				}
 
 				clone := c.Clone()
@@ -127,7 +127,7 @@ func TestTwoFormsOneBehaviour(t *testing.T) {
 				for _, tu := range want {
 					m, ok := into.Get(tu.Dims)
 					if ok != !(tu.Measure > 100) || ok && math.Float64bits(m) != math.Float64bits(tu.Measure) {
-						t.Fatalf("Derive: %v -> %v, %v", formatDims(tu.Dims), m, ok)
+						t.Fatalf("Derive: %v -> %v, %v", tu.Dims, m, ok)
 					}
 					if ok {
 						kept++
@@ -137,8 +137,9 @@ func TestTwoFormsOneBehaviour(t *testing.T) {
 					t.Fatalf("Derive kept %d of %d tuples, want %d; on the source's key set: %v", into.Len(), len(want), kept, into.SharesKeySet(c))
 				}
 			}
-			if rows.MemEstimate() < cols.MemEstimate()/4 {
-				t.Errorf("estimates %d (row map) and %d (columns) are far apart", rows.MemEstimate(), cols.MemEstimate())
+			if rows.MemEstimate() != cols.MemEstimate() || content.MemEstimate() < cols.MemEstimate()/4 {
+				t.Errorf("estimates %d (mutable), %d (frozen) and %d (on another's key set) are far apart",
+					content.MemEstimate(), rows.MemEstimate(), cols.MemEstimate())
 			}
 
 			// Equal, Diff and DiffCubes, across every pairing of the forms,
@@ -157,14 +158,14 @@ func TestTwoFormsOneBehaviour(t *testing.T) {
 			wantDiff := rows.Diff(edited, 0, 10)
 			wantDelta := DiffCubes("C", rows, edited)
 			wantBack := DiffCubes("C", edited, rows)
-			for i, a := range []*Cube{rows, cols} {
-				for j, b := range []*Cube{rows, cols} {
+			for i, a := range []*Cube{content, rows, cols} {
+				for j, b := range []*Cube{content, rows, cols} {
 					if !a.Equal(b, 0) {
 						t.Errorf("Equal is false between forms %d and %d of one content", i, j)
 					}
 					sameDelta(t, "DiffCubes of one content", DiffCubes("C", a, b), &CubeDelta{})
 				}
-				for j, e := range []*Cube{edited, editedCols} {
+				for j, e := range []*Cube{edited, edited.Clone().Freeze(), editedCols} {
 					what := fmt.Sprintf("forms %d, %d", i, j)
 					if a.Equal(e, 0) || e.Equal(a, 0) {
 						t.Errorf("%s: Equal is true against an edited copy", what)
@@ -205,7 +206,7 @@ func TestReviseSharesTheKeySet(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_ = prev.Put([]Value{Int(int64(i)), Str("r")}, float64(i))
 	}
-	ordered(prev)
+	prev.Freeze()
 	// The revision names the same points with Num where prev has Int.
 	rev := NewCube(sch)
 	for i := 0; i < 100; i++ {
@@ -220,7 +221,7 @@ func TestReviseSharesTheKeySet(t *testing.T) {
 		t.Fatal("Revise gave up on a revision")
 	}
 	v1 := d.Current
-	if d.Base != prev || d.Name != "C" || v1.held().keys != prev.View().keys {
+	if d.Base != prev || d.Name != "C" || !v1.SharesKeySet(prev) {
 		t.Fatal("the revision does not share its predecessor's key set")
 	}
 	if !v1.Equal(rev, 0) {
@@ -235,12 +236,12 @@ func TestReviseSharesTheKeySet(t *testing.T) {
 			t.Fatalf("revised version shows %v (%v), want the predecessor's Int", tu.Dims[0], tu.Dims[0].Kind())
 		}
 		if m, ok := rev.Get(tu.Dims); !ok || m != tu.Measure {
-			t.Fatalf("%v -> %v is not what was put (%v, %v)", formatDims(tu.Dims), tu.Measure, m, ok)
+			t.Fatalf("%v -> %v is not what was put (%v, %v)", tu.Dims, tu.Measure, m, ok)
 		}
 		return nil
 	})
-	if rev.Frozen() || rev.OrderCached() {
-		t.Error("Revise froze or sorted the caller's cube")
+	if rev.Frozen() {
+		t.Error("Revise froze the caller's cube")
 	}
 
 	// A revision of the revision: still the one key set; versions two
@@ -248,12 +249,12 @@ func TestReviseSharesTheKeySet(t *testing.T) {
 	rev2 := rev.Clone()
 	_ = rev2.Replace([]Value{Int(50), Str("r")}, 1e6)
 	d2 := v1.Revise(rev2)
-	if d2 == nil || d2.Current.held().keys != v1.held().keys {
+	if d2 == nil || !d2.Current.SharesKeySet(v1) {
 		t.Fatal("second revision does not share the key set")
 	}
 	sameDelta(t, "second revision", d2, DiffCubes("C", rev, rev2))
-	sameDelta(t, "two apart", DiffCubes("C", asColumnsOn(t, prev, prev), d2.Current), DiffCubes("C", prev, rev2))
-	if got := DiffSmall("C", asColumnsOn(t, prev, prev), asColumnsOn(t, prev, negated(prev))); got != nil {
+	sameDelta(t, "two apart", DiffCubes("C", prev, d2.Current), DiffCubes("C", prev.Clone(), rev2))
+	if got := DiffSmall("C", prev, asColumnsOn(t, prev, negated(prev))); got != nil {
 		t.Errorf("DiffSmall of columns that differ everywhere = %d tuples, want nil", got.Size())
 	}
 	// Revising, scanning and diffing versions on one key set need no
@@ -261,7 +262,7 @@ func TestReviseSharesTheKeySet(t *testing.T) {
 	if prev.View().keys.index != nil {
 		t.Error("something probed the key set's index")
 	}
-	if !rev2.Equal(d2.Current, 0) || v1.held().keys.index == nil {
+	if _, ok := d2.Current.Get([]Value{Int(50), Str("r")}); !ok || !rev2.Equal(d2.Current, 0) || v1.View().keys.index == nil {
 		t.Error("probing the second revision by key did not build the index its predecessors share")
 	}
 }
@@ -282,64 +283,92 @@ func negated(c *Cube) *Cube {
 	return out
 }
 
-// TestReviseGivesUp: every way a put cube is not a revision the store can
-// share a key set for.
+// TestReviseGivesUp: every way a put cube that is still mutable is not a
+// revision the store can share a key set for; and that a frozen one, which
+// comes with its order, is compared whatever moved.
 func TestReviseGivesUp(t *testing.T) {
 	base := func() *Cube { return pdrCube(200) }
-	last := ordered(base()).Tuples()[199]
+	last := base().Tuples()[199]
 
-	// Nobody read the predecessor in order: a frozen cube is adopted for
-	// nothing and must not cost a sort; an unfrozen one would cost a clone,
-	// so the order is built for it, on the predecessor, and shared.
-	unread := base().Freeze()
-	if unread.Revise(base().Freeze()) != nil || unread.OrderCached() {
-		t.Error("sorted a predecessor nobody read in order for a frozen cube")
-	}
-	if d := unread.Revise(base()); d == nil || !unread.OrderCached() || !d.Current.SharesKeySet(unread) {
-		t.Error("an unfrozen revision of a predecessor nobody read in order does not share its key set")
-	}
 	unfrozen := base()
-	_ = unfrozen.Ordered(func(Tuple) error { return nil })
-	if !unfrozen.OrderCached() || unfrozen.Revise(base()) != nil {
+	if unfrozen.Revise(base()) != nil {
 		t.Error("shared with a predecessor that can still change")
 	}
 	grown := base()
 	_ = grown.Put([]Value{Per(NewDaily(1999, time.January, 1)), Str("R00")}, 1)
-	if ordered(base()).Revise(grown) != nil {
+	if base().Freeze().Revise(grown) != nil {
 		t.Error("shared across an insert")
 	}
 	shrunk := base()
 	shrunk.Delete(last.Dims)
-	if ordered(base()).Revise(shrunk) != nil {
+	if base().Freeze().Revise(shrunk) != nil {
 		t.Error("shared across a delete")
 	}
 	swapped := base() // same count, the last key in cube order replaced by a later one
 	swapped.Delete(last.Dims)
 	_ = swapped.Put([]Value{Per(NewDaily(2100, time.January, 1)), Str("R00")}, 1)
-	if ordered(base()).Revise(swapped) != nil {
+	if base().Freeze().Revise(swapped) != nil {
 		t.Error("shared although the last key in order is missing")
 	}
 	renamed := NewCube(base().Schema().Rename("OTHER"))
 	_ = base().ForEach(func(tu Tuple) error { return renamed.Put(tu.Dims, tu.Measure) })
-	if ordered(base()).Revise(renamed) != nil {
+	if base().Freeze().Revise(renamed) != nil || base().Freeze().Revise(renamed.Freeze()) != nil {
 		t.Error("shared across schemas")
 	}
-	if prev := ordered(base()); prev.Revise(asColumnsOn(t, prev, base())) != nil {
-		t.Error("revised from a cube that holds no row map")
-	}
-	if ordered(base()).Revise(base()) == nil {
+	if base().Freeze().Revise(base()) == nil {
 		t.Error("gave up on an unchanged revision")
 	}
-	if d := ordered(NewCube(gdpSchema())).Revise(NewCube(gdpSchema())); d == nil || d.Current.Len() != 0 || !d.Empty() {
+	if d := NewCube(gdpSchema()).Freeze().Revise(NewCube(gdpSchema())); d == nil || d.Current.Len() != 0 || !d.Empty() {
 		t.Error("gave up on an empty revision of an empty cube")
 	}
+
+	// Frozen puts: the same dimension tuples land on the predecessor's key
+	// set under the put's own measure column; others are stored as they are,
+	// with the whole delta.
+	prev := base().Freeze()
+	same := negated(base()).Freeze()
+	if d := prev.Revise(same); d == nil || !d.Current.SharesKeySet(prev) || d.Current == same || len(d.Changed) != 200 ||
+		&d.Current.View().measures[0] != &same.View().measures[0] || !d.Current.Equal(same, 0) {
+		t.Errorf("a frozen revision: %+v", d)
+	}
+	if prev.Revise(asColumnsOn(t, prev, base())) != nil {
+		t.Error("a version already on the key set is left to be taken as it is")
+	}
+	for name, c := range map[string]*Cube{"grown": grown, "shrunk": shrunk, "swapped": swapped} {
+		d := prev.Revise(c.Freeze())
+		if d == nil || d.Current != c || d.Base != prev {
+			t.Fatalf("%s: a frozen put is not stored as it is: %+v", name, d)
+		}
+		sameDelta(t, name, d, bruteDiff(prev, c))
+	}
+}
+
+// bruteDiff is the delta from base to cur by probing, list by list in
+// compareDims order: the oracle Revise and DiffCubes are held to.
+func bruteDiff(base, cur *Cube) *CubeDelta {
+	d := &CubeDelta{Base: base, Current: cur}
+	for _, tu := range byCompare(cur) {
+		old, ok := base.Get(tu.Dims)
+		switch {
+		case !ok:
+			d.Added = append(d.Added, tu)
+		case old != tu.Measure:
+			d.Changed = append(d.Changed, tu)
+		}
+	}
+	for _, tu := range byCompare(base) {
+		if _, ok := cur.Get(tu.Dims); !ok {
+			d.Deleted = append(d.Deleted, tu)
+		}
+	}
+	return d
 }
 
 // TestKeySetSharedConcurrently: goroutines read several versions of one
 // key set — Get, Ordered, Derive's source side, MemEstimate — while its
 // index is first built (run under -race).
 func TestKeySetSharedConcurrently(t *testing.T) {
-	prev := ordered(pdrCube(4000))
+	prev := pdrCube(4000).Freeze()
 	versions := []*Cube{prev}
 	for v := 1; v <= 3; v++ {
 		rev := prev.Clone()
@@ -360,7 +389,7 @@ func TestKeySetSharedConcurrently(t *testing.T) {
 			case 0, 1:
 				for i := g; i < len(want); i += 7 {
 					if _, ok := c.Get(want[i].Dims); !ok {
-						t.Errorf("Get misses %v", formatDims(want[i].Dims))
+						t.Errorf("Get misses %v", want[i].Dims)
 						return
 					}
 				}
@@ -411,9 +440,9 @@ func TestCubeDerive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 3 || !c.Frozen() || !c.OrderCached() || c.SharesKeySet(src) || c.Schema().Name != "OUT" {
-		t.Fatalf("%d tuples, frozen %v, ordered %v, on the source's key set %v: want the 3 tuples f kept on a key set of their own",
-			c.Len(), c.Frozen(), c.OrderCached(), c.SharesKeySet(src))
+	if c.Len() != 3 || !c.Frozen() || c.rows != nil || c.SharesKeySet(src) || c.Schema().Name != "OUT" {
+		t.Fatalf("%d tuples, frozen %v, on the source's key set %v: want the 3 tuples f kept on a key set of their own",
+			c.Len(), c.Frozen(), c.SharesKeySet(src))
 	}
 	shared := make(map[*Value]bool)
 	_ = src.ForEach(func(tu Tuple) error { shared[&tu.Dims[0]] = true; return nil })
@@ -487,10 +516,13 @@ func TestCubeDeriveSizesToWhatItKeeps(t *testing.T) {
 }
 
 // FuzzRevise: a base cube and an edit script of measure changes, inserts,
-// deletes and same-count key swaps. Revise gives up exactly when the
-// script moved the set of dimension tuples; otherwise its version is Equal
-// at tolerance 0 to the frozen copy it replaces, and its delta is
-// DiffCubes' list for list.
+// deletes and same-count key swaps. Put mutable, Revise gives up exactly when
+// the script moved the set of dimension tuples; otherwise its version is Equal
+// at tolerance 0 to the frozen copy it replaces, and its delta is the brute
+// force's list for list. Put frozen, Revise never gives up: its delta is the
+// brute force's and DiffCubes', the probe arm's where that has one, and its
+// version stands on the base's key set exactly when the dimension tuples did
+// not move.
 func FuzzRevise(f *testing.F) {
 	f.Add(uint8(10), []byte{})
 	f.Add(uint8(10), []byte{0, 3, 7, 0, 4, 9})         // changes
@@ -520,29 +552,37 @@ func FuzzRevise(f *testing.F) {
 			}
 		}
 		sameKeys := c.Len() == base.Len()
-		_ = c.ForEach(func(tu Tuple) error {
+		for _, tu := range byCompare(c) {
 			if _, ok := base.Get(tu.Dims); !ok {
 				sameKeys = false
 			}
-			return nil
-		})
+		}
 
 		prev := base.Freeze()
-		if n%2 == 0 {
-			ordered(prev)
-		}
+		want := bruteDiff(prev, c)
 		d := prev.Revise(c)
 		if (d != nil) != sameKeys {
 			t.Fatalf("Revise = %v on a cube with the same dimension tuples: %v", d, sameKeys)
 		}
-		if d == nil {
-			return
+		if d != nil {
+			if !d.Current.Equal(c, 0) || !c.Equal(d.Current, 0) || d.Current.Len() != c.Len() || d.Current.rows != nil {
+				t.Fatalf("revised version differs: %v", d.Current.Diff(c, 0, 3))
+			}
+			sameDeltaBits(t, d, want)
 		}
-		want := c.Clone().Freeze()
-		if !d.Current.Equal(want, 0) || !want.Equal(d.Current, 0) || d.Current.Len() != want.Len() {
-			t.Fatalf("revised version differs: %v", d.Current.Diff(want, 0, 3))
+
+		put := c.Clone().Freeze()
+		fd := prev.Revise(put)
+		if fd == nil || fd.Base != prev || fd.Current.SharesKeySet(prev) != sameKeys || (fd.Current == put) == sameKeys {
+			t.Fatalf("Revise of a frozen put = %+v; same dimension tuples: %v", fd, sameKeys)
 		}
-		sameDeltaBits(t, d, DiffCubes("C", prev, want))
+		if !fd.Current.Equal(c, 0) || fd.Current.Len() != c.Len() || fd.Current.rows != nil {
+			t.Fatalf("the frozen put is stored as something else: %v", fd.Current.Diff(c, 0, 3))
+		}
+		sameDeltaBits(t, fd, want)
+		sameDeltaBits(t, DiffCubes("C", prev, put), want)
+		sameDeltaBits(t, DiffCubes("C", prev, c), want)
+		sameTuplesBits(t, fd.Current.Tuples(), byCompare(c))
 	})
 }
 
@@ -567,23 +607,29 @@ func sameTuplesBits(t *testing.T, got, want []Tuple) {
 	}
 }
 
-// FuzzApply: a base cube in either form and a delta that fits it or not.
-// Apply fails exactly when a tuple does not fit, and names it; otherwise its
+// FuzzApply: a base cube, mutable, frozen or on another's key set, and a
+// delta that fits it or not. Apply fails exactly when a tuple does not fit, is
+// named twice or is listed out of cube order, and names it; otherwise its
 // version is, bit for bit, what cloning the base and editing the copy gives
 // (the oracle kept here), on the base's key set exactly when the delta only
-// restates measures; the base is left as it was, and diffing the two gives
-// the delta back.
+// restates measures, and on the base's own Dims slices wherever a tuple
+// survives; the base is left as it was, and diffing the two gives the delta
+// back.
 func FuzzApply(f *testing.F) {
 	f.Add(uint8(10), uint8(0), []byte{})
-	f.Add(uint8(10), uint8(1), []byte{1, 3, 7, 1, 4, 9})           // changes, frozen row map
-	f.Add(uint8(10), uint8(2), []byte{1, 3, 7, 1, 3, 8})           // one tuple restated twice, columns
-	f.Add(uint8(10), uint8(2), []byte{0, 40, 1, 2, 9, 0})          // an insert and a delete
-	f.Add(uint8(10), uint8(0), []byte{0, 3, 1})                    // adds a tuple the base has
-	f.Add(uint8(10), uint8(1), []byte{1, 40, 1})                   // changes one it lacks
-	f.Add(uint8(10), uint8(2), []byte{1, 2, 5, 2, 40, 0})          // deletes one it lacks
-	f.Add(uint8(0), uint8(1), []byte{0, 0, 0})                     // from empty
-	f.Add(uint8(200), uint8(2), []byte{1, 199, 255, 3, 0, 0})      // a NaN measure
-	f.Add(uint8(10), uint8(1), []byte{1, 2, 5, 2, 2, 0, 0, 77, 1}) // changed and deleted at once
+	f.Add(uint8(10), uint8(1), []byte{1, 3, 7, 1, 4, 9})            // changes, frozen
+	f.Add(uint8(10), uint8(2), []byte{1, 3, 7, 1, 3, 8})            // one tuple restated twice
+	f.Add(uint8(10), uint8(2), []byte{0, 40, 1, 2, 9, 0})           // an insert and a delete
+	f.Add(uint8(10), uint8(0), []byte{0, 3, 1})                     // adds a tuple the base has
+	f.Add(uint8(10), uint8(1), []byte{1, 40, 1})                    // changes one it lacks
+	f.Add(uint8(10), uint8(2), []byte{1, 2, 5, 2, 40, 0})           // deletes one it lacks
+	f.Add(uint8(0), uint8(1), []byte{0, 0, 0})                      // from empty
+	f.Add(uint8(200), uint8(2), []byte{1, 199, 255, 3, 0, 0})       // a NaN measure
+	f.Add(uint8(10), uint8(1), []byte{1, 2, 5, 2, 2, 0, 0, 77, 1})  // changed and deleted at once
+	f.Add(uint8(10), uint8(1), []byte{1, 4, 5, 1, 3, 6})            // changes out of order
+	f.Add(uint8(10), uint8(2), []byte{0, 50, 5, 0, 40, 6, 2, 1, 0}) // adds out of order, beside a delete
+	f.Add(uint8(10), uint8(0), []byte{0, 40, 5, 0, 40, 6})          // one tuple added twice
+	f.Add(uint8(10), uint8(1), []byte{0, 40, 5, 0, 41, 6, 1, 0, 9, 1, 9, 9, 2, 4, 0, 2, 5, 0})
 	f.Fuzz(func(t *testing.T, n, form uint8, script []byte) {
 		sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "s", Type: TString}}, "m")
 		dims := func(i byte) []Value { return []Value{Int(int64(i) / 3), Str(string(rune('a' + i%3)))} }
@@ -599,24 +645,36 @@ func FuzzApply(f *testing.F) {
 			base = asColumns(t, base)
 		}
 
+		// A list fits if every tuple does and it names them in cube order,
+		// once; a tuple both changed and deleted is named twice.
 		var added, changed, deleted []Tuple
 		want, fits := before.Clone(), true
+		listed := func(list []Tuple, tu Tuple) []Tuple {
+			if k := len(list); k > 0 && compareDims(list[k-1].Dims, tu.Dims) >= 0 {
+				fits = false
+			}
+			return append(list, tu)
+		}
 		for ; len(script) >= 3; script = script[3:] {
 			tu := Tuple{Dims: dims(script[1]), Measure: float64(script[2])}
 			_, had := before.Get(tu.Dims)
 			switch script[0] % 4 {
 			case 0:
-				added, fits = append(added, tu), fits && !had
+				added, fits = listed(added, tu), fits && !had
 			case 3:
 				tu.Measure = math.NaN()
 				fallthrough
 			case 1:
-				changed, fits = append(changed, tu), fits && had
+				changed, fits = listed(changed, tu), fits && had
 			default:
-				deleted, fits = append(deleted, tu), fits && had
+				deleted, fits = listed(deleted, tu), fits && had
 			}
 		}
-		// The oracle edits in Apply's order: every list against the base.
+		for _, c := range changed {
+			for _, d := range deleted {
+				fits = fits && compareDims(c.Dims, d.Dims) != 0
+			}
+		}
 		for _, tu := range added {
 			_ = want.Replace(tu.Dims, tu.Measure)
 		}
@@ -631,25 +689,34 @@ func FuzzApply(f *testing.F) {
 		if (err == nil) != fits {
 			t.Fatalf("Apply: %v on a delta that fits: %v", err, fits)
 		}
-		sameDeltaBits(t, DiffCubes("C", before, base), &CubeDelta{})
+		sameDeltaBits(t, bruteDiff(before, base), &CubeDelta{})
 		if err != nil {
-			if !strings.Contains(err.Error(), "which its base") || got != nil {
+			if msg := err.Error(); got != nil || !errors.Is(err, ErrMisfit) ||
+				!strings.Contains(msg, "which the base") && !strings.Contains(msg, " twice") && !strings.Contains(msg, " out of order") {
 				t.Fatalf("Apply returned %v with an error that names no tuple: %v", got, err)
 			}
 			return
 		}
-		if !got.Frozen() || got.Len() != want.Len() {
+		if !got.Frozen() || got.rows != nil || got.Len() != want.Len() {
 			t.Fatalf("Apply's version is frozen: %v, has %d tuples, want %d", got.Frozen(), got.Len(), want.Len())
 		}
 		sameTuplesBits(t, got.Tuples(), byCompare(want))
 		if restates := len(added)+len(deleted) == 0; got.SharesKeySet(base) != restates {
 			t.Fatalf("key set shared: %v, delta only restates measures: %v", got.SharesKeySet(base), restates)
 		}
-		sameDeltaBits(t, DiffCubes("C", base, got), DiffCubes("C", before, want))
+		mine := make(map[*Value]bool)
+		_ = base.ForEach(func(tu Tuple) error { mine[&tu.Dims[0]] = true; return nil })
+		_ = got.ForEach(func(tu Tuple) error {
+			if _, had := before.Get(tu.Dims); had && !mine[&tu.Dims[0]] {
+				t.Fatalf("%v survives on Dims that are not the base's", tu.Dims)
+			}
+			return nil
+		})
+		sameDeltaBits(t, DiffCubes("C", base, got), bruteDiff(before, want))
 	})
 }
 
-// FuzzDerive: a source in either form, read in order or not, and a script
+// FuzzDerive: a source mutable or frozen, read in order or not, and a script
 // that says tuple by tuple whether f keeps it, with which measure, or fails
 // there. Derive's version is, bit for bit and in cube order, what a loop of
 // Put over the source's tuples gives (the oracle kept here), frozen, on the
@@ -658,9 +725,9 @@ func FuzzApply(f *testing.F) {
 // was.
 func FuzzDerive(f *testing.F) {
 	f.Add(uint8(10), uint8(0), []byte{})
-	f.Add(uint8(10), uint8(1), []byte{5, 6, 7})                  // every tuple kept, frozen row map
+	f.Add(uint8(10), uint8(1), []byte{5, 6, 7})                  // every tuple kept, frozen
 	f.Add(uint8(10), uint8(2), []byte{5, 0, 7})                  // a third dropped, read in order
-	f.Add(uint8(10), uint8(3), []byte{0})                        // all dropped, columns
+	f.Add(uint8(10), uint8(3), []byte{0})                        // all dropped, on another's key set
 	f.Add(uint8(10), uint8(3), []byte{1, 1, 1, 1, 1, 1, 1, 255}) // fails at the eighth tuple
 	f.Add(uint8(0), uint8(1), []byte{3})                         // empty
 	f.Add(uint8(200), uint8(0), []byte{9, 8, 7, 6, 5, 4, 0})     // unfrozen, not read in order
@@ -676,7 +743,7 @@ func FuzzDerive(f *testing.F) {
 		case 1:
 			src.Freeze()
 		case 2:
-			ordered(src)
+			src.View()
 		case 3:
 			src = asColumns(t, src)
 		}
@@ -724,7 +791,7 @@ func FuzzDerive(f *testing.F) {
 			calls++
 			return point(i, tu)
 		})
-		sameDeltaBits(t, DiffCubes("C", before, src), &CubeDelta{})
+		sameDeltaBits(t, bruteDiff(before, src), &CubeDelta{})
 		if src.Frozen() != frozen {
 			t.Fatal("Derive froze its source")
 		}
@@ -734,8 +801,8 @@ func FuzzDerive(f *testing.F) {
 			}
 			return
 		}
-		if err != nil || !got.Frozen() || !got.OrderCached() || got.Schema().Name != "D" {
-			t.Fatalf("Derive: %v; frozen and ordered: %v", err, got != nil && got.Frozen() && got.OrderCached())
+		if err != nil || !got.Frozen() || got.rows != nil || got.Schema().Name != "D" {
+			t.Fatalf("Derive: %v; frozen, columns only: %v", err, got != nil && got.Frozen() && got.rows == nil)
 		}
 		if calls != len(order) || !got.Equal(want, 0) || !want.Equal(got, 0) {
 			t.Fatalf("derived version differs after %d calls: %v", calls, got.Diff(want, 0, 3))
@@ -748,7 +815,7 @@ func FuzzDerive(f *testing.F) {
 		_ = src.ForEach(func(tu Tuple) error { mine[&tu.Dims[0]] = true; return nil })
 		_ = got.ForEach(func(tu Tuple) error {
 			if !mine[&tu.Dims[0]] {
-				t.Fatalf("%v does not share the source tuple's Dims", formatDims(tu.Dims))
+				t.Fatalf("%v does not share the source tuple's Dims", tu.Dims)
 			}
 			return nil
 		})
@@ -759,9 +826,9 @@ func FuzzDerive(f *testing.F) {
 }
 
 // TestApplyConcurrentlyOnOneBase: goroutines apply different deltas to one
-// frozen row-map base that nobody has read in order, while others probe and
-// scan it: the order is built once, every successor stands on that one key
-// set, and each holds its own delta (run under -race).
+// frozen base nobody has probed yet, while others probe and scan it: the
+// index is built once, every successor stands on the base's key set, and each
+// holds its own delta (run under -race).
 func TestApplyConcurrentlyOnOneBase(t *testing.T) {
 	const n, appliers = 4000, 6
 	base := pdrCube(n).Freeze()
@@ -787,7 +854,7 @@ func TestApplyConcurrentlyOnOneBase(t *testing.T) {
 			case g%2 == 0:
 				for i := g; i < n; i += 7 {
 					if m, ok := base.Get(want[i].Dims); !ok || m != want[i].Measure {
-						t.Errorf("Get(%v) = %v, %v", formatDims(want[i].Dims), m, ok)
+						t.Errorf("Get(%v) = %v, %v", want[i].Dims, m, ok)
 						return
 					}
 				}
@@ -821,7 +888,8 @@ func TestApplyConcurrentlyOnOneBase(t *testing.T) {
 // TestMemEstimateOfChargesAKeySetOnce: a panel snapshot — S and the four
 // cubes a full chase run derives from it, all on one key set — is charged one
 // key set and five measure columns, not five key sets; and that charge still
-// covers the heap the five retain.
+// covers the heap the five retain, as the charge for a version a Builder made
+// covers, within a factor of 1.5, the heap that one retains.
 func TestMemEstimateOfChargesAKeySetOnce(t *testing.T) {
 	const n = 20000
 	grown, kept := liveBytes(func() any {
@@ -838,7 +906,7 @@ func TestMemEstimateOfChargesAKeySetOnce(t *testing.T) {
 		return cubes
 	})
 	cubes := kept.(map[string]*Cube)
-	keys := cubes["S"].held().keys.memEstimate()
+	keys := cubes["S"].View().keys.memEstimate()
 	got, want := MemEstimateOf(cubes), keys+5*(tupleOverheadBytes+8*n)
 	if got != want {
 		t.Errorf("five cubes on one key set are charged %d bytes, want %d: one key set (%d), five columns and shells", got, want, keys)
@@ -850,8 +918,8 @@ func TestMemEstimateOfChargesAKeySetOnce(t *testing.T) {
 		t.Errorf("charged %d bytes for cubes that retain %d", got, grown)
 	}
 
-	// A row map among them, and a cube on another key set, are charged as
-	// they are alone.
+	// A mutable cube among them, and a cube on another key set, are charged
+	// as they are alone.
 	rows, other := pdrCube(100), asColumns(t, pdrCube(50))
 	cubes["R"], cubes["O"], cubes["nil"] = rows, other, nil
 	if got := MemEstimateOf(cubes); got != want+rows.MemEstimate()+other.MemEstimate() {
@@ -860,6 +928,28 @@ func TestMemEstimateOfChargesAKeySetOnce(t *testing.T) {
 	if MemEstimateOf(nil) != 0 {
 		t.Error("no cubes are charged something")
 	}
+
+	// What a Builder makes — from tuples in cube order, and shuffled — is
+	// charged what it retains and no more than half again as much, before
+	// its index is built and after (the index is charged either way).
+	const big = 200000
+	inOrder := pdrRows(big)
+	shuffled := slices.Clone(inOrder)
+	rand.New(rand.NewSource(3)).Shuffle(big, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, ts := range map[string][]Tuple{"in order": inOrder, "shuffled": shuffled} {
+		grown, kept := liveBytes(func() any { return buildFrom(ts, true) })
+		c := kept.(*Cube)
+		est := MemEstimateOf(map[string]*Cube{"C": c})
+		if est < grown || 2*est > 3*grown {
+			t.Errorf("%s: estimate %d B for a version that retains %d (%.2fx)", name, est, grown, float64(est)/float64(grown))
+		}
+		indexed, _ := liveBytes(func() any { c.Get(ts[0].Dims); return nil })
+		if grown += indexed; est < grown || 2*est > 3*grown {
+			t.Errorf("%s: estimate %d B for a version that retains %d with its index (%.2fx)", name, est, grown, float64(est)/float64(grown))
+		}
+		runtime.KeepAlive(c)
+	}
+	runtime.KeepAlive(inOrder)
 }
 
 // liveBytes returns the heap bytes that stay reachable from what build

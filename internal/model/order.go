@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"math/bits"
 )
 
 // The deterministic order of a cube is the byte order of its tuples'
@@ -15,72 +14,39 @@ import (
 // suffixes beats another counting pass.
 const radixMin = 48
 
-// keyRef locates one tuple's key in the arena and remembers which tuple
-// it belongs to. O is uint32 whenever the arena fits, which is what
-// keeps the sort's scratch at 12 bytes per tuple; uint64 is the same
+// keyRef locates one tuple's key in the arena, the keys back to back, and
+// remembers which tuple it belongs to. O is uint32 whenever the arena fits,
+// which keeps the sort's scratch at 12 bytes per tuple; uint64 is the same
 // code for inputs beyond 4 GiB of keys.
 type keyRef[O uint32 | uint64] struct{ off, end, idx O }
 
-// tupleList gathers tuples out of a cube for sorting, copying each one's
-// row key into an arena: the keys back to back, each behind its uvarint
-// length.
-type tupleList struct {
-	ts   []Tuple
-	keys []byte
-}
-
-// keySpace returns how many arena bytes appendArenaKey spends on a key of n
-// bytes.
-func keySpace(n int) int { return (bits.Len(uint(n)|1)+6)/7 + n }
-
-func appendArenaKey(arena []byte, key string) []byte {
-	return append(binary.AppendUvarint(arena, uint64(len(key))), key...)
-}
-
-func (l *tupleList) add(key string, t Tuple) {
-	l.ts = append(l.ts, t)
-	l.keys = appendArenaKey(l.keys, key)
-}
-
-// sorted sorts the gathered tuples in place into the deterministic cube
-// order and returns them.
-func (l *tupleList) sorted() []Tuple {
-	sortByKeys(l.keys, l.ts, make([]struct{}, len(l.ts)))
-	return l.ts
-}
-
-// sortByKeys puts gathered items into the deterministic cube order, in
-// place: arena holds their keys in gathering order (appendArenaKey), and
-// item i is the pair as[i], bs[i] — two slices, so that a cube's measures
-// can be a column of their own (a caller with one passes empty structs for
-// the other). The keys are pairwise distinct, as the dimension tuples of
-// any cube are.
+// sortByKeys puts gathered dimension tuples, and the column bs beside them —
+// a slice of its own, so that a cube's measures can be one — into the
+// deterministic cube order, in place. Tuples with one key end up next to each
+// other, in no particular order.
 //
-// References into the arena are radix-sorted and the resulting permutation
-// is applied to both slices in place. Arena and references are garbage on
-// return: nothing but the items outlives the sort.
-func sortByKeys[A, B any](arena []byte, as []A, bs []B) {
-	if len(as) < 2 {
-		return
+// The keys are copied into an arena; references into it are radix-sorted and
+// the resulting permutation is applied to both slices in place. Arena and
+// references are garbage on return: nothing but the items outlives the sort.
+func sortByKeys[B any](tuples []dimTuple, bs []B) {
+	size := 0
+	for _, t := range tuples {
+		size += len(t.key)
 	}
-	// Every key spends at least its length byte, so an arena that fits
-	// 32-bit offsets also holds fewer than 2^32 items.
-	if uint64(len(arena)) <= math.MaxUint32 {
-		sortByKeysWith[uint32](arena, as, bs)
+	if max(size, len(tuples)) <= math.MaxUint32 {
+		sortByKeysWith[uint32](size, tuples, bs)
 	} else {
-		sortByKeysWith[uint64](arena, as, bs)
+		sortByKeysWith[uint64](size, tuples, bs)
 	}
 }
 
-// sortByKeysWith is sortByKeys for one offset width.
-func sortByKeysWith[O uint32 | uint64, A, B any](arena []byte, as []A, bs []B) {
+// sortByKeysWith is sortByKeys for one offset width; size is the keys' total.
+func sortByKeysWith[O uint32 | uint64, B any](size int, as []dimTuple, bs []B) {
+	arena := make([]byte, 0, size)
 	refs := make([]keyRef[O], len(as))
-	off := 0
-	for i := range refs {
-		size, w := binary.Uvarint(arena[off:])
-		off += w
-		refs[i] = keyRef[O]{off: O(off), end: O(off + int(size)), idx: O(i)}
-		off += int(size)
+	for i, t := range as {
+		refs[i] = keyRef[O]{off: O(len(arena)), end: O(len(arena) + len(t.key)), idx: O(i)}
+		arena = append(arena, t.key...)
 	}
 	radixSort(arena, refs, 0)
 

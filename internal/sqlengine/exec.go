@@ -6,15 +6,13 @@ import (
 	"math"
 	"slices"
 
-	"exlengine/internal/colbatch"
 	"exlengine/internal/model"
 	"exlengine/internal/obs"
 	"exlengine/internal/ops"
 )
 
 // The vectorized executor. Every operator implements execOp and streams
-// colbatch.Batch chunks (~colbatch.Chunk rows); expressions are compiled
-// once per statement into compiledExpr closures that evaluate a whole
+// batches of about chunk rows; expressions are compiled once per statement into compiledExpr closures that evaluate a whole
 // column vector per call, so the per-row work is the semantic kernel
 // (applyBinary, kleeneLogic, the resolved scalar closure) with no name
 // resolution, no map lookups and no interface dispatch on the tree.
@@ -32,7 +30,7 @@ import (
 // next call to next() on the same operator, and every consumer that keeps
 // rows longer (drain, join build, group reps) copies them out first.
 type compiledExpr interface {
-	eval(b *colbatch.Batch) ([]model.Value, error)
+	eval(b *batch) ([]model.Value, error)
 }
 
 // scratchVec returns buf resized to n rows, reallocating only on growth.
@@ -57,7 +55,7 @@ type litC struct {
 	out []model.Value
 }
 
-func (c *litC) eval(b *colbatch.Batch) ([]model.Value, error) {
+func (c *litC) eval(b *batch) ([]model.Value, error) {
 	c.out = scratchVec(c.out, b.N)
 	for i := range c.out {
 		c.out[i] = c.v
@@ -67,7 +65,7 @@ func (c *litC) eval(b *colbatch.Batch) ([]model.Value, error) {
 
 type colC struct{ idx int }
 
-func (c *colC) eval(b *colbatch.Batch) ([]model.Value, error) {
+func (c *colC) eval(b *batch) ([]model.Value, error) {
 	return b.Cols[c.idx], nil
 }
 
@@ -77,7 +75,7 @@ type unaryC struct {
 	out []model.Value
 }
 
-func (c *unaryC) eval(b *colbatch.Batch) ([]model.Value, error) {
+func (c *unaryC) eval(b *batch) ([]model.Value, error) {
 	xv, err := c.x.eval(b)
 	if err != nil {
 		return nil, err
@@ -100,7 +98,7 @@ type binC struct {
 	out  []model.Value
 }
 
-func (c *binC) eval(b *colbatch.Batch) ([]model.Value, error) {
+func (c *binC) eval(b *batch) ([]model.Value, error) {
 	lv, err := c.l.eval(b)
 	if err != nil {
 		return nil, err
@@ -137,7 +135,7 @@ type isNullC struct {
 	out []model.Value
 }
 
-func (c *isNullC) eval(b *colbatch.Batch) ([]model.Value, error) {
+func (c *isNullC) eval(b *batch) ([]model.Value, error) {
 	xv, err := c.x.eval(b)
 	if err != nil {
 		return nil, err
@@ -171,7 +169,7 @@ type callC struct {
 	buf        []model.Value
 }
 
-func (c *callC) eval(b *colbatch.Batch) ([]model.Value, error) {
+func (c *callC) eval(b *batch) ([]model.Value, error) {
 	if c.argv == nil {
 		c.argv = make([][]model.Value, len(c.args))
 		c.buf = make([]model.Value, len(c.args))
@@ -289,7 +287,7 @@ func compileExpr(e expr, env compileEnv) (compiledExpr, error) {
 // execOp is a streaming executor operator: next returns the next batch,
 // or nil at end of stream.
 type execOp interface {
-	next() (*colbatch.Batch, error)
+	next() (*batch, error)
 }
 
 // opMetrics instruments an operator's output with per-kind row and batch
@@ -306,7 +304,7 @@ func newOpMetrics(reg *obs.Registry, kind string) opMetrics {
 	}
 }
 
-func (m opMetrics) emit(b *colbatch.Batch) {
+func (m opMetrics) emit(b *batch) {
 	if b != nil {
 		m.rows.Add(int64(b.N))
 		m.batches.Inc()
@@ -318,13 +316,13 @@ func (m opMetrics) emit(b *colbatch.Batch) {
 // scratches: a returned batch is only live until the next call to next()
 // on the operator that produced it.
 type batchScratch struct {
-	b       colbatch.Batch
+	b       batch
 	backing []model.Value
 }
 
 // get returns the scratch shaped to rows×width, all columns sliced from
 // one flat backing array. Contents are stale; callers overwrite.
-func (s *batchScratch) get(rows, width int) *colbatch.Batch {
+func (s *batchScratch) get(rows, width int) *batch {
 	need := rows * width
 	if cap(s.backing) < need {
 		s.backing = make([]model.Value, need)
@@ -342,7 +340,7 @@ func (s *batchScratch) get(rows, width int) *colbatch.Batch {
 }
 
 // gatherInto copies the selected row indexes of b into the scratch.
-func gatherInto(s *batchScratch, b *colbatch.Batch, sel []int) *colbatch.Batch {
+func gatherInto(s *batchScratch, b *batch, sel []int) *batch {
 	out := s.get(len(sel), len(b.Cols))
 	for j, c := range b.Cols {
 		col := out.Cols[j]
@@ -354,7 +352,7 @@ func gatherInto(s *batchScratch, b *colbatch.Batch, sel []int) *colbatch.Batch {
 }
 
 // appendBatch appends src's rows onto dst column-wise.
-func appendBatch(dst, src *colbatch.Batch) {
+func appendBatch(dst, src *batch) {
 	for j := range dst.Cols {
 		dst.Cols[j] = append(dst.Cols[j], src.Cols[j]...)
 	}
@@ -362,8 +360,8 @@ func appendBatch(dst, src *colbatch.Batch) {
 }
 
 // drainOp consumes an operator to completion into one batch.
-func drainOp(op execOp, width int) (*colbatch.Batch, error) {
-	all := &colbatch.Batch{Cols: make([][]model.Value, width)}
+func drainOp(op execOp, width int) (*batch, error) {
+	all := &batch{Cols: make([][]model.Value, width)}
 	for {
 		b, err := op.next()
 		if err != nil {
@@ -376,7 +374,7 @@ func drainOp(op execOp, width int) (*colbatch.Batch, error) {
 	}
 }
 
-// scanOp streams a table in Chunk-row batches, reading it where it lies: a
+// scanOp streams a table in chunk-row batches, reading it where it lies: a
 // loaded table's stored version through its view, any other table's rows.
 // Each batch is the one scratch refilled with the scan's projected columns
 // only, which the batch-validity rule above permits; nothing of the table is
@@ -408,14 +406,14 @@ func newScanOp(ctx context.Context, n *scanNode, reg *obs.Registry) *scanOp {
 	return o
 }
 
-func (o *scanOp) next() (*colbatch.Batch, error) {
+func (o *scanOp) next() (*batch, error) {
 	if o.pos >= o.end {
 		return nil, nil
 	}
 	if err := o.ctx.Err(); err != nil {
 		return nil, err
 	}
-	lo, hi := o.pos, min(o.pos+colbatch.Chunk, o.end)
+	lo, hi := o.pos, min(o.pos+chunk, o.end)
 	o.pos = hi
 	b := o.scratch.get(hi-lo, len(o.proj))
 	for j, c := range o.proj {
@@ -448,7 +446,7 @@ type filterOp struct {
 	scratch batchScratch
 }
 
-func (o *filterOp) next() (*colbatch.Batch, error) {
+func (o *filterOp) next() (*batch, error) {
 	for {
 		b, err := o.child.next()
 		if err != nil || b == nil {
@@ -468,7 +466,7 @@ func (o *filterOp) next() (*colbatch.Batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		var out *colbatch.Batch
+		var out *batch
 		if len(sel) == b.N {
 			out = b
 		} else {
@@ -488,7 +486,7 @@ type joinOp struct {
 	left, right execOp
 
 	built      bool
-	rightAll   *colbatch.Batch
+	rightAll   *batch
 	index      map[string][]int
 	keyb       []byte
 	lsel, rsel []int
@@ -499,7 +497,7 @@ type joinOp struct {
 
 func (o *joinOp) build() error {
 	rightWidth := len(o.n.right.cols())
-	all := &colbatch.Batch{Cols: make([][]model.Value, rightWidth)}
+	all := &batch{Cols: make([][]model.Value, rightWidth)}
 	index := make(map[string][]int)
 	keyBuf := make([]model.Value, len(o.n.ckRight))
 	keyVecs := make([][]model.Value, len(o.n.ckRight))
@@ -546,7 +544,7 @@ func (o *joinOp) build() error {
 	return nil
 }
 
-func (o *joinOp) next() (*colbatch.Batch, error) {
+func (o *joinOp) next() (*batch, error) {
 	if !o.built {
 		if err := o.build(); err != nil {
 			return nil, err
@@ -643,11 +641,11 @@ type projectOp struct {
 	child   execOp
 	sel     []int
 	vecs    [][]model.Value
-	passed  colbatch.Batch
+	passed  batch
 	scratch batchScratch
 }
 
-func (o *projectOp) next() (*colbatch.Batch, error) {
+func (o *projectOp) next() (*batch, error) {
 	for {
 		b, err := o.child.next()
 		if err != nil || b == nil {
@@ -681,7 +679,7 @@ func (o *projectOp) next() (*colbatch.Batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		var out *colbatch.Batch
+		var out *batch
 		if len(sel) == b.N {
 			o.passed.N = b.N
 			o.passed.Cols = append(o.passed.Cols[:0], vecs...)
@@ -830,14 +828,14 @@ func (st *aggState) result(kind aggKind) float64 {
 	}
 }
 
-func (o *groupOp) next() (*colbatch.Batch, error) {
+func (o *groupOp) next() (*batch, error) {
 	if o.done {
 		return nil, nil
 	}
 	o.done = true
 
 	childWidth := len(o.n.child.cols())
-	reps := &colbatch.Batch{Cols: make([][]model.Value, childWidth)}
+	reps := &batch{Cols: make([][]model.Value, childWidth)}
 	groups := make(map[string]int)
 	o.kinds = make([]aggKind, len(o.n.aggs))
 	for i, spec := range o.n.aggs {
@@ -950,7 +948,7 @@ func (o *groupOp) next() (*colbatch.Batch, error) {
 	}
 
 	// Extended batch: representative rows + one column per aggregate.
-	ext := &colbatch.Batch{N: reps.N, Cols: make([][]model.Value, childWidth+len(o.n.aggs))}
+	ext := &batch{N: reps.N, Cols: make([][]model.Value, childWidth+len(o.n.aggs))}
 	copy(ext.Cols, reps.Cols)
 	for ai := range o.n.aggs {
 		col := make([]model.Value, ngroups)
@@ -989,7 +987,7 @@ func (o *groupOp) next() (*colbatch.Batch, error) {
 	if len(sel) == 0 {
 		return nil, nil
 	}
-	out := &colbatch.Batch{N: len(sel), Cols: make([][]model.Value, len(vecs))}
+	out := &batch{N: len(sel), Cols: make([][]model.Value, len(vecs))}
 	for j, v := range vecs {
 		col := make([]model.Value, len(sel))
 		for i, r := range sel {
@@ -1012,7 +1010,7 @@ func (o *groupOp) newGroup(ngroups *int) int {
 	return g
 }
 
-func (o *groupOp) evalAggArgs(b *colbatch.Batch, argVecs [][]model.Value) error {
+func (o *groupOp) evalAggArgs(b *batch, argVecs [][]model.Value) error {
 	for i, spec := range o.n.aggs {
 		if spec.star {
 			continue
@@ -1057,7 +1055,7 @@ type distinctOp struct {
 	scratch batchScratch
 }
 
-func (o *distinctOp) next() (*colbatch.Batch, error) {
+func (o *distinctOp) next() (*batch, error) {
 	if o.seen == nil {
 		o.seen = make(map[string]bool)
 	}
@@ -1080,7 +1078,7 @@ func (o *distinctOp) next() (*colbatch.Batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		var out *colbatch.Batch
+		var out *batch
 		if len(sel) == b.N {
 			out = b
 		} else {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"exlengine/internal/colbatch"
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
 )
@@ -164,9 +163,10 @@ func (db *DB) LoadCube(c *model.Cube) error {
 	return nil
 }
 
-// ExtractCube reads a table back into a cube with the given schema. The
-// table columns must be the dimensions (in order) followed by the measure,
-// which is how CreateTableFor lays tables out. The table is read as a
+// ExtractCube reads a table back into a frozen cube with the given schema.
+// The table columns must be the dimensions (in order) followed by the
+// measure, which is how CreateTableFor lays tables out; rows containing a
+// NULL are dropped, matching the partial-function semantics of cubes. The table is read as a
 // statement reads it, a scan batch at a time: no copy of it is made, and one
 // still holding a loaded version stays a view.
 func (db *DB) ExtractCube(sch model.Schema) (*model.Cube, error) {
@@ -177,7 +177,8 @@ func (db *DB) ExtractCube(sch model.Schema) (*model.Cube, error) {
 	if len(t.Cols) != len(sch.Dims)+1 {
 		return nil, fmt.Errorf("sql: table %s has %d columns, cube %s wants %d", t.Name, len(t.Cols), sch.Name, len(sch.Dims)+1)
 	}
-	c := model.NewCube(sch)
+	out := model.NewBuilder(sch)
+	dims := make([]model.Value, len(sch.Dims))
 	scan := newScanOp(context.Background(), &scanNode{table: t}, nil)
 	for {
 		b, err := scan.next()
@@ -185,12 +186,22 @@ func (db *DB) ExtractCube(sch model.Schema) (*model.Cube, error) {
 			return nil, fmt.Errorf("sql: %w", err)
 		}
 		if b == nil {
-			return c, nil
+			break
 		}
-		if err := colbatch.AppendToCube(c, b); err != nil {
-			return nil, fmt.Errorf("sql: %w", err)
+		for i := 0; i < b.N; i++ {
+			for d := range dims {
+				dims[d] = b.Cols[d][i]
+			}
+			if err := out.AddRow(dims, b.Cols[len(dims)][i]); err != nil {
+				return nil, fmt.Errorf("sql: %w", err)
+			}
 		}
 	}
+	c, err := out.Build()
+	if err != nil {
+		return nil, fmt.Errorf("sql: %w", err)
+	}
+	return c, nil
 }
 
 func lower(s string) string {

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -74,7 +73,7 @@ func (r cubeRec) name() string {
 // deleted), was not made from base: it is an error, and nothing is applied.
 func (r cubeRec) applyTo(base *model.Cube) (*model.Cube, *model.CubeDelta, error) {
 	if r.cube != nil {
-		return r.cube.Freeze(), nil, nil
+		return r.cube.Snapshot(), nil, nil
 	}
 	name := r.schema.Name
 	if base == nil {
@@ -343,9 +342,8 @@ func (d *decoder) cube() *model.Cube {
 		d.fail("durable: cube %s claims %d tuples", sch.Name, n)
 		return nil
 	}
-	c := model.NewCube(sch)
+	b := model.NewBuilder(sch)
 	dims := make([]model.Value, len(sch.Dims))
-	var key, prev []byte
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		for j := range dims {
 			dims[j] = d.value()
@@ -354,19 +352,18 @@ func (d *decoder) cube() *model.Cube {
 		if d.err != nil {
 			return nil
 		}
-		// The cube order is part of the format: it makes the bytes a
-		// function of the cube, and a repeated tuple impossible.
-		key = model.AppendKey(key[:0], dims)
-		if i > 0 && bytes.Compare(prev, key) >= 0 {
-			d.fail("durable: cube %s tuple %d is out of order", sch.Name, i)
-			return nil
-		}
-		key, prev = prev, key
-		if err := c.Replace(dims, m); err != nil {
+		if err := b.Add(dims, m); err != nil {
 			d.fail("durable: cube %s tuple: %v", sch.Name, err)
 			return nil
 		}
+		// The cube order is part of the format: it makes the bytes a
+		// function of the cube, and a repeated tuple impossible.
+		if !b.InOrder() {
+			d.fail("durable: cube %s tuple %d is out of order", sch.Name, i)
+			return nil
+		}
 	}
+	c, _ := b.Build() // in order, so no tuple came twice: there is no egd to fail
 	return c
 }
 

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -71,24 +72,46 @@ func checkVersions(t *testing.T, st *Store, name string, want []*model.Cube) {
 // to the version it was made from. One whose recorded base size does not
 // match the replayed predecessor — here a well-formed, checksummed record
 // made against a version that never reached the log — is cut off like a
-// torn record, with everything behind it, and never applied.
+// torn record, with everything behind it, and never applied. So is one no
+// store wrote: a list that names a tuple twice, or out of cube order, or a
+// tuple both changed and deleted, which model.Cube.Apply refuses as a misfit
+// before it has built anything.
 func TestDeltaRecordOnTheWrongBaseIsTruncated(t *testing.T) {
-	dir := t.TempDir()
 	vs := chain(t, 3)
 	lost := revise(t, vs[1], nil, []int{0, 1}, 0) // 14 tuples where the log has 16
-	writeWAL(t, dir, 0,
-		encodeRecord(commitRecord(day(0), []cubeRec{fullRec(vs[0])})),
-		encodeRecord(commitRecord(day(1), []cubeRec{deltaRec(model.DiffCubes("M", vs[0], vs[1]))})),
-		encodeRecord(commitRecord(day(2), []cubeRec{deltaRec(model.DiffCubes("M", lost, revise(t, lost, []int{2}, nil, 0)))})),
-		encodeRecord(commitRecord(day(3), []cubeRec{deltaRec(model.DiffCubes("M", vs[1], vs[2]))})),
-	)
-	st := openT(t, dir)
-	defer st.Close()
-	rec := st.Recovery()
-	if rec.Generation != 2 || rec.ReplayedRecords != 2 || rec.TruncatedRecords != 1 {
-		t.Fatalf("recovery = %+v, want the two records before the misfit and one truncation", rec)
+	good := model.DiffCubes("M", vs[1], revise(t, vs[1], []int{2, 5}, nil, 0))
+	malformed := func(edit func(d *model.CubeDelta)) cubeRec {
+		d := *good
+		edit(&d)
+		rec := deltaRec(&d)
+		if _, _, err := rec.applyTo(vs[1]); !errors.Is(err, model.ErrMisfit) {
+			t.Fatalf("applying a malformed delta: %v, want a misfit", err)
+		}
+		return rec
 	}
-	checkVersions(t, st, "M", vs[:2])
+	for what, rec := range map[string]cubeRec{
+		"another base": deltaRec(model.DiffCubes("M", lost, revise(t, lost, []int{2}, nil, 0))),
+		"named twice":  malformed(func(d *model.CubeDelta) { d.Changed = []model.Tuple{d.Changed[0], d.Changed[0]} }),
+		"out of order": malformed(func(d *model.CubeDelta) { d.Changed = []model.Tuple{d.Changed[1], d.Changed[0]} }),
+		"changed and deleted": malformed(func(d *model.CubeDelta) {
+			d.Deleted = []model.Tuple{{Dims: d.Changed[0].Dims, Measure: vs[1].Tuples()[2].Measure}}
+		}),
+	} {
+		dir := t.TempDir()
+		writeWAL(t, dir, 0,
+			encodeRecord(commitRecord(day(0), []cubeRec{fullRec(vs[0])})),
+			encodeRecord(commitRecord(day(1), []cubeRec{deltaRec(model.DiffCubes("M", vs[0], vs[1]))})),
+			encodeRecord(commitRecord(day(2), []cubeRec{rec})),
+			encodeRecord(commitRecord(day(3), []cubeRec{deltaRec(model.DiffCubes("M", vs[1], vs[2]))})),
+		)
+		st := openT(t, dir)
+		rec := st.Recovery()
+		if rec.Generation != 2 || rec.ReplayedRecords != 2 || rec.TruncatedRecords != 1 {
+			t.Fatalf("%s: recovery = %+v, want the two records before the misfit and one truncation", what, rec)
+		}
+		checkVersions(t, st, "M", vs[:2])
+		st.Close()
+	}
 }
 
 // TestFullFormDirectoryStillOpens: a directory as stores wrote it before
@@ -221,11 +244,13 @@ func TestSegmentIsADeltaChain(t *testing.T) {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	checkVersions(t, st, "M", vs)
-	if got := segSize(); got != withOverwrite {
+	// The version that overwrote comes back in full and frozen, so the store
+	// finds the delta from the predecessor that is left: the chain is whole.
+	if got := segSize(); got > withOverwrite {
 		t.Errorf("recovery rewrote the %d-byte segment as %d bytes: the chain did not survive", withOverwrite, got)
 	}
 	for i, v := range st.mem.History("M") {
-		if want := i > 0 && i != n; (v.Delta != nil) != want {
+		if (v.Delta != nil) != (i > 0) {
 			t.Errorf("after reopen, version %d: kept delta = %v", i, v.Delta != nil)
 		}
 	}

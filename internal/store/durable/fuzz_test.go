@@ -68,6 +68,11 @@ func fuzzSeeds(t testing.TB) (records []*record, versions [][]*model.Cube) {
 	for _, r := range revs {
 		records = append(records, commitRecord(asOf, []cubeRec{deltaRec(model.DiffCubes("M", c, r)), fullRec(other)}))
 	}
+	// One no store wrote: its Changed list names a tuple twice and runs
+	// backwards. The codec takes a delta's lists as they come; Apply refuses.
+	bad := *model.DiffCubes("M", c, revs[3])
+	bad.Changed = []model.Tuple{bad.Changed[2], bad.Changed[0], bad.Changed[0]}
+	records = append(records, commitRecord(asOf, []cubeRec{deltaRec(&bad)}))
 	return records, [][]*model.Cube{append([]*model.Cube{c}, revs...), {other}}
 }
 

@@ -7,18 +7,15 @@ import (
 	"exlengine/internal/model"
 )
 
-func readInOrder(c *model.Cube) { _ = c.Ordered(func(model.Tuple) error { return nil }) }
-
 // TestCodecEncodesEitherFormAlike: the codec writes the same bytes for a
-// version held as a row map and for the same content held as columns over
-// its predecessor's key set, in the full form and in the delta form, and
-// both decode to cubes Equal at tolerance 0.
+// mutable cube and for the same content held as columns over its
+// predecessor's key set, in the full form and in the delta form, and both
+// decode to cubes Equal at tolerance 0.
 func TestCodecEncodesEitherFormAlike(t *testing.T) {
 	prev := codecCube(t, 16).Freeze()
-	readInOrder(prev)
 	rows := revise(t, prev, []int{1, 7, 12}, nil, 0)
 	own := prev.Revise(rows.Clone())
-	if own == nil || own.Current == rows || !own.Current.OrderCached() {
+	if own == nil || own.Current == rows || !own.Current.SharesKeySet(prev) {
 		t.Fatal("the revision was not stored as columns over its predecessor's key set")
 	}
 	cols := own.Current
@@ -33,7 +30,7 @@ func TestCodecEncodesEitherFormAlike(t *testing.T) {
 	for what, d := range map[string]*model.CubeDelta{
 		"the store's own pass":    own,
 		"row map against columns": model.DiffCubes("M", prev, cols),
-		"columns against row map": model.DiffCubes("M", prev.Revise(prev).Current, rows),
+		"columns against row map": model.DiffCubes("M", prev.Clone().Freeze(), rows),
 	} {
 		if !bytes.Equal(delta(d), want) {
 			t.Errorf("delta form differs: %s", what)
@@ -51,7 +48,7 @@ func TestCodecEncodesEitherFormAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, base := range []*model.Cube{prev, prev.Revise(prev).Current} {
+	for _, base := range []*model.Cube{prev, prev.Clone().Freeze()} {
 		got, _, err := rec.cubes[0].applyTo(base)
 		if err != nil || !got.Equal(rows, 0) || !rows.Equal(got, 0) {
 			t.Fatalf("delta form applied to its base is not what was put: %v", err)
@@ -62,13 +59,10 @@ func TestCodecEncodesEitherFormAlike(t *testing.T) {
 	}
 }
 
-// TestOwnPassDeltaIsLogged: a revision put unfrozen and without a delta,
-// after its predecessor was read in order, goes to the log as the delta
-// the store's own pass produced, is held in memory as columns over the
-// predecessor's key set with that delta, and reopens as what was put. The
-// full form is always encoded from the stored version, a first load too:
-// the sort that takes lands where the next revision looks for the order,
-// and the caller's cube is left as it was.
+// TestOwnPassDeltaIsLogged: a revision put unfrozen and without a delta goes
+// to the log as the delta the store's own pass produced, is held in memory as
+// columns over the predecessor's key set with that delta, and reopens as what
+// was put. The caller's cube is left as it was.
 func TestOwnPassDeltaIsLogged(t *testing.T) {
 	dir := t.TempDir()
 	st := openT(t, dir)
@@ -77,8 +71,8 @@ func TestOwnPassDeltaIsLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored, _ := st.Get("M")
-	if !stored.OrderCached() || v0.OrderCached() || stored == v0 {
-		t.Fatal("the first load is logged in full from the stored version, which that sorts; the caller's cube is not touched")
+	if !stored.Frozen() || v0.Frozen() || stored == v0 {
+		t.Fatal("the first load is stored as a snapshot; the caller's cube is not touched")
 	}
 
 	v1 := revise(t, stored, []int{3}, nil, 0).Clone()
@@ -92,8 +86,8 @@ func TestOwnPassDeltaIsLogged(t *testing.T) {
 	}
 	cur, _ := st.Get("M")
 	d, err := st.Delta("M", gen)
-	if err != nil || !cur.OrderCached() || d.Base != stored || d.Current != cur || len(d.Changed) != 1 || v1.OrderCached() || v1.Frozen() {
-		t.Fatalf("stored revision: order cached %v, delta %+v, err %v", cur.OrderCached(), d, err)
+	if err != nil || !cur.SharesKeySet(stored) || d.Base != stored || d.Current != cur || len(d.Changed) != 1 || v1.Frozen() {
+		t.Fatalf("stored revision: on its predecessor's key set %v, delta %+v, err %v", cur.SharesKeySet(stored), d, err)
 	}
 
 	all := make([]int, 16)
@@ -106,9 +100,9 @@ func TestOwnPassDeltaIsLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur2, _ := st.Get("M")
-	if ci.DeltaCubes != 0 || ci.FullCubes != 1 || !cur2.OrderCached() || v2.OrderCached() {
-		t.Fatalf("restatement of everything: %d deltas, %d full; stored order %v, caller's sorted %v",
-			ci.DeltaCubes, ci.FullCubes, cur2.OrderCached(), v2.OrderCached())
+	if ci.DeltaCubes != 0 || ci.FullCubes != 1 || !cur2.SharesKeySet(cur) || v2.Frozen() {
+		t.Fatalf("restatement of everything: %d deltas, %d full; on its predecessor's key set %v",
+			ci.DeltaCubes, ci.FullCubes, cur2.SharesKeySet(cur))
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -170,13 +170,16 @@ func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
 
 	// A delta whose base is not the latest version (here: the one before).
 	v3 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 6}).Freeze()
-	g3 := put(v3, model.DiffCubes("A", v1, v3), t1.Add(2*time.Hour))
+	d13 := model.DiffCubes("A", v1, v3)
+	g3 := put(v3, d13, t1.Add(2*time.Hour))
 	// A delta that ends at another cube than the one stored.
 	v4 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 7}).Freeze()
-	put(v4, model.DiffCubes("A", v3, v4.Clone().Freeze()), t1.Add(3*time.Hour))
+	d34 := model.DiffCubes("A", v3, v4.Clone().Freeze())
+	put(v4, d34, t1.Add(3*time.Hour))
 	for i, v := range s.History("A")[2:] {
-		if v.Delta != nil {
-			t.Errorf("version %d kept a delta that is not about it and its predecessor", i+3)
+		prev := s.History("A")[i+1].Cube
+		if v.Delta == nil || v.Delta == d13 || v.Delta == d34 || v.Delta.Base != prev || v.Delta.Current != v.Cube || len(v.Delta.Changed) != 1 {
+			t.Errorf("version %d kept %+v, want the store's own delta about it and its predecessor", i+3, v.Delta)
 		}
 	}
 	// An unfrozen cube is never stored itself, so no handed delta can name

@@ -87,8 +87,9 @@ func TestRevisionPutBudget(t *testing.T) {
 			t.Errorf("put %d allocated %d B, budget %d", k, spent, budget)
 		}
 		cur, _ := s.Get("PDR")
-		if !cur.OrderCached() || !cur.Equal(rev, 0) || cur == rev || rev.Frozen() || rev.OrderCached() {
-			t.Fatalf("put %d: stored version has no order, differs from what was put, or is the caller's cube", k)
+		// (Compared with a clone: an ordered read of rev would leave its order on it.)
+		if !cur.SharesKeySet(base) || !cur.Equal(rev.Clone(), 0) || cur == rev || rev.Frozen() {
+			t.Fatalf("put %d: stored version is off the key set, differs from what was put, or is the caller's cube", k)
 		}
 		var d *model.CubeDelta
 		if a := testing.AllocsPerRun(5, func() { d, _ = s.Delta("PDR", gen) }); a != 0 {
@@ -98,7 +99,7 @@ func TestRevisionPutBudget(t *testing.T) {
 		if d == nil || d != hist[len(hist)-1].Delta || d.Base != hist[len(hist)-2].Cube || d.Current != cur {
 			t.Fatalf("put %d: Delta is not the delta kept on the version", k)
 		}
-		want := model.DiffCubes("PDR", hist[len(hist)-2].Cube.Clone(), rev)
+		want := model.DiffCubes("PDR", hist[len(hist)-2].Cube.Clone(), rev.Clone())
 		if len(d.Changed) != changed || len(d.Added)+len(d.Deleted) != 0 || !sameTuples(d.Changed, want.Changed) {
 			t.Fatalf("put %d: kept delta is +%d ~%d -%d, DiffCubes says ~%d", k, len(d.Added), len(d.Changed), len(d.Deleted), len(want.Changed))
 		}
@@ -126,11 +127,10 @@ func sameTuples(a, b []model.Tuple) bool {
 	return true
 }
 
-// TestPutCopiesWhatIsNoRevision: the store shares a key set only where it
-// observes a revision — of a version read in order, or of any version when
-// the cube put is unfrozen and would otherwise be cloned; everything else is
-// stored as before — an unfrozen cube cloned, a frozen one adopted — with no
-// delta.
+// TestPutCopiesWhatIsNoRevision: the store shares a key set where it
+// observes a revision, whichever way the cube put is held. Of a mutable cube
+// that is none it stores a snapshot with no delta; a frozen one it adopts,
+// with the delta its order gives away.
 func TestPutCopiesWhatIsNoRevision(t *testing.T) {
 	s := New()
 	put := func(c *model.Cube, k int) (*model.Cube, *model.CubeDelta) {
@@ -142,46 +142,43 @@ func TestPutCopiesWhatIsNoRevision(t *testing.T) {
 		return hist[len(hist)-1].Cube, hist[len(hist)-1].Delta
 	}
 	base := pdrCube(400)
-	tuples := base.Tuples()
+	tuples := base.Clone().Tuples()
 	v0, d0 := put(base, 0)
-	if v0.OrderCached() || d0 != nil {
-		t.Fatal("a first load came with an order or a delta")
+	if v0 == base || !v0.Frozen() || base.Frozen() || d0 != nil {
+		t.Fatal("a first load was adopted, or came with a delta")
 	}
-	// Nobody read v0 in order. A frozen revision of it is adopted as it is:
-	// sorting v0 to share its key set would cost more than it saves.
-	adopted := revised(base, tuples, 1).Freeze()
-	v1, d1 := put(adopted, 1)
-	if v1 != adopted || v1.OrderCached() || v0.OrderCached() || d1 != nil {
-		t.Error("a frozen revision of a version nobody read in order was not adopted as it is")
+	// A frozen revision comes with its order: it lands on v0's key set.
+	frozen := revised(base, tuples, 1).Freeze()
+	v1, d1 := put(frozen, 1)
+	if v1 == frozen || !v1.SharesKeySet(v0) || d1 == nil || d1.Base != v0 || d1.Current != v1 || len(d1.Changed) != 4 {
+		t.Error("a frozen revision was adopted instead of sharing its predecessor's key set")
 	}
-	// An unfrozen one would be cloned: the store builds v1's order instead,
-	// once, and the revision stands on it with its delta.
+	// So does an unfrozen one, which stays its caller's.
 	v2, d2 := put(revised(v1, tuples, 2), 2)
-	if !v1.OrderCached() || !v2.SharesKeySet(v1) || d2 == nil || d2.Base != v1 || d2.Current != v2 || len(d2.Changed) != 4 {
-		t.Error("an unfrozen revision of a version nobody read in order does not share its key set")
+	if !v2.SharesKeySet(v1) || d2 == nil || d2.Base != v1 || d2.Current != v2 || len(d2.Changed) != 4 {
+		t.Error("an unfrozen revision does not share its predecessor's key set")
 	}
-	// An insert and a delete, after an ordered read: clones again.
+	// An insert and a delete in mutable cubes: snapshots, no delta.
 	grown := v2.Clone()
-	_ = grown.Put([]model.Value{model.Per(model.NewDaily(1999, time.January, 1)), model.Str("R00")}, 1)
-	if v3, d3 := put(grown, 3); v3.OrderCached() || d3 != nil || v3.Len() != 401 {
+	extra := []model.Value{model.Per(model.NewDaily(1999, time.January, 1)), model.Str("R00")}
+	_ = grown.Put(extra, 1)
+	v3, d3 := put(grown, 3)
+	if v3 == grown || v3.SharesKeySet(v2) || d3 != nil || v3.Len() != 401 {
 		t.Error("shared a key set across an insert")
 	}
-	v3, _ := s.Get("PDR")
-	_ = v3.Tuples()
-	if v4, d4 := put(v2.Clone(), 4); v4.OrderCached() || d4 != nil || v4.Len() != 400 {
+	v4, d4 := put(v2.Clone(), 4)
+	if v4.SharesKeySet(v3) || d4 != nil || v4.Len() != 400 {
 		t.Error("shared a key set across a delete")
 	}
-	// A frozen revision of a version read in order is shared, not adopted.
-	v4, _ := s.Get("PDR")
-	_ = v4.Tuples()
-	frozen := revised(v4, tuples, 3).Freeze()
-	v5, d5 := put(frozen, 5)
-	if v5 == frozen || !v5.SharesKeySet(v4) || d5 == nil || d5.Base != v4 || d5.Current != v5 || len(d5.Changed) != 4 {
-		t.Error("a frozen revision was adopted instead of sharing its predecessor's key set")
+	// The same in a frozen cube: adopted, with the delta.
+	v5, d5 := put(grown.Clone().Freeze(), 5)
+	if d5 == nil || d5.Current != v5 || d5.Base != v4 || len(d5.Added) != 1 || len(d5.Changed)+len(d5.Deleted) != 0 || v5.SharesKeySet(v4) {
+		t.Errorf("a frozen insert: %+v", d5)
 	}
 	// An equal-asOf overwrite shares the key set of the version it
 	// replaces, but that version is gone: no delta may lead from it.
 	gen := s.Generation()
+	tuples = v5.Tuples()
 	v6, d6 := put(revised(v5, tuples, 4), 5)
 	if !v6.SharesKeySet(v5) || d6 != nil || len(s.Versions("PDR")) != 6 {
 		t.Errorf("overwrite: key set shared %v, delta %v, %d versions", v6.SharesKeySet(v5), d6, len(s.Versions("PDR")))
@@ -201,10 +198,9 @@ func TestPutCopiesWhatIsNoRevision(t *testing.T) {
 }
 
 // TestDeltaAcrossVersionsOnOneKeySet: versions that share a key set are
-// diffed column against column however far apart they are and whatever else
-// the older one holds — the root of the chain has its row map beside its
-// order — so Delta from the root's generation allocates the delta and its
-// Changed list, nothing that grows with the cube.
+// diffed column against column however far apart they are, so Delta from the
+// root's generation allocates the delta and its Changed list, nothing that
+// grows with the cube.
 func TestDeltaAcrossVersionsOnOneKeySet(t *testing.T) {
 	const n = 4000
 	s := New()
@@ -233,8 +229,8 @@ func TestDeltaAcrossVersionsOnOneKeySet(t *testing.T) {
 	}
 }
 
-// TestWriteCSVFromEitherForm: a version held as columns alone exports the
-// bytes its row-map original does, and reads back Equal.
+// TestWriteCSVFromEitherForm: a stored version exports the bytes the mutable
+// cube it was put as does, and reads back Equal.
 func TestWriteCSVFromEitherForm(t *testing.T) {
 	s := New()
 	_ = s.Put(pdrCube(300), day(0))
@@ -242,7 +238,7 @@ func TestWriteCSVFromEitherForm(t *testing.T) {
 	rev := revised(v0, v0.Tuples(), 1)
 	_ = s.Put(rev, day(1))
 	cols, _ := s.Get("PDR")
-	if !cols.OrderCached() || cols.Equal(v0, 0) {
+	if !cols.SharesKeySet(v0) || cols.Equal(v0, 0) {
 		t.Fatal("the revision is not stored as columns over its predecessor's key set")
 	}
 	var fromRows, fromCols bytes.Buffer

@@ -131,15 +131,14 @@ func (s *Store) Names() []string {
 //
 // handed is what the writer says the delta is. It is trusted only if it is
 // about these two cubes by pointer — its Base is latest, its Current the
-// frozen c — and then c is stored as it is. Without one, the store looks
-// for the delta itself where that is cheaper than the copy it saves: when
-// c is a revision of latest, the same dimension tuples under restated
-// measures (model.Cube.Revise), the version stored is a measure column
-// over latest's key set, and the delta falls out of the pass that made it.
-// Otherwise — an insert, a delete, a first load, a frozen cube whose
-// predecessor nobody read in order — an already-frozen cube is shared
-// as-is (it can never change again), anything else is cloned and the clone
-// frozen, so the caller keeps exclusive ownership of its original; the
+// frozen c — and then c is stored as it is. Without one, the store asks
+// latest how c differs from it (model.Cube.Revise): where c holds the same
+// dimension tuples under restated measures — a revision — the version stored
+// is a measure column over latest's key set, and the delta falls out of the
+// pass that made it. A frozen c is compared in one merge of the two orders
+// and comes with its delta whatever moved; a mutable one that inserts or
+// deletes, like a first load, is stored as a snapshot built from its row
+// map, so the caller keeps exclusive ownership of its original, and the
 // delta is then unknown (nil).
 func NewVersion(latest, c *model.Cube, handed *model.CubeDelta) (*model.Cube, *model.CubeDelta) {
 	if latest != nil {
@@ -150,10 +149,7 @@ func NewVersion(latest, c *model.Cube, handed *model.CubeDelta) (*model.Cube, *m
 			return d.Current, d
 		}
 	}
-	if c.Frozen() {
-		return c, nil
-	}
-	return c.Clone().Freeze(), nil
+	return c.Snapshot(), nil
 }
 
 // appendVersion adds a frozen version to a cube's history, replacing the
@@ -537,8 +533,10 @@ func WriteCSV(w io.Writer, c *model.Cube) error {
 	return cw.Error()
 }
 
-// ReadCSV imports a cube under the given schema. The header must name the
-// schema's dimensions (in order) followed by the measure.
+// ReadCSV imports a cube under the given schema, frozen. The header must name
+// the schema's dimensions (in order) followed by the measure. Rows in cube
+// order, as WriteCSV writes them, are neither hashed nor sorted
+// (model.Builder).
 func ReadCSV(r io.Reader, sch model.Schema) (*model.Cube, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -554,12 +552,16 @@ func ReadCSV(r io.Reader, sch model.Schema) (*model.Cube, error) {
 			return nil, fmt.Errorf("store: CSV column %d is %q, want %q", i, h, want[i])
 		}
 	}
-	c := model.NewCube(sch)
-	dims := make([]model.Value, len(sch.Dims)) // reused line after line: Put copies what it keeps
+	b := model.NewBuilder(sch)
+	dims := make([]model.Value, len(sch.Dims)) // reused line after line: Add copies what it keeps
 	line := 1
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
+			c, err := b.Build()
+			if err != nil {
+				return nil, fmt.Errorf("store: CSV: %w", err)
+			}
 			return c, nil
 		}
 		if err != nil {
@@ -583,7 +585,7 @@ func ReadCSV(r io.Reader, sch model.Schema) (*model.Cube, error) {
 		if math.IsNaN(mv) || math.IsInf(mv, 0) {
 			return nil, fmt.Errorf("store: CSV line %d: non-finite measure %q; undefined points must be absent rows, not NaN/Inf", line, rec[len(rec)-1])
 		}
-		if err := c.Put(dims, mv); err != nil {
+		if err := b.Add(dims, mv); err != nil {
 			return nil, fmt.Errorf("store: CSV line %d: %w", line, err)
 		}
 	}
