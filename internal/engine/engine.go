@@ -434,13 +434,18 @@ func (e *Engine) LoadCSV(name string, r io.Reader, asOf time.Time) error {
 	if !ok {
 		return fmt.Errorf("engine: cube %s is %w", name, ErrCubeNotDeclared)
 	}
-	c, err := store.ReadCSV(r, sch)
+	// A revision is decoded onto the key set of the version it revises. Should
+	// another writer supersede that version before the Put, the store compares
+	// the two as it compares any frozen cube with its predecessor.
+	latest, _ := e.store.Get(name)
+	c, err := store.ReadCSVOn(latest, r, sch)
 	if err != nil {
 		return err
 	}
 	// The parsed cube is frozen and nobody else's: the store adopts a first
-	// load as it is, and compares a later one with its predecessor in one
-	// merge of their orders (store.NewVersion).
+	// load, and a revision already on its predecessor's key set, as it is, and
+	// compares any other with its predecessor in one merge of their orders
+	// (store.NewVersion).
 	return e.store.Put(c, asOf)
 }
 

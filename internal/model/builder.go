@@ -6,19 +6,31 @@ import (
 )
 
 // Builder makes a version out of tuples that come from neither a predecessor
-// nor an operand — a parsed file, a decoded record, a backend's result: Add
-// them, then Build. It is the one constructor of versions beside Revise, Apply
-// and Derive, and checks the functionality egd as a loop of Put over the same
-// arrivals would.
+// nor an operand — or from a predecessor it is checked against as it arrives —
+// a parsed file, a decoded record, a backend's result: Add them, then Build. It
+// is the one constructor of versions beside Revise, Apply and Derive, and checks
+// the functionality egd as a loop of Put over the same arrivals would.
 //
 // While keys arrive in strictly increasing byte order — the cube order, in
 // which WriteCSV, the durable codec and every sorted aggregation emit — the
 // tuples are the key set and the measure column as they come and there is
 // nothing to check: no map, no sort. From the first key that does not, Build
 // sorts them once and settles tuples that arrived more than once.
+//
+// A Builder on a predecessor (NewBuilderOn) follows it: while the i-th arrival
+// is the predecessor's i-th dimension tuple, it is 8 bytes on a measure column
+// and nothing else. The Builder stops following at the first arrival that is
+// not — another tuple, or one more than the predecessor has — and carries on
+// as above from the prefix, whose Dims and row keys it shares with the
+// predecessor. Arrivals that were the predecessor's tuples to the last, all of
+// them, are built on its key set, by reference.
 type Builder struct {
 	schema Schema
 	n      int // tuples added
+	// follow is the predecessor's columns while the arrivals are its first n
+	// tuples, and col their measures: all a following Builder holds.
+	follow *View
+	col    []float64
 	// In arrival order, in chunks: one array would grow to several times itself.
 	tuples   [][]dimTuple
 	measures [][]float64
@@ -35,6 +47,17 @@ const chunkTuples = 256
 // NewBuilder returns a Builder of versions under schema.
 func NewBuilder(schema Schema) *Builder { return &Builder{schema: schema} }
 
+// NewBuilderOn returns a Builder of versions under schema that follows prev, a
+// revision's predecessor, where prev is a frozen cube under that schema (it may
+// be nil), and is NewBuilder's otherwise.
+func NewBuilderOn(prev *Cube, schema Schema) *Builder {
+	b := NewBuilder(schema)
+	if prev != nil && prev.Frozen() && prev.schema.Equal(schema) {
+		b.follow = prev.View()
+	}
+	return b
+}
+
 // InOrder reports whether every key so far arrived above the one before it.
 func (b *Builder) InOrder() bool { return !b.unsorted }
 
@@ -45,6 +68,17 @@ func (b *Builder) Add(dims []Value, measure float64) error {
 		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", b.schema.Name, n, len(dims))
 	}
 	b.key = AppendKey(b.key[:0], dims)
+	if b.follow != nil {
+		if ts := b.follow.keys.tuples; b.n < len(ts) && ts[b.n].key == string(b.key) {
+			if b.col == nil {
+				b.col = make([]float64, 0, len(ts))
+			}
+			b.col = append(b.col, measure)
+			b.n++
+			return nil
+		}
+		b.unfollow()
+	}
 	if b.n > 0 && b.last >= string(b.key) {
 		b.unsorted = true
 	}
@@ -62,6 +96,17 @@ func (b *Builder) Add(dims []Value, measure float64) error {
 	b.tuples[c], b.measures[c] = append(b.tuples[c], dimTuple{d, b.last}), append(b.measures[c], measure)
 	b.n++
 	return nil
+}
+
+// unfollow makes the arrivals so far, a prefix of the predecessor's tuples, the
+// first chunk of a Builder that follows nothing. The chunk is the predecessor's
+// array and full, so that what arrives next goes to a chunk of the Builder's own.
+func (b *Builder) unfollow() {
+	if n := b.n; n > 0 {
+		ts := b.follow.keys.tuples[:n:n]
+		b.tuples, b.measures, b.last = [][]dimTuple{ts}, [][]float64{b.col[:n:n]}, ts[n-1].key
+	}
+	b.follow, b.col = nil, nil
 }
 
 // AddRow is Add for a row as a backend holds it, values all: one with an
@@ -83,11 +128,28 @@ func (b *Builder) AddRow(dims []Value, measure Value) error {
 	return b.Add(dims, m)
 }
 
+// EgdError is Build's ErrFunctional: the violation in Put's words, and which
+// arrival, counted from 0 in Add's order, asserted the second measure.
+type EgdError struct {
+	Arrival int
+	err     error
+}
+
+func (e *EgdError) Error() string { return e.err.Error() }
+func (e *EgdError) Unwrap() error { return e.err }
+
 // Build returns the tuples added as a frozen cube. A dimension tuple that
 // arrived more than once is settled by Put's rule: the first arrival stands
 // where the others assert its measure (up to Eps); where one does not, the
-// error is the ErrFunctional a loop of Put would have stopped at first.
+// error is the ErrFunctional a loop of Put would have stopped at first, as an
+// EgdError.
 func (b *Builder) Build() (*Cube, error) {
+	if b.follow != nil {
+		if b.n == b.follow.Len() {
+			return onKeySet(b.schema, &View{keys: b.follow.keys, measures: b.col}), nil
+		}
+		b.unfollow()
+	}
 	tuples, measures := make([]dimTuple, 0, b.n), make([]float64, 0, b.n)
 	for c := range b.tuples {
 		tuples, measures = append(tuples, b.tuples[c]...), append(measures, b.measures[c]...)
@@ -113,7 +175,7 @@ func settle(name string, tuples []dimTuple, measures []float64) ([]dimTuple, []f
 		arrivals[i] = arrival{m, i}
 	}
 	sortByKeys(tuples, arrivals)
-	var egd error
+	var egd error // nil, not a nil *EgdError
 	egdSeq, out := len(arrivals), 0
 	for i, j := 0, 0; i < len(tuples); i = j {
 		first := i // the run of one key is [i, j); first is its earliest arrival
@@ -125,7 +187,7 @@ func settle(name string, tuples []dimTuple, measures []float64) ([]dimTuple, []f
 		for k := i; k < j; k++ {
 			if a := arrivals[k]; k != first && a.seq < egdSeq {
 				if err := checkEgd(name, tuples[k].dims, arrivals[first].measure, a.measure); err != nil {
-					egd, egdSeq = err, a.seq
+					egd, egdSeq = &EgdError{Arrival: a.seq, err: err}, a.seq
 				}
 			}
 		}

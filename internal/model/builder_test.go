@@ -8,26 +8,81 @@ import (
 	"testing"
 )
 
+// fuzzPredecessor returns the version a Builder under c's schema follows in
+// FuzzBuilder, a frozen cube made from c's tuples: nothing; the same dimension
+// tuples under other measures; the first half of them; all of them and more;
+// all of them but for one in the middle, whose key is another; the same under
+// another schema. Its numbers are of the other kind than c's (Int 3 for
+// Num 3.0): one key, and Dims that show whose they are.
+func fuzzPredecessor(pick uint8, c *Cube) *Cube {
+	ts := byCompare(c)
+	prev := NewCube(c.schema)
+	put := func(x Value, s string, m float64) {
+		if i, isInt := x.AsInt(); isInt && x.Kind() == KindNumber {
+			x = Int(i)
+		} else if isInt {
+			x = Num(float64(i))
+		}
+		if err := prev.Replace([]Value{x, Str(s)}, m); err != nil {
+			panic(err)
+		}
+	}
+	switch pick % 6 {
+	case 0:
+		return nil
+	case 2:
+		ts = ts[:len(ts)/2]
+	case 3:
+		put(Int(-1), "a", 1)
+		put(Int(1000), "z", 2)
+	case 4:
+		if len(ts) > 0 {
+			mid := ts[len(ts)/2].Dims
+			ts = append(ts[:len(ts)/2:len(ts)/2], ts[len(ts)/2+1:]...)
+			put(mid[0], mid[1].str+"\x00", 3)
+		}
+	case 5:
+		prev = NewCube(c.schema.Rename("D"))
+	}
+	for _, tu := range ts {
+		put(tu.Dims[0], tu.Dims[1].str, -tu.Measure-1)
+	}
+	return prev.Freeze()
+}
+
 // FuzzBuilder: tuples arrive in any order, some more than once — with the
 // same measure, one within Eps of it, or another — and with dimension values
-// that differ in kind (Int 3, Num 3.0) where they encode to one key. What
+// that differ in kind (Int 3, Num 3.0) where they encode to one key, at a
+// Builder that follows the predecessor pick chooses (fuzzPredecessor). What
 // Build returns is what a loop of Put over the same arrivals leaves in a
 // mutable cube (the oracle kept here): the same tuples bit for bit, in cube
-// order, the first arrival's Dims; or the same error, to the letter.
+// order; or the same error, to the letter. The arrivals that were the
+// predecessor's first tuples, in its order, stand on the predecessor's Dims,
+// every other tuple on its first arrival's; the version is on the
+// predecessor's key set exactly when they were all of its tuples and nothing
+// else arrived; and the predecessor is left as it was.
 func FuzzBuilder(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 1, 1, 0, 2, 2, 0, 3})          // in order
-	f.Add([]byte{2, 0, 3, 1, 0, 2, 0, 0, 1})          // reversed
-	f.Add([]byte{1, 0, 2, 1, 0, 2})                   // a repeat, same measure
-	f.Add([]byte{1, 0, 2, 1, 4, 2, 0, 0, 7})          // a repeat within Eps, then a lower key
-	f.Add([]byte{5, 0, 2, 4, 0, 1, 4, 8, 1, 5, 8, 2}) // two conflicts: the earlier arrival is named
-	f.Add([]byte{3, 1, 9, 3, 2, 9, 3, 3, 9})          // Int 3 and Num 3.0 are one tuple
-	f.Add([]byte{7, 0, 255, 7, 0, 255})               // NaN is not itself
-	f.Fuzz(func(t *testing.T, script []byte) {
+	for pick := uint8(0); pick < 6; pick++ {
+		f.Add([]byte{}, pick)
+		f.Add([]byte{0, 0, 1, 1, 0, 2, 2, 0, 3, 4, 0, 4, 5, 0, 5}, pick) // in order
+		f.Add([]byte{2, 0, 3, 1, 0, 2, 0, 0, 1}, pick)                   // reversed
+		f.Add([]byte{1, 0, 2, 1, 0, 2}, pick)                            // a repeat, same measure
+		f.Add([]byte{1, 0, 2, 1, 4, 2, 0, 0, 7}, pick)                   // a repeat within Eps, then a lower key
+		f.Add([]byte{5, 0, 2, 4, 0, 1, 4, 8, 1, 5, 8, 2}, pick)          // two conflicts: the earlier arrival is named
+		f.Add([]byte{0, 0, 1, 1, 0, 2, 2, 0, 3, 1, 8, 2}, pick)          // a conflict with a tuple that was followed
+		f.Add([]byte{3, 1, 9, 3, 2, 9, 3, 3, 9}, pick)                   // Int 3 and Num 3.0 are one tuple
+		f.Add([]byte{7, 0, 255, 7, 0, 255}, pick)                        // NaN is not itself
+	}
+	f.Fuzz(func(t *testing.T, script []byte, pick uint8) {
 		sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "s", Type: TString}}, "m")
-		oracle, b := NewCube(sch), NewBuilder(sch)
+		type arrival struct {
+			at   int
+			dims []Value
+			m    float64
+		}
+		var arrivals []arrival
+		oracle := NewCube(sch)
 		var want error
-		inOrder, last := true, -1
 		for ; len(script) >= 3; script = script[3:] {
 			at, how, m := int(script[0]), script[1], float64(script[2])
 			x := Int(int64(at / 3))
@@ -46,15 +101,37 @@ func FuzzBuilder(f *testing.F) {
 			if want == nil {
 				want = oracle.Put(dims, m)
 			}
-			if err := b.Add(dims, m); err != nil {
+			arrivals = append(arrivals, arrival{at, dims, m})
+		}
+
+		prev := fuzzPredecessor(pick, oracle)
+		var prevTuples []Tuple
+		if prev != nil {
+			prevTuples = prev.Tuples()
+		}
+		b := NewBuilderOn(prev, sch)
+		inOrder, last := true, -1
+		followed := 0 // the arrivals that were prev's first tuples
+		for i, a := range arrivals {
+			if err := b.Add(a.dims, a.m); err != nil {
 				t.Fatal(err)
 			}
-			inOrder, last = inOrder && at > last, at
+			inOrder, last = inOrder && a.at > last, a.at
 			if b.InOrder() != inOrder {
-				t.Fatalf("InOrder = %v after %d, want %v", b.InOrder(), at, inOrder)
+				t.Fatalf("InOrder = %v after %d, want %v", b.InOrder(), a.at, inOrder)
+			}
+			if followed == i && i < len(prevTuples) && prev.schema.Equal(sch) && EncodeKey(a.dims) == EncodeKey(prevTuples[i].Dims) {
+				followed++
 			}
 		}
 		got, err := b.Build()
+		if prev != nil {
+			for i, tu := range prev.Tuples() {
+				if &tu.Dims[0] != &prevTuples[i].Dims[0] || compareDims(tu.Dims, prevTuples[i].Dims) != 0 || math.Float64bits(tu.Measure) != math.Float64bits(prevTuples[i].Measure) {
+					t.Fatalf("the predecessor's tuple %d is now %v", i, tu)
+				}
+			}
+		}
 		if want != nil {
 			if got != nil || err == nil || err.Error() != want.Error() || !errors.Is(err, ErrFunctional) {
 				t.Fatalf("Build: %v, %v\nwant: %v", got, err, want)
@@ -69,9 +146,19 @@ func FuzzBuilder(f *testing.F) {
 		}
 		ts := got.Tuples()
 		sameTuplesBits(t, ts, byCompare(oracle))
+		if all := prev != nil && prev.schema.Equal(sch) && followed == len(arrivals) && followed == len(prevTuples); prev != nil && got.SharesKeySet(prev) != all {
+			t.Fatalf("on the predecessor's key set: %v; followed %d of %d arrivals through %d tuples", got.SharesKeySet(prev), followed, len(arrivals), len(prevTuples))
+		}
+		theirs := make(map[string]*Value)
+		for _, tu := range prevTuples[:followed] {
+			theirs[EncodeKey(tu.Dims)] = &tu.Dims[0]
+		}
 		for _, tu := range ts {
-			if k := oracle.rows[EncodeKey(tu.Dims)]; k.Dims[0].Kind() != tu.Dims[0].Kind() {
-				t.Fatalf("%v is not the first arrival's Dims (%v)", tu.Dims, k.Dims[0].Kind())
+			k := EncodeKey(tu.Dims)
+			if p := theirs[k]; p != nil && p != &tu.Dims[0] {
+				t.Fatalf("%v was followed and is not on the predecessor's Dims", tu.Dims)
+			} else if first := oracle.rows[k]; p == nil && first.Dims[0].Kind() != tu.Dims[0].Kind() {
+				t.Fatalf("%v is not the first arrival's Dims (%v)", tu.Dims, first.Dims[0].Kind())
 			}
 		}
 	})

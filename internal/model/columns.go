@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -12,13 +13,15 @@ import (
 
 // keySet is the part of a version that its measures play no part in: the
 // dimension tuples in cube order, each with its row key, and a key → row index
-// built on the first probe. It is immutable and shared by reference, by every
-// version Revise, Apply or Derive found to hold the same dimension tuples.
+// built once probing has earned it (see row). It is immutable and shared by
+// reference, by every version Revise, Apply, Derive or a following Builder
+// found to hold the same dimension tuples.
 type keySet struct {
 	tuples []dimTuple
 	once   sync.Once
-	index  map[string]int // tuples[i].key → i; read through rows
-	est    atomic.Int64   // memEstimate's cache (0 = not estimated yet)
+	index  atomic.Pointer[map[string]int] // tuples[i].key → i; read through row
+	probes atomic.Int64                   // what row has searched for so far
+	est    atomic.Int64                   // memEstimate's cache (0 = not estimated yet)
 }
 
 // dimTuple is one dimension tuple: the Dims its tuples show, and its row key.
@@ -44,15 +47,38 @@ func (p *View) Len() int { return len(p.measures) }
 // own and must be left untouched.
 func (p *View) Tuple(i int) Tuple { return Tuple{p.keys.tuples[i].dims, p.measures[i]} }
 
-// rows returns the key set's key → row index, building it on the first call.
-func (ks *keySet) rows() map[string]int {
-	ks.once.Do(func() {
-		ks.index = make(map[string]int, len(ks.tuples))
-		for i, t := range ks.tuples {
-			ks.index[t.key] = i
+// row returns the row of the tuple with the key, if the key set has it. A
+// handful of probes — a replayed delta, the points a maintained output
+// recomputes — are binary searches of the ordered keys: a key set an insert
+// has just made is not hashed for them. The index is built once the searches
+// have compared as many keys as it holds, which a caller that probes every
+// row reaches early in its first scan, and serves every probe from then on.
+func (ks *keySet) row(key []byte) (int, bool) {
+	index := ks.index.Load()
+	if index == nil {
+		n := len(ks.tuples)
+		if int(ks.probes.Add(1))*bits.Len(uint(n)) <= n {
+			lo, hi := 0, n // a loop of its own: key, a caller's stack buffer, goes nowhere
+			for lo < hi {
+				if mid := int(uint(lo+hi) >> 1); ks.tuples[mid].key < string(key) {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			return lo, lo < n && ks.tuples[lo].key == string(key)
 		}
-	})
-	return ks.index
+		ks.once.Do(func() {
+			index := make(map[string]int, n)
+			for i, t := range ks.tuples {
+				index[t.key] = i
+			}
+			ks.index.Store(&index)
+		})
+		index = ks.index.Load()
+	}
+	i, ok := (*index)[string(key)]
+	return i, ok
 }
 
 // keySetTupleBytes is what memEstimate charges a key set per tuple beside
@@ -178,12 +204,11 @@ func (c *Cube) Apply(added, changed, deleted []Tuple) (*Cube, error) {
 	}
 	p := c.View()
 	if len(added) == 0 && len(deleted) == 0 {
-		rows := p.keys.rows()
 		q := &View{keys: p.keys, measures: slices.Clone(p.measures)}
 		last := -1
 		var buf [keyBufSize]byte
 		for _, t := range changed {
-			i, ok := rows[string(AppendKey(buf[:0], t.Dims))]
+			i, ok := p.keys.row(AppendKey(buf[:0], t.Dims))
 			switch {
 			case !ok:
 				return nil, misfit("changes", t, ", which the base lacks")

@@ -257,13 +257,23 @@ func TestReviseSharesTheKeySet(t *testing.T) {
 	if got := DiffSmall("C", prev, asColumnsOn(t, prev, negated(prev))); got != nil {
 		t.Errorf("DiffSmall of columns that differ everywhere = %d tuples, want nil", got.Size())
 	}
-	// Revising, scanning and diffing versions on one key set need no
-	// index; the first probe by key builds the one they all share.
-	if prev.View().keys.index != nil {
-		t.Error("something probed the key set's index")
+	// Revising, scanning and diffing versions on one key set need no index,
+	// and a probe by key is a search; probing every tuple builds the one
+	// index they all share.
+	if _, ok := d2.Current.Get([]Value{Int(50), Str("r")}); !ok || !rev2.Equal(d2.Current, 0) {
+		t.Error("the second revision lacks what was put")
 	}
-	if _, ok := d2.Current.Get([]Value{Int(50), Str("r")}); !ok || !rev2.Equal(d2.Current, 0) || v1.View().keys.index == nil {
-		t.Error("probing the second revision by key did not build the index its predecessors share")
+	if prev.View().keys.index.Load() != nil {
+		t.Error("something built the key set's index")
+	}
+	_ = d2.Current.Ordered(func(tu Tuple) error {
+		if m, ok := d2.Current.Get(tu.Dims); !ok || m != tu.Measure {
+			t.Errorf("Get(%v) = %v, %v, want %v", tu.Dims, m, ok, tu.Measure)
+		}
+		return nil
+	})
+	if _, ok := d2.Current.Get([]Value{Int(50), Str("nowhere")}); ok || v1.View().keys.index.Load() == nil {
+		t.Error("probing every tuple of the second revision did not build the index its predecessors share")
 	}
 }
 

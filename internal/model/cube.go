@@ -134,7 +134,7 @@ func (c *Cube) Get(dims []Value) (float64, bool) {
 	key := AppendKey(buf[:0], dims)
 	if c.Frozen() {
 		p := c.View()
-		if i, ok := p.keys.rows()[string(key)]; ok {
+		if i, ok := p.keys.row(key); ok {
 			return p.measures[i], true
 		}
 		return 0, false

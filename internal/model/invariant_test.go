@@ -73,6 +73,15 @@ func TestFrozenIsColumnsAndNothingElse(t *testing.T) {
 	check("Builder in order", c, err)
 	c, err = out.Build()
 	check("Builder out of order", c, err)
+	followed, left := model.NewBuilderOn(c, gSchema), model.NewBuilderOn(c, gSchema)
+	for i := 0; i < 8; i++ {
+		_ = followed.Add([]model.Value{quarter(i)}, 2)
+		_ = left.Add([]model.Value{quarter(i + i/4)}, 2)
+	}
+	c, err = followed.Build()
+	check("Builder that follows its predecessor", c, err)
+	c, err = left.Build()
+	check("Builder that leaves its predecessor halfway", c, err)
 	check("Freeze", s.Clone().Freeze(), nil)
 	base := check("Snapshot", s.Snapshot(), nil)
 	if s.Frozen() || model.OnlyColumns(s) {
@@ -104,8 +113,11 @@ func TestFrozenIsColumnsAndNothingElse(t *testing.T) {
 	if err := store.WriteCSV(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	c, err = store.ReadCSV(&buf, sSchema)
+	body := buf.Bytes()
+	c, err = store.ReadCSV(bytes.NewReader(body), sSchema)
 	check("ReadCSV", c, err)
+	c, err = store.ReadCSVOn(c, bytes.NewReader(body), sSchema)
+	check("ReadCSVOn its predecessor", c, err)
 	dir := t.TempDir()
 	st, err := durable.Open(dir)
 	if err != nil {

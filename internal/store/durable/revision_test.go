@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"exlengine/internal/model"
@@ -148,5 +149,47 @@ func TestRecoveredHistorySharesKeySets(t *testing.T) {
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestReplayableHashesNoKeySet: a step that inserts a period into a 200k-tuple
+// cube makes a key set, and checking that its delta would replay — a probe or
+// two per listed tuple, of both ends — neither builds an index of that key set
+// nor allocates anything else: a probe is a search of the ordered keys.
+func TestReplayableHashesNoKeySet(t *testing.T) {
+	const periods, regions = 10000, 20
+	sch := model.NewSchema("G", []model.Dim{{Name: "t", Type: model.TDay}, {Name: "r", Type: model.TInt}}, "v")
+	b := model.NewBuilder(sch)
+	day := func(i int) model.Value { return model.Per(model.NewDaily(1990, 1, 1).Shift(int64(i))) }
+	for i := 0; i < periods*regions; i++ {
+		if err := b.Add([]model.Value{day(i / regions), model.Int(int64(i % regions))}, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &model.CubeDelta{Name: "G", Base: base}
+	for r := 0; r < regions; r++ {
+		d.Added = append(d.Added, model.Tuple{Dims: []model.Value{day(periods), model.Int(int64(r))}, Measure: 1})
+	}
+	for _, i := range []int{0, 77777, periods*regions - 1} {
+		tu := base.View().Tuple(i)
+		d.Changed = append(d.Changed, model.Tuple{Dims: tu.Dims, Measure: -1})
+	}
+	if d.Current, err = base.Apply(d.Added, d.Changed, nil); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ok := replayable(d)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; !ok || allocs != 0 {
+		t.Errorf("replayable: %v, allocating %d times (%d B) for %d probes of %d tuples", ok, allocs, after.TotalAlloc-before.TotalAlloc, 2*d.Size(), base.Len())
+	}
+	d.Changed[1].Measure = 2
+	if replayable(d) {
+		t.Error("a delta that restates a tuple to what its end does not hold is replayable")
 	}
 }

@@ -301,3 +301,54 @@ func BenchmarkPutRevision(b *testing.B) {
 		sinkGen = s.Generation()
 	}
 }
+
+// csvRevision returns a store that holds a PDR-shaped cube of n tuples and the
+// body of a revision of it: the same dimension tuples, every hundredth restated.
+func csvRevision(tb testing.TB, n int) (*Store, []byte) {
+	s := New()
+	if err := s.Put(pdrCube(n), day(0)); err != nil {
+		tb.Fatal(err)
+	}
+	base, _ := s.Get("PDR")
+	var body bytes.Buffer
+	if err := WriteCSV(&body, revised(base, base.Tuples(), 1).Freeze()); err != nil {
+		tb.Fatal(err)
+	}
+	return s, body.Bytes()
+}
+
+// BenchmarkReadCSVRevision: what a CSV PUT of a revision costs, decode and
+// store — a 40k-tuple PDR body read onto its predecessor's key set, then Put.
+func BenchmarkReadCSVRevision(b *testing.B) {
+	s, body := csvRevision(b, 40000)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		latest, _ := s.Get("PDR")
+		c, err := ReadCSVOn(latest, bytes.NewReader(body), latest.Schema())
+		if err != nil || !c.SharesKeySet(latest) {
+			b.Fatalf("read onto the predecessor: %v", err)
+		}
+		if err := s.Put(c, day(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadCSVFirstLoad: the same body with no predecessor — the decoder
+// alone, and a key set made from the file.
+func BenchmarkReadCSVFirstLoad(b *testing.B) {
+	s, body := csvRevision(b, 40000)
+	sch, _ := s.Schema("PDR")
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := ReadCSV(bytes.NewReader(body), sch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkGen = uint64(c.Len())
+	}
+}

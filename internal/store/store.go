@@ -10,13 +10,9 @@
 package store
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -485,108 +481,4 @@ func (s *Store) Delta(name string, sinceGen uint64) (*model.CubeDelta, error) {
 		return cur.delta, nil
 	}
 	return model.DiffCubes(name, base, cur.cube), nil
-}
-
-// WriteCSV exports a cube: a header of dimension names plus the measure,
-// then one row per tuple in deterministic order.
-//
-// Non-finite measures (NaN, ±Inf) are rejected: a cube is a partial
-// function into the reals, undefined points are represented by absent
-// tuples rather than sentinel floats, and a NaN that slipped into a cube
-// would otherwise round-trip through text ("NaN" parses back) and poison
-// later comparisons, where NaN != NaN hides the corruption.
-//
-// The whole cube is validated before the first byte is written: callers
-// stream WriteCSV straight into HTTP response bodies, and a mid-stream
-// rejection there would arrive after a 200 status and half a body — a
-// torn response the client cannot distinguish from success. Validation
-// failure must happen while the caller can still choose an error path.
-func WriteCSV(w io.Writer, c *model.Cube) error {
-	sch := c.Schema()
-	err := c.Ordered(func(tu model.Tuple) error {
-		if math.IsNaN(tu.Measure) || math.IsInf(tu.Measure, 0) {
-			return fmt.Errorf("store: cube %s has non-finite measure %v at %v; undefined points must be absent tuples, not NaN/Inf",
-				sch.Name, tu.Measure, tu.Dims)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	cw := csv.NewWriter(w)
-	header := append(append([]string(nil), sch.DimNames()...), sch.Measure)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	err = c.Ordered(func(tu model.Tuple) error {
-		rec := make([]string, 0, len(header))
-		for _, d := range tu.Dims {
-			rec = append(rec, d.String())
-		}
-		rec = append(rec, strconv.FormatFloat(tu.Measure, 'g', -1, 64))
-		return cw.Write(rec)
-	})
-	if err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV imports a cube under the given schema, frozen. The header must name
-// the schema's dimensions (in order) followed by the measure. Rows in cube
-// order, as WriteCSV writes them, are neither hashed nor sorted
-// (model.Builder).
-func ReadCSV(r io.Reader, sch model.Schema) (*model.Cube, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("store: reading CSV header: %w", err)
-	}
-	want := append(append([]string(nil), sch.DimNames()...), sch.Measure)
-	if len(header) != len(want) {
-		return nil, fmt.Errorf("store: CSV header %v does not match schema %s", header, sch)
-	}
-	for i, h := range header {
-		if h != want[i] {
-			return nil, fmt.Errorf("store: CSV column %d is %q, want %q", i, h, want[i])
-		}
-	}
-	b := model.NewBuilder(sch)
-	dims := make([]model.Value, len(sch.Dims)) // reused line after line: Add copies what it keeps
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			c, err := b.Build()
-			if err != nil {
-				return nil, fmt.Errorf("store: CSV: %w", err)
-			}
-			return c, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("store: reading CSV: %w", err)
-		}
-		line++
-		for i, d := range sch.Dims {
-			v, err := model.ParseValue(rec[i], d.Type)
-			if err != nil {
-				return nil, fmt.Errorf("store: CSV line %d, column %s: %w", line, d.Name, err)
-			}
-			dims[i] = v
-		}
-		mv, err := strconv.ParseFloat(rec[len(rec)-1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("store: CSV line %d: bad measure %q", line, rec[len(rec)-1])
-		}
-		// Mirror WriteCSV: "NaN"/"Inf" parse as floats but are not legal
-		// measures, so reject them at the boundary instead of letting them
-		// contaminate the cube.
-		if math.IsNaN(mv) || math.IsInf(mv, 0) {
-			return nil, fmt.Errorf("store: CSV line %d: non-finite measure %q; undefined points must be absent rows, not NaN/Inf", line, rec[len(rec)-1])
-		}
-		if err := b.Add(dims, mv); err != nil {
-			return nil, fmt.Errorf("store: CSV line %d: %w", line, err)
-		}
-	}
 }

@@ -40,7 +40,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // maxJSONBody bounds every JSON request body. Cube uploads are CSV and
-// are governed by the tenant's memory budget instead.
+// are bounded by the tenant's memory budget instead (handleCubePut).
 const maxJSONBody = 1 << 20
 
 // decodeJSON reads the request's JSON body into v, refusing to read more
@@ -51,13 +51,21 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err == nil {
 		return true
 	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-	} else {
+	if !writeTooLarge(w, err) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	return false
+}
+
+// writeTooLarge answers 413 if err says that a request body passed the bound
+// http.MaxBytesReader put on it, and reports whether it did.
+func writeTooLarge(w http.ResponseWriter, err error) bool {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		return false
+	}
+	writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	return true
 }
 
 // writeEngineError maps an engine error onto HTTP: shutdown → 503,
@@ -300,6 +308,8 @@ func (s *Server) handleCubeList(w http.ResponseWriter, r *http.Request, sess *se
 
 // handleCubePut loads a cube version from a CSV request body under the
 // cube's declared schema. Optional ?as_of=RFC3339 backdates the version.
+// Where tenants have a memory budget (Config.MemBudget), that is also the
+// longest body accepted: 413 past it, and nothing stored.
 func (s *Server) handleCubePut(w http.ResponseWriter, r *http.Request, sess *session) {
 	name := r.PathValue("name")
 	asOf, err := parseAsOf(r, time.Now())
@@ -307,7 +317,14 @@ func (s *Server) handleCubePut(w http.ResponseWriter, r *http.Request, sess *ses
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := sess.tenant.eng.LoadCSV(name, r.Body, asOf); err != nil {
+	body := r.Body
+	if s.cfg.MemBudget > 0 {
+		body = http.MaxBytesReader(w, body, s.cfg.MemBudget)
+	}
+	if err := sess.tenant.eng.LoadCSV(name, body, asOf); err != nil {
+		if writeTooLarge(w, err) {
+			return
+		}
 		status := http.StatusUnprocessableEntity
 		switch {
 		case errors.Is(err, engine.ErrCubeNotDeclared):

@@ -485,6 +485,33 @@ func (a *countingAuth) Authenticate(token, tenant string) error {
 	return nil
 }
 
+// TestOversizedCSVBodyRejected: a tenant's memory budget is also the longest
+// CSV body a cube PUT reads. One byte more — of well-formed rows, so nothing
+// but its size is wrong with it — is refused with 413 and the typed error
+// body, and the cube is left as it was; a body within the budget is stored.
+func TestOversizedCSVBodyRejected(t *testing.T) {
+	big := testCSV(t, 2, 3000)
+	_, base := newTestServer(t, Config{MemBudget: int64(len(big)) - 1})
+	sid := setupTenant(t, base, "alpha", 1, 6)
+	_, before := doReq(t, http.MethodGet, base+"/v1/cubes/SRC", sid, "", nil)
+
+	status, body := doReq(t, http.MethodPut, base+"/v1/cubes/SRC", sid, "text/csv", big)
+	var e apiError
+	if err := json.Unmarshal(body, &e); status != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+		t.Fatalf("put of %d bytes under a budget one short: status %d, body %q; want 413 with a JSON error", len(big), status, body)
+	}
+	if _, after := doReq(t, http.MethodGet, base+"/v1/cubes/SRC", sid, "", nil); !bytes.Equal(after, before) {
+		t.Fatalf("the refused put changed SRC:\n%s", after)
+	}
+	within := testCSV(t, 2, 2999)
+	if status, body := doReq(t, http.MethodPut, base+"/v1/cubes/SRC", sid, "text/csv", within); status != http.StatusOK {
+		t.Fatalf("put within the budget: status %d (%s)", status, body)
+	}
+	if _, after := doReq(t, http.MethodGet, base+"/v1/cubes/SRC", sid, "", nil); !bytes.Equal(after, within) {
+		t.Fatal("SRC is not the body put within the budget")
+	}
+}
+
 // TestOversizedJSONBodyRejected: each JSON endpoint refuses a 2 MiB body
 // — well-formed, so nothing but its size is wrong with it — with 413 and
 // the typed error body, before authenticating and without creating the
