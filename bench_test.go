@@ -13,11 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"exlengine/internal/backend"
 	"exlengine/internal/chase"
 	"exlengine/internal/engine"
 	"exlengine/internal/etl"
 	"exlengine/internal/exl"
-	"exlengine/internal/frame"
 	"exlengine/internal/mapping"
 	"exlengine/internal/matlabgen"
 	"exlengine/internal/model"
@@ -137,59 +137,11 @@ func BenchmarkE5_EndToEnd(b *testing.B) {
 
 func runTarget(b *testing.B, target ops.Target, m *mapping.Mapping, data workload.Data) map[string]*model.Cube {
 	b.Helper()
-	switch target {
-	case ops.TargetChase:
-		sol, err := chase.New(m).Solve(chase.Instance(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sol
-	case ops.TargetSQL:
-		db := sqlengine.NewDB()
-		for _, name := range m.Elementary {
-			if err := db.LoadCube(data[name]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		script, err := sqlgen.Translate(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sqlgen.Execute(script, db); err != nil {
-			b.Fatal(err)
-		}
-		out := make(map[string]*model.Cube)
-		for _, rel := range m.Derived {
-			c, err := db.ExtractCube(m.Schemas[rel])
-			if err != nil {
-				b.Fatal(err)
-			}
-			out[rel] = c
-		}
-		return out
-	case ops.TargetETL:
-		job, err := etl.Translate(m, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := etl.Run(job, m, data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return out
-	case ops.TargetFrame:
-		script, err := frame.Translate(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := frame.Execute(script, m, data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return out
+	out, err := backend.Run(context.Background(), target, m, data)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Fatalf("unknown target %s", target)
-	return nil
+	return out
 }
 
 // BenchmarkE6_TargetComparison runs the full GDP program on every target

@@ -19,11 +19,11 @@ import (
 	"strings"
 	"time"
 
+	"exlengine/internal/backend"
 	"exlengine/internal/chase"
 	"exlengine/internal/engine"
 	"exlengine/internal/etl"
 	"exlengine/internal/exl"
-	"exlengine/internal/frame"
 	"exlengine/internal/mapping"
 	"exlengine/internal/matlabgen"
 	"exlengine/internal/model"
@@ -94,32 +94,24 @@ func compile(src string) (*mapping.Mapping, error) {
 	return mapping.Generate(a)
 }
 
-func e1() {
-	fmt.Print(compileGDP().String())
-}
+func e1() { render(backend.ArtifactTgds) }
 
-func e2() {
-	script, err := sqlgen.Translate(compileGDP())
+// render prints one artifact of the GDP mapping.
+func render(kind string) {
+	out, err := backend.Render(kind, compileGDP(), "gdp")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Print(script.String())
+	fmt.Print(out)
 }
+
+func e2() { render(backend.ArtifactSQL) }
 
 func e3() {
-	m := compileGDP()
-	r, err := rgen.Translate(m)
-	if err != nil {
-		panic(err)
-	}
-	ml, err := matlabgen.Translate(m)
-	if err != nil {
-		panic(err)
-	}
 	fmt.Println("-- R --")
-	fmt.Print(r)
+	render(backend.ArtifactR)
 	fmt.Println("-- Matlab --")
-	fmt.Print(ml)
+	render(backend.ArtifactMatlab)
 }
 
 func e4() {
@@ -209,7 +201,7 @@ func e6() {
 			var result map[string]*model.Cube
 			d := timeIt(func() {
 				var err error
-				result, err = runOn(target, m, data)
+				result, err = backend.Run(context.Background(), target, m, data)
 				if err != nil {
 					panic(err)
 				}
@@ -223,53 +215,6 @@ func e6() {
 		}
 	}
 	fmt.Println("all targets produced identical derived cubes (checked against the chase)")
-}
-
-func runOn(target ops.Target, m *mapping.Mapping, data workload.Data) (map[string]*model.Cube, error) {
-	switch target {
-	case ops.TargetChase:
-		sol, err := chase.New(m).Solve(chase.Instance(data))
-		if err != nil {
-			return nil, err
-		}
-		return sol, nil
-	case ops.TargetSQL:
-		db := sqlengine.NewDB()
-		for _, name := range m.Elementary {
-			if err := db.LoadCube(data[name]); err != nil {
-				return nil, err
-			}
-		}
-		script, err := sqlgen.Translate(m)
-		if err != nil {
-			return nil, err
-		}
-		if err := sqlgen.Execute(script, db); err != nil {
-			return nil, err
-		}
-		out := make(map[string]*model.Cube)
-		for _, rel := range m.Derived {
-			c, err := db.ExtractCube(m.Schemas[rel])
-			if err != nil {
-				return nil, err
-			}
-			out[rel] = c
-		}
-		return out, nil
-	case ops.TargetETL:
-		job, err := etl.Translate(m, "bench")
-		if err != nil {
-			return nil, err
-		}
-		return etl.Run(job, m, data)
-	case ops.TargetFrame:
-		script, err := frame.Translate(m)
-		if err != nil {
-			return nil, err
-		}
-		return frame.Execute(script, m, data)
-	}
-	return nil, fmt.Errorf("unknown target %s", target)
 }
 
 func e7() {
@@ -296,7 +241,7 @@ func e7() {
 	})
 	m := compileGDP()
 	execute := timeIt(func() {
-		if _, err := runOn(ops.TargetSQL, m, data); err != nil {
+		if _, err := backend.Run(context.Background(), ops.TargetSQL, m, data); err != nil {
 			panic(err)
 		}
 	})

@@ -19,10 +19,9 @@ import (
 	"os"
 
 	"exlengine"
+	"exlengine/internal/backend"
 	"exlengine/internal/etl"
 	"exlengine/internal/mapping"
-	"exlengine/internal/matlabgen"
-	"exlengine/internal/rgen"
 	"exlengine/internal/sqlgen"
 )
 
@@ -64,35 +63,25 @@ func main() {
 	}
 }
 
+// render emits the artifact: backend.Render's kinds, plus the two that take
+// what only exlc offers — SQL with auxiliaries as views, and the ETL job as
+// a readable summary.
 func render(m *mapping.Mapping, kind string, views bool) (string, error) {
-	switch kind {
-	case "tgds":
-		return m.String(), nil
-	case "sql":
-		script, err := sqlgen.TranslateWith(m, sqlgen.Options{AuxAsViews: views})
+	switch {
+	case kind == "sql" && views:
+		script, err := sqlgen.TranslateWith(m, sqlgen.Options{AuxAsViews: true})
 		if err != nil {
 			return "", err
 		}
 		return script.String(), nil
-	case "r":
-		return rgen.Translate(m)
-	case "matlab":
-		return matlabgen.Translate(m)
-	case "etl":
-		job, err := etl.Translate(m, "exlc")
-		if err != nil {
-			return "", err
-		}
-		raw, err := job.MarshalMetadata()
-		return string(raw), err
-	case "summary":
+	case kind == "summary":
 		job, err := etl.Translate(m, "exlc")
 		if err != nil {
 			return "", err
 		}
 		return job.Summary(), nil
 	default:
-		return "", fmt.Errorf("unknown artifact kind %q", kind)
+		return backend.Render(kind, m, "exlc")
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"context"
 	"io"
 
+	"exlengine/internal/backend"
 	"exlengine/internal/dispatch"
 	"exlengine/internal/engine"
 	"exlengine/internal/exl"
@@ -245,11 +246,11 @@ const (
 
 // Artifact kinds accepted by Engine.Translate.
 const (
-	ArtifactTgds   = engine.ArtifactTgds
-	ArtifactSQL    = engine.ArtifactSQL
-	ArtifactR      = engine.ArtifactR
-	ArtifactMatlab = engine.ArtifactMatlab
-	ArtifactETL    = engine.ArtifactETL
+	ArtifactTgds   = backend.ArtifactTgds
+	ArtifactSQL    = backend.ArtifactSQL
+	ArtifactR      = backend.ArtifactR
+	ArtifactMatlab = backend.ArtifactMatlab
+	ArtifactETL    = backend.ArtifactETL
 )
 
 // Dimension type constructors.

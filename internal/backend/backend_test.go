@@ -1,0 +1,211 @@
+package backend
+
+import (
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"exlengine/internal/exl"
+	"exlengine/internal/exlerr"
+	"exlengine/internal/mapping"
+	"exlengine/internal/model"
+	"exlengine/internal/ops"
+	"exlengine/internal/sqlgen"
+	"exlengine/internal/workload"
+)
+
+func compile(t *testing.T, src string) *mapping.Mapping {
+	t.Helper()
+	prog, err := exl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := exl.Analyze(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mapping.Generate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func annual(t *testing.T, name string, from, to int, base float64) *model.Cube {
+	t.Helper()
+	c := model.NewCube(model.NewSchema(name, []model.Dim{{Name: "t", Type: model.TYear}}, "v"))
+	for y := from; y <= to; y++ {
+		if err := c.Put([]model.Value{model.Per(model.NewAnnual(y))}, base+float64(y-from)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// nonFunctional is a projection that drops a dimension without aggregating,
+// over an instance where that makes B[1990-Q1] both 1 and 2.
+func nonFunctional(t *testing.T) (*mapping.Mapping, map[string]*model.Cube) {
+	t.Helper()
+	m := &mapping.Mapping{
+		Schemas: map[string]model.Schema{
+			"A": model.NewSchema("A", []model.Dim{{Name: "q", Type: model.TQuarter}, {Name: "r", Type: model.TString}}, "v"),
+			"B": model.NewSchema("B", []model.Dim{{Name: "q", Type: model.TQuarter}}, "v"),
+		},
+		Elementary: []string{"A"},
+		Derived:    []string{"B"},
+		Tgds: []*mapping.Tgd{{
+			ID: "proj", Kind: mapping.TupleLevel,
+			Lhs:     []mapping.Atom{{Rel: "A", Dims: []mapping.DimTerm{mapping.V("q"), mapping.V("r")}, MVar: "v"}},
+			Rhs:     mapping.Atom{Rel: "B", Dims: []mapping.DimTerm{mapping.V("q")}},
+			Measure: mapping.MV("v"),
+		}},
+	}
+	a := model.NewCube(m.Schemas["A"])
+	for i, r := range []string{"R0", "R1"} {
+		if err := a.Put([]model.Value{model.Per(model.NewQuarterly(1990, 1)), model.Str(r)}, float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, map[string]*model.Cube{"A": a}
+}
+
+// TestRunOnEveryTarget is the contract of Run, target by target: the result
+// is exactly m.Derived and equals the chase solution; a missing elementary
+// cube is the empty relation; what a target cannot express is a typed
+// refusal; an egd violation is the same typed error naming the same tuple;
+// a cancelled context is a cancellation and leaves no goroutine behind.
+func TestRunOnEveryTarget(t *testing.T) {
+	egdM, egdData := nonFunctional(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	gdp := compile(t, workload.GDPProgram)
+	gdpData := workload.GDPSource(workload.GDPConfig{Days: 200, Regions: 3})
+
+	everywhere := func(is func(error) bool) func(ops.Target) func(error) bool {
+		return func(ops.Target) func(error) bool { return is }
+	}
+	cases := []struct {
+		name string
+		ctx  context.Context
+		m    *mapping.Mapping
+		data map[string]*model.Cube
+		// wantErr gives what tells the error a target must fail with, or
+		// nil for a target that must succeed (every target, when unset).
+		wantErr func(ops.Target) func(error) bool
+	}{
+		{name: "gdp", m: gdp, data: gdpData},
+		{
+			name: "padded vector",
+			m:    compile(t, "cube A(t: year) measure v\ncube B(t: year) measure v\nS := vsum0(A, B)\nD := vsub0(A, B) * 2"),
+			data: map[string]*model.Cube{"A": annual(t, "A", 2000, 2004, 10), "B": annual(t, "B", 2002, 2006, 100)},
+			wantErr: func(target ops.Target) func(error) bool {
+				if target != ops.TargetSQL {
+					return nil
+				}
+				return func(err error) bool {
+					return errors.Is(err, sqlgen.ErrUntranslatable) && exlerr.ClassOf(err) == exlerr.Fatal
+				}
+			},
+		},
+		{
+			name: "series",
+			m:    compile(t, "cube S(t: month) measure v\nT := stl_t(S)\nC := cumsum(S)\nM := movavg(T, 3)"),
+			data: map[string]*model.Cube{"S": workload.Series(workload.SeriesConfig{
+				Name: "S", Freq: model.Monthly, N: 60, Trend: 0.5, SeasonAmp: 10, NoiseAmp: 1, Seed: 3})},
+		},
+		{
+			name: "egd violation", m: egdM, data: egdData,
+			wantErr: everywhere(func(err error) bool {
+				return errors.Is(err, model.ErrFunctional) && exlerr.ClassOf(err) == exlerr.EgdViolation &&
+					strings.HasSuffix(err.Error(), "model: functional dependency violation (egd): B[1990-Q1] has values 1 and 2")
+			}),
+		},
+		{
+			name: "missing elementary cube",
+			m:    compile(t, "cube A(t: year) measure v\ncube B(t: year) measure v\nS := A + B\nN := A * 2\nK := count(B)"),
+			data: map[string]*model.Cube{"A": annual(t, "A", 2000, 2004, 10)},
+		},
+		{name: "cancelled", ctx: cancelled, m: gdp, data: gdpData, wantErr: everywhere(exlerr.IsCancellation)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			ref, _ := Run(context.Background(), ops.TargetChase, tc.m, tc.data)
+			for _, target := range ops.AllTargets {
+				got, err := Run(ctx, target, tc.m, tc.data)
+				if tc.wantErr != nil {
+					if is := tc.wantErr(target); is != nil {
+						if !is(err) || got != nil {
+							t.Errorf("%s: error %v with result %v is not the failure this case wants", target, err, got)
+						}
+						continue
+					}
+				}
+				if err != nil {
+					t.Errorf("%s: %v", target, err)
+					continue
+				}
+				if len(got) != len(tc.m.Derived) {
+					t.Errorf("%s returned %d cubes, want exactly the %d of m.Derived", target, len(got), len(tc.m.Derived))
+				}
+				tol := 1e-6
+				if target == ops.TargetChase {
+					tol = 0
+				}
+				for _, rel := range tc.m.Derived {
+					if got[rel] == nil {
+						t.Errorf("%s: missing %s", target, rel)
+					} else if !got[rel].Equal(ref[rel], tol) {
+						t.Errorf("%s: %s differs from the chase:\n%s", target, rel,
+							strings.Join(got[rel].Diff(ref[rel], tol, 5), "\n"))
+					}
+				}
+			}
+			// Every goroutine a target started (ETL's streaming steps) has
+			// exited, or does so as soon as it is scheduled.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines left behind", n-before)
+			}
+		})
+	}
+}
+
+func TestRunUnknownTarget(t *testing.T) {
+	if _, err := Run(context.Background(), "cobol", compile(t, workload.GDPProgram), nil); err == nil {
+		t.Error("unknown target must fail")
+	}
+}
+
+// TestRenderGolden holds every artifact kind to what engine.Translate
+// returned for the GDP program before Render existed.
+func TestRenderGolden(t *testing.T) {
+	m := compile(t, workload.GDPProgram)
+	for _, kind := range []string{ArtifactTgds, ArtifactSQL, ArtifactR, ArtifactMatlab, ArtifactETL} {
+		want, err := os.ReadFile(filepath.Join("testdata", "gdp."+kind+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Render(kind, m, "gdp")
+		if err != nil {
+			t.Errorf("%s: %v", kind, err)
+		} else if got != string(want) {
+			t.Errorf("%s differs from the golden:\n%s", kind, got)
+		}
+	}
+	if _, err := Render("cobol", m, "gdp"); err == nil {
+		t.Error("unknown artifact kind must fail")
+	}
+}

@@ -5,18 +5,19 @@
 package crosscheck
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"exlengine/internal/backend"
 	"exlengine/internal/chase"
-	"exlengine/internal/etl"
 	"exlengine/internal/exl"
-	"exlengine/internal/frame"
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
-	"exlengine/internal/sqlengine"
+	"exlengine/internal/ops"
 	"exlengine/internal/sqlgen"
 )
 
@@ -30,7 +31,6 @@ type generator struct {
 	names   []string
 	schemas map[string]model.Schema
 	counter int
-	hasPad  bool
 }
 
 func newGenerator(seed int64) *generator {
@@ -169,7 +169,6 @@ func (g *generator) addStmt() {
 				continue
 			}
 			op := []string{"vsum0", "vsub0"}[g.rng.Intn(2)]
-			g.hasPad = true
 			g.emit(name, fmt.Sprintf("%s := %s(%s, %s)", name, op, a, b), g.schemas[a])
 			return
 		}
@@ -244,88 +243,61 @@ func TestRandomProgramsAllEngines(t *testing.T) {
 			}
 			src := g.source()
 
-			prog, err := exl.Parse(src)
-			if err != nil {
-				t.Fatalf("generated program does not parse: %v\n%s", err, src)
-			}
-			a, err := exl.Analyze(prog, nil)
-			if err != nil {
-				t.Fatalf("generated program does not analyze: %v\n%s", err, src)
-			}
-			m, err := mapping.Generate(a)
-			if err != nil {
-				t.Fatalf("mapping generation failed: %v\n%s", err, src)
-			}
-			data := g.data()
-
-			ref, err := chase.New(m).Solve(chase.Instance(data))
-			if err != nil {
-				t.Fatalf("chase failed: %v\n%s", err, src)
-			}
-
-			compare := func(engineName string, got map[string]*model.Cube) {
-				t.Helper()
-				for _, rel := range m.Derived {
-					if got[rel] == nil {
-						t.Fatalf("%s: missing %s\n%s", engineName, rel, src)
-					}
-					if !got[rel].Equal(ref[rel], 1e-6) {
-						t.Errorf("%s: %s differs from chase\nprogram:\n%s\ndiff:\n%s",
-							engineName, rel, src, strings.Join(got[rel].Diff(ref[rel], 1e-6, 5), "\n"))
-					}
-				}
-			}
-
-			// Frame engine.
-			fs, err := frame.Translate(m)
-			if err != nil {
-				t.Fatalf("frame translate: %v\n%s", err, src)
-			}
-			fres, err := frame.Execute(fs, m, data)
-			if err != nil {
-				t.Fatalf("frame execute: %v\n%s", err, src)
-			}
-			compare("frame", fres)
-
-			// ETL engine.
-			job, err := etl.Translate(m, "crosscheck")
-			if err != nil {
-				t.Fatalf("etl translate: %v\n%s", err, src)
-			}
-			eres, err := etl.Run(job, m, data)
-			if err != nil {
-				t.Fatalf("etl run: %v\n%s", err, src)
-			}
-			compare("etl", eres)
-
-			// SQL engine (only when the program avoids padded operators,
-			// which the dialect cannot express).
-			if !g.hasPad {
-				db := sqlengine.NewDB()
-				for _, name := range m.Elementary {
-					if err := db.LoadCube(data[name]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				script, err := sqlgen.Translate(m)
-				if err != nil {
-					t.Fatalf("sql translate: %v\n%s", err, src)
-				}
-				if err := sqlgen.Execute(script, db); err != nil {
-					t.Fatalf("sql execute: %v\n%s\n%s", err, src, script)
-				}
-				sres := make(map[string]*model.Cube)
-				for _, rel := range m.Derived {
-					c, err := db.ExtractCube(m.Schemas[rel])
-					if err != nil {
-						t.Fatalf("sql extract %s: %v", rel, err)
-					}
-					sres[rel] = c
-				}
-				compare("sql", sres)
-			}
+			agreeWithChase(t, compile(t, src), g.data(), 1e-6, src)
 		})
 	}
+}
+
+// compile generates the mapping of an EXL program, quoted in failures.
+func compile(t *testing.T, src string) *mapping.Mapping {
+	t.Helper()
+	prog, err := exl.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, src)
+	}
+	a, err := exl.Analyze(prog, nil)
+	if err != nil {
+		t.Fatalf("analyze: %v\n%s", err, src)
+	}
+	m, err := mapping.Generate(a)
+	if err != nil {
+		t.Fatalf("mapping: %v\n%s", err, src)
+	}
+	return m
+}
+
+// agreeWithChase runs m on every target and checks each derived cube
+// against the chase solution, which it returns. A target that refuses the
+// mapping as untranslatable is skipped; src is quoted in failures.
+func agreeWithChase(t *testing.T, m *mapping.Mapping, data map[string]*model.Cube, tol float64, src string) map[string]*model.Cube {
+	t.Helper()
+	ctx := context.Background()
+	ref, err := backend.Run(ctx, ops.TargetChase, m, data)
+	if err != nil {
+		t.Fatalf("chase failed: %v\n%s", err, src)
+	}
+	for _, target := range ops.AllTargets {
+		if target == ops.TargetChase {
+			continue // the reference
+		}
+		got, err := backend.Run(ctx, target, m, data)
+		if errors.Is(err, sqlgen.ErrUntranslatable) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", target, err, src)
+		}
+		for _, rel := range m.Derived {
+			if got[rel] == nil {
+				t.Fatalf("%s: missing %s\n%s", target, rel, src)
+			}
+			if !got[rel].Equal(ref[rel], tol) {
+				t.Errorf("%s: %s differs from chase\nprogram:\n%s\ndiff:\n%s",
+					target, rel, src, strings.Join(got[rel].Diff(ref[rel], tol, 5), "\n"))
+			}
+		}
+	}
+	return ref
 }
 
 // TestRandomProgramsFusedVsNormalized checks the fusion pass on the same

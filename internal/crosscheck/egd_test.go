@@ -1,19 +1,17 @@
 package crosscheck
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
-	"exlengine/internal/chase"
-	"exlengine/internal/etl"
+	"exlengine/internal/backend"
 	"exlengine/internal/exlerr"
-	"exlengine/internal/frame"
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
-	"exlengine/internal/sqlengine"
-	"exlengine/internal/sqlgen"
+	"exlengine/internal/ops"
 )
 
 // TestEgdViolationNamesTheSameTupleOnEveryBackend: a projection that drops a
@@ -56,48 +54,14 @@ func TestEgdViolationNamesTheSameTupleOnEveryBackend(t *testing.T) {
 	src := map[string]*model.Cube{"A": a}
 	const want = "model: functional dependency violation (egd): B[1990-Q3] has values 200 and 201"
 
-	backends := map[string]func() error{
-		"chase": func() error { _, err := chase.New(m).Solve(chase.Instance(src)); return err },
-		"frame": func() error {
-			fs, err := frame.Translate(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = frame.Execute(fs, m, src)
-			return err
-		},
-		"etl": func() error {
-			job, err := etl.Translate(m, "egd")
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = etl.Run(job, m, src)
-			return err
-		},
-		"sql": func() error {
-			db := sqlengine.NewDB()
-			if err := db.LoadCube(a); err != nil {
-				t.Fatal(err)
-			}
-			script, err := sqlgen.Translate(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sqlgen.Execute(script, db); err != nil {
-				return err
-			}
-			_, err = db.ExtractCube(m.Schemas["B"])
-			return err
-		},
-	}
-	for name, run := range backends {
-		err := run()
+	for _, target := range ops.AllTargets {
+		_, err := backend.Run(context.Background(), target, m, src)
 		if !errors.Is(err, model.ErrFunctional) || exlerr.ClassOf(err) != exlerr.EgdViolation {
-			t.Errorf("%s: %v, want an egd violation", name, err)
+			t.Errorf("%s: %v, want an egd violation", target, err)
 			continue
 		}
 		if !strings.HasSuffix(err.Error(), want) {
-			t.Errorf("%s names another conflict:\n got  %v\n want … %s", name, err, want)
+			t.Errorf("%s names another conflict:\n got  %v\n want … %s", target, err, want)
 		}
 	}
 }

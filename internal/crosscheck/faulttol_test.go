@@ -9,7 +9,6 @@ import (
 
 	"exlengine/internal/chase"
 	"exlengine/internal/engine"
-	"exlengine/internal/exl"
 	"exlengine/internal/exlerr"
 	"exlengine/internal/faults"
 	"exlengine/internal/mapping"
@@ -47,18 +46,7 @@ func degradedRun(t *testing.T, src string, data map[string]*model.Cube, in *faul
 // chaseRef solves the generated mapping with the chase.
 func chaseRef(t *testing.T, src string, data map[string]*model.Cube) (*mapping.Mapping, chase.Instance) {
 	t.Helper()
-	prog, err := exl.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, src)
-	}
-	a, err := exl.Analyze(prog, nil)
-	if err != nil {
-		t.Fatalf("analyze: %v\n%s", err, src)
-	}
-	m, err := mapping.Generate(a)
-	if err != nil {
-		t.Fatalf("mapping: %v\n%s", err, src)
-	}
+	m := compile(t, src)
 	ref, err := chase.New(m).Solve(chase.Instance(data))
 	if err != nil {
 		t.Fatalf("chase: %v\n%s", err, src)

@@ -1,17 +1,9 @@
 package crosscheck
 
 import (
-	"strings"
 	"testing"
 
-	"exlengine/internal/chase"
-	"exlengine/internal/etl"
-	"exlengine/internal/exl"
-	"exlengine/internal/frame"
-	"exlengine/internal/mapping"
 	"exlengine/internal/model"
-	"exlengine/internal/sqlengine"
-	"exlengine/internal/sqlgen"
 )
 
 // TestNullSemanticsAcrossEngines pins down how undefined points flow
@@ -48,80 +40,9 @@ D6 := abs(D1)
 	}
 	data := map[string]*model.Cube{"A": a, "B": bb}
 
-	prog, err := exl.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := exl.Analyze(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := mapping.Generate(an)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := chase.New(m).Solve(chase.Instance(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := agreeWithChase(t, compile(t, src), data, 1e-9, src)
 	// The holes are real: D1 keeps only the odd quarters.
 	if got := ref["D1"].Len(); got != 4 {
 		t.Fatalf("chase D1 has %d points, want 4 (B=0 rows undefined)", got)
 	}
-
-	compare := func(engineName string, got map[string]*model.Cube) {
-		t.Helper()
-		for _, rel := range m.Derived {
-			if got[rel] == nil {
-				t.Fatalf("%s: missing %s", engineName, rel)
-			}
-			if !got[rel].Equal(ref[rel], 1e-9) {
-				t.Errorf("%s: %s differs from chase\n%s", engineName, rel,
-					strings.Join(got[rel].Diff(ref[rel], 1e-9, 5), "\n"))
-			}
-		}
-	}
-
-	fs, err := frame.Translate(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fres, err := frame.Execute(fs, m, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compare("frame", fres)
-
-	job, err := etl.Translate(m, "nullsem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eres, err := etl.Run(job, m, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compare("etl", eres)
-
-	db := sqlengine.NewDB()
-	for _, name := range m.Elementary {
-		if err := db.LoadCube(data[name]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	script, err := sqlgen.Translate(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sqlgen.Execute(script, db); err != nil {
-		t.Fatal(err)
-	}
-	sres := make(map[string]*model.Cube)
-	for _, rel := range m.Derived {
-		c, err := db.ExtractCube(m.Schemas[rel])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sres[rel] = c
-	}
-	compare("sql", sres)
 }

@@ -4,35 +4,10 @@ import (
 	"io"
 	"testing"
 
-	"exlengine/internal/chase"
 	"exlengine/internal/difftest"
-	"exlengine/internal/exl"
-	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 	"exlengine/internal/store"
 )
-
-// chaseSolve compiles a difftest case and returns the chase solution.
-func chaseSolve(t *testing.T, c *difftest.Case) map[string]*model.Cube {
-	t.Helper()
-	prog, err := exl.Parse(c.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := exl.Analyze(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := mapping.Generate(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := chase.New(m).Solve(chase.Instance(c.Data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref
-}
 
 // TestUndefinedPointSemanticsAcrossEngines pins the unified semantics
 // documented in DESIGN.md: a scalar operator that is undefined at a
@@ -108,7 +83,7 @@ func TestUndefinedPointCounts(t *testing.T) {
 	}
 	// difftest.Run already compared everything against the chase; solving
 	// again for counts keeps this test independent of Run internals.
-	ref := chaseSolve(t, c)
+	_, ref := chaseRef(t, c.Source(), c.Data)
 	for rel, want := range map[string]int{
 		"U1": 3, // 0.5, 1, 2
 		"U2": 4, // 0, 0.5, 1, 2
@@ -144,7 +119,7 @@ func TestNonRealResultIsAnUndefinedPoint(t *testing.T) {
 	for _, d := range res.Divergences {
 		t.Errorf("divergence: %s", d)
 	}
-	ref := chaseSolve(t, c)
+	_, ref := chaseRef(t, c.Source(), c.Data)
 	for rel, want := range map[string]int{
 		"R": 3, // all but -4
 		"E": 3, // all but 1000

@@ -1,17 +1,17 @@
 package difftest
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 
-	"exlengine/internal/chase"
-	"exlengine/internal/etl"
+	"exlengine/internal/backend"
 	"exlengine/internal/exl"
-	"exlengine/internal/frame"
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
-	"exlengine/internal/sqlengine"
+	"exlengine/internal/ops"
 	"exlengine/internal/sqlgen"
 )
 
@@ -40,7 +40,7 @@ func (d Divergence) String() string {
 // Result is the outcome of one differential run.
 type Result struct {
 	Mapping     *mapping.Mapping
-	SQLSkipped  bool // program uses padded operators the SQL dialect cannot express
+	SQLSkipped  bool // the SQL target refused the program (sqlgen.ErrUntranslatable)
 	Divergences []Divergence
 }
 
@@ -67,90 +67,41 @@ func Run(c *Case, tol float64) (*Result, error) {
 		return nil, fmt.Errorf("difftest: mapping: %w", err)
 	}
 
-	ref, err := chase.New(m).Solve(chase.Instance(c.Data))
+	ctx := context.Background()
+	ref, err := backend.Run(ctx, ops.TargetChase, m, c.Data)
 	if err != nil {
 		return nil, fmt.Errorf("difftest: chase reference: %w", err)
 	}
 
-	res := &Result{Mapping: m, SQLSkipped: hasPadVector(m)}
-	record := func(engine string, got map[string]*model.Cube, execErr error, tol float64) {
-		if execErr != nil {
+	res := &Result{Mapping: m}
+	for _, t := range ops.AllTargets {
+		if t == ops.TargetChase {
+			continue // the reference
+		}
+		got, err := backend.Run(ctx, t, m, c.Data)
+		if errors.Is(err, sqlgen.ErrUntranslatable) {
+			res.SQLSkipped = true
+			continue
+		}
+		if err != nil {
 			res.Divergences = append(res.Divergences, Divergence{
-				Engine: engine, Lines: []string{"engine failed where chase succeeded: " + execErr.Error()},
+				Engine: string(t), Lines: []string{"engine failed where chase succeeded: " + err.Error()},
 			})
-			return
+			continue
 		}
 		for _, rel := range m.Derived {
 			if got[rel] == nil {
 				res.Divergences = append(res.Divergences, Divergence{
-					Engine: engine, Rel: rel, Lines: []string{"derived cube missing from engine output"},
+					Engine: string(t), Rel: rel, Lines: []string{"derived cube missing from engine output"},
 				})
 				continue
 			}
 			if lines := DiffCubes(ref[rel], got[rel], tol, 8); len(lines) > 0 {
-				res.Divergences = append(res.Divergences, Divergence{Engine: engine, Rel: rel, Lines: lines})
+				res.Divergences = append(res.Divergences, Divergence{Engine: string(t), Rel: rel, Lines: lines})
 			}
 		}
 	}
-
-	fres, err := func() (map[string]*model.Cube, error) {
-		fs, err := frame.Translate(m)
-		if err != nil {
-			return nil, err
-		}
-		return frame.Execute(fs, m, c.Data)
-	}()
-	record("frame", fres, err, tol)
-
-	eres, err := func() (map[string]*model.Cube, error) {
-		job, err := etl.Translate(m, "difftest")
-		if err != nil {
-			return nil, err
-		}
-		return etl.Run(job, m, c.Data)
-	}()
-	record("etl", eres, err, tol)
-
-	// SQL engine — unless the program uses padded vectorial operators,
-	// which the emitted dialect cannot express (no outer joins).
-	if res.SQLSkipped {
-		return res, nil
-	}
-	sres, err := func() (map[string]*model.Cube, error) {
-		db := sqlengine.NewDB()
-		for _, name := range m.Elementary {
-			if err := db.LoadCube(c.Data[name]); err != nil {
-				return nil, err
-			}
-		}
-		script, err := sqlgen.Translate(m)
-		if err != nil {
-			return nil, err
-		}
-		if err := sqlgen.Execute(script, db); err != nil {
-			return nil, err
-		}
-		out := make(map[string]*model.Cube)
-		for _, rel := range m.Derived {
-			cube, err := db.ExtractCube(m.Schemas[rel])
-			if err != nil {
-				return nil, fmt.Errorf("extract %s: %w", rel, err)
-			}
-			out[rel] = cube
-		}
-		return out, nil
-	}()
-	record("sql", sres, err, tol)
 	return res, nil
-}
-
-func hasPadVector(m *mapping.Mapping) bool {
-	for _, t := range m.Tgds {
-		if t.Kind == mapping.PadVector {
-			return true
-		}
-	}
-	return false
 }
 
 // MeasuresAgree compares two measures with a relative tolerance and

@@ -22,17 +22,14 @@ import (
 	"sync"
 	"time"
 
+	"exlengine/internal/backend"
 	"exlengine/internal/chase"
 	"exlengine/internal/determine"
-	"exlengine/internal/etl"
 	"exlengine/internal/exlerr"
-	"exlengine/internal/frame"
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 	"exlengine/internal/obs"
 	"exlengine/internal/ops"
-	"exlengine/internal/sqlengine"
-	"exlengine/internal/sqlgen"
 )
 
 // Dispatcher executes determination plans against the target engines.
@@ -418,9 +415,9 @@ type fragment struct {
 	m        *mapping.Mapping
 	produces []string // the subgraph's visible derived cubes
 	inputs   []string // relations read from the shared snapshot
-	// solver is the mapping compiled for the chase, built by the first
-	// attempt that needs it and reused by every retry, full or
-	// incremental, and by a fallback to the chase. A fragment is run by
+	// solver is the mapping compiled for maintenance, built by the first
+	// maintained attempt and reused by its retries (a full run on any
+	// target, the chase included, is backend.Run). A fragment is run by
 	// one goroutine at a time.
 	solver *chase.Solver
 }
@@ -498,8 +495,8 @@ func (f *fragment) inputsFrom(ctx context.Context, target ops.Target, snap map[s
 	return input, ctx.Err()
 }
 
-// keep narrows a target's solution to the cubes the fragment produces,
-// dropping input twins and auxiliary relations.
+// keep narrows the maintained solution to the cubes the fragment
+// produces, dropping input twins and auxiliary relations.
 func (f *fragment) keep(all map[string]*model.Cube) map[string]*model.Cube {
 	out := make(map[string]*model.Cube, len(f.produces))
 	for _, name := range f.produces {
@@ -560,7 +557,7 @@ func (f *fragment) run(ctx context.Context, target ops.Target, snap map[string]*
 		}
 		out, oc.outDeltas = f.keep(sol), od
 	default:
-		if out, err = f.execOn(ctx, target, input); err != nil {
+		if out, err = backend.Run(ctx, target, f.m, input); err != nil {
 			return nil, err
 		}
 	}
@@ -616,65 +613,4 @@ func recordAttempt(ctx context.Context, target ops.Target, input, out map[string
 	met.Counter(obs.Label(obs.MetricTuplesRead, "target", string(target))).Add(int64(read))
 	met.Counter(obs.Label(obs.MetricTuplesWritten, "target", string(target))).Add(int64(written))
 	met.Histogram(obs.Label(obs.MetricTargetLatency, "target", string(target))).ObserveDuration(time.Since(start))
-}
-
-// execOn runs the fragment's mapping on one concrete target engine.
-func (f *fragment) execOn(ctx context.Context, target ops.Target, input map[string]*model.Cube) (map[string]*model.Cube, error) {
-	switch target {
-	case ops.TargetChase:
-		sol, err := f.chaseSolver().SolveContext(ctx, chase.Instance(input))
-		if err != nil {
-			return nil, err
-		}
-		return f.keep(sol), nil
-
-	case ops.TargetSQL:
-		db := sqlengine.NewDB()
-		for _, in := range f.inputs {
-			if err := db.LoadCube(input[in]); err != nil {
-				return nil, err
-			}
-		}
-		script, err := sqlgen.Translate(f.m)
-		if err != nil {
-			return nil, err
-		}
-		if err := sqlgen.ExecuteContext(ctx, script, db); err != nil {
-			return nil, err
-		}
-		out := make(map[string]*model.Cube, len(f.produces))
-		for _, name := range f.produces {
-			c, err := db.ExtractCube(f.m.Schemas[name])
-			if err != nil {
-				return nil, err
-			}
-			out[name] = c
-		}
-		return out, nil
-
-	case ops.TargetETL:
-		job, err := etl.Translate(f.m, "dispatch")
-		if err != nil {
-			return nil, err
-		}
-		res, err := etl.RunContext(ctx, job, f.m, input)
-		if err != nil {
-			return nil, err
-		}
-		return f.keep(res), nil
-
-	case ops.TargetFrame:
-		script, err := frame.Translate(f.m)
-		if err != nil {
-			return nil, err
-		}
-		res, err := frame.ExecuteContext(ctx, script, f.m, input)
-		if err != nil {
-			return nil, err
-		}
-		return f.keep(res), nil
-
-	default:
-		return nil, fmt.Errorf("dispatch: unknown target %s", target)
-	}
 }

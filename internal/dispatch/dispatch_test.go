@@ -181,9 +181,10 @@ func TestDispatchUnknownCube(t *testing.T) {
 	}
 }
 
-// TestFragmentCompilesChaseOnce: every chase attempt of a fragment — full
-// or maintained, first try, retry or fallback — runs the same compiled
-// Solver, and both branches of run give the chase solution with it.
+// TestFragmentCompilesChaseOnce: every maintained attempt of a fragment,
+// first try or retry, runs the same compiled Solver (a full run is
+// backend.Run and keeps nothing), and both branches of run give the chase
+// solution.
 func TestFragmentCompilesChaseOnce(t *testing.T) {
 	f := setup(t, workload.GDPProgram, workload.GDPSource(workload.GDPConfig{Days: 100, Regions: 2}))
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase))
@@ -196,10 +197,6 @@ func TestFragmentCompilesChaseOnce(t *testing.T) {
 	full, err := frag.run(ctx, ops.TargetChase, f.data, nil, &oc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	s := frag.solver
-	if s == nil {
-		t.Fatal("chase attempt left no solver on the fragment")
 	}
 	for _, rel := range f.mapping.Derived {
 		if !full[rel].Equal(reference(t, f)[rel], 0) {
@@ -220,12 +217,19 @@ func TestFragmentCompilesChaseOnce(t *testing.T) {
 		fullOnly: map[string]bool{},
 		bases:    full,
 	}
+	if _, err := frag.run(ctx, ops.TargetChase, f.data, view, &oc); err != nil {
+		t.Fatal(err)
+	}
+	s := frag.solver
+	if s == nil {
+		t.Fatal("maintaining attempt left no solver on the fragment")
+	}
 	incr, err := frag.run(ctx, ops.TargetChase, f.data, view, &oc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if frag.solver != s {
-		t.Error("maintaining attempt rebuilt the fragment's solver")
+		t.Error("second maintaining attempt rebuilt the fragment's solver")
 	}
 	// The fragment holds the stl_t black box, which the chase recomputes
 	// whole: the attempt went through SolveIncremental and says so.

@@ -1,10 +1,12 @@
 package dispatch
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"exlengine/internal/determine"
+	"exlengine/internal/exlerr"
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
 	"exlengine/internal/sqlgen"
@@ -59,8 +61,8 @@ func TestPadVectorAcrossEngines(t *testing.T) {
 // the preference-based assigner therefore never routes them to SQL.
 func TestPadVectorSQLUnsupported(t *testing.T) {
 	f := setup(t, padProgram, padData(t))
-	if _, err := sqlgen.Translate(f.mapping); err == nil {
-		t.Error("SQL translation of vsum0 must fail")
+	if _, err := sqlgen.Translate(f.mapping); !errors.Is(err, sqlgen.ErrUntranslatable) || exlerr.ClassOf(err) != exlerr.Fatal {
+		t.Errorf("SQL translation of vsum0: %v, want a fatal ErrUntranslatable", err)
 	}
 	subs := determine.Partition(f.graph.FullPlan(), determine.AssignByPreference)
 	for _, s := range subs {

@@ -17,18 +17,15 @@ import (
 	"sync"
 	"time"
 
+	"exlengine/internal/backend"
 	"exlengine/internal/determine"
 	"exlengine/internal/dispatch"
-	"exlengine/internal/etl"
 	"exlengine/internal/exl"
 	"exlengine/internal/governor"
 	"exlengine/internal/mapping"
-	"exlengine/internal/matlabgen"
 	"exlengine/internal/model"
 	"exlengine/internal/obs"
 	"exlengine/internal/ops"
-	"exlengine/internal/rgen"
-	"exlengine/internal/sqlgen"
 	"exlengine/internal/store"
 )
 
@@ -876,18 +873,9 @@ func tgdsIn(mappings []*mapping.Mapping, cube string) []*mapping.Tgd {
 	return nil
 }
 
-// Artifact kinds for Translate.
-const (
-	ArtifactTgds   = "tgds"
-	ArtifactSQL    = "sql"
-	ArtifactR      = "r"
-	ArtifactMatlab = "matlab"
-	ArtifactETL    = "etl"
-)
-
 // Translate renders a registered program's schema mapping as an executable
-// artifact for the given kind: the tgds in logic notation, a SQL script,
-// R or Matlab source, or the ETL job metadata (JSON).
+// artifact of the given kind (backend.Render: the tgds in logic notation, a
+// SQL script, R or Matlab source, or the ETL job metadata as JSON).
 func (e *Engine) Translate(program, kind string) (string, error) {
 	e.mu.Lock()
 	m, ok := e.mappings[program]
@@ -895,32 +883,7 @@ func (e *Engine) Translate(program, kind string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("engine: unknown program %s", program)
 	}
-	switch kind {
-	case ArtifactTgds:
-		return m.String(), nil
-	case ArtifactSQL:
-		script, err := sqlgen.Translate(m)
-		if err != nil {
-			return "", err
-		}
-		return script.String(), nil
-	case ArtifactR:
-		return rgen.Translate(m)
-	case ArtifactMatlab:
-		return matlabgen.Translate(m)
-	case ArtifactETL:
-		job, err := etl.Translate(m, program)
-		if err != nil {
-			return "", err
-		}
-		raw, err := job.MarshalMetadata()
-		if err != nil {
-			return "", err
-		}
-		return string(raw), nil
-	default:
-		return "", fmt.Errorf("engine: unknown artifact kind %q", kind)
-	}
+	return backend.Render(kind, m, program)
 }
 
 // WriteCSV exports the current version of a cube as CSV.

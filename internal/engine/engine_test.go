@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"exlengine/internal/backend"
 	"exlengine/internal/chase"
 	"exlengine/internal/exl"
 	"exlengine/internal/mapping"
@@ -147,11 +148,11 @@ func TestIncrementalRecalculation(t *testing.T) {
 func TestTranslateArtifacts(t *testing.T) {
 	e := newGDPEngine(t, workload.GDPSource(workload.GDPConfig{Days: 10, Regions: 1}))
 	cases := map[string]string{
-		ArtifactTgds:   "GDP → GDPT(stl_t(GDP))",
-		ArtifactSQL:    "FROM STL_T(GDP)",
-		ArtifactR:      "$time.series",
-		ArtifactMatlab: "isolateTrend(",
-		ArtifactETL:    `"type": "merge_join"`,
+		backend.ArtifactTgds:   "GDP → GDPT(stl_t(GDP))",
+		backend.ArtifactSQL:    "FROM STL_T(GDP)",
+		backend.ArtifactR:      "$time.series",
+		backend.ArtifactMatlab: "isolateTrend(",
+		backend.ArtifactETL:    `"type": "merge_join"`,
 	}
 	for kind, frag := range cases {
 		out, err := e.Translate("gdp", kind)
@@ -166,7 +167,7 @@ func TestTranslateArtifacts(t *testing.T) {
 	if _, err := e.Translate("gdp", "cobol"); err == nil {
 		t.Error("unknown artifact kind must fail")
 	}
-	if _, err := e.Translate("nope", ArtifactSQL); err == nil {
+	if _, err := e.Translate("nope", backend.ArtifactSQL); err == nil {
 		t.Error("unknown program must fail")
 	}
 }

@@ -436,11 +436,7 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 		if ti < 0 || vi < 0 {
 			return fmt.Errorf("series fields %s, %s missing", st.TimeField, st.ValueField)
 		}
-		type point struct {
-			p model.Period
-			v float64
-		}
-		var pts []point
+		var pts []ops.SeriesPoint
 		for row := range in {
 			p, ok := row[ti].AsPeriod()
 			if !ok {
@@ -450,34 +446,13 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 			if !ok {
 				return fmt.Errorf("non-numeric series value %v", row[vi])
 			}
-			pts = append(pts, point{p, v})
+			pts = append(pts, ops.SeriesPoint{P: p, V: v})
 		}
-		// Tie-break duplicate periods on value: sort.Slice is unstable
-		// and a nondeterministic order would leak into the series output.
-		sort.Slice(pts, func(i, j int) bool {
-			if c := pts[i].p.Compare(pts[j].p); c != 0 {
-				return c < 0
-			}
-			return pts[i].v < pts[j].v
-		})
-		vals := make([]float64, len(pts))
-		for i, pt := range pts {
-			vals[i] = pt.v
-		}
-		fn, err := ops.Series(st.Op)
-		if err != nil {
+		if err := ops.ApplySeries(st.Op, pts, st.Params); err != nil {
 			return err
 		}
-		seasonLen := 1
-		if len(pts) > 0 {
-			seasonLen = ops.SeasonLength(pts[0].p.Freq)
-		}
-		res, err := fn(vals, seasonLen, st.Params)
-		if err != nil {
-			return err
-		}
-		for i, pt := range pts {
-			if err := send(ctx, out, Row{model.Per(pt.p), model.Num(res[i])}); err != nil {
+		for _, pt := range pts {
+			if err := send(ctx, out, Row{model.Per(pt.P), model.Num(pt.V)}); err != nil {
 				return err
 			}
 		}

@@ -544,11 +544,7 @@ func seriesOp(in *Frame, s SeriesOp) (*Frame, error) {
 	if tj < 0 || vj < 0 {
 		return nil, fmt.Errorf("series %s: columns %s, %s not found", s.Op, s.TimeCol, s.ValCol)
 	}
-	type point struct {
-		p model.Period
-		v float64
-	}
-	pts := make([]point, 0, len(in.Rows))
+	pts := make([]ops.SeriesPoint, 0, len(in.Rows))
 	for _, row := range in.Rows {
 		p, ok := row[tj].AsPeriod()
 		if !ok {
@@ -558,35 +554,14 @@ func seriesOp(in *Frame, s SeriesOp) (*Frame, error) {
 		if !ok {
 			return nil, fmt.Errorf("series %s: non-numeric value %v", s.Op, row[vj])
 		}
-		pts = append(pts, point{p, v})
+		pts = append(pts, ops.SeriesPoint{P: p, V: v})
 	}
-	// Tie-break duplicate periods on value: sort.Slice is unstable and a
-	// nondeterministic order would leak into the series output.
-	sort.Slice(pts, func(i, j int) bool {
-		if c := pts[i].p.Compare(pts[j].p); c != 0 {
-			return c < 0
-		}
-		return pts[i].v < pts[j].v
-	})
-	vals := make([]float64, len(pts))
-	for i, pt := range pts {
-		vals[i] = pt.v
-	}
-	fn, err := ops.Series(s.Op)
-	if err != nil {
-		return nil, err
-	}
-	seasonLen := 1
-	if len(pts) > 0 {
-		seasonLen = ops.SeasonLength(pts[0].p.Freq)
-	}
-	res, err := fn(vals, seasonLen, s.Params)
-	if err != nil {
+	if err := ops.ApplySeries(s.Op, pts, s.Params); err != nil {
 		return nil, err
 	}
 	out := NewFrame(s.TimeCol, s.ValCol)
-	for i, pt := range pts {
-		out.Rows = append(out.Rows, []model.Value{model.Per(pt.p), model.Num(res[i])})
+	for _, pt := range pts {
+		out.Rows = append(out.Rows, []model.Value{model.Per(pt.P), model.Num(pt.V)})
 	}
 	return out, nil
 }

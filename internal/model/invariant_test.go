@@ -2,17 +2,16 @@ package model_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
+	"exlengine/internal/backend"
 	"exlengine/internal/chase"
-	"exlengine/internal/etl"
 	"exlengine/internal/exl"
-	"exlengine/internal/frame"
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
-	"exlengine/internal/sqlengine"
-	"exlengine/internal/sqlgen"
+	"exlengine/internal/ops"
 	"exlengine/internal/store"
 	"exlengine/internal/store/durable"
 )
@@ -154,52 +153,13 @@ T := sum(S, group by t)
 N := count(S)
 C := cumsum(G)
 `)
-	results := map[string]func() (map[string]*model.Cube, error){
-		"chase": func() (map[string]*model.Cube, error) { return chase.New(m).Solve(chase.Instance(src)) },
-		"frame": func() (map[string]*model.Cube, error) {
-			fs, err := frame.Translate(m)
-			if err != nil {
-				return nil, err
-			}
-			return frame.Execute(fs, m, src)
-		},
-		"etl": func() (map[string]*model.Cube, error) {
-			job, err := etl.Translate(m, "invariant")
-			if err != nil {
-				return nil, err
-			}
-			return etl.Run(job, m, src)
-		},
-		"sql": func() (map[string]*model.Cube, error) {
-			db := sqlengine.NewDB()
-			for _, name := range m.Elementary {
-				if err := db.LoadCube(src[name]); err != nil {
-					return nil, err
-				}
-			}
-			script, err := sqlgen.Translate(m)
-			if err != nil {
-				return nil, err
-			}
-			if err := sqlgen.Execute(script, db); err != nil {
-				return nil, err
-			}
-			res := make(map[string]*model.Cube)
-			for _, rel := range m.Derived {
-				if res[rel], err = db.ExtractCube(m.Schemas[rel]); err != nil {
-					return nil, err
-				}
-			}
-			return res, nil
-		},
-	}
-	for backend, run := range results {
-		res, err := run()
+	for _, target := range ops.AllTargets {
+		res, err := backend.Run(context.Background(), target, m, src)
 		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
+			t.Fatalf("%s: %v", target, err)
 		}
 		for _, rel := range m.Derived {
-			check(backend+" "+rel, res[rel], nil)
+			check(string(target)+" "+rel, res[rel], nil)
 		}
 	}
 	padded, err := chase.New(compile(t, `

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"sort"
 
 	"exlengine/internal/model"
 )
@@ -38,6 +39,47 @@ func Series(name string) (SeriesFunc, error) {
 		return nil, errUnknown("series", name)
 	}
 	return f, nil
+}
+
+// SeriesPoint is one observation of a time series.
+type SeriesPoint struct {
+	P model.Period
+	V float64
+}
+
+// ApplySeries runs the named black-box operator over a whole series given
+// as points in any order: it sorts pts chronologically in place and
+// replaces each value with the operator's result at that period. The
+// season length is that of the first period's frequency. Duplicate periods
+// (a malformed but reachable input) are ordered by value: sort.Slice is
+// unstable, and a nondeterministic order would leak into the output.
+func ApplySeries(name string, pts []SeriesPoint, params []float64) error {
+	fn, err := Series(name)
+	if err != nil {
+		return err
+	}
+	sort.Slice(pts, func(i, j int) bool {
+		if c := pts[i].P.Compare(pts[j].P); c != 0 {
+			return c < 0
+		}
+		return pts[i].V < pts[j].V
+	})
+	vals := make([]float64, len(pts))
+	for i, pt := range pts {
+		vals[i] = pt.V
+	}
+	seasonLen := 1
+	if len(pts) > 0 {
+		seasonLen = SeasonLength(pts[0].P.Freq)
+	}
+	res, err := fn(vals, seasonLen, params)
+	if err != nil {
+		return err
+	}
+	for i := range pts {
+		pts[i].V = res[i]
+	}
+	return nil
 }
 
 // IsBlackBox reports whether name is a registered black-box series

@@ -237,10 +237,6 @@ func (db *DB) prepareSelect(s *selectStmt, r *resolver) (*selectPrep, error) {
 	return p, nil
 }
 
-func (db *DB) evalSelect(s *selectStmt) (*Table, error) {
-	return db.evalSelectCtx(context.Background(), s)
-}
-
 func (db *DB) evalSelectCtx(ctx context.Context, s *selectStmt) (*Table, error) {
 	return db.evalSelectWith(ctx, s, db.newResolver(ctx))
 }
@@ -725,23 +721,6 @@ func hasAggregate(e expr) bool {
 		return hasAggregate(e.x)
 	}
 	return false
-}
-
-// compareNullsLast is the engine's one ordering rule for NULL: every
-// NULL sorts after every non-NULL value, and NULLs compare equal to each
-// other. Both executors (and Table.SortRows) sort through this, so a
-// query's output order never depends on which executor ran it.
-func compareNullsLast(a, b model.Value) int {
-	switch {
-	case !a.IsValid() && !b.IsValid():
-		return 0
-	case !a.IsValid():
-		return 1
-	case !b.IsValid():
-		return -1
-	default:
-		return a.Compare(b)
-	}
 }
 
 // sortRowsBy sorts rows of the given width by the column indexes in by

@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
@@ -45,11 +44,7 @@ func seriesTabular(opName string, args []*Table, params []float64) (*Table, erro
 		return nil, fmt.Errorf("%s needs a (period, numeric) table, got %s", opName, in.Name)
 	}
 
-	type point struct {
-		p model.Period
-		v float64
-	}
-	pts := make([]point, 0, len(in.Rows))
+	pts := make([]ops.SeriesPoint, 0, len(in.Rows))
 	for _, r := range in.Rows {
 		p, ok := r[pCol].AsPeriod()
 		if !ok {
@@ -59,41 +54,17 @@ func seriesTabular(opName string, args []*Table, params []float64) (*Table, erro
 		if !ok {
 			return nil, fmt.Errorf("%s: non-numeric value %v in column %s", opName, r[vCol], in.Cols[vCol].Name)
 		}
-		pts = append(pts, point{p: p, v: v})
+		pts = append(pts, ops.SeriesPoint{P: p, V: v})
 	}
-	// Duplicate periods (a malformed but reachable input) must order
-	// deterministically: sort.Slice is unstable, so tie-break on value to
-	// keep repeated runs byte-identical.
-	sort.Slice(pts, func(i, j int) bool {
-		if c := pts[i].p.Compare(pts[j].p); c != 0 {
-			return c < 0
-		}
-		return pts[i].v < pts[j].v
-	})
-
-	vals := make([]float64, len(pts))
-	for i, pt := range pts {
-		vals[i] = pt.v
-	}
-	f, err := ops.Series(opName)
-	if err != nil {
+	if err := ops.ApplySeries(opName, pts, params); err != nil {
 		return nil, err
 	}
-	seasonLen := 1
-	if len(pts) > 0 {
-		seasonLen = ops.SeasonLength(pts[0].p.Freq)
-	}
-	res, err := f(vals, seasonLen, params)
-	if err != nil {
-		return nil, err
-	}
-
 	out := &Table{
 		Name: opName,
 		Cols: []Column{in.Cols[pCol], in.Cols[vCol]},
 	}
-	for i, pt := range pts {
-		out.Rows = append(out.Rows, []model.Value{model.Per(pt.p), model.Num(res[i])})
+	for _, pt := range pts {
+		out.Rows = append(out.Rows, []model.Value{model.Per(pt.P), model.Num(pt.V)})
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package sqlengine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -217,8 +216,8 @@ func (d *distinctNode) describe() string { return "distinct" }
 // sortNode orders the output. by holds output ordinals (ORDER BY); a nil
 // by sorts by all columns left to right, the engine's deterministic
 // default. Either way remaining columns break ties, and NULLs sort last
-// (compareNullsLast), so the output order is a pure function of the
-// result set.
+// (sortRowsBy, through model.AppendOrderedKey), so the output order is a
+// pure function of the result set.
 type sortNode struct {
 	child planNode
 	by    []int
@@ -405,20 +404,4 @@ func exprColRefs(e expr, sc *scope, out map[[2]string]bool) {
 	case *isNullExpr:
 		exprColRefs(e.x, sc, out)
 	}
-}
-
-// sortedRefs returns the references in deterministic order (analyzer
-// decisions must not depend on map iteration).
-func sortedRefs(refs map[[2]string]bool) [][2]string {
-	out := make([][2]string, 0, len(refs))
-	for r := range refs {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }

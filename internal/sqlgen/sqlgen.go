@@ -12,6 +12,7 @@ package sqlgen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -65,6 +66,13 @@ func CreateTableSQL(sch model.Schema) string {
 	fmt.Fprintf(&b, "%s DOUBLE)", strings.ToLower(sch.Measure))
 	return b.String()
 }
+
+// ErrUntranslatable is wrapped by the error Translate returns for a mapping
+// the emitted dialect cannot express ("depending on the specific operators
+// used in the rhs, the translation may be actually feasible or not",
+// Section 5). ops.Supports keeps such mappings away from the SQL target;
+// this is the refusal when one arrives anyway.
+var ErrUntranslatable = errors.New("not translatable to SQL")
 
 // Options configures the translation.
 type Options struct {
@@ -179,7 +187,7 @@ func tgdSelect(t *mapping.Tgd, schemas map[string]model.Schema) (string, []strin
 	case mapping.BlackBox:
 		return blackBoxSelect(t, schemas)
 	case mapping.PadVector:
-		return "", nil, fmt.Errorf("padded vectorial operator %s is not translatable: the emitted SQL dialect has no outer joins", t.PadOp)
+		return "", nil, fmt.Errorf("padded vectorial operator %s: %w: the emitted SQL dialect has no outer joins", t.PadOp, ErrUntranslatable)
 	case mapping.TupleLevel, mapping.Aggregation, mapping.Copy:
 		return joinSelect(t, schemas)
 	default:
