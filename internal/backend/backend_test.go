@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -207,5 +208,62 @@ func TestRenderGolden(t *testing.T) {
 	}
 	if _, err := Render("cobol", m, "gdp"); err == nil {
 		t.Error("unknown artifact kind must fail")
+	}
+}
+
+// TestPartitionBuiltConcurrently: three SQL databases and a chase fold two
+// versions of one key set at once, the first to group it (run under -race). Each
+// builds the partition outside the key set's lock and the first insert under it
+// stands — one per signature, and one array between the two signatures, since
+// SQL and the chase assign every row alike. Every result is the one a run on a
+// key set of its own gives.
+func TestPartitionBuiltConcurrently(t *testing.T) {
+	m := compile(t, "cube PDR(d: day, r: string) measure p\nPQR := avg(PDR, group by quarter(d) as q, r)\n")
+	base := workload.GDPSource(workload.GDPConfig{Days: 400, Regions: 5})["PDR"].Freeze()
+	revision, err := base.Derive(base.Schema(), func(i int, tu model.Tuple) (float64, bool, error) { return tu.Measure + float64(i%7), true, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := []*model.Cube{base, revision}
+	var want [2]*model.Cube
+	for i, v := range versions {
+		ref, err := Run(context.Background(), ops.TargetChase, m, map[string]*model.Cube{"PDR": v.Clone()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ref["PQR"]
+	}
+	before := base.MemEstimate()
+
+	targets := []ops.Target{ops.TargetSQL, ops.TargetSQL, ops.TargetSQL, ops.TargetChase}
+	got := make([]*model.Cube, len(targets))
+	var wg sync.WaitGroup
+	for g, target := range targets {
+		wg.Add(1)
+		go func(g int, target ops.Target) {
+			defer wg.Done()
+			out, err := Run(context.Background(), target, m, map[string]*model.Cube{"PDR": versions[g%2]})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[g] = out["PQR"]
+		}(g, target)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g, target := range targets {
+		tol := 1e-9
+		if target == ops.TargetChase {
+			tol = 0
+		}
+		if !got[g].Equal(want[g%2], tol) {
+			t.Errorf("%s over version %d: %v", target, g%2, got[g].Diff(want[g%2], tol, 3))
+		}
+	}
+	if grew, one := revision.MemEstimate()-before, int64(4*(base.Len()+want[0].Len())); grew != one {
+		t.Errorf("the key set's partitions are charged %d bytes, want %d: one array of rows, one of groups", grew, one)
 	}
 }

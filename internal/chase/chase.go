@@ -114,10 +114,10 @@ func (s *Solver) solve(ctx context.Context, source Instance) (Instance, *Stats, 
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		_, span := obs.StartSpan(ctx, "chase.tgd",
+		tctx, span := obs.StartSpan(ctx, "chase.tgd",
 			obs.String("id", t.ID), obs.String("cube", t.Target()), obs.String("kind", t.Kind.String()))
 		b0, g0 := stats.Bindings, stats.TuplesGenerated
-		err := s.applyTgd(ctx, p, target, stats)
+		err := s.applyTgd(tctx, p, target, stats)
 		span.SetAttr(obs.Int("bindings", stats.Bindings-b0), obs.Int("tuples", stats.TuplesGenerated-g0))
 		span.EndErr(err)
 		if err != nil {
@@ -160,18 +160,25 @@ func (s *Solver) output(ctx context.Context, p *plan, target Instance, stats *St
 		stats.TuplesGenerated += n
 		return out, err
 	}
-	groups, err := x.aggregate(nil)
+	part, err := x.partition()
+	if err != nil {
+		return nil, err
+	}
+	groups, err := x.aggregate(part, nil)
 	stats.Bindings += x.bindings
 	if err != nil {
 		return nil, err
 	}
 	out := model.NewBuilder(schema)
-	for _, k := range sortedKeys(groups) { // the builder's order
-		if err := out.Add(groups[k].dims, groups[k].agg.Result()); err != nil {
+	for _, g := range groups { // first seen in cube order: the builder sorts what that leaves unsorted
+		if g.agg == nil {
+			continue
+		}
+		if err := out.Add(g.dims, g.agg.Result()); err != nil {
 			return nil, err
 		}
+		stats.TuplesGenerated++
 	}
-	stats.TuplesGenerated += len(groups)
 	return out.Build()
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
@@ -48,8 +49,11 @@ type plan struct {
 	// when bindings are not determined by the output key.
 	keyed *keyedPlan
 	// aggIncr: a single-atom aggregation whose group key is a function of
-	// the atom's dimensions, maintainable group by group.
-	aggIncr bool
+	// the atom's dimensions, maintainable group by group. The grouping then
+	// belongs to the relation's key set (model.View.Partition), which knows it
+	// under groupSig.
+	aggIncr  bool
+	groupSig string
 
 	series ops.SeriesFunc // BlackBox
 	pad    *padPlan       // PadVector
@@ -224,9 +228,33 @@ func (p *plan) compileJoin() error {
 		}
 		p.keyed = c.keyed(t, p.alone)
 	case mapping.Aggregation:
-		p.aggIncr = len(p.lhs) == 1 && p.alone[0].err == nil && keyFromDims(p.rhs, &p.alone[0])
+		if p.aggIncr = len(p.lhs) == 1 && p.alone[0].err == nil && keyFromDims(p.rhs, &p.alone[0]); p.aggIncr {
+			p.groupSig = c.groupSig(t)
+		}
 	}
 	return nil
+}
+
+// groupSig names, to a key set, how a single-atom aggregation groups the rows
+// of its relation: the atom's dimension terms — which select and bind, by
+// position — then the rhs terms that make the group key of what was bound.
+// Variables are written as slots, so that the name is the same whatever the
+// statement called them; "chase:" keeps it apart from the names of engines
+// whose functions differ from ops.Dimension's.
+func (c *compiler) groupSig(t *mapping.Tgd) string {
+	b := []byte("chase:")
+	for _, terms := range [][]mapping.DimTerm{t.Lhs[0].Dims, t.Rhs.Dims} {
+		for _, d := range terms {
+			if d.Const != nil {
+				b = strconv.AppendQuote(b, model.EncodeKey([]model.Value{*d.Const}))
+			} else {
+				b = fmt.Appendf(b, "%s($%d%+d)", d.Func, c.slot[d.Var], d.Shift)
+			}
+			b = append(b, ',')
+		}
+		b = append(b, "->"...)
+	}
+	return string(b)
 }
 
 // term compiles a dimension term whose variable, if any, is already bound.

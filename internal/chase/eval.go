@@ -3,8 +3,10 @@ package chase
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"exlengine/internal/model"
+	"exlengine/internal/obs"
 	"exlengine/internal/ops"
 )
 
@@ -30,6 +32,12 @@ type exec struct {
 	// tuple is the one at row, the driving tuple's row (see tupleLevel).
 	cols []*model.View
 	row  int
+	// ords holds, while an aggregation folds by the key set's partition, the
+	// group ordinal of every row of the driving relation, group the driving
+	// row's, and only, if set, which groups are folded (see aggregate).
+	ords  []uint32
+	only  []bool
+	group uint32
 
 	vals   []model.Value   // the binding: one slot per variable
 	args   []float64       // operator argument windows of the measure
@@ -101,13 +109,27 @@ func (x *exec) join(i int) error {
 	}
 	if !a.full() && (i == 0 || len(a.probe) == 0) {
 		// The driving atom — any probe terms it has are constants, a
-		// selection, checked tuple by tuple — or a cross product: scan.
-		return x.rels[i].Ordered(func(tu model.Tuple) error {
-			if ok, err := x.bind(a, tu, true); err != nil || !ok {
+		// selection, checked tuple by tuple — or a cross product: scan. A
+		// driving row whose group is not wanted costs the read of its ordinal.
+		v := x.rels[i].View()
+		for row, n := 0, v.Len(); row < n; row++ {
+			if i == 0 {
+				if x.row = row; x.ords != nil {
+					if x.group = x.ords[row]; x.group == model.NoGroup || x.only != nil && !x.only[x.group] {
+						continue
+					}
+				}
+			}
+			if ok, err := x.bind(a, v.Tuple(row), true); err != nil {
+				return err
+			} else if !ok {
+				continue
+			}
+			if err := x.join(i + 1); err != nil {
 				return err
 			}
-			return x.join(i + 1)
-		})
+		}
+		return nil
 	}
 	probe := x.probes[i][:len(a.probe)]
 	for j := range a.probe {
@@ -294,43 +316,92 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 	return out, tuples, err
 }
 
-// group is one output point of an aggregation tgd being folded.
+// group is one output point of an aggregation tgd being folded; agg is nil
+// until a defined measure falls into it.
 type group struct {
 	dims []model.Value
 	agg  ops.Aggregator
 }
 
-// aggregate folds the tgd's bindings into groups keyed by the rhs
-// dimension tuple, in binding order. With only set, bindings of other
-// groups are skipped before their measure is evaluated; the groups that
-// remain see exactly the bindings, in exactly the order, of an
-// unrestricted run. Undefined points contribute nothing to the bag.
-func (x *exec) aggregate(only map[string][]model.Value) (map[string]*group, error) {
-	groups := make(map[string]*group)
-	x.emit = func() error {
-		if err := x.rhsDims(); err != nil {
-			return err
+// partition returns how the plan's aggregation groups the rows of its one
+// relation, where that is a function of their dimension tuples (plan.aggIncr):
+// the partition the relation's key set holds, or else one assigned here, rhs
+// key by rhs key over the dimension tuples alone, and handed to the key set.
+// For any other aggregation it is nil. The tgd's span says whether the groups
+// were the key set's or hashed in this run.
+func (x *exec) partition() (*model.Partition, error) {
+	reg, span := obs.MetricsFrom(x.ctx), obs.CurrentSpan(x.ctx)
+	if !x.p.aggIncr {
+		span.SetAttr(obs.String("groups", "hash"))
+		return nil, nil
+	}
+	v := x.rels[0].View()
+	if part := v.Partition(x.p.groupSig); part != nil {
+		span.SetAttr(obs.String("groups", "partition"))
+		reg.Counter(obs.MetricPartitionsReused).Inc()
+		return part, nil
+	}
+	span.SetAttr(obs.String("groups", "hash"))
+	asg := v.NewPartition(x.p.groupSig)
+	for row, n := 0, v.Len(); row < n; row++ {
+		if ok, err := x.bind(&x.atoms[0], v.Tuple(row), true); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
 		}
-		x.key = model.AppendKey(x.key[:0], x.out)
-		if only != nil {
-			if _, ok := only[string(x.key)]; !ok {
-				return nil
+		if err := x.rhsDims(); err != nil {
+			return nil, err
+		}
+		asg.AssignRow(row, x.out)
+	}
+	reg.Counter(obs.MetricPartitionsBuilt).Inc()
+	return asg.Partition(), nil
+}
+
+// aggregate folds the tgd's bindings into groups, in binding order, and
+// returns them by group ordinal. With part, the driving relation's partition
+// by the rhs dimension terms, a binding's group is its driving row's, read
+// before the row is bound; with only set as well, rows of other groups are
+// skipped there, and the groups that remain see exactly the bindings, in
+// exactly the order, of an unrestricted run. Without part a group is the
+// ordinal an Assigner gives the rhs dimension tuple. Undefined points
+// contribute nothing to the bag.
+func (x *exec) aggregate(part *model.Partition, only []bool) ([]group, error) {
+	var groups []group
+	var asg *model.Assigner
+	if part != nil {
+		groups = make([]group, part.Groups())
+		x.ords, x.only = part.Ordinals(0, x.rels[0].Len()), only
+	} else {
+		asg = model.NewAssigner()
+	}
+	x.emit = func() error {
+		g := x.group
+		if asg != nil {
+			if err := x.rhsDims(); err != nil {
+				return err
+			}
+			if g = asg.Assign(x.out); int(g) == len(groups) {
+				groups = append(groups, group{})
 			}
 		}
 		mv, defined, err := x.p.measure(x)
 		if err != nil || !defined {
 			return err
 		}
-		g, ok := groups[string(x.key)]
-		if !ok {
-			agg, err := ops.NewAggregator(x.p.t.Agg)
-			if err != nil {
+		gr := &groups[g]
+		if gr.agg == nil {
+			if asg == nil { // the group's key, from any of its bindings
+				if err := x.rhsDims(); err != nil {
+					return err
+				}
+			}
+			if gr.agg, err = ops.NewAggregator(x.p.t.Agg); err != nil {
 				return err
 			}
-			g = &group{dims: append([]model.Value(nil), x.out...), agg: agg}
-			groups[string(x.key)] = g
+			gr.dims = slices.Clone(x.out)
 		}
-		g.agg.Add(mv)
+		gr.agg.Add(mv)
 		return nil
 	}
 	return groups, x.join(0)

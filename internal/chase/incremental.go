@@ -37,6 +37,7 @@ type IncrStats struct {
 	// stratification order.
 	FullTgds []string
 
+	Bindings       int // lhs bindings enumerated, all tgds: where a measure was evaluated
 	DeltaTuplesIn  int // input delta tuples consumed by incremental tgds
 	KeysRecomputed int // output points recomputed by incremental tgds
 	OutputChanges  int // output tuples that actually changed, all tgds
@@ -100,11 +101,15 @@ func (s *Solver) SolveIncremental(ctx context.Context, source Instance, in *Delt
 			}
 		}
 
-		_, span := obs.StartSpan(ctx, "chase.tgd.incr",
+		tctx, span := obs.StartSpan(ctx, "chase.tgd.incr",
 			obs.String("id", t.ID), obs.String("cube", outName), obs.String("kind", t.Kind.String()))
 
-		mode, err := s.applyTgdIncr(ctx, p, target, deltas, baseOut, changed, unknown, stats, chaseStats)
+		b0 := stats.Bindings + chaseStats.Bindings
+		mode, err := s.applyTgdIncr(tctx, p, target, deltas, baseOut, changed, unknown, stats, chaseStats)
 		span.SetAttr(obs.String("mode", mode))
+		if span != nil { // rendering the count allocates
+			span.SetAttr(obs.Int("bindings", stats.Bindings+chaseStats.Bindings-b0))
+		}
 		span.EndErr(err)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("chase: applying %s (%s) incrementally: %w", t.ID, outName, err)
@@ -125,6 +130,7 @@ func (s *Solver) SolveIncremental(ctx context.Context, source Instance, in *Delt
 			stats.OutputChanges += d.Size()
 		}
 	}
+	stats.Bindings += chaseStats.Bindings
 	return target, deltas, stats, nil
 }
 
@@ -228,17 +234,18 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // maintain brings the tgd's output up to date from its previous version by
-// recomputing exactly the affected points: recompute returns the point's
-// current value (or absent), and probing the previous version for the old
-// one says whether the point was added, changed, deleted or left alone.
+// recomputing exactly the affected points: recompute returns the current value
+// (or absent) of the point with the row key and dimension tuple, and probing
+// the previous version for the old one says whether the point was added,
+// changed, deleted or left alone.
 // The delta that collects is what actually changed, and the new version is
 // the previous one with it applied (model.Cube.Apply).
-func maintain(name string, baseOut *model.Cube, affected *affectedKeys, stats *IncrStats, recompute func(dims []model.Value) (float64, bool, error)) (*model.Cube, *model.CubeDelta, error) {
+func maintain(name string, baseOut *model.Cube, affected *affectedKeys, stats *IncrStats, recompute func(key string, dims []model.Value) (float64, bool, error)) (*model.Cube, *model.CubeDelta, error) {
 	od := &model.CubeDelta{Name: name, Base: baseOut}
 	for _, k := range sortedKeys(affected.dims) {
 		dims := affected.dims[k]
 		stats.KeysRecomputed++
-		mv, present, err := recompute(dims)
+		mv, present, err := recompute(k, dims)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -327,7 +334,7 @@ func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[st
 		}
 	}
 
-	recompute := func(dims []model.Value) (float64, bool, error) {
+	recompute := func(_ string, dims []model.Value) (float64, bool, error) {
 		// Invert the key into a binding, probe every atom for its unique
 		// witness (a vanished one retracts the point) and re-evaluate the
 		// measure: the full chase's join and arithmetic, entered at the key.
@@ -337,6 +344,7 @@ func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[st
 		return x.measureOnce(0)
 	}
 	out, od, err := maintain(p.t.Target(), baseOut, affected, stats, recompute)
+	stats.Bindings += x.bindings
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -349,7 +357,9 @@ func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[st
 // restricted to those groups — the exact fold order the full chase uses —
 // so even order-sensitive accumulations (stddev's running moments)
 // reproduce the full result bit for bit. No differential aggregate state
-// is kept, which is what makes min/max/median retraction work at all.
+// is kept, which is what makes min/max/median retraction work at all. Which
+// rows those groups hold is the key set's partition: a group is marked once,
+// at its first row, and every row of another is passed over unbound.
 func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
 	if !p.aggIncr {
 		return nil, nil, false, nil
@@ -362,16 +372,36 @@ func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[s
 	if err := x.affectedBy(&p.alone[0], deltas[p.alone[0].rel], affected, stats); err != nil {
 		return nil, nil, false, err
 	}
-	groups, err := x.aggregate(affected.dims)
+	part, err := x.partition()
 	if err != nil {
 		return nil, nil, false, err
 	}
-	recompute := func(dims []model.Value) (float64, bool, error) {
-		g := groups[model.EncodeKey(dims)]
-		if g == nil {
+	only := make([]bool, part.Groups())
+	ordinal := make(map[string]uint32, len(affected.dims)) // of the affected groups that still have rows
+	v := x.rels[0].View()
+	for g := range only {
+		if ok, err := x.bind(&x.atoms[0], v.Tuple(part.First(g)), false); err != nil || !ok {
+			return nil, nil, false, err
+		}
+		if err := x.rhsDims(); err != nil {
+			return nil, nil, false, err
+		}
+		x.key = model.AppendKey(x.key[:0], x.out)
+		if _, only[g] = affected.dims[string(x.key)]; only[g] {
+			ordinal[string(x.key)] = uint32(g)
+		}
+	}
+	groups, err := x.aggregate(part, only)
+	stats.Bindings += x.bindings
+	if err != nil {
+		return nil, nil, false, err
+	}
+	recompute := func(key string, _ []model.Value) (float64, bool, error) {
+		g, ok := ordinal[key]
+		if !ok || groups[g].agg == nil {
 			return 0, false, nil // every contribution vanished: retract the group
 		}
-		return g.agg.Result(), true, nil
+		return groups[g].agg.Result(), true, nil
 	}
 	out, od, err := maintain(p.t.Target(), baseOut, affected, stats, recompute)
 	if err != nil {
@@ -408,7 +438,7 @@ func incrPadVector(p *plan, target Instance, deltas map[string]*model.CubeDelta,
 	}
 
 	probe := [2][]model.Value{make([]model.Value, n), make([]model.Value, n)}
-	recompute := func(dims []model.Value) (float64, bool, error) {
+	recompute := func(_ string, dims []model.Value) (float64, bool, error) {
 		return padPoint(p, rels, probe, dims)
 	}
 	out, od, err := maintain(p.t.Target(), baseOut, affected, stats, recompute)

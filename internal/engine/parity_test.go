@@ -3,25 +3,32 @@ package engine
 import (
 	"context"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"exlengine/internal/chase"
 	"exlengine/internal/model"
+	"exlengine/internal/obs"
 	"exlengine/internal/ops"
 	"exlengine/internal/workload"
 )
 
 // revise returns a new version of c: with ins, two tuples appended past
 // the end of the series for each of the last three points; with chg,
-// every seventh measure changed; with del, every eleventh tuple deleted.
+// every seventh measure changed; with del, every eleventh tuple deleted;
+// with none of them, the first two measures changed.
 func revise(t *testing.T, c *model.Cube, ins, chg, del bool) *model.Cube {
 	t.Helper()
 	out := c.Clone()
 	ts := c.Tuples()
 	for i, tu := range ts {
 		switch {
+		case !ins && !chg && !del && i < 2:
+			if err := out.Replace(tu.Dims, tu.Measure+1); err != nil {
+				t.Fatal(err)
+			}
 		case chg && i%7 == 3:
 			if err := out.Replace(tu.Dims, tu.Measure*1.01+0.01); err != nil {
 				t.Fatal(err)
@@ -56,7 +63,8 @@ var fallbackReasons = regexp.MustCompile(`^(input \S+ changed without a usable d
 
 // TestIncrementalParityAllTargets drives every target, and the preferred
 // mix of them, through the four species of revision — insert-only,
-// measure-changing, deleting, mixed — with WithIncremental. After every
+// measure-changing, deleting, mixed — and a fifth that restates two tuples
+// on the fourth's key set, with WithIncremental. After every
 // step each derived cube equals a fresh engine's full run on the same
 // target and the chase solution of the current inputs (exactly on the
 // chase, within the cross-target tolerance elsewhere), and every
@@ -68,13 +76,21 @@ func TestIncrementalParityAllTargets(t *testing.T) {
 		data               func(*testing.T) workload.Data
 		// full is the cube whose tgd the chase cannot maintain, if any.
 		full string
+		// group gives, for the cube the chase maintains by aggregating
+		// revised, the group of one of revised's tuples.
+		agg   string
+		group func(dims []model.Value) string
 	}{
 		{"chain", chainProgram, "A", func(t *testing.T) workload.Data {
 			return workload.Data{"A": quarterCube(t, 40)}
-		}, ""},
+		}, "", "", nil},
 		{"gdp", workload.GDPProgram, "PDR", func(*testing.T) workload.Data {
 			return workload.GDPSource(workload.GDPConfig{Days: 300, Regions: 3, Seed: 11})
-		}, "GDPT"},
+		}, "GDPT", "PQR", func(dims []model.Value) string {
+			d, _ := dims[0].AsPeriod()
+			q, _ := d.Convert(model.Quarterly)
+			return q.String() + dims[1].String()
+		}},
 	}
 	targets := []struct {
 		name string
@@ -95,12 +111,13 @@ func TestIncrementalParityAllTargets(t *testing.T) {
 		{"measure-changing", false, true, false},
 		{"deleting", false, false, true},
 		{"mixed", true, true, true},
+		{"two tuples", false, false, false},
 	}
 
 	ctx := context.Background()
-	newEngine := func(t *testing.T, src string, data workload.Data, at time.Time) *Engine {
+	newEngine := func(t *testing.T, src string, data workload.Data, at time.Time, opts ...Option) *Engine {
 		t.Helper()
-		e := New()
+		e := New(opts...)
 		if err := e.RegisterProgram("p", src); err != nil {
 			t.Fatal(err)
 		}
@@ -116,20 +133,59 @@ func TestIncrementalParityAllTargets(t *testing.T) {
 			t.Run(prog.name+"/"+tgt.name, func(t *testing.T) {
 				at := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 				data := prog.data(t)
-				incr := newEngine(t, prog.src, data, at)
+				tracer := obs.NewTracer()
+				incr := newEngine(t, prog.src, data, at, WithTracer(tracer))
 				if _, err := incr.Run(ctx, append(tgt.opts, RunAt(at))...); err != nil {
 					t.Fatal(err)
 				}
 				m, _ := incr.Mapping("p")
 				for _, step := range steps {
 					at = at.Add(24 * time.Hour)
-					data[prog.revised] = revise(t, data[prog.revised], step.ins, step.chg, step.del)
+					previous := data[prog.revised]
+					data[prog.revised] = revise(t, previous, step.ins, step.chg, step.del)
 					if err := incr.PutCube(data[prog.revised], at); err != nil {
 						t.Fatal(err)
 					}
+					tracer.Reset()
 					rep, err := incr.Run(ctx, append(tgt.opts, RunAt(at), WithIncremental())...)
 					if err != nil {
 						t.Fatalf("%s: %v", step.name, err)
+					}
+					if prog.agg != "" {
+						// The maintained aggregation evaluated the measure at the
+						// members of the groups the revision touched, and nowhere else.
+						affected, members := map[string]bool{}, 0
+						d := model.DiffCubes(prog.revised, previous, data[prog.revised])
+						for _, tu := range append(append(d.Added, d.Changed...), d.Deleted...) {
+							affected[prog.group(tu.Dims)] = true
+						}
+						for _, tu := range data[prog.revised].Tuples() {
+							if affected[prog.group(tu.Dims)] {
+								members++
+							}
+						}
+						var bindings, groups string
+						for _, root := range tracer.Roots() {
+							for _, sp := range root.FindAll("chase.tgd.incr") {
+								if cube, _ := sp.Attr("cube"); cube == prog.agg {
+									bindings, _ = sp.Attr("bindings")
+									groups, _ = sp.Attr("groups")
+								}
+							}
+						}
+						if bindings != strconv.Itoa(members) {
+							t.Errorf("%s: maintaining %s bound %s rows, want %d: the members of %d affected groups",
+								step.name, prog.agg, bindings, members, len(affected))
+						}
+						// A revision that only restates measures stands on its
+						// predecessor's key set, which the run before it grouped; the
+						// fifth leaves most groups alone.
+						if want := map[bool]string{true: "partition", false: "hash"}[!step.ins && !step.del]; groups != want {
+							t.Errorf("%s: groups=%s, want %s", step.name, groups, want)
+						}
+						if total := data[prog.revised].Len(); step.name == "two tuples" && members > total/4 {
+							t.Errorf("%s: %d of %d rows are in affected groups", step.name, members, total)
+						}
 					}
 
 					fresh := newEngine(t, prog.src, data, at)

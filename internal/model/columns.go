@@ -22,6 +22,7 @@ type keySet struct {
 	index  atomic.Pointer[map[string]int] // tuples[i].key → i; read through row
 	probes atomic.Int64                   // what row has searched for so far
 	est    atomic.Int64                   // memEstimate's cache (0 = not estimated yet)
+	parts  partitions                     // how the rows have been grouped (partition.go)
 }
 
 // dimTuple is one dimension tuple: the Dims its tuples show, and its row key.
@@ -89,8 +90,13 @@ func (ks *keySet) row(key []byte) (int, bool) {
 const keySetTupleBytes = 104
 
 // memEstimate is Cube.MemEstimate's share for the key set. It walks the
-// dimension values once per key set, not once per version.
+// dimension values once per key set, not once per version; the partitions,
+// which arrive later, are charged as they are held when it is called.
 func (ks *keySet) memEstimate() int64 {
+	return ks.tuplesEstimate() + ks.parts.memEstimate()
+}
+
+func (ks *keySet) tuplesEstimate() int64 {
 	if v := ks.est.Load(); v > 0 {
 		return v
 	}

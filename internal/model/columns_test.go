@@ -928,6 +928,20 @@ func TestMemEstimateOfChargesAKeySetOnce(t *testing.T) {
 		t.Errorf("charged %d bytes for cubes that retain %d", got, grown)
 	}
 
+	// A partition that arrives after the key set was walked is charged from
+	// then on, with the key set: once among the five, 4 bytes a row and a
+	// group, and the charge still covers what the five retain.
+	var p *Partition
+	grouped, _ := liveBytes(func() any { p, _ = partitionOf(cubes["A"], "q,r", byQuarterAndRegion); return nil })
+	part := 4 * int64(n+p.Groups())
+	if got := MemEstimateOf(cubes); got != want+part || got < grown+grouped {
+		t.Errorf("with a partition the five are charged %d bytes, want %d, for %d retained", got, want+part, grown+grouped)
+	}
+	if one := cubes["D"].MemEstimate(); one != keys+part+tupleOverheadBytes+8*n {
+		t.Errorf("alone, a version on the partitioned key set is charged %d bytes, want %d", one, keys+part+tupleOverheadBytes+8*n)
+	}
+	want += part
+
 	// A mutable cube among them, and a cube on another key set, are charged
 	// as they are alone.
 	rows, other := pdrCube(100), asColumns(t, pdrCube(50))

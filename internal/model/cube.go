@@ -278,12 +278,15 @@ func MemEstimateOf(cubes map[string]*Cube) int64 {
 	var n int64
 	charged := make(map[*keySet]bool)
 	for _, c := range cubes {
-		if n += c.MemEstimate(); c != nil && c.Frozen() {
-			keys := c.View().keys
-			if charged[keys] {
-				n -= keys.memEstimate()
-			}
-			charged[keys] = true
+		if c == nil || !c.Frozen() {
+			n += c.MemEstimate()
+			continue
+		}
+		p := c.View()
+		n += tupleOverheadBytes + 8*int64(len(p.measures))
+		if !charged[p.keys] {
+			charged[p.keys] = true
+			n += p.keys.memEstimate()
 		}
 	}
 	return n

@@ -231,6 +231,13 @@ const (
 	// MetricSQLBatches counts columnar batches emitted by vectorized
 	// executor operators, labelled by operator kind.
 	MetricSQLBatches = "sql_operator_batches_total"
+	// MetricPartitionsBuilt counts groupings of a key set's rows that an
+	// aggregation (SQL GROUP BY, a chase aggregation tgd) assigned key by key
+	// and handed to the key set.
+	MetricPartitionsBuilt = "keyset_partitions_built_total"
+	// MetricPartitionsReused counts aggregations that took every row's group
+	// from the partition the key set already held.
+	MetricPartitionsReused = "keyset_partitions_reused_total"
 	// MetricIncrFragments counts fragments maintained incrementally from
 	// input deltas, labelled by the target that ran them.
 	MetricIncrFragments = "dispatch_incremental_fragments_total"

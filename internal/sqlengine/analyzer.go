@@ -684,6 +684,21 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 		}
 		g.finals = append(g.finals, c)
 	}
+
+	if g.partSig = partitionSig(g); g.partSig != "" {
+		refs := map[[2]string]bool{}
+		for _, spec := range g.aggs {
+			exprColRefs(spec.arg, a.sc, refs)
+		}
+		g.argCols = make([]int, 0, len(refs)) // not nil where COUNT(*) reads none
+		for ref := range refs {
+			j, err := resolvePlanCol(childCols, ref[0], ref[1])
+			if err != nil {
+				return err
+			}
+			g.argCols = append(g.argCols, j)
+		}
+	}
 	return nil
 }
 

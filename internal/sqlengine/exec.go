@@ -385,6 +385,7 @@ type scanOp struct {
 	view     *model.View
 	rows     [][]model.Value
 	proj     []int // table columns to emit
+	fill     []int // the emitted columns a batch has to hold, where not all (groupOp)
 	measure  int   // a view's last column; the ones before it are its dimensions
 	pos, end int   // next row to read; number of rows
 	scratch  batchScratch
@@ -417,6 +418,9 @@ func (o *scanOp) next() (*batch, error) {
 	o.pos = hi
 	b := o.scratch.get(hi-lo, len(o.proj))
 	for j, c := range o.proj {
+		if o.fill != nil && !slices.Contains(o.fill, j) {
+			continue
+		}
 		col := b.Cols[j]
 		switch {
 		case o.view == nil:
@@ -435,6 +439,23 @@ func (o *scanOp) next() (*batch, error) {
 	}
 	o.m.emit(b)
 	return b, nil
+}
+
+// at returns the scan's columns at n rows of its view, the i-th being row(i).
+func (o *scanOp) at(n int, row func(i int) int) *batch {
+	b := &batch{N: n, Cols: make([][]model.Value, len(o.proj))}
+	for j, c := range o.proj {
+		col := make([]model.Value, n)
+		for i := range col {
+			if tu := o.view.Tuple(row(i)); c < o.measure {
+				col[i] = tu.Dims[c]
+			} else {
+				col[i] = model.Num(tu.Measure)
+			}
+		}
+		b.Cols[j] = col
+	}
+	return b
 }
 
 // filterOp keeps rows whose predicate is TRUE.
@@ -698,11 +719,20 @@ func (o *projectOp) next() (*batch, error) {
 	}
 }
 
-// groupOp is hash aggregation. It consumes its whole input, grouping by
-// the encoded key vector (rows with a NULL key are skipped) and feeding
-// each aggregate's argument vector into per-group accumulators; then it
-// evaluates the final expressions over the representative rows extended
-// with the aggregate pseudo-columns, dropping NULL outputs.
+// groupOp is aggregation by group ordinal. It consumes its whole input,
+// feeding each aggregate's argument vector into per-group accumulators (rows
+// without a group — a NULL in the key — are skipped); then it evaluates the
+// final expressions over the groups' representative rows, their first,
+// extended with the aggregate pseudo-columns, dropping NULL outputs.
+//
+// The ordinals have one of two sources (see ordinals), which nothing after
+// them can tell apart. Where the plan groups a stored version by a function of
+// its dimension tuples (groupNode.partSig) and the version's key set has been
+// grouped so before, they are that Partition's: no key is evaluated, encoded or
+// hashed, the scan fills only what the aggregate arguments read, and the
+// representative rows are read from the version. Otherwise an Assigner hands
+// them out for the encoded key of every row — and, under such a plan, records
+// them for the key set as it goes.
 type groupOp struct {
 	n       *groupNode
 	m       opMetrics
@@ -711,6 +741,70 @@ type groupOp struct {
 	scratch batchScratch
 	kinds   []aggKind
 	states  [][]aggState // [aggregate][group ordinal]
+
+	scan  *scanOp          // the child, where its view's key set keeps the partition
+	part  *model.Partition // the ordinals, where the key set had them
+	asg   *model.Assigner  // their source otherwise
+	built *obs.Counter
+	row   int // input rows seen so far: the next batch's first row in the view
+
+	keyVecs    [][]model.Value
+	keyBuf     []model.Value
+	ords, kept []uint32
+}
+
+// newGroupOp picks the source of the ordinals off the plan and the table's
+// content, and says which on the statement's sql.exec span.
+func newGroupOp(ctx context.Context, n *groupNode, child execOp, reg *obs.Registry) *groupOp {
+	o := &groupOp{
+		n: n, m: newOpMetrics(reg, "groupby"), child: child,
+		keyVecs: make([][]model.Value, len(n.ckKeys)), keyBuf: make([]model.Value, len(n.ckKeys)),
+	}
+	source := "hash"
+	if scan, ok := child.(*scanOp); ok && n.partSig != "" && scan.view != nil {
+		o.scan = scan
+		if o.part = scan.view.Partition(n.partSig); o.part != nil {
+			source, scan.fill = "partition", n.argCols
+			reg.Counter(obs.MetricPartitionsReused).Inc()
+		} else {
+			o.asg, o.built = scan.view.NewPartition(n.partSig), reg.Counter(obs.MetricPartitionsBuilt)
+		}
+	} else {
+		o.asg = model.NewAssigner()
+	}
+	obs.CurrentSpan(ctx).SetAttr(obs.String("groups", source))
+	return o
+}
+
+// ordinals returns the group ordinal of every row of b, the next batch of the
+// input: model.NoGroup where a key is NULL. They are valid until the next call.
+func (o *groupOp) ordinals(b *batch) ([]uint32, error) {
+	lo := o.row
+	o.row += b.N
+	if o.part != nil {
+		return o.part.Ordinals(lo, o.row), nil
+	}
+	for i, ck := range o.n.ckKeys {
+		v, err := ck.eval(b)
+		if err != nil {
+			return nil, err
+		}
+		o.keyVecs[i] = v
+	}
+	ords := o.ords[:0]
+rows:
+	for r := 0; r < b.N; r++ {
+		for i, vec := range o.keyVecs {
+			if !vec[r].IsValid() {
+				ords = append(ords, model.NoGroup)
+				continue rows
+			}
+			o.keyBuf[i] = vec[r]
+		}
+		ords = append(ords, o.asg.AssignRow(lo+r, o.keyBuf))
+	}
+	o.ords = ords
+	return ords, nil
 }
 
 // aggKind selects the inlined accumulator update for the common
@@ -836,19 +930,19 @@ func (o *groupOp) next() (*batch, error) {
 
 	childWidth := len(o.n.child.cols())
 	reps := &batch{Cols: make([][]model.Value, childWidth)}
-	groups := make(map[string]int)
+	ngroups := 0
+	if o.part != nil {
+		ngroups = o.part.Groups()
+	}
 	o.kinds = make([]aggKind, len(o.n.aggs))
+	o.states = make([][]aggState, len(o.n.aggs))
 	for i, spec := range o.n.aggs {
 		o.kinds[i] = aggKindOf(spec.name)
+		o.states[i] = make([]aggState, ngroups)
 	}
-	o.states = make([][]aggState, len(o.n.aggs))
-	ngroups := 0
-	keyBuf := make([]model.Value, len(o.n.ckKeys))
 	rowBuf := make([]model.Value, childWidth)
-	keyVecs := make([][]model.Value, len(o.n.ckKeys))
 	argVecs := make([][]model.Value, len(o.n.aggs))
 	var sel []int
-	var keyb []byte
 
 	for {
 		b, err := o.child.next()
@@ -858,82 +952,47 @@ func (o *groupOp) next() (*batch, error) {
 		if b == nil {
 			break
 		}
-
+		ords, err := o.ordinals(b)
+		if err != nil {
+			return nil, err
+		}
 		// Restrict to rows with fully defined group keys before touching
 		// aggregate arguments, exactly as the legacy evaluator does.
-		if len(o.n.ckKeys) > 0 {
-			for i, ck := range o.n.ckKeys {
-				v, err := ck.eval(b)
-				if err != nil {
-					return nil, err
-				}
-				keyVecs[i] = v
-			}
+		if slices.Contains(ords, model.NoGroup) {
+			kept := o.kept[:0]
 			sel = sel[:0]
-			for r := 0; r < b.N; r++ {
-				null := false
-				for i := range keyVecs {
-					if !keyVecs[i][r].IsValid() {
-						null = true
-						break
-					}
-				}
-				if !null {
-					sel = append(sel, r)
+			for r, g := range ords {
+				if g != model.NoGroup {
+					sel, kept = append(sel, r), append(kept, g)
 				}
 			}
-			if len(sel) < b.N {
-				b = gatherInto(&o.scratch, b, sel)
-				for i, ck := range o.n.ckKeys {
-					v, err := ck.eval(b)
-					if err != nil {
-						return nil, err
-					}
-					keyVecs[i] = v
-				}
-			}
-			if b.N == 0 {
-				continue
-			}
-			if err := o.evalAggArgs(b, argVecs); err != nil {
-				return nil, err
-			}
-			for r := 0; r < b.N; r++ {
-				for i := range keyVecs {
-					keyBuf[i] = keyVecs[i][r]
-				}
-				keyb = model.AppendKey(keyb[:0], keyBuf)
-				// The string(...) lookup is allocation-free; the key string
-				// is materialized only when a new group is created.
-				g, ok := groups[string(keyb)]
-				if !ok {
-					g = o.newGroup(&ngroups)
-					groups[string(keyb)] = g
+			b = gatherInto(&o.scratch, b, sel)
+			o.kept, ords = kept, kept
+		}
+		if b.N == 0 {
+			continue
+		}
+		if err := o.evalAggArgs(b, argVecs); err != nil {
+			return nil, err
+		}
+		for r, g := range ords {
+			if int(g) == ngroups { // the assigner's first sight of the group
+				if o.newGroup(&ngroups); o.scan == nil {
 					reps.AppendRow(b.Row(r, rowBuf))
 				}
-				if err := o.feed(g, argVecs, r); err != nil {
-					return nil, err
-				}
 			}
-		} else {
-			if b.N == 0 {
-				continue
-			}
-			if err := o.evalAggArgs(b, argVecs); err != nil {
+			if err := o.feed(int(g), argVecs, r); err != nil {
 				return nil, err
-			}
-			for r := 0; r < b.N; r++ {
-				g, ok := groups[""]
-				if !ok {
-					g = o.newGroup(&ngroups)
-					groups[""] = g
-					reps.AppendRow(b.Row(r, rowBuf))
-				}
-				if err := o.feed(g, argVecs, r); err != nil {
-					return nil, err
-				}
 			}
 		}
+	}
+	if o.scan != nil {
+		// The representative rows lie in the version, at the groups' first rows.
+		if o.part == nil {
+			o.part = o.asg.Partition()
+			o.built.Inc()
+		}
+		reps = o.scan.at(ngroups, o.part.First)
 	}
 
 	// A global aggregate always has one group, even over zero rows: the
@@ -1126,7 +1185,7 @@ func buildOps(ctx context.Context, n planNode, reg *obs.Registry) (execOp, error
 		if err != nil {
 			return nil, err
 		}
-		return &groupOp{n: n, m: newOpMetrics(reg, "groupby"), child: c}, nil
+		return newGroupOp(ctx, n, c, reg), nil
 	case *distinctNode:
 		c, err := buildOps(ctx, n.child, reg)
 		if err != nil {
@@ -1166,8 +1225,8 @@ func (db *DB) evalSelectVec(ctx context.Context, s *selectStmt, r *resolver) (*T
 		span.EndErr(err)
 		return nil, err
 	}
-	_, espan := obs.StartSpan(ctx, "sql.exec")
-	op, err := buildOps(ctx, root.child, obs.MetricsFrom(ctx))
+	ectx, espan := obs.StartSpan(ctx, "sql.exec")
+	op, err := buildOps(ectx, root.child, obs.MetricsFrom(ctx))
 	if err != nil {
 		espan.EndErr(err)
 		span.EndErr(err)

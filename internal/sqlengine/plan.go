@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -190,6 +191,14 @@ type groupNode struct {
 	ckKeys []compiledExpr
 	aggs   []aggSpec
 	finals []compiledExpr // compiled over child cols + one pseudo-column per agg
+
+	// partSig is set where the grouping is a function of the dimension tuples
+	// of the table the node scans, should that table be a stored version: it
+	// names the grouping to the version's key set (model.View.Partition), and
+	// argCols are then the child columns the aggregate arguments read, all a
+	// scan has to fill once the key set knows every row's group.
+	partSig string
+	argCols []int
 }
 
 // aggSpec is one distinct aggregate call appearing in the SELECT list.
@@ -202,7 +211,39 @@ type aggSpec struct {
 
 func (g *groupNode) cols() []planCol { return g.out }
 func (g *groupNode) describe() string {
-	return fmt.Sprintf("groupby(%d keys, %d aggs)", len(g.groupBy), len(g.aggs))
+	groups := "hash"
+	if g.partSig != "" {
+		groups = "partition"
+	}
+	return fmt.Sprintf("groupby(%d keys, %d aggs, groups=%s)", len(g.groupBy), len(g.aggs), groups)
+}
+
+// partitionSig returns the signature of g's grouping over the dimension
+// positions of the table it scans, or "" where the grouping is no function of
+// those alone: g does not sit on a scan, it has no key, or a key expression
+// reads the table's last column (a stored version's measure). Every function
+// resolveScalarCall resolves is pure, as callC relies on too.
+func partitionSig(g *groupNode) string {
+	scan, ok := g.child.(*scanNode)
+	if !ok || len(g.groupBy) == 0 {
+		return ""
+	}
+	dims := true
+	keys := make([]string, len(g.groupBy))
+	for i, e := range g.groupBy {
+		keys[i] = renderExpr(e, func(c *colRef) string {
+			j, err := resolvePlanCol(scan.out, c.qual, c.name)
+			if err == nil && scan.proj != nil {
+				j = scan.proj[j]
+			}
+			dims = dims && err == nil && j < len(scan.table.Cols)-1
+			return "#" + strconv.Itoa(j)
+		})
+	}
+	if !dims {
+		return ""
+	}
+	return "sql:" + strings.Join(keys, ", ")
 }
 
 // distinctNode removes duplicate output rows (SELECT DISTINCT).
@@ -341,6 +382,19 @@ func orderByIndexes(s *selectStmt, names []string) ([]int, error) {
 // exprString renders an expression canonically; it keys aggregate
 // deduplication and labels plan operators.
 func exprString(e expr) string {
+	return renderExpr(e, func(c *colRef) string {
+		if c.qual != "" {
+			return c.qual + "." + c.name
+		}
+		return c.name
+	})
+}
+
+// renderExpr is exprString with the column references rendered by col. Two
+// expressions render alike only if they are the same expression over the same
+// col: a string literal is quoted, so that 'a' is not the column a, nor
+// f('a, b') the call f('a', 'b').
+func renderExpr(e expr, col func(*colRef) string) string {
 	switch e := e.(type) {
 	case nil:
 		return "true"
@@ -348,30 +402,30 @@ func exprString(e expr) string {
 		if !e.v.IsValid() {
 			return "NULL"
 		}
+		if s, ok := e.v.AsString(); ok {
+			return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+		}
 		return e.v.String()
 	case *colRef:
-		if e.qual != "" {
-			return e.qual + "." + e.name
-		}
-		return e.name
+		return col(e)
 	case *binExpr:
-		return "(" + exprString(e.l) + " " + e.op + " " + exprString(e.r) + ")"
+		return "(" + renderExpr(e.l, col) + " " + e.op + " " + renderExpr(e.r, col) + ")"
 	case *unaryExpr:
-		return "(" + e.op + " " + exprString(e.x) + ")"
+		return "(" + e.op + " " + renderExpr(e.x, col) + ")"
 	case *callExpr:
 		if e.star {
 			return e.name + "(*)"
 		}
 		args := make([]string, len(e.args))
 		for i, a := range e.args {
-			args[i] = exprString(a)
+			args[i] = renderExpr(a, col)
 		}
 		return e.name + "(" + strings.Join(args, ", ") + ")"
 	case *isNullExpr:
 		if e.not {
-			return "(" + exprString(e.x) + " is not null)"
+			return "(" + renderExpr(e.x, col) + " is not null)"
 		}
-		return "(" + exprString(e.x) + " is null)"
+		return "(" + renderExpr(e.x, col) + " is null)"
 	default:
 		return fmt.Sprintf("%T", e)
 	}
