@@ -184,6 +184,75 @@ func TestRunOnEveryTarget(t *testing.T) {
 	}
 }
 
+// panel is P(t: year, r: string) over four years and four regions, with
+// zeros, negatives and measures repeated within a year.
+func panel(t *testing.T) *model.Cube {
+	t.Helper()
+	p := model.NewCube(model.NewSchema("P", []model.Dim{{Name: "t", Type: model.TYear}, {Name: "r", Type: model.TString}}, "v"))
+	for i, v := range []float64{0, -1.5, 2.25, 2.25, 3, -0.5, 0, 7.125, -2, -2, -2, 1e-3, 0.1, 0.2, 0.3, -0.7} {
+		dims := []model.Value{model.Per(model.NewAnnual(2000 + i/4)), model.Str(string(rune('a' + i%4)))}
+		if err := p.Put(dims, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// TestEveryFoldOnEveryTarget: a single-atom aggregation folds the same
+// measures in the same order with the same code (ops.Acc) on every target, so
+// each of the eight folds gives the chase's result bit for bit.
+func TestEveryFoldOnEveryTarget(t *testing.T) {
+	data := map[string]*model.Cube{"P": panel(t)}
+	for _, agg := range []string{"sum", "avg", "min", "max", "count", "median", "stddev", "prod"} {
+		m := compile(t, "cube P(t: year, r: string) measure v\nX := "+agg+"(P, group by t)")
+		ref, err := Run(context.Background(), ops.TargetChase, m, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref["X"].Len() != 4 {
+			t.Fatalf("%s: the chase gives %d groups, want 4", agg, ref["X"].Len())
+		}
+		for _, target := range ops.AllTargets {
+			got, err := Run(context.Background(), target, m, data)
+			if err != nil {
+				t.Errorf("%s on %s: %v", agg, target, err)
+			} else if !got["X"].Equal(ref["X"], 0) {
+				t.Errorf("%s on %s differs from the chase:\n%s", agg, target, strings.Join(got["X"].Diff(ref["X"], 0, 5), "\n"))
+			}
+		}
+	}
+}
+
+// TestUnknownAggregationRefused: a hand-built aggregation tgd naming no fold
+// fails on every target, over any data — none to aggregate, or none defined.
+func TestUnknownAggregationRefused(t *testing.T) {
+	schema := func(name string, dims ...model.Dim) model.Schema { return model.NewSchema(name, dims, "v") }
+	year := model.Dim{Name: "t", Type: model.TYear}
+	m := &mapping.Mapping{
+		Schemas:    map[string]model.Schema{"P": schema("P", year, model.Dim{Name: "r", Type: model.TString}), "X": schema("X", year)},
+		Elementary: []string{"P"},
+		Derived:    []string{"X"},
+		Tgds: []*mapping.Tgd{{
+			ID: "mode", Kind: mapping.Aggregation, Agg: "mode",
+			Lhs:     []mapping.Atom{{Rel: "P", Dims: []mapping.DimTerm{mapping.V("t"), mapping.V("r")}, MVar: "v"}},
+			Rhs:     mapping.Atom{Rel: "X", Dims: []mapping.DimTerm{mapping.V("t")}},
+			Measure: mapping.MApp("ln", mapping.MV("v")),
+		}},
+	}
+	undefined := model.NewCube(m.Schemas["P"])
+	if err := undefined.Put([]model.Value{model.Per(model.NewAnnual(2000)), model.Str("a")}, -1); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]map[string]*model.Cube{"empty": nil, "all undefined": {"P": undefined}} {
+		for _, target := range ops.AllTargets {
+			got, err := Run(context.Background(), target, m, data)
+			if err == nil || !strings.Contains(err.Error(), `"mode"`) || got != nil {
+				t.Errorf("%s on %s: error %v with result %v, want the unknown aggregation refused", name, target, err, got)
+			}
+		}
+	}
+}
+
 func TestRunUnknownTarget(t *testing.T) {
 	if _, err := Run(context.Background(), "cobol", compile(t, workload.GDPProgram), nil); err == nil {
 		t.Error("unknown target must fail")

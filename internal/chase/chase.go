@@ -171,10 +171,10 @@ func (s *Solver) output(ctx context.Context, p *plan, target Instance, stats *St
 	}
 	out := model.NewBuilder(schema)
 	for _, g := range groups { // first seen in cube order: the builder sorts what that leaves unsorted
-		if g.agg == nil {
+		if g.acc.N() == 0 {
 			continue
 		}
-		if err := out.Add(g.dims, g.agg.Result()); err != nil {
+		if err := out.Add(g.dims, g.acc.Result(p.fold)); err != nil {
 			return nil, err
 		}
 		stats.TuplesGenerated++

@@ -55,6 +55,7 @@ type plan struct {
 	aggIncr  bool
 	groupSig string
 
+	fold   ops.Fold       // Aggregation
 	series ops.SeriesFunc // BlackBox
 	pad    *padPlan       // PadVector
 }
@@ -228,6 +229,9 @@ func (p *plan) compileJoin() error {
 		}
 		p.keyed = c.keyed(t, p.alone)
 	case mapping.Aggregation:
+		if p.fold, err = ops.FoldOf(t.Agg); err != nil {
+			return err
+		}
 		if p.aggIncr = len(p.lhs) == 1 && p.alone[0].err == nil && keyFromDims(p.rhs, &p.alone[0]); p.aggIncr {
 			p.groupSig = c.groupSig(t)
 		}

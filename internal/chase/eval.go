@@ -316,11 +316,11 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 	return out, tuples, err
 }
 
-// group is one output point of an aggregation tgd being folded; agg is nil
-// until a defined measure falls into it.
+// group is one output point of an aggregation tgd being folded; its bag is
+// empty, and dims unset, until a defined measure falls into it.
 type group struct {
 	dims []model.Value
-	agg  ops.Aggregator
+	acc  ops.Acc
 }
 
 // partition returns how the plan's aggregation groups the rows of its one
@@ -390,18 +390,15 @@ func (x *exec) aggregate(part *model.Partition, only []bool) ([]group, error) {
 			return err
 		}
 		gr := &groups[g]
-		if gr.agg == nil {
+		if gr.acc.N() == 0 {
 			if asg == nil { // the group's key, from any of its bindings
 				if err := x.rhsDims(); err != nil {
 					return err
 				}
 			}
-			if gr.agg, err = ops.NewAggregator(x.p.t.Agg); err != nil {
-				return err
-			}
 			gr.dims = slices.Clone(x.out)
 		}
-		gr.agg.Add(mv)
+		gr.acc.Add(x.p.fold, mv)
 		return nil
 	}
 	return groups, x.join(0)

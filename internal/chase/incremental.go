@@ -398,10 +398,10 @@ func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[s
 	}
 	recompute := func(key string, _ []model.Value) (float64, bool, error) {
 		g, ok := ordinal[key]
-		if !ok || groups[g].agg == nil {
+		if !ok || groups[g].acc.N() == 0 {
 			return 0, false, nil // every contribution vanished: retract the group
 		}
-		return groups[g].agg.Result(), true, nil
+		return groups[g].acc.Result(p.fold), true, nil
 	}
 	out, od, err := maintain(p.t.Target(), baseOut, affected, stats, recompute)
 	if err != nil {

@@ -13,6 +13,7 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -221,7 +222,7 @@ func (g *Generator) AddStmt() {
 			if src == "" {
 				continue
 			}
-			agg := []string{"sum", "avg", "min", "max", "median"}[g.rng.Intn(5)]
+			agg := g.fold(src)
 			sch := g.schemas[src]
 			td := sch.Dims[sch.TimeDims()[0]]
 			g.emit(name, fmt.Sprintf("%s := %s(%s, group by %s)", name, agg, src, td.Name),
@@ -236,7 +237,7 @@ func (g *Generator) AddStmt() {
 			if src == "" {
 				continue
 			}
-			agg := []string{"sum", "avg", "min", "max"}[g.rng.Intn(4)]
+			agg := g.fold(src)
 			sch := g.schemas[src]
 			td := sch.Dims[sch.TimeDims()[0]]
 			dims := []model.Dim{{Name: "y", Type: model.TYear}}
@@ -315,7 +316,7 @@ func (g *Generator) AddStmt() {
 			return
 		case 10: // global aggregate to a 0-dimensional cube
 			src := g.pick()
-			agg := []string{"sum", "avg", "count"}[g.rng.Intn(3)]
+			agg := g.fold(src)
 			g.emit(name, fmt.Sprintf("%s := %s(%s)", name, agg, src),
 				model.NewSchema(name, nil, "v"))
 			return
@@ -324,6 +325,17 @@ func (g *Generator) AddStmt() {
 	// Fallback: always possible.
 	src := g.pick()
 	g.emit(name, fmt.Sprintf("%s := %s + 1", name, src), g.schemas[src])
+}
+
+// fold draws the aggregation of a statement over src: any of the eight, but
+// prod only over an elementary cube — the first names, the declared ones —
+// whose measures value bounds, so that no product leaves the floats.
+func (g *Generator) fold(src string) string {
+	folds := []string{"sum", "avg", "min", "max", "count", "median", "stddev", "prod"}
+	if !slices.Contains(g.names[:len(g.decls)], src) {
+		folds = folds[:len(folds)-1]
+	}
+	return folds[g.rng.Intn(len(folds))]
 }
 
 func (g *Generator) emit(name, stmt string, sch model.Schema) {

@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -135,7 +136,7 @@ func TestETLMatchesChase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(job, m, tc.data)
+			got, err := RunContext(context.Background(), job, m, tc.data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +186,7 @@ func TestETLEmptySource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(job, m, workload.Data{})
+	got, err := RunContext(context.Background(), job, m, workload.Data{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ B := 1 / A
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(job, m, workload.Data{"A": c})
+	got, err := RunContext(context.Background(), job, m, workload.Data{"A": c})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestNoGoroutineLeakOnStepPanic(t *testing.T) {
 	defer SetStepHook(nil)
 
 	before := runtime.NumGoroutine()
-	out, err := Run(job, m, map[string]*model.Cube{"A": bigYearCube("A", 3*chanCap)})
+	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": bigYearCube("A", 3*chanCap)})
 	if err == nil {
 		t.Fatal("panicking step must fail the run")
 	}
@@ -180,7 +180,7 @@ func TestRunNoPartialResultsAfterFailedFlow(t *testing.T) {
 	defer SetStepHook(nil)
 
 	source := map[string]*model.Cube{"A": bigYearCube("A", 50)}
-	out, err := Run(job, m, source)
+	out, err := RunContext(context.Background(), job, m, source)
 	if err == nil {
 		t.Fatal("run must fail")
 	}
@@ -227,7 +227,7 @@ func TestRunStillCorrectWithHookInstalled(t *testing.T) {
 	SetStepHook(func(flowID, step string) { mu.Lock(); calls++; mu.Unlock() })
 	defer SetStepHook(nil)
 
-	out, err := Run(job, m, map[string]*model.Cube{"A": bigYearCube("A", 10)})
+	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": bigYearCube("A", 10)})
 	if err != nil {
 		t.Fatal(err)
 	}

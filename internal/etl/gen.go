@@ -2,6 +2,7 @@ package etl
 
 import (
 	"fmt"
+	"slices"
 
 	"exlengine/internal/frame"
 	"exlengine/internal/mapping"
@@ -107,8 +108,13 @@ func TranslateTgd(t *mapping.Tgd, schemas map[string]model.Schema) (*Flow, error
 	for i := 1; i < len(atomSteps); i++ {
 		var keys []string
 		for _, c := range atomCols[i] {
-			if containsStr(curCols, c) {
+			if slices.Contains(curCols, c) {
 				keys = append(keys, c)
+			}
+		}
+		for _, c := range atomCols[i] {
+			if !slices.Contains(curCols, c) {
+				curCols = append(curCols, c)
 			}
 		}
 		mj := Step{Name: fmt.Sprintf("merge%d", i), Type: MergeJoin,
@@ -116,7 +122,6 @@ func TranslateTgd(t *mapping.Tgd, schemas map[string]model.Schema) (*Flow, error
 		f.Steps = append(f.Steps, mj)
 		f.Hops = append(f.Hops, Hop{From: cur, To: mj.Name}, Hop{From: atomSteps[i], To: mj.Name})
 		cur = mj.Name
-		curCols = unionStr(curCols, atomCols[i])
 	}
 
 	// Calculation step: rhs dimension terms and the measure expression.
@@ -152,7 +157,7 @@ func TranslateTgd(t *mapping.Tgd, schemas map[string]model.Schema) (*Flow, error
 		calc.Calcs = append(calc.Calcs, Calc{Field: field, Display: d.String(), expr: e})
 		dimFields = append(dimFields, field)
 	}
-	me, err := measureExpr(t.Measure)
+	me, err := frame.MTermExpr(t.Measure)
 	if err != nil {
 		return nil, err
 	}
@@ -219,44 +224,4 @@ func translatePadJoin(t *mapping.Tgd, schemas map[string]model.Schema, f *Flow, 
 	f.Steps = append(f.Steps, outStep)
 	f.Hops = append(f.Hops, Hop{From: "pad", To: "out"})
 	return f, nil
-}
-
-func measureExpr(m *mapping.MTerm) (frame.Expr, error) {
-	switch m.Kind {
-	case mapping.MVar:
-		return frame.Col{Name: m.Var}, nil
-	case mapping.MConst:
-		return frame.Const{V: m.Val}, nil
-	case mapping.MApply:
-		args := make([]frame.Expr, 0, len(m.Args))
-		for _, a := range m.Args {
-			e, err := measureExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, e)
-		}
-		return frame.Apply{Op: m.Op, Args: args, Params: append([]float64(nil), m.Params...)}, nil
-	default:
-		return nil, fmt.Errorf("unknown measure term kind %d", m.Kind)
-	}
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-func unionStr(a, b []string) []string {
-	out := append([]string(nil), a...)
-	for _, s := range b {
-		if !containsStr(out, s) {
-			out = append(out, s)
-		}
-	}
-	return out
 }

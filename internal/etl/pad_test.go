@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestPadJoinRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(job, m, data)
+	got, err := RunContext(context.Background(), job, m, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPadJoinEmptySides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(job, m, data)
+	got, err := RunContext(context.Background(), job, m, data)
 	if err != nil {
 		t.Fatal(err)
 	}

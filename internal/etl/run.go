@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,18 +36,14 @@ func SetStepHook(h func(flowID, stepName string)) {
 	stepHook.Store(&h)
 }
 
-// Run executes a job over the source cubes: flows run in tgd total order;
-// within a flow every step is a goroutine and rows flow through channels,
-// so "every tuple in the sources is fed into the stream and treated exactly
-// once" (Section 5.3). It returns every relation computed by the job.
-func Run(job *Job, m *mapping.Mapping, source map[string]*model.Cube) (map[string]*model.Cube, error) {
-	return RunContext(context.Background(), job, m, source)
-}
-
-// RunContext is Run under a context: cancellation aborts the streaming
-// goroutines of the active flow without leaking any of them. On error
-// (or cancellation) no partially-computed cube is returned: the result
-// map is nil and the shared store passed by the caller is untouched.
+// RunContext executes a job over the source cubes: flows run in tgd total
+// order; within a flow every step is a goroutine and rows flow through
+// channels, so "every tuple in the sources is fed into the stream and treated
+// exactly once" (Section 5.3). It returns every relation computed by the job.
+// Cancellation aborts the streaming goroutines of the active flow without
+// leaking any of them. On error (or cancellation) no partially-computed cube
+// is returned: the result map is nil and the shared store passed by the
+// caller is untouched.
 func RunContext(ctx context.Context, job *Job, m *mapping.Mapping, source map[string]*model.Cube) (map[string]*model.Cube, error) {
 	store := make(map[string]*model.Cube, len(source))
 	for _, name := range m.Elementary {
@@ -106,7 +102,7 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 			left, right := cols[st.Left], cols[st.Right]
 			merged := append([]string(nil), left...)
 			for _, c := range right {
-				if !containsStr(st.Keys, c) {
+				if !slices.Contains(st.Keys, c) {
 					merged = append(merged, c)
 				}
 			}
@@ -291,15 +287,15 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 		lk := make([]int, len(st.Keys))
 		rk := make([]int, len(st.Keys))
 		for i, k := range st.Keys {
-			lk[i] = indexOf(leftCols, k)
-			rk[i] = indexOf(rightCols, k)
+			lk[i] = slices.Index(leftCols, k)
+			rk[i] = slices.Index(rightCols, k)
 			if lk[i] < 0 || rk[i] < 0 {
 				return fmt.Errorf("join key %s missing", k)
 			}
 		}
 		var keep []int
 		for j, c := range rightCols {
-			if !containsStr(st.Keys, c) {
+			if !slices.Contains(st.Keys, c) {
 				keep = append(keep, j)
 			}
 		}
@@ -374,171 +370,37 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 		}
 		return nil
 
+	// The blocking steps are frame's kernels, fed the stream.
 	case Aggregator:
-		in := chans[f.Inputs(st.Name)[0]]
-		inCols := cols[f.Inputs(st.Name)[0]]
-		ki := make([]int, len(st.Keys))
-		for i, k := range st.Keys {
-			ki[i] = indexOf(inCols, k)
-			if ki[i] < 0 {
-				return fmt.Errorf("group key %s missing", k)
-			}
+		in := f.Inputs(st.Name)[0]
+		k, err := frame.NewGrouping(frame.GroupAgg{By: st.Keys, Agg: st.Agg, ValCol: st.ValueField}, cols[in])
+		if err != nil {
+			return err
 		}
-		vi := indexOf(inCols, st.ValueField)
-		if vi < 0 {
-			return fmt.Errorf("value field %s missing", st.ValueField)
-		}
-		type group struct {
-			key []model.Value
-			agg ops.Aggregator
-		}
-		groups := make(map[string]*group)
-		keyBuf := make([]model.Value, len(ki))
-		for row := range in {
-			for i, j := range ki {
-				keyBuf[i] = row[j]
-			}
-			v, ok := row[vi].AsNumber()
-			if !ok {
-				return fmt.Errorf("non-numeric aggregation input %v", row[vi])
-			}
-			k := model.EncodeKey(keyBuf)
-			g, okG := groups[k]
-			if !okG {
-				agg, err := ops.NewAggregator(st.Agg)
-				if err != nil {
-					return err
-				}
-				g = &group{key: append([]model.Value(nil), keyBuf...), agg: agg}
-				groups[k] = g
-			}
-			g.agg.Add(v)
-		}
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		// The byte order of the keys is the cube order of the groups.
-		sort.Strings(keys)
-		for _, k := range keys {
-			g := groups[k]
-			if err := send(ctx, out, append(append(Row(nil), g.key...), model.Num(g.agg.Result()))); err != nil {
-				return err
-			}
-		}
-		return nil
+		return pipe(ctx, chans[in], k, out)
 
 	case SeriesCalc:
-		in := chans[f.Inputs(st.Name)[0]]
-		inCols := cols[f.Inputs(st.Name)[0]]
-		ti := indexOf(inCols, st.TimeField)
-		vi := indexOf(inCols, st.ValueField)
-		if ti < 0 || vi < 0 {
-			return fmt.Errorf("series fields %s, %s missing", st.TimeField, st.ValueField)
-		}
-		var pts []ops.SeriesPoint
-		for row := range in {
-			p, ok := row[ti].AsPeriod()
-			if !ok {
-				return fmt.Errorf("non-period time value %v", row[ti])
-			}
-			v, ok := row[vi].AsNumber()
-			if !ok {
-				return fmt.Errorf("non-numeric series value %v", row[vi])
-			}
-			pts = append(pts, ops.SeriesPoint{P: p, V: v})
-		}
-		if err := ops.ApplySeries(st.Op, pts, st.Params); err != nil {
+		in := f.Inputs(st.Name)[0]
+		k, err := frame.NewSeries(frame.SeriesOp{Op: st.Op, Params: st.Params, TimeCol: st.TimeField, ValCol: st.ValueField}, cols[in])
+		if err != nil {
 			return err
 		}
-		for _, pt := range pts {
-			if err := send(ctx, out, Row{model.Per(pt.P), model.Num(pt.V)}); err != nil {
-				return err
-			}
-		}
-		return nil
+		return pipe(ctx, chans[in], k, out)
 
 	case PadJoin:
-		leftCh, rightCh := chans[st.Left], chans[st.Right]
-		leftCols, rightCols := cols[st.Left], cols[st.Right]
-		type entry struct {
-			key []model.Value
-			v   float64
-		}
-		collect := func(ch <-chan Row, colNames []string, valField string) (map[string]entry, error) {
-			ki := make([]int, len(st.Keys))
-			for i, k := range st.Keys {
-				ki[i] = indexOf(colNames, k)
-				if ki[i] < 0 {
-					return nil, fmt.Errorf("pad join key %s missing", k)
-				}
-			}
-			vi := indexOf(colNames, valField)
-			if vi < 0 {
-				return nil, fmt.Errorf("pad join value field %s missing", valField)
-			}
-			out := make(map[string]entry)
-			keyBuf := make([]model.Value, len(ki))
-			for row := range ch {
-				ok := true
-				for i, j := range ki {
-					if !row[j].IsValid() {
-						ok = false
-						break
-					}
-					keyBuf[i] = row[j]
-				}
-				if !ok || !row[vi].IsValid() {
-					continue
-				}
-				v, isNum := row[vi].AsNumber()
-				if !isNum {
-					return nil, fmt.Errorf("pad join: non-numeric value %v", row[vi])
-				}
-				out[model.EncodeKey(keyBuf)] = entry{key: append([]model.Value(nil), keyBuf...), v: v}
-			}
-			return out, nil
-		}
-		mr, err := collect(rightCh, rightCols, st.RightField)
+		m, err := frame.NewPadMerger(frame.PadMerge{Keys: st.Keys, XVal: st.ValueField, YVal: st.RightField, Op: st.Op, Default: st.Default},
+			cols[st.Left], cols[st.Right])
 		if err != nil {
 			return err
 		}
-		ml, err := collect(leftCh, leftCols, st.ValueField)
-		if err != nil {
-			return err
-		}
-		fn, err := ops.Scalar(st.Op)
-		if err != nil {
-			return err
-		}
-		emit := func(key []model.Value, l, r float64) error {
-			v, err := fn(l, r)
-			if err != nil {
-				if ops.ErrUndefined(err) {
-					return nil
+		for side, in := range [2]chan Row{chans[st.Left], chans[st.Right]} {
+			for row := range in {
+				if err := m.Add(side, row); err != nil {
+					return err
 				}
-				return err
-			}
-			return send(ctx, out, append(append(Row(nil), key...), model.Num(v)))
-		}
-		for k, e := range ml {
-			r := st.Default
-			if o, ok := mr[k]; ok {
-				r = o.v
-			}
-			if err := emit(e.key, e.v, r); err != nil {
-				return err
 			}
 		}
-		for k, e := range mr {
-			if _, ok := ml[k]; ok {
-				continue
-			}
-			if err := emit(e.key, st.Default, e.v); err != nil {
-				return err
-			}
-		}
-		return nil
+		return m.Each(func(row []model.Value) error { return send(ctx, out, row) })
 
 	case TableOutput:
 		in := chans[f.Inputs(st.Name)[0]]
@@ -549,7 +411,7 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 		}
 		idx := make([]int, len(st.Fields))
 		for i, fld := range st.Fields {
-			idx[i] = indexOf(inCols, fld)
+			idx[i] = slices.Index(inCols, fld)
 			if idx[i] < 0 {
 				return fmt.Errorf("output field %s missing from stream", fld)
 			}
@@ -578,11 +440,12 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 	}
 }
 
-func indexOf(xs []string, s string) int {
-	for i, x := range xs {
-		if x == s {
-			return i
+// pipe feeds every row of in to the kernel, then sends its rows downstream.
+func pipe(ctx context.Context, in <-chan Row, k frame.Kernel, out chan<- Row) error {
+	for row := range in {
+		if err := k.Add(row); err != nil {
+			return err
 		}
 	}
-	return -1
+	return k.Each(func(row []model.Value) error { return send(ctx, out, row) })
 }

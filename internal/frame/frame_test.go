@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -190,8 +191,8 @@ func TestStepErrors(t *testing.T) {
 		MapCol{Var: "F", Col: "x", E: Col{Name: "zz"}},
 	}
 	for i, s := range bad {
-		// Row-wise failures (unknown agg, unknown expr column) only
-		// surface when a row feeds them.
+		// Row-wise failures (an unknown expr column) only surface when a
+		// row feeds them.
 		env["F"].Rows = [][]model.Value{make([]model.Value, len(env["F"].Cols))}
 		env["F"].Rows[0][0] = model.Num(1)
 		if err := runStep(s, env); err == nil {
@@ -224,7 +225,7 @@ func TestFrameMatchesChase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Execute(script, m, tc.data)
+			got, err := ExecuteContext(context.Background(), script, m, tc.data)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package frame
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
@@ -23,14 +24,9 @@ func Translate(m *mapping.Mapping) (*Script, error) {
 	return s, nil
 }
 
-// Execute runs the script over the source cubes and returns every computed
-// relation (derived and auxiliary) as cubes.
-func Execute(s *Script, m *mapping.Mapping, source map[string]*model.Cube) (map[string]*model.Cube, error) {
-	return ExecuteContext(context.Background(), s, m, source)
-}
-
-// ExecuteContext is Execute under a context: cancellation aborts between
-// programs, and a tracer carried by the context records one span per
+// ExecuteContext runs the script over the source cubes and returns every
+// computed relation (derived and auxiliary) as cubes. Cancellation aborts
+// between programs, and a tracer carried by the context records one span per
 // program (tgd) and per frame operation.
 func ExecuteContext(ctx context.Context, s *Script, m *mapping.Mapping, source map[string]*model.Cube) (map[string]*model.Cube, error) {
 	env := Env{}
@@ -153,14 +149,18 @@ func TranslateTgd(t *mapping.Tgd, schemas map[string]model.Schema) (*Program, er
 		next := frameVarCols(t, i)
 		var by []string
 		for _, c := range next {
-			if containsStr(curCols, c) {
+			if slices.Contains(curCols, c) {
 				by = append(by, c)
+			}
+		}
+		for _, c := range next {
+			if !slices.Contains(curCols, c) {
+				curCols = append(curCols, c)
 			}
 		}
 		merged := fmt.Sprintf("m%d_%s", i, t.ID)
 		p.Steps = append(p.Steps, Merge{Out: merged, X: cur, Y: atomVars[i], By: by})
 		cur = merged
-		curCols = unionStr(curCols, next)
 	}
 
 	// Result dimension columns.
@@ -184,7 +184,7 @@ func TranslateTgd(t *mapping.Tgd, schemas map[string]model.Schema) (*Program, er
 
 	// Measure column.
 	mcol := "v_" + t.ID
-	me, err := mtermExpr(t.Measure)
+	me, err := MTermExpr(t.Measure)
 	if err != nil {
 		return nil, err
 	}
@@ -263,26 +263,9 @@ func frameVarCols(t *mapping.Tgd, i int) []string {
 	return out
 }
 
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-func unionStr(a, b []string) []string {
-	out := append([]string(nil), a...)
-	for _, s := range b {
-		if !containsStr(out, s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func mtermExpr(m *mapping.MTerm) (Expr, error) {
+// MTermExpr is the row-wise expression of a tgd's measure term, for the
+// frame programs and the ETL runtime's calculator steps.
+func MTermExpr(m *mapping.MTerm) (Expr, error) {
 	switch m.Kind {
 	case mapping.MVar:
 		return Col{Name: m.Var}, nil
@@ -291,7 +274,7 @@ func mtermExpr(m *mapping.MTerm) (Expr, error) {
 	case mapping.MApply:
 		args := make([]Expr, 0, len(m.Args))
 		for _, a := range m.Args {
-			e, err := mtermExpr(a)
+			e, err := MTermExpr(a)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ D := vsub0(B, A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Execute(script, m, data)
+	got, err := ExecuteContext(context.Background(), script, m, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package frame
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"exlengine/internal/model"
@@ -112,14 +112,9 @@ type Script struct {
 // Env binds frame variables during execution.
 type Env map[string]*Frame
 
-// Run executes a program in the environment; the result frame is bound to
-// p.Result (and returned).
-func (p *Program) Run(env Env) (*Frame, error) {
-	return p.RunContext(context.Background(), env)
-}
-
-// RunContext is Run under a context: a tracer carried by the context
-// records one span per frame operation.
+// RunContext executes a program in the environment; the result frame is bound
+// to p.Result (and returned). A tracer carried by the context records one
+// span per frame operation.
 func (p *Program) RunContext(ctx context.Context, env Env) (*Frame, error) {
 	for _, s := range p.Steps {
 		_, span := obs.StartSpan(ctx, "frame.op", obs.String("op", stepName(s)))
@@ -319,14 +314,7 @@ func merge(x, y *Frame, by []string) (*Frame, error) {
 	}
 	yKeep := make([]int, 0, len(y.Cols))
 	for j, c := range y.Cols {
-		shared := false
-		for _, b := range by {
-			if c == b {
-				shared = true
-				break
-			}
-		}
-		if !shared {
+		if !slices.Contains(by, c) {
 			yKeep = append(yKeep, j)
 		}
 	}
@@ -338,30 +326,13 @@ func merge(x, y *Frame, by []string) (*Frame, error) {
 	index := make(map[string][][]model.Value, len(y.Rows))
 	keyBuf := make([]model.Value, len(by))
 	for _, r := range y.Rows {
-		ok := true
-		for i, j := range yIdx {
-			if !r[j].IsValid() {
-				ok = false
-				break
-			}
-			keyBuf[i] = r[j]
+		if rowKey(keyBuf, r, yIdx) {
+			k := model.EncodeKey(keyBuf)
+			index[k] = append(index[k], r)
 		}
-		if !ok {
-			continue
-		}
-		k := model.EncodeKey(keyBuf)
-		index[k] = append(index[k], r)
 	}
 	for _, rx := range x.Rows {
-		ok := true
-		for i, j := range xIdx {
-			if !rx[j].IsValid() {
-				ok = false
-				break
-			}
-			keyBuf[i] = rx[j]
-		}
-		if !ok {
+		if !rowKey(keyBuf, rx, xIdx) {
 			continue
 		}
 		for _, ry := range index[model.EncodeKey(keyBuf)] {
@@ -376,192 +347,273 @@ func merge(x, y *Frame, by []string) (*Frame, error) {
 	return out, nil
 }
 
-func groupAgg(in *Frame, s GroupAgg) (*Frame, error) {
-	byIdx := make([]int, len(s.By))
-	for i, c := range s.By {
-		j := in.ColIndex(c)
-		if j < 0 {
-			return nil, fmt.Errorf("aggregate: unknown column %s", c)
-		}
-		byIdx[i] = j
-	}
-	vj := in.ColIndex(s.ValCol)
-	if vj < 0 {
-		return nil, fmt.Errorf("aggregate: unknown value column %s", s.ValCol)
-	}
-	type group struct {
-		key []model.Value
-		agg ops.Aggregator
-	}
-	groups := make(map[string]*group)
-	var order []string
-	keyBuf := make([]model.Value, len(byIdx))
-	for _, row := range in.Rows {
-		ok := true
-		for i, j := range byIdx {
-			if !row[j].IsValid() {
-				ok = false
-				break
-			}
-			keyBuf[i] = row[j]
-		}
-		if !ok || !row[vj].IsValid() {
-			continue
-		}
-		v, okNum := row[vj].AsNumber()
-		if !okNum {
-			return nil, fmt.Errorf("aggregate: non-numeric value %v", row[vj])
-		}
-		k := model.EncodeKey(keyBuf)
-		g, okG := groups[k]
-		if !okG {
-			agg, err := ops.NewAggregator(s.Agg)
-			if err != nil {
-				return nil, err
-			}
-			g = &group{key: append([]model.Value(nil), keyBuf...), agg: agg}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.agg.Add(v)
-	}
-	out := &Frame{Cols: append(append([]string(nil), s.By...), s.OutCol)}
-	// The byte order of the keys is the cube order of the groups.
-	sort.Strings(order)
-	for _, k := range order {
-		g := groups[k]
-		row := append(append([]model.Value(nil), g.key...), model.Num(g.agg.Result()))
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+// Kernel is what GroupAgg and SeriesOp compute, a row at a time: Add takes
+// every row of the input, then Each hands fn every row of the output. The
+// frame steps feed it a frame, the ETL runtime's aggregator and series steps
+// their input stream.
+type Kernel interface {
+	Add(row []model.Value) error
+	Each(fn func(row []model.Value) error) error
 }
 
-func padMerge(x, y *Frame, s PadMerge) (*Frame, error) {
-	type side struct {
-		f      *Frame
-		keyIdx []int
-		valIdx int
-	}
-	prepare := func(f *Frame, val string) (side, error) {
-		sd := side{f: f, keyIdx: make([]int, len(s.Keys))}
-		for i, k := range s.Keys {
-			j := f.ColIndex(k)
-			if j < 0 {
-				return sd, fmt.Errorf("pad-merge: key column %s missing", k)
-			}
-			sd.keyIdx[i] = j
+// collect runs a kernel over rows into a frame with the columns cols.
+func collect(k Kernel, rows [][]model.Value, cols ...string) (*Frame, error) {
+	for _, row := range rows {
+		if err := k.Add(row); err != nil {
+			return nil, err
 		}
-		sd.valIdx = f.ColIndex(val)
-		if sd.valIdx < 0 {
-			return sd, fmt.Errorf("pad-merge: value column %s missing", val)
-		}
-		return sd, nil
 	}
-	sx, err := prepare(x, s.XVal)
+	out := NewFrame(cols...)
+	return out, k.Each(func(row []model.Value) error {
+		out.Rows = append(out.Rows, row)
+		return nil
+	})
+}
+
+// columns returns the positions of names among cols; what names the step.
+func columns(cols, names []string, what string) ([]int, error) {
+	idx := make([]int, len(names))
+	for i, c := range names {
+		if idx[i] = slices.Index(cols, c); idx[i] < 0 {
+			return nil, fmt.Errorf("%s: unknown column %s", what, c)
+		}
+	}
+	return idx, nil
+}
+
+// rowKey reads the row's values at idx into key, and is false where one of
+// them is undefined.
+func rowKey(key, row []model.Value, idx []int) bool {
+	for i, j := range idx {
+		if !row[j].IsValid() {
+			return false
+		}
+		key[i] = row[j]
+	}
+	return true
+}
+
+// measure reads the value column of a row: ok is false where it is undefined.
+func measure(v model.Value, what string) (f float64, ok bool, err error) {
+	if !v.IsValid() {
+		return 0, false, nil
+	}
+	if f, ok = v.AsNumber(); !ok {
+		return 0, false, fmt.Errorf("%s: non-numeric value %v", what, v)
+	}
+	return f, true, nil
+}
+
+// Grouping is GroupAgg's kernel. Groups are numbered by a model.Assigner in
+// the order they are first seen, and each folds its bag in an ops.Acc; a row
+// whose key or value is undefined is in no group. Its output is one row per
+// group, the key and then the fold, in ordinal order: a cube built of them
+// sorts them.
+type Grouping struct {
+	by   []int
+	val  int
+	fold ops.Fold
+	asg  *model.Assigner
+	key  []model.Value
+	keys [][]model.Value // by ordinal, with room for the fold
+	accs []ops.Acc       // by ordinal
+}
+
+// NewGrouping returns the kernel of s over rows with the columns cols. An
+// unknown aggregation fails here, before any row.
+func NewGrouping(s GroupAgg, cols []string) (*Grouping, error) {
+	fold, err := ops.FoldOf(s.Agg)
 	if err != nil {
 		return nil, err
 	}
-	sy, err := prepare(y, s.YVal)
+	idx, err := columns(cols, append(slices.Clone(s.By), s.ValCol), "aggregate")
 	if err != nil {
 		return nil, err
+	}
+	n := len(s.By)
+	return &Grouping{by: idx[:n], val: idx[n], fold: fold, asg: model.NewAssigner(), key: make([]model.Value, n)}, nil
+}
+
+// Add folds the row into its group.
+func (g *Grouping) Add(row []model.Value) error {
+	if !rowKey(g.key, row, g.by) {
+		return nil
+	}
+	v, ok, err := measure(row[g.val], "aggregate")
+	if !ok {
+		return err
+	}
+	o := g.asg.Assign(g.key)
+	if int(o) == len(g.accs) {
+		g.keys = append(g.keys, append(make([]model.Value, 0, len(g.key)+1), g.key...))
+		g.accs = append(g.accs, ops.Acc{})
+	}
+	g.accs[o].Add(g.fold, v)
+	return nil
+}
+
+// Each hands fn the row of every group.
+func (g *Grouping) Each(fn func(row []model.Value) error) error {
+	for o, key := range g.keys {
+		if err := fn(append(key, model.Num(g.accs[o].Result(g.fold)))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func groupAgg(in *Frame, s GroupAgg) (*Frame, error) {
+	k, err := NewGrouping(s, in.Cols)
+	if err != nil {
+		return nil, err
+	}
+	return collect(k, in.Rows, append(slices.Clone(s.By), s.OutCol)...)
+}
+
+// PadMerger is PadMerge's kernel, fed the rows of either operand: the union of
+// their key tuples is numbered by one model.Assigner, and an operand's measure
+// at a point is that of its last row there, or the default where it has none.
+// Its output is one row per point, the key and then Op of the two measures, in
+// ordinal order; a point where Op is undefined has none.
+type PadMerger struct {
+	sides  [2][]int // per operand: its key columns, then its value column
+	fn     ops.ScalarFunc
+	def    float64
+	asg    *model.Assigner
+	key    []model.Value
+	points []padPoint // by ordinal
+}
+
+type padPoint struct {
+	key []model.Value // with room for the result
+	v   [2]float64
+}
+
+// NewPadMerger returns the kernel of s over operands with the columns xCols
+// and yCols.
+func NewPadMerger(s PadMerge, xCols, yCols []string) (*PadMerger, error) {
+	m := &PadMerger{def: s.Default, asg: model.NewAssigner(), key: make([]model.Value, len(s.Keys))}
+	vals := [2]string{s.XVal, s.YVal}
+	for i, cols := range [2][]string{xCols, yCols} {
+		idx, err := columns(cols, append(slices.Clone(s.Keys), vals[i]), "pad-merge")
+		if err != nil {
+			return nil, err
+		}
+		m.sides[i] = idx
 	}
 	fn, err := ops.Scalar(s.Op)
 	if err != nil {
 		return nil, err
 	}
+	m.fn = fn
+	return m, nil
+}
 
-	type entry struct {
-		key []model.Value
-		v   float64
-	}
-	index := func(sd side) (map[string]entry, error) {
-		out := make(map[string]entry, len(sd.f.Rows))
-		keyBuf := make([]model.Value, len(sd.keyIdx))
-		for _, row := range sd.f.Rows {
-			ok := true
-			for i, j := range sd.keyIdx {
-				if !row[j].IsValid() {
-					ok = false
-					break
-				}
-				keyBuf[i] = row[j]
-			}
-			if !ok || !row[sd.valIdx].IsValid() {
-				continue
-			}
-			v, isNum := row[sd.valIdx].AsNumber()
-			if !isNum {
-				return nil, fmt.Errorf("pad-merge: non-numeric value %v", row[sd.valIdx])
-			}
-			out[model.EncodeKey(keyBuf)] = entry{key: append([]model.Value(nil), keyBuf...), v: v}
-		}
-		return out, nil
-	}
-	mx, err := index(sx)
-	if err != nil {
-		return nil, err
-	}
-	my, err := index(sy)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Frame{Cols: append(append([]string(nil), s.Keys...), s.OutCol)}
-	emit := func(key []model.Value, xv, yv float64) error {
-		v, err := fn(xv, yv)
-		if err != nil {
-			if ops.ErrUndefined(err) {
-				return nil
-			}
-			return err
-		}
-		out.Rows = append(out.Rows, append(append([]model.Value(nil), key...), model.Num(v)))
+// Add reads a row of the operand side: 0 for X, 1 for Y.
+func (m *PadMerger) Add(side int, row []model.Value) error {
+	idx := m.sides[side]
+	n := len(idx) - 1
+	if !rowKey(m.key, row, idx[:n]) {
 		return nil
 	}
-	for k, ev := range mx {
-		yv := s.Default
-		if o, ok := my[k]; ok {
-			yv = o.v
-		}
-		if err := emit(ev.key, ev.v, yv); err != nil {
-			return nil, err
-		}
+	v, ok, err := measure(row[idx[n]], "pad-merge")
+	if !ok {
+		return err
 	}
-	for k, ev := range my {
-		if _, ok := mx[k]; ok {
+	o := m.asg.Assign(m.key)
+	if int(o) == len(m.points) {
+		m.points = append(m.points, padPoint{key: append(make([]model.Value, 0, n+1), m.key...), v: [2]float64{m.def, m.def}})
+	}
+	m.points[o].v[side] = v
+	return nil
+}
+
+// Each hands fn the row of every point.
+func (m *PadMerger) Each(fn func(row []model.Value) error) error {
+	for _, p := range m.points {
+		v, err := m.fn(p.v[0], p.v[1])
+		if ops.ErrUndefined(err) {
 			continue
 		}
-		if err := emit(ev.key, s.Default, ev.v); err != nil {
-			return nil, err
+		if err == nil {
+			err = fn(append(p.key, model.Num(v)))
+		}
+		if err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
+}
+
+func padMerge(x, y *Frame, s PadMerge) (*Frame, error) {
+	m, err := NewPadMerger(s, x.Cols, y.Cols)
+	if err != nil {
+		return nil, err
+	}
+	for side, f := range [2]*Frame{x, y} {
+		for _, row := range f.Rows {
+			if err := m.Add(side, row); err != nil {
+				return nil, err
+			}
+		}
+	}
+	out := NewFrame(append(slices.Clone(s.Keys), s.OutCol)...)
+	return out, m.Each(func(row []model.Value) error {
+		out.Rows = append(out.Rows, row)
+		return nil
+	})
+}
+
+// Series is SeriesOp's kernel: it gathers the points of the rows it takes and
+// applies the black box to them whole. Its output is the series in time order,
+// one (time, value) row per point.
+type Series struct {
+	op     string
+	params []float64
+	t, v   int
+	pts    []ops.SeriesPoint
+}
+
+// NewSeries returns the kernel of s over rows with the columns cols.
+func NewSeries(s SeriesOp, cols []string) (*Series, error) {
+	idx, err := columns(cols, []string{s.TimeCol, s.ValCol}, "series "+s.Op)
+	if err != nil {
+		return nil, err
+	}
+	return &Series{op: s.Op, params: s.Params, t: idx[0], v: idx[1]}, nil
+}
+
+// Add takes the row's point.
+func (s *Series) Add(row []model.Value) error {
+	p, ok := row[s.t].AsPeriod()
+	if !ok {
+		return fmt.Errorf("series %s: non-period time value %v", s.op, row[s.t])
+	}
+	v, ok := row[s.v].AsNumber()
+	if !ok {
+		return fmt.Errorf("series %s: non-numeric value %v", s.op, row[s.v])
+	}
+	s.pts = append(s.pts, ops.SeriesPoint{P: p, V: v})
+	return nil
+}
+
+// Each applies the black box and hands fn the row of every point.
+func (s *Series) Each(fn func(row []model.Value) error) error {
+	if err := ops.ApplySeries(s.op, s.pts, s.params); err != nil {
+		return err
+	}
+	for _, pt := range s.pts {
+		if err := fn([]model.Value{model.Per(pt.P), model.Num(pt.V)}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func seriesOp(in *Frame, s SeriesOp) (*Frame, error) {
-	tj := in.ColIndex(s.TimeCol)
-	vj := in.ColIndex(s.ValCol)
-	if tj < 0 || vj < 0 {
-		return nil, fmt.Errorf("series %s: columns %s, %s not found", s.Op, s.TimeCol, s.ValCol)
-	}
-	pts := make([]ops.SeriesPoint, 0, len(in.Rows))
-	for _, row := range in.Rows {
-		p, ok := row[tj].AsPeriod()
-		if !ok {
-			return nil, fmt.Errorf("series %s: non-period time value %v", s.Op, row[tj])
-		}
-		v, ok := row[vj].AsNumber()
-		if !ok {
-			return nil, fmt.Errorf("series %s: non-numeric value %v", s.Op, row[vj])
-		}
-		pts = append(pts, ops.SeriesPoint{P: p, V: v})
-	}
-	if err := ops.ApplySeries(s.Op, pts, s.Params); err != nil {
+	k, err := NewSeries(s, in.Cols)
+	if err != nil {
 		return nil, err
 	}
-	out := NewFrame(s.TimeCol, s.ValCol)
-	for _, pt := range pts {
-		out.Rows = append(out.Rows, []model.Value{model.Per(pt.P), model.Num(pt.V)})
-	}
-	return out, nil
+	return collect(k, in.Rows, s.TimeCol, s.ValCol)
 }

@@ -77,11 +77,11 @@ func printStep(s frame.Step) string {
 		}
 		return fmt.Sprintf("%s = join(%s, %s, 'Keys', {%s});\n", s.Out, s.X, s.Y, quoteList(s.By))
 	case frame.GroupAgg:
-		fun := mlAggFun(s.Agg)
+		call, method := mlAgg(s.Agg, s.In+"."+s.ValCol)
 		if len(s.By) == 0 {
-			return fmt.Sprintf("%s = table(%s(%s.%s), 'VariableNames', {'%s'});\n", s.Out, fun, s.In, s.ValCol, s.OutCol)
+			return fmt.Sprintf("%s = table(%s, 'VariableNames', {'%s'});\n", s.Out, call, s.OutCol)
 		}
-		return fmt.Sprintf("%s = groupsummary(%s, {%s}, '%s', '%s');\n", s.Out, s.In, quoteList(s.By), fun, s.ValCol)
+		return fmt.Sprintf("%s = groupsummary(%s, {%s}, %s, '%s');\n", s.Out, s.In, quoteList(s.By), method, s.ValCol)
 	case frame.PadMerge:
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s = outerjoin(%s, %s, 'Keys', {%s}, 'MergeKeys', true);\n", s.Out, s.X, s.Y, quoteList(s.Keys))
@@ -125,26 +125,23 @@ func printSeriesOp(s frame.SeriesOp) string {
 	}
 }
 
-func mlAggFun(agg string) string {
+// mlAgg returns the Matlab expression that folds the column x as the engines
+// do, and the groupsummary method that folds a group so: a built-in method's
+// name where one agrees with the engines, a function handle where none does —
+// std is the sample deviation unless told otherwise, and nnz skips the zeros
+// the engines count.
+func mlAgg(agg, x string) (call, method string) {
 	switch agg {
-	case "sum":
-		return "sum"
+	case "sum", "min", "max", "median":
+		return agg + "(" + x + ")", "'" + agg + "'"
 	case "avg":
-		return "mean"
-	case "min":
-		return "min"
-	case "max":
-		return "max"
+		return "mean(" + x + ")", "'mean'"
 	case "count":
-		return "nnz"
-	case "median":
-		return "median"
+		return "numel(" + x + ")", "@numel"
 	case "stddev":
-		return "std"
-	case "prod":
-		return "prod"
-	default:
-		return agg
+		return "std(" + x + ", 1)", "@(x) std(x, 1)"
+	default: // prod
+		return agg + "(" + x + ")", "@" + agg
 	}
 }
 

@@ -2,45 +2,37 @@ package ops
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
-// Aggregator consumes a bag of measures and produces one value. Bags have
-// multiset semantics: repeated elements count (the paper's footnote 9).
-// A fresh Aggregator must be obtained per group via NewAggregator.
-type Aggregator interface {
-	// Add feeds one measure into the bag.
-	Add(v float64)
-	// Result returns the aggregate of the bag fed so far. It is only
-	// called on non-empty bags: per the paper, "the cube tuple exists
-	// only if the bag V is non-empty".
-	Result() float64
-}
+// Fold is an aggregation operator resolved from its name, once, where a plan
+// is compiled or a tgd translated: the one definition of the eight folds
+// every engine aggregates a bag of measures with, each group's bag held in an
+// Acc. Bags have multiset semantics: repeated elements count (the paper's
+// footnote 9).
+type Fold uint8
 
-// NewAggregator returns a fresh aggregator for the named aggregation
-// operator ("sum", "avg", "min", "max", "count", "median", "stddev",
-// "prod").
-func NewAggregator(name string) (Aggregator, error) {
-	switch name {
-	case "sum":
-		return &sumAgg{}, nil
-	case "avg":
-		return &avgAgg{}, nil
-	case "min":
-		return &minAgg{first: true}, nil
-	case "max":
-		return &maxAgg{first: true}, nil
-	case "count":
-		return &countAgg{}, nil
-	case "median":
-		return &medianAgg{}, nil
-	case "stddev":
-		return &stddevAgg{}, nil
-	case "prod":
-		return &prodAgg{p: 1}, nil
-	default:
-		return nil, errUnknown("aggregation", name)
+// The folds, in the order of foldNames.
+const (
+	foldSum Fold = iota
+	foldAvg
+	foldMin
+	foldMax
+	foldCount
+	foldMedian
+	foldStddev
+	foldProd
+)
+
+var foldNames = [...]string{"sum", "avg", "min", "max", "count", "median", "stddev", "prod"}
+
+// FoldOf resolves the named aggregation operator ("sum", "avg", "min", "max",
+// "count", "median", "stddev", "prod").
+func FoldOf(name string) (Fold, error) {
+	if i := slices.Index(foldNames[:], name); i >= 0 {
+		return Fold(i), nil
 	}
+	return 0, errUnknown("aggregation", name)
 }
 
 // IsAggregation reports whether name is a registered aggregation operator.
@@ -49,98 +41,82 @@ func IsAggregation(name string) bool {
 	return ok && i.Class == ClassAggregation
 }
 
-type sumAgg struct{ s float64 }
-
-func (a *sumAgg) Add(v float64)   { a.s += v }
-func (a *sumAgg) Result() float64 { return a.s }
-
-type avgAgg struct {
-	s float64
-	n int
-}
-
-func (a *avgAgg) Add(v float64)   { a.s += v; a.n++ }
-func (a *avgAgg) Result() float64 { return a.s / float64(a.n) }
-
-type minAgg struct {
-	m     float64
-	first bool
-}
-
-func (a *minAgg) Add(v float64) {
-	if a.first || v < a.m {
-		a.m = v
-		a.first = false
-	}
-}
-func (a *minAgg) Result() float64 { return a.m }
-
-type maxAgg struct {
-	m     float64
-	first bool
-}
-
-func (a *maxAgg) Add(v float64) {
-	if a.first || v > a.m {
-		a.m = v
-		a.first = false
-	}
-}
-func (a *maxAgg) Result() float64 { return a.m }
-
-type countAgg struct{ n int }
-
-func (a *countAgg) Add(float64)     { a.n++ }
-func (a *countAgg) Result() float64 { return float64(a.n) }
-
-type medianAgg struct{ vs []float64 }
-
-func (a *medianAgg) Add(v float64) { a.vs = append(a.vs, v) }
-func (a *medianAgg) Result() float64 {
-	vs := append([]float64(nil), a.vs...)
-	sort.Float64s(vs)
-	n := len(vs)
-	if n%2 == 1 {
-		return vs[n/2]
-	}
-	return (vs[n/2-1] + vs[n/2]) / 2
-}
-
-// stddevAgg computes the population standard deviation with Welford's
-// online algorithm for numerical stability.
-type stddevAgg struct {
+// Acc is one group's bag under a Fold, folded as it arrives; the zero Acc is
+// the empty bag. It is flat — a is the sum, minimum, maximum or product, or
+// Welford's running mean for stddev, b Welford's M2, and vs median's bag —
+// so a grouping engine keeps its groups' accumulators in one slice.
+type Acc struct {
 	n    int
-	mean float64
-	m2   float64
+	a, b float64
+	vs   []float64
 }
 
-func (a *stddevAgg) Add(v float64) {
-	a.n++
-	d := v - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (v - a.mean)
-}
-func (a *stddevAgg) Result() float64 {
-	if a.n == 0 {
-		return 0
+// N returns the number of measures folded in: 0 for a group no defined
+// measure has reached.
+func (acc *Acc) N() int { return acc.n }
+
+// Add folds one measure into the bag.
+func (acc *Acc) Add(f Fold, v float64) {
+	acc.n++
+	switch f {
+	case foldSum, foldAvg:
+		acc.a += v
+	case foldMin:
+		if acc.n == 1 || v < acc.a {
+			acc.a = v
+		}
+	case foldMax:
+		if acc.n == 1 || v > acc.a {
+			acc.a = v
+		}
+	case foldMedian:
+		acc.vs = append(acc.vs, v)
+	case foldStddev:
+		d := v - acc.a
+		acc.a += d / float64(acc.n)
+		acc.b += d * (v - acc.a)
+	case foldProd:
+		if acc.n == 1 {
+			acc.a = v
+		} else {
+			acc.a *= v
+		}
 	}
-	return math.Sqrt(a.m2 / float64(a.n))
 }
 
-type prodAgg struct{ p float64 }
+// Result returns the fold of the bag. It is only asked of non-empty bags: per
+// the paper, "the cube tuple exists only if the bag V is non-empty". The bag
+// is left as it was, so more measures may follow.
+func (acc *Acc) Result(f Fold) float64 {
+	switch f {
+	case foldAvg:
+		return acc.a / float64(acc.n)
+	case foldCount:
+		return float64(acc.n)
+	case foldMedian:
+		vs := slices.Clone(acc.vs)
+		slices.Sort(vs)
+		n := len(vs)
+		if n%2 == 1 {
+			return vs[n/2]
+		}
+		return (vs[n/2-1] + vs[n/2]) / 2
+	case foldStddev: // the population deviation
+		return math.Sqrt(acc.b / float64(acc.n))
+	default:
+		return acc.a
+	}
+}
 
-func (a *prodAgg) Add(v float64)   { a.p *= v }
-func (a *prodAgg) Result() float64 { return a.p }
-
-// Aggregate applies the named aggregation to a complete bag. It is a
-// convenience for engines that materialize groups before aggregating.
+// Aggregate applies the named aggregation to a complete, non-empty bag.
 func Aggregate(name string, bag []float64) (float64, error) {
-	agg, err := NewAggregator(name)
+	f, err := FoldOf(name)
 	if err != nil {
 		return 0, err
 	}
+	var acc Acc
 	for _, v := range bag {
-		agg.Add(v)
+		acc.Add(f, v)
 	}
-	return agg.Result(), nil
+	return acc.Result(f), nil
 }

@@ -47,13 +47,14 @@ func TestMedianOddEven(t *testing.T) {
 }
 
 func TestMedianDoesNotMutateBag(t *testing.T) {
-	agg, _ := NewAggregator("median")
+	f, _ := FoldOf("median")
+	var acc Acc
 	for _, v := range []float64{3, 1, 2} {
-		agg.Add(v)
+		acc.Add(f, v)
 	}
-	_ = agg.Result()
-	agg.Add(0)
-	if got := agg.Result(); got != 1.5 {
+	_ = acc.Result(f)
+	acc.Add(f, 0)
+	if got := acc.Result(f); got != 1.5 {
 		t.Errorf("median after further Add = %v, want 1.5", got)
 	}
 }
@@ -69,8 +70,8 @@ func TestBagSemantics(t *testing.T) {
 }
 
 func TestUnknownAggregator(t *testing.T) {
-	if _, err := NewAggregator("mode"); err == nil {
-		t.Error("unknown aggregator must fail")
+	if _, err := FoldOf("mode"); err == nil {
+		t.Error("unknown fold must fail")
 	}
 	if _, err := Aggregate("mode", []float64{1}); err == nil {
 		t.Error("unknown Aggregate must fail")
@@ -81,6 +82,9 @@ func TestIsAggregation(t *testing.T) {
 	for _, n := range []string{"sum", "avg", "min", "max", "count", "median", "stddev", "prod"} {
 		if !IsAggregation(n) {
 			t.Errorf("IsAggregation(%s) = false", n)
+		}
+		if _, err := FoldOf(n); err != nil {
+			t.Errorf("FoldOf(%s): %v", n, err)
 		}
 	}
 	for _, n := range []string{"stl_t", "shift", "ln", "nosuch"} {

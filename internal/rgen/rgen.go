@@ -136,6 +136,9 @@ func printSeriesOp(s frame.SeriesOp) string {
 	return b.String()
 }
 
+// rAggFun returns the R function that folds a bag as the engines do, callable
+// as it stands: R's sd is the sample deviation, the engines' stddev the
+// population one.
 func rAggFun(agg string) string {
 	switch agg {
 	case "sum":
@@ -151,7 +154,7 @@ func rAggFun(agg string) string {
 	case "median":
 		return "median"
 	case "stddev":
-		return "sd"
+		return "(function(x) sqrt(mean((x - mean(x))^2)))"
 	case "prod":
 		return "prod"
 	default:

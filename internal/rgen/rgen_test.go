@@ -94,6 +94,27 @@ B := shift(A, 1)
 	}
 }
 
+// TestRFolds: every fold prints, grouped and global, an R function that
+// computes what the engines do — stddev the population deviation, not sd.
+func TestRFolds(t *testing.T) {
+	for _, tc := range []struct{ agg, fun string }{
+		{"sum", "sum"}, {"avg", "mean"}, {"min", "min"}, {"max", "max"},
+		{"count", "length"}, {"median", "median"}, {"prod", "prod"},
+		{"stddev", "(function(x) sqrt(mean((x - mean(x))^2)))"},
+	} {
+		m := compile(t, "cube A(t: year, r: string) measure v\nG := "+tc.agg+"(A, group by t)\nT := "+tc.agg+"(A)")
+		r, err := Translate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frag := range []string{"FUN = " + tc.fun + ")\n", "data.frame(v_t2 = " + tc.fun + "(a1_t2$v_t2))"} {
+			if !strings.Contains(r, frag) {
+				t.Errorf("%s: R output missing %q:\n%s", tc.agg, frag, r)
+			}
+		}
+	}
+}
+
 func TestRGlobalAggregate(t *testing.T) {
 	m := compile(t, "cube A(t: year, r: string) measure v\nTOT := sum(A)")
 	r, err := Translate(m)

@@ -627,7 +627,7 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 	collect = func(e expr) error {
 		switch e := e.(type) {
 		case *callExpr:
-			if ops.IsAggregation(e.name) || e.name == "count" {
+			if ops.IsAggregation(e.name) {
 				if !e.star && len(e.args) != 1 {
 					return fmt.Errorf("sql: aggregate %s takes one argument", e.name)
 				}
@@ -640,7 +640,11 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 				if _, ok := aggIdx[key]; ok {
 					return nil
 				}
-				spec := aggSpec{name: e.name, star: e.star}
+				fold, err := ops.FoldOf(e.name)
+				if err != nil {
+					return err
+				}
+				spec := aggSpec{name: e.name, fold: fold, star: e.star}
 				if !e.star {
 					spec.arg = e.args[0]
 					c, err := compileExpr(e.args[0], childEnv)
@@ -707,7 +711,7 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 func aggName(e expr) string {
 	switch e := e.(type) {
 	case *callExpr:
-		if ops.IsAggregation(e.name) || e.name == "count" {
+		if ops.IsAggregation(e.name) {
 			return e.name
 		}
 		for _, a := range e.args {

@@ -566,16 +566,15 @@ func aggEmptyResult(name string) model.Value {
 func (db *DB) evalAggExpr(e expr, sc *scope, rep []model.Value, rows [][]model.Value) (model.Value, error) {
 	switch e := e.(type) {
 	case *callExpr:
-		if ops.IsAggregation(e.name) || e.name == "count" {
-			agg, err := ops.NewAggregator(e.name)
+		if ops.IsAggregation(e.name) {
+			fold, err := ops.FoldOf(e.name)
 			if err != nil {
 				return model.Value{}, err
 			}
-			n := 0
+			var acc ops.Acc
 			for _, row := range rows {
 				if e.star {
-					agg.Add(0)
-					n++
+					acc.Add(fold, 0)
 					continue
 				}
 				if len(e.args) != 1 {
@@ -592,13 +591,12 @@ func (db *DB) evalAggExpr(e expr, sc *scope, rep []model.Value, rows [][]model.V
 				if !ok {
 					return model.Value{}, fmt.Errorf("sql: aggregate %s over non-numeric value %v", e.name, v)
 				}
-				agg.Add(f)
-				n++
+				acc.Add(fold, f)
 			}
-			if n == 0 {
+			if acc.N() == 0 {
 				return aggEmptyResult(e.name), nil
 			}
-			return model.Num(agg.Result()), nil
+			return model.Num(acc.Result(fold)), nil
 		}
 		// Scalar call over aggregated arguments.
 		args := make([]expr, len(e.args))
@@ -705,7 +703,7 @@ func validateExpr(e expr, sc *scope) error {
 func hasAggregate(e expr) bool {
 	switch e := e.(type) {
 	case *callExpr:
-		if ops.IsAggregation(e.name) || e.name == "count" {
+		if ops.IsAggregation(e.name) {
 			return true
 		}
 		for _, a := range e.args {
@@ -816,7 +814,7 @@ func (db *DB) evalExpr(e expr, sc *scope, row []model.Value) (model.Value, error
 		}
 		return applyIsNull(x, e.not), nil
 	case *callExpr:
-		if ops.IsAggregation(e.name) || e.name == "count" {
+		if ops.IsAggregation(e.name) {
 			return model.Value{}, fmt.Errorf("sql: aggregate %s outside grouped context", e.name)
 		}
 		vals := make([]model.Value, len(e.args))

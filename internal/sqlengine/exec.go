@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"exlengine/internal/model"
@@ -261,7 +260,7 @@ func compileExpr(e expr, env compileEnv) (compiledExpr, error) {
 		}
 		return &isNullC{x: x, not: e.not}, nil
 	case *callExpr:
-		if ops.IsAggregation(e.name) || e.name == "count" {
+		if ops.IsAggregation(e.name) {
 			if env.aggs != nil {
 				if idx, ok := env.aggs[exprString(e)]; ok {
 					return &colC{idx: idx}, nil
@@ -739,8 +738,7 @@ type groupOp struct {
 	child   execOp
 	done    bool
 	scratch batchScratch
-	kinds   []aggKind
-	states  [][]aggState // [aggregate][group ordinal]
+	states  [][]ops.Acc // [aggregate][group ordinal]
 
 	scan  *scanOp          // the child, where its view's key set keeps the partition
 	part  *model.Partition // the ordinals, where the key set had them
@@ -807,121 +805,6 @@ rows:
 	return ords, nil
 }
 
-// aggKind selects the inlined accumulator update for the common
-// aggregations; aggOther falls back to an ops.Aggregator instance so any
-// aggregation the registry knows still works, just without the fast path.
-type aggKind uint8
-
-const (
-	aggSum aggKind = iota
-	aggAvg
-	aggCount
-	aggMin
-	aggMax
-	aggMedian
-	aggStddev
-	aggProd
-	aggOther
-)
-
-func aggKindOf(name string) aggKind {
-	switch name {
-	case "sum":
-		return aggSum
-	case "avg":
-		return aggAvg
-	case "count":
-		return aggCount
-	case "min":
-		return aggMin
-	case "max":
-		return aggMax
-	case "median":
-		return aggMedian
-	case "stddev":
-		return aggStddev
-	case "prod":
-		return aggProd
-	default:
-		return aggOther
-	}
-}
-
-// aggState is one group's accumulator for one aggregate: a is the
-// sum/min/max/product (or Welford mean for stddev), b the Welford M2.
-// Keeping groups in flat []aggState slices — one append per new group —
-// replaces the per-group interface allocations the hash aggregator used
-// to make.
-type aggState struct {
-	n   int
-	a   float64
-	b   float64
-	vs  []float64      // median keeps the bag
-	agg ops.Aggregator // aggOther fallback
-}
-
-func (st *aggState) add(kind aggKind, name string, v float64) {
-	st.n++
-	switch kind {
-	case aggSum, aggAvg:
-		st.a += v
-	case aggCount:
-	case aggMin:
-		if st.n == 1 || v < st.a {
-			st.a = v
-		}
-	case aggMax:
-		if st.n == 1 || v > st.a {
-			st.a = v
-		}
-	case aggMedian:
-		st.vs = append(st.vs, v)
-	case aggStddev:
-		d := v - st.a
-		st.a += d / float64(st.n)
-		st.b += d * (v - st.a)
-	case aggProd:
-		if st.n == 1 {
-			st.a = v
-		} else {
-			st.a *= v
-		}
-	default:
-		if st.agg == nil {
-			agg, err := ops.NewAggregator(name)
-			if err != nil {
-				// Names were vetted at compile time (IsAggregation/count).
-				panic(err)
-			}
-			st.agg = agg
-		}
-		st.agg.Add(v)
-	}
-}
-
-func (st *aggState) result(kind aggKind) float64 {
-	switch kind {
-	case aggSum, aggMin, aggMax, aggProd:
-		return st.a
-	case aggAvg:
-		return st.a / float64(st.n)
-	case aggCount:
-		return float64(st.n)
-	case aggMedian:
-		vs := append([]float64(nil), st.vs...)
-		slices.Sort(vs)
-		n := len(vs)
-		if n%2 == 1 {
-			return vs[n/2]
-		}
-		return (vs[n/2-1] + vs[n/2]) / 2
-	case aggStddev:
-		return math.Sqrt(st.b / float64(st.n))
-	default:
-		return st.agg.Result()
-	}
-}
-
 func (o *groupOp) next() (*batch, error) {
 	if o.done {
 		return nil, nil
@@ -934,11 +817,9 @@ func (o *groupOp) next() (*batch, error) {
 	if o.part != nil {
 		ngroups = o.part.Groups()
 	}
-	o.kinds = make([]aggKind, len(o.n.aggs))
-	o.states = make([][]aggState, len(o.n.aggs))
-	for i, spec := range o.n.aggs {
-		o.kinds[i] = aggKindOf(spec.name)
-		o.states[i] = make([]aggState, ngroups)
+	o.states = make([][]ops.Acc, len(o.n.aggs))
+	for i := range o.states {
+		o.states[i] = make([]ops.Acc, ngroups)
 	}
 	rowBuf := make([]model.Value, childWidth)
 	argVecs := make([][]model.Value, len(o.n.aggs))
@@ -1009,14 +890,13 @@ func (o *groupOp) next() (*batch, error) {
 	// Extended batch: representative rows + one column per aggregate.
 	ext := &batch{N: reps.N, Cols: make([][]model.Value, childWidth+len(o.n.aggs))}
 	copy(ext.Cols, reps.Cols)
-	for ai := range o.n.aggs {
+	for ai, spec := range o.n.aggs {
 		col := make([]model.Value, ngroups)
 		for gi := range col {
-			st := &o.states[ai][gi]
-			if st.n == 0 {
-				col[gi] = aggEmptyResult(o.n.aggs[ai].name)
+			if acc := &o.states[ai][gi]; acc.N() == 0 {
+				col[gi] = aggEmptyResult(spec.name)
 			} else {
-				col[gi] = model.Num(st.result(o.kinds[ai]))
+				col[gi] = model.Num(acc.Result(spec.fold))
 			}
 		}
 		ext.Cols[childWidth+ai] = col
@@ -1064,7 +944,7 @@ func (o *groupOp) newGroup(ngroups *int) int {
 	g := *ngroups
 	*ngroups++
 	for i := range o.states {
-		o.states[i] = append(o.states[i], aggState{})
+		o.states[i] = append(o.states[i], ops.Acc{})
 	}
 	return g
 }
@@ -1087,7 +967,7 @@ func (o *groupOp) feed(g int, argVecs [][]model.Value, r int) error {
 	for i := range o.n.aggs {
 		spec := &o.n.aggs[i]
 		if spec.star {
-			o.states[i][g].add(o.kinds[i], spec.name, 0)
+			o.states[i][g].Add(spec.fold, 0)
 			continue
 		}
 		v := argVecs[i][r]
@@ -1098,7 +978,7 @@ func (o *groupOp) feed(g int, argVecs [][]model.Value, r int) error {
 		if !ok {
 			return fmt.Errorf("sql: aggregate %s over non-numeric value %v", spec.name, v)
 		}
-		o.states[i][g].add(o.kinds[i], spec.name, f)
+		o.states[i][g].Add(spec.fold, f)
 	}
 	return nil
 }

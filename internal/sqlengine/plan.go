@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"exlengine/internal/ops"
 )
 
 // This file defines the logical plan the vectorized executor runs:
@@ -204,6 +206,7 @@ type groupNode struct {
 // aggSpec is one distinct aggregate call appearing in the SELECT list.
 type aggSpec struct {
 	name string
+	fold ops.Fold
 	star bool
 	arg  expr // nil for COUNT(*)
 	carg compiledExpr

@@ -20,6 +20,7 @@ import (
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 	"exlengine/internal/obs"
+	"exlengine/internal/ops"
 	"exlengine/internal/sqlengine"
 )
 
@@ -277,7 +278,12 @@ func joinSelect(t *mapping.Tgd, schemas map[string]model.Schema) (string, []stri
 		return "", nil, err
 	}
 	if t.Kind == mapping.Aggregation {
-		if strings.EqualFold(t.Agg, "count") {
+		// The engine would take an unknown name for a scalar function and
+		// fail only at a row that calls it.
+		if _, err := ops.FoldOf(t.Agg); err != nil {
+			return "", nil, err
+		}
+		if t.Agg == "count" {
 			// The chase aggregates the bag of *defined* measure points and
 			// emits no output tuple for an all-undefined group. SQL COUNT
 			// would instead report 0 (and NULL-strict expressions would

@@ -577,16 +577,8 @@ func (d *Store) Names() []string { return d.mem.Names() }
 // Get returns the current version of the cube (frozen, shared).
 func (d *Store) Get(name string) (*model.Cube, bool) { return d.mem.Get(name) }
 
-// Fetch is Get with a descriptive error.
-func (d *Store) Fetch(name string) (*model.Cube, error) { return d.mem.Fetch(name) }
-
 // GetAsOf returns the version valid at instant t (frozen, shared).
 func (d *Store) GetAsOf(name string, t time.Time) (*model.Cube, bool) { return d.mem.GetAsOf(name, t) }
-
-// FetchAsOf is GetAsOf with a descriptive error.
-func (d *Store) FetchAsOf(name string, t time.Time) (*model.Cube, error) {
-	return d.mem.FetchAsOf(name, t)
-}
 
 // Versions returns the validity instants of the cube's versions.
 func (d *Store) Versions(name string) []time.Time { return d.mem.Versions(name) }
