@@ -296,7 +296,9 @@ func TestPartitionBuiltConcurrently(t *testing.T) {
 	versions := []*model.Cube{base, revision}
 	var want [2]*model.Cube
 	for i, v := range versions {
-		ref, err := Run(context.Background(), ops.TargetChase, m, map[string]*model.Cube{"PDR": v.Clone()})
+		own := model.NewCube(v.Schema()) // a key set of its own: a Clone would stand on v's
+		_ = v.ForEach(func(tu model.Tuple) error { return own.Put(tu.Dims, tu.Measure) })
+		ref, err := Run(context.Background(), ops.TargetChase, m, map[string]*model.Cube{"PDR": own})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,15 +31,6 @@ import (
 // both the source instance I and the target instance J.
 type Instance map[string]*model.Cube
 
-// Clone deep-copies the instance.
-func (in Instance) Clone() Instance {
-	out := make(Instance, len(in))
-	for k, c := range in {
-		out[k] = c.Clone()
-	}
-	return out
-}
-
 // Stats reports what a chase run did.
 type Stats struct {
 	Strata          int // tgds applied (one stratum each)

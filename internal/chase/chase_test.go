@@ -403,20 +403,6 @@ func TestChaseRepeatedVariableInAtom(t *testing.T) {
 	}
 }
 
-func TestChaseInstanceClone(t *testing.T) {
-	src := Instance(workload.GDPSource(workload.GDPConfig{Days: 10, Regions: 1}))
-	c := src.Clone()
-	if len(c) != len(src) {
-		t.Fatal("clone size")
-	}
-	day := model.NewDaily(2000, time.January, 1)
-	_ = c["PDR"].Replace([]model.Value{model.Per(day), model.Str(workload.RegionName(0))}, -1)
-	orig, _ := src["PDR"].Get([]model.Value{model.Per(day), model.Str(workload.RegionName(0))})
-	if orig == -1 {
-		t.Error("Clone must not share cubes")
-	}
-}
-
 func TestChaseInflationProgram(t *testing.T) {
 	m := compile(t, workload.InflationProgram)
 	src := workload.InflationSource(8, 36, 1)

@@ -14,8 +14,8 @@ import (
 // TestRunsOnRevisionsHeldAsColumns: once a SQL run has read PDR in order,
 // the store holds every measure-restating revision of it as columns over
 // the one key set. Every target, run in full and then incrementally on
-// such versions, produces the chase solution of the same inputs held as
-// row maps.
+// such versions, produces the chase solution of the same inputs held as the
+// mutable cubes they were put as.
 func TestRunsOnRevisionsHeldAsColumns(t *testing.T) {
 	ctx := context.Background()
 	at := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)

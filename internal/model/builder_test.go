@@ -8,15 +8,16 @@ import (
 	"testing"
 )
 
-// fuzzPredecessor returns the version a Builder under c's schema follows in
-// FuzzBuilder, a frozen cube made from c's tuples: nothing; the same dimension
-// tuples under other measures; the first half of them; all of them and more;
-// all of them but for one in the middle, whose key is another; the same under
-// another schema. Its numbers are of the other kind than c's (Int 3 for
-// Num 3.0): one key, and Dims that show whose they are.
-func fuzzPredecessor(pick uint8, c *Cube) *Cube {
-	ts := byCompare(c)
-	prev := NewCube(c.schema)
+// fuzzPredecessor returns the version a Builder under sch follows in
+// FuzzBuilder, a frozen cube made from ts, tuples in cube order: nothing; the
+// same dimension tuples under other measures; the first half of them; all of
+// them and more; all of them but for one in the middle, whose key is another;
+// the same under another schema; the same under other measures, Cloned and
+// edited by script (runScript) before it is frozen. Its numbers are of the
+// other kind than ts's (Int 3 for Num 3.0): one key, and Dims that show whose
+// they are.
+func fuzzPredecessor(t *testing.T, pick uint8, sch Schema, ts []Tuple, script []byte) *Cube {
+	prev := NewCube(sch)
 	put := func(x Value, s string, m float64) {
 		if i, isInt := x.AsInt(); isInt && x.Kind() == KindNumber {
 			x = Int(i)
@@ -27,7 +28,7 @@ func fuzzPredecessor(pick uint8, c *Cube) *Cube {
 			panic(err)
 		}
 	}
-	switch pick % 6 {
+	switch pick % 7 {
 	case 0:
 		return nil
 	case 2:
@@ -42,10 +43,17 @@ func fuzzPredecessor(pick uint8, c *Cube) *Cube {
 			put(mid[0], mid[1].str+"\x00", 3)
 		}
 	case 5:
-		prev = NewCube(c.schema.Rename("D"))
+		prev = NewCube(sch.Rename("D"))
 	}
 	for _, tu := range ts {
 		put(tu.Dims[0], tu.Dims[1].str, -tu.Measure-1)
+	}
+	if pick%7 == 6 {
+		edited, oracle := prev.Freeze().Clone(), rowsOf(prev)
+		dims := func(i byte) []Value { return []Value{Num(float64(i / 3)), Str(string(rune('a' + i%3)))} }
+		runScript(t, edited, oracle, dims, script)
+		sameAsOracle(t, edited, oracle)
+		prev = edited
 	}
 	return prev.Freeze()
 }
@@ -54,15 +62,15 @@ func fuzzPredecessor(pick uint8, c *Cube) *Cube {
 // same measure, one within Eps of it, or another — and with dimension values
 // that differ in kind (Int 3, Num 3.0) where they encode to one key, at a
 // Builder that follows the predecessor pick chooses (fuzzPredecessor). What
-// Build returns is what a loop of Put over the same arrivals leaves in a
-// mutable cube (the oracle kept here): the same tuples bit for bit, in cube
-// order; or the same error, to the letter. The arrivals that were the
-// predecessor's first tuples, in its order, stand on the predecessor's Dims,
-// every other tuple on its first arrival's; the version is on the
-// predecessor's key set exactly when they were all of its tuples and nothing
-// else arrived; and the predecessor is left as it was.
+// Build returns is what a loop of Put over the same arrivals leaves in the row
+// map kept here as the oracle, and in a new cube, which answers as the oracle
+// does: the same tuples bit for bit, in cube order; or the same error, to the
+// letter. The arrivals that were the predecessor's first tuples, in its order,
+// stand on the predecessor's Dims, every other tuple on its first arrival's;
+// the version is on the predecessor's key set exactly when they were all of
+// its tuples and nothing else arrived; and the predecessor is left as it was.
 func FuzzBuilder(f *testing.F) {
-	for pick := uint8(0); pick < 6; pick++ {
+	for pick := uint8(0); pick < 7; pick++ {
 		f.Add([]byte{}, pick)
 		f.Add([]byte{0, 0, 1, 1, 0, 2, 2, 0, 3, 4, 0, 4, 5, 0, 5}, pick) // in order
 		f.Add([]byte{2, 0, 3, 1, 0, 2, 0, 0, 1}, pick)                   // reversed
@@ -81,8 +89,9 @@ func FuzzBuilder(f *testing.F) {
 			m    float64
 		}
 		var arrivals []arrival
-		oracle := NewCube(sch)
+		oracle, loop := rowMap{}, NewCube(sch)
 		var want error
+		edits := script
 		for ; len(script) >= 3; script = script[3:] {
 			at, how, m := int(script[0]), script[1], float64(script[2])
 			x := Int(int64(at / 3))
@@ -99,12 +108,16 @@ func FuzzBuilder(f *testing.F) {
 			}
 			dims := []Value{x, Str(string(rune('a' + at%3)))}
 			if want == nil {
-				want = oracle.Put(dims, m)
+				want = oracle.put(sch.Name, dims, m)
+				if err := loop.Put(dims, m); (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+					t.Fatalf("Put: %v, want %v", err, want)
+				}
 			}
 			arrivals = append(arrivals, arrival{at, dims, m})
 		}
+		sameAsOracle(t, loop, oracle)
 
-		prev := fuzzPredecessor(pick, oracle)
+		prev := fuzzPredecessor(t, pick, sch, oracle.sorted(), edits)
 		var prevTuples []Tuple
 		if prev != nil {
 			prevTuples = prev.Tuples()
@@ -138,14 +151,14 @@ func FuzzBuilder(f *testing.F) {
 			}
 			return
 		}
-		if err != nil || !got.Frozen() || got.rows != nil || got.Len() != oracle.Len() {
-			t.Fatalf("Build: %v; %d tuples, want %d", err, got.Len(), oracle.Len())
+		if err != nil || !OnlyColumns(got) || got.Len() != len(oracle) {
+			t.Fatalf("Build: %v; %d tuples, want %d", err, got.Len(), len(oracle))
 		}
-		if !got.Equal(oracle, 0) || !oracle.Equal(got, 0) {
-			t.Fatalf("built cube differs from the Put loop's: %v", got.Diff(oracle, 0, 3))
+		if !got.Equal(loop, 0) || !loop.Equal(got, 0) {
+			t.Fatalf("built cube differs from the Put loop's: %v", got.Diff(loop, 0, 3))
 		}
 		ts := got.Tuples()
-		sameTuplesBits(t, ts, byCompare(oracle))
+		sameTuplesBits(t, ts, oracle.sorted())
 		if all := prev != nil && prev.schema.Equal(sch) && followed == len(arrivals) && followed == len(prevTuples); prev != nil && got.SharesKeySet(prev) != all {
 			t.Fatalf("on the predecessor's key set: %v; followed %d of %d arrivals through %d tuples", got.SharesKeySet(prev), followed, len(arrivals), len(prevTuples))
 		}
@@ -157,7 +170,7 @@ func FuzzBuilder(f *testing.F) {
 			k := EncodeKey(tu.Dims)
 			if p := theirs[k]; p != nil && p != &tu.Dims[0] {
 				t.Fatalf("%v was followed and is not on the predecessor's Dims", tu.Dims)
-			} else if first := oracle.rows[k]; p == nil && first.Dims[0].Kind() != tu.Dims[0].Kind() {
+			} else if first := oracle[k]; p == nil && first.Dims[0].Kind() != tu.Dims[0].Kind() {
 				t.Fatalf("%v is not the first arrival's Dims (%v)", tu.Dims, first.Dims[0].Kind())
 			}
 		}

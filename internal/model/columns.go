@@ -114,38 +114,95 @@ func (ks *keySet) tuplesEstimate() int64 {
 // View returns the cube's column form, whose order is the cube's
 // deterministic order: the byte order of the tuples' row keys (see AppendKey),
 // which gives every engine the same iteration order. A frozen cube is its
-// View; a mutable cube sorts one on the first ordered read and keeps it until
-// the next mutation. Every reader of the cube shares what is returned.
+// View. A mutable cube folds its edits into its base on the first read in
+// order — sorting them over the empty version (order.go) — and every reader
+// shares the fold until the next mutation.
 func (c *Cube) View() *View {
 	if p := c.cols.Load(); p != nil {
 		return p
 	}
-	ks := &keySet{tuples: make([]dimTuple, 0, len(c.rows))}
-	p := &View{keys: ks, measures: make([]float64, 0, len(c.rows))}
-	for k, t := range c.rows {
-		ks.tuples, p.measures = append(ks.tuples, dimTuple{t.Dims, k}), append(p.measures, t.Measure)
+	p := c.base
+	switch {
+	case p != nil && len(c.edits) == 0: // nothing to fold
+	case p == nil || p.Len() == 0:
+		ks := &keySet{tuples: make([]dimTuple, 0, len(c.edits))}
+		p = &View{keys: ks, measures: make([]float64, 0, len(c.edits))}
+		for k, e := range c.edits {
+			ks.tuples, p.measures = append(ks.tuples, dimTuple{e.Dims, k}), append(p.measures, e.Measure)
+		}
+		sortByKeys(ks.tuples, p.measures)
+	default:
+		p = c.fold()
 	}
-	sortByKeys(ks.tuples, p.measures)
-	c.cols.Store(p)
+	if !c.cols.CompareAndSwap(nil, p) {
+		p = c.cols.Load()
+	}
 	return p
+}
+
+// fold is View's over a version other than the empty one: edits that only
+// restate measures patch a copy of its measure column at their rows, 8 B per
+// tuple on its key set; edits that add or delete are Applied.
+func (c *Cube) fold() *View {
+	for _, e := range c.edits {
+		if e.gone || e.row < 0 {
+			next, err := onKeySet(c.schema, c.base).Apply(c.delta(true))
+			if err != nil {
+				panic(err) // the edits were made over this base
+			}
+			return next.View()
+		}
+	}
+	q := &View{keys: c.base.keys, measures: slices.Clone(c.base.measures)}
+	for _, e := range c.edits {
+		q.measures[e.row] = e.Measure
+	}
+	return q
+}
+
+// delta returns the edits as the lists of a delta from the base, in cube
+// order: the tuples added, the base's tuples restated (all, or those whose
+// measure is not == the base's, as changedBetween counts them) and the base's
+// tuples deleted.
+func (c *Cube) delta(all bool) (added, changed, deleted []Tuple) {
+	var adds []string
+	rows := make([]int, 0, len(c.edits))
+	for k, e := range c.edits {
+		if e.row < 0 {
+			adds = append(adds, k)
+		} else {
+			rows = append(rows, e.row)
+		}
+	}
+	slices.Sort(adds)
+	slices.Sort(rows)
+	for _, k := range adds {
+		added = append(added, c.edits[k].Tuple)
+	}
+	changed = make([]Tuple, 0, len(rows)) // a store keeps it: in a revision, its size
+	for _, i := range rows {
+		switch e := c.edits[c.base.keys.tuples[i].key]; {
+		case e.gone:
+			deleted = append(deleted, c.base.Tuple(i))
+		case all || e.Measure != c.base.measures[i]:
+			changed = append(changed, e.Tuple)
+		}
+	}
+	return added, changed, deleted
 }
 
 // Revise returns how c differs from prev, a frozen cube under the same
 // schema (nil otherwise), with c's content as a frozen version in Current.
 //
-// A mutable c is probed: one pass over prev's keys in cube order, looking each
-// up in c's row map, yields a measure column on prev's key set and the exact
-// Changed list — or nil at the first key c lacks or where the sizes differ,
-// which leaves the caller to take a snapshot of c. That is a statistical
-// revision, and its version costs its measure column only. c stays the
-// caller's, as it was.
-//
-// A frozen c has its order, so the two key sequences are merged. Where they
-// hold the same dimension tuples Current is c's measure column on prev's key
-// set; where they do not, Current is c and the delta lists what was added and
-// deleted as well. A c already on prev's key set — a full run's output,
-// derived anew on its operand's — is nil too: it is kept as it is, and how two
-// columns over one key set differ is one pass whenever somebody asks.
+// A mutable c over prev — its Clone, edited — is its own delta: the edits,
+// but for tuples restated to the measure they had; Current is its View. Any
+// other c is taken as its View, and the two key sequences are merged: where
+// they hold the same dimension tuples Current is c's measure column on prev's
+// key set, where they do not it is c (if mutable, a Snapshot) and the delta
+// lists what was added and deleted as well. A c already on prev's key set — a
+// full run's output, derived anew on its operand's — is nil: it is kept as it
+// is, and how two columns over one key set differ is one pass whenever
+// somebody asks. c stays the caller's (but for View's rule).
 //
 // On prev's key set, Current's tuples carry prev's Dims slices rather than
 // c's: Values that encode to one key and so are Equal (Int 3 for Num 3.0).
@@ -154,37 +211,25 @@ func (prev *Cube) Revise(c *Cube) *CubeDelta {
 		return nil
 	}
 	p := prev.View()
-	d := &CubeDelta{Name: c.schema.Name, Base: prev, Current: c}
-	if c.Frozen() {
-		q := c.View()
-		if q.keys == p.keys {
-			return nil
-		}
-		d.Added, d.Changed, d.Deleted, _ = diffViews(p, q, math.MaxInt)
-		if len(d.Added)+len(d.Deleted) == 0 {
-			d.Current = onKeySet(c.schema, &View{keys: p.keys, measures: q.measures})
-		}
+	d := &CubeDelta{Name: c.schema.Name, Base: prev, Current: c.Snapshot()}
+	if !c.Frozen() && c.base == p {
+		d.Added, d.Changed, d.Deleted = c.delta(false)
 		return d
 	}
-	if len(c.rows) != len(p.measures) {
+	q := d.Current.View()
+	if q.keys == p.keys {
 		return nil
 	}
-	q := &View{keys: p.keys, measures: make([]float64, len(p.measures))}
-	for i, k := range p.keys.tuples {
-		t, ok := c.rows[k.key]
-		if !ok {
-			return nil
-		}
-		q.measures[i] = t.Measure
+	d.Added, d.Changed, d.Deleted, _ = diffViews(p, q, math.MaxInt)
+	if len(d.Added)+len(d.Deleted) == 0 {
+		d.Current = onKeySet(c.schema, &View{keys: p.keys, measures: q.measures})
 	}
-	d.Current = onKeySet(c.schema, q)
-	d.Changed, _ = changedBetween(p, q, len(q.measures))
 	return d
 }
 
 // onKeySet returns the frozen version under schema that holds q.
 func onKeySet(schema Schema, q *View) *Cube {
-	c := &Cube{schema: schema}
+	c := &Cube{schema: schema, base: q, n: q.Len()}
 	c.cols.Store(q)
 	return c
 }
@@ -229,21 +274,21 @@ func (c *Cube) Apply(added, changed, deleted []Tuple) (*Cube, error) {
 	}
 
 	// The three lists as one, in cube order: a tuple in two shows as neighbours.
-	type edit struct {
+	type listed struct {
 		Tuple
 		key, verb string
 	}
-	edits := make([]edit, 0, len(added)+len(changed)+len(deleted))
+	edits := make([]listed, 0, len(added)+len(changed)+len(deleted))
 	for l, ts := range [][]Tuple{added, changed, deleted} {
 		for i, t := range ts {
-			e := edit{t, EncodeKey(t.Dims), [...]string{"adds", "changes", "deletes"}[l]}
+			e := listed{t, EncodeKey(t.Dims), [...]string{"adds", "changes", "deletes"}[l]}
 			if i > 0 && edits[len(edits)-1].key > e.key {
 				return nil, misfit("lists", t, " out of order")
 			}
 			edits = append(edits, e)
 		}
 	}
-	slices.SortStableFunc(edits, func(a, b edit) int { return strings.Compare(a.key, b.key) })
+	slices.SortStableFunc(edits, func(a, b listed) int { return strings.Compare(a.key, b.key) })
 
 	base := p.keys.tuples
 	n := max(len(base)+len(added)-len(deleted), 0)

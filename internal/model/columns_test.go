@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -25,7 +26,7 @@ func asColumns(t testing.TB, c *Cube) *Cube {
 	if d == nil {
 		t.Fatal("Revise gave up on a cube with its predecessor's dimension tuples")
 	}
-	if d.Current.rows != nil || !d.Current.Frozen() || !d.Current.SharesKeySet(prev) {
+	if !OnlyColumns(d.Current) || !d.Current.SharesKeySet(prev) {
 		t.Fatal("the revised version is not a frozen cube on its predecessor's key set")
 	}
 	return d.Current
@@ -76,8 +77,8 @@ func TestTwoFormsOneBehaviour(t *testing.T) {
 			if content.Len() != len(want) || rows.Len() != len(want) || cols.Len() != len(want) {
 				t.Fatalf("Len = %d, %d and %d, want %d", content.Len(), rows.Len(), cols.Len(), len(want))
 			}
-			if rows.rows != nil || content.rows == nil || content.Frozen() {
-				t.Fatal("Freeze left its row map behind, or froze the clone's original")
+			if !OnlyColumns(rows) || OnlyColumns(content) || content.Frozen() {
+				t.Fatal("Freeze left its edits behind, or froze the clone's original")
 			}
 			for _, c := range []*Cube{content, rows, cols} {
 				var scanned, unordered []Tuple
@@ -293,49 +294,69 @@ func negated(c *Cube) *Cube {
 	return out
 }
 
-// TestReviseGivesUp: every way a put cube that is still mutable is not a
-// revision the store can share a key set for; and that a frozen one, which
-// comes with its order, is compared whatever moved.
+// TestReviseGivesUp: Revise gives up where the predecessor can still change
+// or the schemas differ, and a put cube, mutable or frozen, is compared
+// whatever moved. A mutable one over the predecessor — its Clone, edited — is
+// its own delta; any other is merged with it, as a frozen one is. The
+// version stands on the predecessor's key set exactly when only measures
+// moved, and a frozen put that moved more is stored as it is. Left as it is
+// (nil) is only a cube whose View already stands on the predecessor's key
+// set, which its snapshot then shares.
 func TestReviseGivesUp(t *testing.T) {
 	base := func() *Cube { return pdrCube(200) }
 	last := base().Tuples()[199]
+	early := []Value{Per(NewDaily(1999, time.January, 1)), Str("R00")}
+	late := []Value{Per(NewDaily(2100, time.January, 1)), Str("R00")}
 
-	unfrozen := base()
-	if unfrozen.Revise(base()) != nil {
+	if base().Revise(base()) != nil {
 		t.Error("shared with a predecessor that can still change")
-	}
-	grown := base()
-	_ = grown.Put([]Value{Per(NewDaily(1999, time.January, 1)), Str("R00")}, 1)
-	if base().Freeze().Revise(grown) != nil {
-		t.Error("shared across an insert")
-	}
-	shrunk := base()
-	shrunk.Delete(last.Dims)
-	if base().Freeze().Revise(shrunk) != nil {
-		t.Error("shared across a delete")
-	}
-	swapped := base() // same count, the last key in cube order replaced by a later one
-	swapped.Delete(last.Dims)
-	_ = swapped.Put([]Value{Per(NewDaily(2100, time.January, 1)), Str("R00")}, 1)
-	if base().Freeze().Revise(swapped) != nil {
-		t.Error("shared although the last key in order is missing")
 	}
 	renamed := NewCube(base().Schema().Rename("OTHER"))
 	_ = base().ForEach(func(tu Tuple) error { return renamed.Put(tu.Dims, tu.Measure) })
 	if base().Freeze().Revise(renamed) != nil || base().Freeze().Revise(renamed.Freeze()) != nil {
 		t.Error("shared across schemas")
 	}
-	if base().Freeze().Revise(base()) == nil {
-		t.Error("gave up on an unchanged revision")
-	}
 	if d := NewCube(gdpSchema()).Freeze().Revise(NewCube(gdpSchema())); d == nil || d.Current.Len() != 0 || !d.Empty() {
 		t.Error("gave up on an empty revision of an empty cube")
 	}
 
-	// Frozen puts: the same dimension tuples land on the predecessor's key
-	// set under the put's own measure column; others are stored as they are,
-	// with the whole delta.
 	prev := base().Freeze()
+	edits := map[string]func(*Cube){
+		"unchanged":               func(*Cube) {},
+		"restated":                func(c *Cube) { _ = c.Replace(last.Dims, -1) },
+		"restated to what it was": func(c *Cube) { _ = c.Replace(last.Dims, last.Measure) },
+		"grown":                   func(c *Cube) { _ = c.Put(early, 1) },
+		"shrunk":                  func(c *Cube) { c.Delete(last.Dims) },
+		"swapped":                 func(c *Cube) { c.Delete(last.Dims); _ = c.Put(late, 1) },
+		"deleted and put back":    func(c *Cube) { c.Delete(last.Dims); _ = c.Put(last.Dims, 7) },
+	}
+	for name, edit := range edits {
+		over, fresh := prev.Clone(), base()
+		edit(over)
+		edit(fresh)
+		for form, c := range map[string]*Cube{"over the predecessor": over, "a new cube": fresh, "frozen": fresh.Clone().Freeze()} {
+			what := name + ", " + form
+			want := oracleDelta(rowsOf(prev), rowsOf(c))
+			d := prev.Revise(c)
+			if d == nil {
+				t.Fatalf("%s: Revise gave up", what)
+			}
+			sameDelta(t, what, d, want)
+			sameDelta(t, what+", DiffCubes", d, DiffCubes("PDR", prev, c))
+			moved := len(want.Added)+len(want.Deleted) > 0
+			if d.Base != prev || !OnlyColumns(d.Current) || !d.Current.Equal(c, 0) || d.Current.SharesKeySet(prev) == moved ||
+				c.Frozen() && (d.Current == c) != moved {
+				t.Fatalf("%s: version frozen %v, on the predecessor's key set %v, the put itself %v", what,
+					d.Current.Frozen(), d.Current.SharesKeySet(prev), d.Current == c)
+			}
+		}
+		if over.Frozen() || fresh.Frozen() {
+			t.Fatalf("%s: Revise froze the caller's cube", name)
+		}
+	}
+
+	// Frozen or not, a put whose View is on the predecessor's key set already
+	// is taken as it is.
 	same := negated(base()).Freeze()
 	if d := prev.Revise(same); d == nil || !d.Current.SharesKeySet(prev) || d.Current == same || len(d.Changed) != 200 ||
 		&d.Current.View().measures[0] != &same.View().measures[0] || !d.Current.Equal(same, 0) {
@@ -344,34 +365,12 @@ func TestReviseGivesUp(t *testing.T) {
 	if prev.Revise(asColumnsOn(t, prev, base())) != nil {
 		t.Error("a version already on the key set is left to be taken as it is")
 	}
-	for name, c := range map[string]*Cube{"grown": grown, "shrunk": shrunk, "swapped": swapped} {
-		d := prev.Revise(c.Freeze())
-		if d == nil || d.Current != c || d.Base != prev {
-			t.Fatalf("%s: a frozen put is not stored as it is: %+v", name, d)
-		}
-		sameDelta(t, name, d, bruteDiff(prev, c))
+	v1 := asColumnsOn(t, prev, negated(base()))
+	stale := prev.Clone() // over prev, not over v1, whose key set its fold stands on
+	_ = stale.Replace(last.Dims, 5)
+	if v1.Revise(stale) != nil || !stale.Snapshot().SharesKeySet(v1) {
+		t.Error("a mutable put on the predecessor's key set is not taken as it is")
 	}
-}
-
-// bruteDiff is the delta from base to cur by probing, list by list in
-// compareDims order: the oracle Revise and DiffCubes are held to.
-func bruteDiff(base, cur *Cube) *CubeDelta {
-	d := &CubeDelta{Base: base, Current: cur}
-	for _, tu := range byCompare(cur) {
-		old, ok := base.Get(tu.Dims)
-		switch {
-		case !ok:
-			d.Added = append(d.Added, tu)
-		case old != tu.Measure:
-			d.Changed = append(d.Changed, tu)
-		}
-	}
-	for _, tu := range byCompare(base) {
-		if _, ok := cur.Get(tu.Dims); !ok {
-			d.Deleted = append(d.Deleted, tu)
-		}
-	}
-	return d
 }
 
 // TestKeySetSharedConcurrently: goroutines read several versions of one
@@ -381,7 +380,7 @@ func TestKeySetSharedConcurrently(t *testing.T) {
 	prev := pdrCube(4000).Freeze()
 	versions := []*Cube{prev}
 	for v := 1; v <= 3; v++ {
-		rev := prev.Clone()
+		rev := versions[v-1].Clone()
 		for i := v; i < 4000; i += 97 {
 			tu := prev.View().Tuple(i)
 			_ = rev.Replace(tu.Dims, float64(-v*i))
@@ -450,7 +449,7 @@ func TestCubeDerive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 3 || !c.Frozen() || c.rows != nil || c.SharesKeySet(src) || c.Schema().Name != "OUT" {
+	if c.Len() != 3 || !OnlyColumns(c) || c.SharesKeySet(src) || c.Schema().Name != "OUT" {
 		t.Fatalf("%d tuples, frozen %v, on the source's key set %v: want the 3 tuples f kept on a key set of their own",
 			c.Len(), c.Frozen(), c.SharesKeySet(src))
 	}
@@ -525,74 +524,91 @@ func TestCubeDeriveSizesToWhatItKeeps(t *testing.T) {
 	runtime.KeepAlive(kept)
 }
 
-// FuzzRevise: a base cube and an edit script of measure changes, inserts,
-// deletes and same-count key swaps. Put mutable, Revise gives up exactly when
-// the script moved the set of dimension tuples; otherwise its version is Equal
-// at tolerance 0 to the frozen copy it replaces, and its delta is the brute
-// force's list for list. Put frozen, Revise never gives up: its delta is the
-// brute force's and DiffCubes', the probe arm's where that has one, and its
-// version stands on the base's key set exactly when the dimension tuples did
-// not move.
+// FuzzRevise: a version, and an edit script run on its Clone — or on a new
+// cube (form) — and on the row map kept here as the oracle: Replace (to
+// another measure, to the one the tuple has, to NaN), Put (an insert, a
+// restatement, a violation of the egd), Delete, a deleted tuple put back, and
+// reads in order between edits. The cube answers as the oracle does: Put's
+// error to the letter, Len, Get and Ordered bit for bit. Revise's delta is the
+// oracle's and DiffCubes', list for list; its version is frozen, the oracle's
+// bit for bit, and on the base's key set exactly when the dimension tuples did
+// not move. Revise leaves a cube as it is (nil) only where it is not over the
+// base and its View stands on the base's key set already; so, frozen, the put.
+// Freeze gives the oracle's tuples.
 func FuzzRevise(f *testing.F) {
-	f.Add(uint8(10), []byte{})
-	f.Add(uint8(10), []byte{0, 3, 7, 0, 4, 9})         // changes
-	f.Add(uint8(10), []byte{1, 40, 1})                 // an insert
-	f.Add(uint8(10), []byte{2, 9, 0})                  // a delete
-	f.Add(uint8(10), []byte{2, 9, 0, 1, 77, 5})        // a swap at the last key
-	f.Add(uint8(10), []byte{2, 2, 0, 1, 2, 8})         // a delete put back with another measure
-	f.Add(uint8(0), []byte{1, 0, 0, 2, 0, 0})          // from empty and back
-	f.Add(uint8(200), []byte{0, 199, 255, 3, 0, 0, 0}) // a NaN measure
-	f.Fuzz(func(t *testing.T, n uint8, script []byte) {
+	f.Add(uint8(10), uint8(0), []byte{})
+	f.Add(uint8(10), uint8(0), []byte{0, 3, 7, 0, 4, 9})                        // changes
+	f.Add(uint8(10), uint8(0), []byte{1, 40, 1})                                // an insert
+	f.Add(uint8(10), uint8(0), []byte{2, 9, 0})                                 // a delete
+	f.Add(uint8(10), uint8(0), []byte{2, 9, 0, 1, 77, 5})                       // a swap at the last key
+	f.Add(uint8(10), uint8(0), []byte{2, 2, 0, 1, 2, 8})                        // a delete put back with another measure
+	f.Add(uint8(0), uint8(0), []byte{1, 0, 0, 2, 0, 0})                         // from empty and back
+	f.Add(uint8(200), uint8(0), []byte{0, 199, 255, 3, 0, 0, 0})                // a NaN measure
+	f.Add(uint8(10), uint8(0), []byte{0, 4, 4, 1, 5, 5, 1, 6, 6})               // restated to the measure it has
+	f.Add(uint8(10), uint8(0), []byte{0, 3, 7, 1, 3, 8})                        // a Put that violates the egd
+	f.Add(uint8(10), uint8(1), []byte{1, 4, 4, 1, 40, 2, 2, 40, 0, 1, 4, 3})    // over a new cube
+	f.Add(uint8(10), uint8(0), []byte{0, 3, 7, 4, 0, 0, 0, 5, 8})               // an edit over a fold
+	f.Add(uint8(10), uint8(0), []byte{2, 3, 0, 4, 0, 0, 1, 3, 3, 0, 50, 1})     // deleted, read, put back, grown
+	f.Add(uint8(10), uint8(1), []byte{1, 3, 7, 4, 0, 0, 2, 3, 0, 4, 0, 0})      // a new cube read between edits
+	f.Add(uint8(200), uint8(0), []byte{3, 0, 0, 4, 0, 0, 3, 0, 0, 0, 199, 199}) // NaN restated to NaN
+	f.Fuzz(func(t *testing.T, n, form uint8, script []byte) {
 		sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "s", Type: TString}}, "m")
 		dims := func(i byte) []Value { return []Value{Int(int64(i) / 3), Str(string(rune('a' + i%3)))} }
-		base := NewCube(sch)
+		prev := NewCube(sch)
 		for i := 0; i < int(n); i++ {
-			_ = base.Replace(dims(byte(i)), float64(i))
+			_ = prev.Replace(dims(byte(i)), float64(i))
 		}
-		c := base.Clone()
-		for ; len(script) >= 3; script = script[3:] {
-			op, at, m := script[0]%4, script[1], float64(script[2])
-			switch op {
-			case 0, 1: // a change where at is held, an insert where it is not
-				_ = c.Replace(dims(at), m)
-			case 2:
-				c.Delete(dims(at))
-			default:
-				_ = c.Replace(dims(at), math.NaN())
-			}
+		prev.Freeze()
+		before := rowsOf(prev)
+		c, oracle := prev.Clone(), maps.Clone(before)
+		if form%2 == 1 {
+			c, oracle = NewCube(sch), rowMap{}
 		}
-		sameKeys := c.Len() == base.Len()
-		for _, tu := range byCompare(c) {
-			if _, ok := base.Get(tu.Dims); !ok {
+		runScript(t, c, oracle, dims, script)
+		over := c.base == prev.View()
+		sameKeys := len(oracle) == len(before)
+		for k := range oracle {
+			if _, ok := before[k]; !ok {
 				sameKeys = false
 			}
 		}
+		want := oracleDelta(before, oracle)
 
-		prev := base.Freeze()
-		want := bruteDiff(prev, c)
 		d := prev.Revise(c)
-		if (d != nil) != sameKeys {
-			t.Fatalf("Revise = %v on a cube with the same dimension tuples: %v", d, sameKeys)
-		}
-		if d != nil {
-			if !d.Current.Equal(c, 0) || !c.Equal(d.Current, 0) || d.Current.Len() != c.Len() || d.Current.rows != nil {
-				t.Fatalf("revised version differs: %v", d.Current.Diff(c, 0, 3))
+		if d == nil {
+			if over || !c.SharesKeySet(prev) {
+				t.Fatalf("Revise gave up on a cube over its base (%v) or off the base's key set", over)
 			}
+		} else {
+			if d.Base != prev || !OnlyColumns(d.Current) || d.Current.SharesKeySet(prev) != sameKeys {
+				t.Fatalf("revised version: frozen %v, on the base's key set %v; same dimension tuples %v",
+					d.Current.Frozen(), d.Current.SharesKeySet(prev), sameKeys)
+			}
+			sameTuplesBits(t, d.Current.Tuples(), oracle.sorted())
 			sameDeltaBits(t, d, want)
 		}
+		sameDeltaBits(t, DiffCubes("C", prev, c), want)
+		sameAsOracle(t, c, oracle)
 
 		put := c.Clone().Freeze()
 		fd := prev.Revise(put)
-		if fd == nil || fd.Base != prev || fd.Current.SharesKeySet(prev) != sameKeys || (fd.Current == put) == sameKeys {
-			t.Fatalf("Revise of a frozen put = %+v; same dimension tuples: %v", fd, sameKeys)
+		if (fd == nil) != put.SharesKeySet(prev) {
+			t.Fatalf("Revise of a frozen put = %+v; on the base's key set already: %v", fd, put.SharesKeySet(prev))
 		}
-		if !fd.Current.Equal(c, 0) || fd.Current.Len() != c.Len() || fd.Current.rows != nil {
-			t.Fatalf("the frozen put is stored as something else: %v", fd.Current.Diff(c, 0, 3))
+		if fd != nil {
+			if fd.Base != prev || fd.Current.SharesKeySet(prev) != sameKeys || (fd.Current == put) == sameKeys {
+				t.Fatalf("Revise of a frozen put = %+v; same dimension tuples: %v", fd, sameKeys)
+			}
+			sameTuplesBits(t, fd.Current.Tuples(), oracle.sorted())
+			sameDeltaBits(t, fd, want)
 		}
-		sameDeltaBits(t, fd, want)
 		sameDeltaBits(t, DiffCubes("C", prev, put), want)
-		sameDeltaBits(t, DiffCubes("C", prev, c), want)
-		sameTuplesBits(t, fd.Current.Tuples(), byCompare(c))
+
+		c.Freeze()
+		if !OnlyColumns(c) {
+			t.Fatal("Freeze left edits behind")
+		}
+		sameAsOracle(t, c, oracle)
 	})
 }
 
@@ -617,48 +633,56 @@ func sameTuplesBits(t *testing.T, got, want []Tuple) {
 	}
 }
 
-// FuzzApply: a base cube, mutable, frozen or on another's key set, and a
-// delta that fits it or not. Apply fails exactly when a tuple does not fit, is
-// named twice or is listed out of cube order, and names it; otherwise its
-// version is, bit for bit, what cloning the base and editing the copy gives
-// (the oracle kept here), on the base's key set exactly when the delta only
-// restates measures, and on the base's own Dims slices wherever a tuple
-// survives; the base is left as it was, and diffing the two gives the delta
-// back.
+// FuzzApply: a base cube — new, frozen, on another's key set, or a version's
+// Clone — with an edit script run on it where it is mutable (see runScript),
+// and a delta that fits it or not. Apply fails exactly when a tuple does not
+// fit, is named twice or is listed out of cube order, and names it; otherwise
+// its version is, bit for bit, what editing the row map kept here as the
+// oracle gives, on the base's key set exactly when the delta only restates
+// measures, and on the base's own Dims slices wherever a tuple survives; the
+// base is left as it was, and diffing the two gives the delta back.
 func FuzzApply(f *testing.F) {
-	f.Add(uint8(10), uint8(0), []byte{})
-	f.Add(uint8(10), uint8(1), []byte{1, 3, 7, 1, 4, 9})            // changes, frozen
-	f.Add(uint8(10), uint8(2), []byte{1, 3, 7, 1, 3, 8})            // one tuple restated twice
-	f.Add(uint8(10), uint8(2), []byte{0, 40, 1, 2, 9, 0})           // an insert and a delete
-	f.Add(uint8(10), uint8(0), []byte{0, 3, 1})                     // adds a tuple the base has
-	f.Add(uint8(10), uint8(1), []byte{1, 40, 1})                    // changes one it lacks
-	f.Add(uint8(10), uint8(2), []byte{1, 2, 5, 2, 40, 0})           // deletes one it lacks
-	f.Add(uint8(0), uint8(1), []byte{0, 0, 0})                      // from empty
-	f.Add(uint8(200), uint8(2), []byte{1, 199, 255, 3, 0, 0})       // a NaN measure
-	f.Add(uint8(10), uint8(1), []byte{1, 2, 5, 2, 2, 0, 0, 77, 1})  // changed and deleted at once
-	f.Add(uint8(10), uint8(1), []byte{1, 4, 5, 1, 3, 6})            // changes out of order
-	f.Add(uint8(10), uint8(2), []byte{0, 50, 5, 0, 40, 6, 2, 1, 0}) // adds out of order, beside a delete
-	f.Add(uint8(10), uint8(0), []byte{0, 40, 5, 0, 40, 6})          // one tuple added twice
-	f.Add(uint8(10), uint8(1), []byte{0, 40, 5, 0, 41, 6, 1, 0, 9, 1, 9, 9, 2, 4, 0, 2, 5, 0})
-	f.Fuzz(func(t *testing.T, n, form uint8, script []byte) {
+	f.Add(uint8(10), uint8(0), []byte{}, []byte{})
+	f.Add(uint8(10), uint8(1), []byte{}, []byte{1, 3, 7, 1, 4, 9})            // changes, frozen
+	f.Add(uint8(10), uint8(2), []byte{}, []byte{1, 3, 7, 1, 3, 8})            // one tuple restated twice
+	f.Add(uint8(10), uint8(2), []byte{}, []byte{0, 40, 1, 2, 9, 0})           // an insert and a delete
+	f.Add(uint8(10), uint8(0), []byte{}, []byte{0, 3, 1})                     // adds a tuple the base has
+	f.Add(uint8(10), uint8(1), []byte{}, []byte{1, 40, 1})                    // changes one it lacks
+	f.Add(uint8(10), uint8(2), []byte{}, []byte{1, 2, 5, 2, 40, 0})           // deletes one it lacks
+	f.Add(uint8(0), uint8(1), []byte{}, []byte{0, 0, 0})                      // from empty
+	f.Add(uint8(200), uint8(2), []byte{}, []byte{1, 199, 255, 3, 0, 0})       // a NaN measure
+	f.Add(uint8(10), uint8(1), []byte{}, []byte{1, 2, 5, 2, 2, 0, 0, 77, 1})  // changed and deleted at once
+	f.Add(uint8(10), uint8(1), []byte{}, []byte{1, 4, 5, 1, 3, 6})            // changes out of order
+	f.Add(uint8(10), uint8(2), []byte{}, []byte{0, 50, 5, 0, 40, 6, 2, 1, 0}) // adds out of order, beside a delete
+	f.Add(uint8(10), uint8(0), []byte{}, []byte{0, 40, 5, 0, 40, 6})          // one tuple added twice
+	f.Add(uint8(10), uint8(1), []byte{}, []byte{0, 40, 5, 0, 41, 6, 1, 0, 9, 1, 9, 9, 2, 4, 0, 2, 5, 0})
+	f.Add(uint8(10), uint8(3), []byte{0, 3, 7, 2, 4, 0}, []byte{1, 3, 1, 1, 5, 2})            // a Clone, edited, then changed
+	f.Add(uint8(10), uint8(3), []byte{2, 4, 0, 0, 40, 1, 4, 0, 0, 1, 4, 4}, []byte{2, 40, 0}) // deleted, grown, read, put back
+	f.Add(uint8(10), uint8(0), []byte{1, 3, 9, 2, 2, 0, 0, 50, 5}, []byte{0, 2, 1, 1, 50, 6}) // a new cube, edited
+	f.Fuzz(func(t *testing.T, n, form uint8, edits, script []byte) {
 		sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "s", Type: TString}}, "m")
 		dims := func(i byte) []Value { return []Value{Int(int64(i) / 3), Str(string(rune('a' + i%3)))} }
-		base := NewCube(sch)
+		base, before := NewCube(sch), rowMap{}
 		for i := 0; i < int(n); i++ {
 			_ = base.Replace(dims(byte(i)), float64(i))
+			before.replace(dims(byte(i)), float64(i))
 		}
-		before := base.Clone()
-		switch form % 3 {
+		switch form % 4 {
+		case 0:
+			runScript(t, base, before, dims, edits)
 		case 1:
 			base.Freeze()
 		case 2:
 			base = asColumns(t, base)
+		default:
+			base = base.Freeze().Clone()
+			runScript(t, base, before, dims, edits)
 		}
 
 		// A list fits if every tuple does and it names them in cube order,
 		// once; a tuple both changed and deleted is named twice.
 		var added, changed, deleted []Tuple
-		want, fits := before.Clone(), true
+		want, fits := maps.Clone(before), true
 		listed := func(list []Tuple, tu Tuple) []Tuple {
 			if k := len(list); k > 0 && compareDims(list[k-1].Dims, tu.Dims) >= 0 {
 				fits = false
@@ -667,7 +691,7 @@ func FuzzApply(f *testing.F) {
 		}
 		for ; len(script) >= 3; script = script[3:] {
 			tu := Tuple{Dims: dims(script[1]), Measure: float64(script[2])}
-			_, had := before.Get(tu.Dims)
+			_, had := before[EncodeKey(tu.Dims)]
 			switch script[0] % 4 {
 			case 0:
 				added, fits = listed(added, tu), fits && !had
@@ -686,20 +710,20 @@ func FuzzApply(f *testing.F) {
 			}
 		}
 		for _, tu := range added {
-			_ = want.Replace(tu.Dims, tu.Measure)
+			want.replace(tu.Dims, tu.Measure)
 		}
 		for _, tu := range changed {
-			_ = want.Replace(tu.Dims, tu.Measure)
+			want.replace(tu.Dims, tu.Measure)
 		}
 		for _, tu := range deleted {
-			want.Delete(tu.Dims)
+			delete(want, EncodeKey(tu.Dims))
 		}
 
 		got, err := base.Apply(added, changed, deleted)
 		if (err == nil) != fits {
 			t.Fatalf("Apply: %v on a delta that fits: %v", err, fits)
 		}
-		sameDeltaBits(t, bruteDiff(before, base), &CubeDelta{})
+		sameAsOracle(t, base, before)
 		if err != nil {
 			if msg := err.Error(); got != nil || !errors.Is(err, ErrMisfit) ||
 				!strings.Contains(msg, "which the base") && !strings.Contains(msg, " twice") && !strings.Contains(msg, " out of order") {
@@ -707,22 +731,22 @@ func FuzzApply(f *testing.F) {
 			}
 			return
 		}
-		if !got.Frozen() || got.rows != nil || got.Len() != want.Len() {
-			t.Fatalf("Apply's version is frozen: %v, has %d tuples, want %d", got.Frozen(), got.Len(), want.Len())
+		if !OnlyColumns(got) || got.Len() != len(want) {
+			t.Fatalf("Apply's version is frozen: %v, has %d tuples, want %d", got.Frozen(), got.Len(), len(want))
 		}
-		sameTuplesBits(t, got.Tuples(), byCompare(want))
+		sameTuplesBits(t, got.Tuples(), want.sorted())
 		if restates := len(added)+len(deleted) == 0; got.SharesKeySet(base) != restates {
 			t.Fatalf("key set shared: %v, delta only restates measures: %v", got.SharesKeySet(base), restates)
 		}
 		mine := make(map[*Value]bool)
 		_ = base.ForEach(func(tu Tuple) error { mine[&tu.Dims[0]] = true; return nil })
 		_ = got.ForEach(func(tu Tuple) error {
-			if _, had := before.Get(tu.Dims); had && !mine[&tu.Dims[0]] {
+			if _, had := before[EncodeKey(tu.Dims)]; had && !mine[&tu.Dims[0]] {
 				t.Fatalf("%v survives on Dims that are not the base's", tu.Dims)
 			}
 			return nil
 		})
-		sameDeltaBits(t, DiffCubes("C", base, got), bruteDiff(before, want))
+		sameDeltaBits(t, DiffCubes("C", base, got), oracleDelta(before, want))
 	})
 }
 
@@ -744,11 +768,11 @@ func FuzzDerive(f *testing.F) {
 	f.Add(uint8(30), uint8(2), []byte{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0})
 	f.Fuzz(func(t *testing.T, n, form uint8, script []byte) {
 		sch := NewSchema("C", []Dim{{Name: "x", Type: TInt}, {Name: "s", Type: TString}}, "m")
-		src := NewCube(sch)
+		src, before := NewCube(sch), rowMap{}
 		for i := 0; i < int(n); i++ {
 			_ = src.Replace([]Value{Int(int64(i) / 3), Str(string(rune('a' + i%3)))}, float64(i))
+			before.replace([]Value{Int(int64(i) / 3), Str(string(rune('a' + i%3)))}, float64(i))
 		}
-		before := src.Clone()
 		switch form % 4 {
 		case 1:
 			src.Freeze()
@@ -779,7 +803,7 @@ func FuzzDerive(f *testing.F) {
 		}
 		outSchema := sch.Rename("D")
 		want, dropped, fails := NewCube(outSchema), 0, false
-		order := byCompare(before)
+		order := before.sorted()
 		for i, tu := range order {
 			m, keep, err := point(i, tu)
 			if err != nil {
@@ -801,7 +825,7 @@ func FuzzDerive(f *testing.F) {
 			calls++
 			return point(i, tu)
 		})
-		sameDeltaBits(t, bruteDiff(before, src), &CubeDelta{})
+		sameAsOracle(t, src, before)
 		if src.Frozen() != frozen {
 			t.Fatal("Derive froze its source")
 		}
@@ -811,8 +835,8 @@ func FuzzDerive(f *testing.F) {
 			}
 			return
 		}
-		if err != nil || !got.Frozen() || got.rows != nil || got.Schema().Name != "D" {
-			t.Fatalf("Derive: %v; frozen, columns only: %v", err, got != nil && got.Frozen() && got.rows == nil)
+		if err != nil || !OnlyColumns(got) || got.Schema().Name != "D" {
+			t.Fatalf("Derive: %v; frozen, columns only: %v", err, got != nil && OnlyColumns(got))
 		}
 		if calls != len(order) || !got.Equal(want, 0) || !want.Equal(got, 0) {
 			t.Fatalf("derived version differs after %d calls: %v", calls, got.Diff(want, 0, 3))
@@ -947,7 +971,7 @@ func TestMemEstimateOfChargesAKeySetOnce(t *testing.T) {
 	rows, other := pdrCube(100), asColumns(t, pdrCube(50))
 	cubes["R"], cubes["O"], cubes["nil"] = rows, other, nil
 	if got := MemEstimateOf(cubes); got != want+rows.MemEstimate()+other.MemEstimate() {
-		t.Errorf("with a row map and a second key set: %d bytes, want %d", got, want+rows.MemEstimate()+other.MemEstimate())
+		t.Errorf("with a mutable cube and a second key set: %d bytes, want %d", got, want+rows.MemEstimate()+other.MemEstimate())
 	}
 	if MemEstimateOf(nil) != 0 {
 		t.Error("no cubes are charged something")

@@ -3,7 +3,6 @@ package model
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -32,16 +31,27 @@ type Tuple struct {
 // Cube is an in-memory cube instance: a schema plus a sparse, functional
 // set of tuples keyed by dimension tuple. A frozen cube — a version — is
 // columns in cube order and nothing else (a Builder, Freeze, Revise, Apply or
-// Derive made it); a cube its owner can still mutate is a row map.
+// Derive made it). A cube its owner can still mutate is edits over a version:
+// the one it was cloned from, or the empty one.
 type Cube struct {
 	schema Schema
-	// rows holds a mutable cube's tuples by row key (AppendKey); frozen ⇔ nil.
-	rows map[string]Tuple
+	base   *View           // what the edits are over (nil: the empty version); a frozen cube's View
+	edits  map[string]edit // by row key (AppendKey); frozen ⇔ nil
+	n      int             // tuples
 	// cols is all a frozen cube holds, set before anyone else sees the cube.
-	// On a mutable cube it is the order as the last ordered read left it:
-	// mutating methods clear it before touching rows, so a stale one is never
-	// seen; atomic, because readers of a cube nobody mutates may be several.
+	// On a mutable cube it is the fold of the edits into base that the last
+	// read in order left, which the next mutation makes the base; atomic,
+	// because readers of a cube nobody mutates may be several.
 	cols atomic.Pointer[View]
+}
+
+// edit is a tuple written over the base, or taken out of it (gone); row is its
+// row in the base, -1 where the base lacks it, and where it has it the Dims
+// are the base's.
+type edit struct {
+	Tuple
+	row  int
+	gone bool
 }
 
 // keyBufSize is the stack space a probe key is encoded into; the map lookup
@@ -49,56 +59,45 @@ type Cube struct {
 const keyBufSize = 64
 
 // NewCube returns an empty cube instance for the schema.
-func NewCube(schema Schema) *Cube { return &Cube{schema: schema, rows: make(map[string]Tuple)} }
+func NewCube(schema Schema) *Cube { return &Cube{schema: schema, edits: make(map[string]edit)} }
 
 // Schema returns the cube's schema.
 func (c *Cube) Schema() Schema { return c.schema }
 
-// Freeze makes the cube immutable, in place, and returns it: the row map is
-// put into cube order once and dropped. Only the cube's owner may call it,
-// before sharing the cube; from then on every mutating method fails with
-// ErrFrozen, so the cube can be shared by reference across goroutines without
-// synchronization. Freezing is one-way; Clone returns a mutable copy.
+// Freeze makes the cube immutable, in place, and returns it: its View, and
+// the edits dropped. Only the cube's owner may call it, before sharing the
+// cube; from then on every mutating method fails with ErrFrozen, so the cube
+// can be shared by reference across goroutines without synchronization.
+// Freezing is one-way; Clone returns a mutable copy.
 func (c *Cube) Freeze() *Cube {
 	if !c.Frozen() {
-		c.View()
-		c.rows = nil
+		c.base, c.edits = c.View(), nil
 	}
 	return c
 }
 
 // Snapshot returns the cube's content as it is now, frozen: the cube itself
-// if it is frozen, else a version built straight from its row map (sharing
-// Dims slices as Clone does), which leaves the cube its owner's to mutate.
+// if it is frozen, else a version on its View, which leaves the cube its
+// owner's to mutate.
 func (c *Cube) Snapshot() *Cube {
 	if c.Frozen() {
 		return c
 	}
-	v := &Cube{schema: c.schema, rows: c.rows}
-	v.cols.Store(c.cols.Load())
-	return v.Freeze()
+	return onKeySet(c.schema, c.View())
 }
 
 // Frozen reports whether the cube has been frozen.
-func (c *Cube) Frozen() bool { return c.rows == nil }
+func (c *Cube) Frozen() bool { return c.edits == nil }
 
 // Len returns the number of tuples in the cube.
-func (c *Cube) Len() int {
-	if c.Frozen() {
-		return c.View().Len()
-	}
-	return len(c.rows)
-}
+func (c *Cube) Len() int { return c.n }
 
 // Put asserts the measure for the dimension tuple. Asserting the same value
 // twice is a no-op (up to Eps); asserting a different value returns
 // ErrFunctional, mirroring chase failure on an egd involving constants.
 func (c *Cube) Put(dims []Value, measure float64) error {
-	var buf [keyBufSize]byte
-	if old, ok := c.rows[string(AppendKey(buf[:0], dims))]; ok {
-		return checkEgd(c.schema.Name, dims, old.Measure, measure)
-	}
-	return c.Replace(dims, measure)
+	_, err := c.write(dims, measure, true, false)
+	return err
 }
 
 // checkEgd is the egd F(x…,y1) ∧ F(x…,y2) → y1 = y2 at a dimension tuple that
@@ -115,45 +114,76 @@ func checkEgd(name string, dims []Value, old, measure float64) error {
 // Replace sets the measure for the dimension tuple, overwriting any
 // previous value.
 func (c *Cube) Replace(dims []Value, measure float64) error {
-	if c.Frozen() {
-		return fmt.Errorf("%w: %s", ErrFrozen, c.schema.Name)
-	}
-	if len(dims) != len(c.schema.Dims) {
-		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", c.schema.Name, len(c.schema.Dims), len(dims))
-	}
-	d := make([]Value, len(dims))
-	copy(d, dims)
-	c.cols.Store(nil)
-	c.rows[EncodeKey(dims)] = Tuple{Dims: d, Measure: measure}
-	return nil
+	_, err := c.write(dims, measure, false, false)
+	return err
 }
 
 // Get returns the measure for the dimension tuple, if present.
 func (c *Cube) Get(dims []Value) (float64, bool) {
 	var buf [keyBufSize]byte
-	key := AppendKey(buf[:0], dims)
-	if c.Frozen() {
-		p := c.View()
-		if i, ok := p.keys.row(key); ok {
-			return p.measures[i], true
-		}
-		return 0, false
-	}
-	t, ok := c.rows[string(key)]
-	return t.Measure, ok
+	e, ok := c.at(AppendKey(buf[:0], dims))
+	return e.Measure, ok
 }
 
 // Delete removes the tuple for the dimension tuple, reporting whether it was
 // present. It panics on a frozen cube (its signature cannot carry ErrFrozen).
 func (c *Cube) Delete(dims []Value) bool {
-	if c.Frozen() {
-		panic(fmt.Sprintf("%v: %s", ErrFrozen, c.schema.Name))
+	had, err := c.write(dims, 0, false, true)
+	if err != nil {
+		panic(err.Error())
 	}
-	key := EncodeKey(dims)
-	_, ok := c.rows[key]
+	return had
+}
+
+// at returns the edit at the key, else one that restates the base's tuple
+// there (row -1 where it has none), and whether the cube has a tuple there.
+func (c *Cube) at(key []byte) (edit, bool) {
+	if e, ok := c.edits[string(key)]; ok {
+		return e, !e.gone
+	}
+	if c.base != nil {
+		if i, ok := c.base.keys.row(key); ok {
+			return edit{Tuple: c.base.Tuple(i), row: i}, true
+		}
+	}
+	return edit{row: -1}, false
+}
+
+// write is Put (put), Replace and Delete (gone), reporting whether the cube
+// had the tuple. A fold a read in order left becomes the base first.
+func (c *Cube) write(dims []Value, measure float64, put, gone bool) (bool, error) {
+	if c.Frozen() {
+		return false, fmt.Errorf("%w: %s", ErrFrozen, c.schema.Name)
+	}
+	if !gone && len(dims) != len(c.schema.Dims) {
+		return false, fmt.Errorf("model: cube %s expects %d dimensions, got %d", c.schema.Name, len(c.schema.Dims), len(dims))
+	}
+	if p := c.cols.Load(); p != nil && len(c.edits) > 0 {
+		c.base, c.edits = p, make(map[string]edit)
+	}
+	var buf [keyBufSize]byte
+	key := AppendKey(buf[:0], dims)
+	e, had := c.at(key)
+	switch {
+	case put && had:
+		return true, checkEgd(c.schema.Name, dims, e.Measure, measure)
+	case gone && !had:
+		return false, nil
+	case gone:
+		c.n--
+	case !had:
+		c.n++
+		if e.row < 0 {
+			e.Dims = append(make([]Value, 0, len(dims)), dims...)
+		}
+	}
+	if e.Measure, e.gone = measure, gone; gone && e.row < 0 {
+		delete(c.edits, string(key))
+	} else {
+		c.edits[string(key)] = e
+	}
 	c.cols.Store(nil)
-	delete(c.rows, key)
-	return ok
+	return had, nil
 }
 
 // SharesKeySet reports whether c and o are versions on one key set, by
@@ -191,24 +221,17 @@ func (c *Cube) Ordered(fn func(Tuple) error) error {
 	return nil
 }
 
-// ForEach calls fn on every tuple, in unspecified order, until its first error.
+// ForEach is Ordered: it calls fn on every tuple, in cube order, until its
+// first error.
 func (c *Cube) ForEach(fn func(Tuple) error) error { return c.Ordered(fn) }
 
-// Clone returns a mutable copy of the cube (frozen or not). The Dims slices
-// inside the tuples are shared with the original, as every reader's are: a
-// cube never writes to a stored Dims slice (Put and Replace copy theirs).
+// Clone returns a mutable copy of the cube (frozen or not): no edits yet, over
+// its View — O(1) once the cube is folded. The Dims slices inside the tuples
+// are shared with the original, as every reader's are: a cube never writes to
+// a stored Dims slice (Put and Replace copy theirs).
 func (c *Cube) Clone() *Cube {
-	out := NewCube(c.schema)
-	if c.Frozen() {
-		p := c.View()
-		out.rows = make(map[string]Tuple, len(p.measures))
-		for i, t := range p.keys.tuples {
-			out.rows[t.key] = p.Tuple(i)
-		}
-	} else if len(c.rows) > 0 {
-		out.rows = maps.Clone(c.rows)
-	}
-	return out
+	p := c.View()
+	return &Cube{schema: c.schema, base: p, edits: make(map[string]edit), n: p.Len()}
 }
 
 // Equal reports whether two cubes contain the same tuples, with measures
@@ -247,24 +270,20 @@ const (
 )
 
 // MemEstimate returns a conservative estimate of the cube's resident size in
-// bytes. A frozen cube's is column lengths: its key set's estimate, made once
-// for all the versions on it, plus its measure column — O(1) from then on. A
-// mutable cube's is a walk over its row map: per-tuple map and header
-// overhead, key bytes, and the dimension values with their string payloads.
+// bytes: its base's key set (estimated once for all the versions on it, and
+// charged in full to each: which will outlive the others is not known here)
+// and measure column, and per edit its overhead, key and dimension values.
 func (c *Cube) MemEstimate() int64 {
 	if c == nil {
 		return 0
 	}
-	n := int64(tupleOverheadBytes) // the Cube shell and map header
-	if c.Frozen() {
-		// The key set is charged in full to every version that shares it:
-		// which of them will outlive the others is not known here.
-		p := c.View()
-		return n + p.keys.memEstimate() + 8*int64(len(p.measures))
+	n := int64(tupleOverheadBytes)
+	if c.base != nil {
+		n += c.base.keys.memEstimate() + 8*int64(c.base.Len())
 	}
-	for k, t := range c.rows {
+	for k, e := range c.edits {
 		n += tupleOverheadBytes + int64(len(k))
-		for _, v := range t.Dims {
+		for _, v := range e.Dims {
 			n += valueShellBytes + int64(len(v.str))
 		}
 	}
@@ -278,15 +297,11 @@ func MemEstimateOf(cubes map[string]*Cube) int64 {
 	var n int64
 	charged := make(map[*keySet]bool)
 	for _, c := range cubes {
-		if c == nil || !c.Frozen() {
-			n += c.MemEstimate()
-			continue
-		}
-		p := c.View()
-		n += tupleOverheadBytes + 8*int64(len(p.measures))
-		if !charged[p.keys] {
-			charged[p.keys] = true
-			n += p.keys.memEstimate()
+		if n += c.MemEstimate(); c != nil && c.base != nil {
+			if charged[c.base.keys] {
+				n -= c.base.keys.memEstimate()
+			}
+			charged[c.base.keys] = true
 		}
 	}
 	return n

@@ -1,5 +1,8 @@
 package model
 
-// OnlyColumns reports whether c holds its column form and no row map: what a
+// OnlyColumns reports whether c holds its column form and no edits: what a
 // frozen cube does, and only a frozen cube.
-func OnlyColumns(c *Cube) bool { return c.rows == nil && c.cols.Load() != nil }
+func OnlyColumns(c *Cube) bool {
+	p := c.cols.Load()
+	return c.edits == nil && p != nil && c.base == p
+}

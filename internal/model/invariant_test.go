@@ -34,8 +34,8 @@ func compile(t *testing.T, src string) *mapping.Mapping {
 }
 
 // TestFrozenIsColumnsAndNothingElse: frozen ⇔ columns, over every producer of
-// a version: a frozen cube holds its columns and no row map, a mutable one its row
-// map.
+// a version: a frozen cube holds its columns and no edits, a mutable one its
+// edits over a version.
 func TestFrozenIsColumnsAndNothingElse(t *testing.T) {
 	check := func(what string, c *model.Cube, err error) *model.Cube {
 		t.Helper()
@@ -58,7 +58,7 @@ func TestFrozenIsColumnsAndNothingElse(t *testing.T) {
 		}
 	}
 	if s.Frozen() || model.OnlyColumns(s) {
-		t.Fatal("a new cube is frozen, or holds no row map")
+		t.Fatal("a new cube is frozen, or holds no edits")
 	}
 
 	// model: the builder on both paths, Freeze, Snapshot, Revise from either
@@ -89,7 +89,9 @@ func TestFrozenIsColumnsAndNothingElse(t *testing.T) {
 	rev := s.Clone()
 	_ = rev.Replace([]model.Value{quarter(2), model.Str("b")}, -1)
 	check("Revise of a mutable put", base.Revise(rev).Current, nil)
-	check("Revise of a frozen put", base.Revise(rev.Clone().Freeze()).Current, nil)
+	frozen := model.NewCube(sSchema) // a key set of its own, which Revise merges with base's
+	_ = rev.ForEach(func(tu model.Tuple) error { return frozen.Put(tu.Dims, tu.Measure) })
+	check("Revise of a frozen put", base.Revise(frozen.Freeze()).Current, nil)
 	grown := rev.Clone()
 	_ = grown.Put([]model.Value{quarter(9), model.Str("a")}, 5)
 	check("Revise of a frozen put that inserts", base.Revise(grown.Freeze()).Current, nil)

@@ -7,7 +7,7 @@ import (
 )
 
 // The deterministic order of a cube is the byte order of its tuples'
-// keys: the row-map keys, which AppendKey builds so that plain byte
+// row keys, which AppendKey builds so that plain byte
 // comparison orders equal-width tuples dimension by dimension.
 
 // radixMin is the bucket size below which a comparison sort on the key

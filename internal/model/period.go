@@ -10,6 +10,7 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -34,18 +35,10 @@ const (
 // String returns the lowercase name of the frequency ("day", "month",
 // "quarter", "year").
 func (f Frequency) String() string {
-	switch f {
-	case Daily:
-		return "day"
-	case Monthly:
-		return "month"
-	case Quarterly:
-		return "quarter"
-	case Annual:
-		return "year"
-	default:
+	if f == FreqInvalid || f > Annual {
 		return "invalid"
 	}
+	return [...]string{Daily: "day", Monthly: "month", Quarterly: "quarter", Annual: "year"}[f]
 }
 
 // ParseFrequency converts a frequency name as used in EXL cube declarations
@@ -182,8 +175,7 @@ func (p Period) Month() (int, error) {
 	case Daily:
 		return int(p.Date().Month()), nil
 	case Monthly:
-		m := int(p.Ord - int64(p.Year())*12)
-		return m + 1, nil
+		return int(p.Ord-int64(p.Year())*12) + 1, nil
 	default:
 		return 0, fmt.Errorf("model: Month undefined for %s period", p.Freq)
 	}
@@ -258,18 +250,8 @@ func ParsePeriod(s string) (Period, error) {
 
 // Compare orders periods first by frequency, then chronologically.
 func (p Period) Compare(o Period) int {
-	if p.Freq != o.Freq {
-		if p.Freq < o.Freq {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(p.Freq, o.Freq); c != 0 {
+		return c
 	}
-	switch {
-	case p.Ord < o.Ord:
-		return -1
-	case p.Ord > o.Ord:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(p.Ord, o.Ord)
 }

@@ -20,16 +20,10 @@ const (
 // String returns the EXL type name of the kind ("string", "int"; period
 // kinds are named by frequency, see DimType.String).
 func (k DimKind) String() string {
-	switch k {
-	case DimString:
-		return "string"
-	case DimInt:
-		return "int"
-	case DimPeriod:
-		return "period"
-	default:
-		return "invalid"
+	if k > DimPeriod {
+		k = DimInvalid
 	}
+	return [...]string{"invalid", "string", "int", "period"}[k]
 }
 
 // DimType is the full type of a dimension: its kind, plus the frequency for
@@ -56,10 +50,7 @@ func (t DimType) IsTime() bool { return t.Kind == DimPeriod }
 
 // String returns the EXL declaration name of the type.
 func (t DimType) String() string {
-	if t.Kind == DimPeriod {
-		if t.Freq == FreqInvalid {
-			return "period"
-		}
+	if t.Kind == DimPeriod && t.Freq != FreqInvalid {
 		return t.Freq.String()
 	}
 	return t.Kind.String()
@@ -84,13 +75,7 @@ func ParseDimType(s string) (DimType, error) {
 // Matches reports whether a value of type o can flow into a slot of type t.
 // An unspecified period frequency matches any period.
 func (t DimType) Matches(o DimType) bool {
-	if t.Kind != o.Kind {
-		return false
-	}
-	if t.Kind == DimPeriod && t.Freq != FreqInvalid && o.Freq != FreqInvalid {
-		return t.Freq == o.Freq
-	}
-	return true
+	return t.Kind == o.Kind && (t.Kind != DimPeriod || t.Freq == FreqInvalid || o.Freq == FreqInvalid || t.Freq == o.Freq)
 }
 
 // Dim is a named, typed dimension of a cube.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -25,20 +26,10 @@ const (
 
 // String returns the lowercase kind name.
 func (k Kind) String() string {
-	switch k {
-	case KindNumber:
-		return "number"
-	case KindInt:
-		return "int"
-	case KindString:
-		return "string"
-	case KindPeriod:
-		return "period"
-	case KindBool:
-		return "bool"
-	default:
-		return "invalid"
+	if k > KindBool {
+		k = KindInvalid
 	}
+	return [...]string{"invalid", "number", "int", "string", "period", "bool"}[k]
 }
 
 // Value is a dynamically typed scalar: a dimension coordinate or a measure.
@@ -105,17 +96,13 @@ func (v Value) AsNumber() (float64, bool) {
 
 // AsInt returns the value as an int64. Numbers convert only when integral.
 func (v Value) AsInt() (int64, bool) {
-	switch v.kind {
-	case KindInt:
+	switch f := v.num(); {
+	case v.kind == KindInt:
 		return v.int(), true
-	case KindNumber:
-		if f := v.num(); f == float64(int64(f)) {
-			return int64(f), true
-		}
-		return 0, false
-	default:
-		return 0, false
+	case v.kind == KindNumber && f == float64(int64(f)):
+		return int64(f), true
 	}
+	return 0, false
 }
 
 // AsString returns the string payload of a string value.
@@ -154,10 +141,7 @@ func (v Value) String() string {
 	case KindPeriod:
 		return v.per().String()
 	case KindBool:
-		if v.bits != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.FormatBool(v.bits != 0)
 	default:
 		return "<invalid>"
 	}
@@ -202,26 +186,15 @@ func (v Value) Compare(o Value) int {
 			return 0
 		}
 	}
-	if v.kind != o.kind {
-		if v.kind < o.kind {
-			return -1
-		}
-		return 1
-	}
-	switch v.kind {
-	case KindString:
+	switch {
+	case v.kind != o.kind:
+		return cmp.Compare(v.kind, o.kind)
+	case v.kind == KindString:
 		return strings.Compare(v.str, o.str)
-	case KindPeriod:
+	case v.kind == KindPeriod:
 		return v.per().Compare(o.per())
-	case KindBool:
-		switch {
-		case v.bits < o.bits:
-			return -1
-		case v.bits > o.bits:
-			return 1
-		}
 	}
-	return 0
+	return cmp.Compare(v.bits, o.bits) // a bool's; 0 for two invalid values
 }
 
 // EncodeKey builds the canonical string key of a dimension tuple: its
@@ -237,7 +210,7 @@ func EncodeKey(dims []Value) string {
 // encoded value is self-delimiting, so keys are injective, the keys of
 // equal-width tuples are prefix-free, and plain byte comparison orders
 // them dimension by dimension. The one encoding serves as the cube's
-// row-map key, as every hash-join, grouping and dedup key, and as the
+// row key, as every hash-join, grouping and dedup key, and as the
 // sort key of the cube order. Hash-heavy paths use it with a reused
 // buffer and map[string(...)] lookups to avoid allocating a string per
 // probed row.

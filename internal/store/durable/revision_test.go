@@ -14,7 +14,8 @@ import (
 // decode to cubes Equal at tolerance 0.
 func TestCodecEncodesEitherFormAlike(t *testing.T) {
 	prev := codecCube(t, 16).Freeze()
-	rows := revise(t, prev, []int{1, 7, 12}, nil, 0)
+	rows := model.NewCube(prev.Schema()) // built by Put: not over prev, so Revise merges it
+	_ = revise(t, prev, []int{1, 7, 12}, nil, 0).ForEach(func(tu model.Tuple) error { return rows.Put(tu.Dims, tu.Measure) })
 	own := prev.Revise(rows.Clone())
 	if own == nil || own.Current == rows || !own.Current.SharesKeySet(prev) {
 		t.Fatal("the revision was not stored as columns over its predecessor's key set")
@@ -24,21 +25,21 @@ func TestCodecEncodesEitherFormAlike(t *testing.T) {
 
 	full := func(c *model.Cube) []byte { return encodeRecord(commitRecord(day(1), []cubeRec{fullRec(c)})) }
 	if !bytes.Equal(full(rows), full(cols)) {
-		t.Error("full form differs between a row map and columns")
+		t.Error("full form differs between a mutable cube and columns")
 	}
 	delta := func(d *model.CubeDelta) []byte { return encodeRecord(commitRecord(day(1), []cubeRec{deltaRec(d)})) }
 	want := delta(model.DiffCubes("M", prev, rows))
 	for what, d := range map[string]*model.CubeDelta{
-		"the store's own pass":    own,
-		"row map against columns": model.DiffCubes("M", prev, cols),
-		"columns against row map": model.DiffCubes("M", prev.Clone().Freeze(), rows),
+		"the store's own pass":         own,
+		"mutable cube against columns": model.DiffCubes("M", prev, cols),
+		"columns against mutable cube": model.DiffCubes("M", prev.Clone().Freeze(), rows),
 	} {
 		if !bytes.Equal(delta(d), want) {
 			t.Errorf("delta form differs: %s", what)
 		}
 	}
 	if got, want := delta(model.DiffCubes("M", cols, twice.Current)), delta(model.DiffCubes("M", rows, twice.Current.Clone())); !bytes.Equal(got, want) {
-		t.Error("delta form differs between two versions on one key set and their row maps")
+		t.Error("delta form differs between two versions on one key set and their mutable forms")
 	}
 
 	rec, err := decodeRecord(full(cols))

@@ -128,14 +128,15 @@ func (s *Store) Names() []string {
 // handed is what the writer says the delta is. It is trusted only if it is
 // about these two cubes by pointer — its Base is latest, its Current the
 // frozen c — and then c is stored as it is. Without one, the store asks
-// latest how c differs from it (model.Cube.Revise): where c holds the same
-// dimension tuples under restated measures — a revision — the version stored
-// is a measure column over latest's key set, and the delta falls out of the
-// pass that made it. A frozen c is compared in one merge of the two orders
-// and comes with its delta whatever moved; a mutable one that inserts or
-// deletes, like a first load, is stored as a snapshot built from its row
-// map, so the caller keeps exclusive ownership of its original, and the
-// delta is then unknown (nil).
+// latest how c differs from it (model.Cube.Revise). A mutable c over latest —
+// latest's Clone, edited — is its own delta: its edits, sorted, are the lists,
+// and the version stored is their fold, a measure column over latest's key
+// set where only measures moved. Any other c is compared in one merge of the
+// two orders and comes with its delta whatever moved; where it holds latest's
+// dimension tuples the version is its measure column over latest's key set.
+// A mutable c is stored as a snapshot of its View, so the caller keeps it to
+// mutate. A first load, and a c already on latest's key set, is stored as it
+// is (a snapshot, if mutable), and the delta is then unknown (nil).
 func NewVersion(latest, c *model.Cube, handed *model.CubeDelta) (*model.Cube, *model.CubeDelta) {
 	if latest != nil {
 		if handed != nil && handed.Base == latest && handed.Current == c && c.Frozen() {
