@@ -135,10 +135,11 @@ func (h *heldBack) Read(p []byte) (int, error) {
 
 // TestLoadCSVConcurrentlyOnOneCube: three loads of one cube decode at once
 // against the one version there is — two revisions of it, and one that inserts
-// a period — and then put one after the other, so that two of them put a cube
-// decoded onto a version that is no longer the latest. Every stored version is
-// its file, and the store's delta from every generation to the latest is what
-// diffing the two versions gives (run under -race).
+// a tuple mid-body and a period at the end — and then put one after the other,
+// so that two of them put a cube decoded onto a version that is no longer the
+// latest. Every stored version is its file, and the store's delta from every
+// generation to the latest is what diffing the two versions gives (run under
+// -race).
 func TestLoadCSVConcurrentlyOnOneCube(t *testing.T) {
 	cubes, bodies := pdrBodies(t, 60, 2)
 	grown := cubes[0].Clone()
@@ -146,6 +147,11 @@ func TestLoadCSVConcurrentlyOnOneCube(t *testing.T) {
 		if err := grown.Put([]model.Value{model.Per(model.NewDaily(2031, time.March, 1)), model.Str(workload.RegionName(r))}, float64(r)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// And a region on a day in the middle: the decode of this body stops
+	// following the first version there, not where the version ends.
+	if err := grown.Put([]model.Value{model.Per(model.NewDaily(2000, time.January, 31)), model.Str("R10a")}, 1); err != nil {
+		t.Fatal(err)
 	}
 	var body bytes.Buffer
 	if err := store.WriteCSV(&body, grown); err != nil {

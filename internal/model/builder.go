@@ -23,7 +23,9 @@ import (
 // not — another tuple, or one more than the predecessor has — and carries on
 // as above from the prefix, whose Dims and row keys it shares with the
 // predecessor. Arrivals that were the predecessor's tuples to the last, all of
-// them, are built on its key set, by reference.
+// them, are built on its key set, by reference. A caller that can tell the
+// arrival is that tuple from what it holds — a CSV decoder, from the text —
+// asks for it (Following) and adds the measure alone (AddFollowing).
 type Builder struct {
 	schema Schema
 	n      int // tuples added
@@ -70,11 +72,7 @@ func (b *Builder) Add(dims []Value, measure float64) error {
 	b.key = AppendKey(b.key[:0], dims)
 	if b.follow != nil {
 		if ts := b.follow.keys.tuples; b.n < len(ts) && ts[b.n].key == string(b.key) {
-			if b.col == nil {
-				b.col = make([]float64, 0, len(ts))
-			}
-			b.col = append(b.col, measure)
-			b.n++
+			b.AddFollowing(measure)
 			return nil
 		}
 		b.unfollow()
@@ -96,6 +94,27 @@ func (b *Builder) Add(dims []Value, measure float64) error {
 	b.tuples[c], b.measures[c] = append(b.tuples[c], dimTuple{d, b.last}), append(b.measures[c], measure)
 	b.n++
 	return nil
+}
+
+// Following returns the predecessor's next dimension tuple — its Dims, to be
+// left untouched — while the Builder follows a predecessor that has one more.
+// A caller whose next arrival holds those values, == each, may AddFollowing its
+// measure instead of Add, which would encode a key to find the same.
+func (b *Builder) Following() ([]Value, bool) {
+	if b.follow == nil || b.n == len(b.follow.keys.tuples) {
+		return nil, false
+	}
+	return b.follow.keys.tuples[b.n].dims, true
+}
+
+// AddFollowing is Add of the tuple Following has just returned: the measure
+// goes onto the column.
+func (b *Builder) AddFollowing(measure float64) {
+	if b.col == nil {
+		b.col = make([]float64, 0, b.follow.Len())
+	}
+	b.col = append(b.col, measure)
+	b.n++
 }
 
 // unfollow makes the arrivals so far, a prefix of the predecessor's tuples, the
