@@ -119,12 +119,6 @@ func transformUp(n planNode, f func(planNode) (planNode, bool, error)) (planNode
 			return nil, false, err
 		}
 		t.child, changed = c, ch
-	case *distinctNode:
-		c, ch, err := transformUp(t.child, f)
-		if err != nil {
-			return nil, false, err
-		}
-		t.child, changed = c, ch
 	case *sortNode:
 		c, ch, err := transformUp(t.child, f)
 		if err != nil {
@@ -270,8 +264,8 @@ func ruleReorderJoins(a *analysisCtx, n planNode) (planNode, bool, error) {
 		}
 
 		// keysFor finds the unused equality conjuncts joining the done
-		// aliases to the candidate item, mirroring the legacy joinFrom
-		// classification (probe side over done, build side over the item).
+		// aliases to the candidate item: the probe side reads only done
+		// aliases, the build side only the item.
 		keysFor := func(done map[string]bool, alias string, consume bool) (probe, build []expr) {
 			for ci, c := range conjuncts {
 				if used[ci] {
@@ -385,8 +379,6 @@ func neededRefs(a *analysisCtx, n planNode, need map[[2]string]bool) {
 			exprColRefs(se.e, a.sc, need)
 		}
 		neededRefs(a, n.child, need)
-	case *distinctNode:
-		neededRefs(a, n.child, need)
 	case *sortNode:
 		neededRefs(a, n.child, need)
 	}
@@ -440,9 +432,6 @@ func rulePruneColumns(a *analysisCtx, n planNode) (planNode, bool, error) {
 func pruneJoinOutputs(a *analysisCtx, n planNode, need map[[2]string]bool) bool {
 	switch n := n.(type) {
 	case *sortNode:
-		return pruneJoinOutputs(a, n.child, nil)
-	case *distinctNode:
-		// DISTINCT dedupes whole rows; every child column is live.
 		return pruneJoinOutputs(a, n.child, nil)
 	case *projectNode:
 		childNeed := map[[2]string]bool{}
@@ -597,8 +586,6 @@ func (a *analysisCtx) compilePlan(n planNode) error {
 			return err
 		}
 		return a.compileGroup(n)
-	case *distinctNode:
-		return a.compilePlan(n.child)
 	case *sortNode:
 		return a.compilePlan(n.child)
 	default:

@@ -33,35 +33,19 @@ type createViewStmt struct {
 	sel  *selectStmt
 }
 
-// dropStmt is DROP TABLE|VIEW [IF EXISTS] name.
-type dropStmt struct {
-	table    string
-	view     bool
-	ifExists bool
-}
-
-// deleteStmt is DELETE FROM name [WHERE cond].
-type deleteStmt struct {
-	table string
-	where expr
-}
-
-// selectStmt is SELECT [DISTINCT] exprs FROM items [WHERE cond]
-// [GROUP BY exprs] [ORDER BY exprs].
+// selectStmt is SELECT exprs FROM items [WHERE cond] [GROUP BY exprs]. Its
+// result is sorted by all output columns, left to right.
 type selectStmt struct {
-	distinct bool
-	exprs    []selectExpr
-	from     []fromItem
-	where    expr
-	groupBy  []expr
-	orderBy  []expr
+	exprs   []selectExpr
+	from    []fromItem
+	where   expr
+	groupBy []expr
 }
 
 // selectExpr is one output column, with an optional alias.
 type selectExpr struct {
 	e     expr
 	alias string
-	star  bool // SELECT *
 }
 
 // fromItem is a table reference or a tabular function call, with an
@@ -78,8 +62,6 @@ func (*createStmt) stmtNode()       {}
 func (*createViewStmt) stmtNode()   {}
 func (*insertValuesStmt) stmtNode() {}
 func (*insertSelectStmt) stmtNode() {}
-func (*dropStmt) stmtNode()         {}
-func (*deleteStmt) stmtNode()       {}
 func (*selectStmt) stmtNode()       {}
 
 // expr is a scalar SQL expression.

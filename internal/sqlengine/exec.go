@@ -16,10 +16,11 @@ import (
 // (applyBinary, kleeneLogic, the resolved scalar closure) with no name
 // resolution, no map lookups and no interface dispatch on the tree.
 //
-// The executor's semantics are pinned to the legacy tree-walker: both
-// call the same applyBinary/applyUnary/kleeneLogic/resolveScalarCall
-// helpers, so NULL propagation (Kleene 3VL, NULL-strict comparisons and
-// arithmetic, NULL output drops the row) cannot drift between them.
+// Compiled expressions are the engine's one scalar evaluator: INSERT …
+// VALUES runs its row expressions through them too, over a one-row batch,
+// so NULL propagation (Kleene 3VL, NULL-strict comparisons and arithmetic,
+// NULL output drops the row) lives in applyBinary/applyUnary/kleeneLogic/
+// resolveScalarCall alone.
 
 // compiledExpr evaluates an expression over a batch, returning one value
 // per row. Column references return the batch's column slice directly
@@ -149,9 +150,8 @@ func (c *isNullC) eval(b *batch) ([]model.Value, error) {
 
 // callC is a scalar function call with the function resolved at compile
 // time. Resolution failure is kept, not raised, until a row with all
-// arguments non-NULL actually needs the function — matching the legacy
-// evaluator, where an unknown function over always-NULL arguments never
-// surfaces.
+// arguments non-NULL actually needs the function: an unknown function over
+// always-NULL arguments, or over no rows, never surfaces.
 //
 // Every function resolveScalarCall resolves is pure, so a row whose
 // arguments are identical (==, see model.Value) to those of the row before
@@ -838,7 +838,7 @@ func (o *groupOp) next() (*batch, error) {
 			return nil, err
 		}
 		// Restrict to rows with fully defined group keys before touching
-		// aggregate arguments, exactly as the legacy evaluator does.
+		// aggregate arguments: a row without a group is no row of a bag.
 		if slices.Contains(ords, model.NoGroup) {
 			kept := o.kept[:0]
 			sel = sel[:0]
@@ -983,51 +983,6 @@ func (o *groupOp) feed(g int, argVecs [][]model.Value, r int) error {
 	return nil
 }
 
-// distinctOp removes duplicate rows across the whole stream.
-type distinctOp struct {
-	m       opMetrics
-	child   execOp
-	seen    map[string]bool
-	buf     []model.Value
-	keyb    []byte
-	sel     []int
-	scratch batchScratch
-}
-
-func (o *distinctOp) next() (*batch, error) {
-	if o.seen == nil {
-		o.seen = make(map[string]bool)
-	}
-	for {
-		b, err := o.child.next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		sel := o.sel[:0]
-		for r := 0; r < b.N; r++ {
-			o.buf = b.Row(r, o.buf)
-			o.keyb = model.AppendKey(o.keyb[:0], o.buf)
-			if o.seen[string(o.keyb)] {
-				continue
-			}
-			o.seen[string(o.keyb)] = true
-			sel = append(sel, r)
-		}
-		o.sel = sel
-		if len(sel) == 0 {
-			continue
-		}
-		var out *batch
-		if len(sel) == b.N {
-			out = b
-		} else {
-			out = gatherInto(&o.scratch, b, sel)
-		}
-		o.m.emit(out)
-		return out, nil
-	}
-}
-
 // buildOps lowers the analyzed plan (minus the root sortNode, which the
 // driver applies after materialization) into an operator tree.
 func buildOps(ctx context.Context, n planNode, reg *obs.Registry) (execOp, error) {
@@ -1066,12 +1021,6 @@ func buildOps(ctx context.Context, n planNode, reg *obs.Registry) (execOp, error
 			return nil, err
 		}
 		return newGroupOp(ctx, n, c, reg), nil
-	case *distinctNode:
-		c, err := buildOps(ctx, n.child, reg)
-		if err != nil {
-			return nil, err
-		}
-		return &distinctOp{m: newOpMetrics(reg, "distinct"), child: c}, nil
 	default:
 		return nil, fmt.Errorf("sql: internal: cannot execute plan node %T", n)
 	}
@@ -1086,11 +1035,7 @@ func (db *DB) evalSelectVec(ctx context.Context, s *selectStmt, r *resolver) (*T
 		span.EndErr(err)
 		return nil, err
 	}
-	plan, err := db.buildPlan(s, p.sc, p.exprs, p.names, p.types)
-	if err != nil {
-		span.EndErr(err)
-		return nil, err
-	}
+	plan := buildPlan(s, p)
 	actx, aspan := obs.StartSpan(ctx, "sql.analyze")
 	plan, err = db.analyze(actx, plan, p.sc)
 	aspan.EndErr(err)
@@ -1124,7 +1069,7 @@ func (db *DB) evalSelectVec(ctx context.Context, s *selectStmt, r *resolver) (*T
 		out.Cols = append(out.Cols, Column{Name: p.names[i], Type: p.types[i]})
 	}
 	out.Rows = all.Rows()
-	sortRowsBy(out.Rows, len(out.Cols), root.by)
+	sortRows(out.Rows)
 	span.SetAttr(obs.Int("rows", len(out.Rows)))
 	span.End()
 	return out, nil

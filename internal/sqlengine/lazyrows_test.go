@@ -53,10 +53,9 @@ func parityCubes(t *testing.T, n int) (pdr, rate, reg *model.Cube) {
 	return pdr, rate, reg
 }
 
-func loadedDB(t *testing.T, mode ExecMode, cubes ...*model.Cube) *DB {
+func loadedDB(t *testing.T, cubes ...*model.Cube) *DB {
 	t.Helper()
 	db := NewDB()
-	db.SetExecMode(mode)
 	for _, c := range cubes {
 		if err := db.LoadCube(c); err != nil {
 			t.Fatal(err)
@@ -76,12 +75,12 @@ func isView(t *testing.T, db *DB, name string) bool {
 	return v != nil
 }
 
-// TestLoadCubeBuildsRowsOnDemand: the vectorized path scans, joins and
-// extracts a cube-loaded table without ever building its rows, and
-// DB.Table hands them out complete and in cube order.
+// TestLoadCubeBuildsRowsOnDemand: the executor scans, joins and extracts a
+// cube-loaded table without ever building its rows, and DB.Table hands them
+// out complete and in cube order.
 func TestLoadCubeBuildsRowsOnDemand(t *testing.T) {
 	pdr, rate, _ := parityCubes(t, 108)
-	db := loadedDB(t, ExecVector, pdr, rate)
+	db := loadedDB(t, pdr, rate)
 	mustQuery(t, db, `SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r GROUP BY p.r`)
 	back, err := db.ExtractCube(pdr.Schema())
 	if err != nil {
@@ -91,7 +90,7 @@ func TestLoadCubeBuildsRowsOnDemand(t *testing.T) {
 		t.Error("ExtractCube of a cube-loaded table lost data")
 	}
 	if !isView(t, db, "pdr") || !isView(t, db, "rate") {
-		t.Error("the vectorized path built rows for a cube-loaded table")
+		t.Error("the executor built rows for a cube-loaded table")
 	}
 
 	tab, _ := db.Table("PDR")
@@ -108,18 +107,19 @@ func TestLoadCubeBuildsRowsOnDemand(t *testing.T) {
 }
 
 // TestExecutorParityOnLoadedCubes runs the parity suite with the base
-// tables bulk-loaded: the legacy executor reads their rows, the vectorized
-// one streams the stored versions through a scratch batch it refills, so a
-// consumer that kept a batch across next() would show here — at sizes of no
-// chunk, whole chunks, and whole chunks and a part. Each answer must also be
-// the one the same rows give when put in with INSERT … VALUES.
+// tables bulk-loaded: the executor streams the stored versions through a
+// scratch batch it refills, so a consumer that kept a batch across next()
+// would show here — at sizes of no chunk, whole chunks, and whole chunks and
+// a part. Each answer is held to testdata/loaded.golden, and must be the one
+// the same rows give when put in with INSERT … VALUES.
 //
 // The suite runs three times, each on databases of its own: over a version
-// nobody has grouped, whose key set's partitions the vectorized GROUP BYs
-// build inside their folds; over the same version again, where they take every
-// row's group from the key set and must answer to the byte what they answered
-// before; and over a revision on that key set, which builds nothing either.
+// nobody has grouped, whose key set's partitions the GROUP BYs build inside
+// their folds; over the same version again, where they take every row's group
+// from the key set and must answer to the byte what they answered before; and
+// over a revision on that key set, which builds nothing either.
 func TestExecutorParityOnLoadedCubes(t *testing.T) {
+	golden := goldenAnswers(t, "loaded")
 	for _, n := range []int{0, 108, 1024, 2048, 2500} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			pdr, rate, reg := parityCubes(t, n)
@@ -134,80 +134,68 @@ func TestExecutorParityOnLoadedCubes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var first []string
 			for run, pdr := range []*model.Cube{pdr, pdr, revision} {
-				legacy := loadedDB(t, ExecLegacy, pdr, rate, reg)
-				vector := loadedDB(t, ExecVector, pdr, rate, reg)
-				inserted := insertedDB(t, ExecVector, pdr, rate, reg)
-				dbs := []*DB{legacy, vector, inserted}
-				for _, db := range dbs {
+				version := map[bool]string{false: "version", true: "revision"}[run == 2]
+				loaded := loadedDB(t, pdr, rate, reg)
+				inserted := insertedDB(t, pdr, rate, reg)
+				for _, db := range []*DB{loaded, inserted} {
 					mustExec(t, db, parityView)
 				}
 				met := obs.NewRegistry()
 				ctx := obs.ContextWithMetrics(context.Background(), met)
-				compare := func(q string) string {
+				compare := func(stage, q string) {
 					t.Helper()
-					vt, err := vector.QueryContext(ctx, q)
+					got, err := loaded.QueryContext(ctx, q)
 					if err != nil {
 						t.Fatalf("%q: %v", q, err)
 					}
-					ls, vs, is := mustQuery(t, legacy, q).String(), vt.String(), mustQuery(t, inserted, q).String()
-					if ls != vs || vs != is {
-						t.Errorf("run %d: results differ on %q:\nlegacy:\n%s\nvector:\n%s\nvector over inserted rows:\n%s", run, q, ls, vs, is)
+					if is := mustQuery(t, inserted, q).String(); got.String() != is {
+						t.Errorf("run %d: %q answers\n%s\nover the loaded tables and\n%s\nover the same rows inserted", run, q, got, is)
 					}
-					return vs
+					checkGolden(t, golden, fmt.Sprintf("%d %s%s: %s", n, version, stage, q), got)
 				}
-				for i, q := range parityQueries {
-					switch got := compare(q); run {
-					case 0:
-						first = append(first, got)
-					case 1:
-						if got != first[i] {
-							t.Errorf("%q answers\n%s\nfrom the key set's partition and\n%s\nwhile building it", q, got, first[i])
-						}
-					}
+				for _, q := range parityQueries {
+					compare("", q)
 				}
 				built, reused := met.Counter(obs.MetricPartitionsBuilt).Value(), met.Counter(obs.MetricPartitionsReused).Value()
 				// PDR is grouped four ways — by quarter, by region, by both (the
-				// view, in two of the statements), by year — as many as a key set holds.
-				if want := int64(min(run, 1)); built != 4*(1-want) || reused != 1+4*want {
-					t.Errorf("run %d built %d partitions and reused %d, want %d and %d", run, built, reused, 4*(1-want), 1+4*want)
+				// view, in two of the statements), by year — as many as a key set
+				// holds; seven statements group it, three of them a way another
+				// grouped it before.
+				if want := int64(min(run, 1)); built != 4*(1-want) || reused != 3+4*want {
+					t.Errorf("run %d built %d partitions and reused %d, want %d and %d", run, built, reused, 4*(1-want), 3+4*want)
 				}
-				if !isView(t, vector, "pdr") || !isView(t, vector, "rate") || !isView(t, vector, "reg") {
-					t.Error("the vectorized path built rows for a cube-loaded table")
+				if !isView(t, loaded, "pdr") || !isView(t, loaded, "rate") || !isView(t, loaded, "reg") {
+					t.Error("the executor built rows for a cube-loaded table")
 				}
 				// Back into a loaded table, from itself and through the view over it.
-				for _, db := range dbs {
+				for _, db := range []*DB{loaded, inserted} {
 					mustExec(t, db, `INSERT INTO PDR(d, r, v) SELECT d + 1200, r, v * 2 FROM PDR WHERE r <> 'west'`)
 					mustExec(t, db, `INSERT INTO RATE(q, r, x) SELECT q + 400, r, a FROM PQ`)
 				}
-				compare(`SELECT * FROM PDR`)
-				compare(`SELECT r, count(*) AS n, sum(x) AS s FROM RATE GROUP BY r`)
+				compare(" after INSERT", `SELECT d, r, v FROM PDR`)
+				compare(" after INSERT", `SELECT r, count(*) AS n, sum(x) AS s FROM RATE GROUP BY r`)
 			}
 		})
 	}
 }
 
-// TestMutateLoadedCube: INSERT … VALUES, DELETE and INSERT … SELECT into
-// a cube-loaded table keep the loaded tuples, and ExtractCube sees the
-// result.
+// TestMutateLoadedCube: INSERT … VALUES and INSERT … SELECT into a
+// cube-loaded table keep the loaded tuples, and ExtractCube sees the result.
 func TestMutateLoadedCube(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		pdr, _, _ := parityCubes(t, 108)
 		extra := model.NewCube(monthlyPDRSchema("EXTRA"))
 		for m := 1; m <= 2; m++ {
 			_ = extra.Put([]model.Value{model.Per(model.NewMonthly(2010, time.Month(m))), model.Str("east")}, float64(m))
 		}
-		db := loadedDB(t, mode, pdr, extra)
+		db := loadedDB(t, pdr, extra)
 		mustExec(t, db, insertMonthly("PDR", 2005, 6, "north", 99))
-		mustExec(t, db, `DELETE FROM PDR WHERE r = 'west'`)
 		mustExec(t, db, `INSERT INTO PDR(d, r, v) SELECT d, r, v FROM EXTRA`)
 
 		want := model.NewCube(pdr.Schema())
 		for _, tu := range pdr.Tuples() {
-			if r, _ := tu.Dims[1].AsString(); r != "west" {
-				_ = want.Put(tu.Dims, tu.Measure)
-			}
+			_ = want.Put(tu.Dims, tu.Measure)
 		}
 		_ = want.Put([]model.Value{model.Per(model.NewMonthly(2005, time.June)), model.Str("north")}, 99)
 		for _, tu := range extra.Tuples() {
@@ -218,7 +206,7 @@ func TestMutateLoadedCube(t *testing.T) {
 			t.Fatal(err)
 		}
 		if diff := want.Diff(got, 0, 5); len(diff) > 0 {
-			t.Errorf("cube after INSERT/DELETE/INSERT SELECT: %v", diff)
+			t.Errorf("cube after INSERT and INSERT SELECT: %v", diff)
 		}
 	})
 }
@@ -226,24 +214,24 @@ func TestMutateLoadedCube(t *testing.T) {
 // TestTabularFunctionOverLoadedCube: tabular functions read the rows of
 // their argument tables, built-in and user-registered alike.
 func TestTabularFunctionOverLoadedCube(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		s := model.NewCube(model.NewSchema("S", []model.Dim{{Name: "t", Type: model.TYear}}, "v"))
 		for i := 0; i < 8; i++ {
 			_ = s.Put([]model.Value{model.Per(model.NewAnnual(2000 + i))}, float64(i+1))
 		}
-		db := loadedDB(t, mode, s)
+		db := loadedDB(t, s)
 		seen := -1
 		db.RegisterTabular("ROWCOUNT", func(args []*Table, _ []float64) (*Table, error) {
 			seen = len(args[0].Rows)
 			return args[0], nil
 		})
-		if res := mustQuery(t, db, "SELECT t, v FROM ROWCOUNT(S) ORDER BY t"); seen != 8 || len(res.Rows) != 8 {
+		if res := mustQuery(t, db, "SELECT t, v FROM ROWCOUNT(S)"); seen != 8 || len(res.Rows) != 8 {
 			t.Errorf("user function saw %d rows and returned %d, want 8 and 8", seen, len(res.Rows))
 		}
-		if res := mustQuery(t, db, "SELECT t, v FROM STL_T(S) ORDER BY t"); len(res.Rows) != 8 {
+		if res := mustQuery(t, db, "SELECT t, v FROM STL_T(S)"); len(res.Rows) != 8 {
 			t.Errorf("STL_T over a cube-loaded table returned %d rows, want 8", len(res.Rows))
 		}
-		if res := mustQuery(t, db, "SELECT t, v FROM CUMSUM(S) ORDER BY t"); len(res.Rows) != 8 {
+		if res := mustQuery(t, db, "SELECT t, v FROM CUMSUM(S)"); len(res.Rows) != 8 {
 			t.Fatalf("CUMSUM returned %d rows", len(res.Rows))
 		} else if f, _ := res.Rows[7][1].AsNumber(); f != 36 {
 			t.Errorf("cumsum last = %v, want 36", f)
@@ -254,7 +242,7 @@ func TestTabularFunctionOverLoadedCube(t *testing.T) {
 // TestSecondLoadAppends: loading into a table that already has content
 // appends, whether that content is still a view or already rows.
 func TestSecondLoadAppends(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		for _, rowsFirst := range []bool{false, true} {
 			first := model.NewCube(monthlyPDRSchema("PDR"))
 			second := model.NewCube(monthlyPDRSchema("PDR"))
@@ -262,7 +250,7 @@ func TestSecondLoadAppends(t *testing.T) {
 				_ = first.Put([]model.Value{model.Per(model.NewMonthly(2000, time.Month(m))), model.Str("a")}, float64(m))
 				_ = second.Put([]model.Value{model.Per(model.NewMonthly(2001, time.Month(m))), model.Str("a")}, float64(10*m))
 			}
-			db := loadedDB(t, mode, first)
+			db := loadedDB(t, first)
 			if rowsFirst {
 				db.Table("PDR")
 			}
@@ -302,12 +290,12 @@ func TestLoadCubeRejectsOtherWidth(t *testing.T) {
 
 // TestLoadedTableIsASnapshot: a table loaded from a cube that is then
 // mutated — it was not frozen — goes on showing what was loaded, to the
-// vectorized scan and to whoever builds its rows.
+// scan and to whoever builds its rows.
 func TestLoadedTableIsASnapshot(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		pdr, _, _ := parityCubes(t, 2500)
 		want := pdr.Clone()
-		db := loadedDB(t, mode, pdr)
+		db := loadedDB(t, pdr)
 		first := pdr.Tuples()[0]
 		pdr.Delete(first.Dims)
 		if err := pdr.Replace(pdr.Tuples()[0].Dims, -1); err != nil {
@@ -316,20 +304,25 @@ func TestLoadedTableIsASnapshot(t *testing.T) {
 		if err := pdr.Put([]model.Value{model.Per(model.NewMonthly(1990, time.May)), model.Str("east")}, 7); err != nil {
 			t.Fatal(err)
 		}
-		res := mustQuery(t, db, `SELECT count(*) AS n, sum(v) AS s, min(v) AS lo FROM PDR`)
 		sum, lo := 0.0, math.Inf(1)
 		for _, tu := range want.Tuples() {
 			sum, lo = sum+tu.Measure, min(lo, tu.Measure)
 		}
-		if fmt.Sprint(res.Rows) != fmt.Sprint([][]model.Value{{model.Num(2500), model.Num(sum), model.Num(lo)}}) {
-			t.Errorf("count, sum, min after mutating the loaded cube = %v, want 2500, %v, %v", res.Rows, sum, lo)
-		}
-		got, err := db.ExtractCube(want.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := want.Diff(got, 0, 5); len(diff) > 0 {
-			t.Errorf("table after mutating the loaded cube: %v", diff)
+		for _, rows := range []bool{false, true} {
+			if rows {
+				db.Table("PDR")
+			}
+			res := mustQuery(t, db, `SELECT count(*) AS n, sum(v) AS s, min(v) AS lo FROM PDR`)
+			if fmt.Sprint(res.Rows) != fmt.Sprint([][]model.Value{{model.Num(2500), model.Num(sum), model.Num(lo)}}) {
+				t.Errorf("rows=%v: count, sum, min after mutating the loaded cube = %v, want 2500, %v, %v", rows, res.Rows, sum, lo)
+			}
+			got, err := db.ExtractCube(want.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := want.Diff(got, 0, 5); len(diff) > 0 {
+				t.Errorf("rows=%v: table after mutating the loaded cube: %v", rows, diff)
+			}
 		}
 	})
 }
@@ -342,7 +335,7 @@ func TestSharedVersionScannedConcurrently(t *testing.T) {
 	pdr, _, _ := parityCubes(t, 2500)
 	pdr.Freeze()
 	const q = `SELECT quarter(d) AS q, r, avg(v) AS a FROM PDR WHERE v > 10 GROUP BY quarter(d), r`
-	want := mustQuery(t, loadedDB(t, ExecVector, pdr), q).String()
+	want := mustQuery(t, loadedDB(t, pdr), q).String()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -419,7 +412,7 @@ func TestLoadCubeAllocBudget(t *testing.T) {
 func TestScalarCallAllocsIndependentOfRows(t *testing.T) {
 	allocs := func(n int) float64 {
 		pdr, _, _ := parityCubes(t, n)
-		db := loadedDB(t, ExecVector, pdr)
+		db := loadedDB(t, pdr)
 		return testing.AllocsPerRun(5, func() {
 			mustQuery(t, db, `SELECT sum(ln(v)) AS s FROM PDR`)
 		})

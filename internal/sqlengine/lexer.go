@@ -1,15 +1,15 @@
 // Package sqlengine implements an in-memory relational database executing
-// the SQL dialect that EXLEngine's translator emits (Section 5.1): CREATE
-// TABLE, INSERT … VALUES, INSERT … SELECT with joins derived from repeated
-// tgd variables, GROUP BY aggregations, scalar functions on measures,
-// period arithmetic on time dimensions (G1.Q = G2.Q - 1), and tabular
-// functions in FROM position (SELECT Q, G FROM STL_T(GDP)) for black-box
-// operators.
+// the SQL dialect that EXLEngine's translator emits (Section 5.1), and no
+// more: CREATE TABLE, CREATE VIEW … AS SELECT, INSERT … SELECT with joins
+// derived from repeated tgd variables, WHERE, GROUP BY aggregations, scalar
+// functions on measures, period arithmetic on time dimensions (G1.Q = G2.Q
+// - 1), and tabular functions in FROM position (SELECT Q, G FROM STL_T(GDP))
+// for black-box operators — plus INSERT … VALUES to seed a table. Every
+// SELECT's result is sorted by all its columns.
 //
 // The engine stands in for the commercial DBMS of the paper's deployment:
-// it is complete enough that every generated statement parses, plans and
-// runs, so the SQL translation is validated end to end rather than only
-// printed.
+// every generated statement parses, plans and runs, so the SQL translation
+// is validated end to end rather than only printed.
 package sqlengine
 
 import (

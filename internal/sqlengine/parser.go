@@ -74,10 +74,6 @@ func (p *sqlParser) parseStmt() (stmt, error) {
 		return p.parseCreate()
 	case p.isKw("insert"):
 		return p.parseInsert()
-	case p.isKw("drop"):
-		return p.parseDrop()
-	case p.isKw("delete"):
-		return p.parseDelete()
 	case p.isKw("select"):
 		return p.parseSelect()
 	default:
@@ -209,80 +205,26 @@ func (p *sqlParser) parseInsert() (stmt, error) {
 	return &insertSelectStmt{table: name, cols: cols, sel: sel.(*selectStmt)}, nil
 }
 
-func (p *sqlParser) parseDrop() (stmt, error) {
-	p.pos++ // drop
-	d := &dropStmt{}
-	if p.isKw("view") {
-		p.pos++
-		d.view = true
-	} else if err := p.expectKw("table"); err != nil {
-		return nil, err
-	}
-	if p.isKw("if") {
-		p.pos++
-		if err := p.expectKw("exists"); err != nil {
-			return nil, err
-		}
-		d.ifExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	d.table = name
-	return d, nil
-}
-
-func (p *sqlParser) parseDelete() (stmt, error) {
-	p.pos++ // delete
-	if err := p.expectKw("from"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	d := &deleteStmt{table: name}
-	if p.isKw("where") {
-		p.pos++
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		d.where = w
-	}
-	return d, nil
-}
-
 func (p *sqlParser) parseSelect() (stmt, error) {
 	p.pos++ // select
 	s := &selectStmt{}
-	if p.isKw("distinct") {
-		p.pos++
-		s.distinct = true
-	}
 	for {
-		if p.isSymbol("*") {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		se := selectExpr{e: e}
+		if p.isKw("as") {
 			p.pos++
-			s.exprs = append(s.exprs, selectExpr{star: true})
-		} else {
-			e, err := p.parseExpr()
+			a, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			se := selectExpr{e: e}
-			if p.isKw("as") {
-				p.pos++
-				a, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				se.alias = a
-			} else if p.cur().kind == tIdent && !p.selectKeywordNext() {
-				se.alias = p.next().text
-			}
-			s.exprs = append(s.exprs, se)
+			se.alias = a
+		} else if p.cur().kind == tIdent && !p.selectKeywordNext() {
+			se.alias = p.next().text
 		}
+		s.exprs = append(s.exprs, se)
 		if p.isSymbol(",") {
 			p.pos++
 			continue
@@ -330,24 +272,6 @@ func (p *sqlParser) parseSelect() (stmt, error) {
 			break
 		}
 	}
-	if p.isKw("order") {
-		p.pos++
-		if err := p.expectKw("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.orderBy = append(s.orderBy, e)
-			if p.isSymbol(",") {
-				p.pos++
-				continue
-			}
-			break
-		}
-	}
 	return s, nil
 }
 
@@ -355,7 +279,7 @@ func (p *sqlParser) parseSelect() (stmt, error) {
 // keyword rather than an implicit alias.
 func (p *sqlParser) selectKeywordNext() bool {
 	switch p.cur().text {
-	case "from", "where", "group", "order", "as":
+	case "from", "where", "group", "as":
 		return true
 	}
 	return false
@@ -413,7 +337,7 @@ func (p *sqlParser) parseFromItem() (fromItem, error) {
 
 func (p *sqlParser) fromKeywordNext() bool {
 	switch p.cur().text {
-	case "where", "group", "order", "on":
+	case "where", "group":
 		return true
 	}
 	return false

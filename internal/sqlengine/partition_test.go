@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,9 +15,8 @@ import (
 // and printed the literal 'a' as the column a — MAX('a') took MAX(a)'s column,
 // whichever came first in the select list.
 func TestStringLiteralIsNotAColumn(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
-		db.SetExecMode(mode)
 		mustExec(t, db, `CREATE TABLE T (k VARCHAR, a DOUBLE); INSERT INTO T(k, a) VALUES ('x', 1), ('x', 2)`)
 		for _, q := range []string{
 			`SELECT k, MAX(a) m1, MAX('a') m2 FROM T GROUP BY k`,
@@ -52,9 +52,9 @@ func eventsCube(t testing.TB, n int) *model.Cube {
 
 // TestGroupBySources: which source of group ordinals a GROUP BY takes is read
 // off the plan and the table, and changes no answer. Every statement runs over a
-// version (a database of its own, the partition built in the fold), over a
-// revision on its key set (another database, the partition reused), and in the
-// legacy tree-walker over both.
+// version (a database of its own, the partition built in the fold) and over a
+// revision on its key set (another database, the partition reused), and each
+// answer is held to testdata/groupby.golden.
 func TestGroupBySources(t *testing.T) {
 	cases := []struct {
 		name, query string
@@ -75,6 +75,7 @@ func TestGroupBySources(t *testing.T) {
 		{"no key", `SELECT count(*) AS n, sum(v) AS s FROM T`, false},
 	}
 	const view = `CREATE VIEW TQ AS SELECT quarter(d) AS q, max(v) AS a FROM T GROUP BY quarter(d)`
+	golden := goldenAnswers(t, "groupby")
 	for _, n := range []int{0, 7, 3000} {
 		base := eventsCube(t, n)
 		revision, err := base.Derive(base.Schema(), func(i int, tu model.Tuple) (float64, bool, error) { return tu.Measure * float64(i%3), true, nil })
@@ -83,18 +84,15 @@ func TestGroupBySources(t *testing.T) {
 		}
 		for _, tc := range cases {
 			for run, c := range []*model.Cube{base, revision} {
-				legacy, vector := loadedDB(t, ExecLegacy, c), loadedDB(t, ExecVector, c)
-				mustExec(t, legacy, view)
-				mustExec(t, vector, view)
+				db := loadedDB(t, c)
+				mustExec(t, db, view)
 				tracer, met := obs.NewTracer(), obs.NewRegistry()
 				ctx := obs.ContextWithMetrics(obs.ContextWithTracer(context.Background(), tracer), met)
-				got, err := vector.QueryContext(ctx, tc.query)
+				got, err := db.QueryContext(ctx, tc.query)
 				if err != nil {
 					t.Fatalf("%d tuples, %s: %v", n, tc.name, err)
 				}
-				if want := mustQuery(t, legacy, tc.query); got.String() != want.String() {
-					t.Errorf("%d tuples, %s, run %d:\n%s\nthe tree-walker answers\n%s", n, tc.name, run, got, want)
-				}
+				checkGolden(t, golden, fmt.Sprintf("%d %s: %s", n, []string{"version", "revision"}[run], tc.query), got)
 
 				source := map[bool]string{true: "partition", false: "hash"}
 				var plans, sources []string
@@ -141,16 +139,14 @@ func TestPartitionFollowsPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustQuery(t, loadedDB(t, ExecVector, base), `SELECT x, sum(v) AS s FROM T GROUP BY x`)
+	mustQuery(t, loadedDB(t, base), `SELECT x, sum(v) AS s FROM T GROUP BY x`)
 	met := obs.NewRegistry()
 	q := `SELECT k, sum(w) AS s, count(*) AS n FROM U alias GROUP BY alias.k`
-	got, err := loadedDB(t, ExecVector, renamed).QueryContext(obs.ContextWithMetrics(context.Background(), met), q)
+	got, err := loadedDB(t, renamed).QueryContext(obs.ContextWithMetrics(context.Background(), met), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := mustQuery(t, loadedDB(t, ExecLegacy, renamed), q); got.String() != want.String() || len(got.Rows) != 5 {
-		t.Errorf("grouped by another schema's partition:\n%s\nwant\n%s", got, want)
-	}
+	checkGolden(t, goldenAnswers(t, "groupby"), "500 renamed: "+q, got)
 	if met.Counter(obs.MetricPartitionsReused).Value() != 1 {
 		t.Error("U's statement did not find the partition T's left on the key set")
 	}

@@ -10,7 +10,7 @@ import (
 
 // This file defines the logical plan the vectorized executor runs:
 // SELECT statements lower to a small tree of relational operators
-// (Scan / Filter / Project / Join / GroupBy / Sort / Distinct), the
+// (Scan / Filter / Project / Join / GroupBy / Sort), the
 // analyzer (analyzer.go) rewrites the tree to a fixed point, and the
 // executor (exec.go) evaluates it over columnar batches.
 
@@ -249,31 +249,15 @@ func partitionSig(g *groupNode) string {
 	return "sql:" + strings.Join(keys, ", ")
 }
 
-// distinctNode removes duplicate output rows (SELECT DISTINCT).
-type distinctNode struct {
-	child planNode
-}
-
-func (d *distinctNode) cols() []planCol  { return d.child.cols() }
-func (d *distinctNode) describe() string { return "distinct" }
-
-// sortNode orders the output. by holds output ordinals (ORDER BY); a nil
-// by sorts by all columns left to right, the engine's deterministic
-// default. Either way remaining columns break ties, and NULLs sort last
-// (sortRowsBy, through model.AppendOrderedKey), so the output order is a
-// pure function of the result set.
+// sortNode orders the output by all columns left to right, NULLs last
+// (sortRows, through model.AppendOrderedKey), so the output order is a pure
+// function of the result set.
 type sortNode struct {
 	child planNode
-	by    []int
 }
 
-func (s *sortNode) cols() []planCol { return s.child.cols() }
-func (s *sortNode) describe() string {
-	if s.by == nil {
-		return "sort(all)"
-	}
-	return fmt.Sprintf("sort(%v)", s.by)
-}
+func (s *sortNode) cols() []planCol  { return s.child.cols() }
+func (s *sortNode) describe() string { return "sort(all)" }
 
 // planChildren returns a node's inputs (for tree walks).
 func planChildren(n planNode) []planNode {
@@ -289,8 +273,6 @@ func planChildren(n planNode) []planNode {
 	case *projectNode:
 		return []planNode{n.child}
 	case *groupNode:
-		return []planNode{n.child}
-	case *distinctNode:
 		return []planNode{n.child}
 	case *sortNode:
 		return []planNode{n.child}
@@ -316,70 +298,35 @@ func renderPlan(n planNode) string {
 	return b.String()
 }
 
-// buildPlan lowers a validated SELECT into the initial logical plan:
-// scans under a multi-join carrying the WHERE conjuncts, then grouping
-// or projection, then DISTINCT, then the sort. exprs is the star-expanded
-// SELECT list; sc is the scope the statement was validated against.
-func (db *DB) buildPlan(s *selectStmt, sc *scope, exprs []selectExpr, names []string, types []ColType) (planNode, error) {
+// buildPlan lowers a validated SELECT into the initial logical plan: scans
+// under a multi-join carrying the WHERE conjuncts, then grouping or
+// projection, then the sort. p holds the scope the statement was validated
+// against and its output schema.
+func buildPlan(s *selectStmt, p *selectPrep) planNode {
+	sc := p.sc
 	items := make([]planNode, len(sc.tables))
 	for i := range sc.tables {
 		items[i] = newScanNode(sc.tables[i], sc.aliases[i])
 	}
 	var node planNode = &multiJoinNode{items: items, conjuncts: splitAnd(s.where)}
 
-	outCols := make([]planCol, len(exprs))
-	for i := range exprs {
-		outCols[i] = planCol{name: names[i], typ: types[i]}
+	outCols := make([]planCol, len(s.exprs))
+	for i := range s.exprs {
+		outCols[i] = planCol{name: p.names[i], typ: p.types[i]}
 	}
 
 	grouping := len(s.groupBy) > 0
-	for _, se := range exprs {
+	for _, se := range s.exprs {
 		if hasAggregate(se.e) {
 			grouping = true
 		}
 	}
 	if grouping {
-		node = &groupNode{child: node, groupBy: s.groupBy, exprs: exprs, out: outCols}
+		node = &groupNode{child: node, groupBy: s.groupBy, exprs: s.exprs, out: outCols}
 	} else {
-		node = &projectNode{child: node, exprs: exprs, out: outCols}
+		node = &projectNode{child: node, exprs: s.exprs, out: outCols}
 	}
-	if s.distinct {
-		node = &distinctNode{child: node}
-	}
-
-	var by []int
-	if len(s.orderBy) > 0 {
-		idx, err := orderByIndexes(s, names)
-		if err != nil {
-			return nil, err
-		}
-		by = idx
-	}
-	return &sortNode{child: node, by: by}, nil
-}
-
-// orderByIndexes resolves ORDER BY expressions (output column names
-// only, as in the legacy path) to output ordinals.
-func orderByIndexes(s *selectStmt, names []string) ([]int, error) {
-	idx := make([]int, len(s.orderBy))
-	for i, oe := range s.orderBy {
-		cr, ok := oe.(*colRef)
-		if !ok {
-			return nil, fmt.Errorf("sql: ORDER BY supports output column names only")
-		}
-		j := -1
-		for k, n := range names {
-			if n == cr.name {
-				j = k
-				break
-			}
-		}
-		if j < 0 {
-			return nil, fmt.Errorf("sql: ORDER BY column %s not in output", cr.name)
-		}
-		idx[i] = j
-	}
-	return idx, nil
+	return &sortNode{child: node}
 }
 
 // exprString renders an expression canonically; it keys aggregate

@@ -2,6 +2,10 @@ package sqlengine
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,10 +16,10 @@ import (
 // parityDB builds a small panel-and-rates fixture exercising joins,
 // period arithmetic, grouping and views: parityCubes at 108 tuples, put in
 // with INSERT … VALUES.
-func parityDB(t *testing.T, mode ExecMode) *DB {
+func parityDB(t *testing.T) *DB {
 	t.Helper()
 	pdr, rate, reg := parityCubes(t, 108)
-	db := insertedDB(t, mode, pdr, rate, reg)
+	db := insertedDB(t, pdr, rate, reg)
 	mustExec(t, db, parityView)
 	return db
 }
@@ -24,10 +28,9 @@ const parityView = `CREATE VIEW PQ AS SELECT quarter(d) AS q, r, avg(v) AS a FRO
 
 // insertedDB holds each cube as a table of rows: its tuples, in cube order,
 // put in by one INSERT … VALUES statement.
-func insertedDB(t *testing.T, mode ExecMode, cubes ...*model.Cube) *DB {
+func insertedDB(t *testing.T, cubes ...*model.Cube) *DB {
 	t.Helper()
 	db := NewDB()
-	db.SetExecMode(mode)
 	for _, c := range cubes {
 		if err := db.CreateTableFor(c.Schema()); err != nil {
 			t.Fatal(err)
@@ -55,10 +58,12 @@ func insertMonthly(table string, y, m int, r string, v float64) string {
 	return "INSERT INTO " + table + " VALUES ('" + p.String() + "', '" + r + "', " + model.Num(v).String() + ")"
 }
 
-// parityQueries is the cross-executor suite: each query must produce an
-// identical table (schema, rows, order) under both executors.
+// parityQueries is the fixed suite: partial filters, hash joins with both
+// sides streamed including a self-join, cross joins, grouping with and
+// without aggregates, bare projections and a view. Each answer (schema, rows,
+// order) is held to testdata/parity.golden and testdata/loaded.golden.
 var parityQueries = []string{
-	`SELECT * FROM PDR`,
+	`SELECT d, r, v FROM PDR`,
 	`SELECT r, v FROM PDR WHERE v > 20`,
 	`SELECT d, v * 2 AS w FROM PDR WHERE r = 'north'`,
 	`SELECT quarter(d) AS q, sum(v) AS s FROM PDR GROUP BY quarter(d)`,
@@ -66,10 +71,10 @@ var parityQueries = []string{
 	`SELECT p.r AS r, p.v AS v, t.x AS x FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r`,
 	`SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r GROUP BY p.r`,
 	`SELECT a.q AS q, a.a AS cur, b.a AS prev FROM PQ a, PQ b WHERE a.r = b.r AND a.q = b.q - 1`,
-	`SELECT DISTINCT r FROM PDR`,
-	`SELECT DISTINCT quarter(d) AS q FROM PDR ORDER BY q`,
-	`SELECT q, a FROM PQ WHERE a IS NOT NULL ORDER BY a`,
-	`SELECT year(d) AS y, min(v) AS lo, max(v) AS hi FROM PDR GROUP BY year(d) ORDER BY y`,
+	`SELECT r FROM PDR GROUP BY r`,
+	`SELECT quarter(d) AS q FROM PDR GROUP BY quarter(d)`,
+	`SELECT q, a FROM PQ WHERE a IS NOT NULL`,
+	`SELECT year(d) AS y, min(v) AS lo, max(v) AS hi FROM PDR GROUP BY year(d)`,
 	`SELECT r FROM PDR WHERE v > 10 AND (r = 'north' OR r = 'west')`,
 	`SELECT t.r AS r, count(p.v) AS n FROM RATE t, PDR p WHERE t.r = p.r AND t.q = quarter(p.d) GROUP BY t.r`,
 	`SELECT count(*) AS n FROM PDR WHERE v < 0`,
@@ -80,36 +85,74 @@ var parityQueries = []string{
 	`SELECT r, ln(v) AS l FROM PDR WHERE r <> 'south'`,
 }
 
-// TestExecutorParity runs the suite through the legacy tree-walker and
-// the vectorized executor and requires byte-identical results. With
-// full-row deterministic ordering, any divergence is a semantics bug,
-// not an ordering artifact.
-func TestExecutorParity(t *testing.T) {
-	legacy := parityDB(t, ExecLegacy)
-	vector := parityDB(t, ExecVector)
-	for _, q := range parityQueries {
-		lt := mustQuery(t, legacy, q)
-		vt := mustQuery(t, vector, q)
-		if ls, vs := lt.String(), vt.String(); ls != vs {
-			t.Errorf("executors disagree on %q:\nlegacy:\n%s\nvector:\n%s", q, ls, vs)
+// goldenAnswers reads testdata/<name>.golden: answers of this engine that
+// a second, tuple-at-a-time executor gave to the byte as well, when the
+// engine still had one. Each answer follows a line "-- <key>" and is the
+// result's Table.String, or "sha256:<hex>" of it where answers are large.
+func goldenAnswers(t *testing.T, name string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every answer ends in a newline, which the separator before the next
+	// key takes.
+	sections := strings.Split("\n"+string(raw), "\n-- ")[1:]
+	out := make(map[string]string, len(sections))
+	for i, sec := range sections {
+		key, answer, _ := strings.Cut(sec, "\n")
+		if i < len(sections)-1 {
+			answer += "\n"
 		}
+		if _, dup := out[key]; dup {
+			t.Fatalf("%s.golden answers %q twice", name, key)
+		}
+		out[key] = answer
+	}
+	return out
+}
+
+// checkGolden holds a result to its golden answer.
+func checkGolden(t *testing.T, golden map[string]string, key string, got *Table) {
+	t.Helper()
+	want, ok := golden[key]
+	text := got.String()
+	switch {
+	case !ok:
+		t.Errorf("no golden answer for %q", key)
+	case strings.HasPrefix(want, "sha256:"):
+		if digest := fmt.Sprintf("sha256:%x\n", sha256.Sum256([]byte(text))); digest != want {
+			t.Errorf("%s: the answer of %d rows has %s, the golden one %s", key, len(got.Rows), digest, want)
+		}
+	case text != want:
+		t.Errorf("%s:\n%s\nthe golden answer is\n%s", key, text, want)
 	}
 }
 
-// TestOrderByNullsLast pins the single NULL placement rule: NULLS LAST,
-// in both executors, for ORDER BY keys and for the default all-column
-// sort — and full-column tie-breaking makes the order independent of
-// input row order.
+// TestExecutorParity runs the suite over the 108-tuple fixture put in with
+// INSERT … VALUES and holds every answer to testdata/parity.golden. With
+// full-row deterministic ordering, any difference is a semantics bug, not an
+// ordering artifact.
+func TestExecutorParity(t *testing.T) {
+	db := parityDB(t)
+	golden := goldenAnswers(t, "parity")
+	for _, q := range parityQueries {
+		checkGolden(t, golden, q, mustQuery(t, db, q))
+	}
+}
+
+// TestOrderByNullsLast pins the single NULL placement rule of the sort by
+// all columns every SELECT ends in: NULLS LAST, ties broken by the next
+// column, so the order is independent of input row order.
 func TestOrderByNullsLast(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		mk := func(reverse bool) *DB {
 			db := NewDB()
-			db.SetExecMode(mode)
 			rows := [][]model.Value{
-				{model.Str("a"), model.Num(2)},
-				{model.Str("b"), {}},
-				{model.Str("c"), model.Num(1)},
-				{model.Str("d"), {}},
+				{model.Num(2), model.Str("a")},
+				{{}, model.Str("d")},
+				{model.Num(1), model.Str("c")},
+				{{}, model.Str("b")},
 			}
 			if reverse {
 				for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
@@ -119,36 +162,35 @@ func TestOrderByNullsLast(t *testing.T) {
 			db.tables["n"] = &Table{
 				Name: "n",
 				Cols: []Column{
-					{Name: "k", Type: ColType{Kind: KVarchar}},
 					{Name: "v", Type: ColType{Kind: KDouble}},
+					{Name: "k", Type: ColType{Kind: KVarchar}},
 				},
 				Rows: rows,
 			}
 			return db
 		}
 
-		// NULL v cannot reach SELECT output (the row would drop), so order
-		// the base table itself via a view-free projection of k only after
-		// sorting by v: use IS NULL to keep NULL rows observable.
-		q := `SELECT k, v IS NULL AS missing FROM n ORDER BY missing`
+		// NULL v cannot reach SELECT output (the row would drop), so IS NULL
+		// keeps the NULL rows observable.
+		q := `SELECT v IS NULL AS missing, k FROM n`
 		a := mustQuery(t, mk(false), q)
 		b := mustQuery(t, mk(true), q)
 		if a.String() != b.String() {
 			t.Fatalf("order depends on input row order:\n%s\nvs\n%s", a.String(), b.String())
 		}
 
-		// Direct check of the shared sort: NULLs land last, and the two
-		// NULL rows tie-break on the remaining column (b before d).
+		// Direct check of the sort: NULLs land last, and the two NULL rows
+		// tie-break on the next column (b before d).
 		tbl := mk(false).tables["n"]
-		sortRowsBy(tbl.Rows, 2, []int{1})
-		if !tbl.Rows[0][1].IsValid() || !tbl.Rows[1][1].IsValid() {
+		sortRows(tbl.Rows)
+		if !tbl.Rows[0][0].IsValid() || !tbl.Rows[1][0].IsValid() {
 			t.Fatalf("NULL sorted before values: %v", tbl.Rows)
 		}
-		if tbl.Rows[2][1].IsValid() || tbl.Rows[3][1].IsValid() {
+		if tbl.Rows[2][0].IsValid() || tbl.Rows[3][0].IsValid() {
 			t.Fatalf("values sorted after NULLs: %v", tbl.Rows)
 		}
-		if k2, _ := tbl.Rows[2][0].AsString(); k2 != "b" {
-			t.Fatalf("NULL-row tie-break: got %v, want b before d", tbl.Rows[2][0])
+		if k2, _ := tbl.Rows[2][1].AsString(); k2 != "b" {
+			t.Fatalf("NULL-row tie-break: got %v, want b before d", tbl.Rows[2][1])
 		}
 	})
 }
@@ -159,9 +201,8 @@ func TestOrderByNullsLast(t *testing.T) {
 // per reference — 2^depth times in a deep diamond. The per-statement
 // resolver memo must evaluate each view exactly once per statement.
 func TestViewDiamondEvaluatesOnce(t *testing.T) {
-	forBothExecs(t, func(t *testing.T, mode ExecMode) {
+	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
-		db.SetExecMode(mode)
 		calls := 0
 		db.RegisterTabular("probe", func(args []*Table, params []float64) (*Table, error) {
 			calls++
@@ -199,7 +240,7 @@ CREATE VIEW TOP AS SELECT a.v AS x, b.v AS y FROM MID1 a, MID2 b WHERE a.v = a.v
 // the smaller (filtered) side chosen as hash-join build input, scans
 // pruned to live columns.
 func TestAnalyzerPlanShape(t *testing.T) {
-	db := parityDB(t, ExecVector)
+	db := parityDB(t)
 	stmts, err := parseScript(`SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r AND t.x > 1 GROUP BY p.r`)
 	if err != nil {
 		t.Fatal(err)
@@ -210,11 +251,7 @@ func TestAnalyzerPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := db.buildPlan(s, p.sc, p.exprs, p.names, p.types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err = db.analyze(context.Background(), plan, p.sc)
+	plan, err := db.analyze(context.Background(), buildPlan(s, p), p.sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +273,7 @@ func TestAnalyzerPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err = db.buildPlan(s, p.sc, p.exprs, p.names, p.types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err = db.analyze(context.Background(), plan, p.sc)
+	plan, err = db.analyze(context.Background(), buildPlan(s, p), p.sc)
 	if err != nil {
 		t.Fatal(err)
 	}
