@@ -29,7 +29,7 @@ func buildTools(t *testing.T) string {
 			return
 		}
 		buildDir = dir
-		for _, tool := range []string{"exlc", "exlrun", "exlbench", "exlsh"} {
+		for _, tool := range []string{"exlc", "exlrun", "exlsh"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./cmd/"+tool)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
@@ -68,7 +68,7 @@ func TestExlcEmitsArtifacts(t *testing.T) {
 		"r":       "merge(",
 		"matlab":  "join(",
 		"etl":     `"merge_join"`,
-		"summary": "table_input(PDR)",
+		"summary": "table_input(RGDPPC), table_input(PQR) | merge_join | calculator | table_output(RGDP)",
 	}
 	for emit, frag := range cases {
 		out, err := exec.Command(filepath.Join(bin, "exlc"), "-emit", emit, src).CombinedOutput()
@@ -221,20 +221,6 @@ func TestExlshSession(t *testing.T) {
 		if !strings.Contains(text, frag) {
 			t.Errorf("exlsh output missing %q:\n%s", frag, text)
 		}
-	}
-}
-
-func TestExlbenchQuickArtifacts(t *testing.T) {
-	bin := buildTools(t)
-	out, err := exec.Command(filepath.Join(bin, "exlbench"), "-quick", "-run", "e4").CombinedOutput()
-	if err != nil {
-		t.Fatalf("exlbench: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "table_input(RGDPPC), table_input(PQR) | merge_join | calculator | table_output(RGDP)") {
-		t.Errorf("exlbench e4 output:\n%s", out)
-	}
-	if err := exec.Command(filepath.Join(bin, "exlbench"), "-run", "e99").Run(); err == nil {
-		t.Error("unknown experiment must fail")
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"time"
 )
 
-// TestFacadeQuickstart exercises the public API end to end, exactly as the
-// README quickstart does.
+// TestFacadeQuickstart exercises the public API end to end with parallel
+// dispatch: register a program, put a two-dimensional cube, run, and read
+// an aggregation and a shifted ratio back. The README quickstart is the
+// body of ExampleEngine, which go test compiles and runs.
 func TestFacadeQuickstart(t *testing.T) {
 	eng := New(WithParallelDispatch())
 	src := `

@@ -1,5 +1,5 @@
 // Package cli is the flag surface shared by the EXLEngine command-line
-// tools. exlrun, exlsh, exlbench and exlserve all expose the same durable
+// tools. exlrun, exlsh and exlserve all expose the same durable
 // store, observability and resource-governor knobs; this package defines
 // them once — names, defaults and help strings — and turns the parsed
 // values into engine options, so the tools cannot drift apart.

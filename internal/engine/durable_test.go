@@ -69,7 +69,7 @@ func TestRunOverDurableStore(t *testing.T) {
 		}
 	}
 	// And a new run persists on top, atomically, bumping the generation
-	// by exactly one PutAll.
+	// by exactly one PutAllGen.
 	if _, err := e2.Run(context.Background(), RunAt(time.Unix(200, 0))); err != nil {
 		t.Fatal(err)
 	}

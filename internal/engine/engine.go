@@ -106,7 +106,7 @@ type Option func(*Engine)
 // WithStore substitutes the engine's cube store — e.g. a crash-safe
 // durable store opened with durable.Open. The default is a fresh
 // in-memory store.Store. The engine takes ownership of writes: every
-// run's results are persisted through the store's atomic PutAll.
+// run's results are persisted through the store's atomic PutAllGen.
 func WithStore(s CubeStore) Option {
 	return func(e *Engine) {
 		if s != nil {

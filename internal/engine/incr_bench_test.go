@@ -12,9 +12,9 @@ import (
 )
 
 // benchProgram is a four-statement derivation chain over a quarterly
-// regional panel — the same shape as exlbench's E15 incremental
-// experiment, kept here so `go test -bench IncrementalStep -cpuprofile`
-// can profile a single maintained step without the benchmark harness.
+// regional panel — the program of the panel workloads of go run ./bench,
+// kept here so `go test -bench IncrementalStep -cpuprofile` can profile a
+// single maintained step without the benchmark harness.
 const benchProgram = `
 cube S(q: quarter, r: string) measure v
 

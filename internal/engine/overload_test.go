@@ -365,7 +365,7 @@ func TestShutdownUnderLoadLosesNoAckedCommits(t *testing.T) {
 		t.Errorf("second shutdown: %v", err)
 	}
 
-	// Every acked run persisted exactly one atomic PutAll; recovery must
+	// Every acked run persisted exactly one atomic PutAllGen; recovery must
 	// see at least that many generations past the setup writes.
 	re, err := durable.Open(dir)
 	if err != nil {

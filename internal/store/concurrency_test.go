@@ -82,12 +82,12 @@ func TestHistorySharesFrozenCubes(t *testing.T) {
 }
 
 // TestConcurrentWritesVsSnapshots races writers (Put on distinct cubes,
-// an atomic PutAll pair) against snapshot readers. Run under -race. It
+// an atomic PutAllGen pair) against snapshot readers. Run under -race. It
 // asserts the MVCC invariants the engine relies on:
 //
 //   - the generation observed by SnapshotWithGenerations never decreases;
 //   - a snapshot's generation g means exactly the first g commits are
-//     visible — here checked through the PutAll pair, which must appear
+//     visible — here checked through the PutAllGen pair, which must appear
 //     in lockstep in every snapshot (all-or-nothing visibility).
 func TestConcurrentWritesVsSnapshots(t *testing.T) {
 	s := New()
@@ -119,7 +119,7 @@ func TestConcurrentWritesVsSnapshots(t *testing.T) {
 			}
 		}(w)
 	}
-	// One PutAll writer keeps X and Y in lockstep, atomically.
+	// One PutAllGen writer keeps X and Y in lockstep, atomically.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -128,13 +128,13 @@ func TestConcurrentWritesVsSnapshots(t *testing.T) {
 				"X": yearCube(t, "X", map[int]float64{2019: float64(k)}),
 				"Y": yearCube(t, "Y", map[int]float64{2019: float64(k)}),
 			}
-			if err := s.PutAll(pair, time.Unix(int64(k), 0)); err != nil {
+			if _, err := s.PutAllGen(pair, nil, time.Unix(int64(k), 0)); err != nil {
 				errc <- err
 				return
 			}
 		}
 	}()
-	// Readers: generation monotonicity and PutAll atomicity.
+	// Readers: generation monotonicity and PutAllGen atomicity.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
@@ -150,14 +150,14 @@ func TestConcurrentWritesVsSnapshots(t *testing.T) {
 				x, okx := snap["X"]
 				y, oky := snap["Y"]
 				if okx != oky {
-					errc <- fmt.Errorf("PutAll pair half-visible at generation %d", gen)
+					errc <- fmt.Errorf("PutAllGen pair half-visible at generation %d", gen)
 					return
 				}
 				if okx {
 					vx, _ := x.Get([]model.Value{model.Per(model.NewAnnual(2019))})
 					vy, _ := y.Get([]model.Value{model.Per(model.NewAnnual(2019))})
 					if vx != vy {
-						errc <- fmt.Errorf("PutAll pair torn at generation %d: X=%v Y=%v", gen, vx, vy)
+						errc <- fmt.Errorf("PutAllGen pair torn at generation %d: X=%v Y=%v", gen, vx, vy)
 						return
 					}
 				}

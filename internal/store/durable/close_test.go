@@ -15,7 +15,7 @@ import (
 // inside the group-commit protocol, so a commit could be acked against a
 // closed descriptor — or fail spuriously — without being fsync-covered.
 // Close must drain in-flight commits first: after Close returns, every
-// PutAll that was acknowledged (returned nil) must survive recovery.
+// PutAllGen that was acknowledged (returned nil) must survive recovery.
 func TestCloseUnderConcurrentPutAll(t *testing.T) {
 	dir := t.TempDir()
 	st := openT(t, dir, WithGroupCommit(200*time.Microsecond))
@@ -41,7 +41,7 @@ func TestCloseUnderConcurrentPutAll(t *testing.T) {
 					return
 				}
 				c.Freeze()
-				if err := st.PutAll(map[string]*model.Cube{name: c}, time.Unix(int64(i), 0)); err != nil {
+				if _, err := st.PutAllGen(map[string]*model.Cube{name: c}, nil, time.Unix(int64(i), 0)); err != nil {
 					// The store closed mid-write: this commit was never
 					// acked, so it carries no durability promise.
 					return

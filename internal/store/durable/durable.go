@@ -421,20 +421,16 @@ func (d *Store) Put(c *model.Cube, asOf time.Time) error {
 	if c != nil { // a nil cube is rejected by validation, like any other bad write
 		name = c.Schema().Name
 	}
-	return d.PutAll(map[string]*model.Cube{name: c}, asOf)
-}
-
-// PutAll stores a new version of every cube atomically: one WAL record
-// carries the whole batch, so recovery replays all of it or none —
-// all-or-nothing across both the WAL commit and the in-memory apply.
-func (d *Store) PutAll(cubes map[string]*model.Cube, asOf time.Time) error {
-	_, err := d.PutAllGen(cubes, nil, asOf)
+	_, err := d.PutAllGen(map[string]*model.Cube{name: c}, nil, asOf)
 	return err
 }
 
-// PutAllGen is PutAll returning the durable commit generation the batch
-// was stamped with, read atomically with the apply, and what was logged
-// for it (see store.Store.PutAllGen).
+// PutAllGen stores a new version of every cube atomically: one WAL record
+// carries the whole batch, so recovery replays all of it or none —
+// all-or-nothing across both the WAL commit and the in-memory apply. It
+// returns the durable commit generation the batch was stamped with, read
+// atomically with the apply, and what was logged for it (see
+// store.Store.PutAllGen).
 //
 // Each cube goes to the log as the delta from its latest stored version
 // when that delta is small (model.CubeDelta.Small), and in full

@@ -190,9 +190,9 @@ func TestReopenRoundTrip(t *testing.T) {
 	if err := st.Put(yearCube(t, "A", map[int]float64{2019: 2}), t2); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutAll(map[string]*model.Cube{
+	if _, err := st.PutAllGen(map[string]*model.Cube{
 		"B": yearCube(t, "B", map[int]float64{2019: 10}),
-	}, t2); err != nil {
+	}, nil, t2); err != nil {
 		t.Fatal(err)
 	}
 	genBefore := st.Generation()
@@ -225,7 +225,7 @@ func TestReopenRoundTrip(t *testing.T) {
 	}
 	b, ok := st.Get("B")
 	if !ok || annual(t, b, 2019) != 10 {
-		t.Fatal("PutAll cube lost after reopen")
+		t.Fatal("PutAllGen cube lost after reopen")
 	}
 	if _, ok := st.Schema("A"); !ok {
 		t.Fatal("schema lost after reopen")
@@ -590,10 +590,10 @@ func TestEmptyPutAllIsNoop(t *testing.T) {
 	dir := t.TempDir()
 	st := openT(t, dir)
 	defer st.Close()
-	if err := st.PutAll(nil, time.Unix(0, 0)); err != nil {
+	if _, err := st.PutAllGen(nil, nil, time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if g := st.Generation(); g != 0 {
-		t.Errorf("empty PutAll bumped generation to %d", g)
+		t.Errorf("empty PutAllGen bumped generation to %d", g)
 	}
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -86,35 +85,28 @@ func TestCSVRoundTripFinite(t *testing.T) {
 	}
 }
 
-// TestFetchAsOfNotFound: reading before the first version (or a cube that
-// was never stored) yields a clean typed error, not just a bare false.
-func TestFetchAsOfNotFound(t *testing.T) {
+// TestGetAsOfNotFound: a cube that was never stored, and an instant before
+// a cube's first version, are not found; the first version is visible at
+// exactly its own instant.
+func TestGetAsOfNotFound(t *testing.T) {
 	s := New()
 	t0 := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
-	if _, err := s.FetchAsOf("A", t0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("FetchAsOf on never-stored cube: err = %v, want ErrNotFound", err)
+	if _, ok := s.GetAsOf("A", t0); ok {
+		t.Fatal("GetAsOf on never-stored cube reported a version")
 	}
-	if _, err := s.Fetch("A"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Fetch on never-stored cube: err = %v, want ErrNotFound", err)
+	if _, ok := s.Get("A"); ok {
+		t.Fatal("Get on never-stored cube reported a version")
 	}
 
 	c := annualCube(t, map[int]float64{2000: 1})
 	if err := s.Put(c, t0); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	_, err := s.FetchAsOf("A", t0.Add(-time.Hour))
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("FetchAsOf before first version: err = %v, want ErrNotFound", err)
-	}
-	if !strings.Contains(err.Error(), "first version") {
-		t.Fatalf("error %q should state the first version instant", err)
-	}
-	if got, err := s.FetchAsOf("A", t0); err != nil || got == nil {
-		t.Fatalf("FetchAsOf at first version: %v", err)
-	}
-	// The boolean API still mirrors the error API.
 	if _, ok := s.GetAsOf("A", t0.Add(-time.Hour)); ok {
 		t.Fatal("GetAsOf before first version should report false")
+	}
+	if got, ok := s.GetAsOf("A", t0); !ok || got == nil {
+		t.Fatal("GetAsOf at first version reported none")
 	}
 }

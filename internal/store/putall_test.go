@@ -11,10 +11,10 @@ import (
 func TestPutAllCommitsEveryCube(t *testing.T) {
 	s := New()
 	t0 := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	err := s.PutAll(map[string]*model.Cube{
+	_, err := s.PutAllGen(map[string]*model.Cube{
 		"A": yearCube(t, "A", map[int]float64{2000: 1}),
 		"B": yearCube(t, "B", map[int]float64{2000: 2}),
-	}, t0)
+	}, nil, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,19 +33,19 @@ func TestPutAllCommitsEveryCube(t *testing.T) {
 func TestPutAllAtomicOnNilCube(t *testing.T) {
 	s := New()
 	t0 := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	err := s.PutAll(map[string]*model.Cube{
+	_, err := s.PutAllGen(map[string]*model.Cube{
 		"A": yearCube(t, "A", map[int]float64{2000: 1}),
 		"Z": nil,
-	}, t0)
+	}, nil, t0)
 	if err == nil || !strings.Contains(err.Error(), "nil cube") {
 		t.Fatalf("err = %v, want nil-cube rejection", err)
 	}
 	// Nothing — not even the valid cube — was written.
 	if _, ok := s.Get("A"); ok {
-		t.Error("rejected PutAll committed a cube")
+		t.Error("rejected PutAllGen committed a cube")
 	}
 	if len(s.Names()) != 0 {
-		t.Errorf("rejected PutAll registered schemas: %v", s.Names())
+		t.Errorf("rejected PutAllGen registered schemas: %v", s.Names())
 	}
 }
 
@@ -58,15 +58,15 @@ func TestPutAllAtomicOnSchemaConflict(t *testing.T) {
 	// B exists with (t: year); the batch redefines it with two dimensions.
 	bad := model.NewCube(model.NewSchema("B",
 		[]model.Dim{{Name: "t", Type: model.TYear}, {Name: "r", Type: model.TString}}, "v"))
-	err := s.PutAll(map[string]*model.Cube{
+	_, err := s.PutAllGen(map[string]*model.Cube{
 		"A": yearCube(t, "A", map[int]float64{2000: 1}),
 		"B": bad,
-	}, t0)
+	}, nil, t0)
 	if err == nil {
 		t.Fatal("dimensionality change must be rejected")
 	}
 	if _, ok := s.Get("A"); ok {
-		t.Error("rejected PutAll committed sibling cube A")
+		t.Error("rejected PutAllGen committed sibling cube A")
 	}
 }
 
@@ -77,15 +77,15 @@ func TestPutAllAtomicOnVersionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The batch timestamp predates B's latest version.
-	err := s.PutAll(map[string]*model.Cube{
+	_, err := s.PutAllGen(map[string]*model.Cube{
 		"A": yearCube(t, "A", map[int]float64{2000: 1}),
 		"B": yearCube(t, "B", map[int]float64{2000: 10}),
-	}, t0.Add(-time.Hour))
+	}, nil, t0.Add(-time.Hour))
 	if err == nil {
 		t.Fatal("out-of-order version must be rejected")
 	}
 	if _, ok := s.Get("A"); ok {
-		t.Error("rejected PutAll committed sibling cube A")
+		t.Error("rejected PutAllGen committed sibling cube A")
 	}
 	// B keeps its original value.
 	b, _ := s.Get("B")
@@ -98,7 +98,7 @@ func TestPutAllIsolatesCaller(t *testing.T) {
 	s := New()
 	t0 := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 	c := yearCube(t, "A", map[int]float64{2000: 1})
-	if err := s.PutAll(map[string]*model.Cube{"A": c}, t0); err != nil {
+	if _, err := s.PutAllGen(map[string]*model.Cube{"A": c}, nil, t0); err != nil {
 		t.Fatal(err)
 	}
 	// Mutating the caller's cube after the commit must not reach the store.

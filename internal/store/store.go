@@ -19,9 +19,8 @@ import (
 	"exlengine/internal/model"
 )
 
-// ErrNotFound reports a cube (or cube version) that does not exist in the
-// store. Fetch and FetchAsOf wrap it with the cube name and, for as-of
-// reads, the requested instant, so errors.Is(err, ErrNotFound) works.
+// ErrNotFound reports a cube that does not exist in the store. Delta wraps
+// it with the cube name, so errors.Is(err, ErrNotFound) works.
 var ErrNotFound = errors.New("store: cube not found")
 
 // ErrStaleVersion reports an optimistic-concurrency loss: a write's asOf
@@ -50,7 +49,7 @@ type Store struct {
 	mu      sync.RWMutex
 	cubes   map[string][]version
 	schemas map[string]model.Schema
-	// gen counts committed writes (Put and PutAll each bump it once), so
+	// gen counts committed writes (Put and PutAllGen each bump it once), so
 	// snapshots can be versioned: two snapshots with equal generation are
 	// guaranteed identical.
 	gen uint64
@@ -203,7 +202,7 @@ func (s *Store) checkPut(c *model.Cube, asOf time.Time) error {
 	return nil
 }
 
-// CheckPutAll reports whether PutAll would accept the batch, without
+// CheckPutAll reports whether PutAllGen would accept the batch, without
 // applying it. Durable wrappers use it to validate a commit before
 // appending it to a write-ahead log: a record must never reach the log if
 // replaying it would fail.
@@ -243,16 +242,6 @@ func (s *Store) Put(c *model.Cube, asOf time.Time) error {
 	return nil
 }
 
-// PutAll stores a new version of every cube in the map, all valid from
-// asOf, atomically: every cube is validated (schema compatibility and
-// version ordering) before any write happens, so a rejected cube leaves
-// the store exactly as it was — the snapshot-isolation guarantee the
-// dispatcher relies on when a run partially fails.
-func (s *Store) PutAll(cubes map[string]*model.Cube, asOf time.Time) error {
-	_, err := s.PutAllGen(cubes, nil, asOf)
-	return err
-}
-
 // Commit describes one committed batch. Gen is the generation it was
 // stamped with (the store generation after the write). The rest is what a
 // durable store logged for it, and zero on this one: how many of the
@@ -265,11 +254,15 @@ type Commit struct {
 	WALBytes   int64
 }
 
-// PutAllGen is PutAll returning the commit generation the batch was
-// stamped with. Callers that memoize "computed at generation g" need the
-// two read atomically — a PutAll followed by Generation() can observe a
-// concurrent writer's bump. An empty batch commits nothing and returns
-// the current generation.
+// PutAllGen stores a new version of every cube in the map, all valid from
+// asOf, atomically: every cube is validated (schema compatibility and
+// version ordering) before any write happens, so a rejected cube leaves
+// the store exactly as it was — the snapshot-isolation guarantee the
+// dispatcher relies on when a run partially fails. It returns the commit
+// generation the batch was stamped with, read atomically with the write:
+// callers that memoize "computed at generation g" cannot read it after
+// the fact, since Generation() can observe a concurrent writer's bump. An
+// empty batch commits nothing and returns the current generation.
 //
 // deltas may carry, per cube, how the new version differs from the one it
 // supersedes — a run that maintained its outputs from deltas holds exactly
@@ -304,49 +297,32 @@ func (s *Store) PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model
 // cube is frozen and shared: reading it is free of copies and locks, but
 // mutating it requires an explicit Clone.
 func (s *Store) Get(name string) (*model.Cube, bool) {
-	c, err := s.Fetch(name)
-	return c, err == nil
-}
-
-// Fetch is Get with a descriptive error: a missing cube yields an error
-// wrapping ErrNotFound instead of a bare false.
-func (s *Store) Fetch(name string) (*model.Cube, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	vs := s.cubes[name]
 	if len(vs) == 0 {
-		return nil, fmt.Errorf("%w: %s has no stored version", ErrNotFound, name)
+		return nil, false
 	}
-	return vs[len(vs)-1].cube, nil
+	return vs[len(vs)-1].cube, true
 }
 
 // GetAsOf returns the version of the cube valid at instant t (the newest
-// version with asOf <= t). The returned cube is frozen and shared.
+// version with asOf <= t). The returned cube is frozen and shared. It
+// reports false for a cube never stored and for an instant before the
+// cube's first version.
 func (s *Store) GetAsOf(name string, t time.Time) (*model.Cube, bool) {
-	c, err := s.FetchAsOf(name, t)
-	return c, err == nil
-}
-
-// FetchAsOf is GetAsOf with a descriptive error. Asking for an instant
-// before the cube's first version — or for a cube that was never stored —
-// returns an error wrapping ErrNotFound that distinguishes the two cases.
-func (s *Store) FetchAsOf(name string, t time.Time) (*model.Cube, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	vs := s.cubes[name]
-	if len(vs) == 0 {
-		return nil, fmt.Errorf("%w: %s has no stored version", ErrNotFound, name)
-	}
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].asOf.After(t) })
 	if i == 0 {
-		return nil, fmt.Errorf("%w: %s has no version at or before %v (first version is %v)",
-			ErrNotFound, name, t, vs[0].asOf)
+		return nil, false
 	}
-	return vs[i-1].cube, nil
+	return vs[i-1].cube, true
 }
 
 // Generation returns the store's write generation: it increases by one
-// on every committed Put/PutAll, so equal generations imply identical
+// on every committed Put/PutAllGen, so equal generations imply identical
 // store contents.
 func (s *Store) Generation() uint64 {
 	s.mu.RLock()

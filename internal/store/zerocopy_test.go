@@ -88,14 +88,14 @@ func TestSnapshotZeroCopyAndGeneration(t *testing.T) {
 	if snap1["A"] != g {
 		t.Errorf("snapshot and Get disagree on the shared instance")
 	}
-	if err := s.PutAll(map[string]*model.Cube{
+	if _, err := s.PutAllGen(map[string]*model.Cube{
 		"B": yearCube(t, "B", map[int]float64{2000: 2}),
 		"C": yearCube(t, "C", map[int]float64{2000: 3}),
-	}, time.Unix(1, 0)); err != nil {
+	}, nil, time.Unix(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if g := s.Generation(); g != 2 {
-		t.Errorf("generation after PutAll = %d, want 2 (one bump per commit)", g)
+		t.Errorf("generation after PutAllGen = %d, want 2 (one bump per commit)", g)
 	}
 	// The old snapshot is unaffected by the later write.
 	if len(snap1) != 1 {
@@ -131,15 +131,15 @@ func TestPutSameInstantLastWriteWins(t *testing.T) {
 	if vs := s.Versions("A"); len(vs) != 2 {
 		t.Fatalf("Versions after later write = %v, want two entries", vs)
 	}
-	// PutAll follows the same rule.
-	if err := s.PutAll(map[string]*model.Cube{"A": yearCube(t, "A", map[int]float64{2000: 4})}, t0.Add(time.Second)); err != nil {
+	// PutAllGen follows the same rule.
+	if _, err := s.PutAllGen(map[string]*model.Cube{"A": yearCube(t, "A", map[int]float64{2000: 4})}, nil, t0.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if vs := s.Versions("A"); len(vs) != 2 {
-		t.Fatalf("Versions after equal-instant PutAll = %v, want two entries", vs)
+		t.Fatalf("Versions after equal-instant PutAllGen = %v, want two entries", vs)
 	}
 	g, _ = s.Get("A")
 	if v, _ := g.Get([]model.Value{model.Per(model.NewAnnual(2000))}); v != 4 {
-		t.Errorf("current value = %v, want 4 (PutAll last write wins)", v)
+		t.Errorf("current value = %v, want 4 (PutAllGen last write wins)", v)
 	}
 }

@@ -136,16 +136,17 @@ func TestSessionExpiryDurable(t *testing.T) {
 		t.Fatalf("run: status %d (%v)", status, out)
 	}
 
-	// Go idle; the reaper must close the session AND the tenant.
+	// Go idle; the reaper must close the session AND the tenant, and count
+	// the expiry — which it does after the close returns, so wait for all
+	// three.
+	expired := srv.cfg.Metrics.Counter(MetricSessionsExpired)
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.sessions.count() != 0 || srv.tenants.count() != 0 {
+	for srv.sessions.count() != 0 || srv.tenants.count() != 0 || expired.Value() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("reaper left sessions=%d tenants=%d", srv.sessions.count(), srv.tenants.count())
+			t.Fatalf("reaper left sessions=%d tenants=%d, sessions_expired=%d",
+				srv.sessions.count(), srv.tenants.count(), expired.Value())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if got := srv.cfg.Metrics.Counter(MetricSessionsExpired).Value(); got < 1 {
-		t.Fatalf("sessions_expired = %d, want >=1", got)
 	}
 	if status, _ := doReq(t, http.MethodGet, base+"/v1/programs", sid, "", nil); status != http.StatusUnauthorized {
 		t.Fatalf("reaped session: status %d, want 401", status)
