@@ -178,8 +178,6 @@ var (
 	// materialization; a run that does not fit degrades to sequential
 	// dispatch before being rejected.
 	MemoryBudget = engine.MemoryBudget
-	// PerRunMemoryBudget bounds a single run's reservation.
-	PerRunMemoryBudget = engine.PerRunMemoryBudget
 	// WithBreakers enables per-backend circuit breakers.
 	WithBreakers = engine.WithBreakers
 	// WithGovernor installs a fully configured governor (shared across

@@ -24,7 +24,7 @@ func TestFuzzProgramsAgree(t *testing.T) {
 	}
 }
 
-// TestExprFuzzNullSemantics checks the SQL dialect's three-valued logic
+// TestExprFuzzNullSemantics checks the SQL engine's NULL propagation
 // against the independent reference evaluator.
 func TestExprFuzzNullSemantics(t *testing.T) {
 	divs, err := FuzzNullExprs(1, 400)

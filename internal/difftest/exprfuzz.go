@@ -4,43 +4,26 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
+	"exlengine/internal/model"
 	"exlengine/internal/sqlengine"
 )
 
-// This file fuzzes the SQL dialect's three-valued logic directly. EXL
-// itself has no booleans — comparisons, AND/OR/NOT and NULL literals
-// only exist inside the generated SQL (join conditions, WHERE residues)
-// — so random EXL programs exercise them indirectly at best. Here random
-// boolean and arithmetic expression trees over NULL, constants and a
-// column are evaluated by the engine and checked against an independent
-// Kleene-3VL reference evaluator.
+// This file fuzzes the SQL engine's NULL propagation directly, through the
+// path generated scripts take: INSERT INTO R(x) SELECT … FROM ONE [WHERE c
+// AND …] over a one-tuple table loaded with LoadCube, read back with
+// ExtractCube. EXL has no NULL — an undefined point such as (a / 0) is one
+// — and no booleans: the only predicates of generated SQL are WHERE
+// conjuncts, equalities and IS NOT NULL guards. So random programs exercise
+// them indirectly at best. Here random arithmetic trees over undefined
+// points, constants and a column are evaluated by the engine and checked
+// against an independent reference evaluator.
 //
-// The engine has no IS NULL operator, so a boolean expression B is
-// decided with two queries over a one-row table: WHERE B keeps the row
-// iff B is TRUE, and WHERE NOT B keeps it iff B is FALSE; if neither
-// keeps it, B is NULL. A numeric expression N is projected as an output
-// column: a NULL output drops the row, anything else returns the value.
-
-// tri is a three-valued truth value.
-type tri int8
-
-const (
-	triFalse tri = iota
-	triTrue
-	triNull
-)
-
-func (t tri) String() string {
-	switch t {
-	case triTrue:
-		return "TRUE"
-	case triFalse:
-		return "FALSE"
-	default:
-		return "NULL"
-	}
-}
+// A numeric expression N is inserted as R's measure: a NULL drops the row,
+// anything else is R's one tuple. A conjunct list copies ONE's measure into
+// R iff every conjunct is TRUE: x = y is TRUE when both sides are defined
+// and equal, x IS NOT NULL when x is defined.
 
 // numv is a nullable float: the reference counterpart of a SQL DOUBLE.
 type numv struct {
@@ -49,7 +32,7 @@ type numv struct {
 }
 
 // ExprDivergence reports the engine disagreeing with the reference
-// evaluator on one expression.
+// evaluator on one statement.
 type ExprDivergence struct {
 	SQL  string
 	Want string
@@ -60,7 +43,7 @@ func (d ExprDivergence) String() string {
 	return fmt.Sprintf("%s: engine says %s, reference says %s", d.SQL, d.Got, d.Want)
 }
 
-// colA is the value of the one-row table's single column.
+// colA is the measure of the one-tuple table ONE, its column a.
 const colA = 7
 
 // exprGen builds random expression trees, computing the reference value
@@ -74,7 +57,7 @@ func (g *exprGen) num(depth int) (string, numv) {
 	if depth <= 0 || g.rng.Float64() < 0.3 {
 		switch g.rng.Intn(6) {
 		case 0:
-			return "NULL", numv{null: true}
+			return "(a / 0)", numv{null: true} // an undefined point
 		case 1:
 			return "a", numv{val: colA}
 		case 2:
@@ -119,160 +102,86 @@ func (g *exprGen) num(depth int) (string, numv) {
 	}
 }
 
-// boolean generates a boolean expression.
-func (g *exprGen) boolean(depth int) (string, tri) {
-	if depth <= 0 || g.rng.Float64() < 0.2 {
-		if g.rng.Intn(4) == 0 {
-			return "NULL", triNull
-		}
-		// Comparison atom.
+// conjuncts generates a WHERE clause of one to three conjuncts and reports
+// whether every one of them is TRUE. A third of the equalities compare an
+// expression with itself, which is TRUE exactly where it is defined: NULL =
+// NULL is not.
+func (g *exprGen) conjuncts() (string, bool) {
+	var b strings.Builder
+	holds := true
+	for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
+		b.WriteString([]string{" WHERE ", " AND "}[min(i, 1)])
 		ls, lv := g.num(1)
-		rs, rv := g.num(1)
-		op := []string{"=", "<>", "<", "<=", ">", ">="}[g.rng.Intn(6)]
-		return "(" + ls + " " + op + " " + rs + ")", compareRef(op, lv, rv)
+		switch g.rng.Intn(3) {
+		case 0:
+			b.WriteString(ls + " IS NOT NULL")
+			holds = holds && !lv.null
+		case 1:
+			b.WriteString(ls + " = " + ls)
+			holds = holds && !lv.null
+		default:
+			rs, rv := g.num(1)
+			b.WriteString(ls + " = " + rs)
+			holds = holds && !lv.null && !rv.null && lv.val == rv.val
+		}
 	}
-	switch g.rng.Intn(3) {
-	case 0:
-		s, v := g.boolean(depth - 1)
-		return "(NOT " + s + ")", notRef(v)
-	case 1:
-		ls, lv := g.boolean(depth - 1)
-		rs, rv := g.boolean(depth - 1)
-		return "(" + ls + " AND " + rs + ")", andRef(lv, rv)
-	default:
-		ls, lv := g.boolean(depth - 1)
-		rs, rv := g.boolean(depth - 1)
-		return "(" + ls + " OR " + rs + ")", orRef(lv, rv)
-	}
+	return b.String(), holds
 }
 
-// Reference Kleene semantics: NULL is "unknown", comparisons and
-// arithmetic are NULL-strict, and a dominant known operand decides
-// and/or.
-func compareRef(op string, l, r numv) tri {
-	if l.null || r.null {
-		return triNull
-	}
-	var b bool
-	switch op {
-	case "=":
-		b = l.val == r.val
-	case "<>":
-		b = l.val != r.val
-	case "<":
-		b = l.val < r.val
-	case "<=":
-		b = l.val <= r.val
-	case ">":
-		b = l.val > r.val
-	case ">=":
-		b = l.val >= r.val
-	}
-	if b {
-		return triTrue
-	}
-	return triFalse
-}
-
-func notRef(v tri) tri {
-	switch v {
-	case triTrue:
-		return triFalse
-	case triFalse:
-		return triTrue
-	default:
-		return triNull
-	}
-}
-
-func andRef(l, r tri) tri {
-	if l == triFalse || r == triFalse {
-		return triFalse
-	}
-	if l == triTrue && r == triTrue {
-		return triTrue
-	}
-	return triNull
-}
-
-func orRef(l, r tri) tri {
-	if l == triTrue || r == triTrue {
-		return triTrue
-	}
-	if l == triFalse && r == triFalse {
-		return triFalse
-	}
-	return triNull
-}
-
-// FuzzNullExprs runs n random expression cases (alternating boolean and
-// numeric) against a fresh engine and returns every divergence from the
-// reference evaluator. The error return is for engine malfunctions
-// (query errors), which abort the run.
+// FuzzNullExprs runs n random cases (alternating conjunct lists and
+// numeric expressions) against a fresh engine each and returns every
+// divergence from the reference evaluator. The error return is for engine
+// malfunctions (statement errors), which abort the run.
 func FuzzNullExprs(seed int64, n int) ([]ExprDivergence, error) {
-	db := sqlengine.NewDB()
-	if err := db.Exec("CREATE TABLE ONE (a DOUBLE); INSERT INTO ONE(a) VALUES (7);"); err != nil {
+	one := model.NewCube(model.NewSchema("ONE", nil, "a"))
+	if err := one.Put(nil, colA); err != nil {
 		return nil, fmt.Errorf("difftest: seeding expr table: %w", err)
 	}
 	g := &exprGen{rng: rand.New(rand.NewSource(seed))}
 	var out []ExprDivergence
 	for i := 0; i < n; i++ {
+		sel, where, want := "a", "", numv{val: colA}
 		if i%2 == 0 {
-			s, want := g.boolean(3)
-			got, err := evalBool(db, s)
-			if err != nil {
-				return out, err
-			}
-			if got != want {
-				out = append(out, ExprDivergence{SQL: s, Want: want.String(), Got: got.String()})
-			}
+			var holds bool
+			where, holds = g.conjuncts()
+			want.null = !holds
 		} else {
-			s, want := g.num(3)
-			got, err := evalNum(db, s)
-			if err != nil {
-				return out, err
-			}
-			if !numAgree(got, want) {
-				out = append(out, ExprDivergence{SQL: s, Want: fmtNum(want), Got: fmtNum(got)})
-			}
+			sel, want = g.num(3)
+		}
+		stmt := "INSERT INTO R(x) SELECT " + sel + " AS x FROM ONE" + where
+		got, err := evalInsert(one, stmt)
+		if err != nil {
+			return out, err
+		}
+		if !numAgree(got, want) {
+			out = append(out, ExprDivergence{SQL: stmt, Want: fmtNum(want), Got: fmtNum(got)})
 		}
 	}
 	return out, nil
 }
 
-// evalBool decides a boolean expression with the WHERE/WHERE NOT pair.
-func evalBool(db *sqlengine.DB, s string) (tri, error) {
-	pos, err := db.Query("SELECT a FROM ONE WHERE " + s)
+// evalInsert runs the statement over ONE into a fresh R(x) and reads R back:
+// no tuple is a NULL.
+func evalInsert(one *model.Cube, stmt string) (numv, error) {
+	db := sqlengine.NewDB()
+	r := model.NewSchema("R", nil, "x")
+	if err := db.LoadCube(one); err != nil {
+		return numv{}, err
+	}
+	if err := db.CreateTableFor(r); err != nil {
+		return numv{}, err
+	}
+	if err := db.Exec(stmt); err != nil {
+		return numv{}, fmt.Errorf("difftest: %s: %w", stmt, err)
+	}
+	res, err := db.ExtractCube(r)
 	if err != nil {
-		return triNull, fmt.Errorf("difftest: WHERE %s: %w", s, err)
+		return numv{}, fmt.Errorf("difftest: %s: %w", stmt, err)
 	}
-	if len(pos.Rows) == 1 {
-		return triTrue, nil
-	}
-	neg, err := db.Query("SELECT a FROM ONE WHERE NOT " + s)
-	if err != nil {
-		return triNull, fmt.Errorf("difftest: WHERE NOT %s: %w", s, err)
-	}
-	if len(neg.Rows) == 1 {
-		return triFalse, nil
-	}
-	return triNull, nil
-}
-
-// evalNum projects a numeric expression; a dropped row means NULL.
-func evalNum(db *sqlengine.DB, s string) (numv, error) {
-	res, err := db.Query("SELECT a, " + s + " AS x FROM ONE")
-	if err != nil {
-		return numv{}, fmt.Errorf("difftest: SELECT %s: %w", s, err)
-	}
-	if len(res.Rows) == 0 {
+	if res.Len() == 0 {
 		return numv{null: true}, nil
 	}
-	f, ok := res.Rows[0][1].AsNumber()
-	if !ok {
-		return numv{}, fmt.Errorf("difftest: SELECT %s returned non-numeric %v", s, res.Rows[0][1])
-	}
-	return numv{val: f}, nil
+	return numv{val: res.Tuples()[0].Measure}, nil
 }
 
 func numAgree(a, b numv) bool {
@@ -281,7 +190,7 @@ func numAgree(a, b numv) bool {
 	}
 	// The engine evaluates the identical tree with identical float64
 	// operations, so exact equality is the contract.
-	return a.val == b.val || (math.IsNaN(a.val) && math.IsNaN(b.val))
+	return a.val == b.val
 }
 
 func fmtNum(v numv) string {

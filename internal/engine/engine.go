@@ -209,12 +209,6 @@ func MemoryBudget(bytes int64) Option {
 	return func(e *Engine) { e.ensureGovCfg().MemoryBudget = bytes }
 }
 
-// PerRunMemoryBudget bounds a single run's reservation below the
-// process-wide budget.
-func PerRunMemoryBudget(bytes int64) Option {
-	return func(e *Engine) { e.ensureGovCfg().PerRunBudget = bytes }
-}
-
 // WithBreakers configures the per-backend circuit breakers the
 // dispatcher consults: a backend that keeps failing is skipped by every
 // run until a probe succeeds.

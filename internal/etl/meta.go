@@ -132,8 +132,8 @@ type Job struct {
 	Flows []*Flow `json:"flows"`
 }
 
-// MarshalJSON is the metadata-catalog export of the job (the equivalent of
-// feeding Kettle's repository).
+// MarshalMetadata is the metadata-catalog export of the job as indented
+// JSON (the equivalent of feeding Kettle's repository).
 func (j *Job) MarshalMetadata() ([]byte, error) {
 	return json.MarshalIndent(j, "", "  ")
 }

@@ -64,10 +64,6 @@ type Config struct {
 	// MemoryBudget is the process-wide materialization budget in bytes.
 	// Zero or negative: unlimited.
 	MemoryBudget int64
-	// PerRunBudget bounds a single run's reservation. Zero means
-	// MemoryBudget (a run may use the whole budget); it is only a
-	// distinct bound when set below MemoryBudget.
-	PerRunBudget int64
 	// AvgRunHint seeds the run-duration estimate the deadline-aware
 	// queue check uses before any run has completed. Zero: no estimate,
 	// so early runs are only shed on already-expired deadlines.
@@ -372,24 +368,17 @@ func (t *Ticket) Reserved() int64 {
 	return t.reserved
 }
 
-// Reserve charges bytes against the per-run and process-wide memory
-// budgets, on top of whatever the ticket already holds. It returns
-// ErrMemoryBudget (typed Overload) when the charge does not fit, leaving
-// the existing reservation unchanged. A nil ticket accepts everything.
+// Reserve charges bytes against the process-wide memory budget, on top of
+// whatever the ticket already holds. It returns ErrMemoryBudget (typed
+// Overload) when the charge does not fit, leaving the existing reservation
+// unchanged. A nil ticket accepts everything.
 func (t *Ticket) Reserve(bytes int64) error {
 	if t == nil || bytes <= 0 {
 		return nil
 	}
 	g := t.g
-	perRun := g.cfg.PerRunBudget
-	if perRun <= 0 {
-		perRun = g.cfg.MemoryBudget
-	}
 	g.lock()
 	defer g.unlock()
-	if perRun > 0 && t.reserved+bytes > perRun {
-		return ErrMemoryBudget
-	}
 	if g.cfg.MemoryBudget > 0 && g.memUsed+bytes > g.cfg.MemoryBudget {
 		return ErrMemoryBudget
 	}

@@ -209,16 +209,13 @@ func TestAdmitCancelledWhileQueued(t *testing.T) {
 	tk3.Release()
 }
 
-// TestMemoryBudget: per-run and process-wide budgets reject with typed
-// overload errors, and releases return the reservation.
+// TestMemoryBudget: the process-wide budget rejects with a typed overload
+// error, and releases return the reservation.
 func TestMemoryBudget(t *testing.T) {
-	g := New(Config{MemoryBudget: 1000, PerRunBudget: 600})
+	g := New(Config{MemoryBudget: 1000})
 	t1, _ := g.Admit(context.Background(), 1)
 	if err := t1.Reserve(500); err != nil {
 		t.Fatal(err)
-	}
-	if err := t1.Reserve(200); !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("per-run overrun: err = %v, want ErrMemoryBudget", err)
 	}
 	t2, _ := g.Admit(context.Background(), 1)
 	if err := t2.Reserve(600); !errors.Is(err, ErrMemoryBudget) {

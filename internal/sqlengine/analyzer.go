@@ -133,8 +133,12 @@ func transformUp(n planNode, f func(planNode) (planNode, bool, error)) (planNode
 // conjunctAliases returns the aliases an expression references, resolved
 // against the statement scope.
 func conjunctAliases(a *analysisCtx, e expr) map[string]bool {
+	refs := map[[2]string]bool{}
+	exprColRefs(e, a.sc, refs)
 	set := map[string]bool{}
-	exprAliases(e, a.sc, set)
+	for ref := range refs {
+		set[ref[0]] = true
+	}
 	return set
 }
 
@@ -612,53 +616,35 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 	aggIdx := map[string]int{}
 	var collect func(e expr) error
 	collect = func(e expr) error {
-		switch e := e.(type) {
-		case *callExpr:
-			if ops.IsAggregation(e.name) {
-				if !e.star && len(e.args) != 1 {
-					return fmt.Errorf("sql: aggregate %s takes one argument", e.name)
-				}
-				for _, arg := range e.args {
-					if hasAggregate(arg) {
-						return fmt.Errorf("sql: aggregate %s outside grouped context", aggName(arg))
-					}
-				}
-				key := exprString(e)
-				if _, ok := aggIdx[key]; ok {
-					return nil
-				}
-				fold, err := ops.FoldOf(e.name)
-				if err != nil {
-					return err
-				}
-				spec := aggSpec{name: e.name, fold: fold, star: e.star}
-				if !e.star {
-					spec.arg = e.args[0]
-					c, err := compileExpr(e.args[0], childEnv)
-					if err != nil {
-						return err
-					}
-					spec.carg = c
-				}
-				aggIdx[key] = len(childCols) + len(g.aggs)
-				g.aggs = append(g.aggs, spec)
-				return nil
-			}
-			for _, arg := range e.args {
-				if err := collect(arg); err != nil {
+		c, ok := e.(*callExpr)
+		if !ok || !ops.IsAggregation(c.name) {
+			for _, x := range operands(e) {
+				if err := collect(x); err != nil {
 					return err
 				}
 			}
-		case *binExpr:
-			if err := collect(e.l); err != nil {
-				return err
-			}
-			return collect(e.r)
-		case *unaryExpr:
-			return collect(e.x)
-		case *isNullExpr:
-			return collect(e.x)
+			return nil
 		}
+		if len(c.args) != 1 {
+			return fmt.Errorf("sql: aggregate %s takes one argument", c.name)
+		}
+		if hasAggregate(c.args[0]) {
+			return fmt.Errorf("sql: aggregate %s over an aggregate", c.name)
+		}
+		key := exprString(c)
+		if _, ok := aggIdx[key]; ok {
+			return nil
+		}
+		fold, err := ops.FoldOf(c.name)
+		if err != nil {
+			return err
+		}
+		carg, err := compileExpr(c.args[0], childEnv)
+		if err != nil {
+			return err
+		}
+		aggIdx[key] = len(childCols) + len(g.aggs)
+		g.aggs = append(g.aggs, aggSpec{name: c.name, fold: fold, arg: c.args[0], carg: carg})
 		return nil
 	}
 	for _, se := range g.exprs {
@@ -681,7 +667,7 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 		for _, spec := range g.aggs {
 			exprColRefs(spec.arg, a.sc, refs)
 		}
-		g.argCols = make([]int, 0, len(refs)) // not nil where COUNT(*) reads none
+		g.argCols = make([]int, 0, len(refs)) // not nil where the arguments read no column, as count(1)
 		for ref := range refs {
 			j, err := resolvePlanCol(childCols, ref[0], ref[1])
 			if err != nil {
@@ -691,30 +677,4 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 		}
 	}
 	return nil
-}
-
-// aggName returns the name of the first aggregate call in e (for error
-// messages about nested aggregates).
-func aggName(e expr) string {
-	switch e := e.(type) {
-	case *callExpr:
-		if ops.IsAggregation(e.name) {
-			return e.name
-		}
-		for _, a := range e.args {
-			if n := aggName(a); n != "" {
-				return n
-			}
-		}
-	case *binExpr:
-		if n := aggName(e.l); n != "" {
-			return n
-		}
-		return aggName(e.r)
-	case *unaryExpr:
-		return aggName(e.x)
-	case *isNullExpr:
-		return aggName(e.x)
-	}
-	return ""
 }

@@ -11,13 +11,6 @@ type createStmt struct {
 	cols  []Column
 }
 
-// insertValuesStmt is INSERT INTO name(cols) VALUES (…), (…).
-type insertValuesStmt struct {
-	table string
-	cols  []string
-	rows  [][]expr
-}
-
 // insertSelectStmt is INSERT INTO name(cols) SELECT ….
 type insertSelectStmt struct {
 	table string
@@ -33,12 +26,12 @@ type createViewStmt struct {
 	sel  *selectStmt
 }
 
-// selectStmt is SELECT exprs FROM items [WHERE cond] [GROUP BY exprs]. Its
-// result is sorted by all output columns, left to right.
+// selectStmt is SELECT exprs FROM items [WHERE c AND …] [GROUP BY exprs].
+// Its result is sorted by all output columns, left to right.
 type selectStmt struct {
 	exprs   []selectExpr
 	from    []fromItem
-	where   expr
+	where   []expr // the conjuncts: equalities and IS NOT NULL guards
 	groupBy []expr
 }
 
@@ -48,21 +41,18 @@ type selectExpr struct {
 	alias string
 }
 
-// fromItem is a table reference or a tabular function call, with an
-// optional alias.
+// fromItem is a table reference or a tabular function call over one table,
+// with an optional alias.
 type fromItem struct {
-	table  string   // table name, if a plain reference
-	fn     string   // tabular function name, if a function call
-	args   []string // table arguments of the function
+	table  string // the table, or the tabular function's argument
+	fn     string // tabular function name, if a call
 	params []float64
 	alias  string
 }
 
 func (*createStmt) stmtNode()       {}
 func (*createViewStmt) stmtNode()   {}
-func (*insertValuesStmt) stmtNode() {}
 func (*insertSelectStmt) stmtNode() {}
-func (*selectStmt) stmtNode()       {}
 
 // expr is a scalar SQL expression.
 type expr interface{ exprNode() }
@@ -79,38 +69,49 @@ type lit struct {
 	v model.Value
 }
 
-// binExpr is a binary operation: arithmetic (+ - * /), comparison
-// (= <> < <= > >=) or boolean (and, or).
+// binExpr is arithmetic (+ - * /) or, as a WHERE conjunct, an equality (=).
 type binExpr struct {
 	op   string
 	l, r expr
 }
 
-// unaryExpr is unary minus or NOT.
-type unaryExpr struct {
-	op string // "-" or "not"
-	x  expr
+// negExpr is unary minus.
+type negExpr struct {
+	x expr
 }
 
-// callExpr is a scalar or aggregate function call. For COUNT(*), star is
-// true and args empty.
+// callExpr is a scalar or aggregate function call.
 type callExpr struct {
 	name string
 	args []expr
-	star bool
 }
 
-// isNullExpr is x IS [NOT] NULL: the SQL definedness predicate. Unlike
-// every other operator it is never NULL itself — it maps unknown to a
-// known boolean, which is what lets queries observe undefined points.
-type isNullExpr struct {
-	x   expr
-	not bool
+// notNullExpr is the WHERE conjunct x IS NOT NULL: the SQL definedness
+// predicate. Unlike every other operator it is never NULL itself — it maps
+// unknown to FALSE, which is how a generated COUNT keeps undefined points out
+// of its groups.
+type notNullExpr struct {
+	x expr
 }
 
-func (*colRef) exprNode()     {}
-func (*lit) exprNode()        {}
-func (*binExpr) exprNode()    {}
-func (*unaryExpr) exprNode()  {}
-func (*callExpr) exprNode()   {}
-func (*isNullExpr) exprNode() {}
+func (*colRef) exprNode()      {}
+func (*lit) exprNode()         {}
+func (*binExpr) exprNode()     {}
+func (*negExpr) exprNode()     {}
+func (*callExpr) exprNode()    {}
+func (*notNullExpr) exprNode() {}
+
+// operands returns the expressions e is computed from.
+func operands(e expr) []expr {
+	switch e := e.(type) {
+	case *binExpr:
+		return []expr{e.l, e.r}
+	case *negExpr:
+		return []expr{e.x}
+	case *notNullExpr:
+		return []expr{e.x}
+	case *callExpr:
+		return e.args
+	}
+	return nil
+}

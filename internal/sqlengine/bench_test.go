@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -57,18 +58,18 @@ func benchDB(rows int) *DB {
 	return db
 }
 
-func benchQuery(b *testing.B, rows int, query string) {
+func benchQuery(b *testing.B, rows int, q string) {
 	b.Helper()
 	db := benchDB(rows)
 	// Once outside the timer, to catch errors. Nothing is cached: every
 	// iteration's scans fill their batches from the tables' rows.
-	if _, err := db.Query(query); err != nil {
+	if _, err := query(context.Background(), db, q); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(query); err != nil {
+		if _, err := query(context.Background(), db, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,10 +78,10 @@ func benchQuery(b *testing.B, rows int, query string) {
 // BenchmarkSQLJoin measures a two-table hash join with a dimension
 // function on the join key.
 func BenchmarkSQLJoin(b *testing.B) {
-	const query = `SELECT p.r AS r, p.v AS v, t.x AS x FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r`
+	const q = `SELECT p.r AS r, p.v AS v, t.x AS x FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r`
 	for _, rows := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("vector/rows=%d", rows), func(b *testing.B) {
-			benchQuery(b, rows, query)
+			benchQuery(b, rows, q)
 		})
 	}
 }
@@ -88,10 +89,10 @@ func BenchmarkSQLJoin(b *testing.B) {
 // BenchmarkSQLGroupBy measures hash aggregation with a computed group
 // key and three aggregates.
 func BenchmarkSQLGroupBy(b *testing.B) {
-	const query = `SELECT quarter(d) AS q, r, sum(v) AS s, avg(v) AS a, count(*) AS n FROM PDR GROUP BY quarter(d), r`
+	const q = `SELECT quarter(d) AS q, r, sum(v) AS s, avg(v) AS a, count(1) AS n FROM PDR GROUP BY quarter(d), r`
 	for _, rows := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("vector/rows=%d", rows), func(b *testing.B) {
-			benchQuery(b, rows, query)
+			benchQuery(b, rows, q)
 		})
 	}
 }
@@ -99,8 +100,8 @@ func BenchmarkSQLGroupBy(b *testing.B) {
 // BenchmarkSQLJoinAggregate is the e5-class shape: join then group, the
 // dominant pattern in generated mapping scripts (RGDP/GDP tgds).
 func BenchmarkSQLJoinAggregate(b *testing.B) {
-	const query = `SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r GROUP BY p.r`
+	const q = `SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r GROUP BY p.r`
 	b.Run("vector", func(b *testing.B) {
-		benchQuery(b, 10000, query)
+		benchQuery(b, 10000, q)
 	})
 }

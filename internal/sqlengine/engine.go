@@ -219,8 +219,9 @@ func (db *DB) lookup(name string) (*Table, bool) {
 	return t, ok
 }
 
-// Exec parses and executes a script of semicolon-separated statements,
-// discarding SELECT results. It stops at the first error.
+// Exec parses and executes a script of semicolon-separated statements. The
+// whole script is parsed first, so a statement outside the dialect refuses
+// the script before any of it runs; execution stops at the first error.
 func (db *DB) Exec(src string) error {
 	return db.ExecContext(context.Background(), src)
 }
@@ -233,65 +234,38 @@ func (db *DB) ExecContext(ctx context.Context, src string) error {
 		return err
 	}
 	for _, s := range stmts {
-		if _, err := db.run(ctx, s); err != nil {
+		if err := db.run(ctx, s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Query parses and executes a single SELECT, returning the result table.
-func (db *DB) Query(src string) (*Table, error) {
-	return db.QueryContext(context.Background(), src)
-}
-
-// QueryContext is Query with a context (see ExecContext).
-func (db *DB) QueryContext(ctx context.Context, src string) (*Table, error) {
-	stmts, err := parseScript(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("sql: Query expects exactly one statement, got %d", len(stmts))
-	}
-	sel, ok := stmts[0].(*selectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: Query expects a SELECT")
-	}
-	return db.evalSelectCtx(ctx, sel)
-}
-
-func (db *DB) run(ctx context.Context, s stmt) (*Table, error) {
+func (db *DB) run(ctx context.Context, s stmt) error {
 	switch s := s.(type) {
 	case *createStmt:
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		if _, exists := db.tables[s.table]; exists {
-			return nil, fmt.Errorf("sql: table %s already exists", s.table)
+			return fmt.Errorf("sql: table %s already exists", s.table)
 		}
 		if _, exists := db.views[s.table]; exists {
-			return nil, fmt.Errorf("sql: a view named %s already exists", s.table)
+			return fmt.Errorf("sql: a view named %s already exists", s.table)
 		}
 		db.tables[s.table] = &Table{Name: s.table, Cols: s.cols}
-		return nil, nil
+		return nil
 	case *createViewStmt:
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		if _, exists := db.tables[s.name]; exists {
-			return nil, fmt.Errorf("sql: a table named %s already exists", s.name)
+			return fmt.Errorf("sql: a table named %s already exists", s.name)
 		}
 		if _, exists := db.views[s.name]; exists {
-			return nil, fmt.Errorf("sql: view %s already exists", s.name)
+			return fmt.Errorf("sql: view %s already exists", s.name)
 		}
 		db.views[s.name] = s.sel
-		return nil, nil
-	case *insertValuesStmt:
-		return nil, db.evalInsertValues(s)
-	case *insertSelectStmt:
-		return nil, db.evalInsertSelect(ctx, s)
-	case *selectStmt:
-		return db.evalSelectCtx(ctx, s)
+		return nil
 	default:
-		return nil, fmt.Errorf("sql: unsupported statement %T", s)
+		return db.evalInsertSelect(ctx, s.(*insertSelectStmt))
 	}
 }

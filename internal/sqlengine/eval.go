@@ -46,44 +46,6 @@ func (sc *scope) resolve(qual, name string) (ColType, error) {
 	return typ, nil
 }
 
-// aliasSet returns the set of aliases referenced by an expression.
-func exprAliases(e expr, sc *scope, out map[string]bool) {
-	switch e := e.(type) {
-	case *colRef:
-		if e.qual != "" {
-			out[e.qual] = true
-			return
-		}
-		// Unqualified: attribute to whichever table has the column.
-		for i, t := range sc.tables {
-			if t.ColIndex(e.name) >= 0 {
-				out[sc.aliases[i]] = true
-			}
-		}
-	case *binExpr:
-		exprAliases(e.l, sc, out)
-		exprAliases(e.r, sc, out)
-	case *unaryExpr:
-		exprAliases(e.x, sc, out)
-	case *callExpr:
-		for _, a := range e.args {
-			exprAliases(a, sc, out)
-		}
-	case *isNullExpr:
-		exprAliases(e.x, sc, out)
-	}
-}
-
-func splitAnd(e expr) []expr {
-	if b, ok := e.(*binExpr); ok && b.op == "and" {
-		return append(splitAnd(b.l), splitAnd(b.r)...)
-	}
-	if e == nil {
-		return nil
-	}
-	return []expr{e}
-}
-
 func subset(a, b map[string]bool) bool {
 	for k := range a {
 		if !b[k] {
@@ -153,34 +115,28 @@ func (r *resolver) relation(name string) (*Table, error) {
 func (r *resolver) scopeFor(items []fromItem) (*scope, error) {
 	sc := &scope{}
 	for _, fi := range items {
-		var t *Table
-		if fi.table != "" {
-			tt, err := r.relation(fi.table)
+		if fi.fn == "" {
+			t, err := r.relation(fi.table)
 			if err != nil {
 				return nil, err
 			}
-			t = tt
-		} else {
-			r.db.mu.RLock()
-			fn, ok := r.db.tabfns[fi.fn]
-			r.db.mu.RUnlock()
-			if !ok {
-				return nil, fmt.Errorf("sql: unknown tabular function %s", fi.fn)
-			}
-			var args []*Table
-			for _, an := range fi.args {
-				at, err := r.relation(an)
-				if err != nil {
-					return nil, fmt.Errorf("sql: argument of %s: %w", fi.fn, err)
-				}
-				at.materialize() // tabular functions read Rows
-				args = append(args, at)
-			}
-			tt, err := fn(args, fi.params)
-			if err != nil {
-				return nil, fmt.Errorf("sql: tabular function %s: %w", fi.fn, err)
-			}
-			t = tt
+			sc.add(fi.alias, t)
+			continue
+		}
+		r.db.mu.RLock()
+		fn, ok := r.db.tabfns[fi.fn]
+		r.db.mu.RUnlock()
+		if !ok {
+			return nil, fmt.Errorf("sql: unknown tabular function %s", fi.fn)
+		}
+		arg, err := r.relation(fi.table)
+		if err != nil {
+			return nil, fmt.Errorf("sql: argument of %s: %w", fi.fn, err)
+		}
+		arg.materialize() // tabular functions read Rows
+		t, err := fn([]*Table{arg}, fi.params)
+		if err != nil {
+			return nil, fmt.Errorf("sql: tabular function %s: %w", fi.fn, err)
 		}
 		sc.add(fi.alias, t)
 	}
@@ -196,9 +152,6 @@ type selectPrep struct {
 }
 
 func (db *DB) prepareSelect(s *selectStmt, r *resolver) (*selectPrep, error) {
-	if len(s.from) == 0 {
-		return nil, fmt.Errorf("sql: SELECT requires a FROM clause")
-	}
 	sc, err := r.scopeFor(s.from)
 	if err != nil {
 		return nil, err
@@ -246,11 +199,11 @@ func (db *DB) validateSelect(s *selectStmt, sc *scope) error {
 			return err
 		}
 	}
-	if s.where != nil {
-		if hasAggregate(s.where) {
+	for _, c := range s.where {
+		if hasAggregate(c) {
 			return fmt.Errorf("sql: aggregates are not allowed in WHERE")
 		}
-		if err := validateExpr(s.where, sc); err != nil {
+		if err := validateExpr(c, sc); err != nil {
 			return err
 		}
 	}
@@ -266,48 +219,23 @@ func (db *DB) validateSelect(s *selectStmt, sc *scope) error {
 }
 
 func validateExpr(e expr, sc *scope) error {
-	switch e := e.(type) {
-	case *colRef:
-		_, err := sc.resolve(e.qual, e.name)
+	if c, ok := e.(*colRef); ok {
+		_, err := sc.resolve(c.qual, c.name)
 		return err
-	case *binExpr:
-		if err := validateExpr(e.l, sc); err != nil {
+	}
+	for _, x := range operands(e) {
+		if err := validateExpr(x, sc); err != nil {
 			return err
 		}
-		return validateExpr(e.r, sc)
-	case *unaryExpr:
-		return validateExpr(e.x, sc)
-	case *callExpr:
-		for _, a := range e.args {
-			if err := validateExpr(a, sc); err != nil {
-				return err
-			}
-		}
-	case *isNullExpr:
-		return validateExpr(e.x, sc)
 	}
 	return nil
 }
 
 func hasAggregate(e expr) bool {
-	switch e := e.(type) {
-	case *callExpr:
-		if ops.IsAggregation(e.name) {
-			return true
-		}
-		for _, a := range e.args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case *binExpr:
-		return hasAggregate(e.l) || hasAggregate(e.r)
-	case *unaryExpr:
-		return hasAggregate(e.x)
-	case *isNullExpr:
-		return hasAggregate(e.x)
+	if c, ok := e.(*callExpr); ok && ops.IsAggregation(c.name) {
+		return true
 	}
-	return false
+	return slices.ContainsFunc(operands(e), hasAggregate)
 }
 
 // sortRows sorts rows by all their columns left to right, NULLs last. With
@@ -339,12 +267,6 @@ func sortRows(rows [][]model.Value) {
 	for i := range pairs {
 		rows[i] = pairs[i].row
 	}
-}
-
-// applyIsNull is x IS [NOT] NULL: the only operator that maps unknown to
-// a known boolean instead of propagating it.
-func applyIsNull(x model.Value, not bool) model.Value {
-	return model.Bool(x.IsValid() == not)
 }
 
 // scalarCallFunc applies a resolved scalar function to argument values.
@@ -411,58 +333,17 @@ func resolveScalarCall(name string) (scalarCallFunc, error) {
 	}, nil
 }
 
-// kleeneLogic is SQL's three-valued and/or (Kleene's strong logic): NULL
-// means "unknown", yet a dominant known operand still decides — FALSE
-// AND NULL is FALSE, TRUE OR NULL is TRUE; only genuinely undecidable
-// combinations stay NULL. A NULL result then drops the row like every
-// other NULL predicate.
-func kleeneLogic(op string, l, r model.Value) (model.Value, error) {
-	lb, lok := l.AsBool()
-	rb, rok := r.AsBool()
-	if (l.IsValid() && !lok) || (r.IsValid() && !rok) {
-		return model.Value{}, fmt.Errorf("sql: boolean operator over non-booleans")
-	}
-	switch op {
-	case "and":
-		if (lok && !lb) || (rok && !rb) {
-			return model.Bool(false), nil
-		}
-		if lok && rok {
-			return model.Bool(true), nil
-		}
-	case "or":
-		if (lok && lb) || (rok && rb) {
-			return model.Bool(true), nil
-		}
-		if lok && rok {
-			return model.Bool(false), nil
-		}
-	}
-	return model.Value{}, nil // NULL: unknown
-}
-
-func applyUnary(op string, x model.Value) (model.Value, error) {
-	// NULL-strict under Kleene 3VL: the negation (numeric or logical) of
-	// an unknown value is unknown, never an error.
+// applyNeg is unary minus. It is NULL-strict: the negation of an unknown
+// value is unknown, never an error.
+func applyNeg(x model.Value) (model.Value, error) {
 	if !x.IsValid() {
 		return model.Value{}, nil
 	}
-	switch op {
-	case "-":
-		f, ok := x.AsNumber()
-		if !ok {
-			return model.Value{}, fmt.Errorf("sql: unary minus over non-numeric %v", x)
-		}
-		return model.Num(-f), nil
-	case "not":
-		b, ok := x.AsBool()
-		if !ok {
-			return model.Value{}, fmt.Errorf("sql: NOT over non-boolean %v", x)
-		}
-		return model.Bool(!b), nil
-	default:
-		return model.Value{}, fmt.Errorf("sql: unknown unary operator %s", op)
+	f, ok := x.AsNumber()
+	if !ok {
+		return model.Value{}, fmt.Errorf("sql: unary minus over non-numeric %v", x)
 	}
+	return model.Num(-f), nil
 }
 
 // The four arithmetic operators are resolved from the operator library
@@ -482,40 +363,19 @@ func mustScalarFn(name string) ops.ScalarFunc {
 	return f
 }
 
+// applyBinary is = or one of the four arithmetic operators. Each is
+// NULL-strict: comparing against or computing with an unknown value yields
+// unknown, so NULL = x is NULL (not FALSE) and NULL + x is NULL (not an
+// error). WHERE then filters the NULL conjunct and SELECT drops the NULL
+// output row.
 func applyBinary(op string, l, r model.Value) (model.Value, error) {
-	if op == "and" || op == "or" {
-		// Kleene and/or must see NULL operands: a dominant known side
-		// still decides (FALSE AND NULL = FALSE, TRUE OR NULL = TRUE).
-		return kleeneLogic(op, l, r)
-	}
-	// Every other operator is NULL-strict: comparing against or computing
-	// with an unknown value yields unknown, so NULL = x is NULL (not
-	// FALSE) and NULL + x is NULL (not an error). WHERE then filters the
-	// NULL predicate and SELECT drops the NULL output row.
 	if !l.IsValid() || !r.IsValid() {
 		return model.Value{}, nil
 	}
 	switch op {
-	case "=", "<>", "<", "<=", ">", ">=":
+	case "=":
 		l, r = coercePair(l, r)
-		c := l.Compare(r)
-		eq := l.Equal(r)
-		var res bool
-		switch op {
-		case "=":
-			res = eq
-		case "<>":
-			res = !eq
-		case "<":
-			res = c < 0
-		case "<=":
-			res = c <= 0
-		case ">":
-			res = c > 0
-		case ">=":
-			res = c >= 0
-		}
-		return model.Bool(res), nil
+		return model.Bool(l.Equal(r)), nil
 	case "+", "-":
 		// Period arithmetic: Q - 1 shifts a period, as in the paper's
 		// generated join condition G1.Q = G2.Q - 1. Addition commutes, so
@@ -543,7 +403,7 @@ func applyBinary(op string, l, r model.Value) (model.Value, error) {
 			return model.Per(p.Shift(n)), nil
 		}
 		fallthrough
-	case "*", "/":
+	default: // * and /
 		lf, ok1 := l.AsNumber()
 		rf, ok2 := r.AsNumber()
 		if !ok1 || !ok2 {
@@ -558,8 +418,6 @@ func applyBinary(op string, l, r model.Value) (model.Value, error) {
 			return model.Value{}, err
 		}
 		return model.Num(out), nil
-	default:
-		return model.Value{}, fmt.Errorf("sql: unknown binary operator %s", op)
 	}
 }
 
@@ -630,45 +488,6 @@ func (db *DB) inferType(e expr, sc *scope) ColType {
 	}
 }
 
-// evalInsertValues evaluates each row expression compiled against no
-// columns, over a batch of one row.
-func (db *DB) evalInsertValues(s *insertValuesStmt) error {
-	t, ok := db.Table(s.table)
-	if !ok {
-		return fmt.Errorf("sql: unknown table %s", s.table)
-	}
-	perm, err := insertPermutation(t, s.cols)
-	if err != nil {
-		return err
-	}
-	one := &batch{N: 1}
-	for _, rowExprs := range s.rows {
-		if len(rowExprs) != len(perm) {
-			return fmt.Errorf("sql: INSERT row has %d values, want %d", len(rowExprs), len(perm))
-		}
-		row := make([]model.Value, len(t.Cols))
-		for i, e := range rowExprs {
-			c, err := compileExpr(e, compileEnv{})
-			if err != nil {
-				return err
-			}
-			v, err := c.eval(one)
-			if err != nil {
-				return err
-			}
-			cv, err := coerceToColumn(v[0], t.Cols[perm[i]].Type)
-			if err != nil {
-				return fmt.Errorf("sql: column %s: %w", t.Cols[perm[i]].Name, err)
-			}
-			row[perm[i]] = cv
-		}
-		db.mu.Lock()
-		t.Rows = append(t.Rows, row)
-		db.mu.Unlock()
-	}
-	return nil
-}
-
 func (db *DB) evalInsertSelect(ctx context.Context, s *insertSelectStmt) error {
 	t, ok := db.Table(s.table)
 	if !ok {
@@ -702,13 +521,6 @@ func (db *DB) evalInsertSelect(ctx context.Context, s *insertSelectStmt) error {
 }
 
 func insertPermutation(t *Table, cols []string) ([]int, error) {
-	if len(cols) == 0 {
-		perm := make([]int, len(t.Cols))
-		for i := range perm {
-			perm[i] = i
-		}
-		return perm, nil
-	}
 	perm := make([]int, len(cols))
 	for i, c := range cols {
 		j := t.ColIndex(strings.ToLower(c))

@@ -11,16 +11,13 @@ import (
 )
 
 // The vectorized executor. Every operator implements execOp and streams
-// batches of about chunk rows; expressions are compiled once per statement into compiledExpr closures that evaluate a whole
-// column vector per call, so the per-row work is the semantic kernel
-// (applyBinary, kleeneLogic, the resolved scalar closure) with no name
-// resolution, no map lookups and no interface dispatch on the tree.
-//
-// Compiled expressions are the engine's one scalar evaluator: INSERT …
-// VALUES runs its row expressions through them too, over a one-row batch,
-// so NULL propagation (Kleene 3VL, NULL-strict comparisons and arithmetic,
-// NULL output drops the row) lives in applyBinary/applyUnary/kleeneLogic/
-// resolveScalarCall alone.
+// batches of about chunk rows; expressions are compiled once per statement
+// into compiledExpr closures that evaluate a whole column vector per call, so
+// the per-row work is the semantic kernel (applyBinary, applyNeg, the resolved
+// scalar closure) with no name resolution, no map lookups and no interface
+// dispatch on the tree. NULL propagation — NULL-strict equality and
+// arithmetic, a NULL conjunct drops the row, so does a NULL output — lives in
+// those kernels and in notNullC alone.
 
 // compiledExpr evaluates an expression over a batch, returning one value
 // per row. Column references return the batch's column slice directly
@@ -69,13 +66,12 @@ func (c *colC) eval(b *batch) ([]model.Value, error) {
 	return b.Cols[c.idx], nil
 }
 
-type unaryC struct {
-	op  string
+type negC struct {
 	x   compiledExpr
 	out []model.Value
 }
 
-func (c *unaryC) eval(b *batch) ([]model.Value, error) {
+func (c *negC) eval(b *batch) ([]model.Value, error) {
 	xv, err := c.x.eval(b)
 	if err != nil {
 		return nil, err
@@ -83,7 +79,7 @@ func (c *unaryC) eval(b *batch) ([]model.Value, error) {
 	out := scratchVec(c.out, b.N)
 	c.out = out
 	for i := 0; i < b.N; i++ {
-		v, err := applyUnary(c.op, xv[i])
+		v, err := applyNeg(xv[i])
 		if err != nil {
 			return nil, err
 		}
@@ -109,16 +105,6 @@ func (c *binC) eval(b *batch) ([]model.Value, error) {
 	}
 	out := scratchVec(c.out, b.N)
 	c.out = out
-	if c.op == "and" || c.op == "or" {
-		for i := 0; i < b.N; i++ {
-			v, err := kleeneLogic(c.op, lv[i], rv[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
 	for i := 0; i < b.N; i++ {
 		v, err := applyBinary(c.op, lv[i], rv[i])
 		if err != nil {
@@ -129,13 +115,14 @@ func (c *binC) eval(b *batch) ([]model.Value, error) {
 	return out, nil
 }
 
-type isNullC struct {
+// notNullC is x IS NOT NULL: the only operator that maps unknown to a known
+// boolean instead of propagating it.
+type notNullC struct {
 	x   compiledExpr
-	not bool
 	out []model.Value
 }
 
-func (c *isNullC) eval(b *batch) ([]model.Value, error) {
+func (c *notNullC) eval(b *batch) ([]model.Value, error) {
 	xv, err := c.x.eval(b)
 	if err != nil {
 		return nil, err
@@ -143,7 +130,7 @@ func (c *isNullC) eval(b *batch) ([]model.Value, error) {
 	out := scratchVec(c.out, b.N)
 	c.out = out
 	for i := 0; i < b.N; i++ {
-		out[i] = applyIsNull(xv[i], c.not)
+		out[i] = model.Bool(xv[i].IsValid())
 	}
 	return out, nil
 }
@@ -237,12 +224,12 @@ func compileExpr(e expr, env compileEnv) (compiledExpr, error) {
 			return nil, err
 		}
 		return &colC{idx: idx}, nil
-	case *unaryExpr:
+	case *negExpr:
 		x, err := compileExpr(e.x, env)
 		if err != nil {
 			return nil, err
 		}
-		return &unaryC{op: e.op, x: x}, nil
+		return &negC{x: x}, nil
 	case *binExpr:
 		l, err := compileExpr(e.l, env)
 		if err != nil {
@@ -253,12 +240,12 @@ func compileExpr(e expr, env compileEnv) (compiledExpr, error) {
 			return nil, err
 		}
 		return &binC{op: e.op, l: l, r: r}, nil
-	case *isNullExpr:
+	case *notNullExpr:
 		x, err := compileExpr(e.x, env)
 		if err != nil {
 			return nil, err
 		}
-		return &isNullC{x: x, not: e.not}, nil
+		return &notNullC{x: x}, nil
 	case *callExpr:
 		if ops.IsAggregation(e.name) {
 			if env.aggs != nil {
@@ -951,9 +938,6 @@ func (o *groupOp) newGroup(ngroups *int) int {
 
 func (o *groupOp) evalAggArgs(b *batch, argVecs [][]model.Value) error {
 	for i, spec := range o.n.aggs {
-		if spec.star {
-			continue
-		}
 		v, err := spec.carg.eval(b)
 		if err != nil {
 			return err
@@ -966,10 +950,6 @@ func (o *groupOp) evalAggArgs(b *batch, argVecs [][]model.Value) error {
 func (o *groupOp) feed(g int, argVecs [][]model.Value, r int) error {
 	for i := range o.n.aggs {
 		spec := &o.n.aggs[i]
-		if spec.star {
-			o.states[i][g].Add(spec.fold, 0)
-			continue
-		}
 		v := argVecs[i][r]
 		if !v.IsValid() {
 			continue // nulls are not part of the bag

@@ -1,11 +1,11 @@
 // Package sqlengine implements an in-memory relational database executing
 // the SQL dialect that EXLEngine's translator emits (Section 5.1), and no
-// more: CREATE TABLE, CREATE VIEW … AS SELECT, INSERT … SELECT with joins
-// derived from repeated tgd variables, WHERE, GROUP BY aggregations, scalar
-// functions on measures, period arithmetic on time dimensions (G1.Q = G2.Q
-// - 1), and tabular functions in FROM position (SELECT Q, G FROM STL_T(GDP))
-// for black-box operators — plus INSERT … VALUES to seed a table. Every
-// SELECT's result is sorted by all its columns.
+// more: CREATE TABLE, CREATE VIEW … AS SELECT and INSERT INTO t(cols)
+// SELECT, with joins derived from repeated tgd variables as a WHERE list of
+// equalities (period arithmetic included: G1.Q = G2.Q - 1) and IS NOT NULL
+// guards, GROUP BY aggregations, scalar functions on measures, and tabular
+// functions in FROM position (SELECT Q, G FROM STL_T(GDP)) for black-box
+// operators. Every SELECT's result is sorted by all its columns.
 //
 // The engine stands in for the commercial DBMS of the paper's deployment:
 // every generated statement parses, plans and runs, so the SQL translation
@@ -26,7 +26,7 @@ const (
 	tIdent
 	tNumber
 	tString
-	tSymbol // ( ) , ; * = < > <= >= <> + - / .
+	tSymbol // ( ) , ; * = + - / .
 )
 
 type token struct {
@@ -62,7 +62,7 @@ func (l *sqlLexer) next() (token, error) {
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			l.pos++
-		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
+		case strings.HasPrefix(l.src[l.pos:], "--"):
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
@@ -82,7 +82,7 @@ scan:
 		var b strings.Builder
 		for l.pos < len(l.src) {
 			if l.src[l.pos] == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+				if strings.HasPrefix(l.src[l.pos+1:], "'") {
 					b.WriteByte('\'')
 					l.pos += 2
 					continue
@@ -94,39 +94,22 @@ scan:
 			l.pos++
 		}
 		return token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
-	case unicode.IsLetter(rune(c)) || c == '_' || c == '"':
-		if c == '"' { // quoted identifier
-			l.pos++
-			s := l.pos
-			for l.pos < len(l.src) && l.src[l.pos] != '"' {
-				l.pos++
-			}
-			if l.pos >= len(l.src) {
-				return token{}, fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
-			}
-			id := l.src[s:l.pos]
-			l.pos++
-			return token{kind: tIdent, text: strings.ToLower(id), pos: start}, nil
-		}
+	case unicode.IsLetter(rune(c)) || c == '_':
 		for l.pos < len(l.src) && (unicode.IsLetter(rune(l.src[l.pos])) || unicode.IsDigit(rune(l.src[l.pos])) || l.src[l.pos] == '_') {
 			l.pos++
 		}
 		return token{kind: tIdent, text: strings.ToLower(l.src[start:l.pos]), pos: start}, nil
-	case unicode.IsDigit(rune(c)) || (c == '.' && l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))):
+	case unicode.IsDigit(rune(c)):
 		for l.pos < len(l.src) {
 			c := l.src[l.pos]
-			if unicode.IsDigit(rune(c)) || c == '.' {
-				l.pos++
-				continue
-			}
-			if (c == 'e' || c == 'E') && l.pos > start {
-				l.pos++
-				if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-					l.pos++
+			if c == 'e' || c == 'E' {
+				if rest := l.src[l.pos+1:]; rest != "" && (rest[0] == '+' || rest[0] == '-') {
+					l.pos++ // the exponent's sign
 				}
-				continue
+			} else if !unicode.IsDigit(rune(c)) && c != '.' {
+				break
 			}
-			break
+			l.pos++
 		}
 		text := l.src[start:l.pos]
 		f, err := strconv.ParseFloat(text, 64)
@@ -134,22 +117,7 @@ scan:
 			return token{}, fmt.Errorf("sql: bad number %q at offset %d", text, start)
 		}
 		return token{kind: tNumber, text: text, num: f, pos: start}, nil
-	}
-	// Multi-character symbols.
-	two := ""
-	if l.pos+1 < len(l.src) {
-		two = l.src[l.pos : l.pos+2]
-	}
-	switch two {
-	case "<=", ">=", "<>", "!=":
-		l.pos += 2
-		if two == "!=" {
-			two = "<>"
-		}
-		return token{kind: tSymbol, text: two, pos: start}, nil
-	}
-	switch c {
-	case '(', ')', ',', ';', '*', '=', '<', '>', '+', '-', '/', '.':
+	case strings.IndexByte("(),;*=+-/.", c) >= 0:
 		l.pos++
 		return token{kind: tSymbol, text: string(c), pos: start}, nil
 	}

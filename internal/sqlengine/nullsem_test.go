@@ -6,17 +6,18 @@ import (
 	"exlengine/internal/model"
 )
 
+// The dialect has no NULL literal: NULL is an undefined point, such as
+// (a / 0), and that is what these tests compute with.
+
 // nullDB builds a one-row table so scalar expressions can be evaluated
-// through the full Query path. SELECT outputs that evaluate to NULL drop
+// through the select evaluator. SELECT outputs that evaluate to NULL drop
 // the row, so "expression is NULL" is observed as zero result rows with
 // no error.
 func nullDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
-	mustExec(t, db, `
-CREATE TABLE ONE (a DOUBLE);
-INSERT INTO ONE(a) VALUES (7);
-`)
+	mustExec(t, db, `CREATE TABLE ONE (a DOUBLE)`)
+	seed(t, db, "ONE", []any{7})
 	return db
 }
 
@@ -24,84 +25,53 @@ INSERT INTO ONE(a) VALUES (7);
 // the test on any error.
 func queryRows(t *testing.T, db *DB, sql string) int {
 	t.Helper()
-	res, err := db.Query(sql)
-	if err != nil {
-		t.Fatalf("Query(%q): %v", sql, err)
-	}
-	return len(res.Rows)
-}
-
-// TestNotNullIsNull: NOT NULL must be NULL under Kleene 3VL, not the
-// historical "NOT over non-boolean" error.
-func TestNotNullIsNull(t *testing.T) {
-	v, err := applyUnary("not", model.Value{})
-	if err != nil {
-		t.Fatalf("applyUnary(not, NULL): unexpected error %v", err)
-	}
-	if v.IsValid() {
-		t.Fatalf("applyUnary(not, NULL) = %v, want NULL", v)
-	}
-
-	db := nullDB(t)
-	// NULL predicate in WHERE filters the row; no error.
-	if n := queryRows(t, db, `SELECT a FROM ONE WHERE NOT NULL`); n != 0 {
-		t.Fatalf("WHERE NOT NULL kept %d rows, want 0", n)
-	}
-	// NOT over a NULL comparison is still NULL.
-	if n := queryRows(t, db, `SELECT a FROM ONE WHERE NOT (a = NULL)`); n != 0 {
-		t.Fatalf("WHERE NOT (a = NULL) kept %d rows, want 0", n)
-	}
+	return len(mustQuery(t, db, sql).Rows)
 }
 
 // TestUnaryMinusNullIsNull: -NULL propagates NULL rather than erroring.
 func TestUnaryMinusNullIsNull(t *testing.T) {
-	v, err := applyUnary("-", model.Value{})
+	v, err := applyNeg(model.Value{})
 	if err != nil {
-		t.Fatalf("applyUnary(-, NULL): unexpected error %v", err)
+		t.Fatalf("applyNeg(NULL): unexpected error %v", err)
 	}
 	if v.IsValid() {
-		t.Fatalf("applyUnary(-, NULL) = %v, want NULL", v)
+		t.Fatalf("applyNeg(NULL) = %v, want NULL", v)
 	}
 	db := nullDB(t)
-	if n := queryRows(t, db, `SELECT a, -NULL AS x FROM ONE`); n != 0 {
-		t.Fatalf("SELECT -NULL kept %d rows, want 0 (NULL output drops the row)", n)
+	if n := queryRows(t, db, `SELECT a, -(a / 0) AS x FROM ONE`); n != 0 {
+		t.Fatalf("SELECT -(a / 0) kept %d rows, want 0 (NULL output drops the row)", n)
 	}
 }
 
-// TestComparisonsWithNullAreNull: all six comparators are NULL-strict —
-// NULL = x is NULL (unknown), never TRUE or FALSE.
+// TestComparisonsWithNullAreNull: = is NULL-strict — NULL = x is NULL
+// (unknown), never TRUE or FALSE — and a NULL conjunct drops the row
+// whatever the other conjuncts say.
 func TestComparisonsWithNullAreNull(t *testing.T) {
 	null := model.Value{}
 	seven := model.Num(7)
-	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-		for _, pair := range [][2]model.Value{{null, seven}, {seven, null}, {null, null}} {
-			v, err := applyBinary(op, pair[0], pair[1])
-			if err != nil {
-				t.Fatalf("applyBinary(%s, %v, %v): unexpected error %v", op, pair[0], pair[1], err)
-			}
-			if v.IsValid() {
-				t.Fatalf("applyBinary(%s, %v, %v) = %v, want NULL", op, pair[0], pair[1], v)
-			}
+	for _, pair := range [][2]model.Value{{null, seven}, {seven, null}, {null, null}} {
+		v, err := applyBinary("=", pair[0], pair[1])
+		if err != nil {
+			t.Fatalf("applyBinary(=, %v, %v): unexpected error %v", pair[0], pair[1], err)
+		}
+		if v.IsValid() {
+			t.Fatalf("applyBinary(=, %v, %v) = %v, want NULL", pair[0], pair[1], v)
 		}
 	}
 
 	db := nullDB(t)
-	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-		// The NULL comparison filters the row: non-TRUE means filtered.
-		if n := queryRows(t, db, `SELECT a FROM ONE WHERE a `+op+` NULL`); n != 0 {
-			t.Fatalf("WHERE a %s NULL kept %d rows, want 0", op, n)
-		}
-		// NULL = NULL is also unknown, not TRUE.
-		if n := queryRows(t, db, `SELECT a FROM ONE WHERE NULL `+op+` NULL`); n != 0 {
-			t.Fatalf("WHERE NULL %s NULL kept %d rows, want 0", op, n)
+	for _, where := range []string{
+		`a = (a / 0)`,
+		`(a / 0) = (a / 0)`, // NULL = NULL is unknown too, not TRUE
+		`a = 7 AND a = (a / 0)`,
+		`a = (a / 0) AND a = 7`,
+	} {
+		if n := queryRows(t, db, `SELECT a FROM ONE WHERE `+where); n != 0 {
+			t.Fatalf("WHERE %s kept %d rows, want 0", where, n)
 		}
 	}
-	// A dominant known operand still decides through Kleene or/and.
-	if n := queryRows(t, db, `SELECT a FROM ONE WHERE a = NULL OR a = 7`); n != 1 {
-		t.Fatalf("WHERE a = NULL OR a = 7 kept %d rows, want 1", n)
-	}
-	if n := queryRows(t, db, `SELECT a FROM ONE WHERE a = NULL AND a = 7`); n != 0 {
-		t.Fatalf("WHERE a = NULL AND a = 7 kept %d rows, want 0", n)
+	if n := queryRows(t, db, `SELECT a FROM ONE WHERE a = 7 AND a + 1 = 8`); n != 1 {
+		t.Fatalf("WHERE a = 7 AND a + 1 = 8 kept %d rows, want 1", n)
 	}
 }
 
@@ -124,24 +94,24 @@ func TestArithmeticWithNullIsNull(t *testing.T) {
 
 	db := nullDB(t)
 	for _, op := range []string{"+", "-", "*", "/"} {
-		if n := queryRows(t, db, `SELECT a, a `+op+` NULL AS x FROM ONE`); n != 0 {
-			t.Fatalf("SELECT a %s NULL kept %d rows, want 0 (NULL output drops the row)", op, n)
+		if n := queryRows(t, db, `SELECT a, a `+op+` (a / 0) AS x FROM ONE`); n != 0 {
+			t.Fatalf("SELECT a %s (a / 0) kept %d rows, want 0 (NULL output drops the row)", op, n)
 		}
 	}
 	// NULL inside a scalar function call also propagates.
-	if n := queryRows(t, db, `SELECT a, abs(NULL) AS x FROM ONE`); n != 0 {
-		t.Fatalf("SELECT abs(NULL) kept %d rows, want 0", n)
+	if n := queryRows(t, db, `SELECT a, abs(a / 0) AS x FROM ONE`); n != 0 {
+		t.Fatalf("SELECT abs(a / 0) kept %d rows, want 0", n)
 	}
-	// Aggregates skip NULLs: sum over the one non-NULL value is still 7.
-	res := mustQuery(t, db, `SELECT sum(a + NULL - NULL) AS s FROM ONE GROUP BY a`)
+	// Aggregates skip NULLs: a bag of nothing but NULL yields no row.
+	res := mustQuery(t, db, `SELECT sum(a + (a / 0)) AS s FROM ONE GROUP BY a`)
 	if len(res.Rows) != 0 {
 		t.Fatalf("sum over all-NULL bag should yield no row, got %d rows", len(res.Rows))
 	}
 }
 
-// TestJoinKeysNeverMatchNull: hash-join equality is not Kleene TRUE for
-// NULL = NULL — a NULL key matches nothing on either side. Base tables
-// reject NULL inserts, so the tables are assembled directly.
+// TestJoinKeysNeverMatchNull: hash-join equality is not TRUE for NULL =
+// NULL — a NULL key matches nothing on either side. Base tables reject NULL
+// inserts, so the tables are assembled directly.
 func TestJoinKeysNeverMatchNull(t *testing.T) {
 	db := NewDB()
 	strCol := ColType{Kind: KVarchar}
@@ -171,15 +141,6 @@ func TestJoinKeysNeverMatchNull(t *testing.T) {
 	}
 }
 
-// TestNullLiteralParses pins the parser-level NULL keyword: it must be a
-// literal, not a column reference.
-func TestNullLiteralParses(t *testing.T) {
-	db := nullDB(t)
-	if _, err := db.Query(`SELECT a FROM ONE WHERE NULL`); err != nil {
-		t.Fatalf("NULL literal did not parse: %v", err)
-	}
-}
-
 // TestAggregatesOverEmptyInput pins the empty-bag rule for global
 // aggregates: SUM/AVG/MIN/MAX have no value over zero rows, so the NULL
 // output drops the row; COUNT answers 0 and the row survives. With a
@@ -195,7 +156,7 @@ func TestAggregatesOverEmptyInput(t *testing.T) {
 				t.Fatalf("%s over empty table kept %d rows, want 0", fn, n)
 			}
 		}
-		for _, q := range []string{`SELECT count(*) AS c FROM E`, `SELECT count(v) AS c FROM E`} {
+		for _, q := range []string{`SELECT count(1) AS c FROM E`, `SELECT count(v) AS c FROM E`} {
 			res := mustQuery(t, db, q)
 			if len(res.Rows) != 1 {
 				t.Fatalf("%s: got %d rows, want 1", q, len(res.Rows))
@@ -213,7 +174,7 @@ func TestAggregatesOverEmptyInput(t *testing.T) {
 // TestAggregatesOverAllNullBag pins the all-NULL-bag rule: NULL
 // arguments are not part of the bag, so a group whose every argument is
 // NULL behaves like an empty bag — SUM/AVG/MIN/MAX yield NULL (row
-// dropped), COUNT(v) yields 0, and COUNT(*) still counts the rows.
+// dropped), COUNT(v) yields 0, and COUNT(1) still counts the rows.
 func TestAggregatesOverAllNullBag(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
@@ -249,16 +210,17 @@ func TestAggregatesOverAllNullBag(t *testing.T) {
 		if c, _ := res.Rows[1][1].AsNumber(); c != 1 {
 			t.Fatalf("count(v) over {5} = %v, want 1", res.Rows[1][1])
 		}
-		res = mustQuery(t, db, `SELECT g, count(*) AS c FROM an GROUP BY g`)
+		res = mustQuery(t, db, `SELECT g, count(1) AS c FROM an GROUP BY g`)
 		if c, _ := res.Rows[0][1].AsNumber(); c != 2 {
-			t.Fatalf("count(*) over all-NULL bag = %v, want 2 (stars count rows)", res.Rows[0][1])
+			t.Fatalf("count(1) over all-NULL bag = %v, want 2 (1 is defined on every row)", res.Rows[0][1])
 		}
 	})
 }
 
-// TestIsNullPredicate pins x IS [NOT] NULL: the one operator that maps
-// unknown to a known boolean, letting queries observe undefined points
-// instead of silently dropping them.
+// TestIsNullPredicate pins x IS NOT NULL: the one operator that maps
+// unknown to a known boolean, letting a generated COUNT leave undefined
+// points out of its groups instead of relying on the bag to skip them. IS
+// NULL is no form of the dialect.
 func TestIsNullPredicate(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
@@ -273,18 +235,14 @@ func TestIsNullPredicate(t *testing.T) {
 				{model.Str("b"), {}},
 			},
 		}
-		res := mustQuery(t, db, `SELECT k FROM n WHERE v IS NULL`)
-		if len(res.Rows) != 1 || res.Rows[0][0].String() != "b" {
-			t.Fatalf("IS NULL = %v, want [b]", res.Rows)
-		}
-		res = mustQuery(t, db, `SELECT k FROM n WHERE v IS NOT NULL`)
+		res := mustQuery(t, db, `SELECT k FROM n WHERE v IS NOT NULL`)
 		if len(res.Rows) != 1 || res.Rows[0][0].String() != "a" {
 			t.Fatalf("IS NOT NULL = %v, want [a]", res.Rows)
 		}
-		// IS NULL of a computed NULL (undefined point) is TRUE too.
-		res = mustQuery(t, db, `SELECT k FROM n WHERE ln(0 - 1) IS NULL`)
-		if len(res.Rows) != 2 {
-			t.Fatalf("ln(-1) IS NULL kept %d rows, want 2", len(res.Rows))
+		// IS NOT NULL of a computed NULL (undefined point) is FALSE too.
+		if n := queryRows(t, db, `SELECT k FROM n WHERE ln(0 - 1) IS NOT NULL`); n != 0 {
+			t.Fatalf("ln(-1) IS NOT NULL kept %d rows, want 0", n)
 		}
+		refused(t, db, `INSERT INTO n(k) SELECT k AS k FROM n WHERE v IS NULL`)
 	})
 }

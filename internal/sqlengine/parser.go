@@ -68,14 +68,36 @@ func (p *sqlParser) ident() (string, error) {
 	return p.next().text, nil
 }
 
+// commaList calls item for each element of a comma-separated list.
+func (p *sqlParser) commaList(item func() error) error {
+	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if !p.isSymbol(",") {
+			return nil
+		}
+		p.pos++
+	}
+}
+
+// parenList is commaList in parentheses.
+func (p *sqlParser) parenList(item func() error) error {
+	if err := p.expectSymbol("("); err != nil {
+		return err
+	}
+	if err := p.commaList(item); err != nil {
+		return err
+	}
+	return p.expectSymbol(")")
+}
+
 func (p *sqlParser) parseStmt() (stmt, error) {
 	switch {
 	case p.isKw("create"):
 		return p.parseCreate()
 	case p.isKw("insert"):
 		return p.parseInsert()
-	case p.isKw("select"):
-		return p.parseSelect()
 	default:
 		return nil, fmt.Errorf("sql: unexpected statement start %q", p.cur().text)
 	}
@@ -92,14 +114,11 @@ func (p *sqlParser) parseCreate() (stmt, error) {
 		if err := p.expectKw("as"); err != nil {
 			return nil, err
 		}
-		if !p.isKw("select") {
-			return nil, fmt.Errorf("sql: CREATE VIEW needs a SELECT body")
-		}
 		sel, err := p.parseSelect()
 		if err != nil {
 			return nil, err
 		}
-		return &createViewStmt{name: name, sel: sel.(*selectStmt)}, nil
+		return &createViewStmt{name: name, sel: sel}, nil
 	}
 	if err := p.expectKw("table"); err != nil {
 		return nil, err
@@ -108,34 +127,24 @@ func (p *sqlParser) parseCreate() (stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	var cols []Column
-	for {
+	s := &createStmt{table: name}
+	err = p.parenList(func() error {
 		cn, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		tn, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ct, err := parseColType(tn)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, Column{Name: cn, Type: ct})
-		if p.isSymbol(",") {
-			p.pos++
-			continue
-		}
-		break
-	}
-	if err := p.expectSymbol(")"); err != nil {
+		s.cols = append(s.cols, Column{Name: cn, Type: ct})
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &createStmt{table: name, cols: cols}, nil
+	return s, nil
 }
 
 func (p *sqlParser) parseInsert() (stmt, error) {
@@ -147,305 +156,150 @@ func (p *sqlParser) parseInsert() (stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cols []string
-	if p.isSymbol("(") {
-		p.pos++
-		for {
-			cn, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			cols = append(cols, cn)
-			if p.isSymbol(",") {
-				p.pos++
-				continue
-			}
-			break
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-	}
-	if p.isKw("values") {
-		p.pos++
-		var rows [][]expr
-		for {
-			if err := p.expectSymbol("("); err != nil {
-				return nil, err
-			}
-			var row []expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if p.isSymbol(",") {
-					p.pos++
-					continue
-				}
-				break
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-			if p.isSymbol(",") {
-				p.pos++
-				continue
-			}
-			break
-		}
-		return &insertValuesStmt{table: name, cols: cols, rows: rows}, nil
-	}
-	sel, err := p.parseSelect()
+	s := &insertSelectStmt{table: name}
+	err = p.parenList(func() error {
+		cn, err := p.ident()
+		s.cols = append(s.cols, cn)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &insertSelectStmt{table: name, cols: cols, sel: sel.(*selectStmt)}, nil
+	if s.sel, err = p.parseSelect(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-func (p *sqlParser) parseSelect() (stmt, error) {
-	p.pos++ // select
+func (p *sqlParser) parseSelect() (*selectStmt, error) {
+	if err := p.expectKw("select"); err != nil {
+		return nil, err
+	}
 	s := &selectStmt{}
-	for {
+	err := p.commaList(func() error {
 		e, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		se := selectExpr{e: e}
 		if p.isKw("as") {
 			p.pos++
-			a, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			se.alias = a
-		} else if p.cur().kind == tIdent && !p.selectKeywordNext() {
-			se.alias = p.next().text
+			se.alias, err = p.ident()
 		}
 		s.exprs = append(s.exprs, se)
-		if p.isSymbol(",") {
-			p.pos++
-			continue
-		}
-		break
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := p.expectKw("from"); err != nil {
 		return nil, err
 	}
-	for {
+	if err := p.commaList(func() error {
 		fi, err := p.parseFromItem()
-		if err != nil {
-			return nil, err
-		}
 		s.from = append(s.from, fi)
-		if p.isSymbol(",") {
-			p.pos++
-			continue
-		}
-		break
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	if p.isKw("where") {
-		p.pos++
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		for len(s.where) == 0 || p.isKw("and") {
+			p.pos++ // where, and
+			c, err := p.parseConjunct()
+			if err != nil {
+				return nil, err
+			}
+			s.where = append(s.where, c)
 		}
-		s.where = w
 	}
 	if p.isKw("group") {
 		p.pos++
 		if err := p.expectKw("by"); err != nil {
 			return nil, err
 		}
-		for {
+		if err := p.commaList(func() error {
 			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
 			s.groupBy = append(s.groupBy, e)
-			if p.isSymbol(",") {
-				p.pos++
-				continue
-			}
-			break
+			return err
+		}); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// selectKeywordNext reports whether the current identifier is a clause
-// keyword rather than an implicit alias.
-func (p *sqlParser) selectKeywordNext() bool {
-	switch p.cur().text {
-	case "from", "where", "group", "as":
-		return true
-	}
-	return false
-}
-
+// parseFromItem parses a table or a tabular function call FN(table,
+// number…), with an optional alias.
 func (p *sqlParser) parseFromItem() (fromItem, error) {
 	name, err := p.ident()
 	if err != nil {
 		return fromItem{}, err
 	}
-	fi := fromItem{}
+	fi := fromItem{table: name, alias: name}
 	if p.isSymbol("(") {
-		// Tabular function: FN(table [, table]* [, number]*).
 		p.pos++
+		if fi.table, err = p.ident(); err != nil {
+			return fromItem{}, err
+		}
 		fi.fn = name
-		for {
-			switch {
-			case p.cur().kind == tIdent:
-				fi.args = append(fi.args, p.next().text)
-			case p.cur().kind == tNumber:
-				fi.params = append(fi.params, p.next().num)
-			case p.isSymbol("-"):
-				p.pos++
-				if p.cur().kind != tNumber {
-					return fromItem{}, fmt.Errorf("sql: expected number after '-' in tabular function args")
-				}
-				fi.params = append(fi.params, -p.next().num)
-			default:
-				return fromItem{}, fmt.Errorf("sql: bad tabular function argument %q", p.cur().text)
+		for p.isSymbol(",") {
+			p.pos++
+			if p.cur().kind != tNumber {
+				return fromItem{}, fmt.Errorf("sql: expected a number argument of %s, found %q", name, p.cur().text)
 			}
-			if p.isSymbol(",") {
-				p.pos++
-				continue
-			}
-			break
+			fi.params = append(fi.params, p.next().num)
 		}
 		if err := p.expectSymbol(")"); err != nil {
 			return fromItem{}, err
 		}
-	} else {
-		fi.table = name
 	}
-	if p.cur().kind == tIdent && !p.fromKeywordNext() {
+	if p.cur().kind == tIdent && !p.isKw("where") && !p.isKw("group") {
 		fi.alias = p.next().text
-	}
-	if fi.alias == "" {
-		if fi.table != "" {
-			fi.alias = fi.table
-		} else {
-			fi.alias = fi.fn
-		}
 	}
 	return fi, nil
 }
 
-func (p *sqlParser) fromKeywordNext() bool {
-	switch p.cur().text {
-	case "where", "group":
-		return true
-	}
-	return false
-}
-
-// Expression grammar: or > and > not > comparison > additive >
-// multiplicative > unary > primary.
-func (p *sqlParser) parseExpr() (expr, error) { return p.parseOr() }
-
-func (p *sqlParser) parseOr() (expr, error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKw("or") {
-		p.pos++
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{op: "or", l: x, r: y}
-	}
-	return x, nil
-}
-
-func (p *sqlParser) parseAnd() (expr, error) {
-	x, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKw("and") {
-		p.pos++
-		y, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{op: "and", l: x, r: y}
-	}
-	return x, nil
-}
-
-func (p *sqlParser) parseNot() (expr, error) {
-	if p.isKw("not") {
-		p.pos++
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{op: "not", x: x}, nil
-	}
-	return p.parseComparison()
-}
-
-func (p *sqlParser) parseComparison() (expr, error) {
-	x, err := p.parseAdditive()
+// parseConjunct parses one WHERE conjunct: expr = expr or expr IS NOT NULL.
+func (p *sqlParser) parseConjunct() (expr, error) {
+	x, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
 	if p.isKw("is") {
 		p.pos++
-		not := false
-		if p.isKw("not") {
-			p.pos++
-			not = true
+		if err := p.expectKw("not"); err != nil {
+			return nil, err
 		}
 		if err := p.expectKw("null"); err != nil {
 			return nil, err
 		}
-		return &isNullExpr{x: x, not: not}, nil
+		return &notNullExpr{x: x}, nil
 	}
-	if p.cur().kind == tSymbol {
-		switch p.cur().text {
-		case "=", "<>", "<", "<=", ">", ">=":
-			op := p.next().text
-			y, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			return &binExpr{op: op, l: x, r: y}, nil
-		}
+	if err := p.expectSymbol("="); err != nil {
+		return nil, err
 	}
-	return x, nil
-}
-
-func (p *sqlParser) parseAdditive() (expr, error) {
-	x, err := p.parseMultiplicative()
+	y, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	for p.isSymbol("+") || p.isSymbol("-") {
-		op := p.next().text
-		y, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{op: op, l: x, r: y}
-	}
-	return x, nil
+	return &binExpr{op: "=", l: x, r: y}, nil
 }
 
-func (p *sqlParser) parseMultiplicative() (expr, error) {
-	x, err := p.parseUnary()
+// Expression grammar: additive > multiplicative > unary minus > primary.
+func (p *sqlParser) parseExpr() (expr, error) { return p.parseChain(p.parseTerm, "+", "-") }
+
+func (p *sqlParser) parseTerm() (expr, error) { return p.parseChain(p.parseUnary, "*", "/") }
+
+// parseChain parses operand {op operand}, left-associative, for the two
+// operators op1 and op2 of one precedence level.
+func (p *sqlParser) parseChain(operand func() (expr, error), op1, op2 string) (expr, error) {
+	x, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.isSymbol("*") || p.isSymbol("/") {
+	for p.isSymbol(op1) || p.isSymbol(op2) {
 		op := p.next().text
-		y, err := p.parseUnary()
+		y, err := operand()
 		if err != nil {
 			return nil, err
 		}
@@ -455,76 +309,44 @@ func (p *sqlParser) parseMultiplicative() (expr, error) {
 }
 
 func (p *sqlParser) parseUnary() (expr, error) {
-	if p.isSymbol("-") {
-		p.pos++
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{op: "-", x: x}, nil
+	if !p.isSymbol("-") {
+		return p.parsePrimary()
 	}
-	if p.isSymbol("+") {
-		p.pos++
-		return p.parseUnary()
+	p.pos++
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
 	}
-	return p.parsePrimary()
+	return &negExpr{x: x}, nil
 }
 
 func (p *sqlParser) parsePrimary() (expr, error) {
 	switch {
 	case p.cur().kind == tNumber:
-		t := p.next()
-		return &lit{v: model.Num(t.num)}, nil
+		return &lit{v: model.Num(p.next().num)}, nil
 	case p.cur().kind == tString:
-		t := p.next()
-		return &lit{v: model.Str(t.text)}, nil
+		return &lit{v: model.Str(p.next().text)}, nil
 	case p.isSymbol("("):
 		p.pos++
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case p.isKw("null"):
-		p.pos++
-		return &lit{v: model.Value{}}, nil
-	case p.cur().kind == tIdent:
+		return e, p.expectSymbol(")")
+	case p.cur().kind == tIdent && !p.isKw("null"):
 		name := p.next().text
-		if p.isSymbol("(") {
-			p.pos++
+		switch {
+		case p.isSymbol("("):
 			c := &callExpr{name: name}
-			if p.isSymbol("*") {
-				p.pos++
-				c.star = true
-			} else if !p.isSymbol(")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					c.args = append(c.args, a)
-					if p.isSymbol(",") {
-						p.pos++
-						continue
-					}
-					break
-				}
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return c, nil
-		}
-		if p.isSymbol(".") {
+			return c, p.parenList(func() error {
+				a, err := p.parseExpr()
+				c.args = append(c.args, a)
+				return err
+			})
+		case p.isSymbol("."):
 			p.pos++
 			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return &colRef{qual: name, name: col}, nil
+			return &colRef{qual: name, name: col}, err
 		}
 		return &colRef{name: name}, nil
 	default:

@@ -207,8 +207,7 @@ type groupNode struct {
 type aggSpec struct {
 	name string
 	fold ops.Fold
-	star bool
-	arg  expr // nil for COUNT(*)
+	arg  expr
 	carg compiledExpr
 }
 
@@ -308,7 +307,7 @@ func buildPlan(s *selectStmt, p *selectPrep) planNode {
 	for i := range sc.tables {
 		items[i] = newScanNode(sc.tables[i], sc.aliases[i])
 	}
-	var node planNode = &multiJoinNode{items: items, conjuncts: splitAnd(s.where)}
+	var node planNode = &multiJoinNode{items: items, conjuncts: s.where}
 
 	outCols := make([]planCol, len(s.exprs))
 	for i := range s.exprs {
@@ -346,12 +345,7 @@ func exprString(e expr) string {
 // f('a, b') the call f('a', 'b').
 func renderExpr(e expr, col func(*colRef) string) string {
 	switch e := e.(type) {
-	case nil:
-		return "true"
 	case *lit:
-		if !e.v.IsValid() {
-			return "NULL"
-		}
 		if s, ok := e.v.AsString(); ok {
 			return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 		}
@@ -360,52 +354,36 @@ func renderExpr(e expr, col func(*colRef) string) string {
 		return col(e)
 	case *binExpr:
 		return "(" + renderExpr(e.l, col) + " " + e.op + " " + renderExpr(e.r, col) + ")"
-	case *unaryExpr:
-		return "(" + e.op + " " + renderExpr(e.x, col) + ")"
+	case *negExpr:
+		return "(- " + renderExpr(e.x, col) + ")"
 	case *callExpr:
-		if e.star {
-			return e.name + "(*)"
-		}
 		args := make([]string, len(e.args))
 		for i, a := range e.args {
 			args[i] = renderExpr(a, col)
 		}
 		return e.name + "(" + strings.Join(args, ", ") + ")"
-	case *isNullExpr:
-		if e.not {
-			return "(" + renderExpr(e.x, col) + " is not null)"
-		}
-		return "(" + renderExpr(e.x, col) + " is null)"
 	default:
-		return fmt.Sprintf("%T", e)
+		return "(" + renderExpr(e.(*notNullExpr).x, col) + " is not null)"
 	}
 }
 
 // exprColRefs collects every (qual, name) reference in an expression,
-// resolving unqualified names to their owning alias via the scope (the
-// same attribution exprAliases uses).
+// resolving unqualified names to their owning alias via the scope: to every
+// table that has the column, which validation has made one.
 func exprColRefs(e expr, sc *scope, out map[[2]string]bool) {
-	switch e := e.(type) {
-	case *colRef:
-		if e.qual != "" {
-			out[[2]string{e.qual, e.name}] = true
-			return
+	c, ok := e.(*colRef)
+	switch {
+	case !ok:
+		for _, x := range operands(e) {
+			exprColRefs(x, sc, out)
 		}
+	case c.qual != "":
+		out[[2]string{c.qual, c.name}] = true
+	default:
 		for i, t := range sc.tables {
-			if t.ColIndex(e.name) >= 0 {
-				out[[2]string{sc.aliases[i], e.name}] = true
+			if t.ColIndex(c.name) >= 0 {
+				out[[2]string{sc.aliases[i], c.name}] = true
 			}
 		}
-	case *binExpr:
-		exprColRefs(e.l, sc, out)
-		exprColRefs(e.r, sc, out)
-	case *unaryExpr:
-		exprColRefs(e.x, sc, out)
-	case *callExpr:
-		for _, a := range e.args {
-			exprColRefs(a, sc, out)
-		}
-	case *isNullExpr:
-		exprColRefs(e.x, sc, out)
 	}
 }

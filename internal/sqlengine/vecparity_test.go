@@ -6,16 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"exlengine/internal/model"
 )
 
 // parityDB builds a small panel-and-rates fixture exercising joins,
 // period arithmetic, grouping and views: parityCubes at 108 tuples, put in
-// with INSERT … VALUES.
+// as tables' rows.
 func parityDB(t *testing.T) *DB {
 	t.Helper()
 	pdr, rate, reg := parityCubes(t, 108)
@@ -27,7 +27,7 @@ func parityDB(t *testing.T) *DB {
 const parityView = `CREATE VIEW PQ AS SELECT quarter(d) AS q, r, avg(v) AS a FROM PDR GROUP BY quarter(d), r`
 
 // insertedDB holds each cube as a table of rows: its tuples, in cube order,
-// put in by one INSERT … VALUES statement.
+// appended to Table.Rows.
 func insertedDB(t *testing.T, cubes ...*model.Cube) *DB {
 	t.Helper()
 	db := NewDB()
@@ -35,27 +35,12 @@ func insertedDB(t *testing.T, cubes ...*model.Cube) *DB {
 		if err := db.CreateTableFor(c.Schema()); err != nil {
 			t.Fatal(err)
 		}
-		var b strings.Builder
-		for i, tu := range c.Tuples() {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString("(")
-			for _, d := range tu.Dims {
-				b.WriteString("'" + d.String() + "', ")
-			}
-			b.WriteString(model.Num(tu.Measure).String() + ")")
-		}
-		if b.Len() > 0 {
-			mustExec(t, db, "INSERT INTO "+c.Schema().Name+" VALUES "+b.String())
+		tab, _ := db.Table(c.Schema().Name)
+		for _, tu := range c.Tuples() {
+			tab.Rows = append(tab.Rows, append(slices.Clone(tu.Dims), model.Num(tu.Measure)))
 		}
 	}
 	return db
-}
-
-func insertMonthly(table string, y, m int, r string, v float64) string {
-	p := model.NewMonthly(y, time.Month(m))
-	return "INSERT INTO " + table + " VALUES ('" + p.String() + "', '" + r + "', " + model.Num(v).String() + ")"
 }
 
 // parityQueries is the fixed suite: partial filters, hash joins with both
@@ -64,10 +49,10 @@ func insertMonthly(table string, y, m int, r string, v float64) string {
 // order) is held to testdata/parity.golden and testdata/loaded.golden.
 var parityQueries = []string{
 	`SELECT d, r, v FROM PDR`,
-	`SELECT r, v FROM PDR WHERE v > 20`,
+	`SELECT r, v FROM PDR WHERE ln(v - 20) IS NOT NULL`,
 	`SELECT d, v * 2 AS w FROM PDR WHERE r = 'north'`,
 	`SELECT quarter(d) AS q, sum(v) AS s FROM PDR GROUP BY quarter(d)`,
-	`SELECT r, count(*) AS n, avg(v) AS a FROM PDR GROUP BY r`,
+	`SELECT r, count(1) AS n, avg(v) AS a FROM PDR GROUP BY r`,
 	`SELECT p.r AS r, p.v AS v, t.x AS x FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r`,
 	`SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r GROUP BY p.r`,
 	`SELECT a.q AS q, a.a AS cur, b.a AS prev FROM PQ a, PQ b WHERE a.r = b.r AND a.q = b.q - 1`,
@@ -75,14 +60,12 @@ var parityQueries = []string{
 	`SELECT quarter(d) AS q FROM PDR GROUP BY quarter(d)`,
 	`SELECT q, a FROM PQ WHERE a IS NOT NULL`,
 	`SELECT year(d) AS y, min(v) AS lo, max(v) AS hi FROM PDR GROUP BY year(d)`,
-	`SELECT r FROM PDR WHERE v > 10 AND (r = 'north' OR r = 'west')`,
 	`SELECT t.r AS r, count(p.v) AS n FROM RATE t, PDR p WHERE t.r = p.r AND t.q = quarter(p.d) GROUP BY t.r`,
-	`SELECT count(*) AS n FROM PDR WHERE v < 0`,
+	`SELECT count(1) AS n FROM PDR WHERE ln(0 - v) IS NOT NULL`,
 	`SELECT v, d FROM PDR`,
 	`SELECT a.d AS d, a.r AS r, a.v AS cur, b.v AS prev FROM PDR a, PDR b WHERE a.r = b.r AND a.d = b.d + 1`,
 	`SELECT p.d AS d, p.r AS r, g.w * p.v AS wv, g.g AS g FROM PDR p, REG g`,
-	`SELECT g.g AS g, count(*) AS n, sum(p.v) AS s FROM REG g, PDR p WHERE p.v > 5 GROUP BY g.g`,
-	`SELECT r, ln(v) AS l FROM PDR WHERE r <> 'south'`,
+	`SELECT g.g AS g, count(1) AS n, sum(p.v) AS s FROM REG g, PDR p WHERE ln(p.v - 5) IS NOT NULL GROUP BY g.g`,
 }
 
 // goldenAnswers reads testdata/<name>.golden: answers of this engine that
@@ -129,8 +112,8 @@ func checkGolden(t *testing.T, golden map[string]string, key string, got *Table)
 	}
 }
 
-// TestExecutorParity runs the suite over the 108-tuple fixture put in with
-// INSERT … VALUES and holds every answer to testdata/parity.golden. With
+// TestExecutorParity runs the suite over the 108-tuple fixture put in as
+// rows and holds every answer to testdata/parity.golden. With
 // full-row deterministic ordering, any difference is a semantics bug, not an
 // ordering artifact.
 func TestExecutorParity(t *testing.T) {
@@ -170,9 +153,7 @@ func TestOrderByNullsLast(t *testing.T) {
 			return db
 		}
 
-		// NULL v cannot reach SELECT output (the row would drop), so IS NULL
-		// keeps the NULL rows observable.
-		q := `SELECT v IS NULL AS missing, k FROM n`
+		q := `SELECT k FROM n`
 		a := mustQuery(t, mk(false), q)
 		b := mustQuery(t, mk(true), q)
 		if a.String() != b.String() {
@@ -241,11 +222,10 @@ CREATE VIEW TOP AS SELECT a.v AS x, b.v AS y FROM MID1 a, MID2 b WHERE a.v = a.v
 // pruned to live columns.
 func TestAnalyzerPlanShape(t *testing.T) {
 	db := parityDB(t)
-	stmts, err := parseScript(`SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r AND t.x > 1 GROUP BY p.r`)
+	s, err := parseQuery(`SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r AND ln(t.x - 1) IS NOT NULL GROUP BY p.r`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := stmts[0].(*selectStmt)
 	r := db.newResolver(context.Background())
 	p, err := db.prepareSelect(s, r)
 	if err != nil {
@@ -262,13 +242,12 @@ func TestAnalyzerPlanShape(t *testing.T) {
 	if !strings.Contains(rendered, "hashjoin") {
 		t.Fatalf("no hash join in plan:\n%s", rendered)
 	}
-	if !strings.Contains(rendered, "filter((t.x > 1))") {
+	if !strings.Contains(rendered, "filter((ln((t.x - 1)) is not null))") {
 		t.Fatalf("single-table filter not pushed down:\n%s", rendered)
 	}
 	// PDR has columns d, r, v — all referenced; RATE has q, r, x — all
 	// referenced too. Re-check pruning with a narrow query instead.
-	stmts, _ = parseScript(`SELECT r FROM PDR`)
-	s = stmts[0].(*selectStmt)
+	s, _ = parseQuery(`SELECT r FROM PDR`)
 	p, err = db.prepareSelect(s, db.newResolver(context.Background()))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,8 +10,8 @@ func TestCreateAndQueryView(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `
 CREATE TABLE T (k VARCHAR, v DOUBLE);
-INSERT INTO T(k, v) VALUES ('a', 1), ('a', 2), ('b', 10);
 CREATE VIEW W AS SELECT k, SUM(v) AS s FROM T GROUP BY k`)
+	seed(t, db, "T", []any{"a", 1}, []any{"a", 2}, []any{"b", 10})
 	res := mustQuery(t, db, "SELECT k, s FROM W")
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
@@ -19,7 +20,7 @@ CREATE VIEW W AS SELECT k, SUM(v) AS s FROM T GROUP BY k`)
 		t.Errorf("W(a) = %v", f)
 	}
 	// Views see fresh base data on every reference.
-	mustExec(t, db, "INSERT INTO T(k, v) VALUES ('a', 100)")
+	seed(t, db, "T", []any{"a", 100})
 	res = mustQuery(t, db, "SELECT s FROM W WHERE k = 'a'")
 	if f, _ := res.Rows[0][0].AsNumber(); f != 103 {
 		t.Errorf("W(a) after insert = %v", f)
@@ -30,9 +31,9 @@ func TestViewOverView(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `
 CREATE TABLE T (v DOUBLE);
-INSERT INTO T(v) VALUES (1), (2);
 CREATE VIEW A AS SELECT v * 2 AS w FROM T;
 CREATE VIEW B AS SELECT w + 1 AS x FROM A`)
+	seed(t, db, "T", []any{1}, []any{2})
 	res := mustQuery(t, db, "SELECT x FROM B")
 	if len(res.Rows) != 2 || res.Rows[1][0].String() != "5" {
 		t.Errorf("B = %v", res.Rows)
@@ -43,8 +44,8 @@ func TestViewAsTabularFunctionArgument(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `
 CREATE TABLE S (t YEAR, v DOUBLE);
-INSERT INTO S(t, v) VALUES ('2000', 1), ('2001', 2), ('2002', 3);
 CREATE VIEW D AS SELECT t, v * 2 AS v FROM S`)
+	seed(t, db, "S", []any{"2000", 1}, []any{"2001", 2}, []any{"2002", 3})
 	res := mustQuery(t, db, "SELECT t, v FROM CUMSUM(D)")
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
@@ -62,7 +63,7 @@ func TestViewErrors(t *testing.T) {
 		"CREATE VIEW T AS SELECT v FROM T", // clashes with table
 		"CREATE TABLE W (v DOUBLE)",        // clashes with view
 		"CREATE VIEW X AS 1",               // needs SELECT
-		"INSERT INTO W(v) VALUES (1)",      // views are not writable
+		"INSERT INTO W(v) SELECT v FROM T", // views are not writable
 	}
 	for _, sql := range bad {
 		if err := db.Exec(sql); err == nil {
@@ -78,7 +79,7 @@ func TestCyclicViews(t *testing.T) {
 	mustExec(t, db, `
 CREATE VIEW A AS SELECT x FROM B;
 CREATE VIEW B AS SELECT x FROM A`)
-	_, err := db.Query("SELECT x FROM A")
+	_, err := query(context.Background(), db, "SELECT x FROM A")
 	if err == nil || !strings.Contains(err.Error(), "cyclic") {
 		t.Errorf("want cyclic view error, got %v", err)
 	}
