@@ -388,48 +388,10 @@ func BenchmarkCompileCache(b *testing.B) {
 	})
 }
 
-// BenchmarkDispatchFaultFree measures the cost of the fault-tolerance
-// layer — context plumbing, panic recovery frames, attempt accounting and
-// the per-run report — when nothing fails. The paper's dispatch claim
-// (Section 6, companion to E7) is that orchestration machinery stays off
-// the critical path: compare the "bare" dispatcher (no retries, no
-// degradation) with the default fault-tolerant one on an identical
-// fault-free run.
-func BenchmarkDispatchFaultFree(b *testing.B) {
-	data := workload.GDPSource(workload.GDPConfig{Days: 1000, Regions: 10})
-	run := func(b *testing.B, opts ...engine.Option) {
-		eng := engine.New(opts...)
-		if err := eng.RegisterProgram("gdp", workload.GDPProgram); err != nil {
-			b.Fatal(err)
-		}
-		t0 := time.Unix(0, 0)
-		for _, name := range []string{"PDR", "RGDPPC"} {
-			if err := eng.PutCube(data[name], t0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(context.Background(), RunAt(t0)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("bare", func(b *testing.B) {
-		run(b, engine.WithoutDegradation(), engine.WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
-	})
-	b.Run("faulttolerant", func(b *testing.B) {
-		run(b)
-	})
-}
-
-// BenchmarkTracedRun quantifies the cost of the observability layer on
-// the same fault-free end-to-end run as BenchmarkDispatchFaultFree:
-// "off" runs with no tracer and no metrics attached (spans reduce to two
-// context lookups and must stay within noise, ≤5%, of the untraced
-// dispatcher), "traced" records the full span tree and every counter on
-// each iteration.
+// BenchmarkTracedRun quantifies the cost of the observability layer on a
+// fault-free end-to-end GDP run: "off" runs with no tracer and no metrics
+// attached (spans reduce to two context lookups), "traced" records the
+// full span tree and every counter on each iteration.
 func BenchmarkTracedRun(b *testing.B) {
 	data := workload.GDPSource(workload.GDPConfig{Days: 1000, Regions: 10})
 	setup := func(b *testing.B, opts ...engine.Option) *engine.Engine {

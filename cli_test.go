@@ -263,7 +263,7 @@ func TestExlrunObservability(t *testing.T) {
 	for _, frag := range []string{
 		"compile", "run", "determine", "dispatch", "fragment", "attempt", "persist",
 		"counter engine_runs_total 1",
-		"fault tolerance:",
+		"fallback(s)",
 		"plan:",
 	} {
 		if !strings.Contains(stderr, frag) {

@@ -5,7 +5,7 @@
 //
 //	exlrun -program program.exl -data dir [-target auto|chase|sql|etl|frame]
 //	       [-out dir] [-store dir] [-report] [-trace[=json]] [-metrics]
-//	       [-timeout d] [-fragment-timeout d] [-retries n] [-no-fallback]
+//	       [-timeout d] [-fragment-timeout d] [-no-fallback]
 //	       [-max-concurrent n] [-mem-budget bytes] [-incremental]
 //
 // Runs can be delta-driven: with -incremental, a cube whose inputs have
@@ -21,12 +21,12 @@
 // the measure. Results are written to the output directory (default: the
 // data directory) as <CUBE>.csv.
 //
-// Runs are fault-tolerant by default: transient engine failures retry
-// with capped exponential backoff and a target that keeps failing is
-// degraded to a fallback target permitted by the operator-support matrix
-// (chase last). -report prints the per-fragment record of every attempt,
-// retry and fallback; -no-fallback fails fast instead. Ctrl-C cancels the
-// run cleanly without writing partial results.
+// Runs are fault-tolerant by default: a fragment whose target fails — an
+// error, a panic, or an attempt that outlives -fragment-timeout — is re-run
+// on the next target the operator-support matrix permits (chase last),
+// each target once. -report prints the per-fragment record of every
+// attempt and fallback, for a failed run too; -no-fallback fails fast
+// instead. Ctrl-C cancels the run cleanly without writing partial results.
 //
 // Runs are observable: -trace prints the span tree of the whole pipeline
 // (compile → determine → dispatch → fragments → attempts → target
@@ -73,10 +73,9 @@ func main() {
 	target := flag.String("target", "auto", "execution target: auto, chase, sql, etl, frame")
 	outDir := flag.String("out", "", "output directory (default: the data directory)")
 	verbose := flag.Bool("v", false, "print the run report")
-	report := flag.Bool("report", false, "print the fault-tolerance report (attempts, retries, fallbacks)")
+	report := flag.Bool("report", false, "print the fault-tolerance report (attempts, fallbacks)")
 	timeout := flag.Duration("timeout", 0, "overall run timeout (0 = none)")
 	fragTimeout := flag.Duration("fragment-timeout", 0, "per-fragment attempt timeout (0 = none)")
-	retries := flag.Int("retries", dispatch.DefaultRetry.MaxAttempts, "attempts per target for transient failures")
 	noFallback := flag.Bool("no-fallback", false, "disable degradation to fallback targets")
 	incremental := flag.Bool("incremental", false, "delta-driven recomputation: skip current cubes, maintain the rest from input deltas")
 	shared := cli.Register(flag.CommandLine)
@@ -94,12 +93,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	retry := dispatch.DefaultRetry
-	retry.MaxAttempts = *retries
-	opts := []engine.Option{
-		engine.WithParallelDispatch(),
-		engine.WithRetryPolicy(retry),
-	}
+	opts := []engine.Option{engine.WithParallelDispatch()}
 	if *noFallback {
 		opts = append(opts, engine.WithoutDegradation())
 	}
@@ -162,9 +156,12 @@ func main() {
 	}
 	rep, err := eng.Run(ctx, runOpts...)
 
-	// Diagnostics go out even when the run failed: the trace and the
-	// metrics of a failed run are exactly what one wants to look at.
+	// Diagnostics go out even when the run failed: the trace, the metrics
+	// and the attempts of a failed run are exactly what one wants to look at.
 	shared.Dump(os.Stderr, sinks)
+	if *report && rep != nil {
+		fmt.Fprint(os.Stderr, (&dispatch.Report{Fragments: rep.Fragments, Elapsed: rep.Elapsed}).String())
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -177,9 +174,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %-6s %v\n", s.Target, s.Cubes)
 		}
 		fmt.Fprintf(os.Stderr, "elapsed: %v\n", rep.Elapsed)
-	}
-	if *report {
-		printReport(rep)
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -198,39 +192,6 @@ func main() {
 		}
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-}
-
-// printReport renders the fault-tolerance record of the run to stderr:
-// one line per fragment plus one per attempt that did not succeed first
-// try.
-func printReport(rep *engine.Report) {
-	fmt.Fprintf(os.Stderr, "fault tolerance: %d fragment(s), %d retry(s), %d fallback(s)\n",
-		len(rep.Fragments), rep.Retries, rep.Fallbacks)
-	for i := range rep.Fragments {
-		fr := &rep.Fragments[i]
-		status := string(fr.Final)
-		if fr.Final == "" {
-			status = "FAILED"
-		} else if fr.Degraded() {
-			status = fmt.Sprintf("%s (degraded from %s)", fr.Final, fr.Primary)
-		}
-		status += fr.ModeNote()
-		fmt.Fprintf(os.Stderr, "  fragment %d %v: %s, %d attempt(s), %v\n",
-			fr.Index, fr.Cubes, status, len(fr.Attempts), fr.Elapsed)
-		for _, at := range fr.Attempts {
-			if at.Err == "" {
-				continue
-			}
-			line := fmt.Sprintf("    %s attempt %d: %s (%s)", at.Target, at.Attempt, at.Err, at.Class)
-			if at.Panic {
-				line += " [panic recovered]"
-			}
-			if at.Backoff > 0 {
-				line += fmt.Sprintf(" [backoff %v]", at.Backoff)
-			}
-			fmt.Fprintln(os.Stderr, line)
 		}
 	}
 }

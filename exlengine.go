@@ -26,7 +26,7 @@
 //	gdp, _ := eng.Cube("GDP")
 //
 // Runs are observable: attach a Tracer and a Metrics registry and every
-// phase — compile, determination, per-fragment dispatch with retries and
+// phase — compile, determination, per-fragment dispatch with its
 // fallbacks, target execution — records spans and counters.
 //
 //	tr, mx := exlengine.NewTracer(), exlengine.NewMetrics()
@@ -62,7 +62,7 @@ type (
 	// RunOption configures one Engine.Run call.
 	RunOption = engine.RunOption
 	// Report describes what a run recalculated and where, including the
-	// fault-tolerance record (attempts, retries, fallbacks).
+	// fault-tolerance record (attempts, fallbacks).
 	Report = engine.Report
 	// SubgraphInfo is one dispatched fragment of a run.
 	SubgraphInfo = engine.SubgraphInfo
@@ -80,12 +80,12 @@ type (
 	Attr = obs.Attr
 )
 
-// NewTracer returns an empty tracer, ready to pass to WithTracer,
-// RunTraced or CompileTraced.
+// NewTracer returns an empty tracer, ready to pass to WithTracer or
+// CompileTraced.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
 // NewMetrics returns an empty metrics registry, ready to pass to
-// WithMetrics or RunMetered.
+// WithMetrics.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // WriteTraceTree renders the tracer's spans as an indented tree, one
@@ -112,27 +112,20 @@ var (
 	RunAt = engine.RunAt
 	// RunOn forces the whole run onto one fixed target system.
 	RunOn = engine.RunOn
-	// RunTraced records this run's spans into a per-call tracer.
-	RunTraced = engine.RunTraced
-	// RunMetered accumulates this run's metrics into a per-call registry.
-	RunMetered = engine.RunMetered
 )
 
 // Fault-tolerance types.
 type (
-	// RetryPolicy governs retries of transient fragment failures.
-	RetryPolicy = dispatch.RetryPolicy
 	// FragmentReport records every attempt and fallback of one fragment.
 	FragmentReport = dispatch.FragmentReport
-	// Attempt is one execution attempt of a fragment on a target.
+	// Attempt is the one execution attempt of a fragment on a target.
 	Attempt = dispatch.Attempt
-	// ErrorClass partitions failures: Transient, Fatal, EgdViolation.
+	// ErrorClass partitions failures: Fatal, EgdViolation, Overload.
 	ErrorClass = exlerr.Class
 )
 
 // Failure classes of the error taxonomy.
 const (
-	Transient    = exlerr.Transient
 	Fatal        = exlerr.Fatal
 	EgdViolation = exlerr.EgdViolation
 	// Overload marks runs rejected by the resource governor (queue full,
@@ -147,29 +140,17 @@ func IsOverload(err error) bool { return exlerr.IsOverload(err) }
 
 // Fault-tolerance options.
 var (
-	// WithRetryPolicy overrides the transient-failure retry policy.
-	WithRetryPolicy = engine.WithRetryPolicy
 	// WithoutDegradation disables fallback re-routing of failed fragments.
 	WithoutDegradation = engine.WithoutDegradation
-	// WithFragmentTimeout bounds each fragment attempt.
+	// WithFragmentTimeout bounds each fragment attempt; one that outlives
+	// it degrades to the next permitted target.
 	WithFragmentTimeout = engine.WithFragmentTimeout
 )
 
-// Resource-governance types. The governor is the engine's overload
-// armor: admission control with a bounded queue, memory budgets charged
-// at cube materialization, per-backend circuit breakers, and graceful
-// shutdown (Engine.Shutdown stops admission, drains in-flight runs and
-// closes the store).
-type (
-	// Governor arbitrates run admission, memory budgets and breakers.
-	Governor = governor.Governor
-	// GovernorConfig configures a Governor.
-	GovernorConfig = governor.Config
-	// BreakerConfig configures the per-backend circuit breakers.
-	BreakerConfig = governor.BreakerConfig
-)
-
-// Resource-governance options.
+// Resource-governance options. The governor is the engine's overload
+// armor: admission control with a bounded queue, a memory budget charged
+// at cube materialization, and graceful shutdown (Engine.Shutdown stops
+// admission, drains in-flight runs and closes the store).
 var (
 	// MaxConcurrentRuns caps how many runs execute at once; excess
 	// admission requests queue, then shed with typed overload errors.
@@ -178,14 +159,6 @@ var (
 	// materialization; a run that does not fit degrades to sequential
 	// dispatch before being rejected.
 	MemoryBudget = engine.MemoryBudget
-	// WithBreakers enables per-backend circuit breakers.
-	WithBreakers = engine.WithBreakers
-	// WithGovernor installs a fully configured governor (shared across
-	// engines for a process-wide budget, or tuned beyond the shorthand
-	// options above).
-	WithGovernor = engine.WithGovernor
-	// NewGovernor builds a standalone governor from a config.
-	NewGovernor = governor.New
 )
 
 // Typed overload rejections returned by governed runs.

@@ -2,6 +2,11 @@ package exlengine
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -180,5 +185,58 @@ func TestCompileOptions(t *testing.T) {
 	}
 	if len(tr.Roots()) == 0 || tr.Roots()[0].Err == "" {
 		t.Error("failed compile span records no error")
+	}
+}
+
+// TestFacadeExports pins the facade's export list: a name joins it only
+// when a caller outside the module needs it, and leaves it when none does.
+func TestFacadeExports(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "exlengine.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				got = append(got, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						got = append(got, sp.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						if n.IsExported() {
+							got = append(got, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"ArtifactETL", "ArtifactMatlab", "ArtifactR", "ArtifactSQL", "ArtifactTgds",
+		"Attempt", "Attr", "Bool", "Compile", "CompileOption", "CompileTraced",
+		"Cube", "Dim", "DimType", "Egd", "EgdViolation", "Engine",
+		"ErrDeadline", "ErrMemoryBudget", "ErrQueueFull", "ErrShuttingDown", "ErrorClass",
+		"Fatal", "FragmentReport", "Frequency", "Int", "IsOverload", "Mapping",
+		"MaxConcurrentRuns", "MemoryBudget", "Metrics", "New", "NewAnnual", "NewCube",
+		"NewDaily", "NewMetrics", "NewMonthly", "NewQuarterly", "NewSchema", "NewTracer",
+		"Num", "Option", "Overload", "ParsePeriod", "Per", "Period", "Report",
+		"RunAt", "RunChanged", "RunOn", "RunOption", "Schema", "Span", "Str", "SubgraphInfo",
+		"TDay", "TInt", "TMonth", "TQuarter", "TString", "TYear",
+		"Target", "TargetChase", "TargetETL", "TargetFrame", "TargetSQL",
+		"Tgd", "Tracer", "Tuple", "Validate", "Value",
+		"WithFragmentTimeout", "WithMetrics", "WithParallelDispatch", "WithTracer",
+		"WithoutDegradation", "WithoutFusion", "WriteTraceJSONL", "WriteTraceTree",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("exlengine.go exports\n%v\nwant\n%v", got, want)
 	}
 }

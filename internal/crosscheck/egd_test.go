@@ -18,7 +18,7 @@ import (
 // dimension without aggregating is not functional. Every backend hands its
 // result to the one place the egd is checked (model.Builder), so all four
 // fail with model.ErrFunctional — an exlerr.EgdViolation, which the
-// dispatcher neither retries nor degrades — naming the same dimension tuple
+// dispatcher never degrades — naming the same dimension tuple
 // and the same two values: those of the conflict that arrives first in cube
 // order.
 func TestEgdViolationNamesTheSameTupleOnEveryBackend(t *testing.T) {

@@ -5,13 +5,13 @@
 // snapshot, applying parallelization where the dependency DAG allows
 // (independent subgraphs run concurrently, in waves).
 //
-// The dispatcher is fault-tolerant: runs are cancellable through a
+// Every target is a deterministic in-process engine, so the dispatcher
+// tries each permitted target once: runs are cancellable through a
 // context, panics inside target engines are recovered into typed errors
-// (exlerr), transient failures are retried with capped exponential
-// backoff, and a fragment whose target keeps failing is re-routed to a
-// fallback target permitted by the operator-support matrix, the chase
-// being the universal last resort. Every attempt, retry and fallback is
-// recorded in a Report.
+// (exlerr), and a fragment whose target fails is re-routed to the next
+// target the operator-support matrix permits, the chase being the
+// universal last resort. Every attempt and fallback is recorded in a
+// Report.
 package dispatch
 
 import (
@@ -37,49 +37,23 @@ type Dispatcher struct {
 	// Parallel enables wave-based concurrent execution of independent
 	// subgraphs. Sequential execution gives the same results.
 	Parallel bool
-	// Retry governs same-target retries of transient failures. The zero
-	// value performs a single attempt.
-	Retry RetryPolicy
-	// Sleep waits out retry backoffs; nil uses the real clock.
-	Sleep Sleeper
 	// Degrade enables fallback re-routing: a fragment whose target fails
-	// (after retries) is re-run on the next target the operator-support
-	// matrix permits, chase last.
+	// is re-run on the next target the operator-support matrix permits,
+	// chase last.
 	Degrade bool
 	// FragmentTimeout bounds each fragment attempt; zero means no bound.
+	// An attempt that outlives it fails like any other and degrades.
 	FragmentTimeout time.Duration
 	// Middleware wraps fragment execution, outermost first. Fault
 	// injection (internal/faults) hooks in here.
 	Middleware []Middleware
-	// Breakers, when set, gates every target: a target whose breaker is
-	// open is skipped (recorded in FragmentReport.SkippedOpen) and every
-	// attempt outcome is fed back. governor.BreakerSet implements it.
-	Breakers BreakerGate
-}
-
-// BreakerGate is the dispatcher's view of per-backend circuit breakers.
-// Allow is consulted once per target per fragment before any attempt on
-// it; Record receives every attempt outcome (nil for success). The
-// dispatcher never reports run-level cancellation to the gate — the
-// caller's deadline says nothing about the backend's health.
-type BreakerGate interface {
-	Allow(t ops.Target) bool
-	Record(t ops.Target, err error)
-}
-
-// record feeds an attempt outcome to the breaker gate, if any.
-func (d *Dispatcher) record(t ops.Target, err error) {
-	if d.Breakers != nil {
-		d.Breakers.Record(t, err)
-	}
 }
 
 // Fragment describes one fragment attempt to middleware.
 type Fragment struct {
-	Index   int // fragment position in the plan
-	Attempt int // 1-based attempt number on the current target
-	Target  ops.Target
-	Cubes   []string // the derived cubes the fragment produces
+	Index  int // fragment position in the plan
+	Target ops.Target
+	Cubes  []string // the derived cubes the fragment produces
 }
 
 // Runner executes a fragment attempt over a snapshot.
@@ -105,8 +79,8 @@ func (d *Dispatcher) Run(subs []determine.Subgraph, tgds TgdSource,
 
 // RunContext executes the plan under a context: cancelling the context
 // aborts the run between (and during) fragment attempts. The returned
-// Report lists every attempt, retry and fallback, even when the run
-// fails. It is RunContextIncr without an incremental plan.
+// Report lists every attempt and fallback, even when the run fails. It
+// is RunContextIncr without an incremental plan.
 func (d *Dispatcher) RunContext(ctx context.Context, subs []determine.Subgraph, tgds TgdSource,
 	schemas map[string]model.Schema, snap map[string]*model.Cube) (map[string]*model.Cube, *Report, error) {
 	return d.RunContextIncr(ctx, subs, tgds, schemas, snap, nil)
@@ -236,9 +210,9 @@ func (d *Dispatcher) runPlan(ctx context.Context, subs []determine.Subgraph, tgd
 	return results, rep, nil
 }
 
-// runFragment executes one fragment with retries and fallback
-// degradation, recording every attempt in the report, in the span tree
-// and in the metrics registry carried by the context.
+// runFragment executes one fragment with fallback degradation, recording
+// every attempt in the report, in the span tree and in the metrics
+// registry carried by the context.
 func (d *Dispatcher) runFragment(ctx context.Context, idx int, sub determine.Subgraph,
 	f *fragment, snap map[string]*model.Cube, incr *incrState) (map[string]*model.Cube, FragmentReport, error) {
 
@@ -279,111 +253,52 @@ func (d *Dispatcher) runFragmentAttempts(ctx context.Context, idx int, sub deter
 	for i := len(d.Middleware) - 1; i >= 0; i-- {
 		runner = d.Middleware[i](runner)
 	}
-	sleep := d.Sleep
-	if sleep == nil {
-		sleep = realSleep
-	}
 
 	var lastErr error
-	tried := false // whether any target was actually attempted
-	for _, target := range targets {
-		if d.Breakers != nil && !d.Breakers.Allow(target) {
-			// The target's circuit breaker is open: skip it without
-			// spending the retry budget, and let the fallback order
-			// provide the next candidate.
-			fr.SkippedOpen = append(fr.SkippedOpen, target)
-			met.Counter(obs.Label(obs.MetricBreakerSkips, "target", string(target))).Add(1)
-			continue
-		}
-		if tried {
+	for i, target := range targets {
+		if i > 0 {
 			fr.Fallbacks = append(fr.Fallbacks, target)
 			met.Counter(obs.Label(obs.MetricFallbacks, "target", string(target))).Add(1)
 		}
-		tried = true
-		for attempt := 1; ; attempt++ {
-			actx, aspan := obs.StartSpan(ctx, "attempt",
-				obs.String("target", string(target)), obs.Int("n", attempt))
-			out, err := d.exec(actx, runner, Fragment{Index: idx, Attempt: attempt, Target: target, Cubes: fr.Cubes}, snap)
-			aspan.EndErr(err)
-			if err == nil {
-				d.record(target, nil)
-				fr.Attempts = append(fr.Attempts, Attempt{Target: target, Attempt: attempt})
-				fr.Final = target
-				fr.Mode = oc.mode
-				if incr != nil {
-					incr.publish(f, out, oc.outDeltas)
-					fr.Incremental = oc.mode != ModeFull
-					fr.FellBackFull = oc.mode == ModeFull
-					fr.FallbackReason = oc.reason
-				}
-				fr.Elapsed = time.Since(start)
-				met.Counter(obs.Label(obs.MetricFragments, "target", string(target))).Add(1)
-				return out, fr, nil
+		actx, aspan := obs.StartSpan(ctx, "attempt", obs.String("target", string(target)))
+		out, err := d.exec(actx, runner, Fragment{Index: idx, Target: target, Cubes: fr.Cubes}, snap)
+		aspan.EndErr(err)
+		if err == nil {
+			fr.Attempts = append(fr.Attempts, Attempt{Target: target})
+			fr.Final = target
+			fr.Mode = oc.mode
+			if incr != nil {
+				incr.publish(f, out, oc.outDeltas)
+				fr.Incremental = oc.mode != ModeFull
+				fr.FellBackFull = oc.mode == ModeFull
+				fr.FallbackReason = oc.reason
 			}
-			lastErr = err
-			rec := Attempt{Target: target, Attempt: attempt, Err: err.Error(),
-				Class: exlerr.ClassOf(err), Panic: exlerr.IsPanic(err)}
-			if rec.Panic {
-				met.Counter(obs.MetricPanics).Add(1)
-			}
-			if exlerr.IsCancellation(err) {
-				if ctx.Err() != nil {
-					// The run itself was cancelled: stop, don't degrade —
-					// and don't blame the backend.
-					fr.Attempts = append(fr.Attempts, rec)
-					fr.Elapsed = time.Since(start)
-					return nil, fr, err
-				}
-				// Only the per-fragment timeout expired: the target is
-				// slow, which is a transient target failure — retry, then
-				// degrade like any other. The breaker must see it under
-				// the reclassified class, or it would ignore the timeout
-				// as caller cancellation.
-				rec.Class = exlerr.Transient
-				d.record(target, exlerr.New(exlerr.Transient, err))
-			} else {
-				d.record(target, err)
-			}
-			if rec.Class == exlerr.Transient && attempt < d.Retry.attempts() {
-				backoff := d.Retry.Delay(attempt)
-				if dl, ok := ctx.Deadline(); ok && backoff > 0 && time.Now().Add(backoff).After(dl) {
-					// The run's deadline lands inside the backoff: sleeping
-					// would only convert this typed failure into a context
-					// timeout at the deadline. Fail fast instead.
-					fr.Attempts = append(fr.Attempts, rec)
-					fr.Elapsed = time.Since(start)
-					return nil, fr, fmt.Errorf("dispatch: fragment %d %v: %v backoff exceeds the run deadline: %w",
-						idx, fr.Cubes, backoff, lastErr)
-				}
-				rec.Backoff = backoff
-				fr.Attempts = append(fr.Attempts, rec)
-				met.Counter(obs.Label(obs.MetricRetries, "target", string(target))).Add(1)
-				_, bspan := obs.StartSpan(ctx, "backoff", obs.Dur("delay", rec.Backoff))
-				serr := sleep(ctx, rec.Backoff)
-				bspan.EndErr(serr)
-				if serr != nil {
-					fr.Elapsed = time.Since(start)
-					return nil, fr, serr
-				}
-				continue
-			}
-			fr.Attempts = append(fr.Attempts, rec)
-			if rec.Class == exlerr.EgdViolation {
-				// The data itself is inconsistent; every target computes
-				// the same data-exchange semantics, so degradation would
-				// only repeat the violation.
-				met.Counter(obs.MetricEgdViolations).Add(1)
-				fr.Elapsed = time.Since(start)
-				return nil, fr, err
-			}
-			break // exhausted this target; degrade to the next
+			fr.Elapsed = time.Since(start)
+			met.Counter(obs.Label(obs.MetricFragments, "target", string(target))).Add(1)
+			return out, fr, nil
+		}
+		lastErr = err
+		rec := Attempt{Target: target, Err: err.Error(), Class: exlerr.ClassOf(err), Panic: exlerr.IsPanic(err)}
+		fr.Attempts = append(fr.Attempts, rec)
+		if rec.Panic {
+			met.Counter(obs.MetricPanics).Add(1)
+		}
+		if exlerr.IsCancellation(err) && ctx.Err() != nil {
+			// The run itself was cancelled: stop, don't degrade. An expired
+			// fragment timeout leaves ctx alive and degrades below.
+			fr.Elapsed = time.Since(start)
+			return nil, fr, err
+		}
+		if rec.Class == exlerr.EgdViolation {
+			// The data itself is inconsistent; every target computes
+			// the same data-exchange semantics, so degradation would
+			// only repeat the violation.
+			met.Counter(obs.MetricEgdViolations).Add(1)
+			fr.Elapsed = time.Since(start)
+			return nil, fr, err
 		}
 	}
 	fr.Elapsed = time.Since(start)
-	if !tried {
-		return nil, fr, exlerr.Overloadf("dispatch: fragment %d %v: every permitted target's circuit breaker is open",
-			idx, fr.Cubes)
-	}
 	return nil, fr, fmt.Errorf("dispatch: fragment %d %v failed on every permitted target: %w", idx, fr.Cubes, lastErr)
 }
 
@@ -416,7 +331,7 @@ type fragment struct {
 	produces []string // the subgraph's visible derived cubes
 	inputs   []string // relations read from the shared snapshot
 	// solver is the mapping compiled for maintenance, built by the first
-	// maintained attempt and reused by its retries (a full run on any
+	// maintained attempt and reused by its fallbacks (a full run on any
 	// target, the chase included, is backend.Run). A fragment is run by
 	// one goroutine at a time.
 	solver *chase.Solver

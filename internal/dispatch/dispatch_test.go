@@ -182,7 +182,7 @@ func TestDispatchUnknownCube(t *testing.T) {
 }
 
 // TestFragmentCompilesChaseOnce: every maintained attempt of a fragment,
-// first try or retry, runs the same compiled Solver (a full run is
+// on its target or a fallback, runs the same compiled Solver (a full run is
 // backend.Run and keeps nothing), and both branches of run give the chase
 // solution.
 func TestFragmentCompilesChaseOnce(t *testing.T) {

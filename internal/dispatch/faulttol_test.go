@@ -3,7 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
-	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,19 +15,6 @@ import (
 	"exlengine/internal/ops"
 	"exlengine/internal/workload"
 )
-
-// fakeSleep records backoff delays without consuming wall-clock time.
-type fakeSleep struct {
-	mu     sync.Mutex
-	delays []time.Duration
-}
-
-func (s *fakeSleep) fn(ctx context.Context, d time.Duration) error {
-	s.mu.Lock()
-	s.delays = append(s.delays, d)
-	s.mu.Unlock()
-	return ctx.Err()
-}
 
 // failN is middleware failing the first n attempts it sees with the
 // given classified error, then passing through.
@@ -74,92 +61,8 @@ func simpleFixture(t *testing.T) *fixture {
 	return setup(t, "cube A(t: year) measure v\nB := A * 2", workload.Data{"A": yearCube("A", 10)})
 }
 
-// TestRetryTransient: a transient failure on the first attempt retries on
-// the same target with backoff and succeeds; the report records both
-// attempts and the backoff, and the fake sleeper sees the delay.
-func TestRetryTransient(t *testing.T) {
-	f := simpleFixture(t)
-	ref := reference(t, f)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
-
-	sl := &fakeSleep{}
-	d := &Dispatcher{
-		Retry:      RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond},
-		Sleep:      sl.fn,
-		Middleware: []Middleware{failN(1, exlerr.Transient)},
-	}
-	got, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got["B"].Equal(ref["B"], 1e-9) {
-		t.Error("retried run differs from chase")
-	}
-	fr := rep.Fragments[0]
-	if len(fr.Attempts) != 2 || fr.Attempts[0].Err == "" || fr.Attempts[1].Err != "" {
-		t.Fatalf("attempts = %+v, want fail then success", fr.Attempts)
-	}
-	if fr.Attempts[0].Class != exlerr.Transient || fr.Attempts[0].Backoff != 10*time.Millisecond {
-		t.Errorf("first attempt = %+v", fr.Attempts[0])
-	}
-	if fr.Final != ops.TargetETL || fr.Degraded() {
-		t.Errorf("fragment should succeed on its primary target: %+v", fr)
-	}
-	if rep.Retries() != 1 || rep.Fallbacks() != 0 {
-		t.Errorf("retries=%d fallbacks=%d", rep.Retries(), rep.Fallbacks())
-	}
-	if len(sl.delays) != 1 || sl.delays[0] != 10*time.Millisecond {
-		t.Errorf("sleeper saw %v", sl.delays)
-	}
-}
-
-// TestFallbackAfterRetriesExhausted: transient failures exhaust the retry
-// budget on the primary target, then the fragment degrades to a fallback
-// target and completes with the chase-identical result.
-func TestFallbackAfterRetriesExhausted(t *testing.T) {
-	f := simpleFixture(t)
-	ref := reference(t, f)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetSQL))
-
-	sl := &fakeSleep{}
-	d := &Dispatcher{
-		Retry:   RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-		Sleep:   sl.fn,
-		Degrade: true,
-		// Fail every sql attempt; the fallback target is untouched.
-		Middleware: []Middleware{func(next Runner) Runner {
-			return func(ctx context.Context, fr Fragment, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
-				if fr.Target == ops.TargetSQL {
-					return nil, exlerr.Transientf("sql down")
-				}
-				return next(ctx, fr, snap)
-			}
-		}},
-	}
-	got, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got["B"].Equal(ref["B"], 1e-9) {
-		t.Error("degraded run differs from chase")
-	}
-	fr := rep.Fragments[0]
-	if !fr.Degraded() || fr.Primary != ops.TargetSQL || fr.Final == ops.TargetSQL {
-		t.Fatalf("fragment should have degraded away from sql: %+v", fr)
-	}
-	if len(fr.Fallbacks) == 0 || fr.Fallbacks[0] != fr.Final {
-		t.Errorf("fallbacks = %v, final = %v", fr.Fallbacks, fr.Final)
-	}
-	if fr.Retries() != 1 {
-		t.Errorf("retries = %d, want 1 (two sql attempts)", fr.Retries())
-	}
-	if !strings.Contains(rep.String(), "degraded from sql") {
-		t.Errorf("report rendering lost the degradation:\n%s", rep)
-	}
-}
-
 // TestFallbackOnPanic: a panicking target engine is isolated — the panic
-// becomes a typed Fatal error, no retry happens on that target, and the
+// becomes a typed Fatal error, the target is not tried again, and the
 // fragment re-routes.
 func TestFallbackOnPanic(t *testing.T) {
 	f := simpleFixture(t)
@@ -167,8 +70,6 @@ func TestFallbackOnPanic(t *testing.T) {
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetFrame))
 
 	d := &Dispatcher{
-		Retry:      RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		Sleep:      (&fakeSleep{}).fn,
 		Degrade:    true,
 		Middleware: []Middleware{panicOnTarget(ops.TargetFrame)},
 	}
@@ -183,21 +84,21 @@ func TestFallbackOnPanic(t *testing.T) {
 	if len(fr.Attempts) < 2 || !fr.Attempts[0].Panic || fr.Attempts[0].Class != exlerr.Fatal {
 		t.Fatalf("panic not recorded: %+v", fr.Attempts)
 	}
-	// Fatal errors must not be retried on the same target.
 	if fr.Attempts[1].Target == ops.TargetFrame {
-		t.Errorf("fatal panic retried on the same target: %+v", fr.Attempts)
+		t.Errorf("panicking target tried twice: %+v", fr.Attempts)
+	}
+	if !strings.Contains(rep.String(), "degraded from frame") {
+		t.Errorf("report rendering lost the degradation:\n%s", rep)
 	}
 }
 
 // TestEgdViolationNoFallback: an egd violation is a property of the data,
-// so the dispatcher fails fast — no retry, no fallback.
+// so the dispatcher fails fast, with no fallback.
 func TestEgdViolationNoFallback(t *testing.T) {
 	f := simpleFixture(t)
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase))
 
 	d := &Dispatcher{
-		Retry:      RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		Sleep:      (&fakeSleep{}).fn,
 		Degrade:    true,
 		Middleware: []Middleware{failN(1, exlerr.EgdViolation)},
 	}
@@ -210,12 +111,13 @@ func TestEgdViolationNoFallback(t *testing.T) {
 	}
 	fr := rep.Fragments[0]
 	if len(fr.Attempts) != 1 || len(fr.Fallbacks) != 0 {
-		t.Errorf("egd violation retried or degraded: %+v", fr)
+		t.Errorf("egd violation degraded: %+v", fr)
 	}
 }
 
-// TestAllTargetsFail: when every permitted target fails, the run errors
-// and the report shows the chase as the last resort tried.
+// TestAllTargetsFail: when every permitted target fails, the run errors,
+// and the report shows each permitted target tried exactly once, in
+// fallback order, the chase last.
 func TestAllTargetsFail(t *testing.T) {
 	f := simpleFixture(t)
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
@@ -239,46 +141,49 @@ func TestAllTargetsFail(t *testing.T) {
 	if n := len(fr.Fallbacks); n == 0 || fr.Fallbacks[n-1] != ops.TargetChase {
 		t.Errorf("chase must be the last resort: %v", fr.Fallbacks)
 	}
+	want := append([]ops.Target{ops.TargetETL}, determine.FallbackOrder(subs[0])...)
+	var tried []ops.Target
+	for _, a := range fr.Attempts {
+		tried = append(tried, a.Target)
+	}
+	if !reflect.DeepEqual(tried, want) {
+		t.Errorf("targets tried %v, want each permitted target once: %v", tried, want)
+	}
 }
 
-// TestCancellation: a cancelled context aborts the run without retrying
-// or degrading.
+// TestCancellation: a run cancelled before it starts, or during an
+// attempt, stops without degrading.
 func TestCancellation(t *testing.T) {
 	f := simpleFixture(t)
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	d := &Dispatcher{Retry: DefaultRetry, Degrade: true, Sleep: (&fakeSleep{}).fn}
+	d := &Dispatcher{Degrade: true}
 	_, _, err := d.RunContext(ctx, subs, f.tgds, f.schemas, f.data)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-}
 
-// TestCancellationDuringBackoff: cancelling while the dispatcher sleeps
-// between retries aborts promptly.
-func TestCancellationDuringBackoff(t *testing.T) {
-	f := simpleFixture(t)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	d := &Dispatcher{
-		Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond},
-		Sleep: func(ctx context.Context, _ time.Duration) error {
-			cancel() // the user cancels mid-backoff
-			return ctx.Err()
-		},
-		Middleware: []Middleware{failN(10, exlerr.Transient)},
-	}
-	_, _, err := d.RunContext(ctx, subs, f.tgds, f.schemas, f.data)
+	ctx, cancel = context.WithCancel(context.Background())
+	d.Middleware = []Middleware{func(Runner) Runner {
+		return func(ctx context.Context, fr Fragment, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
+			cancel() // the caller cancels mid-attempt
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+	}}
+	_, rep, err := d.RunContext(ctx, subs, f.tgds, f.schemas, f.data)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		t.Fatalf("mid-attempt cancellation: err = %v, want context.Canceled", err)
+	}
+	if fr := rep.Fragments[0]; len(fr.Attempts) != 1 || len(fr.Fallbacks) != 0 {
+		t.Errorf("cancelled run degraded: %+v", fr)
 	}
 }
 
 // TestFragmentTimeoutDegrades: a per-fragment timeout expiring on a slow
-// target counts as a transient target failure and degrades instead of
+// target is a Fatal attempt on that target and degrades instead of
 // killing the run.
 func TestFragmentTimeoutDegrades(t *testing.T) {
 	f := simpleFixture(t)
@@ -286,7 +191,6 @@ func TestFragmentTimeoutDegrades(t *testing.T) {
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
 
 	d := &Dispatcher{
-		Retry:           RetryPolicy{MaxAttempts: 1},
 		Degrade:         true,
 		FragmentTimeout: 20 * time.Millisecond,
 		// The primary target stalls past the timeout; fallbacks run free.
@@ -307,8 +211,12 @@ func TestFragmentTimeoutDegrades(t *testing.T) {
 	if !got["B"].Equal(ref["B"], 1e-9) {
 		t.Error("degraded run differs from chase")
 	}
-	if fr := rep.Fragments[0]; !fr.Degraded() {
-		t.Errorf("timeout should degrade: %+v", fr)
+	fr := rep.Fragments[0]
+	if !fr.Degraded() || len(fr.Attempts) != 2 {
+		t.Fatalf("timeout should degrade after one etl attempt: %+v", fr)
+	}
+	if a := fr.Attempts[0]; a.Target != ops.TargetETL || a.Class != exlerr.Fatal || a.Err != context.DeadlineExceeded.Error() {
+		t.Errorf("timed-out attempt = %+v, want a fatal etl attempt", a)
 	}
 }
 
@@ -337,8 +245,6 @@ C  := A2 + B2
 	d := &Dispatcher{
 		Parallel:   true,
 		Degrade:    true,
-		Retry:      RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-		Sleep:      (&fakeSleep{}).fn,
 		Middleware: []Middleware{panicOnTarget(ops.TargetFrame)},
 	}
 	got, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
@@ -355,62 +261,18 @@ C  := A2 + B2
 	}
 }
 
-// TestZeroValueDispatcherFailsFast: the zero-value dispatcher keeps the
-// historical behaviour — no retry, no fallback, first error aborts.
+// TestZeroValueDispatcherFailsFast: the zero-value dispatcher does not
+// degrade — the first error aborts.
 func TestZeroValueDispatcherFailsFast(t *testing.T) {
 	f := simpleFixture(t)
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
 
-	d := &Dispatcher{Middleware: []Middleware{failN(1, exlerr.Transient)}}
+	d := &Dispatcher{Middleware: []Middleware{failN(1, exlerr.Fatal)}}
 	_, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
 	if err == nil {
-		t.Fatal("zero-value dispatcher must not retry")
+		t.Fatal("zero-value dispatcher must not degrade")
 	}
 	if len(rep.Fragments[0].Attempts) != 1 {
 		t.Errorf("attempts = %+v", rep.Fragments[0].Attempts)
-	}
-}
-
-// TestBackoffSchedule checks the capped exponential backoff computation.
-func TestBackoffSchedule(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	want := []time.Duration{10, 20, 40, 50, 50}
-	for i, w := range want {
-		if got := p.Delay(i + 1); got != w*time.Millisecond {
-			t.Errorf("Delay(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
-	}
-	if (RetryPolicy{}).Delay(3) != 0 {
-		t.Error("zero policy must have zero delay")
-	}
-}
-
-// TestBackoffNoOverflow is the regression test for the uncapped doubling
-// bug: with MaxDelay zero (no cap), enough attempts made the delay wrap
-// to a negative Duration, which realSleep treats as "don't sleep" — the
-// retry loop went hot. The schedule must saturate instead, and stay
-// monotonically non-decreasing along the way.
-func TestBackoffNoOverflow(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 100, BaseDelay: time.Second}
-	prev := time.Duration(0)
-	for attempt := 1; attempt <= 100; attempt++ {
-		d := p.Delay(attempt)
-		if d <= 0 {
-			t.Fatalf("Delay(%d) = %v; overflowed to non-positive", attempt, d)
-		}
-		if d < prev {
-			t.Fatalf("Delay(%d) = %v < Delay(%d) = %v; schedule not monotone", attempt, d, attempt-1, prev)
-		}
-		prev = d
-	}
-	// Saturation point: 1s << 62 overflows int64; attempt 63 and beyond
-	// must pin at MaxInt64 rather than wrap.
-	if d := p.Delay(80); d != time.Duration(math.MaxInt64) {
-		t.Errorf("Delay(80) = %v, want saturation at MaxInt64", d)
-	}
-	// An explicit cap still wins.
-	capped := RetryPolicy{MaxAttempts: 100, BaseDelay: time.Second, MaxDelay: time.Minute}
-	if d := capped.Delay(80); d != time.Minute {
-		t.Errorf("capped Delay(80) = %v, want 1m", d)
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"exlengine/internal/determine"
 	"exlengine/internal/exlerr"
-	"exlengine/internal/governor"
 	"exlengine/internal/model"
 	"exlengine/internal/obs"
 	"exlengine/internal/ops"
@@ -38,31 +36,29 @@ func revisedPlan(t *testing.T, f *fixture, subs []determine.Subgraph) *IncrPlan 
 
 // TestIncrementalAttemptKeyedByAssignedTarget: the chase applies the
 // deltas, but the attempt is the assigned target's — middleware failing
-// sql fails a sql fragment's maintaining attempt, the failures trip sql's
-// breaker and not the chase's, and the fragment degrades like any other.
+// sql fails a sql fragment's maintaining attempt, the failed attempt and
+// its span name sql and not the chase, and the fragment degrades like any
+// other.
 func TestIncrementalAttemptKeyedByAssignedTarget(t *testing.T) {
 	f := simpleFixture(t)
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetSQL))
 	plan := revisedPlan(t, f, subs)
 	ref := reference(t, f)
 
-	set := governor.NewBreakerSet(governor.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour})
 	d := &Dispatcher{
-		Retry:    RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-		Sleep:    (&fakeSleep{}).fn,
-		Degrade:  true,
-		Breakers: set,
+		Degrade: true,
 		Middleware: []Middleware{func(next Runner) Runner {
 			return func(ctx context.Context, fr Fragment, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
 				if fr.Target == ops.TargetSQL {
-					return nil, exlerr.Transientf("sql down")
+					return nil, exlerr.Fatalf("sql down")
 				}
 				return next(ctx, fr, snap)
 			}
 		}},
 	}
-	mx := obs.NewRegistry()
-	got, rep, err := d.RunContextIncr(obs.ContextWithMetrics(context.Background(), mx), subs, f.tgds, f.schemas, f.data, plan)
+	mx, tr := obs.NewRegistry(), obs.NewTracer()
+	ctx := obs.ContextWithTracer(obs.ContextWithMetrics(context.Background(), mx), tr)
+	got, rep, err := d.RunContextIncr(ctx, subs, f.tgds, f.schemas, f.data, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +66,18 @@ func TestIncrementalAttemptKeyedByAssignedTarget(t *testing.T) {
 		t.Error("maintained B differs from the chase solution")
 	}
 	fr := rep.Fragments[0]
-	if len(fr.Attempts) != 3 || fr.Attempts[0].Target != ops.TargetSQL || fr.Attempts[1].Target != ops.TargetSQL || fr.Attempts[0].Err == "" {
-		t.Fatalf("attempts = %+v, want two failed sql attempts and a fallback's success", fr.Attempts)
+	if len(fr.Attempts) != 2 || fr.Attempts[0].Target != ops.TargetSQL || fr.Attempts[0].Err == "" || fr.Attempts[1].Err != "" {
+		t.Fatalf("attempts = %+v, want a failed sql attempt and a fallback's success", fr.Attempts)
 	}
 	if !fr.Degraded() || fr.Mode != ModeMaintained || !fr.Incremental {
 		t.Errorf("want the fragment maintained on a fallback target: %+v", fr)
 	}
-	if set.State(ops.TargetSQL) != governor.BreakerOpen {
-		t.Errorf("sql breaker state = %v after 2 failed maintaining attempts, want open", set.State(ops.TargetSQL))
+	spans := tr.Roots()[0].FindAll("attempt")
+	if len(spans) != 2 || spans[0].Err == "" {
+		t.Fatalf("attempt spans = %d, want a failed one and the fallback", len(spans))
 	}
-	if set.State(ops.TargetChase) != governor.BreakerClosed {
-		t.Errorf("chase breaker state = %v, want closed: the failed attempts were sql's", set.State(ops.TargetChase))
+	if target, _ := spans[0].Attr("target"); target != string(ops.TargetSQL) {
+		t.Errorf("failed maintaining attempt span target = %q, want the assigned sql", target)
 	}
 	if n := mx.Counter(obs.Label(obs.MetricIncrFragments, "target", string(fr.Final))).Value(); n != 1 {
 		t.Errorf("maintained fragments counted for %s = %d, want 1", fr.Final, n)

@@ -9,15 +9,13 @@ import (
 	"exlengine/internal/ops"
 )
 
-// Attempt records one execution attempt of a fragment on a target.
+// Attempt records the one execution attempt of a fragment on a target.
 type Attempt struct {
-	Target  ops.Target
-	Attempt int // 1-based, counted per target
+	Target ops.Target
 	// Err and Class describe the failure; Err is empty on success.
-	Err     string
-	Class   exlerr.Class
-	Panic   bool
-	Backoff time.Duration // backoff slept after this failed attempt
+	Err   string
+	Class exlerr.Class
+	Panic bool
 }
 
 // Modes a successful fragment attempt ran in.
@@ -34,12 +32,9 @@ type FragmentReport struct {
 	Cubes     []string
 	Primary   ops.Target   // the target the determination engine assigned
 	Final     ops.Target   // the target that succeeded; empty if the fragment failed
-	Attempts  []Attempt    // in execution order, across all targets
+	Attempts  []Attempt    // in execution order, one per target tried
 	Fallbacks []ops.Target // fallback targets tried after the primary, in order
-	// SkippedOpen lists targets never attempted because their circuit
-	// breaker was open, in the order they would have been tried.
-	SkippedOpen []ops.Target
-	Elapsed     time.Duration
+	Elapsed   time.Duration
 	// Mode is how the successful attempt ran: ModeReused, ModeMaintained
 	// or ModeFull (always ModeFull without an incremental plan).
 	Mode string
@@ -54,15 +49,6 @@ type FragmentReport struct {
 	// recomputed in full: GDPT (blackbox)".
 	FellBackFull   bool
 	FallbackReason string
-}
-
-// Retries counts the same-target retry attempts of the fragment.
-func (f *FragmentReport) Retries() int {
-	n := len(f.Attempts) - 1 - len(f.Fallbacks)
-	if n < 0 {
-		return 0
-	}
-	return n
 }
 
 // Degraded reports whether the fragment completed on a non-primary target.
@@ -87,15 +73,6 @@ type Report struct {
 	Elapsed   time.Duration
 }
 
-// Retries totals same-target retries across all fragments.
-func (r *Report) Retries() int {
-	n := 0
-	for i := range r.Fragments {
-		n += r.Fragments[i].Retries()
-	}
-	return n
-}
-
 // Fallbacks totals fallback targets tried across all fragments.
 func (r *Report) Fallbacks() int {
 	n := 0
@@ -105,39 +82,36 @@ func (r *Report) Fallbacks() int {
 	return n
 }
 
-// String renders the report as the table `exlrun --report` prints.
+// String renders the report as the table `exlrun -report` prints. A
+// fragment with no attempts was never reached: the run failed first.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "dispatch: %d fragment(s), %d retry(s), %d fallback(s), %v\n",
-		len(r.Fragments), r.Retries(), r.Fallbacks(), r.Elapsed)
+	fmt.Fprintf(&b, "dispatch: %d fragment(s), %d fallback(s), %v\n",
+		len(r.Fragments), r.Fallbacks(), r.Elapsed)
 	for i := range r.Fragments {
 		f := &r.Fragments[i]
-		status := string(f.Final)
+		if len(f.Attempts) == 0 {
+			continue
+		}
+		status := "ran on " + string(f.Final)
 		if f.Final == "" {
 			status = "FAILED"
 		} else if f.Degraded() {
-			status = fmt.Sprintf("%s (degraded from %s)", f.Final, f.Primary)
+			status = fmt.Sprintf("ran on %s (degraded from %s)", f.Final, f.Primary)
 		}
 		status += f.ModeNote()
-		fmt.Fprintf(&b, "  fragment %d %v: planned %s, ran on %s, %d attempt(s), %v\n",
+		fmt.Fprintf(&b, "  fragment %d %v: planned %s, %s, %d attempt(s), %v\n",
 			f.Index, f.Cubes, f.Primary, status, len(f.Attempts), f.Elapsed)
-		if len(f.SkippedOpen) > 0 {
-			fmt.Fprintf(&b, "    skipped (breaker open): %v\n", f.SkippedOpen)
-		}
 		for _, a := range f.Attempts {
 			if a.Err == "" {
-				fmt.Fprintf(&b, "    %s attempt %d: ok\n", a.Target, a.Attempt)
+				fmt.Fprintf(&b, "    %s: ok\n", a.Target)
 				continue
 			}
 			kind := a.Class.String()
 			if a.Panic {
 				kind += ", panic"
 			}
-			fmt.Fprintf(&b, "    %s attempt %d: %s (%s)", a.Target, a.Attempt, a.Err, kind)
-			if a.Backoff > 0 {
-				fmt.Fprintf(&b, " [backoff %v]", a.Backoff)
-			}
-			b.WriteString("\n")
+			fmt.Fprintf(&b, "    %s: %s (%s)\n", a.Target, a.Err, kind)
 		}
 	}
 	return b.String()

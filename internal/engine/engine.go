@@ -88,7 +88,7 @@ type Engine struct {
 	tracer   *obs.Tracer
 	metrics  *obs.Registry
 	gov      *governor.Governor
-	govCfg   *governor.Config // accumulated by governor options until New builds gov
+	govCfg   governor.Config // accumulated by governor options until New builds gov
 	cache    *CompileCache
 	cacheSet bool // WithCompileCache was used (nil means "disable caching")
 
@@ -121,27 +121,17 @@ func WithParallelDispatch() Option {
 	return func(e *Engine) { e.disp.Parallel = true }
 }
 
-// WithRetryPolicy overrides the dispatcher's retry policy for transient
-// fragment failures (default: dispatch.DefaultRetry).
-func WithRetryPolicy(p dispatch.RetryPolicy) Option {
-	return func(e *Engine) { e.disp.Retry = p }
-}
-
 // WithoutDegradation disables fallback re-routing: a fragment whose
-// target fails (after retries) fails the run instead of being re-run on
-// another permitted target.
+// target fails fails the run instead of being re-run on another
+// permitted target.
 func WithoutDegradation() Option {
 	return func(e *Engine) { e.disp.Degrade = false }
 }
 
-// WithFragmentTimeout bounds each fragment attempt.
+// WithFragmentTimeout bounds each fragment attempt; an attempt that
+// outlives it degrades to the next permitted target.
 func WithFragmentTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.disp.FragmentTimeout = d }
-}
-
-// WithSleeper injects the backoff sleeper (tests use a fake clock).
-func WithSleeper(s dispatch.Sleeper) Option {
-	return func(e *Engine) { e.disp.Sleep = s }
 }
 
 // WithDispatchMiddleware wraps fragment execution, outermost first —
@@ -158,8 +148,8 @@ func WithTracer(t *obs.Tracer) Option {
 }
 
 // WithMetrics attaches a metrics registry: runs, fragments per target,
-// retries, fallbacks, tuples moved and per-target latency histograms
-// accumulate there. A nil registry is ignored.
+// fallbacks, tuples moved and per-target latency histograms accumulate
+// there. A nil registry is ignored.
 func WithMetrics(m *obs.Registry) Option {
 	return func(e *Engine) { e.metrics = m }
 }
@@ -176,8 +166,8 @@ func WithCompileCache(c *CompileCache) Option {
 }
 
 // WithGovernor substitutes a fully built resource governor (admission
-// control, memory budgets, circuit breakers). It overrides the
-// piecewise governor options below. A nil governor is ignored.
+// control, memory budgets). It overrides the piecewise governor options
+// below. A nil governor is ignored.
 func WithGovernor(g *governor.Governor) Option {
 	return func(e *Engine) {
 		if g != nil {
@@ -186,19 +176,11 @@ func WithGovernor(g *governor.Governor) Option {
 	}
 }
 
-// ensureGovCfg lazily allocates the option-accumulated governor config.
-func (e *Engine) ensureGovCfg() *governor.Config {
-	if e.govCfg == nil {
-		e.govCfg = &governor.Config{}
-	}
-	return e.govCfg
-}
-
 // MaxConcurrentRuns bounds how many runs execute at once; further runs
 // queue for admission (bounded queue, deadline-aware) and are shed with
 // typed exlerr.Overload errors past that. Zero or negative: unlimited.
 func MaxConcurrentRuns(n int) Option {
-	return func(e *Engine) { e.ensureGovCfg().MaxConcurrent = n }
+	return func(e *Engine) { e.govCfg.MaxConcurrent = n }
 }
 
 // MemoryBudget bounds the process-wide bytes of cube materialization
@@ -206,27 +188,18 @@ func MaxConcurrentRuns(n int) Option {
 // to sequential dispatch and then, if still too large, rejected with a
 // typed overload error. Zero or negative: unlimited.
 func MemoryBudget(bytes int64) Option {
-	return func(e *Engine) { e.ensureGovCfg().MemoryBudget = bytes }
+	return func(e *Engine) { e.govCfg.MemoryBudget = bytes }
 }
 
-// WithBreakers configures the per-backend circuit breakers the
-// dispatcher consults: a backend that keeps failing is skipped by every
-// run until a probe succeeds.
-func WithBreakers(cfg governor.BreakerConfig) Option {
-	return func(e *Engine) { e.ensureGovCfg().Breaker = cfg }
-}
-
-// New returns an empty engine. Fault tolerance is on by default:
-// transient fragment failures retry under dispatch.DefaultRetry, and a
-// target that keeps failing degrades to a fallback target permitted by
-// the operator-support matrix.
+// New returns an empty engine. Degradation is on by default: a fragment
+// whose target fails is re-run on the next target the operator-support
+// matrix permits.
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		store:    store.New(),
 		programs: make(map[string]*exl.Analyzed),
 		mappings: make(map[string]*mapping.Mapping),
 	}
-	e.disp.Retry = dispatch.DefaultRetry
 	e.disp.Degrade = true
 	for _, o := range opts {
 		o(e)
@@ -235,17 +208,11 @@ func New(opts ...Option) *Engine {
 		e.cache = defaultCompileCache
 	}
 	if e.gov == nil {
-		if e.govCfg != nil {
-			e.gov = governor.New(*e.govCfg)
-		} else {
-			// Unconfigured engines still get a zero-bound governor so
-			// Shutdown can drain in-flight runs, but with breakers off to
-			// preserve the historical retry/fallback behaviour.
-			e.gov = governor.New(governor.Config{Breaker: governor.BreakerConfig{FailureThreshold: -1}})
-		}
+		// Unconfigured engines still get a zero-bound governor so Shutdown
+		// can drain in-flight runs.
+		e.gov = governor.New(e.govCfg)
 	}
 	e.gov.SetMetrics(e.metrics)
-	e.disp.Breakers = e.gov.Breakers()
 	return e
 }
 
@@ -462,14 +429,16 @@ type SubgraphInfo struct {
 }
 
 // Report describes what a run did, including the fault-tolerance record:
-// per-fragment attempts, targets used, retries and fallback decisions.
+// per-fragment attempts, targets used and fallback decisions.
 type Report struct {
 	Plan      []string // recalculated cubes, in execution order
 	Subgraphs []SubgraphInfo
 	// Fragments lists every dispatch attempt (one entry per subgraph),
-	// including retries, panics and fallback targets.
+	// including panics and fallback targets.
 	Fragments []dispatch.FragmentReport
-	Retries   int // same-target retries across the run
+	// Retries is always 0: no target is tried twice for one fragment. It
+	// stays only because bench/epoch.go:346 reads it.
+	Retries   int
 	Fallbacks int // fallback targets tried across the run
 	// Generation is the store write generation the run's snapshot was
 	// taken at (see store.Store.Generation).
@@ -555,7 +524,9 @@ func WithIncremental() RunOption {
 // narrow the plan (RunChanged), pin the version timestamp (RunAt), fix
 // the target (RunOn) or attach per-run observability (RunTraced,
 // RunMetered). Cancellation or deadline expiry aborts the dispatch
-// mid-run without persisting any result.
+// mid-run without persisting any result. When dispatch fails, the error
+// comes with a Report of the fragments' attempts; any other error comes
+// with none.
 func (e *Engine) Run(ctx context.Context, opts ...RunOption) (*Report, error) {
 	cfg := runConfig{assign: determine.AssignByPreference, asOf: time.Now()}
 	for _, o := range opts {
@@ -744,7 +715,7 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 
 	results, drep, err := disp.RunContextIncr(ctx, subs, tgds, schemas, snap, incrPlan)
 	if err != nil {
-		return nil, err
+		return &Report{Fragments: drep.Fragments, Fallbacks: drep.Fallbacks(), Elapsed: time.Since(start)}, err
 	}
 
 	// Every target returns frozen cubes, which the store adopts as they are.
@@ -810,7 +781,6 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 		Incremental: cfg.incremental,
 		Skipped:     skippedCubes,
 		Fragments:   drep.Fragments,
-		Retries:     drep.Retries(),
 		Fallbacks:   drep.Fallbacks(),
 		Queued:      ticket.Queued(),
 		MemReserved: ticket.Reserved(),

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"exlengine/internal/dispatch"
 	"exlengine/internal/exlerr"
 	"exlengine/internal/faults"
 	"exlengine/internal/ops"
@@ -32,9 +31,9 @@ func waitNoGoroutineLeak(t *testing.T, before int) {
 
 // TestFaultToleranceEndToEnd is the acceptance scenario of the
 // fault-tolerance work: a run with an injected panic in one ETL step and a
-// transient SQL-engine error completes via retry + fallback, produces
-// cubes identical to the chase solution, leaks no goroutines, and its
-// Report lists every retry and fallback.
+// fatal SQL-engine error completes by falling back, produces cubes
+// identical to the chase solution, leaks no goroutines, and its Report
+// lists every fallback.
 func TestFaultToleranceEndToEnd(t *testing.T) {
 	data := workload.GDPSource(workload.GDPConfig{Days: 370, Regions: 3})
 	ref := chaseReference(t, data)
@@ -43,19 +42,11 @@ func TestFaultToleranceEndToEnd(t *testing.T) {
 	// the streaming runtime).
 	restore := faults.PanicETLStep("")
 	defer restore()
-	// Fault 2: the first SQL-engine attempt fails with a transient error.
+	// Fault 2: the first SQL-engine attempt fails.
 	inj := faults.NewInjector(faults.Fault{
-		Fragment: faults.AnyFragment, Attempt: 1, Target: ops.TargetSQL,
-		Kind: faults.Error, Class: exlerr.Transient,
+		Fragment: faults.AnyFragment, Target: ops.TargetSQL, Kind: faults.Error, Class: exlerr.Fatal,
 	})
-
-	var slept []time.Duration
-	e := newGDPEngine(t, data,
-		WithSleeper(func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		}),
-		WithDispatchMiddleware(inj.Middleware()))
+	e := newGDPEngine(t, data, WithDispatchMiddleware(inj.Middleware()))
 
 	before := runtime.NumGoroutine()
 	rep, err := e.Run(context.Background())
@@ -74,30 +65,28 @@ func TestFaultToleranceEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The report records the transient retry...
-	if rep.Retries != 1 {
-		t.Errorf("Retries = %d, want 1\n%+v", rep.Retries, rep.Fragments)
+	// The report records the SQL fallback...
+	if rep.Fallbacks != 2 || rep.Retries != 0 {
+		t.Errorf("Fallbacks = %d, Retries = %d, want 2 and 0\n%+v", rep.Fallbacks, rep.Retries, rep.Fragments)
 	}
-	var sawRetry bool
+	var sawSQLFallback bool
 	for _, fr := range rep.Fragments {
-		if len(fr.Attempts) >= 2 && fr.Attempts[0].Class == exlerr.Transient && fr.Attempts[0].Target == ops.TargetSQL {
-			sawRetry = true
-			if fr.Attempts[0].Backoff != dispatch.DefaultRetry.BaseDelay {
-				t.Errorf("first backoff = %v, want %v", fr.Attempts[0].Backoff, dispatch.DefaultRetry.BaseDelay)
-			}
-			if fr.Attempts[1].Attempt != 2 || fr.Attempts[1].Err != "" {
-				t.Errorf("retry attempt not recorded as success: %+v", fr.Attempts)
-			}
+		if fr.Primary != ops.TargetSQL || !fr.Degraded() {
+			continue
+		}
+		sawSQLFallback = true
+		if a := fr.Attempts[0]; a.Target != ops.TargetSQL || a.Class != exlerr.Fatal || a.Panic {
+			t.Errorf("first attempt = %+v, want the injected fatal sql error", a)
+		}
+		if len(fr.Attempts) != 2 || fr.Attempts[1].Target != fr.Final || fr.Attempts[1].Err != "" {
+			t.Errorf("fallback not recorded as one successful attempt: %+v", fr.Attempts)
 		}
 	}
-	if !sawRetry {
-		t.Errorf("no fragment records the transient SQL retry: %+v", rep.Fragments)
+	if !sawSQLFallback {
+		t.Errorf("no fragment records the SQL fallback: %+v", rep.Fragments)
 	}
 
 	// ...and the panic-driven fallback of the ETL fragment.
-	if rep.Fallbacks != 1 {
-		t.Errorf("Fallbacks = %d, want 1\n%+v", rep.Fallbacks, rep.Fragments)
-	}
 	var sawFallback bool
 	for _, fr := range rep.Fragments {
 		if fr.Primary != ops.TargetETL || !fr.Degraded() {
@@ -119,11 +108,6 @@ func TestFaultToleranceEndToEnd(t *testing.T) {
 	}
 	if !sawFallback {
 		t.Errorf("no fragment records the ETL degradation: %+v", rep.Fragments)
-	}
-
-	// Backoff used the injected sleeper, never the wall clock.
-	if len(slept) != 1 || slept[0] != dispatch.DefaultRetry.BaseDelay {
-		t.Errorf("slept = %v, want exactly one base delay", slept)
 	}
 	if len(inj.Fired()) != 1 {
 		t.Errorf("injector fired %d times, want 1", len(inj.Fired()))
@@ -151,9 +135,7 @@ func TestRunContextCancelled(t *testing.T) {
 // failing fragment fails the whole run and nothing is stored.
 func TestWithoutDegradationFailsRun(t *testing.T) {
 	data := workload.GDPSource(workload.GDPConfig{Days: 100, Regions: 2})
-	inj := faults.NewInjector(faults.Fault{
-		Fragment: 0, Kind: faults.Error, Class: exlerr.Fatal,
-	})
+	inj := faults.NewInjector(faults.Fault{Fragment: 0, Kind: faults.Error, Class: exlerr.Fatal})
 	e := newGDPEngine(t, data, WithoutDegradation(), WithDispatchMiddleware(inj.Middleware()))
 	if _, err := e.Run(context.Background()); err == nil {
 		t.Fatal("fatal fragment error with degradation off must fail the run")
@@ -170,23 +152,20 @@ func TestWithoutDegradationFailsRun(t *testing.T) {
 func TestDegradedParallelRunMatchesChase(t *testing.T) {
 	data := workload.GDPSource(workload.GDPConfig{Days: 370, Regions: 3})
 	ref := chaseReference(t, data)
-	// Every fragment's first attempt fails with a transient error.
+	// Every fragment's first attempt fails.
 	var faultPlan []faults.Fault
 	for i := 0; i < 8; i++ {
-		faultPlan = append(faultPlan, faults.Fault{
-			Fragment: i, Attempt: 1, Kind: faults.Error, Class: exlerr.Transient,
-		})
+		faultPlan = append(faultPlan, faults.Fault{Fragment: i, Kind: faults.Error, Class: exlerr.Fatal})
 	}
 	e := newGDPEngine(t, data,
 		WithParallelDispatch(),
-		WithSleeper(func(context.Context, time.Duration) error { return nil }),
 		WithDispatchMiddleware(faults.NewInjector(faultPlan...).Middleware()))
 	rep, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Retries == 0 {
-		t.Errorf("parallel run recorded no retries: %+v", rep.Fragments)
+	if rep.Fallbacks != len(rep.Fragments) {
+		t.Errorf("Fallbacks = %d, want one per fragment: %+v", rep.Fallbacks, rep.Fragments)
 	}
 	for _, rel := range []string{"PQR", "RGDP", "GDP", "GDPT", "PCHNG"} {
 		got, ok := e.Cube(rel)

@@ -130,19 +130,18 @@ func assertEnded(t *testing.T, s *obs.Span) {
 	}
 }
 
-// TestMetricsAgreeWithReport injects the acceptance faults (a transient
-// SQL error and an ETL panic) and checks that the metrics registry and
-// the run's FragmentReport tell the same story: same retry count, same
-// fallback count, same panic count, one fragment counter per completed
-// fragment.
+// TestMetricsAgreeWithReport injects the acceptance faults (a fatal SQL
+// error and an ETL panic) and checks that the metrics registry and the
+// run's FragmentReport tell the same story: same fallback count, same
+// panic count, one fragment counter per completed fragment, one attempt
+// span per target tried.
 func TestMetricsAgreeWithReport(t *testing.T) {
 	data := workload.GDPSource(workload.GDPConfig{Days: 200, Regions: 2})
 
 	restore := faults.PanicETLStep("")
 	defer restore()
 	inj := faults.NewInjector(faults.Fault{
-		Fragment: faults.AnyFragment, Attempt: 1, Target: ops.TargetSQL,
-		Kind: faults.Error, Class: exlerr.Transient,
+		Fragment: faults.AnyFragment, Target: ops.TargetSQL, Kind: faults.Error, Class: exlerr.Fatal,
 	})
 
 	metrics := obs.NewRegistry()
@@ -150,7 +149,6 @@ func TestMetricsAgreeWithReport(t *testing.T) {
 	e := newGDPEngine(t, data,
 		WithMetrics(metrics),
 		WithTracer(tracer),
-		WithSleeper(func(ctx context.Context, d time.Duration) error { return nil }),
 		WithDispatchMiddleware(inj.Middleware()))
 
 	rep, err := e.Run(context.Background())
@@ -164,10 +162,7 @@ func TestMetricsAgreeWithReport(t *testing.T) {
 	if got := metrics.Counter(obs.MetricRunErrors).Value(); got != 0 {
 		t.Errorf("%s = %d, want 0", obs.MetricRunErrors, got)
 	}
-	if got := counterSum(metrics, obs.MetricRetries); got != int64(rep.Retries) {
-		t.Errorf("retry counter = %d, report says %d", got, rep.Retries)
-	}
-	if got := counterSum(metrics, obs.MetricFallbacks); got != int64(rep.Fallbacks) {
+	if got := counterSum(metrics, obs.MetricFallbacks); rep.Fallbacks == 0 || got != int64(rep.Fallbacks) {
 		t.Errorf("fallback counter = %d, report says %d", got, rep.Fallbacks)
 	}
 	if got := counterSum(metrics, obs.MetricFragments); got != int64(len(rep.Fragments)) {
@@ -197,8 +192,8 @@ func TestMetricsAgreeWithReport(t *testing.T) {
 		}
 	}
 
-	// The trace shows the fault handling too: a backoff span for the
-	// retry and a failed ETL attempt before the fallback one.
+	// The trace shows the fault handling too: one attempt span per target
+	// tried, the failed ones before their fallbacks.
 	var run *obs.Span
 	for _, r := range tracer.Roots() {
 		if r.Name == "run" {
@@ -208,17 +203,18 @@ func TestMetricsAgreeWithReport(t *testing.T) {
 	if run == nil {
 		t.Fatal("no run root")
 	}
-	if len(run.FindAll("backoff")) != rep.Retries {
-		t.Errorf("backoff spans = %d, want %d", len(run.FindAll("backoff")), rep.Retries)
+	attempts := run.FindAll("attempt")
+	if want := len(rep.Fragments) + rep.Fallbacks; len(attempts) != want {
+		t.Errorf("attempt spans = %d, want one per target tried: %d", len(attempts), want)
 	}
-	sawFailedAttempt := false
-	for _, a := range run.FindAll("attempt") {
+	failed := 0
+	for _, a := range attempts {
 		if a.Err != "" {
-			sawFailedAttempt = true
+			failed++
 		}
 	}
-	if !sawFailedAttempt {
-		t.Error("no attempt span records an error under fault injection")
+	if failed != rep.Fallbacks {
+		t.Errorf("%d attempt spans record an error, want one per fallback: %d", failed, rep.Fallbacks)
 	}
 }
 

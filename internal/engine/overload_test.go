@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -178,71 +179,62 @@ func TestMemoryBudgetDegradesToSequential(t *testing.T) {
 	}
 }
 
-// TestBreakerSkipsFailingBackend: after a backend trips its breaker, the
-// next run skips it without burning its retry budget on it.
-func TestBreakerSkipsFailingBackend(t *testing.T) {
-	sqlDown := func(next dispatch.Runner) dispatch.Runner {
-		return func(ctx context.Context, fr dispatch.Fragment, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
-			if fr.Target == ops.TargetSQL {
-				return nil, exlerr.Fatalf("sql backend down")
-			}
-			return next(ctx, fr, snap)
-		}
+// TestAdmissionDoesNotChangeDispatch: an admission limit bounds how many
+// runs execute at once and nothing else. Under one injector that fails
+// every sql attempt, an engine with MaxConcurrentRuns tries the same
+// targets in the same order as a plain one, run after run, and still tries
+// sql on the last run however often it failed before.
+func TestAdmissionDoesNotChangeDispatch(t *testing.T) {
+	const runs = 6
+	fs := make([]faults.Fault, 128)
+	for i := range fs {
+		fs[i] = faults.Fault{Fragment: faults.AnyFragment, Target: ops.TargetSQL, Kind: faults.Error, Class: exlerr.Fatal}
 	}
-	e := newGDPEngine(t, smallGDP(),
-		WithBreakers(governor.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}),
-		WithDispatchMiddleware(sqlDown))
+	sqlDown := faults.NewInjector(fs...).Middleware()
+	plain := newGDPEngine(t, smallGDP(), WithDispatchMiddleware(sqlDown))
+	governed := newGDPEngine(t, smallGDP(), MaxConcurrentRuns(4), WithDispatchMiddleware(sqlDown))
 
-	rep1, err := e.Run(context.Background(), RunAt(time.Unix(1, 0)))
-	if err != nil {
-		t.Fatalf("first run must degrade around the sql failure: %v", err)
-	}
-	var sawSQLAttempt bool
-	for _, fr := range rep1.Fragments {
-		for _, a := range fr.Attempts {
-			if a.Target == ops.TargetSQL {
-				sawSQLAttempt = true
+	for run := 1; run <= runs; run++ {
+		asOf := RunAt(time.Unix(int64(run), 0))
+		want, err := plain.Run(context.Background(), asOf)
+		if err != nil {
+			t.Fatalf("run %d, plain engine: %v", run, err)
+		}
+		got, err := governed.Run(context.Background(), asOf)
+		if err != nil {
+			t.Fatalf("run %d, governed engine: %v", run, err)
+		}
+		if len(got.Fragments) != len(want.Fragments) {
+			t.Fatalf("run %d: %d fragments under admission, %d without", run, len(got.Fragments), len(want.Fragments))
+		}
+		sqlTried := false
+		for i := range want.Fragments {
+			if !reflect.DeepEqual(got.Fragments[i].Attempts, want.Fragments[i].Attempts) {
+				t.Fatalf("run %d fragment %d: attempts under admission %+v, without %+v",
+					run, i, got.Fragments[i].Attempts, want.Fragments[i].Attempts)
+			}
+			for _, a := range want.Fragments[i].Attempts {
+				if a.Target != ops.TargetSQL {
+					continue
+				}
+				sqlTried = true
+				if a.Err == "" {
+					t.Fatalf("run %d: an sql attempt succeeded; the injector ran out of faults", run)
+				}
 			}
 		}
-	}
-	if !sawSQLAttempt {
-		t.Skip("plan assigned no fragment to sql; nothing to trip")
-	}
-	if e.Governor().Breakers().State(ops.TargetSQL) != governor.BreakerOpen {
-		t.Fatalf("sql breaker state = %v after fatal failure, want open", e.Governor().Breakers().State(ops.TargetSQL))
-	}
-
-	rep2, err := e.Run(context.Background(), RunAt(time.Unix(2, 0)))
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	var skipped, attempted bool
-	for _, fr := range rep2.Fragments {
-		for _, tgt := range fr.SkippedOpen {
-			if tgt == ops.TargetSQL {
-				skipped = true
-			}
+		if run == runs && !sqlTried {
+			t.Errorf("run %d attempted no fragment on sql", run)
 		}
-		for _, a := range fr.Attempts {
-			if a.Target == ops.TargetSQL {
-				attempted = true
-			}
-		}
-	}
-	if !skipped {
-		t.Error("second run never skipped the open sql breaker")
-	}
-	if attempted {
-		t.Error("second run still attempted the tripped sql backend")
 	}
 }
 
 // TestOverloadChaosHarness is the acceptance scenario: a worker fleet at
-// twice the engine's admitted capacity, with injected backend faults,
-// must leave every run either completed or failed with a typed error —
-// while reserved memory stays under the budget, runs are shed with
-// overload errors rather than queued to death, and the goroutine count
-// returns to baseline.
+// four times the engine's admitted capacity, with injected backend faults,
+// must leave every run either completed (falling back around the faults)
+// or failed with a typed error — while reserved memory stays under the
+// budget, runs are shed with overload errors rather than queued to death,
+// and the goroutine count returns to baseline.
 func TestOverloadChaosHarness(t *testing.T) {
 	before := runtime.NumGoroutine()
 	data := smallGDP()
@@ -250,9 +242,9 @@ func TestOverloadChaosHarness(t *testing.T) {
 	var fs []faults.Fault
 	for i := 0; i < 8; i++ {
 		fs = append(fs,
-			faults.Fault{Fragment: faults.AnyFragment, Attempt: 1, Target: ops.TargetSQL, Kind: faults.Error, Class: exlerr.Transient},
-			faults.Fault{Fragment: faults.AnyFragment, Attempt: 1, Target: ops.TargetETL, Kind: faults.Error, Class: exlerr.Transient},
-			faults.Fault{Fragment: faults.AnyFragment, Attempt: 1, Target: ops.TargetFrame, Kind: faults.Panic},
+			faults.Fault{Fragment: faults.AnyFragment, Target: ops.TargetSQL, Kind: faults.Error, Class: exlerr.Fatal},
+			faults.Fault{Fragment: faults.AnyFragment, Target: ops.TargetETL, Kind: faults.Error, Class: exlerr.Fatal},
+			faults.Fault{Fragment: faults.AnyFragment, Target: ops.TargetFrame, Kind: faults.Panic},
 		)
 	}
 	inj := faults.NewInjector(fs...)
@@ -263,23 +255,22 @@ func TestOverloadChaosHarness(t *testing.T) {
 		MaxConcurrent: 2,
 		MaxQueue:      -1, // no queue: excess load sheds immediately
 		MemoryBudget:  budget,
-		Breaker:       governor.BreakerConfig{FailureThreshold: 4, Cooldown: 20 * time.Millisecond},
 	})
 	e := newGDPEngine(t, data,
 		WithGovernor(gov), WithMetrics(mx), WithParallelDispatch(),
-		WithSleeper(func(ctx context.Context, _ time.Duration) error { return ctx.Err() }),
 		WithDispatchMiddleware(inj.Middleware()))
 
-	var ok, shed, failed, untyped atomic.Int64
+	var ok, shed, failed, untyped, fallbacks atomic.Int64
 	cfg := workload.ConcurrentConfig{Workers: 8, Iters: 6} // 4x admitted capacity
 	_, werr := workload.RunConcurrently(context.Background(), cfg, func(ctx context.Context) error {
-		_, err := e.Run(ctx, RunAt(time.Unix(1, 0)))
+		rep, err := e.Run(ctx, RunAt(time.Unix(1, 0)))
 		switch {
 		case err == nil:
 			ok.Add(1)
+			fallbacks.Add(int64(rep.Fallbacks))
 		case exlerr.IsOverload(err):
 			shed.Add(1)
-		case exlerr.ClassOf(err) == exlerr.Transient || exlerr.ClassOf(err) == exlerr.Fatal:
+		case exlerr.ClassOf(err) == exlerr.Fatal:
 			// A classified dispatch failure (injected faults can exhaust
 			// every fallback): typed, so acceptable under chaos.
 			failed.Add(1)
@@ -304,6 +295,12 @@ func TestOverloadChaosHarness(t *testing.T) {
 	}
 	if shed.Load() == 0 {
 		t.Error("no run was shed at 4x capacity with no queue")
+	}
+	if fallbacks.Load() == 0 {
+		t.Error("no completed run fell back around the injected faults")
+	}
+	if got := counterSum(mx, obs.MetricFallbacks); got < fallbacks.Load() {
+		t.Errorf("fallback counter = %d, completed runs' reports say %d", got, fallbacks.Load())
 	}
 	if peak := gov.MemPeak(); peak <= 0 || peak > budget {
 		t.Errorf("MemPeak = %d, want within (0, %d]", peak, budget)

@@ -1,9 +1,9 @@
-// Package exlerr defines the typed error taxonomy of the fault-tolerant
-// dispatcher. Every failure surfaced by a target engine is classified as
-// Transient (worth retrying on the same target), Fatal (the target cannot
-// execute this fragment — degrade to another target), or EgdViolation (the
-// data itself violates a functionality egd, so every target would fail the
-// same way and neither retry nor fallback can help).
+// Package exlerr defines the typed error taxonomy of the dispatcher. Every
+// failure surfaced by a target engine is classified as Fatal (this target
+// cannot execute the fragment — degrade to the next one the support matrix
+// permits), EgdViolation (the data itself violates a functionality egd, so
+// every target would fail the same way and fallback cannot help), or
+// Overload (the engine shed the work before attempting it).
 package exlerr
 
 import (
@@ -19,29 +19,25 @@ type Class int
 
 // Failure classes, ordered by increasing permanence.
 const (
-	// Transient failures are expected to succeed on retry (connection
-	// resets, snapshot races, overload shedding).
-	Transient Class = iota
-	// Fatal failures are permanent on this target (translation gaps,
-	// panics, missing native support) but another target may succeed.
-	Fatal
+	// Fatal failures end the attempt on this target (translation gaps,
+	// panics, missing native support, an expired fragment timeout), but
+	// another target may succeed.
+	Fatal Class = iota
 	// EgdViolation means the source data violates a functionality egd;
 	// the failure is a property of the data-exchange setting, not of the
-	// engine, so no retry or fallback can repair it.
+	// engine, so no fallback can repair it.
 	EgdViolation
 	// Overload means the engine shed the work to protect itself:
 	// admission queue full, deadline unmeetable, memory budget exceeded,
-	// or every permitted backend's circuit breaker open. The work was
-	// never attempted — the caller may resubmit later, but the engine
-	// itself will not retry or degrade (doing so is what it is shedding).
+	// or shutting down. The work was never attempted — the caller may
+	// resubmit later, but the engine itself will not degrade it (doing so
+	// is what it is shedding).
 	Overload
 )
 
 // String renders the class for reports and logs.
 func (c Class) String() string {
 	switch c {
-	case Transient:
-		return "transient"
 	case Fatal:
 		return "fatal"
 	case EgdViolation:
@@ -71,11 +67,6 @@ func New(class Class, err error) error {
 		return nil
 	}
 	return &Error{Class: class, Err: err}
-}
-
-// Transientf builds a classified transient error from a format string.
-func Transientf(format string, args ...any) error {
-	return &Error{Class: Transient, Err: fmt.Errorf(format, args...)}
 }
 
 // Fatalf builds a classified fatal error from a format string.
@@ -118,8 +109,8 @@ func IsPanic(err error) bool {
 }
 
 // IsCancellation reports whether the error stems from context
-// cancellation or deadline expiry. Cancellation is not a target failure:
-// the dispatcher must stop, not retry or degrade.
+// cancellation or deadline expiry. A cancelled run is not a target
+// failure: the dispatcher must stop, not degrade.
 func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -127,8 +118,8 @@ func IsCancellation(err error) bool {
 // ClassOf classifies an arbitrary error: explicit Error wrappers keep
 // their class, functionality-egd violations (model.ErrFunctional, which
 // chase.ErrChaseFailure aliases) are EgdViolation, and everything else —
-// including unwrapped engine errors — defaults to Fatal, the conservative
-// choice (no blind retry of unknown failures).
+// including unwrapped engine errors and an expired fragment timeout —
+// defaults to Fatal.
 func ClassOf(err error) Class {
 	var e *Error
 	if errors.As(err, &e) {

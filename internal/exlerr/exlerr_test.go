@@ -16,15 +16,15 @@ func TestClassOf(t *testing.T) {
 		err  error
 		want Class
 	}{
-		{New(Transient, base), Transient},
 		{New(Fatal, base), Fatal},
 		{New(EgdViolation, base), EgdViolation},
-		{Transientf("t %d", 1), Transient},
 		{Fatalf("f %d", 2), Fatal},
+		{Overloadf("o %d", 3), Overload},
 		{base, Fatal},
+		{context.DeadlineExceeded, Fatal},
 		{model.ErrFunctional, EgdViolation},
 		{fmt.Errorf("put: %w", model.ErrFunctional), EgdViolation},
-		{fmt.Errorf("outer: %w", New(Transient, base)), Transient},
+		{fmt.Errorf("outer: %w", New(Overload, base)), Overload},
 	}
 	for i, c := range cases {
 		if got := ClassOf(c.err); got != c.want {
@@ -34,14 +34,14 @@ func TestClassOf(t *testing.T) {
 }
 
 func TestNewNil(t *testing.T) {
-	if New(Transient, nil) != nil {
+	if New(Fatal, nil) != nil {
 		t.Error("New(class, nil) must be nil")
 	}
 }
 
 func TestUnwrap(t *testing.T) {
 	base := errors.New("boom")
-	err := New(Transient, fmt.Errorf("wrap: %w", base))
+	err := New(Fatal, fmt.Errorf("wrap: %w", base))
 	if !errors.Is(err, base) {
 		t.Error("classified error must unwrap to its cause")
 	}
@@ -86,7 +86,7 @@ func TestIsCancellation(t *testing.T) {
 }
 
 func TestClassString(t *testing.T) {
-	if Transient.String() != "transient" || Fatal.String() != "fatal" || EgdViolation.String() != "egd-violation" {
+	if Fatal.String() != "fatal" || EgdViolation.String() != "egd-violation" || Overload.String() != "overload" {
 		t.Error("class names changed")
 	}
 }

@@ -1,10 +1,9 @@
 // Package faults is a deterministic fault-injection harness for the
-// fault-tolerant dispatcher: an Injector wraps fragment execution (as
-// dispatch middleware) and fires scripted or seeded faults — classified
-// errors, panics, or delays — at chosen fragment indices and attempt
-// numbers. Runs are reproducible: the same fault plan (or the same seed)
-// always perturbs the same attempts, so degraded executions can be
-// asserted against the chase solution in tests.
+// dispatcher: an Injector wraps fragment execution (as dispatch
+// middleware) and fires scripted faults — classified errors, panics, or
+// delays — at chosen fragment indices and targets. Runs are reproducible:
+// the same fault plan always perturbs the same attempts, so degraded
+// executions can be asserted against the chase solution in tests.
 package faults
 
 import (
@@ -54,8 +53,6 @@ const AnyFragment = -1
 type Fault struct {
 	// Fragment is the fragment index to hit, or AnyFragment.
 	Fragment int
-	// Attempt is the 1-based attempt number to hit; 0 means any attempt.
-	Attempt int
 	// Target restricts the fault to attempts on one engine; empty means
 	// any target.
 	Target ops.Target
@@ -71,7 +68,6 @@ type Fault struct {
 type Fired struct {
 	Fault    Fault
 	Fragment int
-	Attempt  int
 	Target   ops.Target
 }
 
@@ -87,13 +83,6 @@ type Injector struct {
 // once, in declaration order (the first matching unfired fault wins).
 func NewInjector(faults ...Fault) *Injector {
 	return &Injector{faults: faults, used: make([]bool, len(faults))}
-}
-
-// TransientOnce is the canonical crosscheck injector: exactly one
-// transient error on the first attempt of the chosen fragment. Pick the
-// fragment deterministically from a seed with fragment = seed % plan size.
-func TransientOnce(fragment int) *Injector {
-	return NewInjector(Fault{Fragment: fragment, Attempt: 1, Kind: Error, Class: exlerr.Transient})
 }
 
 // Fired returns the faults that fired, in firing order.
@@ -114,14 +103,11 @@ func (in *Injector) take(fr dispatch.Fragment) (Fault, bool) {
 		if f.Fragment != AnyFragment && f.Fragment != fr.Index {
 			continue
 		}
-		if f.Attempt != 0 && f.Attempt != fr.Attempt {
-			continue
-		}
 		if f.Target != "" && f.Target != fr.Target {
 			continue
 		}
 		in.used[i] = true
-		in.fired = append(in.fired, Fired{Fault: f, Fragment: fr.Index, Attempt: fr.Attempt, Target: fr.Target})
+		in.fired = append(in.fired, Fired{Fault: f, Fragment: fr.Index, Target: fr.Target})
 		return f, true
 	}
 	return Fault{}, false
@@ -139,9 +125,9 @@ func (in *Injector) Middleware() dispatch.Middleware {
 			switch f.Kind {
 			case Error:
 				return nil, exlerr.New(f.Class,
-					fmt.Errorf("faults: injected %s error on fragment %d attempt %d (%s)", f.Class, fr.Index, fr.Attempt, fr.Target))
+					fmt.Errorf("faults: injected %s error on fragment %d (%s)", f.Class, fr.Index, fr.Target))
 			case Panic:
-				panic(fmt.Sprintf("faults: injected panic on fragment %d attempt %d (%s)", fr.Index, fr.Attempt, fr.Target))
+				panic(fmt.Sprintf("faults: injected panic on fragment %d (%s)", fr.Index, fr.Target))
 			case Delay:
 				t := time.NewTimer(f.Delay)
 				defer t.Stop()

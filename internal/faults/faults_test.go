@@ -17,33 +17,32 @@ func ok(ctx context.Context, fr dispatch.Fragment, snap map[string]*model.Cube) 
 	return map[string]*model.Cube{}, nil
 }
 
-func TestInjectErrorMatchesFragmentAttemptTarget(t *testing.T) {
+func TestInjectErrorMatchesFragmentAndTarget(t *testing.T) {
 	in := NewInjector(
-		Fault{Fragment: 1, Attempt: 2, Target: ops.TargetSQL, Kind: Error, Class: exlerr.Transient},
+		Fault{Fragment: 1, Target: ops.TargetSQL, Kind: Error, Class: exlerr.EgdViolation},
 	)
 	run := in.Middleware()(ok)
 
 	// Non-matching calls pass through.
 	for _, fr := range []dispatch.Fragment{
-		{Index: 0, Attempt: 2, Target: ops.TargetSQL},
-		{Index: 1, Attempt: 1, Target: ops.TargetSQL},
-		{Index: 1, Attempt: 2, Target: ops.TargetETL},
+		{Index: 0, Target: ops.TargetSQL},
+		{Index: 1, Target: ops.TargetETL},
 	} {
 		if _, err := run(context.Background(), fr, nil); err != nil {
 			t.Fatalf("fault fired on non-matching %+v: %v", fr, err)
 		}
 	}
 	// The matching call fires once.
-	_, err := run(context.Background(), dispatch.Fragment{Index: 1, Attempt: 2, Target: ops.TargetSQL}, nil)
-	if err == nil || exlerr.ClassOf(err) != exlerr.Transient {
-		t.Fatalf("err = %v, want injected transient", err)
+	_, err := run(context.Background(), dispatch.Fragment{Index: 1, Target: ops.TargetSQL}, nil)
+	if err == nil || exlerr.ClassOf(err) != exlerr.EgdViolation {
+		t.Fatalf("err = %v, want the injected egd violation", err)
 	}
 	// And never again.
-	if _, err := run(context.Background(), dispatch.Fragment{Index: 1, Attempt: 2, Target: ops.TargetSQL}, nil); err != nil {
+	if _, err := run(context.Background(), dispatch.Fragment{Index: 1, Target: ops.TargetSQL}, nil); err != nil {
 		t.Fatalf("fault fired twice: %v", err)
 	}
 	fired := in.Fired()
-	if len(fired) != 1 || fired[0].Fragment != 1 || fired[0].Attempt != 2 || fired[0].Target != ops.TargetSQL {
+	if len(fired) != 1 || fired[0].Fragment != 1 || fired[0].Target != ops.TargetSQL {
 		t.Errorf("fired log = %+v", fired)
 	}
 }
@@ -60,7 +59,7 @@ func TestInjectPanic(t *testing.T) {
 			t.Errorf("panic value = %v", r)
 		}
 	}()
-	_, _ = run(context.Background(), dispatch.Fragment{Index: 3, Attempt: 1, Target: ops.TargetFrame}, nil)
+	_, _ = run(context.Background(), dispatch.Fragment{Index: 3, Target: ops.TargetFrame}, nil)
 }
 
 func TestInjectDelayRespectsCancellation(t *testing.T) {
@@ -69,22 +68,11 @@ func TestInjectDelayRespectsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := run(ctx, dispatch.Fragment{Index: 0, Attempt: 1}, nil)
+	_, err := run(ctx, dispatch.Fragment{Index: 0}, nil)
 	if !exlerr.IsCancellation(err) {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
 	if time.Since(start) > time.Second {
 		t.Error("delay fault ignored cancellation")
-	}
-}
-
-func TestTransientOnce(t *testing.T) {
-	in := TransientOnce(2)
-	run := in.Middleware()(ok)
-	if _, err := run(context.Background(), dispatch.Fragment{Index: 2, Attempt: 1}, nil); err == nil {
-		t.Fatal("fault must fire on fragment 2, attempt 1")
-	}
-	if _, err := run(context.Background(), dispatch.Fragment{Index: 2, Attempt: 2}, nil); err != nil {
-		t.Fatalf("retry must succeed: %v", err)
 	}
 }

@@ -1,19 +1,18 @@
 // Package governor is EXLEngine's resource-governance and
 // overload-protection layer: every run passes through it before touching
-// the dispatcher or the store. It bounds three things the rest of the
+// the dispatcher or the store. It bounds two things the rest of the
 // engine deliberately leaves unbounded —
 //
 //   - concurrency, through a weighted admission semaphore with a bounded
 //     FIFO wait queue and deadline-aware shedding (a run whose context
 //     deadline cannot be met by the estimated queue wait is rejected
 //     immediately instead of queued to die);
-//   - memory, through per-run and process-wide budgets charged at cube
+//   - memory, through a process-wide budget charged at cube
 //     materialization and released on run completion, so a run too large
 //     for the budget is rejected or degraded rather than OOM-ing the
-//     process;
-//   - failure amplification, through per-backend circuit breakers (see
-//     breaker.go) fed by the dispatch error taxonomy, so a flapping
-//     backend is probed by one run instead of hammered by all of them.
+//     process.
+//
+// It never changes which targets a run's fragments are tried on.
 //
 // Every rejection is a typed exlerr.Overload error: callers can
 // distinguish "the engine shed this" from "this failed" mechanically.
@@ -45,14 +44,14 @@ var (
 	// engine no longer admits work.
 	ErrShuttingDown = exlerr.Overloadf("governor: engine is shutting down")
 	// ErrMemoryBudget is returned when a run's estimated materialization
-	// does not fit the per-run or process-wide memory budget.
+	// does not fit the process-wide memory budget.
 	ErrMemoryBudget = exlerr.Overloadf("governor: memory budget exceeded")
 )
 
 // Config parameterizes a Governor. The zero value governs nothing: every
-// run is admitted immediately, no budget is enforced, and the breakers
-// use their defaults — but in-flight runs are still tracked, so Shutdown
-// drains correctly even on an unconfigured engine.
+// run is admitted immediately and no budget is enforced — but in-flight
+// runs are still tracked, so Shutdown drains correctly even on an
+// unconfigured engine.
 type Config struct {
 	// MaxConcurrent is the admission capacity in weight units (a plain
 	// run has weight 1). Zero or negative: unlimited.
@@ -68,8 +67,6 @@ type Config struct {
 	// queue check uses before any run has completed. Zero: no estimate,
 	// so early runs are only shed on already-expired deadlines.
 	AvgRunHint time.Duration
-	// Breaker configures the per-backend circuit breakers.
-	Breaker BreakerConfig
 }
 
 // waiter is one queued admission request.
@@ -83,8 +80,7 @@ type waiter struct {
 // methods are safe for concurrent use. A nil Governor admits everything
 // and budgets nothing (every method no-ops), so callers need not branch.
 type Governor struct {
-	cfg      Config
-	breakers *BreakerSet
+	cfg Config
 
 	mu          chan struct{} // 1-buffered semaphore used as the state lock
 	avail       int64         // remaining admission capacity
@@ -124,27 +120,16 @@ func New(cfg Config) *Governor {
 	if cfg.MaxConcurrent > 0 {
 		g.avail = int64(cfg.MaxConcurrent)
 	}
-	g.breakers = newBreakerSet(cfg.Breaker, func() time.Time { return g.now() })
 	return g
 }
 
-// SetMetrics attaches a metrics registry; admission, queue-depth, memory
-// and breaker-state instruments accumulate there. Nil records nothing.
+// SetMetrics attaches a metrics registry; admission, queue-depth and
+// memory instruments accumulate there. Nil records nothing.
 func (g *Governor) SetMetrics(m *obs.Registry) {
 	if g == nil {
 		return
 	}
 	g.metrics = m
-	g.breakers.metrics = m
-}
-
-// Breakers returns the governor's per-backend circuit breakers (never
-// nil on a non-nil governor).
-func (g *Governor) Breakers() *BreakerSet {
-	if g == nil {
-		return nil
-	}
-	return g.breakers
 }
 
 // lock/unlock implement the state mutex. A channel-based mutex (instead

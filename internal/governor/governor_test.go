@@ -310,7 +310,7 @@ func TestNilGovernor(t *testing.T) {
 	if err := g.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if g.InFlight() != 0 || g.MemUsed() != 0 || g.Breakers() != nil {
+	if g.InFlight() != 0 || g.MemUsed() != 0 {
 		t.Fatal("nil governor leaked state")
 	}
 }

@@ -15,7 +15,7 @@ import (
 //	  determine 1ms {cubes=5 fragments=2}
 //	  dispatch 3ms {fragments=2 parallel=true}
 //	    fragment 2ms {index=0 cubes=GDP target=sql}
-//	      attempt 1ms {target=sql n=1} !transient: connection reset
+//	      attempt 1ms {target=sql} !fatal: sql engine: no such table
 //
 // Failed spans carry a `!class: message` suffix. A nil tracer writes
 // nothing.

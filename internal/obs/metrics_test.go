@@ -95,15 +95,15 @@ func TestLabel(t *testing.T) {
 func TestWriteTextSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(Label(MetricFragments, "target", "sql")).Add(2)
-	r.Counter(MetricRetries).Inc()
+	r.Counter(MetricFallbacks).Inc()
 	r.Gauge("engine_plan_cubes").Set(5)
 	r.Histogram(Label(MetricTargetLatency, "target", "sql")).Observe(0.9)
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := "counter dispatch_fragments_total{target=sql} 2\n" +
-		"counter dispatch_retries_total 1\n" +
+	want := "counter dispatch_fallbacks_total 1\n" +
+		"counter dispatch_fragments_total{target=sql} 2\n" +
 		"gauge engine_plan_cubes 5\n" +
 		"histogram target_latency_ms{target=sql} count=1 sum=0.900 p50=1 p95=1 p99=1\n"
 	if buf.String() != want {

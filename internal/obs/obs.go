@@ -146,10 +146,8 @@ const (
 	// MetricFragments counts fragments completed, labelled by the target
 	// that finally executed them.
 	MetricFragments = "dispatch_fragments_total"
-	// MetricRetries counts same-target retries of transient failures.
-	MetricRetries = "dispatch_retries_total"
-	// MetricFallbacks counts fallback targets tried after a target was
-	// exhausted.
+	// MetricFallbacks counts fallback targets tried after a target
+	// failed.
 	MetricFallbacks = "dispatch_fallbacks_total"
 	// MetricEgdViolations counts attempts that failed on a functionality
 	// egd violation.
@@ -214,14 +212,6 @@ const (
 	// MetricMemDegraded counts runs degraded (parallel dispatch off) to
 	// fit the memory budget instead of being rejected.
 	MetricMemDegraded = "governor_mem_degraded_total"
-	// MetricBreakerState is a per-target gauge of circuit-breaker state:
-	// 0 closed, 1 half-open, 2 open.
-	MetricBreakerState = "breaker_state"
-	// MetricBreakerTrips counts closed→open transitions, per target.
-	MetricBreakerTrips = "breaker_trips_total"
-	// MetricBreakerSkips counts fragment targets skipped by the dispatcher
-	// because their breaker was open, per target.
-	MetricBreakerSkips = "dispatch_breaker_skips_total"
 	// MetricSQLRuleApplies counts analyzer rule applications that changed
 	// the plan, labelled by rule.
 	MetricSQLRuleApplies = "sql_analyzer_rule_applies_total"

@@ -85,7 +85,7 @@ type Span struct {
 	Attrs []Attr
 	// Err and Class describe the failure the span ended with; both are
 	// empty for successful spans. Class is the exlerr taxonomy class
-	// ("transient", "fatal", "egd-violation") or "cancelled".
+	// ("fatal", "egd-violation", "overload") or "cancelled".
 	Err   string
 	Class string
 

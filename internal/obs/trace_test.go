@@ -42,7 +42,7 @@ func buildTrace() *Tracer {
 
 	fctx, frag := StartSpan(rctx, "fragment", Int("index", 0), Strings("cubes", []string{"GDP", "PQR"}), String("target", "sql"))
 	_, att1 := StartSpan(fctx, "attempt", String("target", "sql"), Int("n", 1))
-	att1.EndErr(exlerr.New(exlerr.Transient, errors.New("connection reset")))
+	att1.EndErr(exlerr.New(exlerr.Fatal, errors.New("connection reset")))
 	_, back := StartSpan(fctx, "backoff", Dur("delay", 10*time.Millisecond))
 	back.End()
 	_, att2 := StartSpan(fctx, "attempt", String("target", "sql"), Int("n", 2))
