@@ -347,7 +347,7 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				snap, _, _ := st.SnapshotWithGenerations()
+				snap, _, _, _ := st.SnapshotWithGenerations()
 				if snap["S"] == nil {
 					b.Fatal("missing cube")
 				}

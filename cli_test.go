@@ -284,3 +284,54 @@ func TestExlrunObservability(t *testing.T) {
 		}
 	}
 }
+
+// TestExlrunIncrementalAcrossInvocations: with -store, what each derived
+// version was computed from is on disk, so -incremental is incremental
+// across invocations: after one CSV row is edited, the second exlrun
+// maintains its fragments from the deltas instead of finding no previous
+// version, or an input moved without a delta.
+func TestExlrunIncrementalAcrossInvocations(t *testing.T) {
+	bin := buildTools(t)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "prog.exl")
+	if err := os.WriteFile(src, []byte(cliProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pdr := "d,r,p\n2001-03-30,north,10\n2001-03-31,north,20\n2001-04-01,north,30\n2001-04-02,north,40\n"
+	files := map[string]string{"PDR.csv": pdr, "RGDPPC.csv": "q,r,g\n2001-Q1,north,2\n2001-Q2,north,4\n"}
+	run := func() string {
+		t.Helper()
+		for name, body := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := exec.Command(filepath.Join(bin, "exlrun"), "-program", src, "-data", dir,
+			"-out", filepath.Join(dir, "out"), "-store", filepath.Join(dir, "store"), "-incremental", "-report").CombinedOutput()
+		if err != nil {
+			t.Fatalf("exlrun: %v\n%s", err, out)
+		}
+		return string(out)
+	}
+	if first := run(); !strings.Contains(first, "no previous version of") {
+		t.Fatalf("the first invocation has no previous versions to maintain, yet reports:\n%s", first)
+	}
+	files["PDR.csv"] = strings.Replace(pdr, "north,30", "north,33", 1)
+	second := run()
+	for _, reason := range []string{"no previous version of", "changed without a usable delta"} {
+		if strings.Contains(second, reason) {
+			t.Errorf("the second invocation reports %q:\n%s", reason, second)
+		}
+	}
+	if !strings.Contains(second, "(maintained)") {
+		t.Errorf("the second invocation maintains nothing:\n%s", second)
+	}
+	gdp, err := os.ReadFile(filepath.Join(dir, "out", "GDP.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// GDP(2001-Q2) = avg(33, 40) * 4 = 146.
+	if !strings.Contains(string(gdp), "2001-Q2,146") {
+		t.Errorf("GDP.csv after the edit:\n%s", gdp)
+	}
+}

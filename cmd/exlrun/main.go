@@ -9,12 +9,13 @@
 //	       [-max-concurrent n] [-mem-budget bytes] [-incremental]
 //
 // Runs can be delta-driven: with -incremental, a cube whose inputs have
-// not changed since it was last computed (same engine process, e.g. with
-// -store across invocations within one process embedding) is skipped
-// outright, and a changed input propagates through the mappings as a
-// tuple-level delta wherever the operators allow, recomputing only the
-// affected output points (see engine.WithIncremental for the exactness
-// contract).
+// not changed since it was last computed is skipped outright, and a changed
+// input propagates through the mappings as a tuple-level delta wherever the
+// operators allow, recomputing only the affected output points (see
+// engine.WithIncremental for the exactness contract). The store records
+// what each result was computed from, so with -store, -incremental is
+// incremental across invocations: the next exlrun over the same store
+// maintains the results of the last one.
 //
 // The data directory must contain one <CUBE>.csv file per elementary cube,
 // with a header naming the dimensions (in declaration order) followed by

@@ -2,16 +2,21 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"exlengine/internal/dispatch"
 	"exlengine/internal/faults"
 	"exlengine/internal/model"
 	"exlengine/internal/obs"
 	"exlengine/internal/ops"
 	"exlengine/internal/store/durable"
+	"exlengine/internal/workload"
 )
 
 // durablePanel opens a durable store behind a byte-counting filesystem,
@@ -241,4 +246,117 @@ func BenchmarkDurableIncrementalCommit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(fs.BytesWritten()-bytes0)/float64(b.N), "disk-B/op")
+}
+
+// TestRestartIsInvisibleToIncrementalRuns: the store is the one record of
+// what each derived version was computed from, so an incremental run after
+// a close and durable.Open, on a new engine with the program registered
+// again, does what it would have done on the engine that made the versions.
+// For GDP and for the chain program over a durable store: a full run, then
+// one churned input; then (a) the incremental run on the same engine, and
+// (b) the same run after the restart, with or without a compaction before
+// the close. The two plan and maintain alike, fragment for fragment, and
+// store the same bytes.
+func TestRestartIsInvisibleToIncrementalRuns(t *testing.T) {
+	ctx := context.Background()
+	gdp := workload.GDPSource(workload.GDPConfig{Days: 200, Regions: 3, Seed: 9})
+	t0, t1 := panelDay(0), panelDay(1)
+	for _, tc := range []struct {
+		program, src string
+		inputs       []*model.Cube
+		derived      []string
+	}{
+		{"gdp", workload.GDPProgram, []*model.Cube{gdp["PDR"], gdp["RGDPPC"]}, gdpDerived},
+		{"chain", chainProgram, []*model.Cube{quarterCube(t, 40)}, []string{"B", "C"}},
+	} {
+		// setup leaves in dir the state both runs start from.
+		setup := func(dir string) (*Engine, *durable.Store) {
+			t.Helper()
+			st, err := durable.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New(WithStore(st))
+			if err := e.RegisterProgram(tc.program, tc.src); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range tc.inputs {
+				if err := e.PutCube(c, t0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := e.Run(ctx, RunAt(t0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.PutCube(churn(t, tc.inputs[0], true), t1); err != nil {
+				t.Fatal(err)
+			}
+			return e, st
+		}
+		outputs := func(e *Engine) map[string]string {
+			t.Helper()
+			out := map[string]string{}
+			for _, name := range tc.derived {
+				var b strings.Builder
+				if err := e.WriteCSV(name, &b); err != nil {
+					t.Fatal(err)
+				}
+				out[name] = b.String()
+			}
+			return out
+		}
+
+		same, sameSt := setup(t.TempDir())
+		want, err := same.Run(ctx, RunAt(t1), WithIncremental())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(want.Fragments, func(fr dispatch.FragmentReport) bool { return fr.Mode == dispatch.ModeMaintained }) {
+			t.Fatalf("%s: the run on the same engine maintains nothing: %+v", tc.program, want.Fragments)
+		}
+		for _, compact := range []bool{false, true} {
+			dir := t.TempDir()
+			_, st := setup(dir)
+			if compact {
+				if err := st.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := durable.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New(WithStore(re))
+			if err := e.RegisterProgram(tc.program, tc.src); err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Run(ctx, RunAt(t1), WithIncremental())
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s, compact %v", tc.program, compact)
+			if !slices.Equal(got.Plan, want.Plan) || !slices.Equal(got.Skipped, want.Skipped) || len(got.Fragments) != len(want.Fragments) {
+				t.Fatalf("%s: after the restart plan %v, skipped %v, %d fragments; on the same engine %v, %v, %d",
+					label, got.Plan, got.Skipped, len(got.Fragments), want.Plan, want.Skipped, len(want.Fragments))
+			}
+			for i, fr := range got.Fragments {
+				if w := want.Fragments[i]; !slices.Equal(fr.Cubes, w.Cubes) || fr.Mode != w.Mode || fr.FallbackReason != w.FallbackReason {
+					t.Errorf("%s: fragment %v is %s (%q) after the restart, %v %s (%q) on the same engine",
+						label, fr.Cubes, fr.Mode, fr.FallbackReason, w.Cubes, w.Mode, w.FallbackReason)
+				}
+			}
+			if !maps.Equal(outputs(e), outputs(same)) {
+				t.Errorf("%s: the outputs after the restart are not the bytes the same engine stored", label)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sameSt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -53,15 +53,17 @@ type CubeStore interface {
 	// differs from the one it supersedes; the store checks that claim by
 	// the identity of the cubes at both ends, never by trust, and then
 	// logs and keeps the delta instead of diffing (see store.PutAllGen).
-	PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, asOf time.Time) (store.Commit, error)
+	// provs records what each version was computed from.
+	PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, provs map[string]*store.Provenance, asOf time.Time) (store.Commit, error)
 	// Get returns the current version of the cube, frozen and shared.
 	Get(name string) (*model.Cube, bool)
 	// GetAsOf returns the version valid at instant t.
 	GetAsOf(name string, t time.Time) (*model.Cube, bool)
 	// SnapshotWithGenerations returns, atomically, the current version
-	// of every cube, the write generation the snapshot was taken at, and
-	// the generation each cube's current version was written at.
-	SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64)
+	// of every cube, the write generation the snapshot was taken at, the
+	// generation each cube's current version was written at, and the
+	// provenance of each current version that has one.
+	SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64, map[string]*store.Provenance)
 	// Delta diffs a cube's current version against the version that was
 	// visible at sinceGen. It returns store.ErrDeltaUnavailable (wrapped)
 	// when history no longer supports the reconstruction.
@@ -91,11 +93,6 @@ type Engine struct {
 	govCfg   governor.Config // accumulated by governor options until New builds gov
 	cache    *CompileCache
 	cacheSet bool // WithCompileCache was used (nil means "disable caching")
-
-	// memoMu guards memo, the per-derived-cube record of the input
-	// generations it was last computed at (incremental runs).
-	memoMu sync.Mutex
-	memo   map[string]*cubeMemo
 
 	storeClosed bool // Shutdown closed the store already
 }
@@ -451,10 +448,9 @@ type Report struct {
 	// MemDegraded reports that parallel dispatch was turned off for this
 	// run to fit the memory budget.
 	MemDegraded bool
-	// Incremental reports that the run was delta-driven (WithIncremental
-	// on a delta-capable store); Skipped lists the derived cubes it did
-	// not recompute because their memoized input generations were
-	// current.
+	// Incremental reports that the run was delta-driven (WithIncremental);
+	// Skipped lists the derived cubes it did not recompute because the
+	// provenance of their stored versions was current.
 	Incremental bool
 	Skipped     []string
 	Elapsed     time.Duration
@@ -504,8 +500,8 @@ func RunMetered(m *obs.Registry) RunOption {
 	return func(c *runConfig) { c.metrics = m }
 }
 
-// WithIncremental makes the run delta-driven: derived cubes whose
-// memoized input generations are still current are skipped outright.
+// WithIncremental makes the run delta-driven: derived cubes whose stored
+// versions' provenance is still current are skipped outright.
 // For the rest, a fragment whose moved inputs all have a store delta and
 // whose relations all have a trusted previous version has those deltas
 // applied by the compiled chase, whatever target it is assigned to; any
@@ -645,9 +641,14 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 
 	// The snapshot shares the store's frozen cube versions: taking it
 	// costs O(#cubes), not O(tuples), and the generation stamps which
-	// store state the run read. The per-cube generations are what the
-	// staleness walk, the delta queries and the memos run against.
-	snap, gen, cubeGens := st.SnapshotWithGenerations()
+	// store state the run read. The per-cube generations and provenances
+	// are what the staleness walk and the delta queries run against, and
+	// the generations what the results' provenance records.
+	snap, gen, cubeGens, provs := st.SnapshotWithGenerations()
+	stmts := make(map[string]uint64, len(plan))
+	for _, ref := range plan {
+		stmts[ref.Cube()] = stmtPrint(tgds(ref.Cube()))
+	}
 
 	// Incremental mode: walk the dependency graph in plan order, keep
 	// only the stale cubes, and build the delta front the dispatcher
@@ -655,7 +656,7 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	var incrPlan *dispatch.IncrPlan
 	var skippedCubes []string
 	if cfg.incremental {
-		plan, skippedCubes, incrPlan = e.pruneStale(graph, plan, snap, cubeGens, st)
+		plan, skippedCubes, incrPlan = pruneStale(graph, plan, snap, cubeGens, provs, stmts, st)
 		obs.MetricsFrom(ctx).Counter(obs.MetricIncrSkippedCubes).Add(int64(len(skippedCubes)))
 		detSpan.SetAttr(obs.Int("skipped", len(skippedCubes)))
 		if len(plan) == 0 {
@@ -700,11 +701,15 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// targets materialize — estimated from the input working set. When
 	// the full-parallel estimate (every wave's intermediates live at
 	// once) does not fit, degrade to sequential dispatch at half the
-	// estimate before rejecting the run outright.
+	// estimate before rejecting the run outright. A sequential engine
+	// reserves the half from the start and has nothing to degrade.
 	memDegraded := false
 	if est := model.MemEstimateOf(snap); est > 0 {
+		if !disp.Parallel {
+			est /= 2
+		}
 		if rerr := ticket.Reserve(est); rerr != nil {
-			if ticket.Reserve(est/2) != nil {
+			if !disp.Parallel || ticket.Reserve(est/2) != nil {
 				return nil, rerr
 			}
 			disp.Parallel = false
@@ -721,7 +726,8 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// Every target returns frozen cubes, which the store adopts as they are.
 	// Incremental runs drop the outputs that are the reused previous versions
 	// (same frozen cube): re-storing them would only churn version history
-	// and invalidate downstream memos for nothing.
+	// and make their consumers stale for nothing. A reused version keeps the
+	// provenance it has.
 	toPersist := results
 	if cfg.incremental {
 		toPersist = make(map[string]*model.Cube, len(results))
@@ -748,13 +754,23 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// never leaves the store with a half-applied run.
 	// An incremental run already holds the delta of every output it
 	// maintained — the dispatcher's delta front — so the store is handed
-	// those instead of finding them again.
+	// those instead of finding them again. Each version's provenance is the
+	// generations of the operands the run read; the store stamps those
+	// persisted with it at the commit's own.
 	var outDeltas map[string]*model.CubeDelta
 	if incrPlan != nil {
 		outDeltas = incrPlan.Front
 	}
+	outProvs := make(map[string]*store.Provenance, len(toPersist))
+	for name := range toPersist {
+		p := &store.Provenance{Stmt: stmts[name], Inputs: make(map[string]uint64)}
+		for _, dep := range graph.Deps(name) {
+			p.Inputs[dep] = cubeGens[dep]
+		}
+		outProvs[name] = p
+	}
 	_, perSpan := obs.StartSpan(ctx, "persist", obs.Int("cubes", len(toPersist)))
-	commit, err := st.PutAllGen(toPersist, outDeltas, asOf)
+	commit, err := st.PutAllGen(toPersist, outDeltas, outProvs, asOf)
 	if commit.WALBytes > 0 {
 		perSpan.SetAttr(obs.Int("delta_cubes", commit.DeltaCubes))
 		perSpan.SetAttr(obs.Int("full_cubes", commit.FullCubes))
@@ -764,17 +780,6 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	if err != nil {
 		return nil, err
 	}
-	commitGen := commit.Gen
-
-	// Memoize the input generations this run's outputs were computed at,
-	// so the next incremental run knows what is stale. Full runs prime
-	// the memos too — an incremental run right after one skips everything
-	// untouched since.
-	persisted := make(map[string]bool, len(toPersist))
-	for name := range toPersist {
-		persisted[name] = true
-	}
-	e.updateMemos(graph, plan, cubeGens, commitGen, persisted)
 
 	rep := &Report{
 		Generation:  gen,

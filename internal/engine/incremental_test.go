@@ -8,6 +8,7 @@ import (
 	"exlengine/internal/dispatch"
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
+	"exlengine/internal/store"
 	"exlengine/internal/workload"
 )
 
@@ -340,4 +341,112 @@ func TestWithIncrementalExternalWriteInvalidatesMemo(t *testing.T) {
 	}
 	got, _ := e.Cube("GDP")
 	exactEqual(t, "GDP", want, got)
+}
+
+// TestIdenticalRePutReusesEveryOutput pins the reuse rule: an elementary
+// cube put again unchanged moves no input, so every fragment reuses its
+// previous outputs and no derived cube gets a new version; the reused
+// versions keep their provenance, and the incremental run after a real
+// revision still lands on what a full run computes.
+func TestIdenticalRePutReusesEveryOutput(t *testing.T) {
+	ctx := context.Background()
+	data := workload.GDPSource(workload.GDPConfig{Days: 200, Regions: 2, Seed: 11})
+	st := store.New()
+	incr := newGDPEngine(t, data, WithStore(st))
+	full := newGDPEngine(t, data)
+	t0 := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
+	for _, e := range []*Engine{incr, full} {
+		if _, err := e.Run(ctx, RunAt(t0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := incr.PutCube(data["PDR"].Clone(), t0.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := incr.Run(ctx, RunAt(t0.Add(time.Hour)), WithIncremental())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Fragments) == 0 {
+		t.Fatalf("nothing dispatched after the re-put: %+v", rep)
+	}
+	for _, fr := range rep.Fragments {
+		if fr.Mode != dispatch.ModeReused {
+			t.Errorf("fragment %v is %s after an identical re-put, want reused", fr.Cubes, fr.Mode)
+		}
+	}
+	for _, name := range gdpDerived {
+		if n := len(st.Versions(name)); n != 1 {
+			t.Errorf("%s has %d versions: a reused output was stored again", name, n)
+		}
+	}
+
+	revised := churn(t, data["PDR"], true)
+	t1 := t0.Add(24 * time.Hour)
+	if err := incr.PutCube(revised, t1); err != nil {
+		t.Fatal(err)
+	}
+	if err := full.PutCube(revised.Clone(), t1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := full.Run(ctx, RunAt(t1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := incr.Run(ctx, RunAt(t1), WithIncremental()); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range gdpDerived {
+		w, _ := full.Cube(rel)
+		g, _ := incr.Cube(rel)
+		exactEqual(t, rel, w, g)
+	}
+}
+
+// TestProvenanceNamesTheStatement: a stored version is current, and a base,
+// only for the statement that computed it. Another program defining the
+// same cubes from the same operands, registered by a new engine over the
+// same store, recomputes them instead of skipping them.
+func TestProvenanceNamesTheStatement(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	a := quarterCube(t, 40)
+	first := New(WithStore(st))
+	if err := first.RegisterProgram("chain", chainProgram); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.PutCube(a, time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Run(ctx, WithIncremental()); err != nil {
+		t.Fatal(err)
+	}
+
+	const tripled = "cube A(q: quarter) measure v\n\nB := A * 3\nC := B + A\n"
+	second := New(WithStore(st))
+	if err := second.RegisterProgram("chain", tripled); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := second.Run(ctx, WithIncremental())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Skipped) != 0 {
+		t.Fatalf("cubes another statement computed were skipped as current: %v", rep.Skipped)
+	}
+	ref := New()
+	if err := ref.RegisterProgram("chain", tripled); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.PutCube(a.Clone(), time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{"B", "C"} {
+		w, _ := ref.Cube(rel)
+		g, _ := second.Cube(rel)
+		exactEqual(t, rel, w, g)
+	}
 }

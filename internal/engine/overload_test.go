@@ -97,7 +97,7 @@ func runEstimates(t *testing.T) (inEst, outEst int64) {
 	schemas := e.allSchemasLocked()
 	st := e.store
 	e.mu.Unlock()
-	snap, _, _ := st.SnapshotWithGenerations()
+	snap, _, _, _ := st.SnapshotWithGenerations()
 	for name, sch := range schemas {
 		if _, ok := snap[name]; !ok {
 			snap[name] = model.NewCube(sch).Freeze()
@@ -176,6 +176,33 @@ func TestMemoryBudgetDegradesToSequential(t *testing.T) {
 	}
 	if c, ok := e.Cube("GDP"); !ok || c.Len() == 0 {
 		t.Error("degraded run lost its results")
+	}
+}
+
+// TestMemoryBudgetSequentialEngineNotDegraded: an engine that never
+// dispatches in parallel reserves the sequential estimate from the start,
+// so a budget between it and the full-parallel one runs the engine as it
+// is, and nothing reports a degradation that turned nothing off.
+func TestMemoryBudgetSequentialEngineNotDegraded(t *testing.T) {
+	inEst, outEst := runEstimates(t)
+	budget := max(inEst/2, outEst)
+	if budget >= inEst {
+		t.Skipf("results (%d) as large as inputs (%d); no window between the estimates", outEst, inEst)
+	}
+	mx := obs.NewRegistry()
+	e := newGDPEngine(t, smallGDP(), MemoryBudget(budget), WithMetrics(mx))
+	rep, err := e.Run(context.Background(), RunAt(time.Unix(1, 0)))
+	if err != nil {
+		t.Fatalf("sequential run within its estimate rejected: %v", err)
+	}
+	if rep.MemDegraded {
+		t.Error("a sequential engine's run is reported memory-degraded")
+	}
+	if got := mx.Counter(obs.MetricMemDegraded).Value(); got != 0 {
+		t.Errorf("degraded counter = %d, want 0", got)
+	}
+	if rep.MemReserved <= 0 || rep.MemReserved > budget {
+		t.Errorf("MemReserved = %d, want within (0, %d]", rep.MemReserved, budget)
 	}
 }
 

@@ -242,6 +242,6 @@ const (
 	// MetricIncrDeltaTuples is the data-movement saving.
 	MetricIncrFullTuples = "incremental_full_tuples_total"
 	// MetricIncrSkippedCubes counts derived cubes skipped by incremental
-	// runs because their memoized input generations were current.
+	// runs because the provenance of their stored versions was current.
 	MetricIncrSkippedCubes = "engine_incremental_skipped_cubes_total"
 )

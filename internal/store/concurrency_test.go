@@ -52,8 +52,8 @@ func TestVersionsDefensiveCopy(t *testing.T) {
 	}
 }
 
-// TestHistorySharesFrozenCubes pins the History contract: entries are
-// sorted, frozen, and shared (zero-copy) with the store.
+// TestHistorySharesFrozenCubes pins the contract of the histories State
+// returns: entries are sorted, frozen, and shared (zero-copy) with the store.
 func TestHistorySharesFrozenCubes(t *testing.T) {
 	s := New()
 	t0 := time.Unix(0, 0)
@@ -63,7 +63,7 @@ func TestHistorySharesFrozenCubes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := s.History("A")
+	h := s.State().History["A"]
 	if len(h) != 3 {
 		t.Fatalf("History has %d entries", len(h))
 	}
@@ -128,7 +128,7 @@ func TestConcurrentWritesVsSnapshots(t *testing.T) {
 				"X": yearCube(t, "X", map[int]float64{2019: float64(k)}),
 				"Y": yearCube(t, "Y", map[int]float64{2019: float64(k)}),
 			}
-			if _, err := s.PutAllGen(pair, nil, time.Unix(int64(k), 0)); err != nil {
+			if _, err := s.PutAllGen(pair, nil, nil, time.Unix(int64(k), 0)); err != nil {
 				errc <- err
 				return
 			}
@@ -141,7 +141,7 @@ func TestConcurrentWritesVsSnapshots(t *testing.T) {
 			defer wg.Done()
 			var last uint64
 			for !stop.Load() {
-				snap, gen, _ := s.SnapshotWithGenerations()
+				snap, gen, _, _ := s.SnapshotWithGenerations()
 				if gen < last {
 					errc <- fmt.Errorf("generation went backwards: %d after %d", gen, last)
 					return

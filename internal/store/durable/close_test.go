@@ -41,7 +41,7 @@ func TestCloseUnderConcurrentPutAll(t *testing.T) {
 					return
 				}
 				c.Freeze()
-				if _, err := st.PutAllGen(map[string]*model.Cube{name: c}, nil, time.Unix(int64(i), 0)); err != nil {
+				if _, err := st.PutAllGen(map[string]*model.Cube{name: c}, nil, nil, time.Unix(int64(i), 0)); err != nil {
 					// The store closed mid-write: this commit was never
 					// acked, so it carries no durability promise.
 					return

@@ -8,17 +8,27 @@ import (
 	"time"
 
 	"exlengine/internal/model"
+	"exlengine/internal/store"
 )
 
 // WAL record opcodes. A record is one committed store mutation.
 const (
-	opPut     byte = 1 // one cube version, in full (written before delta records existed)
-	opPutAll  byte = 2 // an atomic batch of cube versions, in full (likewise)
-	opDeclare byte = 3 // a schema declaration (does not bump the generation)
-	opCommit  byte = 4 // an atomic batch of cube versions, each in full or as a delta
+	opPut       byte = 1 // one cube version, in full (written before delta records existed)
+	opPutAll    byte = 2 // an atomic batch of cube versions, in full (likewise)
+	opDeclare   byte = 3 // a schema declaration (does not bump the generation)
+	opCommit    byte = 4 // an atomic batch of cube versions, each in full or as a delta (written before provenance)
+	opCommitGen byte = 5 // opCommit with its generation, and each version's provenance
 )
 
-// Forms of one cube version inside an opCommit record or a segment.
+// Layouts of one cube version, oldest first. A record's opcode and a
+// segment's magic say which one its versions are in.
+const (
+	layoutUntagged = 1 // the full form without a form byte (opPut, opPutAll, EXLSEG01)
+	layoutTagged   = 2 // a form byte, then the full or the delta form (opCommit, EXLSEG02)
+	layoutStamped  = 3 // layoutTagged, then the provenance (opCommitGen, EXLSEG03)
+)
+
+// Forms of one cube version in the tagged layouts.
 const (
 	formFull  byte = 0 // schema and every tuple
 	formDelta byte = 1 // the tuples that differ from the version it supersedes
@@ -29,9 +39,14 @@ const (
 type record struct {
 	op     byte
 	asOf   time.Time
+	gen    uint64       // opCommitGen: the generation the commit was stamped with
 	cubes  []cubeRec    // commit records, sorted by cube name
 	schema model.Schema // opDeclare
 }
+
+// recordLayout is the layout of the cube versions in a commit record, by
+// opcode.
+var recordLayout = [...]int{opPut: layoutUntagged, opPutAll: layoutUntagged, opCommit: layoutTagged, opCommitGen: layoutStamped}
 
 // cubeRec is one cube version as the log and the segments hold it: the
 // whole cube, or the delta that leads to it from the version it
@@ -43,6 +58,7 @@ type record struct {
 // A delta is only ever applied to a cube that matches all three.
 type cubeRec struct {
 	cube *model.Cube // formFull; nil in the delta form
+	prov *store.Provenance
 
 	// formDelta. A decoded delta has neither Base nor Current: applyTo
 	// supplies them.
@@ -405,24 +421,79 @@ func (d *decoder) tuples(ndims int) []model.Tuple {
 	return ts
 }
 
-// appendCubeRec writes one cube version. Untagged is the layout from
-// before the delta form existed: the full form without a form byte.
-func appendCubeRec(b []byte, r cubeRec, tagged bool) []byte {
-	if r.cube != nil {
-		if tagged {
-			b = append(b, formFull)
-		}
+// appendCubeRec writes one cube version in the given layout.
+func appendCubeRec(b []byte, r cubeRec, layout int) []byte {
+	switch {
+	case r.cube == nil:
+		b = appendSchema(append(b, formDelta), r.schema)
+		b = appendUvarint(b, uint64(r.baseLen))
+		b = appendUvarint(b, uint64(r.resultLen))
+		b = appendTuples(b, r.delta.Added)
+		b = appendTuples(b, r.delta.Changed)
+		b = appendTuples(b, r.delta.Deleted)
+	case layout == layoutUntagged:
 		return appendCube(b, r.cube)
+	default:
+		b = appendCube(append(b, formFull), r.cube)
 	}
-	b = appendSchema(append(b, formDelta), r.schema)
-	b = appendUvarint(b, uint64(r.baseLen))
-	b = appendUvarint(b, uint64(r.resultLen))
-	b = appendTuples(b, r.delta.Added)
-	b = appendTuples(b, r.delta.Changed)
-	return appendTuples(b, r.delta.Deleted)
+	if layout == layoutStamped {
+		b = appendProv(b, r.prov)
+	}
+	return b
 }
 
-func (d *decoder) cubeRec(tagged bool) cubeRec {
+func (d *decoder) cubeRec(layout int) cubeRec {
+	r := d.cubeForm(layout != layoutUntagged)
+	if layout == layoutStamped {
+		r.prov = d.prov()
+	}
+	return r
+}
+
+// appendProv writes a version's provenance: 0 for none, else 1 + the
+// number of operands, the statement fingerprint, then each operand's name
+// and generation in name order.
+func appendProv(b []byte, p *store.Provenance) []byte {
+	if p == nil {
+		return appendUvarint(b, 0)
+	}
+	b = appendUvarint(b, uint64(len(p.Inputs))+1)
+	b = appendUvarint(b, p.Stmt)
+	names := make([]string, 0, len(p.Inputs))
+	for n := range p.Inputs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		b = appendUvarint(appendString(b, n), p.Inputs[n])
+	}
+	return b
+}
+
+func (d *decoder) prov() *store.Provenance {
+	n := d.uvarint()
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	if n-1 > uint64(len(d.b)-d.off)/2 { // each operand takes at least two bytes
+		d.fail("durable: provenance claims %d operands", n-1)
+		return nil
+	}
+	p := &store.Provenance{Stmt: d.uvarint(), Inputs: make(map[string]uint64, n-1)}
+	last := ""
+	for i := uint64(1); i < n && d.err == nil; i++ {
+		name := d.string()
+		if i > 1 && name <= last {
+			d.fail("durable: provenance operands out of order: %s after %s", name, last)
+		}
+		p.Inputs[name], last = d.uvarint(), name
+	}
+	return p
+}
+
+// cubeForm reads a cube version in the full or the delta form; untagged,
+// it is the full form without a form byte.
+func (d *decoder) cubeForm(tagged bool) cubeRec {
 	form := formFull
 	if tagged {
 		form = d.byte()
@@ -456,28 +527,32 @@ func (d *decoder) cubeRec(tagged bool) cubeRec {
 
 // --- records ------------------------------------------------------------
 
-// commitRecord builds the record of one commit from its cubes, in any order.
-func commitRecord(asOf time.Time, cubes []cubeRec) *record {
+// commitRecord builds the record of the commit at generation gen from its
+// cubes, in any order.
+func commitRecord(asOf time.Time, gen uint64, cubes []cubeRec) *record {
 	sort.Slice(cubes, func(i, j int) bool { return cubes[i].name() < cubes[j].name() })
-	return &record{op: opCommit, asOf: asOf, cubes: cubes}
+	return &record{op: opCommitGen, asOf: asOf, gen: gen, cubes: cubes}
 }
 
-// encodeRecord serializes a record. opPut and opPutAll are what stores
-// wrote before opCommit existed: one cube, or a counted batch, in the full
-// form without a form byte. They are still encoded so that a test can
-// build such a log, and so that every decodable record encodes back to
-// its bytes.
+// encodeRecord serializes a record. opPut, opPutAll and opCommit are what
+// stores wrote before opCommitGen existed: one cube, or a counted batch, in
+// the full form without a form byte, then in either form without a
+// provenance. They are still encoded so that a test can build such a log,
+// and so that every decodable record encodes back to its bytes.
 func encodeRecord(r *record) []byte {
 	b := []byte{r.op}
 	if r.op == opDeclare {
 		return appendSchema(b, r.schema)
 	}
 	b = appendVarint(b, r.asOf.UnixNano())
+	if r.op == opCommitGen {
+		b = appendUvarint(b, r.gen)
+	}
 	if r.op != opPut {
 		b = appendUvarint(b, uint64(len(r.cubes)))
 	}
 	for _, c := range r.cubes {
-		b = appendCubeRec(b, c, r.op == opCommit)
+		b = appendCubeRec(b, c, recordLayout[r.op])
 	}
 	return b
 }
@@ -489,8 +564,11 @@ func decodeRecord(payload []byte) (*record, error) {
 	d := &decoder{b: payload, off: 1}
 	r := &record{op: payload[0]}
 	switch r.op {
-	case opPut, opPutAll, opCommit:
+	case opPut, opPutAll, opCommit, opCommitGen:
 		r.asOf = time.Unix(0, d.varint())
+		if r.op == opCommitGen {
+			r.gen = d.uvarint()
+		}
 		n := uint64(1)
 		if r.op != opPut {
 			n = d.uvarint()
@@ -502,7 +580,7 @@ func decodeRecord(payload []byte) (*record, error) {
 			return nil, fmt.Errorf("durable: batch claims %d cubes", n)
 		}
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			c := d.cubeRec(r.op == opCommit)
+			c := d.cubeRec(recordLayout[r.op])
 			if d.err == nil && i > 0 && r.cubes[i-1].name() >= c.name() {
 				d.fail("durable: batch cubes out of order: %s before %s", r.cubes[i-1].name(), c.name())
 			}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,16 +42,28 @@ import (
 // order, the cubes arrive unfrozen and no delta is handed, so the store
 // finds the deltas itself and holds the new versions as columns over their
 // predecessors' key sets — the records it logs for them are delta records
-// made from its own pass.
+// made from its own pass. Every crashRunEvery-th commit is a run's instead:
+// D and E, computed from A and B as the commit before left them, with
+// their provenance — E's names D, in the same batch — and the writer
+// compacts after it too, so provenance goes through the log and through a
+// segment.
 //
-// Commit k sets tuple k mod 8 of both cubes to k (B: to 10k), so the
-// contents after any prefix of the script are known without running it.
+// Commit k sets tuple k mod 8 of A and B to k (B: to 10k); a run's sets
+// that of D to 11(k-1) and of E to 22(k-1). So the contents after any prefix
+// of the script are known without running it.
 const (
 	crashTuples         = 8
 	crashOverwriteEvery = 5
 	crashCompactEvery   = 6
+	crashRunEvery       = 9
 	crashOwnPassAt      = 3 // k mod crashTuples of the commits that hand no delta
 )
+
+// crashScale is the factor of each cube's measures over A's.
+var crashScale = map[string]float64{"A": 1, "B": 10, "D": 11, "E": 22}
+
+// crashCompactsAfter says whether the writer compacts after commit k.
+func crashCompactsAfter(k int) bool { return k%crashCompactEvery == 0 || k%crashRunEvery == 0 }
 
 func crashSchema(name string) model.Schema {
 	return model.NewSchema(name, []model.Dim{{Name: "t", Type: model.TYear}}, "v")
@@ -59,10 +72,7 @@ func crashSchema(name string) model.Schema {
 // crashCube is cube name as commit k leaves it.
 func crashCube(t testing.TB, name string, k int) *model.Cube {
 	t.Helper()
-	scale := 1.0
-	if name == "B" {
-		scale = 10
-	}
+	scale := crashScale[name]
 	c := model.NewCube(crashSchema(name))
 	for i := 0; i < crashTuples; i++ {
 		last := 0 // the latest commit j <= k with j mod 8 == i
@@ -89,7 +99,7 @@ func crashAsOf(k int) time.Time {
 type crashStore interface {
 	Get(name string) (*model.Cube, bool)
 	Put(c *model.Cube, asOf time.Time) error
-	PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, asOf time.Time) (store.Commit, error)
+	PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, provs map[string]*store.Provenance, asOf time.Time) (store.Commit, error)
 }
 
 // crashCommit makes commit k of the script on st.
@@ -98,6 +108,15 @@ func crashCommit(t testing.TB, st crashStore, k int) error {
 		return st.Put(crashCube(t, "A", 1), crashAsOf(1))
 	}
 	cubes := map[string]*model.Cube{"A": crashCube(t, "A", k), "B": crashCube(t, "B", k)}
+	var provs map[string]*store.Provenance
+	if k%crashRunEvery == 0 {
+		in := uint64(k - 1) // commit k-1 is the generation A and B were last written at
+		cubes = map[string]*model.Cube{"D": crashCube(t, "D", k-1), "E": crashCube(t, "E", k-1)}
+		provs = map[string]*store.Provenance{
+			"D": {Stmt: 1, Inputs: map[string]uint64{"A": in, "B": in}},
+			"E": {Stmt: 2, Inputs: map[string]uint64{"D": in}},
+		}
+	}
 	deltas := map[string]*model.CubeDelta{}
 	for name, c := range cubes {
 		latest, ok := st.Get(name)
@@ -110,7 +129,7 @@ func crashCommit(t testing.TB, st crashStore, k int) error {
 			deltas[name] = model.DiffCubes(name, latest, c)
 		}
 	}
-	_, err := st.PutAllGen(cubes, deltas, crashAsOf(k))
+	_, err := st.PutAllGen(cubes, deltas, provs, crashAsOf(k))
 	return err
 }
 
@@ -132,7 +151,7 @@ func crashWorkload(t testing.TB, dir string, fs durable.FS, commits int, opts ..
 			break
 		}
 		acked = uint64(k)
-		if k%crashCompactEvery == 0 && st.Compact() != nil {
+		if crashCompactsAfter(k) && st.Compact() != nil {
 			break
 		}
 	}
@@ -144,7 +163,8 @@ func crashWorkload(t testing.TB, dir string, fs durable.FS, commits int, opts ..
 // commit and the last one attempted, and it holds exactly what the first
 // g commits leave in a store that never crashed — the same versions of
 // each cube at the same instants, every one of them equal, tuple for
-// tuple, to what was put.
+// tuple, to what was put, and the current versions at the same
+// generations with the same provenance.
 func verifyPrefix(t testing.TB, st *durable.Store, acked uint64, attempted int, label string) {
 	t.Helper()
 	g := st.Generation()
@@ -160,7 +180,12 @@ func verifyPrefix(t testing.TB, st *durable.Store, acked uint64, attempted int, 
 			t.Fatal(err)
 		}
 	}
-	for _, name := range []string{"A", "B"} {
+	_, _, gens, provs := st.SnapshotWithGenerations()
+	_, _, wantGens, wantProvs := ref.SnapshotWithGenerations()
+	if !reflect.DeepEqual(gens, wantGens) || !reflect.DeepEqual(provs, wantProvs) {
+		t.Fatalf("%s: at generation %d the current versions are at %v with provenance %v, want %v and %v", label, g, gens, provs, wantGens, wantProvs)
+	}
+	for _, name := range []string{"A", "B", "D", "E"} {
 		want, got := ref.Versions(name), st.Versions(name)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %s has %d versions at generation %d, want %d: version history torn", label, name, len(got), g, len(want))
@@ -191,10 +216,10 @@ func reopenAndVerify(t testing.TB, dir string, acked uint64, attempted int, labe
 
 // TestCrashAtEveryOffset sweeps a simulated power loss across the whole
 // byte range of the script's write stream: full records, delta records,
-// an overwrite, a segment with its delta chain, and deltas on the WAL
-// rotated after it.
+// an overwrite, a segment with its delta chain, deltas on the WAL rotated
+// after it, and a run's commit with its provenance and the segment after.
 func TestCrashAtEveryOffset(t *testing.T) {
-	const commits = 8
+	const commits = crashRunEvery
 	// Fault-free run to learn the byte range of the write stream, and to
 	// see that the script puts on disk what it is meant to.
 	probe := faults.NewFaultFS(durable.OSFS{})
@@ -202,13 +227,14 @@ func TestCrashAtEveryOffset(t *testing.T) {
 	if acked := crashWorkload(t, t.TempDir(), probe, commits, durable.WithMetrics(reg)); acked != commits {
 		t.Fatalf("fault-free workload acknowledged %d of %d commits", acked, commits)
 	}
-	// A from commit 2 on and B from commit 3 on go to the log as deltas;
-	// Open and the compaction after commit 6 each write a segment.
-	if n := reg.Counter(obs.MetricStoreWALDeltaCubes).Value(); n != 2*commits-3 {
-		t.Fatalf("the script logged %d cubes as deltas, want %d", n, 2*commits-3)
+	// A from commit 2 on and B from commit 3 on go to the log as deltas, up
+	// to the run's commit, whose D and E are first versions; Open and the
+	// compactions after commits 6 and 9 each write a segment.
+	if n := reg.Counter(obs.MetricStoreWALDeltaCubes).Value(); n != 2*(commits-1)-3 {
+		t.Fatalf("the script logged %d cubes as deltas, want %d", n, 2*(commits-1)-3)
 	}
-	if n := reg.Counter(obs.MetricStoreSegments).Value(); n != 2 {
-		t.Fatalf("the script wrote %d segments, want 2", n)
+	if n := reg.Counter(obs.MetricStoreSegments).Value(); n != 3 {
+		t.Fatalf("the script wrote %d segments, want 3", n)
 	}
 	// Commit 3 handed no delta, and what it stored shares a key set.
 	ownPass := store.New()
@@ -218,7 +244,7 @@ func TestCrashAtEveryOffset(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"A", "B"} {
-		h := ownPass.History(name)
+		h := ownPass.State().History[name]
 		if v := h[len(h)-1]; !v.Cube.SharesKeySet(h[len(h)-2].Cube) || v.Delta == nil || len(v.Delta.Changed) != 1 {
 			t.Fatalf("commit %d did not leave %s as a revision with the store's own delta", crashOwnPassAt, name)
 		}
@@ -342,7 +368,7 @@ func TestCrashWriterHelper(t *testing.T) {
 			t.Fatalf("helper commit %d: %v", k, err)
 		}
 		fmt.Printf("acked %d\n", k)
-		if k%crashCompactEvery == 0 {
+		if crashCompactsAfter(k) {
 			if err := st.Compact(); err != nil {
 				t.Fatalf("helper compact after %d: %v", k, err)
 			}

@@ -90,7 +90,9 @@ type RecoveryStats struct {
 // Store is a crash-safe cube store: the in-memory store.Store for reads
 // (zero-copy frozen cubes, GetAsOf, generation MVCC — semantics are
 // identical), with every mutation written ahead to a checksummed WAL and
-// periodically folded into segment snapshots. It implements the same
+// periodically folded into segment snapshots. Generations, provenance and
+// overwrite watermarks are on disk too, so the wrapped store's generation
+// is the durable one and continues across restarts. It implements the same
 // API surface the engine consumes (engine.CubeStore).
 type Store struct {
 	dir  string
@@ -102,12 +104,6 @@ type Store struct {
 	mu     sync.Mutex // serializes mutations and compaction
 	wal    *walWriter
 	failed error // sticky disk fault; writes fail fast
-
-	// genBase/memBase map the wrapped store's volatile generation to the
-	// durable one: durableGen = genBase + (mem.Generation() - memBase).
-	// Both are fixed at Open, so reads need no extra lock.
-	genBase uint64
-	memBase uint64
 
 	recovery RecoveryStats
 }
@@ -185,35 +181,21 @@ func (d *Store) recover() error {
 		// snapshot) is pruned below once recovery succeeds.
 	}
 
-	// Newest verifiable snapshot wins; corrupt ones degrade to older.
-	var snap *snapshotState
+	// Newest verifiable snapshot wins; a corrupt one, or one no store could
+	// have been in, degrades to the older.
 	sortUint64(segGens)
 	for i := len(segGens) - 1; i >= 0; i-- {
 		st, err := loadSnapshot(d.fs, filepath.Join(d.dir, segmentName(segGens[i])))
+		var mem *store.Store
+		if err == nil {
+			mem, err = store.Restore(st)
+		}
 		if err != nil {
 			d.recovery.CorruptSegments++
 			continue
 		}
-		snap = st
+		d.mem, d.recovery.SnapshotGen = mem, st.Gen
 		break
-	}
-	gen := uint64(0)
-	if snap != nil {
-		gen = snap.gen
-		d.recovery.SnapshotGen = snap.gen
-		for _, sch := range snap.schemas {
-			if err := d.mem.Declare(sch); err != nil {
-				return fmt.Errorf("durable: restoring schema catalog: %w", err)
-			}
-		}
-		for name, vs := range snap.history {
-			for _, v := range vs {
-				_, err := d.mem.PutAllGen(map[string]*model.Cube{name: v.Cube}, map[string]*model.CubeDelta{name: v.Delta}, v.AsOf)
-				if err != nil {
-					return fmt.Errorf("durable: restoring cube %s: %w", name, err)
-				}
-			}
-		}
 	}
 
 	// Replay the WAL chain: each file whose base generation is at or
@@ -223,7 +205,7 @@ func (d *Store) recover() error {
 	// prefix and are dropped.
 	sortUint64(walGens)
 	for _, wg := range walGens {
-		if wg > gen {
+		if wg > d.mem.Generation() {
 			break
 		}
 		path := filepath.Join(d.dir, walName(wg))
@@ -235,7 +217,7 @@ func (d *Store) recover() error {
 			continue
 		}
 		torn := scan.torn
-		skip := gen - scan.baseGen
+		skip := d.mem.Generation() - scan.baseGen
 		for i, payload := range scan.records {
 			rec, err := decodeRecord(payload)
 			if err != nil {
@@ -264,7 +246,6 @@ func (d *Store) recover() error {
 				torn = true
 				break
 			}
-			gen++
 			d.recovery.ReplayedRecords++
 		}
 		if torn {
@@ -276,14 +257,11 @@ func (d *Store) recover() error {
 		}
 	}
 
-	// Anchor the generation mapping before any new writes.
-	d.memBase = d.mem.Generation()
-	d.genBase = gen
-
 	// Fold the recovered state into a fresh snapshot + empty WAL and
 	// prune everything older, so the directory is back to a single
 	// consistent pair whatever mix of files the crash left behind.
-	if _, err := writeSnapshot(d.fs, d.dir, d.mem, gen); err != nil {
+	gen, err := writeSnapshot(d.fs, d.dir, d.mem)
+	if err != nil {
 		return diskErr("writing recovery snapshot", err)
 	}
 	d.opts.Metrics.Counter(obs.MetricStoreSegments).Inc()
@@ -299,22 +277,29 @@ func (d *Store) recover() error {
 // applyCommit replays one gen-bumping record into the wrapped store. A
 // delta is applied to the cube's latest replayed version, which is the
 // version it was made from if the log is what the store wrote; one that
-// does not fit it fails the record, and recovery cuts the log there.
+// does not fit it fails the record, and recovery cuts the log there. So
+// does a record stamped with another generation than the one it is
+// replayed at, or a provenance naming a later one.
 func (d *Store) applyCommit(rec *record) error {
-	if len(rec.cubes) == 0 {
-		return fmt.Errorf("durable: commit record (opcode %d) without a cube", rec.op)
+	gen := d.mem.Generation() + 1
+	if len(rec.cubes) == 0 || rec.op == opCommitGen && rec.gen != gen {
+		return fmt.Errorf("durable: commit record (opcode %d) of generation %d, with %d cubes, replayed at %d", rec.op, rec.gen, len(rec.cubes), gen)
 	}
 	cubes := make(map[string]*model.Cube, len(rec.cubes))
 	deltas := make(map[string]*model.CubeDelta, len(rec.cubes))
+	provs := make(map[string]*store.Provenance, len(rec.cubes))
 	for _, r := range rec.cubes {
 		base, _ := d.mem.Get(r.name())
 		c, delta, err := r.applyTo(base)
 		if err != nil {
 			return err
 		}
-		cubes[r.name()], deltas[r.name()] = c, delta
+		if dep, ok := r.prov.After(gen); ok {
+			return fmt.Errorf("durable: %s at generation %d computed from %s after it", r.name(), gen, dep)
+		}
+		cubes[r.name()], deltas[r.name()], provs[r.name()] = c, delta, r.prov
 	}
-	_, err := d.mem.PutAllGen(cubes, deltas, rec.asOf)
+	_, err := d.mem.PutAllGen(cubes, deltas, provs, rec.asOf)
 	return err
 }
 
@@ -421,16 +406,16 @@ func (d *Store) Put(c *model.Cube, asOf time.Time) error {
 	if c != nil { // a nil cube is rejected by validation, like any other bad write
 		name = c.Schema().Name
 	}
-	_, err := d.PutAllGen(map[string]*model.Cube{name: c}, nil, asOf)
+	_, err := d.PutAllGen(map[string]*model.Cube{name: c}, nil, nil, asOf)
 	return err
 }
 
 // PutAllGen stores a new version of every cube atomically: one WAL record
-// carries the whole batch, so recovery replays all of it or none —
-// all-or-nothing across both the WAL commit and the in-memory apply. It
-// returns the durable commit generation the batch was stamped with, read
-// atomically with the apply, and what was logged for it (see
-// store.Store.PutAllGen).
+// carries the whole batch, with its generation and the provenance handed
+// in provs, so recovery replays all of it or none — all-or-nothing across
+// both the WAL commit and the in-memory apply. It returns the commit
+// generation the batch was stamped with, read atomically with the apply,
+// and what was logged for it (see store.Store.PutAllGen).
 //
 // Each cube goes to the log as the delta from its latest stored version
 // when that delta is small (model.CubeDelta.Small), and in full
@@ -440,7 +425,7 @@ func (d *Store) Put(c *model.Cube, asOf time.Time) error {
 // computed here, once, by model.DiffSmall. Whichever it is, the in-memory
 // store keeps it on the version, so Delta for the preceding generation and
 // the next segment reuse it.
-func (d *Store) PutAllGen(cubes map[string]*model.Cube, handed map[string]*model.CubeDelta, asOf time.Time) (store.Commit, error) {
+func (d *Store) PutAllGen(cubes map[string]*model.Cube, handed map[string]*model.CubeDelta, provs map[string]*store.Provenance, asOf time.Time) (store.Commit, error) {
 	if len(cubes) == 0 {
 		return store.Commit{Gen: d.Generation()}, nil
 	}
@@ -460,21 +445,21 @@ func (d *Store) PutAllGen(cubes map[string]*model.Cube, handed map[string]*model
 				latest, _ := d.mem.Get(name)
 				fc, delta := store.NewVersion(latest, c, handed[name])
 				frozen[name] = fc
+				r := fullRec(fc)
 				if delta = deltaToLog(latest, fc, delta, handed[name]); delta != nil {
-					deltas[name] = delta
-					recs = append(recs, deltaRec(delta))
-				} else {
-					recs = append(recs, fullRec(fc))
+					deltas[name], r = delta, deltaRec(delta)
 				}
+				r.prov = provs[name]
+				recs = append(recs, r)
 			}
-			body := encodeRecord(commitRecord(asOf, recs))
+			body := encodeRecord(commitRecord(asOf, d.mem.Generation()+1, recs))
 			ci.DeltaCubes, ci.FullCubes = len(deltas), len(cubes)-len(deltas)
 			ci.WALBytes = int64(len(body)) + recordHeaderLen
 			return body
 		},
 		func() error {
-			c, err := d.mem.PutAllGen(frozen, deltas, asOf)
-			ci.Gen = c.Gen + (d.genBase - d.memBase)
+			c, err := d.mem.PutAllGen(frozen, deltas, provs, asOf)
+			ci.Gen = c.Gen
 			return err
 		},
 	)
@@ -517,8 +502,8 @@ func (d *Store) Compact() error {
 	if d.failed != nil {
 		return diskErr("compaction rejected", d.failed)
 	}
-	gen := d.genBase + (d.mem.Generation() - d.memBase)
-	if _, err := writeSnapshot(d.fs, d.dir, d.mem, gen); err != nil {
+	gen, err := writeSnapshot(d.fs, d.dir, d.mem)
+	if err != nil {
 		d.failed = fmt.Errorf("%w (cause: %v)", ErrFailed, err)
 		return diskErr("writing snapshot", err)
 	}
@@ -579,37 +564,20 @@ func (d *Store) GetAsOf(name string, t time.Time) (*model.Cube, bool) { return d
 // Versions returns the validity instants of the cube's versions.
 func (d *Store) Versions(name string) []time.Time { return d.mem.Versions(name) }
 
-// Generation returns the durable write generation: it continues across
-// restarts from wherever recovery ended.
-func (d *Store) Generation() uint64 {
-	return d.genBase + (d.mem.Generation() - d.memBase)
+// Generation returns the write generation: it continues across restarts
+// from wherever recovery ended.
+func (d *Store) Generation() uint64 { return d.mem.Generation() }
+
+// SnapshotWithGenerations is store.Store.SnapshotWithGenerations.
+func (d *Store) SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64, map[string]*store.Provenance) {
+	return d.mem.SnapshotWithGenerations()
 }
 
-// SnapshotWithGenerations is store.Store.SnapshotWithGenerations on the
-// durable generation axis. Versions recovered from disk carry replay
-// generations ≤ the generation at Open, preserving the invariant that an
-// unchanged generation implies an unchanged cube.
-func (d *Store) SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64) {
-	snap, memGen, gens := d.mem.SnapshotWithGenerations()
-	for name, g := range gens {
-		gens[name] = g + (d.genBase - d.memBase)
-	}
-	return snap, memGen + (d.genBase - d.memBase), gens
-}
-
-// Delta returns the tuple-level changes to the cube since durable
-// generation sinceGen (see store.Store.Delta). Generations taken before
-// this process opened the store cannot be mapped onto the recovered
-// in-memory history — recovery renumbers commits during replay — so they
-// conservatively yield store.ErrDeltaUnavailable; in practice memoized
-// generation vectors die with the process anyway, so the first run after
-// a restart is always full.
+// Delta returns the tuple-level changes to the cube since generation
+// sinceGen (see store.Store.Delta), for a generation taken before the last
+// restart as for any other.
 func (d *Store) Delta(name string, sinceGen uint64) (*model.CubeDelta, error) {
-	if sinceGen < d.genBase {
-		return nil, fmt.Errorf("%w (cube %s: generation %d predates recovery at %d)",
-			store.ErrDeltaUnavailable, name, sinceGen, d.genBase)
-	}
-	return d.mem.Delta(name, sinceGen-d.genBase+d.memBase)
+	return d.mem.Delta(name, sinceGen)
 }
 
 // WALStats returns bytes appended to and fsyncs issued on the active

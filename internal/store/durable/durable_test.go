@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"exlengine/internal/model"
 	"exlengine/internal/obs"
+	"exlengine/internal/store"
 )
 
 func yearSchema(name string) model.Schema {
@@ -126,9 +128,20 @@ func TestCodecRoundTrip(t *testing.T) {
 	if len(delta.Added) != 2 || len(delta.Changed) != 2 || len(delta.Deleted) != 1 {
 		t.Fatalf("test delta is +%d ~%d -%d", len(delta.Added), len(delta.Changed), len(delta.Deleted))
 	}
-	rec = roundTrip(commitRecord(asOf, []cubeRec{fullRec(other), deltaRec(delta)}))
-	if len(rec.cubes) != 2 || rec.cubes[0].name() != "M" || rec.cubes[1].name() != "Y" {
-		t.Fatalf("commit record cubes = %d, not M then Y", len(rec.cubes))
+	prov := &store.Provenance{Stmt: 1 << 60, Inputs: map[string]uint64{"M": 6, "X": 3, "": 0}}
+	withProv := fullRec(other)
+	withProv.prov = prov
+	rec = roundTrip(commitRecord(asOf, 7, []cubeRec{withProv, deltaRec(delta)}))
+	if len(rec.cubes) != 2 || rec.cubes[0].name() != "M" || rec.cubes[1].name() != "Y" || rec.gen != 7 {
+		t.Fatalf("commit record cubes = %d, not M then Y, at generation %d", len(rec.cubes), rec.gen)
+	}
+	if p := rec.cubes[1].prov; rec.cubes[0].prov != nil || p == nil || p.Stmt != prov.Stmt || !maps.Equal(p.Inputs, prov.Inputs) {
+		t.Fatalf("provenance does not round-trip: %+v, %+v", rec.cubes[0].prov, p)
+	}
+	// The commit record stores wrote before provenance: no generation, and
+	// each version without one.
+	if rec = roundTrip(&record{op: opCommit, asOf: asOf, cubes: []cubeRec{deltaRec(delta)}}); rec.gen != 0 || rec.cubes[0].prov != nil {
+		t.Fatalf("an opCommit record decodes with generation %d and provenance %v", rec.gen, rec.cubes[0].prov)
 	}
 	got, gotDelta, err := rec.cubes[0].applyTo(c)
 	if err != nil {
@@ -161,7 +174,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	// Corruption that a CRC would not catch (a truncated payload with a
 	// valid checksum cannot happen, but a logically short one can) is a
 	// decode error, not a panic.
-	raw := encodeRecord(commitRecord(asOf, []cubeRec{deltaRec(delta)}))
+	raw := encodeRecord(commitRecord(asOf, 1, []cubeRec{deltaRec(delta)}))
 	if _, err := decodeRecord(raw[:len(raw)-3]); err == nil {
 		t.Error("truncated payload must fail to decode")
 	}
@@ -192,7 +205,7 @@ func TestReopenRoundTrip(t *testing.T) {
 	}
 	if _, err := st.PutAllGen(map[string]*model.Cube{
 		"B": yearCube(t, "B", map[int]float64{2019: 10}),
-	}, nil, t2); err != nil {
+	}, nil, nil, t2); err != nil {
 		t.Fatal(err)
 	}
 	genBefore := st.Generation()
@@ -590,7 +603,7 @@ func TestEmptyPutAllIsNoop(t *testing.T) {
 	dir := t.TempDir()
 	st := openT(t, dir)
 	defer st.Close()
-	if _, err := st.PutAllGen(nil, nil, time.Unix(0, 0)); err != nil {
+	if _, err := st.PutAllGen(nil, nil, nil, time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if g := st.Generation(); g != 0 {

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -9,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"exlengine/internal/dispatch"
+	"exlengine/internal/engine"
 	"exlengine/internal/model"
+	"exlengine/internal/store"
 )
 
 // writeWAL writes a complete WAL file of the given records, as a store
@@ -75,7 +79,8 @@ func checkVersions(t *testing.T, st *Store, name string, want []*model.Cube) {
 // torn record, with everything behind it, and never applied. So is one no
 // store wrote: a list that names a tuple twice, or out of cube order, or a
 // tuple both changed and deleted, which model.Cube.Apply refuses as a misfit
-// before it has built anything.
+// before it has built anything. So is a record stamped with a generation other
+// than the one it is replayed at, or with a provenance naming a later one.
 func TestDeltaRecordOnTheWrongBaseIsTruncated(t *testing.T) {
 	vs := chain(t, 3)
 	lost := revise(t, vs[1], nil, []int{0, 1}, 0) // 14 tuples where the log has 16
@@ -89,20 +94,23 @@ func TestDeltaRecordOnTheWrongBaseIsTruncated(t *testing.T) {
 		}
 		return rec
 	}
+	future := deltaRec(good)
+	future.prov = &store.Provenance{Inputs: map[string]uint64{"A": 4}}
 	for what, rec := range map[string]cubeRec{
-		"another base": deltaRec(model.DiffCubes("M", lost, revise(t, lost, []int{2}, nil, 0))),
-		"named twice":  malformed(func(d *model.CubeDelta) { d.Changed = []model.Tuple{d.Changed[0], d.Changed[0]} }),
-		"out of order": malformed(func(d *model.CubeDelta) { d.Changed = []model.Tuple{d.Changed[1], d.Changed[0]} }),
+		"from the future": future,
+		"another base":    deltaRec(model.DiffCubes("M", lost, revise(t, lost, []int{2}, nil, 0))),
+		"named twice":     malformed(func(d *model.CubeDelta) { d.Changed = []model.Tuple{d.Changed[0], d.Changed[0]} }),
+		"out of order":    malformed(func(d *model.CubeDelta) { d.Changed = []model.Tuple{d.Changed[1], d.Changed[0]} }),
 		"changed and deleted": malformed(func(d *model.CubeDelta) {
 			d.Deleted = []model.Tuple{{Dims: d.Changed[0].Dims, Measure: vs[1].Tuples()[2].Measure}}
 		}),
 	} {
 		dir := t.TempDir()
 		writeWAL(t, dir, 0,
-			encodeRecord(commitRecord(day(0), []cubeRec{fullRec(vs[0])})),
-			encodeRecord(commitRecord(day(1), []cubeRec{deltaRec(model.DiffCubes("M", vs[0], vs[1]))})),
-			encodeRecord(commitRecord(day(2), []cubeRec{rec})),
-			encodeRecord(commitRecord(day(3), []cubeRec{deltaRec(model.DiffCubes("M", vs[1], vs[2]))})),
+			encodeRecord(commitRecord(day(0), 1, []cubeRec{fullRec(vs[0])})),
+			encodeRecord(commitRecord(day(1), 2, []cubeRec{deltaRec(model.DiffCubes("M", vs[0], vs[1]))})),
+			encodeRecord(commitRecord(day(2), 3, []cubeRec{rec})),
+			encodeRecord(commitRecord(day(3), 4, []cubeRec{deltaRec(model.DiffCubes("M", vs[1], vs[2]))})),
 		)
 		st := openT(t, dir)
 		rec := st.Recovery()
@@ -111,6 +119,17 @@ func TestDeltaRecordOnTheWrongBaseIsTruncated(t *testing.T) {
 		}
 		checkVersions(t, st, "M", vs[:2])
 		st.Close()
+	}
+
+	dir := t.TempDir()
+	writeWAL(t, dir, 0,
+		encodeRecord(commitRecord(day(0), 1, []cubeRec{fullRec(vs[0])})),
+		encodeRecord(commitRecord(day(1), 3, []cubeRec{deltaRec(model.DiffCubes("M", vs[0], vs[1]))})),
+	)
+	st := openT(t, dir)
+	defer st.Close()
+	if rec := st.Recovery(); rec.Generation != 1 || rec.TruncatedRecords != 1 {
+		t.Fatalf("a record of generation 3 replayed at 2: recovery = %+v, want it cut off", rec)
 	}
 }
 
@@ -155,7 +174,7 @@ func TestFullFormDirectoryStillOpens(t *testing.T) {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	checkVersions(t, st, "M", vs[:4])
-	ci, err := st.PutAllGen(map[string]*model.Cube{"M": vs[4], "Y": y[1]}, nil, day(4))
+	ci, err := st.PutAllGen(map[string]*model.Cube{"M": vs[4], "Y": y[1]}, nil, nil, day(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +229,7 @@ func TestSegmentIsADeltaChain(t *testing.T) {
 	if limit := full + n*full/3; chained > limit { // a delta of three tuples is under a third of these sixteen
 		t.Fatalf("segment of %d versions is %d bytes, one version is %d: not a delta chain", n+1, chained, full)
 	}
-	for i, v := range st.mem.History("M") {
+	for i, v := range st.mem.State().History["M"] {
 		if (v.Delta != nil) != (i > 0) {
 			t.Fatalf("version %d: kept delta = %v", i, v.Delta)
 		}
@@ -249,9 +268,152 @@ func TestSegmentIsADeltaChain(t *testing.T) {
 	if got := segSize(); got > withOverwrite {
 		t.Errorf("recovery rewrote the %d-byte segment as %d bytes: the chain did not survive", withOverwrite, got)
 	}
-	for i, v := range st.mem.History("M") {
+	for i, v := range st.mem.State().History["M"] {
 		if (v.Delta != nil) != (i > 0) {
 			t.Errorf("after reopen, version %d: kept delta = %v", i, v.Delta != nil)
 		}
+	}
+}
+
+// writeSegment writes body as the segment at gen in dir, behind magic and
+// with its checksum, as writeSnapshot does.
+func writeSegment(t *testing.T, dir, magic string, gen uint64, body []byte) {
+	t.Helper()
+	seg := append([]byte(magic), body...)
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(body, crcTable))
+	if err := os.WriteFile(filepath.Join(dir, segmentName(gen)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestImpossibleSegmentFallsBack: a segment whose checksum holds but whose
+// state no store could have been in — generations that do not rise, one
+// past the segment's, a provenance naming a generation after its version's,
+// a watermark past the segment's — fails recovery from it like a bad
+// checksum does, and recovery starts from the older segment instead.
+func TestImpossibleSegmentFallsBack(t *testing.T) {
+	for what, spoil := range map[string]func(st *store.State){
+		"generations that do not rise":  func(st *store.State) { st.History["M"][1].Gen = st.History["M"][0].Gen },
+		"a generation past the segment": func(st *store.State) { st.History["M"][1].Gen = st.Gen + 1 },
+		"a provenance from the future": func(st *store.State) {
+			st.History["M"][0].Prov = &store.Provenance{Inputs: map[string]uint64{"X": st.History["M"][0].Gen + 1}}
+		},
+		"a watermark past the segment": func(st *store.State) { st.Watermark["M"] = st.Gen + 1 },
+	} {
+		dir := t.TempDir()
+		st := openT(t, dir, WithCompactAfter(-1))
+		vs := chain(t, 1)
+		for k, c := range vs {
+			if err := st.Put(c, day(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		state := st.mem.State()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Restore(state); err != nil {
+			t.Fatalf("%s: the unspoilt state is refused: %v", what, err)
+		}
+		spoil(state)
+		writeSegment(t, dir, string(segMagic[:]), state.Gen, encodeSnapshot(state))
+
+		re := openT(t, dir)
+		if rec := re.Recovery(); rec.CorruptSegments != 1 || rec.SnapshotGen != 0 || rec.ReplayedRecords != 2 || rec.Generation != 2 {
+			t.Fatalf("%s: recovery = %+v, want the segment skipped and the log replayed", what, rec)
+		}
+		checkVersions(t, re, "M", vs)
+		re.Close()
+	}
+}
+
+// TestParentLayoutDirectoryOpens: a directory as stores wrote it before
+// generations and provenance were on disk — an "EXLSEG02" segment and a WAL
+// of opCommit records — opens with every version readable. The segment's
+// versions get generations up to its own, so a delta from a generation
+// before it is ErrDeltaUnavailable, and one from after it is exact. No
+// version has a provenance, so an engine's first incremental run on it is
+// full, and the next one is maintained.
+func TestParentLayoutDirectoryOpens(t *testing.T) {
+	const program = "cube A(q: quarter) measure v\n\nB := A * 2\n"
+	ref := engine.New()
+	if err := ref.RegisterProgram("p", program); err != nil {
+		t.Fatal(err)
+	}
+	schA, _ := ref.Schema("A")
+	schB, _ := ref.Schema("B")
+	versions := func(sch model.Schema, scale float64, n int) []*model.Cube {
+		var vs []*model.Cube
+		for k := 0; k < n; k++ {
+			c := model.NewCube(sch)
+			for q := 0; q < 12; q++ {
+				if err := c.Put([]model.Value{model.Per(model.NewQuarterly(2020, 1).Shift(int64(q)))}, scale*float64(q+10*k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vs = append(vs, c.Freeze())
+		}
+		return vs
+	}
+	as, bs := versions(schA, 1, 4), versions(schB, 2, 4)
+
+	// Commits 1–4 put A, run, put A, run; the segment is at 4. The log
+	// after it holds commits 5 and 6: A's third version, and the run on it.
+	dir := t.TempDir()
+	seg := &store.State{Gen: 4, Schemas: map[string]model.Schema{"A": schA, "B": schB}, History: map[string][]store.Version{
+		"A": {{AsOf: day(0), Cube: as[0]}, {AsOf: day(2), Cube: as[1], Delta: model.DiffCubes("A", as[0], as[1])}},
+		"B": {{AsOf: day(1), Cube: bs[0]}, {AsOf: day(3), Cube: bs[1], Delta: model.DiffCubes("B", bs[0], bs[1])}},
+	}}
+	writeSegment(t, dir, "EXLSEG02", 4, legacySegment(seg, layoutTagged))
+	writeWAL(t, dir, 4,
+		encodeRecord(&record{op: opCommit, asOf: day(4), cubes: []cubeRec{deltaRec(model.DiffCubes("A", as[1], as[2]))}}),
+		encodeRecord(&record{op: opCommit, asOf: day(5), cubes: []cubeRec{deltaRec(model.DiffCubes("B", bs[1], bs[2]))}}),
+	)
+
+	st := openT(t, dir)
+	defer st.Close()
+	if rec := st.Recovery(); rec.SnapshotGen != 4 || rec.Generation != 6 || rec.ReplayedRecords != 2 || rec.CorruptSegments != 0 || rec.TruncatedRecords != 0 {
+		t.Fatalf("recovery = %+v", rec)
+	}
+	for i := 0; i < 3; i++ { // A's versions are at the even days, B's at the odd ones
+		if a, ok := st.GetAsOf("A", day(2*i)); !ok || !a.Equal(as[i], 0) {
+			t.Fatalf("A's version %d is not what was put", i)
+		}
+		if b, ok := st.GetAsOf("B", day(2*i+1)); !ok || !b.Equal(bs[i], 0) {
+			t.Fatalf("B's version %d is not what was put", i)
+		}
+	}
+	if _, err := st.Delta("A", 3); !errors.Is(err, store.ErrDeltaUnavailable) {
+		t.Errorf("a delta from before the upgrade: %v, want ErrDeltaUnavailable", err)
+	}
+	if d, err := st.Delta("A", 4); err != nil || d.Base != st.mem.State().History["A"][1].Cube || len(d.Changed) != 12 {
+		t.Errorf("a delta from the segment's generation = %v, %v: want A's third version against its second", d, err)
+	}
+
+	e := engine.New(engine.WithStore(st))
+	if err := e.RegisterProgram("p", program); err != nil {
+		t.Fatal(err)
+	}
+	run := func(at time.Time, want string) {
+		t.Helper()
+		rep, err := e.Run(context.Background(), engine.RunAt(at), engine.WithIncremental())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Fragments) != 1 || rep.Fragments[0].Mode != want {
+			t.Fatalf("run at %v: fragments %+v, want one %s", at, rep.Fragments, want)
+		}
+		a, _ := e.Cube("A")
+		if b, _ := e.Cube("B"); b.Len() != a.Len() {
+			t.Fatalf("run at %v: B has %d tuples for A's %d", at, b.Len(), a.Len())
+		}
+	}
+	run(day(6), dispatch.ModeFull)
+	if err := e.PutCube(as[3], day(7)); err != nil {
+		t.Fatal(err)
+	}
+	run(day(8), dispatch.ModeMaintained)
+	if b, _ := e.Cube("B"); !b.Equal(bs[3], 0) {
+		t.Error("the maintained B is not twice A")
 	}
 }

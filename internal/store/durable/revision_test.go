@@ -23,11 +23,11 @@ func TestCodecEncodesEitherFormAlike(t *testing.T) {
 	cols := own.Current
 	twice := prev.Revise(revise(t, rows, []int{2}, nil, 0).Clone()) // a second version on the key set
 
-	full := func(c *model.Cube) []byte { return encodeRecord(commitRecord(day(1), []cubeRec{fullRec(c)})) }
+	full := func(c *model.Cube) []byte { return encodeRecord(commitRecord(day(1), 1, []cubeRec{fullRec(c)})) }
 	if !bytes.Equal(full(rows), full(cols)) {
 		t.Error("full form differs between a mutable cube and columns")
 	}
-	delta := func(d *model.CubeDelta) []byte { return encodeRecord(commitRecord(day(1), []cubeRec{deltaRec(d)})) }
+	delta := func(d *model.CubeDelta) []byte { return encodeRecord(commitRecord(day(1), 1, []cubeRec{deltaRec(d)})) }
 	want := delta(model.DiffCubes("M", prev, rows))
 	for what, d := range map[string]*model.CubeDelta{
 		"the store's own pass":         own,
@@ -79,7 +79,7 @@ func TestOwnPassDeltaIsLogged(t *testing.T) {
 
 	v1 := revise(t, stored, []int{3}, nil, 0).Clone()
 	gen := st.Generation()
-	ci, err := st.PutAllGen(map[string]*model.Cube{"M": v1}, nil, day(1))
+	ci, err := st.PutAllGen(map[string]*model.Cube{"M": v1}, nil, nil, day(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestOwnPassDeltaIsLogged(t *testing.T) {
 		all[i] = i
 	}
 	v2 := revise(t, cur, all, nil, 0).Clone()
-	ci, err = st.PutAllGen(map[string]*model.Cube{"M": v2}, nil, day(2))
+	ci, err = st.PutAllGen(map[string]*model.Cube{"M": v2}, nil, nil, day(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRecoveredHistorySharesKeySets(t *testing.T) {
 	}
 	for k := 1; k <= 10; k++ {
 		vs = append(vs, revise(t, vs[k-1], []int{k}, nil, 0))
-		ci, err := st.PutAllGen(map[string]*model.Cube{"M": vs[k].Clone()}, nil, day(k))
+		ci, err := st.PutAllGen(map[string]*model.Cube{"M": vs[k].Clone()}, nil, nil, day(k))
 		if err != nil || ci.DeltaCubes != 1 {
 			t.Fatalf("revision %d: logged as %d deltas (%v)", k, ci.DeltaCubes, err)
 		}
@@ -141,7 +141,7 @@ func TestRecoveredHistorySharesKeySets(t *testing.T) {
 			t.Fatalf("recovery from %s = %+v", from, rec)
 		}
 		checkVersions(t, re, "M", vs)
-		hist := re.mem.History("M")
+		hist := re.mem.State().History["M"]
 		for k, v := range hist[1:] {
 			if !v.Cube.SharesKeySet(hist[0].Cube) || v.Delta == nil || v.Delta.Base != hist[k].Cube || len(v.Delta.Changed) != 1 {
 				t.Errorf("from %s, version %d does not stand on the first one's key set with its delta", from, k+1)

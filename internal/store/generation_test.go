@@ -142,7 +142,7 @@ func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
 
 	put := func(c *model.Cube, d *model.CubeDelta, at time.Time) uint64 {
 		t.Helper()
-		ci, err := s.PutAllGen(map[string]*model.Cube{"A": c}, map[string]*model.CubeDelta{"A": d}, at)
+		ci, err := s.PutAllGen(map[string]*model.Cube{"A": c}, map[string]*model.CubeDelta{"A": d}, nil, at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { s.Delta("A", g1) }); n != 0 {
 		t.Errorf("Delta answered from the kept delta allocates %v times", n)
 	}
-	if h := s.History("A"); len(h) != 2 || h[0].Delta != nil || h[1].Delta != d12 {
+	if h := s.State().History["A"]; len(h) != 2 || h[0].Delta != nil || h[1].Delta != d12 {
 		t.Fatalf("History deltas = %v", h)
 	}
 
@@ -173,8 +173,8 @@ func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
 	v4 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 7}).Freeze()
 	d34 := model.DiffCubes("A", v3, v4.Clone().Freeze())
 	put(v4, d34, t1.Add(3*time.Hour))
-	for i, v := range s.History("A")[2:] {
-		prev := s.History("A")[i+1].Cube
+	for i, v := range s.State().History["A"][2:] {
+		prev := s.State().History["A"][i+1].Cube
 		if v.Delta == nil || v.Delta == d13 || v.Delta == d34 || v.Delta.Base != prev || v.Delta.Current != v.Cube || len(v.Delta.Changed) != 1 {
 			t.Errorf("version %d kept %+v, want the store's own delta about it and its predecessor", i+3, v.Delta)
 		}
@@ -184,7 +184,7 @@ func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
 	v5 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 8})
 	d45 := model.DiffCubes("A", v4, v5)
 	put(v5, d45, t1.Add(4*time.Hour))
-	if h := s.History("A"); h[4].Delta == nil || h[4].Delta == d45 || h[4].Delta.Base != h[3].Cube ||
+	if h := s.State().History["A"]; h[4].Delta == nil || h[4].Delta == d45 || h[4].Delta.Base != h[3].Cube ||
 		h[4].Delta.Current != h[4].Cube || h[4].Cube == v5 || len(h[4].Delta.Changed) != 1 {
 		t.Errorf("an unfrozen put kept the delta %+v, want the store's own about the stored pair", h[4].Delta)
 	}
@@ -200,7 +200,7 @@ func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
 	cur, _ := s.Get("A")
 	v6 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 9}).Freeze()
 	put(v6, model.DiffCubes("A", cur, v6), t1.Add(4*time.Hour))
-	h := s.History("A")
+	h := s.State().History["A"]
 	if last := h[len(h)-1]; last.Cube != v6 || last.Delta != nil {
 		t.Errorf("the overwriting version kept a delta from a version no longer in the history")
 	}
@@ -208,7 +208,7 @@ func TestPutAllGenKeepsTrustedDelta(t *testing.T) {
 	v7 := yearCube(t, "A", map[int]float64{2020: 1, 2021: 10}).Freeze()
 	d67 := model.DiffCubes("A", v6, v7)
 	put(v7, d67, t1.Add(5*time.Hour))
-	if h = s.History("A"); h[len(h)-1].Delta != d67 || h[len(h)-1].Delta.Base != h[len(h)-2].Cube {
+	if h = s.State().History["A"]; h[len(h)-1].Delta != d67 || h[len(h)-1].Delta.Base != h[len(h)-2].Cube {
 		t.Errorf("the version after an overwrite lost its delta")
 	}
 }

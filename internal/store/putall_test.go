@@ -14,7 +14,7 @@ func TestPutAllCommitsEveryCube(t *testing.T) {
 	_, err := s.PutAllGen(map[string]*model.Cube{
 		"A": yearCube(t, "A", map[int]float64{2000: 1}),
 		"B": yearCube(t, "B", map[int]float64{2000: 2}),
-	}, nil, t0)
+	}, nil, nil, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestPutAllAtomicOnNilCube(t *testing.T) {
 	_, err := s.PutAllGen(map[string]*model.Cube{
 		"A": yearCube(t, "A", map[int]float64{2000: 1}),
 		"Z": nil,
-	}, nil, t0)
+	}, nil, nil, t0)
 	if err == nil || !strings.Contains(err.Error(), "nil cube") {
 		t.Fatalf("err = %v, want nil-cube rejection", err)
 	}
@@ -61,7 +61,7 @@ func TestPutAllAtomicOnSchemaConflict(t *testing.T) {
 	_, err := s.PutAllGen(map[string]*model.Cube{
 		"A": yearCube(t, "A", map[int]float64{2000: 1}),
 		"B": bad,
-	}, nil, t0)
+	}, nil, nil, t0)
 	if err == nil {
 		t.Fatal("dimensionality change must be rejected")
 	}
@@ -80,7 +80,7 @@ func TestPutAllAtomicOnVersionOrder(t *testing.T) {
 	_, err := s.PutAllGen(map[string]*model.Cube{
 		"A": yearCube(t, "A", map[int]float64{2000: 1}),
 		"B": yearCube(t, "B", map[int]float64{2000: 10}),
-	}, nil, t0.Add(-time.Hour))
+	}, nil, nil, t0.Add(-time.Hour))
 	if err == nil {
 		t.Fatal("out-of-order version must be rejected")
 	}
@@ -98,7 +98,7 @@ func TestPutAllIsolatesCaller(t *testing.T) {
 	s := New()
 	t0 := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 	c := yearCube(t, "A", map[int]float64{2000: 1})
-	if _, err := s.PutAllGen(map[string]*model.Cube{"A": c}, nil, t0); err != nil {
+	if _, err := s.PutAllGen(map[string]*model.Cube{"A": c}, nil, nil, t0); err != nil {
 		t.Fatal(err)
 	}
 	// Mutating the caller's cube after the commit must not reach the store.

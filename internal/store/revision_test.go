@@ -109,7 +109,7 @@ func TestRevisionPutBudget(t *testing.T) {
 		if a := testing.AllocsPerRun(5, func() { d, _ = s.Delta("PDR", gen) }); a != 0 {
 			t.Errorf("Delta for the preceding generation allocates %v times", a)
 		}
-		hist := s.History("PDR")
+		hist := s.State().History["PDR"]
 		if d == nil || d != hist[len(hist)-1].Delta || d.Base != hist[len(hist)-2].Cube || d.Current != cur {
 			t.Fatalf("put %d: Delta is not the delta kept on the version", k)
 		}
@@ -153,7 +153,7 @@ func TestPutCopiesWhatIsNoRevision(t *testing.T) {
 		if err := s.Put(c, day(k)); err != nil {
 			t.Fatal(err)
 		}
-		hist := s.History("PDR")
+		hist := s.State().History["PDR"]
 		return hist[len(hist)-1].Cube, hist[len(hist)-1].Delta
 	}
 	base := pdrCube(400)
@@ -206,10 +206,10 @@ func TestPutCopiesWhatIsNoRevision(t *testing.T) {
 	// A handed delta about the very cubes is kept as it is, and the cube adopted.
 	next := revised(v6, tuples, 5).Freeze()
 	handed := model.DiffCubes("PDR", v6, next)
-	if _, err := s.PutAllGen(map[string]*model.Cube{"PDR": next}, map[string]*model.CubeDelta{"PDR": handed}, day(6)); err != nil {
+	if _, err := s.PutAllGen(map[string]*model.Cube{"PDR": next}, map[string]*model.CubeDelta{"PDR": handed}, nil, day(6)); err != nil {
 		t.Fatal(err)
 	}
-	if hist := s.History("PDR"); hist[len(hist)-1].Cube != next || hist[len(hist)-1].Delta != handed {
+	if hist := s.State().History["PDR"]; hist[len(hist)-1].Cube != next || hist[len(hist)-1].Delta != handed {
 		t.Error("a trusted delta was not kept with its cube")
 	}
 }
@@ -224,7 +224,7 @@ func TestDeltaAcrossVersionsOnOneKeySet(t *testing.T) {
 	if err := s.Put(pdrCube(n), day(0)); err != nil {
 		t.Fatal(err)
 	}
-	root, rootGen := s.History("PDR")[0].Cube, s.Generation()
+	root, rootGen := s.State().History["PDR"][0].Cube, s.Generation()
 	tuples := root.Clone().Tuples()
 	for k := 1; k <= 2; k++ {
 		cur, _ := s.Get("PDR")

@@ -34,7 +34,9 @@ var ErrStaleVersion = errors.New("older than the latest")
 // the caller must fall back to a full recompute. This happens after an
 // equal-asOf overwrite: the replaced version vanishes from the history
 // (last write wins), and diffing against an older surviving base could
-// silently miss changes the caller's snapshot actually observed.
+// silently miss changes the caller's snapshot actually observed. A history
+// restored without its generations (see Restore) has its watermark at the
+// generation it was restored at, so the same rule refuses what came before.
 var ErrDeltaUnavailable = errors.New("store: delta unavailable for requested generation; full recompute required")
 
 // Store is a versioned, concurrency-safe cube repository.
@@ -72,6 +74,52 @@ type version struct {
 	// NewVersion knew: its Base is the preceding history entry's cube, by
 	// pointer. Nil when unknown.
 	delta *model.CubeDelta
+	// prov is what a run computed the version from; nil for a version put
+	// from outside a run.
+	prov *Provenance
+}
+
+// Provenance is what a stored version was computed from: Stmt identifies
+// the statement that computed it, by a fingerprint the writer chooses, and
+// Inputs holds the generation of each direct operand it read. A run's
+// incremental determination reads it back: a version is current while its
+// statement and the generations of its operands are, and it is a base to
+// maintain from by their deltas since those generations. A Provenance is
+// shared by reference once stored and must not be modified.
+type Provenance struct {
+	Stmt   uint64
+	Inputs map[string]uint64
+}
+
+// After returns an operand p names at a generation after gen, if there is
+// one: a version committed at gen cannot have been computed from it. A nil
+// p names none.
+func (p *Provenance) After(gen uint64) (string, bool) {
+	if p != nil {
+		for dep, g := range p.Inputs {
+			if g > gen {
+				return dep, true
+			}
+		}
+	}
+	return "", false
+}
+
+// stamped returns p with every operand that is in the batch at generation
+// g, the generation the batch is committed at, which its writer cannot know
+// beforehand. The copy keeps the caller's map out of the store.
+func stamped(p *Provenance, batch map[string]*model.Cube, g uint64) *Provenance {
+	if p == nil {
+		return nil
+	}
+	out := &Provenance{Stmt: p.Stmt, Inputs: make(map[string]uint64, len(p.Inputs))}
+	for dep, dg := range p.Inputs {
+		if _, ok := batch[dep]; ok {
+			dg = g
+		}
+		out.Inputs[dep] = dg
+	}
+	return out
 }
 
 // New returns an empty store.
@@ -166,7 +214,7 @@ func appendVersion(vs []version, v version) (_ []version, replaced bool) {
 // on the version only where it provably describes the step the history
 // records (see NewVersion), and not across an overwrite, whose base
 // vanishes.
-func (s *Store) putLocked(c *model.Cube, handed *model.CubeDelta, asOf time.Time, g uint64) {
+func (s *Store) putLocked(c *model.Cube, handed *model.CubeDelta, prov *Provenance, asOf time.Time, g uint64) {
 	name := c.Schema().Name
 	if _, ok := s.schemas[name]; !ok {
 		s.schemas[name] = c.Schema()
@@ -176,7 +224,7 @@ func (s *Store) putLocked(c *model.Cube, handed *model.CubeDelta, asOf time.Time
 	if len(old) > 0 {
 		latest = old[len(old)-1].cube
 	}
-	v := version{asOf: asOf, gen: g}
+	v := version{asOf: asOf, gen: g, prov: prov}
 	v.cube, v.delta = NewVersion(latest, c, handed)
 	vs, replaced := appendVersion(old, v)
 	if replaced {
@@ -238,7 +286,7 @@ func (s *Store) Put(c *model.Cube, asOf time.Time) error {
 		return err
 	}
 	s.gen++
-	s.putLocked(c, nil, asOf, s.gen)
+	s.putLocked(c, nil, nil, asOf, s.gen)
 	return nil
 }
 
@@ -259,10 +307,13 @@ type Commit struct {
 // version ordering) before any write happens, so a rejected cube leaves
 // the store exactly as it was — the snapshot-isolation guarantee the
 // dispatcher relies on when a run partially fails. It returns the commit
-// generation the batch was stamped with, read atomically with the write:
-// callers that memoize "computed at generation g" cannot read it after
-// the fact, since Generation() can observe a concurrent writer's bump. An
-// empty batch commits nothing and returns the current generation.
+// generation the batch was stamped with, read atomically with the write,
+// since Generation() can observe a concurrent writer's bump. An empty
+// batch commits nothing and returns the current generation.
+//
+// provs may carry, per cube, the provenance of the new version: what the
+// run that computed it read. An operand that is itself in the batch is
+// recorded at the batch's own generation, whatever provs says of it.
 //
 // deltas may carry, per cube, how the new version differs from the one it
 // supersedes — a run that maintained its outputs from deltas holds exactly
@@ -272,7 +323,7 @@ type Commit struct {
 // turns out to be a revision of that latest version (see NewVersion). A
 // kept delta is what Delta answers with for the preceding generation, and
 // what a durable store logs instead of the cube.
-func (s *Store) PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, asOf time.Time) (Commit, error) {
+func (s *Store) PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model.CubeDelta, provs map[string]*Provenance, asOf time.Time) (Commit, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	names := sortedNames(cubes)
@@ -288,7 +339,7 @@ func (s *Store) PutAllGen(cubes map[string]*model.Cube, deltas map[string]*model
 	// Commit.
 	s.gen++
 	for _, name := range names {
-		s.putLocked(cubes[name], deltas[name], asOf, s.gen)
+		s.putLocked(cubes[name], deltas[name], stamped(provs[name], cubes, s.gen), asOf, s.gen)
 	}
 	return Commit{Gen: s.gen}, nil
 }
@@ -348,28 +399,15 @@ func (s *Store) Versions(name string) []time.Time {
 }
 
 // Version is one entry of a cube's version history: the validity instant,
-// the frozen cube stored at it and, where the store holds it, the delta
+// the frozen cube stored at it, the generation that committed it, its
+// provenance if a run computed it and, where the store holds it, the delta
 // from the entry before (Delta.Base is that entry's Cube).
 type Version struct {
 	AsOf  time.Time
 	Cube  *model.Cube
+	Gen   uint64
+	Prov  *Provenance
 	Delta *model.CubeDelta
-}
-
-// History returns the cube's full version history, oldest first. The
-// slice is a copy; the cubes are the store's frozen shared instances
-// (zero-copy, like Get). Durable backends use it to serialize complete
-// segment snapshots that preserve GetAsOf semantics, as a full first
-// version and the deltas that lead from each entry to the next.
-func (s *Store) History(name string) []Version {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	vs := s.cubes[name]
-	out := make([]Version, len(vs))
-	for i, v := range vs {
-		out[i] = Version{AsOf: v.asOf, Cube: v.cube, Delta: v.delta}
-	}
-	return out
 }
 
 // Schemas returns a copy of the declared-schema catalog, including
@@ -386,25 +424,29 @@ func (s *Store) Schemas() map[string]model.Schema {
 
 // SnapshotWithGenerations returns the current version of every stored
 // cube, keyed by name — the source instance handed to the execution
-// engines — with the store generation the snapshot was taken at and the
-// commit generation of each cube's version, all read atomically under
-// one lock acquisition: the view a run pins itself to. The maps are
-// fresh but the cubes are frozen shared references, so a snapshot costs
-// O(#cubes) regardless of how many tuples they hold. A cube whose
-// generation has not moved since a previous read is guaranteed unchanged
-// (versions are immutable once frozen).
-func (s *Store) SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64) {
+// engines — with the store generation the snapshot was taken at, the
+// commit generation of each cube's version and the provenance of each
+// version that has one, all read atomically under one lock acquisition:
+// the view a run pins itself to. The maps are fresh but the cubes and
+// provenances are shared references, so a snapshot costs O(#cubes)
+// regardless of how many tuples they hold. A cube whose generation has not
+// moved since a previous read is guaranteed unchanged (versions are
+// immutable once frozen).
+func (s *Store) SnapshotWithGenerations() (map[string]*model.Cube, uint64, map[string]uint64, map[string]*Provenance) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	snap := make(map[string]*model.Cube, len(s.cubes))
 	gens := make(map[string]uint64, len(s.cubes))
+	provs := make(map[string]*Provenance, len(s.cubes))
 	for name, vs := range s.cubes {
-		if len(vs) > 0 {
-			snap[name] = vs[len(vs)-1].cube
-			gens[name] = vs[len(vs)-1].gen
+		if n := len(vs); n > 0 {
+			snap[name], gens[name] = vs[n-1].cube, vs[n-1].gen
+			if vs[n-1].prov != nil {
+				provs[name] = vs[n-1].prov
+			}
 		}
 	}
-	return snap, s.gen, gens
+	return snap, s.gen, gens, provs
 }
 
 // Delta returns the tuple-level changes to the cube between the version
@@ -458,4 +500,89 @@ func (s *Store) Delta(name string, sinceGen uint64) (*model.CubeDelta, error) {
 		return cur.delta, nil
 	}
 	return model.DiffCubes(name, base, cur.cube), nil
+}
+
+// State is the whole of a store: its generation, every declared schema,
+// every stored cube's version history, oldest first, and every cube's
+// overwrite watermark (the generation of its latest equal-asOf overwrite,
+// absent when there was none). It is what a durable store's segment holds:
+// each cube's first version and the deltas that lead from each entry to
+// the next.
+type State struct {
+	Gen       uint64
+	Schemas   map[string]model.Schema
+	History   map[string][]Version
+	Watermark map[string]uint64
+}
+
+// State returns the store's State, read under one lock. The maps and
+// slices are fresh; the cubes, deltas and provenances are the store's
+// shared instances (zero-copy, like Get).
+func (s *Store) State() *State {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	st := &State{Gen: s.gen, Schemas: make(map[string]model.Schema, len(s.schemas)),
+		History: make(map[string][]Version, len(s.cubes)), Watermark: make(map[string]uint64, len(s.overwriteGen))}
+	for n, sch := range s.schemas {
+		st.Schemas[n] = sch
+	}
+	for n, vs := range s.cubes {
+		if len(vs) == 0 {
+			continue
+		}
+		h := make([]Version, len(vs))
+		for i, v := range vs {
+			h[i] = Version{AsOf: v.asOf, Cube: v.cube, Gen: v.gen, Prov: v.prov, Delta: v.delta}
+		}
+		st.History[n] = h
+	}
+	for n, g := range s.overwriteGen {
+		st.Watermark[n] = g
+	}
+	return st
+}
+
+// Restore returns a store in st, every version at the generation st gives
+// it, so that generations read from it continue those of the store st was
+// taken from. It refuses a state no store could have been in, such as one
+// read from a damaged file: a history of an undeclared cube, versions whose
+// instants or generations do not rise strictly, a generation of 0 or past
+// st.Gen, a provenance naming a generation after its own version's, or a
+// watermark past st.Gen. Each version becomes a stored one as a put makes
+// it (NewVersion): one whose delta from the version before is not in st is
+// compared with that version, and held on its key set where it can be.
+func Restore(st *State) (*Store, error) {
+	s := New()
+	s.gen = st.Gen
+	for n, sch := range st.Schemas {
+		s.schemas[n] = sch
+	}
+	for name, vs := range st.History {
+		if _, ok := s.schemas[name]; !ok {
+			return nil, fmt.Errorf("store: restoring a history of undeclared cube %s", name)
+		}
+		hist := make([]version, len(vs))
+		for i, v := range vs {
+			if v.Gen == 0 || v.Gen > st.Gen || i > 0 && (v.Gen <= vs[i-1].Gen || !v.AsOf.After(vs[i-1].AsOf)) {
+				return nil, fmt.Errorf("store: restoring %s: version %d at generation %d, %v does not follow the one before, or is past generation %d",
+					name, i, v.Gen, v.AsOf, st.Gen)
+			}
+			if dep, ok := v.Prov.After(v.Gen); ok {
+				return nil, fmt.Errorf("store: restoring %s: the version at generation %d was computed from %s after it", name, v.Gen, dep)
+			}
+			var prev *model.Cube
+			if i > 0 {
+				prev = hist[i-1].cube
+			}
+			hist[i] = version{asOf: v.AsOf, gen: v.Gen, prov: v.Prov}
+			hist[i].cube, hist[i].delta = NewVersion(prev, v.Cube, v.Delta)
+		}
+		s.cubes[name] = hist
+		if w := st.Watermark[name]; w > st.Gen {
+			return nil, fmt.Errorf("store: restoring %s: overwrite watermark %d is past generation %d", name, w, st.Gen)
+		} else if w > 0 {
+			s.overwriteGen[name] = w
+		}
+	}
+	return s, nil
 }

@@ -119,7 +119,7 @@ func TestSnapshot(t *testing.T) {
 	s := New()
 	_ = s.Put(yearCube(t, "A", map[int]float64{2019: 1}), time.Unix(0, 0))
 	_ = s.Put(yearCube(t, "B", map[int]float64{2019: 2}), time.Unix(0, 0))
-	snap, _, _ := s.SnapshotWithGenerations()
+	snap, _, _, _ := s.SnapshotWithGenerations()
 	if len(snap) != 2 || snap["A"] == nil || snap["B"] == nil {
 		t.Errorf("snapshot = %v", snap)
 	}

@@ -76,8 +76,8 @@ func TestSnapshotZeroCopyAndGeneration(t *testing.T) {
 	if err := s.Put(yearCube(t, "A", map[int]float64{2000: 1}), time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	snap1, gen1, _ := s.SnapshotWithGenerations()
-	snap2, gen2, _ := s.SnapshotWithGenerations()
+	snap1, gen1, _, _ := s.SnapshotWithGenerations()
+	snap2, gen2, _, _ := s.SnapshotWithGenerations()
 	if gen1 != 1 || gen2 != 1 {
 		t.Errorf("generations = %d, %d, want 1, 1", gen1, gen2)
 	}
@@ -91,7 +91,7 @@ func TestSnapshotZeroCopyAndGeneration(t *testing.T) {
 	if _, err := s.PutAllGen(map[string]*model.Cube{
 		"B": yearCube(t, "B", map[int]float64{2000: 2}),
 		"C": yearCube(t, "C", map[int]float64{2000: 3}),
-	}, nil, time.Unix(1, 0)); err != nil {
+	}, nil, nil, time.Unix(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if g := s.Generation(); g != 2 {
@@ -132,7 +132,7 @@ func TestPutSameInstantLastWriteWins(t *testing.T) {
 		t.Fatalf("Versions after later write = %v, want two entries", vs)
 	}
 	// PutAllGen follows the same rule.
-	if _, err := s.PutAllGen(map[string]*model.Cube{"A": yearCube(t, "A", map[int]float64{2000: 4})}, nil, t0.Add(time.Second)); err != nil {
+	if _, err := s.PutAllGen(map[string]*model.Cube{"A": yearCube(t, "A", map[int]float64{2000: 4})}, nil, nil, t0.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if vs := s.Versions("A"); len(vs) != 2 {

@@ -381,7 +381,7 @@ type runRequest struct {
 	// Async returns 202 + run ID immediately; poll GET /v1/runs/{id}.
 	Async bool `json:"async,omitempty"`
 	// Incremental asks for delta-driven recomputation: only cubes whose
-	// memoized input generations are stale are recomputed, and where the
+	// stored provenance is stale are recomputed, and where the
 	// store can give the deltas of their inputs the chase applies them to
 	// the previous versions, whatever target a fragment is assigned to
 	// (see engine.WithIncremental for the exactness contract).
