@@ -62,7 +62,7 @@ func BenchmarkE5_EndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := engine.New(engine.WithParallelDispatch())
+		eng := engine.New()
 		if err := eng.RegisterProgram("gdp", workload.GDPProgram); err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,8 @@ func BenchmarkE7_TranslateVsExecute(b *testing.B) {
 }
 
 // BenchmarkE8_IncrementalVsFull measures the determination engine's
-// incremental recalculation against a full run over a 32-program catalog.
+// incremental recalculation against a full run over a 32-program catalog;
+// the full run's waves overlap the 32 independent programs.
 func BenchmarkE8_IncrementalVsFull(b *testing.B) {
 	const nProg, months = 32, 240 // series length chosen so one full run is ~100ms
 	programs := make(map[string]string, nProg)
@@ -156,8 +157,8 @@ C%02d := (B%02d - shift(B%02d, 1)) * 100 / shift(B%02d, 1)
 			Seed: int64(i + 1), Level: 100, Trend: 0.5, SeasonAmp: 5, NoiseAmp: 1,
 		})
 	}
-	build := func(opts ...engine.Option) *engine.Engine {
-		eng := engine.New(opts...)
+	build := func() *engine.Engine {
+		eng := engine.New()
 		for i := 0; i < nProg; i++ {
 			name := fmt.Sprintf("p%02d", i)
 			if err := eng.RegisterProgram(name, programs[name]); err != nil {
@@ -173,18 +174,6 @@ C%02d := (B%02d - shift(B%02d, 1)) * 100 / shift(B%02d, 1)
 	}
 	b.Run("full", func(b *testing.B) {
 		eng := build()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(context.Background(), RunAt(time.Unix(int64(i+1), 0))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full-parallel", func(b *testing.B) {
-		// Component-aware partitioning + wave-parallel dispatch: the 32
-		// independent programs overlap (Section 6's parallelization).
-		eng := build(engine.WithParallelDispatch())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -298,7 +287,7 @@ func BenchmarkE11_ConcurrentRuns(b *testing.B) {
 	data := workload.GDPSource(workload.GDPConfig{Days: 1000, Regions: 10})
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := engine.New(engine.WithParallelDispatch())
+			eng := engine.New()
 			if err := eng.RegisterProgram("gdp", workload.GDPProgram); err != nil {
 				b.Fatal(err)
 			}

@@ -6,7 +6,7 @@
 //	exlrun -program program.exl -data dir [-target auto|chase|sql|etl|frame]
 //	       [-out dir] [-store dir] [-report] [-trace[=json]] [-metrics]
 //	       [-timeout d] [-fragment-timeout d] [-no-fallback]
-//	       [-max-concurrent n] [-mem-budget bytes] [-incremental]
+//	       [-mem-budget bytes] [-incremental]
 //
 // Runs can be delta-driven: with -incremental, a cube whose inputs have
 // not changed since it was last computed is skipped outright, and a changed
@@ -36,14 +36,12 @@
 // diagnostics (-v, -report, -trace, -metrics) go to stderr, leaving
 // stdout for data.
 //
-// Runs are overload-safe: -max-concurrent caps how many runs execute at
-// once (excess admission requests queue, then shed with typed overload
-// errors) and -mem-budget bounds the bytes runs may reserve for cube
-// materialization — a run that does not fit degrades to sequential
-// dispatch before being rejected. A single exlrun invocation performs one
-// run, so these flags matter mostly when the process is embedded or
-// scripted against a shared store; they are accepted here so the same
-// governor configuration can be exercised end to end from the CLI.
+// Independent parts of the program run concurrently: the dispatcher runs
+// every fragment whose inputs are ready in one wave. -mem-budget bounds the
+// bytes the run may reserve for cube materialization — a run whose
+// estimate does not fit runs its waves one fragment at a time at half the
+// estimate, and is rejected with a typed overload error if even that does
+// not fit.
 //
 // With -store, cubes persist in a crash-safe durable store (write-ahead
 // log + segment snapshots) in the given directory: every version from
@@ -94,7 +92,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := []engine.Option{engine.WithParallelDispatch()}
+	var opts []engine.Option
 	if *noFallback {
 		opts = append(opts, engine.WithoutDegradation())
 	}

@@ -16,8 +16,10 @@
 // eviction and process restarts. Without it tenants are in-memory.
 //
 // -max-concurrent and -mem-budget configure each tenant's admission
-// governor; overloaded tenants shed work with typed 429/503 responses
-// rather than degrading everyone.
+// governor: up to -max-concurrent runs execute, four times as many wait
+// in a FIFO queue, and the rest are shed with typed 429/503 responses
+// rather than degrading everyone. A run's fragments run in waves, the
+// independent ones concurrently.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: HTTP stops accepting,
 // in-flight runs drain, and durable stores flush and close — every
@@ -48,15 +50,17 @@ func main() {
 		idleTimeout = flag.Duration("session-idle-timeout", 5*time.Minute, "evict sessions idle this long")
 		authTokens  = flag.String("auth-tokens", "", "comma-separated token=tenant pairs (tenant * = any); empty allows all")
 		incremental = flag.Bool("incremental", false, "delta-driven recomputation by default: runs recompute only stale cubes, from the deltas of their inputs")
+		// Only the server takes concurrent runs, so only it has the flag.
+		maxConcurrent = flag.Int("max-concurrent", 0, "maximum concurrently executing runs per tenant (0 = unlimited)")
 	)
 	shared := &cli.Flags{}
-	shared.RegisterGovernor(flag.CommandLine, 0, 0)
+	shared.RegisterGovernor(flag.CommandLine)
 	flag.Parse()
 
 	cfg := server.Config{
 		Addr:               *addr,
 		DataDir:            *dataDir,
-		MaxConcurrent:      shared.MaxConcurrent,
+		MaxConcurrent:      *maxConcurrent,
 		MemBudget:          shared.MemBudget,
 		SessionIdleTimeout: *idleTimeout,
 		Incremental:        *incremental,

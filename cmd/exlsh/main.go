@@ -18,7 +18,8 @@
 //
 // With -store, the session's cubes live in a crash-safe durable store
 // (write-ahead log + segment snapshots) in the given directory and
-// survive across sessions.
+// survive across sessions. -mem-budget bounds the bytes a run may reserve
+// for cube materialization; the shell does one run at a time.
 package main
 
 import (
@@ -42,7 +43,7 @@ import (
 func main() {
 	shared := &cli.Flags{}
 	shared.RegisterStore(flag.CommandLine)
-	shared.RegisterGovernor(flag.CommandLine, 0, 0)
+	shared.RegisterGovernor(flag.CommandLine)
 	flag.Parse()
 	// The shell owns its tracer and metrics (\trace and \metrics show
 	// them interactively), so only the store and governor flags apply.
@@ -75,8 +76,7 @@ type shell struct {
 func newShell(in io.Reader, out io.Writer, extra ...engine.Option) *shell {
 	tracer := obs.NewTracer()
 	metrics := obs.NewRegistry()
-	opts := append([]engine.Option{engine.WithParallelDispatch(),
-		engine.WithTracer(tracer), engine.WithMetrics(metrics)}, extra...)
+	opts := append([]engine.Option{engine.WithTracer(tracer), engine.WithMetrics(metrics)}, extra...)
 	return &shell{
 		in:      bufio.NewScanner(in),
 		out:     out,

@@ -27,7 +27,7 @@ PCHNG  := (GDPT - shift(GDPT, 1)) * 100 / GDPT
 `
 
 func main() {
-	eng := exlengine.New(exlengine.WithParallelDispatch())
+	eng := exlengine.New()
 	if err := eng.RegisterProgram("gdp", gdpProgram); err != nil {
 		log.Fatal(err)
 	}

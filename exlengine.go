@@ -129,7 +129,7 @@ const (
 	Fatal        = exlerr.Fatal
 	EgdViolation = exlerr.EgdViolation
 	// Overload marks runs rejected by the resource governor (queue full,
-	// deadline unmeetable, memory budget exceeded, or shutting down).
+	// memory budget exceeded, or shutting down).
 	Overload = exlerr.Overload
 )
 
@@ -148,7 +148,7 @@ var (
 )
 
 // Resource-governance options. The governor is the engine's overload
-// armor: admission control with a bounded queue, a memory budget charged
+// armor: admission control with a FIFO queue, a memory budget charged
 // at cube materialization, and graceful shutdown (Engine.Shutdown stops
 // admission, drains in-flight runs and closes the store).
 var (
@@ -156,8 +156,8 @@ var (
 	// admission requests queue, then shed with typed overload errors.
 	MaxConcurrentRuns = engine.MaxConcurrentRuns
 	// MemoryBudget bounds the bytes concurrent runs may reserve for cube
-	// materialization; a run that does not fit degrades to sequential
-	// dispatch before being rejected.
+	// materialization; a run that does not fit runs its waves one
+	// fragment at a time at half its estimate before being rejected.
 	MemoryBudget = engine.MemoryBudget
 )
 
@@ -165,8 +165,6 @@ var (
 var (
 	// ErrQueueFull: the admission queue was at capacity.
 	ErrQueueFull = governor.ErrQueueFull
-	// ErrDeadline: the caller's deadline could not be met.
-	ErrDeadline = governor.ErrDeadline
 	// ErrShuttingDown: the engine is draining for shutdown.
 	ErrShuttingDown = governor.ErrShuttingDown
 	// ErrMemoryBudget: the run did not fit the memory budget.
@@ -236,10 +234,6 @@ var (
 
 // New returns an empty engine.
 func New(opts ...Option) *Engine { return engine.New(opts...) }
-
-// WithParallelDispatch enables concurrent execution of independent
-// subgraphs during runs.
-func WithParallelDispatch() Option { return engine.WithParallelDispatch() }
 
 // NewSchema builds a cube schema; an empty measure name defaults to
 // "value".

@@ -12,12 +12,11 @@ import (
 	"time"
 )
 
-// TestFacadeQuickstart exercises the public API end to end with parallel
-// dispatch: register a program, put a two-dimensional cube, run, and read
+// TestFacadeQuickstart exercises the public API end to end: register a program, put a two-dimensional cube, run, and read
 // an aggregation and a shifted ratio back. The README quickstart is the
 // body of ExampleEngine, which go test compiles and runs.
 func TestFacadeQuickstart(t *testing.T) {
-	eng := New(WithParallelDispatch())
+	eng := New()
 	src := `
 cube SALES(m: month, shop: string) measure s
 
@@ -224,7 +223,7 @@ func TestFacadeExports(t *testing.T) {
 		"ArtifactETL", "ArtifactMatlab", "ArtifactR", "ArtifactSQL", "ArtifactTgds",
 		"Attempt", "Attr", "Bool", "Compile", "CompileOption", "CompileTraced",
 		"Cube", "Dim", "DimType", "Egd", "EgdViolation", "Engine",
-		"ErrDeadline", "ErrMemoryBudget", "ErrQueueFull", "ErrShuttingDown", "ErrorClass",
+		"ErrMemoryBudget", "ErrQueueFull", "ErrShuttingDown", "ErrorClass",
 		"Fatal", "FragmentReport", "Frequency", "Int", "IsOverload", "Mapping",
 		"MaxConcurrentRuns", "MemoryBudget", "Metrics", "New", "NewAnnual", "NewCube",
 		"NewDaily", "NewMetrics", "NewMonthly", "NewQuarterly", "NewSchema", "NewTracer",
@@ -233,7 +232,7 @@ func TestFacadeExports(t *testing.T) {
 		"TDay", "TInt", "TMonth", "TQuarter", "TString", "TYear",
 		"Target", "TargetChase", "TargetETL", "TargetFrame", "TargetSQL",
 		"Tgd", "Tracer", "Tuple", "Validate", "Value",
-		"WithFragmentTimeout", "WithMetrics", "WithParallelDispatch", "WithTracer",
+		"WithFragmentTimeout", "WithMetrics", "WithTracer",
 		"WithoutDegradation", "WithoutFusion", "WriteTraceJSONL", "WriteTraceTree",
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -1,6 +1,6 @@
 // Package cli is the flag surface shared by the EXLEngine command-line
 // tools. exlrun, exlsh and exlserve all expose the same durable
-// store, observability and resource-governor knobs; this package defines
+// store, observability and memory-budget knobs; this package defines
 // them once — names, defaults and help strings — and turns the parsed
 // values into engine options, so the tools cannot drift apart.
 //
@@ -59,11 +59,10 @@ func (f *TraceFlag) IsBoolFlag() bool { return true }
 
 // Flags holds the parsed values of the shared flag groups.
 type Flags struct {
-	StoreDir      string
-	Trace         TraceFlag
-	Metrics       bool
-	MaxConcurrent int
-	MemBudget     int64
+	StoreDir  string
+	Trace     TraceFlag
+	Metrics   bool
+	MemBudget int64
 }
 
 // RegisterStore adds -store to the flag set.
@@ -78,23 +77,21 @@ func (f *Flags) RegisterObs(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Metrics, "metrics", false, "print the run's metrics to stderr")
 }
 
-// RegisterGovernor adds -max-concurrent and -mem-budget to the flag set
-// with the given defaults (the tools disagree on defaults: 0 = unlimited
-// for one-shot runs, a real bound for servers and load harnesses).
-func (f *Flags) RegisterGovernor(fs *flag.FlagSet, defaultConcurrent int, defaultBudget int64) {
-	fs.IntVar(&f.MaxConcurrent, "max-concurrent", defaultConcurrent,
-		"maximum concurrently executing runs (0 = unlimited)")
-	fs.Int64Var(&f.MemBudget, "mem-budget", defaultBudget,
+// RegisterGovernor adds the governor's -mem-budget to the flag set. The
+// one-shot tools do one run at a time, so only exlserve, whose tenants
+// take concurrent requests, adds a -max-concurrent of its own.
+func (f *Flags) RegisterGovernor(fs *flag.FlagSet) {
+	fs.Int64Var(&f.MemBudget, "mem-budget", 0,
 		"process-wide cube-materialization budget in bytes (0 = unlimited)")
 }
 
-// Register adds every shared flag group to the flag set with one-shot
-// defaults (unlimited governor) and returns the value holder.
+// Register adds every shared flag group to the flag set and returns the
+// value holder.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	f.RegisterStore(fs)
 	f.RegisterObs(fs)
-	f.RegisterGovernor(fs, 0, 0)
+	f.RegisterGovernor(fs)
 	return f
 }
 
@@ -120,16 +117,13 @@ func (f *Flags) Sinks() *Observability {
 	return o
 }
 
-// EngineOptions turns the parsed flags into engine options: governor
-// bounds, observability sinks, and — when -store is set — a durable
+// EngineOptions turns the parsed flags into engine options: the memory
+// budget, observability sinks, and — when -store is set — a durable
 // store opened under the directory. The returned cleanup closes the
 // store (nil-safe to call always); the durable store's recovery stats
 // are returned for tools that print them.
 func (f *Flags) EngineOptions(o *Observability) (opts []engine.Option, cleanup func() error, rec *durable.RecoveryStats, err error) {
 	cleanup = func() error { return nil }
-	if f.MaxConcurrent > 0 {
-		opts = append(opts, engine.MaxConcurrentRuns(f.MaxConcurrent))
-	}
 	if f.MemBudget > 0 {
 		opts = append(opts, engine.MemoryBudget(f.MemBudget))
 	}

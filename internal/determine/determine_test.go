@@ -158,7 +158,7 @@ func TestConflictingSchemasAcrossPrograms(t *testing.T) {
 
 func TestPartitionByPreference(t *testing.T) {
 	g := build(t, map[string]string{"gdp": workload.GDPProgram})
-	subs := Partition(g.FullPlan(), AssignByPreference)
+	subs := Partition(g.FullPlan(), AssignByPreference, g)
 	if len(subs) < 2 {
 		t.Fatalf("expected several subgraphs, got %+v", subs)
 	}
@@ -190,7 +190,7 @@ func TestPartitionByPreference(t *testing.T) {
 
 func TestFixedAssigner(t *testing.T) {
 	g := build(t, map[string]string{"gdp": workload.GDPProgram})
-	subs := Partition(g.FullPlan(), FixedAssigner(ops.TargetChase))
+	subs := Partition(g.FullPlan(), FixedAssigner(ops.TargetChase), g)
 	if len(subs) != 1 || subs[0].Target != ops.TargetChase || len(subs[0].Stmts) != 5 {
 		t.Errorf("fixed partition = %+v", subs)
 	}
@@ -200,7 +200,7 @@ func TestAssignRespectsSupport(t *testing.T) {
 	// A statement mixing a black box is never assigned to ETL even if
 	// arithmetic dominates elsewhere; here stl dominates and prefers frame.
 	g := build(t, map[string]string{"p": "cube A(t: quarter)\nB := stl_t(A) * 2"})
-	subs := Partition(g.FullPlan(), AssignByPreference)
+	subs := Partition(g.FullPlan(), AssignByPreference, g)
 	if subs[0].Target == ops.TargetETL {
 		t.Errorf("black-box statement assigned to ETL: %+v", subs)
 	}

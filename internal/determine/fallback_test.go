@@ -11,7 +11,7 @@ import (
 func subgraphFor(t *testing.T, src, cube string) Subgraph {
 	t.Helper()
 	g := build(t, map[string]string{"p": src})
-	for _, sub := range Partition(g.FullPlan(), AssignByPreference) {
+	for _, sub := range Partition(g.FullPlan(), AssignByPreference, g) {
 		for _, ref := range sub.Stmts {
 			if ref.Cube() == cube {
 				return sub
@@ -87,7 +87,7 @@ B := movavg(A, 3)
 C := sum(B, group by t)
 D := shift(C, 1)
 `})
-	for _, sub := range Partition(g.FullPlan(), AssignByPreference) {
+	for _, sub := range Partition(g.FullPlan(), AssignByPreference, g) {
 		got := FallbackOrder(sub)
 		seen := map[ops.Target]bool{}
 		for _, tg := range got {

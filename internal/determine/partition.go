@@ -16,29 +16,14 @@ type Subgraph struct {
 // Assigner picks the execution target for one statement.
 type Assigner func(StmtRef) ops.Target
 
-// Partition splits a plan into per-target subgraphs, greedily grouping
-// consecutive statements with the same assigned target so each dispatch
-// carries as much work as possible.
-func Partition(plan []StmtRef, assign Assigner) []Subgraph {
-	var out []Subgraph
-	for _, ref := range plan {
-		target := assign(ref)
-		if n := len(out); n > 0 && out[n-1].Target == target {
-			out[n-1].Stmts = append(out[n-1].Stmts, ref)
-			continue
-		}
-		out = append(out, Subgraph{Target: target, Stmts: []StmtRef{ref}})
-	}
-	return out
-}
-
-// PartitionByComponent splits the plan by connected component of the
-// dependency graph first and by target second: statements of independent
-// programs land in separate subgraphs even when they share a target, so a
-// parallel dispatcher can run them concurrently (the paper's "applying
+// Partition splits the plan by connected component of the dependency
+// graph first and by target second: statements of independent programs
+// land in separate subgraphs even when they share a target, so the
+// dispatcher's waves run them concurrently (the paper's "applying
 // parallelization and optimization patterns", Section 6). Within a
-// component, consecutive same-target statements still group.
-func PartitionByComponent(plan []StmtRef, assign Assigner, g *Graph) []Subgraph {
+// component, consecutive same-target statements group, so each dispatch
+// carries as much work as possible.
+func Partition(plan []StmtRef, assign Assigner, g *Graph) []Subgraph {
 	// Union-find over the plan's derived cubes: two statements are in the
 	// same component when one consumes the other's output (directly or
 	// transitively through plan members).

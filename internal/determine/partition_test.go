@@ -2,6 +2,7 @@ package determine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"exlengine/internal/exl"
@@ -33,16 +34,10 @@ func TestPartitionByComponentSeparatesPrograms(t *testing.T) {
 	g := chainCatalog(t, 4)
 	plan := g.FullPlan()
 
-	// Greedy consecutive partitioning merges across programs: the plan is
-	// A00..A03, B00..B03, C00..C03 and all A statements share a target.
-	greedy := Partition(plan, AssignByPreference)
-	if len(greedy) != 3 {
-		t.Fatalf("greedy partition = %d subgraphs, want 3", len(greedy))
-	}
-
-	// Component-aware partitioning keeps the 4 programs separate: three
-	// per-target fragments per chain.
-	subs := PartitionByComponent(plan, AssignByPreference, g)
+	// The plan is A00..A03, B00..B03, C00..C03 and all A statements share
+	// a target, yet the 4 programs stay separate: three per-target
+	// fragments per chain.
+	subs := Partition(plan, AssignByPreference, g)
 	if len(subs) != 12 {
 		t.Fatalf("component partition = %d subgraphs, want 12: %+v", len(subs), subs)
 	}
@@ -75,7 +70,7 @@ A := S * 2
 B := movavg(A, 3)
 C := B * 2
 `})
-	subs := PartitionByComponent(g.FullPlan(), AssignByPreference, g)
+	subs := Partition(g.FullPlan(), AssignByPreference, g)
 	if len(subs) != 3 {
 		t.Fatalf("subgraphs = %+v", subs)
 	}
@@ -87,17 +82,32 @@ C := B * 2
 	}
 }
 
+// TestPartitionByComponentSingleProgramMatchesGreedy: on a single
+// component the partition is the greedy grouping of consecutive
+// same-target statements — for GDP, five statements on alternating targets.
 func TestPartitionByComponentSingleProgramMatchesGreedy(t *testing.T) {
 	g := build(t, map[string]string{"gdp": workload.GDPProgram})
-	plan := g.FullPlan()
-	a := Partition(plan, AssignByPreference)
-	b := PartitionByComponent(plan, AssignByPreference, g)
-	if len(a) != len(b) {
-		t.Fatalf("single-component partitions differ: %d vs %d", len(a), len(b))
+	subs := Partition(g.FullPlan(), AssignByPreference, g)
+	want := []struct {
+		target ops.Target
+		cubes  []string
+	}{
+		{ops.TargetSQL, []string{"PQR"}},
+		{ops.TargetETL, []string{"RGDP"}},
+		{ops.TargetSQL, []string{"GDP"}},
+		{ops.TargetFrame, []string{"GDPT"}},
+		{ops.TargetSQL, []string{"PCHNG"}},
 	}
-	for i := range a {
-		if a[i].Target != b[i].Target || len(a[i].Stmts) != len(b[i].Stmts) {
-			t.Errorf("subgraph %d differs: %+v vs %+v", i, a[i], b[i])
+	if len(subs) != len(want) {
+		t.Fatalf("subgraphs = %+v, want %d", subs, len(want))
+	}
+	for i, w := range want {
+		var cubes []string
+		for _, ref := range subs[i].Stmts {
+			cubes = append(cubes, ref.Cube())
+		}
+		if subs[i].Target != w.target || !slices.Equal(cubes, w.cubes) {
+			t.Errorf("subgraph %d = %s %v, want %s %v", i, subs[i].Target, cubes, w.target, w.cubes)
 		}
 	}
 }

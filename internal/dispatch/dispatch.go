@@ -34,9 +34,11 @@ import (
 
 // Dispatcher executes determination plans against the target engines.
 type Dispatcher struct {
-	// Parallel enables wave-based concurrent execution of independent
-	// subgraphs. Sequential execution gives the same results.
-	Parallel bool
+	// Serial runs every wave one fragment at a time on the calling
+	// goroutine, in plan order. The engine sets it for a run whose memory
+	// reservation fits only half the estimate (engine.MemoryBudget); the
+	// results are the same.
+	Serial bool
 	// Degrade enables fallback re-routing: a fragment whose target fails
 	// is re-run on the next target the operator-support matrix permits,
 	// chase last.
@@ -112,25 +114,12 @@ func (d *Dispatcher) runPlan(ctx context.Context, subs []determine.Subgraph, tgd
 		frags[i] = f
 	}
 
-	if !d.Parallel {
-		for i, f := range frags {
-			out, fr, err := d.runFragment(ctx, i, subs[i], f, work, incr)
-			rep.Fragments[i] = fr
-			if err != nil {
-				rep.Elapsed = time.Since(start)
-				return nil, rep, err
-			}
-			for k, v := range out {
-				work[k] = v
-				results[k] = v
-			}
-		}
-		rep.Elapsed = time.Since(start)
-		return results, rep, nil
-	}
-
-	// Wave-based parallel execution: a fragment is ready when every input
-	// produced by the plan is already available.
+	// Wave scheduling: a fragment is ready when every input produced by
+	// the plan is already available. A wave of one fragment — every wave
+	// of a chain — runs on the calling goroutine, as does every wave of a
+	// Serial run; the fragments of a wider wave run concurrently. A failed
+	// wave fails the run with the error of its lowest-index failing
+	// fragment, whichever fragment finished first.
 	produced := make(map[string]int) // cube -> fragment index
 	for i, f := range frags {
 		for _, c := range f.produces {
@@ -158,44 +147,42 @@ func (d *Dispatcher) runPlan(ctx context.Context, subs []determine.Subgraph, tgd
 		if len(wave) == 0 {
 			break
 		}
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		var firstErr error
-		for _, i := range wave {
-			i := i
-			f := frags[i]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				out, fr, err := d.runFragment(ctx, i, subs[i], f, work, incr)
-				mu.Lock()
-				defer mu.Unlock()
-				rep.Fragments[i] = fr
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				for k, v := range out {
-					results[k] = v
-				}
-			}()
+		outs := make([]map[string]*model.Cube, len(wave))
+		errs := make([]error, len(wave))
+		run := func(w int) {
+			i := wave[w]
+			outs[w], rep.Fragments[i], errs[w] = d.runFragment(ctx, i, subs[i], frags[i], work, incr)
 		}
-		wg.Wait()
-		if firstErr != nil {
-			rep.Elapsed = time.Since(start)
-			return nil, rep, firstErr
-		}
-		// Publish the wave's outputs to the shared snapshot. Fragments of
-		// the wave that produced nothing (impossible today) would simply
-		// publish nothing: failed attempts never reach this point, so the
-		// shared snapshot only ever sees complete fragment outputs.
-		for _, i := range wave {
-			for _, c := range frags[i].produces {
-				if v, ok := results[c]; ok {
-					work[c] = v
+		if d.Serial || len(wave) == 1 {
+			for w := range wave {
+				if run(w); errs[w] != nil {
+					break
 				}
+			}
+		} else {
+			var wg sync.WaitGroup
+			for w := range wave {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					run(w)
+				}()
+			}
+			wg.Wait()
+		}
+		for _, err := range errs {
+			if err != nil {
+				rep.Elapsed = time.Since(start)
+				return nil, rep, err
+			}
+		}
+		// Publish the wave's outputs to the shared snapshot: failed attempts
+		// never reach this point, so the snapshot only ever sees complete
+		// fragment outputs.
+		for w, i := range wave {
+			for k, v := range outs[w] {
+				work[k] = v
+				results[k] = v
 			}
 			done[i] = true
 		}

@@ -77,7 +77,7 @@ func TestDispatchMixedTargets(t *testing.T) {
 	f := setup(t, workload.GDPProgram, workload.GDPSource(workload.GDPConfig{Days: 380, Regions: 3}))
 	ref := reference(t, f)
 
-	subs := determine.Partition(f.graph.FullPlan(), determine.AssignByPreference)
+	subs := determine.Partition(f.graph.FullPlan(), determine.AssignByPreference, f.graph)
 	if len(subs) < 2 {
 		t.Fatalf("expected a mixed-target plan, got %+v", subs)
 	}
@@ -103,7 +103,7 @@ func TestDispatchEveryFixedTarget(t *testing.T) {
 	ref := reference(t, f)
 	for _, target := range ops.AllTargets {
 		t.Run(string(target), func(t *testing.T) {
-			subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(target))
+			subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(target), f.graph)
 			d := &Dispatcher{}
 			got, err := d.Run(subs, f.tgds, f.schemas, f.data)
 			if err != nil {
@@ -148,8 +148,8 @@ C  := A2 + B2
 		}
 		return ops.TargetFrame
 	}
-	subs := determine.Partition(f.graph.FullPlan(), alternating)
-	d := &Dispatcher{Parallel: true}
+	subs := determine.Partition(f.graph.FullPlan(), alternating, f.graph)
+	d := &Dispatcher{}
 	got, err := d.Run(subs, f.tgds, f.schemas, f.data)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ C  := A2 + B2
 
 func TestDispatchMissingInput(t *testing.T) {
 	f := setup(t, "cube A(t: year) measure v\nB := A * 2", workload.Data{})
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase), f.graph)
 	d := &Dispatcher{}
 	if _, err := d.Run(subs, f.tgds, f.schemas, map[string]*model.Cube{}); err == nil {
 		t.Error("missing input cube must fail")
@@ -172,7 +172,7 @@ func TestDispatchMissingInput(t *testing.T) {
 
 func TestDispatchUnknownCube(t *testing.T) {
 	f := setup(t, "cube A(t: year) measure v\nB := A * 2", workload.Data{})
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase), f.graph)
 	d := &Dispatcher{}
 	// A TgdSource that knows nothing.
 	empty := func(string) []*mapping.Tgd { return nil }
@@ -187,7 +187,7 @@ func TestDispatchUnknownCube(t *testing.T) {
 // solution.
 func TestFragmentCompilesChaseOnce(t *testing.T) {
 	f := setup(t, workload.GDPProgram, workload.GDPSource(workload.GDPConfig{Days: 100, Regions: 2}))
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase), f.graph)
 	frag, err := buildFragment(subs[0], f.tgds, f.schemas)
 	if err != nil {
 		t.Fatal(err)

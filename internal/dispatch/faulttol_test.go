@@ -67,7 +67,7 @@ func simpleFixture(t *testing.T) *fixture {
 func TestFallbackOnPanic(t *testing.T) {
 	f := simpleFixture(t)
 	ref := reference(t, f)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetFrame))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetFrame), f.graph)
 
 	d := &Dispatcher{
 		Degrade:    true,
@@ -96,7 +96,7 @@ func TestFallbackOnPanic(t *testing.T) {
 // so the dispatcher fails fast, with no fallback.
 func TestEgdViolationNoFallback(t *testing.T) {
 	f := simpleFixture(t)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase), f.graph)
 
 	d := &Dispatcher{
 		Degrade:    true,
@@ -120,7 +120,7 @@ func TestEgdViolationNoFallback(t *testing.T) {
 // fallback order, the chase last.
 func TestAllTargetsFail(t *testing.T) {
 	f := simpleFixture(t)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL), f.graph)
 
 	d := &Dispatcher{
 		Degrade: true,
@@ -155,7 +155,7 @@ func TestAllTargetsFail(t *testing.T) {
 // attempt, stops without degrading.
 func TestCancellation(t *testing.T) {
 	f := simpleFixture(t)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL), f.graph)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -188,7 +188,7 @@ func TestCancellation(t *testing.T) {
 func TestFragmentTimeoutDegrades(t *testing.T) {
 	f := simpleFixture(t)
 	ref := reference(t, f)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL), f.graph)
 
 	d := &Dispatcher{
 		Degrade:         true,
@@ -241,9 +241,8 @@ C  := A2 + B2
 		}
 		return ops.TargetFrame
 	}
-	subs := determine.Partition(f.graph.FullPlan(), alternating)
+	subs := determine.Partition(f.graph.FullPlan(), alternating, f.graph)
 	d := &Dispatcher{
-		Parallel:   true,
 		Degrade:    true,
 		Middleware: []Middleware{panicOnTarget(ops.TargetFrame)},
 	}
@@ -265,7 +264,7 @@ C  := A2 + B2
 // degrade — the first error aborts.
 func TestZeroValueDispatcherFailsFast(t *testing.T) {
 	f := simpleFixture(t)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL), f.graph)
 
 	d := &Dispatcher{Middleware: []Middleware{failN(1, exlerr.Fatal)}}
 	_, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)

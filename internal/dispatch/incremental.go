@@ -52,7 +52,7 @@ type IncrPlan struct {
 func (d *Dispatcher) RunContextIncr(ctx context.Context, subs []determine.Subgraph, tgds TgdSource,
 	schemas map[string]model.Schema, snap map[string]*model.Cube, plan *IncrPlan) (map[string]*model.Cube, *Report, error) {
 
-	attrs := []obs.Attr{obs.Int("fragments", len(subs)), obs.Bool("parallel", d.Parallel)}
+	attrs := []obs.Attr{obs.Int("fragments", len(subs))}
 	var incr *incrState
 	if plan != nil {
 		attrs = append(attrs, obs.Bool("incremental", true))

@@ -41,7 +41,7 @@ func revisedPlan(t *testing.T, f *fixture, subs []determine.Subgraph) *IncrPlan 
 // other.
 func TestIncrementalAttemptKeyedByAssignedTarget(t *testing.T) {
 	f := simpleFixture(t)
-	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetSQL))
+	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetSQL), f.graph)
 	plan := revisedPlan(t, f, subs)
 	ref := reference(t, f)
 
@@ -94,7 +94,7 @@ func TestIncrementalAttemptSpanSaysMode(t *testing.T) {
 	attempt := func(t *testing.T, plan func(*IncrPlan)) (*obs.Span, string) {
 		t.Helper()
 		f := simpleFixture(t)
-		subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL))
+		subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL), f.graph)
 		p := revisedPlan(t, f, subs)
 		plan(p)
 		tr := obs.NewTracer()

@@ -41,7 +41,7 @@ func TestPadVectorAcrossEngines(t *testing.T) {
 	ref := reference(t, f)
 	for _, target := range []ops.Target{ops.TargetChase, ops.TargetETL, ops.TargetFrame} {
 		t.Run(string(target), func(t *testing.T) {
-			subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(target))
+			subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(target), f.graph)
 			d := &Dispatcher{}
 			got, err := d.Run(subs, f.tgds, f.schemas, f.data)
 			if err != nil {
@@ -64,7 +64,7 @@ func TestPadVectorSQLUnsupported(t *testing.T) {
 	if _, err := sqlgen.Translate(f.mapping); !errors.Is(err, sqlgen.ErrUntranslatable) || exlerr.ClassOf(err) != exlerr.Fatal {
 		t.Errorf("SQL translation of vsum0: %v, want a fatal ErrUntranslatable", err)
 	}
-	subs := determine.Partition(f.graph.FullPlan(), determine.AssignByPreference)
+	subs := determine.Partition(f.graph.FullPlan(), determine.AssignByPreference, f.graph)
 	for _, s := range subs {
 		if s.Target == ops.TargetSQL {
 			t.Errorf("pad statements routed to SQL: %+v", subs)

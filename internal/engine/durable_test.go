@@ -22,7 +22,7 @@ func TestRunOverDurableStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newGDPEngine(t, data, WithParallelDispatch(), WithStore(st))
+	e := newGDPEngine(t, data, WithStore(st))
 	rep, err := e.Run(context.Background(), RunAt(time.Unix(100, 0)))
 	if err != nil {
 		t.Fatal(err)

@@ -112,12 +112,6 @@ func WithStore(s CubeStore) Option {
 	}
 }
 
-// WithParallelDispatch enables concurrent execution of independent
-// subgraphs.
-func WithParallelDispatch() Option {
-	return func(e *Engine) { e.disp.Parallel = true }
-}
-
 // WithoutDegradation disables fallback re-routing: a fragment whose
 // target fails fails the run instead of being re-run on another
 // permitted target.
@@ -162,28 +156,18 @@ func WithCompileCache(c *CompileCache) Option {
 	}
 }
 
-// WithGovernor substitutes a fully built resource governor (admission
-// control, memory budgets). It overrides the piecewise governor options
-// below. A nil governor is ignored.
-func WithGovernor(g *governor.Governor) Option {
-	return func(e *Engine) {
-		if g != nil {
-			e.gov = g
-		}
-	}
-}
-
-// MaxConcurrentRuns bounds how many runs execute at once; further runs
-// queue for admission (bounded queue, deadline-aware) and are shed with
-// typed exlerr.Overload errors past that. Zero or negative: unlimited.
+// MaxConcurrentRuns bounds how many runs execute at once; up to 4×n
+// further runs queue for admission in FIFO order, and runs past those are
+// shed with typed exlerr.Overload errors. Zero or negative: unlimited.
 func MaxConcurrentRuns(n int) Option {
 	return func(e *Engine) { e.govCfg.MaxConcurrent = n }
 }
 
 // MemoryBudget bounds the process-wide bytes of cube materialization
-// reserved by concurrent runs; a run that cannot fit is first degraded
-// to sequential dispatch and then, if still too large, rejected with a
-// typed overload error. Zero or negative: unlimited.
+// reserved by concurrent runs; a run whose estimate does not fit but half
+// of it does runs its waves one fragment at a time, and a run that does
+// not fit even so is rejected with a typed overload error. Zero or
+// negative: unlimited.
 func MemoryBudget(bytes int64) Option {
 	return func(e *Engine) { e.govCfg.MemoryBudget = bytes }
 }
@@ -204,20 +188,10 @@ func New(opts ...Option) *Engine {
 	if !e.cacheSet {
 		e.cache = defaultCompileCache
 	}
-	if e.gov == nil {
-		// Unconfigured engines still get a zero-bound governor so Shutdown
-		// can drain in-flight runs.
-		e.gov = governor.New(e.govCfg)
-	}
-	e.gov.SetMetrics(e.metrics)
+	// Unconfigured engines still get a zero-bound governor so Shutdown
+	// can drain in-flight runs.
+	e.gov = governor.New(e.govCfg, e.metrics)
 	return e
-}
-
-// Governor returns the engine's resource governor (never nil).
-func (e *Engine) Governor() *governor.Governor {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.gov
 }
 
 // Metrics returns the registry attached with WithMetrics, or nil. Every
@@ -286,11 +260,21 @@ func (e *Engine) registerLocked(ctx context.Context, name, src string) error {
 		sch, _ := e.store.Schema(n)
 		external[n] = sch
 	}
-	graphOwned := make(map[string]bool)
+	// A cube is owned by a registered program when the program derives it
+	// or declares it in its own source. A cube that only reached the graph
+	// as a stored one some program was handed is nobody's.
+	owned := make(map[string]bool)
 	if e.graph != nil {
 		for n, sch := range e.graph.Schemas() {
 			external[n] = sch
-			graphOwned[n] = true
+		}
+		for _, n := range e.graph.Derived() {
+			owned[n] = true
+		}
+	}
+	for _, a := range e.programs {
+		for _, d := range a.Program.Decls {
+			owned[d.Name] = true
 		}
 	}
 	// A durable store can already hold this program's own cubes from a
@@ -303,12 +287,12 @@ func (e *Engine) registerLocked(ctx context.Context, name, src string) error {
 	// reports it properly.
 	if prog, perr := exl.Parse(src); perr == nil {
 		for _, d := range prog.Decls {
-			if !graphOwned[d.Name] {
+			if !owned[d.Name] {
 				delete(external, d.Name)
 			}
 		}
 		for _, s := range prog.Stmts {
-			if !graphOwned[s.Lhs] {
+			if !owned[s.Lhs] {
 				delete(external, s.Lhs)
 			}
 		}
@@ -445,8 +429,8 @@ type Report struct {
 	// MemReserved is the bytes the run reserved against the memory
 	// budget (inputs-derived estimate plus the materialized results).
 	MemReserved int64
-	// MemDegraded reports that parallel dispatch was turned off for this
-	// run to fit the memory budget.
+	// MemDegraded reports that the run's waves ran one fragment at a time
+	// to fit the memory budget.
 	MemDegraded bool
 	// Incremental reports that the run was delta-driven (WithIncremental);
 	// Skipped lists the derived cubes it did not recompute because the
@@ -461,8 +445,6 @@ type runConfig struct {
 	changed     []string
 	assign      determine.Assigner
 	asOf        time.Time
-	tracer      *obs.Tracer
-	metrics     *obs.Registry
 	incremental bool
 }
 
@@ -488,18 +470,6 @@ func RunOn(t ops.Target) RunOption {
 	return func(c *runConfig) { c.assign = determine.FixedAssigner(t) }
 }
 
-// RunTraced records this run's span tree into t, overriding (for this
-// call only) any engine-level WithTracer.
-func RunTraced(t *obs.Tracer) RunOption {
-	return func(c *runConfig) { c.tracer = t }
-}
-
-// RunMetered accumulates this run's metrics into m, overriding (for this
-// call only) any engine-level WithMetrics.
-func RunMetered(m *obs.Registry) RunOption {
-	return func(c *runConfig) { c.metrics = m }
-}
-
 // WithIncremental makes the run delta-driven: derived cubes whose stored
 // versions' provenance is still current are skipped outright.
 // For the rest, a fragment whose moved inputs all have a store delta and
@@ -517,37 +487,29 @@ func WithIncremental() RunOption {
 
 // Run executes a recalculation under the context: by default the full
 // plan of every program at time.Now() on preferred targets; options
-// narrow the plan (RunChanged), pin the version timestamp (RunAt), fix
-// the target (RunOn) or attach per-run observability (RunTraced,
-// RunMetered). Cancellation or deadline expiry aborts the dispatch
-// mid-run without persisting any result. When dispatch fails, the error
-// comes with a Report of the fragments' attempts; any other error comes
-// with none.
+// narrow the plan (RunChanged), pin the version timestamp (RunAt) or fix
+// the target (RunOn). A tracer or metrics registry carried by ctx
+// (obs.ContextWithTracer, obs.ContextWithMetrics) records this call; the
+// engine's own (WithTracer, WithMetrics) record it where ctx carries none.
+// Cancellation or deadline expiry aborts the dispatch mid-run without
+// persisting any result. When dispatch fails, the error comes with a
+// Report of the fragments' attempts; any other error comes with none.
 func (e *Engine) Run(ctx context.Context, opts ...RunOption) (*Report, error) {
 	cfg := runConfig{assign: determine.AssignByPreference, asOf: time.Now()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.tracer == nil {
-		cfg.tracer = e.tracer
+	if obs.TracerFrom(ctx) == nil {
+		ctx = obs.ContextWithTracer(ctx, e.tracer)
 	}
-	if cfg.metrics == nil {
-		cfg.metrics = e.metrics
-	}
-	if cfg.tracer != nil {
-		ctx = obs.ContextWithTracer(ctx, cfg.tracer)
-	}
-	if cfg.metrics != nil {
-		ctx = obs.ContextWithMetrics(ctx, cfg.metrics)
+	if obs.MetricsFrom(ctx) == nil {
+		ctx = obs.ContextWithMetrics(ctx, e.metrics)
 	}
 	met := obs.MetricsFrom(ctx)
 
 	// Admission control: the governor grants a slot, queues the run, or
 	// sheds it with a typed overload error before any work happens.
-	e.mu.Lock()
-	gov := e.gov
-	e.mu.Unlock()
-	ticket, err := gov.Admit(ctx, 1)
+	ticket, err := e.gov.Admit(ctx)
 	if err != nil {
 		met.Counter(obs.MetricRuns).Add(1)
 		met.Counter(obs.MetricRunErrors).Add(1)
@@ -576,9 +538,9 @@ func (e *Engine) Run(ctx context.Context, opts ...RunOption) (*Report, error) {
 // context error is returned. Idempotent once it has returned nil.
 func (e *Engine) Shutdown(ctx context.Context) error {
 	e.mu.Lock()
-	gov, st := e.gov, e.store
+	st := e.store
 	e.mu.Unlock()
-	if err := gov.Shutdown(ctx); err != nil {
+	if err := e.gov.Shutdown(ctx); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -673,14 +635,7 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 		}
 	}
 
-	var subs []determine.Subgraph
-	if disp.Parallel {
-		// Component-aware partitioning keeps independent programs in
-		// separate subgraphs so the wave scheduler can overlap them.
-		subs = determine.PartitionByComponent(plan, assign, graph)
-	} else {
-		subs = determine.Partition(plan, assign)
-	}
+	subs := determine.Partition(plan, assign, graph)
 	detSpan.SetAttr(obs.Int("plan", len(plan)))
 	detSpan.SetAttr(obs.Int("subgraphs", len(subs)))
 	detSpan.End()
@@ -699,20 +654,16 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// budget before dispatching. Snapshot reads share the store's frozen
 	// cubes, so the run's new memory is the intermediates and results the
 	// targets materialize — estimated from the input working set. When
-	// the full-parallel estimate (every wave's intermediates live at
-	// once) does not fit, degrade to sequential dispatch at half the
-	// estimate before rejecting the run outright. A sequential engine
-	// reserves the half from the start and has nothing to degrade.
+	// the full estimate (every wave's intermediates live at once) does not
+	// fit, the run's waves run one fragment at a time at half the estimate
+	// before the run is rejected outright.
 	memDegraded := false
 	if est := model.MemEstimateOf(snap); est > 0 {
-		if !disp.Parallel {
-			est /= 2
-		}
 		if rerr := ticket.Reserve(est); rerr != nil {
-			if !disp.Parallel || ticket.Reserve(est/2) != nil {
+			if ticket.Reserve(est/2) != nil {
 				return nil, rerr
 			}
-			disp.Parallel = false
+			disp.Serial = true
 			memDegraded = true
 			obs.MetricsFrom(ctx).Counter(obs.MetricMemDegraded).Add(1)
 		}

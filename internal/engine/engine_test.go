@@ -60,7 +60,7 @@ func chaseReference(t *testing.T, data workload.Data) chase.Instance {
 func TestEndToEndArchitecture(t *testing.T) {
 	data := workload.GDPSource(workload.GDPConfig{Days: 370, Regions: 3})
 	ref := chaseReference(t, data)
-	e := newGDPEngine(t, data, WithParallelDispatch())
+	e := newGDPEngine(t, data)
 
 	rep, err := e.Run(context.Background())
 	if err != nil {

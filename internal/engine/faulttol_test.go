@@ -158,7 +158,6 @@ func TestDegradedParallelRunMatchesChase(t *testing.T) {
 		faultPlan = append(faultPlan, faults.Fault{Fragment: i, Kind: faults.Error, Class: exlerr.Fatal})
 	}
 	e := newGDPEngine(t, data,
-		WithParallelDispatch(),
 		WithDispatchMiddleware(faults.NewInjector(faultPlan...).Middleware()))
 	rep, err := e.Run(context.Background())
 	if err != nil {

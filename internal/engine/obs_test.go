@@ -286,7 +286,7 @@ func TestTracedParallelDispatchRace(t *testing.T) {
 	tracer := obs.NewTracer()
 	metrics := obs.NewRegistry()
 	e := newGDPEngine(t, data,
-		WithParallelDispatch(), WithTracer(tracer), WithMetrics(metrics))
+		WithTracer(tracer), WithMetrics(metrics))
 
 	for i := 0; i < 3; i++ {
 		if _, err := e.Run(context.Background(), RunAt(time.Unix(int64(i+1), 0))); err != nil {
@@ -352,16 +352,20 @@ func TestRunOptionEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunTracedAndMetered checks the per-call observability overrides.
+// TestRunTracedAndMetered checks the per-call sinks: a tracer and a
+// metrics registry carried by the run's context record that run instead of
+// the engine's own, and the engine's record the runs whose context carries
+// none.
 func TestRunTracedAndMetered(t *testing.T) {
 	data := workload.GDPSource(workload.GDPConfig{Days: 50, Regions: 1})
 	engTracer := obs.NewTracer()
-	e := newGDPEngine(t, data, WithTracer(engTracer))
+	engMetrics := obs.NewRegistry()
+	e := newGDPEngine(t, data, WithTracer(engTracer), WithMetrics(engMetrics))
 
 	callTracer := obs.NewTracer()
 	callMetrics := obs.NewRegistry()
-	if _, err := e.Run(context.Background(),
-		RunTraced(callTracer), RunMetered(callMetrics)); err != nil {
+	ctx := obs.ContextWithMetrics(obs.ContextWithTracer(context.Background(), callTracer), callMetrics)
+	if _, err := e.Run(ctx, RunAt(time.Unix(1, 0))); err != nil {
 		t.Fatal(err)
 	}
 	var runRoots int
@@ -375,10 +379,28 @@ func TestRunTracedAndMetered(t *testing.T) {
 	}
 	for _, r := range engTracer.Roots() {
 		if r.Name == "run" {
-			t.Error("engine tracer recorded the run despite RunTraced override")
+			t.Error("engine tracer recorded the run its context traced")
 		}
 	}
 	if got := callMetrics.Counter(obs.MetricRuns).Value(); got != 1 {
 		t.Errorf("per-call metrics runs = %d, want 1", got)
+	}
+	if got := engMetrics.Counter(obs.MetricRuns).Value(); got != 0 {
+		t.Errorf("engine metrics runs = %d, want 0", got)
+	}
+
+	// A context without sinks leaves the run to the engine's own.
+	if _, err := e.Run(context.Background(), RunAt(time.Unix(2, 0))); err != nil {
+		t.Fatal(err)
+	}
+	runRoots = 0
+	for _, r := range engTracer.Roots() {
+		if r.Name == "run" {
+			runRoots++
+		}
+	}
+	if runRoots != 1 || engMetrics.Counter(obs.MetricRuns).Value() != 1 || callMetrics.Counter(obs.MetricRuns).Value() != 1 {
+		t.Errorf("a run without per-call sinks: engine tracer %d run roots, engine runs %d, per-call runs %d; want 1, 1, 1",
+			runRoots, engMetrics.Counter(obs.MetricRuns).Value(), callMetrics.Counter(obs.MetricRuns).Value())
 	}
 }

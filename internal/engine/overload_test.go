@@ -47,7 +47,8 @@ func TestConcurrentRunsBoundedByAdmission(t *testing.T) {
 			return next(ctx, fr, snap)
 		}
 	}
-	e := newGDPEngine(t, smallGDP(), MaxConcurrentRuns(2), WithDispatchMiddleware(gate))
+	mx := obs.NewRegistry()
+	e := newGDPEngine(t, smallGDP(), MaxConcurrentRuns(2), WithMetrics(mx), WithDispatchMiddleware(gate))
 
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -74,8 +75,8 @@ func TestConcurrentRunsBoundedByAdmission(t *testing.T) {
 		t.Fatal("a third run reached dispatch past MaxConcurrentRuns(2)")
 	case <-time.After(100 * time.Millisecond):
 	}
-	if got := e.Governor().InFlight(); got != 2 {
-		t.Errorf("InFlight = %d, want 2", got)
+	if got := mx.Gauge(obs.MetricInFlight).Value(); got != 2 {
+		t.Errorf("%s = %d, want 2", obs.MetricInFlight, got)
 	}
 	releaseOnce.Do(func() { close(release) })
 	wg.Wait()
@@ -86,13 +87,27 @@ func TestConcurrentRunsBoundedByAdmission(t *testing.T) {
 	}
 }
 
-// runEstimates measures, on a pristine engine over the same data, the
-// input-snapshot estimate a run reserves up front and the materialized
-// size of its results — the two quantities the memory budget tests need
-// to bracket.
+// budgetEngine is the GDP engine with a second, independent program beside
+// it, so the first wave of a run holds two fragments.
+func budgetEngine(t *testing.T, opts ...Option) *Engine {
+	t.Helper()
+	e := newGDPEngine(t, smallGDP(), opts...)
+	if err := e.RegisterProgram("side", "cube SIDE(i: int) measure v\nSIDE2 := SIDE * 2\n"); err != nil {
+		t.Fatal(err)
+	}
+	side := intCube(t, "SIDE", "v", 500, func(i int) float64 { return float64(i) })
+	if err := e.PutCube(side, time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// runEstimates measures, on a pristine budgetEngine, the input-snapshot
+// estimate a run reserves up front and the materialized size of its
+// results — the two quantities the memory budget tests need to bracket.
 func runEstimates(t *testing.T) (inEst, outEst int64) {
 	t.Helper()
-	e := newGDPEngine(t, smallGDP())
+	e := budgetEngine(t)
 	e.mu.Lock()
 	schemas := e.allSchemasLocked()
 	st := e.store
@@ -108,7 +123,7 @@ func runEstimates(t *testing.T) (inEst, outEst int64) {
 	if _, err := e.Run(context.Background(), RunAt(time.Unix(1, 0))); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"PQR", "RGDP", "GDP", "GDPT", "PCHNG"} {
+	for _, name := range []string{"PQR", "RGDP", "GDP", "GDPT", "PCHNG", "SIDE2"} {
 		c, ok := e.Cube(name)
 		if !ok {
 			t.Fatalf("derived cube %s missing", name)
@@ -123,7 +138,8 @@ func runEstimates(t *testing.T) (inEst, outEst int64) {
 // work, leaving the store untouched.
 func TestMemoryBudgetRejectsRun(t *testing.T) {
 	inEst, _ := runEstimates(t)
-	e := newGDPEngine(t, smallGDP(), WithParallelDispatch(), MemoryBudget(inEst/2-1))
+	mx := obs.NewRegistry()
+	e := budgetEngine(t, MemoryBudget(inEst/2-1), WithMetrics(mx))
 	genBefore := e.store.Generation()
 	_, err := e.Run(context.Background(), RunAt(time.Unix(1, 0)))
 	if !errors.Is(err, governor.ErrMemoryBudget) {
@@ -138,15 +154,16 @@ func TestMemoryBudgetRejectsRun(t *testing.T) {
 	if e.store.Generation() != genBefore {
 		t.Error("rejected run advanced the store generation")
 	}
-	if e.Governor().MemUsed() != 0 {
-		t.Errorf("MemUsed = %d after rejected run, want 0", e.Governor().MemUsed())
+	if got := mx.Gauge(obs.MetricMemReserved).Value(); got != 0 {
+		t.Errorf("%s = %d after rejected run, want 0", obs.MetricMemReserved, got)
 	}
 }
 
-// TestMemoryBudgetDegradesToSequential: a budget that fits the
-// sequential estimate but not the full-parallel one turns parallel
-// dispatch off for the run instead of rejecting it; the run completes
-// correctly and reports the degradation.
+// TestMemoryBudgetDegradesToSequential: a budget that fits half the
+// estimate but not all of it runs the run's waves one fragment at a time
+// instead of rejecting it — on a catalog of two independent programs, no
+// two fragments are ever inside at once; the run completes correctly and
+// reports the degradation.
 func TestMemoryBudgetDegradesToSequential(t *testing.T) {
 	inEst, outEst := runEstimates(t)
 	budget := inEst / 2
@@ -156,11 +173,25 @@ func TestMemoryBudgetDegradesToSequential(t *testing.T) {
 	if budget >= inEst {
 		t.Skipf("results (%d) as large as inputs (%d); no degradation window", outEst, inEst)
 	}
+	var inside, most atomic.Int64
+	probe := func(next dispatch.Runner) dispatch.Runner {
+		return func(ctx context.Context, fr dispatch.Fragment, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
+			n := inside.Add(1)
+			defer inside.Add(-1)
+			for old := most.Load(); n > old && !most.CompareAndSwap(old, n); old = most.Load() {
+			}
+			time.Sleep(2 * time.Millisecond)
+			return next(ctx, fr, snap)
+		}
+	}
 	mx := obs.NewRegistry()
-	e := newGDPEngine(t, smallGDP(), WithParallelDispatch(), MemoryBudget(budget), WithMetrics(mx))
+	e := budgetEngine(t, MemoryBudget(budget), WithMetrics(mx), WithDispatchMiddleware(probe))
 	rep, err := e.Run(context.Background(), RunAt(time.Unix(1, 0)))
 	if err != nil {
 		t.Fatalf("degradable run rejected: %v", err)
+	}
+	if got := most.Load(); got != 1 {
+		t.Errorf("%d fragments were inside at once in a degraded run, want 1", got)
 	}
 	if !rep.MemDegraded {
 		t.Error("report does not mark the run memory-degraded")
@@ -171,38 +202,11 @@ func TestMemoryBudgetDegradesToSequential(t *testing.T) {
 	if got := mx.Counter(obs.MetricMemDegraded).Value(); got != 1 {
 		t.Errorf("degraded counter = %d, want 1", got)
 	}
-	if peak := e.Governor().MemPeak(); peak > budget {
-		t.Errorf("MemPeak = %d exceeds budget %d", peak, budget)
+	if peak := mx.Gauge(obs.MetricMemPeak).Value(); peak > budget {
+		t.Errorf("%s = %d exceeds budget %d", obs.MetricMemPeak, peak, budget)
 	}
 	if c, ok := e.Cube("GDP"); !ok || c.Len() == 0 {
 		t.Error("degraded run lost its results")
-	}
-}
-
-// TestMemoryBudgetSequentialEngineNotDegraded: an engine that never
-// dispatches in parallel reserves the sequential estimate from the start,
-// so a budget between it and the full-parallel one runs the engine as it
-// is, and nothing reports a degradation that turned nothing off.
-func TestMemoryBudgetSequentialEngineNotDegraded(t *testing.T) {
-	inEst, outEst := runEstimates(t)
-	budget := max(inEst/2, outEst)
-	if budget >= inEst {
-		t.Skipf("results (%d) as large as inputs (%d); no window between the estimates", outEst, inEst)
-	}
-	mx := obs.NewRegistry()
-	e := newGDPEngine(t, smallGDP(), MemoryBudget(budget), WithMetrics(mx))
-	rep, err := e.Run(context.Background(), RunAt(time.Unix(1, 0)))
-	if err != nil {
-		t.Fatalf("sequential run within its estimate rejected: %v", err)
-	}
-	if rep.MemDegraded {
-		t.Error("a sequential engine's run is reported memory-degraded")
-	}
-	if got := mx.Counter(obs.MetricMemDegraded).Value(); got != 0 {
-		t.Errorf("degraded counter = %d, want 0", got)
-	}
-	if rep.MemReserved <= 0 || rep.MemReserved > budget {
-		t.Errorf("MemReserved = %d, want within (0, %d]", rep.MemReserved, budget)
 	}
 }
 
@@ -256,12 +260,12 @@ func TestAdmissionDoesNotChangeDispatch(t *testing.T) {
 	}
 }
 
-// TestOverloadChaosHarness is the acceptance scenario: a worker fleet at
-// four times the engine's admitted capacity, with injected backend faults,
-// must leave every run either completed (falling back around the faults)
-// or failed with a typed error — while reserved memory stays under the
-// budget, runs are shed with overload errors rather than queued to death,
-// and the goroutine count returns to baseline.
+// TestOverloadChaosHarness is the acceptance scenario: a worker fleet past
+// what the engine admits and queues (2 running plus 8 waiting), with
+// injected backend faults, must leave every run either completed (falling
+// back around the faults) or failed with a typed error — while reserved
+// memory stays under the budget, runs past the queue are shed with
+// overload errors, and the goroutine count returns to baseline.
 func TestOverloadChaosHarness(t *testing.T) {
 	before := runtime.NumGoroutine()
 	data := smallGDP()
@@ -278,17 +282,12 @@ func TestOverloadChaosHarness(t *testing.T) {
 
 	mx := obs.NewRegistry()
 	const budget = int64(64) << 20
-	gov := governor.New(governor.Config{
-		MaxConcurrent: 2,
-		MaxQueue:      -1, // no queue: excess load sheds immediately
-		MemoryBudget:  budget,
-	})
 	e := newGDPEngine(t, data,
-		WithGovernor(gov), WithMetrics(mx), WithParallelDispatch(),
+		MaxConcurrentRuns(2), MemoryBudget(budget), WithMetrics(mx),
 		WithDispatchMiddleware(inj.Middleware()))
 
 	var ok, shed, failed, untyped, fallbacks atomic.Int64
-	cfg := workload.ConcurrentConfig{Workers: 8, Iters: 6} // 4x admitted capacity
+	cfg := workload.ConcurrentConfig{Workers: 24, Iters: 4} // 12x admitted capacity, past the queue of 8
 	_, werr := workload.RunConcurrently(context.Background(), cfg, func(ctx context.Context) error {
 		rep, err := e.Run(ctx, RunAt(time.Unix(1, 0)))
 		switch {
@@ -321,7 +320,7 @@ func TestOverloadChaosHarness(t *testing.T) {
 		t.Error("no run completed under chaos")
 	}
 	if shed.Load() == 0 {
-		t.Error("no run was shed at 4x capacity with no queue")
+		t.Error("no run was shed past the admission queue")
 	}
 	if fallbacks.Load() == 0 {
 		t.Error("no completed run fell back around the injected faults")
@@ -329,11 +328,11 @@ func TestOverloadChaosHarness(t *testing.T) {
 	if got := counterSum(mx, obs.MetricFallbacks); got < fallbacks.Load() {
 		t.Errorf("fallback counter = %d, completed runs' reports say %d", got, fallbacks.Load())
 	}
-	if peak := gov.MemPeak(); peak <= 0 || peak > budget {
-		t.Errorf("MemPeak = %d, want within (0, %d]", peak, budget)
+	if peak := mx.Gauge(obs.MetricMemPeak).Value(); peak <= 0 || peak > budget {
+		t.Errorf("%s = %d, want within (0, %d]", obs.MetricMemPeak, peak, budget)
 	}
-	if gov.MemUsed() != 0 || gov.InFlight() != 0 {
-		t.Errorf("governor not drained: mem=%d inflight=%d", gov.MemUsed(), gov.InFlight())
+	if mem, inflight := mx.Gauge(obs.MetricMemReserved).Value(), mx.Gauge(obs.MetricInFlight).Value(); mem != 0 || inflight != 0 {
+		t.Errorf("governor not drained: mem=%d inflight=%d", mem, inflight)
 	}
 	if got := mx.Counter(obs.Label(obs.MetricShed, "reason", "queue_full")).Value(); got != shed.Load() {
 		t.Errorf("shed counter = %d, harness saw %d", got, shed.Load())
@@ -348,7 +347,7 @@ func TestOverloadChaosHarness(t *testing.T) {
 func TestShutdownUnderLoadLosesNoAckedCommits(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
-	st, err := durable.Open(dir, durable.WithGroupCommit(200*time.Microsecond))
+	st, err := durable.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,32 +403,6 @@ func TestShutdownUnderLoadLosesNoAckedCommits(t *testing.T) {
 		t.Error("GDP cube missing after recovery despite acked runs")
 	}
 	waitNoGoroutineLeak(t, before)
-}
-
-// TestDeadlineShedBeforeQueueing: a run whose deadline cannot be met by
-// the estimated queue wait is rejected immediately with a typed overload
-// error instead of being queued to die.
-func TestDeadlineShedBeforeQueueing(t *testing.T) {
-	gov := governor.New(governor.Config{MaxConcurrent: 1, AvgRunHint: time.Hour})
-	e := newGDPEngine(t, smallGDP(), WithGovernor(gov))
-
-	// Occupy the only slot directly.
-	ticket, err := gov.Admit(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ticket.Release()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = e.Run(ctx, RunAt(time.Unix(1, 0)))
-	if !errors.Is(err, governor.ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
-	}
-	if time.Since(start) > 40*time.Millisecond {
-		t.Error("deadline shed waited instead of rejecting immediately")
-	}
 }
 
 // TestRunEstimatesResultsOnce: a stored result is a frozen cube, whose

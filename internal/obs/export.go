@@ -13,7 +13,7 @@ import (
 //
 //	run 5ms {mode=all}
 //	  determine 1ms {cubes=5 fragments=2}
-//	  dispatch 3ms {fragments=2 parallel=true}
+//	  dispatch 3ms {fragments=2}
 //	    fragment 2ms {index=0 cubes=GDP target=sql}
 //	      attempt 1ms {target=sql} !fatal: sql engine: no such table
 //

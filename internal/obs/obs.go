@@ -209,8 +209,8 @@ const (
 	// MetricMemPeak is the high-water mark of reserved memory, in bytes.
 	// Under a configured budget it never exceeds the budget.
 	MetricMemPeak = "governor_mem_peak_bytes"
-	// MetricMemDegraded counts runs degraded (parallel dispatch off) to
-	// fit the memory budget instead of being rejected.
+	// MetricMemDegraded counts runs degraded (waves run one fragment at a
+	// time) to fit the memory budget instead of being rejected.
 	MetricMemDegraded = "governor_mem_degraded_total"
 	// MetricSQLRuleApplies counts analyzer rule applications that changed
 	// the plan, labelled by rule.

@@ -14,11 +14,13 @@ import (
 // while committers that had already appended their records were still
 // inside the group-commit protocol, so a commit could be acked against a
 // closed descriptor — or fail spuriously — without being fsync-covered.
+// Fsyncs that take a moment (slowSyncFS) keep committers waiting on the
+// sync leader when Close comes.
 // Close must drain in-flight commits first: after Close returns, every
 // PutAllGen that was acknowledged (returned nil) must survive recovery.
 func TestCloseUnderConcurrentPutAll(t *testing.T) {
 	dir := t.TempDir()
-	st := openT(t, dir, WithGroupCommit(200*time.Microsecond))
+	st := openT(t, dir, WithFS(slowSyncFS{}))
 
 	const workers = 6
 	for w := 0; w < workers; w++ {

@@ -31,13 +31,6 @@ func diskErr(op string, err error) error {
 type Options struct {
 	// FS is the filesystem; nil means the real one (OSFS).
 	FS FS
-	// GroupCommitWindow batches fsyncs: a committer that becomes the
-	// sync leader waits this long for concurrent commits to append
-	// before issuing one fsync for the whole batch. Zero syncs every
-	// commit individually (still one fsync may cover several commits
-	// that raced in). Durability is unaffected — a commit never returns
-	// before its record is fsync'd — only latency and fsync count are.
-	GroupCommitWindow time.Duration
 	// CompactAfterBytes triggers a segment snapshot + WAL rotation once
 	// the active WAL exceeds this many bytes. Zero means the default
 	// (4 MiB); negative disables automatic compaction.
@@ -52,11 +45,6 @@ type Option func(*Options)
 
 // WithFS substitutes the filesystem (fault injection, tests).
 func WithFS(fs FS) Option { return func(o *Options) { o.FS = fs } }
-
-// WithGroupCommit sets the group-commit window.
-func WithGroupCommit(window time.Duration) Option {
-	return func(o *Options) { o.GroupCommitWindow = window }
-}
 
 // WithCompactAfter sets the WAL size that triggers compaction
 // (negative: never compact automatically).
@@ -265,7 +253,7 @@ func (d *Store) recover() error {
 		return diskErr("writing recovery snapshot", err)
 	}
 	d.opts.Metrics.Counter(obs.MetricStoreSegments).Inc()
-	wal, err := newWALWriter(d.fs, filepath.Join(d.dir, walName(gen)), gen, d.opts.GroupCommitWindow, d.opts.Metrics)
+	wal, err := newWALWriter(d.fs, filepath.Join(d.dir, walName(gen)), gen, d.opts.Metrics)
 	if err != nil {
 		return diskErr("creating WAL", err)
 	}
@@ -508,7 +496,7 @@ func (d *Store) Compact() error {
 		return diskErr("writing snapshot", err)
 	}
 	d.opts.Metrics.Counter(obs.MetricStoreSegments).Inc()
-	wal, err := newWALWriter(d.fs, filepath.Join(d.dir, walName(gen)), gen, d.opts.GroupCommitWindow, d.opts.Metrics)
+	wal, err := newWALWriter(d.fs, filepath.Join(d.dir, walName(gen)), gen, d.opts.Metrics)
 	if err != nil {
 		d.failed = fmt.Errorf("%w (cause: %v)", ErrFailed, err)
 		return diskErr("rotating WAL", err)

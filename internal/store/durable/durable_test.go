@@ -508,12 +508,13 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrent drives concurrent writers through a group-
-// commit window and checks every acknowledged commit survives a reopen
-// with fewer fsyncs than commits.
+// TestGroupCommitConcurrent drives concurrent writers against fsyncs that
+// take a moment (slowSyncFS) and checks that committers share them —
+// fewer fsyncs than commits — and that every acknowledged commit survives
+// a reopen.
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	st := openT(t, dir, WithGroupCommit(500*time.Microsecond), WithCompactAfter(-1))
+	st := openT(t, dir, WithFS(slowSyncFS{}), WithCompactAfter(-1))
 	const writers, puts = 8, 10
 	for w := 0; w < writers; w++ {
 		if err := st.Declare(yearSchema(cubeName(w))); err != nil {

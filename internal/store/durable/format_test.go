@@ -20,7 +20,7 @@ import (
 // that committed them and was closed would have left it.
 func writeWAL(t *testing.T, dir string, baseGen uint64, payloads ...[]byte) {
 	t.Helper()
-	w, err := newWALWriter(OSFS{}, filepath.Join(dir, walName(baseGen)), baseGen, 0, nil)
+	w, err := newWALWriter(OSFS{}, filepath.Join(dir, walName(baseGen)), baseGen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

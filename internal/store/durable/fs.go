@@ -1,7 +1,7 @@
 // Package durable implements a crash-safe persistent backend for the
 // cube store: an append-only write-ahead log of commit records
-// (length-prefixed, CRC32C-checksummed, fsync'd per commit with an
-// optional group-commit window) plus segment snapshots of the whole state
+// (length-prefixed, CRC32C-checksummed, fsync'd per commit, concurrent
+// committers sharing one fsync) plus segment snapshots of the whole state
 // with compaction, wrapped around the in-memory store.Store so zero-copy
 // frozen-cube reads and GetAsOf/generation MVCC semantics are preserved
 // exactly. Log and segments hold a new version of a cube as the delta

@@ -8,7 +8,6 @@ import (
 	"io"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"exlengine/internal/obs"
 )
@@ -40,12 +39,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var errTorn = errors.New("durable: torn or corrupt WAL record")
 
 // walWriter appends framed records to an open WAL file and makes them
-// durable with per-commit fsync, optionally batched: with a group-commit
-// window, the first committer of a batch waits window for followers to
-// append, then one fsync covers them all.
+// durable with per-commit fsync, shared: committers that append while a
+// leader is in its fsync wait for it, and the next leader's one fsync
+// covers them all.
 type walWriter struct {
 	f       File
-	window  time.Duration
 	metrics *obs.Registry
 	// inflight counts commits between append and fsync completion;
 	// compaction drains it before closing a retired WAL.
@@ -71,7 +69,7 @@ type walWriter struct {
 // directory entry that leads to them, so the entry must be on disk before
 // the first commit on this file can be acknowledged. The header is not
 // fsync'd on its own: the first commit's fsync covers it.
-func newWALWriter(fs FS, path string, baseGen uint64, window time.Duration, metrics *obs.Registry) (*walWriter, error) {
+func newWALWriter(fs FS, path string, baseGen uint64, metrics *obs.Registry) (*walWriter, error) {
 	f, err := fs.Create(path)
 	if err != nil {
 		return nil, err
@@ -87,7 +85,7 @@ func newWALWriter(fs FS, path string, baseGen uint64, window time.Duration, metr
 		f.Close()
 		return nil, err
 	}
-	w := &walWriter{f: f, window: window, metrics: metrics, off: walHeaderSize}
+	w := &walWriter{f: f, metrics: metrics, off: walHeaderSize}
 	w.sync.cond = sync.NewCond(&w.sync.Mutex)
 	return w, nil
 }
@@ -126,9 +124,8 @@ func (w *walWriter) append(payload []byte) (int64, error) {
 }
 
 // commit blocks until every byte up to end is durable. Concurrent
-// committers share fsyncs: one leader (optionally waiting the
-// group-commit window so followers can append) syncs on behalf of
-// everyone whose end offset its fsync covers. A failed fsync is sticky —
+// committers share fsyncs: one leader syncs on behalf of everyone whose
+// end offset its fsync covers. A failed fsync is sticky —
 // after it, the on-disk state of the tail is unknown, so every later
 // commit fails until the store is reopened and recovery re-establishes a
 // consistent prefix.
@@ -153,9 +150,6 @@ func (w *walWriter) commit(end int64) error {
 	s.syncing = true
 	s.Unlock()
 
-	if w.window > 0 {
-		time.Sleep(w.window)
-	}
 	w.mu.Lock()
 	target := w.off
 	w.mu.Unlock()

@@ -32,6 +32,26 @@ func (fs *recordingFS) SyncDir(dir string) error {
 	return fs.OSFS.SyncDir(dir)
 }
 
+// slowSyncFS holds every fsync for a moment, the way a disk does, so
+// committers that append while the sync leader is inside its fsync wait
+// behind it and share the next one.
+type slowSyncFS struct{ OSFS }
+
+func (fs slowSyncFS) Create(name string) (File, error) {
+	f, err := fs.OSFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{f}, nil
+}
+
+type slowSyncFile struct{ File }
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(200 * time.Microsecond)
+	return f.File.Sync()
+}
+
 // TestFreshWALIsReachableBeforeItsFirstAck pins the order on a freshly
 // created WAL, after Open and after Compact alike: the file is created,
 // then the directory is fsync'd, and only then can a commit on that file

@@ -39,7 +39,7 @@ func newGDPEngine(t *testing.T, cfg GDPConfig, opts ...engine.Option) *engine.En
 func TestRunConcurrently(t *testing.T) {
 	mx := obs.NewRegistry()
 	eng := newGDPEngine(t, GDPConfig{Days: 120, Regions: 3},
-		engine.WithParallelDispatch(), engine.WithMetrics(mx))
+		engine.WithMetrics(mx))
 	asOf := time.Unix(1, 0)
 	cfg := ConcurrentConfig{Workers: 4, Iters: 3}
 	runs, err := RunConcurrently(context.Background(), cfg, func(ctx context.Context) error {
@@ -109,7 +109,7 @@ func waitNoLeak(t *testing.T, before int) {
 // goroutines.
 func TestRunConcurrentlyCancelMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
-	eng := newGDPEngine(t, GDPConfig{Days: 60, Regions: 2}, engine.WithParallelDispatch())
+	eng := newGDPEngine(t, GDPConfig{Days: 60, Regions: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 
 	var completed atomic.Int64

@@ -179,6 +179,58 @@ func TestSessionExpiryDurable(t *testing.T) {
 	}
 }
 
+// TestReRegisterTwoProgramsAfterEviction: a durable tenant holding two
+// programs, the second deriving from the first and from a cube of its own,
+// is idle-evicted; a new session in the tenant registers both again over
+// the store that holds every cube of both, and runs.
+func TestReRegisterTwoProgramsAfterEviction(t *testing.T) {
+	programs := []map[string]string{
+		{"name": "p1", "source": "cube S(i: int) measure v\nA := S * 2\n"},
+		{"name": "p2", "source": "cube T(i: int) measure w\nB := A + T\n"},
+	}
+	register := func(base, sid string) {
+		t.Helper()
+		for _, p := range programs {
+			if status, out := postJSON(t, base+"/v1/programs", sid, p); status != http.StatusCreated {
+				t.Fatalf("register %s: status %d (%v)", p["name"], status, out)
+			}
+		}
+	}
+	srv, base := newTestServer(t, Config{DataDir: t.TempDir(), SessionIdleTimeout: 100 * time.Millisecond})
+
+	sid := openSession(t, base, "pair")
+	register(base, sid)
+	for cube, body := range map[string]string{"S": "i,v\n1,1\n2,2\n", "T": "i,w\n1,10\n2,20\n"} {
+		if status, out := doReq(t, http.MethodPut, base+"/v1/cubes/"+cube, sid, "text/csv", []byte(body)); status != http.StatusOK {
+			t.Fatalf("put %s: status %d (%s)", cube, status, out)
+		}
+	}
+	if status, out := postJSON(t, base+"/v1/run", sid, map[string]any{}); status != http.StatusOK {
+		t.Fatalf("run: status %d (%v)", status, out)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.sessions.count() != 0 || srv.tenants.count() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("reaper left sessions=%d tenants=%d", srv.sessions.count(), srv.tenants.count())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	sid2 := openSession(t, base, "pair")
+	register(base, sid2)
+	if status, out := postJSON(t, base+"/v1/run", sid2, map[string]any{}); status != http.StatusOK {
+		t.Fatalf("run after re-registration: status %d (%v)", status, out)
+	}
+	status, body := doReq(t, http.MethodGet, base+"/v1/cubes/B", sid2, "", nil)
+	if status != http.StatusOK {
+		t.Fatalf("get B: status %d (%s)", status, body)
+	}
+	if want := "i,v\n1,12\n2,24\n"; string(body) != want {
+		t.Errorf("B = %q, want %q", body, want)
+	}
+}
+
 // TestGracefulShutdownDurable: every commit acked before Shutdown is on
 // disk afterward, even with runs in flight when shutdown starts.
 func TestGracefulShutdownDurable(t *testing.T) {

@@ -89,14 +89,14 @@ type processList struct {
 	mu           sync.Mutex
 	m            map[string]*runEntry
 	finishedFIFO []string // finished entry IDs, oldest first, for eviction
-	maxFinished  int
 }
 
-func newProcessList(maxFinished int) *processList {
-	if maxFinished <= 0 {
-		maxFinished = 512
-	}
-	return &processList{m: make(map[string]*runEntry), maxFinished: maxFinished}
+// maxFinishedRuns bounds the completed tail of the run list kept for
+// GET /v1/runs/{id}.
+const maxFinishedRuns = 512
+
+func newProcessList() *processList {
+	return &processList{m: make(map[string]*runEntry)}
 }
 
 // start registers a new running entry.
@@ -140,7 +140,7 @@ func (pl *processList) finish(e *runEntry, rep *engine.Report, err error, now ti
 
 	pl.mu.Lock()
 	pl.finishedFIFO = append(pl.finishedFIFO, e.id)
-	for len(pl.finishedFIFO) > pl.maxFinished {
+	for len(pl.finishedFIFO) > maxFinishedRuns {
 		delete(pl.m, pl.finishedFIFO[0])
 		pl.finishedFIFO = pl.finishedFIFO[1:]
 	}

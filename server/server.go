@@ -51,12 +51,6 @@ type Config struct {
 	// of a tenant shuts the tenant's engine down (draining runs, closing
 	// the durable store). Defaults to 5 minutes.
 	SessionIdleTimeout time.Duration
-	// CloseTimeout bounds the graceful drain when a tenant closes.
-	// Defaults to 30 seconds.
-	CloseTimeout time.Duration
-	// MaxFinishedRuns bounds the completed tail of the run list kept for
-	// GET /v1/runs/{id}. Defaults to 512.
-	MaxFinishedRuns int
 	// Incremental makes every run delta-driven by default (as if each
 	// request set "incremental": true): only stale cubes recompute, from
 	// store deltas where possible (see engine.WithIncremental).
@@ -68,15 +62,15 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// tenantCloseTimeout bounds the graceful drain when a tenant closes.
+const tenantCloseTimeout = 30 * time.Second
+
 func (c *Config) fill() {
 	if c.Addr == "" {
 		c.Addr = ":8080"
 	}
 	if c.SessionIdleTimeout <= 0 {
 		c.SessionIdleTimeout = 5 * time.Minute
-	}
-	if c.CloseTimeout <= 0 {
-		c.CloseTimeout = 30 * time.Second
 	}
 	if c.Auth == nil {
 		c.Auth = AllowAll{}
@@ -110,7 +104,7 @@ func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
 		cfg:      cfg,
-		runs:     newProcessList(cfg.MaxFinishedRuns),
+		runs:     newProcessList(),
 		reapStop: make(chan struct{}),
 		reapDone: make(chan struct{}),
 	}
@@ -216,6 +210,6 @@ func (s *Server) closeSession(sess *session) bool {
 	s.sessions.remove(sess.id)
 	s.runs.cancelSession(sess.id)
 	// Release may drain the tenant's engine; never under a lock.
-	_ = s.tenants.release(sess.tenant, s.cfg.CloseTimeout)
+	_ = s.tenants.release(sess.tenant, tenantCloseTimeout)
 	return true
 }

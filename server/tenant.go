@@ -144,7 +144,6 @@ var testEngineOptions []engine.Option
 func (ts *tenantSet) open(name string) (*tenant, error) {
 	reg := obs.NewRegistry()
 	opts := []engine.Option{
-		engine.WithParallelDispatch(),
 		engine.WithMetrics(reg),
 		// A private compile cache: tenants compiling identical program
 		// text still never share mappings (or cache-hit metrics).
