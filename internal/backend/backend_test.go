@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,7 +21,7 @@ import (
 	"exlengine/internal/workload"
 )
 
-func compile(t *testing.T, src string) *mapping.Mapping {
+func compile(t testing.TB, src string) *mapping.Mapping {
 	t.Helper()
 	prog, err := exl.Parse(src)
 	if err != nil {
@@ -336,5 +337,34 @@ func TestPartitionBuiltConcurrently(t *testing.T) {
 	}
 	if grew, one := revision.MemEstimate()-before, int64(4*(base.Len()+want[0].Len())); grew != one {
 		t.Errorf("the key set's partitions are charged %d bytes, want %d: one array of rows, one of groups", grew, one)
+	}
+}
+
+// BenchmarkProductOnEveryTarget runs the GDP program's product tgd alone,
+// RGDP := RGDPPC * PQR, over 10 000 days × 20 regions (2 200 tuples on each
+// side), with PQR the chase's: on the ETL target this is Figure 1's flow.
+func BenchmarkProductOnEveryTarget(b *testing.B) {
+	gdp := compile(b, workload.GDPProgram)
+	data := workload.GDPSource(workload.GDPConfig{Days: 10000, Regions: 20})
+	pqr, err := Run(context.Background(), ops.TargetChase, gdp, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := compile(b, fmt.Sprintf("cube RGDPPC(q: quarter, r: string) measure %s\ncube PQR(q: quarter, r: string) measure %s\nRGDP := RGDPPC * PQR",
+		gdp.Schemas["RGDPPC"].Measure, gdp.Schemas["PQR"].Measure))
+	input := map[string]*model.Cube{"RGDPPC": data["RGDPPC"], "PQR": pqr["PQR"]}
+	for _, target := range ops.AllTargets {
+		b.Run(string(target), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := Run(context.Background(), target, m, input)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out["RGDP"].Len() != pqr["PQR"].Len() {
+					b.Fatalf("RGDP has %d tuples, want %d", out["RGDP"].Len(), pqr["PQR"].Len())
+				}
+			}
+		})
 	}
 }

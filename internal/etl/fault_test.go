@@ -33,8 +33,9 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 		before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 }
 
-// bigYearCube returns a cube with well over chanCap tuples, so producers
-// must block on channel sends if a consumer dies.
+// bigYearCube returns a cube of n tuples. Callers make n several times a
+// channel's capacity in rows (chanCap batches of batchSize rows), so
+// producers must block on channel sends if a consumer dies.
 func bigYearCube(name string, n int) *model.Cube {
 	c := model.NewCube(model.NewSchema(name, []model.Dim{{Name: "t", Type: model.TYear}}, "v"))
 	for y := 0; y < n; y++ {
@@ -57,7 +58,7 @@ func TestNoGoroutineLeakOnDownstreamError(t *testing.T) {
 		},
 		Hops: []Hop{{From: "in", To: "out"}},
 	}
-	store := map[string]*model.Cube{"A": bigYearCube("A", 5*chanCap)}
+	store := map[string]*model.Cube{"A": bigYearCube("A", 5*chanCap*batchSize)}
 	schemas := map[string]model.Schema{
 		"OUT": model.NewSchema("OUT", []model.Dim{{Name: "t", Type: model.TYear}}, "v"),
 	}
@@ -87,7 +88,7 @@ func TestNoGoroutineLeakOnStepPanic(t *testing.T) {
 	defer SetStepHook(nil)
 
 	before := runtime.NumGoroutine()
-	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": bigYearCube("A", 3*chanCap)})
+	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": bigYearCube("A", 3*chanCap*batchSize)})
 	if err == nil {
 		t.Fatal("panicking step must fail the run")
 	}
@@ -207,7 +208,7 @@ func TestRunContextCancellation(t *testing.T) {
 	defer SetStepHook(nil)
 
 	before := runtime.NumGoroutine()
-	_, err = RunContext(ctx, job, m, map[string]*model.Cube{"A": bigYearCube("A", 5*chanCap)})
+	_, err = RunContext(ctx, job, m, map[string]*model.Cube{"A": bigYearCube("A", 5*chanCap*batchSize)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,7 +1,8 @@
 // Package etl implements the ETL execution target of Section 5.3: schema
 // mappings are translated into metadata-driven ETL jobs — one flow per tgd,
 // composed "according to tgds total order" — and executed by a streaming
-// runtime in which each step is a goroutine and rows flow through channels.
+// runtime in which each step is a goroutine and rows flow through channels
+// in batches, in the order a row-at-a-time stream would carry them.
 //
 // Flow shapes follow the paper's Figure 1: a data source step per lhs atom,
 // merge steps joining the streams on dimensions, a calculation step

@@ -2,13 +2,14 @@ package etl
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"exlengine/internal/model"
 )
 
-// runCumsum pushes the rows through a SeriesCalc step and collects its
-// output stream.
+// runCumsum pushes the rows through a SeriesCalc step in batches and
+// collects its output stream.
 func runCumsum(t *testing.T, rows []Row) []Row {
 	t.Helper()
 	f := &Flow{
@@ -19,19 +20,20 @@ func runCumsum(t *testing.T, rows []Row) []Row {
 		Hops: []Hop{{From: "in", To: "series"}},
 	}
 	cols := map[string][]string{"in": {"t", "v"}}
-	in := make(chan Row, len(rows))
-	out := make(chan Row, len(rows))
-	chans := map[string]chan Row{"in": in, "series": out}
-	for _, r := range rows {
-		in <- r
+	n := len(rows)/batchSize + 1
+	in := make(chan []Row, n)
+	out := make(chan []Row, n)
+	chans := map[string]chan []Row{"in": in, "series": out}
+	for lo := 0; lo < len(rows); lo += batchSize {
+		in <- slices.Clone(rows[lo:min(lo+batchSize, len(rows))])
 	}
 	close(in)
-	if err := runStep(context.Background(), f, f.Step("series"), cols, chans, nil, nil, nil); err != nil {
+	if err := runStep(context.Background(), f, f.Step("series"), cols, chans, make(batches, n), nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var got []Row
-	for r := range out {
-		got = append(got, r)
+	for batch := range out {
+		got = append(got, batch...)
 	}
 	return got
 }

@@ -13,6 +13,7 @@ package frame
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"exlengine/internal/model"
@@ -157,68 +158,90 @@ func (Apply) exprNode()    {}
 func (PShift) exprNode()   {}
 func (DimApply) exprNode() {}
 
-// evalExpr evaluates a column expression on one row. An invalid Value with
-// nil error is NA (an undefined operator point) and propagates.
-func evalExpr(e Expr, f *Frame, row []model.Value) (model.Value, error) {
+// RowFunc evaluates a bound expression on one row. An invalid Value with nil
+// error is NA (an undefined operator point).
+type RowFunc func(row []model.Value) (model.Value, error)
+
+// Bind resolves the expression against rows laid out as cols, once: every
+// column to its position, every operator and dimension function to its
+// function. An unknown column, operator or dimension function is an error
+// here, before any row is read; a type error, such as arithmetic over a
+// string, is an error at the row. NA propagates. The function keeps scratch
+// space for its operands, so it serves one goroutine.
+func Bind(e Expr, cols []string) (RowFunc, error) {
 	switch e := e.(type) {
 	case Col:
-		j := f.ColIndex(e.Name)
+		j := slices.Index(cols, e.Name)
 		if j < 0 {
-			return model.Value{}, fmt.Errorf("frame: unknown column %s", e.Name)
+			return nil, fmt.Errorf("frame: unknown column %s", e.Name)
 		}
-		return row[j], nil
+		return func(row []model.Value) (model.Value, error) { return row[j], nil }, nil
 	case Const:
-		return model.Num(e.V), nil
+		v := model.Num(e.V)
+		return func([]model.Value) (model.Value, error) { return v, nil }, nil
 	case PShift:
-		x, err := evalExpr(e.X, f, row)
-		if err != nil || !x.IsValid() {
-			return x, err
-		}
-		return ops.ShiftValue(x, e.N)
-	case DimApply:
-		x, err := evalExpr(e.X, f, row)
-		if err != nil || !x.IsValid() {
-			return x, err
-		}
-		fn, err := ops.Dimension(e.Fn)
+		x, err := Bind(e.X, cols)
 		if err != nil {
-			return model.Value{}, err
+			return nil, err
 		}
-		return fn.Apply(x)
-	case Apply:
-		args := make([]float64, 0, len(e.Args)+len(e.Params))
-		for _, a := range e.Args {
-			v, err := evalExpr(a, f, row)
+		return func(row []model.Value) (model.Value, error) {
+			v, err := x(row)
 			if err != nil || !v.IsValid() {
 				return v, err
 			}
-			x, ok := v.AsNumber()
-			if !ok {
-				return model.Value{}, fmt.Errorf("frame: %s over non-numeric %v", e.Op, v)
-			}
-			args = append(args, x)
+			return ops.ShiftValue(v, e.N)
+		}, nil
+	case DimApply:
+		fn, err := ops.Dimension(e.Fn)
+		if err != nil {
+			return nil, err
 		}
-		args = append(args, e.Params...)
+		x, err := Bind(e.X, cols)
+		if err != nil {
+			return nil, err
+		}
+		return func(row []model.Value) (model.Value, error) {
+			v, err := x(row)
+			if err != nil || !v.IsValid() {
+				return v, err
+			}
+			return fn.Apply(v)
+		}, nil
+	case Apply:
 		fn, err := ops.Scalar(e.Op)
 		if err != nil {
-			return model.Value{}, err
+			return nil, err
 		}
-		out, err := fn(args...)
-		if err != nil {
-			if ops.ErrUndefined(err) {
-				return model.Value{}, nil // NA
+		args := make([]RowFunc, len(e.Args))
+		for i, a := range e.Args {
+			if args[i], err = Bind(a, cols); err != nil {
+				return nil, err
 			}
-			return model.Value{}, err
 		}
-		return model.Num(out), nil
+		// The operands, then the parameters.
+		in := append(make([]float64, len(args), len(args)+len(e.Params)), e.Params...)
+		return func(row []model.Value) (model.Value, error) {
+			for i, a := range args {
+				v, err := a(row)
+				if err != nil || !v.IsValid() {
+					return v, err
+				}
+				x, ok := v.AsNumber()
+				if !ok {
+					return model.Value{}, fmt.Errorf("frame: %s over non-numeric %v", e.Op, v)
+				}
+				in[i] = x
+			}
+			out, err := fn(in...)
+			if err != nil {
+				if ops.ErrUndefined(err) {
+					return model.Value{}, nil // NA
+				}
+				return model.Value{}, err
+			}
+			return model.Num(out), nil
+		}, nil
 	default:
-		return model.Value{}, fmt.Errorf("frame: unsupported expression %T", e)
+		return nil, fmt.Errorf("frame: unsupported expression %T", e)
 	}
-}
-
-// Eval evaluates a column expression against a bare column list and row,
-// for engines (such as the ETL runtime) that stream rows without
-// materializing frames.
-func Eval(e Expr, cols []string, row []model.Value) (model.Value, error) {
-	return evalExpr(e, &Frame{Cols: cols}, row)
 }

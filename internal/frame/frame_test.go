@@ -191,8 +191,6 @@ func TestStepErrors(t *testing.T) {
 		MapCol{Var: "F", Col: "x", E: Col{Name: "zz"}},
 	}
 	for i, s := range bad {
-		// Row-wise failures (an unknown expr column) only surface when a
-		// row feeds them.
 		env["F"].Rows = [][]model.Value{make([]model.Value, len(env["F"].Cols))}
 		env["F"].Rows[0][0] = model.Num(1)
 		if err := runStep(s, env); err == nil {
@@ -279,21 +277,31 @@ func TestTranslateTgdShapes(t *testing.T) {
 	}
 }
 
+// TestFrameExprErrors: what names nothing fails when the expression is bound,
+// before any row is read; a type error fails at the row.
 func TestFrameExprErrors(t *testing.T) {
-	f := NewFrame("a")
-	row := []model.Value{model.Str("x")}
-	f.Rows = append(f.Rows, row)
-	if _, err := evalExpr(Apply{Op: "add", Args: []Expr{Col{Name: "a"}, Const{V: 1}}}, f, row); err == nil {
-		t.Error("arithmetic over string must fail")
+	cols := []string{"a"}
+	for name, e := range map[string]Expr{
+		"unknown column":             Col{Name: "zz"},
+		"unknown operator":           Apply{Op: "nosuch", Args: []Expr{Const{V: 1}}},
+		"unknown dimension function": DimApply{Fn: "week", X: Col{Name: "a"}},
+	} {
+		if _, err := Bind(e, cols); err == nil {
+			t.Errorf("%s: binding must fail", name)
+		}
 	}
-	if _, err := evalExpr(Apply{Op: "nosuch", Args: []Expr{Const{V: 1}}}, f, row); err == nil {
-		t.Error("unknown op must fail")
-	}
-	if _, err := evalExpr(DimApply{Fn: "quarter", X: Col{Name: "a"}}, f, row); err == nil {
-		t.Error("quarter of string must fail")
-	}
-	if _, err := evalExpr(PShift{X: Col{Name: "a"}, N: 1}, f, row); err == nil {
-		t.Error("shift of string must fail")
+	for name, e := range map[string]Expr{
+		"arithmetic over a string": Apply{Op: "add", Args: []Expr{Col{Name: "a"}, Const{V: 1}}},
+		"quarter of a string":      DimApply{Fn: "quarter", X: Col{Name: "a"}},
+		"shift of a string":        PShift{X: Col{Name: "a"}, N: 1},
+	} {
+		eval, err := Bind(e, cols)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := eval([]model.Value{model.Str("x")}); err == nil {
+			t.Errorf("%s must fail at the row", name)
+		}
 	}
 }
 

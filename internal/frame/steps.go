@@ -176,20 +176,26 @@ func runStep(s Step, env Env) error {
 		if err != nil {
 			return err
 		}
-		j := f.ColIndex(s.Col)
+		cols, j := f.Cols, f.ColIndex(s.Col)
 		if j < 0 {
-			f.Cols = append(f.Cols, s.Col)
-			j = len(f.Cols) - 1
+			cols, j = append(slices.Clip(f.Cols), s.Col), len(f.Cols)
+		}
+		eval, err := Bind(s.E, cols)
+		if err != nil {
+			return err
+		}
+		if j == len(f.Cols) {
+			f.Cols = cols
 			for i := range f.Rows {
 				f.Rows[i] = append(f.Rows[i], model.Value{})
 			}
 		}
-		for i, row := range f.Rows {
-			v, err := evalExpr(s.E, f, row)
+		for _, row := range f.Rows {
+			v, err := eval(row)
 			if err != nil {
 				return err
 			}
-			f.Rows[i][j] = v
+			row[j] = v
 		}
 		return nil
 
