@@ -48,6 +48,10 @@ func (p *View) Len() int { return len(p.measures) }
 // own and must be left untouched.
 func (p *View) Tuple(i int) Tuple { return Tuple{p.keys.tuples[i].dims, p.measures[i]} }
 
+// Measures returns the measure column in cube order, the version's own: to be
+// read, not written.
+func (p *View) Measures() []float64 { return p.measures[:len(p.measures):len(p.measures)] }
+
 // row returns the row of the tuple with the key, if the key set has it. A
 // handful of probes — a replayed delta, the points a maintained output
 // recomputes — are binary searches of the ordered keys: a key set an insert

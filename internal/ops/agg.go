@@ -3,6 +3,9 @@ package ops
 import (
 	"math"
 	"slices"
+	"unsafe"
+
+	"exlengine/internal/model"
 )
 
 // Fold is an aggregation operator resolved from its name, once, where a plan
@@ -41,10 +44,15 @@ func IsAggregation(name string) bool {
 	return ok && i.Class == ClassAggregation
 }
 
+// Empty returns the fold of the empty bag, where it has one: a count of
+// nothing is 0. Every other fold is undefined there.
+func (f Fold) Empty() (float64, bool) { return 0, f == foldCount }
+
 // Acc is one group's bag under a Fold, folded as it arrives; the zero Acc is
 // the empty bag. It is flat — a is the sum, minimum, maximum or product, or
 // Welford's running mean for stddev, b Welford's M2, and vs median's bag —
-// so a grouping engine keeps its groups' accumulators in one slice.
+// so a grouping engine keeps its groups' accumulators in one slice, and
+// folds a column into them with FoldColumn.
 type Acc struct {
 	n    int
 	a, b float64
@@ -55,31 +63,84 @@ type Acc struct {
 // measure has reached.
 func (acc *Acc) N() int { return acc.n }
 
-// Add folds one measure into the bag.
+// Add folds one measure into the bag: a column of one, so that a bag folded a
+// measure at a time and one folded a column at a time are the same to the bit,
+// NaN payloads included, which the order of a float operation's operands
+// decides.
 func (acc *Acc) Add(f Fold, v float64) {
-	acc.n++
+	FoldColumn(f, unsafe.Slice(acc, 1), firstGroup[:], unsafe.Slice(&v, 1))
+}
+
+var firstGroup = [1]uint32{0}
+
+// FoldColumn folds a column of measures into groups: vs[i] into accs[ords[i]]
+// for every i whose ordinal is not model.NoGroup, each bag getting its
+// measures in the order of the column. It is the one definition of how a fold
+// takes a measure in, with the fold's switch taken once for the column rather
+// than once a measure. vs holds at least len(ords) measures.
+func FoldColumn(f Fold, accs []Acc, ords []uint32, vs []float64) {
+	vs = vs[:len(ords)]
 	switch f {
 	case foldSum, foldAvg:
-		acc.a += v
+		for i, g := range ords {
+			if g != model.NoGroup {
+				acc := &accs[g]
+				acc.n++
+				acc.a += vs[i]
+			}
+		}
+	case foldCount:
+		for _, g := range ords {
+			if g != model.NoGroup {
+				accs[g].n++
+			}
+		}
 	case foldMin:
-		if acc.n == 1 || v < acc.a {
-			acc.a = v
+		for i, g := range ords {
+			if g != model.NoGroup {
+				acc, v := &accs[g], vs[i]
+				if acc.n++; acc.n == 1 || v < acc.a {
+					acc.a = v
+				}
+			}
 		}
 	case foldMax:
-		if acc.n == 1 || v > acc.a {
-			acc.a = v
+		for i, g := range ords {
+			if g != model.NoGroup {
+				acc, v := &accs[g], vs[i]
+				if acc.n++; acc.n == 1 || v > acc.a {
+					acc.a = v
+				}
+			}
 		}
 	case foldMedian:
-		acc.vs = append(acc.vs, v)
+		for i, g := range ords {
+			if g != model.NoGroup {
+				acc := &accs[g]
+				acc.n++
+				acc.vs = append(acc.vs, vs[i])
+			}
+		}
 	case foldStddev:
-		d := v - acc.a
-		acc.a += d / float64(acc.n)
-		acc.b += d * (v - acc.a)
+		for i, g := range ords {
+			if g != model.NoGroup {
+				acc, v := &accs[g], vs[i]
+				acc.n++
+				d := v - acc.a
+				acc.a += d / float64(acc.n)
+				acc.b += d * (v - acc.a)
+			}
+		}
 	case foldProd:
-		if acc.n == 1 {
-			acc.a = v
-		} else {
-			acc.a *= v
+		for i, g := range ords {
+			if g != model.NoGroup {
+				acc, v := &accs[g], vs[i]
+				if acc.n++; acc.n == 1 {
+					acc.a = v
+				} else {
+					acc.a *= v
+				}
+			}
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package ops
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"exlengine/internal/model"
 )
 
 func TestAggregate(t *testing.T) {
@@ -131,6 +134,70 @@ func TestAggregatorsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzFoldColumn holds the column kernel to a loop of Add over the same
+// column, for every fold: ordinals drawn from up to eight groups and
+// model.NoGroup, measures from raw float bits. Every group ends with the same
+// count and, where it has a measure, the same Result to the bit.
+func FuzzFoldColumn(f *testing.F) {
+	column := func(pairs ...float64) []byte { // group, measure, group, measure, …
+		var b []byte
+		for i := 0; i < len(pairs); i += 2 {
+			b = binary.LittleEndian.AppendUint64(append(b, byte(pairs[i])), math.Float64bits(pairs[i+1]))
+		}
+		return b
+	}
+	f.Add(uint8(1), column(0, 1e16, 0, 1, 0, -1e16, 0, 1)) // a sum the order decides
+	f.Add(uint8(3), column(0, math.NaN(), 1, math.Inf(1), 3, 2, 1, math.Inf(-1), 2, math.Copysign(0, -1), 2, 0, 0, 1))
+	// Two NaNs in one bag: which one's payload the sum keeps is the order of
+	// the addition's operands.
+	f.Add(uint8(1), column(0, math.NaN(), 0, 1, 0, math.Copysign(math.NaN(), -1), 1, math.Inf(1), 1, math.Inf(-1), 1, math.NaN()))
+	f.Add(uint8(2), column(2, 5, 0, -0.5, 2, 7, 1, 3, 0, 0.25, 1, -3))
+	f.Fuzz(func(t *testing.T, groups uint8, data []byte) {
+		n := int(groups%8) + 1
+		var ords []uint32
+		var vs []float64
+		for ; len(data) >= 9; data = data[9:] {
+			g := uint32(data[0]) % uint32(n+1)
+			if int(g) == n { // one ordinal in n+1 is no group's
+				g = model.NoGroup
+			}
+			ords = append(ords, g)
+			vs = append(vs, math.Float64frombits(binary.LittleEndian.Uint64(data[1:9])))
+		}
+		for fold := range Fold(len(foldNames)) {
+			column, loop := make([]Acc, n), make([]Acc, n)
+			FoldColumn(fold, column, ords, vs)
+			for i, g := range ords {
+				if g != model.NoGroup {
+					loop[g].Add(fold, vs[i])
+				}
+			}
+			for g := range loop {
+				if column[g].N() != loop[g].N() {
+					t.Fatalf("%s, group %d: the column folds %d measures, Add %d", foldNames[fold], g, column[g].N(), loop[g].N())
+				}
+				if loop[g].N() == 0 {
+					continue
+				}
+				if c, a := column[g].Result(fold), loop[g].Result(fold); math.Float64bits(c) != math.Float64bits(a) {
+					t.Fatalf("%s, group %d: the column gives %v (%#x), Add %v (%#x)", foldNames[fold], g, c, math.Float64bits(c), a, math.Float64bits(a))
+				}
+			}
+		}
+	})
+}
+
+// TestEmptyBag: counting nothing gives 0; every other fold of the empty bag is
+// undefined.
+func TestEmptyBag(t *testing.T) {
+	for fold := range Fold(len(foldNames)) {
+		v, ok := fold.Empty()
+		if want := foldNames[fold] == "count"; ok != want || v != 0 {
+			t.Errorf("%s.Empty() = %v, %v; want 0, %v", foldNames[fold], v, ok, want)
+		}
 	}
 }
 

@@ -5,7 +5,10 @@
 //
 // The package is a pure function registry: it knows nothing about cubes or
 // tgds. The chase engine and every target engine evaluate operators through
-// it, which is what makes the cross-engine equivalence tests meaningful.
+// it, which is what makes the cross-engine equivalence tests meaningful. An
+// aggregation is folded by one loop, FoldColumn, whether an engine hands it a
+// column of measures and their group ordinals or, through Acc.Add, one measure
+// at a time.
 package ops
 
 import (

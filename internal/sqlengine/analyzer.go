@@ -663,8 +663,19 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 	}
 
 	if g.partSig = partitionSig(g); g.partSig != "" {
+		scan := g.child.(*scanNode)
 		refs := map[[2]string]bool{}
-		for _, spec := range g.aggs {
+		for i := range g.aggs {
+			spec := &g.aggs[i]
+			if c, ok := spec.carg.(*colC); ok {
+				j := c.idx
+				if scan.proj != nil {
+					j = scan.proj[j]
+				}
+				if spec.measure = j == len(scan.table.Cols)-1; spec.measure {
+					continue
+				}
+			}
 			exprColRefs(spec.arg, a.sc, refs)
 		}
 		g.argCols = make([]int, 0, len(refs)) // not nil where the arguments read no column, as count(1)

@@ -180,17 +180,6 @@ func (db *DB) evalSelectCtx(ctx context.Context, s *selectStmt) (*Table, error) 
 	return db.evalSelectVec(ctx, s, db.newResolver(ctx))
 }
 
-// aggEmptyResult is the value of an aggregate over an empty bag (no rows,
-// or every argument NULL): COUNT is 0 — counting nothing is a defined
-// answer — while SUM/AVG/MIN/MAX have no value and yield NULL, which then
-// drops the row under the cube partial-function contract.
-func aggEmptyResult(name string) model.Value {
-	if name == "count" {
-		return model.Num(0)
-	}
-	return model.Value{}
-}
-
 // validateSelect statically checks column references and aggregate
 // placement, so malformed queries fail even over empty tables.
 func (db *DB) validateSelect(s *selectStmt, sc *scope) error {

@@ -705,20 +705,23 @@ func (o *projectOp) next() (*batch, error) {
 	}
 }
 
-// groupOp is aggregation by group ordinal. It consumes its whole input,
-// feeding each aggregate's argument vector into per-group accumulators (rows
-// without a group — a NULL in the key — are skipped); then it evaluates the
-// final expressions over the groups' representative rows, their first,
-// extended with the aggregate pseudo-columns, dropping NULL outputs.
+// groupOp is aggregation by group ordinal. It consumes its whole input, a
+// batch at a time, and folds each aggregate's argument column into per-group
+// accumulators with ops.FoldColumn, its one fold loop; a row without a group
+// — a NULL in the key — is in no bag, and neither is a NULL argument. Then it
+// evaluates the final expressions over the groups' representative rows, their
+// first, extended with the aggregate pseudo-columns, dropping NULL outputs.
 //
 // The ordinals have one of two sources (see ordinals), which nothing after
 // them can tell apart. Where the plan groups a stored version by a function of
 // its dimension tuples (groupNode.partSig) and the version's key set has been
 // grouped so before, they are that Partition's: no key is evaluated, encoded or
-// hashed, the scan fills only what the aggregate arguments read, and the
-// representative rows are read from the version. Otherwise an Assigner hands
-// them out for the encoded key of every row — and, under such a plan, records
-// them for the key set as it goes.
+// hashed, the scan fills only what the evaluated aggregate arguments read, and
+// the representative rows are read from the version. Otherwise an Assigner
+// hands them out for the encoded key of every row — and, under such a plan,
+// records them for the key set as it goes. Under such a plan an aggregate of
+// the version's measure (aggSpec.measure) folds the version's own measure
+// column, which no batch holds a copy of.
 type groupOp struct {
 	n       *groupNode
 	m       opMetrics
@@ -727,15 +730,20 @@ type groupOp struct {
 	scratch batchScratch
 	states  [][]ops.Acc // [aggregate][group ordinal]
 
-	scan  *scanOp          // the child, where its view's key set keeps the partition
-	part  *model.Partition // the ordinals, where the key set had them
-	asg   *model.Assigner  // their source otherwise
-	built *obs.Counter
-	row   int // input rows seen so far: the next batch's first row in the view
+	scan     *scanOp          // the child, where its view's key set keeps the partition
+	measures []float64        // the scan's view's measure column, where scan is set
+	part     *model.Partition // the ordinals, where the key set had them
+	asg      *model.Assigner  // their source otherwise
+	built    *obs.Counter
+	row      int // input rows seen so far: the next batch's first row in the view
 
 	keyVecs    [][]model.Value
 	keyBuf     []model.Value
 	ords, kept []uint32
+	sel        []int
+	argVecs    [][]model.Value // [aggregate] its argument over the batch, where evaluated
+	vals       []float64       // one argument's numbers, NULLs left out
+	vords      []uint32        // their ordinals, where a NULL was left out
 }
 
 // newGroupOp picks the source of the ordinals off the plan and the table's
@@ -744,10 +752,11 @@ func newGroupOp(ctx context.Context, n *groupNode, child execOp, reg *obs.Regist
 	o := &groupOp{
 		n: n, m: newOpMetrics(reg, "groupby"), child: child,
 		keyVecs: make([][]model.Value, len(n.ckKeys)), keyBuf: make([]model.Value, len(n.ckKeys)),
+		argVecs: make([][]model.Value, len(n.aggs)),
 	}
 	source := "hash"
 	if scan, ok := child.(*scanOp); ok && n.partSig != "" && scan.view != nil {
-		o.scan = scan
+		o.scan, o.measures = scan, scan.view.Measures()
 		if o.part = scan.view.Partition(n.partSig); o.part != nil {
 			source, scan.fill = "partition", n.argCols
 			reg.Counter(obs.MetricPartitionsReused).Inc()
@@ -805,12 +814,8 @@ func (o *groupOp) next() (*batch, error) {
 		ngroups = o.part.Groups()
 	}
 	o.states = make([][]ops.Acc, len(o.n.aggs))
-	for i := range o.states {
-		o.states[i] = make([]ops.Acc, ngroups)
-	}
+	o.grow(ngroups)
 	rowBuf := make([]model.Value, childWidth)
-	argVecs := make([][]model.Value, len(o.n.aggs))
-	var sel []int
 
 	for {
 		b, err := o.child.next()
@@ -820,38 +825,23 @@ func (o *groupOp) next() (*batch, error) {
 		if b == nil {
 			break
 		}
+		lo := o.row
 		ords, err := o.ordinals(b)
 		if err != nil {
 			return nil, err
 		}
-		// Restrict to rows with fully defined group keys before touching
-		// aggregate arguments: a row without a group is no row of a bag.
-		if slices.Contains(ords, model.NoGroup) {
-			kept := o.kept[:0]
-			sel = sel[:0]
+		if o.part == nil {
 			for r, g := range ords {
-				if g != model.NoGroup {
-					sel, kept = append(sel, r), append(kept, g)
+				if int(g) == ngroups { // the assigner's first sight of the group
+					if ngroups++; o.scan == nil {
+						reps.AppendRow(b.Row(r, rowBuf))
+					}
 				}
 			}
-			b = gatherInto(&o.scratch, b, sel)
-			o.kept, ords = kept, kept
+			o.grow(ngroups)
 		}
-		if b.N == 0 {
-			continue
-		}
-		if err := o.evalAggArgs(b, argVecs); err != nil {
+		if err := o.fold(b, ords, lo); err != nil {
 			return nil, err
-		}
-		for r, g := range ords {
-			if int(g) == ngroups { // the assigner's first sight of the group
-				if o.newGroup(&ngroups); o.scan == nil {
-					reps.AppendRow(b.Row(r, rowBuf))
-				}
-			}
-			if err := o.feed(int(g), argVecs, r); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if o.scan != nil {
@@ -864,9 +854,10 @@ func (o *groupOp) next() (*batch, error) {
 	}
 
 	// A global aggregate always has one group, even over zero rows: the
-	// representative row is all-NULL, COUNT answers 0, the rest NULL.
+	// representative row is all-NULL, each aggregate its fold of the empty bag.
 	if len(o.n.groupBy) == 0 && ngroups == 0 {
-		o.newGroup(&ngroups)
+		ngroups = 1
+		o.grow(ngroups)
 		reps.AppendRow(make([]model.Value, childWidth))
 	}
 
@@ -874,16 +865,18 @@ func (o *groupOp) next() (*batch, error) {
 		return nil, nil
 	}
 
-	// Extended batch: representative rows + one column per aggregate.
+	// Extended batch: representative rows + one column per aggregate. An empty
+	// bag whose fold is undefined stays NULL, which drops its row.
 	ext := &batch{N: reps.N, Cols: make([][]model.Value, childWidth+len(o.n.aggs))}
 	copy(ext.Cols, reps.Cols)
 	for ai, spec := range o.n.aggs {
 		col := make([]model.Value, ngroups)
+		empty, defined := spec.fold.Empty()
 		for gi := range col {
-			if acc := &o.states[ai][gi]; acc.N() == 0 {
-				col[gi] = aggEmptyResult(spec.name)
-			} else {
+			if acc := &o.states[ai][gi]; acc.N() > 0 {
 				col[gi] = model.Num(acc.Result(spec.fold))
+			} else if defined {
+				col[gi] = model.Num(empty)
 			}
 		}
 		ext.Cols[childWidth+ai] = col
@@ -897,7 +890,7 @@ func (o *groupOp) next() (*batch, error) {
 		}
 		vecs[i] = v
 	}
-	sel = sel[:0]
+	var sel []int
 	for r := 0; r < ext.N; r++ {
 		null := false
 		for i := range vecs {
@@ -925,42 +918,100 @@ func (o *groupOp) next() (*batch, error) {
 	return out, nil
 }
 
-// newGroup appends a zero accumulator for every aggregate and returns
-// the new group's ordinal.
-func (o *groupOp) newGroup(ngroups *int) int {
-	g := *ngroups
-	*ngroups++
-	for i := range o.states {
-		o.states[i] = append(o.states[i], ops.Acc{})
+// grow gives every aggregate an empty bag for each group up to ngroups.
+func (o *groupOp) grow(ngroups int) {
+	for i, s := range o.states {
+		o.states[i] = append(s, make([]ops.Acc, ngroups-len(s))...)
 	}
-	return g
 }
 
-func (o *groupOp) evalAggArgs(b *batch, argVecs [][]model.Value) error {
+// fold folds b, the batch whose rows start at row lo of the input, into every
+// aggregate's groups, one column at a time. An aggregate of the version's
+// measure folds the view's column under ords, past the rows without a group;
+// any other evaluates its argument over the rows with one. Every argument is
+// evaluated before any is folded, and a non-numeric value fails the batch at
+// the first row that has one, as a fold a row at a time would.
+func (o *groupOp) fold(b *batch, ords []uint32, lo int) error {
+	var kb *batch
+	var kept []uint32
 	for i, spec := range o.n.aggs {
-		v, err := spec.carg.eval(b)
+		if spec.measure && o.measures != nil {
+			continue
+		}
+		if kb == nil {
+			if kb, kept = o.withGroups(b, ords); kb.N == 0 {
+				return nil // no row has a group, and the measure column has nothing to fold
+			}
+		}
+		v, err := spec.carg.eval(kb)
 		if err != nil {
 			return err
 		}
-		argVecs[i] = v
+		o.argVecs[i] = v[:kb.N]
+	}
+	bad, badRow := -1, b.N
+	for i, spec := range o.n.aggs {
+		if spec.measure && o.measures != nil {
+			ops.FoldColumn(spec.fold, o.states[i], ords, o.measures[lo:])
+			continue
+		}
+		vals, r := o.unpack(o.argVecs[i])
+		if r >= 0 {
+			if r < badRow {
+				bad, badRow = i, r
+			}
+			continue
+		}
+		vords := kept
+		if len(vals) < len(kept) { // a NULL was left out, and its ordinal goes with it
+			vords = o.vords[:0]
+			for r, v := range o.argVecs[i] {
+				if v.IsValid() {
+					vords = append(vords, kept[r])
+				}
+			}
+			o.vords = vords
+		}
+		ops.FoldColumn(spec.fold, o.states[i], vords, vals)
+	}
+	if bad >= 0 {
+		return fmt.Errorf("sql: aggregate %s over non-numeric value %v", o.n.aggs[bad].name, o.argVecs[bad][badRow])
 	}
 	return nil
 }
 
-func (o *groupOp) feed(g int, argVecs [][]model.Value, r int) error {
-	for i := range o.n.aggs {
-		spec := &o.n.aggs[i]
-		v := argVecs[i][r]
+// withGroups returns the rows of b that have a group, and their ordinals: a row
+// without a group is no row of a bag, and its arguments are not evaluated.
+func (o *groupOp) withGroups(b *batch, ords []uint32) (*batch, []uint32) {
+	if !slices.Contains(ords, model.NoGroup) {
+		return b, ords
+	}
+	sel, kept := o.sel[:0], o.kept[:0]
+	for r, g := range ords {
+		if g != model.NoGroup {
+			sel, kept = append(sel, r), append(kept, g)
+		}
+	}
+	o.sel, o.kept = sel, kept
+	return gatherInto(&o.scratch, b, sel), kept
+}
+
+// unpack returns the numbers of an evaluated argument, NULLs left out — they
+// are not part of the bag — or the row of its first non-numeric value.
+func (o *groupOp) unpack(vec []model.Value) ([]float64, int) {
+	vals := o.vals[:0]
+	for r, v := range vec {
 		if !v.IsValid() {
-			continue // nulls are not part of the bag
+			continue
 		}
 		f, ok := v.AsNumber()
 		if !ok {
-			return fmt.Errorf("sql: aggregate %s over non-numeric value %v", spec.name, v)
+			return nil, r
 		}
-		o.states[i][g].Add(spec.fold, f)
+		vals = append(vals, f)
 	}
-	return nil
+	o.vals = vals
+	return vals, -1
 }
 
 // buildOps lowers the analyzed plan (minus the root sortNode, which the

@@ -407,6 +407,25 @@ func TestLoadCubeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestPartitionHitAllocsPerGroup: over a key set that holds the partition, the
+// PQR statement folds the version's measure column where it lies, and what it
+// allocates grows with the groups, not the rows: no more per input row at 200k
+// rows than at 50k, where fixed costs weigh four times as much.
+func TestPartitionHitAllocsPerGroup(t *testing.T) {
+	perRow := func(n int) float64 {
+		c := pdrCube(n).Freeze()
+		loadAndGroup(t, c) // the key set now holds the partition
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loadAndGroup(t, c)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	if small, large := perRow(50000), perRow(200000); large > small {
+		t.Errorf("PQR over a grouped key set allocates %.2f B per row at 200k rows and %.2f at 50k", large, small)
+	}
+}
+
 // TestScalarCallAllocsIndependentOfRows: a numeric scalar call keeps its
 // argument buffer on the compiled call, so what a statement allocates does
 // not grow with the rows it scans.

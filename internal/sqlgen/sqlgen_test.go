@@ -12,6 +12,7 @@ import (
 	"exlengine/internal/exl"
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
+	"exlengine/internal/obs"
 	"exlengine/internal/sqlengine"
 	"exlengine/internal/workload"
 )
@@ -252,29 +253,56 @@ func (c *pollCtx) Err() error {
 // TestExecuteContextCancelsInsideAStatement: the scan polls the context at
 // every batch, so a run cancelled while the PQR statement reads a 200k-tuple
 // version stops there — not after the 196 batches the statement has left —
-// and the INSERT has appended nothing.
+// and the INSERT has appended nothing. That holds where the key set is grouped
+// as it goes, and where it was grouped before and the statement folds the
+// version's measure column.
 func TestExecuteContextCancelsInsideAStatement(t *testing.T) {
 	m := compile(t, "cube PDR(d: day, r: string) measure p\nPQR := avg(PDR, group by quarter(d) as q, r)\n")
-	db := sqlengine.NewDB()
-	if err := db.LoadCube(workload.GDPSource(workload.GDPConfig{Days: 10000, Regions: 20})["PDR"]); err != nil {
-		t.Fatal(err)
-	}
+	pdr := workload.GDPSource(workload.GDPConfig{Days: 10000, Regions: 20})["PDR"].Freeze()
 	script, err := Translate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	load := func() *sqlengine.DB {
+		db := sqlengine.NewDB()
+		if err := db.LoadCube(pdr); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
 	goroutines := runtime.NumGoroutine()
-	ctx := &pollCtx{Context: context.Background(), after: 50}
-	if err := ExecuteContext(ctx, script, db); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExecuteContext under a context cancelled mid-statement = %v, want context.Canceled", err)
-	}
-	// The callers above the scan may ask the context again on the way out;
-	// the scan may not go on to the batches it has left, one poll each.
-	if ctx.polls > ctx.after+8 {
-		t.Errorf("the context was polled %d times, want the run to end within a few polls of number %d", ctx.polls, ctx.after)
-	}
-	if tab, ok := db.Table("PQR"); !ok || len(tab.Rows) != 0 {
-		t.Errorf("PQR after the cancelled INSERT … SELECT: %d rows, want the table there and empty", len(tab.Rows))
+	for _, source := range []string{"hash", "partition"} {
+		db := load()
+		tracer := obs.NewTracer()
+		ctx := &pollCtx{Context: obs.ContextWithTracer(context.Background(), tracer), after: 50}
+		if err := ExecuteContext(ctx, script, db); !errors.Is(err, context.Canceled) {
+			t.Fatalf("groups=%s: ExecuteContext under a context cancelled mid-statement = %v, want context.Canceled", source, err)
+		}
+		// The callers above the scan may ask the context again on the way out;
+		// the scan may not go on to the batches it has left, one poll each.
+		if ctx.polls > ctx.after+8 {
+			t.Errorf("groups=%s: the context was polled %d times, want the run to end within a few polls of number %d", source, ctx.polls, ctx.after)
+		}
+		if tab, ok := db.Table("PQR"); !ok || len(tab.Rows) != 0 {
+			t.Errorf("groups=%s: PQR after the cancelled INSERT … SELECT: %d rows, want the table there and empty", source, len(tab.Rows))
+		}
+		var sources []string
+		for _, root := range tracer.Roots() {
+			for _, sp := range root.FindAll("sql.exec") {
+				if groups, ok := sp.Attr("groups"); ok {
+					sources = append(sources, groups)
+				}
+			}
+		}
+		if len(sources) != 1 || sources[0] != source {
+			t.Errorf("the cancelled statement says groups=%v, want %s", sources, source)
+		}
+		// A run to the end leaves the key set grouped for the next statement.
+		if source == "hash" {
+			if err := ExecuteContext(context.Background(), script, load()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	// The executor starts no goroutine; ones of the runtime's or of another
 	// test's that were winding down are given a moment to.
