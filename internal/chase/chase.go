@@ -196,7 +196,7 @@ func applyBlackBox(p *plan, target Instance, schema model.Schema, stats *Stats) 
 	}
 	stats.Bindings += len(vals)
 	stats.TuplesGenerated += len(vals)
-	return in.Derive(schema, func(i int, _ model.Tuple) (float64, bool, error) { return res[i], true, nil })
+	return in.DeriveColumn(schema, res, nil)
 }
 
 // padOperands resolves the two operands of a padded vectorial tgd.

@@ -43,6 +43,10 @@ type plan struct {
 	// output tuple sits at its driving tuple's dimension tuple and the
 	// output stands on the driving relation's key set (model.Cube.Derive).
 	shared bool
+	// prog is the measure expression of a shared plan whose later atoms are
+	// all aligned and whose measure variables are all atoms' measures,
+	// compiled for the column path (exec.columns); nil for any other plan.
+	prog *colProg
 
 	// keyed is the tuple-level tgd turned around for maintenance: the
 	// output key gives the binding, then every atom is probed. It is nil
@@ -224,8 +228,13 @@ func (p *plan) compileJoin() error {
 	switch t.Kind {
 	case mapping.TupleLevel:
 		p.shared = sharesDrivingKey(t)
+		aligned := p.shared
 		for i := range p.lhs {
 			p.lhs[i].aligned = p.shared && slices.Equal(t.Lhs[i].Dims, t.Lhs[0].Dims)
+			aligned = aligned && p.lhs[i].aligned
+		}
+		if aligned {
+			p.prog = c.colProgram(t.Measure, p.lhs)
 		}
 		p.keyed = c.keyed(t, p.alone)
 	case mapping.Aggregation:
@@ -371,6 +380,90 @@ func (c *compiler) measure(m *mapping.MTerm) (measureFn, error) {
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown measure term kind %d", m.Kind)
+	}
+}
+
+// colProg is a measure expression compiled for the column path: steps in
+// evaluation order, each an ops.Op mapped over operand columns into a
+// register. Register 0 is the output column, the others scratch columns the
+// exec keeps. The value is at root: register 0, unless the expression is a
+// lone variable or constant.
+type colProg struct {
+	steps []colStep
+	regs  int
+	root  colRef
+}
+
+type colStep struct {
+	op   ops.Op
+	dst  int
+	x, y colRef
+}
+
+// colRef is an operand of a step: a register (reg >= 0), an atom's measure
+// column (atom >= 0) or a constant, k, a column of one.
+type colRef struct {
+	reg, atom int
+	k         []float64
+}
+
+// colProgram compiles m for the column path over atoms, or returns nil where
+// a measure variable is not an atom's measure, two atoms bind one measure
+// variable, or an operator is unknown or applied to as many arguments as it
+// does not take: such a tgd keeps the per-row path, which reports what is
+// wrong with it.
+func (c *compiler) colProgram(m *mapping.MTerm, atoms []atomPlan) *colProg {
+	for i := range atoms {
+		for j := range i {
+			if atoms[i].mslot >= 0 && atoms[i].mslot == atoms[j].mslot {
+				return nil
+			}
+		}
+	}
+	pr := &colProg{regs: 1}
+	root, ok := pr.term(c, m, 0, atoms)
+	if !ok {
+		return nil
+	}
+	pr.root = root
+	return pr
+}
+
+// term compiles m to be evaluated into register reg: its first argument goes
+// there too, its second into reg+1, so an argument is computed in registers no
+// argument before it holds.
+func (pr *colProg) term(c *compiler, m *mapping.MTerm, reg int, atoms []atomPlan) (colRef, bool) {
+	switch m.Kind {
+	case mapping.MConst:
+		return colRef{reg: -1, atom: -1, k: []float64{m.Val}}, true
+	case mapping.MVar:
+		slot, ok := c.slot[m.Var]
+		a := slices.IndexFunc(atoms, func(a atomPlan) bool { return a.mslot == slot })
+		return colRef{reg: -1, atom: a}, ok && a >= 0
+	case mapping.MApply:
+		op, err := ops.OpOf(m.Op)
+		if err != nil || op.Arity() != len(m.Args)+len(m.Params) {
+			return colRef{}, false
+		}
+		var args [2]colRef
+		for i, a := range m.Args {
+			r, ok := pr.term(c, a, reg+i, atoms)
+			if !ok {
+				return colRef{}, false
+			}
+			args[i] = r
+		}
+		for j := range m.Params {
+			args[len(m.Args)+j] = colRef{reg: -1, atom: -1, k: m.Params[j : j+1]}
+		}
+		if op.Arity() == 1 {
+			args[1] = args[0]
+		}
+		pr.steps = append(pr.steps, colStep{op: op, dst: reg, x: args[0], y: args[1]})
+		pr.regs = max(pr.regs, reg+1)
+		return colRef{reg: reg, atom: -1}, true
+	default:
+		return colRef{}, false
 	}
 }
 

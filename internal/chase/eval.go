@@ -28,9 +28,10 @@ type exec struct {
 	// probe key, built on first use and kept for the application.
 	index []*probeIndex
 	// cols holds, per aligned atom whose relation stands on the driving
-	// relation's key set, that relation's columns: its match for the driving
-	// tuple is the one at row, the driving tuple's row (see tupleLevel).
-	cols []*model.View
+	// relation's key set, that relation's measure column: its match for the
+	// driving tuple is the one at row, the driving tuple's row (see
+	// tupleLevel). On the column path it holds every atom's.
+	cols [][]float64
 	row  int
 	// ords holds, while an aggregation folds by the key set's partition, the
 	// group ordinal of every row of the driving relation, group the driving
@@ -66,7 +67,7 @@ func newExec(ctx context.Context, p *plan, atoms []atomPlan, target Instance) (*
 		ctx: ctx, p: p, atoms: atoms,
 		rels:   make([]*model.Cube, len(atoms)),
 		index:  make([]*probeIndex, len(atoms)),
-		cols:   make([]*model.View, len(atoms)),
+		cols:   make([][]float64, len(atoms)),
 		vals:   make([]model.Value, p.slots),
 		args:   make([]float64, p.args),
 		probes: make([][]model.Value, len(atoms)),
@@ -101,9 +102,9 @@ func (x *exec) join(i int) error {
 		return x.emit()
 	}
 	a := &x.atoms[i]
-	if v := x.cols[i]; v != nil {
+	if col := x.cols[i]; col != nil {
 		if a.mslot >= 0 {
-			x.vals[a.mslot] = model.Num(v.Tuple(x.row).Measure)
+			x.vals[a.mslot] = model.Num(col[x.row])
 		}
 		return x.join(i + 1)
 	}
@@ -206,11 +207,8 @@ func (x *exec) indexOf(i int) *probeIndex {
 // no binding. Every tuple an application looks at comes through here, so
 // this is where the context is polled.
 func (x *exec) bind(a *atomPlan, tu model.Tuple, filter bool) (ok bool, err error) {
-	x.visited++
-	if x.visited%pollEvery == 0 {
-		if err := x.ctx.Err(); err != nil {
-			return false, err
-		}
+	if err := x.visit(); err != nil {
+		return false, err
 	}
 	if filter {
 		for j := range a.probe {
@@ -246,6 +244,14 @@ func (x *exec) bind(a *atomPlan, tu model.Tuple, filter bool) (ok bool, err erro
 	return true, nil
 }
 
+// visit counts a tuple looked at, and polls the context at every pollEvery-th.
+func (x *exec) visit() error {
+	if x.visited++; x.visited%pollEvery == 0 {
+		return x.ctx.Err()
+	}
+	return nil
+}
+
 // rhsDims evaluates the rhs dimension terms under the current binding into
 // x.out.
 func (x *exec) rhsDims() error {
@@ -270,20 +276,31 @@ func (x *exec) measureOnce(i int) (mv float64, present bool, err error) {
 }
 
 // tupleLevel applies a tuple-level tgd, returning its output under schema
-// and the tuples asserted.
+// and the tuples asserted. Its span says whether the measure was computed a
+// column at a time or a binding at a time.
 func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err error) {
+	span := obs.CurrentSpan(x.ctx)
 	if x.p.shared {
 		// One binding at most per driving tuple, at that tuple's own
 		// dimension tuple: the output is defined point by point on the
 		// driving relation, in cube order, and no two of its tuples can meet
 		// at one dimension tuple. An aligned atom is joined by position where
-		// its relation stands on the driving relation's key set.
+		// its relation stands on the driving relation's key set; where every
+		// later atom is, the measure is computed a column at a time.
 		drive, src := &x.atoms[0], x.rels[0]
+		positional := true
 		for i := 1; i < len(x.atoms); i++ {
 			if x.atoms[i].aligned && x.rels[i].SharesKeySet(src) {
-				x.cols[i] = x.rels[i].View()
+				x.cols[i] = x.rels[i].View().Measures()
+			} else {
+				positional = false
 			}
 		}
+		if x.p.prog != nil && positional {
+			span.SetAttr(obs.String("eval", "column"))
+			return x.columns(schema)
+		}
+		span.SetAttr(obs.String("eval", "row"))
 		out, err = src.Derive(schema, func(row int, tu model.Tuple) (float64, bool, error) {
 			x.row = row
 			if ok, err := x.bind(drive, tu, false); err != nil || !ok {
@@ -297,6 +314,7 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 		})
 		return out, tuples, err
 	}
+	span.SetAttr(obs.String("eval", "row"))
 	b := model.NewBuilder(schema)
 	x.emit = func() error {
 		if err := x.rhsDims(); err != nil {
@@ -314,6 +332,102 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 	}
 	out, err = b.Build()
 	return out, tuples, err
+}
+
+// columns applies a tuple-level tgd of the column path: its program runs
+// over the measure columns of the driving relation and of every later atom's
+// (x.cols), which stand on its key set, straight into the output column, and
+// Cube.DeriveColumn makes that a version on the key set, less the points where
+// an operator is undefined. Each driving row is a binding. The rows go through
+// in chunks that end where a binding at a time would poll the context, so a
+// cancelled application stops at the same binding either way.
+func (x *exec) columns(schema model.Schema) (*model.Cube, int, error) {
+	src, n := x.rels[0], x.rels[0].Len()
+	x.cols[0] = src.View().Measures()
+	out, undef, err := x.runProgram(x.cols, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	tuples := n
+	for _, u := range undef {
+		if u {
+			tuples--
+		}
+	}
+	c, err := src.DeriveColumn(schema, out, undef)
+	return c, tuples, err
+}
+
+// runProgram runs the plan's column program over the first n rows of cols
+// into a new column, binding each row, and returns the column and its undefined
+// points (nil where there are none).
+func (x *exec) runProgram(cols [][]float64, n int) ([]float64, []bool, error) {
+	prog := x.p.prog
+	out := make([]float64, n)
+	scratch := make([][]float64, prog.regs-1)
+	for i := range scratch {
+		scratch[i] = make([]float64, min(n, pollEvery))
+	}
+	var undef []bool
+	for lo := 0; lo < n; {
+		// Row lo is the (visited+1)th tuple: where it is a polled one, poll;
+		// the chunk ends before the next.
+		next := (x.visited + 1) % pollEvery
+		if next == 0 {
+			if err := x.ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
+		hi := min(n, lo+pollEvery-next)
+		undef = prog.run(out, cols, lo, hi, scratch, undef)
+		x.visited += hi - lo
+		x.bindings += hi - lo
+		lo = hi
+	}
+	return out, undef, nil
+}
+
+// run evaluates the program at rows [lo, hi) of the atoms' measure columns
+// cols into out[lo:hi], through scratch (regs-1 columns of at least hi-lo
+// values), and returns undef — nil, or as long as out — with the rows where an
+// operator is undefined marked.
+func (pr *colProg) run(out []float64, cols [][]float64, lo, hi int, scratch [][]float64, undef []bool) []bool {
+	reg := func(r int) []float64 {
+		if r == 0 {
+			return out[lo:hi]
+		}
+		return scratch[r-1][:hi-lo]
+	}
+	at := func(r colRef) []float64 {
+		switch {
+		case r.reg >= 0:
+			return reg(r.reg)
+		case r.atom >= 0:
+			return cols[r.atom][lo:hi]
+		}
+		return r.k
+	}
+	var u []bool
+	if undef != nil {
+		u = undef[lo:hi]
+	}
+	for _, s := range pr.steps {
+		u = s.op.Map(reg(s.dst), at(s.x), at(s.y), u)
+	}
+	switch dst, v := out[lo:hi], at(pr.root); {
+	case pr.root.reg == 0:
+	case len(v) == len(dst):
+		copy(dst, v)
+	default:
+		for i := range dst {
+			dst[i] = v[0]
+		}
+	}
+	if u != nil && undef == nil {
+		undef = make([]bool, len(out))
+		copy(undef[lo:], u)
+	}
+	return undef
 }
 
 // group is one output point of an aggregation tgd being folded; its bag is

@@ -3,6 +3,7 @@ package chase
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"exlengine/internal/mapping"
@@ -324,6 +325,12 @@ func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[st
 	if err != nil {
 		return nil, nil, false, err
 	}
+	if p.prog != nil {
+		if out, od, ok, err := x.incrColumns(deltas, baseOut, stats); ok || err != nil {
+			return out, od, ok, err
+		}
+	}
+	obs.CurrentSpan(ctx).SetAttr(obs.String("eval", "row"))
 	affected := newAffectedKeys()
 	for ai := range p.alone {
 		a := &p.alone[ai]
@@ -349,6 +356,77 @@ func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[st
 		return nil, nil, false, err
 	}
 	return out, od, true, nil
+}
+
+// incrColumns maintains a tgd of the column path by row, where every operand
+// stands on the previous output's key set and every delta only restates
+// measures: a delta tuple names the output point at its own dimension tuple,
+// hence at its row of that key set. The affected rows, in cube order, are
+// gathered from the operands' measure columns, recomputed by the full run's
+// program, and scattered into a copy of the previous output's column — a
+// version on its key set, as Apply of the changed points makes it. ok is false,
+// with nothing counted, where the path does not apply or a recomputed point is
+// undefined (its retraction is the keyed path's).
+func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
+	p, base := x.p, baseOut.View()
+	cols := make([][]float64, len(p.lhs))
+	for i := range p.lhs {
+		rel := x.rels[i]
+		if d := deltas[p.lhs[i].rel]; !rel.SharesKeySet(baseOut) || d != nil && len(d.Added)+len(d.Deleted) > 0 {
+			return nil, nil, false, nil
+		}
+		cols[i] = rel.View().Measures()
+	}
+	var rows []int
+	in := 0
+	for i := range p.lhs {
+		d := deltas[p.lhs[i].rel]
+		if d == nil {
+			continue
+		}
+		for _, tu := range d.Changed {
+			if err := x.visit(); err != nil {
+				return nil, nil, false, err
+			}
+			r, ok := base.Row(tu.Dims)
+			if !ok {
+				return nil, nil, false, nil
+			}
+			rows = append(rows, r)
+		}
+		in += len(d.Changed)
+	}
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
+
+	gathered := make([][]float64, len(cols))
+	for i, col := range cols {
+		gathered[i] = make([]float64, len(rows))
+		for j, r := range rows {
+			gathered[i][j] = col[r]
+		}
+	}
+	vals, undef, err := x.runProgram(gathered, len(rows))
+	if err != nil || undef != nil {
+		x.bindings = 0 // the keyed path counts the bindings it makes
+		return nil, nil, false, err
+	}
+	od := &model.CubeDelta{Name: p.t.Target(), Base: baseOut}
+	col := slices.Clone(base.Measures())
+	for j, r := range rows {
+		if v := vals[j]; v != col[r] {
+			od.Changed = append(od.Changed, model.Tuple{Dims: base.Tuple(r).Dims, Measure: v})
+			col[r] = v
+		}
+	}
+	if od.Current, err = baseOut.DeriveColumn(baseOut.Schema(), col, nil); err != nil {
+		return nil, nil, false, err
+	}
+	stats.DeltaTuplesIn += in
+	stats.KeysRecomputed += len(rows)
+	stats.Bindings += x.bindings
+	obs.CurrentSpan(x.ctx).SetAttr(obs.String("eval", "column"))
+	return od.Current, od, true, nil
 }
 
 // incrAggregation maintains a single-atom aggregation per output group:

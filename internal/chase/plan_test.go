@@ -57,9 +57,10 @@ func bigPanel() *model.Cube {
 
 // TestSolveAllocBudget pins what a full run of point-wise statements costs
 // once the source's order is cached: a measure column per output — 8 bytes
-// a tuple — and nothing per binding. (Row-map outputs spent some 90 bytes a
-// tuple; the interpreter before the compiled plans eight allocations on each
-// of the panel's 80 000 bindings.)
+// a tuple, which the column program writes into directly — and nothing per
+// binding, nor a mask where no point is undefined. (Row-map outputs spent
+// some 90 bytes a tuple; the interpreter before the compiled plans eight
+// allocations on each of the panel's 80 000 bindings.)
 func TestSolveAllocBudget(t *testing.T) {
 	s := New(compile(t, panelProgram))
 	src := Instance{"S": bigPanel().Freeze()}
@@ -99,7 +100,8 @@ func BenchmarkSolvePanel(b *testing.B) {
 }
 
 // TestPanelCountsPinned pins what bench/ reads off the chase: the binding
-// and tuple counts in Stats and in the chase.tgd span attributes.
+// and tuple counts in Stats and in the chase.tgd span attributes, and that
+// each of the four statements was computed a column at a time.
 func TestPanelCountsPinned(t *testing.T) {
 	s := New(compile(t, panelProgram))
 	src := Instance{"S": bigPanel()}
@@ -123,8 +125,9 @@ func TestPanelCountsPinned(t *testing.T) {
 		cube, _ := sp.Attr("cube")
 		bindings, _ := sp.Attr("bindings")
 		tuples, _ := sp.Attr("tuples")
-		if sp.Name != "chase.tgd" || cube != string("ABCD"[i]) || bindings != "20000" || tuples != "20000" {
-			t.Errorf("span %d = %s cube=%s bindings=%s tuples=%s", i, sp.Name, cube, bindings, tuples)
+		eval, _ := sp.Attr("eval")
+		if sp.Name != "chase.tgd" || cube != string("ABCD"[i]) || bindings != "20000" || tuples != "20000" || eval != "column" {
+			t.Errorf("span %d = %s cube=%s bindings=%s tuples=%s eval=%s", i, sp.Name, cube, bindings, tuples, eval)
 		}
 	}
 }
@@ -167,9 +170,10 @@ func TestSharedDimsAndKeys(t *testing.T) {
 }
 
 // TestPositionalJoinOnlyOnOneKeySet: an operand is read at the driving row
-// exactly where it stands on the driving relation's key set. An equal cube on
-// a key set of its own is probed by key, to the same result bit for bit; one
-// that lacks a tuple — every later row one off — still joins on the keys.
+// exactly where it stands on the driving relation's key set — and then the
+// statement is computed a column at a time. An equal cube on a key set of its
+// own is probed by key, binding by binding, to the same result bit for bit;
+// one that lacks a tuple — every later row one off — still joins on the keys.
 func TestPositionalJoinOnlyOnOneKeySet(t *testing.T) {
 	s := New(compile(t, "cube S(q: quarter, r: string) measure v\ncube A(q: quarter, r: string) measure v\nB := A + S\n"))
 	f := func(q, r int) float64 { return float64(q*7+r) / 3 }
@@ -190,7 +194,8 @@ func TestPositionalJoinOnlyOnOneKeySet(t *testing.T) {
 		tuples     int
 	}{{"on S's key set", onS, true, 210}, {"equal, on its own", own, false, 210}, {"one tuple short", short, false, 209}} {
 		target := Instance{"S": src, "A": c.a}
-		x, err := newExec(context.Background(), s.plans[0], s.plans[0].lhs, target)
+		ctx, span := obs.StartSpan(obs.ContextWithTracer(context.Background(), obs.NewTracer()), "chase.tgd")
+		x, err := newExec(ctx, s.plans[0], s.plans[0].lhs, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +203,8 @@ func TestPositionalJoinOnlyOnOneKeySet(t *testing.T) {
 		if err != nil || n != c.tuples || b.Len() != c.tuples {
 			t.Fatalf("%s: %d tuples (%v), want %d", c.name, n, err, c.tuples)
 		}
-		if got := x.cols[1] != nil; got != c.positional {
-			t.Errorf("%s: S joined by position: %v", c.name, got)
+		if eval, _ := span.Attr("eval"); (eval == "column") != c.positional || eval != "column" && eval != "row" {
+			t.Errorf("%s: eval=%s, want S joined by position: %v", c.name, eval, c.positional)
 		}
 		_ = b.Ordered(func(tu model.Tuple) error {
 			if m, _ := want.Get(tu.Dims); m != tu.Measure {
@@ -245,19 +250,23 @@ func TestFailingTupleIsFirstInCubeOrder(t *testing.T) {
 
 // TestSolveConcurrentlyOnOneUnreadSource: chases started at once on a frozen
 // row-map source nobody has read in order all build on the one order that
-// gets cached on it — every output of every chase on one key set (run under
-// -race).
+// gets cached on it — every output of every chase on one key set, but E's,
+// which lacks the points where its logarithm is undefined — and every
+// statement is computed a column at a time, E's through a scratch column
+// and a mask of its own (run under -race).
 func TestSolveConcurrentlyOnOneUnreadSource(t *testing.T) {
-	s := New(compile(t, panelProgram))
+	s := New(compile(t, panelProgram+"E := ln(D - 100) * (A + S)\n"))
 	src := qrCube("S", 60, 40, func(q, r int) float64 { return float64(q*r + 1) }, nil).Freeze()
 	const solvers = 6
 	sols := make([]Instance, solvers)
+	tracers := make([]*obs.Tracer, solvers)
 	var wg sync.WaitGroup
 	for g := range sols {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sol, err := s.Solve(Instance{"S": src})
+			tracers[g] = obs.NewTracer()
+			sol, err := s.SolveContext(obs.ContextWithTracer(context.Background(), tracers[g]), Instance{"S": src})
 			if err != nil {
 				t.Errorf("solver %d: %v", g, err)
 			}
@@ -269,12 +278,21 @@ func TestSolveConcurrentlyOnOneUnreadSource(t *testing.T) {
 		return
 	}
 	for g, sol := range sols {
-		for _, name := range []string{"A", "B", "C", "D"} {
-			if !sol[name].SharesKeySet(src) {
-				t.Errorf("solver %d: %s stands on a key set of its own", g, name)
+		for _, name := range []string{"A", "B", "C", "D", "E"} {
+			if on := sol[name].SharesKeySet(src); on != (name != "E") {
+				t.Errorf("solver %d: %s on S's key set: %v", g, name, on)
 			}
 			if diff := exactDiff(sols[0][name], sol[name]); len(diff) > 0 {
 				t.Errorf("solver %d: %s diverges: %v", g, name, diff)
+			}
+		}
+		if n := sol["E"].Len(); n == 0 || n == src.Len() {
+			t.Errorf("solver %d: E holds %d of %d tuples", g, n, src.Len())
+		}
+		for _, sp := range tracers[g].Roots() {
+			if eval, _ := sp.Attr("eval"); eval != "column" {
+				cube, _ := sp.Attr("cube")
+				t.Errorf("solver %d: %s computed with eval=%s", g, cube, eval)
 			}
 		}
 	}

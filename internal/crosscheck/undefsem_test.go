@@ -98,20 +98,23 @@ func TestUndefinedPointCounts(t *testing.T) {
 // TestNonRealResultIsAnUndefinedPoint: pow and exp are undefined where their
 // result is not a real number — a negative base under a fractional exponent,
 // an overflow — so the point is absent on every backend, and no NaN or
-// infinity reaches a cube for WriteCSV to refuse.
+// infinity reaches a cube for WriteCSV to refuse. So are the four arithmetic
+// operators where their result overflows.
 func TestNonRealResultIsAnUndefinedPoint(t *testing.T) {
 	c := &difftest.Case{
-		Decls: []string{"cube A(t: quarter) measure v"},
-		Stmts: []string{"R := pow(A, 0.5)", "E := exp(A)", "N := R + E"},
+		Decls: []string{"cube A(t: quarter) measure v", "cube B(t: quarter) measure v"},
+		Stmts: []string{"R := pow(A, 0.5)", "E := exp(A)", "N := R + E", "O := B * B", "P := B / 1e-300"},
 		Data:  map[string]*model.Cube{},
 	}
-	a := model.NewCube(model.NewSchema("A", []model.Dim{{Name: "t", Type: model.TQuarter}}, "v"))
-	for i, v := range []float64{-4, 0, 4, 1000} {
-		if err := a.Put([]model.Value{model.Per(model.NewQuarterly(2000, 1).Shift(int64(i)))}, v); err != nil {
-			t.Fatal(err)
+	for name, vs := range map[string][]float64{"A": {-4, 0, 4, 1000}, "B": {1e200, -1e200, 3, 0}} {
+		cube := model.NewCube(model.NewSchema(name, []model.Dim{{Name: "t", Type: model.TQuarter}}, "v"))
+		for i, v := range vs {
+			if err := cube.Put([]model.Value{model.Per(model.NewQuarterly(2000, 1).Shift(int64(i)))}, v); err != nil {
+				t.Fatal(err)
+			}
 		}
+		c.Data[name] = cube
 	}
-	c.Data["A"] = a
 	res, err := difftest.Run(c, 1e-9)
 	if err != nil || res.SQLSkipped {
 		t.Fatalf("case does not run on all four backends: %v", err)
@@ -124,6 +127,8 @@ func TestNonRealResultIsAnUndefinedPoint(t *testing.T) {
 		"R": 3, // all but -4
 		"E": 3, // all but 1000
 		"N": 2, // 0 and 4
+		"O": 2, // 3 and 0: (±1e200)² overflows
+		"P": 2, // 3 and 0: ±1e200 / 1e-300 overflows
 	} {
 		if got := ref[rel].Len(); got != want {
 			t.Errorf("chase %s has %d tuples, want %d", rel, got, want)

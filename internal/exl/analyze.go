@@ -194,7 +194,12 @@ func (a *Analyzed) analyzeExpr(e Expr) (*AExpr, error) {
 			return nil, err
 		}
 		if x.Kind == AConst {
-			return &AExpr{Kind: AConst, At: e.At, Val: -x.Val}, nil
+			f, _ := ops.Scalar("neg")
+			v, err := f(x.Val)
+			if err != nil {
+				return nil, errorf(e.At, "constant expression is undefined: %v", err)
+			}
+			return &AExpr{Kind: AConst, At: e.At, Val: v}, nil
 		}
 		return &AExpr{Kind: AScalarFunc, At: e.At, Op: "neg", Arg: x, Schema: x.Schema}, nil
 	case *BinaryExpr:

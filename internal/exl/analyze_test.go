@@ -195,6 +195,7 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"cube A(t: year)\nB := A\nB := A", "more than once"},
 		{"B := 3 + 4", "defines a constant"},
 		{"cube A(t: year)\nB := A / 0", "undefined"},
+		{"cube A(t: year)\nB := A + 1e200 * 1e200", "constant expression is undefined"},
 		{"cube A(t: nonsense)\nB := A", "unknown dimension type"},
 		{"cube A(t: year, t: year)\nB := A", "duplicate dimension"},
 		{"cube A(t: year)\ncube B(s: year)\nC := A + B", "same dimensions"},

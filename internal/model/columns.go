@@ -52,6 +52,13 @@ func (p *View) Tuple(i int) Tuple { return Tuple{p.keys.tuples[i].dims, p.measur
 // read, not written.
 func (p *View) Measures() []float64 { return p.measures[:len(p.measures):len(p.measures)] }
 
+// Row returns the row of the tuple whose dimension tuple is dims, if the
+// version has one: a probe of its key set (see row).
+func (p *View) Row(dims []Value) (int, bool) {
+	var buf [keyBufSize]byte
+	return p.keys.row(AppendKey(buf[:0], dims))
+}
+
 // row returns the row of the tuple with the key, if the key set has it. A
 // handful of probes — a replayed delta, the points a maintained output
 // recomputes — are binary searches of the ordered keys: a key set an insert
@@ -323,51 +330,78 @@ func (c *Cube) Apply(added, changed, deleted []Tuple) (*Cube, error) {
 	return onKeySet(c.schema, &View{keys: &keySet{tuples: tuples}, measures: measures}), nil
 }
 
-// Derive returns, frozen and under schema, the version defined point by point
-// on c's tuples: it scans c in cube order and holds, at every tuple f keeps (i
-// is the tuple's row in c.View()), the measure f returns there — what a scalar
-// or vectorial statement's output is to its operand. The scan stops at f's
-// first error, which is returned with nothing built. schema must have as many
-// dimensions as c's; c is left as it was (but for View's rule).
-//
-// Where f keeps every tuple the version is c's key set, by reference, under a
-// new measure column, as a revision of c would be. Where it drops some, the
-// version stands on a key set of its own that holds the kept subsequence, Dims
-// and row keys shared with c's, at the size of what was kept. A key set's
-// tuples are pairwise distinct, so there is no egd for Derive to check.
+// Derive is DeriveColumn of the measures f returns: it scans c in cube order
+// and asks f for the measure at every tuple (i is the tuple's row in
+// c.View()), dropping the tuples f does not keep. The scan stops at f's first
+// error, which is returned with nothing built.
 func (c *Cube) Derive(schema Schema, f func(i int, t Tuple) (measure float64, keep bool, err error)) (*Cube, error) {
-	if len(schema.Dims) != len(c.schema.Dims) {
-		return nil, fmt.Errorf("model: cube %s expects %d dimensions, got %d", schema.Name, len(schema.Dims), len(c.schema.Dims))
+	if err := c.derivable(schema); err != nil {
+		return nil, err
 	}
 	p := c.View()
-	measures := make([]float64, 0, len(p.measures))
-	drop := -1     // the first row f dropped
-	var rows []int // the rows it kept after that one
-	for i := range p.measures {
+	measures := make([]float64, len(p.measures))
+	var drop []bool
+	for i := range measures {
 		m, keep, err := f(i, p.Tuple(i))
-		switch {
-		case err != nil:
+		if err != nil {
 			return nil, err
-		case keep:
-			measures = append(measures, m)
-			if drop >= 0 {
-				rows = append(rows, i)
-			}
-		case drop < 0:
-			drop = i
 		}
+		if !keep {
+			if drop == nil {
+				drop = make([]bool, len(measures))
+			}
+			drop[i] = true
+		}
+		measures[i] = m
 	}
-	if drop < 0 {
+	return c.DeriveColumn(schema, measures, drop)
+}
+
+// DeriveColumn returns, frozen and under schema, the version defined point by
+// point on c's tuples: measures[i] at c.View()'s row i, for every row that
+// drop does not mark — what a scalar or vectorial statement's output is to its
+// operand. measures is as long as c; drop is nil (no row dropped) or as long.
+// schema must have as many dimensions as c's; c is left as it was (but for
+// View's rule).
+//
+// Where no row is dropped the version is c's key set, by reference, under
+// measures itself, which the caller hands over: as a revision of c would be.
+// Where some are, it stands on a key set of its own that holds the kept
+// subsequence, Dims and row keys shared with c's, at the size of what was
+// kept. A key set's tuples are pairwise distinct, so there is no egd for
+// DeriveColumn to check.
+func (c *Cube) DeriveColumn(schema Schema, measures []float64, drop []bool) (*Cube, error) {
+	if err := c.derivable(schema); err != nil {
+		return nil, err
+	}
+	p := c.View()
+	if len(measures) != p.Len() || drop != nil && len(drop) != p.Len() {
+		return nil, fmt.Errorf("model: cube %s derived from %d measures (%d marks) over %d tuples", schema.Name, len(measures), len(drop), p.Len())
+	}
+	if drop == nil {
 		return onKeySet(schema, &View{keys: p.keys, measures: measures}), nil
 	}
 	// Both columns at the size of what was kept: a store keeps every version.
-	n := len(measures)
-	tuples := append(make([]dimTuple, 0, n), p.keys.tuples[:drop]...)
-	for _, i := range rows {
-		tuples = append(tuples, p.keys.tuples[i])
+	n := 0
+	for _, d := range drop {
+		if !d {
+			n++
+		}
 	}
-	measures = append(make([]float64, 0, n), measures...)
-	return onKeySet(schema, &View{keys: &keySet{tuples: tuples}, measures: measures}), nil
+	tuples, kept := make([]dimTuple, 0, n), make([]float64, 0, n)
+	for i, d := range drop {
+		if !d {
+			tuples, kept = append(tuples, p.keys.tuples[i]), append(kept, measures[i])
+		}
+	}
+	return onKeySet(schema, &View{keys: &keySet{tuples: tuples}, measures: kept}), nil
+}
+
+func (c *Cube) derivable(schema Schema) error {
+	if len(schema.Dims) != len(c.schema.Dims) {
+		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", schema.Name, len(schema.Dims), len(c.schema.Dims))
+	}
+	return nil
 }
 
 // changedBetween lists, in cube order, the tuples of q whose measure is not

@@ -756,7 +756,8 @@ func FuzzApply(f *testing.F) {
 // Put over the source's tuples gives (the oracle kept here), frozen, on the
 // source's Dims, and on the source's key set exactly when every tuple was
 // kept; f's error is returned with nothing built; the source is left as it
-// was.
+// was. DeriveColumn, handed the measures and the marks of the dropped tuples,
+// gives the same version, on the very column where nothing was dropped.
 func FuzzDerive(f *testing.F) {
 	f.Add(uint8(10), uint8(0), []byte{})
 	f.Add(uint8(10), uint8(1), []byte{5, 6, 7})                  // every tuple kept, frozen
@@ -855,6 +856,28 @@ func FuzzDerive(f *testing.F) {
 		})
 		if _, err := src.Derive(gdpSchema(), point); err == nil {
 			t.Fatal("Derive across arities must fail")
+		}
+
+		// The column form, handed the same measures and marks: the same
+		// version, on the column itself where nothing is dropped.
+		measures, drop := make([]float64, len(order)), make([]bool, len(order))
+		for i, tu := range order {
+			m, keep, _ := point(i, tu)
+			measures[i], drop[i] = m, !keep
+		}
+		if dropped == 0 {
+			drop = nil
+		}
+		col, err := src.DeriveColumn(outSchema, measures, drop)
+		if err != nil || !OnlyColumns(col) || col.SharesKeySet(src) != (dropped == 0) {
+			t.Fatalf("DeriveColumn: %v; on the source's key set %v with %d dropped", err, col != nil && col.SharesKeySet(src), dropped)
+		}
+		sameTuplesBits(t, col.Tuples(), got.Tuples())
+		if ms := col.View().Measures(); dropped == 0 && len(ms) > 0 && &ms[0] != &measures[0] {
+			t.Fatal("DeriveColumn copied the column it was handed")
+		}
+		if _, err := src.DeriveColumn(outSchema, measures[:len(measures)/2], nil); err == nil && len(measures) > 0 {
+			t.Fatal("DeriveColumn of a column shorter than its source must fail")
 		}
 	})
 }

@@ -5,8 +5,13 @@
 //
 // The package is a pure function registry: it knows nothing about cubes or
 // tgds. The chase engine and every target engine evaluate operators through
-// it, which is what makes the cross-engine equivalence tests meaningful. An
-// aggregation is folded by one loop, FoldColumn, whether an engine hands it a
+// it, which is what makes the cross-engine equivalence tests meaningful. Each
+// kind of operator has one body, run a column at a time or a value at a time
+// over a column of one, so that both are the same machine code: a scalar
+// operator is Op.Map, dst[i] = op(x[i], y[i]) over columns or constants, which
+// marks the points where the result is not a finite real number as undefined,
+// whether the chase hands it a statement's operand columns or ScalarFunc one
+// value; an aggregation is folded by FoldColumn, whether an engine hands it a
 // column of measures and their group ordinals or, through Acc.Add, one measure
 // at a time.
 package ops

@@ -3,6 +3,8 @@ package ops
 import (
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"exlengine/internal/model"
 )
@@ -11,7 +13,7 @@ import (
 // any scalar parameters follow (e.g. the base for log). A scalar function
 // is undefined (ok=false semantics expressed as an error) on inputs where
 // the mathematical operator is meaningless, per the paper: the result cube
-// simply has no tuple there.
+// simply has no tuple there. It is its Op's Map over a column of one.
 type ScalarFunc func(args ...float64) (float64, error)
 
 // ErrUndefined marks points where a scalar operator is undefined (division
@@ -28,50 +30,162 @@ func ErrUndefined(err error) bool {
 	return ok
 }
 
-var scalarFuncs = map[string]ScalarFunc{
-	"add": func(a ...float64) (float64, error) { return a[0] + a[1], nil },
-	"sub": func(a ...float64) (float64, error) { return a[0] - a[1], nil },
-	"mul": func(a ...float64) (float64, error) { return a[0] * a[1], nil },
-	"div": func(a ...float64) (float64, error) {
-		if a[1] == 0 {
-			return 0, ErrUndefinedT{Op: "div"}
-		}
-		return a[0] / a[1], nil
-	},
-	"neg": func(a ...float64) (float64, error) { return -a[0], nil },
-	"log": func(a ...float64) (float64, error) {
-		base, x := a[1], a[0]
-		if x <= 0 || base <= 0 || base == 1 {
-			return 0, ErrUndefinedT{Op: "log"}
-		}
-		return math.Log(x) / math.Log(base), nil
-	},
-	"ln": func(a ...float64) (float64, error) {
-		if a[0] <= 0 {
-			return 0, ErrUndefinedT{Op: "ln"}
-		}
-		return math.Log(a[0]), nil
-	},
-	"exp": func(a ...float64) (float64, error) { return finite("exp", math.Exp(a[0])) },
-	"sqrt": func(a ...float64) (float64, error) {
-		if a[0] < 0 {
-			return 0, ErrUndefinedT{Op: "sqrt"}
-		}
-		return math.Sqrt(a[0]), nil
-	},
-	"abs":   func(a ...float64) (float64, error) { return math.Abs(a[0]), nil },
-	"round": func(a ...float64) (float64, error) { return math.Round(a[0]), nil },
-	"pow":   func(a ...float64) (float64, error) { return finite("pow", math.Pow(a[0], a[1])) },
-	"sin":   func(a ...float64) (float64, error) { return math.Sin(a[0]), nil },
-	"cos":   func(a ...float64) (float64, error) { return math.Cos(a[0]), nil },
+// Op is a scalar operator resolved from its name, once, where a plan is
+// compiled or an expression bound: the one definition of the fourteen
+// operators every engine computes a measure with.
+type Op uint8
+
+// The scalar operators, in the order of opNames; the binary ones first.
+const (
+	opAdd Op = iota
+	opSub
+	opMul
+	opDiv
+	opPow
+	opLog
+	opNeg
+	opLn
+	opExp
+	opSqrt
+	opAbs
+	opRound
+	opSin
+	opCos
+)
+
+var opNames = [...]string{"add", "sub", "mul", "div", "pow", "log", "neg", "ln", "exp", "sqrt", "abs", "round", "sin", "cos"}
+
+// OpOf resolves the named scalar operator ("add", "sub", "mul", "div",
+// "neg", "log", "ln", …).
+func OpOf(name string) (Op, error) {
+	if i := slices.Index(opNames[:], name); i >= 0 {
+		return Op(i), nil
+	}
+	return 0, errUnknown("scalar", name)
 }
 
-// finite is the result v of op where it is a real number; where it is not —
-// a negative base under a fractional exponent, an overflow — the operator is
-// undefined, like the root and the logarithms outside their domains.
-func finite(op string, v float64) (float64, error) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, ErrUndefinedT{Op: op}
+// String returns the operator's name.
+func (op Op) String() string { return opNames[op] }
+
+// Arity returns the number of arguments of the operator, measure included.
+func (op Op) Arity() int {
+	if op <= opLog {
+		return 2
+	}
+	return 1
+}
+
+// Map computes dst[i] = op(x[i], y[i]) at every point i of dst — op(x[i])
+// for a unary operator, which ignores y. An operand is a column, holding
+// len(dst) values, or a constant: a column of one, standing at every point.
+// dst may be one of the operands.
+//
+// An operator is undefined exactly where its result is not a finite real
+// number: division by zero, an overflow, the logarithms and the root outside
+// their domains, a negative base under a fractional exponent (log's base
+// must also be positive). undef marks the undefined points of dst: nil, or
+// len(dst) long, it is returned with the points this map found undefined
+// added, and allocated here at the first of them — a map that meets none
+// allocates nothing. What dst holds at an undefined point is unspecified.
+//
+// Map is the one body of every scalar operator: ScalarFunc is Map over a
+// column of one, so a point computed a column at a time and one computed a
+// value at a time are the same to the bit, −0 included.
+func (op Op) Map(dst, x, y []float64, undef []bool) []bool {
+	n := len(dst)
+	// i&mx is i on a column and 0 on a constant.
+	mx, my := stride(x, n), stride(y, n)
+	switch op {
+	case opAdd:
+		for i := range dst {
+			dst[i] = x[i&mx] + y[i&my]
+		}
+	case opSub:
+		for i := range dst {
+			dst[i] = x[i&mx] - y[i&my]
+		}
+	case opMul:
+		for i := range dst {
+			dst[i] = x[i&mx] * y[i&my]
+		}
+	case opDiv:
+		for i := range dst {
+			dst[i] = x[i&mx] / y[i&my]
+		}
+	case opPow:
+		for i := range dst {
+			dst[i] = math.Pow(x[i&mx], y[i&my])
+		}
+	case opLog:
+		for i := range dst {
+			if base := y[i&my]; base > 0 {
+				dst[i] = math.Log(x[i&mx]) / math.Log(base)
+			} else {
+				dst[i] = math.NaN()
+			}
+		}
+	case opNeg:
+		for i := range dst {
+			dst[i] = -x[i&mx]
+		}
+	case opLn:
+		for i := range dst {
+			dst[i] = math.Log(x[i&mx])
+		}
+	case opExp:
+		for i := range dst {
+			dst[i] = math.Exp(x[i&mx])
+		}
+	case opSqrt:
+		for i := range dst {
+			dst[i] = math.Sqrt(x[i&mx])
+		}
+	case opAbs:
+		for i := range dst {
+			dst[i] = math.Abs(x[i&mx])
+		}
+	case opRound:
+		for i := range dst {
+			dst[i] = math.Round(x[i&mx])
+		}
+	case opSin:
+		for i := range dst {
+			dst[i] = math.Sin(x[i&mx])
+		}
+	case opCos:
+		for i := range dst {
+			dst[i] = math.Cos(x[i&mx])
+		}
+	}
+	for i, v := range dst {
+		if !(math.Abs(v) <= math.MaxFloat64) { // NaN or ±Inf
+			if undef == nil {
+				undef = make([]bool, n)
+			}
+			undef[i] = true
+		}
+	}
+	return undef
+}
+
+// stride is the index mask of an operand of a map over n points: all ones on
+// a column, zero on a constant (or an operand a unary operator ignores).
+func stride(x []float64, n int) int {
+	if len(x) == n {
+		return -1
+	}
+	return 0
+}
+
+// call is the operator at one point: Map over a column of one.
+func (op Op) call(args ...float64) (float64, error) {
+	var v float64
+	x, y := args[:1], args[:1]
+	if len(args) > 1 {
+		y = args[1:2]
+	}
+	if op.Map(unsafe.Slice(&v, 1), x, y, nil) != nil {
+		return 0, ErrUndefinedT{Op: op.String()}
 	}
 	return v, nil
 }
@@ -79,24 +193,21 @@ func finite(op string, v float64) (float64, error) {
 // Scalar returns the named scalar function ("add", "sub", "mul", "div",
 // "neg", "log", "ln", …).
 func Scalar(name string) (ScalarFunc, error) {
-	f, ok := scalarFuncs[name]
-	if !ok {
-		return nil, errUnknown("scalar", name)
+	op, err := OpOf(name)
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
+	return op.call, nil
 }
 
 // ScalarArity returns the number of arguments of a scalar function
 // (measure included).
 func ScalarArity(name string) (int, error) {
-	switch name {
-	case "add", "sub", "mul", "div", "pow", "log":
-		return 2, nil
-	case "neg", "ln", "exp", "sqrt", "abs", "round", "sin", "cos":
-		return 1, nil
-	default:
-		return 0, errUnknown("scalar", name)
+	op, err := OpOf(name)
+	if err != nil {
+		return 0, err
 	}
+	return op.Arity(), nil
 }
 
 // DimFunc is a scalar function on dimension values, usable in group-by

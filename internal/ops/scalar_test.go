@@ -1,7 +1,9 @@
 package ops
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -198,4 +200,236 @@ func TestDivMulInverseQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+var (
+	nan     = math.NaN()
+	inf     = math.Inf(1)
+	negZero = math.Copysign(0, -1)
+	tiny    = math.SmallestNonzeroFloat64 // the least subnormal
+)
+
+// TestScalarDomainTable pins every operator's outcome on the edge inputs: NaN
+// of both signs, ±0, ±Inf, subnormals, overflow. A want of NaN is an undefined
+// point — no defined result is NaN — and a defined one is compared to the bit,
+// so the sign of a zero counts.
+func TestScalarDomainTable(t *testing.T) {
+	negNaN := math.Copysign(nan, -1)
+	unary := []float64{nan, negNaN, negZero, 0, -inf, inf, tiny, -1, 1e300}
+	for _, c := range []struct {
+		op   string
+		want []float64 // at each of unary
+	}{
+		{"neg", []float64{nan, nan, 0, negZero, nan, nan, -tiny, 1, -1e300}},
+		{"ln", []float64{nan, nan, nan, nan, nan, nan, math.Log(tiny), nan, 690.7755278982137}},
+		{"exp", []float64{nan, nan, 1, 1, 0, nan, 1, 0.36787944117144233, nan}},
+		{"sqrt", []float64{nan, nan, negZero, 0, nan, nan, 2.2227587494850775e-162, nan, 1e150}},
+		{"abs", []float64{nan, nan, 0, 0, nan, nan, tiny, 1, 1e300}},
+		{"round", []float64{nan, nan, negZero, 0, nan, nan, 0, -1, 1e300}},
+		{"sin", []float64{nan, nan, negZero, 0, nan, nan, tiny, -0.8414709848078965, -0.8178819121159087}},
+		{"cos", []float64{nan, nan, 1, 1, nan, nan, 1, 0.5403023058681398, -0.5753861119575491}},
+	} {
+		for i, x := range unary {
+			checkOutcome(t, c.op, []float64{x}, c.want[i])
+		}
+	}
+	for _, c := range []struct {
+		op         string
+		x, y, want float64
+	}{
+		{"add", 1e308, 1e308, nan}, // overflow
+		{"add", negZero, negZero, negZero},
+		{"add", negZero, 0, 0},
+		{"add", tiny, tiny, 2 * tiny},
+		{"add", math.MaxFloat64, -math.MaxFloat64, 0},
+		{"add", inf, -1, nan},
+		{"add", nan, 1, nan},
+		{"add", 1, negNaN, nan},
+		{"sub", -1e308, 1e308, nan},
+		{"sub", 0, 0, 0},
+		{"sub", negZero, 0, negZero},
+		{"sub", 0, negZero, 0},
+		{"sub", inf, inf, nan},
+		{"mul", 1e200, 1e200, nan},
+		{"mul", -1e200, 1e200, nan},
+		{"mul", negZero, 1, negZero},
+		{"mul", 0, -1, negZero},
+		{"mul", 1e-200, 1e-200, 0}, // underflow is defined
+		{"mul", inf, 0, nan},
+		{"div", 1, 0, nan},
+		{"div", 1, negZero, nan},
+		{"div", 0, 0, nan},
+		{"div", 1, 1e-300, 9.999999999999999e299},
+		{"div", 1e200, 1e-300, nan},
+		{"div", negZero, 1, negZero},
+		{"div", 0, -1, negZero},
+		{"div", tiny, 2, 0},
+		{"pow", 2, 10, 1024},
+		{"pow", -4, 0.5, nan},
+		{"pow", 0, -1, nan},
+		{"pow", negZero, -1, nan},
+		{"pow", 10, 400, nan},
+		{"pow", nan, 0, 1}, // x⁰ is 1 for every x
+		{"pow", 1, nan, 1}, // 1ʸ is 1 for every y
+		{"log", 8, 2, 3},
+		{"log", 1, 2, 0},
+		{"log", 8, inf, 0},
+		{"log", 8, 1, nan},
+		{"log", 8, 0, nan},
+		{"log", 8, negZero, nan},
+		{"log", 8, -2, nan},
+		{"log", 0, 2, nan},
+		{"log", -1, 2, nan},
+		{"log", nan, 2, nan},
+		{"log", 8, nan, nan},
+	} {
+		checkOutcome(t, c.op, []float64{c.x, c.y}, c.want)
+	}
+}
+
+// checkOutcome checks one point of the per-value form: undefined where want is
+// NaN, else want to the bit.
+func checkOutcome(t *testing.T, op string, args []float64, want float64) {
+	t.Helper()
+	got, err := mustScalar(t, op)(args...)
+	switch {
+	case math.IsNaN(want):
+		if !ErrUndefined(err) {
+			t.Errorf("%s%v = %v, %v; want undefined", op, args, got, err)
+		}
+	case err != nil || math.Float64bits(got) != math.Float64bits(want):
+		t.Errorf("%s%v = %v (%#x), %v; want %v (%#x)", op, args, got, math.Float64bits(got), err, want, math.Float64bits(want))
+	}
+}
+
+// FuzzMapColumn holds the column kernel to a loop of the per-value form, for
+// every operator and every shape — column × column, column × constant,
+// constant × column, in place — over random lengths and raw float bits: the
+// same Float64bits at every defined point, and exactly the undefined points
+// marked, with no mask where there are none.
+func FuzzMapColumn(f *testing.F) {
+	column := func(pairs ...float64) []byte { // x, y, x, y, …
+		var b []byte
+		for _, v := range pairs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(column(1, 2, 3, 4, 5, 0.5))
+	f.Add(column(math.NaN(), 1, math.Copysign(math.NaN(), -1), math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)))
+	f.Add(column(1e200, 1e200, -1e200, 1e-300, math.SmallestNonzeroFloat64, 0.5, -4, 0.5, 8, 1, 0, 0))
+	f.Add(column(math.MaxFloat64, -math.MaxFloat64, 2, 10, 1e-320, 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var xs, ys []float64
+		for ; len(data) >= 16; data = data[16:] {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			ys = append(ys, math.Float64frombits(binary.LittleEndian.Uint64(data[8:])))
+		}
+		n := len(xs)
+		if n == 0 {
+			return
+		}
+		for op := range Op(len(opNames)) {
+			f := op.call
+			shapes := []struct {
+				name string
+				x, y []float64
+				at   func(i int) (float64, float64)
+			}{
+				{"column × column", xs, ys, func(i int) (float64, float64) { return xs[i], ys[i] }},
+				{"column × constant", xs, ys[:1], func(i int) (float64, float64) { return xs[i], ys[0] }},
+				{"constant × column", xs[:1], ys, func(i int) (float64, float64) { return xs[0], ys[i] }},
+			}
+			for _, s := range shapes {
+				if op.Arity() == 1 && s.name != "column × column" {
+					continue
+				}
+				dst := make([]float64, n)
+				undef := op.Map(dst, s.x, s.y, nil)
+				// In place: the result over the operand that is a column.
+				inPlace := slices.Clone(s.x)
+				inPlaceUndef := op.Map(inPlace, inPlace, s.y, nil)
+				if len(s.x) < n {
+					inPlace = slices.Clone(s.y)
+					inPlaceUndef = op.Map(inPlace, s.x, inPlace, nil)
+				}
+				anyUndefined := false
+				for i := range dst {
+					x, y := s.at(i)
+					want, err := f(x, y)
+					if err != nil && !ErrUndefined(err) {
+						t.Fatalf("%s(%v, %v): %v", op, x, y, err)
+					}
+					anyUndefined = anyUndefined || err != nil
+					for _, got := range []struct {
+						form  string
+						v     float64
+						undef []bool
+					}{{"into a column", dst[i], undef}, {"in place", inPlace[i], inPlaceUndef}} {
+						marked := got.undef != nil && got.undef[i]
+						if marked != (err != nil) {
+							t.Fatalf("%s %s, %s, point %d (%v, %v): marked undefined %v, the value at a time %v", op, s.name, got.form, i, x, y, marked, err)
+						}
+						if err == nil && math.Float64bits(got.v) != math.Float64bits(want) {
+							t.Fatalf("%s %s, %s, point %d (%v, %v): %v (%#x), the value at a time %v (%#x)", op, s.name, got.form, i, x, y, got.v, math.Float64bits(got.v), want, math.Float64bits(want))
+						}
+					}
+				}
+				for _, u := range [][]bool{undef, inPlaceUndef} {
+					if u != nil && (!anyUndefined || len(u) != n) {
+						t.Fatalf("%s %s: a mask of %d over %d points, of which any undefined: %v", op, s.name, len(u), n, anyUndefined)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestMapAllocatesNoMaskWhereDefined: a map with every point defined returns
+// no mask and allocates nothing; the first undefined point allocates the one
+// mask, and later ones mark it.
+func TestMapAllocatesNoMaskWhereDefined(t *testing.T) {
+	const n = 1000
+	x, y, dst := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i] = float64(i+1)/100, float64(2*i+1)
+	}
+	for op := range Op(len(opNames)) {
+		operand := y
+		if op == opLog || op == opPow {
+			operand = []float64{10}
+		}
+		var undef []bool
+		if allocs := testing.AllocsPerRun(10, func() { undef = op.Map(dst, x, operand, nil) }); allocs != 0 || undef != nil {
+			t.Errorf("%s: %v allocations, mask %v, with every point defined", op, allocs, undef != nil)
+		}
+	}
+	x[3], x[700] = 0, 0
+	undef := opLog.Map(dst, x, []float64{10}, nil)
+	if len(undef) != n || !undef[3] || !undef[700] || slices.Index(undef, true) != 3 || slices.Index(undef[4:], true) != 696 {
+		t.Errorf("log of 0 at points 3 and 700: mask %v", slices.IndexFunc(undef, func(u bool) bool { return u }))
+	}
+	if again := opDiv.Map(dst, []float64{1}, x, undef); &again[0] != &undef[0] {
+		t.Error("a mask passed in is not the one returned")
+	}
+}
+
+// BenchmarkMapColumn maps a 20 000-point column by a constant and by a column,
+// as the panel's statements do.
+func BenchmarkMapColumn(b *testing.B) {
+	const n = 20000
+	x, y, dst := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i] = float64(i)/4, float64(i+1)
+	}
+	b.Run("column×constant", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			opMul.Map(dst, x, []float64{2}, nil)
+		}
+	})
+	b.Run("column×column", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			opAdd.Map(dst, x, y, nil)
+		}
+	})
 }

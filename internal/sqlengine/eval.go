@@ -332,17 +332,23 @@ func applyNeg(x model.Value) (model.Value, error) {
 	if !ok {
 		return model.Value{}, fmt.Errorf("sql: unary minus over non-numeric %v", x)
 	}
-	return model.Num(-f), nil
+	out, err := negFn(f)
+	if err != nil {
+		return model.Value{}, nil // NULL: f is not a finite number
+	}
+	return model.Num(out), nil
 }
 
-// The four arithmetic operators are resolved from the operator library
-// once at package init instead of per row: ops.Scalar is a map lookup.
+// The four arithmetic operators and unary minus are resolved from the
+// operator library once at package init instead of per row.
 var arithFns = map[string]ops.ScalarFunc{
 	"+": mustScalarFn("add"),
 	"-": mustScalarFn("sub"),
 	"*": mustScalarFn("mul"),
 	"/": mustScalarFn("div"),
 }
+
+var negFn = mustScalarFn("neg")
 
 func mustScalarFn(name string) ops.ScalarFunc {
 	f, err := ops.Scalar(name)
