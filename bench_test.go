@@ -80,7 +80,7 @@ func BenchmarkE5_EndToEnd(b *testing.B) {
 
 func runTarget(b *testing.B, target ops.Target, m *mapping.Mapping, data workload.Data) map[string]*model.Cube {
 	b.Helper()
-	out, err := backend.Run(context.Background(), target, m, data)
+	out, err := backend.Run(context.Background(), target, m, data, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"exlengine/internal/difftest"
+	"exlengine/internal/sqlengine"
 )
 
 func main() {
@@ -109,7 +110,7 @@ func main() {
 		}
 	}
 
-	exprDivs, err := difftest.FuzzNullExprs(*seed, *n)
+	exprDivs, err := sqlengine.FuzzNullExprs(*seed, *n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "exlfuzz: NULL-semantics fuzz: %v\n", err)
 		os.Exit(2)

@@ -30,7 +30,17 @@ import (
 // anything runs; that an egd violation is model.ErrFunctional naming the
 // first conflict in cube order; and that ctx is honoured — a cancelled run
 // returns the context's error and leaves no goroutine behind.
-func Run(ctx context.Context, t ops.Target, m *mapping.Mapping, input map[string]*model.Cube) (map[string]*model.Cube, error) {
+//
+// prev maps a derived cube to its previous version, frozen, where there is
+// one; prev may be nil. It never changes what Run returns, only how a result
+// is built: the SQL extract, the ETL sink and frame.ToCube build a cube as
+// the revision of prev[name] (model.NewBuilderOn). A result that holds its
+// predecessor's dimension tuples, in order, is a measure column on the
+// predecessor's key set, which the store adopts without a merge and whose
+// cached partition the next GROUP BY over it reads. Any other result, and any
+// result of a predecessor under another schema, is built as with none. The
+// chase derives its results from its operands and reads no predecessor.
+func Run(ctx context.Context, t ops.Target, m *mapping.Mapping, input, prev map[string]*model.Cube) (map[string]*model.Cube, error) {
 	var all map[string]*model.Cube
 	switch t {
 	case ops.TargetChase:
@@ -61,7 +71,7 @@ func Run(ctx context.Context, t ops.Target, m *mapping.Mapping, input map[string
 		}
 		out := make(map[string]*model.Cube, len(m.Derived))
 		for _, name := range m.Derived {
-			if out[name], err = db.ExtractCube(m.Schemas[name]); err != nil {
+			if out[name], err = db.ExtractCubeOn(prev[name], m.Schemas[name]); err != nil {
 				return nil, err
 			}
 		}
@@ -72,7 +82,7 @@ func Run(ctx context.Context, t ops.Target, m *mapping.Mapping, input map[string
 		if err != nil {
 			return nil, err
 		}
-		if all, err = etl.RunContext(ctx, job, m, input); err != nil {
+		if all, err = etl.RunContext(ctx, job, m, input, prev); err != nil {
 			return nil, err
 		}
 
@@ -81,7 +91,7 @@ func Run(ctx context.Context, t ops.Target, m *mapping.Mapping, input map[string
 		if err != nil {
 			return nil, err
 		}
-		if all, err = frame.ExecuteContext(ctx, script, m, input); err != nil {
+		if all, err = frame.ExecuteContext(ctx, script, m, input, prev); err != nil {
 			return nil, err
 		}
 

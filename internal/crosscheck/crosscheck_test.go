@@ -272,7 +272,7 @@ func compile(t *testing.T, src string) *mapping.Mapping {
 func agreeWithChase(t *testing.T, m *mapping.Mapping, data map[string]*model.Cube, tol float64, src string) map[string]*model.Cube {
 	t.Helper()
 	ctx := context.Background()
-	ref, err := backend.Run(ctx, ops.TargetChase, m, data)
+	ref, err := backend.Run(ctx, ops.TargetChase, m, data, nil)
 	if err != nil {
 		t.Fatalf("chase failed: %v\n%s", err, src)
 	}
@@ -280,7 +280,7 @@ func agreeWithChase(t *testing.T, m *mapping.Mapping, data map[string]*model.Cub
 		if target == ops.TargetChase {
 			continue // the reference
 		}
-		got, err := backend.Run(ctx, target, m, data)
+		got, err := backend.Run(ctx, target, m, data, nil)
 		if errors.Is(err, sqlgen.ErrUntranslatable) {
 			continue
 		}

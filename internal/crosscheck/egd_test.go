@@ -55,7 +55,7 @@ func TestEgdViolationNamesTheSameTupleOnEveryBackend(t *testing.T) {
 	const want = "model: functional dependency violation (egd): B[1990-Q3] has values 200 and 201"
 
 	for _, target := range ops.AllTargets {
-		_, err := backend.Run(context.Background(), target, m, src)
+		_, err := backend.Run(context.Background(), target, m, src, nil)
 		if !errors.Is(err, model.ErrFunctional) || exlerr.ClassOf(err) != exlerr.EgdViolation {
 			t.Errorf("%s: %v, want an egd violation", target, err)
 			continue

@@ -2,9 +2,8 @@
 // backends: it generates random EXL programs and random cube instances,
 // compiles each program once, executes it on sqlengine, frame, etl and
 // the chase reference, and diffs the results tuple by tuple. Divergences
-// are minimized by shrinking the program and its data. A second fuzzer
-// (exprfuzz.go) targets the SQL dialect's NULL semantics directly with
-// random three-valued boolean and arithmetic expressions.
+// are minimized by shrinking the program and its data. The SQL dialect's
+// NULL semantics are fuzzed directly by sqlengine.FuzzNullExprs.
 //
 // Everything is seeded and deterministic: the same seed always produces
 // the same case, so a failing seed is a complete reproduction recipe.

@@ -46,9 +46,14 @@ type Result struct {
 
 // Run compiles the case once (parse → analyze → mapping generation),
 // executes the chase as the reference, then every target engine, and
-// diffs each derived cube tuple by tuple. A non-nil error means the case
-// itself is broken (it does not compile, or the reference fails) —
-// engine disagreements are reported as Divergences, not errors.
+// diffs each derived cube tuple by tuple. Each target then runs a second
+// time with the chase's results as the predecessors of its own
+// (backend.Run's prev), as a re-run after a revision is handed the stored
+// versions: its results must be the first run's bit for bit, and a result
+// that agrees with the chase must stand on the chase result's key set. A
+// non-nil error means the case itself is broken (it does not compile, or
+// the reference fails) — engine disagreements are reported as Divergences,
+// not errors.
 func Run(c *Case, tol float64) (*Result, error) {
 	if tol <= 0 {
 		tol = DefaultTol
@@ -68,7 +73,7 @@ func Run(c *Case, tol float64) (*Result, error) {
 	}
 
 	ctx := context.Background()
-	ref, err := backend.Run(ctx, ops.TargetChase, m, c.Data)
+	ref, err := backend.Run(ctx, ops.TargetChase, m, c.Data, nil)
 	if err != nil {
 		return nil, fmt.Errorf("difftest: chase reference: %w", err)
 	}
@@ -78,7 +83,7 @@ func Run(c *Case, tol float64) (*Result, error) {
 		if t == ops.TargetChase {
 			continue // the reference
 		}
-		got, err := backend.Run(ctx, t, m, c.Data)
+		got, err := backend.Run(ctx, t, m, c.Data, nil)
 		if errors.Is(err, sqlgen.ErrUntranslatable) {
 			res.SQLSkipped = true
 			continue
@@ -89,6 +94,12 @@ func Run(c *Case, tol float64) (*Result, error) {
 			})
 			continue
 		}
+		again, err := backend.Run(ctx, t, m, c.Data, ref)
+		if err != nil {
+			res.Divergences = append(res.Divergences, Divergence{
+				Engine: string(t), Lines: []string{"engine failed on the chase's results as predecessors: " + err.Error()},
+			})
+		}
 		for _, rel := range m.Derived {
 			if got[rel] == nil {
 				res.Divergences = append(res.Divergences, Divergence{
@@ -96,12 +107,44 @@ func Run(c *Case, tol float64) (*Result, error) {
 				})
 				continue
 			}
-			if lines := DiffCubes(ref[rel], got[rel], tol, 8); len(lines) > 0 {
+			lines := DiffCubes(ref[rel], got[rel], tol, 8)
+			if len(lines) > 0 {
 				res.Divergences = append(res.Divergences, Divergence{Engine: string(t), Rel: rel, Lines: lines})
 			}
+			if again == nil {
+				continue
+			}
+			switch diff := BitDiff(again[rel], got[rel]); {
+			case diff != "":
+				lines = []string{"on the chase's result as its predecessor: " + diff}
+			case len(lines) == 0 && !again[rel].SharesKeySet(ref[rel]):
+				lines = []string{"agrees with the chase but does not stand on its result's key set"}
+			default:
+				continue
+			}
+			res.Divergences = append(res.Divergences, Divergence{Engine: string(t), Rel: rel, Lines: lines})
 		}
 	}
 	return res, nil
+}
+
+// BitDiff describes how got differs from want — another tuple, or a measure
+// with other bits — or is "" where they are equal: the zero-tolerance
+// comparison, under which NaN agrees with the same NaN and -0 differs from +0.
+func BitDiff(got, want *model.Cube) string {
+	if got == nil {
+		return "derived cube missing"
+	}
+	g, w := got.Tuples(), want.Tuples()
+	if len(g) != len(w) {
+		return fmt.Sprintf("%d tuples, want %d", len(g), len(w))
+	}
+	for i := range g {
+		if model.EncodeKey(g[i].Dims) != model.EncodeKey(w[i].Dims) || math.Float64bits(g[i].Measure) != math.Float64bits(w[i].Measure) {
+			return fmt.Sprintf("tuple %d is %v %v, want %v %v", i, g[i].Dims, g[i].Measure, w[i].Dims, w[i].Measure)
+		}
+	}
+	return ""
 }
 
 // MeasuresAgree compares two measures with a relative tolerance and

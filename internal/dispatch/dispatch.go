@@ -397,6 +397,16 @@ func (f *fragment) inputsFrom(ctx context.Context, target ops.Target, snap map[s
 	return input, ctx.Err()
 }
 
+// previous picks the previous version of every cube the fragment derives out
+// of the snapshot, for a full run to build its results on (backend.Run).
+func (f *fragment) previous(snap map[string]*model.Cube) map[string]*model.Cube {
+	prev := make(map[string]*model.Cube, len(f.m.Derived))
+	for _, name := range f.m.Derived {
+		prev[name] = snap[name]
+	}
+	return prev
+}
+
 // keep narrows the maintained solution to the cubes the fragment
 // produces, dropping input twins and auxiliary relations.
 func (f *fragment) keep(all map[string]*model.Cube) map[string]*model.Cube {
@@ -459,7 +469,7 @@ func (f *fragment) run(ctx context.Context, target ops.Target, snap map[string]*
 		}
 		out, oc.outDeltas = f.keep(sol), od
 	default:
-		if out, err = backend.Run(ctx, target, f.m, input); err != nil {
+		if out, err = backend.Run(ctx, target, f.m, input, f.previous(snap)); err != nil {
 			return nil, err
 		}
 	}

@@ -97,7 +97,7 @@ V := vsum0(A, B)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunContext(context.Background(), job, m, data)
+			got, err := RunContext(context.Background(), job, m, data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +152,7 @@ func TestStreamOrderUnchanged(t *testing.T) {
 			{From: "calc", To: "agg"}, {From: "agg", To: "out"}},
 	}
 	schemas := map[string]model.Schema{"S": model.NewSchema("S", []model.Dim{tdim}, "v")}
-	got, err := runFlow(context.Background(), flow, map[string]*model.Cube{"L": l, "R": r}, schemas)
+	got, err := runFlow(context.Background(), flow, map[string]*model.Cube{"L": l, "R": r}, schemas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCancelMidBatch(t *testing.T) {
 	}
 	m := &mapping.Mapping{Schemas: schemas, Elementary: []string{"A"}}
 	before := runtime.NumGoroutine()
-	out, err := RunContext(context.Background(), &Job{Flows: []*Flow{flow}}, m, map[string]*model.Cube{"A": a})
+	out, err := RunContext(context.Background(), &Job{Flows: []*Flow{flow}}, m, map[string]*model.Cube{"A": a}, nil)
 	if err == nil || !strings.Contains(err.Error(), "finer frequency") {
 		t.Fatalf("err = %v, want the calculator's error", err)
 	}

@@ -40,7 +40,7 @@ func TestETLConstantFilterInput(t *testing.T) {
 	_ = a.Put([]model.Value{model.Per(model.NewAnnual(2000)), model.Str("south")}, 2)
 	m := &mapping.Mapping{Schemas: schemas, Elementary: []string{"A"}, Tgds: []*mapping.Tgd{tgd}}
 	job := &Job{Name: "t", Flows: []*Flow{flow}}
-	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": a})
+	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": a}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestETLEgdViolation(t *testing.T) {
 	_ = a.Put([]model.Value{model.Per(model.NewAnnual(2000)), model.Str("x")}, 1)
 	_ = a.Put([]model.Value{model.Per(model.NewAnnual(2000)), model.Str("y")}, 2)
 	m := &mapping.Mapping{Schemas: schemas, Elementary: []string{"A"}, Tgds: []*mapping.Tgd{tgd}}
-	_, err = RunContext(context.Background(), &Job{Name: "t", Flows: []*Flow{flow}}, m, map[string]*model.Cube{"A": a})
+	_, err = RunContext(context.Background(), &Job{Name: "t", Flows: []*Flow{flow}}, m, map[string]*model.Cube{"A": a}, nil)
 	if err == nil || !strings.Contains(err.Error(), "functional dependency") {
 		t.Fatalf("want egd violation, got %v", err)
 	}
@@ -101,7 +101,7 @@ func TestETLMultiConsumerRejected(t *testing.T) {
 		Hops: []Hop{{From: "in", To: "c1"}, {From: "in", To: "c2"}, {From: "c1", To: "out"}},
 	}
 	m := &mapping.Mapping{Schemas: schemas, Elementary: []string{"A"}}
-	_, err := RunContext(context.Background(), &Job{Flows: []*Flow{flow}}, m, map[string]*model.Cube{"A": model.NewCube(schemas["A"])})
+	_, err := RunContext(context.Background(), &Job{Flows: []*Flow{flow}}, m, map[string]*model.Cube{"A": model.NewCube(schemas["A"])}, nil)
 	if err == nil || !strings.Contains(err.Error(), "more than one consumer") {
 		t.Fatalf("want multi-consumer error, got %v", err)
 	}
@@ -122,7 +122,7 @@ func TestETLNoOutputStep(t *testing.T) {
 	// deadlock writing to a missing channel.
 	a := model.NewCube(schemas["A"])
 	_ = a.Put([]model.Value{model.Per(model.NewAnnual(2000))}, 1)
-	_, err := RunContext(context.Background(), &Job{Flows: []*Flow{flow}}, m, map[string]*model.Cube{"A": a})
+	_, err := RunContext(context.Background(), &Job{Flows: []*Flow{flow}}, m, map[string]*model.Cube{"A": a}, nil)
 	if err == nil || !strings.Contains(err.Error(), "no consumer") {
 		t.Fatalf("want no-consumer error, got %v", err)
 	}

@@ -136,7 +136,7 @@ func TestETLMatchesChase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunContext(context.Background(), job, m, tc.data)
+			got, err := RunContext(context.Background(), job, m, tc.data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestETLEmptySource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunContext(context.Background(), job, m, workload.Data{})
+	got, err := RunContext(context.Background(), job, m, workload.Data{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ B := 1 / A
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunContext(context.Background(), job, m, workload.Data{"A": c})
+	got, err := RunContext(context.Background(), job, m, workload.Data{"A": c}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

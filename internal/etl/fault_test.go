@@ -63,7 +63,7 @@ func TestNoGoroutineLeakOnDownstreamError(t *testing.T) {
 		"OUT": model.NewSchema("OUT", []model.Dim{{Name: "t", Type: model.TYear}}, "v"),
 	}
 	before := runtime.NumGoroutine()
-	_, err := runFlow(context.Background(), flow, store, schemas)
+	_, err := runFlow(context.Background(), flow, store, schemas, nil)
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("err = %v, want missing output field", err)
 	}
@@ -88,7 +88,7 @@ func TestNoGoroutineLeakOnStepPanic(t *testing.T) {
 	defer SetStepHook(nil)
 
 	before := runtime.NumGoroutine()
-	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": bigYearCube("A", 3*chanCap*batchSize)})
+	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": bigYearCube("A", 3*chanCap*batchSize)}, nil)
 	if err == nil {
 		t.Fatal("panicking step must fail the run")
 	}
@@ -181,7 +181,7 @@ func TestRunNoPartialResultsAfterFailedFlow(t *testing.T) {
 	defer SetStepHook(nil)
 
 	source := map[string]*model.Cube{"A": bigYearCube("A", 50)}
-	out, err := RunContext(context.Background(), job, m, source)
+	out, err := RunContext(context.Background(), job, m, source, nil)
 	if err == nil {
 		t.Fatal("run must fail")
 	}
@@ -208,7 +208,7 @@ func TestRunContextCancellation(t *testing.T) {
 	defer SetStepHook(nil)
 
 	before := runtime.NumGoroutine()
-	_, err = RunContext(ctx, job, m, map[string]*model.Cube{"A": bigYearCube("A", 5*chanCap*batchSize)})
+	_, err = RunContext(ctx, job, m, map[string]*model.Cube{"A": bigYearCube("A", 5*chanCap*batchSize)}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -228,7 +228,7 @@ func TestRunStillCorrectWithHookInstalled(t *testing.T) {
 	SetStepHook(func(flowID, step string) { mu.Lock(); calls++; mu.Unlock() })
 	defer SetStepHook(nil)
 
-	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": bigYearCube("A", 10)})
+	out, err := RunContext(context.Background(), job, m, map[string]*model.Cube{"A": bigYearCube("A", 10)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestPadJoinRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunContext(context.Background(), job, m, data)
+	got, err := RunContext(context.Background(), job, m, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPadJoinEmptySides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunContext(context.Background(), job, m, data)
+	got, err := RunContext(context.Background(), job, m, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

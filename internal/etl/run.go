@@ -52,7 +52,12 @@ func SetStepHook(h func(flowID, stepName string)) {
 // without leaking any of them. On error (or cancellation) no
 // partially-computed cube is returned: the result map is nil and the shared
 // store passed by the caller is untouched.
-func RunContext(ctx context.Context, job *Job, m *mapping.Mapping, source map[string]*model.Cube) (map[string]*model.Cube, error) {
+//
+// prev maps a cube the job computes to its previous version (it may be nil):
+// a flow's output step builds the cube as that version's revision
+// (model.NewBuilderOn), on its key set where the stream holds its dimension
+// tuples in order.
+func RunContext(ctx context.Context, job *Job, m *mapping.Mapping, source, prev map[string]*model.Cube) (map[string]*model.Cube, error) {
 	store := make(map[string]*model.Cube, len(source))
 	for _, name := range m.Elementary {
 		if c, ok := source[name]; ok {
@@ -65,7 +70,7 @@ func RunContext(ctx context.Context, job *Job, m *mapping.Mapping, source map[st
 	for _, f := range job.Flows {
 		fctx, span := obs.StartSpan(ctx, "etl.flow",
 			obs.String("tgd", f.TgdID), obs.String("cube", f.Target), obs.Int("steps", len(f.Steps)))
-		c, err := runFlow(fctx, f, store, m.Schemas)
+		c, err := runFlow(fctx, f, store, m.Schemas, prev[f.Target])
 		if err != nil {
 			span.EndErr(err)
 			return nil, fmt.Errorf("etl: flow %s: %w", f.TgdID, err)
@@ -98,7 +103,9 @@ func (fe *flowErr) get() error {
 	return fe.err
 }
 
-func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas map[string]model.Schema) (*model.Cube, error) {
+// runFlow runs one flow and returns the cube its output step built, as the
+// revision of prev (nil for none).
+func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas map[string]model.Schema, prev *model.Cube) (*model.Cube, error) {
 	// Column schema per step, derived statically.
 	cols := make(map[string][]string)
 	for i := range f.Steps {
@@ -172,7 +179,7 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 
 	fe := &flowErr{}
 	var wg sync.WaitGroup
-	var result *model.Cube
+	result := prev
 
 	for i := range f.Steps {
 		st := &f.Steps[i]
@@ -207,9 +214,6 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 	wg.Wait()
 	if err := fe.get(); err != nil {
 		return nil, err
-	}
-	if result == nil {
-		return nil, fmt.Errorf("flow has no output step")
 	}
 	return result, nil
 }
@@ -326,6 +330,8 @@ func joinKey(buf []byte, row Row, idx []int) ([]byte, bool) {
 	return buf, true
 }
 
+// runStep runs one step of f. The output step finds the previous version of
+// the flow's cube in *result (nil for none) and leaves the cube it built there.
 func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, chans map[string]chan []Row, free batches,
 	store map[string]*model.Cube, schemas map[string]model.Schema, result **model.Cube) error {
 
@@ -580,7 +586,7 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 				return fmt.Errorf("output field %s missing from stream", fld)
 			}
 		}
-		bld := model.NewBuilder(sch)
+		bld := model.NewBuilderOn(*result, sch)
 		dims := make([]model.Value, len(sch.Dims))
 		for batch := range in {
 			for _, row := range batch {

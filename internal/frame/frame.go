@@ -75,11 +75,14 @@ func FromCube(c *model.Cube) *Frame {
 	return &Frame{Cols: cols, Rows: rows}
 }
 
-// ToCube converts a frame back into a frozen cube under the given schema.
-// The frame must contain the schema's dimension and measure columns (by
-// name, any order). Rows with invalid (NA) values are dropped, matching
-// the partial-function semantics of cubes.
-func (f *Frame) ToCube(sch model.Schema) (*model.Cube, error) {
+// ToCube converts a frame back into a frozen cube under the given schema, as
+// the revision of prev, the cube's previous version (nil when there is none):
+// rows that are prev's dimension tuples, all of them in that order, become a
+// measure column on prev's key set (model.NewBuilderOn). The frame must
+// contain the schema's dimension and measure columns (by name, any order).
+// Rows with invalid (NA) values are dropped, matching the partial-function
+// semantics of cubes.
+func (f *Frame) ToCube(prev *model.Cube, sch model.Schema) (*model.Cube, error) {
 	idx := make([]int, 0, len(sch.Dims))
 	for _, d := range sch.Dims {
 		j := f.ColIndex(d.Name)
@@ -92,7 +95,7 @@ func (f *Frame) ToCube(sch model.Schema) (*model.Cube, error) {
 	if mj < 0 {
 		return nil, fmt.Errorf("frame: missing measure column %s", sch.Measure)
 	}
-	b := model.NewBuilder(sch)
+	b := model.NewBuilderOn(prev, sch)
 	dims := make([]model.Value, len(idx))
 	for _, row := range f.Rows {
 		for i, j := range idx {

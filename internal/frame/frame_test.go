@@ -46,7 +46,7 @@ func TestFrameCubeRoundTrip(t *testing.T) {
 	if len(f.Cols) != 2 || f.Cols[0] != "t" || f.Cols[1] != "v" {
 		t.Fatalf("cols = %v", f.Cols)
 	}
-	back, err := f.ToCube(c.Schema())
+	back, err := f.ToCube(nil, c.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestToCubeDropsNA(t *testing.T) {
 		{model.Per(model.NewAnnual(2001)), model.Value{}}, // NA measure
 		{model.Value{}, model.Num(3)},                     // NA dim
 	}
-	c, err := f.ToCube(model.NewSchema("A", []model.Dim{{Name: "t", Type: model.TYear}}, "v"))
+	c, err := f.ToCube(nil, model.NewSchema("A", []model.Dim{{Name: "t", Type: model.TYear}}, "v"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFrameMatchesChase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ExecuteContext(context.Background(), script, m, tc.data)
+			got, err := ExecuteContext(context.Background(), script, m, tc.data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

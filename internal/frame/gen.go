@@ -27,8 +27,9 @@ func Translate(m *mapping.Mapping) (*Script, error) {
 // ExecuteContext runs the script over the source cubes and returns every
 // computed relation (derived and auxiliary) as cubes. Cancellation aborts
 // between programs, and a tracer carried by the context records one span per
-// program (tgd) and per frame operation.
-func ExecuteContext(ctx context.Context, s *Script, m *mapping.Mapping, source map[string]*model.Cube) (map[string]*model.Cube, error) {
+// program (tgd) and per frame operation. A program's result is built as the
+// revision of its cube's previous version in prev, where there is one (ToCube).
+func ExecuteContext(ctx context.Context, s *Script, m *mapping.Mapping, source, prev map[string]*model.Cube) (map[string]*model.Cube, error) {
 	env := Env{}
 	for _, name := range m.Elementary {
 		if c, ok := source[name]; ok {
@@ -49,7 +50,7 @@ func ExecuteContext(ctx context.Context, s *Script, m *mapping.Mapping, source m
 			span.EndErr(err)
 			return nil, err
 		}
-		cube, err := res.ToCube(m.Schemas[p.Target])
+		cube, err := res.ToCube(prev[p.Target], m.Schemas[p.Target])
 		if err != nil {
 			err = fmt.Errorf("frame: tgd %s result: %w", p.TgdID, err)
 			span.EndErr(err)

@@ -76,7 +76,7 @@ D := vsub0(B, A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecuteContext(context.Background(), script, m, data)
+	got, err := ExecuteContext(context.Background(), script, m, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

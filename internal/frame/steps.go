@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -410,19 +411,59 @@ func measure(v model.Value, what string) (f float64, ok bool, err error) {
 	return f, true, nil
 }
 
+// keyOrder is the order a kernel hands its groups out in: cube order, the
+// byte order of their keys (model.AppendKey), so that a cube built of its rows
+// needs no sort and follows its predecessor (model.NewBuilderOn). Groups that
+// were first seen in that order — a key set's, grouped by a prefix of its
+// dimensions or mapped point by point — are handed out as they were numbered.
+type keyOrder struct {
+	n         int    // groups seen
+	last, key []byte // the newest group's key, and scratch
+	unsorted  bool   // a group was first seen below the one before it
+}
+
+// add notes the key of a new group, the n-th.
+func (k *keyOrder) add(key []model.Value) {
+	k.key = model.AppendKey(k.key[:0], key)
+	if k.n > 0 && bytes.Compare(k.last, k.key) >= 0 {
+		k.unsorted = true
+	}
+	k.last, k.key = k.key, k.last
+	k.n++
+}
+
+// ordinals returns the ordinals of the groups in cube order, where key gives
+// an ordinal's key.
+func (k *keyOrder) ordinals(key func(o int) []model.Value) []int {
+	ords := make([]int, k.n)
+	for o := range ords {
+		ords[o] = o
+	}
+	if !k.unsorted {
+		return ords
+	}
+	keys := make([]string, k.n)
+	for o := range keys {
+		k.key = model.AppendKey(k.key[:0], key(o))
+		keys[o] = string(k.key)
+	}
+	slices.SortFunc(ords, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
+	return ords
+}
+
 // Grouping is GroupAgg's kernel. Groups are numbered by a model.Assigner in
 // the order they are first seen, and each folds its bag in an ops.Acc; a row
 // whose key or value is undefined is in no group. Its output is one row per
-// group, the key and then the fold, in ordinal order: a cube built of them
-// sorts them.
+// group, the key and then the fold, in cube order (keyOrder).
 type Grouping struct {
-	by   []int
-	val  int
-	fold ops.Fold
-	asg  *model.Assigner
-	key  []model.Value
-	keys [][]model.Value // by ordinal, with room for the fold
-	accs []ops.Acc       // by ordinal
+	by    []int
+	val   int
+	fold  ops.Fold
+	asg   *model.Assigner
+	key   []model.Value
+	keys  [][]model.Value // by ordinal, with room for the fold
+	accs  []ops.Acc       // by ordinal
+	order keyOrder
 }
 
 // NewGrouping returns the kernel of s over rows with the columns cols. An
@@ -453,6 +494,7 @@ func (g *Grouping) Add(row []model.Value) error {
 	if int(o) == len(g.accs) {
 		g.keys = append(g.keys, append(make([]model.Value, 0, len(g.key)+1), g.key...))
 		g.accs = append(g.accs, ops.Acc{})
+		g.order.add(g.key)
 	}
 	g.accs[o].Add(g.fold, v)
 	return nil
@@ -460,8 +502,8 @@ func (g *Grouping) Add(row []model.Value) error {
 
 // Each hands fn the row of every group.
 func (g *Grouping) Each(fn func(row []model.Value) error) error {
-	for o, key := range g.keys {
-		if err := fn(append(key, model.Num(g.accs[o].Result(g.fold)))); err != nil {
+	for _, o := range g.order.ordinals(func(o int) []model.Value { return g.keys[o] }) {
+		if err := fn(append(g.keys[o], model.Num(g.accs[o].Result(g.fold)))); err != nil {
 			return err
 		}
 	}
@@ -480,7 +522,7 @@ func groupAgg(in *Frame, s GroupAgg) (*Frame, error) {
 // their key tuples is numbered by one model.Assigner, and an operand's measure
 // at a point is that of its last row there, or the default where it has none.
 // Its output is one row per point, the key and then Op of the two measures, in
-// ordinal order; a point where Op is undefined has none.
+// cube order (keyOrder); a point where Op is undefined has none.
 type PadMerger struct {
 	sides  [2][]int // per operand: its key columns, then its value column
 	fn     ops.ScalarFunc
@@ -488,6 +530,7 @@ type PadMerger struct {
 	asg    *model.Assigner
 	key    []model.Value
 	points []padPoint // by ordinal
+	order  keyOrder
 }
 
 type padPoint struct {
@@ -529,6 +572,7 @@ func (m *PadMerger) Add(side int, row []model.Value) error {
 	o := m.asg.Assign(m.key)
 	if int(o) == len(m.points) {
 		m.points = append(m.points, padPoint{key: append(make([]model.Value, 0, n+1), m.key...), v: [2]float64{m.def, m.def}})
+		m.order.add(m.key)
 	}
 	m.points[o].v[side] = v
 	return nil
@@ -536,7 +580,8 @@ func (m *PadMerger) Add(side int, row []model.Value) error {
 
 // Each hands fn the row of every point.
 func (m *PadMerger) Each(fn func(row []model.Value) error) error {
-	for _, p := range m.points {
+	for _, o := range m.order.ordinals(func(o int) []model.Value { return m.points[o].key }) {
+		p := m.points[o]
 		v, err := m.fn(p.v[0], p.v[1])
 		if ops.ErrUndefined(err) {
 			continue

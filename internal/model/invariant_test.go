@@ -156,7 +156,7 @@ N := count(S)
 C := cumsum(G)
 `)
 	for _, target := range ops.AllTargets {
-		res, err := backend.Run(context.Background(), target, m, src)
+		res, err := backend.Run(context.Background(), target, m, src, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}

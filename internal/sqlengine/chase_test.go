@@ -49,7 +49,7 @@ func TestGeneratedShapesMatchChase(t *testing.T) {
 	}
 	for run, pdr := range []*model.Cube{pdr, pdr, revision} {
 		input := map[string]*model.Cube{"PDR": pdr, "RGDPPC": src["RGDPPC"]}
-		ref, err := backend.Run(context.Background(), ops.TargetChase, m, input)
+		ref, err := backend.Run(context.Background(), ops.TargetChase, m, input, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestEveryFoldOnEveryArgumentPath(t *testing.T) {
 			"M := max(PDR, "+by+
 			"N := count(PDR, "+by)
 		pdr := workload.GDPSource(workload.GDPConfig{Days: 400, Regions: 5})["PDR"].Freeze()
-		ref, err := backend.Run(context.Background(), ops.TargetChase, m, map[string]*model.Cube{"PDR": pdr})
+		ref, err := backend.Run(context.Background(), ops.TargetChase, m, map[string]*model.Cube{"PDR": pdr}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,13 +134,19 @@ func (db *DB) LoadCube(c *model.Cube) error {
 	return nil
 }
 
-// ExtractCube reads a table back into a frozen cube with the given schema.
-// The table columns must be the dimensions (in order) followed by the
-// measure, which is how CreateTableFor lays tables out; rows containing a
-// NULL are dropped, matching the partial-function semantics of cubes. The table is read as a
+// ExtractCube is ExtractCubeOn with no predecessor.
+func (db *DB) ExtractCube(sch model.Schema) (*model.Cube, error) { return db.ExtractCubeOn(nil, sch) }
+
+// ExtractCubeOn reads a table back into a frozen cube with the given schema,
+// as the revision of prev, the cube's previous version (nil when there is
+// none): rows that are prev's dimension tuples, all of them in that order,
+// become a measure column on prev's key set (model.NewBuilderOn). The table
+// columns must be the dimensions (in order) followed by the measure, which
+// is how CreateTableFor lays tables out; rows containing a NULL are dropped,
+// matching the partial-function semantics of cubes. The table is read as a
 // statement reads it, a scan batch at a time: no copy of it is made, and one
 // still holding a loaded version stays a view.
-func (db *DB) ExtractCube(sch model.Schema) (*model.Cube, error) {
+func (db *DB) ExtractCubeOn(prev *model.Cube, sch model.Schema) (*model.Cube, error) {
 	t, ok := db.lookup(lower(sch.Name))
 	if !ok {
 		return nil, fmt.Errorf("sql: no table for cube %s", sch.Name)
@@ -148,7 +154,7 @@ func (db *DB) ExtractCube(sch model.Schema) (*model.Cube, error) {
 	if len(t.Cols) != len(sch.Dims)+1 {
 		return nil, fmt.Errorf("sql: table %s has %d columns, cube %s wants %d", t.Name, len(t.Cols), sch.Name, len(sch.Dims)+1)
 	}
-	out := model.NewBuilder(sch)
+	out := model.NewBuilderOn(prev, sch)
 	dims := make([]model.Value, len(sch.Dims))
 	scan := newScanOp(context.Background(), &scanNode{table: t}, nil)
 	for {
