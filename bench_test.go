@@ -7,7 +7,7 @@ package exlengine
 //
 // The artifacts of E1–E4 are pinned byte for byte by the goldens of
 // internal/backend (TestRenderGolden). The benchmarks after E10 pin
-// properties of the store, the compile cache, dispatch and tracing;
+// properties of the store, dispatch and tracing;
 // regressions are measured by go run ./bench.
 
 import (
@@ -346,35 +346,6 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkCompileCache contrasts a cold compile (parse + analyze +
-// generate + fuse) with a cache hit (one fingerprint hash and a map
-// lookup) for the GDP program.
-func BenchmarkCompileCache(b *testing.B) {
-	ctx := context.Background()
-	b.Run("miss", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			engine.ResetCompileCache()
-			if _, err := engine.CompileCached(ctx, workload.GDPProgram, nil, true); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		engine.ResetCompileCache()
-		if _, err := engine.CompileCached(ctx, workload.GDPProgram, nil, true); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.CompileCached(ctx, workload.GDPProgram, nil, true); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTracedRun quantifies the cost of the observability layer on a

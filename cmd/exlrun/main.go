@@ -62,7 +62,6 @@ import (
 	"exlengine/internal/cli"
 	"exlengine/internal/dispatch"
 	"exlengine/internal/engine"
-	"exlengine/internal/exl"
 	"exlengine/internal/ops"
 )
 
@@ -115,17 +114,13 @@ func main() {
 		fatal(err)
 	}
 
-	// Load every elementary cube the program declares.
-	prog, err := exl.Parse(string(src))
-	if err != nil {
-		fatal(err)
-	}
-	a, err := exl.Analyze(prog, nil)
-	if err != nil {
-		fatal(err)
-	}
+	// Load every elementary cube the program declares. The registered
+	// mapping carries the analyzed program; a cube some earlier program
+	// left in the store is elementary to it too, but has no CSV here.
+	m, _ := eng.Mapping("main")
 	now := time.Now()
-	for _, name := range a.Elementary {
+	for _, d := range m.Analyzed.Program.Decls {
+		name := d.Name
 		path := filepath.Join(*dataDir, name+".csv")
 		f, err := os.Open(path)
 		if err != nil {
@@ -178,7 +173,7 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
 	}
-	for _, name := range a.Derived {
+	for _, name := range m.Derived {
 		path := filepath.Join(*outDir, name+".csv")
 		f, err := os.Create(path)
 		if err != nil {

@@ -34,7 +34,6 @@ import (
 
 	"exlengine/internal/cli"
 	"exlengine/internal/engine"
-	"exlengine/internal/exl"
 	"exlengine/internal/model"
 	"exlengine/internal/obs"
 	"exlengine/internal/ops"
@@ -113,11 +112,6 @@ func (sh *shell) run() {
 
 // statement handles a cube declaration or an assignment.
 func (sh *shell) statement(line string) {
-	prog, err := exl.Parse(line)
-	if err != nil {
-		sh.printf("error: %v\n", err)
-		return
-	}
 	sh.tracer.Reset() // \trace shows this statement's compile + run
 	sh.counter++
 	name := fmt.Sprintf("repl_%03d", sh.counter)
@@ -127,6 +121,8 @@ func (sh *shell) statement(line string) {
 		return
 	}
 	sh.lastProg = name
+	m, _ := sh.eng.Mapping(name)
+	prog := m.Analyzed.Program
 	for _, d := range prog.Decls {
 		sh.printf("declared %s\n", d.Name)
 	}

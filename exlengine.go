@@ -288,10 +288,6 @@ func CompileTraced(t *Tracer) CompileOption {
 // schemas) and generates its schema mapping — the paper's Section 4
 // pipeline without execution, fused unless WithoutFusion is given. Use it
 // to inspect tgds or feed the translators directly.
-//
-// Results are cached process-wide, keyed by (program text, external-schema
-// fingerprint, fusion): recompiling an unchanged program is a map lookup,
-// and the returned mapping is shared — treat it as read-only.
 func Compile(src string, external map[string]Schema, opts ...CompileOption) (*Mapping, error) {
 	cfg := compileConfig{fusion: true}
 	for _, o := range opts {
@@ -302,12 +298,9 @@ func Compile(src string, external map[string]Schema, opts ...CompileOption) (*Ma
 		ctx = obs.ContextWithTracer(ctx, cfg.tracer)
 	}
 	ctx, span := obs.StartSpan(ctx, "compile", obs.Bool("fusion", cfg.fusion))
-	c, err := engine.CompileCached(ctx, src, external, cfg.fusion)
+	m, err := engine.Compile(ctx, src, external, cfg.fusion)
 	span.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	return c.Mapping, nil
+	return m, err
 }
 
 // Validate parses and type-checks an EXL program without generating a

@@ -14,8 +14,6 @@ import (
 	"sort"
 
 	"exlengine/internal/chase"
-	"exlengine/internal/exl"
-	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 )
 
@@ -97,17 +95,9 @@ func shiftedDims(dims []model.Value, off int64) []model.Value {
 // every relation with zero tolerance. A non-nil error means the case
 // itself is broken; incremental disagreements are Divergences.
 func RunIncremental(c *Case, churnSeed int64) (*IncrResult, error) {
-	prog, err := exl.Parse(c.Source())
+	m, err := compile(c.Source())
 	if err != nil {
-		return nil, fmt.Errorf("difftest: parse: %w", err)
-	}
-	a, err := exl.Analyze(prog, nil)
-	if err != nil {
-		return nil, fmt.Errorf("difftest: analyze: %w", err)
-	}
-	m, err := mapping.Generate(a)
-	if err != nil {
-		return nil, fmt.Errorf("difftest: mapping: %w", err)
+		return nil, err
 	}
 
 	base := ChurnBase(c.Data, churnSeed)

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"exlengine/internal/exl"
-	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 )
 
@@ -110,17 +108,9 @@ func parseKnownCase(name, raw string) (KnownCase, error) {
 		}
 	}
 	c := &Case{Decls: decls, Stmts: stmts, Data: map[string]*model.Cube{}}
-	prog, err := exl.Parse(c.Source())
+	m, err := compile(c.Source())
 	if err != nil {
-		return kc, fmt.Errorf("program does not parse: %w", err)
-	}
-	a, err := exl.Analyze(prog, nil)
-	if err != nil {
-		return kc, fmt.Errorf("program does not analyze: %w", err)
-	}
-	m, err := mapping.Generate(a)
-	if err != nil {
-		return kc, fmt.Errorf("mapping generation: %w", err)
+		return kc, err
 	}
 	for _, el := range m.Elementary {
 		sch := m.Schemas[el]

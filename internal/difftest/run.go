@@ -58,18 +58,9 @@ func Run(c *Case, tol float64) (*Result, error) {
 	if tol <= 0 {
 		tol = DefaultTol
 	}
-	src := c.Source()
-	prog, err := exl.Parse(src)
+	m, err := compile(c.Source())
 	if err != nil {
-		return nil, fmt.Errorf("difftest: parse: %w", err)
-	}
-	a, err := exl.Analyze(prog, nil)
-	if err != nil {
-		return nil, fmt.Errorf("difftest: analyze: %w", err)
-	}
-	m, err := mapping.Generate(a)
-	if err != nil {
-		return nil, fmt.Errorf("difftest: mapping: %w", err)
+		return nil, err
 	}
 
 	ctx := context.Background()
@@ -194,4 +185,23 @@ func DiffCubes(ref, got *model.Cube, tol float64, max int) []string {
 		lines = append(lines, fmt.Sprintf("… and %d more mismatches", extra))
 	}
 	return lines
+}
+
+// compile parses and analyzes an EXL program and generates its fused
+// schema mapping: the one pipeline every difftest entry point compiles a
+// case through.
+func compile(src string) (*mapping.Mapping, error) {
+	prog, err := exl.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("difftest: parse: %w", err)
+	}
+	a, err := exl.Analyze(prog, nil)
+	if err != nil {
+		return nil, fmt.Errorf("difftest: analyze: %w", err)
+	}
+	m, err := mapping.Generate(a)
+	if err != nil {
+		return nil, fmt.Errorf("difftest: mapping: %w", err)
+	}
+	return m, nil
 }

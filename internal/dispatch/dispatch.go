@@ -346,8 +346,8 @@ func buildFragment(sub determine.Subgraph, tgds TgdSource, schemas map[string]mo
 		}
 		for _, t := range ts {
 			// Shallow-copy the tgd: the source mapping is shared read-only
-			// (between engines, via the compile cache), while the fragment
-			// restratifies its private copies below.
+			// by every run of the program, while the fragment restratifies
+			// its private copies below.
 			tc := *t
 			m.Tgds = append(m.Tgds, &tc)
 			producedHere[t.Target()] = true

@@ -83,16 +83,13 @@ type Engine struct {
 	// the governor, not this mutex, bounds run concurrency.
 	mu       sync.Mutex
 	store    CubeStore
-	programs map[string]*exl.Analyzed
-	mappings map[string]*mapping.Mapping
+	mappings map[string]*mapping.Mapping // per program, carrying the analyzed program
 	graph    *determine.Graph
 	disp     dispatch.Dispatcher
 	tracer   *obs.Tracer
 	metrics  *obs.Registry
 	gov      *governor.Governor
 	govCfg   governor.Config // accumulated by governor options until New builds gov
-	cache    *CompileCache
-	cacheSet bool // WithCompileCache was used (nil means "disable caching")
 
 	storeClosed bool // Shutdown closed the store already
 }
@@ -145,17 +142,6 @@ func WithMetrics(m *obs.Registry) Option {
 	return func(e *Engine) { e.metrics = m }
 }
 
-// WithCompileCache substitutes the engine's compile cache: a private
-// cache isolates this engine's compilations from every other engine in
-// the process (per-tenant isolation), and nil disables caching entirely.
-// The default is the shared process-wide cache.
-func WithCompileCache(c *CompileCache) Option {
-	return func(e *Engine) {
-		e.cache = c
-		e.cacheSet = true
-	}
-}
-
 // MaxConcurrentRuns bounds how many runs execute at once; up to 4×n
 // further runs queue for admission in FIFO order, and runs past those are
 // shed with typed exlerr.Overload errors. Zero or negative: unlimited.
@@ -178,15 +164,11 @@ func MemoryBudget(bytes int64) Option {
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		store:    store.New(),
-		programs: make(map[string]*exl.Analyzed),
 		mappings: make(map[string]*mapping.Mapping),
 	}
 	e.disp.Degrade = true
 	for _, o := range opts {
 		o(e)
-	}
-	if !e.cacheSet {
-		e.cache = defaultCompileCache
 	}
 	// Unconfigured engines still get a zero-bound governor so Shutdown
 	// can drain in-flight runs.
@@ -252,7 +234,7 @@ func (e *Engine) RegisterProgram(name, src string) error {
 
 // registerLocked is RegisterProgram behind the compile span; e.mu held.
 func (e *Engine) registerLocked(ctx context.Context, name, src string) error {
-	if _, dup := e.programs[name]; dup {
+	if _, dup := e.mappings[name]; dup {
 		return fmt.Errorf("engine: program %s %w", name, ErrProgramRegistered)
 	}
 	external := make(map[string]model.Schema)
@@ -272,10 +254,14 @@ func (e *Engine) registerLocked(ctx context.Context, name, src string) error {
 			owned[n] = true
 		}
 	}
-	for _, a := range e.programs {
-		for _, d := range a.Program.Decls {
+	for _, m := range e.mappings {
+		for _, d := range m.Analyzed.Program.Decls {
 			owned[d.Name] = true
 		}
+	}
+	prog, err := parse(ctx, src)
+	if err != nil {
+		return err
 	}
 	// A durable store can already hold this program's own cubes from a
 	// prior process run. Names the program defines itself — declarations
@@ -283,43 +269,30 @@ func (e *Engine) registerLocked(ctx context.Context, name, src string) error {
 	// so re-registration against a persisted catalog is idempotent.
 	// Cubes owned by another registered program stay external and still
 	// conflict; schema agreement with the persisted catalog is enforced
-	// by the Declare pass below. A parse error here is ignored: compile
-	// reports it properly.
-	if prog, perr := exl.Parse(src); perr == nil {
-		for _, d := range prog.Decls {
-			if !owned[d.Name] {
-				delete(external, d.Name)
-			}
-		}
-		for _, s := range prog.Stmts {
-			if !owned[s.Lhs] {
-				delete(external, s.Lhs)
-			}
+	// by the Declare pass below.
+	for _, d := range prog.Decls {
+		if !owned[d.Name] {
+			delete(external, d.Name)
 		}
 	}
-	// Parse/analyze/generate through the engine's compile cache (the
-	// shared process-wide one unless WithCompileCache injected a private
-	// or nil cache): an engine re-registering a catalog already compiled
-	// elsewhere (same source, same external schemas) reuses the shared
-	// mapping.
-	c, err := e.cache.Compile(ctx, src, external, true)
+	for _, s := range prog.Stmts {
+		if !owned[s.Lhs] {
+			delete(external, s.Lhs)
+		}
+	}
+	// Every engine compiles its programs itself, once: the mapping is then
+	// shared read-only by every run, which restratifies copies per fragment.
+	m, err := generate(ctx, prog, external, true)
 	if err != nil {
 		return err
 	}
-	a, m := c.Analyzed, c.Mapping
-	// A program may not redeclare a cube that already exists in the
-	// catalog: elementary cubes are owned by the metadata catalog, derived
-	// ones by their defining program. (Analyze already rejects this; the
-	// check keeps the engine-level error explicit.)
-	for _, d := range a.Program.Decls {
-		if _, exists := external[d.Name]; exists {
-			return fmt.Errorf("engine: program %s redeclares existing cube %s", name, d.Name)
-		}
-	}
-
-	candidate := make(map[string]*exl.Analyzed, len(e.programs)+1)
-	for k, v := range e.programs {
-		candidate[k] = v
+	// Analyze has rejected a declaration of a cube the catalog already
+	// holds: elementary cubes are owned by the metadata catalog, derived
+	// ones by their defining program.
+	a := m.Analyzed
+	candidate := make(map[string]*exl.Analyzed, len(e.mappings)+1)
+	for k, v := range e.mappings {
+		candidate[k] = v.Analyzed
 	}
 	candidate[name] = a
 	_, dspan := obs.StartSpan(ctx, "graph")
@@ -335,7 +308,6 @@ func (e *Engine) registerLocked(ctx context.Context, name, src string) error {
 			return err
 		}
 	}
-	e.programs[name] = a
 	e.mappings[name] = m
 	e.graph = graph
 	return nil
@@ -345,8 +317,8 @@ func (e *Engine) registerLocked(ctx context.Context, name, src string) error {
 func (e *Engine) Programs() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.programs))
-	for n := range e.programs {
+	out := make([]string, 0, len(e.mappings))
+	for n := range e.mappings {
 		out = append(out, n)
 	}
 	sort.Strings(out)

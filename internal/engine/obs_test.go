@@ -25,9 +25,6 @@ func counterSum(m *obs.Registry, name string) int64 {
 // promises: run → determine/dispatch/persist, dispatch → fragment →
 // attempt, and target-engine internals under the attempt that ran them.
 func TestTracedRunSpanTree(t *testing.T) {
-	// A compile-cache hit would skip the parse/analyze/generate children
-	// asserted below; start from a cold cache to pin the miss-path shape.
-	ResetCompileCache()
 	data := workload.GDPSource(workload.GDPConfig{Days: 100, Regions: 2})
 	tracer := obs.NewTracer()
 	e := newGDPEngine(t, data, WithTracer(tracer))
@@ -53,6 +50,19 @@ func TestTracedRunSpanTree(t *testing.T) {
 	for _, phase := range []string{"parse", "analyze", "generate", "graph"} {
 		if compile.Find(phase) == nil {
 			t.Errorf("compile has no %s child", phase)
+		}
+	}
+	// Every engine compiles its own programs: a second engine in the same
+	// process, registering the same program, traces its own pipeline.
+	tracer2 := obs.NewTracer()
+	newGDPEngine(t, data, WithTracer(tracer2))
+	roots2 := tracer2.Roots()
+	if len(roots2) != 1 || roots2[0].Name != "compile" {
+		t.Fatalf("second engine's roots: %v, want one compile", names(roots2))
+	}
+	for _, phase := range []string{"parse", "analyze", "generate"} {
+		if roots2[0].Find(phase) == nil {
+			t.Errorf("second engine's compile has no %s child", phase)
 		}
 	}
 	if run == nil {

@@ -181,7 +181,6 @@ func TestStepErrors(t *testing.T) {
 	env := Env{"F": NewFrame("a")}
 	bad := []Step{
 		Copy{Out: "X", In: "NOPE"},
-		Rename{Out: "X", In: "F", From: []string{"zz"}, To: []string{"y"}},
 		Filter{Var: "F", Col: "zz"},
 		SelectCols{Out: "X", In: "F", Cols: []string{"zz"}},
 		Merge{Out: "X", X: "F", Y: "F", By: []string{"zz"}},

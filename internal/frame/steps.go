@@ -18,12 +18,6 @@ type Step interface{ stepNode() }
 // Copy binds a fresh copy of frame In to variable Out.
 type Copy struct{ Out, In string }
 
-// Rename renames columns (parallel slices From → To) of frame In into Out.
-type Rename struct {
-	Out, In  string
-	From, To []string
-}
-
 // MapCol adds (or overwrites) column Col of the frame bound to Var with
 // the row-wise expression E.
 type MapCol struct {
@@ -86,7 +80,6 @@ type SeriesOp struct {
 }
 
 func (Copy) stepNode()       {}
-func (Rename) stepNode()     {}
 func (MapCol) stepNode()     {}
 func (Filter) stepNode()     {}
 func (SelectCols) stepNode() {}
@@ -154,22 +147,6 @@ func runStep(s Step, env Env) error {
 			return err
 		}
 		env[s.Out] = in.Clone()
-		return nil
-
-	case Rename:
-		in, err := get(env, s.In)
-		if err != nil {
-			return err
-		}
-		out := in.Clone()
-		for i, from := range s.From {
-			j := out.ColIndex(from)
-			if j < 0 {
-				return fmt.Errorf("rename: unknown column %s", from)
-			}
-			out.Cols[j] = s.To[i]
-		}
-		env[s.Out] = out
 		return nil
 
 	case MapCol:

@@ -10,7 +10,6 @@
 package mapping
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -104,28 +103,6 @@ func (m *MTerm) Clone() *MTerm {
 	return out
 }
 
-// Substitute replaces every occurrence of variable name with repl and
-// returns the (possibly new) term.
-func (m *MTerm) Substitute(name string, repl *MTerm) *MTerm {
-	switch m.Kind {
-	case MVar:
-		if m.Var == name {
-			return repl.Clone()
-		}
-		return m
-	case MApply:
-		for i, a := range m.Args {
-			m.Args[i] = a.Substitute(name, repl)
-		}
-	}
-	return m
-}
-
-// Rename renames variable old to new in place.
-func (m *MTerm) Rename(old, new string) {
-	m.RenameAll(map[string]string{old: new})
-}
-
 // RenameAll applies a simultaneous variable renaming in place (no
 // chaining: each original variable is looked up exactly once).
 func (m *MTerm) RenameAll(rename map[string]string) {
@@ -178,5 +155,3 @@ func fmtParams(ps []float64) string {
 	}
 	return strings.Join(parts, ", ")
 }
-
-var _ = fmt.Sprintf

@@ -51,15 +51,6 @@ func printStep(s frame.Step) string {
 	switch s := s.(type) {
 	case frame.Copy:
 		return fmt.Sprintf("%s = %s;\n", s.Out, s.In)
-	case frame.Rename:
-		var b strings.Builder
-		if s.Out != s.In {
-			fmt.Fprintf(&b, "%s = %s;\n", s.Out, s.In)
-		}
-		for i := range s.From {
-			fmt.Fprintf(&b, "%s.Properties.VariableNames{'%s'} = '%s';\n", s.Out, s.From[i], s.To[i])
-		}
-		return b.String()
 	case frame.MapCol:
 		return fmt.Sprintf("%s.%s = %s;\n", s.Var, s.Col, printExpr(s.E, s.Var))
 	case frame.Filter:

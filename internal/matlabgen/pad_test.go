@@ -3,8 +3,6 @@ package matlabgen
 import (
 	"strings"
 	"testing"
-
-	"exlengine/internal/frame"
 )
 
 func TestMatlabPadMerge(t *testing.T) {
@@ -21,15 +19,6 @@ S := vsum0(A, B)
 		if !strings.Contains(ml, frag) {
 			t.Errorf("Matlab pad output missing %q:\n%s", frag, ml)
 		}
-	}
-}
-
-func TestMatlabRenameStep(t *testing.T) {
-	out := PrintProgram(&frame.Program{Steps: []frame.Step{
-		frame.Rename{Out: "y", In: "x", From: []string{"a"}, To: []string{"b"}},
-	}})
-	if !strings.Contains(out, "y = x;") || !strings.Contains(out, "VariableNames{'a'} = 'b'") {
-		t.Errorf("rename output:\n%s", out)
 	}
 }
 

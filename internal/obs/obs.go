@@ -163,12 +163,6 @@ const (
 	// MetricTargetLatency is a per-target histogram of successful
 	// fragment execution latencies, in milliseconds.
 	MetricTargetLatency = "target_latency_ms"
-	// MetricCompileCacheHits counts compilations served from the
-	// compiled-program cache (parse/analyze/generate skipped).
-	MetricCompileCacheHits = "compile_cache_hits_total"
-	// MetricCompileCacheMisses counts compilations that ran the full
-	// pipeline and populated the cache.
-	MetricCompileCacheMisses = "compile_cache_misses_total"
 	// MetricStoreWALBytes counts bytes appended to the durable store's
 	// write-ahead log (record framing included).
 	MetricStoreWALBytes = "store_wal_bytes_total"

@@ -3,8 +3,6 @@ package rgen
 import (
 	"strings"
 	"testing"
-
-	"exlengine/internal/frame"
 )
 
 func TestRPadMerge(t *testing.T) {
@@ -29,17 +27,6 @@ D := vsub0(A, B)
 	}
 	if !strings.Contains(r, "+") || !strings.Contains(r, "-") {
 		t.Errorf("R pad output missing operators:\n%s", r)
-	}
-}
-
-func TestRRenameStep(t *testing.T) {
-	out := PrintProgram(&frame.Program{Steps: []frame.Step{
-		frame.Rename{Out: "y", In: "x", From: []string{"a"}, To: []string{"b"}},
-	}})
-	for _, frag := range []string{"y <- x", `names(y)[names(y) == "a"] <- "b"`} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("rename output missing %q:\n%s", frag, out)
-		}
 	}
 }
 

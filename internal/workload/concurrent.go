@@ -7,9 +7,9 @@ import (
 
 // ConcurrentConfig parameterizes a concurrent multi-run workload: Workers
 // goroutines each invoke a run function Iters times against shared
-// state. It is the load shape the zero-copy store and the compile cache
-// are built for — many concurrent consumers re-executing an unchanged
-// program over one store.
+// state. It is the load shape the zero-copy store and the shared compiled
+// mapping are built for — many concurrent consumers re-executing an
+// unchanged program over one store.
 type ConcurrentConfig struct {
 	Workers int // concurrent run loops (defaults to 4)
 	Iters   int // runs per worker (defaults to 4)

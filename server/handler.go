@@ -482,7 +482,7 @@ func (s *Server) handleRunCancel(w http.ResponseWriter, r *http.Request, sess *s
 // --- metrics ---
 
 // handleTenantMetrics renders the session's tenant registry — engine,
-// governor, store and compile-cache metrics scoped to that tenant only.
+// governor and store metrics scoped to that tenant only.
 func (s *Server) handleTenantMetrics(w http.ResponseWriter, r *http.Request, sess *session) {
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")

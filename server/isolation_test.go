@@ -18,7 +18,7 @@ import (
 // TestTenantIsolation is the proving test for multi-tenancy: two tenants
 // register the SAME program under the SAME name, load the SAME cube
 // names with different data, and run concurrently. Each must see only
-// its own results, its own metrics, and its own compile cache.
+// its own results, its own metrics, and its own compiled mapping.
 func TestTenantIsolation(t *testing.T) {
 	srv, base := newTestServer(t, Config{})
 
@@ -92,17 +92,15 @@ func TestTenantIsolation(t *testing.T) {
 		}
 	}
 
-	// Compile caches isolate: both tenants compiled identical program
-	// text, yet each paid its own cache miss — a shared cache would give
-	// the second tenant a hit.
-	for _, sess := range []*session{sessA, sessB} {
-		reg := sess.tenant.metrics
-		if miss := reg.Counter(obs.MetricCompileCacheMisses).Value(); miss < 1 {
-			t.Errorf("tenant %s compile misses = %d, want >=1", sess.tenant.name, miss)
-		}
-		if hit := reg.Counter(obs.MetricCompileCacheHits).Value(); hit != 0 {
-			t.Errorf("tenant %s compile hits = %d, want 0 (private cache)", sess.tenant.name, hit)
-		}
+	// Mappings isolate: both tenants compiled identical program text, and
+	// each engine holds the mapping it compiled itself.
+	mA, okA := sessA.tenant.eng.Mapping("prog")
+	mB, okB := sessB.tenant.eng.Mapping("prog")
+	if !okA || !okB {
+		t.Fatalf("program prog missing: tenant-a %v, tenant-b %v", okA, okB)
+	}
+	if mA == mB {
+		t.Errorf("tenants share one compiled mapping")
 	}
 
 	// Run lists are tenant-scoped: A sees its runs plus nothing of B's.

@@ -20,10 +20,10 @@ var tenantNameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`)
 
 // tenant is one fully isolated namespace: its own engine (with its own
 // governor), its own store (durable under <data-dir>/<name> when the
-// server is persistent, in-memory otherwise), its own compile cache and
-// its own metrics registry. Nothing here is shared with any other
+// server is persistent, in-memory otherwise), its own compiled mappings
+// and its own metrics registry. Nothing here is shared with any other
 // tenant — the process-global state the library grew up with (default
-// compile cache, default metrics registry) is deliberately not used.
+// metrics registry) is deliberately not used.
 type tenant struct {
 	name    string
 	eng     *engine.Engine
@@ -143,12 +143,7 @@ var testEngineOptions []engine.Option
 // open builds the tenant's isolated engine stack; ts.mu held.
 func (ts *tenantSet) open(name string) (*tenant, error) {
 	reg := obs.NewRegistry()
-	opts := []engine.Option{
-		engine.WithMetrics(reg),
-		// A private compile cache: tenants compiling identical program
-		// text still never share mappings (or cache-hit metrics).
-		engine.WithCompileCache(engine.NewCompileCache(tenantCompileCacheCap)),
-	}
+	opts := []engine.Option{engine.WithMetrics(reg)}
 	opts = append(opts, testEngineOptions...)
 	if ts.cfg.MaxConcurrent > 0 {
 		opts = append(opts, engine.MaxConcurrentRuns(ts.cfg.MaxConcurrent))
@@ -165,9 +160,6 @@ func (ts *tenantSet) open(name string) (*tenant, error) {
 	}
 	return &tenant{name: name, eng: engine.New(opts...), metrics: reg}, nil
 }
-
-// tenantCompileCacheCap bounds each tenant's private compile cache.
-const tenantCompileCacheCap = 64
 
 // release drops one reference. When the last session lets go, the
 // tenant's engine shuts down gracefully — admission stops, in-flight
