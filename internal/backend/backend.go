@@ -33,8 +33,8 @@ import (
 //
 // prev maps a derived cube to its previous version, frozen, where there is
 // one; prev may be nil. It never changes what Run returns, only how a result
-// is built: the SQL extract, the ETL sink and frame.ToCube build a cube as
-// the revision of prev[name] (model.NewBuilderOn). A result that holds its
+// is built: the SQL INSERT that fills its table, the ETL sink and
+// frame.ToCube build a cube as the revision of prev[name] (model.NewBuilderOn). A result that holds its
 // predecessor's dimension tuples, in order, is a measure column on the
 // predecessor's key set, which the store adopts without a merge and whose
 // cached partition the next GROUP BY over it reads. Any other result, and any
@@ -56,6 +56,7 @@ func Run(ctx context.Context, t ops.Target, m *mapping.Mapping, input, prev map[
 			return nil, err
 		}
 		db := sqlengine.NewDB()
+		db.Follow(prev)
 		for _, name := range m.Elementary {
 			if c := input[name]; c != nil {
 				err = db.LoadCube(c)
@@ -69,13 +70,12 @@ func Run(ctx context.Context, t ops.Target, m *mapping.Mapping, input, prev map[
 		if err := sqlgen.ExecuteContext(ctx, script, db); err != nil {
 			return nil, err
 		}
-		out := make(map[string]*model.Cube, len(m.Derived))
+		all = make(map[string]*model.Cube, len(m.Derived))
 		for _, name := range m.Derived {
-			if out[name], err = db.ExtractCubeOn(prev[name], m.Schemas[name]); err != nil {
+			if all[name], err = db.ExtractCube(m.Schemas[name]); err != nil {
 				return nil, err
 			}
 		}
-		return out, nil
 
 	case ops.TargetETL:
 		job, err := etl.Translate(m, "run")

@@ -20,13 +20,22 @@ import (
 // differential fuzzer's fixed and known cases and the first 200 of its seeded
 // programs that SQL can express — is translated as is and normalized with its
 // auxiliary relations as views, and each script, as String renders it with
-// its -- comments, parses and runs over empty elementary tables. So does a
+// its -- comments, parses and runs over empty elementary tables, and fills
+// each table it creates with one statement, as a table takes one version. So
+// does a
 // mapping built by hand with the constants no program yields. Each form the
 // dialect does not have is refused inside that mapping's INSERT … SELECT,
 // before any statement of its script runs.
 func TestGeneratedDialect(t *testing.T) {
 	exec := func(name string, m *mapping.Mapping, script *sqlgen.Script) *sqlengine.DB {
 		t.Helper()
+		filled := map[string]bool{}
+		for _, st := range script.Steps {
+			if filled[st.Target] {
+				t.Errorf("%s: two statements fill %s, whose table takes one version", name, st.Target)
+			}
+			filled[st.Target] = true
+		}
 		db := sqlengine.NewDB()
 		for _, rel := range m.Elementary {
 			if err := db.CreateTableFor(m.Schemas[rel]); err != nil {

@@ -173,30 +173,22 @@ func (s *Solver) output(ctx context.Context, p *plan, target Instance, stats *St
 	return out.Build()
 }
 
-// applyBlackBox applies a black-box tgd: the operand's series goes through
-// the function whole, and the output sits on the operand's periods one for
-// one — on its key set.
+// applyBlackBox applies a black-box tgd through ops.SeriesCube: the
+// operand's series goes through the function whole, and the output sits on the
+// operand's periods one for one — on its key set.
 func applyBlackBox(p *plan, target Instance, schema model.Schema, stats *Stats) (*model.Cube, error) {
 	t := p.t
 	in, ok := target[t.Lhs[0].Rel]
 	if !ok {
 		return nil, fmt.Errorf("operand %s not computed before black box", t.Lhs[0].Rel)
 	}
-	_, vals, err := in.SortedSeries()
+	out, err := ops.SeriesCube(t.BB, p.series, in, schema, t.BBParams)
 	if err != nil {
 		return nil, err
 	}
-	seasonLen := ops.SeasonLength(in.Schema().Dims[0].Type.Freq)
-	res, err := p.series(vals, seasonLen, t.BBParams)
-	if err != nil {
-		return nil, err
-	}
-	if len(res) != len(vals) {
-		return nil, fmt.Errorf("black box %s returned %d values for %d inputs", t.BB, len(res), len(vals))
-	}
-	stats.Bindings += len(vals)
-	stats.TuplesGenerated += len(vals)
-	return in.DeriveColumn(schema, res, nil)
+	stats.Bindings += in.Len()
+	stats.TuplesGenerated += in.Len()
+	return out, nil
 }
 
 // padOperands resolves the two operands of a padded vectorial tgd.

@@ -13,37 +13,17 @@ func FallbackOrder(sub Subgraph) []ops.Target {
 	for _, ref := range sub.Stmts {
 		opNames = stmtOps(ref.Stmt.Expr, opNames)
 	}
-	var prefs []ops.Target
-	if len(opNames) == 0 {
-		prefs = ops.Preference("")
-	} else {
-		prefs = ops.Preference(dominantOp(opNames))
+	dominant := ""
+	if len(opNames) > 0 {
+		dominant = dominantOp(opNames)
 	}
+	// Every preference list holds every target that supports its operator,
+	// the chase last (TestPreferenceHoldsEverySupportingTarget).
 	var out []ops.Target
-	add := func(t ops.Target) {
-		if t == sub.Target {
-			return
-		}
-		for _, seen := range out {
-			if seen == t {
-				return
-			}
-		}
-		out = append(out, t)
-	}
-	for _, t := range prefs {
-		if supportsAll(t, opNames) {
-			add(t)
+	for _, t := range ops.Preference(dominant) {
+		if t != sub.Target && (t == ops.TargetChase || supportsAll(t, opNames)) {
+			out = append(out, t)
 		}
 	}
-	// Preference lists may omit targets that nevertheless support the
-	// operators involved; sweep the full matrix so degradation has every
-	// permitted option.
-	for _, t := range ops.AllTargets {
-		if t != ops.TargetChase && supportsAll(t, opNames) {
-			add(t)
-		}
-	}
-	add(ops.TargetChase)
 	return out
 }

@@ -345,11 +345,7 @@ func buildFragment(sub determine.Subgraph, tgds TgdSource, schemas map[string]mo
 			return nil, fmt.Errorf("dispatch: no tgds for cube %s", ref.Cube())
 		}
 		for _, t := range ts {
-			// Shallow-copy the tgd: the source mapping is shared read-only
-			// by every run of the program, while the fragment restratifies
-			// its private copies below.
-			tc := *t
-			m.Tgds = append(m.Tgds, &tc)
+			m.Tgds = append(m.Tgds, t) // shared read-only with the program's mapping and every run
 			producedHere[t.Target()] = true
 			if sch, ok := schemas[t.Target()]; ok {
 				m.Schemas[t.Target()] = sch
@@ -375,9 +371,6 @@ func buildFragment(sub determine.Subgraph, tgds TgdSource, schemas map[string]mo
 			m.Schemas[a.Rel] = sch
 			m.Elementary = append(m.Elementary, a.Rel)
 		}
-	}
-	for i, t := range m.Tgds {
-		t.Stratum = i
 	}
 	f.m = m
 	return f, nil

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -84,6 +85,7 @@ type Engine struct {
 	mu       sync.Mutex
 	store    CubeStore
 	mappings map[string]*mapping.Mapping // per program, carrying the analyzed program
+	stmts    map[string]statement        // per derived cube of every program
 	graph    *determine.Graph
 	disp     dispatch.Dispatcher
 	tracer   *obs.Tracer
@@ -281,7 +283,7 @@ func (e *Engine) registerLocked(ctx context.Context, name, src string) error {
 		}
 	}
 	// Every engine compiles its programs itself, once: the mapping is then
-	// shared read-only by every run, which restratifies copies per fragment.
+	// shared read-only by every run and every fragment of one.
 	m, err := generate(ctx, prog, external, true)
 	if err != nil {
 		return err
@@ -308,9 +310,29 @@ func (e *Engine) registerLocked(ctx context.Context, name, src string) error {
 			return err
 		}
 	}
+	stmts := make(map[string]statement, len(e.stmts)+len(m.Derived))
+	maps.Copy(stmts, e.stmts)
+	byCube := make(map[string][]*mapping.Tgd, len(m.Derived))
+	for _, t := range m.Tgds {
+		byCube[t.Stmt] = append(byCube[t.Stmt], t)
+	}
+	for cube, tgds := range byCube {
+		stmts[cube] = statement{tgds: tgds, print: stmtPrint(tgds)}
+	}
 	e.mappings[name] = m
+	e.stmts = stmts
 	e.graph = graph
 	return nil
+}
+
+// statement is what a run takes of a derived cube's statement: its tgds,
+// auxiliaries included, in stratification order, and their fingerprint
+// (stmtPrint), which the provenance of every version it computes records.
+// A registration computes both once and swaps the whole map, which runs
+// share read-only.
+type statement struct {
+	tgds  []*mapping.Tgd
+	print uint64
 }
 
 // Programs returns the registered program names, sorted.
@@ -546,18 +568,10 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	disp := e.disp
 	st := e.store
 	schemas := e.allSchemasLocked()
-	progNames := make([]string, 0, len(e.mappings))
-	for n := range e.mappings {
-		progNames = append(progNames, n)
-	}
-	sort.Strings(progNames)
-	mappings := make([]*mapping.Mapping, len(progNames))
-	for i, n := range progNames {
-		mappings[i] = e.mappings[n]
-	}
+	stmts := e.stmts
 	e.mu.Unlock()
 
-	tgds := func(cube string) []*mapping.Tgd { return tgdsIn(mappings, cube) }
+	tgds := func(cube string) []*mapping.Tgd { return stmts[cube].tgds }
 	start := time.Now()
 
 	_, detSpan := obs.StartSpan(ctx, "determine")
@@ -579,10 +593,6 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// are what the staleness walk and the delta queries run against, and
 	// the generations what the results' provenance records.
 	snap, gen, cubeGens, provs := st.SnapshotWithGenerations()
-	stmts := make(map[string]uint64, len(plan))
-	for _, ref := range plan {
-		stmts[ref.Cube()] = stmtPrint(tgds(ref.Cube()))
-	}
 
 	// Incremental mode: walk the dependency graph in plan order, keep
 	// only the stale cubes, and build the delta front the dispatcher
@@ -686,7 +696,7 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	}
 	outProvs := make(map[string]*store.Provenance, len(toPersist))
 	for name := range toPersist {
-		p := &store.Provenance{Stmt: stmts[name], Inputs: make(map[string]uint64)}
+		p := &store.Provenance{Stmt: stmts[name].print, Inputs: make(map[string]uint64)}
 		for _, dep := range graph.Deps(name) {
 			p.Inputs[dep] = cubeGens[dep]
 		}
@@ -745,24 +755,6 @@ func (e *Engine) allSchemasLocked() map[string]model.Schema {
 		}
 	}
 	return out
-}
-
-// tgdsIn returns the tgds generated for a derived cube's statement,
-// auxiliaries included, in stratification order, from the run's
-// snapshotted mappings (a cube is defined by exactly one program).
-func tgdsIn(mappings []*mapping.Mapping, cube string) []*mapping.Tgd {
-	for _, m := range mappings {
-		var out []*mapping.Tgd
-		for _, t := range m.Tgds {
-			if t.Stmt == cube {
-				out = append(out, t)
-			}
-		}
-		if len(out) > 0 {
-			return out
-		}
-	}
-	return nil
 }
 
 // Translate renders a registered program's schema mapping as an executable

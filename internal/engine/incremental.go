@@ -40,10 +40,10 @@ func stmtPrint(tgds []*mapping.Tgd) uint64 {
 // it is that statement over its operands at the recorded generations.
 func pruneStale(graph *determine.Graph, plan []determine.StmtRef,
 	snap map[string]*model.Cube, cubeGens map[string]uint64, provs map[string]*store.Provenance,
-	stmts map[string]uint64, st CubeStore) ([]determine.StmtRef, []string, *dispatch.IncrPlan) {
+	stmts map[string]statement, st CubeStore) ([]determine.StmtRef, []string, *dispatch.IncrPlan) {
 
 	based := func(cube string) *store.Provenance {
-		if p := provs[cube]; p != nil && p.Stmt == stmts[cube] {
+		if p := provs[cube]; p != nil && p.Stmt == stmts[cube].print {
 			return p
 		}
 		return nil

@@ -450,3 +450,30 @@ func TestProvenanceNamesTheStatement(t *testing.T) {
 		exactEqual(t, rel, w, g)
 	}
 }
+
+// TestStatementPrintsArePinned: the fingerprint of a statement is in the
+// provenance of every version it computed, durable stores included, so a
+// statement that did not change keeps its print across releases: these are
+// the GDP statements' prints as they were first persisted. A registration
+// computes them, once per statement.
+func TestStatementPrintsArePinned(t *testing.T) {
+	e := New()
+	if err := e.RegisterProgram("gdp", workload.GDPProgram); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{
+		"PQR":   0x382871a2a6733bb6,
+		"RGDP":  0xbdda3ba3e19ae401,
+		"GDP":   0x152658920fbc6db5,
+		"GDPT":  0xa145d787111b7fe6,
+		"PCHNG": 0xae5e46228c91f200,
+	}
+	for cube, print := range want {
+		if got := e.stmts[cube].print; got != print {
+			t.Errorf("%s: statement print %#x, want %#x", cube, got, print)
+		}
+	}
+	if len(e.stmts) != len(want) {
+		t.Errorf("%d statements registered, want %d", len(e.stmts), len(want))
+	}
+}

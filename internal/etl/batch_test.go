@@ -57,7 +57,7 @@ V := vsum0(A, B)
 	north := model.Str("north")
 	m.Schemas["N"] = model.NewSchema("N", []model.Dim{{Name: "t", Type: model.TYear}}, "v")
 	m.Tgds = append(m.Tgds, &mapping.Tgd{
-		ID: "sel", Stratum: len(m.Tgds), Kind: mapping.TupleLevel,
+		ID: "sel", Kind: mapping.TupleLevel,
 		Lhs:     []mapping.Atom{{Rel: "F", Dims: []mapping.DimTerm{mapping.V("t"), {Const: &north}}, MVar: "v"}},
 		Rhs:     mapping.Atom{Rel: "N", Dims: []mapping.DimTerm{mapping.V("t")}},
 		Measure: mapping.MV("v"),

@@ -72,7 +72,6 @@ func Fuse(m *Mapping) {
 		}
 	}
 	m.Tgds = slices.DeleteFunc(m.Tgds, func(t *Tgd) bool { return f.inlined[t] })
-	m.restratify()
 	m.rebuildEgds()
 }
 

@@ -11,7 +11,8 @@ import (
 // it inlines. A sum of 4 000 cube terms and a sum of a cube with 2 000 of
 // its shifts each fuse into a single tgd in well under a second; a pass
 // that rescans the growing tgd at every inline takes tens of seconds on
-// the first and several on the second.
+// the first and several on the second. Printing the fused tgd is linear
+// as well.
 func TestFuseIsLinear(t *testing.T) {
 	sum := func(n int, term func(i int) string) string {
 		var b strings.Builder
@@ -43,6 +44,14 @@ func TestFuseIsLinear(t *testing.T) {
 		}
 		if elapsed > time.Second {
 			t.Errorf("%s: Generate took %v, want under 1s", tc.name, elapsed)
+		}
+		// Printing the tgd — a run fingerprints its statement — is linear
+		// too: the measure is written into one builder, not concatenated
+		// level by level.
+		start = time.Now()
+		text := m.Tgds[0].String()
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: printing the %d-byte tgd took %v, want under 1s", tc.name, len(text), elapsed)
 		}
 	}
 }

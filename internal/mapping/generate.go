@@ -44,7 +44,6 @@ func GenerateNormalized(a *exl.Analyzed) (*Mapping, error) {
 		}
 		g.m.Derived = append(g.m.Derived, s.Lhs)
 	}
-	g.m.restratify()
 	g.m.rebuildEgds()
 	return g.m, nil
 }

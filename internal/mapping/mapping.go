@@ -22,8 +22,7 @@ type Mapping struct {
 	Elementary []string
 	// Derived lists the program-visible derived cubes in statement order.
 	Derived []string
-	// Tgds holds the target dependencies in stratified order. Tgd.Stratum
-	// is the index in this slice.
+	// Tgds holds the target dependencies in stratified order.
 	Tgds []*Tgd
 	// Egds holds one functionality egd per target relation.
 	Egds []Egd
@@ -94,11 +93,5 @@ func (m *Mapping) rebuildEgds() {
 	sort.Strings(names)
 	for _, name := range names {
 		m.Egds = append(m.Egds, Egd{Rel: name, Dims: len(m.Schemas[name].Dims)})
-	}
-}
-
-func (m *Mapping) restratify() {
-	for i, t := range m.Tgds {
-		t.Stratum = i
 	}
 }

@@ -76,9 +76,6 @@ func TestGenerateGDPFused(t *testing.T) {
 		if tg.Target() != targets[i] {
 			t.Errorf("tgd %d target = %s, want %s", i+1, tg.Target(), targets[i])
 		}
-		if tg.Stratum != i {
-			t.Errorf("tgd %d stratum = %d", i+1, tg.Stratum)
-		}
 	}
 }
 

@@ -123,28 +123,50 @@ var infixOps = map[string]string{"add": "+", "sub": "-", "mul": "*", "div": "/"}
 // String renders the measure expression as in the paper,
 // e.g. "(r1 - r2) * 100 / r1".
 func (m *MTerm) String() string {
+	var b strings.Builder
+	m.writeTo(&b)
+	return b.String()
+}
+
+// writeTo is String into one builder, in time linear in the text.
+func (m *MTerm) writeTo(b *strings.Builder) {
 	switch m.Kind {
 	case MVar:
-		return m.Var
+		b.WriteString(m.Var)
 	case MConst:
-		return strconv.FormatFloat(m.Val, 'g', -1, 64)
+		b.WriteString(strconv.FormatFloat(m.Val, 'g', -1, 64))
 	case MApply:
 		if sym, ok := infixOps[m.Op]; ok && len(m.Args) == 2 {
-			return "(" + m.Args[0].String() + " " + sym + " " + m.Args[1].String() + ")"
+			b.WriteByte('(')
+			m.Args[0].writeTo(b)
+			b.WriteString(" " + sym + " ")
+			m.Args[1].writeTo(b)
+			b.WriteByte(')')
+			return
 		}
 		if m.Op == "neg" && len(m.Args) == 1 {
-			return "(-" + m.Args[0].String() + ")"
+			b.WriteString("(-")
+			m.Args[0].writeTo(b)
+			b.WriteByte(')')
+			return
 		}
-		parts := make([]string, 0, len(m.Args)+len(m.Params))
-		for _, a := range m.Args {
-			parts = append(parts, a.String())
+		b.WriteString(m.Op)
+		b.WriteByte('(')
+		for i, a := range m.Args {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			a.writeTo(b)
 		}
-		for _, p := range m.Params {
-			parts = append(parts, strconv.FormatFloat(p, 'g', -1, 64))
+		for i, p := range m.Params {
+			if i > 0 || len(m.Args) > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(strconv.FormatFloat(p, 'g', -1, 64))
 		}
-		return m.Op + "(" + strings.Join(parts, ", ") + ")"
+		b.WriteByte(')')
 	default:
-		return "?"
+		b.WriteString("?")
 	}
 }
 

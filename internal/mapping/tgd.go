@@ -77,11 +77,10 @@ func (a Atom) String() string {
 //   - BlackBox: the whole Lhs relation is transformed by operator BB.
 //   - Copy: the source relation is copied into its target twin.
 type Tgd struct {
-	ID      string // "t1", "t2", … in statement order
-	Stratum int    // position in the stratified application order
-	Kind    TgdKind
-	Lhs     []Atom
-	Rhs     Atom
+	ID   string // "t1", "t2", … in statement order
+	Kind TgdKind
+	Lhs  []Atom
+	Rhs  Atom
 
 	Measure *MTerm // TupleLevel: rhs measure; Aggregation: aggregated expression
 

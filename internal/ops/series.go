@@ -41,6 +41,24 @@ func Series(name string) (SeriesFunc, error) {
 	return f, nil
 }
 
+// SeriesCube runs f, the black box called name, over in, a time-series cube:
+// the series goes through f whole, in chronological order, and the output
+// stands on in's periods one for one — on its key set — under schema.
+func SeriesCube(name string, f SeriesFunc, in *model.Cube, schema model.Schema, params []float64) (*model.Cube, error) {
+	_, vals, err := in.SortedSeries()
+	if err != nil {
+		return nil, err
+	}
+	res, err := f(vals, SeasonLength(in.Schema().Dims[0].Type.Freq), params)
+	if err != nil {
+		return nil, err
+	}
+	if len(res) != len(vals) {
+		return nil, fmt.Errorf("black box %s returned %d values for %d inputs", name, len(res), len(vals))
+	}
+	return in.DeriveColumn(schema, res, nil)
+}
+
 // SeriesPoint is one observation of a time series.
 type SeriesPoint struct {
 	P model.Period

@@ -203,7 +203,7 @@ func rulePushdownFilters(a *analysisCtx, n planNode) (planNode, bool, error) {
 func estimateRows(n planNode) int {
 	switch n := n.(type) {
 	case *scanNode:
-		return n.table.numRows()
+		return n.table.cube.Len()
 	case *filterNode:
 		e := estimateRows(n.child) / 2
 		if e < 1 {
@@ -404,12 +404,12 @@ func rulePruneColumns(a *analysisCtx, n planNode) (planNode, bool, error) {
 			return n, false, nil
 		}
 		var proj []int
-		for j, c := range sn.table.Cols {
+		for j, c := range sn.tableCols {
 			if need[[2]string{sn.alias, c.Name}] {
 				proj = append(proj, j)
 			}
 		}
-		if len(proj) == len(sn.table.Cols) && sn.proj == nil {
+		if len(proj) == len(sn.tableCols) && sn.proj == nil {
 			return n, false, nil
 		}
 		if sn.proj != nil && equalInts(sn.proj, proj) {
@@ -672,7 +672,7 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 				if scan.proj != nil {
 					j = scan.proj[j]
 				}
-				if spec.measure = j == len(scan.table.Cols)-1; spec.measure {
+				if spec.measure = j == len(scan.tableCols)-1; spec.measure {
 					continue
 				}
 			}

@@ -5,10 +5,12 @@ import "exlengine/internal/model"
 // stmt is a parsed SQL statement.
 type stmt interface{ stmtNode() }
 
-// createStmt is CREATE TABLE name (col TYPE, …).
+// createStmt is CREATE TABLE name (col TYPE, …): the declaration of a cube,
+// its dimensions and then its measure. The cube is called as the name is
+// written.
 type createStmt struct {
-	table string
-	cols  []Column
+	table  string
+	schema model.Schema
 }
 
 // insertSelectStmt is INSERT INTO name(cols) SELECT ….
@@ -22,8 +24,8 @@ type insertSelectStmt struct {
 // lazily at reference time (the paper's "creation of relational views" for
 // temporary cubes).
 type createViewStmt struct {
-	name string
-	sel  *selectStmt
+	name, written string
+	sel           *selectStmt
 }
 
 // selectStmt is SELECT exprs FROM items [WHERE c AND …] [GROUP BY exprs].

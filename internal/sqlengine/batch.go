@@ -43,19 +43,3 @@ func (b *batch) Row(i int, buf []model.Value) []model.Value {
 	}
 	return buf
 }
-
-// Rows materializes the batch as row-major slices (the representation of
-// tables). This is the one place a row-by-row copy happens; everything
-// upstream stays columnar.
-func (b *batch) Rows() [][]model.Value {
-	rows := make([][]model.Value, b.N)
-	backing := make([]model.Value, b.N*len(b.Cols))
-	for i := range rows {
-		row := backing[i*len(b.Cols) : (i+1)*len(b.Cols) : (i+1)*len(b.Cols)]
-		for j, c := range b.Cols {
-			row[j] = c[i]
-		}
-		rows[i] = row
-	}
-	return rows
-}

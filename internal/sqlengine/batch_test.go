@@ -19,13 +19,12 @@ func TestRoundTripRows(t *testing.T) {
 	if b.N != 3 || len(b.Cols) != 2 {
 		t.Fatalf("batch shape = %d x %d", b.N, len(b.Cols))
 	}
-	back := b.Rows()
 	var buf []model.Value
 	for i := range rows {
 		buf = b.Row(i, buf)
 		for j := range rows[i] {
-			if !rows[i][j].Equal(back[i][j]) || !rows[i][j].Equal(buf[j]) {
-				t.Fatalf("row %d col %d: %v != %v, %v", i, j, rows[i][j], back[i][j], buf[j])
+			if !rows[i][j].Equal(buf[j]) {
+				t.Fatalf("row %d col %d: %v != %v", i, j, rows[i][j], buf[j])
 			}
 		}
 	}

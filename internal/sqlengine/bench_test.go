@@ -9,60 +9,44 @@ import (
 	"exlengine/internal/model"
 )
 
-// benchDB builds a monthly panel PDR (rows rows) and a quarterly rate
+// benchDB loads a monthly panel PDR (rows tuples) and a quarterly rate
 // table RATE sized to join against it, bypassing the SQL INSERT path so
 // setup cost stays out of the measured loop.
 func benchDB(rows int) *DB {
-	db := NewDB()
 	regions := []string{"north", "south", "east", "west"}
-	pdr := &Table{
-		Name: "pdr",
-		Cols: []Column{
-			{Name: "d", Type: ColType{Kind: KPeriod, Freq: model.Monthly}},
-			{Name: "r", Type: ColType{Kind: KVarchar}},
-			{Name: "v", Type: ColType{Kind: KDouble}},
-		},
-	}
+	pdr := model.NewCube(model.NewSchema("PDR", []model.Dim{{Name: "d", Type: model.TMonth}, {Name: "r", Type: model.TString}}, "v"))
 	for i := 0; i < rows; i++ {
 		y, m := 2000+i/(12*len(regions)), 1+(i/len(regions))%12
-		r := regions[i%len(regions)]
-		pdr.Rows = append(pdr.Rows, []model.Value{
-			model.Per(model.NewMonthly(y, time.Month(m))),
-			model.Str(r),
-			model.Num(float64(i%97) + 0.5),
-		})
+		dims := []model.Value{model.Per(model.NewMonthly(y, time.Month(m))), model.Str(regions[i%len(regions)])}
+		if err := pdr.Put(dims, float64(i%97)+0.5); err != nil {
+			panic(err)
+		}
 	}
-	db.tables["pdr"] = pdr
-
-	rate := &Table{
-		Name: "rate",
-		Cols: []Column{
-			{Name: "q", Type: ColType{Kind: KPeriod, Freq: model.Quarterly}},
-			{Name: "r", Type: ColType{Kind: KVarchar}},
-			{Name: "x", Type: ColType{Kind: KDouble}},
-		},
-	}
+	rate := model.NewCube(model.NewSchema("RATE", []model.Dim{{Name: "q", Type: model.TQuarter}, {Name: "r", Type: model.TString}}, "x"))
 	years := rows/(12*len(regions)) + 1
 	for y := 0; y < years; y++ {
 		for q := 1; q <= 4; q++ {
 			for _, r := range regions {
-				rate.Rows = append(rate.Rows, []model.Value{
-					model.Per(model.NewQuarterly(2000+y, q)),
-					model.Str(r),
-					model.Num(1 + float64(q)/10),
-				})
+				if err := rate.Put([]model.Value{model.Per(model.NewQuarterly(2000+y, q)), model.Str(r)}, 1+float64(q)/10); err != nil {
+					panic(err)
+				}
 			}
 		}
 	}
-	db.tables["rate"] = rate
+	db := NewDB()
+	for _, c := range []*model.Cube{pdr.Freeze(), rate.Freeze()} {
+		if err := db.LoadCube(c); err != nil {
+			panic(err)
+		}
+	}
 	return db
 }
 
 func benchQuery(b *testing.B, rows int, q string) {
 	b.Helper()
 	db := benchDB(rows)
-	// Once outside the timer, to catch errors. Nothing is cached: every
-	// iteration's scans fill their batches from the tables' rows.
+	// Once outside the timer, to catch errors. Every iteration's scans fill
+	// their batches from the stored versions.
 	if _, err := query(context.Background(), db, q); err != nil {
 		b.Fatal(err)
 	}
@@ -86,8 +70,9 @@ func BenchmarkSQLJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkSQLGroupBy measures hash aggregation with a computed group
-// key and three aggregates.
+// BenchmarkSQLGroupBy measures aggregation with a computed group key and
+// three aggregates: once the first statement has grouped PDR's key set, its
+// partition.
 func BenchmarkSQLGroupBy(b *testing.B) {
 	const q = `SELECT quarter(d) AS q, r, sum(v) AS s, avg(v) AS a, count(1) AS n FROM PDR GROUP BY quarter(d), r`
 	for _, rows := range []int{1000, 10000} {

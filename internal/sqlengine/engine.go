@@ -45,24 +45,14 @@ func (t ColType) String() string {
 
 // parseColType reads a column type as ColType.String prints it.
 func parseColType(name string) (ColType, error) {
-	switch name {
-	case "double":
-		return ColType{Kind: KDouble}, nil
-	case "integer":
-		return ColType{Kind: KInteger}, nil
-	case "varchar":
-		return ColType{Kind: KVarchar}, nil
-	case "day":
-		return ColType{Kind: KPeriod, Freq: model.Daily}, nil
-	case "month":
-		return ColType{Kind: KPeriod, Freq: model.Monthly}, nil
-	case "quarter":
-		return ColType{Kind: KPeriod, Freq: model.Quarterly}, nil
-	case "year":
-		return ColType{Kind: KPeriod, Freq: model.Annual}, nil
-	default:
-		return ColType{}, fmt.Errorf("sql: unknown column type %q", name)
+	for _, t := range []ColType{{Kind: KDouble}, {Kind: KInteger}, {Kind: KVarchar},
+		{Kind: KPeriod, Freq: model.Daily}, {Kind: KPeriod, Freq: model.Monthly},
+		{Kind: KPeriod, Freq: model.Quarterly}, {Kind: KPeriod, Freq: model.Annual}} {
+		if strings.ToLower(t.String()) == name {
+			return t, nil
+		}
 	}
+	return ColType{}, fmt.Errorf("sql: unknown column type %q", name)
 }
 
 // Column is a named, typed table column.
@@ -71,152 +61,92 @@ type Column struct {
 	Type ColType
 }
 
-// Table is an in-memory relation: ordered columns and rows of values.
-// Rows is the public, row-major representation (tests and tabular
-// functions build it directly).
-//
-// A table bulk-loaded from a cube (DB.LoadCube) is a reference to the
-// stored version — its model.View, dimensions then measure — until
-// something needs its rows: DB.Table, a tabular function taking it as an
-// argument, INSERT and a second load build them first, once, straight from
-// the view. Rows is therefore valid on any table obtained from DB.Table. The
-// executor reads either form a chunk at a time (scanOp) and never asks for
-// the rows of a view.
+// Table is a relation of the database: one frozen cube version. Its columns
+// are the cube's dimensions, then its measure (columns). A table is created
+// empty, and takes one version: a loaded cube (DB.LoadCube) or the result of
+// an INSERT … SELECT. Scans read the version where it lies, and DB.ExtractCube
+// hands it back as it is.
 type Table struct {
-	Name string
-	Cols []Column
-	Rows [][]model.Value
-
-	viewMu sync.Mutex
-	view   *model.View // the content while non-nil; Rows is then yet to be built
+	cube *model.Cube
 }
 
-// content returns what a scan reads: the loaded version, or else the rows.
-func (t *Table) content() (*model.View, [][]model.Value) {
-	t.viewMu.Lock()
-	defer t.viewMu.Unlock()
-	return t.view, t.Rows
-}
+// Cube returns the version the table holds.
+func (t *Table) Cube() *model.Cube { return t.cube }
 
-// materialize builds Rows from the view of a bulk-loaded table; on any
-// other table Rows is already the content.
-func (t *Table) materialize() {
-	t.viewMu.Lock()
-	defer t.viewMu.Unlock()
-	if t.view != nil {
-		t.Rows, t.view = viewRows(t.view, len(t.Cols)), nil
+// columns returns the columns of the table of a cube: one per dimension,
+// named in lower case, then the measure as DOUBLE.
+func columns(sch model.Schema) []Column {
+	cols := make([]Column, 0, len(sch.Dims)+1)
+	for _, d := range sch.Dims {
+		cols = append(cols, Column{Name: lower(d.Name), Type: ColumnForDim(d.Type)})
 	}
+	return append(cols, Column{Name: lower(sch.Measure), Type: ColType{Kind: KDouble}})
 }
 
-// viewRows returns a loaded version as rows of the given width: the
-// dimensions, then the measure.
-func viewRows(v *model.View, width int) [][]model.Value {
-	rows := make([][]model.Value, v.Len())
-	backing := make([]model.Value, len(rows)*width)
-	for i := range rows {
-		tu := v.Tuple(i)
-		row := backing[i*width : (i+1)*width : (i+1)*width]
-		copy(row, tu.Dims)
-		row[width-1] = model.Num(tu.Measure)
-		rows[i] = row
+// cubeSchema returns the schema of the cube whose columns are cols: VARCHAR,
+// INTEGER or period dimensions, then exactly one DOUBLE measure. A relation
+// of any other shape is no cube, and has no table.
+func cubeSchema(name string, cols []Column) (model.Schema, error) {
+	n := len(cols) - 1
+	if n < 0 || cols[n].Type.Kind != KDouble {
+		return model.Schema{}, fmt.Errorf("sql: %s is no cube: its last column is not a DOUBLE measure", name)
 	}
-	return rows
-}
-
-// numRows returns the row count without building rows.
-func (t *Table) numRows() int {
-	v, rows := t.content()
-	if v != nil {
-		return v.Len()
-	}
-	return len(rows)
-}
-
-// ColIndex returns the position of the named column, or -1.
-func (t *Table) ColIndex(name string) int {
-	for i, c := range t.Cols {
-		if c.Name == name {
-			return i
+	dims := make([]model.Dim, n)
+	for i, c := range cols[:n] {
+		var t model.DimType
+		switch c.Type.Kind {
+		case KVarchar:
+			t = model.TString
+		case KInteger:
+			t = model.TInt
+		case KPeriod:
+			t = model.DimType{Kind: model.DimPeriod, Freq: c.Type.Freq}
+		default:
+			return model.Schema{}, fmt.Errorf("sql: %s is no cube: its column %s is %s, and only its last, the measure, may be", name, c.Name, c.Type)
 		}
+		dims[i] = model.Dim{Name: c.Name, Type: t}
 	}
-	return -1
+	return model.NewSchema(name, dims, cols[n].Name), nil
 }
-
-// String renders the table as a small fixed-width text grid (for CLI
-// output and debugging).
-func (t *Table) String() string {
-	t.materialize()
-	var b strings.Builder
-	for i, c := range t.Cols {
-		if i > 0 {
-			b.WriteString("\t")
-		}
-		b.WriteString(c.Name)
-	}
-	b.WriteString("\n")
-	for _, r := range t.Rows {
-		for i, v := range r {
-			if i > 0 {
-				b.WriteString("\t")
-			}
-			b.WriteString(v.String())
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// TabularFunc is a user- or system-defined tabular function usable in FROM
-// position: it consumes whole tables (plus scalar parameters) and returns a
-// table. Black-box operators such as STL_T are registered this way,
-// matching the paper's "system provided API … or a user-defined stored
-// function".
-type TabularFunc func(args []*Table, params []float64) (*Table, error)
 
 // DB is an in-memory SQL database.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-	views  map[string]*selectStmt
-	tabfns map[string]TabularFunc
+	views  map[string]*createViewStmt
+	prev   map[string]*model.Cube // by table name: the predecessor of the version an INSERT builds
 }
 
-// NewDB returns an empty database with the standard tabular functions
-// (STL_T, STL_S, STL_I, MOVAVG, CUMSUM, LINTREND) registered.
+// NewDB returns an empty database. Its tabular functions are the black-box
+// series operators (STL_T, STL_S, STL_I, MOVAVG, CUMSUM, LINTREND).
 func NewDB() *DB {
-	db := &DB{
+	return &DB{
 		tables: make(map[string]*Table),
-		views:  make(map[string]*selectStmt),
-		tabfns: make(map[string]TabularFunc),
+		views:  make(map[string]*createViewStmt),
 	}
-	registerStandardTabularFuncs(db)
-	return db
 }
 
-// RegisterTabular registers (or replaces) a tabular function under the
-// given name (case-insensitive).
-func (db *DB) RegisterTabular(name string, fn TabularFunc) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.tabfns[strings.ToLower(name)] = fn
-}
-
-// Table returns the named table (case-insensitive) with its Rows built.
+// Table returns the named table (case-insensitive).
 func (db *DB) Table(name string) (*Table, bool) {
-	t, ok := db.lookup(name)
-	if ok {
-		t.materialize()
-	}
-	return t, ok
-}
-
-// lookup returns the named table as it is stored: a bulk-loaded one may
-// hold only its view. The executor reads tables this way.
-func (db *DB) lookup(name string) (*Table, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(name)]
+	t, ok := db.tables[lower(name)]
 	return t, ok
+}
+
+// Follow hands the database the previous version of each cube its tables are
+// to hold, by cube name: an INSERT into the table of such a cube builds its
+// version as the revision of that predecessor (model.NewBuilderOn), where the
+// predecessor's columns are the table's. A result that holds its
+// predecessor's dimension tuples, in order, is then a measure column on the
+// predecessor's key set.
+func (db *DB) Follow(prev map[string]*model.Cube) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.prev = make(map[string]*model.Cube, len(prev))
+	for name, c := range prev {
+		db.prev[lower(name)] = c
+	}
 }
 
 // Exec parses and executes a script of semicolon-separated statements. The
@@ -252,7 +182,7 @@ func (db *DB) run(ctx context.Context, s stmt) error {
 		if _, exists := db.views[s.table]; exists {
 			return fmt.Errorf("sql: a view named %s already exists", s.table)
 		}
-		db.tables[s.table] = &Table{Name: s.table, Cols: s.cols}
+		db.tables[s.table] = &Table{cube: model.NewCube(s.schema).Freeze()}
 		return nil
 	case *createViewStmt:
 		db.mu.Lock()
@@ -263,7 +193,7 @@ func (db *DB) run(ctx context.Context, s stmt) error {
 		if _, exists := db.views[s.name]; exists {
 			return fmt.Errorf("sql: view %s already exists", s.name)
 		}
-		db.views[s.name] = s.sel
+		db.views[s.name] = s
 		return nil
 	default:
 		return db.evalInsertSelect(ctx, s.(*insertSelectStmt))

@@ -32,17 +32,54 @@ func parseQuery(src string) (*selectStmt, error) {
 	return s, err
 }
 
+// answer is a SELECT's result as rows, in the order the result reads them.
+type answer struct {
+	Cols []Column
+	Rows [][]model.Value
+}
+
+// String renders the answer as a fixed-width text grid: the column names,
+// then one line per row, tab-separated.
+func (a *answer) String() string {
+	var b strings.Builder
+	for i, c := range a.Cols {
+		if i > 0 {
+			b.WriteString("\t")
+		}
+		b.WriteString(c.Name)
+	}
+	b.WriteString("\n")
+	for _, r := range a.Rows {
+		for i, v := range r {
+			if i > 0 {
+				b.WriteString("\t")
+			}
+			b.WriteString(v.String())
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
 // query evaluates one SELECT through the engine's select evaluator,
-// returning its result table.
-func query(ctx context.Context, db *DB, src string) (*Table, error) {
+// returning its answer.
+func query(ctx context.Context, db *DB, src string) (*answer, error) {
 	s, err := parseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	return db.evalSelectCtx(ctx, s)
+	res, err := db.evalSelectCtx(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	a := &answer{Cols: res.cols}
+	for _, row := range res.order {
+		a.Rows = append(a.Rows, res.all.Row(row, nil))
+	}
+	return a, nil
 }
 
-func mustQuery(t *testing.T, db *DB, sql string) *Table {
+func mustQuery(t *testing.T, db *DB, sql string) *answer {
 	t.Helper()
 	res, err := query(context.Background(), db, sql)
 	if err != nil {
@@ -51,15 +88,18 @@ func mustQuery(t *testing.T, db *DB, sql string) *Table {
 	return res
 }
 
-// seed appends rows to a table through Table.Rows, each value coerced to
-// its column's type as INSERT coerces it: a string into a period or VARCHAR
-// column, a number into a numeric one.
+// seed loads the version the rows make into an empty table, each value
+// coerced to its column's type as INSERT coerces it: a string into a period or
+// VARCHAR column, a number into a numeric one. The last value of a row is its
+// measure.
 func seed(t *testing.T, db *DB, table string, rows ...[]any) {
 	t.Helper()
 	tab, ok := db.Table(table)
 	if !ok {
 		t.Fatalf("no table %s", table)
 	}
+	cols := columns(tab.Cube().Schema())
+	b := model.NewBuilder(tab.Cube().Schema())
 	for _, r := range rows {
 		row := make([]model.Value, len(r))
 		for i, x := range r {
@@ -72,13 +112,23 @@ func seed(t *testing.T, db *DB, table string, rows ...[]any) {
 			case float64:
 				v = model.Num(x)
 			}
-			cv, err := coerceToColumn(v, tab.Cols[i].Type)
+			cv, err := coerceToColumn(v, cols[i].Type)
 			if err != nil {
 				t.Fatalf("%s row %v: %v", table, r, err)
 			}
 			row[i] = cv
 		}
-		tab.Rows = append(tab.Rows, row)
+		m, _ := row[len(row)-1].AsNumber()
+		if err := b.Add(row[:len(row)-1], m); err != nil {
+			t.Fatalf("%s row %v: %v", table, r, err)
+		}
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatalf("%s: %v", table, err)
+	}
+	if err := db.LoadCube(c); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -189,8 +239,8 @@ GROUP BY QUARTER(d), r`)
 
 func TestAggregates(t *testing.T) {
 	db := NewDB()
-	mustExec(t, db, `CREATE TABLE T (k VARCHAR, v DOUBLE)`)
-	seed(t, db, "T", []any{"a", 4}, []any{"a", 1}, []any{"a", 3}, []any{"a", 2}, []any{"b", 10})
+	mustExec(t, db, `CREATE TABLE T (k VARCHAR, i INTEGER, v DOUBLE)`)
+	seed(t, db, "T", []any{"a", 1, 4}, []any{"a", 2, 1}, []any{"a", 3, 3}, []any{"a", 4, 2}, []any{"b", 1, 10})
 	res := mustQuery(t, db, `
 SELECT k, SUM(v) AS s, AVG(v) AS a, MIN(v) AS mn, MAX(v) AS mx, COUNT(v) AS c, MEDIAN(v) AS md, STDDEV(v) AS sd
 FROM T GROUP BY k`)
@@ -346,15 +396,15 @@ func TestPeriodArithmeticCommutes(t *testing.T) {
 
 // TestDeleteAndDrop: DELETE and DROP are no statements of the dialect. A
 // script holding one is refused before any of it runs, so the table keeps its
-// rows and a table the script would create is not there.
+// tuples and a table the script would create is not there.
 func TestDeleteAndDrop(t *testing.T) {
 	db := NewDB()
-	mustExec(t, db, "CREATE TABLE T (v DOUBLE)")
-	seed(t, db, "T", []any{1}, []any{2}, []any{3})
+	mustExec(t, db, "CREATE TABLE T (k INTEGER, v DOUBLE)")
+	seed(t, db, "T", []any{1, 1}, []any{2, 2}, []any{3, 3})
 	for _, stmt := range []string{"DELETE FROM T WHERE v = 2", "DELETE FROM T", "DROP TABLE T", "DROP TABLE IF EXISTS T", "DROP VIEW W"} {
 		refused(t, db, stmt)
 	}
-	if tab, ok := db.Table("t"); !ok || len(tab.Rows) != 3 {
+	if tab, ok := db.Table("t"); !ok || tab.Cube().Len() != 3 {
 		t.Errorf("T after the refused statements: %v", tab)
 	}
 }
@@ -363,11 +413,16 @@ func TestDeleteAndDrop(t *testing.T) {
 // they run.
 func TestErrors(t *testing.T) {
 	db := NewDB()
-	mustExec(t, db, "CREATE TABLE T (v DOUBLE); CREATE TABLE S (s VARCHAR)")
-	seed(t, db, "S", []any{"abc"})
+	mustExec(t, db, "CREATE TABLE T (v DOUBLE); CREATE TABLE S (s VARCHAR, v DOUBLE)")
+	seed(t, db, "S", []any{"abc", 1})
 	bad := []string{
 		"CREATE TABLE T (v DOUBLE)",                                       // duplicate table
 		"CREATE TABLE U (v BLOB)",                                         // unknown type
+		"CREATE TABLE U (s VARCHAR)",                                      // no measure
+		"CREATE TABLE U (v DOUBLE, s VARCHAR)",                            // the measure is not last
+		"CREATE TABLE U (a DOUBLE, v DOUBLE)",                             // two measures
+		"INSERT INTO S(s, v) SELECT s AS s, v AS v FROM S",                // S holds a version
+		"INSERT INTO T(v, v) SELECT v AS v, v AS v FROM S",                // a column named twice
 		"INSERT INTO T(v) SELECT v AS v FROM NOPE",                        // unknown table
 		"INSERT INTO T(v) SELECT nope AS v FROM T",                        // unknown column
 		"INSERT INTO T(v) SELECT v AS v FROM T WHERE",                     // syntax
@@ -432,21 +487,21 @@ func TestCubeBridge(t *testing.T) {
 // without the list is refused before its script runs.
 func TestInsertWithoutColumnList(t *testing.T) {
 	db := NewDB()
-	mustExec(t, db, "CREATE TABLE T (a DOUBLE, b VARCHAR); CREATE TABLE U (a DOUBLE, b VARCHAR)")
-	seed(t, db, "U", []any{1, "x"})
-	refused(t, db, "INSERT INTO T SELECT a AS a, b AS b FROM U")
-	mustExec(t, db, "INSERT INTO T(b, a) SELECT b AS b, a AS a FROM U")
+	mustExec(t, db, "CREATE TABLE T (b VARCHAR, a DOUBLE); CREATE TABLE U (b VARCHAR, a DOUBLE)")
+	seed(t, db, "U", []any{"x", 1})
+	refused(t, db, "INSERT INTO T SELECT b AS b, a AS a FROM U")
+	mustExec(t, db, "INSERT INTO T(a, b) SELECT a AS a, b AS b FROM U")
 	tab, _ := db.Table("t")
-	if len(tab.Rows) != 1 || tab.Rows[0][1].String() != "x" {
-		t.Errorf("rows = %v", tab.Rows)
+	if tu := tab.Cube().Tuples(); len(tu) != 1 || tu[0].Dims[0].String() != "x" || tu[0].Measure != 1 {
+		t.Errorf("tuples = %v", tu)
 	}
 }
 
 func TestStringEscapes(t *testing.T) {
 	db := NewDB()
-	mustExec(t, db, "CREATE TABLE ONE (a DOUBLE); CREATE TABLE T (s VARCHAR)")
+	mustExec(t, db, "CREATE TABLE ONE (a DOUBLE); CREATE TABLE T (s VARCHAR, v DOUBLE)")
 	seed(t, db, "ONE", []any{7})
-	mustExec(t, db, "INSERT INTO T(s) SELECT 'it''s' AS s FROM ONE")
+	mustExec(t, db, "INSERT INTO T(s, v) SELECT 'it''s' AS s, a AS v FROM ONE")
 	res := mustQuery(t, db, "SELECT s FROM T")
 	if res.Rows[0][0].String() != "it's" {
 		t.Errorf("escape = %q", res.Rows[0][0])
@@ -473,11 +528,58 @@ CREATE TABLE ONE (a DOUBLE)`)
 // — COUNT(1) every row — and COUNT(*) is no form of the dialect.
 func TestCountStarVsCountExpr(t *testing.T) {
 	db := NewDB()
-	mustExec(t, db, "CREATE TABLE T (v DOUBLE)")
-	seed(t, db, "T", []any{0}, []any{1}, []any{2})
+	mustExec(t, db, "CREATE TABLE T (k INTEGER, v DOUBLE)")
+	seed(t, db, "T", []any{1, 0}, []any{2, 1}, []any{3, 2})
 	res := mustQuery(t, db, "SELECT COUNT(1) AS a, COUNT(1 / v) AS b FROM T")
 	if fmt.Sprint(res.Rows) != fmt.Sprint([][]model.Value{{model.Num(3), model.Num(2)}}) {
 		t.Errorf("count(1), count(1 / v) = %v, want 3, 2", res.Rows)
 	}
 	refused(t, db, "CREATE TABLE N (n DOUBLE); INSERT INTO N(n) SELECT COUNT(*) AS n FROM T")
+}
+
+// TestOneVersionPerTable: a table takes one version, loaded or inserted, and
+// refuses a second; a view or a tabular function's result is a cube too, and
+// a SELECT that is none cannot be a view.
+func TestOneVersionPerTable(t *testing.T) {
+	sch := model.NewSchema("S", []model.Dim{{Name: "t", Type: model.TYear}}, "v")
+	s := model.NewCube(sch)
+	for i := 0; i < 4; i++ {
+		_ = s.Put([]model.Value{model.Per(model.NewAnnual(2000 + i))}, float64(i+1))
+	}
+	db := NewDB()
+	if err := db.LoadCube(s); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE C (t YEAR, v DOUBLE); INSERT INTO C(t, v) SELECT t, v FROM CUMSUM(S)")
+	for _, stmt := range []string{
+		"INSERT INTO S(t, v) SELECT t, v FROM C",
+		"INSERT INTO C(t, v) SELECT t, v FROM S",
+	} {
+		if err := db.Exec(stmt); err == nil || !strings.Contains(err.Error(), "already holds a version") {
+			t.Errorf("%s: err = %v, want a table that already holds a version", stmt, err)
+		}
+	}
+	for _, c := range []*model.Cube{s, model.NewCube(sch.Rename("C"))} {
+		if err := db.LoadCube(c); err == nil || !strings.Contains(err.Error(), "already holds a version") {
+			t.Errorf("second load of %s: err = %v, want a table that already holds a version", c.Schema().Name, err)
+		}
+	}
+	got, err := db.ExtractCube(sch.Rename("C"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := got.Tuples()[3].Measure; m != 10 {
+		t.Errorf("C = CUMSUM(S) ends in %v, want 10", m)
+	}
+
+	mustExec(t, db, "CREATE VIEW W AS SELECT v, t FROM S; CREATE VIEW X AS SELECT 2000 AS t, v FROM S; CREATE TABLE Y (v DOUBLE)")
+	for _, stmt := range []string{
+		"INSERT INTO Y(v) SELECT v FROM W", // a DOUBLE before the measure
+		"INSERT INTO Y(v) SELECT v FROM X", // four measures for one tuple
+		"INSERT INTO Y(v) SELECT v FROM S", // the same, into a table
+	} {
+		if err := db.Exec(stmt); err == nil {
+			t.Errorf("%s: want an error", stmt)
+		}
+	}
 }

@@ -5,21 +5,28 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
 )
 
-// scope is the from-items of a statement, each table under its alias.
+// scope is the from-items of a statement, each table under its alias, with
+// its columns.
 type scope struct {
 	aliases []string
 	tables  []*Table
+	cols    [][]Column
 }
 
 func (sc *scope) add(alias string, t *Table) {
 	sc.aliases = append(sc.aliases, alias)
 	sc.tables = append(sc.tables, t)
+	sc.cols = append(sc.cols, columns(t.cube.Schema()))
+}
+
+// colIndex returns the position of the named column, or -1.
+func colIndex(cols []Column, name string) int {
+	return slices.IndexFunc(cols, func(c Column) bool { return c.Name == name })
 }
 
 // resolve returns the type of a column reference.
@@ -30,11 +37,11 @@ func (sc *scope) resolve(qual, name string) (ColType, error) {
 		if qual != "" && a != qual {
 			continue
 		}
-		if j := sc.tables[i].ColIndex(name); j >= 0 {
+		if j := colIndex(sc.cols[i], name); j >= 0 {
 			if found {
 				return ColType{}, fmt.Errorf("sql: ambiguous column %s", name)
 			}
-			found, typ = true, sc.tables[i].Cols[j].Type
+			found, typ = true, sc.cols[i][j].Type
 		}
 	}
 	if !found {
@@ -61,10 +68,11 @@ func onlyAlias(a map[string]bool, alias string) bool {
 
 // resolver materializes relations for one statement: base tables
 // directly, views by evaluating their definition (the paper's relational
-// views for temporary cubes). Expanded views are memoized for the lifetime of
-// the statement, so a view referenced N times — in particular diamond-
-// shaped view graphs, where each layer used to multiply the work —
-// evaluates exactly once. expanding guards against cyclic definitions.
+// views for temporary cubes) into a version of their own. Expanded views are
+// memoized for the lifetime of the statement, so a view referenced N times —
+// in particular diamond-shaped view graphs, where each layer used to multiply
+// the work — evaluates exactly once. expanding guards against cyclic
+// definitions.
 type resolver struct {
 	db        *DB
 	ctx       context.Context
@@ -84,14 +92,14 @@ func (db *DB) newResolver(ctx context.Context) *resolver {
 // relation returns the named table, or evaluates (and memoizes) the
 // named view.
 func (r *resolver) relation(name string) (*Table, error) {
-	if t, ok := r.db.lookup(name); ok {
+	if t, ok := r.db.Table(name); ok {
 		return t, nil
 	}
 	if t, ok := r.memo[name]; ok {
 		return t, nil
 	}
 	r.db.mu.RLock()
-	sel, ok := r.db.views[name]
+	view, ok := r.db.views[name]
 	r.db.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("sql: unknown table %s", name)
@@ -100,12 +108,16 @@ func (r *resolver) relation(name string) (*Table, error) {
 		return nil, fmt.Errorf("sql: cyclic view definition involving %s", name)
 	}
 	r.expanding[name] = true
-	t, err := r.db.evalSelectVec(r.ctx, sel, r)
+	res, err := r.db.evalSelectVec(r.ctx, view.sel, r)
 	delete(r.expanding, name)
+	var c *model.Cube
+	if err == nil {
+		c, err = res.cube(view.written)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("sql: evaluating view %s: %w", name, err)
 	}
-	t.Name = name
+	t := &Table{cube: c}
 	r.memo[name] = t
 	return t, nil
 }
@@ -123,22 +135,20 @@ func (r *resolver) scopeFor(items []fromItem) (*scope, error) {
 			sc.add(fi.alias, t)
 			continue
 		}
-		r.db.mu.RLock()
-		fn, ok := r.db.tabfns[fi.fn]
-		r.db.mu.RUnlock()
-		if !ok {
+		fn, err := ops.Series(fi.fn)
+		if err != nil {
 			return nil, fmt.Errorf("sql: unknown tabular function %s", fi.fn)
 		}
 		arg, err := r.relation(fi.table)
 		if err != nil {
 			return nil, fmt.Errorf("sql: argument of %s: %w", fi.fn, err)
 		}
-		arg.materialize() // tabular functions read Rows
-		t, err := fn([]*Table{arg}, fi.params)
+		in := arg.cube
+		c, err := ops.SeriesCube(fi.fn, fn, in, in.Schema().Rename(fi.fn), fi.params)
 		if err != nil {
 			return nil, fmt.Errorf("sql: tabular function %s: %w", fi.fn, err)
 		}
-		sc.add(fi.alias, t)
+		sc.add(fi.alias, &Table{cube: c})
 	}
 	return sc, nil
 }
@@ -176,7 +186,7 @@ func (db *DB) prepareSelect(s *selectStmt, r *resolver) (*selectPrep, error) {
 	return p, nil
 }
 
-func (db *DB) evalSelectCtx(ctx context.Context, s *selectStmt) (*Table, error) {
+func (db *DB) evalSelectCtx(ctx context.Context, s *selectStmt) (*result, error) {
 	return db.evalSelectVec(ctx, s, db.newResolver(ctx))
 }
 
@@ -227,35 +237,86 @@ func hasAggregate(e expr) bool {
 	return slices.ContainsFunc(operands(e), hasAggregate)
 }
 
-// sortRows sorts rows by all their columns left to right, NULLs last. With
-// every column in the key the order is a pure function of the result set —
-// independent of input order and join order — which is what the
-// cross-engine determinism tests pin and what a view's readers fold in.
-func sortRows(rows [][]model.Value) {
-	if len(rows) < 2 {
-		return
+// result is what a SELECT evaluates to: its columns, its rows column by
+// column, and the order its rows are read in.
+type result struct {
+	cols  []Column
+	all   *batch
+	order []int
+}
+
+// sortedRows returns the order of b's rows sorted by all their columns left
+// to right, NULLs last. With every column in the key the order is a pure
+// function of the result set — independent of input order and join order —
+// which is what the cross-engine determinism tests pin, and where a version
+// built from the rows meets a conflict first.
+func sortedRows(b *batch) []int {
+	order := make([]int, b.N)
+	for i := range order {
+		order[i] = i
+	}
+	if b.N < 2 {
+		return order
 	}
 	// Encode each row once into an order-preserving byte key (NULLS LAST
-	// built into the encoding) and sort key/row pairs by memcmp: one pass
-	// of key building replaces O(n log n) polymorphic Compare calls.
-	buf := make([]byte, 0, len(rows)*10*len(rows[0]))
-	type rowKey struct {
-		key []byte
-		row []model.Value
-	}
-	pairs := make([]rowKey, len(rows))
-	lo := 0
-	for i, r := range rows {
-		for _, v := range r {
-			buf = model.AppendOrderedKey(buf, v)
+	// built into the encoding) and sort the rows by memcmp of their keys:
+	// one pass of key building replaces O(n log n) polymorphic Compare calls.
+	buf := make([]byte, 0, b.N*10*len(b.Cols))
+	keys := make([][]byte, b.N)
+	for i := range keys {
+		lo := len(buf)
+		for _, c := range b.Cols {
+			buf = model.AppendOrderedKey(buf, c[i])
 		}
-		pairs[i] = rowKey{key: buf[lo:len(buf):len(buf)], row: r}
-		lo = len(buf)
+		keys[i] = buf[lo:len(buf):len(buf)]
 	}
-	slices.SortFunc(pairs, func(a, b rowKey) int { return bytes.Compare(a.key, b.key) })
-	for i := range pairs {
-		rows[i] = pairs[i].row
+	slices.SortFunc(order, func(i, j int) int { return bytes.Compare(keys[i], keys[j]) })
+	return order
+}
+
+// cube builds the version the rows of r are, called name: a view's.
+func (r *result) cube(name string) (*model.Cube, error) {
+	sch, err := cubeSchema(name, r.cols)
+	if err != nil {
+		return nil, err
 	}
+	return r.build(model.NewBuilder(sch), r.cols, nil)
+}
+
+// build adds the rows of r, in its order, to b and builds the version: column
+// i of r fills column perm[i] of cols (column i where perm is nil), which are
+// the dimensions and then the measure of b's cube, each value coerced to its
+// column's type. A conflict between two rows is the egd violation Build
+// reports.
+func (r *result) build(b *model.Builder, cols []Column, perm []int) (*model.Cube, error) {
+	last := len(cols) - 1
+	dims := make([]model.Value, last)
+	var measure float64
+	for _, row := range r.order {
+		for i, col := range r.all.Cols {
+			j := i
+			if perm != nil {
+				j = perm[i]
+			}
+			v, err := coerceToColumn(col[row], cols[j].Type)
+			if err != nil {
+				return nil, fmt.Errorf("sql: column %s: %w", cols[j].Name, err)
+			}
+			if j < last {
+				dims[j] = v
+			} else {
+				measure, _ = v.AsNumber()
+			}
+		}
+		if err := b.Add(dims, measure); err != nil {
+			return nil, fmt.Errorf("sql: %w", err)
+		}
+	}
+	c, err := b.Build()
+	if err != nil {
+		return nil, fmt.Errorf("sql: %w", err)
+	}
+	return c, nil
 }
 
 // scalarCallFunc applies a resolved scalar function to argument values.
@@ -483,12 +544,19 @@ func (db *DB) inferType(e expr, sc *scope) ColType {
 	}
 }
 
+// evalInsertSelect builds the version of the table INSERT … SELECT fills, an
+// empty one, from the rows of the SELECT: as the revision of the table's
+// predecessor (DB.Follow) where it has one with its columns.
 func (db *DB) evalInsertSelect(ctx context.Context, s *insertSelectStmt) error {
 	t, ok := db.Table(s.table)
 	if !ok {
 		return fmt.Errorf("sql: unknown table %s", s.table)
 	}
-	perm, err := insertPermutation(t, s.cols)
+	if t.cube.Len() > 0 {
+		return fmt.Errorf("sql: table %s already holds a version", s.table)
+	}
+	cols := columns(t.cube.Schema())
+	perm, err := insertPermutation(s.table, cols, s.cols)
 	if err != nil {
 		return err
 	}
@@ -496,33 +564,36 @@ func (db *DB) evalInsertSelect(ctx context.Context, s *insertSelectStmt) error {
 	if err != nil {
 		return err
 	}
-	if len(res.Cols) != len(perm) {
-		return fmt.Errorf("sql: INSERT SELECT arity mismatch: %d vs %d", len(res.Cols), len(perm))
+	if len(res.cols) != len(perm) {
+		return fmt.Errorf("sql: INSERT SELECT arity mismatch: %d vs %d", len(res.cols), len(perm))
+	}
+	sch := t.cube.Schema()
+	db.mu.RLock()
+	prev := db.prev[s.table]
+	db.mu.RUnlock()
+	if prev != nil && fits(s.table, prev.Schema(), sch) == nil {
+		sch = prev.Schema()
+	}
+	c, err := res.build(model.NewBuilderOn(prev, sch), cols, perm)
+	if err != nil {
+		return err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, r := range res.Rows {
-		row := make([]model.Value, len(t.Cols))
-		for i, v := range r {
-			cv, err := coerceToColumn(v, t.Cols[perm[i]].Type)
-			if err != nil {
-				return fmt.Errorf("sql: column %s: %w", t.Cols[perm[i]].Name, err)
-			}
-			row[perm[i]] = cv
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	db.tables[s.table] = &Table{cube: c}
 	return nil
 }
 
-func insertPermutation(t *Table, cols []string) ([]int, error) {
-	perm := make([]int, len(cols))
-	for i, c := range cols {
-		j := t.ColIndex(strings.ToLower(c))
-		if j < 0 {
-			return nil, fmt.Errorf("sql: table %s has no column %s", t.Name, c)
+// insertPermutation returns, for each column an INSERT names, its position in
+// the table: the names are the table's columns, each once, in any order.
+func insertPermutation(table string, cols []Column, names []string) ([]int, error) {
+	perm, seen := make([]int, len(names)), make([]bool, len(cols))
+	for i, c := range names {
+		j := colIndex(cols, c)
+		if j < 0 || seen[j] || len(names) != len(cols) {
+			return nil, fmt.Errorf("sql: INSERT INTO %s names %v, not each of its columns %s once", table, names, colList(cols))
 		}
-		perm[i] = j
+		perm[i], seen[j] = j, true
 	}
 	return perm, nil
 }

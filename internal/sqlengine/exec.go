@@ -360,32 +360,26 @@ func drainOp(op execOp, width int) (*batch, error) {
 	}
 }
 
-// scanOp streams a table in chunk-row batches, reading it where it lies: a
-// loaded table's stored version through its view, any other table's rows.
-// Each batch is the one scratch refilled with the scan's projected columns
-// only, which the batch-validity rule above permits; nothing of the table is
-// copied whole. The context is polled once per batch.
+// scanOp streams a table's version in chunk-row batches, reading it where it
+// lies, through its view. Each batch is the one scratch refilled with the
+// scan's projected columns only, which the batch-validity rule above permits;
+// nothing of the table is copied whole. The context is polled once per batch.
 type scanOp struct {
 	ctx      context.Context
 	m        opMetrics
 	view     *model.View
-	rows     [][]model.Value
 	proj     []int // table columns to emit
 	fill     []int // the emitted columns a batch has to hold, where not all (groupOp)
-	measure  int   // a view's last column; the ones before it are its dimensions
+	measure  int   // the last column; the ones before it are the dimensions
 	pos, end int   // next row to read; number of rows
 	scratch  batchScratch
 }
 
 func newScanOp(ctx context.Context, n *scanNode, reg *obs.Registry) *scanOp {
-	o := &scanOp{ctx: ctx, m: newOpMetrics(reg, "scan"), proj: n.proj, measure: len(n.table.Cols) - 1}
-	if o.view, o.rows = n.table.content(); o.view != nil {
-		o.end = o.view.Len()
-	} else {
-		o.end = len(o.rows)
-	}
+	o := &scanOp{ctx: ctx, m: newOpMetrics(reg, "scan"), view: n.table.cube.View(), proj: n.proj, measure: len(n.tableCols) - 1}
+	o.end = o.view.Len()
 	if o.proj == nil {
-		o.proj = make([]int, len(n.table.Cols))
+		o.proj = make([]int, len(n.tableCols))
 		for i := range o.proj {
 			o.proj[i] = i
 		}
@@ -408,23 +402,21 @@ func (o *scanOp) next() (*batch, error) {
 			continue
 		}
 		col := b.Cols[j]
-		switch {
-		case o.view == nil:
-			for i, row := range o.rows[lo:hi] {
-				col[i] = row[c]
-			}
-		case c < o.measure:
-			for i := range col {
-				col[i] = o.view.Tuple(lo + i).Dims[c]
-			}
-		default:
-			for i := range col {
-				col[i] = model.Num(o.view.Tuple(lo + i).Measure)
-			}
+		for i := range col {
+			col[i] = o.value(lo+i, c)
 		}
 	}
 	o.m.emit(b)
 	return b, nil
+}
+
+// value returns column c of the version's row i.
+func (o *scanOp) value(i, c int) model.Value {
+	tu := o.view.Tuple(i)
+	if c < o.measure {
+		return tu.Dims[c]
+	}
+	return model.Num(tu.Measure)
 }
 
 // at returns the scan's columns at n rows of its view, the i-th being row(i).
@@ -433,11 +425,7 @@ func (o *scanOp) at(n int, row func(i int) int) *batch {
 	for j, c := range o.proj {
 		col := make([]model.Value, n)
 		for i := range col {
-			if tu := o.view.Tuple(row(i)); c < o.measure {
-				col[i] = tu.Dims[c]
-			} else {
-				col[i] = model.Num(tu.Measure)
-			}
+			col[i] = o.value(row(i), c)
 		}
 		b.Cols[j] = col
 	}
@@ -746,8 +734,8 @@ type groupOp struct {
 	vords      []uint32        // their ordinals, where a NULL was left out
 }
 
-// newGroupOp picks the source of the ordinals off the plan and the table's
-// content, and says which on the statement's sql.exec span.
+// newGroupOp picks the source of the ordinals off the plan and the scanned
+// version's key set, and says which on the statement's sql.exec span.
 func newGroupOp(ctx context.Context, n *groupNode, child execOp, reg *obs.Registry) *groupOp {
 	o := &groupOp{
 		n: n, m: newOpMetrics(reg, "groupby"), child: child,
@@ -755,7 +743,7 @@ func newGroupOp(ctx context.Context, n *groupNode, child execOp, reg *obs.Regist
 		argVecs: make([][]model.Value, len(n.aggs)),
 	}
 	source := "hash"
-	if scan, ok := child.(*scanOp); ok && n.partSig != "" && scan.view != nil {
+	if scan, ok := child.(*scanOp); ok && n.partSig != "" {
 		o.scan, o.measures = scan, scan.view.Measures()
 		if o.part = scan.view.Partition(n.partSig); o.part != nil {
 			source, scan.fill = "partition", n.argCols
@@ -1058,8 +1046,8 @@ func buildOps(ctx context.Context, n planNode, reg *obs.Registry) (execOp, error
 }
 
 // evalSelectVec runs a SELECT through the vectorized pipeline:
-// prepare → lower → analyze → execute → sort/materialize.
-func (db *DB) evalSelectVec(ctx context.Context, s *selectStmt, r *resolver) (*Table, error) {
+// prepare → lower → analyze → execute → sort.
+func (db *DB) evalSelectVec(ctx context.Context, s *selectStmt, r *resolver) (*result, error) {
 	ctx, span := obs.StartSpan(ctx, "sql.vec")
 	p, err := db.prepareSelect(s, r)
 	if err != nil {
@@ -1095,13 +1083,11 @@ func (db *DB) evalSelectVec(ctx context.Context, s *selectStmt, r *resolver) (*T
 		return nil, err
 	}
 
-	out := &Table{}
+	out := &result{all: all, order: sortedRows(all)}
 	for i := range p.names {
-		out.Cols = append(out.Cols, Column{Name: p.names[i], Type: p.types[i]})
+		out.cols = append(out.cols, Column{Name: p.names[i], Type: p.types[i]})
 	}
-	out.Rows = all.Rows()
-	sortRows(out.Rows)
-	span.SetAttr(obs.Int("rows", len(out.Rows)))
+	span.SetAttr(obs.Int("rows", all.N))
 	span.End()
 	return out, nil
 }

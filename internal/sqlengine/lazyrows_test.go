@@ -15,8 +15,9 @@ import (
 	"exlengine/internal/workload"
 )
 
-// Tables bulk-loaded from a cube hold only the version's view until rows are
-// asked for. These tests drive every consumer of rows against such tables.
+// A table holds one cube version, and a loaded one is the stored version
+// itself. These tests drive the executor over such tables, and what loading
+// and inserting do to them.
 
 func monthlyPDRSchema(name string) model.Schema {
 	return model.NewSchema(name, []model.Dim{
@@ -64,60 +65,19 @@ func loadedDB(t *testing.T, cubes ...*model.Cube) *DB {
 	return db
 }
 
-// isView reports whether the table is still a reference to a loaded version.
-func isView(t *testing.T, db *DB, name string) bool {
-	t.Helper()
-	tab, ok := db.lookup(name)
-	if !ok {
-		t.Fatalf("no table %s", name)
-	}
-	v, _ := tab.content()
-	return v != nil
-}
-
-// TestLoadCubeBuildsRowsOnDemand: the executor scans, joins and extracts a
-// cube-loaded table without ever building its rows, and DB.Table hands them
-// out complete and in cube order.
-func TestLoadCubeBuildsRowsOnDemand(t *testing.T) {
-	pdr, rate, _ := parityCubes(t, 108)
-	db := loadedDB(t, pdr, rate)
-	mustQuery(t, db, `SELECT p.r AS r, sum(p.v * t.x) AS s FROM PDR p, RATE t WHERE quarter(p.d) = t.q AND p.r = t.r GROUP BY p.r`)
-	back, err := db.ExtractCube(pdr.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(pdr, 0) {
-		t.Error("ExtractCube of a cube-loaded table lost data")
-	}
-	if !isView(t, db, "pdr") || !isView(t, db, "rate") {
-		t.Error("the executor built rows for a cube-loaded table")
-	}
-
-	tab, _ := db.Table("PDR")
-	want := pdr.Tuples()
-	if len(tab.Rows) != len(want) {
-		t.Fatalf("DB.Table(PDR).Rows has %d rows, cube has %d tuples", len(tab.Rows), len(want))
-	}
-	for i, tu := range want {
-		m, _ := tab.Rows[i][2].AsNumber()
-		if !tab.Rows[i][0].Equal(tu.Dims[0]) || !tab.Rows[i][1].Equal(tu.Dims[1]) || m != tu.Measure {
-			t.Fatalf("row %d = %v, want %v -> %v", i, tab.Rows[i], tu.Dims, tu.Measure)
-		}
-	}
-}
-
-// TestExecutorParityOnLoadedCubes runs the parity suite with the base
-// tables bulk-loaded: the executor streams the stored versions through a
-// scratch batch it refills, so a consumer that kept a batch across next()
-// would show here — at sizes of no chunk, whole chunks, and whole chunks and
-// a part. Each answer is held to testdata/loaded.golden, and must be the one
-// the same rows give when put in as a table's rows.
+// TestExecutorParityOnLoadedCubes runs the parity suite over loaded tables:
+// the executor streams the stored versions through a scratch batch it
+// refills, so a consumer that kept a batch across next() would show here — at
+// sizes of no chunk, whole chunks, and whole chunks and a part. Each answer is
+// held to testdata/loaded.golden.
 //
-// The suite runs three times, each on databases of its own: over a version
+// The suite runs three times, each on a database of its own: over a version
 // nobody has grouped, whose key set's partitions the GROUP BYs build inside
 // their folds; over the same version again, where they take every row's group
 // from the key set and must answer to the byte what they answered before; and
-// over a revision on that key set, which builds nothing either.
+// over a revision on that key set, which builds nothing either. Then a
+// statement from a loaded table, and one through the view over it, each fill a
+// table of their own, which holds what the statement's SELECT answers.
 func TestExecutorParityOnLoadedCubes(t *testing.T) {
 	golden := goldenAnswers(t, "loaded")
 	for _, n := range []int{0, 108, 1024, 2048, 2500} {
@@ -136,26 +96,16 @@ func TestExecutorParityOnLoadedCubes(t *testing.T) {
 			}
 			for run, pdr := range []*model.Cube{pdr, pdr, revision} {
 				version := map[bool]string{false: "version", true: "revision"}[run == 2]
-				loaded := loadedDB(t, pdr, rate, reg)
-				inserted := insertedDB(t, pdr, rate, reg)
-				for _, db := range []*DB{loaded, inserted} {
-					mustExec(t, db, parityView)
-				}
+				db := loadedDB(t, pdr, rate, reg)
+				mustExec(t, db, parityView)
 				met := obs.NewRegistry()
 				ctx := obs.ContextWithMetrics(context.Background(), met)
-				compare := func(stage, q string) {
-					t.Helper()
-					got, err := query(ctx, loaded, q)
+				for _, q := range parityQueries {
+					got, err := query(ctx, db, q)
 					if err != nil {
 						t.Fatalf("%q: %v", q, err)
 					}
-					if is := mustQuery(t, inserted, q).String(); got.String() != is {
-						t.Errorf("run %d: %q answers\n%s\nover the loaded tables and\n%s\nover the same rows inserted", run, q, got, is)
-					}
-					checkGolden(t, golden, fmt.Sprintf("%d %s%s: %s", n, version, stage, q), got)
-				}
-				for _, q := range parityQueries {
-					compare("", q)
+					checkGolden(t, golden, fmt.Sprintf("%d %s: %s", n, version, q), got)
 				}
 				built, reused := met.Counter(obs.MetricPartitionsBuilt).Value(), met.Counter(obs.MetricPartitionsReused).Value()
 				// PDR is grouped four ways — by quarter, by region, by both (the
@@ -165,24 +115,26 @@ func TestExecutorParityOnLoadedCubes(t *testing.T) {
 				if want := int64(min(run, 1)); built != 4*(1-want) || reused != 3+4*want {
 					t.Errorf("run %d built %d partitions and reused %d, want %d and %d", run, built, reused, 4*(1-want), 3+4*want)
 				}
-				if !isView(t, loaded, "pdr") || !isView(t, loaded, "rate") || !isView(t, loaded, "reg") {
-					t.Error("the executor built rows for a cube-loaded table")
+				mustExec(t, db, `CREATE TABLE NEXT (d MONTH, r VARCHAR, v DOUBLE);
+INSERT INTO NEXT(d, r, v) SELECT d + 1200 AS d, r, v * 2 AS v FROM PDR;
+CREATE TABLE RATE2 (q QUARTER, r VARCHAR, x DOUBLE);
+INSERT INTO RATE2(q, r, x) SELECT q + 400 AS q, r, a AS x FROM PQ`)
+				for table, q := range map[string]string{
+					`SELECT d, r, v FROM NEXT`:  `SELECT d + 1200 AS d, r, v * 2 AS v FROM PDR`,
+					`SELECT q, r, x FROM RATE2`: `SELECT q + 400 AS q, r, a AS x FROM PQ`,
+				} {
+					if got, want := mustQuery(t, db, table).String(), mustQuery(t, db, q).String(); got != want {
+						t.Errorf("run %d: %q answers\n%s\nafter the INSERT of %q, which answers\n%s", run, table, got, q, want)
+					}
 				}
-				// Back into a loaded table, from itself and through the view over it.
-				for _, db := range []*DB{loaded, inserted} {
-					mustExec(t, db, `INSERT INTO PDR(d, r, v) SELECT d + 1200, r, v * 2 FROM PDR WHERE r = 'north'`)
-					mustExec(t, db, `INSERT INTO PDR(d, r, v) SELECT d + 1200, r, v * 2 FROM PDR WHERE r = 'south'`)
-					mustExec(t, db, `INSERT INTO RATE(q, r, x) SELECT q + 400, r, a FROM PQ`)
-				}
-				compare(" after INSERT", `SELECT d, r, v FROM PDR`)
-				compare(" after INSERT", `SELECT r, count(1) AS n, sum(x) AS s FROM RATE GROUP BY r`)
 			}
 		})
 	}
 }
 
-// TestMutateLoadedCube: rows appended to a cube-loaded table and INSERT …
-// SELECT into it keep the loaded tuples, and ExtractCube sees the result.
+// TestMutateLoadedCube: a loaded table holds the version it was loaded with.
+// An INSERT into it is refused and changes nothing; what the statement would
+// add goes into a table of its own.
 func TestMutateLoadedCube(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		pdr, _, _ := parityCubes(t, 108)
@@ -191,29 +143,30 @@ func TestMutateLoadedCube(t *testing.T) {
 			_ = extra.Put([]model.Value{model.Per(model.NewMonthly(2010, time.Month(m))), model.Str("east")}, float64(m))
 		}
 		db := loadedDB(t, pdr, extra)
-		seed(t, db, "PDR", []any{"2005-06", "north", 99})
-		mustExec(t, db, `INSERT INTO PDR(d, r, v) SELECT d, r, v FROM EXTRA`)
-
-		want := model.NewCube(pdr.Schema())
-		for _, tu := range pdr.Tuples() {
-			_ = want.Put(tu.Dims, tu.Measure)
-		}
-		_ = want.Put([]model.Value{model.Per(model.NewMonthly(2005, time.June)), model.Str("north")}, 99)
-		for _, tu := range extra.Tuples() {
-			_ = want.Put(tu.Dims, tu.Measure)
+		if err := db.Exec(`INSERT INTO PDR(d, r, v) SELECT d, r, v FROM EXTRA`); err == nil || !strings.Contains(err.Error(), "already holds a version") {
+			t.Errorf("INSERT into a loaded table: err = %v, want a table that already holds a version", err)
 		}
 		got, err := db.ExtractCube(pdr.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := want.Diff(got, 0, 5); len(diff) > 0 {
-			t.Errorf("cube after INSERT and INSERT SELECT: %v", diff)
+		if diff := pdr.Diff(got, 0, 5); len(diff) > 0 || !got.SharesKeySet(pdr) {
+			t.Errorf("PDR after the refused INSERT: %v, on the loaded key set: %v", diff, got.SharesKeySet(pdr))
+		}
+		mustExec(t, db, `CREATE TABLE MORE (d MONTH, r VARCHAR, v DOUBLE); INSERT INTO MORE(d, r, v) SELECT d, r, v FROM EXTRA`)
+		more, err := db.ExtractCube(monthlyPDRSchema("MORE"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more.Equal(extra, 0) {
+			t.Errorf("MORE = %v, want EXTRA's tuples %v", more.Tuples(), extra.Tuples())
 		}
 	})
 }
 
-// TestTabularFunctionOverLoadedCube: tabular functions read the rows of
-// their argument tables, built-in and user-registered alike.
+// TestTabularFunctionOverLoadedCube: a tabular function is a black box of ops
+// over its argument's version, and its result stands on that version's key
+// set.
 func TestTabularFunctionOverLoadedCube(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		s := model.NewCube(model.NewSchema("S", []model.Dim{{Name: "t", Type: model.TYear}}, "v"))
@@ -221,60 +174,43 @@ func TestTabularFunctionOverLoadedCube(t *testing.T) {
 			_ = s.Put([]model.Value{model.Per(model.NewAnnual(2000 + i))}, float64(i+1))
 		}
 		db := loadedDB(t, s)
-		seen := -1
-		db.RegisterTabular("ROWCOUNT", func(args []*Table, _ []float64) (*Table, error) {
-			seen = len(args[0].Rows)
-			return args[0], nil
-		})
-		if res := mustQuery(t, db, "SELECT t, v FROM ROWCOUNT(S)"); seen != 8 || len(res.Rows) != 8 {
-			t.Errorf("user function saw %d rows and returned %d, want 8 and 8", seen, len(res.Rows))
-		}
 		if res := mustQuery(t, db, "SELECT t, v FROM STL_T(S)"); len(res.Rows) != 8 {
-			t.Errorf("STL_T over a cube-loaded table returned %d rows, want 8", len(res.Rows))
+			t.Errorf("STL_T over a loaded table returned %d rows, want 8", len(res.Rows))
 		}
 		if res := mustQuery(t, db, "SELECT t, v FROM CUMSUM(S)"); len(res.Rows) != 8 {
 			t.Fatalf("CUMSUM returned %d rows", len(res.Rows))
 		} else if f, _ := res.Rows[7][1].AsNumber(); f != 36 {
 			t.Errorf("cumsum last = %v, want 36", f)
 		}
-	})
-}
-
-// TestSecondLoadAppends: loading into a table that already has content
-// appends, whether that content is still a view or already rows.
-func TestSecondLoadAppends(t *testing.T) {
-	t.Run("vector", func(t *testing.T) {
-		for _, rowsFirst := range []bool{false, true} {
-			first := model.NewCube(monthlyPDRSchema("PDR"))
-			second := model.NewCube(monthlyPDRSchema("PDR"))
-			for m := 1; m <= 6; m++ {
-				_ = first.Put([]model.Value{model.Per(model.NewMonthly(2000, time.Month(m))), model.Str("a")}, float64(m))
-				_ = second.Put([]model.Value{model.Per(model.NewMonthly(2001, time.Month(m))), model.Str("a")}, float64(10*m))
-			}
-			db := loadedDB(t, first)
-			if rowsFirst {
-				db.Table("PDR")
-			}
-			if err := db.LoadCube(second); err != nil {
-				t.Fatal(err)
-			}
-			if res := mustQuery(t, db, "SELECT count(1) AS n, sum(v) AS s FROM PDR"); fmt.Sprint(res.Rows) != fmt.Sprint([][]model.Value{{model.Num(12), model.Num(231)}}) {
-				t.Errorf("rowsFirst=%v: after two loads count, sum = %v", rowsFirst, res.Rows)
-			}
-			got, err := db.ExtractCube(first.Schema())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Len() != 12 {
-				t.Errorf("rowsFirst=%v: extracted %d tuples, want 12", rowsFirst, got.Len())
-			}
+		if err := db.Exec("CREATE TABLE C (t YEAR, v DOUBLE); INSERT INTO C(t, v) SELECT t, v FROM NOSUCH(S)"); err == nil || !strings.Contains(err.Error(), "unknown tabular function nosuch") {
+			t.Errorf("a tabular function that is no black box: err = %v", err)
 		}
 	})
 }
 
-// TestLoadCubeRejectsOtherWidth: a scan of a view takes the table's last
-// column for the measure and the ones before it for dimensions, so a table
-// whose width is not the cube's cannot take the cube's view.
+// TestSecondLoadRefused: a table takes one version. Loading a cube into a
+// table that already holds tuples is refused, and the table keeps the first.
+func TestSecondLoadRefused(t *testing.T) {
+	t.Run("vector", func(t *testing.T) {
+		first := model.NewCube(monthlyPDRSchema("PDR"))
+		second := model.NewCube(monthlyPDRSchema("PDR"))
+		for m := 1; m <= 6; m++ {
+			_ = first.Put([]model.Value{model.Per(model.NewMonthly(2000, time.Month(m))), model.Str("a")}, float64(m))
+			_ = second.Put([]model.Value{model.Per(model.NewMonthly(2001, time.Month(m))), model.Str("a")}, float64(10*m))
+		}
+		db := loadedDB(t, first)
+		if err := db.LoadCube(second); err == nil || !strings.Contains(err.Error(), "already holds a version") {
+			t.Errorf("second load: err = %v, want a table that already holds a version", err)
+		}
+		if res := mustQuery(t, db, "SELECT count(1) AS n, sum(v) AS s FROM PDR"); fmt.Sprint(res.Rows) != fmt.Sprint([][]model.Value{{model.Num(6), model.Num(21)}}) {
+			t.Errorf("after the refused load count, sum = %v, want 6, 21", res.Rows)
+		}
+	})
+}
+
+// TestLoadCubeRejectsOtherWidth: a table's columns are its cube's dimensions
+// and then its measure, so a table whose columns are not the cube's cannot
+// take the cube.
 func TestLoadCubeRejectsOtherWidth(t *testing.T) {
 	pdr, _, _ := parityCubes(t, 9)
 	for _, ddl := range []string{`CREATE TABLE PDR (d MONTH, v DOUBLE)`, `CREATE TABLE PDR (d MONTH, r VARCHAR, s VARCHAR, v DOUBLE)`} {
@@ -291,7 +227,7 @@ func TestLoadCubeRejectsOtherWidth(t *testing.T) {
 
 // TestLoadedTableIsASnapshot: a table loaded from a cube that is then
 // mutated — it was not frozen — goes on showing what was loaded, to the
-// scan and to whoever builds its rows.
+// scan and to ExtractCube.
 func TestLoadedTableIsASnapshot(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		pdr, _, _ := parityCubes(t, 2500)
@@ -309,34 +245,39 @@ func TestLoadedTableIsASnapshot(t *testing.T) {
 		for _, tu := range want.Tuples() {
 			sum, lo = sum+tu.Measure, min(lo, tu.Measure)
 		}
-		for _, rows := range []bool{false, true} {
-			if rows {
-				db.Table("PDR")
-			}
-			res := mustQuery(t, db, `SELECT count(1) AS n, sum(v) AS s, min(v) AS lo FROM PDR`)
-			if fmt.Sprint(res.Rows) != fmt.Sprint([][]model.Value{{model.Num(2500), model.Num(sum), model.Num(lo)}}) {
-				t.Errorf("rows=%v: count, sum, min after mutating the loaded cube = %v, want 2500, %v, %v", rows, res.Rows, sum, lo)
-			}
-			got, err := db.ExtractCube(want.Schema())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff := want.Diff(got, 0, 5); len(diff) > 0 {
-				t.Errorf("rows=%v: table after mutating the loaded cube: %v", rows, diff)
-			}
+		res := mustQuery(t, db, `SELECT count(1) AS n, sum(v) AS s, min(v) AS lo FROM PDR`)
+		if fmt.Sprint(res.Rows) != fmt.Sprint([][]model.Value{{model.Num(2500), model.Num(sum), model.Num(lo)}}) {
+			t.Errorf("count, sum, min after mutating the loaded cube = %v, want 2500, %v, %v", res.Rows, sum, lo)
+		}
+		got, err := db.ExtractCube(want.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := want.Diff(got, 0, 5); len(diff) > 0 {
+			t.Errorf("table after mutating the loaded cube: %v", diff)
 		}
 	})
 }
 
 // TestSharedVersionScannedConcurrently: goroutines, each with a DB of its
-// own, load the same stored version and scan it at once — one of them
-// building rows from it meanwhile. Every scan reads the version's own
-// columns and writes only its own scratch; the race detector checks that.
+// own, load the same stored version and scan it at once, and INSERT the
+// statement's result as the revision of one shared predecessor, on whose key
+// set it lands. Every scan reads the version's own columns and writes only its
+// own scratch, and every builder only its own measure column; the race
+// detector checks that.
 func TestSharedVersionScannedConcurrently(t *testing.T) {
 	pdr, _, _ := parityCubes(t, 2500)
 	pdr.Freeze()
 	const q = `SELECT quarter(d) AS q, r, avg(v) AS a FROM PDR WHERE ln(v - 10) IS NOT NULL GROUP BY quarter(d), r`
+	const insert = `CREATE TABLE PQ (q QUARTER, r VARCHAR, a DOUBLE); INSERT INTO PQ(q, r, a) ` + q
 	want := mustQuery(t, loadedDB(t, pdr), q).String()
+	pqSchema := model.NewSchema("PQ", []model.Dim{{Name: "q", Type: model.TQuarter}, {Name: "r", Type: model.TString}}, "a")
+	first := loadedDB(t, pdr)
+	mustExec(t, first, insert)
+	prev, err := first.ExtractCube(pqSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -347,14 +288,21 @@ func TestSharedVersionScannedConcurrently(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if g == 0 {
-				db.Table("PDR")
-			}
+			db.Follow(map[string]*model.Cube{"PQ": prev})
 			res, err := query(context.Background(), db, q)
 			if err != nil {
 				t.Error(err)
 			} else if got := res.String(); got != want {
 				t.Errorf("goroutine %d read\n%s\nwant\n%s", g, got, want)
+			}
+			if err := db.Exec(insert); err != nil {
+				t.Error(err)
+				return
+			}
+			if pq, err := db.ExtractCube(pqSchema); err != nil {
+				t.Error(err)
+			} else if !pq.SharesKeySet(prev) || !pq.Equal(prev, 0) {
+				t.Errorf("goroutine %d built PQ on its predecessor's key set: %v, equal to it: %v", g, pq.SharesKeySet(prev), pq.Equal(prev, 0))
 			}
 		}(g)
 	}

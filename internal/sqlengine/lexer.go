@@ -32,6 +32,7 @@ const (
 type token struct {
 	kind tokKind
 	text string // idents lowercased; symbols verbatim
+	raw  string // an ident as written
 	num  float64
 	pos  int // byte offset, for error messages
 }
@@ -98,7 +99,8 @@ scan:
 		for l.pos < len(l.src) && (unicode.IsLetter(rune(l.src[l.pos])) || unicode.IsDigit(rune(l.src[l.pos])) || l.src[l.pos] == '_') {
 			l.pos++
 		}
-		return token{kind: tIdent, text: strings.ToLower(l.src[start:l.pos]), pos: start}, nil
+		raw := l.src[start:l.pos]
+		return token{kind: tIdent, text: strings.ToLower(raw), raw: raw, pos: start}, nil
 	case unicode.IsDigit(rune(c)):
 		for l.pos < len(l.src) {
 			c := l.src[l.pos]

@@ -110,34 +110,19 @@ func TestArithmeticWithNullIsNull(t *testing.T) {
 }
 
 // TestJoinKeysNeverMatchNull: hash-join equality is not TRUE for NULL =
-// NULL — a NULL key matches nothing on either side. Base tables reject NULL
-// inserts, so the tables are assembled directly.
+// NULL — a NULL key matches nothing on either side. A table holds no NULL,
+// so the keys are undefined points: v / v where v is 0.
 func TestJoinKeysNeverMatchNull(t *testing.T) {
 	db := NewDB()
-	strCol := ColType{Kind: KVarchar}
-	numCol := ColType{Kind: KDouble}
-	db.tables["l"] = &Table{
-		Name: "l",
-		Cols: []Column{{Name: "k", Type: strCol}, {Name: "x", Type: numCol}},
-		Rows: [][]model.Value{
-			{model.Str("a"), model.Num(1)},
-			{model.Value{}, model.Num(2)}, // NULL key
-		},
-	}
-	db.tables["r"] = &Table{
-		Name: "r",
-		Cols: []Column{{Name: "k", Type: strCol}, {Name: "y", Type: numCol}},
-		Rows: [][]model.Value{
-			{model.Str("a"), model.Num(10)},
-			{model.Value{}, model.Num(20)}, // NULL key
-		},
-	}
-	res := mustQuery(t, db, `SELECT l.x AS x, r.y AS y FROM l, r WHERE l.k = r.k`)
+	mustExec(t, db, `CREATE TABLE L (k VARCHAR, x DOUBLE); CREATE TABLE R (k VARCHAR, y DOUBLE)`)
+	seed(t, db, "L", []any{"a", 1}, []any{"b", 0})
+	seed(t, db, "R", []any{"a", 1}, []any{"b", 0})
+	res := mustQuery(t, db, `SELECT l.k AS k, l.x AS x, r.y AS y FROM L l, R r WHERE l.x / l.x = r.y / r.y`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("join matched %d rows, want 1 (NULL keys must not match)", len(res.Rows))
 	}
-	if x, _ := res.Rows[0][0].AsNumber(); x != 1 {
-		t.Fatalf("join kept wrong row: x = %v, want 1", res.Rows[0][0])
+	if k, _ := res.Rows[0][0].AsString(); k != "a" {
+		t.Fatalf("join kept wrong row: k = %v, want a", res.Rows[0][0])
 	}
 }
 
@@ -174,25 +159,16 @@ func TestAggregatesOverEmptyInput(t *testing.T) {
 // TestAggregatesOverAllNullBag pins the all-NULL-bag rule: NULL
 // arguments are not part of the bag, so a group whose every argument is
 // NULL behaves like an empty bag — SUM/AVG/MIN/MAX yield NULL (row
-// dropped), COUNT(v) yields 0, and COUNT(1) still counts the rows.
+// dropped), COUNT(v) yields 0, and COUNT(1) still counts the rows. A table
+// holds no NULL, so the argument is v * v / v, undefined where v is 0.
 func TestAggregatesOverAllNullBag(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
-		// Base tables reject NULL inserts, so assemble the table directly.
-		db.tables["an"] = &Table{
-			Name: "an",
-			Cols: []Column{
-				{Name: "g", Type: ColType{Kind: KVarchar}},
-				{Name: "v", Type: ColType{Kind: KDouble}},
-			},
-			Rows: [][]model.Value{
-				{model.Str("x"), {}},
-				{model.Str("x"), {}},
-				{model.Str("y"), model.Num(5)},
-			},
-		}
+		mustExec(t, db, `CREATE TABLE AN (g VARCHAR, i INTEGER, v DOUBLE)`)
+		seed(t, db, "AN", []any{"x", 1, 0}, []any{"x", 2, 0}, []any{"y", 1, 5})
+		const arg = "v * v / v"
 		for _, fn := range []string{"sum", "avg", "min", "max"} {
-			res := mustQuery(t, db, `SELECT g, `+fn+`(v) AS s FROM an GROUP BY g`)
+			res := mustQuery(t, db, `SELECT g, `+fn+`(`+arg+`) AS s FROM an GROUP BY g`)
 			if len(res.Rows) != 1 {
 				t.Fatalf("%s: got %d rows, want 1 (all-NULL group drops)", fn, len(res.Rows))
 			}
@@ -200,7 +176,7 @@ func TestAggregatesOverAllNullBag(t *testing.T) {
 				t.Fatalf("%s kept group %v, want y", fn, res.Rows[0][0])
 			}
 		}
-		res := mustQuery(t, db, `SELECT g, count(v) AS c FROM an GROUP BY g`)
+		res := mustQuery(t, db, `SELECT g, count(`+arg+`) AS c FROM an GROUP BY g`)
 		if len(res.Rows) != 2 {
 			t.Fatalf("count(v): got %d rows, want 2", len(res.Rows))
 		}
@@ -224,18 +200,9 @@ func TestAggregatesOverAllNullBag(t *testing.T) {
 func TestIsNullPredicate(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
-		db.tables["n"] = &Table{
-			Name: "n",
-			Cols: []Column{
-				{Name: "k", Type: ColType{Kind: KVarchar}},
-				{Name: "v", Type: ColType{Kind: KDouble}},
-			},
-			Rows: [][]model.Value{
-				{model.Str("a"), model.Num(1)},
-				{model.Str("b"), {}},
-			},
-		}
-		res := mustQuery(t, db, `SELECT k FROM n WHERE v IS NOT NULL`)
+		mustExec(t, db, `CREATE TABLE N (k VARCHAR, v DOUBLE)`)
+		seed(t, db, "N", []any{"a", 1}, []any{"b", 0})
+		res := mustQuery(t, db, `SELECT k FROM n WHERE 1 / v IS NOT NULL`)
 		if len(res.Rows) != 1 || res.Rows[0][0].String() != "a" {
 			t.Fatalf("IS NOT NULL = %v, want [a]", res.Rows)
 		}

@@ -62,10 +62,18 @@ func (p *sqlParser) expectSymbol(s string) error {
 }
 
 func (p *sqlParser) ident() (string, error) {
+	name, _, err := p.named()
+	return name, err
+}
+
+// named reads the name of a relation: lowercased, as it is looked up, and as
+// written, as its cube is called.
+func (p *sqlParser) named() (name, written string, err error) {
 	if p.cur().kind != tIdent {
-		return "", fmt.Errorf("sql: expected identifier, found %q", p.cur().text)
+		return "", "", fmt.Errorf("sql: expected identifier, found %q", p.cur().text)
 	}
-	return p.next().text, nil
+	t := p.next()
+	return t.text, t.raw, nil
 }
 
 // commaList calls item for each element of a comma-separated list.
@@ -107,7 +115,7 @@ func (p *sqlParser) parseCreate() (stmt, error) {
 	p.pos++ // create
 	if p.isKw("view") {
 		p.pos++
-		name, err := p.ident()
+		name, written, err := p.named()
 		if err != nil {
 			return nil, err
 		}
@@ -118,16 +126,16 @@ func (p *sqlParser) parseCreate() (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &createViewStmt{name: name, sel: sel}, nil
+		return &createViewStmt{name: name, written: written, sel: sel}, nil
 	}
 	if err := p.expectKw("table"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
+	name, written, err := p.named()
 	if err != nil {
 		return nil, err
 	}
-	s := &createStmt{table: name}
+	var cols []Column
 	err = p.parenList(func() error {
 		cn, err := p.ident()
 		if err != nil {
@@ -138,13 +146,17 @@ func (p *sqlParser) parseCreate() (stmt, error) {
 			return err
 		}
 		ct, err := parseColType(tn)
-		s.cols = append(s.cols, Column{Name: cn, Type: ct})
+		cols = append(cols, Column{Name: cn, Type: ct})
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	sch, err := cubeSchema(written, cols)
+	if err != nil {
+		return nil, err
+	}
+	return &createStmt{table: name, schema: sch}, nil
 }
 
 func (p *sqlParser) parseInsert() (stmt, error) {

@@ -17,8 +17,8 @@ import (
 func TestStringLiteralIsNotAColumn(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
-		mustExec(t, db, `CREATE TABLE T (k VARCHAR, a DOUBLE)`)
-		seed(t, db, "T", []any{"x", 1}, []any{"x", 2})
+		mustExec(t, db, `CREATE TABLE T (k VARCHAR, i INTEGER, a DOUBLE)`)
+		seed(t, db, "T", []any{"x", 1, 1}, []any{"x", 2, 2})
 		for _, q := range []string{
 			`SELECT k, MAX(a) AS m1, MAX('a') AS m2 FROM T GROUP BY k`,
 			`SELECT k, MAX('a') AS m2, MAX(a) AS m1 FROM T GROUP BY k`,

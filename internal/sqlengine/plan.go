@@ -57,18 +57,19 @@ type planNode interface {
 	describe() string
 }
 
-// scanNode reads a materialized table (base table, view result or
-// tabular-function result) under an alias. proj, when non-nil, restricts
-// the emitted columns (set by the prune_columns analyzer rule).
+// scanNode reads a table (base table, view result or tabular-function
+// result), whose columns are tableCols, under an alias. proj, when non-nil,
+// restricts the emitted columns (set by the prune_columns analyzer rule).
 type scanNode struct {
-	table *Table
-	alias string
-	proj  []int // table column indices to emit; nil = all
-	out   []planCol
+	table     *Table
+	tableCols []Column
+	alias     string
+	proj      []int // table column indices to emit; nil = all
+	out       []planCol
 }
 
-func newScanNode(t *Table, alias string) *scanNode {
-	s := &scanNode{table: t, alias: alias}
+func newScanNode(t *Table, cols []Column, alias string) *scanNode {
+	s := &scanNode{table: t, tableCols: cols, alias: alias}
 	s.rebuildCols()
 	return s
 }
@@ -76,20 +77,20 @@ func newScanNode(t *Table, alias string) *scanNode {
 func (s *scanNode) rebuildCols() {
 	s.out = s.out[:0]
 	if s.proj == nil {
-		for _, c := range s.table.Cols {
+		for _, c := range s.tableCols {
 			s.out = append(s.out, planCol{qual: s.alias, name: c.Name, typ: c.Type})
 		}
 		return
 	}
 	for _, j := range s.proj {
-		c := s.table.Cols[j]
+		c := s.tableCols[j]
 		s.out = append(s.out, planCol{qual: s.alias, name: c.Name, typ: c.Type})
 	}
 }
 
 func (s *scanNode) cols() []planCol { return s.out }
 func (s *scanNode) describe() string {
-	return fmt.Sprintf("scan(%s as %s)", s.table.Name, s.alias)
+	return fmt.Sprintf("scan(%s as %s)", lower(s.table.cube.Schema().Name), s.alias)
 }
 
 // filterNode keeps rows whose condition evaluates to TRUE (NULL and
@@ -243,7 +244,7 @@ func partitionSig(g *groupNode) string {
 			if err == nil && scan.proj != nil {
 				j = scan.proj[j]
 			}
-			dims = dims && err == nil && j < len(scan.table.Cols)-1
+			dims = dims && err == nil && j < len(scan.tableCols)-1
 			return "#" + strconv.Itoa(j)
 		})
 	}
@@ -254,7 +255,7 @@ func partitionSig(g *groupNode) string {
 }
 
 // sortNode orders the output by all columns left to right, NULLs last
-// (sortRows, through model.AppendOrderedKey), so the output order is a pure
+// (sortedRows, through model.AppendOrderedKey), so the output order is a pure
 // function of the result set.
 type sortNode struct {
 	child planNode
@@ -310,7 +311,7 @@ func buildPlan(s *selectStmt, p *selectPrep) planNode {
 	sc := p.sc
 	items := make([]planNode, len(sc.tables))
 	for i := range sc.tables {
-		items[i] = newScanNode(sc.tables[i], sc.aliases[i])
+		items[i] = newScanNode(sc.tables[i], sc.cols[i], sc.aliases[i])
 	}
 	var node planNode = &multiJoinNode{items: items, conjuncts: s.where}
 
@@ -385,8 +386,8 @@ func exprColRefs(e expr, sc *scope, out map[[2]string]bool) {
 	case c.qual != "":
 		out[[2]string{c.qual, c.name}] = true
 	default:
-		for i, t := range sc.tables {
-			if t.ColIndex(c.name) >= 0 {
+		for i, cols := range sc.cols {
+			if colIndex(cols, c.name) >= 0 {
 				out[[2]string{sc.aliases[i], c.name}] = true
 			}
 		}

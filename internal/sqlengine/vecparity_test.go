@@ -6,42 +6,24 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
 	"exlengine/internal/model"
+	"exlengine/internal/obs"
 )
 
 // parityDB builds a small panel-and-rates fixture exercising joins,
-// period arithmetic, grouping and views: parityCubes at 108 tuples, put in
-// as tables' rows.
+// period arithmetic, grouping and views: parityCubes at 108 tuples, loaded.
 func parityDB(t *testing.T) *DB {
 	t.Helper()
 	pdr, rate, reg := parityCubes(t, 108)
-	db := insertedDB(t, pdr, rate, reg)
+	db := loadedDB(t, pdr, rate, reg)
 	mustExec(t, db, parityView)
 	return db
 }
 
 const parityView = `CREATE VIEW PQ AS SELECT quarter(d) AS q, r, avg(v) AS a FROM PDR GROUP BY quarter(d), r`
-
-// insertedDB holds each cube as a table of rows: its tuples, in cube order,
-// appended to Table.Rows.
-func insertedDB(t *testing.T, cubes ...*model.Cube) *DB {
-	t.Helper()
-	db := NewDB()
-	for _, c := range cubes {
-		if err := db.CreateTableFor(c.Schema()); err != nil {
-			t.Fatal(err)
-		}
-		tab, _ := db.Table(c.Schema().Name)
-		for _, tu := range c.Tuples() {
-			tab.Rows = append(tab.Rows, append(slices.Clone(tu.Dims), model.Num(tu.Measure)))
-		}
-	}
-	return db
-}
 
 // parityQueries is the fixed suite: partial filters, hash joins with both
 // sides streamed including a self-join, cross joins, grouping with and
@@ -71,7 +53,7 @@ var parityQueries = []string{
 // goldenAnswers reads testdata/<name>.golden: answers of this engine that
 // a second, tuple-at-a-time executor gave to the byte as well, when the
 // engine still had one. Each answer follows a line "-- <key>" and is the
-// result's Table.String, or "sha256:<hex>" of it where answers are large.
+// answer's String, or "sha256:<hex>" of it where answers are large.
 func goldenAnswers(t *testing.T, name string) map[string]string {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
@@ -96,7 +78,7 @@ func goldenAnswers(t *testing.T, name string) map[string]string {
 }
 
 // checkGolden holds a result to its golden answer.
-func checkGolden(t *testing.T, golden map[string]string, key string, got *Table) {
+func checkGolden(t *testing.T, golden map[string]string, key string, got *answer) {
 	t.Helper()
 	want, ok := golden[key]
 	text := got.String()
@@ -112,8 +94,8 @@ func checkGolden(t *testing.T, golden map[string]string, key string, got *Table)
 	}
 }
 
-// TestExecutorParity runs the suite over the 108-tuple fixture put in as
-// rows and holds every answer to testdata/parity.golden. With
+// TestExecutorParity runs the suite over the 108-tuple fixture and holds
+// every answer to testdata/parity.golden. With
 // full-row deterministic ordering, any difference is a semantics bug, not an
 // ordering artifact.
 func TestExecutorParity(t *testing.T) {
@@ -129,49 +111,33 @@ func TestExecutorParity(t *testing.T) {
 // column, so the order is independent of input row order.
 func TestOrderByNullsLast(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
-		mk := func(reverse bool) *DB {
-			db := NewDB()
-			rows := [][]model.Value{
-				{model.Num(2), model.Str("a")},
-				{{}, model.Str("d")},
-				{model.Num(1), model.Str("c")},
-				{{}, model.Str("b")},
-			}
-			if reverse {
-				for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
-					rows[i], rows[j] = rows[j], rows[i]
+		rows := [][]model.Value{
+			{model.Num(2), model.Str("a")},
+			{{}, model.Str("d")},
+			{model.Num(1), model.Str("c")},
+			{{}, model.Str("b")},
+		}
+		var sorted []string
+		for _, reverse := range []bool{false, true} {
+			b := &batch{Cols: make([][]model.Value, 2)}
+			for i := range rows {
+				if reverse {
+					i = len(rows) - 1 - i
 				}
+				b.AppendRow(rows[i])
 			}
-			db.tables["n"] = &Table{
-				Name: "n",
-				Cols: []Column{
-					{Name: "v", Type: ColType{Kind: KDouble}},
-					{Name: "k", Type: ColType{Kind: KVarchar}},
-				},
-				Rows: rows,
+			var got []string
+			for _, i := range sortedRows(b) {
+				got = append(got, fmt.Sprint(b.Row(i, nil)))
 			}
-			return db
+			sorted = append(sorted, strings.Join(got, " "))
 		}
-
-		q := `SELECT k FROM n`
-		a := mustQuery(t, mk(false), q)
-		b := mustQuery(t, mk(true), q)
-		if a.String() != b.String() {
-			t.Fatalf("order depends on input row order:\n%s\nvs\n%s", a.String(), b.String())
-		}
-
-		// Direct check of the sort: NULLs land last, and the two NULL rows
-		// tie-break on the next column (b before d).
-		tbl := mk(false).tables["n"]
-		sortRows(tbl.Rows)
-		if !tbl.Rows[0][0].IsValid() || !tbl.Rows[1][0].IsValid() {
-			t.Fatalf("NULL sorted before values: %v", tbl.Rows)
-		}
-		if tbl.Rows[2][0].IsValid() || tbl.Rows[3][0].IsValid() {
-			t.Fatalf("values sorted after NULLs: %v", tbl.Rows)
-		}
-		if k2, _ := tbl.Rows[2][1].AsString(); k2 != "b" {
-			t.Fatalf("NULL-row tie-break: got %v, want b before d", tbl.Rows[2][1])
+		// NULLs land last, and the two NULL rows tie-break on the next column
+		// (b before d).
+		want := fmt.Sprint([]model.Value{model.Num(1), model.Str("c")}) + " " + fmt.Sprint([]model.Value{model.Num(2), model.Str("a")}) +
+			" " + fmt.Sprint([]model.Value{{}, model.Str("b")}) + " " + fmt.Sprint([]model.Value{{}, model.Str("d")})
+		if sorted[0] != want || sorted[1] != want {
+			t.Fatalf("sorted rows:\n%s\n%s\nwant\n%s", sorted[0], sorted[1], want)
 		}
 	})
 }
@@ -180,38 +146,42 @@ func TestOrderByNullsLast(t *testing.T) {
 // view re-evaluation: with a diamond-shaped view graph (TOP references
 // MID1 and MID2, both referencing BASE), BASE used to be evaluated once
 // per reference — 2^depth times in a deep diamond. The per-statement
-// resolver memo must evaluate each view exactly once per statement.
+// resolver memo must evaluate each view exactly once per statement: each
+// evaluation of a SELECT is one sql.vec span.
 func TestViewDiamondEvaluatesOnce(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		db := NewDB()
-		calls := 0
-		db.RegisterTabular("probe", func(args []*Table, params []float64) (*Table, error) {
-			calls++
-			return &Table{
-				Name: "probe",
-				Cols: []Column{{Name: "v", Type: ColType{Kind: KDouble}}},
-				Rows: [][]model.Value{{model.Num(1)}, {model.Num(2)}},
-			}, nil
-		})
 		mustExec(t, db, `
-CREATE TABLE SEED (v DOUBLE);
-CREATE VIEW BASE AS SELECT v FROM PROBE(SEED);
-CREATE VIEW MID1 AS SELECT v * 2 AS v FROM BASE;
-CREATE VIEW MID2 AS SELECT v * 3 AS v FROM BASE;
-CREATE VIEW TOP AS SELECT a.v AS x, b.v AS y FROM MID1 a, MID2 b WHERE a.v = a.v`)
+CREATE TABLE SEED (k INTEGER, v DOUBLE);
+CREATE VIEW BASE AS SELECT k, v FROM SEED;
+CREATE VIEW MID1 AS SELECT k, v * 2 AS v FROM BASE;
+CREATE VIEW MID2 AS SELECT k, v * 3 AS v FROM BASE;
+CREATE VIEW TOP AS SELECT a.k AS k, b.k AS j, a.v + b.v AS v FROM MID1 a, MID2 b`)
+		seed(t, db, "SEED", []any{1, 1}, []any{2, 2})
 
-		res := mustQuery(t, db, `SELECT x, y FROM TOP`)
+		evaluations := func(q string) (*answer, int) {
+			tracer := obs.NewTracer()
+			res, err := query(obs.ContextWithTracer(context.Background(), tracer), db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, root := range tracer.Roots() {
+				n += len(root.FindAll("sql.vec"))
+			}
+			return res, n
+		}
+		res, n := evaluations(`SELECT k, j, v FROM TOP`)
 		if len(res.Rows) != 4 {
 			t.Fatalf("TOP rows = %d, want 4", len(res.Rows))
 		}
-		if calls != 1 {
-			t.Fatalf("BASE evaluated %d times in one statement, want 1 (memoized)", calls)
+		// The statement, TOP, MID1, MID2 and BASE once.
+		if n != 5 {
+			t.Fatalf("%d SELECTs evaluated in one statement, want 5 (BASE memoized)", n)
 		}
-
-		// A second statement re-evaluates (views see fresh data).
-		mustQuery(t, db, `SELECT x FROM TOP`)
-		if calls != 2 {
-			t.Fatalf("BASE evaluated %d times across two statements, want 2", calls)
+		// A second statement evaluates them again (views see fresh data).
+		if _, n := evaluations(`SELECT v FROM TOP`); n != 5 {
+			t.Fatalf("%d SELECTs evaluated in the second statement, want 5", n)
 		}
 	})
 }

@@ -9,9 +9,13 @@ import (
 func TestCreateAndQueryView(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `
-CREATE TABLE T (k VARCHAR, v DOUBLE);
+CREATE TABLE T (k VARCHAR, i INTEGER, v DOUBLE);
 CREATE VIEW W AS SELECT k, SUM(v) AS s FROM T GROUP BY k`)
-	seed(t, db, "T", []any{"a", 1}, []any{"a", 2}, []any{"b", 10})
+	// A view is evaluated where it is referenced: over T empty, then loaded.
+	if res := mustQuery(t, db, "SELECT k, s FROM W"); len(res.Rows) != 0 {
+		t.Fatalf("W over an empty T has %d rows", len(res.Rows))
+	}
+	seed(t, db, "T", []any{"a", 1, 1}, []any{"a", 2, 2}, []any{"b", 1, 10})
 	res := mustQuery(t, db, "SELECT k, s FROM W")
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
@@ -19,21 +23,15 @@ CREATE VIEW W AS SELECT k, SUM(v) AS s FROM T GROUP BY k`)
 	if f, _ := res.Rows[0][1].AsNumber(); f != 3 {
 		t.Errorf("W(a) = %v", f)
 	}
-	// Views see fresh base data on every reference.
-	seed(t, db, "T", []any{"a", 100})
-	res = mustQuery(t, db, "SELECT s FROM W WHERE k = 'a'")
-	if f, _ := res.Rows[0][0].AsNumber(); f != 103 {
-		t.Errorf("W(a) after insert = %v", f)
-	}
 }
 
 func TestViewOverView(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `
-CREATE TABLE T (v DOUBLE);
-CREATE VIEW A AS SELECT v * 2 AS w FROM T;
-CREATE VIEW B AS SELECT w + 1 AS x FROM A`)
-	seed(t, db, "T", []any{1}, []any{2})
+CREATE TABLE T (k INTEGER, v DOUBLE);
+CREATE VIEW A AS SELECT k, v * 2 AS w FROM T;
+CREATE VIEW B AS SELECT k, w + 1 AS x FROM A`)
+	seed(t, db, "T", []any{1, 1}, []any{2, 2})
 	res := mustQuery(t, db, "SELECT x FROM B")
 	if len(res.Rows) != 2 || res.Rows[1][0].String() != "5" {
 		t.Errorf("B = %v", res.Rows)

@@ -283,8 +283,8 @@ func TestExecuteContextCancelsInsideAStatement(t *testing.T) {
 		if ctx.polls > ctx.after+8 {
 			t.Errorf("groups=%s: the context was polled %d times, want the run to end within a few polls of number %d", source, ctx.polls, ctx.after)
 		}
-		if tab, ok := db.Table("PQR"); !ok || len(tab.Rows) != 0 {
-			t.Errorf("groups=%s: PQR after the cancelled INSERT … SELECT: %d rows, want the table there and empty", source, len(tab.Rows))
+		if tab, ok := db.Table("PQR"); !ok || tab.Cube().Len() != 0 {
+			t.Errorf("groups=%s: PQR after the cancelled INSERT … SELECT: %v, want the table there and empty", source, tab)
 		}
 		var sources []string
 		for _, root := range tracer.Roots() {
