@@ -18,7 +18,6 @@ package chase
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"exlengine/internal/mapping"
@@ -208,7 +207,7 @@ func padOperands(t *mapping.Tgd, target Instance) (rels [2]*model.Cube, err erro
 // dimension order (probe[a] is the buffer for that), a missing operand
 // measure is the default, and the point is absent when both are missing or
 // the operator is undefined there.
-func padPoint(p *plan, rels [2]*model.Cube, probe [2][]model.Value, dims []model.Value) (float64, bool, error) {
+func padPoint(p *plan, rels [2]*model.Cube, probe [2][]model.Value, dims []model.Value) (float64, bool) {
 	var vals [2]float64
 	var present [2]bool
 	for ai := range rels {
@@ -221,16 +220,10 @@ func padPoint(p *plan, rels [2]*model.Cube, probe [2][]model.Value, dims []model
 		}
 	}
 	if !present[0] && !present[1] {
-		return 0, false, nil
+		return 0, false
 	}
-	v, err := p.pad.f(vals[0], vals[1])
-	if err != nil {
-		if ops.ErrUndefined(err) {
-			return 0, false, nil
-		}
-		return 0, false, err
-	}
-	return v, true, nil
+	v, ok := p.pad.op.At(vals[0], vals[1])
+	return v, ok
 }
 
 // applyPadVector applies a padded vectorial tgd: the result is defined on
@@ -261,9 +254,9 @@ func applyPadVector(p *plan, target Instance, schema model.Schema, stats *Stats)
 				}
 			}
 			stats.Bindings++
-			v, present, err := padPoint(p, rels, probe, dims)
-			if err != nil || !present {
-				return err
+			v, present := padPoint(p, rels, probe, dims)
+			if !present {
+				return nil
 			}
 			stats.TuplesGenerated++
 			return out.Add(dims, v)
@@ -274,9 +267,3 @@ func applyPadVector(p *plan, target Instance, schema model.Schema, stats *Stats)
 	}
 	return out.Build()
 }
-
-// ErrChaseFailure wraps egd violations surfaced during a chase run.
-var ErrChaseFailure = model.ErrFunctional
-
-// IsFailure reports whether the error is a chase failure (egd violation).
-func IsFailure(err error) bool { return errors.Is(err, model.ErrFunctional) }

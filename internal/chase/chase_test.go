@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -366,7 +367,7 @@ func TestChaseEgdFailure(t *testing.T) {
 	_ = a.Put([]model.Value{yr, model.Str("x")}, 1)
 	_ = a.Put([]model.Value{yr, model.Str("y")}, 2)
 	_, err := New(m).Solve(Instance{"A": a})
-	if err == nil || !IsFailure(err) {
+	if !errors.Is(err, model.ErrFunctional) {
 		t.Fatalf("want egd failure, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "bad") {

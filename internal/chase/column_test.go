@@ -17,21 +17,29 @@ func TestColumnPathAllocatesNoMask(t *testing.T) {
 	src := Instance{"S": bigPanel().Freeze()}
 	n := src["S"].Len()
 	s := New(compile(t, "cube S(q: quarter, r: string) measure v\nA := ln(S) * 3\n"))
-	if len(s.plans) != 1 || s.plans[0].prog == nil {
-		t.Fatalf("%d tgds, the last with a column program: %v; want one", len(s.plans), s.plans[len(s.plans)-1].prog != nil)
+	if len(s.plans) != 1 || !s.plans[0].aligned {
+		t.Fatalf("%d tgds, the last aligned: %v; want one", len(s.plans), s.plans[len(s.plans)-1].aligned)
 	}
 	if _, err := s.Solve(src); err != nil { // leaves S's order cached
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sol, err := s.Solve(src)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	// TotalAlloc is the process's: other goroutines can only add to what a
+	// run allocates, so the least of five runs is the closest reading.
+	var sol Instance
+	grown := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		sol, err = s.Solve(src)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown = min(grown, after.TotalAlloc-before.TotalAlloc)
 	}
 	// The column is rounded up to whole pages; a mask would be n bytes more.
-	if grown := after.TotalAlloc - before.TotalAlloc; grown > uint64(8*n+8192) {
+	if grown > uint64(8*n+8192) {
 		t.Errorf("a run allocated %d bytes for %d output tuples: more than the output column", grown, n)
 	}
 	if a := sol["A"]; a.Len() != n || !a.SharesKeySet(src["S"]) {
@@ -39,7 +47,7 @@ func TestColumnPathAllocatesNoMask(t *testing.T) {
 	}
 
 	s = New(compile(t, "cube S(q: quarter, r: string) measure v\nA := ln(S - 100) * 3\n"))
-	sol, err = s.Solve(src)
+	sol, err := s.Solve(src)
 	if err != nil {
 		t.Fatal(err)
 	}

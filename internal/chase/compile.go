@@ -26,27 +26,29 @@ type plan struct {
 	err error
 
 	slots int // variables of the tgd
-	args  int // scratch floats the measure expression's operators need
 
 	// lhs is the left-hand side in join order: lhs[0] drives, every later
 	// atom is probed under the bindings of the ones before it. alone[i]
 	// is atom i compiled as if it drove — no variable bound before it —
 	// which is how a delta tuple of its relation is turned back into a
 	// binding; alone[i].err is set when that inversion is impossible.
-	lhs     []atomPlan
-	alone   []atomPlan
-	rhs     []dimTerm
-	measure measureFn
+	lhs   []atomPlan
+	alone []atomPlan
+	rhs   []dimTerm
+	// prog is the measure expression, run a column at a time on the column
+	// path (exec.columns) and over columns of one at a single binding
+	// (exec.measure).
+	prog *colProg
 
 	// shared: the rhs dimension terms are the driving atom's variables
 	// verbatim and every other atom matches at most one tuple, so each
 	// output tuple sits at its driving tuple's dimension tuple and the
 	// output stands on the driving relation's key set (model.Cube.Derive).
 	shared bool
-	// prog is the measure expression of a shared plan whose later atoms are
-	// all aligned and whose measure variables are all atoms' measures,
-	// compiled for the column path (exec.columns); nil for any other plan.
-	prog *colProg
+	// aligned: the plan is shared, every later atom is aligned, and every
+	// variable prog reads is the measure of one atom, so prog may run over
+	// the atoms' measure columns (exec.columns).
+	aligned bool
 
 	// keyed is the tuple-level tgd turned around for maintenance: the
 	// output key gives the binding, then every atom is probed. It is nil
@@ -121,12 +123,6 @@ func (d *dimTerm) eval(vals []model.Value) (model.Value, error) {
 	return v, nil
 }
 
-// measureFn evaluates a measure expression under the binding in x. defined
-// is false when a scalar operator hit an undefined point (division by zero,
-// log of a non-positive number): per the paper's semantics the result cube
-// simply has no tuple there.
-type measureFn func(x *exec) (val float64, defined bool, err error)
-
 // keyedPlan is a tuple-level tgd evaluated from an output key: rhs is the
 // right-hand side atom compiled as a driver, so binding it against a key
 // recovers the variables, and atoms are the lhs atoms with all of those
@@ -141,17 +137,16 @@ type keyedPlan struct {
 
 // padPlan is a padded vectorial tgd: order[a][j] is the rhs position of
 // the variable at operand a's position j (each operand is a permutation
-// of the rhs variables), f the scalar operator.
+// of the rhs variables), op the binary operator.
 type padPlan struct {
 	order [2][]int
-	f     ops.ScalarFunc
+	op    ops.Op
 }
 
 // compiler holds the name → slot table of the tgd being compiled; names
 // are not looked at again once the plan is built.
 type compiler struct {
 	slot map[string]int
-	args int
 }
 
 func (c *compiler) slotOf(name string) int {
@@ -216,25 +211,21 @@ func (p *plan) compileJoin() error {
 		}
 		p.rhs = append(p.rhs, dt)
 	}
-	if t.Measure == nil {
-		return fmt.Errorf("tgd has no measure term")
-	}
 	var err error
-	if p.measure, err = c.measure(t.Measure); err != nil {
+	if p.prog, err = c.colProgram(t.Measure); err != nil {
 		return err
 	}
-	p.args = c.args
 
 	switch t.Kind {
 	case mapping.TupleLevel:
 		p.shared = sharesDrivingKey(t)
-		aligned := p.shared
+		p.aligned = p.shared
 		for i := range p.lhs {
 			p.lhs[i].aligned = p.shared && slices.Equal(t.Lhs[i].Dims, t.Lhs[0].Dims)
-			aligned = aligned && p.lhs[i].aligned
+			p.aligned = p.aligned && p.lhs[i].aligned
 		}
-		if aligned {
-			p.prog = c.colProgram(t.Measure, p.lhs)
+		for _, s := range p.prog.reads {
+			p.aligned = p.aligned && p.measureColumn(s) >= 0
 		}
 		p.keyed = c.keyed(t, p.alone)
 	case mapping.Aggregation:
@@ -324,74 +315,18 @@ func (c *compiler) atom(a mapping.Atom, bound map[int]bool) (atomPlan, error) {
 	return ap, nil
 }
 
-// measure compiles a measure expression. Every operator application owns
-// a fixed window of the exec's scratch floats for its arguments, so
-// evaluation allocates nothing.
-func (c *compiler) measure(m *mapping.MTerm) (measureFn, error) {
-	switch m.Kind {
-	case mapping.MConst:
-		v := m.Val
-		return func(*exec) (float64, bool, error) { return v, true, nil }, nil
-	case mapping.MVar:
-		slot, ok := c.slot[m.Var]
-		if !ok {
-			return nil, fmt.Errorf("unbound measure variable %s", m.Var)
-		}
-		name := m.Var
-		return func(x *exec) (float64, bool, error) {
-			f, ok := x.vals[slot].AsNumber()
-			if !ok {
-				return 0, false, fmt.Errorf("measure variable %s bound to non-numeric %v", name, x.vals[slot])
-			}
-			return f, true, nil
-		}, nil
-	case mapping.MApply:
-		f, err := ops.Scalar(m.Op)
-		if err != nil {
-			return nil, err
-		}
-		args := make([]measureFn, len(m.Args))
-		for i, a := range m.Args {
-			if args[i], err = c.measure(a); err != nil {
-				return nil, err
-			}
-		}
-		params := m.Params
-		lo, mid := c.args, c.args+len(args)
-		hi := mid + len(params)
-		c.args = hi
-		return func(x *exec) (float64, bool, error) {
-			for i, a := range args {
-				v, defined, err := a(x)
-				if err != nil || !defined {
-					return 0, defined, err
-				}
-				x.args[lo+i] = v
-			}
-			copy(x.args[mid:hi], params)
-			v, err := f(x.args[lo:hi]...)
-			if err != nil {
-				if ops.ErrUndefined(err) {
-					return 0, false, nil
-				}
-				return 0, false, err
-			}
-			return v, true, nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown measure term kind %d", m.Kind)
-	}
-}
-
-// colProg is a measure expression compiled for the column path: steps in
-// evaluation order, each an ops.Op mapped over operand columns into a
-// register. Register 0 is the output column, the others scratch columns the
-// exec keeps. The value is at root: register 0, unless the expression is a
-// lone variable or constant.
+// colProg is a measure expression compiled once, to steps in evaluation
+// order, each an ops.Op applied to its operands into a register. Register 0
+// is the output, the others scratch the exec keeps. The value is at root:
+// register 0, unless the expression is a lone variable or constant. The
+// program runs a column at a time (run), a register a column and a variable
+// its atom's measure column, or at one binding (at), a register and a
+// variable one value each: every step is then its operator at a point.
 type colProg struct {
 	steps []colStep
 	regs  int
 	root  colRef
+	reads []int // the slots of the variables the program reads, each once
 }
 
 type colStep struct {
@@ -400,71 +335,78 @@ type colStep struct {
 	x, y colRef
 }
 
-// colRef is an operand of a step: a register (reg >= 0), an atom's measure
-// column (atom >= 0) or a constant, k, a column of one.
+// colRef is an operand of a step: a register (reg >= 0), a variable's slot
+// (slot >= 0) or a constant, k, a column of one.
 type colRef struct {
-	reg, atom int
+	reg, slot int
 	k         []float64
 }
 
-// colProgram compiles m for the column path over atoms, or returns nil where
-// a measure variable is not an atom's measure, two atoms bind one measure
-// variable, or an operator is unknown or applied to as many arguments as it
-// does not take: such a tgd keeps the per-row path, which reports what is
-// wrong with it.
-func (c *compiler) colProgram(m *mapping.MTerm, atoms []atomPlan) *colProg {
-	for i := range atoms {
-		for j := range i {
-			if atoms[i].mslot >= 0 && atoms[i].mslot == atoms[j].mslot {
-				return nil
-			}
-		}
+// colProgram compiles the measure expression m. An unbound variable, an
+// unknown operator or one applied to as many arguments as it does not take
+// is an error, which the plan carries.
+func (c *compiler) colProgram(m *mapping.MTerm) (*colProg, error) {
+	if m == nil {
+		return nil, fmt.Errorf("tgd has no measure term")
 	}
 	pr := &colProg{regs: 1}
-	root, ok := pr.term(c, m, 0, atoms)
-	if !ok {
-		return nil
-	}
+	root, err := pr.term(c, m, 0)
 	pr.root = root
-	return pr
+	return pr, err
 }
 
 // term compiles m to be evaluated into register reg: its first argument goes
 // there too, its second into reg+1, so an argument is computed in registers no
 // argument before it holds.
-func (pr *colProg) term(c *compiler, m *mapping.MTerm, reg int, atoms []atomPlan) (colRef, bool) {
+func (pr *colProg) term(c *compiler, m *mapping.MTerm, reg int) (colRef, error) {
 	switch m.Kind {
 	case mapping.MConst:
-		return colRef{reg: -1, atom: -1, k: []float64{m.Val}}, true
+		return colRef{reg: -1, slot: -1, k: []float64{m.Val}}, nil
 	case mapping.MVar:
 		slot, ok := c.slot[m.Var]
-		a := slices.IndexFunc(atoms, func(a atomPlan) bool { return a.mslot == slot })
-		return colRef{reg: -1, atom: a}, ok && a >= 0
+		if !ok {
+			return colRef{}, fmt.Errorf("unbound measure variable %s", m.Var)
+		}
+		if !slices.Contains(pr.reads, slot) {
+			pr.reads = append(pr.reads, slot)
+		}
+		return colRef{reg: -1, slot: slot}, nil
 	case mapping.MApply:
 		op, err := ops.OpOf(m.Op)
-		if err != nil || op.Arity() != len(m.Args)+len(m.Params) {
-			return colRef{}, false
+		if err != nil {
+			return colRef{}, err
+		}
+		if n := len(m.Args) + len(m.Params); n != op.Arity() {
+			return colRef{}, fmt.Errorf("%s takes %d argument(s), got %d", op, op.Arity(), n)
 		}
 		var args [2]colRef
 		for i, a := range m.Args {
-			r, ok := pr.term(c, a, reg+i, atoms)
-			if !ok {
-				return colRef{}, false
+			if args[i], err = pr.term(c, a, reg+i); err != nil {
+				return colRef{}, err
 			}
-			args[i] = r
 		}
 		for j := range m.Params {
-			args[len(m.Args)+j] = colRef{reg: -1, atom: -1, k: m.Params[j : j+1]}
+			args[len(m.Args)+j] = colRef{reg: -1, slot: -1, k: m.Params[j : j+1]}
 		}
 		if op.Arity() == 1 {
 			args[1] = args[0]
 		}
 		pr.steps = append(pr.steps, colStep{op: op, dst: reg, x: args[0], y: args[1]})
 		pr.regs = max(pr.regs, reg+1)
-		return colRef{reg: reg, atom: -1}, true
+		return colRef{reg: reg, slot: -1}, nil
 	default:
-		return colRef{}, false
+		return colRef{}, fmt.Errorf("unknown measure term kind %d", m.Kind)
 	}
+}
+
+// measureColumn returns the lhs atom whose measure variable is in slot, or -1
+// where none or two are.
+func (p *plan) measureColumn(slot int) int {
+	a := slices.IndexFunc(p.lhs, func(a atomPlan) bool { return a.mslot == slot })
+	if a < 0 || slices.ContainsFunc(p.lhs[a+1:], func(b atomPlan) bool { return b.mslot == slot }) {
+		return -1
+	}
+	return a
 }
 
 // sharesDrivingKey reports whether every output tuple of the tuple-level
@@ -580,6 +522,8 @@ func compilePad(t *mapping.Tgd) (*padPlan, error) {
 		}
 	}
 	var err error
-	p.f, err = ops.Scalar(t.PadOp)
+	if p.op, err = ops.OpOf(t.PadOp); err == nil && p.op.Arity() != 2 {
+		err = fmt.Errorf("padded tgds take a binary operator, not %s", p.op)
+	}
 	return p, err
 }

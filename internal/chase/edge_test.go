@@ -151,3 +151,47 @@ func TestChaseCrossProduct(t *testing.T) {
 		t.Errorf("C(2,1) = %v", got)
 	}
 }
+
+// TestChaseRefusesWrongArity: an operator applied to as many arguments as it
+// does not take is the plan's error, which fails the chase naming the tgd and
+// the operator; pow(y) was once computed as pow(y, y).
+func TestChaseRefusesWrongArity(t *testing.T) {
+	year := func(name string) model.Schema {
+		return model.NewSchema(name, []model.Dim{{Name: "t", Type: model.TYear}}, "v")
+	}
+	a := model.NewCube(year("A"))
+	_ = a.Put([]model.Value{model.Per(model.NewAnnual(2000))}, 2)
+	apply := func(op string, params ...float64) *mapping.Tgd {
+		return &mapping.Tgd{
+			ID:      "bad",
+			Kind:    mapping.TupleLevel,
+			Lhs:     []mapping.Atom{{Rel: "A", Dims: []mapping.DimTerm{mapping.V("t")}, MVar: "y"}},
+			Rhs:     mapping.Atom{Rel: "B", Dims: []mapping.DimTerm{mapping.V("t")}},
+			Measure: &mapping.MTerm{Kind: mapping.MApply, Op: op, Args: []*mapping.MTerm{mapping.MV("y")}, Params: params},
+		}
+	}
+	pad := &mapping.Tgd{
+		ID:    "bad",
+		Kind:  mapping.PadVector,
+		PadOp: "neg",
+		Lhs: []mapping.Atom{
+			{Rel: "A", Dims: []mapping.DimTerm{mapping.V("t")}, MVar: "x"},
+			{Rel: "A", Dims: []mapping.DimTerm{mapping.V("t")}, MVar: "y"},
+		},
+		Rhs: mapping.Atom{Rel: "B", Dims: []mapping.DimTerm{mapping.V("t")}},
+	}
+	for i, tg := range []*mapping.Tgd{apply("pow"), apply("ln", 7, 9), apply("add", 1, 100), pad} {
+		m := &mapping.Mapping{
+			Schemas:    map[string]model.Schema{"A": year("A"), "B": year("B")},
+			Elementary: []string{"A"},
+			Tgds:       []*mapping.Tgd{tg},
+		}
+		s := New(m)
+		if s.plans[0].err == nil {
+			t.Errorf("case %d: the plan has no error", i)
+		}
+		if _, err := s.Solve(Instance{"A": a}); err == nil || !strings.Contains(err.Error(), "bad") || !strings.Contains(err.Error(), "neg") && !strings.Contains(err.Error(), "argument") {
+			t.Errorf("case %d: got %v, want the wrong arity refused", i, err)
+		}
+	}
+}

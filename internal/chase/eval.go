@@ -41,7 +41,8 @@ type exec struct {
 	group uint32
 
 	vals   []model.Value   // the binding: one slot per variable
-	args   []float64       // operator argument windows of the measure
+	num    []float64       // the numbers the measure reads from vals, by slot
+	regs   []float64       // the measure's registers at one binding
 	probes [][]model.Value // per atom: the tuple (or key) being probed
 	out    []model.Value   // rhs dimension tuple of the current binding
 	key    []byte
@@ -69,12 +70,13 @@ func newExec(ctx context.Context, p *plan, atoms []atomPlan, target Instance) (*
 		index:  make([]*probeIndex, len(atoms)),
 		cols:   make([][]float64, len(atoms)),
 		vals:   make([]model.Value, p.slots),
-		args:   make([]float64, p.args),
+		num:    make([]float64, p.slots),
+		regs:   make([]float64, p.prog.regs),
 		probes: make([][]model.Value, len(atoms)),
 		out:    make([]model.Value, len(p.rhs)),
 	}
 	x.emit = func() (err error) {
-		x.mv, x.present, err = p.measure(x)
+		x.mv, x.present, err = x.measure()
 		return err
 	}
 	for i := range atoms {
@@ -265,6 +267,22 @@ func (x *exec) rhsDims() error {
 	return nil
 }
 
+// measure evaluates the plan's program at the current binding, over columns of
+// one. defined is false when an operator hit an undefined point (division by
+// zero, log of a non-positive number): per the paper's semantics the result
+// cube simply has no tuple there.
+func (x *exec) measure() (v float64, defined bool, err error) {
+	for _, s := range x.p.prog.reads {
+		f, ok := x.vals[s].AsNumber()
+		if !ok {
+			return 0, false, fmt.Errorf("measure variable bound to non-numeric %v", x.vals[s])
+		}
+		x.num[s] = f
+	}
+	v, defined = x.p.prog.at(x.num, x.regs)
+	return v, defined, nil
+}
+
 // measureOnce runs the join from atom i on for a binding that has at most
 // one completion (every remaining atom is a full-key probe) and returns
 // its measure; present is false when an atom found no tuple or the measure
@@ -296,7 +314,7 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 				positional = false
 			}
 		}
-		if x.p.prog != nil && positional {
+		if x.p.aligned && positional {
 			span.SetAttr(obs.String("eval", "column"))
 			return x.columns(schema)
 		}
@@ -320,7 +338,7 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 		if err := x.rhsDims(); err != nil {
 			return err
 		}
-		mv, defined, err := x.p.measure(x)
+		mv, defined, err := x.measure()
 		if err != nil || !defined {
 			return err
 		}
@@ -358,11 +376,15 @@ func (x *exec) columns(schema model.Schema) (*model.Cube, int, error) {
 	return c, tuples, err
 }
 
-// runProgram runs the plan's column program over the first n rows of cols
-// into a new column, binding each row, and returns the column and its undefined
-// points (nil where there are none).
+// runProgram runs the plan's program over the first n rows of cols, the lhs
+// atoms' measure columns, into a new column, binding each row, and returns the
+// column and its undefined points (nil where there are none).
 func (x *exec) runProgram(cols [][]float64, n int) ([]float64, []bool, error) {
 	prog := x.p.prog
+	bySlot := make([][]float64, x.p.slots)
+	for _, s := range prog.reads {
+		bySlot[s] = cols[x.p.measureColumn(s)]
+	}
 	out := make([]float64, n)
 	scratch := make([][]float64, prog.regs-1)
 	for i := range scratch {
@@ -379,7 +401,7 @@ func (x *exec) runProgram(cols [][]float64, n int) ([]float64, []bool, error) {
 			}
 		}
 		hi := min(n, lo+pollEvery-next)
-		undef = prog.run(out, cols, lo, hi, scratch, undef)
+		undef = prog.run(out, bySlot, lo, hi, scratch, undef)
 		x.visited += hi - lo
 		x.bindings += hi - lo
 		lo = hi
@@ -387,8 +409,8 @@ func (x *exec) runProgram(cols [][]float64, n int) ([]float64, []bool, error) {
 	return out, undef, nil
 }
 
-// run evaluates the program at rows [lo, hi) of the atoms' measure columns
-// cols into out[lo:hi], through scratch (regs-1 columns of at least hi-lo
+// run evaluates the program at rows [lo, hi) of cols, the variables' columns
+// by slot, into out[lo:hi], through scratch (regs-1 columns of at least hi-lo
 // values), and returns undef — nil, or as long as out — with the rows where an
 // operator is undefined marked.
 func (pr *colProg) run(out []float64, cols [][]float64, lo, hi int, scratch [][]float64, undef []bool) []bool {
@@ -402,8 +424,8 @@ func (pr *colProg) run(out []float64, cols [][]float64, lo, hi int, scratch [][]
 		switch {
 		case r.reg >= 0:
 			return reg(r.reg)
-		case r.atom >= 0:
-			return cols[r.atom][lo:hi]
+		case r.slot >= 0:
+			return cols[r.slot][lo:hi]
 		}
 		return r.k
 	}
@@ -428,6 +450,28 @@ func (pr *colProg) run(out []float64, cols [][]float64, lo, hi int, scratch [][]
 		copy(undef[lo:], u)
 	}
 	return undef
+}
+
+// at evaluates the program at one binding, vals holding the variables by slot
+// and regs the registers, a value each; ok is false where an operator is
+// undefined.
+func (pr *colProg) at(vals, regs []float64) (v float64, ok bool) {
+	for _, s := range pr.steps {
+		if regs[s.dst], ok = s.op.At(s.x.at(vals, regs), s.y.at(vals, regs)); !ok {
+			return 0, false
+		}
+	}
+	return pr.root.at(vals, regs), true
+}
+
+func (r colRef) at(vals, regs []float64) float64 {
+	switch {
+	case r.reg >= 0:
+		return regs[r.reg]
+	case r.slot >= 0:
+		return vals[r.slot]
+	}
+	return r.k[0]
 }
 
 // group is one output point of an aggregation tgd being folded; its bag is
@@ -499,7 +543,7 @@ func (x *exec) aggregate(part *model.Partition, only []bool) ([]group, error) {
 				groups = append(groups, group{})
 			}
 		}
-		mv, defined, err := x.p.measure(x)
+		mv, defined, err := x.measure()
 		if err != nil || !defined {
 			return err
 		}

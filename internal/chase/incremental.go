@@ -15,13 +15,9 @@ import (
 // moved since the outputs in BaseOut were computed.
 type DeltaInput struct {
 	// Deltas maps changed source relations to their tuple-level deltas.
-	// Relations absent from both Deltas and FullOnly are unchanged. An
-	// empty delta is treated as unchanged.
+	// Relations absent from Deltas are unchanged. An empty delta is treated
+	// as unchanged.
 	Deltas map[string]*model.CubeDelta
-	// FullOnly marks relations known to have changed without a usable
-	// delta (e.g. the store could not reconstruct the old version).
-	// Every tgd consuming one is recomputed in full.
-	FullOnly map[string]bool
 	// BaseOut holds the previous run's output cubes (derived and
 	// auxiliary relations), keyed by name. A tgd with no base output
 	// cannot be maintained and is recomputed in full.
@@ -61,8 +57,8 @@ type IncrStats struct {
 //
 // The second return value maps every relation that changed — inputs as
 // given, outputs as derived — to its delta; relations absent from it are
-// unchanged (except those the input marked FullOnly, whose movement is
-// unknown). Callers chaining solvers feed these to the next stage.
+// unchanged (except outputs recomputed with no base to diff against, whose
+// movement is unknown). Callers chaining solvers feed these to the next stage.
 func (s *Solver) SolveIncremental(ctx context.Context, source Instance, in *DeltaInput) (Instance, map[string]*model.CubeDelta, *IncrStats, error) {
 	stats := &IncrStats{}
 	chaseStats := &Stats{}
@@ -73,12 +69,9 @@ func (s *Solver) SolveIncremental(ctx context.Context, source Instance, in *Delt
 			deltas[name] = d
 		}
 	}
-	fullOnly := make(map[string]bool, len(in.FullOnly))
-	for name, v := range in.FullOnly {
-		if v {
-			fullOnly[name] = true
-		}
-	}
+	// fullOnly marks the outputs recomputed with no base to diff against:
+	// every tgd consuming one is recomputed in full.
+	fullOnly := make(map[string]bool)
 
 	for _, name := range s.m.Elementary {
 		target[name] = s.elementary(source, name)
@@ -325,7 +318,7 @@ func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[st
 	if err != nil {
 		return nil, nil, false, err
 	}
-	if p.prog != nil {
+	if p.aligned {
 		if out, od, ok, err := x.incrColumns(deltas, baseOut, stats); ok || err != nil {
 			return out, od, ok, err
 		}
@@ -517,7 +510,8 @@ func incrPadVector(p *plan, target Instance, deltas map[string]*model.CubeDelta,
 
 	probe := [2][]model.Value{make([]model.Value, n), make([]model.Value, n)}
 	recompute := func(_ string, dims []model.Value) (float64, bool, error) {
-		return padPoint(p, rels, probe, dims)
+		v, present := padPoint(p, rels, probe, dims)
+		return v, present, nil
 	}
 	out, od, err := maintain(p.t.Target(), baseOut, affected, stats, recompute)
 	if err != nil {

@@ -181,43 +181,6 @@ func TestIncrementalNormalizedMappingFallsBackSafely(t *testing.T) {
 	}
 }
 
-func TestIncrementalFullOnlyInputForcesFull(t *testing.T) {
-	base := Instance(workload.GDPSource(workload.GDPConfig{Days: 40, Regions: 2, Seed: 6}))
-	cur := mutate(t, base, "PDR", 17)
-	m := compile(t, workload.GDPProgram)
-	s := New(m)
-	baseOut, err := s.Solve(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := s.Solve(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &DeltaInput{
-		FullOnly: map[string]bool{"PDR": true},
-		BaseOut:  map[string]*model.Cube{},
-	}
-	for name, c := range baseOut {
-		in.BaseOut[name] = c.Freeze()
-	}
-	got, _, stats, err := s.SolveIncremental(context.Background(), cur, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Direct consumers of the full-only input must recompute in full;
-	// their diffed outputs may legitimately re-enable incremental
-	// maintenance further downstream.
-	if stats.Full == 0 {
-		t.Errorf("full-only input must force full recompute of its consumers: %+v", stats)
-	}
-	for name, w := range want {
-		if lines := exactDiff(w, got[name]); len(lines) > 0 {
-			t.Errorf("cube %s diverges: %v", name, lines)
-		}
-	}
-}
-
 // TestIncrementalDeltaInCubeOrder: a maintained tgd lists its output
 // delta in cube order, as CubeDelta promises — here over quarters whose
 // ordinals straddle a byte boundary (2048-Q1 is ordinal 0x2000), which

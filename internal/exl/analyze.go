@@ -194,12 +194,7 @@ func (a *Analyzed) analyzeExpr(e Expr) (*AExpr, error) {
 			return nil, err
 		}
 		if x.Kind == AConst {
-			f, _ := ops.Scalar("neg")
-			v, err := f(x.Val)
-			if err != nil {
-				return nil, errorf(e.At, "constant expression is undefined: %v", err)
-			}
-			return &AExpr{Kind: AConst, At: e.At, Val: v}, nil
+			return fold(e.At, "neg", x.Val, x.Val)
 		}
 		return &AExpr{Kind: AScalarFunc, At: e.At, Op: "neg", Arg: x, Schema: x.Schema}, nil
 	case *BinaryExpr:
@@ -209,6 +204,20 @@ func (a *Analyzed) analyzeExpr(e Expr) (*AExpr, error) {
 	default:
 		return nil, errorf(e.Pos(), "unsupported expression form %T", e)
 	}
+}
+
+// fold computes the scalar operator op at constant operands: op(x, y), or
+// op(x) for a unary one.
+func fold(at Position, op string, x, y float64) (*AExpr, error) {
+	f, err := ops.OpOf(op)
+	if err != nil {
+		return nil, errorf(at, "%v", err)
+	}
+	v, ok := f.At(x, y)
+	if !ok {
+		return nil, errorf(at, "constant expression is undefined: %s undefined on input", op)
+	}
+	return &AExpr{Kind: AConst, At: at, Val: v}, nil
 }
 
 var binOps = map[string]string{"+": "add", "-": "sub", "*": "mul", "/": "div"}
@@ -224,12 +233,7 @@ func (a *Analyzed) analyzeBinary(e *BinaryExpr) (*AExpr, error) {
 	}
 	op := binOps[e.Op]
 	if x.Kind == AConst && y.Kind == AConst {
-		f, _ := ops.Scalar(op)
-		v, err := f(x.Val, y.Val)
-		if err != nil {
-			return nil, errorf(e.At, "constant expression is undefined: %v", err)
-		}
-		return &AExpr{Kind: AConst, At: e.At, Val: v}, nil
+		return fold(e.At, op, x.Val, y.Val)
 	}
 	if op == "div" && y.Kind == AConst && y.Val == 0 {
 		return nil, errorf(e.At, "division by the constant zero is everywhere undefined")
@@ -354,12 +358,7 @@ func (a *Analyzed) analyzeScalarCall(e *Call, info ops.Info) (*AExpr, error) {
 		constArgs = append(constArgs, ae.Val)
 	}
 	if allConst {
-		f, _ := ops.Scalar(e.Name)
-		v, err := f(constArgs...)
-		if err != nil {
-			return nil, errorf(e.At, "constant expression is undefined: %v", err)
-		}
-		return &AExpr{Kind: AConst, At: e.At, Val: v}, nil
+		return fold(e.At, e.Name, constArgs[0], constArgs[len(constArgs)-1])
 	}
 	sch := model.NewSchema("", arg.Schema.Dims, "")
 	return &AExpr{Kind: AScalarFunc, At: e.At, Op: e.Name, Arg: arg, Params: params, Schema: sch}, nil

@@ -117,8 +117,8 @@ func IsCancellation(err error) bool {
 
 // ClassOf classifies an arbitrary error: explicit Error wrappers keep
 // their class, functionality-egd violations (model.ErrFunctional, which
-// chase.ErrChaseFailure aliases) are EgdViolation, and everything else —
-// including unwrapped engine errors and an expired fragment timeout —
+// every engine, the chase included, wraps) are EgdViolation, and everything
+// else — including unwrapped engine errors and an expired fragment timeout —
 // defaults to Fatal.
 func ClassOf(err error) Class {
 	var e *Error

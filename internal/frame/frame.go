@@ -168,9 +168,9 @@ type RowFunc func(row []model.Value) (model.Value, error)
 // Bind resolves the expression against rows laid out as cols, once: every
 // column to its position, every operator and dimension function to its
 // function. An unknown column, operator or dimension function is an error
-// here, before any row is read; a type error, such as arithmetic over a
-// string, is an error at the row. NA propagates. The function keeps scratch
-// space for its operands, so it serves one goroutine.
+// here, before any row is read, and so is an operator given as many arguments
+// as it does not take; a type error, such as arithmetic over a string, is an
+// error at the row. NA propagates.
 func Bind(e Expr, cols []string) (RowFunc, error) {
 	switch e := e.(type) {
 	case Col:
@@ -211,9 +211,12 @@ func Bind(e Expr, cols []string) (RowFunc, error) {
 			return fn.Apply(v)
 		}, nil
 	case Apply:
-		fn, err := ops.Scalar(e.Op)
+		op, err := ops.OpOf(e.Op)
 		if err != nil {
 			return nil, err
+		}
+		if n := len(e.Args) + len(e.Params); n != op.Arity() || len(e.Args) == 0 {
+			return nil, fmt.Errorf("frame: %s takes %d argument(s), given %d and %d parameter(s)", e.Op, op.Arity(), len(e.Args), len(e.Params))
 		}
 		args := make([]RowFunc, len(e.Args))
 		for i, a := range e.Args {
@@ -221,9 +224,10 @@ func Bind(e Expr, cols []string) (RowFunc, error) {
 				return nil, err
 			}
 		}
-		// The operands, then the parameters.
-		in := append(make([]float64, len(args), len(args)+len(e.Params)), e.Params...)
 		return func(row []model.Value) (model.Value, error) {
+			// The operands, then the parameter.
+			var in [2]float64
+			copy(in[len(args):], e.Params)
 			for i, a := range args {
 				v, err := a(row)
 				if err != nil || !v.IsValid() {
@@ -235,12 +239,9 @@ func Bind(e Expr, cols []string) (RowFunc, error) {
 				}
 				in[i] = x
 			}
-			out, err := fn(in...)
-			if err != nil {
-				if ops.ErrUndefined(err) {
-					return model.Value{}, nil // NA
-				}
-				return model.Value{}, err
+			out, ok := op.At(in[0], in[1])
+			if !ok {
+				return model.Value{}, nil // NA
 			}
 			return model.Num(out), nil
 		}, nil

@@ -276,14 +276,19 @@ func TestTranslateTgdShapes(t *testing.T) {
 	}
 }
 
-// TestFrameExprErrors: what names nothing fails when the expression is bound,
-// before any row is read; a type error fails at the row.
+// TestFrameExprErrors: what names nothing, and an operator given as many
+// arguments as it does not take, fails when the expression is bound, before
+// any row is read; a type error fails at the row.
 func TestFrameExprErrors(t *testing.T) {
 	cols := []string{"a"}
 	for name, e := range map[string]Expr{
 		"unknown column":             Col{Name: "zz"},
 		"unknown operator":           Apply{Op: "nosuch", Args: []Expr{Const{V: 1}}},
 		"unknown dimension function": DimApply{Fn: "week", X: Col{Name: "a"}},
+		"pow of one argument":        Apply{Op: "pow", Args: []Expr{Col{Name: "a"}}},
+		"ln of three arguments":      Apply{Op: "ln", Args: []Expr{Col{Name: "a"}}, Params: []float64{7, 9}},
+		"add of three arguments":     Apply{Op: "add", Args: []Expr{Col{Name: "a"}}, Params: []float64{1, 100}},
+		"ln of no argument":          Apply{Op: "ln"},
 	} {
 		if _, err := Bind(e, cols); err == nil {
 			t.Errorf("%s: binding must fail", name)

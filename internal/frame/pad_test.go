@@ -48,6 +48,7 @@ func TestPadMergeErrors(t *testing.T) {
 		{Out: "Z", X: "X", Y: "Y", Keys: []string{"t"}, XVal: "zz", YVal: "y", Op: "add", OutCol: "v"},
 		{Out: "Z", X: "X", Y: "Y", Keys: []string{"t"}, XVal: "x", YVal: "zz", Op: "add", OutCol: "v"},
 		{Out: "Z", X: "X", Y: "Y", Keys: []string{"t"}, XVal: "x", YVal: "y", Op: "nosuch", OutCol: "v"},
+		{Out: "Z", X: "X", Y: "Y", Keys: []string{"t"}, XVal: "x", YVal: "y", Op: "neg", OutCol: "v"},
 		{Out: "Z", X: "NOPE", Y: "Y", Keys: []string{"t"}, XVal: "x", YVal: "y", Op: "add", OutCol: "v"},
 	}
 	for i, s := range bad {

@@ -502,7 +502,7 @@ func groupAgg(in *Frame, s GroupAgg) (*Frame, error) {
 // cube order (keyOrder); a point where Op is undefined has none.
 type PadMerger struct {
 	sides  [2][]int // per operand: its key columns, then its value column
-	fn     ops.ScalarFunc
+	op     ops.Op
 	def    float64
 	asg    *model.Assigner
 	key    []model.Value
@@ -527,12 +527,11 @@ func NewPadMerger(s PadMerge, xCols, yCols []string) (*PadMerger, error) {
 		}
 		m.sides[i] = idx
 	}
-	fn, err := ops.Scalar(s.Op)
-	if err != nil {
-		return nil, err
+	var err error
+	if m.op, err = ops.OpOf(s.Op); err == nil && m.op.Arity() != 2 {
+		err = fmt.Errorf("frame: pad-merge takes a binary operator, not %s", s.Op)
 	}
-	m.fn = fn
-	return m, nil
+	return m, err
 }
 
 // Add reads a row of the operand side: 0 for X, 1 for Y.
@@ -559,15 +558,10 @@ func (m *PadMerger) Add(side int, row []model.Value) error {
 func (m *PadMerger) Each(fn func(row []model.Value) error) error {
 	for _, o := range m.order.ordinals(func(o int) []model.Value { return m.points[o].key }) {
 		p := m.points[o]
-		v, err := m.fn(p.v[0], p.v[1])
-		if ops.ErrUndefined(err) {
-			continue
-		}
-		if err == nil {
-			err = fn(append(p.key, model.Num(v)))
-		}
-		if err != nil {
-			return err
+		if v, ok := m.op.At(p.v[0], p.v[1]); ok {
+			if err := fn(append(p.key, model.Num(v))); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -10,8 +10,8 @@
 // over a column of one, so that both are the same machine code: a scalar
 // operator is Op.Map, dst[i] = op(x[i], y[i]) over columns or constants, which
 // marks the points where the result is not a finite real number as undefined,
-// whether the chase hands it a statement's operand columns or ScalarFunc one
-// value; an aggregation is folded by FoldColumn, whether an engine hands it a
+// whether the chase hands it a statement's operand columns or Op.At one point;
+// an aggregation is folded by FoldColumn, whether an engine hands it a
 // column of measures and their group ordinals or, through Acc.Add, one measure
 // at a time.
 package ops

@@ -9,27 +9,6 @@ import (
 	"exlengine/internal/model"
 )
 
-// ScalarFunc is a tuple-level function on measures. args[0] is the measure;
-// any scalar parameters follow (e.g. the base for log). A scalar function
-// is undefined (ok=false semantics expressed as an error) on inputs where
-// the mathematical operator is meaningless, per the paper: the result cube
-// simply has no tuple there. It is its Op's Map over a column of one.
-type ScalarFunc func(args ...float64) (float64, error)
-
-// ErrUndefined marks points where a scalar operator is undefined (division
-// by zero, log of a non-positive number). Engines drop the corresponding
-// result tuple rather than failing the whole program.
-type ErrUndefinedT struct{ Op string }
-
-// Error implements error.
-func (e ErrUndefinedT) Error() string { return "ops: " + e.Op + " undefined on input" }
-
-// ErrUndefined reports whether err marks an undefined-point condition.
-func ErrUndefined(err error) bool {
-	_, ok := err.(ErrUndefinedT)
-	return ok
-}
-
 // Op is a scalar operator resolved from its name, once, where a plan is
 // compiled or an expression bound: the one definition of the fourteen
 // operators every engine computes a measure with.
@@ -88,9 +67,9 @@ func (op Op) Arity() int {
 // added, and allocated here at the first of them — a map that meets none
 // allocates nothing. What dst holds at an undefined point is unspecified.
 //
-// Map is the one body of every scalar operator: ScalarFunc is Map over a
-// column of one, so a point computed a column at a time and one computed a
-// value at a time are the same to the bit, −0 included.
+// Map is the one body of every scalar operator: At is Map over columns of
+// one, so a point computed a column at a time and one computed a value at a
+// time are the same to the bit, −0 included.
 func (op Op) Map(dst, x, y []float64, undef []bool) []bool {
 	n := len(dst)
 	// i&mx is i on a column and 0 on a constant.
@@ -177,37 +156,13 @@ func stride(x []float64, n int) int {
 	return 0
 }
 
-// call is the operator at one point: Map over a column of one.
-func (op Op) call(args ...float64) (float64, error) {
-	var v float64
-	x, y := args[:1], args[:1]
-	if len(args) > 1 {
-		y = args[1:2]
-	}
-	if op.Map(unsafe.Slice(&v, 1), x, y, nil) != nil {
-		return 0, ErrUndefinedT{Op: op.String()}
-	}
-	return v, nil
-}
-
-// Scalar returns the named scalar function ("add", "sub", "mul", "div",
-// "neg", "log", "ln", …).
-func Scalar(name string) (ScalarFunc, error) {
-	op, err := OpOf(name)
-	if err != nil {
-		return nil, err
-	}
-	return op.call, nil
-}
-
-// ScalarArity returns the number of arguments of a scalar function
-// (measure included).
-func ScalarArity(name string) (int, error) {
-	op, err := OpOf(name)
-	if err != nil {
-		return 0, err
-	}
-	return op.Arity(), nil
+// At is the operator at one point, op(x, y) — op(x) for a unary operator,
+// which ignores y: Map over columns of one. ok is false where the operator is
+// undefined. It allocates nothing, at an undefined point neither.
+func (op Op) At(x, y float64) (v float64, ok bool) {
+	var undef [1]bool
+	op.Map(unsafe.Slice(&v, 1), unsafe.Slice(&x, 1), unsafe.Slice(&y, 1), undef[:])
+	return v, !undef[0]
 }
 
 // DimFunc is a scalar function on dimension values, usable in group-by

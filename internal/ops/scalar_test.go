@@ -11,13 +11,18 @@ import (
 	"exlengine/internal/model"
 )
 
-func mustScalar(t *testing.T, name string) ScalarFunc {
+// at applies the named operator at one point: args is the measure, then the
+// parameter of a binary operator.
+func at(t *testing.T, name string, args ...float64) (float64, bool) {
 	t.Helper()
-	f, err := Scalar(name)
+	op, err := OpOf(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	if len(args) != op.Arity() {
+		t.Fatalf("%s takes %d arguments, given %v", name, op.Arity(), args)
+	}
+	return op.At(args[0], args[len(args)-1])
 }
 
 func TestScalarArith(t *testing.T) {
@@ -42,9 +47,9 @@ func TestScalarArith(t *testing.T) {
 		{"cos", []float64{0}, 1},
 	}
 	for _, tt := range tests {
-		got, err := mustScalar(t, tt.name)(tt.args...)
-		if err != nil {
-			t.Errorf("%s%v: %v", tt.name, tt.args, err)
+		got, ok := at(t, tt.name, tt.args...)
+		if !ok {
+			t.Errorf("%s%v: undefined", tt.name, tt.args)
 			continue
 		}
 		if math.Abs(got-tt.want) > 1e-12 {
@@ -69,19 +74,18 @@ func TestScalarUndefinedPoints(t *testing.T) {
 		{"exp", []float64{1000}},    // +Inf
 	}
 	for _, c := range cases {
-		_, err := mustScalar(t, c.name)(c.args...)
-		if err == nil || !ErrUndefined(err) {
-			t.Errorf("%s%v: want undefined-point error, got %v", c.name, c.args, err)
+		if v, ok := at(t, c.name, c.args...); ok {
+			t.Errorf("%s%v = %v, want undefined", c.name, c.args, v)
 		}
 	}
 }
 
 func TestScalarUnknown(t *testing.T) {
-	if _, err := Scalar("frobnicate"); err == nil {
+	if _, err := OpOf("frobnicate"); err == nil {
 		t.Error("unknown scalar must fail")
 	}
-	if _, err := ScalarArity("frobnicate"); err == nil {
-		t.Error("unknown arity must fail")
+	if Supports(TargetChase, "frobnicate") {
+		t.Error("an unknown operator is supported")
 	}
 }
 
@@ -90,9 +94,9 @@ func TestScalarArity(t *testing.T) {
 		"add": 2, "sub": 2, "mul": 2, "div": 2, "pow": 2, "log": 2,
 		"neg": 1, "ln": 1, "exp": 1, "sqrt": 1, "abs": 1, "round": 1, "sin": 1, "cos": 1,
 	} {
-		got, err := ScalarArity(name)
-		if err != nil || got != want {
-			t.Errorf("ScalarArity(%s) = %d, %v", name, got, err)
+		op, err := OpOf(name)
+		if err != nil || op.Arity() != want || op.String() != name {
+			t.Errorf("OpOf(%s) = %s of arity %d, %v", name, op, op.Arity(), err)
 		}
 	}
 }
@@ -181,21 +185,16 @@ func TestShiftValue(t *testing.T) {
 }
 
 func TestDivMulInverseQuick(t *testing.T) {
-	div := mustScalar(t, "div")
-	mul := mustScalar(t, "mul")
 	f := func(a, b float64) bool {
 		if b == 0 || math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
 			return true
 		}
-		q, err := div(a, b)
-		if err != nil {
+		q, ok := opDiv.At(a, b)
+		if !ok {
 			return false
 		}
-		p, err := mul(q, b)
-		if err != nil {
-			return false
-		}
-		return math.Abs(p-a) <= 1e-9*(1+math.Abs(a))
+		p, ok := opMul.At(q, b)
+		return ok && math.Abs(p-a) <= 1e-9*(1+math.Abs(a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -287,26 +286,26 @@ func TestScalarDomainTable(t *testing.T) {
 	}
 }
 
-// checkOutcome checks one point of the per-value form: undefined where want is
-// NaN, else want to the bit.
+// checkOutcome checks one point of Op.At: undefined where want is NaN, else
+// want to the bit.
 func checkOutcome(t *testing.T, op string, args []float64, want float64) {
 	t.Helper()
-	got, err := mustScalar(t, op)(args...)
+	got, ok := at(t, op, args...)
 	switch {
 	case math.IsNaN(want):
-		if !ErrUndefined(err) {
-			t.Errorf("%s%v = %v, %v; want undefined", op, args, got, err)
+		if ok {
+			t.Errorf("%s%v = %v; want undefined", op, args, got)
 		}
-	case err != nil || math.Float64bits(got) != math.Float64bits(want):
-		t.Errorf("%s%v = %v (%#x), %v; want %v (%#x)", op, args, got, math.Float64bits(got), err, want, math.Float64bits(want))
+	case !ok || math.Float64bits(got) != math.Float64bits(want):
+		t.Errorf("%s%v = %v (%#x), defined %v; want %v (%#x)", op, args, got, math.Float64bits(got), ok, want, math.Float64bits(want))
 	}
 }
 
-// FuzzMapColumn holds the column kernel to a loop of the per-value form, for
-// every operator and every shape — column × column, column × constant,
-// constant × column, in place — over random lengths and raw float bits: the
-// same Float64bits at every defined point, and exactly the undefined points
-// marked, with no mask where there are none.
+// FuzzMapColumn holds the column kernel to a loop of Op.At, for every
+// operator and every shape — column × column, column × constant, constant ×
+// column, in place — over random lengths and raw float bits: the same
+// Float64bits at every defined point, and exactly the undefined points marked,
+// with no mask where there are none.
 func FuzzMapColumn(f *testing.F) {
 	column := func(pairs ...float64) []byte { // x, y, x, y, …
 		var b []byte
@@ -330,7 +329,6 @@ func FuzzMapColumn(f *testing.F) {
 			return
 		}
 		for op := range Op(len(opNames)) {
-			f := op.call
 			shapes := []struct {
 				name string
 				x, y []float64
@@ -356,21 +354,18 @@ func FuzzMapColumn(f *testing.F) {
 				anyUndefined := false
 				for i := range dst {
 					x, y := s.at(i)
-					want, err := f(x, y)
-					if err != nil && !ErrUndefined(err) {
-						t.Fatalf("%s(%v, %v): %v", op, x, y, err)
-					}
-					anyUndefined = anyUndefined || err != nil
+					want, ok := op.At(x, y)
+					anyUndefined = anyUndefined || !ok
 					for _, got := range []struct {
 						form  string
 						v     float64
 						undef []bool
 					}{{"into a column", dst[i], undef}, {"in place", inPlace[i], inPlaceUndef}} {
 						marked := got.undef != nil && got.undef[i]
-						if marked != (err != nil) {
-							t.Fatalf("%s %s, %s, point %d (%v, %v): marked undefined %v, the value at a time %v", op, s.name, got.form, i, x, y, marked, err)
+						if marked == ok {
+							t.Fatalf("%s %s, %s, point %d (%v, %v): marked undefined %v, defined at the point %v", op, s.name, got.form, i, x, y, marked, ok)
 						}
-						if err == nil && math.Float64bits(got.v) != math.Float64bits(want) {
+						if ok && math.Float64bits(got.v) != math.Float64bits(want) {
 							t.Fatalf("%s %s, %s, point %d (%v, %v): %v (%#x), the value at a time %v (%#x)", op, s.name, got.form, i, x, y, got.v, math.Float64bits(got.v), want, math.Float64bits(want))
 						}
 					}
@@ -387,7 +382,8 @@ func FuzzMapColumn(f *testing.F) {
 
 // TestMapAllocatesNoMaskWhereDefined: a map with every point defined returns
 // no mask and allocates nothing; the first undefined point allocates the one
-// mask, and later ones mark it.
+// mask, and later ones mark it. At a point, an operator allocates nothing,
+// defined there or not.
 func TestMapAllocatesNoMaskWhereDefined(t *testing.T) {
 	const n = 1000
 	x, y, dst := make([]float64, n), make([]float64, n), make([]float64, n)
@@ -402,6 +398,11 @@ func TestMapAllocatesNoMaskWhereDefined(t *testing.T) {
 		var undef []bool
 		if allocs := testing.AllocsPerRun(10, func() { undef = op.Map(dst, x, operand, nil) }); allocs != 0 || undef != nil {
 			t.Errorf("%s: %v allocations, mask %v, with every point defined", op, allocs, undef != nil)
+		}
+		for _, p := range [][2]float64{{x[0], operand[0]}, {0, 0}, {-1, -2}} {
+			if allocs := testing.AllocsPerRun(10, func() { op.At(p[0], p[1]) }); allocs != 0 {
+				t.Errorf("%s at %v: %v allocations", op, p, allocs)
+			}
 		}
 	}
 	x[3], x[700] = 0, 0

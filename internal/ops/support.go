@@ -29,10 +29,8 @@ func Supports(t Target, opName string) bool {
 	if !ok {
 		// Algebraic operators (add, sub, mul, div, neg) reach here; every
 		// target supports tuple-level arithmetic.
-		if _, err := ScalarArity(opName); err == nil {
-			return true
-		}
-		return false
+		_, err := OpOf(opName)
+		return err == nil
 	}
 	if t == TargetETL && info.Class == ClassBlackBox {
 		return false

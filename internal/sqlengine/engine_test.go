@@ -438,6 +438,9 @@ func TestErrors(t *testing.T) {
 		"INSERT INTO T(v) SELECT 'unterminated AS v FROM T",                   // string literal
 		"INSERT INTO T(v) SELECT 1e AS v FROM T",                              // number
 		"INSERT INTO T(v) SELECT v AS v FROM T WHERE v = 1 AND v = (1 + 2 AS", // parenthesis
+		"INSERT INTO T(v) SELECT POW(v) AS v FROM S",                          // one argument of two: once pow(v, v)
+		"INSERT INTO T(v) SELECT LN(v, 7, 9) AS v FROM S",                     // three arguments of one
+		"INSERT INTO T(v) SELECT ADD(v, 1, 100) AS v FROM S",                  // three arguments of two
 	}
 	for _, sql := range bad {
 		if err := db.Exec(sql); err == nil {

@@ -322,66 +322,58 @@ func (r *result) build(b *model.Builder, cols []Column, perm []int) (*model.Cube
 // scalarCallFunc applies a resolved scalar function to argument values.
 type scalarCallFunc func(vals []model.Value) (model.Value, error)
 
-// resolveScalarCall resolves a scalar function name once, at compile time,
-// and returns its applier, which the compiled call reuses for every row. The
-// semantics — period functions, undefined-point → NULL, type errors — live
-// here exactly once.
-func resolveScalarCall(name string) (scalarCallFunc, error) {
+// resolveScalarCall resolves a scalar function name, called with n
+// arguments, once, at compile time, and returns its applier, which the
+// compiled call reuses for every row. An unknown name and a wrong number of
+// arguments are both resolution failures. The semantics — period functions,
+// undefined-point → NULL, type errors — live here exactly once.
+func resolveScalarCall(name string, n int) (scalarCallFunc, error) {
+	arity := func(want int) error {
+		if n != want {
+			return fmt.Errorf("sql: %s takes %d argument(s), got %d", name, want, n)
+		}
+		return nil
+	}
 	switch name {
 	case "quarter", "month", "year":
 		f, err := ops.Dimension(name)
 		if err != nil {
 			return nil, err
 		}
-		return func(vals []model.Value) (model.Value, error) {
-			if len(vals) != 1 {
-				return model.Value{}, fmt.Errorf("sql: %s takes one argument", name)
-			}
-			v, err := f.Apply(vals[0])
-			if err != nil {
-				return model.Value{}, err
-			}
-			return v, nil
-		}, nil
+		return func(vals []model.Value) (model.Value, error) { return f.Apply(vals[0]) }, arity(1)
 	case "shift":
 		return func(vals []model.Value) (model.Value, error) {
-			if len(vals) != 2 {
-				return model.Value{}, fmt.Errorf("sql: shift takes (period, steps)")
-			}
 			n, ok := vals[1].AsInt()
 			if !ok {
 				return model.Value{}, fmt.Errorf("sql: shift steps must be an integer")
 			}
 			return ops.ShiftValue(vals[0], n)
-		}, nil
+		}, arity(2)
 	}
-	// Numeric scalar functions from the operator library. The argument
-	// buffer belongs to the returned function — to the compiled call node
-	// that resolved it — and is reused from row to row: f does not keep it.
-	f, err := ops.Scalar(name)
+	// Numeric scalar functions from the operator library.
+	op, err := ops.OpOf(name)
 	if err != nil {
 		return nil, fmt.Errorf("sql: unknown function %s", name)
 	}
-	var args []float64
 	return func(vals []model.Value) (model.Value, error) {
-		args = args[:0]
-		for _, v := range vals {
+		var in [2]float64
+		for i, v := range vals {
 			x, ok := v.AsNumber()
 			if !ok {
 				return model.Value{}, fmt.Errorf("sql: %s over non-numeric value %v", name, v)
 			}
-			args = append(args, x)
+			in[i] = x
 		}
-		out, err := f(args...)
-		if err != nil {
-			if ops.ErrUndefined(err) {
-				return model.Value{}, nil // NULL
-			}
-			return model.Value{}, err
+		out, ok := op.At(in[0], in[1])
+		if !ok {
+			return model.Value{}, nil // NULL
 		}
 		return model.Num(out), nil
-	}, nil
+	}, arity(op.Arity())
 }
+
+// neg is unary minus's operator.
+var neg, _ = ops.OpOf("neg")
 
 // applyNeg is unary minus. It is NULL-strict: the negation of an unknown
 // value is unknown, never an error.
@@ -393,38 +385,29 @@ func applyNeg(x model.Value) (model.Value, error) {
 	if !ok {
 		return model.Value{}, fmt.Errorf("sql: unary minus over non-numeric %v", x)
 	}
-	out, err := negFn(f)
-	if err != nil {
+	out, ok := neg.At(f, f)
+	if !ok {
 		return model.Value{}, nil // NULL: f is not a finite number
 	}
 	return model.Num(out), nil
 }
 
-// The four arithmetic operators and unary minus are resolved from the
-// operator library once at package init instead of per row.
-var arithFns = map[string]ops.ScalarFunc{
-	"+": mustScalarFn("add"),
-	"-": mustScalarFn("sub"),
-	"*": mustScalarFn("mul"),
-	"/": mustScalarFn("div"),
-}
+// arithNames names the ops.Op of each arithmetic operator of the dialect.
+var arithNames = map[string]string{"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
-var negFn = mustScalarFn("neg")
-
-func mustScalarFn(name string) ops.ScalarFunc {
-	f, err := ops.Scalar(name)
-	if err != nil {
-		panic(err)
-	}
+// arith resolves a binary operator of the dialect to its ops.Op, once, where
+// an expression is compiled; = has none.
+func arith(op string) ops.Op {
+	f, _ := ops.OpOf(arithNames[op])
 	return f
 }
 
-// applyBinary is = or one of the four arithmetic operators. Each is
-// NULL-strict: comparing against or computing with an unknown value yields
-// unknown, so NULL = x is NULL (not FALSE) and NULL + x is NULL (not an
-// error). WHERE then filters the NULL conjunct and SELECT drops the NULL
-// output row.
-func applyBinary(op string, l, r model.Value) (model.Value, error) {
+// applyBinary is = or one of the four arithmetic operators, f its ops.Op
+// (arith). Each is NULL-strict: comparing against or computing with an
+// unknown value yields unknown, so NULL = x is NULL (not FALSE) and NULL + x
+// is NULL (not an error). WHERE then filters the NULL conjunct and SELECT
+// drops the NULL output row.
+func applyBinary(op string, f ops.Op, l, r model.Value) (model.Value, error) {
 	if !l.IsValid() || !r.IsValid() {
 		return model.Value{}, nil
 	}
@@ -465,13 +448,9 @@ func applyBinary(op string, l, r model.Value) (model.Value, error) {
 		if !ok1 || !ok2 {
 			return model.Value{}, fmt.Errorf("sql: arithmetic over non-numeric values %v, %v", l, r)
 		}
-		f := arithFns[op]
-		out, err := f(lf, rf)
-		if err != nil {
-			if ops.ErrUndefined(err) {
-				return model.Value{}, nil // NULL
-			}
-			return model.Value{}, err
+		out, ok := f.At(lf, rf)
+		if !ok {
+			return model.Value{}, nil // NULL
 		}
 		return model.Num(out), nil
 	}

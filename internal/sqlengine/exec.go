@@ -90,6 +90,7 @@ func (c *negC) eval(b *batch) ([]model.Value, error) {
 
 type binC struct {
 	op   string
+	f    ops.Op
 	l, r compiledExpr
 	out  []model.Value
 }
@@ -106,7 +107,7 @@ func (c *binC) eval(b *batch) ([]model.Value, error) {
 	out := scratchVec(c.out, b.N)
 	c.out = out
 	for i := 0; i < b.N; i++ {
-		v, err := applyBinary(c.op, lv[i], rv[i])
+		v, err := applyBinary(c.op, c.f, lv[i], rv[i])
 		if err != nil {
 			return nil, err
 		}
@@ -136,9 +137,10 @@ func (c *notNullC) eval(b *batch) ([]model.Value, error) {
 }
 
 // callC is a scalar function call with the function resolved at compile
-// time. Resolution failure is kept, not raised, until a row with all
-// arguments non-NULL actually needs the function: an unknown function over
-// always-NULL arguments, or over no rows, never surfaces.
+// time. Resolution failure — an unknown function, or one given as many
+// arguments as it does not take — is kept, not raised, until a row with all
+// arguments non-NULL actually needs the function: over always-NULL
+// arguments, or over no rows, it never surfaces.
 //
 // Every function resolveScalarCall resolves is pure, so a row whose
 // arguments are identical (==, see model.Value) to those of the row before
@@ -239,7 +241,7 @@ func compileExpr(e expr, env compileEnv) (compiledExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &binC{op: e.op, l: l, r: r}, nil
+		return &binC{op: e.op, f: arith(e.op), l: l, r: r}, nil
 	case *notNullExpr:
 		x, err := compileExpr(e.x, env)
 		if err != nil {
@@ -263,7 +265,7 @@ func compileExpr(e expr, env compileEnv) (compiledExpr, error) {
 			}
 			args[i] = c
 		}
-		fn, err := resolveScalarCall(e.name)
+		fn, err := resolveScalarCall(e.name, len(args))
 		return &callC{name: e.name, fn: fn, resolveErr: err, args: args}, nil
 	default:
 		return nil, fmt.Errorf("sql: unsupported expression %T", e)

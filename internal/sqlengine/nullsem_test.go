@@ -50,7 +50,7 @@ func TestComparisonsWithNullAreNull(t *testing.T) {
 	null := model.Value{}
 	seven := model.Num(7)
 	for _, pair := range [][2]model.Value{{null, seven}, {seven, null}, {null, null}} {
-		v, err := applyBinary("=", pair[0], pair[1])
+		v, err := applyBinary("=", arith("="), pair[0], pair[1])
 		if err != nil {
 			t.Fatalf("applyBinary(=, %v, %v): unexpected error %v", pair[0], pair[1], err)
 		}
@@ -82,7 +82,7 @@ func TestArithmeticWithNullIsNull(t *testing.T) {
 	seven := model.Num(7)
 	for _, op := range []string{"+", "-", "*", "/"} {
 		for _, pair := range [][2]model.Value{{null, seven}, {seven, null}, {null, null}} {
-			v, err := applyBinary(op, pair[0], pair[1])
+			v, err := applyBinary(op, arith(op), pair[0], pair[1])
 			if err != nil {
 				t.Fatalf("applyBinary(%s, %v, %v): unexpected error %v", op, pair[0], pair[1], err)
 			}
