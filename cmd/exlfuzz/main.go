@@ -10,6 +10,9 @@
 //	exlfuzz [-seed 1] [-n 200] [-stmts 6] [-budget 0] [-shrink] [-tol 1e-6]
 //	        [-incremental]
 //
+// -tol is the relative tolerance within which an engine's measures agree
+// with the chase's; -tol 0 asks for equal measures.
+//
 // With -incremental, each case additionally churns its data with a
 // seed-derived perturbation and requires the incremental chase to
 // reproduce the full solution byte for byte (zero tolerance).
@@ -36,10 +39,14 @@ func main() {
 		stmts  = flag.Int("stmts", 6, "statements per generated program")
 		budget = flag.Duration("budget", 0, "wall-clock budget; 0 means unlimited")
 		shrink = flag.Bool("shrink", true, "minimize failing cases before reporting")
-		tol    = flag.Float64("tol", difftest.DefaultTol, "relative measure comparison tolerance")
+		tol    = flag.Float64("tol", difftest.DefaultTol, "relative measure comparison tolerance; 0 compares exactly")
 		incr   = flag.Bool("incremental", false, "also diff the incremental chase against the full chase on churned data")
 	)
 	flag.Parse()
+	if *tol < 0 {
+		fmt.Fprintln(os.Stderr, "exlfuzz: -tol must not be negative")
+		os.Exit(2)
+	}
 
 	start := time.Now()
 	deadline := time.Time{}

@@ -341,21 +341,61 @@ func TestPartitionBuiltConcurrently(t *testing.T) {
 	}
 }
 
+// productTgd is the GDP program's product tgd alone, RGDP := RGDPPC * PQR,
+// and its input over 10 000 days × 20 regions (2 200 tuples on each side),
+// with PQR the chase's.
+func productTgd(tb testing.TB) (*mapping.Mapping, map[string]*model.Cube) {
+	gdp := compile(tb, workload.GDPProgram)
+	data := workload.GDPSource(workload.GDPConfig{Days: 10000, Regions: 20})
+	pqr, err := Run(context.Background(), ops.TargetChase, gdp, data, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := compile(tb, fmt.Sprintf("cube RGDPPC(q: quarter, r: string) measure %s\ncube PQR(q: quarter, r: string) measure %s\nRGDP := RGDPPC * PQR",
+		gdp.Schemas["RGDPPC"].Measure, gdp.Schemas["PQR"].Measure))
+	return m, map[string]*model.Cube{"RGDPPC": data["RGDPPC"], "PQR": pqr["PQR"]}
+}
+
+// TestETLProductRefersToItsSources runs Figure 1's flow, the product tgd
+// alone, on the ETL target in steady state: each run is handed the previous
+// run's RGDP as its predecessor. Its rows refer to the source tuples instead
+// of copying them, so a run allocates at most 200 bytes an output tuple.
+func TestETLProductRefersToItsSources(t *testing.T) {
+	m, input := productTgd(t)
+	prev, err := Run(context.Background(), ops.TargetETL, m, input, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := prev["RGDP"].Len()
+	// TotalAlloc is the process's: other goroutines can only add to what a
+	// run allocates, so the least of five runs is the closest reading.
+	grown := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := Run(context.Background(), ops.TargetETL, m, input, prev)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sameBits(out["RGDP"], prev["RGDP"]); d != "" {
+			t.Fatalf("a run differs from the one before: %s", d)
+		}
+		grown, prev = min(grown, after.TotalAlloc-before.TotalAlloc), out
+	}
+	if grown > uint64(200*n) {
+		t.Errorf("a run allocated %d bytes for %d output tuples, %d an output tuple: more than 200", grown, n, grown/uint64(n))
+	}
+}
+
 // BenchmarkProductOnEveryTarget runs the GDP program's product tgd alone,
 // RGDP := RGDPPC * PQR, over 10 000 days × 20 regions (2 200 tuples on each
 // side), with PQR the chase's: on the ETL target this is Figure 1's flow.
 // Each run is handed the previous run's RGDP as its predecessor, as the
 // dispatcher hands a re-run the stored version, so B/op is the steady state.
 func BenchmarkProductOnEveryTarget(b *testing.B) {
-	gdp := compile(b, workload.GDPProgram)
-	data := workload.GDPSource(workload.GDPConfig{Days: 10000, Regions: 20})
-	pqr, err := Run(context.Background(), ops.TargetChase, gdp, data, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := compile(b, fmt.Sprintf("cube RGDPPC(q: quarter, r: string) measure %s\ncube PQR(q: quarter, r: string) measure %s\nRGDP := RGDPPC * PQR",
-		gdp.Schemas["RGDPPC"].Measure, gdp.Schemas["PQR"].Measure))
-	input := map[string]*model.Cube{"RGDPPC": data["RGDPPC"], "PQR": pqr["PQR"]}
+	m, input := productTgd(b)
+	pqr := input["PQR"]
 	for _, target := range ops.AllTargets {
 		b.Run(string(target), func(b *testing.B) {
 			prev, err := Run(context.Background(), target, m, input, nil)
@@ -369,8 +409,8 @@ func BenchmarkProductOnEveryTarget(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if out["RGDP"].Len() != pqr["PQR"].Len() {
-					b.Fatalf("RGDP has %d tuples, want %d", out["RGDP"].Len(), pqr["PQR"].Len())
+				if out["RGDP"].Len() != pqr.Len() {
+					b.Fatalf("RGDP has %d tuples, want %d", out["RGDP"].Len(), pqr.Len())
 				}
 				prev = out
 			}

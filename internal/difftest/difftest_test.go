@@ -6,19 +6,20 @@ import (
 )
 
 // TestFuzzProgramsAgree is the in-tree smoke slice of the fuzzer: every
-// engine must agree with the chase on a batch of random programs. The
-// exlfuzz CLI runs bigger sweeps; this keeps `go test ./...` honest.
+// engine must agree with the chase on a batch of random programs, exactly
+// (tolerance 0). The exlfuzz CLI runs bigger sweeps; this keeps `go test
+// ./...` honest.
 func TestFuzzProgramsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		c := GenerateCase(seed, 6)
-		res, err := Run(c, DefaultTol)
+		res, err := Run(c, 0)
 		if err != nil {
 			t.Fatalf("seed %d: case does not run: %v\nprogram:\n%s", seed, err, c.Source())
 		}
 		if len(res.Divergences) == 0 {
 			continue
 		}
-		min := Shrink(c, Diverges(DefaultTol))
+		min := Shrink(c, Diverges(0))
 		t.Errorf("seed %d: %d divergence(s); first: %s\nminimized:\n%s",
 			seed, len(res.Divergences), res.Divergences[0], FormatKnownCase("from TestFuzzProgramsAgree", min))
 	}
@@ -64,6 +65,10 @@ func TestMeasuresAgree(t *testing.T) {
 		if got := MeasuresAgree(c.a, c.b, 1e-6); got != c.agree {
 			t.Errorf("MeasuresAgree(%v, %v) = %v, want %v", c.a, c.b, got, c.agree)
 		}
+	}
+	// Tolerance 0 is exact: the next float up differs.
+	if one := 1.0; !MeasuresAgree(one, one, 0) || MeasuresAgree(one, math.Nextafter(one, 2), 0) {
+		t.Error("at tolerance 0, a measure agrees with itself and with no other")
 	}
 }
 

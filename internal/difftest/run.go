@@ -15,10 +15,12 @@ import (
 	"exlengine/internal/sqlgen"
 )
 
-// DefaultTol is the relative comparison tolerance: engines evaluate the
-// same real-valued expressions in different association orders (SQL
-// aggregates stream, frame vectorizes), so bit-exact equality is not the
-// contract — agreement within floating-point noise is.
+// DefaultTol is the relative comparison tolerance a caller gets that asks
+// for none in particular. Every target evaluates each expression in the
+// chase's order — folds add in cube order, point-wise operators go through
+// one ops kernel — so on generated programs the engines agree with the chase
+// bit for bit, and a tolerance of 0, which Run takes as exact comparison,
+// holds them to that (exlfuzz -tol 0).
 const DefaultTol = 1e-6
 
 // Divergence is one engine disagreeing with the chase reference on one
@@ -50,14 +52,12 @@ type Result struct {
 // time with the chase's results as the predecessors of its own
 // (backend.Run's prev), as a re-run after a revision is handed the stored
 // versions: its results must be the first run's bit for bit, and a result
-// that agrees with the chase must stand on the chase result's key set. A
-// non-nil error means the case itself is broken (it does not compile, or
+// that agrees with the chase must stand on the chase result's key set.
+// Measures agree within the relative tolerance tol (MeasuresAgree): at 0,
+// where they are equal. A non-nil error means the case itself is broken (it does not compile, or
 // the reference fails) — engine disagreements are reported as Divergences,
 // not errors.
 func Run(c *Case, tol float64) (*Result, error) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
 	m, err := compile(c.Source())
 	if err != nil {
 		return nil, err

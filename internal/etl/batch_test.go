@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
+	"exlengine/internal/workload"
 )
 
 // sameBits describes how got differs from want — another tuple, or a measure
@@ -245,4 +247,44 @@ func TestCancelMidBatch(t *testing.T) {
 		t.Errorf("a failed run returned %v", out)
 	}
 	checkNoGoroutineLeak(t, before)
+}
+
+// TestRunsReadOneSourceConcurrently: two runs of the GDP job read one frozen
+// source version at once, their rows referring to its tuples by ordinal.
+// Each result is the one a run alone gives, bit for bit.
+func TestRunsReadOneSourceConcurrently(t *testing.T) {
+	m := compile(t, workload.GDPProgram)
+	src := workload.GDPSource(workload.GDPConfig{Days: 3 * batchSize, Regions: 4})
+	for _, c := range src {
+		c.Freeze()
+	}
+	job, err := Translate(m, "shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := RunContext(context.Background(), job, m, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]map[string]*model.Cube
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = RunContext(context.Background(), job, m, src, nil)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		for _, rel := range m.Derived {
+			if d := sameBits(got[i][rel], alone[rel]); d != "" {
+				t.Errorf("run %d, %s: %s", i, rel, d)
+			}
+		}
+	}
 }

@@ -3,7 +3,6 @@ package etl
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -102,61 +101,6 @@ func TestNoGoroutineLeakOnStepPanic(t *testing.T) {
 		t.Error("failed run must not return partial results")
 	}
 	checkNoGoroutineLeak(t, before)
-}
-
-// TestFlowErrFirstWins: under concurrent set calls the first error is
-// kept, and later sets never replace it.
-func TestFlowErrFirstWins(t *testing.T) {
-	fe := &flowErr{}
-	first := errors.New("first")
-	fe.set(first)
-	fe.set(errors.New("second"))
-	if fe.get() != first {
-		t.Fatalf("sequential: got %v, want first", fe.get())
-	}
-
-	fe = &flowErr{}
-	const n = 64
-	errs := make([]error, n)
-	for i := range errs {
-		errs[i] = fmt.Errorf("worker %d", i)
-	}
-	var start, done sync.WaitGroup
-	start.Add(1)
-	done.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer done.Done()
-			start.Wait()
-			fe.set(errs[i])
-		}(i)
-	}
-	start.Done()
-	done.Wait()
-	won := fe.get()
-	if won == nil {
-		t.Fatal("no error recorded")
-	}
-	// The winner is one of the set errors, and it is stable.
-	found := false
-	for _, e := range errs {
-		if won == e {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("winner %v is not one of the set errors", won)
-	}
-	for i := 0; i < n; i++ {
-		fe.set(errs[i])
-	}
-	if fe.get() != won {
-		t.Error("first error was displaced by a later set")
-	}
-	fe.set(nil)
-	if fe.get() != won {
-		t.Error("set(nil) must not clear the error")
-	}
 }
 
 // TestRunNoPartialResultsAfterFailedFlow: when a later flow fails, Run

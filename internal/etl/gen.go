@@ -45,82 +45,40 @@ func TranslateTgd(t *mapping.Tgd, schemas map[string]model.Schema) (*Flow, error
 				As:     []string{in.Dims[0].Name, in.Measure}},
 			Step{Name: "series", Type: SeriesCalc, Op: t.BB, Params: t.BBParams,
 				TimeField: in.Dims[0].Name, ValueField: in.Measure},
-			Step{Name: "out", Type: TableOutput, Table: t.Rhs.Rel,
-				Fields: []string{in.Dims[0].Name, in.Measure},
-				As:     []string{out.Dims[0].Name, out.Measure}},
 		)
-		f.Hops = []Hop{{From: "in", To: "series"}, {From: "series", To: "out"}}
-		return f, nil
+		f.Hops = []Hop{{From: "in", To: "series"}}
+		return addOutput(t, f, out, "series", []string{in.Dims[0].Name, in.Measure}), nil
 	}
 
 	if t.Kind == mapping.PadVector {
 		return translatePadJoin(t, schemas, f, out)
 	}
 
-	// One data source step per lhs atom, with variable naming, key shifts
-	// and constant filters folded into the step metadata.
-	var atomSteps []string
-	atomCols := make([][]string, len(t.Lhs))
-	for i, atom := range t.Lhs {
-		sch, ok := schemas[atom.Rel]
-		if !ok {
-			return nil, fmt.Errorf("no schema for %s", atom.Rel)
-		}
-		st := Step{Name: fmt.Sprintf("in%d", i+1), Type: TableInput, Table: atom.Rel}
-		seen := make(map[string]bool)
-		for j, d := range atom.Dims {
-			switch {
-			case d.Const != nil:
-				if st.FilterField != "" {
-					return nil, fmt.Errorf("multiple constant dimensions in one atom are not supported")
-				}
-				st.FilterField = sch.Dims[j].Name
-				st.FilterValue = d.Const.String()
-				st.filterVal = *d.Const
-			case d.Func != "":
-				return nil, fmt.Errorf("dimension function %s in lhs is not translatable", d.Func)
-			default:
-				if seen[d.Var] {
-					return nil, fmt.Errorf("repeated variable %s within an atom is not supported", d.Var)
-				}
-				seen[d.Var] = true
-				st.Fields = append(st.Fields, sch.Dims[j].Name)
-				st.As = append(st.As, d.Var)
-				// Stored value is Var+Shift, so the key column Var is the
-				// stored value shifted by -Shift.
-				st.Shifts = append(st.Shifts, -d.Shift)
-				atomCols[i] = append(atomCols[i], d.Var)
-			}
-		}
-		if atom.MVar != "" {
-			st.Fields = append(st.Fields, sch.Measure)
-			st.As = append(st.As, atom.MVar)
-			st.Shifts = append(st.Shifts, 0)
-			atomCols[i] = append(atomCols[i], atom.MVar)
-		}
-		f.Steps = append(f.Steps, st)
-		atomSteps = append(atomSteps, st.Name)
+	// One data source step per lhs atom.
+	if err := addInputs(t, schemas, f); err != nil {
+		return nil, err
 	}
 
 	// Merge cascade on shared variables.
-	cur := atomSteps[0]
-	curCols := atomCols[0]
-	for i := 1; i < len(atomSteps); i++ {
+	cur := f.Steps[0].Name
+	curCols := slices.Clone(f.Steps[0].As)
+	for i := 1; i < len(t.Lhs); i++ {
+		atomCols := f.Steps[i].As
 		var keys []string
-		for _, c := range atomCols[i] {
+		for _, c := range atomCols {
 			if slices.Contains(curCols, c) {
 				keys = append(keys, c)
 			}
 		}
-		for _, c := range atomCols[i] {
+		for _, c := range atomCols {
 			if !slices.Contains(curCols, c) {
 				curCols = append(curCols, c)
 			}
 		}
 		mj := Step{Name: fmt.Sprintf("merge%d", i), Type: MergeJoin,
-			Left: cur, Right: atomSteps[i], Keys: keys}
+			Left: cur, Right: f.Steps[i].Name, Keys: keys}
 		f.Steps = append(f.Steps, mj)
-		f.Hops = append(f.Hops, Hop{From: cur, To: mj.Name}, Hop{From: atomSteps[i], To: mj.Name})
+		f.Hops = append(f.Hops, Hop{From: cur, To: mj.Name}, Hop{From: f.Steps[i].Name, To: mj.Name})
 		cur = mj.Name
 	}
 
@@ -175,53 +133,78 @@ func TranslateTgd(t *mapping.Tgd, schemas map[string]model.Schema) (*Flow, error
 		cur = "agg"
 	}
 
-	outStep := Step{Name: "out", Type: TableOutput, Table: t.Rhs.Rel,
-		Fields: append(append([]string(nil), dimFields...), mField),
-		As:     append(append([]string(nil), out.DimNames()...), out.Measure)}
-	f.Steps = append(f.Steps, outStep)
-	f.Hops = append(f.Hops, Hop{From: cur, To: "out"})
-	return f, nil
+	return addOutput(t, f, out, cur, append(slices.Clone(dimFields), mField)), nil
 }
 
 // translatePadJoin builds the flow for a padded vectorial tgd: two data
 // source steps feed a pad_join step that ranges over the union of their
 // dimension tuples.
 func translatePadJoin(t *mapping.Tgd, schemas map[string]model.Schema, f *Flow, out model.Schema) (*Flow, error) {
-	var atomSteps []string
-	for i, atom := range t.Lhs {
-		sch, ok := schemas[atom.Rel]
-		if !ok {
-			return nil, fmt.Errorf("no schema for %s", atom.Rel)
-		}
-		st := Step{Name: fmt.Sprintf("in%d", i+1), Type: TableInput, Table: atom.Rel}
-		for j, d := range atom.Dims {
+	for _, atom := range t.Lhs {
+		for _, d := range atom.Dims {
 			if d.Const != nil || d.Func != "" || d.Shift != 0 {
 				return nil, fmt.Errorf("padded tgds require plain variable atoms")
 			}
-			st.Fields = append(st.Fields, sch.Dims[j].Name)
-			st.As = append(st.As, d.Var)
-			st.Shifts = append(st.Shifts, 0)
 		}
-		st.Fields = append(st.Fields, sch.Measure)
-		st.As = append(st.As, atom.MVar)
-		st.Shifts = append(st.Shifts, 0)
-		f.Steps = append(f.Steps, st)
-		atomSteps = append(atomSteps, st.Name)
+	}
+	if err := addInputs(t, schemas, f); err != nil {
+		return nil, err
 	}
 	keys := make([]string, len(t.Rhs.Dims))
 	for i, d := range t.Rhs.Dims {
 		keys[i] = d.Var
 	}
-	pj := Step{Name: "pad", Type: PadJoin, Left: atomSteps[0], Right: atomSteps[1],
+	f.Steps = append(f.Steps, Step{Name: "pad", Type: PadJoin, Left: "in1", Right: "in2",
 		Keys: keys, Op: t.PadOp, Default: t.PadDefault,
-		ValueField: t.Lhs[0].MVar, RightField: t.Lhs[1].MVar, OutField: "m"}
-	f.Steps = append(f.Steps, pj)
-	f.Hops = append(f.Hops,
-		Hop{From: atomSteps[0], To: "pad"}, Hop{From: atomSteps[1], To: "pad"})
-	outStep := Step{Name: "out", Type: TableOutput, Table: t.Rhs.Rel,
-		Fields: append(append([]string(nil), keys...), "m"),
-		As:     append(append([]string(nil), out.DimNames()...), out.Measure)}
-	f.Steps = append(f.Steps, outStep)
-	f.Hops = append(f.Hops, Hop{From: "pad", To: "out"})
-	return f, nil
+		ValueField: t.Lhs[0].MVar, RightField: t.Lhs[1].MVar, OutField: "m"})
+	f.Hops = append(f.Hops, Hop{From: "in1", To: "pad"}, Hop{From: "in2", To: "pad"})
+	return addOutput(t, f, out, "pad", append(keys, "m")), nil
+}
+
+// addOutput adds the output step, fed by the step from, writing the fields of
+// its stream as the dimensions and the measure of out.
+func addOutput(t *mapping.Tgd, f *Flow, out model.Schema, from string, fields []string) *Flow {
+	f.Steps = append(f.Steps, Step{Name: "out", Type: TableOutput, Table: t.Rhs.Rel,
+		Fields: fields, As: append(out.DimNames(), out.Measure)})
+	f.Hops = append(f.Hops, Hop{From: from, To: "out"})
+	return f
+}
+
+// addInputs adds a data source step per lhs atom, with variable naming, key
+// shifts and constant filters folded into the step metadata.
+func addInputs(t *mapping.Tgd, schemas map[string]model.Schema, f *Flow) error {
+	for i, atom := range t.Lhs {
+		sch, ok := schemas[atom.Rel]
+		if !ok {
+			return fmt.Errorf("no schema for %s", atom.Rel)
+		}
+		st := Step{Name: fmt.Sprintf("in%d", i+1), Type: TableInput, Table: atom.Rel}
+		seen := make(map[string]bool)
+		for j, d := range atom.Dims {
+			switch {
+			case d.Const != nil:
+				if st.FilterField != "" {
+					return fmt.Errorf("multiple constant dimensions in one atom are not supported")
+				}
+				st.FilterField = sch.Dims[j].Name
+				st.FilterValue = d.Const.String()
+				st.filterVal = *d.Const
+			case d.Func != "":
+				return fmt.Errorf("dimension function %s in lhs is not translatable", d.Func)
+			default:
+				if seen[d.Var] {
+					return fmt.Errorf("repeated variable %s within an atom is not supported", d.Var)
+				}
+				seen[d.Var] = true
+				// Stored value is Var+Shift, so the key column Var is the
+				// stored value shifted by -Shift.
+				st.Fields, st.As, st.Shifts = append(st.Fields, sch.Dims[j].Name), append(st.As, d.Var), append(st.Shifts, -d.Shift)
+			}
+		}
+		if atom.MVar != "" {
+			st.Fields, st.As, st.Shifts = append(st.Fields, sch.Measure), append(st.As, atom.MVar), append(st.Shifts, 0)
+		}
+		f.Steps = append(f.Steps, st)
+	}
+	return nil
 }

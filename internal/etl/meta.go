@@ -47,9 +47,6 @@ type Calc struct {
 	expr frame.Expr
 }
 
-// Expr returns the executable expression of the calculated field.
-func (c Calc) Expr() frame.Expr { return c.expr }
-
 // Step is the metadata of one ETL step.
 type Step struct {
 	Name string   `json:"name"`
@@ -154,22 +151,19 @@ func (f *Flow) structure() string {
 	var stages []string
 	var inputs []string
 	for _, s := range f.Steps {
+		stage := string(s.Type)
 		switch s.Type {
 		case TableInput:
-			inputs = append(inputs, fmt.Sprintf("table_input(%s)", s.Table))
-		case MergeJoin:
-			stages = append(stages, "merge_join")
-		case Calculator:
-			stages = append(stages, "calculator")
+			inputs = append(inputs, fmt.Sprintf("%s(%s)", s.Type, s.Table))
+			continue
 		case Aggregator:
-			stages = append(stages, fmt.Sprintf("aggregator(%s)", s.Agg))
-		case SeriesCalc:
-			stages = append(stages, fmt.Sprintf("series_calc(%s)", s.Op))
-		case PadJoin:
-			stages = append(stages, fmt.Sprintf("pad_join(%s)", s.Op))
+			stage += "(" + s.Agg + ")"
+		case SeriesCalc, PadJoin:
+			stage += "(" + s.Op + ")"
 		case TableOutput:
-			stages = append(stages, fmt.Sprintf("table_output(%s)", s.Table))
+			stage += "(" + s.Table + ")"
 		}
+		stages = append(stages, stage)
 	}
 	all := append([]string{strings.Join(inputs, ", ")}, stages...)
 	return strings.Join(all, " | ")

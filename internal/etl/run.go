@@ -16,9 +16,6 @@ import (
 	"exlengine/internal/ops"
 )
 
-// Row is one record flowing through an ETL stream.
-type Row []model.Value
-
 // A step sends its rows downstream in batches of batchSize: one channel
 // operation moves a batch, not a row. Batches of 64, 256 and 1 024 rows
 // measure alike on BenchmarkProductOnEveryTarget (internal/backend).
@@ -83,76 +80,23 @@ func RunContext(ctx context.Context, job *Job, m *mapping.Mapping, source, prev 
 	return out, nil
 }
 
-// flowErr records the first error of a flow run.
-type flowErr struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (fe *flowErr) set(err error) {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	if fe.err == nil && err != nil {
-		fe.err = err
-	}
-}
-
-func (fe *flowErr) get() error {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	return fe.err
-}
-
 // runFlow runs one flow and returns the cube its output step built, as the
 // revision of prev (nil for none).
 func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas map[string]model.Schema, prev *model.Cube) (*model.Cube, error) {
-	// Column schema per step, derived statically.
-	cols := make(map[string][]string)
-	for i := range f.Steps {
-		st := &f.Steps[i]
-		switch st.Type {
-		case TableInput:
-			cols[st.Name] = st.As
-		case MergeJoin:
-			left, right := cols[st.Left], cols[st.Right]
-			merged := append([]string(nil), left...)
-			for _, c := range right {
-				if !slices.Contains(st.Keys, c) {
-					merged = append(merged, c)
-				}
-			}
-			cols[st.Name] = merged
-		case Calculator:
-			in := f.Inputs(st.Name)
-			base := append([]string(nil), cols[in[0]]...)
-			for _, c := range st.Calcs {
-				base = append(base, c.Field)
-			}
-			cols[st.Name] = base
-		case Aggregator:
-			cols[st.Name] = append(append([]string(nil), st.Keys...), st.OutField)
-		case SeriesCalc:
-			cols[st.Name] = []string{st.TimeField, st.ValueField}
-		case PadJoin:
-			cols[st.Name] = append(append([]string(nil), st.Keys...), st.OutField)
-		case TableOutput:
-			in := f.Inputs(st.Name)
-			cols[st.Name] = cols[in[0]]
-		}
-	}
-
 	// One channel per hop; generated flows are trees, so each step has one
 	// consumer.
-	chans := make(map[string]chan []Row)
+	chans := make(map[string]chan *batch)
 	for _, h := range f.Hops {
 		if _, dup := chans[h.From]; dup {
 			return nil, fmt.Errorf("step %s has more than one consumer", h.From)
 		}
-		chans[h.From] = make(chan []Row, chanCap)
+		chans[h.From] = make(chan *batch, chanCap)
 	}
 	// Structural validation up front: a malformed flow must fail cleanly
-	// instead of deadlocking goroutines on missing channels.
+	// instead of deadlocking goroutines on missing channels. The layout of
+	// every stream is derived here too, from its producer's inputs'.
 	outputs := 0
+	streams := make(map[string]*stream, len(f.Steps))
 	for i := range f.Steps {
 		st := &f.Steps[i]
 		if st.Type == TableOutput {
@@ -161,6 +105,10 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 		}
 		if _, ok := chans[st.Name]; !ok {
 			return nil, fmt.Errorf("step %s has no consumer", st.Name)
+		}
+		var err error
+		if streams[st.Name], err = streamOf(f, st, streams, store); err != nil {
+			return nil, err
 		}
 	}
 	if outputs != 1 {
@@ -171,13 +119,12 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 	free := make(batches, len(f.Hops)*(chanCap+2))
 
 	// The flow context links every step: the first failing step cancels
-	// it, which unblocks producers parked on full channels (their sends
-	// select on ctx.Done), so no goroutine outlives the flow even when a
-	// step dies mid-stream.
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// it with its error, the flow's, which unblocks producers parked on
+	// full channels (their sends select on ctx.Done), so no goroutine
+	// outlives the flow even when a step dies mid-stream.
+	fctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
-	fe := &flowErr{}
 	var wg sync.WaitGroup
 	result := prev
 
@@ -199,23 +146,199 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 				if r := recover(); r != nil {
 					err := exlerr.Recovered(r, debug.Stack())
 					span.EndErr(err)
-					fe.set(err)
-					cancel()
+					cancel(err)
 				}
 			}()
-			err := runStep(sctx, f, st, cols, chans, free, store, schemas, &result)
+			err := runStep(sctx, f, st, streams, chans, free, store, schemas, &result)
 			span.EndErr(err)
 			if err != nil {
-				fe.set(err)
-				cancel()
+				cancel(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if err := fe.get(); err != nil {
+	if err := context.Cause(fctx); err != nil {
 		return nil, err
 	}
 	return result, nil
+}
+
+// stream is the layout of the rows a step sends. A row refers to the tuple
+// each input of the stream fed into it, by its ordinal in that input's
+// version, and holds only what the flow computed: numbers, and dimension
+// values such as quarter(d) or a group's key. Every other value is read from
+// the version where it lies, and is never copied into a row.
+type stream struct {
+	names      []string
+	cols       []col         // by name
+	views      []*model.View // by input: the version its ordinals index
+	nums, vals int           // computed numbers and dimension values a row holds
+}
+
+// col is where the values of a stream's column lie.
+type col struct {
+	src   int   // the input whose tuple holds them, or -1 where the flow computed them
+	at    int   // that tuple's dimension, or -1 for its measure; or the computed column's place in a row's nums or vals
+	shift int64 // added to the input's value as it is read
+	num   bool  // a computed number, else a computed dimension value
+}
+
+// streamOf derives the layout of the rows st sends from those of its inputs;
+// the output step sends none.
+func streamOf(f *Flow, st *Step, streams map[string]*stream, store map[string]*model.Cube) (*stream, error) {
+	switch st.Type {
+	case TableInput:
+		cube, ok := store[st.Table]
+		if !ok {
+			return nil, fmt.Errorf("table %s not available", st.Table)
+		}
+		sch := cube.Schema()
+		s := &stream{names: st.As, views: []*model.View{cube.View()}}
+		for i, fld := range st.Fields {
+			c := col{at: sch.DimIndex(fld)}
+			if c.at < 0 && fld != sch.Measure {
+				return nil, fmt.Errorf("table %s has no column %s", st.Table, fld)
+			}
+			if st.Shifts != nil {
+				c.shift = st.Shifts[i]
+			}
+			s.cols = append(s.cols, c)
+		}
+		if st.FilterField != "" && sch.DimIndex(st.FilterField) < 0 {
+			return nil, fmt.Errorf("filter column %s not in %s", st.FilterField, st.Table)
+		}
+		return s, nil
+	case MergeJoin:
+		l, r := streams[st.Left], streams[st.Right]
+		s := &stream{names: slices.Clone(l.names), cols: slices.Clone(l.cols), views: append(slices.Clip(l.views), r.views...),
+			nums: l.nums + r.nums, vals: l.vals + r.vals}
+		for j, name := range r.names {
+			if slices.Contains(st.Keys, name) {
+				continue
+			}
+			c := r.cols[j]
+			switch {
+			case c.src >= 0:
+				c.src += len(l.views)
+			case c.num:
+				c.at += l.nums
+			default:
+				c.at += l.vals
+			}
+			s.names, s.cols = append(s.names, name), append(s.cols, c)
+		}
+		return s, nil
+	case Calculator:
+		in := streams[f.Inputs(st.Name)[0]]
+		s := &stream{names: slices.Clone(in.names), cols: slices.Clone(in.cols), views: in.views, nums: in.nums, vals: in.vals}
+		for _, c := range st.Calcs {
+			k := col{src: -1}
+			switch e := c.expr.(type) {
+			case frame.Col: // an alias, where the column is there
+				if j := slices.Index(s.names, e.Name); j >= 0 {
+					k = s.cols[j]
+					break
+				}
+				k.at, s.vals = s.vals, s.vals+1
+			case frame.Apply, frame.Const:
+				k.at, k.num, s.nums = s.nums, true, s.nums+1
+			default:
+				k.at, s.vals = s.vals, s.vals+1
+			}
+			s.names, s.cols = append(s.names, c.Field), append(s.cols, k)
+		}
+		return s, nil
+	case Aggregator, PadJoin:
+		return kernelStream(append(slices.Clone(st.Keys), st.OutField)), nil
+	case SeriesCalc:
+		return kernelStream([]string{st.TimeField, st.ValueField}), nil
+	}
+	return nil, nil
+}
+
+// kernelStream is the layout of the rows one of frame's kernels hands out:
+// the key's dimension values, then the number.
+func kernelStream(names []string) *stream {
+	s := &stream{names: names, nums: 1, vals: len(names) - 1}
+	for j := range s.vals {
+		s.cols = append(s.cols, col{src: -1, at: j})
+	}
+	s.cols = append(s.cols, col{src: -1, num: true})
+	return s
+}
+
+// value returns column c of row i of b, a batch of s.
+func (s *stream) value(b *batch, i, c int) model.Value {
+	k := s.cols[c]
+	switch {
+	case k.num:
+		return model.Num(b.nums[i*s.nums+k.at])
+	case k.src < 0:
+		return b.vals[i*s.vals+k.at]
+	}
+	tu := s.views[k.src].Tuple(int(b.refs[i*len(s.views)+k.src]))
+	v := model.Num(tu.Measure)
+	if k.at >= 0 {
+		v = tu.Dims[k.at]
+	}
+	if k.shift != 0 {
+		v, _ = ops.ShiftValue(v, k.shift) // the input step saw that it shifts
+	}
+	return v
+}
+
+// read fills row with the columns of row i of b, a batch of s.
+func (s *stream) read(b *batch, i int, row []model.Value) {
+	for c := range s.cols {
+		row[c] = s.value(b, i, c)
+	}
+}
+
+// columns returns the positions of names among s's columns; what names them.
+func (s *stream) columns(names []string, what string) ([]int, error) {
+	idx := make([]int, len(names))
+	for i, name := range names {
+		if idx[i] = slices.Index(s.names, name); idx[i] < 0 {
+			return nil, fmt.Errorf("%s %s missing from stream", what, name)
+		}
+	}
+	return idx, nil
+}
+
+// key appends to buf the key of the values of row i of b at cols, and is
+// false where one of them is undefined.
+func (s *stream) key(buf []byte, b *batch, i int, cols []int) ([]byte, bool) {
+	for _, c := range cols {
+		v := s.value(b, i, c)
+		if !v.IsValid() {
+			return buf, false
+		}
+		buf = model.AppendOrderedKey(buf, v)
+	}
+	return buf, true
+}
+
+// batch is rows of a stream, one after another: a row's ordinals, one per
+// input, its computed numbers and its computed dimension values. Only the
+// last hold pointers, and only where the flow computes dimension values.
+type batch struct {
+	n    int
+	refs []int32
+	nums []float64
+	vals []model.Value
+}
+
+// newBatch returns an empty batch with room for n rows of s.
+func newBatch(n int, s *stream) *batch {
+	return &batch{refs: make([]int32, 0, n*len(s.views)), nums: make([]float64, 0, n*s.nums), vals: make([]model.Value, 0, n*s.vals)}
+}
+
+// add appends row i of from, a batch of s, to the row b is filling.
+func (b *batch) add(from *batch, i int, s *stream) {
+	w := len(s.views)
+	b.refs = append(b.refs, from.refs[i*w:(i+1)*w]...)
+	b.nums = append(b.nums, from.nums[i*s.nums:(i+1)*s.nums]...)
+	b.vals = append(b.vals, from.vals[i*s.vals:(i+1)*s.vals]...)
 }
 
 // batcher collects a step's output rows into batches and sends each one
@@ -223,116 +346,82 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 // producer never blocks forever on a consumer that died.
 type batcher struct {
 	ctx   context.Context
-	out   chan<- []Row
+	out   chan<- *batch
 	free  batches
-	size  int // of a new batch: batchSize, or fewer where the step sends fewer rows
-	batch []Row
+	s     *stream // of the rows it sends
+	batch *batch
 }
 
-// add appends a row to the batch, sending the batch once it is full.
-func (b *batcher) add(r Row) error {
-	if b.batch == nil {
-		b.batch = b.free.get(b.size)
+// row returns the batch whose next row the step fills, taking one from the
+// free list where there is one; end counts the row.
+func (w *batcher) row() *batch {
+	if w.batch == nil {
+		select {
+		case w.batch = <-w.free:
+		default:
+			w.batch = newBatch(batchSize, w.s)
+		}
 	}
-	b.batch = append(b.batch, r)
-	if len(b.batch) < batchSize {
+	return w.batch
+}
+
+// end ends the row filled in row's batch, sending the batch once it is full.
+func (w *batcher) end() error {
+	if w.batch.n++; w.batch.n < batchSize {
 		return nil
 	}
-	return b.flush()
+	return w.flush()
 }
 
 // flush sends the rows collected so far, if any: at a full batch and once
 // more at end of stream.
-func (b *batcher) flush() error {
-	if len(b.batch) == 0 {
+func (w *batcher) flush() error {
+	if w.batch == nil || w.batch.n == 0 {
 		return nil
 	}
 	select {
-	case b.out <- b.batch:
-		b.batch = nil
+	case w.out <- w.batch:
+		w.batch = nil
 		return nil
-	case <-b.ctx.Done():
-		return b.ctx.Err()
+	case <-w.ctx.Done():
+		return w.ctx.Err()
 	}
 }
 
-// batches is a flow's free list of batch arrays: every consumer hands back
-// each batch it has read, and producers fill those before making new ones,
-// so a stream of any length allocates a few batches a hop. The list lives
-// as long as the flow.
-type batches chan []Row
+// batches is a flow's free list: every consumer hands back each batch it
+// has read, having copied out what it keeps, and producers fill those
+// before making new ones, so a stream of any length allocates a few
+// batches a hop. The list lives as long as the flow.
+type batches chan *batch
 
-// get returns an empty batch, one read before where there is one, else a
-// new one with room for n rows.
-func (fl batches) get(n int) []Row {
+// recycle hands back a batch its consumer has read, letting go of the
+// values it held; it is left to the collector when the list is full.
+func (fl batches) recycle(b *batch) {
+	clear(b.vals)
+	b.n, b.refs, b.nums, b.vals = 0, b.refs[:0], b.nums[:0], b.vals[:0]
 	select {
-	case batch := <-fl:
-		return batch
-	default:
-		return make([]Row, 0, n)
-	}
-}
-
-// recycle hands back a batch its consumer has read. The rows it held live on
-// in their slabs; the batch lets go of them, and is left to the collector
-// when the list is full.
-func (fl batches) recycle(batch []Row) {
-	clear(batch)
-	select {
-	case fl <- batch[:0]:
+	case fl <- b:
 	default:
 	}
 }
 
-// slab hands out rows of one width cut from a shared backing array, each a
-// full-capacity window of it, so an append to one row can never reach its
-// neighbour. An array is never reused: a row stays valid for as long as a
-// downstream step holds it.
-type slab struct {
-	w    int
-	vals []model.Value
-}
-
-// reserve makes room for n more rows where the array has less: a new array
-// of n rows, and of as many more as its size class holds, which the
-// allocator would spend on it anyway.
-func (s *slab) reserve(n int) {
-	if len(s.vals) >= n*s.w {
-		return
-	}
-	s.vals = slices.Grow([]model.Value(nil), n*s.w)
-	s.vals = s.vals[:cap(s.vals)-cap(s.vals)%max(s.w, 1)]
-}
-
-// empty reports whether every row of the array has been taken.
-func (s *slab) empty() bool { return len(s.vals) == 0 }
-
-// next returns the row the slab hands out next, to be filled in place: take
-// hands it out, else the next call returns it again.
-func (s *slab) next() Row { return Row(s.vals[:s.w:s.w]) }
-
-// take hands out the row next returned.
-func (s *slab) take() Row {
-	r := s.next()
-	s.vals = s.vals[s.w:]
-	return r
-}
-
-// joinKey appends to buf the key of the row's values at idx, and is false
-// where one of them is undefined.
-func joinKey(buf []byte, row Row, idx []int) ([]byte, bool) {
-	for _, j := range idx {
-		if !row[j].IsValid() {
-			return buf, false
+// drain calls fn on every row of the stream in, handing each batch back
+// once it is read, then flushes what fn collected.
+func (w *batcher) drain(in <-chan *batch, fn func(b *batch, i int) error) error {
+	for b := range in {
+		for i := range b.n {
+			if err := fn(b, i); err != nil {
+				return err
+			}
 		}
-		buf = model.AppendOrderedKey(buf, row[j])
+		w.free.recycle(b)
 	}
-	return buf, true
+	return w.flush()
 }
 
 // runStep runs one step of f. The output step finds the previous version of
 // the flow's cube in *result (nil for none) and leaves the cube it built there.
-func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, chans map[string]chan []Row, free batches,
+func runStep(ctx context.Context, f *Flow, st *Step, streams map[string]*stream, chans map[string]chan *batch, free batches,
 	store map[string]*model.Cube, schemas map[string]model.Schema, result **model.Cube) error {
 
 	out := chans[st.Name] // nil for the output step
@@ -347,257 +436,183 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 	if hp := stepHook.Load(); hp != nil {
 		(*hp)(f.TgdID, st.Name)
 	}
-	b := &batcher{ctx: ctx, out: out, free: free, size: batchSize}
+	w := &batcher{ctx: ctx, out: out, free: free, s: streams[st.Name]}
+	in := append(f.Inputs(st.Name), "")[0] // the first input, if any
 
 	switch st.Type {
 	case TableInput:
-		cube, ok := store[st.Table]
-		if !ok {
-			return fmt.Errorf("table %s not available", st.Table)
-		}
-		sch := cube.Schema()
-		idx := make([]int, len(st.Fields))
-		for i, fld := range st.Fields {
-			if j := sch.DimIndex(fld); j >= 0 {
-				idx[i] = j
-			} else if fld == sch.Measure {
-				idx[i] = -1
-			} else {
-				return fmt.Errorf("table %s has no column %s", st.Table, fld)
+		s, sch := w.s, store[st.Table].Schema()
+		filter := sch.DimIndex(st.FilterField)
+		v := s.views[0]
+		for i := range v.Len() {
+			tu := v.Tuple(i)
+			if filter >= 0 && !tu.Dims[filter].Equal(st.filterVal) {
+				continue
 			}
-		}
-		filterIdx := -2
-		if st.FilterField != "" {
-			filterIdx = sch.DimIndex(st.FilterField)
-			if filterIdx < 0 {
-				return fmt.Errorf("filter column %s not in %s", st.FilterField, st.Table)
-			}
-		}
-		rows := slab{w: len(idx)}
-		left := cube.Len() // tuples not yet read
-		b.size = min(batchSize, left)
-		err := cube.Ordered(func(tu model.Tuple) error {
-			left--
-			if filterIdx >= 0 && !tu.Dims[filterIdx].Equal(st.filterVal) {
-				return nil
-			}
-			if rows.empty() {
-				rows.reserve(min(batchSize, left+1))
-			}
-			row := rows.next()
-			for i, j := range idx {
-				var v model.Value
-				if j < 0 {
-					v = model.Num(tu.Measure)
-				} else {
-					v = tu.Dims[j]
-				}
-				if st.Shifts != nil && st.Shifts[i] != 0 {
-					sv, err := ops.ShiftValue(v, st.Shifts[i])
-					if err != nil {
+			for _, c := range s.cols {
+				if c.shift != 0 && c.at >= 0 {
+					if _, err := ops.ShiftValue(tu.Dims[c.at], c.shift); err != nil {
 						return err
 					}
-					v = sv
 				}
-				if !v.IsValid() {
-					return nil
-				}
-				row[i] = v
 			}
-			return b.add(rows.take())
-		})
+			b := w.row()
+			b.refs = append(b.refs, int32(i))
+			if err := w.end(); err != nil {
+				return err
+			}
+		}
+		return w.flush()
+
+	case MergeJoin:
+		l, r := streams[st.Left], streams[st.Right]
+		lk, err := l.columns(st.Keys, "join key")
 		if err != nil {
 			return err
 		}
-		return b.flush()
-
-	case MergeJoin:
-		leftCh, rightCh := chans[st.Left], chans[st.Right]
-		leftCols, rightCols := cols[st.Left], cols[st.Right]
-		lk := make([]int, len(st.Keys))
-		rk := make([]int, len(st.Keys))
-		for i, k := range st.Keys {
-			lk[i] = slices.Index(leftCols, k)
-			rk[i] = slices.Index(rightCols, k)
-			if lk[i] < 0 || rk[i] < 0 {
-				return fmt.Errorf("join key %s missing", k)
-			}
+		rk, err := r.columns(st.Keys, "join key")
+		if err != nil {
+			return err
 		}
-		var keep []int
-		for j, c := range rightCols {
-			if !slices.Contains(st.Keys, c) {
-				keep = append(keep, j)
-			}
-		}
-		// Build side: the right stream is buffered whole, then indexed by
-		// key to the first of its rows with the key; next chains each row to
-		// the following one with the same key, in arrival order. Counting
-		// the rows first sizes the index once.
-		var right [][]Row
+		// Build side: the right stream is buffered whole, its rows copied
+		// into one batch, then indexed by key to the first of its rows with
+		// the key; next chains each row to the following one with the same
+		// key, in arrival order. Counting the rows first sizes them once.
+		var right []*batch
 		n := 0
-		for batch := range rightCh {
-			right = append(right, batch)
-			n += len(batch)
+		for b := range chans[st.Right] {
+			right = append(right, b)
+			n += b.n
 		}
-		build := make([]Row, 0, n)
+		build := newBatch(n, r)
 		next := make([]int32, 0, n)
 		last := make([]int32, 0, n) // read at a key's first row: its chain's end
 		first := make(map[string]int32, n)
 		var key []byte
-		for _, batch := range right {
-			for _, r := range batch {
+		for _, b := range right {
+			for i := range b.n {
 				var ok bool
-				if key, ok = joinKey(key[:0], r, rk); !ok {
+				if key, ok = r.key(key[:0], b, i, rk); !ok {
 					continue
 				}
-				i := int32(len(build))
-				build, next, last = append(build, r), append(next, -1), append(last, i)
+				j := int32(build.n)
+				build.add(b, i, r)
+				build.n, next, last = build.n+1, append(next, -1), append(last, j)
 				if h, seen := first[string(key)]; seen {
-					next[last[h]], last[h] = i, i
+					next[last[h]], last[h] = j, j
 				} else {
-					first[string(key)] = i
+					first[string(key)] = j
 				}
 			}
-			b.free.recycle(batch)
+			free.recycle(b)
 		}
-		// Probe side: the left stream flows through. Each batch's matches
-		// are counted first, so the slab is sized to the rows it will hold.
-		rows := slab{w: len(leftCols) + len(keep)}
-		var heads []int32 // by probe row of the batch: its first match, or -1
-		for batch := range leftCh {
-			heads = heads[:0]
-			n := 0
-			for _, l := range batch {
-				h := int32(-1)
-				var ok bool
-				if key, ok = joinKey(key[:0], l, lk); ok {
-					if m, found := first[string(key)]; found {
-						h = m
-					}
-				}
-				heads = append(heads, h)
-				for m := h; m >= 0; m = next[m] {
-					n++
+		// Probe side: the left stream flows through, each row followed by
+		// its matches in the order the build side arrived.
+		return w.drain(chans[st.Left], func(b *batch, i int) error {
+			h := int32(-1)
+			var ok bool
+			if key, ok = l.key(key[:0], b, i, lk); ok {
+				if m, found := first[string(key)]; found {
+					h = m
 				}
 			}
-			rows.reserve(n)
-			for i, l := range batch {
-				for m := heads[i]; m >= 0; m = next[m] {
-					nr := rows.take()
-					copy(nr, l)
-					for k, j := range keep {
-						nr[len(leftCols)+k] = build[m][j]
-					}
-					if err := b.add(nr); err != nil {
-						return err
-					}
-				}
-			}
-			b.free.recycle(batch)
-		}
-		return b.flush()
-
-	case Calculator:
-		in := chans[f.Inputs(st.Name)[0]]
-		myCols := cols[st.Name]
-		base := len(myCols) - len(st.Calcs)
-		// Each field is bound against the columns in front of it.
-		fields := make([]frame.RowFunc, len(st.Calcs))
-		for i, c := range st.Calcs {
-			var err error
-			if fields[i], err = frame.Bind(c.Expr(), myCols[:base+i]); err != nil {
-				return err
-			}
-		}
-		rows := slab{w: len(myCols)}
-		for batch := range in {
-			rows.reserve(len(batch))
-			for _, row := range batch {
-				nr := rows.next()
-				copy(nr, row)
-				defined := true
-				for i, field := range fields {
-					v, err := field(nr)
-					if err != nil {
-						return err
-					}
-					if defined = v.IsValid(); !defined {
-						break // undefined point: the row contributes nothing
-					}
-					nr[base+i] = v
-				}
-				if !defined {
-					continue
-				}
-				if err := b.add(rows.take()); err != nil {
+			for m := h; m >= 0; m = next[m] {
+				o := w.row()
+				o.add(b, i, l)
+				o.add(build, int(m), r)
+				if err := w.end(); err != nil {
 					return err
 				}
 			}
-			b.free.recycle(batch)
-		}
-		return b.flush()
+			return nil
+		})
 
-	// The blocking steps are frame's kernels, fed the stream.
-	case Aggregator:
-		in := f.Inputs(st.Name)[0]
-		k, err := frame.NewGrouping(frame.GroupAgg{By: st.Keys, Agg: st.Agg, ValCol: st.ValueField}, cols[in])
-		if err != nil {
-			return err
-		}
-		return pipe(chans[in], k, b)
-
-	case SeriesCalc:
-		in := f.Inputs(st.Name)[0]
-		k, err := frame.NewSeries(frame.SeriesOp{Op: st.Op, Params: st.Params, TimeCol: st.TimeField, ValCol: st.ValueField}, cols[in])
-		if err != nil {
-			return err
-		}
-		return pipe(chans[in], k, b)
-
-	case PadJoin:
-		m, err := frame.NewPadMerger(frame.PadMerge{Keys: st.Keys, XVal: st.ValueField, YVal: st.RightField, Op: st.Op, Default: st.Default},
-			cols[st.Left], cols[st.Right])
-		if err != nil {
-			return err
-		}
-		for side, in := range [2]chan []Row{chans[st.Left], chans[st.Right]} {
-			for batch := range in {
-				for _, row := range batch {
-					if err := m.Add(side, row); err != nil {
-						return err
-					}
-				}
-				b.free.recycle(batch)
+	case Calculator:
+		s, is := w.s, streams[in]
+		base := len(is.cols)
+		// Each field is bound against the columns in front of it, and read
+		// from one reused row.
+		fields := make([]frame.RowFunc, len(st.Calcs))
+		for i, c := range st.Calcs {
+			var err error
+			if fields[i], err = frame.Bind(c.expr, s.names[:base+i]); err != nil {
+				return err
 			}
 		}
-		return emit(m.Each, b)
+		row := make([]model.Value, len(s.cols))
+		return w.drain(chans[in], func(b *batch, i int) error {
+			is.read(b, i, row)
+			for k, field := range fields {
+				v, err := field(row)
+				if err != nil || !v.IsValid() {
+					return err // an undefined point: the row contributes nothing
+				}
+				row[base+k] = v
+			}
+			o := w.row()
+			o.add(b, i, is)
+			o.nums, o.vals = append(o.nums, make([]float64, s.nums-is.nums)...), append(o.vals, make([]model.Value, s.vals-is.vals)...)
+			for c, k := range s.cols[base:] { // an alias of an input's column has its values there
+				if k.src < 0 && k.num {
+					o.nums[len(o.nums)-s.nums+k.at], _ = row[base+c].AsNumber()
+				} else if k.src < 0 {
+					o.vals[len(o.vals)-s.vals+k.at] = row[base+c]
+				}
+			}
+			return w.end()
+		})
+
+	// The blocking steps are frame's kernels, fed the stream.
+	case Aggregator, SeriesCalc:
+		var k frame.Kernel
+		var err error
+		if st.Type == Aggregator {
+			k, err = frame.NewGrouping(frame.GroupAgg{By: st.Keys, Agg: st.Agg, ValCol: st.ValueField}, streams[in].names)
+		} else {
+			k, err = frame.NewSeries(frame.SeriesOp{Op: st.Op, Params: st.Params, TimeCol: st.TimeField, ValCol: st.ValueField}, streams[in].names)
+		}
+		if err == nil {
+			err = w.feed(chans[in], streams[in], k.Add)
+		}
+		if err != nil {
+			return err
+		}
+		return emit(k.Each, w)
+
+	case PadJoin:
+		l, r := streams[st.Left], streams[st.Right]
+		m, err := frame.NewPadMerger(frame.PadMerge{Keys: st.Keys, XVal: st.ValueField, YVal: st.RightField, Op: st.Op, Default: st.Default},
+			l.names, r.names)
+		if err != nil {
+			return err
+		}
+		for side, name := range [2]string{st.Left, st.Right} {
+			if err := w.feed(chans[name], streams[name], func(row []model.Value) error { return m.Add(side, row) }); err != nil {
+				return err
+			}
+		}
+		return emit(m.Each, w)
 
 	case TableOutput:
-		in := chans[f.Inputs(st.Name)[0]]
-		inCols := cols[f.Inputs(st.Name)[0]]
+		s := streams[in]
 		sch, ok := schemas[st.Table]
 		if !ok {
 			return fmt.Errorf("no schema for output %s", st.Table)
 		}
-		idx := make([]int, len(st.Fields))
-		for i, fld := range st.Fields {
-			idx[i] = slices.Index(inCols, fld)
-			if idx[i] < 0 {
-				return fmt.Errorf("output field %s missing from stream", fld)
-			}
+		idx, err := s.columns(st.Fields, "output field")
+		if err != nil {
+			return err
 		}
 		bld := model.NewBuilderOn(*result, sch)
 		dims := make([]model.Value, len(sch.Dims))
-		for batch := range in {
-			for _, row := range batch {
-				for i := range dims {
-					dims[i] = row[idx[i]]
-				}
-				if err := bld.AddRow(dims, row[idx[len(idx)-1]]); err != nil {
-					return err
-				}
+		err = w.drain(chans[in], func(b *batch, i int) error {
+			for k := range dims {
+				dims[k] = s.value(b, i, idx[k])
 			}
-			b.free.recycle(batch)
+			return bld.AddRow(dims, s.value(b, i, idx[len(idx)-1]))
+		})
+		if err != nil {
+			return err
 		}
 		// Publish the cube only after the stream completed: a flow that
 		// errors never exposes a partially-written result.
@@ -613,23 +628,27 @@ func runStep(ctx context.Context, f *Flow, st *Step, cols map[string][]string, c
 	}
 }
 
-// pipe feeds every row of in to the kernel, then sends its rows downstream.
-func pipe(in <-chan []Row, k frame.Kernel, b *batcher) error {
-	for batch := range in {
-		for _, row := range batch {
-			if err := k.Add(row); err != nil {
-				return err
-			}
-		}
-		b.free.recycle(batch)
-	}
-	return emit(k.Each, b)
+// feed hands add every row of the stream in, of layout s, in one reused row:
+// what add keeps of it, it copies.
+func (w *batcher) feed(in <-chan *batch, s *stream, add func(row []model.Value) error) error {
+	row := make([]model.Value, len(s.cols))
+	return w.drain(in, func(b *batch, i int) error {
+		s.read(b, i, row)
+		return add(row)
+	})
 }
 
-// emit sends every row a kernel's Each hands out downstream.
-func emit(each func(fn func(row []model.Value) error) error, b *batcher) error {
-	if err := each(func(row []model.Value) error { return b.add(row) }); err != nil {
+// emit sends every row a kernel's Each hands out downstream: its key's
+// dimension values, then its number.
+func emit(each func(fn func(row []model.Value) error) error, w *batcher) error {
+	err := each(func(row []model.Value) error {
+		o, n := w.row(), len(row)-1
+		x, _ := row[n].AsNumber()
+		o.vals, o.nums = append(o.vals, row[:n]...), append(o.nums, x)
+		return w.end()
+	})
+	if err != nil {
 		return err
 	}
-	return b.flush()
+	return w.flush()
 }

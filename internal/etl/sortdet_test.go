@@ -2,15 +2,14 @@ package etl
 
 import (
 	"context"
-	"slices"
 	"testing"
 
 	"exlengine/internal/model"
 )
 
-// runCumsum pushes the rows through a SeriesCalc step in batches and
-// collects its output stream.
-func runCumsum(t *testing.T, rows []Row) []Row {
+// runCumsum pushes the (period, number) rows through a SeriesCalc step in
+// batches and collects its output stream.
+func runCumsum(t *testing.T, rows [][]model.Value) [][]model.Value {
 	t.Helper()
 	f := &Flow{
 		Steps: []Step{
@@ -19,21 +18,31 @@ func runCumsum(t *testing.T, rows []Row) []Row {
 		},
 		Hops: []Hop{{From: "in", To: "series"}},
 	}
-	cols := map[string][]string{"in": {"t", "v"}}
+	s := kernelStream([]string{"t", "v"})
+	streams := map[string]*stream{"in": s, "series": s}
 	n := len(rows)/batchSize + 1
-	in := make(chan []Row, n)
-	out := make(chan []Row, n)
-	chans := map[string]chan []Row{"in": in, "series": out}
+	in := make(chan *batch, n)
+	out := make(chan *batch, n)
+	chans := map[string]chan *batch{"in": in, "series": out}
 	for lo := 0; lo < len(rows); lo += batchSize {
-		in <- slices.Clone(rows[lo:min(lo+batchSize, len(rows))])
+		b := &batch{}
+		for _, r := range rows[lo:min(lo+batchSize, len(rows))] {
+			x, _ := r[1].AsNumber()
+			b.vals, b.nums, b.n = append(b.vals, r[0]), append(b.nums, x), b.n+1
+		}
+		in <- b
 	}
 	close(in)
-	if err := runStep(context.Background(), f, f.Step("series"), cols, chans, make(batches, n), nil, nil, nil); err != nil {
+	if err := runStep(context.Background(), f, f.Step("series"), streams, chans, make(batches, n), nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	var got []Row
-	for batch := range out {
-		got = append(got, batch...)
+	var got [][]model.Value
+	for b := range out {
+		for i := range b.n {
+			row := make([]model.Value, 2)
+			s.read(b, i, row)
+			got = append(got, row)
+		}
 	}
 	return got
 }
@@ -46,10 +55,10 @@ func runCumsum(t *testing.T, rows []Row) []Row {
 // independent of input permutation.
 func TestSeriesCalcDuplicatePeriodsDeterministic(t *testing.T) {
 	const periods, dups = 8, 8
-	var fwd, rev []Row
+	var fwd, rev [][]model.Value
 	for i := 0; i < periods*dups; i++ {
 		q := model.NewQuarterly(2000, 1).Shift(int64(i % periods))
-		fwd = append(fwd, Row{model.Per(q), model.Num(float64(i))})
+		fwd = append(fwd, []model.Value{model.Per(q), model.Num(float64(i))})
 	}
 	for i := len(fwd) - 1; i >= 0; i-- {
 		rev = append(rev, fwd[i])
