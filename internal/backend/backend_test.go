@@ -356,35 +356,103 @@ func productTgd(tb testing.TB) (*mapping.Mapping, map[string]*model.Cube) {
 	return m, map[string]*model.Cube{"RGDPPC": data["RGDPPC"], "PQR": pqr["PQR"]}
 }
 
-// TestETLProductRefersToItsSources runs Figure 1's flow, the product tgd
-// alone, on the ETL target in steady state: each run is handed the previous
-// run's RGDP as its predecessor. Its rows refer to the source tuples instead
-// of copying them, so a run allocates at most 200 bytes an output tuple.
-func TestETLProductRefersToItsSources(t *testing.T) {
-	m, input := productTgd(t)
-	prev, err := Run(context.Background(), ops.TargetETL, m, input, nil)
+// steadyRunAlloc runs m on target in steady state, as the dispatcher re-runs
+// a program: run i reads input(i) and is handed the previous run's outputs as
+// their predecessors. Each run's cube out must be bit-equal to want(i) and lie
+// on its predecessor's key set. It returns the least bytes one of five runs
+// allocated — TotalAlloc is the process's, and other goroutines can only add
+// to what a run allocates, so the least is the closest reading — and the
+// number of tuples a run outputs.
+func steadyRunAlloc(t *testing.T, target ops.Target, m *mapping.Mapping, out string, input func(i int) map[string]*model.Cube, want func(i int) *model.Cube) (uint64, int) {
+	t.Helper()
+	prev, err := Run(context.Background(), target, m, input(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := prev["RGDP"].Len()
-	// TotalAlloc is the process's: other goroutines can only add to what a
-	// run allocates, so the least of five runs is the closest reading.
 	grown := uint64(math.MaxUint64)
-	for range 5 {
+	for i := 1; i <= 5; i++ {
+		in := input(i)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out, err := Run(context.Background(), ops.TargetETL, m, input, prev)
+		res, err := Run(context.Background(), target, m, in, prev)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := sameBits(out["RGDP"], prev["RGDP"]); d != "" {
-			t.Fatalf("a run differs from the one before: %s", d)
+		if d := sameBits(res[out], want(i)); d != "" {
+			t.Fatalf("run %d differs from the chase's: %s", i, d)
 		}
-		grown, prev = min(grown, after.TotalAlloc-before.TotalAlloc), out
+		if !res[out].SharesKeySet(prev[out]) {
+			t.Fatalf("run %d's %s is not on its predecessor's key set", i, out)
+		}
+		grown, prev = min(grown, after.TotalAlloc-before.TotalAlloc), res
 	}
+	return grown, prev[out].Len()
+}
+
+// productRuns is steadyRunAlloc of the product tgd alone on target, the
+// inputs the same every run.
+func productRuns(t *testing.T, target ops.Target) (uint64, int) {
+	m, input := productTgd(t)
+	want, err := Run(context.Background(), ops.TargetChase, m, input, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return steadyRunAlloc(t, target, m, "RGDP", func(int) map[string]*model.Cube { return input },
+		func(int) *model.Cube { return want["RGDP"] })
+}
+
+// TestETLProductRefersToItsSources runs Figure 1's flow, the product tgd
+// alone, on the ETL target in steady state. Its rows refer to the source
+// tuples instead of copying them, and its merge step indexes the build rows
+// by the hash of their key without keeping a key, so a run allocates at most
+// 100 bytes an output tuple.
+func TestETLProductRefersToItsSources(t *testing.T) {
+	grown, n := productRuns(t, ops.TargetETL)
+	if grown > uint64(100*n) {
+		t.Errorf("a run allocated %d bytes for %d output tuples, %d an output tuple: more than 100", grown, n, grown/uint64(n))
+	}
+}
+
+// TestSQLProductRefersToItsSources runs the product tgd alone on the SQL
+// target in steady state. Its batches keep each scanned dimension as row
+// ordinals into the scanned version and each number as a float64, the join
+// indexes its build rows without keeping a key, and the result follows its
+// predecessor unsorted, so a run allocates at most 200 bytes an output tuple.
+func TestSQLProductRefersToItsSources(t *testing.T) {
+	grown, n := productRuns(t, ops.TargetSQL)
 	if grown > uint64(200*n) {
 		t.Errorf("a run allocated %d bytes for %d output tuples, %d an output tuple: more than 200", grown, n, grown/uint64(n))
+	}
+}
+
+// TestSQLGroupRefersToItsSources runs PQR on the SQL target in steady state
+// over versions of the 200k-tuple PDR on one key set, the shape of
+// BenchmarkGroupByRevisions: the groups are the key set's partition, the fold
+// reads each version's measure column where it lies, and a group is emitted as
+// its first row's ordinal beside its fold's result. A run allocates at most 200
+// bytes an output group.
+func TestSQLGroupRefersToItsSources(t *testing.T) {
+	m := compile(t, "cube PDR(d: day, r: string) measure p\nPQR := avg(PDR, group by quarter(d) as q, r)\n")
+	base := workload.GDPSource(workload.GDPConfig{Days: 10000, Regions: 20})["PDR"].Freeze()
+	versions := make([]map[string]*model.Cube, 6)
+	want := make([]*model.Cube, len(versions))
+	for i := range versions {
+		v, err := base.Derive(base.Schema(), func(_ int, tu model.Tuple) (float64, bool, error) { return tu.Measure + float64(i), true, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions[i] = map[string]*model.Cube{"PDR": v}
+		ref, err := Run(context.Background(), ops.TargetChase, m, versions[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ref["PQR"]
+	}
+	grown, n := steadyRunAlloc(t, ops.TargetSQL, m, "PQR", func(i int) map[string]*model.Cube { return versions[i] },
+		func(i int) *model.Cube { return want[i] })
+	if grown > uint64(200*n) {
+		t.Errorf("a run allocated %d bytes for %d output groups, %d an output group: more than 200", grown, n, grown/uint64(n))
 	}
 }
 

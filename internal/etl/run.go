@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime/debug"
@@ -287,11 +288,41 @@ func (s *stream) value(b *batch, i, c int) model.Value {
 	return v
 }
 
-// read fills row with the columns of row i of b, a batch of s.
-func (s *stream) read(b *batch, i int, row []model.Value) {
-	for c := range s.cols {
+// read fills row at cols with those columns of row i of b, a batch of s; the
+// rest of row is left as it is.
+func (s *stream) read(b *batch, i int, row []model.Value, cols []int) {
+	for _, c := range cols {
 		row[c] = s.value(b, i, c)
 	}
+}
+
+// used returns the positions of the columns of s that names name, each once:
+// all a step that reads those columns has to read.
+func (s *stream) used(names ...string) []int {
+	var cols []int
+	for _, name := range names {
+		if j := slices.Index(s.names, name); j >= 0 && !slices.Contains(cols, j) {
+			cols = append(cols, j)
+		}
+	}
+	return cols
+}
+
+// exprCols appends to names the names of the columns e reads.
+func exprCols(names []string, e frame.Expr) []string {
+	switch e := e.(type) {
+	case frame.Col:
+		return append(names, e.Name)
+	case frame.Apply:
+		for _, a := range e.Args {
+			names = exprCols(names, a)
+		}
+	case frame.PShift:
+		return exprCols(names, e.X)
+	case frame.DimApply:
+		return exprCols(names, e.X)
+	}
+	return names
 }
 
 // columns returns the positions of names among s's columns; what names them.
@@ -330,7 +361,15 @@ type batch struct {
 
 // newBatch returns an empty batch with room for n rows of s.
 func newBatch(n int, s *stream) *batch {
-	return &batch{refs: make([]int32, 0, n*len(s.views)), nums: make([]float64, 0, n*s.nums), vals: make([]model.Value, 0, n*s.vals)}
+	b := &batch{}
+	b.reserve(n, s)
+	return b
+}
+
+// reserve makes room in b, an empty batch, for n rows of s: a batch off the
+// free list may have served a stream of another layout.
+func (b *batch) reserve(n int, s *stream) {
+	b.refs, b.nums, b.vals = slices.Grow(b.refs, n*len(s.views)), slices.Grow(b.nums, n*s.nums), slices.Grow(b.vals, n*s.vals)
 }
 
 // add appends row i of from, a batch of s, to the row b is filling.
@@ -358,6 +397,7 @@ func (w *batcher) row() *batch {
 	if w.batch == nil {
 		select {
 		case w.batch = <-w.free:
+			w.batch.reserve(batchSize, w.s)
 		default:
 			w.batch = newBatch(batchSize, w.s)
 		}
@@ -475,48 +515,43 @@ func runStep(ctx context.Context, f *Flow, st *Step, streams map[string]*stream,
 			return err
 		}
 		// Build side: the right stream is buffered whole, its rows copied
-		// into one batch, then indexed by key to the first of its rows with
-		// the key; next chains each row to the following one with the same
-		// key, in arrival order. Counting the rows first sizes them once.
+		// into one batch, then indexed by the hash of their key, each row
+		// chained to the following one with the key in arrival order
+		// (model.Chains). No key is kept: where a probe meets a row, the row's
+		// key is read again through its references. Counting the rows first
+		// sizes them once.
 		var right []*batch
 		n := 0
 		for b := range chans[st.Right] {
 			right = append(right, b)
 			n += b.n
 		}
-		build := newBatch(n, r)
-		next := make([]int32, 0, n)
-		last := make([]int32, 0, n) // read at a key's first row: its chain's end
-		first := make(map[string]int32, n)
-		var key []byte
+		build, index := newBatch(n, r), model.NewChains(n)
+		var key, other []byte
+		has := func(q int32) bool {
+			other, _ = r.key(other[:0], build, int(q), rk)
+			return bytes.Equal(key, other)
+		}
 		for _, b := range right {
 			for i := range b.n {
 				var ok bool
 				if key, ok = r.key(key[:0], b, i, rk); !ok {
 					continue
 				}
-				j := int32(build.n)
 				build.add(b, i, r)
-				build.n, next, last = build.n+1, append(next, -1), append(last, j)
-				if h, seen := first[string(key)]; seen {
-					next[last[h]], last[h] = j, j
-				} else {
-					first[string(key)] = j
-				}
+				index.Add(int32(build.n), model.HashKey(key), has)
+				build.n++
 			}
 			free.recycle(b)
 		}
 		// Probe side: the left stream flows through, each row followed by
 		// its matches in the order the build side arrived.
 		return w.drain(chans[st.Left], func(b *batch, i int) error {
-			h := int32(-1)
 			var ok bool
-			if key, ok = l.key(key[:0], b, i, lk); ok {
-				if m, found := first[string(key)]; found {
-					h = m
-				}
+			if key, ok = l.key(key[:0], b, i, lk); !ok {
+				return nil
 			}
-			for m := h; m >= 0; m = next[m] {
+			for m := index.Head(model.HashKey(key), has); m >= 0; m = index.Next(m) {
 				o := w.row()
 				o.add(b, i, l)
 				o.add(build, int(m), r)
@@ -531,17 +566,20 @@ func runStep(ctx context.Context, f *Flow, st *Step, streams map[string]*stream,
 		s, is := w.s, streams[in]
 		base := len(is.cols)
 		// Each field is bound against the columns in front of it, and read
-		// from one reused row.
+		// from one reused row, into which only the input's columns the fields
+		// read are read.
 		fields := make([]frame.RowFunc, len(st.Calcs))
+		var names []string
 		for i, c := range st.Calcs {
 			var err error
 			if fields[i], err = frame.Bind(c.expr, s.names[:base+i]); err != nil {
 				return err
 			}
+			names = exprCols(names, c.expr)
 		}
-		row := make([]model.Value, len(s.cols))
+		row, used := make([]model.Value, len(s.cols)), is.used(names...)
 		return w.drain(chans[in], func(b *batch, i int) error {
-			is.read(b, i, row)
+			is.read(b, i, row, used)
 			for k, field := range fields {
 				v, err := field(row)
 				if err != nil || !v.IsValid() {
@@ -572,7 +610,7 @@ func runStep(ctx context.Context, f *Flow, st *Step, streams map[string]*stream,
 			k, err = frame.NewSeries(frame.SeriesOp{Op: st.Op, Params: st.Params, TimeCol: st.TimeField, ValCol: st.ValueField}, streams[in].names)
 		}
 		if err == nil {
-			err = w.feed(chans[in], streams[in], k.Add)
+			err = w.feed(chans[in], streams[in], streams[in].used(append(slices.Clip(st.Keys), st.TimeField, st.ValueField)...), k.Add)
 		}
 		if err != nil {
 			return err
@@ -587,7 +625,8 @@ func runStep(ctx context.Context, f *Flow, st *Step, streams map[string]*stream,
 			return err
 		}
 		for side, name := range [2]string{st.Left, st.Right} {
-			if err := w.feed(chans[name], streams[name], func(row []model.Value) error { return m.Add(side, row) }); err != nil {
+			used := streams[name].used(append(slices.Clip(st.Keys), [2]string{st.ValueField, st.RightField}[side])...)
+			if err := w.feed(chans[name], streams[name], used, func(row []model.Value) error { return m.Add(side, row) }); err != nil {
 				return err
 			}
 		}
@@ -628,12 +667,13 @@ func runStep(ctx context.Context, f *Flow, st *Step, streams map[string]*stream,
 	}
 }
 
-// feed hands add every row of the stream in, of layout s, in one reused row:
-// what add keeps of it, it copies.
-func (w *batcher) feed(in <-chan *batch, s *stream, add func(row []model.Value) error) error {
+// feed hands add every row of the stream in, of layout s, in one reused row
+// into which the columns cols, all add reads, are read: what add keeps of it,
+// it copies.
+func (w *batcher) feed(in <-chan *batch, s *stream, cols []int, add func(row []model.Value) error) error {
 	row := make([]model.Value, len(s.cols))
 	return w.drain(in, func(b *batch, i int) error {
-		s.read(b, i, row)
+		s.read(b, i, row, cols)
 		return add(row)
 	})
 }

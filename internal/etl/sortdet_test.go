@@ -40,7 +40,7 @@ func runCumsum(t *testing.T, rows [][]model.Value) [][]model.Value {
 	for b := range out {
 		for i := range b.n {
 			row := make([]model.Value, 2)
-			s.read(b, i, row)
+			s.read(b, i, row, []int{0, 1})
 			got = append(got, row)
 		}
 	}

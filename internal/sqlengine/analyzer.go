@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"exlengine/internal/obs"
 	"exlengine/internal/ops"
@@ -65,10 +66,9 @@ func (db *DB) analyze(ctx context.Context, n planNode, sc *scope) (planNode, err
 			break
 		}
 	}
-	cctx, span := obs.StartSpan(ctx, "sql.analyze.compile_exprs")
+	_, span := obs.StartSpan(ctx, "sql.analyze.compile_exprs")
 	err := a.compilePlan(n)
 	span.End()
-	_ = cctx
 	if err != nil {
 		return nil, err
 	}
@@ -81,50 +81,25 @@ func (db *DB) analyze(ctx context.Context, n planNode, sc *scope) (planNode, err
 // transformUp applies f bottom-up over the plan.
 func transformUp(n planNode, f func(planNode) (planNode, bool, error)) (planNode, bool, error) {
 	changed := false
+	kids := planChildren(n)
+	for i := range kids {
+		c, ch, err := transformUp(kids[i], f)
+		if err != nil {
+			return nil, false, err
+		}
+		kids[i], changed = c, changed || ch
+	}
 	switch t := n.(type) {
 	case *filterNode:
-		c, ch, err := transformUp(t.child, f)
-		if err != nil {
-			return nil, false, err
-		}
-		t.child, changed = c, ch
-	case *multiJoinNode:
-		for i := range t.items {
-			c, ch, err := transformUp(t.items[i], f)
-			if err != nil {
-				return nil, false, err
-			}
-			t.items[i] = c
-			changed = changed || ch
-		}
+		t.child = kids[0]
 	case *joinNode:
-		l, chL, err := transformUp(t.left, f)
-		if err != nil {
-			return nil, false, err
-		}
-		r, chR, err := transformUp(t.right, f)
-		if err != nil {
-			return nil, false, err
-		}
-		t.left, t.right, changed = l, r, chL || chR
+		t.left, t.right = kids[0], kids[1]
 	case *projectNode:
-		c, ch, err := transformUp(t.child, f)
-		if err != nil {
-			return nil, false, err
-		}
-		t.child, changed = c, ch
+		t.child = kids[0]
 	case *groupNode:
-		c, ch, err := transformUp(t.child, f)
-		if err != nil {
-			return nil, false, err
-		}
-		t.child, changed = c, ch
+		t.child = kids[0]
 	case *sortNode:
-		c, ch, err := transformUp(t.child, f)
-		if err != nil {
-			return nil, false, err
-		}
-		t.child, changed = c, ch
+		t.child = kids[0]
 	}
 	out, ch, err := f(n)
 	return out, changed || ch, err
@@ -205,20 +180,13 @@ func estimateRows(n planNode) int {
 	case *scanNode:
 		return n.table.cube.Len()
 	case *filterNode:
-		e := estimateRows(n.child) / 2
-		if e < 1 {
-			e = 1
-		}
-		return e
+		return max(estimateRows(n.child)/2, 1)
 	case *joinNode:
 		e := estimateRows(n.left) * estimateRows(n.right)
 		for range n.leftKeys {
 			e /= 10
 		}
-		if e < 1 {
-			e = 1
-		}
-		return e
+		return max(e, 1)
 	default:
 		return 1
 	}
@@ -246,21 +214,12 @@ func ruleReorderJoins(a *analysisCtx, n planNode) (planNode, bool, error) {
 		for i := range items {
 			remaining[i] = i
 		}
-		pick := func(candidates []int) int {
+		// pick returns the candidate of the least estimate, or of the greatest
+		// where largest is set; the first of equals.
+		pick := func(candidates []int, largest bool) int {
 			best, bestRows := -1, 0
 			for _, i := range candidates {
-				r := estimateRows(items[i])
-				if best < 0 || r < bestRows {
-					best, bestRows = i, r
-				}
-			}
-			return best
-		}
-		pickLargest := func(candidates []int) int {
-			best, bestRows := -1, 0
-			for _, i := range candidates {
-				r := estimateRows(items[i])
-				if best < 0 || r > bestRows {
+				if r := estimateRows(items[i]); best < 0 || largest && r > bestRows || !largest && r < bestRows {
 					best, bestRows = i, r
 				}
 			}
@@ -299,7 +258,7 @@ func ruleReorderJoins(a *analysisCtx, n planNode) (planNode, bool, error) {
 			return probe, build
 		}
 
-		first := pickLargest(remaining)
+		first := pick(remaining, true)
 		acc := items[first]
 		done := map[string]bool{itemAlias(items[first]): true}
 		rest := make([]int, 0, len(remaining)-1)
@@ -320,7 +279,7 @@ func ruleReorderJoins(a *analysisCtx, n planNode) (planNode, bool, error) {
 			if len(cand) == 0 {
 				cand = rest
 			}
-			next := pick(cand)
+			next := pick(cand, false)
 			alias := itemAlias(items[next])
 			probe, build := keysFor(done, alias, true)
 			acc = &joinNode{left: acc, right: items[next], leftKeys: probe, rightKeys: build}
@@ -348,43 +307,40 @@ func ruleReorderJoins(a *analysisCtx, n planNode) (planNode, bool, error) {
 	})
 }
 
-// neededRefs walks the plan top-down collecting every column reference
-// each subtree needs from below it.
-func neededRefs(a *analysisCtx, n planNode, need map[[2]string]bool) {
+// selected returns the expressions of a SELECT list.
+func selected(ses []selectExpr) []expr {
+	es := make([]expr, len(ses))
+	for i, se := range ses {
+		es[i] = se.e
+	}
+	return es
+}
+
+// ownRefs adds to need every column reference n's own expressions read.
+func ownRefs(a *analysisCtx, n planNode, need map[[2]string]bool) {
+	var es []expr
 	switch n := n.(type) {
-	case *scanNode:
 	case *filterNode:
-		exprColRefs(n.cond, a.sc, need)
-		neededRefs(a, n.child, need)
+		es = []expr{n.cond}
 	case *multiJoinNode:
-		for _, c := range n.conjuncts {
-			exprColRefs(c, a.sc, need)
-		}
-		for _, it := range n.items {
-			neededRefs(a, it, need)
-		}
+		es = n.conjuncts
 	case *joinNode:
-		for i := range n.leftKeys {
-			exprColRefs(n.leftKeys[i], a.sc, need)
-			exprColRefs(n.rightKeys[i], a.sc, need)
-		}
-		neededRefs(a, n.left, need)
-		neededRefs(a, n.right, need)
+		es = append(slices.Clip(n.leftKeys), n.rightKeys...)
 	case *projectNode:
-		for _, se := range n.exprs {
-			exprColRefs(se.e, a.sc, need)
-		}
-		neededRefs(a, n.child, need)
+		es = selected(n.exprs)
 	case *groupNode:
-		for _, ge := range n.groupBy {
-			exprColRefs(ge, a.sc, need)
-		}
-		for _, se := range n.exprs {
-			exprColRefs(se.e, a.sc, need)
-		}
-		neededRefs(a, n.child, need)
-	case *sortNode:
-		neededRefs(a, n.child, need)
+		es = append(slices.Clip(n.groupBy), selected(n.exprs)...)
+	}
+	for _, e := range es {
+		exprColRefs(e, a.sc, need)
+	}
+}
+
+// neededRefs collects every column reference the plan under n reads.
+func neededRefs(a *analysisCtx, n planNode, need map[[2]string]bool) {
+	ownRefs(a, n, need)
+	for _, c := range planChildren(n) {
+		neededRefs(a, c, need)
 	}
 }
 
@@ -412,7 +368,7 @@ func rulePruneColumns(a *analysisCtx, n planNode) (planNode, bool, error) {
 		if len(proj) == len(sn.tableCols) && sn.proj == nil {
 			return n, false, nil
 		}
-		if sn.proj != nil && equalInts(sn.proj, proj) {
+		if sn.proj != nil && slices.Equal(sn.proj, proj) {
 			return n, false, nil
 		}
 		sn.proj = proj
@@ -437,28 +393,17 @@ func pruneJoinOutputs(a *analysisCtx, n planNode, need map[[2]string]bool) bool 
 	switch n := n.(type) {
 	case *sortNode:
 		return pruneJoinOutputs(a, n.child, nil)
-	case *projectNode:
+	case *projectNode, *groupNode:
 		childNeed := map[[2]string]bool{}
-		for _, se := range n.exprs {
-			exprColRefs(se.e, a.sc, childNeed)
-		}
-		return pruneJoinOutputs(a, n.child, childNeed)
-	case *groupNode:
-		childNeed := map[[2]string]bool{}
-		for _, ge := range n.groupBy {
-			exprColRefs(ge, a.sc, childNeed)
-		}
-		for _, se := range n.exprs {
-			exprColRefs(se.e, a.sc, childNeed)
-		}
-		return pruneJoinOutputs(a, n.child, childNeed)
+		ownRefs(a, n, childNeed)
+		return pruneJoinOutputs(a, planChildren(n)[0], childNeed)
 	case *filterNode:
 		if need != nil {
 			merged := map[[2]string]bool{}
 			for k := range need {
 				merged[k] = true
 			}
-			exprColRefs(n.cond, a.sc, merged)
+			ownRefs(a, n, merged)
 			need = merged
 		}
 		return pruneJoinOutputs(a, n.child, need)
@@ -475,10 +420,7 @@ func pruneJoinOutputs(a *analysisCtx, n planNode, need map[[2]string]bool) bool 
 				}
 			}
 		}
-		for i := range n.leftKeys {
-			exprColRefs(n.leftKeys[i], a.sc, childNeed)
-			exprColRefs(n.rightKeys[i], a.sc, childNeed)
-		}
+		ownRefs(a, n, childNeed)
 		changed := pruneJoinOutputs(a, n.left, childNeed)
 		if pruneJoinOutputs(a, n.right, childNeed) {
 			changed = true
@@ -514,22 +456,7 @@ func pruneJoinOutputs(a *analysisCtx, n planNode, need map[[2]string]bool) bool 
 }
 
 func equalPrune(a, b []int) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return equalInts(a, b)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
 // compilePlan compiles every expression in the plan against its child's
@@ -559,32 +486,19 @@ func (a *analysisCtx) compilePlan(n planNode) error {
 		if err := a.compilePlan(n.right); err != nil {
 			return err
 		}
-		for i := range n.leftKeys {
-			cl, err := compileExpr(n.leftKeys[i], compileEnv{cols: n.left.cols()})
-			if err != nil {
-				return err
-			}
-			cr, err := compileExpr(n.rightKeys[i], compileEnv{cols: n.right.cols()})
-			if err != nil {
-				return err
-			}
-			n.ckLeft = append(n.ckLeft, cl)
-			n.ckRight = append(n.ckRight, cr)
+		var err error
+		if n.ckLeft, err = compileArgs(compileEnv{cols: n.left.cols()}, n.leftKeys...); err != nil {
+			return err
 		}
-		return nil
+		n.ckRight, err = compileArgs(compileEnv{cols: n.right.cols()}, n.rightKeys...)
+		return err
 	case *projectNode:
 		if err := a.compilePlan(n.child); err != nil {
 			return err
 		}
-		env := compileEnv{cols: n.child.cols()}
-		for _, se := range n.exprs {
-			c, err := compileExpr(se.e, env)
-			if err != nil {
-				return err
-			}
-			n.compiled = append(n.compiled, c)
-		}
-		return nil
+		var err error
+		n.compiled, err = compileArgs(compileEnv{cols: n.child.cols()}, selected(n.exprs)...)
+		return err
 	case *groupNode:
 		if err := a.compilePlan(n.child); err != nil {
 			return err
@@ -605,12 +519,9 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 	childCols := g.child.cols()
 	childEnv := compileEnv{cols: childCols}
 
-	for _, ge := range g.groupBy {
-		c, err := compileExpr(ge, childEnv)
-		if err != nil {
-			return err
-		}
-		g.ckKeys = append(g.ckKeys, c)
+	var err error
+	if g.ckKeys, err = compileArgs(childEnv, g.groupBy...); err != nil {
+		return err
 	}
 
 	aggIdx := map[string]int{}
@@ -653,39 +564,7 @@ func (a *analysisCtx) compileGroup(g *groupNode) error {
 		}
 	}
 
-	finalEnv := compileEnv{cols: childCols, aggs: aggIdx}
-	for _, se := range g.exprs {
-		c, err := compileExpr(se.e, finalEnv)
-		if err != nil {
-			return err
-		}
-		g.finals = append(g.finals, c)
-	}
-
-	if g.partSig = partitionSig(g); g.partSig != "" {
-		scan := g.child.(*scanNode)
-		refs := map[[2]string]bool{}
-		for i := range g.aggs {
-			spec := &g.aggs[i]
-			if c, ok := spec.carg.(*colC); ok {
-				j := c.idx
-				if scan.proj != nil {
-					j = scan.proj[j]
-				}
-				if spec.measure = j == len(scan.tableCols)-1; spec.measure {
-					continue
-				}
-			}
-			exprColRefs(spec.arg, a.sc, refs)
-		}
-		g.argCols = make([]int, 0, len(refs)) // not nil where the arguments read no column, as count(1)
-		for ref := range refs {
-			j, err := resolvePlanCol(childCols, ref[0], ref[1])
-			if err != nil {
-				return err
-			}
-			g.argCols = append(g.argCols, j)
-		}
-	}
-	return nil
+	g.partSig = partitionSig(g)
+	g.finals, err = compileArgs(compileEnv{cols: childCols, aggs: aggIdx}, selected(g.exprs)...)
+	return err
 }

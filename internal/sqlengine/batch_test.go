@@ -12,7 +12,7 @@ func TestRoundTripRows(t *testing.T) {
 		{model.Str("b"), model.Num(2)},
 		{model.Str("c"), model.Num(3)},
 	}
-	b := &batch{Cols: make([][]model.Value, 2)}
+	b := &batch{Cols: make([]vec, 2)}
 	for _, row := range rows {
 		b.AppendRow(row)
 	}

@@ -73,7 +73,7 @@ func query(ctx context.Context, db *DB, src string) (*answer, error) {
 		return nil, err
 	}
 	a := &answer{Cols: res.cols}
-	for _, row := range res.order {
+	for _, row := range sortedRows(res.all) {
 		a.Rows = append(a.Rows, res.all.Row(row, nil))
 	}
 	return a, nil

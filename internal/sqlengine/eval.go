@@ -29,28 +29,19 @@ func colIndex(cols []Column, name string) int {
 	return slices.IndexFunc(cols, func(c Column) bool { return c.Name == name })
 }
 
-// resolve returns the type of a column reference.
+// resolve returns the type of a column reference, by resolvePlanCol's rules.
 func (sc *scope) resolve(qual, name string) (ColType, error) {
-	found := false
-	var typ ColType
+	var cols []planCol
 	for i, a := range sc.aliases {
-		if qual != "" && a != qual {
-			continue
-		}
-		if j := colIndex(sc.cols[i], name); j >= 0 {
-			if found {
-				return ColType{}, fmt.Errorf("sql: ambiguous column %s", name)
-			}
-			found, typ = true, sc.cols[i][j].Type
+		for _, c := range sc.cols[i] {
+			cols = append(cols, planCol{qual: a, name: c.Name, typ: c.Type})
 		}
 	}
-	if !found {
-		if qual != "" {
-			return ColType{}, fmt.Errorf("sql: unknown column %s.%s", qual, name)
-		}
-		return ColType{}, fmt.Errorf("sql: unknown column %s", name)
+	j, err := resolvePlanCol(cols, qual, name)
+	if err != nil {
+		return ColType{}, err
 	}
-	return typ, nil
+	return cols[j].typ, nil
 }
 
 func subset(a, b map[string]bool) bool {
@@ -237,12 +228,11 @@ func hasAggregate(e expr) bool {
 	return slices.ContainsFunc(operands(e), hasAggregate)
 }
 
-// result is what a SELECT evaluates to: its columns, its rows column by
-// column, and the order its rows are read in.
+// result is what a SELECT evaluates to: its columns, and its rows column by
+// column, in the order the executor produced them.
 type result struct {
-	cols  []Column
-	all   *batch
-	order []int
+	cols []Column
+	all  *batch
 }
 
 // sortedRows returns the order of b's rows sorted by all their columns left
@@ -265,8 +255,8 @@ func sortedRows(b *batch) []int {
 	keys := make([][]byte, b.N)
 	for i := range keys {
 		lo := len(buf)
-		for _, c := range b.Cols {
-			buf = model.AppendOrderedKey(buf, c[i])
+		for j := range b.Cols {
+			buf = model.AppendOrderedKey(buf, b.Cols[j].at(i))
 		}
 		keys[i] = buf[lo:len(buf):len(buf)]
 	}
@@ -280,36 +270,26 @@ func (r *result) cube(name string) (*model.Cube, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.build(model.NewBuilder(sch), r.cols, nil)
+	return r.build(nil, sch, r.cols, nil)
 }
 
-// build adds the rows of r, in its order, to b and builds the version: column
-// i of r fills column perm[i] of cols (column i where perm is nil), which are
-// the dimensions and then the measure of b's cube, each value coerced to its
-// column's type. A conflict between two rows is the egd violation Build
-// reports.
-func (r *result) build(b *model.Builder, cols []Column, perm []int) (*model.Cube, error) {
-	last := len(cols) - 1
-	dims := make([]model.Value, last)
-	var measure float64
-	for _, row := range r.order {
-		for i, col := range r.all.Cols {
-			j := i
-			if perm != nil {
-				j = perm[i]
-			}
-			v, err := coerceToColumn(col[row], cols[j].Type)
-			if err != nil {
-				return nil, fmt.Errorf("sql: column %s: %w", cols[j].Name, err)
-			}
-			if j < last {
-				dims[j] = v
-			} else {
-				measure, _ = v.AsNumber()
-			}
-		}
-		if err := b.Add(dims, measure); err != nil {
-			return nil, fmt.Errorf("sql: %w", err)
+// build builds the version the rows of r are, under sch, as the revision of
+// prev (nil for none): column i of r fills column perm[i] of cols (column i
+// where perm is nil), which are the dimensions and then the measure of sch,
+// each value coerced to its column's type. Rows that are prev's dimension
+// tuples, in prev's order, are added as they come, and so are a measure
+// column on prev's key set; any others are added in sortedRows order, and a
+// conflict between two of them is the egd violation Build reports.
+func (r *result) build(prev *model.Cube, sch model.Schema, cols []Column, perm []int) (*model.Cube, error) {
+	b := model.NewBuilderOn(prev, sch)
+	followed := false
+	if _, ok := b.Following(); ok {
+		followed, _ = r.add(b, cols, perm, nil)
+	}
+	if !followed {
+		b = model.NewBuilderOn(prev, sch)
+		if _, err := r.add(b, cols, perm, sortedRows(r.all)); err != nil {
+			return nil, err
 		}
 	}
 	c, err := b.Build()
@@ -319,15 +299,56 @@ func (r *result) build(b *model.Builder, cols []Column, perm []int) (*model.Cube
 	return c, nil
 }
 
-// scalarCallFunc applies a resolved scalar function to argument values.
+// add adds the rows of r to b in order, and reports whether it added them
+// all. Where order is nil, it adds them as they come while each is the tuple b
+// follows (Builder.Following), and stops at the first that is not.
+func (r *result) add(b *model.Builder, cols []Column, perm []int, order []int) (bool, error) {
+	last := len(cols) - 1
+	dims := make([]model.Value, last)
+	for k := range r.all.N {
+		row := k
+		if order != nil {
+			row = order[k]
+		}
+		var measure float64
+		for i := range r.all.Cols {
+			j := i
+			if perm != nil {
+				j = perm[i]
+			}
+			v, err := coerceToColumn(r.all.Cols[i].at(row), cols[j].Type)
+			if err != nil {
+				return false, fmt.Errorf("sql: column %s: %w", cols[j].Name, err)
+			}
+			if j < last {
+				dims[j] = v
+			} else {
+				measure, _ = v.AsNumber()
+			}
+		}
+		if order == nil {
+			if d, ok := b.Following(); !ok || !slices.Equal(d, dims) {
+				return false, nil
+			}
+			b.AddFollowing(measure)
+		} else if err := b.Add(dims, measure); err != nil {
+			return false, fmt.Errorf("sql: %w", err)
+		}
+	}
+	return true, nil
+}
+
+// scalarCallFunc applies a resolved dimension function to argument values.
 type scalarCallFunc func(vals []model.Value) (model.Value, error)
 
 // resolveScalarCall resolves a scalar function name, called with n
-// arguments, once, at compile time, and returns its applier, which the
-// compiled call reuses for every row. An unknown name and a wrong number of
-// arguments are both resolution failures. The semantics — period functions,
-// undefined-point → NULL, type errors — live here exactly once.
-func resolveScalarCall(name string, n int) (scalarCallFunc, error) {
+// arguments, once, at compile time: to the applier of a dimension function,
+// which the compiled call reuses for every row, or to an operator of ops,
+// which it maps over the argument columns. An unknown name and a wrong number
+// of arguments are both resolution failures. The semantics — period
+// functions, undefined-point → NULL, type errors — live here and in callC
+// exactly once.
+func resolveScalarCall(name string, n int) (scalarCallFunc, ops.Op, error) {
 	arity := func(want int) error {
 		if n != want {
 			return fmt.Errorf("sql: %s takes %d argument(s), got %d", name, want, n)
@@ -338,9 +359,9 @@ func resolveScalarCall(name string, n int) (scalarCallFunc, error) {
 	case "quarter", "month", "year":
 		f, err := ops.Dimension(name)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return func(vals []model.Value) (model.Value, error) { return f.Apply(vals[0]) }, arity(1)
+		return func(vals []model.Value) (model.Value, error) { return f.Apply(vals[0]) }, 0, arity(1)
 	case "shift":
 		return func(vals []model.Value) (model.Value, error) {
 			n, ok := vals[1].AsInt()
@@ -348,49 +369,18 @@ func resolveScalarCall(name string, n int) (scalarCallFunc, error) {
 				return model.Value{}, fmt.Errorf("sql: shift steps must be an integer")
 			}
 			return ops.ShiftValue(vals[0], n)
-		}, arity(2)
+		}, 0, arity(2)
 	}
 	// Numeric scalar functions from the operator library.
 	op, err := ops.OpOf(name)
 	if err != nil {
-		return nil, fmt.Errorf("sql: unknown function %s", name)
+		return nil, 0, fmt.Errorf("sql: unknown function %s", name)
 	}
-	return func(vals []model.Value) (model.Value, error) {
-		var in [2]float64
-		for i, v := range vals {
-			x, ok := v.AsNumber()
-			if !ok {
-				return model.Value{}, fmt.Errorf("sql: %s over non-numeric value %v", name, v)
-			}
-			in[i] = x
-		}
-		out, ok := op.At(in[0], in[1])
-		if !ok {
-			return model.Value{}, nil // NULL
-		}
-		return model.Num(out), nil
-	}, arity(op.Arity())
+	return nil, op, arity(op.Arity())
 }
 
 // neg is unary minus's operator.
 var neg, _ = ops.OpOf("neg")
-
-// applyNeg is unary minus. It is NULL-strict: the negation of an unknown
-// value is unknown, never an error.
-func applyNeg(x model.Value) (model.Value, error) {
-	if !x.IsValid() {
-		return model.Value{}, nil
-	}
-	f, ok := x.AsNumber()
-	if !ok {
-		return model.Value{}, fmt.Errorf("sql: unary minus over non-numeric %v", x)
-	}
-	out, ok := neg.At(f, f)
-	if !ok {
-		return model.Value{}, nil // NULL: f is not a finite number
-	}
-	return model.Num(out), nil
-}
 
 // arithNames names the ops.Op of each arithmetic operator of the dialect.
 var arithNames = map[string]string{"+": "add", "-": "sub", "*": "mul", "/": "div"}
@@ -402,78 +392,29 @@ func arith(op string) ops.Op {
 	return f
 }
 
-// applyBinary is = or one of the four arithmetic operators, f its ops.Op
-// (arith). Each is NULL-strict: comparing against or computing with an
-// unknown value yields unknown, so NULL = x is NULL (not FALSE) and NULL + x
-// is NULL (not an error). WHERE then filters the NULL conjunct and SELECT
-// drops the NULL output row.
-func applyBinary(op string, f ops.Op, l, r model.Value) (model.Value, error) {
-	if !l.IsValid() || !r.IsValid() {
-		return model.Value{}, nil
-	}
-	switch op {
-	case "=":
-		l, r = coercePair(l, r)
-		return model.Bool(l.Equal(r)), nil
-	case "+", "-":
-		// Period arithmetic: Q - 1 shifts a period, as in the paper's
-		// generated join condition G1.Q = G2.Q - 1. Addition commutes, so
-		// 1 + Q is the same shift; 1 - Q has no period meaning and is
-		// rejected explicitly rather than falling through to the numeric
-		// path's confusing "non-numeric values" error.
-		if p, ok := l.AsPeriod(); ok {
-			n, ok := r.AsInt()
-			if !ok {
-				return model.Value{}, fmt.Errorf("sql: period arithmetic needs an integer offset")
-			}
-			if op == "-" {
-				n = -n
-			}
-			return model.Per(p.Shift(n)), nil
-		}
-		if p, ok := r.AsPeriod(); ok {
-			if op == "-" {
-				return model.Value{}, fmt.Errorf("sql: cannot subtract a period from a number")
-			}
-			n, ok := l.AsInt()
-			if !ok {
-				return model.Value{}, fmt.Errorf("sql: period arithmetic needs an integer offset")
-			}
-			return model.Per(p.Shift(n)), nil
-		}
-		fallthrough
-	default: // * and /
-		lf, ok1 := l.AsNumber()
-		rf, ok2 := r.AsNumber()
-		if !ok1 || !ok2 {
-			return model.Value{}, fmt.Errorf("sql: arithmetic over non-numeric values %v, %v", l, r)
-		}
-		out, ok := f.At(lf, rf)
-		if !ok {
-			return model.Value{}, nil // NULL
-		}
-		return model.Num(out), nil
-	}
-}
-
 // coercePair aligns a string literal with a period operand so that
 // comparisons like q = '2001-Q1' work.
 func coercePair(l, r model.Value) (model.Value, model.Value) {
-	if _, ok := l.AsPeriod(); ok {
-		if s, isStr := r.AsString(); isStr {
-			if p, err := model.ParsePeriod(s); err == nil {
-				return l, model.Per(p)
-			}
-		}
+	if p, ok := periodOf(r, l); ok {
+		return l, p
 	}
-	if _, ok := r.AsPeriod(); ok {
-		if s, isStr := l.AsString(); isStr {
-			if p, err := model.ParsePeriod(s); err == nil {
-				return model.Per(p), r
-			}
-		}
+	if p, ok := periodOf(l, r); ok {
+		return p, r
 	}
 	return l, r
+}
+
+// periodOf returns s parsed as a period where it is a string and its partner
+// a period.
+func periodOf(s, partner model.Value) (model.Value, bool) {
+	if _, ok := partner.AsPeriod(); ok {
+		if str, isStr := s.AsString(); isStr {
+			if p, err := model.ParsePeriod(str); err == nil {
+				return model.Per(p), true
+			}
+		}
+	}
+	return model.Value{}, false
 }
 
 func (db *DB) inferType(e expr, sc *scope) ColType {
@@ -553,7 +494,7 @@ func (db *DB) evalInsertSelect(ctx context.Context, s *insertSelectStmt) error {
 	if prev != nil && fits(s.table, prev.Schema(), sch) == nil {
 		sch = prev.Schema()
 	}
-	c, err := res.build(model.NewBuilderOn(prev, sch), cols, perm)
+	c, err := res.build(prev, sch, cols, perm)
 	if err != nil {
 		return err
 	}

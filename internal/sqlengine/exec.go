@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -12,31 +13,22 @@ import (
 
 // The vectorized executor. Every operator implements execOp and streams
 // batches of about chunk rows; expressions are compiled once per statement
-// into compiledExpr closures that evaluate a whole column vector per call, so
-// the per-row work is the semantic kernel (applyBinary, applyNeg, the resolved
-// scalar closure) with no name resolution, no map lookups and no interface
-// dispatch on the tree. NULL propagation — NULL-strict equality and
-// arithmetic, a NULL conjunct drops the row, so does a NULL output — lives in
-// those kernels and in notNullC alone.
+// into compiledExpr nodes that evaluate a whole column per call, so the
+// per-row work is the semantic kernel (ops.Op.Map over number columns, the
+// resolved dimension function, the comparison) with no name resolution, no
+// map lookups and no interface dispatch on the tree. NULL propagation —
+// NULL-strict equality and arithmetic, a NULL conjunct drops the row, so does
+// a NULL output — lives in those kernels and in notNullC alone.
 
 // compiledExpr evaluates an expression over a batch, returning one value
-// per row. Column references return the batch's column slice directly
-// (zero copy); computed nodes return a scratch vector owned by the node
-// and overwritten on the next eval call. That is safe under the executor's
-// batch-validity rule — a batch returned by next() is only live until the
-// next call to next() on the same operator, and every consumer that keeps
-// rows longer (drain, join build, group reps) copies them out first.
+// per row. Column references return the batch's column directly (zero copy);
+// computed nodes return a column owned by the node and overwritten on the
+// next eval call. That is safe under the executor's batch-validity rule — a
+// batch returned by next() is only live until the next call to next() on the
+// same operator, and every consumer that keeps rows longer (drain, join
+// build, group reps) copies them out first.
 type compiledExpr interface {
-	eval(b *batch) ([]model.Value, error)
-}
-
-// scratchVec returns buf resized to n rows, reallocating only on growth.
-// Callers must overwrite every element — stale values are not cleared.
-func scratchVec(buf []model.Value, n int) []model.Value {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]model.Value, n)
+	eval(b *batch) (*vec, error)
 }
 
 // compileEnv is the schema expressions compile against. aggs, set only
@@ -47,100 +39,175 @@ type compileEnv struct {
 	aggs map[string]int
 }
 
-type litC struct {
-	v   model.Value
-	out []model.Value
+// values makes v a column of n values, to be overwritten, and returns them.
+func (v *vec) values(n int) []model.Value {
+	v.form, v.vals = fVal, grow(v.vals, n)
+	return v.vals
 }
 
-func (c *litC) eval(b *batch) ([]model.Value, error) {
-	c.out = scratchVec(c.out, b.N)
-	for i := range c.out {
-		c.out[i] = c.v
+// mapped makes v the number column op(x, y) of n rows: NULL where x or y is
+// (xn, yn) or op is undefined.
+func (v *vec) mapped(op ops.Op, x, y []float64, xn, yn []bool, n int) *vec {
+	v.form, v.nums = fNum, grow(v.nums, n)
+	var mask []bool
+	if xn != nil || yn != nil {
+		mask = grow(v.null, n)
+		for i := range mask {
+			mask[i] = xn != nil && xn[i] || yn != nil && yn[i]
+		}
 	}
-	return c.out, nil
+	v.null = op.Map(v.nums, x, y, mask)
+	return v
+}
+
+type litC struct {
+	v   model.Value
+	out vec
+}
+
+func (c *litC) eval(b *batch) (*vec, error) {
+	if c.v.Kind() == model.KindNumber {
+		f, _ := c.v.AsNumber()
+		c.out.form, c.out.nums, c.out.null = fNum, grow(c.out.nums, b.N), nil
+		for i := range c.out.nums {
+			c.out.nums[i] = f
+		}
+		return &c.out, nil
+	}
+	out := c.out.values(b.N)
+	for i := range out {
+		out[i] = c.v
+	}
+	return &c.out, nil
 }
 
 type colC struct{ idx int }
 
-func (c *colC) eval(b *batch) ([]model.Value, error) {
-	return b.Cols[c.idx], nil
+func (c *colC) eval(b *batch) (*vec, error) {
+	return &b.Cols[c.idx], nil
 }
 
-type negC struct {
-	x   compiledExpr
-	out []model.Value
-}
-
-func (c *negC) eval(b *batch) ([]model.Value, error) {
-	xv, err := c.x.eval(b)
-	if err != nil {
-		return nil, err
-	}
-	out := scratchVec(c.out, b.N)
-	c.out = out
-	for i := 0; i < b.N; i++ {
-		v, err := applyNeg(xv[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
+// binC is = or one of the four arithmetic operators, f its ops.Op (arith).
+// Each is NULL-strict: comparing against or computing with an unknown value
+// yields unknown, so NULL = x is NULL (not FALSE) and NULL + x is NULL (not an
+// error). WHERE then filters the NULL conjunct and SELECT drops the NULL
+// output row. Over two number columns the operator is one Map.
 type binC struct {
-	op   string
-	f    ops.Op
-	l, r compiledExpr
-	out  []model.Value
+	op           string
+	f            ops.Op
+	l, r         compiledExpr
+	out          vec
+	ls, rs       []float64
+	lnull, rnull []bool
 }
 
-func (c *binC) eval(b *batch) ([]model.Value, error) {
-	lv, err := c.l.eval(b)
+func (c *binC) eval(b *batch) (*vec, error) {
+	l, err := c.l.eval(b)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := c.r.eval(b)
+	r, err := c.r.eval(b)
 	if err != nil {
 		return nil, err
 	}
-	out := scratchVec(c.out, b.N)
-	c.out = out
-	for i := 0; i < b.N; i++ {
-		v, err := applyBinary(c.op, c.f, lv[i], rv[i])
-		if err != nil {
-			return nil, err
+	return c.apply(l, r, b.N)
+}
+
+func (c *binC) apply(l, r *vec, n int) (*vec, error) {
+	if c.op == "=" {
+		out := c.out.values(n)
+		for i := range out {
+			x, y := l.at(i), r.at(i)
+			switch {
+			case l.form == fOrd && l.sameSource(r) && l.rows[i] == r.rows[i]:
+				out[i] = model.Bool(true) // one tuple's dimension
+			case !x.IsValid() || !y.IsValid():
+				out[i] = model.Value{}
+			default:
+				x, y = coercePair(x, y)
+				out[i] = model.Bool(x.Equal(y))
+			}
 		}
-		out[i] = v
+		return &c.out, nil
 	}
-	return out, nil
+	ln, lnull, lbad := l.numbers(&c.ls, &c.lnull)
+	rn, rnull, rbad := r.numbers(&c.rs, &c.rnull)
+	c.out.mapped(c.f, ln, rn, lnull, rnull, n)
+	if lbad < 0 && rbad < 0 {
+		return &c.out, nil
+	}
+	// A value that is no number: a row at a time, where a period on either
+	// side of + or - is shifted. Period arithmetic: Q - 1 shifts a period, as
+	// in the paper's generated join condition G1.Q = G2.Q - 1. Addition
+	// commutes, so 1 + Q is the same shift; 1 - Q has no period meaning and is
+	// rejected explicitly rather than falling through to the numeric path's
+	// confusing "non-numeric values" error.
+	nums, null := c.out.nums, c.out.null
+	out := c.out.values(n)
+	shift := c.op == "+" || c.op == "-"
+	for i := range out {
+		x, y := l.at(i), r.at(i)
+		p, lp := x.AsPeriod()
+		q, rp := y.AsPeriod()
+		_, ln := x.AsNumber()
+		_, rn := y.AsNumber()
+		switch {
+		case !x.IsValid() || !y.IsValid():
+			out[i] = model.Value{}
+		case shift && (lp || rp):
+			per, off := p, y
+			if !lp {
+				if c.op == "-" {
+					return nil, fmt.Errorf("sql: cannot subtract a period from a number")
+				}
+				per, off = q, x
+			}
+			k, ok := off.AsInt()
+			if !ok {
+				return nil, fmt.Errorf("sql: period arithmetic needs an integer offset")
+			}
+			if c.op == "-" {
+				k = -k
+			}
+			out[i] = model.Per(per.Shift(k))
+		case !ln || !rn:
+			return nil, fmt.Errorf("sql: arithmetic over non-numeric values %v, %v", x, y)
+		case null != nil && null[i]:
+			out[i] = model.Value{} // NULL: the operator is undefined there
+		default:
+			out[i] = model.Num(nums[i])
+		}
+	}
+	return &c.out, nil
 }
 
 // notNullC is x IS NOT NULL: the only operator that maps unknown to a known
 // boolean instead of propagating it.
 type notNullC struct {
 	x   compiledExpr
-	out []model.Value
+	out vec
 }
 
-func (c *notNullC) eval(b *batch) ([]model.Value, error) {
-	xv, err := c.x.eval(b)
+func (c *notNullC) eval(b *batch) (*vec, error) {
+	x, err := c.x.eval(b)
 	if err != nil {
 		return nil, err
 	}
-	out := scratchVec(c.out, b.N)
-	c.out = out
-	for i := 0; i < b.N; i++ {
-		out[i] = model.Bool(xv[i].IsValid())
+	out := c.out.values(b.N)
+	for i := range out {
+		out[i] = model.Bool(!x.isNull(i))
 	}
-	return out, nil
+	return &c.out, nil
 }
 
 // callC is a scalar function call with the function resolved at compile
-// time. Resolution failure — an unknown function, or one given as many
-// arguments as it does not take — is kept, not raised, until a row with all
-// arguments non-NULL actually needs the function: over always-NULL
-// arguments, or over no rows, it never surfaces.
+// time: a dimension function (fn), or an operator of ops (op), which is one
+// Map over number columns — unary minus among them, NULL-strict as every
+// operator is: the negation of an unknown value is unknown, never an error.
+// Resolution failure — an unknown function, or one given as many arguments as
+// it does not take — is kept, not raised, until a row with all arguments
+// non-NULL actually needs the function: over always-NULL arguments, or over
+// no rows, it never surfaces.
 //
 // Every function resolveScalarCall resolves is pure, so a row whose
 // arguments are identical (==, see model.Value) to those of the row before
@@ -150,67 +217,76 @@ func (c *notNullC) eval(b *batch) ([]model.Value, error) {
 type callC struct {
 	name       string
 	fn         scalarCallFunc
+	op         ops.Op
 	resolveErr error
 	args       []compiledExpr
-	argv       [][]model.Value
-	out        []model.Value
-	buf        []model.Value
+	argv       []*vec
+	buf, prev  []model.Value // the arguments at a row, and at the row before
+	nums       [2][]float64
+	nulls      [2][]bool
+	out        vec
 }
 
-func (c *callC) eval(b *batch) ([]model.Value, error) {
-	if c.argv == nil {
-		c.argv = make([][]model.Value, len(c.args))
-		c.buf = make([]model.Value, len(c.args))
-	}
-	argv, buf := c.argv, c.buf
-	for i, a := range c.args {
+func (c *callC) eval(b *batch) (*vec, error) {
+	argv := c.argv[:0]
+	for _, a := range c.args {
 		v, err := a.eval(b)
 		if err != nil {
 			return nil, err
 		}
-		argv[i] = v
+		argv = append(argv, v)
 	}
-	out := scratchVec(c.out, b.N)
-	c.out = out
-	for i := 0; i < b.N; i++ {
-		if i > 0 && sameRow(argv, i) {
+	c.argv, c.buf = argv, grow(c.buf, len(argv))
+	if c.fn == nil && c.resolveErr == nil {
+		return c.mapOp(argv, b.N)
+	}
+	out := c.out.values(b.N)
+	for i := range out {
+		for j, a := range argv {
+			c.buf[j] = a.at(i)
+		}
+		if i > 0 && slices.Equal(c.buf, c.prev) {
 			out[i] = out[i-1]
 			continue
 		}
-		null := false
-		for j := range argv {
-			v := argv[j][i]
-			if !v.IsValid() {
-				null = true
-				break
-			}
-			buf[j] = v
-		}
-		if null {
+		c.prev = append(c.prev[:0], c.buf...)
+		if slices.ContainsFunc(c.buf, func(v model.Value) bool { return !v.IsValid() }) {
 			out[i] = model.Value{} // NULL argument: NULL result
 			continue
 		}
 		if c.resolveErr != nil {
 			return nil, c.resolveErr
 		}
-		v, err := c.fn(buf)
+		v, err := c.fn(c.buf)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = v
 	}
-	return out, nil
+	return &c.out, nil
 }
 
-// sameRow reports whether every vector holds at row i what it holds at row
-// i-1.
-func sameRow(vecs [][]model.Value, i int) bool {
-	for _, v := range vecs {
-		if v[i] != v[i-1] {
-			return false
+// mapOp is a call of an operator of ops over argv, columns of n rows: NULL
+// where an argument is or the operator is undefined; the first row whose
+// arguments are all defined and not all numbers is an error.
+func (c *callC) mapOp(argv []*vec, n int) (*vec, error) {
+	var x [2][]float64
+	var xn [2][]bool
+	bad := n
+	for j, a := range argv {
+		var r int
+		if x[j], xn[j], r = a.numbers(&c.nums[j], &c.nulls[j]); r >= 0 {
+			bad = min(bad, r)
 		}
 	}
-	return true
+	for i := bad; i < n; i++ {
+		for _, a := range argv {
+			if _, ok := a.at(i).AsNumber(); !ok && !anyNull(argv, i) {
+				return nil, fmt.Errorf("sql: %s over non-numeric value %v", c.name, a.at(i))
+			}
+		}
+	}
+	return c.out.mapped(c.op, x[0], x[1], xn[0], xn[1], n), nil
 }
 
 // compileExpr compiles an expression against a schema. Aggregate calls
@@ -227,27 +303,20 @@ func compileExpr(e expr, env compileEnv) (compiledExpr, error) {
 		}
 		return &colC{idx: idx}, nil
 	case *negExpr:
-		x, err := compileExpr(e.x, env)
-		if err != nil {
-			return nil, err
-		}
-		return &negC{x: x}, nil
+		args, err := compileArgs(env, e.x)
+		return &callC{name: "unary minus", op: neg, args: args}, err
 	case *binExpr:
-		l, err := compileExpr(e.l, env)
+		args, err := compileArgs(env, e.l, e.r)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileExpr(e.r, env)
-		if err != nil {
-			return nil, err
-		}
-		return &binC{op: e.op, f: arith(e.op), l: l, r: r}, nil
+		return &binC{op: e.op, f: arith(e.op), l: args[0], r: args[1]}, nil
 	case *notNullExpr:
-		x, err := compileExpr(e.x, env)
+		args, err := compileArgs(env, e.x)
 		if err != nil {
 			return nil, err
 		}
-		return &notNullC{x: x}, nil
+		return &notNullC{x: args[0]}, nil
 	case *callExpr:
 		if ops.IsAggregation(e.name) {
 			if env.aggs != nil {
@@ -257,19 +326,27 @@ func compileExpr(e expr, env compileEnv) (compiledExpr, error) {
 			}
 			return nil, fmt.Errorf("sql: aggregate %s outside grouped context", e.name)
 		}
-		args := make([]compiledExpr, len(e.args))
-		for i, a := range e.args {
-			c, err := compileExpr(a, env)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = c
+		args, err := compileArgs(env, e.args...)
+		if err != nil {
+			return nil, err
 		}
-		fn, err := resolveScalarCall(e.name, len(args))
-		return &callC{name: e.name, fn: fn, resolveErr: err, args: args}, nil
+		fn, op, err := resolveScalarCall(e.name, len(args))
+		return &callC{name: e.name, fn: fn, op: op, resolveErr: err, args: args}, nil
 	default:
 		return nil, fmt.Errorf("sql: unsupported expression %T", e)
 	}
+}
+
+// compileArgs compiles the operands of an expression.
+func compileArgs(env compileEnv, es ...expr) ([]compiledExpr, error) {
+	args := make([]compiledExpr, len(es))
+	for i, e := range es {
+		var err error
+		if args[i], err = compileExpr(e, env); err != nil {
+			return nil, err
+		}
+	}
+	return args, nil
 }
 
 // execOp is a streaming executor operator: next returns the next batch,
@@ -299,82 +376,79 @@ func (m opMetrics) emit(b *batch) {
 	}
 }
 
-// batchScratch is an operator-owned output buffer. Reusing it across
-// next() calls is safe under the same batch-validity rule as expression
-// scratches: a returned batch is only live until the next call to next()
-// on the operator that produced it.
-type batchScratch struct {
-	b       batch
-	backing []model.Value
+// gatherInto makes dst, an operator's own batch, the selected rows of b, in
+// dst's columns' buffers.
+func gatherInto(dst, b *batch, sel []int) *batch {
+	dst.N, dst.Cols = len(sel), grow(dst.Cols, len(b.Cols))
+	for j := range b.Cols {
+		dst.Cols[j].gather(&b.Cols[j], sel)
+	}
+	return dst
 }
 
-// get returns the scratch shaped to rows×width, all columns sliced from
-// one flat backing array. Contents are stale; callers overwrite.
-func (s *batchScratch) get(rows, width int) *batch {
-	need := rows * width
-	if cap(s.backing) < need {
-		s.backing = make([]model.Value, need)
-	}
-	backing := s.backing[:need]
-	if cap(s.b.Cols) < width {
-		s.b.Cols = make([][]model.Value, width)
-	}
-	s.b.Cols = s.b.Cols[:width]
-	for j := 0; j < width; j++ {
-		s.b.Cols[j] = backing[j*rows : (j+1)*rows : (j+1)*rows]
-	}
-	s.b.N = rows
-	return &s.b
-}
-
-// gatherInto copies the selected row indexes of b into the scratch.
-func gatherInto(s *batchScratch, b *batch, sel []int) *batch {
-	out := s.get(len(sel), len(b.Cols))
-	for j, c := range b.Cols {
-		col := out.Cols[j]
-		for i, r := range sel {
-			col[i] = c[r]
+// nonNull returns, in sel, the rows at which no column of vecs is NULL, and
+// whether that is all n rows: then sel is left empty.
+func nonNull(vecs []*vec, n int, sel []int) ([]int, bool) {
+	sel, all := sel[:0], true
+	for r := 0; r < n; r++ {
+		null := anyNull(vecs, r)
+		if null && all {
+			all = false
+			for i := range r {
+				sel = append(sel, i)
+			}
+		}
+		if !null && !all {
+			sel = append(sel, r)
 		}
 	}
-	return out
+	return sel, all
 }
 
-// appendBatch appends src's rows onto dst column-wise.
-func appendBatch(dst, src *batch) {
-	for j := range dst.Cols {
-		dst.Cols[j] = append(dst.Cols[j], src.Cols[j]...)
+// anyNull reports whether a column of vecs is NULL at row r.
+func anyNull(vecs []*vec, r int) bool {
+	for _, v := range vecs {
+		if v.isNull(r) {
+			return true
+		}
 	}
-	dst.N += src.N
+	return false
 }
 
-// drainOp consumes an operator to completion into one batch.
+// drainOp consumes an operator to completion into one batch, its columns in
+// their forms.
 func drainOp(op execOp, width int) (*batch, error) {
-	all := &batch{Cols: make([][]model.Value, width)}
+	all := &batch{Cols: make([]vec, width)}
 	for {
 		b, err := op.next()
 		if err != nil {
 			return nil, err
 		}
-		if b == nil {
+		switch {
+		case b == nil:
 			return all, nil
+		case b.own && all.N == 0:
+			all = b
+		default:
+			all.appendRows(b, 0, b.N)
 		}
-		appendBatch(all, b)
 	}
 }
 
 // scanOp streams a table's version in chunk-row batches, reading it where it
-// lies, through its view. Each batch is the one scratch refilled with the
-// scan's projected columns only, which the batch-validity rule above permits;
-// nothing of the table is copied whole. The context is polled once per batch.
+// lies, through its view: a batch is the scan's row ordinals, which every
+// dimension column refers to, and a window of the version's measure column.
+// Nothing of the version is copied or boxed. The context is polled once per
+// batch.
 type scanOp struct {
 	ctx      context.Context
 	m        opMetrics
 	view     *model.View
 	proj     []int // table columns to emit
-	fill     []int // the emitted columns a batch has to hold, where not all (groupOp)
 	measure  int   // the last column; the ones before it are the dimensions
 	pos, end int   // next row to read; number of rows
-	scratch  batchScratch
+	rows     []uint32
+	b        batch
 }
 
 func newScanOp(ctx context.Context, n *scanNode, reg *obs.Registry) *scanOp {
@@ -398,49 +472,47 @@ func (o *scanOp) next() (*batch, error) {
 	}
 	lo, hi := o.pos, min(o.pos+chunk, o.end)
 	o.pos = hi
-	b := o.scratch.get(hi-lo, len(o.proj))
-	for j, c := range o.proj {
-		if o.fill != nil && !slices.Contains(o.fill, j) {
-			continue
-		}
-		col := b.Cols[j]
-		for i := range col {
-			col[i] = o.value(lo+i, c)
-		}
+	o.rows = grow(o.rows, hi-lo)
+	for i := range o.rows {
+		o.rows[i] = uint32(lo + i)
 	}
+	b := o.fill(&o.b, o.rows, o.view.Measures()[lo:hi])
 	o.m.emit(b)
 	return b, nil
 }
 
-// value returns column c of the version's row i.
-func (o *scanOp) value(i, c int) model.Value {
-	tu := o.view.Tuple(i)
-	if c < o.measure {
-		return tu.Dims[c]
-	}
-	return model.Num(tu.Measure)
-}
-
-// at returns the scan's columns at n rows of its view, the i-th being row(i).
-func (o *scanOp) at(n int, row func(i int) int) *batch {
-	b := &batch{N: n, Cols: make([][]model.Value, len(o.proj))}
+// fill makes b the scan's columns at rows of its view, whose measures are nums.
+func (o *scanOp) fill(b *batch, rows []uint32, nums []float64) *batch {
+	b.N, b.Cols = len(rows), grow(b.Cols, len(o.proj))
 	for j, c := range o.proj {
-		col := make([]model.Value, n)
-		for i := range col {
-			col[i] = o.value(row(i), c)
+		if c < o.measure {
+			b.Cols[j] = vec{form: fOrd, view: o.view, dim: c, rows: rows}
+		} else {
+			b.Cols[j] = vec{form: fNum, nums: nums}
 		}
-		b.Cols[j] = col
 	}
 	return b
 }
 
+// at returns the scan's columns at rows of its view.
+func (o *scanOp) at(rows []uint32) *batch {
+	var nums []float64
+	if slices.Contains(o.proj, o.measure) {
+		nums = make([]float64, len(rows))
+		for i, r := range rows {
+			nums[i] = o.view.Measures()[r]
+		}
+	}
+	return o.fill(&batch{}, rows, nums)
+}
+
 // filterOp keeps rows whose predicate is TRUE.
 type filterOp struct {
-	n       *filterNode
-	m       opMetrics
-	child   execOp
-	sel     []int
-	scratch batchScratch
+	n     *filterNode
+	m     opMetrics
+	child execOp
+	sel   []int
+	out   batch
 }
 
 func (o *filterOp) next() (*batch, error) {
@@ -455,7 +527,7 @@ func (o *filterOp) next() (*batch, error) {
 		}
 		sel := o.sel[:0]
 		for i := 0; i < b.N; i++ {
-			if keep, ok := pred[i].AsBool(); ok && keep {
+			if keep, ok := pred.at(i).AsBool(); ok && keep {
 				sel = append(sel, i)
 			}
 		}
@@ -463,11 +535,9 @@ func (o *filterOp) next() (*batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		var out *batch
-		if len(sel) == b.N {
-			out = b
-		} else {
-			out = gatherInto(&o.scratch, b, sel)
+		out := b
+		if len(sel) < b.N {
+			out = gatherInto(&o.out, b, sel)
 		}
 		o.m.emit(out)
 		return out, nil
@@ -476,28 +546,41 @@ func (o *filterOp) next() (*batch, error) {
 
 // joinOp is a hash join (build on the right input, probe from the left;
 // NULL keys never match) or, without keys, a block nested-loop cross
-// product. Output columns are left's followed by right's.
+// product. Output columns are left's followed by right's. The build side is
+// kept in its columns' forms, and indexed by the hash of each row's key
+// (model.Chains), which is read again from the columns where a probe meets it:
+// no key is kept.
 type joinOp struct {
 	n           *joinNode
 	m           opMetrics
 	left, right execOp
 
 	built      bool
-	rightAll   *batch
-	index      map[string][]int
-	keyb       []byte
+	rightAll   batch
+	rkeys      []*vec // the build keys, over rightAll
+	index      *model.Chains
+	lkeys      []*vec
+	keyb, keyc []byte
 	lsel, rsel []int
-	keyBuf     []model.Value
-	keyVecs    [][]model.Value
-	scratch    batchScratch
+	out        batch
+}
+
+// appendKey appends to buf the key of row r of the columns, and is false where
+// one of them is NULL.
+func appendKey(buf []byte, cols []*vec, r int) ([]byte, bool) {
+	for _, c := range cols {
+		v := c.at(r)
+		if !v.IsValid() {
+			return buf, false
+		}
+		buf = model.AppendOrderedKey(buf, v)
+	}
+	return buf, true
 }
 
 func (o *joinOp) build() error {
-	rightWidth := len(o.n.right.cols())
-	all := &batch{Cols: make([][]model.Value, rightWidth)}
-	index := make(map[string][]int)
-	keyBuf := make([]model.Value, len(o.n.ckRight))
-	keyVecs := make([][]model.Value, len(o.n.ckRight))
+	all := &o.rightAll
+	all.Cols = make([]vec, len(o.n.right.cols()))
 	for {
 		b, err := o.right.next()
 		if err != nil {
@@ -506,39 +589,33 @@ func (o *joinOp) build() error {
 		if b == nil {
 			break
 		}
-		if len(o.n.ckRight) > 0 {
-			for i, ck := range o.n.ckRight {
-				v, err := ck.eval(b)
-				if err != nil {
-					return err
-				}
-				keyVecs[i] = v
-			}
-			base := all.N
-			for r := 0; r < b.N; r++ {
-				null := false
-				for i := range keyVecs {
-					v := keyVecs[i][r]
-					if !v.IsValid() {
-						null = true
-						break
-					}
-					keyBuf[i] = v
-				}
-				if null {
-					continue
-				}
-				o.keyb = model.AppendKey(o.keyb[:0], keyBuf)
-				k := string(o.keyb)
-				index[k] = append(index[k], base+r)
-			}
-		}
-		appendBatch(all, b)
+		all.appendRows(b, 0, b.N)
 	}
-	o.rightAll = all
-	o.index = index
 	o.built = true
+	if len(o.n.ckRight) == 0 {
+		return nil
+	}
+	for _, ck := range o.n.ckRight {
+		v, err := ck.eval(all)
+		if err != nil {
+			return err
+		}
+		o.rkeys = append(o.rkeys, v)
+	}
+	o.index = model.NewChains(all.N)
+	for r := 0; r < all.N; r++ {
+		key, ok := appendKey(o.keyb[:0], o.rkeys, r)
+		if o.keyb = key; ok {
+			o.index.Add(int32(r), model.HashKey(key), o.hasKey)
+		}
+	}
 	return nil
+}
+
+// hasKey reports whether build row q has the key in keyb.
+func (o *joinOp) hasKey(q int32) bool {
+	o.keyc, _ = appendKey(o.keyc[:0], o.rkeys, int(q))
+	return bytes.Equal(o.keyb, o.keyc)
 }
 
 func (o *joinOp) next() (*batch, error) {
@@ -548,50 +625,34 @@ func (o *joinOp) next() (*batch, error) {
 		}
 	}
 	leftWidth := len(o.n.left.cols())
-	rightWidth := len(o.n.right.cols())
-	if o.keyBuf == nil {
-		o.keyBuf = make([]model.Value, len(o.n.ckLeft))
-		o.keyVecs = make([][]model.Value, len(o.n.ckLeft))
-	}
-	keyBuf, keyVecs := o.keyBuf, o.keyVecs
 	for {
 		lb, err := o.left.next()
 		if err != nil || lb == nil {
 			return nil, err
 		}
-		lsel, rsel := o.lsel[:0], o.rsel[:0]
+		lsel, rsel := slices.Grow(o.lsel[:0], lb.N), slices.Grow(o.rsel[:0], lb.N)
 		if len(o.n.ckLeft) > 0 {
-			for i, ck := range o.n.ckLeft {
+			o.lkeys = o.lkeys[:0]
+			for _, ck := range o.n.ckLeft {
 				v, err := ck.eval(lb)
 				if err != nil {
 					return nil, err
 				}
-				keyVecs[i] = v
+				o.lkeys = append(o.lkeys, v)
 			}
 			for r := 0; r < lb.N; r++ {
-				null := false
-				for i := range keyVecs {
-					v := keyVecs[i][r]
-					if !v.IsValid() {
-						null = true
-						break
-					}
-					keyBuf[i] = v
-				}
-				if null {
+				key, ok := appendKey(o.keyb[:0], o.lkeys, r)
+				if o.keyb = key; !ok {
 					continue
 				}
-				o.keyb = model.AppendKey(o.keyb[:0], keyBuf)
-				for _, rr := range o.index[string(o.keyb)] {
-					lsel = append(lsel, r)
-					rsel = append(rsel, rr)
+				for m := o.index.Head(model.HashKey(key), o.hasKey); m >= 0; m = o.index.Next(m) {
+					lsel, rsel = append(lsel, r), append(rsel, int(m))
 				}
 			}
 		} else {
 			for r := 0; r < lb.N; r++ {
 				for rr := 0; rr < o.rightAll.N; rr++ {
-					lsel = append(lsel, r)
-					rsel = append(rsel, rr)
+					lsel, rsel = append(lsel, r), append(rsel, rr)
 				}
 			}
 		}
@@ -602,27 +663,21 @@ func (o *joinOp) next() (*batch, error) {
 		// Gather only the pruned output columns (outCols indexes the
 		// left+right concatenation; nil means all).
 		outIdx := o.n.outCols
-		width := leftWidth + rightWidth
+		width := leftWidth + len(o.n.right.cols())
 		if outIdx != nil {
 			width = len(outIdx)
 		}
-		out := o.scratch.get(len(lsel), width)
+		out := &o.out
+		out.N, out.Cols = len(lsel), grow(out.Cols, width)
 		for k := 0; k < width; k++ {
 			ci := k
 			if outIdx != nil {
 				ci = outIdx[k]
 			}
-			col := out.Cols[k]
 			if ci < leftWidth {
-				src := lb.Cols[ci]
-				for i, r := range lsel {
-					col[i] = src[r]
-				}
+				out.Cols[k].gather(&lb.Cols[ci], lsel)
 			} else {
-				src := o.rightAll.Cols[ci-leftWidth]
-				for i, r := range rsel {
-					col[i] = src[r]
-				}
+				out.Cols[k].gather(&o.rightAll.Cols[ci-leftWidth], rsel)
 			}
 		}
 		o.m.emit(out)
@@ -633,13 +688,13 @@ func (o *joinOp) next() (*batch, error) {
 // projectOp computes the output expressions and drops rows with a NULL
 // output (the cube partial-function contract).
 type projectOp struct {
-	n       *projectNode
-	m       opMetrics
-	child   execOp
-	sel     []int
-	vecs    [][]model.Value
-	passed  batch
-	scratch batchScratch
+	n      *projectNode
+	m      opMetrics
+	child  execOp
+	sel    []int
+	vecs   []*vec
+	passed batch
+	out    batch
 }
 
 func (o *projectOp) next() (*batch, error) {
@@ -648,46 +703,30 @@ func (o *projectOp) next() (*batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if o.vecs == nil {
-			o.vecs = make([][]model.Value, len(o.n.compiled))
-		}
-		vecs := o.vecs
-		for i, c := range o.n.compiled {
+		vecs := o.vecs[:0]
+		for _, c := range o.n.compiled {
 			v, err := c.eval(b)
 			if err != nil {
 				return nil, err
 			}
-			vecs[i] = v
+			vecs = append(vecs, v)
 		}
-		sel := o.sel[:0]
-		for r := 0; r < b.N; r++ {
-			null := false
-			for i := range vecs {
-				if !vecs[i][r].IsValid() {
-					null = true
-					break
-				}
-			}
-			if !null {
-				sel = append(sel, r)
-			}
-		}
-		o.sel = sel
-		if len(sel) == 0 {
+		o.vecs = vecs
+		sel, all := nonNull(vecs, b.N, o.sel)
+		if o.sel = sel; !all && len(sel) == 0 {
 			continue
 		}
-		var out *batch
-		if len(sel) == b.N {
-			o.passed.N = b.N
-			o.passed.Cols = append(o.passed.Cols[:0], vecs...)
-			out = &o.passed
+		out := &o.passed
+		if all {
+			out.N, out.Cols = b.N, out.Cols[:0]
+			for _, v := range vecs {
+				out.Cols = append(out.Cols, *v)
+			}
 		} else {
-			out = o.scratch.get(len(sel), len(vecs))
+			out = &o.out
+			out.N, out.Cols = len(sel), grow(out.Cols, len(vecs))
 			for j, v := range vecs {
-				col := out.Cols[j]
-				for i, r := range sel {
-					col[i] = v[r]
-				}
+				out.Cols[j].gather(v, sel)
 			}
 		}
 		o.m.emit(out)
@@ -698,42 +737,42 @@ func (o *projectOp) next() (*batch, error) {
 // groupOp is aggregation by group ordinal. It consumes its whole input, a
 // batch at a time, and folds each aggregate's argument column into per-group
 // accumulators with ops.FoldColumn, its one fold loop; a row without a group
-// — a NULL in the key — is in no bag, and neither is a NULL argument. Then it
-// evaluates the final expressions over the groups' representative rows, their
-// first, extended with the aggregate pseudo-columns, dropping NULL outputs.
+// — a NULL in the key — is in no bag, and neither is a NULL argument, whose
+// ordinal the fold is handed as model.NoGroup. A number column is folded as it
+// is. Then it evaluates the final expressions over the groups' representative
+// rows, their first, beside one number column per aggregate, dropping NULL
+// outputs.
 //
 // The ordinals have one of two sources (see ordinals), which nothing after
 // them can tell apart. Where the plan groups a stored version by a function of
 // its dimension tuples (groupNode.partSig) and the version's key set has been
 // grouped so before, they are that Partition's: no key is evaluated, encoded or
-// hashed, the scan fills only what the evaluated aggregate arguments read, and
-// the representative rows are read from the version. Otherwise an Assigner
-// hands them out for the encoded key of every row — and, under such a plan,
-// records them for the key set as it goes. Under such a plan an aggregate of
-// the version's measure (aggSpec.measure) folds the version's own measure
-// column, which no batch holds a copy of.
+// hashed, and the representative rows are the groups' first rows' ordinals in
+// the version. Otherwise an Assigner hands them out for the encoded key of
+// every row — and, under such a plan, records them for the key set as it goes.
+// An aggregate of a stored version's measure folds the window of the version's
+// measure column the scan hands out, which no batch holds a copy of.
 type groupOp struct {
-	n       *groupNode
-	m       opMetrics
-	child   execOp
-	done    bool
-	scratch batchScratch
-	states  [][]ops.Acc // [aggregate][group ordinal]
+	n      *groupNode
+	m      opMetrics
+	child  execOp
+	done   bool
+	states [][]ops.Acc // [aggregate][group ordinal]
 
-	scan     *scanOp          // the child, where its view's key set keeps the partition
-	measures []float64        // the scan's view's measure column, where scan is set
-	part     *model.Partition // the ordinals, where the key set had them
-	asg      *model.Assigner  // their source otherwise
-	built    *obs.Counter
-	row      int // input rows seen so far: the next batch's first row in the view
+	scan  *scanOp          // the child, where its view's key set keeps the partition
+	part  *model.Partition // the ordinals, where the key set had them
+	asg   *model.Assigner  // their source otherwise
+	built *obs.Counter
+	row   int // input rows seen so far: the next batch's first row in the view
 
-	keyVecs    [][]model.Value
-	keyBuf     []model.Value
-	ords, kept []uint32
-	sel        []int
-	argVecs    [][]model.Value // [aggregate] its argument over the batch, where evaluated
-	vals       []float64       // one argument's numbers, NULLs left out
-	vords      []uint32        // their ordinals, where a NULL was left out
+	keyVecs           []*vec
+	keyBuf            []model.Value
+	ords, kept, vords []uint32
+	sel               []int
+	sub               batch
+	argv              []*vec // [aggregate] its argument over the batch, where evaluated
+	nums              []float64
+	null              []bool
 }
 
 // newGroupOp picks the source of the ordinals off the plan and the scanned
@@ -741,14 +780,14 @@ type groupOp struct {
 func newGroupOp(ctx context.Context, n *groupNode, child execOp, reg *obs.Registry) *groupOp {
 	o := &groupOp{
 		n: n, m: newOpMetrics(reg, "groupby"), child: child,
-		keyVecs: make([][]model.Value, len(n.ckKeys)), keyBuf: make([]model.Value, len(n.ckKeys)),
-		argVecs: make([][]model.Value, len(n.aggs)),
+		keyVecs: make([]*vec, len(n.ckKeys)), keyBuf: make([]model.Value, len(n.ckKeys)),
+		argv: make([]*vec, len(n.aggs)),
 	}
 	source := "hash"
 	if scan, ok := child.(*scanOp); ok && n.partSig != "" {
-		o.scan, o.measures = scan, scan.view.Measures()
+		o.scan = scan
 		if o.part = scan.view.Partition(n.partSig); o.part != nil {
-			source, scan.fill = "partition", n.argCols
+			source = "partition"
 			reg.Counter(obs.MetricPartitionsReused).Inc()
 		} else {
 			o.asg, o.built = scan.view.NewPartition(n.partSig), reg.Counter(obs.MetricPartitionsBuilt)
@@ -775,17 +814,16 @@ func (o *groupOp) ordinals(b *batch) ([]uint32, error) {
 		}
 		o.keyVecs[i] = v
 	}
-	ords := o.ords[:0]
+	ords := grow(o.ords, b.N)
 rows:
-	for r := 0; r < b.N; r++ {
+	for r := range ords {
 		for i, vec := range o.keyVecs {
-			if !vec[r].IsValid() {
-				ords = append(ords, model.NoGroup)
+			if o.keyBuf[i] = vec.at(r); !o.keyBuf[i].IsValid() {
+				ords[r] = model.NoGroup
 				continue rows
 			}
-			o.keyBuf[i] = vec[r]
 		}
-		ords = append(ords, o.asg.AssignRow(lo+r, o.keyBuf))
+		ords[r] = o.asg.AssignRow(lo+r, o.keyBuf)
 	}
 	o.ords = ords
 	return ords, nil
@@ -798,14 +836,13 @@ func (o *groupOp) next() (*batch, error) {
 	o.done = true
 
 	childWidth := len(o.n.child.cols())
-	reps := &batch{Cols: make([][]model.Value, childWidth)}
+	reps := &batch{Cols: make([]vec, childWidth)}
 	ngroups := 0
 	if o.part != nil {
 		ngroups = o.part.Groups()
 	}
 	o.states = make([][]ops.Acc, len(o.n.aggs))
 	o.grow(ngroups)
-	rowBuf := make([]model.Value, childWidth)
 
 	for {
 		b, err := o.child.next()
@@ -815,7 +852,6 @@ func (o *groupOp) next() (*batch, error) {
 		if b == nil {
 			break
 		}
-		lo := o.row
 		ords, err := o.ordinals(b)
 		if err != nil {
 			return nil, err
@@ -824,13 +860,13 @@ func (o *groupOp) next() (*batch, error) {
 			for r, g := range ords {
 				if int(g) == ngroups { // the assigner's first sight of the group
 					if ngroups++; o.scan == nil {
-						reps.AppendRow(b.Row(r, rowBuf))
+						reps.appendRows(b, r, r+1)
 					}
 				}
 			}
 			o.grow(ngroups)
 		}
-		if err := o.fold(b, ords, lo); err != nil {
+		if err := o.fold(b, ords); err != nil {
 			return nil, err
 		}
 	}
@@ -840,39 +876,49 @@ func (o *groupOp) next() (*batch, error) {
 			o.part = o.asg.Partition()
 			o.built.Inc()
 		}
-		reps = o.scan.at(ngroups, o.part.First)
+		first := make([]uint32, ngroups)
+		for g := range first {
+			first[g] = uint32(o.part.First(g))
+		}
+		reps = o.scan.at(first)
 	}
 
 	// A global aggregate always has one group, even over zero rows: the
 	// representative row is all-NULL, each aggregate its fold of the empty bag.
 	if len(o.n.groupBy) == 0 && ngroups == 0 {
-		ngroups = 1
+		ngroups, reps.N = 1, 1
 		o.grow(ngroups)
-		reps.AppendRow(make([]model.Value, childWidth))
+		for j := range reps.Cols {
+			reps.Cols[j] = vec{vals: make([]model.Value, 1)}
+		}
 	}
-
 	if ngroups == 0 {
 		return nil, nil
 	}
 
-	// Extended batch: representative rows + one column per aggregate. An empty
-	// bag whose fold is undefined stays NULL, which drops its row.
-	ext := &batch{N: reps.N, Cols: make([][]model.Value, childWidth+len(o.n.aggs))}
-	copy(ext.Cols, reps.Cols)
+	// The representative rows beside one number column per aggregate. An
+	// empty bag whose fold is undefined is NULL, which drops its row.
+	ext := &batch{N: ngroups, Cols: slices.Grow(reps.Cols, len(o.n.aggs))}
 	for ai, spec := range o.n.aggs {
-		col := make([]model.Value, ngroups)
+		col := vec{form: fNum, nums: make([]float64, ngroups)}
 		empty, defined := spec.fold.Empty()
-		for gi := range col {
-			if acc := &o.states[ai][gi]; acc.N() > 0 {
-				col[gi] = model.Num(acc.Result(spec.fold))
-			} else if defined {
-				col[gi] = model.Num(empty)
+		for g := range col.nums {
+			switch acc := &o.states[ai][g]; {
+			case acc.N() > 0:
+				col.nums[g] = acc.Result(spec.fold)
+			case defined:
+				col.nums[g] = empty
+			default:
+				if col.null == nil {
+					col.null = make([]bool, ngroups)
+				}
+				col.null[g] = true
 			}
 		}
-		ext.Cols[childWidth+ai] = col
+		ext.Cols = append(ext.Cols, col)
 	}
 
-	vecs := make([][]model.Value, len(o.n.finals))
+	vecs := make([]*vec, len(o.n.finals))
 	for i, c := range o.n.finals {
 		v, err := c.eval(ext)
 		if err != nil {
@@ -880,29 +926,20 @@ func (o *groupOp) next() (*batch, error) {
 		}
 		vecs[i] = v
 	}
-	var sel []int
-	for r := 0; r < ext.N; r++ {
-		null := false
-		for i := range vecs {
-			if !vecs[i][r].IsValid() {
-				null = true
-				break
-			}
-		}
-		if !null {
-			sel = append(sel, r)
-		}
-	}
-	if len(sel) == 0 {
+	sel, all := nonNull(vecs, ngroups, nil)
+	if !all && len(sel) == 0 {
 		return nil, nil
 	}
-	out := &batch{N: len(sel), Cols: make([][]model.Value, len(vecs))}
+	out := &batch{N: ngroups, Cols: make([]vec, len(vecs)), own: true}
+	if !all {
+		out.N = len(sel)
+	}
 	for j, v := range vecs {
-		col := make([]model.Value, len(sel))
-		for i, r := range sel {
-			col[i] = v[r]
+		if all {
+			out.Cols[j] = *v
+		} else {
+			out.Cols[j].gather(v, sel)
 		}
-		out.Cols[j] = col
 	}
 	o.m.emit(out)
 	return out, nil
@@ -915,37 +952,26 @@ func (o *groupOp) grow(ngroups int) {
 	}
 }
 
-// fold folds b, the batch whose rows start at row lo of the input, into every
-// aggregate's groups, one column at a time. An aggregate of the version's
-// measure folds the view's column under ords, past the rows without a group;
-// any other evaluates its argument over the rows with one. Every argument is
-// evaluated before any is folded, and a non-numeric value fails the batch at
-// the first row that has one, as a fold a row at a time would.
-func (o *groupOp) fold(b *batch, ords []uint32, lo int) error {
-	var kb *batch
-	var kept []uint32
+// fold folds b, the next batch of the input, its rows' ordinals ords, into every
+// aggregate's groups, one column at a time: its argument evaluated over the
+// rows with a group. Every argument is evaluated before any is folded, and a
+// non-numeric value fails the batch at the first row that has one, as a fold
+// a row at a time would.
+func (o *groupOp) fold(b *batch, ords []uint32) error {
+	kb, kept := o.withGroups(b, ords)
+	if kb.N == 0 {
+		return nil // no row has a group
+	}
 	for i, spec := range o.n.aggs {
-		if spec.measure && o.measures != nil {
-			continue
-		}
-		if kb == nil {
-			if kb, kept = o.withGroups(b, ords); kb.N == 0 {
-				return nil // no row has a group, and the measure column has nothing to fold
-			}
-		}
 		v, err := spec.carg.eval(kb)
 		if err != nil {
 			return err
 		}
-		o.argVecs[i] = v[:kb.N]
+		o.argv[i] = v
 	}
 	bad, badRow := -1, b.N
 	for i, spec := range o.n.aggs {
-		if spec.measure && o.measures != nil {
-			ops.FoldColumn(spec.fold, o.states[i], ords, o.measures[lo:])
-			continue
-		}
-		vals, r := o.unpack(o.argVecs[i])
+		nums, null, r := o.argv[i].numbers(&o.nums, &o.null)
 		if r >= 0 {
 			if r < badRow {
 				bad, badRow = i, r
@@ -953,19 +979,19 @@ func (o *groupOp) fold(b *batch, ords []uint32, lo int) error {
 			continue
 		}
 		vords := kept
-		if len(vals) < len(kept) { // a NULL was left out, and its ordinal goes with it
-			vords = o.vords[:0]
-			for r, v := range o.argVecs[i] {
-				if v.IsValid() {
-					vords = append(vords, kept[r])
+		if null != nil { // a NULL is not part of the bag
+			vords = grow(o.vords, len(kept))
+			for r, g := range kept {
+				if vords[r] = g; null[r] {
+					vords[r] = model.NoGroup
 				}
 			}
 			o.vords = vords
 		}
-		ops.FoldColumn(spec.fold, o.states[i], vords, vals)
+		ops.FoldColumn(spec.fold, o.states[i], vords, nums)
 	}
 	if bad >= 0 {
-		return fmt.Errorf("sql: aggregate %s over non-numeric value %v", o.n.aggs[bad].name, o.argVecs[bad][badRow])
+		return fmt.Errorf("sql: aggregate %s over non-numeric value %v", o.n.aggs[bad].name, o.argv[bad].at(badRow))
 	}
 	return nil
 }
@@ -983,25 +1009,7 @@ func (o *groupOp) withGroups(b *batch, ords []uint32) (*batch, []uint32) {
 		}
 	}
 	o.sel, o.kept = sel, kept
-	return gatherInto(&o.scratch, b, sel), kept
-}
-
-// unpack returns the numbers of an evaluated argument, NULLs left out — they
-// are not part of the bag — or the row of its first non-numeric value.
-func (o *groupOp) unpack(vec []model.Value) ([]float64, int) {
-	vals := o.vals[:0]
-	for r, v := range vec {
-		if !v.IsValid() {
-			continue
-		}
-		f, ok := v.AsNumber()
-		if !ok {
-			return nil, r
-		}
-		vals = append(vals, f)
-	}
-	o.vals = vals
-	return vals, -1
+	return gatherInto(&o.sub, b, sel), kept
 }
 
 // buildOps lowers the analyzed plan (minus the root sortNode, which the
@@ -1085,7 +1093,7 @@ func (db *DB) evalSelectVec(ctx context.Context, s *selectStmt, r *resolver) (*r
 		return nil, err
 	}
 
-	out := &result{all: all, order: sortedRows(all)}
+	out := &result{all: all}
 	for i := range p.names {
 		out.cols = append(out.cols, Column{Name: p.names[i], Type: p.types[i]})
 	}

@@ -197,24 +197,16 @@ type groupNode struct {
 
 	// partSig is set where the grouping is a function of the dimension tuples
 	// of the table the node scans, should that table be a stored version: it
-	// names the grouping to the version's key set (model.View.Partition), and
-	// argCols are then the child columns the aggregate arguments evaluated over
-	// a batch read, all a scan has to fill once the key set knows every row's
-	// group.
+	// names the grouping to the version's key set (model.View.Partition).
 	partSig string
-	argCols []int
 }
 
 // aggSpec is one distinct aggregate call appearing in the SELECT list.
-// measure is set, under a partSig, where the argument is the scanned table's
-// last column bare: of a stored version, its measure column, which groupOp
-// folds where it lies instead of evaluating carg.
 type aggSpec struct {
-	name    string
-	fold    ops.Fold
-	arg     expr
-	carg    compiledExpr
-	measure bool
+	name string
+	fold ops.Fold
+	arg  expr
+	carg compiledExpr
 }
 
 func (g *groupNode) cols() []planCol { return g.out }

@@ -119,7 +119,7 @@ func TestOrderByNullsLast(t *testing.T) {
 		}
 		var sorted []string
 		for _, reverse := range []bool{false, true} {
-			b := &batch{Cols: make([][]model.Value, 2)}
+			b := &batch{Cols: make([]vec, 2)}
 			for i := range rows {
 				if reverse {
 					i = len(rows) - 1 - i
