@@ -414,6 +414,19 @@ func TestETLProductRefersToItsSources(t *testing.T) {
 	}
 }
 
+// TestFrameProductRefersToItsSources runs the product tgd's R program alone
+// on the frame target in steady state. A frame holds its rows as an ETL
+// stream does: FromCube refers to the cube's tuples, Copy and SelectCols
+// relabel columns, and the merge and the calculation run the ETL steps'
+// bodies over the frame's one batch, so a run allocates at most 200 bytes an
+// output tuple.
+func TestFrameProductRefersToItsSources(t *testing.T) {
+	grown, n := productRuns(t, ops.TargetFrame)
+	if grown > uint64(200*n) {
+		t.Errorf("a run allocated %d bytes for %d output tuples, %d an output tuple: more than 200", grown, n, grown/uint64(n))
+	}
+}
+
 // TestSQLProductRefersToItsSources runs the product tgd alone on the SQL
 // target in steady state. Its batches keep each scanned dimension as row
 // ordinals into the scanned version and each number as a float64, the join

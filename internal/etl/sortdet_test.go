@@ -2,46 +2,46 @@ package etl
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"exlengine/internal/frame"
 	"exlengine/internal/model"
 )
 
-// runCumsum pushes the (period, number) rows through a SeriesCalc step in
+// runCumsum pushes the (period, number) rows of p, a panel P(t, r) read by a
+// table input that keeps t and the measure, through a SeriesCalc step in
 // batches and collects its output stream.
-func runCumsum(t *testing.T, rows [][]model.Value) [][]model.Value {
+func runCumsum(t *testing.T, p *model.Cube) [][]model.Value {
 	t.Helper()
 	f := &Flow{
 		Steps: []Step{
-			{Name: "in", Type: TableInput, As: []string{"t", "v"}},
+			{Name: "in", Type: TableInput, Table: "P", Fields: []string{"t", "v"}, As: []string{"t", "v"}},
 			{Name: "series", Type: SeriesCalc, Op: "cumsum", TimeField: "t", ValueField: "v"},
 		},
 		Hops: []Hop{{From: "in", To: "series"}},
 	}
-	s := kernelStream([]string{"t", "v"})
-	streams := map[string]*stream{"in": s, "series": s}
-	n := len(rows)/batchSize + 1
-	in := make(chan *batch, n)
-	out := make(chan *batch, n)
-	chans := map[string]chan *batch{"in": in, "series": out}
-	for lo := 0; lo < len(rows); lo += batchSize {
-		b := &batch{}
-		for _, r := range rows[lo:min(lo+batchSize, len(rows))] {
-			x, _ := r[1].AsNumber()
-			b.vals, b.nums, b.n = append(b.vals, r[0]), append(b.nums, x), b.n+1
+	store := map[string]*model.Cube{"P": p}
+	streams := map[string]*frame.Layout{}
+	for i := range f.Steps {
+		var err error
+		if streams[f.Steps[i].Name], err = streamOf(f, &f.Steps[i], streams, store); err != nil {
+			t.Fatal(err)
 		}
-		in <- b
 	}
-	close(in)
-	if err := runStep(context.Background(), f, f.Step("series"), streams, chans, make(batches, n), nil, nil, nil); err != nil {
-		t.Fatal(err)
+	n := p.Len()/batchSize + 1
+	in, out := make(chan *frame.Batch, n), make(chan *frame.Batch, n)
+	chans := map[string]chan *frame.Batch{"in": in, "series": out}
+	for _, name := range []string{"in", "series"} {
+		if err := runStep(context.Background(), f, f.Step(name), streams, chans, make(batches, n), store, nil, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
+	s := streams["series"]
 	var got [][]model.Value
 	for b := range out {
-		for i := range b.n {
-			row := make([]model.Value, 2)
-			s.read(b, i, row, []int{0, 1})
-			got = append(got, row)
+		for i := range b.N {
+			got = append(got, []model.Value{s.Value(b, i, 0), s.Value(b, i, 1)})
 		}
 	}
 	return got
@@ -55,17 +55,25 @@ func runCumsum(t *testing.T, rows [][]model.Value) [][]model.Value {
 // independent of input permutation.
 func TestSeriesCalcDuplicatePeriodsDeterministic(t *testing.T) {
 	const periods, dups = 8, 8
-	var fwd, rev [][]model.Value
-	for i := 0; i < periods*dups; i++ {
-		q := model.NewQuarterly(2000, 1).Shift(int64(i % periods))
-		fwd = append(fwd, []model.Value{model.Per(q), model.Num(float64(i))})
-	}
-	for i := len(fwd) - 1; i >= 0; i-- {
-		rev = append(rev, fwd[i])
+	// panel holds, at each period, the values of that period in ascending
+	// order of its regions, or in descending order when rev is set.
+	panel := func(rev bool) *model.Cube {
+		c := model.NewCube(model.NewSchema("P", []model.Dim{{Name: "t", Type: model.TQuarter}, {Name: "r", Type: model.TString}}, "v"))
+		for k := 0; k < periods*dups; k++ {
+			d := k / periods
+			if rev {
+				d = dups - 1 - d
+			}
+			q := model.NewQuarterly(2000, 1).Shift(int64(k % periods))
+			if err := c.Put([]model.Value{model.Per(q), model.Str(fmt.Sprint("r", d))}, float64(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
 	}
 
-	a := runCumsum(t, fwd)
-	b := runCumsum(t, rev)
+	a := runCumsum(t, panel(false))
+	b := runCumsum(t, panel(true))
 	if len(a) != len(b) || len(a) != periods*dups {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}

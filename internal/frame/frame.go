@@ -14,115 +14,52 @@ package frame
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"exlengine/internal/model"
 	"exlengine/internal/ops"
 )
 
-// Frame is a data frame: named columns over rows of dynamically typed
-// values (R's data.frame, Matlab's matrix with column metadata).
+// Frame is a data frame: named columns over rows (R's data.frame, Matlab's
+// matrix with column metadata), held as an ETL stream holds them: a Layout,
+// and one batch of every row. A frame is never written to once it is bound:
+// a step binds a new one, which shares what it did not change.
 type Frame struct {
-	Cols []string
-	Rows [][]model.Value
+	*Layout
+	rows *Batch
 }
 
-// NewFrame returns an empty frame with the given columns.
-func NewFrame(cols ...string) *Frame {
-	return &Frame{Cols: append([]string(nil), cols...)}
-}
-
-// ColIndex returns the position of the named column, or -1.
-func (f *Frame) ColIndex(name string) int {
-	for i, c := range f.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Clone deep-copies the frame.
-func (f *Frame) Clone() *Frame {
-	out := &Frame{Cols: append([]string(nil), f.Cols...)}
-	out.Rows = make([][]model.Value, len(f.Rows))
-	for i, r := range f.Rows {
-		out.Rows[i] = append([]model.Value(nil), r...)
-	}
-	return out
-}
-
-// FromCube converts a cube into a frame whose columns are the dimension
-// names followed by the measure name, with the rows in the cube's
-// deterministic order.
+// FromCube returns the frame of a cube's version, whose columns are the
+// dimension names followed by the measure name, with a row per tuple in the
+// cube's deterministic order, referring to it.
 func FromCube(c *model.Cube) *Frame {
 	sch := c.Schema()
-	cols := append([]string(nil), sch.DimNames()...)
-	cols = append(cols, sch.Measure)
-	// One backing array holds every row; each row is a full-capacity
-	// window of it, so appending to a row cannot reach its neighbour.
-	w := len(cols)
-	backing := make([]model.Value, c.Len()*w)
-	rows := make([][]model.Value, 0, c.Len())
-	_ = c.Ordered(func(tu model.Tuple) error {
-		lo := len(rows) * w
-		row := backing[lo : lo+w : lo+w]
-		copy(row, tu.Dims)
-		row[w-1] = model.Num(tu.Measure)
-		rows = append(rows, row)
-		return nil
-	})
-	return &Frame{Cols: cols, Rows: rows}
+	names := append(sch.DimNames(), sch.Measure)
+	l, _ := Source(c, names, names, nil) // every name is one of c's columns
+	f := &Frame{Layout: l, rows: NewBatch(c.Len(), l)}
+	_ = l.Scan(-1, model.Value{}, f.rows) // nothing shifts, and a batch takes every row
+	return f
 }
 
-// ToCube converts a frame back into a frozen cube under the given schema, as
-// the revision of prev, the cube's previous version (nil when there is none):
-// rows that are prev's dimension tuples, all of them in that order, become a
-// measure column on prev's key set (model.NewBuilderOn). The frame must
-// contain the schema's dimension and measure columns (by name, any order).
-// Rows with invalid (NA) values are dropped, matching the partial-function
-// semantics of cubes.
+// ToCube builds the frame's rows into a frozen cube under the given schema,
+// as the revision of prev, the cube's previous version (nil when there is
+// none): rows that are prev's dimension tuples, all of them in that order,
+// become a measure column on prev's key set (model.NewBuilderOn). The frame
+// must contain the schema's dimension and measure columns (by name, any
+// order). Rows with invalid (NA) values are dropped, matching the
+// partial-function semantics of cubes.
 func (f *Frame) ToCube(prev *model.Cube, sch model.Schema) (*model.Cube, error) {
-	idx := make([]int, 0, len(sch.Dims))
-	for _, d := range sch.Dims {
-		j := f.ColIndex(d.Name)
-		if j < 0 {
-			return nil, fmt.Errorf("frame: missing dimension column %s", d.Name)
-		}
-		idx = append(idx, j)
+	o, err := NewOutput(f.Layout, append(sch.DimNames(), sch.Measure), prev, sch)
+	if err == nil {
+		err = o.Add(f.rows)
 	}
-	mj := f.ColIndex(sch.Measure)
-	if mj < 0 {
-		return nil, fmt.Errorf("frame: missing measure column %s", sch.Measure)
+	var c *model.Cube
+	if err == nil {
+		c, err = o.Build()
 	}
-	b := model.NewBuilderOn(prev, sch)
-	dims := make([]model.Value, len(idx))
-	for _, row := range f.Rows {
-		for i, j := range idx {
-			dims[i] = row[j]
-		}
-		if err := b.AddRow(dims, row[mj]); err != nil {
-			return nil, fmt.Errorf("frame: %w", err)
-		}
-	}
-	c, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("frame: %w", err)
 	}
 	return c, nil
-}
-
-// Sort orders the rows by all columns left to right (deterministic output
-// for tests and printing).
-func (f *Frame) Sort() {
-	sort.Slice(f.Rows, func(i, j int) bool {
-		for k := range f.Cols {
-			if c := f.Rows[i][k].Compare(f.Rows[j][k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 }
 
 // Expr is a row-wise column expression (the element-wise arithmetic of

@@ -2,6 +2,8 @@ package frame
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,6 +31,46 @@ func compile(t *testing.T, src string) *mapping.Mapping {
 	return m
 }
 
+// literal returns a frame of the rows given, its columns named cols, each
+// column held as computed values, so that a cell may be undefined (NA).
+func literal(cols []string, rows ...[]model.Value) *Frame {
+	l := &Layout{Names: cols, vals: len(cols)}
+	for j := range cols {
+		l.cols = append(l.cols, col{src: -1, at: j})
+	}
+	b := &Batch{}
+	for _, r := range rows {
+		b.vals = append(b.vals, r...)
+		b.N++
+	}
+	return &Frame{l, b}
+}
+
+// rowsOf reads every row of f, a value a column.
+func rowsOf(f *Frame) [][]model.Value {
+	rows := make([][]model.Value, f.rows.N)
+	for i := range rows {
+		for c := range f.Names {
+			rows[i] = append(rows[i], f.Value(f.rows, i, c))
+		}
+	}
+	return rows
+}
+
+// sortedRows reads every row of f, ordered by all columns left to right.
+func sortedRows(f *Frame) [][]model.Value {
+	rows := rowsOf(f)
+	slices.SortFunc(rows, func(a, b []model.Value) int {
+		for k := range a {
+			if c := a[k].Compare(b[k]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	return rows
+}
+
 func yearCube(t *testing.T, name string, vals map[int]float64) *model.Cube {
 	t.Helper()
 	c := model.NewCube(model.NewSchema(name, []model.Dim{{Name: "t", Type: model.TYear}}, "v"))
@@ -43,8 +85,8 @@ func yearCube(t *testing.T, name string, vals map[int]float64) *model.Cube {
 func TestFrameCubeRoundTrip(t *testing.T) {
 	c := yearCube(t, "A", map[int]float64{2000: 1, 2001: 2})
 	f := FromCube(c)
-	if len(f.Cols) != 2 || f.Cols[0] != "t" || f.Cols[1] != "v" {
-		t.Fatalf("cols = %v", f.Cols)
+	if len(f.Names) != 2 || f.Names[0] != "t" || f.Names[1] != "v" {
+		t.Fatalf("cols = %v", f.Names)
 	}
 	back, err := f.ToCube(nil, c.Schema())
 	if err != nil {
@@ -56,12 +98,11 @@ func TestFrameCubeRoundTrip(t *testing.T) {
 }
 
 func TestToCubeDropsNA(t *testing.T) {
-	f := NewFrame("t", "v")
-	f.Rows = [][]model.Value{
-		{model.Per(model.NewAnnual(2000)), model.Num(1)},
-		{model.Per(model.NewAnnual(2001)), model.Value{}}, // NA measure
-		{model.Value{}, model.Num(3)},                     // NA dim
-	}
+	f := literal([]string{"t", "v"},
+		[]model.Value{model.Per(model.NewAnnual(2000)), model.Num(1)},
+		[]model.Value{model.Per(model.NewAnnual(2001)), {}}, // NA measure
+		[]model.Value{{}, model.Num(3)},                     // NA dim
+	)
 	c, err := f.ToCube(nil, model.NewSchema("A", []model.Dim{{Name: "t", Type: model.TYear}}, "v"))
 	if err != nil {
 		t.Fatal(err)
@@ -73,112 +114,112 @@ func TestToCubeDropsNA(t *testing.T) {
 
 func TestMergeStep(t *testing.T) {
 	env := Env{
-		"X": &Frame{Cols: []string{"q", "r", "p"}, Rows: [][]model.Value{
-			{model.Int(1), model.Str("n"), model.Num(10)},
-			{model.Int(1), model.Str("s"), model.Num(20)},
-			{model.Int(2), model.Str("n"), model.Num(30)},
-		}},
-		"Y": &Frame{Cols: []string{"q", "r", "g"}, Rows: [][]model.Value{
-			{model.Int(1), model.Str("n"), model.Num(2)},
-			{model.Int(2), model.Str("n"), model.Num(3)},
-			{model.Int(3), model.Str("n"), model.Num(4)},
-		}},
+		"X": literal([]string{"q", "r", "p"},
+			[]model.Value{model.Int(1), model.Str("n"), model.Num(10)},
+			[]model.Value{model.Int(1), model.Str("s"), model.Num(20)},
+			[]model.Value{model.Int(2), model.Str("n"), model.Num(30)},
+		),
+		"Y": literal([]string{"q", "r", "g"},
+			[]model.Value{model.Int(1), model.Str("n"), model.Num(2)},
+			[]model.Value{model.Int(2), model.Str("n"), model.Num(3)},
+			[]model.Value{model.Int(3), model.Str("n"), model.Num(4)},
+		),
 	}
 	if err := runStep(Merge{Out: "Z", X: "X", Y: "Y", By: []string{"q", "r"}}, env); err != nil {
 		t.Fatal(err)
 	}
 	z := env["Z"]
-	if len(z.Rows) != 2 {
-		t.Fatalf("merge rows = %d", len(z.Rows))
+	if len(rowsOf(z)) != 2 {
+		t.Fatalf("merge rows = %d", len(rowsOf(z)))
 	}
-	if len(z.Cols) != 4 || z.Cols[3] != "g" {
-		t.Errorf("merge cols = %v", z.Cols)
+	if len(z.Names) != 4 || z.Names[3] != "g" {
+		t.Errorf("merge cols = %v", z.Names)
 	}
 	// Cross join with empty By.
 	if err := runStep(Merge{Out: "W", X: "X", Y: "Y", By: nil}, env); err != nil {
 		t.Fatal(err)
 	}
-	if len(env["W"].Rows) != 9 {
-		t.Errorf("cross join rows = %d", len(env["W"].Rows))
+	if len(rowsOf(env["W"])) != 9 {
+		t.Errorf("cross join rows = %d", len(rowsOf(env["W"])))
 	}
 }
 
 func TestMapColAndFilter(t *testing.T) {
-	env := Env{"F": &Frame{Cols: []string{"a", "b"}, Rows: [][]model.Value{
-		{model.Num(1), model.Num(2)},
-		{model.Num(3), model.Num(0)},
-	}}}
-	// c = a / b: NA where b = 0.
+	env := Env{"F": literal([]string{"a", "b"},
+		[]model.Value{model.Num(1), model.Num(2)},
+		[]model.Value{model.Num(3), model.Num(0)},
+		[]model.Value{model.Num(5), model.Num(4)},
+	)}
+	// c = a / b: NA where b = 0, and the row is gone, as a calculator drops it.
 	if err := runStep(MapCol{Var: "F", Col: "c", E: Apply{Op: "div", Args: []Expr{Col{Name: "a"}, Col{Name: "b"}}}}, env); err != nil {
 		t.Fatal(err)
 	}
-	f := env["F"]
-	if v, _ := f.Rows[0][2].AsNumber(); v != 0.5 {
-		t.Errorf("c[0] = %v", f.Rows[0][2])
+	rows := rowsOf(env["F"])
+	if v, _ := rows[0][2].AsNumber(); v != 0.5 {
+		t.Errorf("c[0] = %v", rows[0][2])
 	}
-	if f.Rows[1][2].IsValid() {
-		t.Error("division by zero must be NA")
+	if len(rows) != 2 || slices.ContainsFunc(rows, func(r []model.Value) bool { return r[1].Equal(model.Num(0)) }) {
+		t.Errorf("division by zero must be NA, and its row gone: %v", rows)
 	}
 	// Overwrite an existing column.
 	if err := runStep(MapCol{Var: "F", Col: "a", E: Const{V: 9}}, env); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := f.Rows[0][0].AsNumber(); v != 9 {
+	if v, _ := rowsOf(env["F"])[0][0].AsNumber(); v != 9 {
 		t.Error("overwrite failed")
 	}
 	// Filter.
 	if err := runStep(Filter{Var: "F", Col: "b", V: model.Num(2)}, env); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Rows) != 1 {
-		t.Errorf("filter rows = %d", len(f.Rows))
+	if n := len(rowsOf(env["F"])); n != 1 {
+		t.Errorf("filter rows = %d", n)
 	}
 }
 
 func TestGroupAggStep(t *testing.T) {
-	env := Env{"F": &Frame{Cols: []string{"k", "v"}, Rows: [][]model.Value{
-		{model.Str("a"), model.Num(1)},
-		{model.Str("a"), model.Num(3)},
-		{model.Str("b"), model.Num(5)},
-		{model.Str("b"), model.Value{}}, // NA excluded from bag
-	}}}
+	env := Env{"F": literal([]string{"k", "v"},
+		[]model.Value{model.Str("a"), model.Num(1)},
+		[]model.Value{model.Str("a"), model.Num(3)},
+		[]model.Value{model.Str("b"), model.Num(5)},
+		[]model.Value{model.Str("b"), {}}, // NA excluded from bag
+	)}
 	if err := runStep(GroupAgg{Out: "G", In: "F", By: []string{"k"}, Agg: "avg", ValCol: "v", OutCol: "m"}, env); err != nil {
 		t.Fatal(err)
 	}
-	g := env["G"]
-	if len(g.Rows) != 2 {
-		t.Fatalf("groups = %d", len(g.Rows))
+	g := sortedRows(env["G"])
+	if len(g) != 2 {
+		t.Fatalf("groups = %d", len(g))
 	}
-	g.Sort()
-	if v, _ := g.Rows[0][1].AsNumber(); v != 2 {
-		t.Errorf("avg a = %v", g.Rows[0][1])
+	if v, _ := g[0][1].AsNumber(); v != 2 {
+		t.Errorf("avg a = %v", g[0][1])
 	}
-	if v, _ := g.Rows[1][1].AsNumber(); v != 5 {
-		t.Errorf("avg b = %v", g.Rows[1][1])
+	if v, _ := g[1][1].AsNumber(); v != 5 {
+		t.Errorf("avg b = %v", g[1][1])
 	}
 }
 
 func TestSeriesOpStep(t *testing.T) {
-	env := Env{"S": &Frame{Cols: []string{"t", "v"}, Rows: [][]model.Value{
-		{model.Per(model.NewAnnual(2002)), model.Num(3)},
-		{model.Per(model.NewAnnual(2000)), model.Num(1)},
-		{model.Per(model.NewAnnual(2001)), model.Num(2)},
-	}}}
+	env := Env{"S": literal([]string{"t", "v"},
+		[]model.Value{model.Per(model.NewAnnual(2002)), model.Num(3)},
+		[]model.Value{model.Per(model.NewAnnual(2000)), model.Num(1)},
+		[]model.Value{model.Per(model.NewAnnual(2001)), model.Num(2)},
+	)}
 	if err := runStep(SeriesOp{Out: "C", In: "S", Op: "cumsum", TimeCol: "t", ValCol: "v"}, env); err != nil {
 		t.Fatal(err)
 	}
-	c := env["C"]
-	if len(c.Rows) != 3 {
+	c := rowsOf(env["C"])
+	if len(c) != 3 {
 		t.Fatal("rows")
 	}
 	// Sorted chronologically before the cumulative sum.
-	if v, _ := c.Rows[2][1].AsNumber(); v != 6 {
-		t.Errorf("cumsum = %v", c.Rows)
+	if v, _ := c[2][1].AsNumber(); v != 6 {
+		t.Errorf("cumsum = %v", c)
 	}
 }
 
 func TestStepErrors(t *testing.T) {
-	env := Env{"F": NewFrame("a")}
+	env := Env{}
 	bad := []Step{
 		Copy{Out: "X", In: "NOPE"},
 		Filter{Var: "F", Col: "zz"},
@@ -190,12 +231,10 @@ func TestStepErrors(t *testing.T) {
 		MapCol{Var: "F", Col: "x", E: Col{Name: "zz"}},
 	}
 	for i, s := range bad {
-		env["F"].Rows = [][]model.Value{make([]model.Value, len(env["F"].Cols))}
-		env["F"].Rows[0][0] = model.Num(1)
+		env["F"] = literal([]string{"a"}, []model.Value{model.Num(1)})
 		if err := runStep(s, env); err == nil {
 			t.Errorf("step %d: want error", i)
 		}
-		env["F"].Rows = nil
 	}
 }
 
@@ -309,15 +348,47 @@ func TestFrameExprErrors(t *testing.T) {
 	}
 }
 
+// TestFrameSortAndClone: a frame's rows read in order of their values, and a
+// copy is not changed by a step over the frame it copied.
 func TestFrameSortAndClone(t *testing.T) {
-	f := NewFrame("a")
-	f.Rows = [][]model.Value{{model.Num(2)}, {model.Num(1)}}
-	c := f.Clone()
-	f.Sort()
-	if v, _ := f.Rows[0][0].AsNumber(); v != 1 {
+	env := Env{"F": literal([]string{"a"}, []model.Value{model.Num(2)}, []model.Value{model.Num(1)})}
+	if err := runStep(Copy{Out: "C", In: "F"}, env); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := sortedRows(env["F"])[0][0].AsNumber(); v != 1 {
 		t.Error("sort")
 	}
-	if v, _ := c.Rows[0][0].AsNumber(); v != 2 {
+	if err := runStep(Filter{Var: "F", Col: "a", V: model.Num(1)}, env); err != nil {
+		t.Fatal(err)
+	}
+	if c := rowsOf(env["C"]); len(c) != 2 {
+		t.Errorf("copy has %d rows, want 2", len(c))
+	} else if v, _ := c[0][0].AsNumber(); v != 2 {
 		t.Error("clone must be independent")
+	}
+}
+
+// TestRunContextCancelled: a program run under a context already cancelled
+// runs no step. It returns the context's error and binds no step's output.
+func TestRunContextCancelled(t *testing.T) {
+	m := compile(t, workload.GDPProgram)
+	script, err := Translate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := Env{}
+	for name, c := range workload.GDPSource(workload.GDPConfig{Days: 40, Regions: 2}) {
+		env[name] = FromCube(c)
+	}
+	inputs := len(env)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range script.Programs {
+		if _, err := p.RunContext(ctx, env); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", p.TgdID, err)
+		}
+	}
+	if len(env) != inputs {
+		t.Errorf("a cancelled run bound %d frames", len(env)-inputs)
 	}
 }

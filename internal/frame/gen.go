@@ -26,9 +26,10 @@ func Translate(m *mapping.Mapping) (*Script, error) {
 
 // ExecuteContext runs the script over the source cubes and returns every
 // computed relation (derived and auxiliary) as cubes. Cancellation aborts
-// between programs, and a tracer carried by the context records one span per
-// program (tgd) and per frame operation. A program's result is built as the
-// revision of its cube's previous version in prev, where there is one (ToCube).
+// before the next step (RunContext), and a tracer carried by the context
+// records one span per program (tgd) and per frame operation. A program's
+// result is built as the revision of its cube's previous version in prev,
+// where there is one (ToCube).
 func ExecuteContext(ctx context.Context, s *Script, m *mapping.Mapping, source, prev map[string]*model.Cube) (map[string]*model.Cube, error) {
 	env := Env{}
 	for _, name := range m.Elementary {
@@ -40,9 +41,6 @@ func ExecuteContext(ctx context.Context, s *Script, m *mapping.Mapping, source, 
 	}
 	out := make(map[string]*model.Cube)
 	for _, p := range s.Programs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		pctx, span := obs.StartSpan(ctx, "frame.program",
 			obs.String("tgd", p.TgdID), obs.String("cube", p.Target), obs.Int("ops", len(p.Steps)))
 		res, err := p.RunContext(pctx, env)

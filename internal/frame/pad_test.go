@@ -11,27 +11,26 @@ import (
 
 func TestPadMergeStep(t *testing.T) {
 	env := Env{
-		"X": &Frame{Cols: []string{"t", "x"}, Rows: [][]model.Value{
-			{model.Int(1), model.Num(10)},
-			{model.Int(2), model.Num(20)},
-		}},
-		"Y": &Frame{Cols: []string{"t", "y"}, Rows: [][]model.Value{
-			{model.Int(2), model.Num(200)},
-			{model.Int(3), model.Num(300)},
-		}},
+		"X": literal([]string{"t", "x"},
+			[]model.Value{model.Int(1), model.Num(10)},
+			[]model.Value{model.Int(2), model.Num(20)},
+		),
+		"Y": literal([]string{"t", "y"},
+			[]model.Value{model.Int(2), model.Num(200)},
+			[]model.Value{model.Int(3), model.Num(300)},
+		),
 	}
 	err := runStep(PadMerge{Out: "Z", X: "X", Y: "Y", Keys: []string{"t"},
 		XVal: "x", YVal: "y", Op: "add", Default: 0, OutCol: "v"}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := env["Z"]
-	z.Sort()
-	if len(z.Rows) != 3 {
-		t.Fatalf("rows = %d", len(z.Rows))
+	z := sortedRows(env["Z"])
+	if len(z) != 3 {
+		t.Fatalf("rows = %d", len(z))
 	}
 	want := map[string]float64{"1": 10, "2": 220, "3": 300}
-	for _, row := range z.Rows {
+	for _, row := range z {
 		if v, _ := row[1].AsNumber(); v != want[row[0].String()] {
 			t.Errorf("Z(%s) = %v, want %v", row[0], v, want[row[0].String()])
 		}
@@ -40,8 +39,8 @@ func TestPadMergeStep(t *testing.T) {
 
 func TestPadMergeErrors(t *testing.T) {
 	env := Env{
-		"X": NewFrame("t", "x"),
-		"Y": NewFrame("t", "y"),
+		"X": literal([]string{"t", "x"}),
+		"Y": literal([]string{"t", "y"}),
 	}
 	bad := []PadMerge{
 		{Out: "Z", X: "X", Y: "Y", Keys: []string{"zz"}, XVal: "x", YVal: "y", Op: "add", OutCol: "v"},

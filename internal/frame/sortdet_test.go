@@ -14,7 +14,7 @@ import (
 func TestSeriesOpDuplicatePeriodsDeterministic(t *testing.T) {
 	const periods, dups = 8, 8
 	mkFrame := func(reverse bool) *Frame {
-		fr := NewFrame("t", "v")
+		var rows [][]model.Value
 		n := periods * dups
 		for i := 0; i < n; i++ {
 			k := i
@@ -22,27 +22,27 @@ func TestSeriesOpDuplicatePeriodsDeterministic(t *testing.T) {
 				k = n - 1 - i
 			}
 			q := model.NewQuarterly(2000, 1).Shift(int64(k % periods))
-			fr.Rows = append(fr.Rows, []model.Value{model.Per(q), model.Num(float64(k))})
+			rows = append(rows, []model.Value{model.Per(q), model.Num(float64(k))})
 		}
-		return fr
+		return literal([]string{"t", "v"}, rows...)
 	}
 	op := SeriesOp{Out: "O", In: "S", Op: "cumsum", TimeCol: "t", ValCol: "v"}
 
-	a, err := seriesOp(mkFrame(false), op)
-	if err != nil {
-		t.Fatal(err)
+	series := func(reverse bool) [][]model.Value {
+		env := Env{"S": mkFrame(reverse)}
+		if err := runStep(op, env); err != nil {
+			t.Fatal(err)
+		}
+		return rowsOf(env["O"])
 	}
-	b, err := seriesOp(mkFrame(true), op)
-	if err != nil {
-		t.Fatal(err)
+	a, b := series(false), series(true)
+	if len(a) != len(b) || len(a) != periods*dups {
+		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}
-	if len(a.Rows) != len(b.Rows) || len(a.Rows) != periods*dups {
-		t.Fatalf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if !a.Rows[i][j].Equal(b.Rows[i][j]) {
-				t.Fatalf("row %d differs between input orders: %v vs %v", i, a.Rows[i], b.Rows[i])
+	for i := range a {
+		for j := range a[i] {
+			if !a[i][j].Equal(b[i][j]) {
+				t.Fatalf("row %d differs between input orders: %v vs %v", i, a[i], b[i])
 			}
 		}
 	}

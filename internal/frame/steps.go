@@ -107,10 +107,14 @@ type Script struct {
 type Env map[string]*Frame
 
 // RunContext executes a program in the environment; the result frame is bound
-// to p.Result (and returned). A tracer carried by the context records one
-// span per frame operation.
+// to p.Result (and returned). It looks at the context before each step and
+// stops with its error once it is done. A tracer carried by the context
+// records one span per frame operation.
 func (p *Program) RunContext(ctx context.Context, env Env) (*Frame, error) {
 	for _, s := range p.Steps {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		_, span := obs.StartSpan(ctx, "frame.op", obs.String("op", stepName(s)))
 		err := runStep(s, env)
 		span.EndErr(err)
@@ -131,250 +135,139 @@ func stepName(s Step) string {
 	return strings.TrimPrefix(fmt.Sprintf("%T", s), "frame.")
 }
 
-func get(env Env, name string) (*Frame, error) {
-	f, ok := env[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown frame %s", name)
-	}
-	return f, nil
-}
-
+// runStep runs one step, binding the frame it makes. A frame is never written
+// to: a step that changes rows binds a new batch of them, and one that only
+// renames or picks columns a new layout over the same batch.
 func runStep(s Step, env Env) error {
 	switch s := s.(type) {
-	case Copy:
-		in, err := get(env, s.In)
-		if err != nil {
-			return err
-		}
-		env[s.Out] = in.Clone()
-		return nil
+	case Copy: // the frame itself, which no step changes
+		return bind(env, s.Out, func(in ...*Frame) (*Frame, error) { return in[0], nil }, s.In)
 
 	case MapCol:
-		f, err := get(env, s.Var)
-		if err != nil {
-			return err
-		}
-		cols, j := f.Cols, f.ColIndex(s.Col)
-		if j < 0 {
-			cols, j = append(slices.Clip(f.Cols), s.Col), len(f.Cols)
-		}
-		eval, err := Bind(s.E, cols)
-		if err != nil {
-			return err
-		}
-		if j == len(f.Cols) {
-			f.Cols = cols
-			for i := range f.Rows {
-				f.Rows[i] = append(f.Rows[i], model.Value{})
-			}
-		}
-		for _, row := range f.Rows {
-			v, err := eval(row)
+		return bind(env, s.Var, func(in ...*Frame) (*Frame, error) {
+			c, err := NewCalculator(in[0].Layout, []string{s.Col}, []Expr{s.E})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			row[j] = v
-		}
-		return nil
+			f := &Frame{c.Out, in[0].rows}
+			if c.Out.nums == in[0].nums && c.Out.vals == in[0].vals { // the column renames one: it holds nothing
+				return f, nil
+			}
+			f.rows = NewBatch(in[0].rows.N, c.Out)
+			return f, c.Run(in[0].rows, f.rows)
+		}, s.Var)
 
 	case Filter:
-		f, err := get(env, s.Var)
-		if err != nil {
-			return err
-		}
-		j := f.ColIndex(s.Col)
-		if j < 0 {
-			return fmt.Errorf("filter: unknown column %s", s.Col)
-		}
-		kept := f.Rows[:0:0]
-		for _, row := range f.Rows {
-			if row[j].IsValid() && row[j].Equal(s.V) {
-				kept = append(kept, row)
+		return bind(env, s.Var, func(in ...*Frame) (*Frame, error) {
+			j, err := in[0].columns([]string{s.Col}, "filter")
+			if err != nil {
+				return nil, err
 			}
-		}
-		f.Rows = kept
-		return nil
+			f := &Frame{in[0].Layout, &Batch{}}
+			for i := range in[0].rows.N {
+				if v := in[0].Value(in[0].rows, i, j[0]); v.IsValid() && v.Equal(s.V) {
+					f.rows.add(in[0].rows, i, in[0].Layout)
+					f.rows.N++
+				}
+			}
+			return f, nil
+		}, s.Var)
 
 	case SelectCols:
-		in, err := get(env, s.In)
-		if err != nil {
-			return err
-		}
-		idx := make([]int, len(s.Cols))
-		for i, c := range s.Cols {
-			j := in.ColIndex(c)
-			if j < 0 {
-				return fmt.Errorf("select: unknown column %s", c)
+		return bind(env, s.Out, func(in ...*Frame) (*Frame, error) {
+			idx, err := in[0].columns(s.Cols, "select")
+			if err != nil {
+				return nil, err
 			}
-			idx[i] = j
-		}
-		names := s.Cols
-		if s.As != nil {
-			names = s.As
-		}
-		out := &Frame{Cols: append([]string(nil), names...)}
-		for _, row := range in.Rows {
-			nr := make([]model.Value, len(idx))
-			for i, j := range idx {
-				nr[i] = row[j]
+			l := &Layout{Names: slices.Clone(s.Cols), views: in[0].views, nums: in[0].nums, vals: in[0].vals}
+			if s.As != nil {
+				l.Names = slices.Clone(s.As)
 			}
-			out.Rows = append(out.Rows, nr)
-		}
-		env[s.Out] = out
-		return nil
+			for _, j := range idx {
+				l.cols = append(l.cols, in[0].cols[j])
+			}
+			return &Frame{l, in[0].rows}, nil
+		}, s.In)
 
 	case Merge:
-		x, err := get(env, s.X)
-		if err != nil {
-			return err
-		}
-		y, err := get(env, s.Y)
-		if err != nil {
-			return err
-		}
-		out, err := merge(x, y, s.By)
-		if err != nil {
-			return err
-		}
-		env[s.Out] = out
-		return nil
+		return bind(env, s.Out, func(in ...*Frame) (*Frame, error) {
+			m, err := NewMerger(in[0].Layout, in[1].Layout, s.By)
+			if err != nil {
+				return nil, err
+			}
+			m.Build(in[1].rows)
+			f := &Frame{m.Out, &Batch{}}
+			return f, m.Probe(in[0].rows, f.rows)
+		}, s.X, s.Y)
 
 	case GroupAgg:
-		in, err := get(env, s.In)
-		if err != nil {
-			return err
-		}
-		out, err := groupAgg(in, s)
-		if err != nil {
-			return err
-		}
-		env[s.Out] = out
-		return nil
-
-	case PadMerge:
-		x, err := get(env, s.X)
-		if err != nil {
-			return err
-		}
-		y, err := get(env, s.Y)
-		if err != nil {
-			return err
-		}
-		out, err := padMerge(x, y, s)
-		if err != nil {
-			return err
-		}
-		env[s.Out] = out
-		return nil
+		return bind(env, s.Out, func(in ...*Frame) (*Frame, error) {
+			k, err := NewGrouping(s, in[0].Layout)
+			if err != nil {
+				return nil, err
+			}
+			return runKernel(k, in[0].rows, append(slices.Clone(s.By), s.OutCol)...)
+		}, s.In)
 
 	case SeriesOp:
-		in, err := get(env, s.In)
-		if err != nil {
-			return err
-		}
-		out, err := seriesOp(in, s)
-		if err != nil {
-			return err
-		}
-		env[s.Out] = out
-		return nil
-
-	default:
-		return fmt.Errorf("unknown step %T", s)
-	}
-}
-
-// merge hash-joins two frames on the shared By columns; the output has
-// X's columns followed by Y's non-join columns (R's merge layout).
-func merge(x, y *Frame, by []string) (*Frame, error) {
-	xIdx := make([]int, len(by))
-	yIdx := make([]int, len(by))
-	for i, c := range by {
-		xi, yi := x.ColIndex(c), y.ColIndex(c)
-		if xi < 0 || yi < 0 {
-			return nil, fmt.Errorf("merge: join column %s missing", c)
-		}
-		xIdx[i], yIdx[i] = xi, yi
-	}
-	yKeep := make([]int, 0, len(y.Cols))
-	for j, c := range y.Cols {
-		if !slices.Contains(by, c) {
-			yKeep = append(yKeep, j)
-		}
-	}
-	out := &Frame{Cols: append([]string(nil), x.Cols...)}
-	for _, j := range yKeep {
-		out.Cols = append(out.Cols, y.Cols[j])
-	}
-
-	index := make(map[string][][]model.Value, len(y.Rows))
-	keyBuf := make([]model.Value, len(by))
-	for _, r := range y.Rows {
-		if rowKey(keyBuf, r, yIdx) {
-			k := model.EncodeKey(keyBuf)
-			index[k] = append(index[k], r)
-		}
-	}
-	for _, rx := range x.Rows {
-		if !rowKey(keyBuf, rx, xIdx) {
-			continue
-		}
-		for _, ry := range index[model.EncodeKey(keyBuf)] {
-			nr := make([]model.Value, 0, len(out.Cols))
-			nr = append(nr, rx...)
-			for _, j := range yKeep {
-				nr = append(nr, ry[j])
+		return bind(env, s.Out, func(in ...*Frame) (*Frame, error) {
+			k, err := NewSeries(s, in[0].Layout)
+			if err != nil {
+				return nil, err
 			}
-			out.Rows = append(out.Rows, nr)
-		}
+			return runKernel(k, in[0].rows, s.TimeCol, s.ValCol)
+		}, s.In)
+
+	case PadMerge:
+		return bind(env, s.Out, func(in ...*Frame) (*Frame, error) {
+			m, err := NewPadMerger(s, in[0].Layout, in[1].Layout)
+			for side := 0; side < 2 && err == nil; side++ {
+				err = m.Add(side, in[side].rows)
+			}
+			if err != nil {
+				return nil, err
+			}
+			f := &Frame{Computed(append(slices.Clone(s.Keys), s.OutCol)...), &Batch{}}
+			return f, m.Each(f.rows)
+		}, s.X, s.Y)
 	}
-	return out, nil
+	return fmt.Errorf("unknown step %T", s)
 }
 
-// Kernel is what GroupAgg and SeriesOp compute, a row at a time: Add takes
-// every row of the input, then Each hands fn every row of the output. The
-// frame steps feed it a frame, the ETL runtime's aggregator and series steps
-// their input stream.
+// bind binds to out the frame fn makes of the frames bound to inputs, unless
+// one is unbound or fn fails.
+func bind(env Env, out string, fn func(in ...*Frame) (*Frame, error), inputs ...string) error {
+	in := make([]*Frame, len(inputs))
+	for i, name := range inputs {
+		var ok bool
+		if in[i], ok = env[name]; !ok {
+			return fmt.Errorf("unknown frame %s", name)
+		}
+	}
+	f, err := fn(in...)
+	if err == nil {
+		env[out] = f
+	}
+	return err
+}
+
+// Kernel is what GroupAgg and SeriesOp compute: Add takes every row of the
+// input, a batch at a time, then Each hands out every row of the output. A
+// frame step feeds it the frame's one batch, the ETL aggregator and series
+// steps each batch of their input stream.
 type Kernel interface {
-	Add(row []model.Value) error
-	Each(fn func(row []model.Value) error) error
+	Add(b *Batch) error
+	Each(out Sink) error
 }
 
-// collect runs a kernel over rows into a frame with the columns cols.
-func collect(k Kernel, rows [][]model.Value, cols ...string) (*Frame, error) {
-	for _, row := range rows {
-		if err := k.Add(row); err != nil {
-			return nil, err
-		}
+// runKernel returns the frame of k's output over the rows in, its columns
+// named cols.
+func runKernel(k Kernel, in *Batch, cols ...string) (*Frame, error) {
+	f := &Frame{Computed(cols...), &Batch{}}
+	if err := k.Add(in); err != nil {
+		return nil, err
 	}
-	out := NewFrame(cols...)
-	return out, k.Each(func(row []model.Value) error {
-		out.Rows = append(out.Rows, row)
-		return nil
-	})
-}
-
-// columns returns the positions of names among cols; what names the step.
-func columns(cols, names []string, what string) ([]int, error) {
-	idx := make([]int, len(names))
-	for i, c := range names {
-		if idx[i] = slices.Index(cols, c); idx[i] < 0 {
-			return nil, fmt.Errorf("%s: unknown column %s", what, c)
-		}
-	}
-	return idx, nil
-}
-
-// rowKey reads the row's values at idx into key, and is false where one of
-// them is undefined.
-func rowKey(key, row []model.Value, idx []int) bool {
-	for i, j := range idx {
-		if !row[j].IsValid() {
-			return false
-		}
-		key[i] = row[j]
-	}
-	return true
+	return f, k.Each(f.rows)
 }
 
 // measure reads the value column of a row: ok is false where it is undefined.
@@ -388,144 +281,143 @@ func measure(v model.Value, what string) (f float64, ok bool, err error) {
 	return f, true, nil
 }
 
-// keyOrder is the order a kernel hands its groups out in: cube order, the
+// groups numbers a kernel's groups by a model.Assigner in the order they are
+// first seen, and keeps each one's key. It hands them out in cube order, the
 // byte order of their keys (model.AppendKey), so that a cube built of its rows
 // needs no sort and follows its predecessor (model.NewBuilderOn). Groups that
 // were first seen in that order — a key set's, grouped by a prefix of its
 // dimensions or mapped point by point — are handed out as they were numbered.
-type keyOrder struct {
-	n         int    // groups seen
-	last, key []byte // the newest group's key, and scratch
-	unsorted  bool   // a group was first seen below the one before it
+type groups struct {
+	asg       *model.Assigner
+	key       []model.Value   // the row's, as it is read
+	keys      [][]model.Value // by ordinal
+	last, enc []byte          // the newest group's key, encoded, and scratch
+	unsorted  bool            // a group was first seen below the one before it
 }
 
-// add notes the key of a new group, the n-th.
-func (k *keyOrder) add(key []model.Value) {
-	k.key = model.AppendKey(k.key[:0], key)
-	if k.n > 0 && bytes.Compare(k.last, k.key) >= 0 {
-		k.unsorted = true
+func newGroups(n int) groups { return groups{asg: model.NewAssigner(), key: make([]model.Value, n)} }
+
+// assign returns the ordinal of the group of key, and whether it is new.
+func (g *groups) assign() (int, bool) {
+	o := int(g.asg.Assign(g.key))
+	if o < len(g.keys) {
+		return o, false
 	}
-	k.last, k.key = k.key, k.last
-	k.n++
+	g.enc = model.AppendKey(g.enc[:0], g.key)
+	if o > 0 && bytes.Compare(g.last, g.enc) >= 0 {
+		g.unsorted = true
+	}
+	g.last, g.enc = g.enc, g.last
+	g.keys = append(g.keys, slices.Clone(g.key))
+	return o, true
 }
 
-// ordinals returns the ordinals of the groups in cube order, where key gives
-// an ordinal's key.
-func (k *keyOrder) ordinals(key func(o int) []model.Value) []int {
-	ords := make([]int, k.n)
+// each hands out the row of every group in cube order: its key, then the
+// number fn gives; a group for which fn is not ok has none.
+func (g *groups) each(out Sink, fn func(o int) (float64, bool)) error {
+	ords := make([]int, len(g.keys))
 	for o := range ords {
 		ords[o] = o
 	}
-	if !k.unsorted {
-		return ords
+	if g.unsorted {
+		enc := make([]string, len(g.keys))
+		for o, key := range g.keys {
+			g.enc = model.AppendKey(g.enc[:0], key)
+			enc[o] = string(g.enc)
+		}
+		slices.SortFunc(ords, func(a, b int) int { return strings.Compare(enc[a], enc[b]) })
 	}
-	keys := make([]string, k.n)
-	for o := range keys {
-		k.key = model.AppendKey(k.key[:0], key(o))
-		keys[o] = string(k.key)
-	}
-	slices.SortFunc(ords, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
-	return ords
-}
-
-// Grouping is GroupAgg's kernel. Groups are numbered by a model.Assigner in
-// the order they are first seen, and each folds its bag in an ops.Acc; a row
-// whose key or value is undefined is in no group. Its output is one row per
-// group, the key and then the fold, in cube order (keyOrder).
-type Grouping struct {
-	by    []int
-	val   int
-	fold  ops.Fold
-	asg   *model.Assigner
-	key   []model.Value
-	keys  [][]model.Value // by ordinal, with room for the fold
-	accs  []ops.Acc       // by ordinal
-	order keyOrder
-}
-
-// NewGrouping returns the kernel of s over rows with the columns cols. An
-// unknown aggregation fails here, before any row.
-func NewGrouping(s GroupAgg, cols []string) (*Grouping, error) {
-	fold, err := ops.FoldOf(s.Agg)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := columns(cols, append(slices.Clone(s.By), s.ValCol), "aggregate")
-	if err != nil {
-		return nil, err
-	}
-	n := len(s.By)
-	return &Grouping{by: idx[:n], val: idx[n], fold: fold, asg: model.NewAssigner(), key: make([]model.Value, n)}, nil
-}
-
-// Add folds the row into its group.
-func (g *Grouping) Add(row []model.Value) error {
-	if !rowKey(g.key, row, g.by) {
-		return nil
-	}
-	v, ok, err := measure(row[g.val], "aggregate")
-	if !ok {
-		return err
-	}
-	o := g.asg.Assign(g.key)
-	if int(o) == len(g.accs) {
-		g.keys = append(g.keys, append(make([]model.Value, 0, len(g.key)+1), g.key...))
-		g.accs = append(g.accs, ops.Acc{})
-		g.order.add(g.key)
-	}
-	g.accs[o].Add(g.fold, v)
-	return nil
-}
-
-// Each hands fn the row of every group.
-func (g *Grouping) Each(fn func(row []model.Value) error) error {
-	for _, o := range g.order.ordinals(func(o int) []model.Value { return g.keys[o] }) {
-		if err := fn(append(g.keys[o], model.Num(g.accs[o].Result(g.fold)))); err != nil {
+	for _, o := range ords {
+		v, ok := fn(o)
+		if !ok {
+			continue
+		}
+		r := out.Row()
+		r.vals, r.nums = append(r.vals, g.keys[o]...), append(r.nums, v)
+		if err := out.End(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func groupAgg(in *Frame, s GroupAgg) (*Frame, error) {
-	k, err := NewGrouping(s, in.Cols)
+// Grouping is GroupAgg's kernel. Each group folds its bag in an ops.Acc; a row
+// whose key or value is undefined is in no group. Its output is one row per
+// group, the key and then the fold, in cube order (groups).
+type Grouping struct {
+	in   *Layout
+	by   []int
+	val  int
+	fold ops.Fold
+	groups
+	accs []ops.Acc // by ordinal
+}
+
+// NewGrouping returns the kernel of s over rows of in. An unknown aggregation
+// fails here, before any row.
+func NewGrouping(s GroupAgg, in *Layout) (*Grouping, error) {
+	fold, err := ops.FoldOf(s.Agg)
 	if err != nil {
 		return nil, err
 	}
-	return collect(k, in.Rows, append(slices.Clone(s.By), s.OutCol)...)
+	idx, err := in.columns(append(slices.Clone(s.By), s.ValCol), "aggregate")
+	if err != nil {
+		return nil, err
+	}
+	n := len(s.By)
+	return &Grouping{in: in, by: idx[:n], val: idx[n], fold: fold, groups: newGroups(n)}, nil
+}
+
+// Add folds each row of b into its group.
+func (g *Grouping) Add(b *Batch) error {
+	for i := range b.N {
+		if !g.in.values(g.key, b, i, g.by) {
+			continue
+		}
+		v, ok, err := measure(g.in.Value(b, i, g.val), "aggregate")
+		if !ok {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		o, fresh := g.assign()
+		if fresh {
+			g.accs = append(g.accs, ops.Acc{})
+		}
+		g.accs[o].Add(g.fold, v)
+	}
+	return nil
+}
+
+// Each hands out the row of every group.
+func (g *Grouping) Each(out Sink) error {
+	return g.each(out, func(o int) (float64, bool) { return g.accs[o].Result(g.fold), true })
 }
 
 // PadMerger is PadMerge's kernel, fed the rows of either operand: the union of
-// their key tuples is numbered by one model.Assigner, and an operand's measure
-// at a point is that of its last row there, or the default where it has none.
-// Its output is one row per point, the key and then Op of the two measures, in
-// cube order (keyOrder); a point where Op is undefined has none.
+// their key tuples is numbered as one, and an operand's measure at a point is
+// that of its last row there, or the default where it has none. Its output is
+// one row per point, the key and then Op of the two measures, in cube order
+// (groups); a point where Op is undefined has none.
 type PadMerger struct {
-	sides  [2][]int // per operand: its key columns, then its value column
-	op     ops.Op
-	def    float64
-	asg    *model.Assigner
-	key    []model.Value
-	points []padPoint // by ordinal
-	order  keyOrder
+	sides [2]*Layout
+	cols  [2][]int // per operand: its key columns, then its value column
+	op    ops.Op
+	def   float64
+	groups
+	vs [][2]float64 // by ordinal
 }
 
-type padPoint struct {
-	key []model.Value // with room for the result
-	v   [2]float64
-}
-
-// NewPadMerger returns the kernel of s over operands with the columns xCols
-// and yCols.
-func NewPadMerger(s PadMerge, xCols, yCols []string) (*PadMerger, error) {
-	m := &PadMerger{def: s.Default, asg: model.NewAssigner(), key: make([]model.Value, len(s.Keys))}
-	vals := [2]string{s.XVal, s.YVal}
-	for i, cols := range [2][]string{xCols, yCols} {
-		idx, err := columns(cols, append(slices.Clone(s.Keys), vals[i]), "pad-merge")
+// NewPadMerger returns the kernel of s over operands of the layouts x and y.
+func NewPadMerger(s PadMerge, x, y *Layout) (*PadMerger, error) {
+	m := &PadMerger{sides: [2]*Layout{x, y}, def: s.Default, groups: newGroups(len(s.Keys))}
+	for i, val := range [2]string{s.XVal, s.YVal} {
+		idx, err := m.sides[i].columns(append(slices.Clone(s.Keys), val), "pad-merge")
 		if err != nil {
 			return nil, err
 		}
-		m.sides[i] = idx
+		m.cols[i] = idx
 	}
 	var err error
 	if m.op, err = ops.OpOf(s.Op); err == nil && m.op.Arity() != 2 {
@@ -534,108 +426,84 @@ func NewPadMerger(s PadMerge, xCols, yCols []string) (*PadMerger, error) {
 	return m, err
 }
 
-// Add reads a row of the operand side: 0 for X, 1 for Y.
-func (m *PadMerger) Add(side int, row []model.Value) error {
-	idx := m.sides[side]
+// Add reads the rows of b, of the operand side: 0 for X, 1 for Y.
+func (m *PadMerger) Add(side int, b *Batch) error {
+	l, idx := m.sides[side], m.cols[side]
 	n := len(idx) - 1
-	if !rowKey(m.key, row, idx[:n]) {
-		return nil
-	}
-	v, ok, err := measure(row[idx[n]], "pad-merge")
-	if !ok {
-		return err
-	}
-	o := m.asg.Assign(m.key)
-	if int(o) == len(m.points) {
-		m.points = append(m.points, padPoint{key: append(make([]model.Value, 0, n+1), m.key...), v: [2]float64{m.def, m.def}})
-		m.order.add(m.key)
-	}
-	m.points[o].v[side] = v
-	return nil
-}
-
-// Each hands fn the row of every point.
-func (m *PadMerger) Each(fn func(row []model.Value) error) error {
-	for _, o := range m.order.ordinals(func(o int) []model.Value { return m.points[o].key }) {
-		p := m.points[o]
-		if v, ok := m.op.At(p.v[0], p.v[1]); ok {
-			if err := fn(append(p.key, model.Num(v))); err != nil {
+	for i := range b.N {
+		if !l.values(m.key, b, i, idx[:n]) {
+			continue
+		}
+		v, ok, err := measure(l.Value(b, i, idx[n]), "pad-merge")
+		if !ok {
+			if err != nil {
 				return err
 			}
+			continue
 		}
+		o, fresh := m.assign()
+		if fresh {
+			m.vs = append(m.vs, [2]float64{m.def, m.def})
+		}
+		m.vs[o][side] = v
 	}
 	return nil
 }
 
-func padMerge(x, y *Frame, s PadMerge) (*Frame, error) {
-	m, err := NewPadMerger(s, x.Cols, y.Cols)
-	if err != nil {
-		return nil, err
-	}
-	for side, f := range [2]*Frame{x, y} {
-		for _, row := range f.Rows {
-			if err := m.Add(side, row); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := NewFrame(append(slices.Clone(s.Keys), s.OutCol)...)
-	return out, m.Each(func(row []model.Value) error {
-		out.Rows = append(out.Rows, row)
-		return nil
-	})
+// Each hands out the row of every point.
+func (m *PadMerger) Each(out Sink) error {
+	return m.each(out, func(o int) (float64, bool) { return m.op.At(m.vs[o][0], m.vs[o][1]) })
 }
 
 // Series is SeriesOp's kernel: it gathers the points of the rows it takes and
 // applies the black box to them whole. Its output is the series in time order,
 // one (time, value) row per point.
 type Series struct {
+	in     *Layout
 	op     string
 	params []float64
 	t, v   int
 	pts    []ops.SeriesPoint
 }
 
-// NewSeries returns the kernel of s over rows with the columns cols.
-func NewSeries(s SeriesOp, cols []string) (*Series, error) {
-	idx, err := columns(cols, []string{s.TimeCol, s.ValCol}, "series "+s.Op)
+// NewSeries returns the kernel of s over rows of in.
+func NewSeries(s SeriesOp, in *Layout) (*Series, error) {
+	idx, err := in.columns([]string{s.TimeCol, s.ValCol}, "series "+s.Op)
 	if err != nil {
 		return nil, err
 	}
-	return &Series{op: s.Op, params: s.Params, t: idx[0], v: idx[1]}, nil
+	return &Series{in: in, op: s.Op, params: s.Params, t: idx[0], v: idx[1]}, nil
 }
 
-// Add takes the row's point.
-func (s *Series) Add(row []model.Value) error {
-	p, ok := row[s.t].AsPeriod()
-	if !ok {
-		return fmt.Errorf("series %s: non-period time value %v", s.op, row[s.t])
+// Add takes the point of each row of b.
+func (s *Series) Add(b *Batch) error {
+	for i := range b.N {
+		t := s.in.Value(b, i, s.t)
+		p, ok := t.AsPeriod()
+		if !ok {
+			return fmt.Errorf("series %s: non-period time value %v", s.op, t)
+		}
+		v := s.in.Value(b, i, s.v)
+		x, ok := v.AsNumber()
+		if !ok {
+			return fmt.Errorf("series %s: non-numeric value %v", s.op, v)
+		}
+		s.pts = append(s.pts, ops.SeriesPoint{P: p, V: x})
 	}
-	v, ok := row[s.v].AsNumber()
-	if !ok {
-		return fmt.Errorf("series %s: non-numeric value %v", s.op, row[s.v])
-	}
-	s.pts = append(s.pts, ops.SeriesPoint{P: p, V: v})
 	return nil
 }
 
-// Each applies the black box and hands fn the row of every point.
-func (s *Series) Each(fn func(row []model.Value) error) error {
+// Each applies the black box and hands out the row of every point.
+func (s *Series) Each(out Sink) error {
 	if err := ops.ApplySeries(s.op, s.pts, s.params); err != nil {
 		return err
 	}
 	for _, pt := range s.pts {
-		if err := fn([]model.Value{model.Per(pt.P), model.Num(pt.V)}); err != nil {
+		r := out.Row()
+		r.vals, r.nums = append(r.vals, model.Per(pt.P)), append(r.nums, pt.V)
+		if err := out.End(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func seriesOp(in *Frame, s SeriesOp) (*Frame, error) {
-	k, err := NewSeries(s, in.Cols)
-	if err != nil {
-		return nil, err
-	}
-	return collect(k, in.Rows, s.TimeCol, s.ValCol)
 }
