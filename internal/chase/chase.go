@@ -30,16 +30,23 @@ import (
 // both the source instance I and the target instance J.
 type Instance map[string]*model.Cube
 
-// Stats reports what a chase run did.
+// Stats reports what a chase did. Under a front it also says how each tgd
+// was brought up to date.
 type Stats struct {
 	Strata          int // tgds applied (one stratum each)
-	TuplesGenerated int // tuples inserted into the target instance
-	Bindings        int // lhs bindings enumerated across all tgds
+	TuplesGenerated int // tuples inserted into the target instance, by copies and full applications
+	Bindings        int // lhs bindings enumerated across all tgds: where a measure was evaluated
+
+	Skipped        int    // outputs reused untouched (no input moved)
+	Incremental    int    // tgds maintained from input deltas
+	Full           int    // tgds recomputed from scratch
+	FullTgds       string // each tgd recomputed from scratch, "cube (kind)", comma-separated in stratification order
+	KeysRecomputed int    // output points recomputed by maintained tgds
 }
 
 // Solver chases a fixed mapping over varying source instances. Building it
-// compiles every tgd into a plan once (compile.go); Solve, SolveContext and
-// SolveIncremental all run those plans, from any number of goroutines.
+// compiles every tgd into a plan once (compile.go); Maintain, and Solve and
+// SolveContext through it, run those plans, from any number of goroutines.
 type Solver struct {
 	m     *mapping.Mapping
 	plans []*plan // one per m.Tgds entry
@@ -60,8 +67,7 @@ func New(m *mapping.Mapping) *Solver {
 // returned instance contains the copied elementary relations, every derived
 // relation and any auxiliary relations of a normalized (unfused) mapping.
 func (s *Solver) Solve(source Instance) (Instance, error) {
-	target, _, err := s.solve(context.Background(), source)
-	return target, err
+	return s.SolveContext(context.Background(), source)
 }
 
 // SolveContext is Solve under a context: cancellation aborts the chase
@@ -69,13 +75,8 @@ func (s *Solver) Solve(source Instance) (Instance, error) {
 // carried by the context records one span per tgd stratum (with binding
 // and tuple counts).
 func (s *Solver) SolveContext(ctx context.Context, source Instance) (Instance, error) {
-	target, _, err := s.solve(ctx, source)
+	target, _, err := s.Maintain(ctx, source, nil)
 	return target, err
-}
-
-// SolveWithStats is Solve, additionally reporting chase statistics.
-func (s *Solver) SolveWithStats(source Instance) (Instance, *Stats, error) {
-	return s.solve(context.Background(), source)
 }
 
 // elementary returns the target twin of an elementary relation (Σst). A
@@ -89,29 +90,65 @@ func (s *Solver) elementary(source Instance, name string) *model.Cube {
 	return model.NewCube(s.m.Schemas[name]).Freeze()
 }
 
-func (s *Solver) solve(ctx context.Context, source Instance) (Instance, *Stats, error) {
+// Maintain computes the solution over source, applying the tgds in
+// stratification order (Σt) and bringing each output up to date from what
+// front knows of how the world moved since its base was computed. A nil
+// front knows nothing: every tgd applies in full, and that is the chase of
+// Solve. Under a front a tgd none of whose inputs moved reuses its base; a
+// tgd whose inputs have deltas recomputes only the output points those
+// deltas can reach, retracting points whose support vanished; anything else
+// is recomputed in full (maintainTgd). Every output's movement is published
+// into front (Front.Publish), so a small elementary churn stays small
+// through the whole tgd graph, and front ends holding each relation that
+// moved.
+//
+// The contract is byte-identical output: for every relation, the returned
+// instance equals what Solve would produce on the same source, exactly (not
+// merely within tolerance). Maintained points are recomputed with the same
+// evaluation code and fold order as the full chase, and the others are
+// provably untouched by the deltas, so reusing their previous values is
+// exact.
+func (s *Solver) Maintain(ctx context.Context, source Instance, front *Front) (Instance, *Stats, error) {
 	stats := &Stats{}
 	target := make(Instance, len(s.m.Schemas))
-
 	for _, name := range s.m.Elementary {
 		target[name] = s.elementary(source, name)
 		stats.TuplesGenerated += target[name].Len()
 	}
-
-	// Σt: apply the program tgds in stratification order.
+	spanName, how := "chase.tgd", ""
+	if front != nil {
+		spanName, how = "chase.tgd.incr", " incrementally"
+		for name, d := range front.Deltas {
+			if d == nil || d.Empty() { // no movement
+				delete(front.Deltas, name)
+			}
+		}
+	}
 	for _, p := range s.plans {
 		t := p.t
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		tctx, span := obs.StartSpan(ctx, "chase.tgd",
+		tctx, span := obs.StartSpan(ctx, spanName,
 			obs.String("id", t.ID), obs.String("cube", t.Target()), obs.String("kind", t.Kind.String()))
 		b0, g0 := stats.Bindings, stats.TuplesGenerated
-		err := s.applyTgd(tctx, p, target, stats)
-		span.SetAttr(obs.Int("bindings", stats.Bindings-b0), obs.Int("tuples", stats.TuplesGenerated-g0))
+		var mode string
+		var err error
+		if front == nil {
+			err = s.applyTgd(tctx, p, target, stats)
+		} else {
+			mode, err = s.maintainTgd(tctx, p, target, front, stats)
+		}
+		if span != nil { // rendering the counts allocates
+			if front == nil {
+				span.SetAttr(obs.Int("bindings", stats.Bindings-b0), obs.Int("tuples", stats.TuplesGenerated-g0))
+			} else {
+				span.SetAttr(obs.String("mode", mode), obs.Int("bindings", stats.Bindings-b0))
+			}
+		}
 		span.EndErr(err)
 		if err != nil {
-			return nil, nil, fmt.Errorf("chase: applying %s (%s): %w", t.ID, t.Target(), err)
+			return nil, nil, fmt.Errorf("chase: applying %s (%s)%s: %w", t.ID, t.Target(), how, err)
 		}
 		stats.Strata++
 	}

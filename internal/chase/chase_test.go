@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -204,7 +205,7 @@ func TestChaseFusedEqualsNormalized(t *testing.T) {
 
 func TestChaseStats(t *testing.T) {
 	m := compile(t, workload.GDPProgram)
-	_, stats, err := New(m).SolveWithStats(tinyGDP(t))
+	_, stats, err := New(m).Maintain(context.Background(), tinyGDP(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,8 +118,9 @@ func TestColumnMaintenance(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := obs.NewTracer()
-		in := &DeltaInput{Deltas: map[string]*model.CubeDelta{"S": model.DiffCubes("S", base, cur)}, BaseOut: baseOut}
-		got, deltas, stats, err := s.SolveIncremental(obs.ContextWithTracer(context.Background(), tr), Instance{"S": cur}, in)
+		in := &Front{Deltas: map[string]*model.CubeDelta{"S": model.DiffCubes("S", base, cur)}, Bases: baseOut}
+		got, stats, err := s.Maintain(obs.ContextWithTracer(context.Background(), tr), Instance{"S": cur}, in)
+		deltas := in.Deltas
 		if err != nil || stats.Incremental != 6 {
 			t.Fatalf("%s: stats = %+v, err = %v; want six tgds maintained", c.name, stats, err)
 		}

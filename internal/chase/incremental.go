@@ -11,194 +11,141 @@ import (
 	"exlengine/internal/obs"
 )
 
-// DeltaInput carries what an incremental chase knows about how the world
-// moved since the outputs in BaseOut were computed.
-type DeltaInput struct {
-	// Deltas maps changed source relations to their tuple-level deltas.
-	// Relations absent from Deltas are unchanged. An empty delta is treated
-	// as unchanged.
+// Front is what a run knows of how relations moved since their bases were
+// computed: the one state incremental evaluation keeps, from the engine
+// through the dispatcher to the chase. A relation in neither Deltas nor
+// FullOnly has not moved.
+type Front struct {
+	// Deltas maps each relation that moved to its delta, which is never empty.
 	Deltas map[string]*model.CubeDelta
-	// BaseOut holds the previous run's output cubes (derived and
-	// auxiliary relations), keyed by name. A tgd with no base output
-	// cannot be maintained and is recomputed in full.
-	BaseOut map[string]*model.Cube
+	// FullOnly marks the relations that moved without a usable delta: every
+	// tgd or fragment reading one is recomputed in full.
+	FullOnly map[string]bool
+	// Bases holds each derived relation's previous version, what it is
+	// maintained from; one without a base is recomputed in full.
+	Bases map[string]*model.Cube
 }
 
-// IncrStats reports what an incremental chase did, tgd by tgd.
-type IncrStats struct {
-	Tgds        int // tgds considered
-	Skipped     int // outputs reused untouched (no input changed)
-	Incremental int // tgds maintained from input deltas
-	Full        int // tgds recomputed from scratch
-	// FullTgds names each tgd recomputed from scratch, "cube (kind)", in
-	// stratification order.
-	FullTgds []string
-
-	Bindings       int // lhs bindings enumerated, all tgds: where a measure was evaluated
-	DeltaTuplesIn  int // input delta tuples consumed by incremental tgds
-	KeysRecomputed int // output points recomputed by incremental tgds
-	OutputChanges  int // output tuples that actually changed, all tgds
-}
-
-// SolveIncremental computes the same solution as Solve over the current
-// source instance, but semi-naively: a tgd none of whose inputs changed
-// reuses its previous output; a tgd with known input deltas recomputes
-// only the output points those deltas can affect, retracting points
-// whose support vanished; everything else falls back to a full per-tgd
-// recompute. Output deltas propagate down the stratification order, so
-// a small elementary churn stays small through the whole tgd graph.
-//
-// The contract is byte-identical output: for every relation, the
-// returned instance equals what Solve would produce on the same source,
-// exactly (not merely within tolerance). Affected points are recomputed
-// with the same evaluation code and fold order as the full chase, and
-// unaffected points are provably untouched by the delta, so reusing
-// their previous values is exact.
-//
-// The second return value maps every relation that changed — inputs as
-// given, outputs as derived — to its delta; relations absent from it are
-// unchanged (except outputs recomputed with no base to diff against, whose
-// movement is unknown). Callers chaining solvers feed these to the next stage.
-func (s *Solver) SolveIncremental(ctx context.Context, source Instance, in *DeltaInput) (Instance, map[string]*model.CubeDelta, *IncrStats, error) {
-	stats := &IncrStats{}
-	chaseStats := &Stats{}
-	target := make(Instance, len(s.m.Schemas))
-	deltas := make(map[string]*model.CubeDelta, len(in.Deltas))
-	for name, d := range in.Deltas {
-		if d != nil && !d.Empty() {
-			deltas[name] = d
+// Publish records that relation name now stands at out: it has moved without
+// a usable delta where it has no base or no output, not at all where out is
+// its base, and otherwise by d, the delta from its base to out, or where d is
+// nil by the delta DiffCubes finds. An empty delta records nothing.
+func (f *Front) Publish(name string, out *model.Cube, d *model.CubeDelta) {
+	base := f.Bases[name]
+	switch {
+	case base == nil || out == nil:
+		if f.FullOnly == nil {
+			f.FullOnly = make(map[string]bool)
 		}
-	}
-	// fullOnly marks the outputs recomputed with no base to diff against:
-	// every tgd consuming one is recomputed in full.
-	fullOnly := make(map[string]bool)
-
-	for _, name := range s.m.Elementary {
-		target[name] = s.elementary(source, name)
-	}
-
-	for _, p := range s.plans {
-		t := p.t
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
-		}
-		stats.Tgds++
-		outName := t.Target()
-		baseOut := in.BaseOut[outName]
-
-		changed, unknown := false, false
-		for _, a := range t.Lhs {
-			if fullOnly[a.Rel] {
-				unknown = true
-			} else if d := deltas[a.Rel]; d != nil {
-				changed = true
-			}
-		}
-
-		tctx, span := obs.StartSpan(ctx, "chase.tgd.incr",
-			obs.String("id", t.ID), obs.String("cube", outName), obs.String("kind", t.Kind.String()))
-
-		b0 := stats.Bindings + chaseStats.Bindings
-		mode, err := s.applyTgdIncr(tctx, p, target, deltas, baseOut, changed, unknown, stats, chaseStats)
-		span.SetAttr(obs.String("mode", mode))
-		if span != nil { // rendering the count allocates
-			span.SetAttr(obs.Int("bindings", stats.Bindings+chaseStats.Bindings-b0))
-		}
-		span.EndErr(err)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("chase: applying %s (%s) incrementally: %w", t.ID, outName, err)
-		}
-		switch mode {
-		case "skip":
-			stats.Skipped++
-		case "incremental":
-			stats.Incremental++
-		default:
-			stats.Full++
-			stats.FullTgds = append(stats.FullTgds, fmt.Sprintf("%s (%s)", outName, t.Kind))
-			if mode == "full-unknown" {
-				fullOnly[outName] = true
-			}
-		}
-		if d := deltas[outName]; d != nil {
-			stats.OutputChanges += d.Size()
-		}
-	}
-	stats.Bindings += chaseStats.Bindings
-	return target, deltas, stats, nil
-}
-
-// applyTgdIncr applies one tgd choosing among skip / incremental / full,
-// records the tgd's output in target, and — when derivable — its output
-// delta in deltas so downstream tgds can stay incremental. The returned
-// mode is "skip", "incremental", "full", "full-unchanged" (recomputed,
-// but inputs unchanged so the output provably equals the previous run's)
-// or "full-unknown" (recomputed with no base to diff against).
-func (s *Solver) applyTgdIncr(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, changed, unknown bool, stats *IncrStats, chaseStats *Stats) (string, error) {
-	outName := p.t.Target()
-
-	// Nothing this tgd reads moved: its output is exactly the previous
-	// one. With no previous output to reuse (first run for this cube) it
-	// must still be computed, but the result is known-unchanged.
-	if !changed && !unknown {
-		if baseOut != nil {
-			target[outName] = baseOut
-			return "skip", nil
-		}
-		if err := s.applyTgd(ctx, p, target, chaseStats); err != nil {
-			return "", err
-		}
-		return "full-unchanged", nil
-	}
-
-	full := func() (string, error) {
-		if err := s.applyTgd(ctx, p, target, chaseStats); err != nil {
-			return "", err
-		}
-		if baseOut == nil {
-			return "full-unknown", nil
-		}
-		d := model.DiffCubes(outName, baseOut, target[outName])
-		if !d.Empty() {
-			deltas[outName] = d
-		}
-		return "full", nil
-	}
-
-	if unknown || baseOut == nil || p.err != nil {
-		return full()
-	}
-
-	var (
-		out *model.Cube
-		od  *model.CubeDelta
-		ok  bool
-		err error
-	)
-	switch p.t.Kind {
-	case mapping.TupleLevel:
-		out, od, ok, err = incrTupleLevel(ctx, p, target, deltas, baseOut, stats)
-	case mapping.Aggregation:
-		out, od, ok, err = incrAggregation(ctx, p, target, deltas, baseOut, stats)
-	case mapping.PadVector:
-		out, od, ok, err = incrPadVector(p, target, deltas, baseOut, stats)
+		f.FullOnly[name] = true
+	case out == base:
 	default:
-		// Black boxes consume a whole series; there is no smaller unit
-		// of recomputation. Recomputing in full still yields an exact
-		// output delta for downstream tgds via the diff above.
-		ok = false
+		if d == nil {
+			d = model.DiffCubes(name, base, out)
+		}
+		if !d.Empty() {
+			if f.Deltas == nil {
+				f.Deltas = make(map[string]*model.CubeDelta)
+			}
+			f.Deltas[name] = d
+		}
 	}
-	if err != nil {
+}
+
+// Narrow returns a copy of the front on what one fragment reads and
+// maintains: the movement of inputs and the bases of outputs. Publishing into
+// the copy leaves f as it is.
+func (f *Front) Narrow(inputs, outputs []string) *Front {
+	n := &Front{
+		Deltas:   make(map[string]*model.CubeDelta),
+		FullOnly: make(map[string]bool),
+		Bases:    make(map[string]*model.Cube, len(outputs)),
+	}
+	for _, in := range inputs {
+		if f.FullOnly[in] {
+			n.FullOnly[in] = true
+		} else if d := f.Deltas[in]; d != nil {
+			n.Deltas[in] = d
+		}
+	}
+	for _, out := range outputs {
+		if b := f.Bases[out]; b != nil {
+			n.Bases[out] = b
+		}
+	}
+	return n
+}
+
+// maintainTgd brings one tgd's output up to date under front, records it in
+// target and publishes its movement into front. The returned mode is "skip"
+// (nothing it reads moved: its base is its output), "incremental" (the points
+// its input deltas reach recomputed), "full" (recomputed from scratch),
+// "full-unchanged" (recomputed with no base to reuse, its inputs unmoved, so
+// it moved neither) or "full-unknown" (recomputed with no base to diff
+// against, so its consumers are recomputed in full).
+func (s *Solver) maintainTgd(ctx context.Context, p *plan, target Instance, front *Front, stats *Stats) (string, error) {
+	name := p.t.Target()
+	base := front.Bases[name]
+	changed, unknown := false, false
+	for _, a := range p.t.Lhs {
+		if front.FullOnly[a.Rel] {
+			unknown = true
+		} else if front.Deltas[a.Rel] != nil {
+			changed = true
+		}
+	}
+
+	mode := "full"
+	switch {
+	case !changed && !unknown && base != nil:
+		target[name] = base
+		stats.Skipped++
+		return "skip", nil
+	case !changed && !unknown:
+		mode = "full-unchanged"
+	case base == nil:
+		mode = "full-unknown"
+	case !unknown && p.err == nil:
+		out, od, ok, err := maintainPoints(ctx, p, target, front.Deltas, base, stats)
+		if err != nil {
+			return "", err
+		}
+		if ok {
+			target[name] = out
+			front.Publish(name, out, od)
+			stats.Incremental++
+			return "incremental", nil
+		}
+	}
+	if err := s.applyTgd(ctx, p, target, stats); err != nil {
 		return "", err
 	}
-	if !ok {
-		return full()
+	stats.Full++
+	if stats.FullTgds != "" {
+		stats.FullTgds += ", "
 	}
-	target[outName] = out
-	if !od.Empty() {
-		deltas[outName] = od
+	stats.FullTgds += fmt.Sprintf("%s (%s)", name, p.t.Kind)
+	if mode != "full-unchanged" {
+		front.Publish(name, target[name], nil)
 	}
-	return "incremental", nil
+	return mode, nil
+}
+
+// maintainPoints maintains the tgd's output from base by recomputing the
+// points its input deltas reach. ok is false where the tgd's form has no
+// smaller unit of recomputation than the whole: a black box consumes a whole
+// series, and a tuple-level tgd or an aggregation may lack the keyed form its
+// maintenance needs.
+func maintainPoints(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, base *model.Cube, stats *Stats) (*model.Cube, *model.CubeDelta, bool, error) {
+	switch p.t.Kind {
+	case mapping.TupleLevel:
+		return incrTupleLevel(ctx, p, target, deltas, base, stats)
+	case mapping.Aggregation:
+		return incrAggregation(ctx, p, target, deltas, base, stats)
+	case mapping.PadVector:
+		return incrPadVector(p, target, deltas, base, stats)
+	}
+	return nil, nil, false, nil
 }
 
 // affectedKeys accumulates the distinct output dimension tuples an input
@@ -234,7 +181,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // changed, deleted or left alone.
 // The delta that collects is what actually changed, and the new version is
 // the previous one with it applied (model.Cube.Apply).
-func maintain(name string, baseOut *model.Cube, affected *affectedKeys, stats *IncrStats, recompute func(key string, dims []model.Value) (float64, bool, error)) (*model.Cube, *model.CubeDelta, error) {
+func maintain(name string, baseOut *model.Cube, affected *affectedKeys, stats *Stats, recompute func(key string, dims []model.Value) (float64, bool, error)) (*model.Cube, *model.CubeDelta, error) {
 	od := &model.CubeDelta{Name: name, Base: baseOut}
 	for _, k := range sortedKeys(affected.dims) {
 		dims := affected.dims[k]
@@ -283,9 +230,8 @@ func deltaTuples(d *model.CubeDelta, fn func(model.Tuple) error) error {
 
 // affectedBy inverts atom a (one of x.p.alone) over the tuples of its
 // relation's delta and adds the output points those bindings name.
-func (x *exec) affectedBy(a *atomPlan, d *model.CubeDelta, affected *affectedKeys, stats *IncrStats) error {
+func (x *exec) affectedBy(a *atomPlan, d *model.CubeDelta, affected *affectedKeys) error {
 	return deltaTuples(d, func(tu model.Tuple) error {
-		stats.DeltaTuplesIn++
 		if ok, err := x.bind(a, tu, true); err != nil || !ok {
 			return err
 		}
@@ -304,7 +250,7 @@ func (x *exec) affectedBy(a *atomPlan, d *model.CubeDelta, affected *affectedKey
 // probes. Affected points are found by inverting each changed atom over
 // its delta tuples, which requires the changed atoms to bind the full key
 // themselves.
-func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
+func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *Stats) (*model.Cube, *model.CubeDelta, bool, error) {
 	k := p.keyed
 	if k == nil {
 		return nil, nil, false, nil
@@ -328,7 +274,7 @@ func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[st
 	for ai := range p.alone {
 		a := &p.alone[ai]
 		if d := deltas[a.rel]; d != nil {
-			if err := x.affectedBy(a, d, affected, stats); err != nil {
+			if err := x.affectedBy(a, d, affected); err != nil {
 				return nil, nil, false, err
 			}
 		}
@@ -360,7 +306,7 @@ func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[st
 // version on its key set, as Apply of the changed points makes it. ok is false,
 // with nothing counted, where the path does not apply or a recomputed point is
 // undefined (its retraction is the keyed path's).
-func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
+func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *Stats) (*model.Cube, *model.CubeDelta, bool, error) {
 	p, base := x.p, baseOut.View()
 	cols := make([][]float64, len(p.lhs))
 	for i := range p.lhs {
@@ -371,7 +317,6 @@ func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cu
 		cols[i] = rel.View().Measures()
 	}
 	var rows []int
-	in := 0
 	for i := range p.lhs {
 		d := deltas[p.lhs[i].rel]
 		if d == nil {
@@ -387,7 +332,6 @@ func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cu
 			}
 			rows = append(rows, r)
 		}
-		in += len(d.Changed)
 	}
 	slices.Sort(rows)
 	rows = slices.Compact(rows)
@@ -415,7 +359,6 @@ func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cu
 	if od.Current, err = baseOut.DeriveColumn(baseOut.Schema(), col, nil); err != nil {
 		return nil, nil, false, err
 	}
-	stats.DeltaTuplesIn += in
 	stats.KeysRecomputed += len(rows)
 	stats.Bindings += x.bindings
 	obs.CurrentSpan(x.ctx).SetAttr(obs.String("eval", "column"))
@@ -431,7 +374,7 @@ func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cu
 // is kept, which is what makes min/max/median retraction work at all. Which
 // rows those groups hold is the key set's partition: a group is marked once,
 // at its first row, and every row of another is passed over unbound.
-func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
+func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *Stats) (*model.Cube, *model.CubeDelta, bool, error) {
 	if !p.aggIncr {
 		return nil, nil, false, nil
 	}
@@ -440,7 +383,7 @@ func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[s
 		return nil, nil, false, err
 	}
 	affected := newAffectedKeys()
-	if err := x.affectedBy(&p.alone[0], deltas[p.alone[0].rel], affected, stats); err != nil {
+	if err := x.affectedBy(&p.alone[0], deltas[p.alone[0].rel], affected); err != nil {
 		return nil, nil, false, err
 	}
 	part, err := x.partition()
@@ -485,7 +428,7 @@ func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[s
 // point depends on exactly one tuple of each operand (present or
 // padded), so delta tuples of either operand name the affected points
 // directly and recomputing one is two hash probes plus the scalar op.
-func incrPadVector(p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *IncrStats) (*model.Cube, *model.CubeDelta, bool, error) {
+func incrPadVector(p *plan, target Instance, deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *Stats) (*model.Cube, *model.CubeDelta, bool, error) {
 	rels, err := padOperands(p.t, target)
 	if err != nil {
 		return nil, nil, false, err
@@ -499,7 +442,6 @@ func incrPadVector(p *plan, target Instance, deltas map[string]*model.CubeDelta,
 			continue
 		}
 		_ = deltaTuples(d, func(tu model.Tuple) error {
-			stats.DeltaTuplesIn++
 			for j, i := range p.pad.order[ai] {
 				dims[i] = tu.Dims[j]
 			}

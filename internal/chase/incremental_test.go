@@ -49,7 +49,7 @@ func mutate(t *testing.T, src Instance, name string, seed int64) Instance {
 // runIncr runs the full chase on base and cur, then the incremental
 // chase on cur seeded from the base outputs, and requires exact
 // (bit-for-bit) agreement with the full run on cur.
-func runIncr(t *testing.T, src string, base, cur Instance) *IncrStats {
+func runIncr(t *testing.T, src string, base, cur Instance) *Stats {
 	t.Helper()
 	m := compile(t, src)
 	s := New(m)
@@ -61,17 +61,17 @@ func runIncr(t *testing.T, src string, base, cur Instance) *IncrStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := &DeltaInput{
-		Deltas:  make(map[string]*model.CubeDelta),
-		BaseOut: make(map[string]*model.Cube),
+	in := &Front{
+		Deltas: make(map[string]*model.CubeDelta),
+		Bases:  make(map[string]*model.Cube),
 	}
 	for _, name := range m.Elementary {
 		in.Deltas[name] = model.DiffCubes(name, base[name], cur[name])
 	}
 	for name, c := range baseOut {
-		in.BaseOut[name] = c.Freeze()
+		in.Bases[name] = c.Freeze()
 	}
-	got, _, stats, err := s.SolveIncremental(context.Background(), cur, in)
+	got, stats, err := s.Maintain(context.Background(), cur, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestIncrementalGDPChurnExact(t *testing.T) {
 	}
 	// The GDP program ends in black boxes (stl_t) which always recompute
 	// in full; the upstream aggregation and arithmetic must not.
-	if stats.Skipped+stats.Incremental == 0 || stats.Tgds == 0 {
+	if stats.Skipped+stats.Incremental == 0 || stats.Strata == 0 {
 		t.Errorf("suspicious stats: %+v", stats)
 	}
 }
@@ -123,8 +123,8 @@ func TestIncrementalNoChangeSkipsEverything(t *testing.T) {
 	if stats.Full != 0 || stats.Incremental != 0 {
 		t.Errorf("no-op run should only skip: %+v", stats)
 	}
-	if stats.Skipped != stats.Tgds {
-		t.Errorf("want all %d tgds skipped, got %+v", stats.Tgds, stats)
+	if stats.Skipped != stats.Strata {
+		t.Errorf("want all %d tgds skipped, got %+v", stats.Strata, stats)
 	}
 }
 
@@ -163,14 +163,14 @@ func TestIncrementalNormalizedMappingFallsBackSafely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := &DeltaInput{Deltas: map[string]*model.CubeDelta{}, BaseOut: map[string]*model.Cube{}}
+	in := &Front{Deltas: map[string]*model.CubeDelta{}, Bases: map[string]*model.Cube{}}
 	for _, name := range m.Elementary {
 		in.Deltas[name] = model.DiffCubes(name, base[name], cur[name])
 	}
 	for name, c := range baseOut {
-		in.BaseOut[name] = c.Freeze()
+		in.Bases[name] = c.Freeze()
 	}
-	got, _, _, err := s.SolveIncremental(context.Background(), cur, in)
+	got, _, err := s.Maintain(context.Background(), cur, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +212,12 @@ func TestIncrementalDeltaInCubeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := &DeltaInput{
-		Deltas:  map[string]*model.CubeDelta{"A": model.DiffCubes("A", base, cur)},
-		BaseOut: map[string]*model.Cube{"B": baseOut["B"].Freeze()},
+	in := &Front{
+		Deltas: map[string]*model.CubeDelta{"A": model.DiffCubes("A", base, cur)},
+		Bases:  map[string]*model.Cube{"B": baseOut["B"].Freeze()},
 	}
-	_, deltas, stats, err := s.SolveIncremental(context.Background(), Instance{"A": cur}, in)
+	_, stats, err := s.Maintain(context.Background(), Instance{"A": cur}, in)
+	deltas := in.Deltas
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,5 +237,72 @@ func TestIncrementalDeltaInCubeOrder(t *testing.T) {
 				t.Errorf("%s lists %v before %v", what, ts[i-1].Dims[0], ts[i].Dims[0])
 			}
 		}
+	}
+}
+
+// TestFrontPublish checks each branch of the front's one rule, as a relation
+// gets a new version, and that narrowing a front to one fragment keeps only
+// the relations it names.
+func TestFrontPublish(t *testing.T) {
+	sch := model.NewSchema("B", []model.Dim{{Name: "t", Type: model.TYear}}, "v")
+	year := func(y int) []model.Value { return []model.Value{model.Per(model.NewAnnual(y))} }
+	cube := func(vals ...float64) *model.Cube {
+		c := model.NewCube(sch)
+		for i, v := range vals {
+			if err := c.Put(year(2000+i), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Freeze()
+	}
+	base, moved := cube(1, 2), cube(1, 3)
+	handed := model.DiffCubes("B", base, moved)
+	empty := &model.CubeDelta{Name: "B", Base: base, Current: moved}
+
+	for _, tc := range []struct {
+		name     string
+		base     *model.Cube
+		out      *model.Cube
+		d        *model.CubeDelta
+		fullOnly bool
+		delta    func(*model.CubeDelta) bool // what Deltas["B"] must be; nil for none
+	}{
+		{name: "no base", out: moved, fullOnly: true},
+		{name: "no output", base: base, fullOnly: true},
+		{name: "output is the base", base: base, out: base, d: handed}, // whatever delta is handed in
+		{name: "delta handed in", base: base, out: moved, d: handed,
+			delta: func(d *model.CubeDelta) bool { return d == handed }},
+		{name: "nil delta diffed", base: base, out: moved,
+			delta: func(d *model.CubeDelta) bool {
+				return d != handed && len(d.Changed) == 1 && d.Changed[0].Measure == 3 && len(d.Added)+len(d.Deleted) == 0
+			}},
+		{name: "empty delta dropped", base: base, out: moved, d: empty},
+	} {
+		f := &Front{Bases: map[string]*model.Cube{}}
+		if tc.base != nil {
+			f.Bases["B"] = tc.base
+		}
+		f.Publish("B", tc.out, tc.d)
+		if got := f.FullOnly["B"]; got != tc.fullOnly {
+			t.Errorf("%s: FullOnly[B] = %v, want %v", tc.name, got, tc.fullOnly)
+		}
+		d, ok := f.Deltas["B"]
+		if want := tc.delta != nil; ok != want || want && !tc.delta(d) {
+			t.Errorf("%s: Deltas[B] = %+v (present %v), want present %v", tc.name, d, ok, want)
+		}
+	}
+
+	f := &Front{
+		Deltas:   map[string]*model.CubeDelta{"A": handed, "X": handed},
+		FullOnly: map[string]bool{"C": true, "Y": true},
+		Bases:    map[string]*model.Cube{"B": base, "Z": base},
+	}
+	n := f.Narrow([]string{"A", "C", "U"}, []string{"B", "V"})
+	if len(n.Deltas) != 1 || n.Deltas["A"] != handed || len(n.FullOnly) != 1 || !n.FullOnly["C"] || len(n.Bases) != 1 || n.Bases["B"] != base {
+		t.Errorf("narrowed to inputs A, C, U and outputs B, V: %+v, want A's delta, C full only and B's base", n)
+	}
+	n.Publish("B", moved, nil)
+	if f.Deltas["B"] != nil || len(f.Deltas) != 2 {
+		t.Error("publishing into a narrowed copy reached the front it was narrowed from")
 	}
 }

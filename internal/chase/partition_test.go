@@ -69,15 +69,15 @@ func TestAggregationByPartition(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := New(tc.m)
-			run := func(src *model.Cube, incr *DeltaInput) (Instance, *obs.Span, *obs.Registry, *IncrStats) {
+			run := func(src *model.Cube, incr *Front) (Instance, *obs.Span, *obs.Registry, *Stats) {
 				t.Helper()
 				tr, met := obs.NewTracer(), obs.NewRegistry()
 				ctx := obs.ContextWithMetrics(obs.ContextWithTracer(context.Background(), tr), met)
 				var sol Instance
-				var stats *IncrStats
+				var stats *Stats
 				var err error
 				if incr != nil {
-					sol, _, stats, err = s.SolveIncremental(ctx, Instance{"S": src}, incr)
+					sol, stats, err = s.Maintain(ctx, Instance{"S": src}, incr)
 				} else {
 					sol, err = s.SolveContext(ctx, Instance{"S": src})
 				}
@@ -109,9 +109,9 @@ func TestAggregationByPartition(t *testing.T) {
 			check("full run over a revision", full, revision, sp, met, "partition", 0, 1)
 			wantBindings, _ := sp.Attr("bindings")
 
-			maintained, sp, met, stats := run(revision, &DeltaInput{
-				Deltas:  map[string]*model.CubeDelta{"S": model.DiffCubes("S", base, revision)},
-				BaseOut: map[string]*model.Cube{"T": first["T"]},
+			maintained, sp, met, stats := run(revision, &Front{
+				Deltas: map[string]*model.CubeDelta{"S": model.DiffCubes("S", base, revision)},
+				Bases:  map[string]*model.Cube{"T": first["T"]},
 			})
 			check("maintained run", maintained, revision, sp, met, "partition", 0, 1)
 			if got, _ := sp.Attr("bindings"); stats.Incremental != 1 || stats.Bindings != tc.members || got == wantBindings {
@@ -159,14 +159,14 @@ func BenchmarkIncrAggregation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := &DeltaInput{
-		Deltas:  map[string]*model.CubeDelta{"PDR": model.DiffCubes("PDR", base, revision)},
-		BaseOut: map[string]*model.Cube{"PQR": baseOut["PQR"]},
+	in := &Front{
+		Deltas: map[string]*model.CubeDelta{"PDR": model.DiffCubes("PDR", base, revision)},
+		Bases:  map[string]*model.Cube{"PQR": baseOut["PQR"]},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, stats, err := s.SolveIncremental(context.Background(), Instance{"PDR": revision}, in); err != nil || stats.Incremental != 1 {
+		if _, stats, err := s.Maintain(context.Background(), Instance{"PDR": revision}, in); err != nil || stats.Incremental != 1 {
 			b.Fatalf("stats %+v, err %v", stats, err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"strconv"
 	"strings"
@@ -62,7 +63,7 @@ func bigPanel() *model.Cube {
 func TestSolveAllocBudget(t *testing.T) {
 	s := New(compile(t, panelProgram))
 	src := Instance{"S": bigPanel().Freeze()}
-	_, stats, err := s.SolveWithStats(src) // leaves S's order cached
+	_, stats, err := s.Maintain(context.Background(), src, nil) // leaves S's order cached
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func BenchmarkSolvePanel(b *testing.B) {
 func TestPanelCountsPinned(t *testing.T) {
 	s := New(compile(t, panelProgram))
 	src := Instance{"S": bigPanel()}
-	_, stats, err := s.SolveWithStats(src)
+	_, stats, err := s.Maintain(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestBlackBoxOutputSharesOperandKeySet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sol, stats, err := s.SolveWithStats(Instance{"G": g.Freeze()})
+	sol, stats, err := s.Maintain(context.Background(), Instance{"G": g.Freeze()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestCancelInsideStratum(t *testing.T) {
 			}},
 		}
 		s := New(m)
-		sol, stats, err := s.SolveWithStats(src)
+		sol, stats, err := s.Maintain(context.Background(), src, nil)
 		if err != nil || stats.Bindings != 200 || sol["O"].Len() != 200 {
 			t.Fatalf("uncancelled: stats = %+v, err = %v, want 200 bindings", stats, err)
 		}
@@ -409,18 +410,18 @@ func TestCancelInsideStratum(t *testing.T) {
 		if err := cur.Replace([]model.Value{quarter(7), region(7)}, -1); err != nil {
 			t.Fatal(err)
 		}
-		in := &DeltaInput{
-			Deltas:  map[string]*model.CubeDelta{"S": model.DiffCubes("S", src["S"], cur)},
-			BaseOut: map[string]*model.Cube{"T": base["T"].Freeze()},
+		in := &Front{
+			Deltas: map[string]*model.CubeDelta{"S": model.DiffCubes("S", src["S"], cur)},
+			Bases:  map[string]*model.Cube{"T": base["T"].Freeze()},
 		}
 		// The one affected group is re-aggregated by a scan of all 20 000
 		// tuples; the first poll inside it is cancelled.
 		ctx := &countdownCtx{Context: context.Background(), after: 1}
-		_, _, _, err = s.SolveIncremental(ctx, Instance{"S": cur}, in)
+		_, _, err = s.Maintain(ctx, Instance{"S": cur}, in)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if _, _, stats, err := s.SolveIncremental(context.Background(), Instance{"S": cur}, in); err != nil || stats.Incremental != 1 {
+		if _, stats, err := s.Maintain(context.Background(), Instance{"S": cur}, in); err != nil || stats.Incremental != 1 {
 			t.Fatalf("uncancelled: stats = %+v, err = %v, want one tgd maintained", stats, err)
 		}
 	})
@@ -546,14 +547,15 @@ func TestOneStatementFourShapes(t *testing.T) {
 			}
 
 			cur := Instance{"X": qrCube("X", quarters, regions, fx2, keepX2), "Y": qrCube("Y", quarters, regions, fy, keepY2)}
-			in := &DeltaInput{
+			in := &Front{
 				Deltas: map[string]*model.CubeDelta{
 					"X": model.DiffCubes("X", base["X"], cur["X"]),
 					"Y": model.DiffCubes("Y", base["Y"], cur["Y"]),
 				},
-				BaseOut: map[string]*model.Cube{"O": baseSol["O"].Freeze()},
+				Bases: map[string]*model.Cube{"O": baseSol["O"].Freeze()},
 			}
-			sol, deltas, stats, err := s.SolveIncremental(context.Background(), cur, in)
+			sol, stats, err := s.Maintain(context.Background(), cur, in)
+			deltas := in.Deltas
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -605,11 +607,11 @@ func TestEgdViolationNamesFirstConflictInCubeOrder(t *testing.T) {
 		if err := cur.Replace([]model.Value{quarter(30), region(3)}, -5); err != nil {
 			t.Fatal(err)
 		}
-		in := &DeltaInput{
-			Deltas:  map[string]*model.CubeDelta{"A": model.DiffCubes("A", a, cur)},
-			BaseOut: map[string]*model.Cube{"B": model.NewCube(m.Schemas["B"]).Freeze()},
+		in := &Front{
+			Deltas: map[string]*model.CubeDelta{"A": model.DiffCubes("A", a, cur)},
+			Bases:  map[string]*model.Cube{"B": model.NewCube(m.Schemas["B"]).Freeze()},
 		}
-		_, _, _, err = s.SolveIncremental(context.Background(), Instance{"A": cur}, in)
+		_, _, err = s.Maintain(context.Background(), Instance{"A": cur}, in)
 		if !errors.Is(err, model.ErrFunctional) || err.Error() != wantIncr {
 			t.Fatalf("incremental: %v\nwant: %s", err, wantIncr)
 		}
@@ -631,9 +633,9 @@ func TestSolverConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur.Freeze()
-	in := &DeltaInput{Deltas: map[string]*model.CubeDelta{"S": model.DiffCubes("S", src["S"], cur)}, BaseOut: map[string]*model.Cube{}}
+	deltas, bases := map[string]*model.CubeDelta{"S": model.DiffCubes("S", src["S"], cur)}, map[string]*model.Cube{}
 	for name, c := range want {
-		in.BaseOut[name] = c.Freeze()
+		bases[name] = c.Freeze()
 	}
 	wantCur, err := s.Solve(Instance{"S": cur})
 	if err != nil {
@@ -649,7 +651,8 @@ func TestSolverConcurrentUse(t *testing.T) {
 				got, err = s.Solve(src)
 				ref = want
 			} else {
-				got, _, _, err = s.SolveIncremental(context.Background(), Instance{"S": cur}, in)
+				// Each chase publishes into a front of its own.
+				got, _, err = s.Maintain(context.Background(), Instance{"S": cur}, &Front{Deltas: maps.Clone(deltas), Bases: bases})
 				ref = wantCur
 			}
 			for name, w := range ref {
@@ -691,8 +694,8 @@ func TestMaintenanceProbesPerKey(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		in := &DeltaInput{Deltas: map[string]*model.CubeDelta{"S": model.DiffCubes("S", base, cur)}, BaseOut: baseOut}
-		_, _, stats, err := s.SolveIncremental(context.Background(), Instance{"S": cur}, in)
+		in := &Front{Deltas: map[string]*model.CubeDelta{"S": model.DiffCubes("S", base, cur)}, Bases: baseOut}
+		_, stats, err := s.Maintain(context.Background(), Instance{"S": cur}, in)
 		// Each of the four statements recomputes the changed points, each by
 		// one binding: nothing else is bound.
 		if err != nil || stats.Incremental != 4 || stats.KeysRecomputed != 4*changed || stats.Bindings != stats.KeysRecomputed {
@@ -798,14 +801,14 @@ A := sum(T * S, group by q)
 		incremental int
 	}{{"S moved", movedS, 1}, {"T moved", movedT, 0}} {
 		cur := instance(tc.ver)
-		in := &DeltaInput{
+		in := &Front{
 			Deltas: map[string]*model.CubeDelta{
 				"S": model.DiffCubes("S", baseInst["S"], cur["S"]),
 				"T": model.DiffCubes("T", baseInst["T"], cur["T"]),
 			},
-			BaseOut: map[string]*model.Cube{"O": baseSol["O"], "A": baseSol["A"]},
+			Bases: map[string]*model.Cube{"O": baseSol["O"], "A": baseSol["A"]},
 		}
-		sol, _, stats, err := s.SolveIncremental(context.Background(), cur, in)
+		sol, stats, err := s.Maintain(context.Background(), cur, in)
 		if err != nil {
 			t.Fatal(err)
 		}

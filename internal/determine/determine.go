@@ -8,6 +8,7 @@
 package determine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -178,6 +179,10 @@ func (g *Graph) Def(cube string) (StmtRef, bool) {
 	return r, ok
 }
 
+// ErrUnknownCube reports a changed cube that no program derives or reads.
+// Affected wraps it with the cube's name; classify with errors.Is.
+var ErrUnknownCube = errors.New("unknown cube")
+
 // Affected performs the determination step: given the cubes whose values
 // changed (usually elementary leaves), it returns the derived cubes that
 // must be recalculated, in topological order — the dynamic EXL program of
@@ -195,7 +200,7 @@ func (g *Graph) Affected(changed []string) ([]StmtRef, error) {
 	}
 	for _, c := range changed {
 		if _, isDerived := g.defs[c]; !isDerived && !g.elementary[c] {
-			return nil, fmt.Errorf("determine: unknown cube %s", c)
+			return nil, fmt.Errorf("determine: %w %s", ErrUnknownCube, c)
 		}
 		if _, isDerived := g.defs[c]; isDerived {
 			// Recalculating a derived cube also recalculates it itself.

@@ -3,7 +3,7 @@
 // instance. This harness derives a deterministic "previous" version of a
 // generated case's data, solves it fully to obtain maintenance bases,
 // diffs previous vs current into per-relation deltas, and then requires
-// SolveIncremental to reproduce the full solution exactly — zero
+// chase.Solver.Maintain to reproduce the full solution exactly — zero
 // tolerance, every relation, including auxiliary ones.
 package difftest
 
@@ -19,7 +19,7 @@ import (
 
 // IncrResult is the outcome of one full-vs-incremental differential run.
 type IncrResult struct {
-	Stats       *chase.IncrStats
+	Stats       *chase.Stats
 	Divergences []Divergence
 }
 
@@ -116,8 +116,8 @@ func RunIncremental(c *Case, churnSeed int64) (*IncrResult, error) {
 			deltas[name] = d
 		}
 	}
-	got, _, stats, err := chase.New(m).SolveIncremental(context.Background(),
-		chase.Instance(c.Data), &chase.DeltaInput{Deltas: deltas, BaseOut: baseOut})
+	front := &chase.Front{Deltas: deltas, Bases: baseOut}
+	got, stats, err := chase.New(m).Maintain(context.Background(), chase.Instance(c.Data), front)
 	if err != nil {
 		return nil, fmt.Errorf("difftest: incremental chase: %w", err)
 	}

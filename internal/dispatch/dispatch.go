@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
@@ -68,31 +67,38 @@ type Middleware func(Runner) Runner
 // statement's tgds, auxiliaries included, in stratification order).
 type TgdSource func(cube string) []*mapping.Tgd
 
-// Run executes the subgraphs over the snapshot (cube name -> instance),
-// returning every derived cube computed. The snapshot must contain all
-// elementary cubes the plan needs; derived cubes produced by one subgraph
-// become inputs of later ones. Run is RunContext without cancellation,
-// discarding the report.
-func (d *Dispatcher) Run(subs []determine.Subgraph, tgds TgdSource,
-	schemas map[string]model.Schema, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
-	out, _, err := d.RunContext(context.Background(), subs, tgds, schemas, snap)
-	return out, err
-}
-
-// RunContext executes the plan under a context: cancelling the context
-// aborts the run between (and during) fragment attempts. The returned
-// Report lists every attempt and fallback, even when the run fails. It
-// is RunContextIncr without an incremental plan.
+// RunContext executes the subgraphs over the snapshot (cube name ->
+// instance) under a context, returning every derived cube computed. The
+// snapshot must contain all elementary cubes the plan needs; derived cubes
+// produced by one subgraph become inputs of later ones. Cancelling the
+// context aborts the run between (and during) fragment attempts. The
+// returned Report lists every attempt and fallback, even when the run fails.
+//
+// A nil front is a full run. Under a front every fragment is brought up to
+// date by the one rule of fragment.run, and publishes its produced cubes'
+// movement into the front, so that a successful run leaves it holding the
+// delta of every cube that moved and has a base, from that base to the cube
+// in the results: a store handed these need not diff the results again. On
+// the chase target the results are byte-identical to a full run's; on the
+// others a maintained point carries the chase's value, which is that
+// target's own wherever its fold order is deterministic and within the
+// cross-target tolerance otherwise.
 func (d *Dispatcher) RunContext(ctx context.Context, subs []determine.Subgraph, tgds TgdSource,
-	schemas map[string]model.Schema, snap map[string]*model.Cube) (map[string]*model.Cube, *Report, error) {
-	return d.RunContextIncr(ctx, subs, tgds, schemas, snap, nil)
+	schemas map[string]model.Schema, snap map[string]*model.Cube, front *chase.Front) (map[string]*model.Cube, *Report, error) {
+
+	attrs := []obs.Attr{obs.Int("fragments", len(subs))}
+	if front != nil {
+		attrs = append(attrs, obs.Bool("incremental", true))
+	}
+	ctx, span := obs.StartSpan(ctx, "dispatch", attrs...)
+	out, rep, err := d.runPlan(ctx, subs, tgds, schemas, snap, front)
+	span.EndErr(err)
+	return out, rep, err
 }
 
-// runPlan is RunContextIncr behind the dispatch span. A non-nil incr puts
-// the run in incremental mode: fragments consume the delta front and
-// publish their outputs' movement back into it.
+// runPlan is RunContext behind the dispatch span.
 func (d *Dispatcher) runPlan(ctx context.Context, subs []determine.Subgraph, tgds TgdSource,
-	schemas map[string]model.Schema, snap map[string]*model.Cube, incr *incrState) (map[string]*model.Cube, *Report, error) {
+	schemas map[string]model.Schema, snap map[string]*model.Cube, front *chase.Front) (map[string]*model.Cube, *Report, error) {
 
 	start := time.Now()
 	rep := &Report{Fragments: make([]FragmentReport, len(subs))}
@@ -127,6 +133,10 @@ func (d *Dispatcher) runPlan(ctx context.Context, subs []determine.Subgraph, tgd
 		}
 	}
 	done := make([]bool, len(frags))
+	// The fragments of a wave narrow and publish the front concurrently; a
+	// consumer is only scheduled after its producer's wave, so it never races
+	// a publish of a cube it reads, and the mutex alone is enough.
+	var mu sync.Mutex
 	for {
 		var wave []int
 		for i, f := range frags {
@@ -151,7 +161,7 @@ func (d *Dispatcher) runPlan(ctx context.Context, subs []determine.Subgraph, tgd
 		errs := make([]error, len(wave))
 		run := func(w int) {
 			i := wave[w]
-			outs[w], rep.Fragments[i], errs[w] = d.runFragment(ctx, i, subs[i], frags[i], work, incr)
+			outs[w], rep.Fragments[i], errs[w] = d.runFragment(ctx, i, subs[i], frags[i], work, front, &mu)
 		}
 		if d.Serial || len(wave) == 1 {
 			for w := range wave {
@@ -201,11 +211,11 @@ func (d *Dispatcher) runPlan(ctx context.Context, subs []determine.Subgraph, tgd
 // every attempt in the report, in the span tree and in the metrics
 // registry carried by the context.
 func (d *Dispatcher) runFragment(ctx context.Context, idx int, sub determine.Subgraph,
-	f *fragment, snap map[string]*model.Cube, incr *incrState) (map[string]*model.Cube, FragmentReport, error) {
+	f *fragment, snap map[string]*model.Cube, front *chase.Front, mu *sync.Mutex) (map[string]*model.Cube, FragmentReport, error) {
 
 	ctx, span := obs.StartSpan(ctx, "fragment",
 		obs.Int("index", idx), obs.Strings("cubes", f.produces), obs.String("target", string(f.target)))
-	out, fr, err := d.runFragmentAttempts(ctx, idx, sub, f, snap, incr)
+	out, fr, err := d.runFragmentAttempts(ctx, idx, sub, f, snap, front, mu)
 	if fr.Final != "" {
 		span.SetAttr(obs.String("final", string(fr.Final)))
 	}
@@ -215,7 +225,7 @@ func (d *Dispatcher) runFragment(ctx context.Context, idx int, sub determine.Sub
 
 // runFragmentAttempts is runFragment behind the fragment span.
 func (d *Dispatcher) runFragmentAttempts(ctx context.Context, idx int, sub determine.Subgraph,
-	f *fragment, snap map[string]*model.Cube, incr *incrState) (map[string]*model.Cube, FragmentReport, error) {
+	f *fragment, snap map[string]*model.Cube, front *chase.Front, mu *sync.Mutex) (map[string]*model.Cube, FragmentReport, error) {
 
 	start := time.Now()
 	met := obs.MetricsFrom(ctx)
@@ -226,16 +236,20 @@ func (d *Dispatcher) runFragmentAttempts(ctx context.Context, idx int, sub deter
 		targets = append(targets, determine.FallbackOrder(sub)...)
 	}
 
-	// The fragment's view of the delta front is the same for every
-	// attempt: its producers finished in earlier waves, and its own
-	// outputs are published only once an attempt has succeeded.
-	var view *fragView
-	if incr != nil {
-		view = incr.view(f)
-	}
+	// Each attempt gets its own copy of the front narrowed to the fragment,
+	// since a maintaining chase extends it and a failed attempt must leave
+	// no trace. Every copy is the same: the fragment's producers finished in
+	// earlier waves, and its own outputs are published only once an attempt
+	// has succeeded.
 	var oc outcome
 	runner := Runner(func(ctx context.Context, info Fragment, snap map[string]*model.Cube) (map[string]*model.Cube, error) {
-		return f.run(ctx, info.Target, snap, view, &oc)
+		var af *chase.Front
+		if front != nil {
+			mu.Lock()
+			af = front.Narrow(f.inputs, f.produces)
+			mu.Unlock()
+		}
+		return f.run(ctx, info.Target, snap, af, &oc)
 	})
 	for i := len(d.Middleware) - 1; i >= 0; i-- {
 		runner = d.Middleware[i](runner)
@@ -254,8 +268,10 @@ func (d *Dispatcher) runFragmentAttempts(ctx context.Context, idx int, sub deter
 			fr.Attempts = append(fr.Attempts, Attempt{Target: target})
 			fr.Final = target
 			fr.Mode = oc.mode
-			if incr != nil {
-				incr.publish(f, out, oc.outDeltas)
+			if front != nil {
+				mu.Lock()
+				f.publish(front, oc.front, out)
+				mu.Unlock()
 				fr.Incremental = oc.mode != ModeFull
 				fr.FellBackFull = oc.mode == ModeFull
 				fr.FallbackReason = oc.reason
@@ -416,54 +432,60 @@ func (f *fragment) keep(all map[string]*model.Cube) map[string]*model.Cube {
 // successful attempt's value lands in the fragment report.
 type outcome struct {
 	mode   string
-	reason string // under a plan, why the attempt was a full run
-	// outDeltas holds the exact delta of every produced cube that moved,
-	// when the attempt derived them; nil when it did not.
-	outDeltas map[string]*model.CubeDelta
+	reason string // under a front, why the attempt was a full run
+	// front is the attempt's copy of the front, holding the movement of
+	// the cubes it produced; nil without a front.
+	front *chase.Front
 }
 
 // run brings the fragment up to date over the snapshot, for one attempt
 // on target (which differs from the fragment's assigned one when the
-// dispatcher degrades). How is read off the view alone (fragView.mode):
-// without a plan, or with a view that has a gap, target runs the whole
-// fragment; with nothing moved the previous outputs are kept; otherwise
-// the compiled chase applies the input deltas to the previous outputs,
-// deciding tgd by tgd what it can maintain — a target never sees a
-// delta. Each attempt reads the shared snapshot and returns a fresh
-// output map, so a failed attempt leaves no trace.
+// dispatcher degrades). How is read off the attempt's narrowed front af
+// alone (fragment.mode): without a front, or with one that has a gap,
+// target runs the whole fragment; with nothing moved the previous outputs
+// are kept; otherwise the compiled chase maintains the previous outputs
+// from the input deltas (chase.Solver.Maintain), deciding tgd by tgd what
+// it can maintain, whatever target the fragment is assigned to — a target
+// never sees a delta, and only ever executes full runs. Either way the
+// movement of the produced cubes is published into af, so the front keeps
+// propagating to downstream fragments even across a full recompute. Each
+// attempt reads the shared snapshot and returns a fresh output map, so a
+// failed attempt leaves no trace.
 func (f *fragment) run(ctx context.Context, target ops.Target, snap map[string]*model.Cube,
-	v *fragView, oc *outcome) (map[string]*model.Cube, error) {
+	af *chase.Front, oc *outcome) (map[string]*model.Cube, error) {
 
-	*oc = outcome{mode: ModeFull}
+	*oc = outcome{mode: ModeFull, front: af}
 	input, err := f.inputsFrom(ctx, target, snap)
 	if err != nil {
 		return nil, err
 	}
-	if v != nil {
-		oc.mode, oc.reason = v.mode(f)
+	if af != nil {
+		oc.mode, oc.reason = f.mode(af)
 	}
 
 	start := time.Now()
 	var out map[string]*model.Cube
 	switch oc.mode {
 	case ModeReused:
-		out, _ = v.reuse(f)
-		oc.outDeltas = map[string]*model.CubeDelta{}
+		out = f.reuse(af)
 	case ModeMaintained:
-		din := &chase.DeltaInput{Deltas: v.deltas, BaseOut: v.bases}
-		sol, od, stats, err := f.chaseSolver().SolveIncremental(ctx, chase.Instance(input), din)
+		sol, stats, err := f.chaseSolver().Maintain(ctx, chase.Instance(input), af)
 		if err != nil {
 			return nil, err
 		}
 		if stats.Full > 0 {
 			oc.mode = ModeFull
-			oc.reason = fmt.Sprintf("%d of %d tgds recomputed in full: %s",
-				stats.Full, stats.Tgds, strings.Join(stats.FullTgds, ", "))
+			oc.reason = fmt.Sprintf("%d of %d tgds recomputed in full: %s", stats.Full, stats.Strata, stats.FullTgds)
 		}
-		out, oc.outDeltas = f.keep(sol), od
+		out = f.keep(sol)
 	default:
 		if out, err = backend.Run(ctx, target, f.m, input, f.previous(snap)); err != nil {
 			return nil, err
+		}
+		if af != nil {
+			for _, name := range f.produces {
+				af.Publish(name, out[name], nil)
+			}
 		}
 	}
 	recordAttempt(ctx, target, input, out, start)
@@ -472,7 +494,7 @@ func (f *fragment) run(ctx context.Context, target ops.Target, snap map[string]*
 	if oc.reason != "" {
 		sp.SetAttr(obs.String("reason", oc.reason))
 	}
-	if v == nil {
+	if af == nil {
 		return out, nil
 	}
 
@@ -483,10 +505,10 @@ func (f *fragment) run(ctx context.Context, target ops.Target, snap map[string]*
 	}
 	met.Counter(obs.Label(obs.MetricIncrFragments, "target", string(target))).Add(1)
 	var din, full int
-	for name, d := range v.deltas {
-		din += d.Size()
-		if c := input[name]; c != nil {
-			full += c.Len()
+	for _, name := range f.inputs {
+		if d := af.Deltas[name]; d != nil {
+			din += d.Size()
+			full += input[name].Len()
 		}
 	}
 	met.Counter(obs.MetricIncrDeltaTuples).Add(int64(din))
@@ -495,6 +517,53 @@ func (f *fragment) run(ctx context.Context, target ops.Target, snap map[string]*
 		sp.SetAttr(obs.Int("delta_tuples_in", din))
 	}
 	return out, nil
+}
+
+// mode reads off the fragment's narrowed front how it is brought up to date
+// and, when that is a full run, which relation forces it: an input that
+// moved without a usable delta, or a relation of the fragment — produced or
+// auxiliary (whose contents are stored nowhere) — without a previous
+// version.
+func (f *fragment) mode(af *chase.Front) (mode, reason string) {
+	for _, in := range f.inputs {
+		if af.FullOnly[in] {
+			return ModeFull, fmt.Sprintf("input %s changed without a usable delta", in)
+		}
+	}
+	if len(af.Deltas) == 0 && f.reuse(af) != nil {
+		return ModeReused, ""
+	}
+	for _, t := range f.m.Tgds {
+		if af.Bases[t.Target()] == nil {
+			return ModeFull, fmt.Sprintf("no previous version of %s to maintain", t.Target())
+		}
+	}
+	return ModeMaintained, ""
+}
+
+// reuse returns the previous outputs verbatim, or nil where some produced
+// cube has no base.
+func (f *fragment) reuse(af *chase.Front) map[string]*model.Cube {
+	out := make(map[string]*model.Cube, len(f.produces))
+	for _, name := range f.produces {
+		b := af.Bases[name]
+		if b == nil {
+			return nil
+		}
+		out[name] = b
+	}
+	return out
+}
+
+// publish publishes into the run's front the movement of the fragment's
+// produced cubes, out, as its successful attempt published it into its own
+// copy af: the bases are the same, so a cube that did not move there has not.
+func (f *fragment) publish(front, af *chase.Front, out map[string]*model.Cube) {
+	for _, name := range f.produces {
+		if d := af.Deltas[name]; d != nil || af.FullOnly[name] {
+			front.Publish(name, out[name], d)
+		}
+	}
 }
 
 // recordAttempt accounts for a successful attempt's data movement and

@@ -82,7 +82,7 @@ func TestDispatchMixedTargets(t *testing.T) {
 		t.Fatalf("expected a mixed-target plan, got %+v", subs)
 	}
 	d := &Dispatcher{}
-	got, err := d.Run(subs, f.tgds, f.schemas, f.data)
+	got, _, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDispatchEveryFixedTarget(t *testing.T) {
 		t.Run(string(target), func(t *testing.T) {
 			subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(target), f.graph)
 			d := &Dispatcher{}
-			got, err := d.Run(subs, f.tgds, f.schemas, f.data)
+			got, _, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ C  := A2 + B2
 	}
 	subs := determine.Partition(f.graph.FullPlan(), alternating, f.graph)
 	d := &Dispatcher{}
-	got, err := d.Run(subs, f.tgds, f.schemas, f.data)
+	got, _, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDispatchMissingInput(t *testing.T) {
 	f := setup(t, "cube A(t: year) measure v\nB := A * 2", workload.Data{})
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetChase), f.graph)
 	d := &Dispatcher{}
-	if _, err := d.Run(subs, f.tgds, f.schemas, map[string]*model.Cube{}); err == nil {
+	if _, _, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, map[string]*model.Cube{}, nil); err == nil {
 		t.Error("missing input cube must fail")
 	}
 }
@@ -176,7 +176,7 @@ func TestDispatchUnknownCube(t *testing.T) {
 	d := &Dispatcher{}
 	// A TgdSource that knows nothing.
 	empty := func(string) []*mapping.Tgd { return nil }
-	if _, err := d.Run(subs, empty, f.schemas, f.data); err == nil {
+	if _, _, err := d.RunContext(context.Background(), subs, empty, f.schemas, f.data, nil); err == nil {
 		t.Error("missing tgds must fail")
 	}
 }
@@ -212,19 +212,18 @@ func TestFragmentCompilesChaseOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.data["PDR"] = revised
-	view := &fragView{
-		deltas:   map[string]*model.CubeDelta{"PDR": model.DiffCubes("PDR", old, revised)},
-		fullOnly: map[string]bool{},
-		bases:    full,
+	// Each attempt maintains a front of its own.
+	front := func() *chase.Front {
+		return &chase.Front{Deltas: map[string]*model.CubeDelta{"PDR": model.DiffCubes("PDR", old, revised)}, Bases: full}
 	}
-	if _, err := frag.run(ctx, ops.TargetChase, f.data, view, &oc); err != nil {
+	if _, err := frag.run(ctx, ops.TargetChase, f.data, front(), &oc); err != nil {
 		t.Fatal(err)
 	}
 	s := frag.solver
 	if s == nil {
 		t.Fatal("maintaining attempt left no solver on the fragment")
 	}
-	incr, err := frag.run(ctx, ops.TargetChase, f.data, view, &oc)
+	incr, err := frag.run(ctx, ops.TargetChase, f.data, front(), &oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +231,8 @@ func TestFragmentCompilesChaseOnce(t *testing.T) {
 		t.Error("second maintaining attempt rebuilt the fragment's solver")
 	}
 	// The fragment holds the stl_t black box, which the chase recomputes
-	// whole: the attempt went through SolveIncremental and says so.
-	if oc.mode != ModeFull || !strings.Contains(oc.reason, "GDPT (blackbox)") || oc.outDeltas == nil {
+	// whole: the attempt went through the chase's maintenance and says so.
+	if oc.mode != ModeFull || !strings.Contains(oc.reason, "GDPT (blackbox)") || oc.front == nil {
 		t.Errorf("outcome %+v: want a chase-maintained attempt naming GDPT's black box", oc)
 	}
 	ref := reference(t, f)

@@ -73,7 +73,7 @@ func TestFallbackOnPanic(t *testing.T) {
 		Degrade:    true,
 		Middleware: []Middleware{panicOnTarget(ops.TargetFrame)},
 	}
-	got, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
+	got, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEgdViolationNoFallback(t *testing.T) {
 		Degrade:    true,
 		Middleware: []Middleware{failN(1, exlerr.EgdViolation)},
 	}
-	_, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
+	_, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err == nil {
 		t.Fatal("egd violation must fail the run")
 	}
@@ -130,7 +130,7 @@ func TestAllTargetsFail(t *testing.T) {
 			}
 		}},
 	}
-	_, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
+	_, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err == nil {
 		t.Fatal("run must fail when every target fails")
 	}
@@ -160,7 +160,7 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	d := &Dispatcher{Degrade: true}
-	_, _, err := d.RunContext(ctx, subs, f.tgds, f.schemas, f.data)
+	_, _, err := d.RunContext(ctx, subs, f.tgds, f.schemas, f.data, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -173,7 +173,7 @@ func TestCancellation(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}}
-	_, rep, err := d.RunContext(ctx, subs, f.tgds, f.schemas, f.data)
+	_, rep, err := d.RunContext(ctx, subs, f.tgds, f.schemas, f.data, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-attempt cancellation: err = %v, want context.Canceled", err)
 	}
@@ -204,7 +204,7 @@ func TestFragmentTimeoutDegrades(t *testing.T) {
 			}
 		}},
 	}
-	got, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
+	got, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ C  := A2 + B2
 		Degrade:    true,
 		Middleware: []Middleware{panicOnTarget(ops.TargetFrame)},
 	}
-	got, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
+	got, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestZeroValueDispatcherFailsFast(t *testing.T) {
 	subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL), f.graph)
 
 	d := &Dispatcher{Middleware: []Middleware{failN(1, exlerr.Fatal)}}
-	_, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data)
+	_, rep, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err == nil {
 		t.Fatal("zero-value dispatcher must not degrade")
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"exlengine/internal/chase"
 	"exlengine/internal/determine"
 	"exlengine/internal/exlerr"
 	"exlengine/internal/model"
@@ -15,9 +16,9 @@ import (
 // revisedPlan primes the simple fixture with a full run on target,
 // revises one measure of A in place, and returns the plan over A's delta
 // and B's previous version.
-func revisedPlan(t *testing.T, f *fixture, subs []determine.Subgraph) *IncrPlan {
+func revisedPlan(t *testing.T, f *fixture, subs []determine.Subgraph) *chase.Front {
 	t.Helper()
-	base, err := (&Dispatcher{}).Run(subs, f.tgds, f.schemas, f.data)
+	base, _, err := (&Dispatcher{}).RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func revisedPlan(t *testing.T, f *fixture, subs []determine.Subgraph) *IncrPlan 
 		t.Fatal(err)
 	}
 	f.data["A"] = revised
-	return &IncrPlan{
+	return &chase.Front{
 		Deltas: map[string]*model.CubeDelta{"A": model.DiffCubes("A", old, revised)},
 		Bases:  map[string]*model.Cube{"B": base["B"]},
 	}
@@ -58,7 +59,7 @@ func TestIncrementalAttemptKeyedByAssignedTarget(t *testing.T) {
 	}
 	mx, tr := obs.NewRegistry(), obs.NewTracer()
 	ctx := obs.ContextWithTracer(obs.ContextWithMetrics(context.Background(), mx), tr)
-	got, rep, err := d.RunContextIncr(ctx, subs, f.tgds, f.schemas, f.data, plan)
+	got, rep, err := d.RunContext(ctx, subs, f.tgds, f.schemas, f.data, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestIncrementalAttemptKeyedByAssignedTarget(t *testing.T) {
 	if n := mx.Counter(obs.Label(obs.MetricIncrFragments, "target", string(fr.Final))).Value(); n != 1 {
 		t.Errorf("maintained fragments counted for %s = %d, want 1", fr.Final, n)
 	}
-	if d := plan.Front["B"]; d == nil || len(d.Changed) != 1 {
+	if d := plan.Deltas["B"]; d == nil || len(d.Changed) != 1 {
 		t.Errorf("front carries %+v for B, want its one changed point", d)
 	}
 }
@@ -91,14 +92,14 @@ func TestIncrementalAttemptKeyedByAssignedTarget(t *testing.T) {
 // text rendering say how the fragment was brought up to date, and why
 // when a run under a plan was full.
 func TestIncrementalAttemptSpanSaysMode(t *testing.T) {
-	attempt := func(t *testing.T, plan func(*IncrPlan)) (*obs.Span, string) {
+	attempt := func(t *testing.T, plan func(*chase.Front)) (*obs.Span, string) {
 		t.Helper()
 		f := simpleFixture(t)
 		subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(ops.TargetETL), f.graph)
 		p := revisedPlan(t, f, subs)
 		plan(p)
 		tr := obs.NewTracer()
-		_, rep, err := (&Dispatcher{}).RunContextIncr(obs.ContextWithTracer(context.Background(), tr), subs, f.tgds, f.schemas, f.data, p)
+		_, rep, err := (&Dispatcher{}).RunContext(obs.ContextWithTracer(context.Background(), tr), subs, f.tgds, f.schemas, f.data, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestIncrementalAttemptSpanSaysMode(t *testing.T) {
 		return sp, rep.String()
 	}
 
-	sp, text := attempt(t, func(*IncrPlan) {})
+	sp, text := attempt(t, func(*chase.Front) {})
 	if mode, _ := sp.Attr("mode"); mode != ModeMaintained || !strings.Contains(text, "ran on etl (maintained)") {
 		t.Errorf("mode = %q, report:\n%s", mode, text)
 	}
@@ -120,13 +121,13 @@ func TestIncrementalAttemptSpanSaysMode(t *testing.T) {
 		t.Error("a maintained etl attempt holds no chase.tgd.incr span")
 	}
 
-	sp, text = attempt(t, func(p *IncrPlan) { p.Deltas = nil })
+	sp, text = attempt(t, func(p *chase.Front) { p.Deltas = nil })
 	if mode, _ := sp.Attr("mode"); mode != ModeReused || !strings.Contains(text, "ran on etl (reused)") {
 		t.Errorf("mode = %q, report:\n%s", mode, text)
 	}
 
 	const why = "input A changed without a usable delta"
-	sp, text = attempt(t, func(p *IncrPlan) { p.Deltas, p.FullOnly = nil, map[string]bool{"A": true} })
+	sp, text = attempt(t, func(p *chase.Front) { p.Deltas, p.FullOnly = nil, map[string]bool{"A": true} })
 	mode, _ := sp.Attr("mode")
 	reason, _ := sp.Attr("reason")
 	if mode != ModeFull || reason != why || !strings.Contains(text, "ran on etl (full: "+why+")") {

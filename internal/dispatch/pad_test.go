@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestPadVectorAcrossEngines(t *testing.T) {
 		t.Run(string(target), func(t *testing.T) {
 			subs := determine.Partition(f.graph.FullPlan(), determine.FixedAssigner(target), f.graph)
 			d := &Dispatcher{}
-			got, err := d.Run(subs, f.tgds, f.schemas, f.data)
+			got, _, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +74,7 @@ func TestPadVectorSQLUnsupported(t *testing.T) {
 	// The preference-based run still succeeds end to end.
 	d := &Dispatcher{}
 	ref := reference(t, f)
-	got, err := d.Run(subs, f.tgds, f.schemas, f.data)
+	got, _, err := d.RunContext(context.Background(), subs, f.tgds, f.schemas, f.data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,13 +36,13 @@ type FragmentReport struct {
 	Fallbacks []ops.Target // fallback targets tried after the primary, in order
 	Elapsed   time.Duration
 	// Mode is how the successful attempt ran: ModeReused, ModeMaintained
-	// or ModeFull (always ModeFull without an incremental plan).
+	// or ModeFull (always ModeFull without a delta front).
 	Mode string
-	// Incremental reports that the fragment ran under an incremental plan
+	// Incremental reports that the fragment ran under a delta front
 	// and its input deltas were applied (or nothing had moved and its
 	// outputs were reused) rather than recomputed.
 	Incremental bool
-	// FellBackFull reports that the fragment ran under an incremental plan
+	// FellBackFull reports that the fragment ran under a delta front
 	// but recomputed in full; FallbackReason says why, naming the
 	// relation at fault: "input PDR changed without a usable delta", "no
 	// previous version of GDP to maintain", or the chase's "1 of 1 tgds
@@ -54,9 +54,9 @@ type FragmentReport struct {
 // Degraded reports whether the fragment completed on a non-primary target.
 func (f *FragmentReport) Degraded() bool { return f.Final != "" && f.Final != f.Primary }
 
-// ModeNote renders how a fragment under an incremental plan was brought
+// ModeNote renders how a fragment under a delta front was brought
 // up to date, for appending to its status: " (reused)", " (maintained)"
-// or " (full: <reason>)"; empty for a run without a plan.
+// or " (full: <reason>)"; empty for a run without a front.
 func (f *FragmentReport) ModeNote() string {
 	switch {
 	case f.FellBackFull:

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"exlengine/internal/backend"
+	"exlengine/internal/chase"
 	"exlengine/internal/determine"
 	"exlengine/internal/dispatch"
 	"exlengine/internal/exl"
@@ -597,10 +598,10 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// Incremental mode: walk the dependency graph in plan order, keep
 	// only the stale cubes, and build the delta front the dispatcher
 	// maintains them from.
-	var incrPlan *dispatch.IncrPlan
+	var front *chase.Front
 	var skippedCubes []string
 	if cfg.incremental {
-		plan, skippedCubes, incrPlan = pruneStale(graph, plan, snap, cubeGens, provs, stmts, st)
+		plan, skippedCubes, front = pruneStale(graph, plan, snap, cubeGens, provs, stmts, st)
 		obs.MetricsFrom(ctx).Counter(obs.MetricIncrSkippedCubes).Add(int64(len(skippedCubes)))
 		detSpan.SetAttr(obs.Int("skipped", len(skippedCubes)))
 		if len(plan) == 0 {
@@ -651,7 +652,7 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 		}
 	}
 
-	results, drep, err := disp.RunContextIncr(ctx, subs, tgds, schemas, snap, incrPlan)
+	results, drep, err := disp.RunContext(ctx, subs, tgds, schemas, snap, front)
 	if err != nil {
 		return &Report{Fragments: drep.Fragments, Fallbacks: drep.Fallbacks(), Elapsed: time.Since(start)}, err
 	}
@@ -691,8 +692,8 @@ func (e *Engine) run(ctx context.Context, cfg *runConfig, ticket *governor.Ticke
 	// generations of the operands the run read; the store stamps those
 	// persisted with it at the commit's own.
 	var outDeltas map[string]*model.CubeDelta
-	if incrPlan != nil {
-		outDeltas = incrPlan.Front
+	if front != nil {
+		outDeltas = front.Deltas
 	}
 	outProvs := make(map[string]*store.Provenance, len(toPersist))
 	for name := range toPersist {

@@ -12,8 +12,8 @@ package engine
 import (
 	"hash/fnv"
 
+	"exlengine/internal/chase"
 	"exlengine/internal/determine"
-	"exlengine/internal/dispatch"
 	"exlengine/internal/mapping"
 	"exlengine/internal/model"
 	"exlengine/internal/store"
@@ -32,15 +32,15 @@ func stmtPrint(tgds []*mapping.Tgd) uint64 {
 }
 
 // pruneStale splits the plan into stale cubes (kept, to be recomputed)
-// and current ones (skipped), and builds the dispatch plan: input
-// deltas where the store can reconstruct them, previous outputs as
-// maintenance bases where they are trustworthy, and FullOnly marks
-// everywhere else. A stored version is a trustworthy base when its
+// and current ones (skipped), and builds the delta front the dispatcher
+// starts from: input deltas where the store can reconstruct them, previous
+// outputs as maintenance bases where they are trustworthy, and FullOnly
+// marks everywhere else. A stored version is a trustworthy base when its
 // provenance names the statement (stmts) it is about to be maintained by:
 // it is that statement over its operands at the recorded generations.
 func pruneStale(graph *determine.Graph, plan []determine.StmtRef,
 	snap map[string]*model.Cube, cubeGens map[string]uint64, provs map[string]*store.Provenance,
-	stmts map[string]statement, st CubeStore) ([]determine.StmtRef, []string, *dispatch.IncrPlan) {
+	stmts map[string]statement, st CubeStore) ([]determine.StmtRef, []string, *chase.Front) {
 
 	based := func(cube string) *store.Provenance {
 		if p := provs[cube]; p != nil && p.Stmt == stmts[cube].print {
@@ -69,7 +69,7 @@ func pruneStale(graph *determine.Graph, plan []determine.StmtRef,
 		}
 	}
 
-	ip := &dispatch.IncrPlan{
+	front := &chase.Front{
 		Deltas:   make(map[string]*model.CubeDelta),
 		FullOnly: make(map[string]bool),
 		Bases:    make(map[string]*model.Cube),
@@ -91,7 +91,7 @@ func pruneStale(graph *determine.Graph, plan []determine.StmtRef,
 			// deltas, so it imposes no "before" of its own.
 			continue
 		}
-		ip.Bases[cube] = snap[cube]
+		front.Bases[cube] = snap[cube]
 		for _, dep := range graph.Deps(cube) {
 			if stale[dep] {
 				continue // recomputed this run; the dispatcher publishes its delta
@@ -106,7 +106,7 @@ func pruneStale(graph *determine.Graph, plan []determine.StmtRef,
 	}
 	for dep, g := range sinceGen {
 		if conflict[dep] {
-			ip.FullOnly[dep] = true
+			front.FullOnly[dep] = true
 			continue
 		}
 		if cubeGens[dep] == g {
@@ -116,12 +116,12 @@ func pruneStale(graph *determine.Graph, plan []determine.StmtRef,
 		if err != nil {
 			// History cannot reconstruct the old version (an equal-asOf
 			// overwrite since): recompute consumers in full.
-			ip.FullOnly[dep] = true
+			front.FullOnly[dep] = true
 			continue
 		}
 		if !d.Empty() {
-			ip.Deltas[dep] = d
+			front.Deltas[dep] = d
 		}
 	}
-	return keep, skipped, ip
+	return keep, skipped, front
 }

@@ -124,6 +124,16 @@ func (f *Flow) Inputs(name string) []string {
 	return out
 }
 
+// input returns the first step feeding the given step, or "" where none does.
+func (f *Flow) input(name string) string {
+	for _, h := range f.Hops {
+		if h.To == name {
+			return h.From
+		}
+	}
+	return ""
+}
+
 // Job is a complete ETL job: flows in tgd total order.
 type Job struct {
 	Name  string  `json:"name"`

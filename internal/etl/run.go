@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,21 +91,21 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 		chans[h.From] = make(chan *frame.Batch, chanCap)
 	}
 	// Structural validation up front: a malformed flow must fail cleanly
-	// instead of deadlocking goroutines on missing channels. The layout of
-	// every stream is derived here too, from its producer's inputs'.
+	// instead of deadlocking goroutines on missing channels. Every step's
+	// body is built here too, once, over the layouts of its inputs' streams,
+	// so a step that cannot run fails the flow before any goroutine starts.
 	outputs := 0
 	streams := make(map[string]*frame.Layout, len(f.Steps))
+	bodies := make([]any, len(f.Steps))
 	for i := range f.Steps {
 		st := &f.Steps[i]
 		if st.Type == TableOutput {
 			outputs++
-			continue
-		}
-		if _, ok := chans[st.Name]; !ok {
+		} else if _, ok := chans[st.Name]; !ok {
 			return nil, fmt.Errorf("step %s has no consumer", st.Name)
 		}
 		var err error
-		if streams[st.Name], err = streamOf(f, st, streams, store); err != nil {
+		if bodies[i], streams[st.Name], err = bodyOf(f, st, streams, store, schemas, prev); err != nil {
 			return nil, err
 		}
 	}
@@ -125,7 +124,7 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 	defer cancel(nil)
 
 	var wg sync.WaitGroup
-	result := prev
+	var result *model.Cube
 
 	for i := range f.Steps {
 		st := &f.Steps[i]
@@ -148,7 +147,7 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 					cancel(err)
 				}
 			}()
-			err := runStep(sctx, f, st, streams, chans, free, store, schemas, &result)
+			err := runStep(sctx, f, st, bodies[i], streams, chans, free, store, &result)
 			span.EndErr(err)
 			if err != nil {
 				cancel(err)
@@ -162,31 +161,86 @@ func runFlow(ctx context.Context, f *Flow, store map[string]*model.Cube, schemas
 	return result, nil
 }
 
-// streamOf returns the layout of the rows st sends, from those of its inputs;
-// the output step sends none. A row refers to the tuple each input of the
-// stream fed into it and holds only what the flow computed (frame.Layout).
-func streamOf(f *Flow, st *Step, streams map[string]*frame.Layout, store map[string]*model.Cube) (*frame.Layout, error) {
+// bodyOf builds the body of st in internal/frame over the layouts of its
+// inputs' streams, and returns it with the layout of the rows it sends, its
+// Out. A table input's body is that layout, which scans the table; the output
+// step sends no rows, and builds the flow's cube as the revision of prev. A
+// row refers to the tuple each input of the stream fed into it and holds only
+// what the flow computed (frame.Layout).
+func bodyOf(f *Flow, st *Step, streams map[string]*frame.Layout, store map[string]*model.Cube,
+	schemas map[string]model.Schema, prev *model.Cube) (any, *frame.Layout, error) {
+
+	in := f.input(st.Name)
+	reads := []string{in}
+	switch st.Type {
+	case TableInput:
+		reads = nil
+	case MergeJoin, PadJoin:
+		reads = []string{st.Left, st.Right}
+	}
+	for _, name := range reads {
+		if streams[name] == nil {
+			return nil, nil, fmt.Errorf("step %s reads no stream %q before it", st.Name, name)
+		}
+	}
 	switch st.Type {
 	case TableInput:
 		cube, ok := store[st.Table]
 		if !ok {
-			return nil, fmt.Errorf("table %s not available", st.Table)
+			return nil, nil, fmt.Errorf("table %s not available", st.Table)
 		}
 		if st.FilterField != "" && cube.Schema().DimIndex(st.FilterField) < 0 {
-			return nil, fmt.Errorf("filter column %s not in %s", st.FilterField, st.Table)
+			return nil, nil, fmt.Errorf("filter column %s not in %s", st.FilterField, st.Table)
 		}
-		return frame.Source(cube, st.Fields, st.As, st.Shifts)
+		l, err := frame.Source(cube, st.Fields, st.As, st.Shifts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return l, l, nil
 	case MergeJoin:
-		return streams[st.Left].Join(streams[st.Right], st.Keys), nil
+		m, err := frame.NewMerger(streams[st.Left], streams[st.Right], st.Keys)
+		if err != nil {
+			return nil, nil, err
+		}
+		return m, m.Out, nil
 	case Calculator:
 		names, exprs := st.calcs()
-		return streams[f.Inputs(st.Name)[0]].Calculated(names, exprs), nil
-	case Aggregator, PadJoin:
-		return frame.Computed(append(slices.Clone(st.Keys), st.OutField)...), nil
+		c, err := frame.NewCalculator(streams[in], names, exprs)
+		if err != nil {
+			return nil, nil, err
+		}
+		return c, c.Out, nil
+	case Aggregator:
+		g, err := frame.NewGrouping(frame.GroupAgg{By: st.Keys, Agg: st.Agg, ValCol: st.ValueField, OutCol: st.OutField}, streams[in])
+		if err != nil {
+			return nil, nil, err
+		}
+		return g, g.Out, nil
 	case SeriesCalc:
-		return frame.Computed(st.TimeField, st.ValueField), nil
+		k, err := frame.NewSeries(frame.SeriesOp{Op: st.Op, Params: st.Params, TimeCol: st.TimeField, ValCol: st.ValueField}, streams[in])
+		if err != nil {
+			return nil, nil, err
+		}
+		return k, k.Out, nil
+	case PadJoin:
+		m, err := frame.NewPadMerger(frame.PadMerge{Keys: st.Keys, XVal: st.ValueField, YVal: st.RightField, Op: st.Op, Default: st.Default, OutCol: st.OutField},
+			streams[st.Left], streams[st.Right])
+		if err != nil {
+			return nil, nil, err
+		}
+		return m, m.Out, nil
+	case TableOutput:
+		sch, ok := schemas[st.Table]
+		if !ok {
+			return nil, nil, fmt.Errorf("no schema for output %s", st.Table)
+		}
+		o, err := frame.NewOutput(streams[in], st.Fields, prev, sch)
+		if err != nil {
+			return nil, nil, err
+		}
+		return o, nil, nil
 	}
-	return nil, nil
+	return nil, nil, fmt.Errorf("unknown step type %s", st.Type)
 }
 
 // calcs returns the fields a Calculator step computes, and their expressions.
@@ -276,11 +330,10 @@ func (w *batcher) drain(in <-chan *frame.Batch, fn func(b *frame.Batch) error) e
 }
 
 // runStep runs one step of f: it moves the batches of its inputs through the
-// step's body in internal/frame and sends what the body hands out. The output
-// step finds the previous version of the flow's cube in *result (nil for none)
-// and leaves the cube it built there.
-func runStep(ctx context.Context, f *Flow, st *Step, streams map[string]*frame.Layout, chans map[string]chan *frame.Batch, free batches,
-	store map[string]*model.Cube, schemas map[string]model.Schema, result **model.Cube) error {
+// step's body, built by bodyOf, and sends what the body hands out. The output
+// step leaves the cube it built in *result.
+func runStep(ctx context.Context, f *Flow, st *Step, body any, streams map[string]*frame.Layout, chans map[string]chan *frame.Batch, free batches,
+	store map[string]*model.Cube, result **model.Cube) error {
 
 	out := chans[st.Name] // nil for the output step
 	// Closing the output channel unconditionally on exit — error, panic or
@@ -295,91 +348,64 @@ func runStep(ctx context.Context, f *Flow, st *Step, streams map[string]*frame.L
 		(*hp)(f.TgdID, st.Name)
 	}
 	w := &batcher{ctx: ctx, out: out, free: free, s: streams[st.Name]}
-	in := append(f.Inputs(st.Name), "")[0] // the first input, if any
+	in := f.input(st.Name)
 
-	switch st.Type {
-	case TableInput:
-		if err := w.s.Scan(store[st.Table].Schema().DimIndex(st.FilterField), st.filterVal, w); err != nil {
+	switch b := body.(type) {
+	case *frame.Layout: // a table input
+		if err := b.Scan(store[st.Table].Schema().DimIndex(st.FilterField), st.filterVal, w); err != nil {
 			return err
 		}
 		return w.flush()
 
-	case MergeJoin:
-		m, err := frame.NewMerger(streams[st.Left], streams[st.Right], st.Keys)
-		if err != nil {
-			return err
-		}
+	case *frame.Merger:
 		// The right stream is buffered whole, its rows copied into one batch
 		// (counting them first sizes it once) and indexed; the left stream
 		// then flows through.
 		var right []*frame.Batch
 		n := 0
-		for b := range chans[st.Right] {
-			right = append(right, b)
-			n += b.N
+		for r := range chans[st.Right] {
+			right = append(right, r)
+			n += r.N
 		}
 		build := frame.NewBatch(n, streams[st.Right])
-		for _, b := range right {
-			build.Append(b)
-			free.recycle(b)
+		for _, r := range right {
+			build.Append(r)
+			free.recycle(r)
 		}
-		m.Build(build)
-		return w.drain(chans[st.Left], func(b *frame.Batch) error { return m.Probe(b, w) })
+		b.Build(build)
+		return w.drain(chans[st.Left], func(l *frame.Batch) error { return b.Probe(l, w) })
 
-	case Calculator:
-		names, exprs := st.calcs()
-		c, err := frame.NewCalculator(streams[in], names, exprs)
-		if err != nil {
-			return err
-		}
-		return w.drain(chans[in], func(b *frame.Batch) error { return c.Run(b, w) })
+	case *frame.Calculator:
+		return w.drain(chans[in], func(r *frame.Batch) error { return b.Run(r, w) })
 
 	// The blocking steps are frame's kernels, fed the stream.
-	case Aggregator, SeriesCalc:
-		var k frame.Kernel
-		var err error
-		if st.Type == Aggregator {
-			k, err = frame.NewGrouping(frame.GroupAgg{By: st.Keys, Agg: st.Agg, ValCol: st.ValueField}, streams[in])
-		} else {
-			k, err = frame.NewSeries(frame.SeriesOp{Op: st.Op, Params: st.Params, TimeCol: st.TimeField, ValCol: st.ValueField}, streams[in])
-		}
+	case frame.Kernel:
+		err := w.drain(chans[in], b.Add)
 		if err == nil {
-			err = w.drain(chans[in], k.Add)
-		}
-		if err == nil {
-			err = k.Each(w)
+			err = b.Each(w)
 		}
 		if err != nil {
 			return err
 		}
 		return w.flush()
 
-	case PadJoin:
-		m, err := frame.NewPadMerger(frame.PadMerge{Keys: st.Keys, XVal: st.ValueField, YVal: st.RightField, Op: st.Op, Default: st.Default},
-			streams[st.Left], streams[st.Right])
+	case *frame.PadMerger:
+		var err error
 		for side, name := range [2]string{st.Left, st.Right} {
 			if err == nil {
-				err = w.drain(chans[name], func(b *frame.Batch) error { return m.Add(side, b) })
+				err = w.drain(chans[name], func(r *frame.Batch) error { return b.Add(side, r) })
 			}
 		}
 		if err == nil {
-			err = m.Each(w)
+			err = b.Each(w)
 		}
 		if err != nil {
 			return err
 		}
 		return w.flush()
 
-	case TableOutput:
-		sch, ok := schemas[st.Table]
-		if !ok {
-			return fmt.Errorf("no schema for output %s", st.Table)
-		}
-		o, err := frame.NewOutput(streams[in], st.Fields, *result, sch)
-		if err != nil {
-			return err
-		}
-		if err := w.drain(chans[in], o.Add); err != nil {
+	case *frame.Output:
+		if err := w.drain(chans[in], b.Add); err != nil {
 			return err
 		}
 		// Publish the cube only after the stream completed: a flow that
@@ -387,11 +413,9 @@ func runStep(ctx context.Context, f *Flow, st *Step, streams map[string]*frame.L
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cube, err := o.Build()
+		cube, err := b.Build()
 		*result = cube
 		return err
-
-	default:
-		return fmt.Errorf("unknown step type %s", st.Type)
 	}
+	return fmt.Errorf("step %s has no body", st.Name)
 }

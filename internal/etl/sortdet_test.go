@@ -23,17 +23,18 @@ func runCumsum(t *testing.T, p *model.Cube) [][]model.Value {
 	}
 	store := map[string]*model.Cube{"P": p}
 	streams := map[string]*frame.Layout{}
+	bodies := make([]any, len(f.Steps))
 	for i := range f.Steps {
 		var err error
-		if streams[f.Steps[i].Name], err = streamOf(f, &f.Steps[i], streams, store); err != nil {
+		if bodies[i], streams[f.Steps[i].Name], err = bodyOf(f, &f.Steps[i], streams, store, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	n := p.Len()/batchSize + 1
 	in, out := make(chan *frame.Batch, n), make(chan *frame.Batch, n)
 	chans := map[string]chan *frame.Batch{"in": in, "series": out}
-	for _, name := range []string{"in", "series"} {
-		if err := runStep(context.Background(), f, f.Step(name), streams, chans, make(batches, n), store, nil, nil); err != nil {
+	for i := range f.Steps {
+		if err := runStep(context.Background(), f, &f.Steps[i], bodies[i], streams, chans, make(batches, n), store, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ type col struct {
 // shifted by shifts[i] where shifts is not nil.
 func Source(c *model.Cube, fields, names []string, shifts []int64) (*Layout, error) {
 	sch := c.Schema()
-	l := &Layout{Names: names, views: []*model.View{c.View()}}
+	l := &Layout{Names: names, cols: make([]col, 0, len(fields)), views: []*model.View{c.View()}}
 	for i, fld := range fields {
 		k := col{at: sch.DimIndex(fld)}
 		if k.at < 0 && fld != sch.Measure {
@@ -348,7 +348,8 @@ type Calculator struct {
 // NewCalculator returns the body that computes the columns names of in's rows
 // by exprs, as Calculated lays them out.
 func NewCalculator(in *Layout, names []string, exprs []Expr) (*Calculator, error) {
-	c := &Calculator{Out: in.Calculated(names, exprs), in: in}
+	n := len(exprs)
+	c := &Calculator{Out: in.Calculated(names, exprs), in: in, fields: make([]RowFunc, 0, n), slots: make([]int, 0, n), held: make([]bool, 0, n)}
 	bound := slices.Clip(in.Names)
 	var read []string
 	for i, e := range exprs {

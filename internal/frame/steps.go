@@ -206,7 +206,7 @@ func runStep(s Step, env Env) error {
 			if err != nil {
 				return nil, err
 			}
-			return runKernel(k, in[0].rows, append(slices.Clone(s.By), s.OutCol)...)
+			return runKernel(k, k.Out, in[0].rows)
 		}, s.In)
 
 	case SeriesOp:
@@ -215,7 +215,7 @@ func runStep(s Step, env Env) error {
 			if err != nil {
 				return nil, err
 			}
-			return runKernel(k, in[0].rows, s.TimeCol, s.ValCol)
+			return runKernel(k, k.Out, in[0].rows)
 		}, s.In)
 
 	case PadMerge:
@@ -227,7 +227,7 @@ func runStep(s Step, env Env) error {
 			if err != nil {
 				return nil, err
 			}
-			f := &Frame{Computed(append(slices.Clone(s.Keys), s.OutCol)...), &Batch{}}
+			f := &Frame{m.Out, &Batch{}}
 			return f, m.Each(f.rows)
 		}, s.X, s.Y)
 	}
@@ -260,10 +260,9 @@ type Kernel interface {
 	Each(out Sink) error
 }
 
-// runKernel returns the frame of k's output over the rows in, its columns
-// named cols.
-func runKernel(k Kernel, in *Batch, cols ...string) (*Frame, error) {
-	f := &Frame{Computed(cols...), &Batch{}}
+// runKernel returns the frame of k's output, of layout out, over the rows in.
+func runKernel(k Kernel, out *Layout, in *Batch) (*Frame, error) {
+	f := &Frame{out, &Batch{}}
 	if err := k.Add(in); err != nil {
 		return nil, err
 	}
@@ -342,9 +341,10 @@ func (g *groups) each(out Sink, fn func(o int) (float64, bool)) error {
 }
 
 // Grouping is GroupAgg's kernel. Each group folds its bag in an ops.Acc; a row
-// whose key or value is undefined is in no group. Its output is one row per
-// group, the key and then the fold, in cube order (groups).
+// whose key or value is undefined is in no group. Its output, of layout Out,
+// is one row per group, the key and then the fold, in cube order (groups).
 type Grouping struct {
+	Out  *Layout
 	in   *Layout
 	by   []int
 	val  int
@@ -365,7 +365,7 @@ func NewGrouping(s GroupAgg, in *Layout) (*Grouping, error) {
 		return nil, err
 	}
 	n := len(s.By)
-	return &Grouping{in: in, by: idx[:n], val: idx[n], fold: fold, groups: newGroups(n)}, nil
+	return &Grouping{Out: Computed(append(slices.Clone(s.By), s.OutCol)...), in: in, by: idx[:n], val: idx[n], fold: fold, groups: newGroups(n)}, nil
 }
 
 // Add folds each row of b into its group.
@@ -397,10 +397,11 @@ func (g *Grouping) Each(out Sink) error {
 
 // PadMerger is PadMerge's kernel, fed the rows of either operand: the union of
 // their key tuples is numbered as one, and an operand's measure at a point is
-// that of its last row there, or the default where it has none. Its output is
-// one row per point, the key and then Op of the two measures, in cube order
-// (groups); a point where Op is undefined has none.
+// that of its last row there, or the default where it has none. Its output, of
+// layout Out, is one row per point, the key and then Op of the two measures,
+// in cube order (groups); a point where Op is undefined has none.
 type PadMerger struct {
+	Out   *Layout
 	sides [2]*Layout
 	cols  [2][]int // per operand: its key columns, then its value column
 	op    ops.Op
@@ -411,7 +412,7 @@ type PadMerger struct {
 
 // NewPadMerger returns the kernel of s over operands of the layouts x and y.
 func NewPadMerger(s PadMerge, x, y *Layout) (*PadMerger, error) {
-	m := &PadMerger{sides: [2]*Layout{x, y}, def: s.Default, groups: newGroups(len(s.Keys))}
+	m := &PadMerger{Out: Computed(append(slices.Clone(s.Keys), s.OutCol)...), sides: [2]*Layout{x, y}, def: s.Default, groups: newGroups(len(s.Keys))}
 	for i, val := range [2]string{s.XVal, s.YVal} {
 		idx, err := m.sides[i].columns(append(slices.Clone(s.Keys), val), "pad-merge")
 		if err != nil {
@@ -456,9 +457,10 @@ func (m *PadMerger) Each(out Sink) error {
 }
 
 // Series is SeriesOp's kernel: it gathers the points of the rows it takes and
-// applies the black box to them whole. Its output is the series in time order,
-// one (time, value) row per point.
+// applies the black box to them whole. Its output, of layout Out, is the series
+// in time order, one (time, value) row per point.
 type Series struct {
+	Out    *Layout
 	in     *Layout
 	op     string
 	params []float64
@@ -472,7 +474,7 @@ func NewSeries(s SeriesOp, in *Layout) (*Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Series{in: in, op: s.Op, params: s.Params, t: idx[0], v: idx[1]}, nil
+	return &Series{Out: Computed(s.TimeCol, s.ValCol), in: in, op: s.Op, params: s.Params, t: idx[0], v: idx[1]}, nil
 }
 
 // Add takes the point of each row of b.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"exlengine/internal/determine"
 	"exlengine/internal/engine"
 	"exlengine/internal/exlerr"
 	"exlengine/internal/governor"
@@ -70,7 +71,7 @@ func writeTooLarge(w http.ResponseWriter, err error) bool {
 
 // writeEngineError maps an engine error onto HTTP: shutdown → 503,
 // any other typed overload → 429 (both with Retry-After), cancellation
-// → 499-style 400, everything else → 500.
+// → 499-style 400, an unknown changed cube → 400, everything else → 500.
 func writeEngineError(w http.ResponseWriter, reg *obs.Registry, err error) {
 	switch {
 	case errors.Is(err, governor.ErrShuttingDown):
@@ -84,6 +85,9 @@ func writeEngineError(w http.ResponseWriter, reg *obs.Registry, err error) {
 	case exlerr.IsCancellation(err):
 		reg.Counter(MetricHTTPErrors).Inc()
 		writeError(w, http.StatusBadRequest, "run canceled: %v", err)
+	case errors.Is(err, determine.ErrUnknownCube):
+		// The request names a cube that no program derives or reads.
+		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, store.ErrStaleVersion):
 		// Optimistic-concurrency loss: a client-stamped write raced a
 		// newer version. Retryable by the client with a fresher stamp.
