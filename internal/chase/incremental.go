@@ -301,22 +301,25 @@ func incrTupleLevel(ctx context.Context, p *plan, target Instance, deltas map[st
 // stands on the previous output's key set and every delta only restates
 // measures: a delta tuple names the output point at its own dimension tuple,
 // hence at its row of that key set. The affected rows, in cube order, are
-// gathered from the operands' measure columns, recomputed by the full run's
-// program, and scattered into a copy of the previous output's column — a
-// version on its key set, as Apply of the changed points makes it. ok is false,
-// with nothing counted, where the path does not apply or a recomputed point is
-// undefined (its retraction is the keyed path's).
+// gathered from the operands (read through their patches: an operand nobody
+// has read whole stays a patch), recomputed by the full run's program, and the
+// points that moved restate the previous output (model.Cube.Restate): a
+// version on its key set, as Apply of the changed points makes it. ok is
+// false, with nothing counted, where the path does not apply or a recomputed
+// point is undefined (its retraction is the keyed path's).
 func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cube, stats *Stats) (*model.Cube, *model.CubeDelta, bool, error) {
 	p, base := x.p, baseOut.View()
-	cols := make([][]float64, len(p.lhs))
+	n := 0 // the delta tuples, which name the affected rows
 	for i := range p.lhs {
-		rel := x.rels[i]
-		if d := deltas[p.lhs[i].rel]; !rel.SharesKeySet(baseOut) || d != nil && len(d.Added)+len(d.Deleted) > 0 {
+		d := deltas[p.lhs[i].rel]
+		if !x.rels[i].SharesKeySet(baseOut) || d != nil && len(d.Added)+len(d.Deleted) > 0 {
 			return nil, nil, false, nil
 		}
-		cols[i] = rel.View().Measures()
+		if d != nil {
+			n += len(d.Changed)
+		}
 	}
-	var rows []int
+	rows := make([]int, 0, n)
 	for i := range p.lhs {
 		d := deltas[p.lhs[i].rel]
 		if d == nil {
@@ -336,27 +339,27 @@ func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cu
 	slices.Sort(rows)
 	rows = slices.Compact(rows)
 
-	gathered := make([][]float64, len(cols))
-	for i, col := range cols {
-		gathered[i] = make([]float64, len(rows))
-		for j, r := range rows {
-			gathered[i][j] = col[r]
-		}
+	gathered := make([][]float64, len(p.lhs))
+	for i := range gathered {
+		gathered[i] = x.rels[i].View().Gather(make([]float64, 0, len(rows)), rows)
 	}
 	vals, undef, err := x.runProgram(gathered, len(rows))
 	if err != nil || undef != nil {
 		x.bindings = 0 // the keyed path counts the bindings it makes
 		return nil, nil, false, err
 	}
-	od := &model.CubeDelta{Name: p.t.Target(), Base: baseOut}
-	col := slices.Clone(base.Measures())
-	for j, r := range rows {
-		if v := vals[j]; v != col[r] {
-			od.Changed = append(od.Changed, model.Tuple{Dims: base.Tuple(r).Dims, Measure: v})
-			col[r] = v
+	moved := 0 // rows[:moved] and vals[:moved] are the points that moved
+	for j, old := range base.Gather(make([]float64, 0, len(rows)), rows) {
+		if v := vals[j]; v != old {
+			rows[moved], vals[moved] = rows[j], v
+			moved++
 		}
 	}
-	if od.Current, err = baseOut.DeriveColumn(baseOut.Schema(), col, nil); err != nil {
+	od := &model.CubeDelta{Name: p.t.Target(), Base: baseOut, Changed: make([]model.Tuple, moved)}
+	for j, r := range rows[:moved] {
+		od.Changed[j] = model.Tuple{Dims: base.Dims(r), Measure: vals[j]}
+	}
+	if od.Current, err = baseOut.Restate(rows[:moved], vals[:moved]); err != nil {
 		return nil, nil, false, err
 	}
 	stats.KeysRecomputed += len(rows)

@@ -165,7 +165,7 @@ func (e *EgdError) Unwrap() error { return e.err }
 func (b *Builder) Build() (*Cube, error) {
 	if b.follow != nil {
 		if b.n == b.follow.Len() {
-			return onKeySet(b.schema, &View{keys: b.follow.keys, measures: b.col}), nil
+			return onKeySet(b.schema, newView(b.follow.keys, b.col)), nil
 		}
 		b.unfollow()
 	}
@@ -179,7 +179,7 @@ func (b *Builder) Build() (*Cube, error) {
 			return nil, err
 		}
 	}
-	return onKeySet(b.schema, &View{keys: &keySet{tuples: tuples}, measures: measures}), nil
+	return onKeySet(b.schema, newView(&keySet{tuples: tuples}, measures)), nil
 }
 
 // settle puts tuples collected in arrival order, and their measures, into

@@ -31,26 +31,197 @@ type dimTuple struct {
 	key  string
 }
 
-// View is a cube version in column form: a key set and the measure column
-// aligned with it, in cube order. It is never written to once a cube points at
-// it — a mutation of the cube drops the cube's pointer and leaves the View
-// alone — so a View taken from any cube, frozen or not, goes on showing the
-// version it was taken from, to any number of goroutines.
+// View is a cube version in column form: a key set and the measures aligned
+// with it, in cube order. It is never written to once a cube points at it — a
+// mutation of the cube drops the cube's pointer and leaves the View alone — so
+// a View taken from any cube, frozen or not, goes on showing the version it
+// was taken from, to any number of goroutines.
+//
+// A view holds a measure column of its own, or is a patch: the column of a
+// version it follows, shared with every other version that follows it, and
+// the rows where its measures differ (restate). A point read — At, Gather,
+// Get, Row, Dims — reads through the patch; the first whole read (Measures,
+// and every reader built on it) folds the patch into a column of the view's
+// own once, published as a fold of edits is, and the view lets go of the
+// patch and of the column under it.
 type View struct {
-	keys     *keySet
-	measures []float64
+	keys    *keySet
+	own     []float64 // the column a view built with one holds, never written
+	patched bool      // a view built as a patch: it holds col and over instead
+
+	col  atomic.Pointer[[]float64] // a patched view's column, once it holds one
+	over atomic.Pointer[patch]     // what it is until then
+}
+
+// patch is a view's measures as the column of a version it follows and the
+// rows it restates: 12 B per row restated. Nothing is written to it once a
+// view points at it.
+type patch struct {
+	root []float64 // another version's column, shared: read, never written
+	rows []int32   // the rows restated, ascending
+	vals []float64 // their measures
+}
+
+// patchShare bounds what a patch restates: past one row in this many of its
+// key set's, a version is built with a column of its own (a rebase), which the
+// versions that follow it are patches over. A successor's patch holds its
+// predecessor's rows merged with its own, so a point read is one binary search
+// however long the chain, and a chain of versions restating a share s of the
+// rows at each step copies the column once every 1/(patchShare·s) steps.
+const patchShare = 8
+
+// newView returns the view of a key set under a column it holds as its own.
+func newView(keys *keySet, measures []float64) *View { return &View{keys: keys, own: measures} }
+
+// held returns the view's measures as it holds them now: its column as a
+// patch over itself that restates nothing, or its patch. (A patched view's
+// column is published before its patch is dropped, so one of the two is
+// there.)
+func (p *View) held() patch {
+	if !p.patched {
+		return patch{root: p.own}
+	}
+	if m := p.col.Load(); m != nil {
+		return patch{root: *m}
+	}
+	if o := p.over.Load(); o != nil {
+		return *o
+	}
+	return patch{root: *p.col.Load()}
+}
+
+// at returns the measure at row i.
+func (o *patch) at(i int) float64 {
+	if j, ok := slices.BinarySearch(o.rows, int32(i)); ok {
+		return o.vals[j]
+	}
+	return o.root[i]
+}
+
+// appendTo appends the measures at rows [lo, hi) to dst.
+func (o *patch) appendTo(dst []float64, lo, hi int) []float64 {
+	n := len(dst) - lo
+	dst = append(dst, o.root[lo:hi]...)
+	j, _ := slices.BinarySearch(o.rows, int32(lo))
+	for ; j < len(o.rows) && int(o.rows[j]) < hi; j++ {
+		dst[n+int(o.rows[j])] = o.vals[j]
+	}
+	return dst
 }
 
 // Len returns the number of tuples.
-func (p *View) Len() int { return len(p.measures) }
+func (p *View) Len() int { return len(p.keys.tuples) }
 
-// Tuple returns the i-th tuple in cube order. Its Dims are the version's
-// own and must be left untouched.
-func (p *View) Tuple(i int) Tuple { return Tuple{p.keys.tuples[i].dims, p.measures[i]} }
+// Tuple returns the i-th tuple in cube order, a reader of the whole column
+// (see Measures). Its Dims are the version's own and must be left untouched.
+func (p *View) Tuple(i int) Tuple { return Tuple{p.keys.tuples[i].dims, p.Measures()[i]} }
+
+// Dims returns the dimension tuple at row i, the version's own: to be read,
+// not written.
+func (p *View) Dims(i int) []Value { return p.keys.tuples[i].dims }
+
+// At returns the measure at row i, read through a patch.
+func (p *View) At(i int) float64 {
+	if !p.patched {
+		return p.own[i]
+	}
+	return p.patchedAt(i)
+}
+
+// patchedAt is At's read through a patch, apart so that At inlines.
+func (p *View) patchedAt(i int) float64 {
+	o := p.held()
+	return o.at(i)
+}
+
+// Gather appends the measures at rows, which ascend, to dst: At of each, one
+// walk of a patch beside them.
+func (p *View) Gather(dst []float64, rows []int) []float64 {
+	o := p.held()
+	j := 0
+	for _, r := range rows {
+		k, ok := slices.BinarySearch(o.rows[j:], int32(r))
+		if j += k; ok {
+			dst = append(dst, o.vals[j])
+		} else {
+			dst = append(dst, o.root[r])
+		}
+	}
+	return dst
+}
 
 // Measures returns the measure column in cube order, the version's own: to be
-// read, not written.
-func (p *View) Measures() []float64 { return p.measures[:len(p.measures):len(p.measures)] }
+// read, not written. A patch is folded into the view's column on the first
+// call, once, whichever goroutines call.
+func (p *View) Measures() []float64 {
+	if !p.patched {
+		return p.own[:len(p.own):len(p.own)]
+	}
+	return p.materialize()
+}
+
+func (p *View) materialize() []float64 {
+	if m := p.col.Load(); m != nil {
+		return *m
+	}
+	o := p.over.Load()
+	if o == nil {
+		return *p.col.Load()
+	}
+	m := o.appendTo(make([]float64, 0, p.Len()), 0, p.Len())
+	if !p.col.CompareAndSwap(nil, &m) {
+		return *p.col.Load()
+	}
+	p.over.Store(nil)
+	return m
+}
+
+// restate returns the version on p's key set whose measures are p's but at
+// rows, ascending and distinct, where they are vals: a patch over the column
+// p holds or is a patch over, restating p's rows and these, or past
+// patchShare a column of its own. p is left as it is.
+func (p *View) restate(rows []int32, vals []float64) *View {
+	if len(rows) == 0 {
+		return p
+	}
+	o, n := p.held(), p.Len()
+	k := len(o.rows) + len(rows) // the rows the two restate between them
+	for i, j := 0, 0; i < len(o.rows) && j < len(rows); {
+		switch {
+		case o.rows[i] < rows[j]:
+			i++
+		case o.rows[i] > rows[j]:
+			j++
+		default:
+			i, j, k = i+1, j+1, k-1
+		}
+	}
+	if k > n/patchShare {
+		col := o.appendTo(make([]float64, 0, n), 0, n)
+		for j, r := range rows {
+			col[r] = vals[j]
+		}
+		return newView(p.keys, col)
+	}
+	q := &patch{root: o.root, rows: make([]int32, 0, k), vals: make([]float64, 0, k)}
+	i, j := 0, 0
+	for i < len(o.rows) || j < len(rows) {
+		switch {
+		case j == len(rows) || i < len(o.rows) && o.rows[i] < rows[j]:
+			q.rows, q.vals = append(q.rows, o.rows[i]), append(q.vals, o.vals[i])
+			i++
+		default:
+			if i < len(o.rows) && o.rows[i] == rows[j] {
+				i++
+			}
+			q.rows, q.vals = append(q.rows, rows[j]), append(q.vals, vals[j])
+			j++
+		}
+	}
+	v := &View{keys: p.keys, patched: true}
+	v.over.Store(q)
+	return v
+}
 
 // Row returns the row of the tuple whose dimension tuple is dims, if the
 // version has one: a probe of its key set (see row).
@@ -137,11 +308,12 @@ func (c *Cube) View() *View {
 	case p != nil && len(c.edits) == 0: // nothing to fold
 	case p == nil || p.Len() == 0:
 		ks := &keySet{tuples: make([]dimTuple, 0, len(c.edits))}
-		p = &View{keys: ks, measures: make([]float64, 0, len(c.edits))}
+		measures := make([]float64, 0, len(c.edits))
 		for k, e := range c.edits {
-			ks.tuples, p.measures = append(ks.tuples, dimTuple{e.Dims, k}), append(p.measures, e.Measure)
+			ks.tuples, measures = append(ks.tuples, dimTuple{e.Dims, k}), append(measures, e.Measure)
 		}
-		sortByKeys(ks.tuples, p.measures)
+		sortByKeys(ks.tuples, measures)
+		p = newView(ks, measures)
 	default:
 		p = c.fold()
 	}
@@ -153,7 +325,9 @@ func (c *Cube) View() *View {
 
 // fold is View's over a version other than the empty one: edits that only
 // restate measures patch a copy of its measure column at their rows, 8 B per
-// tuple on its key set; edits that add or delete are Applied.
+// tuple on its key set — an owner's edits are copied eagerly, so that the
+// first read after them pays for them and every later one reads a column —
+// and edits that add or delete are Applied.
 func (c *Cube) fold() *View {
 	for _, e := range c.edits {
 		if e.gone || e.row < 0 {
@@ -164,11 +338,12 @@ func (c *Cube) fold() *View {
 			return next.View()
 		}
 	}
-	q := &View{keys: c.base.keys, measures: slices.Clone(c.base.measures)}
+	o, n := c.base.held(), c.base.Len()
+	measures := o.appendTo(make([]float64, 0, n), 0, n)
 	for _, e := range c.edits {
-		q.measures[e.row] = e.Measure
+		measures[e.row] = e.Measure
 	}
-	return q
+	return newView(c.base.keys, measures)
 }
 
 // delta returns the edits as the lists of a delta from the base, in cube
@@ -194,8 +369,8 @@ func (c *Cube) delta(all bool) (added, changed, deleted []Tuple) {
 	for _, i := range rows {
 		switch e := c.edits[c.base.keys.tuples[i].key]; {
 		case e.gone:
-			deleted = append(deleted, c.base.Tuple(i))
-		case all || e.Measure != c.base.measures[i]:
+			deleted = append(deleted, Tuple{c.base.Dims(i), c.base.At(i)})
+		case all || e.Measure != c.base.At(i):
 			changed = append(changed, e.Tuple)
 		}
 	}
@@ -233,7 +408,7 @@ func (prev *Cube) Revise(c *Cube) *CubeDelta {
 	}
 	d.Added, d.Changed, d.Deleted, _ = diffViews(p, q, math.MaxInt)
 	if len(d.Added)+len(d.Deleted) == 0 {
-		d.Current = onKeySet(c.schema, &View{keys: p.keys, measures: q.measures})
+		d.Current = onKeySet(c.schema, newView(p.keys, q.Measures()))
 	}
 	return d
 }
@@ -256,32 +431,31 @@ var ErrMisfit = errors.New("model: delta does not fit its base")
 // naming the tuple. (Only the Dims of a deleted tuple are read.) c is left as
 // it was.
 //
-// A delta that only restates measures yields c's key set under a copy of its
-// measure column, patched at the changed tuples: 8 B per tuple. One that adds
-// or deletes is merged into c's order: a key set of its own whose Dims and row
-// keys are c's wherever the tuple survives.
+// A delta that only restates measures is Restate at the changed tuples' rows.
+// One that adds or deletes is merged into c's order: a key set of its own whose
+// Dims and row keys are c's wherever the tuple survives, under a column of its
+// own.
 func (c *Cube) Apply(added, changed, deleted []Tuple) (*Cube, error) {
 	misfit := func(verb string, t Tuple, why string) error {
 		return fmt.Errorf("%w: that of %s %s %s%s", ErrMisfit, c.schema.Name, verb, t.Dims, why)
 	}
 	p := c.View()
 	if len(added) == 0 && len(deleted) == 0 {
-		q := &View{keys: p.keys, measures: slices.Clone(p.measures)}
-		last := -1
+		rows, vals := make([]int32, 0, len(changed)), make([]float64, 0, len(changed))
 		var buf [keyBufSize]byte
 		for _, t := range changed {
 			i, ok := p.keys.row(AppendKey(buf[:0], t.Dims))
-			switch {
+			switch last := len(rows) - 1; {
 			case !ok:
 				return nil, misfit("changes", t, ", which the base lacks")
-			case i == last:
+			case last >= 0 && i == int(rows[last]):
 				return nil, misfit("names", t, " twice")
-			case i < last:
+			case last >= 0 && i < int(rows[last]):
 				return nil, misfit("lists", t, " out of order")
 			}
-			q.measures[i], last = t.Measure, i
+			rows, vals = append(rows, int32(i)), append(vals, t.Measure)
 		}
-		return onKeySet(c.schema, q), nil
+		return onKeySet(c.schema, p.restate(rows, vals)), nil
 	}
 
 	// The three lists as one, in cube order: a tuple in two shows as neighbours.
@@ -301,7 +475,7 @@ func (c *Cube) Apply(added, changed, deleted []Tuple) (*Cube, error) {
 	}
 	slices.SortStableFunc(edits, func(a, b listed) int { return strings.Compare(a.key, b.key) })
 
-	base := p.keys.tuples
+	base, o := p.keys.tuples, p.held()
 	n := max(len(base)+len(added)-len(deleted), 0)
 	tuples, measures := make([]dimTuple, 0, n), make([]float64, 0, n)
 	at := 0 // base[:at] is merged
@@ -310,7 +484,7 @@ func (c *Cube) Apply(added, changed, deleted []Tuple) (*Cube, error) {
 			return nil, misfit("names", e.Tuple, " twice")
 		}
 		n, has := slices.BinarySearchFunc(base[at:], e.key, func(t dimTuple, k string) int { return strings.Compare(t.key, k) })
-		tuples, measures = append(tuples, base[at:at+n]...), append(measures, p.measures[at:at+n]...)
+		tuples, measures = append(tuples, base[at:at+n]...), o.appendTo(measures, at, at+n)
 		at += n
 		switch {
 		case e.verb == "adds" && has:
@@ -326,8 +500,29 @@ func (c *Cube) Apply(added, changed, deleted []Tuple) (*Cube, error) {
 			at++
 		}
 	}
-	tuples, measures = append(tuples, base[at:]...), append(measures, p.measures[at:]...)
-	return onKeySet(c.schema, &View{keys: &keySet{tuples: tuples}, measures: measures}), nil
+	tuples, measures = append(tuples, base[at:]...), o.appendTo(measures, at, len(base))
+	return onKeySet(c.schema, newView(&keySet{tuples: tuples}, measures)), nil
+}
+
+// Restate returns the version that follows c by restating the measures at
+// rows of c.View(), ascending and distinct, to measures: a delta that only
+// restates measures, named by row, as a maintenance that computes a column at
+// a time finds it. The version stands on c's key set as a patch over the
+// column c holds or is a patch over, in O(len(rows)) (see View); c is left as
+// it was. Rows out of order, named twice or past c's tuples are an ErrMisfit.
+func (c *Cube) Restate(rows []int, measures []float64) (*Cube, error) {
+	p := c.View()
+	if len(rows) != len(measures) {
+		return nil, fmt.Errorf("model: %d measures restate %d rows of %s", len(measures), len(rows), c.schema.Name)
+	}
+	rs := make([]int32, len(rows))
+	for j, r := range rows {
+		if r < 0 || r >= p.Len() || j > 0 && r <= rows[j-1] {
+			return nil, fmt.Errorf("%w: that of %s restates row %d of %d out of order, twice or past its end", ErrMisfit, c.schema.Name, r, p.Len())
+		}
+		rs[j] = int32(r)
+	}
+	return onKeySet(c.schema, p.restate(rs, measures)), nil
 }
 
 // Derive is DeriveColumn of the measures f returns: it scans c in cube order
@@ -339,7 +534,7 @@ func (c *Cube) Derive(schema Schema, f func(i int, t Tuple) (measure float64, ke
 		return nil, err
 	}
 	p := c.View()
-	measures := make([]float64, len(p.measures))
+	measures := make([]float64, p.Len())
 	var drop []bool
 	for i := range measures {
 		m, keep, err := f(i, p.Tuple(i))
@@ -379,7 +574,7 @@ func (c *Cube) DeriveColumn(schema Schema, measures []float64, drop []bool) (*Cu
 		return nil, fmt.Errorf("model: cube %s derived from %d measures (%d marks) over %d tuples", schema.Name, len(measures), len(drop), p.Len())
 	}
 	if drop == nil {
-		return onKeySet(schema, &View{keys: p.keys, measures: measures}), nil
+		return onKeySet(schema, newView(p.keys, measures)), nil
 	}
 	// Both columns at the size of what was kept: a store keeps every version.
 	n := 0
@@ -394,7 +589,7 @@ func (c *Cube) DeriveColumn(schema Schema, measures []float64, drop []bool) (*Cu
 			tuples, kept = append(tuples, p.keys.tuples[i]), append(kept, measures[i])
 		}
 	}
-	return onKeySet(schema, &View{keys: &keySet{tuples: tuples}, measures: kept}), nil
+	return onKeySet(schema, newView(&keySet{tuples: tuples}, kept)), nil
 }
 
 func (c *Cube) derivable(schema Schema) error {
@@ -409,9 +604,10 @@ func (c *Cube) derivable(schema Schema) error {
 // whole delta between them. It gives up (false) past limit tuples. The first
 // pass counts, so that the list, which a store keeps, is allocated at its size.
 func changedBetween(p, q *View, limit int) ([]Tuple, bool) {
+	pm, qm := p.Measures(), q.Measures()
 	n := 0
-	for i, m := range q.measures {
-		if m != p.measures[i] {
+	for i, m := range qm {
+		if m != pm[i] {
 			n++
 		}
 	}
@@ -419,9 +615,9 @@ func changedBetween(p, q *View, limit int) ([]Tuple, bool) {
 		return nil, n == 0
 	}
 	changed := make([]Tuple, 0, n)
-	for i, m := range q.measures {
-		if m != p.measures[i] {
-			changed = append(changed, q.Tuple(i))
+	for i, m := range qm {
+		if m != pm[i] {
+			changed = append(changed, Tuple{q.Dims(i), m})
 		}
 	}
 	return changed, true

@@ -359,7 +359,7 @@ func TestReviseGivesUp(t *testing.T) {
 	// is taken as it is.
 	same := negated(base()).Freeze()
 	if d := prev.Revise(same); d == nil || !d.Current.SharesKeySet(prev) || d.Current == same || len(d.Changed) != 200 ||
-		&d.Current.View().measures[0] != &same.View().measures[0] || !d.Current.Equal(same, 0) {
+		&d.Current.View().Measures()[0] != &same.View().Measures()[0] || !d.Current.Equal(same, 0) {
 		t.Errorf("a frozen revision: %+v", d)
 	}
 	if prev.Revise(asColumnsOn(t, prev, base())) != nil {

@@ -143,7 +143,7 @@ func (c *Cube) at(key []byte) (edit, bool) {
 	}
 	if c.base != nil {
 		if i, ok := c.base.keys.row(key); ok {
-			return edit{Tuple: c.base.Tuple(i), row: i}, true
+			return edit{Tuple: Tuple{c.base.Dims(i), c.base.At(i)}, row: i}, true
 		}
 	}
 	return edit{row: -1}, false
@@ -213,8 +213,8 @@ func (c *Cube) Tuples() []Tuple {
 // reader sees, and like every reader it must leave the Dims untouched.
 func (c *Cube) Ordered(fn func(Tuple) error) error {
 	p := c.View()
-	for i := range p.measures {
-		if err := fn(p.Tuple(i)); err != nil {
+	for i, m := range p.Measures() {
+		if err := fn(Tuple{p.Dims(i), m}); err != nil {
 			return err
 		}
 	}
@@ -245,15 +245,16 @@ func (c *Cube) Equal(o *Cube, tol float64) bool {
 // between the cubes, in cube order, for test failure messages.
 func (c *Cube) Diff(o *Cube, tol float64, max int) (out []string) {
 	p, q := c.View(), o.View()
+	pm, qm := p.Measures(), q.Measures()
 	align(p, q, func(i, j int) bool {
 		switch {
 		case j < 0:
-			out = append(out, fmt.Sprintf("missing in other: %v -> %v", p.Tuple(i).Dims, p.measures[i]))
+			out = append(out, fmt.Sprintf("missing in other: %v -> %v", p.Dims(i), pm[i]))
 		case i < 0:
-			out = append(out, fmt.Sprintf("extra in other: %v -> %v", q.Tuple(j).Dims, q.measures[j]))
+			out = append(out, fmt.Sprintf("extra in other: %v -> %v", q.Dims(j), qm[j]))
 		// Not "<=" negated: a NaN measure is outside no tolerance.
-		case math.Abs(p.measures[i]-q.measures[j]) > tol*(1+math.Abs(p.measures[i])):
-			out = append(out, fmt.Sprintf("measure mismatch at %v: %v vs %v", p.Tuple(i).Dims, p.measures[i], q.measures[j]))
+		case math.Abs(pm[i]-qm[j]) > tol*(1+math.Abs(pm[i])):
+			out = append(out, fmt.Sprintf("measure mismatch at %v: %v vs %v", p.Dims(i), pm[i], qm[j]))
 		}
 		return len(out) < max
 	})
@@ -314,7 +315,7 @@ func (c *Cube) SortedSeries() ([]Period, []float64, error) {
 		return nil, nil, fmt.Errorf("model: cube %s is not a time series", c.schema.Name)
 	}
 	cols := c.View()
-	periods := make([]Period, len(cols.measures))
+	periods := make([]Period, cols.Len())
 	for i, t := range cols.keys.tuples {
 		p, ok := t.dims[0].AsPeriod()
 		if !ok {
@@ -322,5 +323,5 @@ func (c *Cube) SortedSeries() ([]Period, []float64, error) {
 		}
 		periods[i] = p
 	}
-	return periods, slices.Clone(cols.measures), nil
+	return periods, slices.Clone(cols.Measures()), nil
 }

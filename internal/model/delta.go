@@ -117,14 +117,15 @@ func diffViews(p, q *View, limit int) (added, changed, deleted []Tuple, ok bool)
 		return nil, changed, nil, ok
 	}
 	ok = true
+	pm, qm := p.Measures(), q.Measures()
 	align(p, q, func(i, j int) bool {
 		switch {
 		case j < 0:
-			deleted = append(deleted, p.Tuple(i))
+			deleted = append(deleted, Tuple{p.Dims(i), pm[i]})
 		case i < 0:
-			added = append(added, q.Tuple(j))
-		case p.measures[i] != q.measures[j]:
-			changed = append(changed, Tuple{Dims: p.keys.tuples[i].dims, Measure: q.measures[j]})
+			added = append(added, Tuple{q.Dims(j), qm[j]})
+		case pm[i] != qm[j]:
+			changed = append(changed, Tuple{Dims: p.Dims(i), Measure: qm[j]})
 		}
 		ok = len(added)+len(changed)+len(deleted) <= limit
 		return ok

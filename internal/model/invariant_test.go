@@ -62,7 +62,7 @@ func TestFrozenIsColumnsAndNothingElse(t *testing.T) {
 	}
 
 	// model: the builder on both paths, Freeze, Snapshot, Revise from either
-	// kind of put, Apply's arms, Derive's.
+	// kind of put, Apply's arms, Restate and Apply over its patch, Derive's.
 	in, out := model.NewBuilder(gSchema), model.NewBuilder(gSchema)
 	for i := 0; i < 8; i++ {
 		_ = in.Add([]model.Value{quarter(i)}, 1)
@@ -103,6 +103,12 @@ func TestFrozenIsColumnsAndNothingElse(t *testing.T) {
 	check("Apply to a mutable cube, added", c, err)
 	c, err = base.Apply(added, nil, one)
 	check("Apply, added and deleted", c, err)
+	patched, err := base.Restate([]int{2, 5}, []float64{-3, -4})
+	check("Restate", patched, err)
+	c, err = patched.Apply(nil, one, nil)
+	check("Apply, changed, over a patch", c, err)
+	c, err = patched.Apply(added, nil, nil)
+	check("Apply, added, over a patch", c, err)
 	c, err = base.Derive(sSchema, func(int, model.Tuple) (float64, bool, error) { return 1, true, nil })
 	check("Derive, every tuple kept", c, err)
 	c, err = s.Derive(sSchema, func(i int, _ model.Tuple) (float64, bool, error) { return 1, i%2 == 0, nil })
@@ -174,5 +180,22 @@ P := vsum0(G, L)
 	}
 	for name, c := range padded {
 		check("chase, padded: "+name, c, nil)
+	}
+
+	// The chase's maintained outputs, after a revision of S that restates one
+	// measure: by row on the column path, per key elsewhere.
+	solver := chase.New(m)
+	prev, err := solver.Solve(chase.Instance{"S": base, "G": g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := base.Revise(rev)
+	maintained, _, err := solver.Maintain(context.Background(), chase.Instance{"S": d.Current, "G": g},
+		&chase.Front{Deltas: map[string]*model.CubeDelta{"S": d}, Bases: prev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range maintained {
+		check("chase, maintained: "+name, c, nil)
 	}
 }

@@ -41,7 +41,7 @@ func (t *Tracer) start(name string, parent *Span, attrs []Attr) *Span {
 		ID:     t.nextID,
 		Name:   name,
 		Start:  t.now(),
-		Attrs:  attrs,
+		Attrs:  append([]Attr(nil), attrs...), // a copy: the caller's variadic slice stays on its stack
 		tracer: t,
 		parent: parent,
 	}

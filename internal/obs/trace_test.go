@@ -119,6 +119,20 @@ func TestNoTracerIsNoOp(t *testing.T) {
 	}
 }
 
+// TestNoTracerSpanAllocatesNothing: with no tracer in the context, a span
+// opened with attributes and ended allocates nothing — the attributes'
+// variadic slice stays on the caller's stack, because a tracer copies what
+// it keeps.
+func TestNoTracerSpanAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(100, func() {
+		_, s := StartSpan(ctx, "chase.tgd", String("tgd", "A"), String("kind", "scalar"))
+		s.End()
+	}); n != 0 {
+		t.Fatalf("StartSpan with two attributes and no tracer allocates %v times, want 0", n)
+	}
+}
+
 func TestCurrentSpanAnnotation(t *testing.T) {
 	tr := NewTracer()
 	ctx := ContextWithTracer(context.Background(), tr)

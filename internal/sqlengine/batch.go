@@ -73,7 +73,7 @@ func (v *vec) len() int {
 func (v *vec) at(i int) model.Value {
 	switch v.form {
 	case fOrd:
-		return v.view.Tuple(int(v.rows[i])).Dims[v.dim]
+		return v.view.Dims(int(v.rows[i]))[v.dim]
 	case fNum:
 		if v.null != nil && v.null[i] {
 			return model.Value{}

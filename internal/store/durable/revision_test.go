@@ -2,7 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"exlengine/internal/model"
@@ -197,4 +199,70 @@ func TestReplayableHashesNoKeySet(t *testing.T) {
 	if replayable(d) {
 		t.Error("a delta that restates a tuple to what its end does not hold is replayable")
 	}
+}
+
+// TestReplayedVersionsReadConcurrently: a chain of revisions that restate a
+// few measures each, logged as deltas and replayed by Open, stands on the
+// first version's key set as patches (and, past the rebase rule, a column of
+// its own), and goroutines reading the replayed versions at once — by point,
+// and by a first whole read racing the points — see what was put, bit for
+// bit (run under -race).
+func TestReplayedVersionsReadConcurrently(t *testing.T) {
+	const n, steps, readers = 64, 6, 6
+	dir := t.TempDir()
+	st := openT(t, dir)
+	put := codecCube(t, n)
+	var want [][]model.Tuple
+	for k := 0; k <= steps; k++ {
+		if k > 0 {
+			stored, _ := st.Get("M")
+			put = revise(t, stored, []int{k, 3 * k}, nil, 0)
+		}
+		if err := st.Put(put, day(k)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, put.Tuples())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openT(t, dir)
+	defer st.Close()
+	at := st.Versions("M")
+	if len(at) != steps+1 {
+		t.Fatalf("%d versions replayed, want %d", len(at), steps+1)
+	}
+	versions := make([]*model.Cube, len(at))
+	for k, when := range at {
+		versions[k], _ = st.GetAsOf("M", when)
+		if !versions[k].SharesKeySet(versions[0]) {
+			t.Fatalf("replayed version %d left the first one's key set", k)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k, v := range versions {
+				if g%2 == 0 {
+					for _, tu := range want[k] {
+						if m, ok := v.Get(tu.Dims); !ok || math.Float64bits(m) != math.Float64bits(tu.Measure) {
+							t.Errorf("version %d at %v reads %v, want %v", k, tu.Dims, m, tu.Measure)
+							return
+						}
+					}
+					continue
+				}
+				got := v.Tuples()
+				for i, tu := range want[k] {
+					if math.Float64bits(got[i].Measure) != math.Float64bits(tu.Measure) {
+						t.Errorf("version %d, read whole, at %v reads %v, want %v", k, tu.Dims, got[i].Measure, tu.Measure)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

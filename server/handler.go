@@ -72,6 +72,7 @@ func writeTooLarge(w http.ResponseWriter, err error) bool {
 // writeEngineError maps an engine error onto HTTP: shutdown → 503,
 // any other typed overload → 429 (both with Retry-After), cancellation
 // → 499-style 400, an unknown changed cube → 400, everything else → 500.
+// It counts the overloads; instrument counts every other error status.
 func writeEngineError(w http.ResponseWriter, reg *obs.Registry, err error) {
 	switch {
 	case errors.Is(err, governor.ErrShuttingDown):
@@ -83,7 +84,6 @@ func writeEngineError(w http.ResponseWriter, reg *obs.Registry, err error) {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 	case exlerr.IsCancellation(err):
-		reg.Counter(MetricHTTPErrors).Inc()
 		writeError(w, http.StatusBadRequest, "run canceled: %v", err)
 	case errors.Is(err, determine.ErrUnknownCube):
 		// The request names a cube that no program derives or reads.
@@ -91,10 +91,8 @@ func writeEngineError(w http.ResponseWriter, reg *obs.Registry, err error) {
 	case errors.Is(err, store.ErrStaleVersion):
 		// Optimistic-concurrency loss: a client-stamped write raced a
 		// newer version. Retryable by the client with a fresher stamp.
-		reg.Counter(MetricHTTPErrors).Inc()
 		writeError(w, http.StatusConflict, "%v", err)
 	default:
-		reg.Counter(MetricHTTPErrors).Inc()
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
 }

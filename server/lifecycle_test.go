@@ -178,3 +178,34 @@ func TestStaleVersionConflict(t *testing.T) {
 		t.Fatalf("stale put: status %d (%s), want 409", status, body)
 	}
 }
+
+// TestErrorStatusCountedOnce: an error status is counted once in
+// server_http_errors_total, whether the engine's error was mapped onto it
+// (a run on a session with no program: 500) or the handler chose it (a
+// stale-version PUT: 409).
+func TestErrorStatusCountedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want int
+		do   func(t *testing.T, base string) int
+	}{
+		{"run with no program", http.StatusInternalServerError, func(t *testing.T, base string) int {
+			status, _ := postJSON(t, base+"/v1/run", openSession(t, base, "alpha"), map[string]any{})
+			return status
+		}},
+		{"stale-version put", http.StatusConflict, func(t *testing.T, base string) int {
+			sid := setupTenant(t, base, "alpha", 1, 3)
+			past := time.Now().Add(-time.Hour).UTC().Format(time.RFC3339)
+			status, _ := doReq(t, http.MethodPut, base+"/v1/cubes/SRC?as_of="+past, sid, "text/csv", testCSV(t, 2, 3))
+			return status
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, base := newTestServer(t, Config{DataDir: t.TempDir()})
+			errs := srv.cfg.Metrics.Counter(MetricHTTPErrors)
+			if got := tc.do(t, base); got != tc.want || errs.Value() != 1 {
+				t.Fatalf("status %d (want %d), %s = %d (want 1)", got, tc.want, MetricHTTPErrors, errs.Value())
+			}
+		})
+	}
+}
