@@ -34,12 +34,13 @@ import (
 // prev maps a derived cube to its previous version, frozen, where there is
 // one; prev may be nil. It never changes what Run returns, only how a result
 // is built: the SQL INSERT that fills its table, the ETL sink and
-// frame.ToCube build a cube as the revision of prev[name] (model.NewBuilderOn). A result that holds its
-// predecessor's dimension tuples, in order, is a measure column on the
-// predecessor's key set, which the store adopts without a merge and whose
-// cached partition the next GROUP BY over it reads. Any other result, and any
-// result of a predecessor under another schema, is built as with none. The
-// chase derives its results from its operands and reads no predecessor.
+// frame.ToCube build a cube as the revision of prev[name] (model.NewBuilderOn).
+// A result that holds its predecessor's dimension tuples, in order, is a
+// version on the predecessor's key set (a patch over its column where it
+// restates few of its measures), which the store adopts without a merge and
+// whose cached partition the next GROUP BY over it reads. Any other result,
+// and any result of a predecessor under another schema, is built as with none.
+// The chase derives its results from its operands and reads no predecessor.
 func Run(ctx context.Context, t ops.Target, m *mapping.Mapping, input, prev map[string]*model.Cube) (map[string]*model.Cube, error) {
 	var all map[string]*model.Cube
 	switch t {

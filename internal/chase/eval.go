@@ -115,6 +115,7 @@ func (x *exec) join(i int) error {
 		// selection, checked tuple by tuple — or a cross product: scan. A
 		// driving row whose group is not wanted costs the read of its ordinal.
 		v := x.rels[i].View()
+		cur := v.Cursor()
 		for row, n := 0, v.Len(); row < n; row++ {
 			if i == 0 {
 				if x.row = row; x.ords != nil {
@@ -123,7 +124,7 @@ func (x *exec) join(i int) error {
 					}
 				}
 			}
-			if ok, err := x.bind(a, v.Tuple(row), true); err != nil {
+			if ok, err := x.bind(a, cur.Tuple(row), true); err != nil {
 				return err
 			} else if !ok {
 				continue
@@ -500,9 +501,9 @@ func (x *exec) partition() (*model.Partition, error) {
 		return part, nil
 	}
 	span.SetAttr(obs.String("groups", "hash"))
-	asg := v.NewPartition(x.p.groupSig)
+	asg, cur := v.NewPartition(x.p.groupSig), v.Cursor()
 	for row, n := 0, v.Len(); row < n; row++ {
-		if ok, err := x.bind(&x.atoms[0], v.Tuple(row), true); err != nil {
+		if ok, err := x.bind(&x.atoms[0], cur.Tuple(row), true); err != nil {
 			return nil, err
 		} else if !ok {
 			continue

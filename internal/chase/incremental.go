@@ -395,9 +395,10 @@ func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[s
 	}
 	only := make([]bool, part.Groups())
 	ordinal := make(map[string]uint32, len(affected.dims)) // of the affected groups that still have rows
-	v := x.rels[0].View()
+	// Groups are numbered in the order of their first rows: one ascending scan.
+	cur := x.rels[0].View().Cursor()
 	for g := range only {
-		if ok, err := x.bind(&x.atoms[0], v.Tuple(part.First(g)), false); err != nil || !ok {
+		if ok, err := x.bind(&x.atoms[0], cur.Tuple(part.First(g)), false); err != nil || !ok {
 			return nil, nil, false, err
 		}
 		if err := x.rhsDims(); err != nil {

@@ -1,13 +1,18 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"exlengine/internal/chase"
+	"exlengine/internal/obs"
 	"exlengine/internal/ops"
+	"exlengine/internal/store"
+	"exlengine/internal/store/durable"
 	"exlengine/internal/workload"
 )
 
@@ -85,5 +90,80 @@ func TestRunsOnRevisionsHeldAsColumns(t *testing.T) {
 			}
 		}
 		check("incremental run on "+string(tg.target), tg.tol)
+	}
+}
+
+// TestRevisionStaysAPatchThroughARun: a CSV revision that restates one PDR
+// measure in fifty, read onto its predecessor, is stored on a durable store
+// as a patch over the predecessor's column and logged as a delta. The
+// incremental run of the GDP program that follows and the CSV reads of PDR,
+// PQR, GDP and PCHNG read PDR through its patch, so afterwards it is still
+// one, and a reopened store holds what was put.
+func TestRevisionStaysAPatchThroughARun(t *testing.T) {
+	ctx := context.Background()
+	at := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	reg := obs.NewRegistry()
+	st, err := durable.Open(t.TempDir(), durable.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(WithStore(st))
+	if err := e.RegisterProgram("p", workload.GDPProgram); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range workload.GDPSource(workload.GDPConfig{Days: 400, Regions: 4, Seed: 3}) {
+		if err := e.PutCube(c, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Run(ctx, RunAt(at), WithIncremental()); err != nil {
+		t.Fatal(err)
+	}
+
+	prev, _ := e.Cube("PDR")
+	rev, restated := prev.Clone(), 0
+	for i, tu := range prev.Tuples() {
+		if i%50 == 7 {
+			if err := rev.Replace(tu.Dims, tu.Measure+1); err != nil {
+				t.Fatal(err)
+			}
+			restated++
+		}
+	}
+	var body bytes.Buffer
+	if err := store.WriteCSV(&body, rev); err != nil {
+		t.Fatal(err)
+	}
+	deltas := reg.Counter(obs.MetricStoreWALDeltaCubes).Value()
+	at = at.Add(24 * time.Hour)
+	if err := e.LoadCSV("PDR", &body, at); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter(obs.MetricStoreWALDeltaCubes).Value() - deltas; n != 1 {
+		t.Errorf("the revision logged %d cubes as deltas, want 1", n)
+	}
+	if _, err := e.Run(ctx, RunAt(at), WithIncremental()); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"PDR", "PQR", "GDP", "PCHNG"} {
+		c, _ := e.Cube(name)
+		if err := store.WriteCSV(io.Discard, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	latest, _ := e.Cube("PDR")
+	if k, ok := latest.View().Patched(); !ok || k != restated || !latest.SharesKeySet(prev) {
+		t.Fatalf("PDR after the run: a patch %v of %d rows (want %d), on its predecessor's key set %v", ok, k, restated, latest.SharesKeySet(prev))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := durable.Open(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, _ := re.Get("PDR"); !got.Equal(rev, 0) {
+		t.Fatal("the reopened store does not hold the revision")
 	}
 }

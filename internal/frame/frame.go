@@ -43,7 +43,7 @@ func FromCube(c *model.Cube) *Frame {
 // ToCube builds the frame's rows into a frozen cube under the given schema,
 // as the revision of prev, the cube's previous version (nil when there is
 // none): rows that are prev's dimension tuples, all of them in that order,
-// become a measure column on prev's key set (model.NewBuilderOn). The frame
+// become a version on prev's key set (model.NewBuilderOn). The frame
 // must contain the schema's dimension and measure columns (by name, any
 // order). Rows with invalid (NA) values are dropped, matching the
 // partial-function semantics of cubes.

@@ -144,10 +144,12 @@ func (l *Layout) Value(b *Batch, i, c int) model.Value {
 	case k.src < 0:
 		return b.vals[i*l.vals+k.at]
 	}
-	tu := l.views[k.src].Tuple(int(b.refs[i*len(l.views)+k.src]))
-	v := model.Num(tu.Measure)
+	view, r := l.views[k.src], int(b.refs[i*len(l.views)+k.src])
+	var v model.Value
 	if k.at >= 0 {
-		v = tu.Dims[k.at]
+		v = view.Dims(r)[k.at]
+	} else {
+		v = model.Num(view.At(r))
 	}
 	if k.shift != 0 {
 		v, _ = ops.ShiftValue(v, k.shift) // Scan saw that it shifts
@@ -186,13 +188,13 @@ func (l *Layout) key(buf []byte, b *Batch, i int, cols []int) ([]byte, bool) {
 func (l *Layout) Scan(filter int, v model.Value, out Sink) error {
 	view := l.views[0]
 	for i := range view.Len() {
-		tu := view.Tuple(i)
-		if filter >= 0 && !tu.Dims[filter].Equal(v) {
+		dims := view.Dims(i)
+		if filter >= 0 && !dims[filter].Equal(v) {
 			continue
 		}
 		for _, c := range l.cols {
 			if c.shift != 0 && c.at >= 0 {
-				if _, err := ops.ShiftValue(tu.Dims[c.at], c.shift); err != nil {
+				if _, err := ops.ShiftValue(dims[c.at], c.shift); err != nil {
 					return err
 				}
 			}

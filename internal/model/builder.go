@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -18,20 +19,32 @@ import (
 // sorts them once and settles tuples that arrived more than once.
 //
 // A Builder on a predecessor (NewBuilderOn) follows it: while the i-th arrival
-// is the predecessor's i-th dimension tuple, it is 8 bytes on a measure column
-// and nothing else. The Builder stops following at the first arrival that is
-// not — another tuple, or one more than the predecessor has — and carries on
-// as above from the prefix, whose Dims and row keys it shares with the
-// predecessor. Arrivals that were the predecessor's tuples to the last, all of
-// them, are built on its key set, by reference. A caller that can tell the
-// arrival is that tuple from what it holds — a CSV decoder, from the text —
-// asks for it (Following) and adds the measure alone (AddFollowing).
+// is the predecessor's i-th dimension tuple, its measure is compared with the
+// predecessor's, read through a Cursor, and only where the bits differ is the
+// row kept, with the measure. The Builder stops following at the first arrival
+// that is not — another tuple, or one more than the predecessor has — and
+// carries on as above from the prefix, whose Dims and row keys it shares with
+// the predecessor. Arrivals that were the predecessor's tuples to the last,
+// all of them, are built on its key set, by reference: the predecessor
+// restated at the rows kept (View.restate), a patch over its column where
+// those are few. Once the rows kept are more than patchShare and more than one
+// in patchShare of the arrivals, the Builder goes on with a column of its own
+// instead, so that a result that restates most of its predecessor never pays
+// for a patch and a column both, and a revision that restates one of its first
+// few measures is not taken for one.
+// A caller that can tell the arrival is that tuple from what it holds — a CSV
+// decoder, from the text — asks for it (Following) and adds the measure alone
+// (AddFollowing).
 type Builder struct {
 	schema Schema
 	n      int // tuples added
 	// follow is the predecessor's columns while the arrivals are its first n
-	// tuples, and col their measures: all a following Builder holds.
+	// tuples, and cur reads its measures. The arrivals are the rows kept and
+	// their measures until col, their measures as a column, takes over.
 	follow *View
+	cur    Cursor
+	rows   []int32
+	vals   []float64
 	col    []float64
 	// In arrival order, in chunks: one array would grow to several times itself.
 	tuples   [][]dimTuple
@@ -56,6 +69,7 @@ func NewBuilderOn(prev *Cube, schema Schema) *Builder {
 	b := NewBuilder(schema)
 	if prev != nil && prev.Frozen() && prev.schema.Equal(schema) {
 		b.follow = prev.View()
+		b.cur = b.follow.Cursor()
 	}
 	return b
 }
@@ -107,14 +121,46 @@ func (b *Builder) Following() ([]Value, bool) {
 	return b.follow.keys.tuples[b.n].dims, true
 }
 
-// AddFollowing is Add of the tuple Following has just returned: the measure
-// goes onto the column.
+// AddFollowing is Add of the tuple Following has just returned: a measure
+// that is the predecessor's, bit for bit, is nothing more to hold.
 func (b *Builder) AddFollowing(measure float64) {
-	if b.col == nil {
-		b.col = make([]float64, 0, b.follow.Len())
-	}
-	b.col = append(b.col, measure)
+	i := b.n
 	b.n++
+	if b.col != nil {
+		b.col = append(b.col, measure)
+		return
+	}
+	if math.Float64bits(measure) == math.Float64bits(b.cur.At(i)) {
+		return
+	}
+	if k := len(b.rows); k == cap(b.rows) {
+		// Room first for what may be kept before the Builder can switch to a
+		// column, all that a result most of whose measures move pays for;
+		// then for a chunk at once: as many allocations for a few rows kept
+		// as for a few hundred.
+		grow := patchShare + 1
+		if k > 0 {
+			grow = max(chunkTuples, k)
+		}
+		b.rows, b.vals = slices.Grow(b.rows, grow), slices.Grow(b.vals, grow)
+	}
+	b.rows, b.vals = append(b.rows, int32(i)), append(b.vals, measure)
+	if k := len(b.rows); k > patchShare && k > b.n/patchShare {
+		b.col = b.column(b.follow.Len())
+	}
+}
+
+// column returns the measures of the arrivals so far, while they follow the
+// predecessor and before col holds them, as a column with room for size, and
+// lets go of the rows kept.
+func (b *Builder) column(size int) []float64 {
+	o := b.follow.held()
+	col := o.appendTo(make([]float64, 0, size), 0, b.n)
+	for j, r := range b.rows {
+		col[r] = b.vals[j]
+	}
+	b.rows, b.vals = nil, nil
+	return col
 }
 
 // unfollow makes the arrivals so far, a prefix of the predecessor's tuples, the
@@ -122,10 +168,14 @@ func (b *Builder) AddFollowing(measure float64) {
 // array and full, so that what arrives next goes to a chunk of the Builder's own.
 func (b *Builder) unfollow() {
 	if n := b.n; n > 0 {
+		ms := b.col
+		if ms == nil {
+			ms = b.column(n)
+		}
 		ts := b.follow.keys.tuples[:n:n]
-		b.tuples, b.measures, b.last = [][]dimTuple{ts}, [][]float64{b.col[:n:n]}, ts[n-1].key
+		b.tuples, b.measures, b.last = [][]dimTuple{ts}, [][]float64{ms[:n:n]}, ts[n-1].key
 	}
-	b.follow, b.col = nil, nil
+	b.follow, b.cur, b.col = nil, Cursor{}, nil
 }
 
 // AddRow is Add for a row as a backend holds it, values all: one with an
@@ -164,10 +214,13 @@ func (e *EgdError) Unwrap() error { return e.err }
 // EgdError.
 func (b *Builder) Build() (*Cube, error) {
 	if b.follow != nil {
-		if b.n == b.follow.Len() {
+		if b.n < b.follow.Len() {
+			b.unfollow()
+		} else if b.col != nil {
 			return onKeySet(b.schema, newView(b.follow.keys, b.col)), nil
+		} else {
+			return onKeySet(b.schema, b.follow.restate(b.rows, b.vals)), nil
 		}
-		b.unfollow()
 	}
 	tuples, measures := make([]dimTuple, 0, b.n), make([]float64, 0, b.n)
 	for c := range b.tuples {

@@ -220,6 +220,47 @@ func TestBuilderInOrderNeedsNoSort(t *testing.T) {
 	}
 }
 
+// TestFollowingBuilderPaysForOneForm: a Builder that follows a predecessor of
+// n tuples allocates a patch where few measures move — 200 restated, and the
+// list it kept them in, well under a column — and where every measure moves
+// one column and the few rows it kept before it switched to it (and the
+// column's rounding to whole pages): never a patch and a column both.
+func TestFollowingBuilderPaysForOneForm(t *testing.T) {
+	const n = 40000
+	prev := asColumns(t, pdrCube(n))
+	spent := func(measure func(i int, m float64) float64) (uint64, *Cube) {
+		var c *Cube
+		least := uint64(math.MaxUint64)
+		for rep := 0; rep < 3; rep++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b, p := NewBuilderOn(prev, prev.Schema()), prev.View()
+			for i := range n {
+				b.Following()
+				b.AddFollowing(measure(i, p.At(i)))
+			}
+			c, _ = b.Build()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least, c
+	}
+	sparse, c := spent(func(i int, m float64) float64 {
+		if i%200 == 0 {
+			return m + 1
+		}
+		return m
+	})
+	if k, ok := c.View().Patched(); !ok || k != n/200 || sparse > 16*1024 {
+		t.Errorf("200 measures restated: a patch %v of %d rows, %d B allocated", ok, k, sparse)
+	}
+	dense, c := spent(func(_ int, m float64) float64 { return m + 1 })
+	t.Logf("a following Builder over %d tuples allocates %d B for 200 restated, %d B for all", n, sparse, dense)
+	if _, ok := c.View().Patched(); ok || dense > 8*n+16*1024 {
+		t.Errorf("every measure restated: a patch %v, %d B allocated, want a column of %d B and a chunk", ok, dense, 8*n)
+	}
+}
+
 // TestBuilderArity: Add checks what Put checks.
 func TestBuilderArity(t *testing.T) {
 	b := NewBuilder(rgdpSchema())

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // keySet is the part of a version that its measures play no part in: the
@@ -39,11 +40,11 @@ type dimTuple struct {
 //
 // A view holds a measure column of its own, or is a patch: the column of a
 // version it follows, shared with every other version that follows it, and
-// the rows where its measures differ (restate). A point read — At, Gather,
-// Get, Row, Dims — reads through the patch; the first whole read (Measures,
-// and every reader built on it) folds the patch into a column of the view's
-// own once, published as a fold of edits is, and the view lets go of the
-// patch and of the column under it.
+// the rows where its measures differ (restate). A point read — At, Tuple,
+// Gather, Get, Row, Dims — reads through the patch, and so does a scan in
+// order, through a Cursor; the first call of Measures folds the patch into a
+// column of the view's own once, published as a fold of edits is, and the
+// view lets go of the patch and of the column under it.
 type View struct {
 	keys    *keySet
 	own     []float64 // the column a view built with one holds, never written
@@ -109,12 +110,46 @@ func (o *patch) appendTo(dst []float64, lo, hi int) []float64 {
 	return dst
 }
 
+// patchHeaderBytes is what a patch holds beside its rows and measures.
+const patchHeaderBytes = int64(unsafe.Sizeof(patch{}))
+
+// measureBytes is what the view holds of its measures: its column, 8 B a
+// tuple, or while it is a patch the patch, 12 B a row restated and its header.
+// The column under a patch is charged to the version that owns it, not here.
+func (p *View) measureBytes() int64 {
+	if k, ok := p.Patched(); ok {
+		return patchHeaderBytes + 12*int64(k)
+	}
+	return 8 * int64(p.Len())
+}
+
+// Patched reports whether the view is a patch, not yet folded into a column of
+// its own, and how many rows it restates over the column under it.
+func (p *View) Patched() (restated int, ok bool) {
+	if p.patched {
+		if o := p.over.Load(); o != nil {
+			return len(o.rows), true
+		}
+	}
+	return 0, false
+}
+
 // Len returns the number of tuples.
 func (p *View) Len() int { return len(p.keys.tuples) }
 
-// Tuple returns the i-th tuple in cube order, a reader of the whole column
-// (see Measures). Its Dims are the version's own and must be left untouched.
-func (p *View) Tuple(i int) Tuple { return Tuple{p.keys.tuples[i].dims, p.Measures()[i]} }
+// Tuple returns the i-th tuple in cube order, its measure read as At reads it.
+// Its Dims are the version's own and must be left untouched.
+func (p *View) Tuple(i int) Tuple {
+	if p.patched {
+		return p.patchedTuple(i)
+	}
+	return Tuple{p.keys.tuples[i].dims, p.own[i]}
+}
+
+// patchedTuple is Tuple's read through a patch, apart so that Tuple inlines.
+//
+//go:noinline
+func (p *View) patchedTuple(i int) Tuple { return Tuple{p.keys.tuples[i].dims, p.patchedAt(i)} }
 
 // Dims returns the dimension tuple at row i, the version's own: to be read,
 // not written.
@@ -122,10 +157,10 @@ func (p *View) Dims(i int) []Value { return p.keys.tuples[i].dims }
 
 // At returns the measure at row i, read through a patch.
 func (p *View) At(i int) float64 {
-	if !p.patched {
-		return p.own[i]
+	if p.patched {
+		return p.patchedAt(i)
 	}
-	return p.patchedAt(i)
+	return p.own[i]
 }
 
 // patchedAt is At's read through a patch, apart so that At inlines.
@@ -134,25 +169,87 @@ func (p *View) patchedAt(i int) float64 {
 	return o.at(i)
 }
 
+// Cursor reads a version's tuples at rows that ascend — a scan in cube order,
+// every tuple or some — as At and Tuple would, but reads a row below the next
+// restated one with one comparison, steps along a patch's row list, and
+// searches the rest of it only where a read skips restated rows. It folds
+// nothing.
+type Cursor struct {
+	tuples []dimTuple
+	root   []float64
+	rows   []int32
+	vals   []float64
+	j      int // rows[:j] are below the row read last
+	next   int // rows[j], or past every row where j is past the list
+}
+
+// Cursor returns a Cursor at the view's first row.
+func (p *View) Cursor() Cursor {
+	o := p.held()
+	c := Cursor{tuples: p.keys.tuples, root: o.root, rows: o.rows, vals: o.vals, next: math.MaxInt}
+	if len(o.rows) > 0 {
+		c.next = int(o.rows[0])
+	}
+	return c
+}
+
+// At returns the measure at row i, which is no lower than the row read before.
+func (c *Cursor) At(i int) float64 {
+	if i < c.next {
+		return c.root[i]
+	}
+	return c.step(i)
+}
+
+// Tuple returns the tuple at row i, which is no lower than the row read
+// before. Its Dims are the version's own and must be left untouched.
+func (c *Cursor) Tuple(i int) Tuple {
+	if i < c.next {
+		return Tuple{c.tuples[i].dims, c.root[i]}
+	}
+	return c.stepTuple(i)
+}
+
+// stepTuple is Tuple from a restated row on, apart so that Tuple inlines.
+//
+//go:noinline
+func (c *Cursor) stepTuple(i int) Tuple { return Tuple{c.tuples[i].dims, c.step(i)} }
+
+// step is At from a restated row on: a step to the next row in the list, or
+// a search of the rest of it where i is past that one too, apart so that At
+// inlines.
+//
+//go:noinline
+func (c *Cursor) step(i int) float64 {
+	if c.j < len(c.rows) && int(c.rows[c.j]) < i {
+		if c.j++; c.j < len(c.rows) && int(c.rows[c.j]) < i {
+			k, _ := slices.BinarySearch(c.rows[c.j:], int32(i))
+			c.j += k
+		}
+	}
+	c.next = math.MaxInt
+	if c.j < len(c.rows) {
+		if c.next = int(c.rows[c.j]); c.next == i {
+			return c.vals[c.j]
+		}
+	}
+	return c.root[i]
+}
+
 // Gather appends the measures at rows, which ascend, to dst: At of each, one
 // walk of a patch beside them.
 func (p *View) Gather(dst []float64, rows []int) []float64 {
-	o := p.held()
-	j := 0
+	cur := p.Cursor()
 	for _, r := range rows {
-		k, ok := slices.BinarySearch(o.rows[j:], int32(r))
-		if j += k; ok {
-			dst = append(dst, o.vals[j])
-		} else {
-			dst = append(dst, o.root[r])
-		}
+		dst = append(dst, cur.At(r))
 	}
 	return dst
 }
 
 // Measures returns the measure column in cube order, the version's own: to be
 // read, not written. A patch is folded into the view's column on the first
-// call, once, whichever goroutines call.
+// call, once, whichever goroutines call: a reader that wants a []float64 to
+// index at random pays for one, and a scan in order reads through a Cursor.
 func (p *View) Measures() []float64 {
 	if !p.patched {
 		return p.own[:len(p.own):len(p.own)]
@@ -534,10 +631,10 @@ func (c *Cube) Derive(schema Schema, f func(i int, t Tuple) (measure float64, ke
 		return nil, err
 	}
 	p := c.View()
-	measures := make([]float64, p.Len())
+	cur, measures := p.Cursor(), make([]float64, p.Len())
 	var drop []bool
 	for i := range measures {
-		m, keep, err := f(i, p.Tuple(i))
+		m, keep, err := f(i, cur.Tuple(i))
 		if err != nil {
 			return nil, err
 		}
@@ -600,25 +697,57 @@ func (c *Cube) derivable(schema Schema) error {
 }
 
 // changedBetween lists, in cube order, the tuples of q whose measure is not
-// the one p has at the same position, for two columns over one key set: the
+// the one p has at the same position, for two versions over one key set: the
 // whole delta between them. It gives up (false) past limit tuples. The first
 // pass counts, so that the list, which a store keeps, is allocated at its size.
+// Where both are patches over one column, or one is that column, only the rows
+// either restates can differ, and those are all it reads: O(delta).
 func changedBetween(p, q *View, limit int) ([]Tuple, bool) {
-	pm, qm := p.Measures(), q.Measures()
 	n := 0
-	for i, m := range qm {
-		if m != pm[i] {
-			n++
-		}
-	}
+	eachBetween(p, q, func(int, float64) { n++ })
 	if n == 0 || n > limit {
 		return nil, n == 0
 	}
 	changed := make([]Tuple, 0, n)
-	for i, m := range qm {
-		if m != pm[i] {
-			changed = append(changed, Tuple{q.Dims(i), m})
+	eachBetween(p, q, func(i int, m float64) { changed = append(changed, Tuple{q.Dims(i), m}) })
+	return changed, true
+}
+
+// eachBetween calls fn, in row order, on every row where q's measure is not
+// p's, with q's: one merge of the two row lists where p and q are over one
+// column, one walk of both columns otherwise.
+func eachBetween(p, q *View, fn func(i int, m float64)) {
+	pc, qc := p.Cursor(), q.Cursor()
+	pr, qr := pc.rows, qc.rows
+	switch {
+	case len(qc.root) == 0 || &pc.root[0] == &qc.root[0]:
+	case len(pr)+len(qr) == 0:
+		for i, m := range qc.root {
+			if m != pc.root[i] {
+				fn(i, m)
+			}
+		}
+		return
+	default:
+		for i := range qc.root {
+			if m := qc.At(i); m != pc.At(i) {
+				fn(i, m)
+			}
+		}
+		return
+	}
+	for i, j := 0, 0; i < len(pr) || j < len(qr); {
+		var r int
+		switch {
+		case j == len(qr) || i < len(pr) && pr[i] < qr[j]:
+			r, i = int(pr[i]), i+1
+		case i == len(pr) || qr[j] < pr[i]:
+			r, j = int(qr[j]), j+1
+		default:
+			r, i, j = int(pr[i]), i+1, j+1
+		}
+		if m := qc.At(r); m != pc.At(r) {
+			fn(r, m)
 		}
 	}
-	return changed, true
 }

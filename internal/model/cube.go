@@ -198,9 +198,9 @@ func (c *Cube) SharesKeySet(o *Cube) bool {
 // is the caller's to mutate. Ordered scans without copying.
 func (c *Cube) Tuples() []Tuple {
 	p := c.View()
-	ts := make([]Tuple, p.Len())
+	cur, ts := p.Cursor(), make([]Tuple, p.Len())
 	for i := range ts {
-		ts[i] = p.Tuple(i)
+		ts[i] = cur.Tuple(i)
 	}
 	return ts
 }
@@ -213,8 +213,9 @@ func (c *Cube) Tuples() []Tuple {
 // reader sees, and like every reader it must leave the Dims untouched.
 func (c *Cube) Ordered(fn func(Tuple) error) error {
 	p := c.View()
-	for i, m := range p.Measures() {
-		if err := fn(Tuple{p.Dims(i), m}); err != nil {
+	cur := p.Cursor()
+	for i := range p.Len() {
+		if err := fn(cur.Tuple(i)); err != nil {
 			return err
 		}
 	}
@@ -273,14 +274,15 @@ const (
 // MemEstimate returns a conservative estimate of the cube's resident size in
 // bytes: its base's key set (estimated once for all the versions on it, and
 // charged in full to each: which will outlive the others is not known here)
-// and measure column, and per edit its overhead, key and dimension values.
+// and its measures (View.measureBytes), and per edit its overhead, key and
+// dimension values.
 func (c *Cube) MemEstimate() int64 {
 	if c == nil {
 		return 0
 	}
 	n := int64(tupleOverheadBytes)
 	if c.base != nil {
-		n += c.base.keys.memEstimate() + 8*int64(c.base.Len())
+		n += c.base.keys.memEstimate() + c.base.measureBytes()
 	}
 	for k, e := range c.edits {
 		n += tupleOverheadBytes + int64(len(k))

@@ -117,15 +117,17 @@ func diffViews(p, q *View, limit int) (added, changed, deleted []Tuple, ok bool)
 		return nil, changed, nil, ok
 	}
 	ok = true
-	pm, qm := p.Measures(), q.Measures()
+	pc, qc := p.Cursor(), q.Cursor()
 	align(p, q, func(i, j int) bool {
 		switch {
 		case j < 0:
-			deleted = append(deleted, Tuple{p.Dims(i), pm[i]})
+			deleted = append(deleted, pc.Tuple(i))
 		case i < 0:
-			added = append(added, Tuple{q.Dims(j), qm[j]})
-		case pm[i] != qm[j]:
-			changed = append(changed, Tuple{Dims: p.Dims(i), Measure: qm[j]})
+			added = append(added, qc.Tuple(j))
+		default:
+			if m := qc.At(j); m != pc.At(i) {
+				changed = append(changed, Tuple{Dims: p.Dims(i), Measure: m})
+			}
 		}
 		ok = len(added)+len(changed)+len(deleted) <= limit
 		return ok

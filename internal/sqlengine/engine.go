@@ -138,7 +138,7 @@ func (db *DB) Table(name string) (*Table, bool) {
 // to hold, by cube name: an INSERT into the table of such a cube builds its
 // version as the revision of that predecessor (model.NewBuilderOn), where the
 // predecessor's columns are the table's. A result that holds its
-// predecessor's dimension tuples, in order, is then a measure column on the
+// predecessor's dimension tuples, in order, is then a version on the
 // predecessor's key set.
 func (db *DB) Follow(prev map[string]*model.Cube) {
 	db.mu.Lock()

@@ -277,8 +277,8 @@ func (r *result) cube(name string) (*model.Cube, error) {
 // prev (nil for none): column i of r fills column perm[i] of cols (column i
 // where perm is nil), which are the dimensions and then the measure of sch,
 // each value coerced to its column's type. Rows that are prev's dimension
-// tuples, in prev's order, are added as they come, and so are a measure
-// column on prev's key set; any others are added in sortedRows order, and a
+// tuples, in prev's order, are added as they come, and so are a version on
+// prev's key set; any others are added in sortedRows order, and a
 // conflict between two of them is the egd violation Build reports.
 func (r *result) build(prev *model.Cube, sch model.Schema, cols []Column, perm []int) (*model.Cube, error) {
 	b := model.NewBuilderOn(prev, sch)

@@ -95,8 +95,9 @@ func ReadCSV(r io.Reader, sch model.Schema) (*model.Cube, error) { return ReadCS
 // name the schema's dimensions (in order) followed by the measure. Rows in cube
 // order, as WriteCSV writes them, are neither hashed nor sorted, and rows that
 // are prev's dimension tuples, all of them in that order, are decoded into a
-// measure column on prev's key set (model.NewBuilderOn): a statistical
-// revision is stored at 8 bytes a tuple, and read at little more.
+// version on prev's key set (model.NewBuilderOn): a statistical revision that
+// restates few measures is stored as a patch over prev's column, 12 bytes a
+// restated tuple, and read at little more.
 //
 // While the rows follow prev, each dimension field is compared with prev's
 // tuple of the same row: a string's bytes with the value, a period's or an

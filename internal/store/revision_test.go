@@ -303,6 +303,56 @@ func TestReadCSVAllocsPerLine(t *testing.T) {
 	}
 }
 
+// TestReadCSVRevisionAllocatesTheDelta: a CSV PUT of a revision that restates
+// 200 measures — ReadCSVOn onto the predecessor, then Put — allocates the
+// same, within 2 KiB, onto a predecessor of 20 000 tuples and of 80 000: the
+// restated rows and the decoder's buffers, not a measure column. The version
+// stored is a patch over the predecessor's column.
+func TestReadCSVRevisionAllocatesTheDelta(t *testing.T) {
+	const restated, spread = 200, 2048
+	step := func(n int) int64 {
+		base := pdrSource(n).Freeze()
+		rev, tuples := base.Clone(), base.Tuples()
+		for i := 0; i < n; i += n / restated {
+			if err := rev.Replace(tuples[i].Dims, -tuples[i].Measure); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var body bytes.Buffer
+		if err := WriteCSV(&body, rev); err != nil {
+			t.Fatal(err)
+		}
+		least := int64(math.MaxInt64)
+		for rep := 0; rep < 4; rep++ { // the first fills the decoder's pool
+			s := New()
+			if err := s.Put(base, day(0)); err != nil {
+				t.Fatal(err)
+			}
+			before := totalAlloc()
+			c, err := ReadCSVOn(base, bytes.NewReader(body.Bytes()), base.Schema())
+			if err == nil {
+				err = s.Put(c, day(1))
+			}
+			spent := totalAlloc() - before
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k, ok := c.View().Patched(); !ok || k != restated || !c.SharesKeySet(base) {
+				t.Fatalf("at %d tuples the revision is a patch %v of %d rows (want %d)", n, ok, k, restated)
+			}
+			if rep > 0 {
+				least = min(least, spent)
+			}
+		}
+		return least
+	}
+	small, large := step(20000), step(80000)
+	t.Logf("a revision allocates %d B onto 20 000 tuples, %d B onto 80 000", small, large)
+	if large > small+spread || small > large+spread {
+		t.Errorf("a revision allocates %d B onto 20 000 tuples and %d B onto 80 000: it grows with the tuples, not the delta", small, large)
+	}
+}
+
 var sinkGen uint64
 
 // BenchmarkPutRevision: what a store spends to take in a 1 % revision of a
