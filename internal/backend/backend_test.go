@@ -414,6 +414,30 @@ func TestETLProductRefersToItsSources(t *testing.T) {
 	}
 }
 
+// raceEnabled reports whether the tests run under the race detector
+// (race_test.go sets it).
+var raceEnabled bool
+
+// TestETLProductAligns runs Figure 1's flow, the product tgd alone, on the ETL
+// target in steady state. Its merge aligns the two key sets
+// (TestMergeAlignsOrHashes): the right stream is drained without being
+// buffered, and no key is encoded or hashed, so a run allocates at most 25
+// bytes an output tuple, under half the 51 it allocated when the merge hashed.
+// How many batches a flow makes depends on how its steps' goroutines
+// interleave, so the flow runs on one processor, where they interleave alike
+// run after run, and not under the race detector, whose instrumentation
+// allocates on its own account.
+func TestETLProductAligns(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	grown, n := productRuns(t, ops.TargetETL)
+	if grown > uint64(25*n) {
+		t.Errorf("a run allocated %d bytes for %d output tuples, %d an output tuple: more than 25", grown, n, grown/uint64(n))
+	}
+}
+
 // TestFrameProductRefersToItsSources runs the product tgd's R program alone
 // on the frame target in steady state. A frame holds its rows as an ETL
 // stream does: FromCube refers to the cube's tuples, Copy and SelectCols

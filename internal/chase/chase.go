@@ -201,7 +201,7 @@ func (s *Solver) output(ctx context.Context, p *plan, target Instance, stats *St
 		if g.acc.N() == 0 {
 			continue
 		}
-		if err := out.Add(g.dims, g.acc.Result(p.fold)); err != nil {
+		if err := out.Add(g.dims, g.result(p.fold)); err != nil {
 			return nil, err
 		}
 		stats.TuplesGenerated++

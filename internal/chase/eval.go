@@ -304,20 +304,25 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 		// dimension tuple: the output is defined point by point on the
 		// driving relation, in cube order, and no two of its tuples can meet
 		// at one dimension tuple. An aligned atom is joined by position where
-		// its relation stands on the driving relation's key set; where every
-		// later atom is, the measure is computed a column at a time.
+		// its relation stands on the driving relation's key set. Where every
+		// later atom is aligned, the measure is computed a column at a time:
+		// a relation on another key set is gathered into a column at the rows
+		// its key set aligns with the driving one's (model.View.Align), and
+		// the driving rows it has no tuple at are no binding.
 		drive, src := &x.atoms[0], x.rels[0]
-		positional := true
+		var missing []bool
 		for i := 1; i < len(x.atoms); i++ {
-			if x.atoms[i].aligned && x.rels[i].SharesKeySet(src) {
-				x.cols[i] = x.rels[i].View().Measures()
-			} else {
-				positional = false
+			switch rel := x.rels[i]; {
+			case !x.atoms[i].aligned:
+			case rel.SharesKeySet(src):
+				x.cols[i] = rel.View().Measures()
+			case x.p.aligned:
+				x.cols[i], missing = gather(rel.View(), src.View().Align(rel.View()), missing)
 			}
 		}
-		if x.p.aligned && positional {
+		if x.p.aligned {
 			span.SetAttr(obs.String("eval", "column"))
-			return x.columns(schema)
+			return x.columns(schema, missing)
 		}
 		span.SetAttr(obs.String("eval", "row"))
 		out, err = src.Derive(schema, func(row int, tu model.Tuple) (float64, bool, error) {
@@ -355,17 +360,29 @@ func (x *exec) tupleLevel(schema model.Schema) (out *model.Cube, tuples int, err
 
 // columns applies a tuple-level tgd of the column path: its program runs
 // over the measure columns of the driving relation and of every later atom's
-// (x.cols), which stand on its key set, straight into the output column, and
-// Cube.DeriveColumn makes that a version on the key set, less the points where
-// an operator is undefined. Each driving row is a binding. The rows go through
-// in chunks that end where a binding at a time would poll the context, so a
-// cancelled application stops at the same binding either way.
-func (x *exec) columns(schema model.Schema) (*model.Cube, int, error) {
+// (x.cols), which stand on its key set or were gathered onto it, straight into
+// the output column, and Cube.DeriveColumn makes that a version on the key
+// set, less the points where an operator is undefined and the driving rows
+// missing marks (nil, or one a row). Each other driving row is a binding. The
+// rows go through in chunks that end where a binding at a time would poll the
+// context, so a cancelled application stops at the same binding either way.
+func (x *exec) columns(schema model.Schema, missing []bool) (*model.Cube, int, error) {
 	src, n := x.rels[0], x.rels[0].Len()
 	x.cols[0] = src.View().Measures()
 	out, undef, err := x.runProgram(x.cols, n)
 	if err != nil {
 		return nil, 0, err
+	}
+	if missing != nil {
+		for i, m := range missing {
+			if m {
+				x.bindings--
+			}
+			if undef != nil {
+				missing[i] = m || undef[i]
+			}
+		}
+		undef = missing
 	}
 	tuples := n
 	for _, u := range undef {
@@ -375,6 +392,24 @@ func (x *exec) columns(schema model.Schema) (*model.Cube, int, error) {
 	}
 	c, err := src.DeriveColumn(schema, out, undef)
 	return c, tuples, err
+}
+
+// gather returns q's measures at rows, which ascend where they are not -1 —
+// a relation's alignment with the driving one's key set — in a column, and
+// missing, nil or as long as rows, with the rows that are -1 marked.
+func gather(q *model.View, rows []int32, missing []bool) ([]float64, []bool) {
+	col, cur := make([]float64, len(rows)), q.Cursor()
+	for i, r := range rows {
+		if r < 0 {
+			if missing == nil {
+				missing = make([]bool, len(rows))
+			}
+			missing[i] = true
+			continue
+		}
+		col[i] = cur.At(int(r))
+	}
+	return col, missing
 }
 
 // runProgram runs the plan's program over the first n rows of cols, the lhs
@@ -476,11 +511,16 @@ func (r colRef) at(vals, regs []float64) float64 {
 }
 
 // group is one output point of an aggregation tgd being folded; its bag is
-// empty, and dims unset, until a defined measure falls into it.
+// empty, and dims unset, until a defined measure falls into it. bag is the
+// measures themselves, where the fold needs them (ops.Fold.Bags).
 type group struct {
 	dims []model.Value
 	acc  ops.Acc
+	bag  []float64
 }
+
+// result returns the fold of the group's bag.
+func (g *group) result(f ops.Fold) float64 { return g.acc.Result(f, g.bag) }
 
 // partition returns how the plan's aggregation groups the rows of its one
 // relation, where that is a function of their dimension tuples (plan.aggIncr):
@@ -557,7 +597,7 @@ func (x *exec) aggregate(part *model.Partition, only []bool) ([]group, error) {
 			}
 			gr.dims = slices.Clone(x.out)
 		}
-		gr.acc.Add(x.p.fold, mv)
+		gr.acc.Add(x.p.fold, &gr.bag, mv)
 		return nil
 	}
 	return groups, x.join(0)

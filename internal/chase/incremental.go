@@ -3,6 +3,7 @@ package chase
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -194,7 +195,7 @@ func maintain(name string, baseOut *model.Cube, affected *affectedKeys, stats *S
 		switch {
 		case present && !had:
 			od.Added = append(od.Added, model.Tuple{Dims: dims, Measure: mv})
-		case present && had && mv != old:
+		case present && had && math.Float64bits(mv) != math.Float64bits(old):
 			od.Changed = append(od.Changed, model.Tuple{Dims: dims, Measure: mv})
 		case !present && had:
 			od.Deleted = append(od.Deleted, model.Tuple{Dims: dims, Measure: old})
@@ -350,7 +351,7 @@ func (x *exec) incrColumns(deltas map[string]*model.CubeDelta, baseOut *model.Cu
 	}
 	moved := 0 // rows[:moved] and vals[:moved] are the points that moved
 	for j, old := range base.Gather(make([]float64, 0, len(rows)), rows) {
-		if v := vals[j]; v != old {
+		if v := vals[j]; math.Float64bits(v) != math.Float64bits(old) {
 			rows[moved], vals[moved] = rows[j], v
 			moved++
 		}
@@ -419,7 +420,7 @@ func incrAggregation(ctx context.Context, p *plan, target Instance, deltas map[s
 		if !ok || groups[g].acc.N() == 0 {
 			return 0, false, nil // every contribution vanished: retract the group
 		}
-		return groups[g].acc.Result(p.fold), true, nil
+		return groups[g].result(p.fold), true, nil
 	}
 	out, od, err := maintain(p.t.Target(), baseOut, affected, stats, recompute)
 	if err != nil {

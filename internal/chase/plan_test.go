@@ -168,12 +168,14 @@ func TestSharedDimsAndKeys(t *testing.T) {
 	}
 }
 
-// TestPositionalJoinOnlyOnOneKeySet: an operand is read at the driving row
-// exactly where it stands on the driving relation's key set — and then the
-// statement is computed a column at a time. An equal cube on a key set of its
-// own is probed by key, binding by binding, to the same result bit for bit;
-// one that lacks a tuple — every later row one off — still joins on the keys.
-func TestPositionalJoinOnlyOnOneKeySet(t *testing.T) {
+// TestPositionalJoinAlignsKeySets: an operand is read at the driving row
+// where it stands on the driving relation's key set, and at the row its own
+// key set aligns with otherwise (model.View.Align) — either way the statement
+// is computed a column at a time. An equal cube on a key set of its own gives
+// the same result bit for bit; one that lacks a tuple — every later row one
+// off — still pairs each driving tuple with its own, and the driving tuple it
+// lacks is no binding.
+func TestPositionalJoinAlignsKeySets(t *testing.T) {
 	s := New(compile(t, "cube S(q: quarter, r: string) measure v\ncube A(q: quarter, r: string) measure v\nB := A + S\n"))
 	f := func(q, r int) float64 { return float64(q*7+r) / 3 }
 	src := qrCube("S", 30, 7, f, nil).Freeze()
@@ -187,11 +189,10 @@ func TestPositionalJoinOnlyOnOneKeySet(t *testing.T) {
 
 	want := qrCube("B", 30, 7, func(q, r int) float64 { return double(q, r) + f(q, r) }, nil)
 	for _, c := range []struct {
-		name       string
-		a          *model.Cube
-		positional bool
-		tuples     int
-	}{{"on S's key set", onS, true, 210}, {"equal, on its own", own, false, 210}, {"one tuple short", short, false, 209}} {
+		name   string
+		a      *model.Cube
+		tuples int
+	}{{"on S's key set", onS, 210}, {"equal, on its own", own, 210}, {"one tuple short", short, 209}} {
 		target := Instance{"S": src, "A": c.a}
 		ctx, span := obs.StartSpan(obs.ContextWithTracer(context.Background(), obs.NewTracer()), "chase.tgd")
 		x, err := newExec(ctx, s.plans[0], s.plans[0].lhs, target)
@@ -202,8 +203,11 @@ func TestPositionalJoinOnlyOnOneKeySet(t *testing.T) {
 		if err != nil || n != c.tuples || b.Len() != c.tuples {
 			t.Fatalf("%s: %d tuples (%v), want %d", c.name, n, err, c.tuples)
 		}
-		if eval, _ := span.Attr("eval"); (eval == "column") != c.positional || eval != "column" && eval != "row" {
-			t.Errorf("%s: eval=%s, want S joined by position: %v", c.name, eval, c.positional)
+		if eval, _ := span.Attr("eval"); eval != "column" {
+			t.Errorf("%s: eval=%s, want column", c.name, eval)
+		}
+		if x.bindings != c.tuples {
+			t.Errorf("%s: %d bindings, want %d", c.name, x.bindings, c.tuples)
 		}
 		_ = b.Ordered(func(tu model.Tuple) error {
 			if m, _ := want.Get(tu.Dims); m != tu.Measure {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -475,5 +477,93 @@ func TestStatementPrintsArePinned(t *testing.T) {
 	}
 	if len(e.stmts) != len(want) {
 		t.Errorf("%d statements registered, want %d", len(e.stmts), len(want))
+	}
+}
+
+// TestSignOfZeroRevisionPropagates: a revision that only turns a measure 0
+// into −0 is a change — WriteCSV writes the two apart — so an incremental run
+// maintains what it feeds, and serves what a full run does, byte for byte. The
+// revision arrives as an edited Clone, as a version built following the stored
+// one, and as a cube of its own.
+func TestSignOfZeroRevisionPropagates(t *testing.T) {
+	sch := model.NewSchema("S", []model.Dim{{Name: "k", Type: model.TString}}, "v")
+	negZero := math.Copysign(0, -1)
+	revisions := map[string]func(prev *model.Cube) *model.Cube{
+		"an edited Clone": func(prev *model.Cube) *model.Cube {
+			c := prev.Clone()
+			if err := c.Replace([]model.Value{model.Str("a")}, negZero); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+		"a following Builder": func(prev *model.Cube) *model.Cube {
+			b := model.NewBuilderOn(prev, sch)
+			for _, tu := range prev.Tuples() {
+				m := tu.Measure
+				if tu.Dims[0].Equal(model.Str("a")) {
+					m = negZero
+				}
+				if err := b.Add(tu.Dims, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+		"a cube of its own": func(*model.Cube) *model.Cube {
+			c := model.NewCube(sch)
+			for k, m := range map[string]float64{"a": negZero, "b": 1} {
+				if err := c.Put([]model.Value{model.Str(k)}, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c.Freeze()
+		},
+	}
+	for name, revise := range revisions {
+		ctx := context.Background()
+		t0 := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+		t1 := t0.Add(24 * time.Hour)
+		var out [2]string
+		for i, opts := range [][]RunOption{nil, {WithIncremental()}} {
+			e := New()
+			if err := e.RegisterProgram("neg", "cube S(k: string) measure v\nB := S * -1\n"); err != nil {
+				t.Fatal(err)
+			}
+			s := model.NewCube(sch)
+			for k, m := range map[string]float64{"a": 0, "b": 1} {
+				if err := s.Put([]model.Value{model.Str(k)}, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.PutCube(s.Freeze(), t0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(ctx, append([]RunOption{RunAt(t0)}, opts...)...); err != nil {
+				t.Fatal(err)
+			}
+			prev, _ := e.Cube("S")
+			if err := e.PutCube(revise(prev), t1); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := e.Run(ctx, append([]RunOption{RunAt(t1)}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 && !rep.Incremental {
+				t.Fatalf("%s: the second run was not incremental: %+v", name, rep)
+			}
+			var b strings.Builder
+			if err := e.WriteCSV("B", &b); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = b.String()
+		}
+		if out[0] != out[1] {
+			t.Errorf("%s: the incremental run serves\n%s\nthe full run\n%s", name, out[1], out[0])
+		}
 	}
 }

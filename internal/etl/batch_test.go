@@ -182,13 +182,13 @@ func TestStreamOrderUnchanged(t *testing.T) {
 				if rev {
 					i = len(ys) - 1 - i
 				}
-				accs[k].Add(sum, lt.Measure*ys[i])
+				accs[k].Add(sum, nil, lt.Measure*ys[i])
 			}
 			return nil
 		})
 		c := model.NewCube(schemas["S"])
 		for _, y := range years {
-			if err := c.Put([]model.Value{y}, accs[y.String()].Result(sum)); err != nil {
+			if err := c.Put([]model.Value{y}, accs[y.String()].Result(sum, nil)); err != nil {
 				t.Fatal(err)
 			}
 		}

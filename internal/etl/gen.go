@@ -32,7 +32,10 @@ func TranslateTgd(t *mapping.Tgd, schemas map[string]model.Schema) (*Flow, error
 	if !ok {
 		return nil, fmt.Errorf("no schema for %s", t.Rhs.Rel)
 	}
-	f := &Flow{TgdID: t.ID, Target: t.Target()}
+	// Room for every step and hop at once: an input and a merge an atom (one
+	// merge fewer), a calculation, an aggregation, an output.
+	n := len(t.Lhs)
+	f := &Flow{TgdID: t.ID, Target: t.Target(), Steps: make([]Step, 0, 2*n+2), Hops: make([]Hop, 0, 2*n+1)}
 
 	if t.Kind == mapping.BlackBox {
 		in, ok := schemas[t.Lhs[0].Rel]

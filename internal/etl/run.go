@@ -358,21 +358,30 @@ func runStep(ctx context.Context, f *Flow, st *Step, body any, streams map[strin
 		return w.flush()
 
 	case *frame.Merger:
-		// The right stream is buffered whole, its rows copied into one batch
-		// (counting them first sizes it once) and indexed; the left stream
-		// then flows through.
-		var right []*frame.Batch
-		n := 0
-		for r := range chans[st.Right] {
-			right = append(right, r)
-			n += r.N
+		// A right stream that reads a whole table, where the merge aligns, is
+		// drained and let go: a left row's match is found by its ordinal. Any
+		// other is buffered whole, its rows copied into one batch (counting
+		// them first sizes it once) and indexed. The left stream then flows
+		// through.
+		if r := f.Step(st.Right); r.Type == TableInput && r.FilterField == "" && b.Whole() {
+			for r := range chans[st.Right] {
+				free.recycle(r)
+			}
+		} else {
+			var right []*frame.Batch
+			n := 0
+			for r := range chans[st.Right] {
+				right = append(right, r)
+				n += r.N
+			}
+			build := frame.NewBatch(n, streams[st.Right])
+			for _, r := range right {
+				build.Append(r)
+				free.recycle(r)
+			}
+			b.Build(build)
 		}
-		build := frame.NewBatch(n, streams[st.Right])
-		for _, r := range right {
-			build.Append(r)
-			free.recycle(r)
-		}
-		b.Build(build)
+		obs.CurrentSpan(ctx).SetAttr(frame.JoinAttr(b))
 		return w.drain(chans[st.Left], func(l *frame.Batch) error { return b.Probe(l, w) })
 
 	case *frame.Calculator:

@@ -125,7 +125,7 @@ func TestMergeStep(t *testing.T) {
 			[]model.Value{model.Int(3), model.Str("n"), model.Num(4)},
 		),
 	}
-	if err := runStep(Merge{Out: "Z", X: "X", Y: "Y", By: []string{"q", "r"}}, env); err != nil {
+	if err := runStep(Merge{Out: "Z", X: "X", Y: "Y", By: []string{"q", "r"}}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	z := env["Z"]
@@ -136,7 +136,7 @@ func TestMergeStep(t *testing.T) {
 		t.Errorf("merge cols = %v", z.Names)
 	}
 	// Cross join with empty By.
-	if err := runStep(Merge{Out: "W", X: "X", Y: "Y", By: nil}, env); err != nil {
+	if err := runStep(Merge{Out: "W", X: "X", Y: "Y", By: nil}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(rowsOf(env["W"])) != 9 {
@@ -151,7 +151,7 @@ func TestMapColAndFilter(t *testing.T) {
 		[]model.Value{model.Num(5), model.Num(4)},
 	)}
 	// c = a / b: NA where b = 0, and the row is gone, as a calculator drops it.
-	if err := runStep(MapCol{Var: "F", Col: "c", E: Apply{Op: "div", Args: []Expr{Col{Name: "a"}, Col{Name: "b"}}}}, env); err != nil {
+	if err := runStep(MapCol{Var: "F", Col: "c", E: Apply{Op: "div", Args: []Expr{Col{Name: "a"}, Col{Name: "b"}}}}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	rows := rowsOf(env["F"])
@@ -162,14 +162,14 @@ func TestMapColAndFilter(t *testing.T) {
 		t.Errorf("division by zero must be NA, and its row gone: %v", rows)
 	}
 	// Overwrite an existing column.
-	if err := runStep(MapCol{Var: "F", Col: "a", E: Const{V: 9}}, env); err != nil {
+	if err := runStep(MapCol{Var: "F", Col: "a", E: Const{V: 9}}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := rowsOf(env["F"])[0][0].AsNumber(); v != 9 {
 		t.Error("overwrite failed")
 	}
 	// Filter.
-	if err := runStep(Filter{Var: "F", Col: "b", V: model.Num(2)}, env); err != nil {
+	if err := runStep(Filter{Var: "F", Col: "b", V: model.Num(2)}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(rowsOf(env["F"])); n != 1 {
@@ -184,7 +184,7 @@ func TestGroupAggStep(t *testing.T) {
 		[]model.Value{model.Str("b"), model.Num(5)},
 		[]model.Value{model.Str("b"), {}}, // NA excluded from bag
 	)}
-	if err := runStep(GroupAgg{Out: "G", In: "F", By: []string{"k"}, Agg: "avg", ValCol: "v", OutCol: "m"}, env); err != nil {
+	if err := runStep(GroupAgg{Out: "G", In: "F", By: []string{"k"}, Agg: "avg", ValCol: "v", OutCol: "m"}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := sortedRows(env["G"])
@@ -205,7 +205,7 @@ func TestSeriesOpStep(t *testing.T) {
 		[]model.Value{model.Per(model.NewAnnual(2000)), model.Num(1)},
 		[]model.Value{model.Per(model.NewAnnual(2001)), model.Num(2)},
 	)}
-	if err := runStep(SeriesOp{Out: "C", In: "S", Op: "cumsum", TimeCol: "t", ValCol: "v"}, env); err != nil {
+	if err := runStep(SeriesOp{Out: "C", In: "S", Op: "cumsum", TimeCol: "t", ValCol: "v"}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	c := rowsOf(env["C"])
@@ -232,7 +232,7 @@ func TestStepErrors(t *testing.T) {
 	}
 	for i, s := range bad {
 		env["F"] = literal([]string{"a"}, []model.Value{model.Num(1)})
-		if err := runStep(s, env); err == nil {
+		if err := runStep(s, env, nil); err == nil {
 			t.Errorf("step %d: want error", i)
 		}
 	}
@@ -352,13 +352,13 @@ func TestFrameExprErrors(t *testing.T) {
 // copy is not changed by a step over the frame it copied.
 func TestFrameSortAndClone(t *testing.T) {
 	env := Env{"F": literal([]string{"a"}, []model.Value{model.Num(2)}, []model.Value{model.Num(1)})}
-	if err := runStep(Copy{Out: "C", In: "F"}, env); err != nil {
+	if err := runStep(Copy{Out: "C", In: "F"}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := sortedRows(env["F"])[0][0].AsNumber(); v != 1 {
 		t.Error("sort")
 	}
-	if err := runStep(Filter{Var: "F", Col: "a", V: model.Num(1)}, env); err != nil {
+	if err := runStep(Filter{Var: "F", Col: "a", V: model.Num(1)}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c := rowsOf(env["C"]); len(c) != 2 {

@@ -123,6 +123,43 @@ func (l *Layout) columns(names []string, what string) ([]int, error) {
 	return idx, nil
 }
 
+// keyView returns the version whose dimensions the columns cols of l are,
+// every one of them in schema order and unshifted, or -1 where there is none.
+func (l *Layout) keyView(cols []int) int {
+	if len(cols) == 0 || l.cols[cols[0]].src < 0 {
+		return -1
+	}
+	v := l.cols[cols[0]].src
+	for k, c := range cols {
+		if kc := l.cols[c]; kc.src != v || kc.at != k || kc.shift != 0 {
+			return -1
+		}
+	}
+	if view := l.views[v]; view.Len() > 0 && len(view.Dims(0)) != len(cols) {
+		return -1
+	}
+	return v
+}
+
+// plain reports whether l's rows refer to one version and hold nothing else:
+// a row of a Scan is its ordinal.
+func (l *Layout) plain() bool { return len(l.views) == 1 && l.nums+l.vals == 0 }
+
+// holdsAll reports whether b, a batch of l, holds every row of l's version v
+// in order: its row i refers to v's tuple i.
+func (l *Layout) holdsAll(b *Batch, v int) bool {
+	if b.N != l.views[v].Len() {
+		return false
+	}
+	w := len(l.views)
+	for i := range b.N {
+		if b.refs[i*w+v] != int32(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // used returns the positions of the columns of l that names name, each once:
 // all a step that reads those columns has to read.
 func (l *Layout) used(names ...string) []int {
@@ -267,16 +304,28 @@ func (b *Batch) End() error {
 	return nil
 }
 
-// Merger is the merge step's body (Merge's, and the ETL merge join's). The
-// right side is indexed by the hash of each row's key, each row chained to the
-// next with its key in arrival order (model.Chains). No key is kept: where a
-// probe meets a row, the row's key is read again through its references. Each
-// left row is then handed out followed by its matches, in that order.
+// Merger is the merge step's body (Merge's, and the ETL merge join's). Each
+// left row is handed out followed by its matches, in the order the right side
+// holds them. It finds them one of two ways.
+//
+// It aligns where, on each side, the keys are every dimension of one version
+// the rows refer to, in schema order and unshifted, and the right side holds
+// every row of its version in order: a left row's one match is then the right
+// row at the alignment of the two versions' key sets (model.View.Align), read
+// at the left row's ordinal, and no key is read at all.
+//
+// Otherwise it hashes: the right side is indexed by the hash of each row's
+// key, each row chained to the next with its key in arrival order
+// (model.Chains). No key is kept: where a probe meets a row, the row's key is
+// read again through its references.
 type Merger struct {
 	Out        *Layout
 	l, r       *Layout
 	lk, rk     []int
-	build      *Batch
+	lv, rv     int     // the version of each side whose dimensions the keys are, or -1 for both
+	align      []int32 // where it aligns: the right row of each row of l's version lv
+	aligned    bool
+	build      *Batch // nil where it aligns and right rows hold only their ordinals
 	index      *model.Chains
 	key, other []byte
 }
@@ -291,12 +340,39 @@ func NewMerger(l, r *Layout, keys []string) (*Merger, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Merger{Out: l.Join(r, keys), l: l, r: r, lk: lk, rk: rk}, nil
+	m := &Merger{Out: l.Join(r, keys), l: l, r: r, lk: lk, rk: rk, lv: l.keyView(lk), rv: r.keyView(rk)}
+	if m.lv < 0 || m.rv < 0 {
+		m.lv, m.rv = -1, -1
+	}
+	return m, nil
 }
 
-// Build indexes build, every row of the right side. A row with an undefined
-// key matches nothing.
+// Aligned reports whether the merge aligns, once Build or Whole has readied it.
+func (m *Merger) Aligned() bool { return m.aligned }
+
+// Whole readies the merge for a right side that is every row of its one
+// version in order, as Scan hands them out with no filter, and reports whether
+// it aligns. Where it does, Probe needs none of those rows; where it does not,
+// they must be handed to Build.
+func (m *Merger) Whole() bool {
+	if m.rv < 0 || !m.r.plain() {
+		return false
+	}
+	m.align, m.aligned = m.l.views[m.lv].Align(m.r.views[m.rv]), true
+	return true
+}
+
+// Build readies the merge for build, every row of the right side: it aligns
+// where build holds every row of the keys' version in order, and otherwise
+// indexes build. A row with an undefined key matches nothing.
 func (m *Merger) Build(build *Batch) {
+	if m.rv >= 0 && m.r.holdsAll(build, m.rv) {
+		if !m.r.plain() {
+			m.build = build
+		}
+		m.align, m.aligned = m.l.views[m.lv].Align(m.r.views[m.rv]), true
+		return
+	}
 	m.build, m.index = build, model.NewChains(build.N)
 	for i := range build.N {
 		var ok bool
@@ -315,6 +391,9 @@ func (m *Merger) has(q int32) bool {
 // Probe hands out each row of b, a batch of the left side, joined with each of
 // its matches.
 func (m *Merger) Probe(b *Batch, out Sink) error {
+	if m.aligned {
+		return m.probeAligned(b, out)
+	}
 	for i := range b.N {
 		var ok bool
 		if m.key, ok = m.l.key(m.key[:0], b, i, m.lk); !ok {
@@ -327,6 +406,29 @@ func (m *Merger) Probe(b *Batch, out Sink) error {
 			if err := out.End(); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// probeAligned is Probe where the merge aligns: a left row's match is the
+// right row its version's ordinal aligns with, if any.
+func (m *Merger) probeAligned(b *Batch, out Sink) error {
+	w := len(m.l.views)
+	for i := range b.N {
+		q := m.align[b.refs[i*w+m.lv]]
+		if q < 0 {
+			continue
+		}
+		o := out.Row()
+		o.add(b, i, m.l)
+		if m.build == nil { // right row q refers to tuple q, and holds nothing else
+			o.refs = append(o.refs, q)
+		} else {
+			o.add(m.build, int(q), m.r)
+		}
+		if err := out.End(); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -21,7 +21,7 @@ func TestPadMergeStep(t *testing.T) {
 		),
 	}
 	err := runStep(PadMerge{Out: "Z", X: "X", Y: "Y", Keys: []string{"t"},
-		XVal: "x", YVal: "y", Op: "add", Default: 0, OutCol: "v"}, env)
+		XVal: "x", YVal: "y", Op: "add", Default: 0, OutCol: "v"}, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPadMergeErrors(t *testing.T) {
 		{Out: "Z", X: "NOPE", Y: "Y", Keys: []string{"t"}, XVal: "x", YVal: "y", Op: "add", OutCol: "v"},
 	}
 	for i, s := range bad {
-		if err := runStep(s, env); err == nil {
+		if err := runStep(s, env, nil); err == nil {
 			t.Errorf("pad case %d: want error", i)
 		}
 	}

@@ -30,7 +30,7 @@ func TestSeriesOpDuplicatePeriodsDeterministic(t *testing.T) {
 
 	series := func(reverse bool) [][]model.Value {
 		env := Env{"S": mkFrame(reverse)}
-		if err := runStep(op, env); err != nil {
+		if err := runStep(op, env, nil); err != nil {
 			t.Fatal(err)
 		}
 		return rowsOf(env["O"])

@@ -116,7 +116,7 @@ func (p *Program) RunContext(ctx context.Context, env Env) (*Frame, error) {
 			return nil, err
 		}
 		_, span := obs.StartSpan(ctx, "frame.op", obs.String("op", stepName(s)))
-		err := runStep(s, env)
+		err := runStep(s, env, span)
 		span.EndErr(err)
 		if err != nil {
 			return nil, fmt.Errorf("frame: tgd %s: %w", p.TgdID, err)
@@ -135,10 +135,11 @@ func stepName(s Step) string {
 	return strings.TrimPrefix(fmt.Sprintf("%T", s), "frame.")
 }
 
-// runStep runs one step, binding the frame it makes. A frame is never written
+// runStep runs one step, binding the frame it makes, and notes on its span
+// how a merge found its matches (join=aligned|hash). A frame is never written
 // to: a step that changes rows binds a new batch of them, and one that only
 // renames or picks columns a new layout over the same batch.
-func runStep(s Step, env Env) error {
+func runStep(s Step, env Env, span *obs.Span) error {
 	switch s := s.(type) {
 	case Copy: // the frame itself, which no step changes
 		return bind(env, s.Out, func(in ...*Frame) (*Frame, error) { return in[0], nil }, s.In)
@@ -196,7 +197,11 @@ func runStep(s Step, env Env) error {
 				return nil, err
 			}
 			m.Build(in[1].rows)
+			span.SetAttr(JoinAttr(m))
 			f := &Frame{m.Out, &Batch{}}
+			if m.Aligned() { // a left row has one match at most
+				f.rows.Reserve(in[0].rows.N, m.Out)
+			}
 			return f, m.Probe(in[0].rows, f.rows)
 		}, s.X, s.Y)
 
@@ -232,6 +237,16 @@ func runStep(s Step, env Env) error {
 		}, s.X, s.Y)
 	}
 	return fmt.Errorf("unknown step %T", s)
+}
+
+// JoinAttr is the span attribute that says how m, readied, finds its
+// matches: the frame.op span of a Merge and the etl.step span of a merge join
+// carry it.
+func JoinAttr(m *Merger) obs.Attr {
+	if m.Aligned() {
+		return obs.String("join", "aligned")
+	}
+	return obs.String("join", "hash")
 }
 
 // bind binds to out the frame fn makes of the frames bound to inputs, unless
@@ -350,7 +365,8 @@ type Grouping struct {
 	val  int
 	fold ops.Fold
 	groups
-	accs []ops.Acc // by ordinal
+	accs []ops.Acc   // by ordinal
+	bags [][]float64 // by ordinal, where the fold needs them (ops.Fold.Bags)
 }
 
 // NewGrouping returns the kernel of s over rows of in. An unknown aggregation
@@ -384,15 +400,32 @@ func (g *Grouping) Add(b *Batch) error {
 		o, fresh := g.assign()
 		if fresh {
 			g.accs = append(g.accs, ops.Acc{})
+			if g.fold.Bags() {
+				g.bags = append(g.bags, nil)
+			}
 		}
-		g.accs[o].Add(g.fold, v)
+		g.accs[o].Add(g.fold, g.bag(o), v)
 	}
 	return nil
 }
 
 // Each hands out the row of every group.
 func (g *Grouping) Each(out Sink) error {
-	return g.each(out, func(o int) (float64, bool) { return g.accs[o].Result(g.fold), true })
+	return g.each(out, func(o int) (float64, bool) {
+		var bag []float64
+		if p := g.bag(o); p != nil {
+			bag = *p
+		}
+		return g.accs[o].Result(g.fold, bag), true
+	})
+}
+
+// bag returns group o's bag, where the fold needs it, or nil.
+func (g *Grouping) bag(o int) *[]float64 {
+	if g.bags == nil {
+		return nil
+	}
+	return &g.bags[o]
 }
 
 // PadMerger is PadMerge's kernel, fed the rows of either operand: the union of

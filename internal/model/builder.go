@@ -79,10 +79,10 @@ func (b *Builder) InOrder() bool { return !b.unsorted }
 
 // Add asserts the measure for the dimension tuple, which it copies.
 func (b *Builder) Add(dims []Value, measure float64) error {
-	n := len(b.schema.Dims)
-	if len(dims) != n {
-		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", b.schema.Name, n, len(dims))
+	if err := checkDims(&b.schema, dims); err != nil {
+		return err
 	}
+	n := len(dims)
 	b.key = AppendKey(b.key[:0], dims)
 	if b.follow != nil {
 		if ts := b.follow.keys.tuples; b.n < len(ts) && ts[b.n].key == string(b.key) {

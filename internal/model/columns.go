@@ -24,6 +24,7 @@ type keySet struct {
 	probes atomic.Int64                   // what row has searched for so far
 	est    atomic.Int64                   // memEstimate's cache (0 = not estimated yet)
 	parts  partitions                     // how the rows have been grouped (partition.go)
+	aligns alignments                     // how the rows meet other key sets' (align.go)
 }
 
 // dimTuple is one dimension tuple: the Dims its tuples show, and its row key.
@@ -370,9 +371,10 @@ const keySetTupleBytes = 104
 
 // memEstimate is Cube.MemEstimate's share for the key set. It walks the
 // dimension values once per key set, not once per version; the partitions,
-// which arrive later, are charged as they are held when it is called.
+// and the alignments, which arrive later, are charged as they are held when it
+// is called.
 func (ks *keySet) memEstimate() int64 {
-	return ks.tuplesEstimate() + ks.parts.memEstimate()
+	return ks.tuplesEstimate() + ks.parts.memEstimate() + ks.aligns.memEstimate()
 }
 
 func (ks *keySet) tuplesEstimate() int64 {
@@ -445,8 +447,8 @@ func (c *Cube) fold() *View {
 
 // delta returns the edits as the lists of a delta from the base, in cube
 // order: the tuples added, the base's tuples restated (all, or those whose
-// measure is not == the base's, as changedBetween counts them) and the base's
-// tuples deleted.
+// measure differs from the base's bit for bit, as changedBetween counts them)
+// and the base's tuples deleted.
 func (c *Cube) delta(all bool) (added, changed, deleted []Tuple) {
 	var adds []string
 	rows := make([]int, 0, len(c.edits))
@@ -467,7 +469,7 @@ func (c *Cube) delta(all bool) (added, changed, deleted []Tuple) {
 		switch e := c.edits[c.base.keys.tuples[i].key]; {
 		case e.gone:
 			deleted = append(deleted, Tuple{c.base.Dims(i), c.base.At(i)})
-		case all || e.Measure != c.base.At(i):
+		case all || math.Float64bits(e.Measure) != math.Float64bits(c.base.At(i)):
 			changed = append(changed, e.Tuple)
 		}
 	}
@@ -586,6 +588,8 @@ func (c *Cube) Apply(added, changed, deleted []Tuple) (*Cube, error) {
 		switch {
 		case e.verb == "adds" && has:
 			return nil, misfit(e.verb, e.Tuple, ", which the base has")
+		case e.verb == "adds" && checkDims(&c.schema, e.Dims) != nil:
+			return nil, misfit(e.verb, e.Tuple, ", which does not fit its schema")
 		case e.verb != "adds" && !has:
 			return nil, misfit(e.verb, e.Tuple, ", which the base lacks")
 		case e.verb == "adds":
@@ -714,8 +718,8 @@ func changedBetween(p, q *View, limit int) ([]Tuple, bool) {
 }
 
 // eachBetween calls fn, in row order, on every row where q's measure is not
-// p's, with q's: one merge of the two row lists where p and q are over one
-// column, one walk of both columns otherwise.
+// p's bit for bit (DiffCubes), with q's: one merge of the two row lists where
+// p and q are over one column, one walk of both columns otherwise.
 func eachBetween(p, q *View, fn func(i int, m float64)) {
 	pc, qc := p.Cursor(), q.Cursor()
 	pr, qr := pc.rows, qc.rows
@@ -723,14 +727,14 @@ func eachBetween(p, q *View, fn func(i int, m float64)) {
 	case len(qc.root) == 0 || &pc.root[0] == &qc.root[0]:
 	case len(pr)+len(qr) == 0:
 		for i, m := range qc.root {
-			if m != pc.root[i] {
+			if math.Float64bits(m) != math.Float64bits(pc.root[i]) {
 				fn(i, m)
 			}
 		}
 		return
 	default:
 		for i := range qc.root {
-			if m := qc.At(i); m != pc.At(i) {
+			if m := qc.At(i); math.Float64bits(m) != math.Float64bits(pc.At(i)) {
 				fn(i, m)
 			}
 		}
@@ -746,7 +750,7 @@ func eachBetween(p, q *View, fn func(i int, m float64)) {
 		default:
 			r, i, j = int(pr[i]), i+1, j+1
 		}
-		if m := qc.At(r); m != pc.At(r) {
+		if m := qc.At(r); math.Float64bits(m) != math.Float64bits(pc.At(r)) {
 			fn(r, m)
 		}
 	}

@@ -155,8 +155,10 @@ func (c *Cube) write(dims []Value, measure float64, put, gone bool) (bool, error
 	if c.Frozen() {
 		return false, fmt.Errorf("%w: %s", ErrFrozen, c.schema.Name)
 	}
-	if !gone && len(dims) != len(c.schema.Dims) {
-		return false, fmt.Errorf("model: cube %s expects %d dimensions, got %d", c.schema.Name, len(c.schema.Dims), len(dims))
+	if !gone {
+		if err := checkDims(&c.schema, dims); err != nil {
+			return false, err
+		}
 	}
 	if p := c.cols.Load(); p != nil && len(c.edits) > 0 {
 		c.base, c.edits = p, make(map[string]edit)

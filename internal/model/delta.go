@@ -38,10 +38,12 @@ const smallDeltaShare = 4
 func (d *CubeDelta) Small() bool { return d.Size() <= d.Current.Len()/smallDeltaShare }
 
 // DiffCubes computes the exact tuple-level delta from base to cur. Measures
-// are compared with ==, not a tolerance: the incremental evaluator's contract
-// is byte-identical output, so even a last-ulp drift must propagate. Either
-// cube may be nil, which is treated as empty (the delta substitutes an empty
-// cube, so Base and Current are never nil).
+// are compared bit for bit, not with == and not within a tolerance: the
+// incremental evaluator's contract is byte-identical output, so even a
+// last-ulp drift must propagate, and so must 0 restated as −0, which == holds
+// equal but WriteCSV does not. Either cube may be nil, which is treated as
+// empty (the delta substitutes an empty cube, so Base and Current are never
+// nil).
 func DiffCubes(name string, base, cur *Cube) *CubeDelta {
 	return diffCubes(name, base, cur, math.MaxInt)
 }
@@ -125,7 +127,7 @@ func diffViews(p, q *View, limit int) (added, changed, deleted []Tuple, ok bool)
 		case i < 0:
 			added = append(added, qc.Tuple(j))
 		default:
-			if m := qc.At(j); m != pc.At(i) {
+			if m := qc.At(j); math.Float64bits(m) != math.Float64bits(pc.At(i)) {
 				changed = append(changed, Tuple{Dims: p.Dims(i), Measure: m})
 			}
 		}

@@ -111,6 +111,23 @@ func (s Schema) DimIndex(name string) int {
 	return -1
 }
 
+// checkDims is the error for a dimension tuple that does not fit s: one of
+// another arity, or one that holds an invalid (NULL, NA) value. No version
+// stores such a value: a cube is a partial function, and a join never matches
+// one, so the tuples of two key sets that hold the same values are exactly the
+// pairs a join on every dimension makes (View.Align).
+func checkDims(s *Schema, dims []Value) error {
+	if len(dims) != len(s.Dims) {
+		return fmt.Errorf("model: cube %s expects %d dimensions, got %d", s.Name, len(s.Dims), len(dims))
+	}
+	for _, v := range dims {
+		if !v.IsValid() {
+			return fmt.Errorf("model: cube %s: invalid dimension value in %v", s.Name, dims)
+		}
+	}
+	return nil
+}
+
 // DimNames returns the dimension names in order.
 func (s Schema) DimNames() []string {
 	out := make([]string, len(s.Dims))

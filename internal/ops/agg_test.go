@@ -52,12 +52,13 @@ func TestMedianOddEven(t *testing.T) {
 func TestMedianDoesNotMutateBag(t *testing.T) {
 	f, _ := FoldOf("median")
 	var acc Acc
+	var bag []float64
 	for _, v := range []float64{3, 1, 2} {
-		acc.Add(f, v)
+		acc.Add(f, &bag, v)
 	}
-	_ = acc.Result(f)
-	acc.Add(f, 0)
-	if got := acc.Result(f); got != 1.5 {
+	_ = acc.Result(f, bag)
+	acc.Add(f, &bag, 0)
+	if got := acc.Result(f, bag); got != 1.5 {
 		t.Errorf("median after further Add = %v, want 1.5", got)
 	}
 }
@@ -169,10 +170,18 @@ func FuzzFoldColumn(f *testing.F) {
 		}
 		for fold := range Fold(len(foldNames)) {
 			column, loop := make([]Acc, n), make([]Acc, n)
-			FoldColumn(fold, column, ords, vs)
+			var columnBags, loopBags [][]float64
+			if fold.Bags() {
+				columnBags, loopBags = make([][]float64, n), make([][]float64, n)
+			}
+			FoldColumn(fold, column, columnBags, ords, vs)
 			for i, g := range ords {
 				if g != model.NoGroup {
-					loop[g].Add(fold, vs[i])
+					var bag *[]float64
+					if fold.Bags() {
+						bag = &loopBags[g]
+					}
+					loop[g].Add(fold, bag, vs[i])
 				}
 			}
 			for g := range loop {
@@ -182,7 +191,11 @@ func FuzzFoldColumn(f *testing.F) {
 				if loop[g].N() == 0 {
 					continue
 				}
-				if c, a := column[g].Result(fold), loop[g].Result(fold); math.Float64bits(c) != math.Float64bits(a) {
+				var cb, lb []float64
+				if fold.Bags() {
+					cb, lb = columnBags[g], loopBags[g]
+				}
+				if c, a := column[g].Result(fold, cb), loop[g].Result(fold, lb); math.Float64bits(c) != math.Float64bits(a) {
 					t.Fatalf("%s, group %d: the column gives %v (%#x), Add %v (%#x)", foldNames[fold], g, c, math.Float64bits(c), a, math.Float64bits(a))
 				}
 			}

@@ -757,7 +757,7 @@ type groupOp struct {
 	m      opMetrics
 	child  execOp
 	done   bool
-	states [][]ops.Acc // [aggregate][group ordinal]
+	states []aggState // by aggregate
 
 	scan  *scanOp          // the child, where its view's key set keeps the partition
 	part  *model.Partition // the ordinals, where the key set had them
@@ -841,7 +841,7 @@ func (o *groupOp) next() (*batch, error) {
 	if o.part != nil {
 		ngroups = o.part.Groups()
 	}
-	o.states = make([][]ops.Acc, len(o.n.aggs))
+	o.states = make([]aggState, len(o.n.aggs))
 	o.grow(ngroups)
 
 	for {
@@ -903,9 +903,13 @@ func (o *groupOp) next() (*batch, error) {
 		col := vec{form: fNum, nums: make([]float64, ngroups)}
 		empty, defined := spec.fold.Empty()
 		for g := range col.nums {
-			switch acc := &o.states[ai][g]; {
-			case acc.N() > 0:
-				col.nums[g] = acc.Result(spec.fold)
+			switch s := &o.states[ai]; {
+			case s.accs[g].N() > 0:
+				var bag []float64
+				if s.bags != nil {
+					bag = s.bags[g]
+				}
+				col.nums[g] = s.accs[g].Result(spec.fold, bag)
 			case defined:
 				col.nums[g] = empty
 			default:
@@ -947,9 +951,20 @@ func (o *groupOp) next() (*batch, error) {
 
 // grow gives every aggregate an empty bag for each group up to ngroups.
 func (o *groupOp) grow(ngroups int) {
-	for i, s := range o.states {
-		o.states[i] = append(s, make([]ops.Acc, ngroups-len(s))...)
+	for i := range o.states {
+		s := &o.states[i]
+		s.accs = append(s.accs, make([]ops.Acc, ngroups-len(s.accs))...)
+		if o.n.aggs[i].fold.Bags() {
+			s.bags = append(s.bags, make([][]float64, ngroups-len(s.bags))...)
+		}
 	}
+}
+
+// aggState is one aggregate's groups, by group ordinal: an accumulator each,
+// and the bag itself where the fold needs it (ops.Fold.Bags).
+type aggState struct {
+	accs []ops.Acc
+	bags [][]float64
 }
 
 // fold folds b, the next batch of the input, its rows' ordinals ords, into every
@@ -988,7 +1003,7 @@ func (o *groupOp) fold(b *batch, ords []uint32) error {
 			}
 			o.vords = vords
 		}
-		ops.FoldColumn(spec.fold, o.states[i], vords, nums)
+		ops.FoldColumn(spec.fold, o.states[i].accs, o.states[i].bags, vords, nums)
 	}
 	if bad >= 0 {
 		return fmt.Errorf("sql: aggregate %s over non-numeric value %v", o.n.aggs[bad].name, o.argv[bad].at(badRow))
